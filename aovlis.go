@@ -179,22 +179,20 @@ type Detector struct {
 	upd    *update.Updater
 	tau    float64
 
-	// sliding windows of the last q features
+	// actWin/audWin hold the sliding window of the last q features; inside
+	// observeLanes they also carry the lanes being consumed (see there).
 	actWin [][]float64
 	audWin [][]float64
 
-	// fhatBuf/ahatBuf are reused prediction buffers: Observe routes through
-	// Model.PredictInto so the steady-state hot path allocates nothing.
-	fhatBuf []float64
-	ahatBuf []float64
+	// Predict scratch, reused across calls: the per-lane samples and the
+	// lane prediction buffers (headers over one flat backing each). At a
+	// stable batch size the hot path allocates nothing.
+	samples    []core.Sample
+	fhat, ahat [][]float64
 
-	// ObserveBatch scratch, reused across calls: the combined
-	// window+segment header sequence, the per-lane samples, and the lane
-	// prediction buffers (headers over one flat backing each). At a stable
-	// batch size ObserveBatch allocates nothing.
-	batchAct, batchAud   [][]float64
-	batchSamples         []core.Sample
-	batchFhat, batchAhat [][]float64
+	// oneAct/oneAud/oneRes are Observe's one-lane batch.
+	oneAct, oneAud [1][]float64
+	oneRes         [1]Result
 
 	observed int
 	detected int
@@ -366,7 +364,8 @@ func (d *Detector) Detected() int { return d.detected }
 // Observe feeds the features of the next segment. Once q segments of
 // history are buffered, each call predicts the incoming segment from the
 // window, scores it (through the ADOS filter when enabled) and returns the
-// decision; the window then slides forward.
+// decision; the window then slides forward. It is the one-lane case of
+// ObserveBatch.
 //
 // Observe is not safe for concurrent use: a call that overlaps another
 // Observe on the same Detector returns ErrConcurrentObserve (see the
@@ -376,102 +375,13 @@ func (d *Detector) Observe(actionFeat, audienceFeat []float64) (Result, error) {
 		return Result{}, ErrConcurrentObserve
 	}
 	defer d.observing.Store(0)
-	return d.observeLocked(actionFeat, audienceFeat)
-}
-
-// observeLocked is Observe's body, shared with the tiered ObserveBatch
-// path; the caller holds the single-writer flag.
-func (d *Detector) observeLocked(actionFeat, audienceFeat []float64) (Result, error) {
-	if len(actionFeat) != d.cfg.ActionDim || len(audienceFeat) != d.cfg.AudienceDim {
-		return Result{}, fmt.Errorf("aovlis: feature dims %d/%d, detector expects %d/%d",
-			len(actionFeat), len(audienceFeat), d.cfg.ActionDim, d.cfg.AudienceDim)
+	d.oneAct[0], d.oneAud[0] = actionFeat, audienceFeat
+	_, err := d.observeLanes(d.oneAct[:], d.oneAud[:], d.oneRes[:])
+	d.oneAct[0], d.oneAud[0] = nil, nil
+	if err != nil {
+		return Result{}, err
 	}
-	d.observed++
-	if len(d.actWin) < d.cfg.SeqLen {
-		d.actWin = append(d.actWin, actionFeat)
-		d.audWin = append(d.audWin, audienceFeat)
-		return Result{Warmup: true}, nil
-	}
-
-	if d.fhatBuf == nil {
-		d.fhatBuf = make([]float64, d.cfg.ActionDim)
-		d.ahatBuf = make([]float64, d.cfg.AudienceDim)
-	}
-	// Tier 0: the anchor bound may clear the segment as normal without
-	// running the model at all. The gate reads the filter's live config so
-	// SetTau/Recalibrate are honoured immediately.
-	var res Result
-	scored := false
-	if d.tier != nil {
-		if tres, ok := d.tier.Gate(actionFeat, audienceFeat, d.filter.Config()); ok {
-			res = Result{
-				Anomaly: false,
-				Score:   tres.REIA,
-				Exact:   false,
-				Path:    tres.Path.String(),
-			}
-			scored = true
-		}
-	}
-	if !scored {
-		sample := core.Sample{
-			ActionSeq:      d.actWin,
-			AudienceSeq:    d.audWin,
-			ActionTarget:   actionFeat,
-			AudienceTarget: audienceFeat,
-			Index:          d.observed - 1,
-		}
-		if err := d.model.PredictInto(&sample, d.fhatBuf, d.ahatBuf); err != nil {
-			return Result{}, err
-		}
-		fres, err := d.filter.Decide(actionFeat, d.fhatBuf, audienceFeat, d.ahatBuf)
-		if err != nil {
-			return Result{}, err
-		}
-		if d.tier != nil {
-			d.tier.Commit(actionFeat, d.fhatBuf, d.ahatBuf, fres.Anomaly)
-		}
-		res = Result{
-			Anomaly: fres.Anomaly,
-			Score:   fres.REIA,
-			Exact:   fres.Exact,
-			Path:    fres.Path.String(),
-		}
-	}
-	if res.Anomaly {
-		d.detected++
-	}
-
-	// Dynamic maintenance (Fig. 5): buffer presumed-normal segments and
-	// update on drift. The interaction level is the mean of the count
-	// block, computed directly from the audience feature. The buffered
-	// sample gets its own window headers because the detector's window
-	// slides in place.
-	if d.upd != nil {
-		level := interactionLevel(audienceFeat)
-		buffered := core.Sample{
-			ActionSeq:      copyWindow(d.actWin),
-			AudienceSeq:    copyWindow(d.audWin),
-			ActionTarget:   actionFeat,
-			AudienceTarget: audienceFeat,
-			Index:          d.observed - 1,
-		}
-		upRes, err := d.upd.Observe(buffered, level)
-		if err != nil {
-			return Result{}, fmt.Errorf("aovlis: dynamic update: %w", err)
-		}
-		res.Updated = upRes.Updated
-	}
-
-	// Slide the window in place (allocation-free): only the window's own
-	// header array mutates. Buffered update samples stay stable because
-	// copyWindow gave them their own header arrays, and the per-segment
-	// feature rows themselves are never written.
-	copy(d.actWin, d.actWin[1:])
-	d.actWin[len(d.actWin)-1] = actionFeat
-	copy(d.audWin, d.audWin[1:])
-	d.audWin[len(d.audWin)-1] = audienceFeat
-	return res, nil
+	return d.oneRes[0], nil
 }
 
 // ObserveBatch feeds n = len(actionFeats) consecutive segments of one
@@ -481,15 +391,8 @@ func (d *Detector) observeLocked(actionFeat, audienceFeat []float64) (Result, er
 //
 // ObserveBatch is bit-identical to n sequential Observe calls: the i-th
 // lane's prediction window is the detector's window as it would stand
-// after segments 0..i-1, all full-window lanes are scored through
-// Model.PredictBatchInto (itself bit-identical to per-sample PredictInto),
-// and the filter/update pipeline then runs serially per lane in order.
-// The one subtlety is dynamic updates: predictions are made optimistically
-// with the weights at batch start, and if lane i's update step retrains
-// the model (moving the parameter version), the not-yet-consumed lanes
-// i+1.. are re-predicted with the new weights — exactly what the serial
-// path would have used. Updates are drift-triggered and rare, so the
-// replay cost is amortised away.
+// after segments 0..i-1, and the filter/update pipeline runs serially per
+// lane in order. Only the predict step is amortised (see observeLanes).
 //
 // It returns the number of fully processed segments. On error, processing
 // stops at the offending lane exactly as a serial Observe sequence would:
@@ -509,191 +412,174 @@ func (d *Detector) ObserveBatch(actionFeats, audienceFeats [][]float64, results 
 		return 0, ErrConcurrentObserve
 	}
 	defer d.observing.Store(0)
+	return d.observeLanes(actionFeats, audienceFeats, results)
+}
 
-	// Tier gating is sequential state — each lane's verdict may move the
-	// anchor that gates the next — so tiered batches score serially, lane
-	// by lane. This is trivially bit-identical to n Observe calls (it IS
-	// n Observe bodies) and keeps the prefix-commit error semantics: a
-	// failing lane i returns (i, err) with lanes 0..i-1 fully committed.
-	if d.tier != nil {
-		for i := range actionFeats {
-			res, err := d.observeLocked(actionFeats[i], audienceFeats[i])
-			if err != nil {
-				return i, err
-			}
-			results[i] = res
-		}
-		return len(actionFeats), nil
-	}
-
-	// The maximal prefix of dimension-valid lanes; the first invalid lane
-	// (if any) gets its error after the prefix commits, exactly like a
-	// serial Observe sequence where a bad segment fails without touching
-	// the window or counters.
-	valid := len(actionFeats)
+// observeLanes is the segment pipeline, stated once: dims check → warm-up →
+// tier gate → predict → filter.Decide → tier.Commit → updater → slide. The
+// caller holds the single-writer flag.
+//
+// The window is the tail of d.actWin/d.audWin. The lanes are appended to it
+// up front (headers only; feature rows are never written), so lane i's
+// history is the q rows ending just before it, and the slide is one
+// copy-down at the end that keeps the last q rows of whatever was consumed.
+//
+// Predictions are lazy and, where it is safe, batched: when a lane needs a
+// prediction and has none, every remaining lane is predicted in one
+// PredictBatchInto pass (bit-identical to per-lane PredictInto) — unless
+// the tier gate is on, whose anchor each verdict may move, or only one lane
+// remains; then that lane alone goes through PredictInto. The batch is
+// optimistic about the weights: if a lane's update step retrains the model
+// (the parameter version moves), the predictions of the lanes after it are
+// discarded, and the next one that needs a prediction re-predicts with the
+// new weights — exactly what a serial sequence would have used. Updates
+// are drift-triggered and rare, so the replay cost is amortised away.
+func (d *Detector) observeLanes(acts, auds [][]float64, results []Result) (int, error) {
+	// Dims check: the maximal prefix of well-dimensioned lanes is
+	// processed; the first bad lane fails after the prefix commits, exactly
+	// like a serial sequence where a bad segment touches neither the window
+	// nor the counters.
+	valid := len(acts)
 	var dimErr error
-	for i := range actionFeats {
-		if len(actionFeats[i]) != d.cfg.ActionDim || len(audienceFeats[i]) != d.cfg.AudienceDim {
+	for i := range acts {
+		if len(acts[i]) != d.cfg.ActionDim || len(auds[i]) != d.cfg.AudienceDim {
 			valid = i
 			dimErr = fmt.Errorf("aovlis: feature dims %d/%d, detector expects %d/%d",
-				len(actionFeats[i]), len(audienceFeats[i]), d.cfg.ActionDim, d.cfg.AudienceDim)
+				len(acts[i]), len(auds[i]), d.cfg.ActionDim, d.cfg.AudienceDim)
 			break
 		}
 	}
-	if valid == 0 {
-		return 0, dimErr
-	}
+	q, w0 := d.cfg.SeqLen, len(d.actWin)
+	d.actWin = append(d.actWin, acts[:valid]...)
+	d.audWin = append(d.audWin, auds[:valid]...)
 
-	// Combined header sequence [window..., segments...]: lane i's window is
-	// the q rows ending just before segment i. Only headers are copied; the
-	// feature rows themselves are never written.
-	q := d.cfg.SeqLen
-	w0 := len(d.actWin)
-	d.batchAct = append(d.batchAct[:0], d.actWin...)
-	d.batchAud = append(d.batchAud[:0], d.audWin...)
-	d.batchAct = append(d.batchAct, actionFeats[:valid]...)
-	d.batchAud = append(d.batchAud, audienceFeats[:valid]...)
-
-	// Lanes still inside warm-up form a prefix (the window only grows).
-	warm := 0
-	if w0 < q {
-		warm = q - w0
-		if warm > valid {
-			warm = valid
-		}
-	}
-	base := d.observed
-	d.batchSamples = d.batchSamples[:0]
-	for i := warm; i < valid; i++ {
-		start := w0 + i - q
-		d.batchSamples = append(d.batchSamples, core.Sample{
-			ActionSeq:      d.batchAct[start : start+q],
-			AudienceSeq:    d.batchAud[start : start+q],
-			ActionTarget:   actionFeats[i],
-			AudienceTarget: audienceFeats[i],
-			Index:          base + i,
-		})
-	}
-	d.ensureBatchBufs(len(d.batchSamples))
-	commit := func(n int) {
-		end := w0 + n
-		start := end - q
-		if start < 0 {
-			start = 0
-		}
-		d.actWin = append(d.actWin[:0], d.batchAct[start:end]...)
-		d.audWin = append(d.audWin[:0], d.batchAud[start:end]...)
-	}
-
-	if len(d.batchSamples) > 0 {
-		// Unreachable after the lane validation above (the samples and
-		// buffers are built to shape), kept as defence in depth with exact
-		// serial semantics: the warm-up prefix succeeds, then the first
-		// predicting lane counts itself observed and fails with the window
-		// holding the warm-up appends only.
-		if err := d.model.PredictBatchInto(d.batchSamples, d.batchFhat[:len(d.batchSamples)], d.batchAhat[:len(d.batchSamples)]); err != nil {
-			for i := 0; i < warm; i++ {
-				d.observed++
-				results[i] = Result{Warmup: true}
-			}
-			d.observed++ // the failing lane
-			commit(warm)
-			releaseBatchRefs(d.batchAct, d.batchAud, d.batchSamples)
-			return warm, err
-		}
-	}
+	var err error
+	n := 0
+	predFrom, predTo := 0, 0 // lanes [predFrom, predTo) hold predictions in fhat/ahat[lane-predFrom]
 	version := d.model.Params().Version()
-	for i := 0; i < valid; i++ {
+	for ; n < valid; n++ {
+		a, u := acts[n], auds[n]
+		end := w0 + n // rows [0, end) are this lane's history
 		d.observed++
-		if i < warm {
-			results[i] = Result{Warmup: true}
+		if end < q {
+			results[n] = Result{Warmup: true}
 			continue
 		}
-		si := i - warm
-		fres, err := d.filter.Decide(actionFeats[i], d.batchFhat[si], audienceFeats[i], d.batchAhat[si])
-		if err != nil {
-			commit(i)
-			releaseBatchRefs(d.batchAct, d.batchAud, d.batchSamples)
-			return i, err
+		var res Result
+		// Tier 0: the anchor bound may clear the segment as normal without
+		// running the model at all. The gate reads the filter's live config
+		// so SetTau/Recalibrate are honoured immediately.
+		cleared := false
+		if d.tier != nil {
+			var tres ados.Result
+			if tres, cleared = d.tier.Gate(a, u, d.filter.Config()); cleared {
+				res = Result{Score: tres.REIA, Path: tres.Path.String()}
+			}
 		}
-		results[i] = Result{
-			Anomaly: fres.Anomaly,
-			Score:   fres.REIA,
-			Exact:   fres.Exact,
-			Path:    fres.Path.String(),
+		if !cleared {
+			if n >= predTo {
+				lanes := 1
+				if d.tier == nil {
+					lanes = valid - n
+				}
+				if err = d.predict(n, lanes, w0, acts, auds); err != nil {
+					break
+				}
+				predFrom, predTo = n, n+lanes
+			}
+			fhat, ahat := d.fhat[n-predFrom], d.ahat[n-predFrom]
+			var fres ados.Result
+			if fres, err = d.filter.Decide(a, fhat, u, ahat); err != nil {
+				break
+			}
+			if d.tier != nil {
+				d.tier.Commit(a, fhat, ahat, fres.Anomaly)
+			}
+			res = Result{Anomaly: fres.Anomaly, Score: fres.REIA, Exact: fres.Exact, Path: fres.Path.String()}
 		}
-		if results[i].Anomaly {
+		if res.Anomaly {
 			d.detected++
 		}
+		// Dynamic maintenance (Fig. 5): buffer presumed-normal segments and
+		// update on drift. The interaction level is the mean of the count
+		// block, computed directly from the audience feature. The buffered
+		// sample gets its own window headers because the detector's window
+		// slides in place.
 		if d.upd != nil {
-			s := &d.batchSamples[si]
-			buffered := core.Sample{
-				ActionSeq:      copyWindow(s.ActionSeq),
-				AudienceSeq:    copyWindow(s.AudienceSeq),
-				ActionTarget:   actionFeats[i],
-				AudienceTarget: audienceFeats[i],
-				Index:          s.Index,
-			}
-			upRes, err := d.upd.Observe(buffered, interactionLevel(audienceFeats[i]))
+			var upRes update.Result
+			upRes, err = d.upd.Observe(core.Sample{
+				ActionSeq:      copyWindow(d.actWin[end-q : end]),
+				AudienceSeq:    copyWindow(d.audWin[end-q : end]),
+				ActionTarget:   a,
+				AudienceTarget: u,
+				Index:          d.observed - 1,
+			}, interactionLevel(u))
 			if err != nil {
-				commit(i)
-				releaseBatchRefs(d.batchAct, d.batchAud, d.batchSamples)
-				return i, fmt.Errorf("aovlis: dynamic update: %w", err)
+				err = fmt.Errorf("aovlis: dynamic update: %w", err)
+				break
 			}
-			results[i].Updated = upRes.Updated
-			// A retrain invalidates the optimistic predictions: replay the
-			// remaining lanes with the post-update weights, which is what
-			// the serial path would have predicted them with.
+			res.Updated = upRes.Updated
 			if v := d.model.Params().Version(); v != version {
-				version = v
-				if rest := len(d.batchSamples) - (si + 1); rest > 0 {
-					if err := d.model.PredictBatchInto(d.batchSamples[si+1:], d.batchFhat[si+1:si+1+rest], d.batchAhat[si+1:si+1+rest]); err != nil {
-						// Defence in depth (see above): serially, lane i+1
-						// would count itself observed and then fail its
-						// predict with the window unmoved past lane i.
-						d.observed++
-						commit(i + 1)
-						releaseBatchRefs(d.batchAct, d.batchAud, d.batchSamples)
-						return i + 1, err
-					}
-				}
+				version, predTo = v, n+1
 			}
 		}
+		results[n] = res
 	}
-	commit(valid)
-	releaseBatchRefs(d.batchAct, d.batchAud, d.batchSamples)
+
+	// Slide (allocation-free): keep the last q rows of the history the n
+	// consumed lanes leave behind, and drop every other caller row from the
+	// reused backing arrays so it is not pinned past the call. Buffered
+	// update samples stay stable because copyWindow gave them their own
+	// header arrays.
+	end := w0 + n
+	keep := min(end, q)
+	copy(d.actWin, d.actWin[end-keep:end])
+	copy(d.audWin, d.audWin[end-keep:end])
+	clear(d.actWin[keep:])
+	clear(d.audWin[keep:])
+	d.actWin, d.audWin = d.actWin[:keep], d.audWin[:keep]
+	clear(d.samples)
+	if err != nil {
+		return n, err
+	}
 	return valid, dimErr
 }
 
-// ensureBatchBufs sizes the lane prediction buffers (headers over one flat
+// predict fills d.fhat/d.ahat[0:lanes] with the predictions of lanes
+// [from, from+lanes), each from the q window rows ending just before it.
+func (d *Detector) predict(from, lanes, w0 int, acts, auds [][]float64) error {
+	q := d.cfg.SeqLen
+	d.samples = d.samples[:0]
+	for i := from; i < from+lanes; i++ {
+		end := w0 + i
+		d.samples = append(d.samples, core.Sample{
+			ActionSeq:      d.actWin[end-q : end],
+			AudienceSeq:    d.audWin[end-q : end],
+			ActionTarget:   acts[i],
+			AudienceTarget: auds[i],
+			Index:          d.observed - 1 + i - from,
+		})
+	}
+	d.ensurePredBufs(lanes)
+	if lanes == 1 {
+		return d.model.PredictInto(&d.samples[0], d.fhat[0], d.ahat[0])
+	}
+	return d.model.PredictBatchInto(d.samples, d.fhat[:lanes], d.ahat[:lanes])
+}
+
+// ensurePredBufs sizes the lane prediction buffers (headers over one flat
 // backing each) for n lanes, reallocating only on growth.
-func (d *Detector) ensureBatchBufs(n int) {
-	if cap(d.batchFhat) >= n {
-		d.batchFhat = d.batchFhat[:n]
-		d.batchAhat = d.batchAhat[:n]
+func (d *Detector) ensurePredBufs(n int) {
+	if len(d.fhat) >= n {
 		return
 	}
-	d.batchFhat = make([][]float64, n)
-	d.batchAhat = make([][]float64, n)
+	d.fhat = make([][]float64, n)
+	d.ahat = make([][]float64, n)
 	fdata := make([]float64, n*d.cfg.ActionDim)
 	adata := make([]float64, n*d.cfg.AudienceDim)
 	for i := 0; i < n; i++ {
-		d.batchFhat[i] = fdata[i*d.cfg.ActionDim : (i+1)*d.cfg.ActionDim]
-		d.batchAhat[i] = adata[i*d.cfg.AudienceDim : (i+1)*d.cfg.AudienceDim]
-	}
-}
-
-// releaseBatchRefs drops caller feature headers from the reused batch
-// scratch so they are not pinned past the call.
-func releaseBatchRefs(act, aud [][]float64, samples []core.Sample) {
-	for i := range act {
-		act[i] = nil
-	}
-	for i := range aud {
-		aud[i] = nil
-	}
-	for i := range samples {
-		samples[i] = core.Sample{}
+		d.fhat[i] = fdata[i*d.cfg.ActionDim : (i+1)*d.cfg.ActionDim]
+		d.ahat[i] = adata[i*d.cfg.AudienceDim : (i+1)*d.cfg.AudienceDim]
 	}
 }
 

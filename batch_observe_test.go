@@ -4,7 +4,10 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
+
+	"aovlis/internal/ados"
 )
 
 // Golden bit-identity suite for Detector.ObserveBatch (ISSUE 5): a batched
@@ -222,5 +225,120 @@ func TestObserveBatchSteadyStateAllocs(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Fatalf("steady-state ObserveBatch allocates %v objects/op, want 0", n)
+	}
+}
+
+// TestObserveBatchMatrix is the bit-identity table over the scoring modes:
+// tiered × EnableUpdate, each with a wrong-dimensioned lane inside the
+// batch that crosses warm-up and another mid-stream. Results, the (n, err)
+// of every call, the counters, the filter/tier statistics and the sliding
+// window must match n serial Observe calls exactly — Observe being the
+// one-lane case of the same body does not make this vacuous: the chunked
+// side batches its predictions (or, tiered, gates lane by lane inside one
+// call) and replays them when a retrain lands mid-batch.
+func TestObserveBatchMatrix(t *testing.T) {
+	for _, tc := range []struct {
+		name           string
+		tiered, update bool
+	}{
+		{"exact", false, false},
+		{"tiered", true, false},
+		{"update", false, true},
+		{"tiered+update", true, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(59))
+			cfg := testConfig()
+			if tc.tiered {
+				cfg.Tiered = true
+				cfg.Tier = ados.TierConfig{DriftMax: 0.6, Margin: 1, MaxRun: 8}
+				cfg.TauQuantile = 1
+			}
+			if tc.update {
+				cfg.EnableUpdate = true
+				cfg.Update.MaxBuffer = 6
+				cfg.Update.DriftThreshold = 1 // every full buffer retrains
+				cfg.Update.TrainEpochs = 1
+			}
+			trainA, trainU := makeSeries(rng, 120, nil)
+			det, err := Train(trainA, trainU, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			streamA, streamU := makeSeries(rng, 70, map[int]bool{40: true, 41: true})
+			// Lane 5 sits in the first chunk, right after the q = 4 warm-up
+			// lanes and the first predicting lane; lane 33 is mid-stream.
+			streamA[5] = []float64{1, 2}
+			streamU[33] = []float64{1, 2, 3}
+
+			serialDet, _ := det.Clone()
+			batchDet, _ := det.Clone()
+			type step struct {
+				res Result
+				err error
+			}
+			serial := make([]step, len(streamA))
+			for i := range streamA {
+				serial[i].res, serial[i].err = serialDet.Observe(streamA[i], streamU[i])
+			}
+
+			chunks := []int{7, 3, 1, 9, 16, 2}
+			scratch := make([]Result, 16)
+			for start, ci := 0, 0; start < len(streamA); ci++ {
+				end := min(start+chunks[ci%len(chunks)], len(streamA))
+				for start < end { // resubmit past each failing lane, like the shard worker
+					n, err := batchDet.ObserveBatch(streamA[start:end], streamU[start:end], scratch[:end-start])
+					want := end - start
+					for i := start; i < end; i++ {
+						if serial[i].err != nil {
+							want = i - start
+							break
+						}
+					}
+					if n != want || (err != nil) != (start+n < end) {
+						t.Fatalf("ObserveBatch[%d,%d) = (%d, %v), serial sequence fails after %d lanes", start, end, n, err, want)
+					}
+					for i := 0; i < n; i++ {
+						if s, b := serial[start+i].res, scratch[i]; s.Warmup != b.Warmup || s.Anomaly != b.Anomaly ||
+							s.Exact != b.Exact || s.Path != b.Path || s.Updated != b.Updated ||
+							math.Float64bits(s.Score) != math.Float64bits(b.Score) {
+							t.Fatalf("segment %d diverged: serial %+v, batched %+v", start+i, s, b)
+						}
+					}
+					if err != nil {
+						if err.Error() != serial[start+n].err.Error() {
+							t.Fatalf("segment %d: batch error %q, serial error %q", start+n, err, serial[start+n].err)
+						}
+						n++ // skip the failed lane
+					}
+					start += n
+				}
+			}
+
+			if serialDet.Observed() != batchDet.Observed() || serialDet.Detected() != batchDet.Detected() {
+				t.Fatalf("counters diverged: serial %d/%d, batched %d/%d",
+					serialDet.Observed(), serialDet.Detected(), batchDet.Observed(), batchDet.Detected())
+			}
+			if serialDet.FilterStats() != batchDet.FilterStats() || serialDet.TierStats() != batchDet.TierStats() {
+				t.Fatalf("filter/tier stats diverged: serial %+v %+v, batched %+v %+v",
+					serialDet.FilterStats(), serialDet.TierStats(), batchDet.FilterStats(), batchDet.TierStats())
+			}
+			if !reflect.DeepEqual(serialDet.actWin, batchDet.actWin) || !reflect.DeepEqual(serialDet.audWin, batchDet.audWin) ||
+				len(batchDet.actWin) != cfg.SeqLen {
+				t.Fatalf("windows diverged: serial %v, batched %v", serialDet.actWin, batchDet.actWin)
+			}
+			updates, skipped := 0, batchDet.TierStats().Skipped
+			for _, s := range serial {
+				if s.res.Updated {
+					updates++
+				}
+			}
+			if tc.update && updates == 0 {
+				t.Fatal("updater never retrained; the replay-on-version-move path went unexercised")
+			}
+			if tc.tiered && skipped == 0 {
+				t.Fatal("tier gate never skipped; the gated path went unexercised")
+			}
+		})
 	}
 }

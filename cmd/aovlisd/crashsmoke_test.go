@@ -36,6 +36,7 @@ import (
 
 	"aovlis/internal/ledger"
 	"aovlis/internal/serve"
+	"aovlis/internal/wire"
 )
 
 // newDurableDaemon assembles a daemon over fresh state directories the
@@ -352,7 +353,7 @@ func streamAcked(t *testing.T, url, id string, lines []string, kill func(), minA
 		if strings.TrimSpace(sc.Text()) == "" {
 			continue
 		}
-		var dec decision
+		var dec wire.Decision
 		if err := json.Unmarshal(sc.Bytes(), &dec); err != nil {
 			break // torn line from the kill
 		}

@@ -35,10 +35,10 @@ import (
 	"time"
 
 	"aovlis"
-	"aovlis/internal/cluster"
 	"aovlis/internal/serve"
 	"aovlis/internal/serve/loadgen"
 	"aovlis/internal/stream/live"
+	"aovlis/internal/wire"
 )
 
 // newLiveDaemon builds a daemon with the live plane mounted. The cleanup
@@ -131,32 +131,6 @@ func sendObs(t *testing.T, conn *live.Conn, action, audience []float64) {
 	}
 	if err := conn.WriteMessage(live.OpText, b); err != nil {
 		t.Fatalf("sending observation: %v", err)
-	}
-}
-
-// TestLiveDecisionWireParity pins the three decision wire structs —
-// live.Decision, the daemon's NDJSON decision line and cluster.Decision —
-// to one JSON shape, so a client can parse any plane with one type.
-func TestLiveDecisionWireParity(t *testing.T) {
-	tags := func(v interface{}) []string {
-		rt := reflect.TypeOf(v)
-		out := make([]string, 0, rt.NumField())
-		for i := 0; i < rt.NumField(); i++ {
-			tag := rt.Field(i).Tag.Get("json")
-			name, _, _ := strings.Cut(tag, ",")
-			if name == "" || name == "-" {
-				t.Fatalf("%s.%s has no json tag", rt.Name(), rt.Field(i).Name)
-			}
-			out = append(out, name)
-		}
-		return out
-	}
-	want := tags(live.Decision{})
-	if got := tags(decision{}); !reflect.DeepEqual(got, want) {
-		t.Errorf("daemon decision fields %v, live.Decision %v", got, want)
-	}
-	if got := tags(cluster.Decision{}); !reflect.DeepEqual(got, want) {
-		t.Errorf("cluster.Decision fields %v, live.Decision %v", got, want)
 	}
 }
 
@@ -381,7 +355,7 @@ func TestWatchStreamsVerdicts(t *testing.T) {
 
 	var body strings.Builder
 	for i := range acts {
-		b, _ := json.Marshal(observation{Action: acts[i], Audience: auds[i]})
+		b, _ := json.Marshal(wire.Observation{Action: acts[i], Audience: auds[i]})
 		body.WriteString(string(b) + "\n")
 	}
 	decs := postObserve(t, srv, "w0", body.String())
@@ -457,12 +431,14 @@ func TestLiveTeardownRaceClean(t *testing.T) {
 	d, srv := newLiveDaemon(t, 2)
 	acts, auds := testSeries(17, 400)
 	var delivered atomic.Int64
-	var wg sync.WaitGroup
+	var wg, dialed sync.WaitGroup
 	for ci := 0; ci < 3; ci++ {
 		wg.Add(1)
+		dialed.Add(1)
 		go func(ci int) {
 			defer wg.Done()
 			conn, _, err := live.Dial(srv.URL+fmt.Sprintf("/live/tear-%d", ci), nil)
+			dialed.Done()
 			if err != nil {
 				t.Errorf("producer %d dial: %v", ci, err)
 				return
@@ -497,6 +473,9 @@ func TestLiveTeardownRaceClean(t *testing.T) {
 		}()
 	}
 
+	// Every producer is connected before the hub may close: one still
+	// dialling when the others reach ten decisions would be refused (503).
+	dialed.Wait()
 	deadline := time.Now().Add(15 * time.Second)
 	for delivered.Load() < 10 {
 		if time.Now().After(deadline) {

@@ -81,8 +81,6 @@
 package main
 
 import (
-	"bufio"
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -109,6 +107,7 @@ import (
 	"aovlis/internal/stream/live"
 	"aovlis/internal/synth"
 	"aovlis/internal/wal"
+	"aovlis/internal/wire"
 )
 
 // options collects the daemon's command-line configuration.
@@ -469,19 +468,13 @@ func (s fanoutSink) Record(channel string, channelSeq uint64, res aovlis.Result)
 type watchSink struct{ hub *live.Hub }
 
 func (s watchSink) Record(channel string, channelSeq uint64, res aovlis.Result) {
-	b, err := json.Marshal(live.Decision{
-		Channel: channel,
-		Seq:     channelSeq,
-		Warmup:  res.Warmup,
-		Anomaly: res.Anomaly,
-		Score:   res.Score,
-		Exact:   res.Exact,
-		Path:    res.Path,
-		WSeq:    channelSeq,
-	})
+	d := wire.Decision{Channel: channel, Seq: channelSeq, WSeq: channelSeq}
+	d.SetResult(res)
+	b, err := wire.AppendDecision(nil, &d)
 	if err != nil {
 		return
 	}
+	b = b[:len(b)-1]
 	s.hub.Publish(channel, b)
 }
 
@@ -763,34 +756,6 @@ func (d *daemon) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	d.pool.Metrics().WritePrometheus(w)
 }
 
-// observation is one NDJSON request line.
-type observation struct {
-	Action   []float64 `json:"action"`
-	Audience []float64 `json:"audience"`
-}
-
-// decision is one NDJSON response line.
-type decision struct {
-	Channel string  `json:"channel"`
-	Seq     int     `json:"seq"`
-	Warmup  bool    `json:"warmup,omitempty"`
-	Anomaly bool    `json:"anomaly"`
-	Score   float64 `json:"score"`
-	Exact   bool    `json:"exact"`
-	Path    string  `json:"path,omitempty"`
-	// WSeq is the observation's WAL sequence on this node (0 without
-	// -wal-dir). A router records the highest wseq it has relayed per
-	// channel, which is exactly the journal suffix it must replay to the
-	// new owner when this node dies.
-	WSeq    uint64 `json:"wseq,omitempty"`
-	Dropped bool   `json:"dropped,omitempty"`
-	// Rejected marks a line refused by admission control (the pool was past
-	// its reject watermark) — retry later; Dropped marks a DropNewest queue
-	// overflow.
-	Rejected bool   `json:"rejected,omitempty"`
-	Error    string `json:"error,omitempty"`
-}
-
 // ensureChannel attaches a fresh clone of the template under id if needed.
 func (d *daemon) ensureChannel(id string) error {
 	d.attachMu.Lock()
@@ -864,23 +829,12 @@ func (d *daemon) handleChannel(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// handleObserve streams decisions for an NDJSON observation stream. Each
-// line is scored in order through the channel's shard; under the drop
+// handleObserve streams decisions for an NDJSON observation stream: the
+// NDJSON framing of the segment pump (serve.Pump). Each line is scored in
+// order through the channel's shard, up to obsWindow of them in flight at
+// once; a decision's seq is its line index in this stream. Under the drop
 // policy an overloaded queue yields a "dropped" line instead of a verdict.
-//
-// With micro-batching enabled the handler keeps up to obsWindow
-// submissions in flight (responses still stream strictly in request
-// order): the resulting per-channel backlog is what the shard workers
-// amortise into batched inference passes. obsWindow ≤ 1 degenerates to
-// submit-wait-respond per line. The pipeline is a fixed ring of recycled
-// outcome channels (serve.SubmitInto), so the per-line cost allocates
-// nothing — at tens of thousands of segments per second a per-submit
-// channel is measurable GC pressure.
 func (d *daemon) handleObserve(w http.ResponseWriter, r *http.Request, id string) {
-	if err := d.ensureChannel(id); err != nil {
-		http.Error(w, err.Error(), http.StatusServiceUnavailable)
-		return
-	}
 	// The handler interleaves request-body reads with streamed response
 	// writes. Go's HTTP/1 server is half-duplex by default — it discards
 	// the unread body once the response starts — so full duplex must be
@@ -896,200 +850,39 @@ func (d *daemon) handleObserve(w http.ResponseWriter, r *http.Request, id string
 	}
 	// Fail fast while overloaded: a stream that starts in the reject state
 	// gets a plain 429 + Retry-After before any line is scored, so clients
-	// back off instead of feeding a stream of per-line rejections.
+	// back off instead of feeding a stream of per-line rejections — and
+	// before ensureChannel, so a refused stream on a new channel id neither
+	// clones the template nor takes a -max-channels slot.
+	// Both refusals leave the request body unread with full duplex on, so
+	// they close the connection: reusing it makes net/http find the body's
+	// EOF only while closing it after the response, and its next read then
+	// panics on its own background read ("invalid concurrent Body.Read
+	// call") — the client got its status, but the connection dies noisily.
 	if d.pool.AdmissionState() == serve.AdmitReject {
 		w.Header().Set("Retry-After", "1")
+		w.Header().Set("Connection", "close")
 		http.Error(w, "pool overloaded (admission reject), retry later", http.StatusTooManyRequests)
 		return
 	}
+	if err := d.ensureChannel(id); err != nil {
+		w.Header().Set("Connection", "close")
+		http.Error(w, err.Error(), http.StatusServiceUnavailable)
+		return
+	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-
-	window := d.obsWindow
-	if window < 1 {
-		window = 1
-	}
-	// Ring state: slot s holds the response skeleton decs[s] and, when
-	// pending[s], an in-flight submission whose outcome arrives on
-	// outs[s]. Slots [head-inflight, head) are occupied, oldest first.
-	outs := make([]chan serve.Outcome, window)
-	for i := range outs {
-		outs[i] = make(chan serve.Outcome, 1)
-	}
-	decs := make([]decision, window)
-	pending := make([]bool, window)
-	head, inflight := 0, 0
-	defer func() {
-		// Never leave submissions unconsumed, whatever path exits: their
-		// outcome channels hold verdicts of segments already queued on the
-		// shard. emit clears pending as it receives, so this drains only
-		// what is genuinely still in flight.
-		for i := range pending {
-			if pending[i] {
-				<-outs[i]
-			}
-		}
-	}()
-	resolve := func(s int, o serve.Outcome) {
-		pending[s] = false
-		decs[s].WSeq = o.Seq
-		if o.Err != nil {
-			decs[s].Error = o.Err.Error()
-		} else {
-			decs[s].Warmup = o.Result.Warmup
-			decs[s].Anomaly = o.Result.Anomaly
-			decs[s].Score = o.Result.Score
-			decs[s].Exact = o.Result.Exact
-			decs[s].Path = o.Result.Path
-		}
-	}
-	// Decisions are written eagerly but flushed lazily: Flush costs a
-	// chunked-transfer write syscall, and at tens of thousands of segments
-	// per second one per decision dominates the single-core budget. The
-	// loop flushes exactly when it is about to block — every decision the
-	// handler has is on the wire before it waits for anything.
-	needFlush := false
-	writeLine := func(s int) bool {
-		if err := enc.Encode(decs[s]); err != nil {
-			return false
-		}
-		needFlush = true
-		return true
-	}
-	flushIdle := func() {
-		if needFlush && flusher != nil {
-			flusher.Flush()
-			needFlush = false
-		}
-	}
-	seq := 0
-	accept := func(line []byte) {
-		var obs observation
-		decs[head] = decision{Channel: id, Seq: seq}
-		if err := json.Unmarshal(line, &obs); err != nil {
-			decs[head].Error = fmt.Sprintf("bad observation line: %v", err)
-		} else {
-			err := d.pool.SubmitInto(id, obs.Action, obs.Audience, outs[head])
-			switch {
-			case errors.Is(err, serve.ErrOverloaded):
-				// Mid-stream overload: admission rejection and DropNewest
-				// overflow share the sentinel; the admission state tells the
-				// client which one it was (rejected ⇒ back off and retry).
-				if d.pool.AdmissionState() == serve.AdmitReject {
-					decs[head].Rejected = true
-				} else {
-					decs[head].Dropped = true
-				}
-			case err != nil:
-				decs[head].Error = err.Error()
-			default:
-				pending[head] = true
-			}
-		}
-		head = (head + 1) % window
-		inflight++
-		seq++
-	}
-
-	// Lines arrive through a feeder goroutine so the loop below can select
-	// over {next line, oldest outcome}: a decision streams out the moment
-	// its outcome resolves, even while the client is idle mid-stream.
-	// Scanning inline instead would park the handler in Read with resolved
-	// verdicts stuck behind it — an idle client (or a router that stopped
-	// sending while it drains acknowledgements for a migration) would wait
-	// indefinitely on decisions this handler already had. Buffers recycle
-	// through lineFree; every feeder send selects on the request context,
-	// which the server cancels when the handler returns, so an aborted
-	// stream never strands the goroutine.
-	ctx := r.Context()
-	lineCh := make(chan []byte)
-	lineFree := make(chan []byte, 2)
-	for i := 0; i < cap(lineFree); i++ {
-		lineFree <- make([]byte, 0, 512)
-	}
-	var scErr error
-	go func() {
-		sc := bufio.NewScanner(r.Body)
-		sc.Buffer(make([]byte, 0, 1<<20), 1<<20) // feature vectors can be wide
-		for sc.Scan() {
-			line := bytes.TrimSpace(sc.Bytes())
-			if len(line) == 0 {
-				continue
-			}
-			var buf []byte
-			select {
-			case buf = <-lineFree:
-			case <-ctx.Done():
-				close(lineCh)
-				return
-			}
-			select {
-			case lineCh <- append(buf[:0], line...):
-			case <-ctx.Done():
-				close(lineCh)
-				return
-			}
-		}
-		scErr = sc.Err() // happens-before the close the main loop observes
-		close(lineCh)
-	}()
-
-	for open := true; open || inflight > 0; {
-		oldest := (head + window - inflight) % window
-		if inflight > 0 && !pending[oldest] {
-			// Resolved at submit time (parse error, drop, rejection) or by
-			// a received outcome: stream it out before anything else.
-			if !writeLine(oldest) {
-				return // deferred drain releases the rest
-			}
-			inflight--
-			continue
-		}
-		in := lineCh
-		if !open || inflight == window {
-			in = nil // window full (or EOF): only an outcome makes progress
-		}
-		var out chan serve.Outcome
-		if inflight > 0 {
-			out = outs[oldest] // pending[oldest] holds here
-		}
-		var (
-			buf    []byte
-			lineOK bool
-			o      serve.Outcome
-			isLine bool
-		)
-		select {
-		case buf, lineOK = <-in:
-			isLine = true
-		case o = <-out:
-		default:
-			// Nothing immediately available: flush buffered decisions
-			// before blocking. (in and out cannot both be nil here — that
-			// would need EOF plus an empty pipeline, which ends the loop.)
-			flushIdle()
-			select {
-			case buf, lineOK = <-in:
-				isLine = true
-			case o = <-out:
-			}
-		}
-		if isLine {
-			if !lineOK {
-				open = false
-				continue
-			}
-			accept(buf)
-			lineFree <- buf // capacity ≥ buffers in flight: never blocks
-		} else {
-			resolve(oldest, o)
-		}
-	}
+	// Every feeder send selects on the request context, which the server
+	// cancels when the handler returns, so an aborted stream never strands
+	// the goroutine.
+	feed := wire.Feed(r.Context().Done(), wire.ScanLines(r.Body))
+	out := wire.NewLineWriter(w)
+	pump := serve.Pump{Pool: d.pool, Channel: id, Window: d.obsWindow, In: feed, Out: out}
+	seq, err := pump.Run()
 	// A scanner failure (e.g. a line over the buffer cap) would otherwise
 	// look like a cleanly completed stream; surface it as a final line.
-	if scErr != nil {
-		enc.Encode(decision{Channel: id, Seq: seq, Error: fmt.Sprintf("request stream aborted: %v", scErr)})
+	if err == nil && feed.Err() != nil {
+		line, _ := wire.AppendDecision(nil, &wire.Decision{Channel: id, Seq: seq,
+			Error: fmt.Sprintf("request stream aborted: %v", feed.Err())})
+		out.WriteLine(line)
 	}
 }
 

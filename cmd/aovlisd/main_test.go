@@ -28,6 +28,7 @@ import (
 	"aovlis/internal/serve"
 	"aovlis/internal/snapshot"
 	"aovlis/internal/wal"
+	"aovlis/internal/wire"
 )
 
 // testTemplate trains a small detector once for the whole suite.
@@ -98,13 +99,13 @@ func newTestDaemon(t *testing.T, maxChannels, batch int, snapshotDir string) (*d
 
 // observeLine encodes one NDJSON observation.
 func observeLine(action, audience []float64) string {
-	b, _ := json.Marshal(observation{Action: action, Audience: audience})
+	b, _ := json.Marshal(wire.Observation{Action: action, Audience: audience})
 	return string(b)
 }
 
 // postObserve streams body to the observe endpoint and decodes the NDJSON
 // response lines.
-func postObserve(t *testing.T, srv *httptest.Server, id, body string) []decision {
+func postObserve(t *testing.T, srv *httptest.Server, id, body string) []wire.Decision {
 	t.Helper()
 	resp, err := http.Post(srv.URL+"/channels/"+id+"/observe", "application/x-ndjson", strings.NewReader(body))
 	if err != nil {
@@ -115,13 +116,13 @@ func postObserve(t *testing.T, srv *httptest.Server, id, body string) []decision
 		raw, _ := io.ReadAll(resp.Body)
 		t.Fatalf("observe status %d: %s", resp.StatusCode, raw)
 	}
-	var out []decision
+	var out []wire.Decision
 	sc := bufio.NewScanner(resp.Body)
 	for sc.Scan() {
 		if strings.TrimSpace(sc.Text()) == "" {
 			continue
 		}
-		var dec decision
+		var dec wire.Decision
 		if err := json.Unmarshal(sc.Bytes(), &dec); err != nil {
 			t.Fatalf("bad response line %q: %v", sc.Text(), err)
 		}
@@ -144,7 +145,7 @@ func TestObserveStreamsDecisions(t *testing.T) {
 				t.Fatalf("got %d decisions, want 12", len(decs))
 			}
 			for i, dec := range decs {
-				if dec.Seq != i || dec.Channel != "alice" || dec.Error != "" {
+				if dec.Seq != uint64(i) || dec.Channel != "alice" || dec.Error != "" {
 					t.Fatalf("decision %d malformed: %+v", i, dec)
 				}
 				if wantWarm := i < 4; dec.Warmup != wantWarm {

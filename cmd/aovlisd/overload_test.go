@@ -31,6 +31,7 @@ import (
 // switcher so admission shed engages on it.
 type gatedDet struct {
 	release   chan struct{}
+	entered   chan struct{} // when set (buffered), signalled as each Observe parks
 	closeOnce sync.Once
 	tiered    bool
 }
@@ -38,6 +39,9 @@ type gatedDet struct {
 func (g *gatedDet) open() { g.closeOnce.Do(func() { close(g.release) }) }
 
 func (g *gatedDet) Observe(action, audience []float64) (aovlis.Result, error) {
+	if g.entered != nil {
+		g.entered <- struct{}{}
+	}
 	<-g.release
 	return aovlis.Result{Score: 0.1, Exact: !g.tiered, Path: "exact"}, nil
 }
@@ -256,6 +260,24 @@ func TestObserve429UnderOverload(t *testing.T) {
 	}
 	if ra := resp.Header.Get("Retry-After"); ra == "" {
 		t.Fatal("429 response lacks Retry-After header")
+	}
+	if !resp.Close {
+		t.Fatal("429 with the body unread under full duplex must close the connection (net/http panics reusing it)")
+	}
+	// A refused stream on a NEW channel id must be refused before the
+	// channel is created: no template clone, no -max-channels slot burned.
+	resp, err = http.Post(srv.URL+"/channels/fresh/observe", "application/x-ndjson",
+		strings.NewReader(observeLine([]float64{1}, []float64{1})+"\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("new-id observe under overload returned %s, want 429", resp.Status)
+	}
+	if chans := d.pool.Channels(); len(chans) != 1 {
+		t.Fatalf("refused new-id stream left channels %v, want only the pre-attached one", chans)
 	}
 
 	_, samples := scrape(t, srv)

@@ -1,0 +1,381 @@
+package main
+
+// One table over both framings of the segment pump (serve.Pump): the NDJSON
+// observe endpoint and the WebSocket live plane, driven against the
+// production mux. Every case runs on both, so the pump's contract — strict
+// message order at any window, decisions reaching an idle client, window
+// backpressure, the exit drain, and the one outcome classification — is
+// pinned once for the one implementation.
+
+import (
+	"bufio"
+	"context"
+	"fmt"
+	"io"
+	"math"
+	"net/http"
+	"net/http/httptest"
+	"strings"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"aovlis/internal/serve"
+	"aovlis/internal/stream/live"
+	"aovlis/internal/wire"
+)
+
+// planeStream is one client connection to a plane.
+type planeStream struct {
+	send  func(msg string)      // one message, verbatim
+	recv  func() wire.Decision  // the next decision (bounded wait)
+	abort func()                // drop the connection without ceremony
+	seq   func(i, v int) uint64 // expected Seq of line i when it is the stream's v-th verdict (both 0-based)
+}
+
+type plane struct {
+	name string
+	open func(t *testing.T, srv *httptest.Server, id string) *planeStream
+}
+
+var planes = []plane{
+	{"ndjson", func(t *testing.T, srv *httptest.Server, id string) *planeStream {
+		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+		t.Cleanup(cancel)
+		pr, pw := io.Pipe()
+		req, err := http.NewRequestWithContext(ctx, http.MethodPost, srv.URL+"/channels/"+id+"/observe", pr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		type result struct {
+			resp *http.Response
+			err  error
+		}
+		// The server sends its headers with the first flushed decision, so
+		// Do only returns once the stream is under way.
+		respc := make(chan result, 1)
+		go func() {
+			resp, err := http.DefaultClient.Do(req)
+			respc <- result{resp, err}
+		}()
+		var br *bufio.Reader
+		return &planeStream{
+			send: func(msg string) {
+				if _, err := io.WriteString(pw, msg+"\n"); err != nil {
+					t.Errorf("ndjson send: %v", err)
+				}
+			},
+			recv: func() wire.Decision {
+				t.Helper()
+				if br == nil {
+					r := <-respc
+					if r.err != nil {
+						t.Fatalf("ndjson stream: %v", r.err)
+					}
+					if r.resp.StatusCode != http.StatusOK {
+						t.Fatalf("ndjson stream: %s", r.resp.Status)
+					}
+					t.Cleanup(func() { r.resp.Body.Close() })
+					br = bufio.NewReader(r.resp.Body)
+				}
+				line, err := br.ReadBytes('\n')
+				if err != nil {
+					t.Fatalf("ndjson recv: %v", err)
+				}
+				var d wire.Decision
+				if err := wire.DecodeDecision(line, &d); err != nil {
+					t.Fatalf("ndjson decision %q: %v", line, err)
+				}
+				return d
+			},
+			abort: func() { cancel(); pw.CloseWithError(io.ErrClosedPipe) },
+			seq:   func(i, v int) uint64 { return uint64(i) },
+		}
+	}},
+	{"live", func(t *testing.T, srv *httptest.Server, id string) *planeStream {
+		conn, _ := dialLive(t, strings.Replace(srv.URL, "http://", "ws://", 1)+"/live/"+id, nil)
+		t.Cleanup(func() { conn.Close() })
+		return &planeStream{
+			send: func(msg string) {
+				if err := conn.WriteMessage(live.OpText, []byte(msg)); err != nil {
+					t.Errorf("live send: %v", err)
+				}
+			},
+			recv: func() wire.Decision {
+				t.Helper()
+				var d wire.Decision
+				if msg := readText(t, conn); wire.DecodeDecision(msg, &d) != nil {
+					t.Fatalf("live decision %q", msg)
+				}
+				return d
+			},
+			abort: func() { conn.Close() },
+			seq: func(i, v int) uint64 {
+				if v < 0 {
+					return 0 // no verdict: not accepted, may be resent
+				}
+				return uint64(v + 1)
+			},
+		}
+	}},
+}
+
+// streamHandlers counts the observe/live handlers currently running.
+type streamHandlers struct{ n atomic.Int64 }
+
+func (a *streamHandlers) wrap(h http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if strings.HasSuffix(r.URL.Path, "/observe") || strings.HasPrefix(r.URL.Path, "/live/") {
+			a.n.Add(1)
+			defer a.n.Add(-1)
+		}
+		h.ServeHTTP(w, r)
+	})
+}
+
+// newPumpDaemon builds a daemon with both planes mounted over a pool of
+// the given shape; when gated, channel "ch" is a gatedDet instead of a
+// template clone.
+func newPumpDaemon(t *testing.T, cfg serve.Config, window int, gated bool) (*daemon, *httptest.Server, *gatedDet, *streamHandlers) {
+	t.Helper()
+	pool, err := serve.NewDetectorPool(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := &daemon{pool: pool, template: template(t), maxChannels: 8,
+		obsWindow: window, started: time.Now(), hub: live.NewHub(live.HubConfig{})}
+	d.attachVerdictSinks()
+	g := &gatedDet{release: make(chan struct{}), entered: make(chan struct{}, 64)}
+	if gated {
+		if err := pool.Attach("ch", g); err != nil {
+			t.Fatal(err)
+		}
+	}
+	running := &streamHandlers{}
+	srv := httptest.NewServer(running.wrap(d.handler(false, true)))
+	t.Cleanup(func() {
+		g.open()
+		d.hub.Close()
+		srv.Close()
+		pool.Close()
+	})
+	return d, srv, g, running
+}
+
+var gatedObs = observeLine([]float64{1}, []float64{1})
+
+// waitAccepted polls the pool's accepted counter until it reaches want.
+func waitAccepted(t *testing.T, srv *httptest.Server, want float64) {
+	t.Helper()
+	pollUntil(t, fmt.Sprintf("%g accepted submissions", want), func() bool {
+		_, samples := scrape(t, srv)
+		return samples["aovlis_pool_accepted_total"] >= want
+	})
+}
+
+var blockCfg = serve.Config{Shards: 1, QueueDepth: 64, Policy: serve.Block, Batch: 4}
+
+func TestPumpBothFramings(t *testing.T) {
+	for _, pl := range planes {
+		t.Run(pl.name, func(t *testing.T) {
+			for _, window := range []int{1, 4, 16} {
+				t.Run(fmt.Sprintf("in-order/window=%d", window), func(t *testing.T) {
+					_, srv, _, _ := newPumpDaemon(t, blockCfg, window, false)
+					acts, auds := testSeries(31, 40)
+					clone, err := template(t).Clone()
+					if err != nil {
+						t.Fatal(err)
+					}
+					st := pl.open(t, srv, "ch")
+					go func() {
+						for i := range acts {
+							st.send(observeLine(acts[i], auds[i]))
+						}
+					}()
+					for i := range acts {
+						want, err := clone.Observe(acts[i], auds[i])
+						if err != nil {
+							t.Fatal(err)
+						}
+						got := st.recv()
+						if got.Seq != st.seq(i, i) || !got.Verdict() || got.Warmup != want.Warmup || got.Anomaly != want.Anomaly ||
+							got.Path != want.Path || math.Float64bits(got.Score) != math.Float64bits(want.Score) {
+							t.Fatalf("decision %d = %+v, want seq %d and %+v", i, got, st.seq(i, i), want)
+						}
+					}
+				})
+			}
+
+			// Flush-before-block plus the select over {next message, oldest
+			// outcome}: a decision reaches a client that has gone quiet
+			// mid-stream, with window slots and input both still open.
+			t.Run("idle client", func(t *testing.T) {
+				_, srv, _, _ := newPumpDaemon(t, blockCfg, 4, false)
+				acts, auds := testSeries(33, 2)
+				st := pl.open(t, srv, "ch")
+				for i := range acts {
+					st.send(observeLine(acts[i], auds[i]))
+					if got := st.recv(); got.Seq != st.seq(i, i) || !got.Verdict() {
+						t.Fatalf("decision %d = %+v", i, got)
+					}
+				}
+			})
+
+			// A full window stops reads: with the detector parked, exactly
+			// window submissions reach the pool however many messages the
+			// client has sent; the rest follow, in order, as slots free.
+			t.Run("backpressure", func(t *testing.T) {
+				const window, sent = 2, 6
+				_, srv, g, _ := newPumpDaemon(t, blockCfg, window, true)
+				st := pl.open(t, srv, "ch")
+				for i := 0; i < sent; i++ {
+					st.send(gatedObs)
+				}
+				waitAccepted(t, srv, window)
+				time.Sleep(30 * time.Millisecond) // a window overrun would show up here
+				if _, samples := scrape(t, srv); samples["aovlis_pool_accepted_total"] != window {
+					t.Fatalf("%g submissions in flight past a window of %d", samples["aovlis_pool_accepted_total"], window)
+				}
+				g.open()
+				for i := 0; i < sent; i++ {
+					if got := st.recv(); got.Seq != st.seq(i, i) || !got.Verdict() {
+						t.Fatalf("decision %d = %+v", i, got)
+					}
+				}
+			})
+
+			// The client vanishes with submissions in flight: the handler
+			// stays until it has consumed every outcome, and the live plane
+			// rings each of them so a reconnect replays what was lost.
+			t.Run("exit drain", func(t *testing.T) {
+				const inflight = 3
+				d, srv, g, running := newPumpDaemon(t, blockCfg, 4, true)
+				st := pl.open(t, srv, "ch")
+				for i := 0; i < inflight; i++ {
+					st.send(gatedObs)
+				}
+				waitAccepted(t, srv, inflight)
+				st.abort()
+				time.Sleep(30 * time.Millisecond) // an early return would show up here
+				if running.n.Load() != 1 {
+					t.Fatal("handler returned with submissions still in flight")
+				}
+				g.open()
+				pollUntil(t, "handler to drain and return", func() bool { return running.n.Load() == 0 })
+				if cs, err := d.pool.Stats("ch"); err != nil || cs.Observed != inflight || cs.QueueDepth != 0 {
+					t.Fatalf("after drain: %+v, %v", cs, err)
+				}
+				if pl.name != "live" {
+					return
+				}
+				if floor := d.hub.ChannelFloor("ch"); floor != inflight {
+					t.Fatalf("ring floor %d after drain, want %d", floor, inflight)
+				}
+				conn, resp := dialLive(t, strings.Replace(srv.URL, "http://", "ws://", 1)+"/live/ch",
+					http.Header{live.LastSeqHeader: []string{"0"}})
+				defer conn.Close()
+				if got := resp.Header.Get(live.ResumeHeader); got != fmt.Sprint(inflight) {
+					t.Fatalf("resume floor %q, want %d", got, inflight)
+				}
+				for seq := uint64(1); seq <= inflight; seq++ {
+					var dec wire.Decision
+					if err := wire.DecodeDecision(readText(t, conn), &dec); err != nil || dec.Seq != seq || !dec.Verdict() {
+						t.Fatalf("replayed decision %+v (%v), want seq %d", dec, err, seq)
+					}
+				}
+			})
+		})
+	}
+}
+
+// TestPumpOutcomeKinds pins the one classification site: each way a line
+// can end — parse error, dropped, rejected, detector error, accepted — on
+// both framings.
+func TestPumpOutcomeKinds(t *testing.T) {
+	acts, auds := testSeries(35, 1)
+	good := observeLine(acts[0], auds[0])
+	kinds := []struct {
+		name  string
+		cfg   serve.Config
+		gated bool
+		// lines to send before the gate opens; the last one is the line
+		// under test. parked lines (gated only) are sent one at a time,
+		// each waited into the pool, so queue depth is deterministic.
+		lines []string
+		check func(d wire.Decision) bool
+	}{
+		{"parse error", blockCfg, false, []string{"{not json"},
+			func(d wire.Decision) bool {
+				return strings.Contains(d.Error, "bad observation line") && !d.Dropped && !d.Rejected
+			}},
+		{"detector error", blockCfg, false, []string{observeLine([]float64{1, 2}, []float64{3})},
+			func(d wire.Decision) bool {
+				return strings.Contains(d.Error, "feature dims") && !d.Dropped && !d.Rejected
+			}},
+		{"accepted", blockCfg, false, []string{good},
+			func(d wire.Decision) bool { return d.Verdict() && d.Warmup }},
+		// One segment parked in the detector, one filling the queue: the
+		// third overflows a DropNewest queue of depth 1.
+		{"dropped", serve.Config{Shards: 1, QueueDepth: 1, Policy: serve.DropNewest}, true,
+			[]string{gatedObs, gatedObs, gatedObs},
+			func(d wire.Decision) bool { return d.Dropped && !d.Rejected && d.Error == "" }},
+		// One parked, three queued: the fifth submit finds the queue at the
+		// reject watermark (⌈0.75·4⌉ = 3).
+		{"rejected", serve.Config{Shards: 1, QueueDepth: 4, Policy: serve.Block,
+			Admission: serve.AdmissionConfig{Enabled: true,
+				ShedHighFrac: 0.5, ShedLowFrac: 0.1, RejectHighFrac: 0.75, RejectLowFrac: 0.2}}, true,
+			[]string{gatedObs, gatedObs, gatedObs, gatedObs, gatedObs},
+			func(d wire.Decision) bool { return d.Rejected && !d.Dropped && d.Error == "" }},
+	}
+	for _, k := range kinds {
+		for _, pl := range planes {
+			t.Run(k.name+"/"+pl.name, func(t *testing.T) {
+				_, srv, g, _ := newPumpDaemon(t, k.cfg, 8, k.gated)
+				st := pl.open(t, srv, "ch")
+				last := len(k.lines) - 1
+				for i, line := range k.lines {
+					st.send(line)
+					if k.gated && i == 0 {
+						<-g.entered // the first segment is parked in the detector, off the queue
+					}
+					if k.gated && i < last {
+						waitAccepted(t, srv, float64(i+1))
+					}
+				}
+				if k.gated {
+					// The refusal is decided at submit time but waits its
+					// turn behind the parked segments.
+					pollUntil(t, "the refusal to be counted", func() bool {
+						cs, err := chStats(t, srv)
+						return err == nil && cs.Dropped+cs.Rejected == 1
+					})
+					g.open()
+				}
+				for i := 0; i < last; i++ {
+					if got := st.recv(); got.Seq != st.seq(i, i) || !got.Verdict() {
+						t.Fatalf("leading decision %d = %+v", i, got)
+					}
+				}
+				got := st.recv()
+				verdict := -1
+				if got.Verdict() {
+					verdict = last
+				}
+				if !k.check(got) || got.Channel != "ch" || got.Seq != st.seq(last, verdict) {
+					t.Fatalf("%s decision = %+v (want seq %d)", k.name, got, st.seq(last, verdict))
+				}
+			})
+		}
+	}
+}
+
+// chStats reads channel "ch"'s counters over HTTP.
+func chStats(t *testing.T, srv *httptest.Server) (serve.ChannelStats, error) {
+	t.Helper()
+	for _, cs := range channelList(t, srv) {
+		if cs.Channel == "ch" {
+			return cs, nil
+		}
+	}
+	return serve.ChannelStats{}, fmt.Errorf("channel ch not listed")
+}

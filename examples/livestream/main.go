@@ -19,7 +19,6 @@ package main
 import (
 	"bufio"
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -38,6 +37,7 @@ import (
 	"aovlis/internal/stream"
 	"aovlis/internal/stream/live"
 	"aovlis/internal/synth"
+	"aovlis/internal/wire"
 )
 
 func main() {
@@ -179,14 +179,13 @@ func run(channels, shards, trainSec, streamSec, classes, epochs int, seed int64)
 type hubSink struct{ hub *live.Hub }
 
 func (s hubSink) Record(channel string, channelSeq uint64, res aovlis.Result) {
-	b, err := json.Marshal(live.Decision{
-		Channel: channel, Seq: channelSeq,
-		Warmup: res.Warmup, Anomaly: res.Anomaly, Score: res.Score, Exact: res.Exact, Path: res.Path,
-	})
+	d := wire.Decision{Channel: channel, Seq: channelSeq}
+	d.SetResult(res)
+	b, err := wire.AppendDecision(nil, &d)
 	if err != nil {
 		return
 	}
-	s.hub.Publish(channel, b)
+	s.hub.Publish(channel, b[:len(b)-1])
 }
 
 // channelObservations renders one channel's synthetic live feed through
@@ -281,12 +280,10 @@ func streamLeg(base, id string, obs []serve.Observation, lastSeq, until uint64) 
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
+		var b []byte
 		for i := floor; i < uint64(len(obs)); i++ {
-			b, err := json.Marshal(live.Observation{Action: obs[i].Action, Audience: obs[i].Audience})
-			if err != nil {
-				return
-			}
-			if conn.WriteMessage(live.OpText, b) != nil {
+			b = wire.AppendObservation(b[:0], obs[i].Action, obs[i].Audience)
+			if conn.WriteMessage(live.OpText, b[:len(b)-1]) != nil {
 				return // connection closed under us (the resume demo's cut)
 			}
 		}
@@ -304,8 +301,8 @@ func streamLeg(base, id string, obs []serve.Observation, lastSeq, until uint64) 
 		if op != live.OpText {
 			continue
 		}
-		var dec live.Decision
-		if err := json.Unmarshal(msg, &dec); err != nil {
+		var dec wire.Decision
+		if err := wire.DecodeDecision(msg, &dec); err != nil {
 			conn.Close()
 			<-done
 			return last, anomalies, fmt.Errorf("bad decision %q: %w", msg, err)

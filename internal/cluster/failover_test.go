@@ -18,6 +18,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"aovlis/internal/wire"
 )
 
 // TestRouterIdleFailoverSeqContinuity is the regression pin for the
@@ -63,13 +65,13 @@ func TestRouterIdleFailoverSeqContinuity(t *testing.T) {
 	}
 	defer resp.Body.Close()
 	br := bufio.NewReader(resp.Body)
-	readDecision := func() Decision {
+	readDecision := func() wire.Decision {
 		t.Helper()
 		raw, err := br.ReadBytes('\n')
 		if err != nil {
 			t.Fatalf("reading decision: %v", err)
 		}
-		var d Decision
+		var d wire.Decision
 		if err := json.Unmarshal(raw, &d); err != nil {
 			t.Fatalf("bad decision %q: %v", raw, err)
 		}
@@ -78,7 +80,7 @@ func TestRouterIdleFailoverSeqContinuity(t *testing.T) {
 	var victimIdx int
 	for i := 0; i < 3; i++ {
 		d := readDecision()
-		if d.Seq != i || d.Error != "" {
+		if d.Seq != uint64(i) || d.Error != "" {
 			t.Fatalf("pre-kill decision %d: %+v", i, d)
 		}
 		victimIdx = scoreNode(d.Score) - 1
@@ -117,7 +119,7 @@ func TestRouterIdleFailoverSeqContinuity(t *testing.T) {
 		if d.Error != "" {
 			t.Fatalf("post-failover decision errored: %+v", d)
 		}
-		if d.Seq != i {
+		if d.Seq != uint64(i) {
 			t.Fatalf("post-failover decision has seq %d, want %d — restarted numbering leaked through", d.Seq, i)
 		}
 		if scoreNode(d.Score)-1 != 1-victimIdx {
@@ -143,7 +145,7 @@ func TestRouterFailoverBudgetExhausted(t *testing.T) {
 		t.Fatalf("%d decisions for 2 accepted segments — segments dropped silently", len(decs))
 	}
 	for i, d := range decs {
-		if d.Seq != i {
+		if d.Seq != uint64(i) {
 			t.Fatalf("error decision %d has seq %d", i, d.Seq)
 		}
 		if !strings.Contains(d.Error, "failover budget") && !strings.Contains(d.Error, "no owner reachable") {
@@ -191,7 +193,7 @@ func TestRouterWindowFullBackpressure(t *testing.T) {
 		t.Fatalf("%d decisions for %d lines", len(decs), len(lines))
 	}
 	for i, d := range decs {
-		if d.Seq != i || d.Error != "" {
+		if d.Seq != uint64(i) || d.Error != "" {
 			t.Fatalf("decision %d: %+v", i, d)
 		}
 	}

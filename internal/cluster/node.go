@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -11,6 +12,7 @@ import (
 	"time"
 
 	"aovlis/internal/wal"
+	"aovlis/internal/wire"
 )
 
 // NodeSpec describes one aovlisd process in the fleet as configured on the
@@ -207,17 +209,14 @@ func (n *Node) replayObservations(id string, recs []wal.Record) (int, uint64, er
 	go func() {
 		bw := bufio.NewWriterSize(pw, 32<<10)
 		var failed error
+		var line []byte
 		for _, rec := range recs {
-			// encoding/json renders float64s in shortest round-trip form,
-			// so the re-parsed features are bit-identical to the journaled
-			// ones — the replay scores exactly what the dead node scored.
-			line, err := json.Marshal(struct {
-				Action   []float64 `json:"action"`
-				Audience []float64 `json:"audience"`
-			}{rec.Action, rec.Audience})
-			if err == nil {
-				_, err = bw.Write(append(line, '\n'))
-			}
+			// wire.AppendObservation renders float64s in shortest round-trip
+			// form, so the re-parsed features are bit-identical to the
+			// journaled ones — the replay scores exactly what the dead node
+			// scored.
+			line = wire.AppendObservation(line[:0], rec.Action, rec.Audience)
+			_, err := bw.Write(line)
 			if err != nil {
 				failed = err
 				break
@@ -242,12 +241,12 @@ func (n *Node) replayObservations(id string, recs []wal.Record) (int, uint64, er
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
 	for sc.Scan() {
-		line := trimSpaceBytes(sc.Bytes())
+		line := bytes.TrimSpace(sc.Bytes())
 		if len(line) == 0 {
 			continue
 		}
-		var d Decision
-		if err := json.Unmarshal(line, &d); err != nil {
+		var d wire.Decision
+		if err := wire.DecodeDecision(line, &d); err != nil {
 			return applied, maxW, fmt.Errorf("cluster: bad replay decision from %s: %w", n.Spec.Name, err)
 		}
 		switch {

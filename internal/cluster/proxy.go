@@ -4,35 +4,13 @@ import (
 	"bufio"
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"time"
-)
 
-// Decision mirrors the aovlisd NDJSON response line, used when the router
-// must synthesise a line (rejections, terminal errors) or rewrite the seq
-// of a line scored over a rotated upstream connection. The field set is
-// the wire contract with cmd/aovlisd; the multi-process soak pins the two
-// against each other.
-type Decision struct {
-	Channel string  `json:"channel"`
-	Seq     int     `json:"seq"`
-	Warmup  bool    `json:"warmup,omitempty"`
-	Anomaly bool    `json:"anomaly"`
-	Score   float64 `json:"score"`
-	Exact   bool    `json:"exact"`
-	Path    string  `json:"path,omitempty"`
-	// WSeq is the observation's WAL sequence on the node that scored it
-	// (0 when the node runs without -wal-dir). The router records the
-	// highest wseq it relays per channel; on failover that is exactly the
-	// journal suffix replayed onto the new owner (see FailNode).
-	WSeq     uint64 `json:"wseq,omitempty"`
-	Dropped  bool   `json:"dropped,omitempty"`
-	Rejected bool   `json:"rejected,omitempty"`
-	Error    string `json:"error,omitempty"`
-}
+	"aovlis/internal/wire"
+)
 
 // slot is one pending segment in a stream's pipelining ring: the raw line
 // (newline-terminated, buffer reused across segments), its client-visible
@@ -41,7 +19,7 @@ type Decision struct {
 // after its upstream died).
 type slot struct {
 	buf  []byte
-	seq  int
+	seq  uint64
 	t0   time.Time
 	sent bool
 }
@@ -61,7 +39,7 @@ type upstream struct {
 	pw     *io.PipeWriter
 	bw     *bufio.Writer // over pw; flushed before every blocking wait
 	cancel context.CancelFunc
-	offset int
+	offset uint64
 }
 
 // ackMsg is one message from an upstream ack reader to the driver: either
@@ -91,9 +69,9 @@ func (e errUpstreamRejected) Error() string {
 // goroutines cooperate, but ALL routing state lives on the driver (the
 // request handler goroutine):
 //
-//   - the feeder scans client lines into lineCh (buffers recycled via
-//     lineFree), so the driver never blocks on client input while an
-//     acknowledgement is waiting;
+//   - the feeder (wire.Feed) scans client lines into recycled buffers, so
+//     the driver never blocks on client input while an acknowledgement is
+//     waiting;
 //   - one ack reader per upstream connection relays decision lines into
 //     ackCh (buffers recycled via ackFree), tagged with the connection
 //     gen, so the driver never blocks on a node while the client is
@@ -110,25 +88,23 @@ type proxyStream struct {
 	entry *entry
 	id    string
 
-	w       http.ResponseWriter
-	flusher http.Flusher
-	ctx     context.Context
+	w   http.ResponseWriter
+	out *wire.LineWriter // over w: decision lines, flushed before every blocking wait
+	ctx context.Context
 
 	pending  []slot
 	tail     int // index of oldest pending
 	npending int
 	nsent    int // sent slots (prefix of pending FIFO)
 
-	lineCh   chan []byte
-	lineFree chan []byte
-	ackCh    chan ackMsg
-	ackFree  chan []byte
+	feed    *wire.Feeder // client lines
+	ackCh   chan ackMsg
+	ackFree chan []byte
 
 	up        *upstream
 	gen       uint64 // last connection gen issued
 	responses int    // decision lines written to the client
-	seq       int    // next client seq
-	needFlush bool   // client-side decision bytes buffered, unflushed
+	seq       uint64 // next client seq
 
 	// recoverBy bounds TOTAL time in upstream recovery without real
 	// progress. Set on the first broken-upstream error, cleared only by a
@@ -163,28 +139,20 @@ func (r *Router) handleObserve(w http.ResponseWriter, req *http.Request, id stri
 	// Lazily flushed with the first decision line; a whole-stream 429
 	// relay (http.Error) still overrides it.
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	flusher, _ := w.(http.Flusher)
 	window := r.cfg.Window
 	ps := &proxyStream{
-		r: r, entry: e, id: id, w: w, flusher: flusher, ctx: req.Context(),
-		pending:  make([]slot, window),
-		lineCh:   make(chan []byte),
-		lineFree: make(chan []byte, 2),
-		ackCh:    make(chan ackMsg, window),
-		ackFree:  make(chan []byte, window+2),
-	}
-	for i := 0; i < cap(ps.lineFree); i++ {
-		ps.lineFree <- make([]byte, 0, 256)
+		r: r, entry: e, id: id, w: w, out: wire.NewLineWriter(w), ctx: req.Context(),
+		pending: make([]slot, window),
+		feed:    wire.Feed(req.Context().Done(), wire.ScanLines(req.Body)),
+		ackCh:   make(chan ackMsg, window),
+		ackFree: make(chan []byte, window+2),
 	}
 	for i := 0; i < cap(ps.ackFree); i++ {
 		ps.ackFree <- make([]byte, 0, 256)
 	}
 	defer ps.closeUpstream()
 
-	var scErr error
-	go ps.feedLines(req.Body, &scErr)
-
-	lineCh := ps.lineCh
+	lineCh := ps.feed.C
 	for {
 		// Try without blocking first; only when nothing is immediately
 		// available flush the buffered client decisions and upstream lines,
@@ -213,7 +181,7 @@ func (r *Router) handleObserve(w http.ResponseWriter, req *http.Request, id stri
 				}
 				continue
 			}
-			ps.flushClient()
+			ps.out.Flush()
 			select {
 			case buf, lineOK = <-lineCh:
 				isLine = true
@@ -226,11 +194,11 @@ func (r *Router) handleObserve(w http.ResponseWriter, req *http.Request, id stri
 					ps.terminate(err)
 					return
 				}
-				if scErr != nil {
-					ps.writeDecision(Decision{Channel: id, Seq: ps.seq,
+				if scErr := ps.feed.Err(); scErr != nil {
+					ps.writeDecision(wire.Decision{Channel: id, Seq: ps.seq,
 						Error: fmt.Sprintf("request stream aborted: %v", scErr)})
 				}
-				ps.flushClient()
+				ps.out.Flush()
 				return
 			}
 			if err := ps.accept(buf); err != nil {
@@ -255,38 +223,6 @@ func (r *Router) handleObserve(w http.ResponseWriter, req *http.Request, id stri
 	}
 }
 
-// feedLines scans the client request body into lineCh so the driver can
-// interleave client input with upstream acknowledgements. Buffers cycle
-// through lineFree — zero steady-state allocation. On any exit it
-// publishes the scanner error (if any) and closes lineCh; the close
-// happens-after the error write, which is the driver's licence to read it.
-func (ps *proxyStream) feedLines(body io.Reader, scErr *error) {
-	sc := bufio.NewScanner(body)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
-	for sc.Scan() {
-		line := trimSpaceBytes(sc.Bytes())
-		if len(line) == 0 {
-			continue
-		}
-		var buf []byte
-		select {
-		case buf = <-ps.lineFree:
-		case <-ps.ctx.Done():
-			close(ps.lineCh)
-			return
-		}
-		buf = append(buf[:0], line...)
-		select {
-		case ps.lineCh <- buf:
-		case <-ps.ctx.Done():
-			close(ps.lineCh)
-			return
-		}
-	}
-	*scErr = sc.Err()
-	close(ps.lineCh)
-}
-
 // accept takes one observation line from the feeder: it frees a window
 // slot if needed (resolving one acknowledgement), queues the line, and
 // pushes queued lines onto the live upstream.
@@ -300,7 +236,7 @@ func (ps *proxyStream) accept(buf []byte) error {
 	s := &ps.pending[i]
 	s.buf = append(s.buf[:0], buf...)
 	s.buf = append(s.buf, '\n')
-	ps.lineFree <- buf // capacity ≥ buffers in flight: never blocks
+	ps.feed.Recycle(buf)
 	s.seq = ps.seq
 	s.t0 = time.Now()
 	s.sent = false
@@ -429,7 +365,7 @@ func (ps *proxyStream) readAck() error {
 	if err := ps.flushUpstream(); err != nil {
 		return err
 	}
-	ps.flushClient()
+	ps.out.Flush()
 	select {
 	case m := <-ps.ackCh:
 		return ps.processAck(m)
@@ -475,17 +411,16 @@ func (ps *proxyStream) deliver(raw []byte) error {
 		// transition, not per decision. The wseq high-water mark is scraped
 		// with a byte scan instead of a JSON parse for the same reason.
 		ps.entry.noteWseq(scanWseq(raw))
-		if _, err := ps.w.Write(raw); err != nil {
+		if err := ps.out.WriteLine(raw); err != nil {
 			return ps.clientGone(err)
 		}
-		ps.needFlush = true
 		ps.responses++
 		ps.r.m.responses.Inc()
 	} else {
 		// Rotated connection: node seqs restart at 0, rewrite to the
 		// client's numbering.
-		var d Decision
-		if err := json.Unmarshal(raw, &d); err != nil {
+		var d wire.Decision
+		if err := wire.DecodeDecision(raw, &d); err != nil {
 			return fmt.Errorf("cluster: bad acknowledgement line from %s: %w", up.node.Spec.Name, err)
 		}
 		d.Seq = s.seq
@@ -573,7 +508,7 @@ func (ps *proxyStream) handleUpstreamError(err error) error {
 		// segment with the node's per-line rejection shape instead.
 		for ps.npending > 0 {
 			s := &ps.pending[ps.tail]
-			if werr := ps.writeDecision(Decision{Channel: ps.id, Seq: s.seq, Rejected: true}); werr != nil {
+			if werr := ps.writeDecision(wire.Decision{Channel: ps.id, Seq: s.seq, Rejected: true}); werr != nil {
 				return ps.clientGone(werr)
 			}
 			ps.r.m.rejected.Inc()
@@ -589,7 +524,7 @@ func (ps *proxyStream) handleUpstreamError(err error) error {
 	if demoted > 0 {
 		ps.r.m.resubmitted.Add(uint64(demoted))
 	}
-	ps.flushClient() // decisions already delivered should not wait out a failover
+	ps.out.Flush() // decisions already delivered should not wait out a failover
 	if ps.recoverBy.IsZero() {
 		ps.recoverBy = time.Now().Add(ps.r.cfg.FailoverWait)
 	}
@@ -604,7 +539,7 @@ func (ps *proxyStream) handleUpstreamError(err error) error {
 			// lines so the client knows exactly which were never scored.
 			for ps.npending > 0 {
 				s := &ps.pending[ps.tail]
-				if werr := ps.writeDecision(Decision{Channel: ps.id, Seq: s.seq,
+				if werr := ps.writeDecision(wire.Decision{Channel: ps.id, Seq: s.seq,
 					Error: fmt.Sprintf("cluster: no owner reachable within failover budget: %v", err)}); werr != nil {
 					return ps.clientGone(werr)
 				}
@@ -825,7 +760,7 @@ func (ps *proxyStream) closeUpstream() {
 func (ps *proxyStream) terminate(err error) {
 	for ps.npending > 0 {
 		s := &ps.pending[ps.tail]
-		if werr := ps.writeDecision(Decision{Channel: ps.id, Seq: s.seq,
+		if werr := ps.writeDecision(wire.Decision{Channel: ps.id, Seq: s.seq,
 			Error: fmt.Sprintf("cluster: stream aborted: %v", err)}); werr != nil {
 			ps.pop()
 			break
@@ -840,29 +775,17 @@ func (ps *proxyStream) terminate(err error) {
 }
 
 // writeDecision emits one synthesised or rewritten decision line.
-func (ps *proxyStream) writeDecision(d Decision) error {
-	b, err := json.Marshal(d)
+func (ps *proxyStream) writeDecision(d wire.Decision) error {
+	line, err := wire.AppendDecision(nil, &d)
+	if err == nil {
+		err = ps.out.WriteLine(line)
+	}
 	if err != nil {
 		return err
 	}
-	b = append(b, '\n')
-	if _, err := ps.w.Write(b); err != nil {
-		return err
-	}
-	ps.needFlush = true
 	ps.responses++
 	ps.r.m.responses.Inc()
 	return nil
-}
-
-// flushClient pushes buffered decision bytes to the client. Called before
-// every blocking wait; returns are covered by the server's own end-of-
-// handler flush.
-func (ps *proxyStream) flushClient() {
-	if ps.needFlush && ps.flusher != nil {
-		ps.flusher.Flush()
-		ps.needFlush = false
-	}
 }
 
 // flushUpstream pushes buffered observation lines to the node. Called
@@ -874,17 +797,3 @@ func (ps *proxyStream) flushUpstream() error {
 	}
 	return nil
 }
-
-// trimSpaceBytes trims ASCII whitespace without allocating (the scanner
-// hands out a reused buffer; strings.TrimSpace would copy).
-func trimSpaceBytes(b []byte) []byte {
-	for len(b) > 0 && isSpace(b[0]) {
-		b = b[1:]
-	}
-	for len(b) > 0 && isSpace(b[len(b)-1]) {
-		b = b[:len(b)-1]
-	}
-	return b
-}
-
-func isSpace(c byte) bool { return c == ' ' || c == '\t' || c == '\r' || c == '\n' }

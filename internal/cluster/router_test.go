@@ -15,6 +15,7 @@ import (
 
 	"aovlis/internal/serve/loadgen"
 	"aovlis/internal/snapshot"
+	"aovlis/internal/wire"
 )
 
 // newTestCluster builds n stub nodes and a router over them, served by
@@ -50,7 +51,7 @@ func newTestCluster(t *testing.T, n int, mut func(cfg *Config)) ([]*stubNode, *R
 
 // observeThrough streams lines to a channel through the router and
 // returns the decoded decisions.
-func observeThrough(t *testing.T, base, id string, lines []string) []Decision {
+func observeThrough(t *testing.T, base, id string, lines []string) []wire.Decision {
 	t.Helper()
 	req, err := http.NewRequest(http.MethodPost, base+"/channels/"+id+"/observe",
 		strings.NewReader(strings.Join(lines, "\n")+"\n"))
@@ -66,10 +67,10 @@ func observeThrough(t *testing.T, base, id string, lines []string) []Decision {
 		b, _ := io.ReadAll(resp.Body)
 		t.Fatalf("observe status %d: %s", resp.StatusCode, b)
 	}
-	var out []Decision
+	var out []wire.Decision
 	sc := bufio.NewScanner(resp.Body)
 	for sc.Scan() {
-		var d Decision
+		var d wire.Decision
 		if err := json.Unmarshal(sc.Bytes(), &d); err != nil {
 			t.Fatalf("bad decision line %q: %v", sc.Text(), err)
 		}
@@ -165,7 +166,7 @@ func TestRouterProxyObserve(t *testing.T) {
 	}
 	owner := -1
 	for i, d := range decs {
-		if d.Channel != "alice" || d.Seq != i {
+		if d.Channel != "alice" || d.Seq != uint64(i) {
 			t.Fatalf("decision %d misrouted: %+v", i, d)
 		}
 		if i == 1 {
@@ -394,10 +395,10 @@ func TestRouterMidStreamRebalance(t *testing.T) {
 		t.Fatal("no response")
 	}
 	defer resp.Body.Close()
-	var decs []Decision
+	var decs []wire.Decision
 	sc := bufio.NewScanner(resp.Body)
 	for sc.Scan() {
-		var d Decision
+		var d wire.Decision
 		if err := json.Unmarshal(sc.Bytes(), &d); err != nil {
 			t.Fatalf("bad decision %q: %v", sc.Text(), err)
 		}
@@ -408,7 +409,7 @@ func TestRouterMidStreamRebalance(t *testing.T) {
 	}
 	positions := map[int]bool{}
 	for i, d := range decs {
-		if d.Seq != i {
+		if d.Seq != uint64(i) {
 			t.Fatalf("decision %d has seq %d — reordered or rewritten wrong", i, d.Seq)
 		}
 		if d.Error != "" {

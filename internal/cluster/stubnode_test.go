@@ -12,6 +12,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"aovlis/internal/wire"
 )
 
 // stubNode is an in-process aovlisd stand-in for router tests: it speaks
@@ -176,13 +178,13 @@ func (s *stubNode) handleObserve(w http.ResponseWriter, r *http.Request, id stri
 	enc := json.NewEncoder(w)
 	sc := bufio.NewScanner(r.Body)
 	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
-	seq := 0
+	seq := uint64(0)
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
 		if line == "" {
 			continue
 		}
-		d := Decision{Channel: id, Seq: seq, Exact: true}
+		d := wire.Decision{Channel: id, Seq: seq, Exact: true}
 		var obs struct {
 			Action []float64 `json:"action"`
 		}

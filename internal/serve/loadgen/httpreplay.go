@@ -2,7 +2,6 @@ package loadgen
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -10,6 +9,8 @@ import (
 	"strconv"
 	"sync"
 	"time"
+
+	"aovlis/internal/wire"
 )
 
 // HTTPReplay streams a schedule over the aovlisd/aovlisr HTTP observe API:
@@ -55,15 +56,6 @@ func (r HTTPResult) SegsPerSec() float64 {
 		return 0
 	}
 	return float64(r.Decisions) / r.Elapsed.Seconds()
-}
-
-// decisionLine is the subset of the server's NDJSON decision the replayer
-// classifies on.
-type decisionLine struct {
-	Seq      int    `json:"seq"`
-	Dropped  bool   `json:"dropped"`
-	Rejected bool   `json:"rejected"`
-	Error    string `json:"error"`
 }
 
 // queuedLine is one encoded observation handed to a channel worker.
@@ -117,12 +109,7 @@ func (h *HTTPReplay) Run(s *Schedule) (HTTPResult, error) {
 
 	var enc []byte
 	s.Replay(func(a Arrival) {
-		enc = enc[:0]
-		enc = append(enc, `{"action":`...)
-		enc = appendFloats(enc, a.Action)
-		enc = append(enc, `,"audience":`...)
-		enc = appendFloats(enc, a.Audience)
-		enc = append(enc, '}', '\n')
+		enc = wire.AppendObservation(enc[:0], a.Action, a.Audience)
 		line := make([]byte, len(enc))
 		copy(line, enc)
 		ensure(a.ChannelIndex) <- queuedLine{buf: line, t: time.Now()}
@@ -362,8 +349,8 @@ func (w *streamWorker) readAck() error {
 	if err != nil {
 		return fmt.Errorf("reading decision: %w", err)
 	}
-	var d decisionLine
-	if err := json.Unmarshal(raw, &d); err != nil {
+	var d wire.Decision
+	if err := wire.DecodeDecision(raw, &d); err != nil {
 		return fmt.Errorf("bad decision line %q: %w", raw, err)
 	}
 	q := w.pending[0]
@@ -405,16 +392,4 @@ func (w *streamWorker) close() {
 		}
 	}()
 	w.br = nil
-}
-
-// appendFloats appends a JSON array of floats without fmt overhead.
-func appendFloats(b []byte, vs []float64) []byte {
-	b = append(b, '[')
-	for i, v := range vs {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		b = strconv.AppendFloat(b, v, 'g', -1, 64)
-	}
-	return append(b, ']')
 }

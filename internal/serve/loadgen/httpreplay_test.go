@@ -217,19 +217,3 @@ func TestHTTPResultSegsPerSec(t *testing.T) {
 		t.Fatalf("SegsPerSec = %g, want 50", got)
 	}
 }
-
-func TestAppendFloats(t *testing.T) {
-	cases := []struct {
-		in   []float64
-		want string
-	}{
-		{nil, "[]"},
-		{[]float64{1}, "[1]"},
-		{[]float64{0.5, -2, 3.25}, "[0.5,-2,3.25]"},
-	}
-	for _, tc := range cases {
-		if got := string(appendFloats(nil, tc.in)); got != tc.want {
-			t.Fatalf("appendFloats(%v) = %s, want %s", tc.in, got, tc.want)
-		}
-	}
-}

@@ -1,0 +1,181 @@
+package serve
+
+import (
+	"errors"
+
+	"aovlis/internal/wire"
+)
+
+// Framing is the outbound half of a segment stream's transport: the NDJSON
+// observe endpoint and the WebSocket live plane are one Framing each (the
+// inbound half is the Pump's wire.Feeder).
+type Framing interface {
+	// WriteLine hands the transport one newline-terminated decision line;
+	// it may buffer.
+	WriteLine(line []byte) error
+	// Flush puts everything buffered on the wire. The pump calls it exactly
+	// when it is about to block.
+	Flush()
+}
+
+// Pump drives one channel's segment stream: observations in, decisions out
+// strictly in message order, with up to Window submissions in flight —
+// which is the per-channel backlog the shard workers amortise into batched
+// inference passes. The pipeline is a fixed ring of recycled outcome
+// channels (SubmitInto), so the per-message submit side allocates nothing
+// — at tens of thousands of segments per second a per-submit channel is
+// measurable GC pressure.
+type Pump struct {
+	Pool    *DetectorPool
+	Channel string
+	// Window is the pipeline depth; ≤ 1 degenerates to submit-wait-respond
+	// per message.
+	Window int
+	In     *wire.Feeder
+	Out    Framing
+	// Seal, when set, replaces wire.AppendDecision as the step that turns a
+	// decided slot into its line. It runs once per decision, in stream
+	// order, as soon as the decision's fate is known — including for
+	// submissions still in flight when the stream ends, whose lines are
+	// sealed but never written. The live plane stamps its accepted-decision
+	// seq and rings the line here.
+	Seal func(dst []byte, d *wire.Decision) ([]byte, error)
+}
+
+// Run pumps until the input ends and every decision is written (nil), or
+// until a line cannot be sealed or written (that error). It also returns
+// the number of messages consumed — the stream-local seq a trailing line
+// would carry. On every path it consumes the outcome of every submission
+// it made before returning.
+func (p *Pump) Run() (uint64, error) {
+	window := max(p.Window, 1)
+	// Ring state: slot s holds the decision skeleton decs[s] and, when
+	// pending[s], an in-flight submission whose outcome arrives on outs[s].
+	// Slots [head-inflight, head) are occupied, oldest first.
+	outs := make([]chan Outcome, window)
+	for i := range outs {
+		outs[i] = make(chan Outcome, 1)
+	}
+	decs := make([]wire.Decision, window)
+	pending := make([]bool, window)
+	head, inflight := 0, 0
+	var seq uint64
+	var line []byte
+
+	seal := p.Seal
+	if seal == nil {
+		seal = wire.AppendDecision
+	}
+	resolve := func(s int, o Outcome) {
+		pending[s] = false
+		decs[s].WSeq = o.Seq
+		if o.Err != nil {
+			decs[s].Error = o.Err.Error()
+		} else {
+			decs[s].SetResult(o.Result)
+		}
+	}
+	defer func() {
+		// Never leave submissions unconsumed, whatever path exits: their
+		// segments are queued on the shard regardless. With a Seal hook the
+		// drained decisions are sealed too — the floor a live reconnect
+		// sees must cover them, or the client would resend accepted
+		// segments.
+		for ; inflight > 0; inflight-- {
+			s := (head + window - inflight) % window
+			if pending[s] {
+				resolve(s, <-outs[s])
+				if p.Seal != nil {
+					line, _ = p.Seal(line[:0], &decs[s])
+				}
+			}
+		}
+	}()
+	// accept decides one message's fate as far as submit time can: the one
+	// place a line becomes a parse error, a drop, a rejection, a submit
+	// error or an in-flight submission.
+	accept := func(msg []byte) {
+		d := &decs[head]
+		*d = wire.Decision{Channel: p.Channel, Seq: seq}
+		var obs wire.Observation
+		err := wire.DecodeObservation(msg, &obs)
+		if err == nil {
+			err = p.Pool.SubmitInto(p.Channel, obs.Action, obs.Audience, outs[head])
+		}
+		switch {
+		case err == nil:
+			pending[head] = true
+		case errors.Is(err, ErrOverloaded):
+			// Admission rejection and DropNewest overflow share the
+			// sentinel; the admission state tells the client which one it
+			// was (rejected ⇒ back off and retry).
+			if p.Pool.AdmissionState() == AdmitReject {
+				d.Rejected = true
+			} else {
+				d.Dropped = true
+			}
+		default:
+			d.Error = err.Error()
+		}
+		head = (head + 1) % window
+		inflight++
+		seq++
+	}
+
+	for open := true; open || inflight > 0; {
+		oldest := (head + window - inflight) % window
+		if inflight > 0 && !pending[oldest] {
+			// Decided at submit time or by a received outcome: stream it
+			// out before anything else.
+			var err error
+			if line, err = seal(line[:0], &decs[oldest]); err == nil {
+				err = p.Out.WriteLine(line)
+			}
+			if err != nil {
+				return seq, err
+			}
+			inflight--
+			continue
+		}
+		in := p.In.C
+		if !open || inflight == window {
+			in = nil // window full (or end of input): only an outcome makes progress
+		}
+		var out chan Outcome
+		if inflight > 0 {
+			out = outs[oldest] // pending[oldest] holds here
+		}
+		var (
+			msg   []byte
+			more  bool
+			isMsg bool
+			o     Outcome
+		)
+		select {
+		case msg, more = <-in:
+			isMsg = true
+		case o = <-out:
+		default:
+			// Nothing immediately available: flush buffered decisions
+			// before blocking. (in and out cannot both be nil here — that
+			// would need end of input plus an empty pipeline, which ends
+			// the loop.)
+			p.Out.Flush()
+			select {
+			case msg, more = <-in:
+				isMsg = true
+			case o = <-out:
+			}
+		}
+		switch {
+		case !isMsg:
+			resolve(oldest, o)
+		case !more:
+			open = false
+		default:
+			accept(msg)
+			p.In.Recycle(msg)
+		}
+	}
+	return seq, nil
+}

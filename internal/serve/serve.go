@@ -12,12 +12,12 @@
 // preserved per caller per channel because submission order into the
 // shard's FIFO queue is execution order.
 //
-// With Config.Batch > 1 each shard worker micro-batches: it drains up to
-// Batch pending observations per wake-up, groups them by channel
-// (preserving per-channel order), and scores each channel's run through
-// Detector.ObserveBatch — one batched inference pass instead of
-// per-segment GEMVs, bit-identical to serial scoring (see ARCHITECTURE.md
-// §10). Batching changes throughput, never results.
+// Each shard worker micro-batches: it drains up to Config.Batch pending
+// observations per wake-up, groups them by channel (preserving per-channel
+// order), and scores each channel's run through Detector.ObserveBatch — one
+// batched inference pass instead of per-segment GEMVs, bit-identical to
+// serial scoring (see ARCHITECTURE.md §10). Batching changes throughput,
+// never results.
 //
 // The submit path is deliberately lock-free on shared state: the channel
 // table is a copy-on-write map behind an atomic pointer (readers never
@@ -63,6 +63,21 @@ type Detector interface {
 // untouched — the shard worker resubmits them.
 type batchObserver interface {
 	ObserveBatch(actionFeats, audienceFeats [][]float64, results []aovlis.Result) (int, error)
+}
+
+// laneByLane gives a plain Detector the batch contract, one Observe per
+// lane, so the shard worker has a single scoring call.
+type laneByLane struct{ Detector }
+
+func (l laneByLane) ObserveBatch(actionFeats, audienceFeats [][]float64, results []aovlis.Result) (int, error) {
+	for i := range actionFeats {
+		res, err := l.Observe(actionFeats[i], audienceFeats[i])
+		if err != nil {
+			return i, err
+		}
+		results[i] = res
+	}
+	return len(actionFeats), nil
 }
 
 // filterStatser is implemented by detectors that expose ADOS filter
@@ -146,9 +161,9 @@ type Config struct {
 	Policy OverflowPolicy
 	// Batch is the micro-batching drain cap: a shard worker takes up to
 	// Batch pending observations per wake-up and scores each channel's
-	// run in one batched inference pass. 0 or 1 disables batching
-	// (strictly one observation per wake-up). Batching is semantically
-	// transparent — scores are bit-identical to the serial path.
+	// run in one batched inference pass. 0 and 1 both mean strictly one
+	// observation per wake-up. Batching is semantically transparent —
+	// scores are bit-identical whatever the cap.
 	Batch int
 	// Admission configures watermark-based overload control: shed to
 	// bound-gated tiered scoring when queues back up, reject new
@@ -260,6 +275,7 @@ type channel struct {
 	id     string
 	shard  *shard
 	det    Detector
+	batch  batchObserver // det, or det lane by lane when it cannot batch
 	fstats filterStatser // det, when it exposes ADOS counters (else nil)
 	tstats tierStatser   // det, when it exposes tier counters (else nil)
 
@@ -285,7 +301,7 @@ type channel struct {
 	tierskipped atomic.Uint64 // segments cleared by the tier gate, no LSTM run
 	pending     atomic.Int64  // enqueued but not yet executed
 
-	batches atomic.Uint64 // scoring rounds executed (batched mode only)
+	batches atomic.Uint64 // scoring rounds executed
 	batched atomic.Uint64 // observations scored across those rounds
 
 	// walSeq is the channel's journal sequence counter (last assigned;
@@ -375,10 +391,10 @@ type ChannelStats struct {
 	// not yet executed.
 	QueueDepth int64 `json:"queue_depth"`
 	// Batches counts the scoring rounds the shard worker ran for this
-	// channel in micro-batched mode, and Batched the observations scored
-	// across them; BatchOccupancy is their ratio — the mean number of
-	// segments amortised per inference round. 1.0 means the worker never
-	// found a backlog to batch; all three stay zero with batching off.
+	// channel, and Batched the observations scored across them;
+	// BatchOccupancy is their ratio — the mean number of segments amortised
+	// per inference round. 1.0 means the worker never found a backlog to
+	// batch (always, at Batch ≤ 1).
 	Batches        uint64  `json:"batches,omitempty"`
 	Batched        uint64  `json:"batched,omitempty"`
 	BatchOccupancy float64 `json:"batch_occupancy,omitempty"`
@@ -404,8 +420,7 @@ type PoolStats struct {
 	// TierSkipped sums the channels' tier-gate skip counters.
 	TierSkipped uint64 `json:"tier_skipped,omitempty"`
 	// Batches/Batched sum the channels' micro-batching counters;
-	// BatchOccupancy is the pool-wide mean batch size (0 with batching
-	// off).
+	// BatchOccupancy is the pool-wide mean batch size.
 	Batches        uint64  `json:"batches,omitempty"`
 	Batched        uint64  `json:"batched,omitempty"`
 	BatchOccupancy float64 `json:"batch_occupancy,omitempty"`
@@ -461,36 +476,16 @@ func NewDetectorPool(cfg Config) (*DetectorPool, error) {
 }
 
 // runShard executes the channel-confined detection loop of one shard: it
-// alone calls Observe/ObserveBatch on the detectors of the channels hashed
-// to it, which is what makes the single-writer Detector safe under a
-// concurrent pool. With batching enabled the worker drains a run of
-// pending jobs per wake-up and scores per-channel groups in one batched
-// call each.
+// alone calls ObserveBatch on the detectors of the channels hashed to it,
+// which is what makes the single-writer Detector safe under a concurrent
+// pool. Each wake-up drains a run of pending jobs — whatever is already
+// queued, up to the Batch cap (0 and 1 both mean one job) — and scores
+// per-channel groups in one batched call each.
 func (p *DetectorPool) runShard(s *shard) {
 	defer p.wg.Done()
-	if p.cfg.Batch < 2 {
-		for j := range s.queue {
-			if j.control != nil {
-				j.control()
-				continue
-			}
-			j.ch.pending.Add(-1)
-			p.m.queueWait.Observe(time.Since(j.enq).Seconds())
-			p.applyScoringMode(j.ch)
-			t0 := time.Now()
-			res, err := j.ch.det.Observe(j.action, j.audience)
-			p.m.scoreLatency.Observe(time.Since(t0).Seconds())
-			p.finishJob(j.ch, &j, res, err)
-			if err == nil {
-				p.refreshFiltered(j.ch)
-			}
-			p.adm.relax(p.maxQueueDepth())
-		}
-		return
-	}
-
+	limit := max(p.cfg.Batch, 1)
 	var (
-		jobs    = make([]job, 0, p.cfg.Batch)
+		jobs    = make([]job, 0, limit)
 		scratch batchScratch
 	)
 	for j := range s.queue {
@@ -499,12 +494,11 @@ func (p *DetectorPool) runShard(s *shard) {
 			continue
 		}
 		jobs = append(jobs[:0], j)
-		// Drain without blocking: whatever is already queued, up to the
-		// batch cap. A control job ends the drain so it still runs at a
-		// segment boundary in queue order.
+		// Drain without blocking. A control job ends the drain so it still
+		// runs at a segment boundary in queue order.
 		var control func()
 	drain:
-		for len(jobs) < p.cfg.Batch {
+		for len(jobs) < limit {
 			select {
 			case j2, ok := <-s.queue:
 				if !ok {
@@ -536,9 +530,8 @@ type batchScratch struct {
 }
 
 // runBatch groups the drained jobs by channel (first-seen order, original
-// order within each channel) and scores each group — batched when the
-// detector supports it, serially otherwise. Outcomes are delivered per
-// job; batching is invisible to callers.
+// order within each channel) and scores each group in one ObserveBatch
+// call. Outcomes are delivered per job; batching is invisible to callers.
 func (p *DetectorPool) runBatch(jobs []job, sc *batchScratch) {
 	for i := range jobs {
 		jobs[i].ch.pending.Add(-1)
@@ -550,35 +543,7 @@ func (p *DetectorPool) runBatch(jobs []job, sc *batchScratch) {
 			continue
 		}
 		p.applyScoringMode(ch)
-		n := 0
-		for k := i; k < len(jobs); k++ {
-			if jobs[k].ch == ch {
-				n++
-			}
-		}
-		bo, batchable := ch.det.(batchObserver)
-		if n == 1 || !batchable {
-			for k := i; k < len(jobs); k++ {
-				if jobs[k].ch != ch {
-					continue
-				}
-				t0 := time.Now()
-				res, err := ch.det.Observe(jobs[k].action, jobs[k].audience)
-				p.m.scoreLatency.Observe(time.Since(t0).Seconds())
-				p.m.occupancy.Observe(1)
-				p.finishJob(ch, &jobs[k], res, err)
-				ch.batches.Add(1)
-				if err == nil {
-					ch.batched.Add(1)
-				}
-				jobs[k].ch = nil
-			}
-			p.refreshFiltered(ch)
-			continue
-		}
-		sc.acts = sc.acts[:0]
-		sc.auds = sc.auds[:0]
-		sc.jobIdx = sc.jobIdx[:0]
+		sc.acts, sc.auds, sc.jobIdx = sc.acts[:0], sc.auds[:0], sc.jobIdx[:0]
 		for k := i; k < len(jobs); k++ {
 			if jobs[k].ch == ch {
 				sc.acts = append(sc.acts, jobs[k].action)
@@ -587,19 +552,18 @@ func (p *DetectorPool) runBatch(jobs []job, sc *batchScratch) {
 				jobs[k].ch = nil
 			}
 		}
-		p.runGroup(ch, bo, jobs, sc)
+		p.runGroup(ch, jobs, sc)
 		p.refreshFiltered(ch)
 	}
 	// Drop caller feature references from the reused scratch.
-	for i := range sc.acts {
-		sc.acts[i], sc.auds[i] = nil, nil
-	}
+	clear(sc.acts)
+	clear(sc.auds)
 }
 
 // runGroup scores one channel's run of segments through ObserveBatch,
-// resubmitting the tail after a failed segment so error semantics match
-// the serial path (each segment fails or succeeds individually).
-func (p *DetectorPool) runGroup(ch *channel, bo batchObserver, jobs []job, sc *batchScratch) {
+// resubmitting the tail after a failed segment so each segment fails or
+// succeeds individually.
+func (p *DetectorPool) runGroup(ch *channel, jobs []job, sc *batchScratch) {
 	total := len(sc.jobIdx)
 	if cap(sc.results) < total {
 		sc.results = make([]aovlis.Result, total)
@@ -608,7 +572,7 @@ func (p *DetectorPool) runGroup(ch *channel, bo batchObserver, jobs []job, sc *b
 	for done < total {
 		results := sc.results[:total-done]
 		t0 := time.Now()
-		n, err := bo.ObserveBatch(sc.acts[done:], sc.auds[done:], results)
+		n, err := ch.batch.ObserveBatch(sc.acts[done:], sc.auds[done:], results)
 		p.m.scoreLatency.Observe(time.Since(t0).Seconds())
 		if n > 0 {
 			p.m.occupancy.Observe(float64(n))
@@ -724,6 +688,9 @@ func (p *DetectorPool) Attach(id string, det Detector) error {
 	fs, _ := det.(filterStatser)
 	ts, _ := det.(tierStatser)
 	ch := &channel{id: id, shard: p.shardFor(id), det: det, fstats: fs, tstats: ts}
+	if ch.batch, _ = det.(batchObserver); ch.batch == nil {
+		ch.batch = laneByLane{det}
+	}
 	if ds, ok := det.(dimser); ok {
 		ch.actionDim, ch.audienceDim = ds.Dims()
 	}
@@ -908,14 +875,7 @@ var outcomeChans = sync.Pool{New: func() any { return make(chan Outcome, 1) }}
 // Observe submits one observation and waits for its verdict — the
 // synchronous convenience over Submit.
 func (p *DetectorPool) Observe(id string, actionFeat, audienceFeat []float64) (aovlis.Result, error) {
-	out := outcomeChans.Get().(chan Outcome)
-	if _, err := p.submit(id, actionFeat, audienceFeat, out, 0); err != nil {
-		outcomeChans.Put(out)
-		return aovlis.Result{}, err
-	}
-	o := <-out
-	outcomeChans.Put(out)
-	return o.Result, o.Err
+	return p.observeSync(id, actionFeat, audienceFeat, 0)
 }
 
 // ReplayObserve scores one journaled observation synchronously without
@@ -927,13 +887,16 @@ func (p *DetectorPool) ReplayObserve(id string, seq uint64, actionFeat, audience
 	if seq == 0 {
 		return aovlis.Result{}, fmt.Errorf("serve: ReplayObserve requires a journal sequence")
 	}
+	return p.observeSync(id, actionFeat, audienceFeat, seq)
+}
+
+func (p *DetectorPool) observeSync(id string, actionFeat, audienceFeat []float64, replaySeq uint64) (aovlis.Result, error) {
 	out := outcomeChans.Get().(chan Outcome)
-	if _, err := p.submit(id, actionFeat, audienceFeat, out, seq); err != nil {
-		outcomeChans.Put(out)
+	defer outcomeChans.Put(out)
+	if _, err := p.submit(id, actionFeat, audienceFeat, out, replaySeq); err != nil {
 		return aovlis.Result{}, err
 	}
 	o := <-out
-	outcomeChans.Put(out)
 	return o.Result, o.Err
 }
 

@@ -211,6 +211,45 @@ func TestIngestRefusals(t *testing.T) {
 	if _, resp, err := Dial(srv.URL+"/live/busy", nil); err == nil || resp == nil || resp.StatusCode != http.StatusConflict {
 		t.Fatalf("busy channel: err %v resp %+v, want 409", err, resp)
 	}
+
+	// Admission reject answers 429 + Retry-After before the upgrade and
+	// before Ensure: a refused stream on a new channel id must not create
+	// the channel.
+	opool, err := serve.NewDetectorPool(serve.Config{Shards: 1, QueueDepth: 4, Policy: serve.Block,
+		Admission: serve.AdmissionConfig{Enabled: true,
+			ShedHighFrac: 0.5, ShedLowFrac: 0.1, RejectHighFrac: 0.75, RejectLowFrac: 0.2}})
+	if err != nil {
+		t.Fatalf("pool: %v", err)
+	}
+	gate := make(chan struct{})
+	t.Cleanup(func() { close(gate); opool.Close() })
+	if err := opool.Attach("slow", gatedDetector{gate}); err != nil {
+		t.Fatalf("attach: %v", err)
+	}
+	for i := 0; opool.AdmissionState() != serve.AdmitReject; i++ {
+		if _, err := opool.Submit("slow", []float64{1}, []float64{1}); err != nil && i > 16 {
+			t.Fatalf("pool not driven to reject: %v (state %v)", err, opool.AdmissionState())
+		}
+	}
+	ensured := 0
+	osrv := httptest.NewServer(&IngestHandler{Pool: opool, Hub: NewHub(HubConfig{}),
+		Ensure: func(id string) error { ensured++; return opool.Attach(id, &fakeDetector{}) }})
+	t.Cleanup(osrv.Close)
+	_, resp, err := Dial(osrv.URL+"/live/newcomer", nil)
+	if err == nil || resp == nil || resp.StatusCode != http.StatusTooManyRequests || resp.Header.Get("Retry-After") == "" {
+		t.Fatalf("overloaded pool: err %v resp %+v, want 429 with Retry-After", err, resp)
+	}
+	if chans := opool.Channels(); ensured != 0 || len(chans) != 1 {
+		t.Fatalf("refused new-id stream ran Ensure %d times and left channels %v", ensured, chans)
+	}
+}
+
+// gatedDetector blocks every Observe until its gate is closed.
+type gatedDetector struct{ gate chan struct{} }
+
+func (g gatedDetector) Observe(action, audience []float64) (aovlis.Result, error) {
+	<-g.gate
+	return aovlis.Result{Exact: true, Path: "gated"}, nil
 }
 
 // TestIngestEnsureError covers the Ensure hook's refusal path.
