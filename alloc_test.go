@@ -19,15 +19,19 @@ import (
 
 // allocFixtureSeries builds a small deterministic normal feature series.
 func allocFixtureSeries(n int) (actions, audience [][]float64) {
+	return allocSeries(n, 16, 6)
+}
+
+func allocSeries(n, actionDim, audienceDim int) (actions, audience [][]float64) {
 	rng := rand.New(rand.NewSource(3))
 	for i := 0; i < n; i++ {
-		f := make([]float64, 16)
+		f := make([]float64, actionDim)
 		f[(i/3)%8] = 1
 		for j := range f {
 			f[j] += 0.02 + 0.01*rng.Float64()
 		}
 		mat.Normalize(f)
-		a := make([]float64, 6)
+		a := make([]float64, audienceDim)
 		for j := range a {
 			a[j] = 0.3 + 0.03*rng.NormFloat64()
 		}
@@ -147,34 +151,58 @@ func TestPredictIntoSteadyStateAllocs(t *testing.T) {
 }
 
 // TestTrainStepSteadyStateAllocs pins the training-side property: a
-// steady-state Model.TrainStep performs zero heap allocations.
+// steady-state Model.TrainStep — and the updater's per-segment
+// Model.HiddenInto — performs zero heap allocations, at the small shape the
+// other alloc fixtures use and at the served shape (48/19 dims, hidden
+// 32/16, q = 9), where every SIMD block width is in play.
 func TestTrainStepSteadyStateAllocs(t *testing.T) {
-	actions, audience := allocFixtureSeries(30)
-	mcfg := core.DefaultConfig(16, 6)
-	mcfg.HiddenI, mcfg.HiddenA = 12, 8
-	mcfg.SeqLen = 4
-	model, err := core.NewModel(mcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	samples, err := core.BuildSamples(actions, audience, mcfg.SeqLen)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Warm: first steps size the tape pool, arena and Adam moment maps.
-	for i := 0; i < 3; i++ {
-		if _, err := model.TrainStep(&samples[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	i := 0
-	n := testing.AllocsPerRun(100, func() {
-		if _, err := model.TrainStep(&samples[i%len(samples)]); err != nil {
-			t.Fatal(err)
-		}
-		i++
-	})
-	if n > 0 {
-		t.Fatalf("steady-state TrainStep allocates %v times per step, want 0", n)
+	for _, shape := range []struct {
+		name                              string
+		actionDim, audienceDim, hI, hA, q int
+	}{
+		{"quick", 16, 6, 12, 8, 4},
+		{"served", 48, 19, 32, 16, 9},
+	} {
+		t.Run(shape.name, func(t *testing.T) {
+			actions, audience := allocSeries(30, shape.actionDim, shape.audienceDim)
+			mcfg := core.DefaultConfig(shape.actionDim, shape.audienceDim)
+			mcfg.HiddenI, mcfg.HiddenA = shape.hI, shape.hA
+			mcfg.SeqLen = shape.q
+			model, err := core.NewModel(mcfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			samples, err := core.BuildSamples(actions, audience, mcfg.SeqLen)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Warm: the first steps compile the TrainPlan, size the loss
+			// head's tape pool and arena, and allocate the Adam moments.
+			for i := 0; i < 3; i++ {
+				if _, err := model.TrainStep(&samples[i]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			i := 0
+			n := testing.AllocsPerRun(100, func() {
+				if _, err := model.TrainStep(&samples[i%len(samples)]); err != nil {
+					t.Fatal(err)
+				}
+				i++
+			})
+			if n > 0 {
+				t.Fatalf("steady-state TrainStep allocates %v times per step, want 0", n)
+			}
+			hidden := make([]float64, mcfg.HiddenI)
+			n = testing.AllocsPerRun(100, func() {
+				if err := model.HiddenInto(&samples[i%len(samples)], hidden); err != nil {
+					t.Fatal(err)
+				}
+				i++
+			})
+			if n > 0 {
+				t.Fatalf("steady-state HiddenInto allocates %v times per call, want 0", n)
+			}
+		})
 	}
 }

@@ -66,8 +66,8 @@ type Config struct {
 	// FastMath switches the inference hot path to the polynomial SIMD
 	// exp/tanh gate kernels (a few ULP from the libm-exact kernels; the
 	// tolerance is pinned by internal/mat's property tests and the
-	// verdict-flip-rate harness). Training and the autodiff tape stay
-	// exact. AOVLIS_FASTMATH=1 forces this on regardless of the field.
+	// verdict-flip-rate harness). Training and drift tracking (the
+	// TrainPlan) stay exact. AOVLIS_FASTMATH=1 forces this on regardless of the field.
 	FastMath bool
 	// Tiered enables bound-gated skipping of the exact LSTM predict: when
 	// the last exactly-scored segment's predictions still clear the JSmax
@@ -305,9 +305,9 @@ func (d *Detector) SetTau(tau float64) error {
 	return nil
 }
 
-// Model exposes the underlying CLSTM (used by experiments). The model owns
-// a reused autodiff tape, so even read-shaped calls like Predict or Hidden
-// mutate per-step state: treat Model access as writer activity under the
+// Model exposes the underlying CLSTM (used by experiments). The model's
+// compiled engines reuse their buffers, so even read-shaped calls like
+// Predict or Hidden mutate per-step state: treat Model access as writer activity under the
 // detector's single-writer contract and never overlap it with Observe.
 func (d *Detector) Model() *core.Model { return d.model }
 

@@ -336,7 +336,11 @@ func (t *Tape) Mean(a *Node) *Node {
 // backstep propagates n's gradient into its operands. The arithmetic is the
 // fused equivalent of the original closure implementations: every operand
 // update performs the same floating-point operations in the same order, so
-// gradients are bitwise identical to the pre-opcode engine.
+// gradients are bitwise identical to the pre-opcode engine. Products that
+// feed an add or subtract are rounded through an explicit float64
+// conversion first: the tape is the bit-level reference of the hand-derived
+// training engine (nn.TrainCell), and a compiler that contracts x·y+z into
+// one FMA (arm64) must not make the two disagree.
 func (t *Tape) backstep(n *Node) {
 	g := n.Grad
 	switch n.op {
@@ -402,14 +406,14 @@ func (t *Tape) backstep(n *Node) {
 		if needsGrad(n.a) {
 			ag := t.grad(n.a)
 			for i, s := range n.Value.Data {
-				ag.Data[i] += g.Data[i] * s * (1 - s)
+				ag.Data[i] += float64(g.Data[i] * s * (1 - s))
 			}
 		}
 	case opTanh:
 		if needsGrad(n.a) {
 			ag := t.grad(n.a)
 			for i, th := range n.Value.Data {
-				ag.Data[i] += g.Data[i] * (1 - th*th)
+				ag.Data[i] += float64(g.Data[i] * (1 - float64(th*th)))
 			}
 		}
 	case opReLU:
@@ -435,10 +439,10 @@ func (t *Tape) backstep(n *Node) {
 				srow, grow, orow := n.Value.Row(i), ag.Row(i), g.Row(i)
 				var dot float64
 				for j, s := range srow {
-					dot += orow[j] * s
+					dot += float64(orow[j] * s)
 				}
 				for j, s := range srow {
-					grow[j] += s * (orow[j] - dot)
+					grow[j] += float64(s * (orow[j] - dot))
 				}
 			}
 		}

@@ -5,9 +5,10 @@ import (
 	"testing"
 )
 
-// Micro-benchmarks for the two prediction paths at the root benchmark's
-// model dimensions (ActionDim 48, AudienceDim 19, hidden 32/16, q = 9), so
-// the tape-vs-fused split can be measured without the Detector around it.
+// Micro-benchmarks for the prediction and training paths at the served
+// shape (ActionDim 48, AudienceDim 19, hidden 32/16, q = 9 — the root
+// benchmark's and cmd/aovlis-bench's fixture), so the tape-vs-engine split
+// can be measured without the Detector around it.
 
 func inferBenchModel(b *testing.B) (*Model, []Sample) {
 	b.Helper()
@@ -53,6 +54,47 @@ func BenchmarkPredictIntoTape(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := m.predictTapeInto(&samples[i%len(samples)], fhat, ahat); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkTrainStepFused measures one optimisation step on the TrainPlan:
+// tape-free recurrence and BPTT, SIMD weight-gradient and Adam kernels.
+func BenchmarkTrainStepFused(b *testing.B) {
+	m, samples := inferBenchModel(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := m.TrainStep(&samples[i%len(samples)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkTrainStepTape measures the whole-step autodiff-tape training
+// path the TrainPlan replaced (same optimiser kernel, so the difference is
+// forward + backward only).
+func BenchmarkTrainStepTape(b *testing.B) {
+	m, samples := inferBenchModel(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := m.trainStepTape(&samples[i%len(samples)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkHiddenInto measures the drift detector's per-segment call: the
+// TrainPlan's forward recurrence alone.
+func BenchmarkHiddenInto(b *testing.B) {
+	m, samples := inferBenchModel(b)
+	h := make([]float64, m.cfg.HiddenI)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := m.HiddenInto(&samples[i%len(samples)], h); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -17,10 +17,11 @@ import (
 // action features) with LSTM_A (audience interaction behaviour); decoders
 // DeI / DeA map the final hidden states back to feature space.
 //
-// A Model owns one reusable autodiff tape (and through it one mat.Arena):
-// every forward/backward pass recycles the previous pass's node and matrix
-// storage, so steady-state Predict/TrainStep calls are allocation-free.
-// The flip side is that Model methods are not safe for concurrent use —
+// A Model owns two compiled tape-free engines over its parameters — an
+// InferPlan for prediction and, from the first training or Hidden call on,
+// a TrainPlan for forward + BPTT — both of which reuse their buffers, so
+// steady-state Predict/TrainStep/HiddenInto calls are allocation-free. The
+// flip side is that Model methods are not safe for concurrent use —
 // confine a Model to one goroutine, the same single-writer contract the
 // Detector documents (see ARCHITECTURE.md).
 type Model struct {
@@ -34,19 +35,46 @@ type Model struct {
 
 	opt *nn.Adam
 
-	// tape/bind/grads are the reused per-step autodiff state; see begin.
+	// plan is the compiled tape-free inference engine; see inferPlan.
+	// seqs/inferOuts are reused argument buffers for the plans so
+	// PredictInto and TrainStep stay allocation-free. bplan is the
+	// lane-stacked batch engine (see batch.go), sharing plan's packed
+	// weights and version.
+	plan      *InferPlan
+	bplan     *BatchInferPlan
+	seqs      [2][][]float64
+	inferOuts [2][]float64
+
+	// tplan is the training engine (train.go), compiled on first use so
+	// inference-only models — every serving channel clone — never pay for
+	// its buffers. order is TrainEpoch's reused shuffle permutation.
+	tplan *TrainPlan
+	order []int
+
+	// ref is the whole-step autodiff tape the engines replaced, bound on
+	// first use: the golden reference of the equivalence tests.
+	ref *tapeRef
+}
+
+// tapeRef is the reused per-step state of the reference tape path.
+type tapeRef struct {
 	tape  *ad.Tape
 	bind  *nn.Binding
 	grads map[string]*mat.Matrix
+}
 
-	// plan is the compiled tape-free inference engine; see inferPlan.
-	// inferSeqs/inferOuts are reused argument buffers for plan.Run so
-	// PredictInto stays allocation-free. bplan is the lane-stacked batch
-	// engine (see batch.go), sharing plan's packed weights and version.
-	plan      *InferPlan
-	bplan     *BatchInferPlan
-	inferSeqs [2][][]float64
-	inferOuts [2][]float64
+func newTapeRef(ps *nn.ParamSet) *tapeRef {
+	tp := ad.NewTape()
+	return &tapeRef{tape: tp, bind: ps.Bind(tp), grads: make(map[string]*mat.Matrix, len(ps.Names()))}
+}
+
+// begin resets the tape and rebinds the parameters for one forward/backward
+// pass. Everything recorded in the previous pass is recycled, so callers
+// must have copied any results out already.
+func (r *tapeRef) begin() (*ad.Tape, *nn.Binding) {
+	r.tape.Reset()
+	r.bind.Rebind()
+	return r.tape, r.bind
 }
 
 // NewModel constructs a CLSTM for the given configuration.
@@ -70,11 +98,12 @@ func NewModel(cfg Config) (*Model, error) {
 		decA: nn.NewDense(ps, "decA", cfg.HiddenA, cfg.AudienceDim, nn.Linear, rng),
 		opt:  nn.NewAdam(cfg.LearningRate),
 	}
-	m.tape = ad.NewTape()
-	m.bind = ps.Bind(m.tape)
-	m.grads = make(map[string]*mat.Matrix, len(ps.Names()))
-	m.plan = compileInferPlan(ps, cfg.SeqLen, modelSpecs(cfg, m.cellI, m.cellA, m.decI, m.decA))
+	m.plan = compileInferPlan(ps, cfg.SeqLen, m.specs())
 	return m, nil
+}
+
+func (m *Model) specs() []planSpec {
+	return modelSpecs(m.cfg, m.cellI, m.cellA, m.decI, m.decA)
 }
 
 // inferPlan returns the compiled inference plan, repacking it first if any
@@ -89,13 +118,21 @@ func (m *Model) inferPlan() *InferPlan {
 	return m.plan
 }
 
-// begin resets the reused tape and rebinds the parameters for one
-// forward/backward pass. Everything recorded in the previous pass is
-// recycled, so callers must have copied any results out already.
+// trainPlan returns the training engine, compiling it on first use. It
+// reads the live parameters, so unlike inferPlan it can never be stale.
+func (m *Model) trainPlan() *TrainPlan {
+	if m.tplan == nil {
+		m.tplan = compileTrainPlan(m.ps, m.cfg.SeqLen, m.specs())
+	}
+	return m.tplan
+}
+
+// begin starts one pass on the reference tape, binding it on first use.
 func (m *Model) begin() (*ad.Tape, *nn.Binding) {
-	m.tape.Reset()
-	m.bind.Rebind()
-	return m.tape, m.bind
+	if m.ref == nil {
+		m.ref = newTapeRef(m.ps)
+	}
+	return m.ref.begin()
 }
 
 // Config returns the model configuration.
@@ -105,9 +142,8 @@ func (m *Model) Config() Config { return m.cfg }
 // gate kernel and the polynomial fast-math kernel (see mat.FastExp). A
 // runtime scoring mode, not part of Config: snapshots don't carry it and
 // owners (the Detector) re-apply it from their own configuration after
-// load. AOVLIS_FASTMATH=1 forces it on regardless. The tape paths —
-// training, Hidden, the golden-reference predictTapeInto — always stay
-// exact.
+// load. AOVLIS_FASTMATH=1 forces it on regardless. Training, Hidden and
+// the golden-reference tape paths always stay exact.
 func (m *Model) SetFastMath(on bool) {
 	m.plan.SetFastMath(on || mat.FastMathForced())
 }
@@ -123,8 +159,8 @@ func (m *Model) NumParams() int { return m.ps.NumParams() }
 // merge and by tests).
 func (m *Model) Params() *nn.ParamSet { return m.ps }
 
-// forward runs the coupled recurrence over one sample and returns the
-// decoded predictions plus the final hidden nodes.
+// forward records the coupled recurrence over one sample on the reference
+// tape and returns the decoded predictions plus the final hidden nodes.
 func (m *Model) forward(tp *ad.Tape, b *nn.Binding, s *Sample) (fhat, ahat, hFinal, gFinal *ad.Node) {
 	h, cI := m.cellI.ZeroState(tp)
 	g, cA := m.cellA.ZeroState(tp)
@@ -179,14 +215,20 @@ func (m *Model) PredictInto(s *Sample, fhat, ahat []float64) error {
 			len(fhat), len(ahat), m.cfg.ActionDim, m.cfg.AudienceDim)
 	}
 	p := m.inferPlan()
-	m.inferSeqs[0], m.inferSeqs[1] = s.ActionSeq, s.AudienceSeq
 	m.inferOuts[0], m.inferOuts[1] = fhat, ahat
-	p.Run(m.inferSeqs[:], m.inferOuts[:])
+	p.Run(m.window(s), m.inferOuts[:])
 	// Drop the caller's slices so the reused argument buffers don't pin
 	// them beyond the call.
-	m.inferSeqs[0], m.inferSeqs[1] = nil, nil
+	m.seqs[0], m.seqs[1] = nil, nil
 	m.inferOuts[0], m.inferOuts[1] = nil, nil
 	return nil
+}
+
+// window lays the sample's two input sequences out as the plans' seqs
+// argument in the model's reused buffer.
+func (m *Model) window(s *Sample) [][][]float64 {
+	m.seqs[0], m.seqs[1] = s.ActionSeq, s.AudienceSeq
+	return m.seqs[:]
 }
 
 // predictTapeInto is the pre-InferPlan prediction path: the forward pass
@@ -209,12 +251,34 @@ func (m *Model) predictTapeInto(s *Sample, fhat, ahat []float64) error {
 // they are "more robust to scene changes compared with audience interaction
 // features" (§IV-D).
 func (m *Model) Hidden(s *Sample) ([]float64, error) {
-	if err := s.validate(m.cfg); err != nil {
+	h := make([]float64, m.cfg.HiddenI)
+	if err := m.HiddenInto(s, h); err != nil {
 		return nil, err
 	}
+	return h, nil
+}
+
+// HiddenInto is Hidden with a caller-supplied buffer of length HiddenI —
+// the allocation-free form the updater calls on every segment. It runs the
+// training engine's forward recurrence: tape-free, and on the bit-exact
+// gate kernel whatever SetFastMath says.
+func (m *Model) HiddenInto(s *Sample, dst []float64) error {
+	if err := s.validate(m.cfg); err != nil {
+		return err
+	}
+	if len(dst) != m.cfg.HiddenI {
+		return fmt.Errorf("core: HiddenInto buffer %d, model hidden is %d", len(dst), m.cfg.HiddenI)
+	}
+	copy(dst, m.trainPlan().hidden(m.window(s), 0))
+	m.seqs[0], m.seqs[1] = nil, nil
+	return nil
+}
+
+// hiddenTape is Hidden on the reference tape (golden tests only).
+func (m *Model) hiddenTape(s *Sample) []float64 {
 	tp, b := m.begin()
 	_, _, h, _ := m.forward(tp, b, s)
-	return append([]float64(nil), h.Value.Data...), nil
+	return append([]float64(nil), h.Value.Data...)
 }
 
 // loss builds the joint training objective (Eq. 13):
@@ -230,19 +294,44 @@ func (m *Model) loss(tp *ad.Tape, fhat, ahat *ad.Node, s *Sample) *ad.Node {
 }
 
 // TrainStep runs one optimisation step on a single sample and returns its
-// loss value before the update.
+// loss value before the update. The step runs on the TrainPlan: tape-free
+// recurrence and BPTT around a decoder-and-loss head, bit-identical to
+// recording the whole step on the autodiff tape (trainStepTape).
 func (m *Model) TrainStep(s *Sample) (float64, error) {
-	if err := s.validate(m.cfg); err != nil {
+	if err := m.validateTrain(s); err != nil {
 		return 0, err
 	}
+	p := m.trainPlan()
+	tp, outs := p.forward(m.window(s))
+	m.seqs[0], m.seqs[1] = nil, nil
+	loss := m.loss(tp, outs[0], outs[1], s)
+	m.opt.StepFlat(m.ps, p.backward(loss))
+	return ad.Scalar(loss), nil
+}
+
+func (m *Model) validateTrain(s *Sample) error {
+	if err := s.validate(m.cfg); err != nil {
+		return err
+	}
 	if s.ActionTarget == nil || s.AudienceTarget == nil {
-		return 0, fmt.Errorf("core: TrainStep requires targets")
+		return fmt.Errorf("core: TrainStep requires targets")
+	}
+	return nil
+}
+
+// trainStepTape is the pre-TrainPlan training step: forward, loss and
+// backward all recorded on the autodiff tape. It exists so the golden
+// equivalence tests can pin the engine bit-identical to it; production
+// training goes through TrainStep.
+func (m *Model) trainStepTape(s *Sample) (float64, error) {
+	if err := m.validateTrain(s); err != nil {
+		return 0, err
 	}
 	tp, b := m.begin()
 	fhat, ahat, _, _ := m.forward(tp, b, s)
 	loss := m.loss(tp, fhat, ahat, s)
 	tp.Backward(loss)
-	m.opt.Step(m.ps, b.GradsInto(m.grads))
+	m.opt.Step(m.ps, b.GradsInto(m.ref.grads))
 	return ad.Scalar(loss), nil
 }
 
@@ -252,7 +341,10 @@ func (m *Model) TrainEpoch(samples []Sample, rng *rand.Rand) (float64, error) {
 	if len(samples) == 0 {
 		return 0, fmt.Errorf("core: TrainEpoch with no samples")
 	}
-	order := make([]int, len(samples))
+	if cap(m.order) < len(samples) {
+		m.order = make([]int, len(samples))
+	}
+	order := m.order[:len(samples)]
 	for i := range order {
 		order[i] = i
 	}
@@ -282,10 +374,10 @@ func (m *Model) EvalLoss(samples []Sample) (float64, error) {
 		if err := s.validate(m.cfg); err != nil {
 			return 0, err
 		}
-		tp, b := m.begin()
-		fhat, ahat, _, _ := m.forward(tp, b, s)
-		total += ad.Scalar(m.loss(tp, fhat, ahat, s))
+		tp, outs := m.trainPlan().forward(m.window(s))
+		total += ad.Scalar(m.loss(tp, outs[0], outs[1], s))
 	}
+	m.seqs[0], m.seqs[1] = nil, nil
 	return total / float64(len(samples)), nil
 }
 

@@ -85,8 +85,8 @@ func (c MultiConfig) Validate() error {
 }
 
 // MultiModel is the K-stream coupled LSTM with per-stream decoders. Like
-// Model, it owns one reusable tape and is therefore not safe for
-// concurrent use: confine it to one goroutine.
+// Model, it runs on compiled engines that reuse their buffers and is
+// therefore not safe for concurrent use: confine it to one goroutine.
 type MultiModel struct {
 	cfg     MultiConfig
 	weights []float64 // normalised
@@ -95,12 +95,12 @@ type MultiModel struct {
 	decs    []*nn.Dense
 	opt     *nn.Adam
 
-	tape  *ad.Tape
-	bind  *nn.Binding
-	grads map[string]*mat.Matrix
-
-	// plan is the compiled tape-free inference engine (see infer.go).
-	plan *InferPlan
+	// plan is the compiled tape-free inference engine (see infer.go),
+	// tplan the training engine (train.go, compiled on first TrainStep) and
+	// ref the reference tape the golden tests compare both against.
+	plan  *InferPlan
+	tplan *TrainPlan
+	ref   *tapeRef
 }
 
 // NewMultiModel constructs the model.
@@ -130,9 +130,6 @@ func NewMultiModel(cfg MultiConfig) (*MultiModel, error) {
 		}
 		m.decs = append(m.decs, nn.NewDense(ps, fmt.Sprintf("stream%d.dec", i), s.Hidden, s.InputDim, act, rng))
 	}
-	m.tape = ad.NewTape()
-	m.bind = ps.Bind(m.tape)
-	m.grads = make(map[string]*mat.Matrix, len(ps.Names()))
 	m.plan = compileInferPlan(ps, cfg.SeqLen, multiSpecs(m.cells, m.decs))
 	return m, nil
 }
@@ -146,11 +143,12 @@ func (m *MultiModel) inferPlan() *InferPlan {
 	return m.plan
 }
 
-// begin resets the reused tape and rebinds parameters for one pass.
+// begin starts one pass on the reference tape, binding it on first use.
 func (m *MultiModel) begin() (*ad.Tape, *nn.Binding) {
-	m.tape.Reset()
-	m.bind.Rebind()
-	return m.tape, m.bind
+	if m.ref == nil {
+		m.ref = newTapeRef(m.ps)
+	}
+	return m.ref.begin()
 }
 
 // Config returns the configuration.
@@ -189,7 +187,8 @@ func (m *MultiModel) validateSeqs(seqs [][][]float64) error {
 	return nil
 }
 
-// forward runs the coupled recurrence and returns the decoded predictions.
+// forward records the coupled recurrence on the reference tape and returns
+// the decoded predictions.
 func (m *MultiModel) forward(tp *ad.Tape, b *nn.Binding, seqs [][][]float64) []*ad.Node {
 	k := len(m.cfg.Streams)
 	hs := make([]*ad.Node, k)
@@ -286,24 +285,47 @@ func (m *MultiModel) loss(tp *ad.Tape, outs []*ad.Node, targets [][]float64) *ad
 	return total
 }
 
-// TrainStep runs one optimisation step on a window and its targets.
+// TrainStep runs one optimisation step on a window and its targets, on the
+// TrainPlan (see Model.TrainStep).
 func (m *MultiModel) TrainStep(seqs [][][]float64, targets [][]float64) (float64, error) {
-	if err := m.validateSeqs(seqs); err != nil {
+	if err := m.validateTrain(seqs, targets); err != nil {
 		return 0, err
 	}
+	if m.tplan == nil {
+		m.tplan = compileTrainPlan(m.ps, m.cfg.SeqLen, multiSpecs(m.cells, m.decs))
+	}
+	tp, outs := m.tplan.forward(seqs)
+	loss := m.loss(tp, outs, targets)
+	m.opt.StepFlat(m.ps, m.tplan.backward(loss))
+	return ad.Scalar(loss), nil
+}
+
+func (m *MultiModel) validateTrain(seqs [][][]float64, targets [][]float64) error {
+	if err := m.validateSeqs(seqs); err != nil {
+		return err
+	}
 	if len(targets) != len(m.cfg.Streams) {
-		return 0, fmt.Errorf("core: %d targets, model has %d streams", len(targets), len(m.cfg.Streams))
+		return fmt.Errorf("core: %d targets, model has %d streams", len(targets), len(m.cfg.Streams))
 	}
 	for i, tgt := range targets {
 		if len(tgt) != m.cfg.Streams[i].InputDim {
-			return 0, fmt.Errorf("core: target %d has dim %d, want %d", i, len(tgt), m.cfg.Streams[i].InputDim)
+			return fmt.Errorf("core: target %d has dim %d, want %d", i, len(tgt), m.cfg.Streams[i].InputDim)
 		}
+	}
+	return nil
+}
+
+// trainStepTape is the whole-step tape form of TrainStep, kept as the
+// golden reference (see Model.trainStepTape).
+func (m *MultiModel) trainStepTape(seqs [][][]float64, targets [][]float64) (float64, error) {
+	if err := m.validateTrain(seqs, targets); err != nil {
+		return 0, err
 	}
 	tp, b := m.begin()
 	outs := m.forward(tp, b, seqs)
 	loss := m.loss(tp, outs, targets)
 	tp.Backward(loss)
-	m.opt.Step(m.ps, b.GradsInto(m.grads))
+	m.opt.Step(m.ps, b.GradsInto(m.ref.grads))
 	return ad.Scalar(loss), nil
 }
 

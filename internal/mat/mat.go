@@ -174,7 +174,9 @@ func MatMulATInto(dst, a, b *Matrix) {
 			}
 			drow := dst.Data[k*dst.Cols : (k+1)*dst.Cols]
 			for j, bv := range brow {
-				drow[j] += av * bv
+				// float64() forbids FMA contraction, so arm64 rounds like
+				// amd64 and like MatMulATStepsInto.
+				drow[j] += float64(av * bv)
 			}
 		}
 	}
@@ -193,7 +195,7 @@ func MatMulBTInto(dst, a, b *Matrix) {
 			brow := b.Data[j*b.Cols : (j+1)*b.Cols]
 			var s float64
 			for k, av := range arow {
-				s += av * brow[k]
+				s += float64(av * brow[k]) // no FMA contraction: matches the GEMV kernels
 			}
 			drow[j] += s
 		}
@@ -248,9 +250,28 @@ func Dot(a, b *Matrix) float64 {
 	mustSameShape("Dot", a, b)
 	var s float64
 	for i, v := range a.Data {
-		s += v * b.Data[i]
+		s += float64(v * b.Data[i]) // no FMA contraction: SumSquares4 must match
 	}
 	return s
+}
+
+// SumSquares4 returns Dot(x, x) for four equal-length vectors at once. Each
+// result is its own strictly ascending sum from zero — bit for bit what Dot
+// returns — but the four dependent add chains overlap, so the latency-bound
+// reduction costs a quarter of four separate calls. (Lanes of one vector
+// cannot be split this way: that would reorder its sum.)
+func SumSquares4(a, b, c, d []float64) (sa, sb, sc, sd float64) {
+	if len(b) != len(a) || len(c) != len(a) || len(d) != len(a) {
+		panic(fmt.Sprintf("mat: SumSquares4 lengths %d/%d/%d/%d", len(a), len(b), len(c), len(d)))
+	}
+	for i, v := range a {
+		w, x, y := b[i], c[i], d[i]
+		sa += float64(v * v)
+		sb += float64(w * w)
+		sc += float64(x * x)
+		sd += float64(y * y)
+	}
+	return sa, sb, sc, sd
 }
 
 // Norm2 returns the Euclidean (Frobenius) norm of a.

@@ -1,0 +1,192 @@
+package mat
+
+import (
+	"fmt"
+	"math"
+)
+
+// Kernels of the tape-free training engine (core.TrainPlan). Each one is
+// bit-identical to the autodiff-tape operation it replaces, by the same
+// three arguments the inference kernels rest on (fused.go), extended to
+// the backward direction:
+//
+//   - Accumulation order. Every output element is one accumulator that
+//     receives exactly the tape's terms in the tape's order: ascending k
+//     for the forward GEMV (GEMVBiasInto ≡ MatMulTo), descending time step
+//     for the weight gradient (MatMulATStepsInto ≡ one MatMulATInto per
+//     step in Backward's reverse order). Vector lanes are always distinct
+//     output elements, so no horizontal sum ever reorders a reduction.
+//   - The zero-skip survives where the tape has it. MatMulATInto skips
+//     a[k] == 0 terms into an accumulating destination, which is not inert
+//     when the destination holds −0; MatMulATStepsInto keeps the branch.
+//   - No FMA contraction. The assembly issues separate VMULPD/VADDPD, and
+//     the portable loops round every product through an explicit float64
+//     conversion before its add, so platforms whose compiler fuses
+//     (arm64) produce amd64's bits.
+//
+// The optimiser kernel (AdamInto) is purely elementwise: IEEE add, mul,
+// divide and square root are correctly rounded, so evaluating eight
+// elements per instruction cannot change any of them.
+
+// GEMVBiasInto computes dst = x·w + bias for the ROW-MAJOR n×m weight w
+// (len(x) = n, len(dst) = len(bias) = m): each dst[j] is one accumulator
+// over k in ascending order, then the bias is added in a separate pass —
+// the tape's MatMul node followed by its Add node. It is the forward GEMV
+// of the training engine, which reads the live per-gate parameter matrices
+// (already row-major) and therefore needs no packed or transposed copy.
+func GEMVBiasInto(dst, x []float64, w *Matrix, bias []float64) {
+	n, m := w.Rows, w.Cols
+	if len(x) != n || len(dst) != m || len(bias) != m {
+		panic(fmt.Sprintf("mat: GEMVBiasInto x[%d]·(%dx%d) + bias[%d] → dst[%d]", len(x), n, m, len(bias), len(dst)))
+	}
+	if !simdGEMMInto(dst, x, 1, w) {
+		gemvRowMajorPortable(dst, x, w)
+	}
+	addBiasRows(dst, 1, bias)
+}
+
+// gemvRowMajorPortable is the scalar body of GEMVBiasInto: four output
+// columns per pass, each its own register accumulator over ascending k.
+func gemvRowMajorPortable(dst, x []float64, w *Matrix) {
+	m := w.Cols
+	j := 0
+	for ; j+4 <= m; j += 4 {
+		var s0, s1, s2, s3 float64
+		off := j
+		for _, xv := range x {
+			r := w.Data[off : off+4 : off+4]
+			s0 += float64(xv * r[0])
+			s1 += float64(xv * r[1])
+			s2 += float64(xv * r[2])
+			s3 += float64(xv * r[3])
+			off += m
+		}
+		dst[j], dst[j+1], dst[j+2], dst[j+3] = s0, s1, s2, s3
+	}
+	for ; j < m; j++ {
+		var s float64
+		for k, xv := range x {
+			s += float64(xv * w.Data[k*m+j])
+		}
+		dst[j] = s
+	}
+}
+
+// LSTMGatesTrainInto is LSTMGatesInto for the training forward pass: the
+// same phased, bit-exact gate arithmetic, but every intermediate the
+// backward pass needs is kept. On return pre (length 4H, gate order
+// i, f, c, o) holds the gate ACTIVATIONS σ(pre_i), σ(pre_f), tanh(pre_c),
+// σ(pre_o), tanhC holds tanh(cNext), and cNext/h are the new states.
+func LSTMGatesTrainInto(h, cNext, tanhC, pre, cPrev []float64) {
+	n := len(h)
+	if len(cNext) != n || len(tanhC) != n || len(cPrev) != n || len(pre) != 4*n {
+		panic(fmt.Sprintf("mat: LSTMGatesTrainInto lengths h=%d cNext=%d tanhC=%d cPrev=%d pre=%d",
+			n, len(cNext), len(tanhC), len(cPrev), len(pre)))
+	}
+	ig, fg, cd, og := pre[0:n], pre[n:2*n], pre[2*n:3*n], pre[3*n:4*n]
+	for j, v := range ig {
+		ig[j] = math.Exp(-v)
+	}
+	for j, v := range fg {
+		fg[j] = math.Exp(-v)
+	}
+	for j, v := range og {
+		og[j] = math.Exp(-v)
+	}
+	VecRecip1pInto(pre[0 : 2*n]) // i and f gates are adjacent
+	VecRecip1pInto(og)
+	for j := 0; j < n; j++ {
+		c := math.Tanh(cd[j])
+		cd[j] = c
+		cn := float64(ig[j]*c) + float64(fg[j]*cPrev[j])
+		cNext[j] = cn
+		tc := math.Tanh(cn)
+		tanhC[j] = tc
+		h[j] = og[j] * tc
+	}
+}
+
+// MatMulATStepsInto computes dst += Σ_t a_tᵀ·b_t over t = steps−1 … 0 —
+// the weight gradient of one gate over a whole BPTT window in a single
+// pass over dst, instead of one rank-1 pass per time step. dst is n×m;
+// a holds `steps` contiguous rows of length n (the saved gate contexts);
+// row t of b starts at b[t·ldb] and its first m elements are used (the
+// gate's block of the packed preactivation gradients). Element (k, j)
+// receives exactly the terms MatMulATInto(dst, a_t, b_t) would add, for
+// t descending — Backward's order — including its a_t[k] == 0 skip, so the
+// result is bit-identical to the per-step form for every dst, −0 entries
+// included.
+func MatMulATStepsInto(dst *Matrix, a, b []float64, ldb, steps int) {
+	n, m := dst.Rows, dst.Cols
+	if steps < 0 || len(a) != steps*n || ldb < m || (steps > 0 && len(b) < (steps-1)*ldb+m) {
+		panic(fmt.Sprintf("mat: MatMulATStepsInto dst %dx%d, a[%d], b[%d] ldb %d, %d steps", n, m, len(a), len(b), ldb, steps))
+	}
+	if steps == 0 || n == 0 || m == 0 {
+		return
+	}
+	if done := simdATStepsInto(dst.Data, a, b, n, m, ldb, steps); done < m {
+		matMulATStepsPortable(dst.Data, a, b, n, m, ldb, steps, done)
+	}
+}
+
+// matMulATStepsPortable is the scalar body of MatMulATStepsInto over
+// columns [from, m): row by row, so the destination row stays cache-hot
+// across the time loop.
+func matMulATStepsPortable(dst, a, b []float64, n, m, ldb, steps, from int) {
+	for k := 0; k < n; k++ {
+		drow := dst[k*m+from : (k+1)*m]
+		for t := steps - 1; t >= 0; t-- {
+			av := a[t*n+k]
+			if av == 0 {
+				continue
+			}
+			brow := b[t*ldb+from : t*ldb+m]
+			for j, bv := range brow {
+				drow[j] += float64(av * bv)
+			}
+		}
+	}
+}
+
+// AdamCoef carries the per-step scalars of AdamInto. OneMinusBeta1/2 and
+// the bias corrections are passed precomputed so the kernel and the
+// caller cannot disagree on how they round.
+type AdamCoef struct {
+	// GradScale multiplies every gradient before use: the global-norm
+	// clipping factor, or exactly 1 (x·1 is exact) when clipping is off.
+	GradScale            float64
+	Beta1, OneMinusBeta1 float64
+	Beta2, OneMinusBeta2 float64
+	// BiasCorr1/2 are 1 − β₁ᵗ and 1 − β₂ᵗ.
+	BiasCorr1, BiasCorr2 float64
+	LR, Eps              float64
+}
+
+// AdamInto applies one Adam update to the flat parameter p with first and
+// second moments m, v and gradient g (read-only):
+//
+//	gᵢ ← GradScale·g[i]
+//	m[i] = β₁·m[i] + (1−β₁)·gᵢ        v[i] = β₂·v[i] + ((1−β₂)·gᵢ)·gᵢ
+//	p[i] −= (LR·(m[i]/bc₁)) / (√(v[i]/bc₂) + ε)
+//
+// with every operation rounded separately in exactly that association —
+// the scalar optimiser loop this replaces. All operations are elementwise
+// and correctly rounded, so the vector kernels are bit-identical to the
+// portable loop.
+func AdamInto(p, m, v, g []float64, c *AdamCoef) {
+	if len(m) != len(p) || len(v) != len(p) || len(g) != len(p) {
+		panic(fmt.Sprintf("mat: AdamInto lengths p=%d m=%d v=%d g=%d", len(p), len(m), len(v), len(g)))
+	}
+	adamPortable(p, m, v, g, c, simdAdamInto(p, m, v, g, c))
+}
+
+// adamPortable is the scalar body of AdamInto over elements [from, len(p)).
+func adamPortable(p, m, v, g []float64, c *AdamCoef, from int) {
+	for i := from; i < len(p); i++ {
+		gi := g[i] * c.GradScale
+		mi := float64(c.Beta1*m[i]) + float64(c.OneMinusBeta1*gi)
+		vi := float64(c.Beta2*v[i]) + float64(float64(c.OneMinusBeta2*gi)*gi)
+		m[i], v[i] = mi, vi
+		p[i] -= c.LR * (mi / c.BiasCorr1) / (math.Sqrt(vi/c.BiasCorr2) + c.Eps)
+	}
+}

@@ -1,0 +1,10 @@
+//go:build !amd64
+
+package mat
+
+// Portable stubs: without the amd64 kernels the training engine runs the
+// scalar loops in train.go.
+
+func simdATStepsInto(dst, a, b []float64, n, m, ldb, steps int) int { return 0 }
+
+func simdAdamInto(p, m, v, g []float64, c *AdamCoef) int { return 0 }

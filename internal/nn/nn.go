@@ -15,6 +15,7 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"aovlis/internal/ad"
@@ -26,6 +27,7 @@ import (
 // bind them to a fresh autodiff tape per step.
 type ParamSet struct {
 	names []string
+	mats  []*mat.Matrix // parallel to names
 	vals  map[string]*mat.Matrix
 	// version counts bulk mutations (optimiser steps, CopyFrom, Average,
 	// Load); compiled inference plans compare it to detect staleness.
@@ -56,9 +58,13 @@ func (ps *ParamSet) Add(name string, m *mat.Matrix) *mat.Matrix {
 		panic(fmt.Sprintf("nn: duplicate parameter %q", name))
 	}
 	ps.names = append(ps.names, name)
+	ps.mats = append(ps.mats, m)
 	ps.vals[name] = m
 	return m
 }
+
+// indexOf returns name's position in registration order, or −1.
+func (ps *ParamSet) indexOf(name string) int { return slices.Index(ps.names, name) }
 
 // Get returns the parameter registered under name, panicking if absent.
 func (ps *ParamSet) Get(name string) *mat.Matrix {
@@ -145,26 +151,41 @@ func (ps *ParamSet) Average(other *ParamSet, w float64) error {
 	return nil
 }
 
-// Binding associates a ParamSet with autodiff Var nodes on one tape.
+// Binding associates parameters of a ParamSet with autodiff Var nodes on
+// one tape.
 type Binding struct {
 	ps    *ParamSet
 	tape  *ad.Tape
+	names []string // the bound parameters, in ps registration order
+	index []int    // names[i]'s position in ps registration order
 	nodes map[string]*ad.Node
 }
 
-// Bind creates a Var node for every parameter on tp.
-func (ps *ParamSet) Bind(tp *ad.Tape) *Binding {
+// Bind creates a Var node on tp for every parameter — or, when names are
+// given, for just those (the training engine binds only the decoders: its
+// recurrence never touches the tape, so a Var and a zeroed gradient matrix
+// per LSTM weight per step would be pure overhead).
+func (ps *ParamSet) Bind(tp *ad.Tape, names ...string) *Binding {
 	b := &Binding{ps: ps, tape: tp, nodes: make(map[string]*ad.Node, len(ps.names))}
+	for i, n := range ps.names {
+		if len(names) == 0 || slices.Contains(names, n) {
+			b.names = append(b.names, n)
+			b.index = append(b.index, i)
+		}
+	}
+	if len(names) != 0 && len(b.names) != len(names) {
+		panic(fmt.Sprintf("nn: Bind(%q): not all are parameters of the set", names))
+	}
 	b.Rebind()
 	return b
 }
 
-// Rebind re-registers every parameter as a fresh Var on the binding's tape.
-// Call it after Tape.Reset to reuse one binding across training/inference
+// Rebind re-registers every bound parameter as a fresh Var on the
+// binding's tape. Call it after Tape.Reset to reuse one binding across
 // steps: the node map is updated in place (same keys), so a steady-state
 // rebind performs no heap allocations.
 func (b *Binding) Rebind() {
-	for _, n := range b.ps.names {
+	for _, n := range b.names {
 		b.nodes[n] = b.tape.Var(b.ps.vals[n])
 	}
 }
@@ -197,6 +218,16 @@ func (b *Binding) GradsInto(dst map[string]*mat.Matrix) map[string]*mat.Matrix {
 	return dst
 }
 
+// GradsFlatInto stores the gradient matrix of every bound parameter at its
+// registration index in dst (length = number of parameters in the set) —
+// the map-free hand-off Adam.StepFlat takes. Entries of unbound parameters
+// are left alone. Same lifetime rule as GradsInto.
+func (b *Binding) GradsFlatInto(dst []*mat.Matrix) {
+	for i, n := range b.names {
+		dst[b.index[i]] = b.nodes[n].Grad
+	}
+}
+
 // --- Initialisers ---
 
 // XavierInit fills m with the Glorot/Xavier uniform distribution for a layer
@@ -222,57 +253,93 @@ type Adam struct {
 	ClipNorm float64
 
 	t int
-	m map[string]*mat.Matrix
-	v map[string]*mat.Matrix
+	// Moment state: names, m and v are parallel. A step aligns them with
+	// the stepped ParamSet's registration order (aligned records which set),
+	// so the per-parameter work is three slice indexings instead of three
+	// map lookups; m[i] == nil marks a parameter that has never had a
+	// gradient. After Load they hold the snapshot's order until the next
+	// step re-aligns them.
+	aligned *ParamSet
+	names   []string
+	m, v    []*mat.Matrix
+
+	flat []*mat.Matrix // Step's scratch: its gradient map laid out for StepFlat
+	sq   []float64     // clipScale's scratch: per-parameter squared norms
+	seen []bool        // clipScale's scratch: sq[i] is computed
 }
 
 // NewAdam returns an Adam optimiser with the paper's defaults.
 func NewAdam(lr float64) *Adam {
-	return &Adam{
-		LR: lr, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8, ClipNorm: 5,
-		m: make(map[string]*mat.Matrix), v: make(map[string]*mat.Matrix),
-	}
+	return &Adam{LR: lr, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8, ClipNorm: 5}
 }
 
 // Step applies one Adam update to ps given gradients keyed by parameter name.
 // Missing or nil gradients are skipped (parameters unused in this step).
 func (a *Adam) Step(ps *ParamSet, grads map[string]*mat.Matrix) {
+	if len(a.flat) != len(ps.names) {
+		a.flat = make([]*mat.Matrix, len(ps.names))
+	}
+	for i, name := range ps.names {
+		a.flat[i] = grads[name]
+	}
+	a.StepFlat(ps, a.flat)
+}
+
+// StepFlat is Step with the gradients laid out flat: grads[i] belongs to
+// the i-th registered parameter of ps, nil entries are skipped. Gradients
+// are read, never written: the clipping factor is folded into the update
+// kernel instead of rescaling them in place.
+func (a *Adam) StepFlat(ps *ParamSet, grads []*mat.Matrix) {
+	if len(grads) != len(ps.names) {
+		panic(fmt.Sprintf("nn: StepFlat got %d gradients for %d parameters", len(grads), len(ps.names)))
+	}
 	ps.BumpVersion()
+	a.align(ps)
+	c := mat.AdamCoef{
+		GradScale: 1,
+		Beta1:     a.Beta1, OneMinusBeta1: 1 - a.Beta1,
+		Beta2: a.Beta2, OneMinusBeta2: 1 - a.Beta2,
+		LR: a.LR, Eps: a.Eps,
+	}
 	if a.ClipNorm > 0 {
-		clipGlobalNorm(ps.names, grads, a.ClipNorm)
+		c.GradScale = a.clipScale(grads)
 	}
 	a.t++
-	bc1 := 1 - math.Pow(a.Beta1, float64(a.t))
-	bc2 := 1 - math.Pow(a.Beta2, float64(a.t))
-	for _, name := range ps.names {
-		g := grads[name]
+	c.BiasCorr1 = 1 - math.Pow(a.Beta1, float64(a.t))
+	c.BiasCorr2 = 1 - math.Pow(a.Beta2, float64(a.t))
+	for i, g := range grads {
 		if g == nil {
 			continue
 		}
-		p := ps.vals[name]
-		mv, ok := a.m[name]
-		if !ok {
-			mv = mat.New(p.Rows, p.Cols)
-			a.m[name] = mv
-			a.v[name] = mat.New(p.Rows, p.Cols)
+		p := ps.mats[i]
+		if a.m[i] == nil {
+			a.m[i] = mat.New(p.Rows, p.Cols)
+			a.v[i] = mat.New(p.Rows, p.Cols)
 		}
-		vv := a.v[name]
-		for i := range p.Data {
-			gi := g.Data[i]
-			mv.Data[i] = a.Beta1*mv.Data[i] + (1-a.Beta1)*gi
-			vv.Data[i] = a.Beta2*vv.Data[i] + (1-a.Beta2)*gi*gi
-			mhat := mv.Data[i] / bc1
-			vhat := vv.Data[i] / bc2
-			p.Data[i] -= a.LR * mhat / (math.Sqrt(vhat) + a.Eps)
+		mat.AdamInto(p.Data, a.m[i].Data, a.v[i].Data, g.Data, &c)
+	}
+}
+
+// align lays the moment state out in ps registration order, carrying over
+// whatever moments it already holds (by name).
+func (a *Adam) align(ps *ParamSet) {
+	if a.aligned == ps && len(a.names) == len(ps.names) {
+		return
+	}
+	m := make([]*mat.Matrix, len(ps.names))
+	v := make([]*mat.Matrix, len(ps.names))
+	for i, name := range a.names {
+		if j := ps.indexOf(name); j >= 0 {
+			m[j], v[j] = a.m[i], a.v[i]
 		}
 	}
+	a.aligned, a.names, a.m, a.v = ps, ps.names, m, v
 }
 
 // Reset clears optimiser state (moments and step count).
 func (a *Adam) Reset() {
 	a.t = 0
-	a.m = make(map[string]*mat.Matrix)
-	a.v = make(map[string]*mat.Matrix)
+	a.aligned, a.names, a.m, a.v = nil, nil, nil, nil
 }
 
 // adamWire is the gob wire format for Adam state. Moment matrices are
@@ -292,18 +359,20 @@ type adamWire struct {
 // bit-identical updates.
 func (a *Adam) Save(w io.Writer) error {
 	wire := adamWire{LR: a.LR, Beta1: a.Beta1, Beta2: a.Beta2, Eps: a.Eps, ClipNorm: a.ClipNorm, T: a.t}
-	names := make([]string, 0, len(a.m))
-	for n := range a.m {
-		names = append(names, n)
+	order := make([]int, 0, len(a.names))
+	for i := range a.names {
+		if a.m[i] != nil {
+			order = append(order, i)
+		}
 	}
-	sort.Strings(names)
-	for _, n := range names {
-		m := a.m[n]
-		wire.Names = append(wire.Names, n)
+	sort.Slice(order, func(x, y int) bool { return a.names[order[x]] < a.names[order[y]] })
+	for _, i := range order {
+		m := a.m[i]
+		wire.Names = append(wire.Names, a.names[i])
 		wire.Rows = append(wire.Rows, m.Rows)
 		wire.Cols = append(wire.Cols, m.Cols)
 		wire.M = append(wire.M, append([]float64(nil), m.Data...))
-		wire.V = append(wire.V, append([]float64(nil), a.v[n].Data...))
+		wire.V = append(wire.V, append([]float64(nil), a.v[i].Data...))
 	}
 	if err := gob.NewEncoder(w).Encode(wire); err != nil {
 		return fmt.Errorf("nn: encoding optimiser state: %w", err)
@@ -323,19 +392,16 @@ func (a *Adam) Load(r io.Reader) error {
 	}
 	a.LR, a.Beta1, a.Beta2, a.Eps, a.ClipNorm = wire.LR, wire.Beta1, wire.Beta2, wire.Eps, wire.ClipNorm
 	a.t = wire.T
-	a.m = make(map[string]*mat.Matrix, len(wire.Names))
-	a.v = make(map[string]*mat.Matrix, len(wire.Names))
+	a.aligned, a.names = nil, wire.Names
+	a.m = make([]*mat.Matrix, len(wire.Names))
+	a.v = make([]*mat.Matrix, len(wire.Names))
 	for i, n := range wire.Names {
 		rows, cols := wire.Rows[i], wire.Cols[i]
 		if rows < 0 || cols < 0 || rows*cols != len(wire.M[i]) || rows*cols != len(wire.V[i]) {
 			return fmt.Errorf("nn: optimiser moment %q has %d/%d values, shape %dx%d", n, len(wire.M[i]), len(wire.V[i]), rows, cols)
 		}
-		mm := mat.New(rows, cols)
-		copy(mm.Data, wire.M[i])
-		vv := mat.New(rows, cols)
-		copy(vv.Data, wire.V[i])
-		a.m[n] = mm
-		a.v[n] = vv
+		a.m[i] = mat.FromSlice(rows, cols, wire.M[i])
+		a.v[i] = mat.FromSlice(rows, cols, wire.V[i])
 	}
 	return nil
 }
@@ -346,7 +412,11 @@ func (a *Adam) Load(r io.Reader) error {
 // rejected up front, not panic later inside Step. Parameters without
 // moments are fine (they have simply never been stepped).
 func (a *Adam) CheckShapes(ps *ParamSet) error {
-	for n, m := range a.m {
+	for i, n := range a.names {
+		m := a.m[i]
+		if m == nil {
+			continue
+		}
 		if !ps.Has(n) {
 			return fmt.Errorf("nn: optimiser moment %q has no matching model parameter", n)
 		}
@@ -359,30 +429,52 @@ func (a *Adam) CheckShapes(ps *ParamSet) error {
 	return nil
 }
 
-// clipGlobalNorm rescales the gradients so their global norm is at most
-// maxNorm. It walks names (registration order) rather than ranging over the
-// map: float addition is not associative, so a randomized map order would
-// make the norm — and therefore training — differ in the last bits from run
-// to run.
-func clipGlobalNorm(names []string, grads map[string]*mat.Matrix, maxNorm float64) {
+// clipScale returns the factor that rescales the gradients so their global
+// norm is at most ClipNorm: 1 when it already is. The squared norm is
+// summed parameter by parameter in registration order, each parameter's
+// own sum started from zero — float addition is not associative, so any
+// other order would change the factor, and therefore training, in the last
+// bits. What may overlap is the work of DIFFERENT parameters: equal-sized
+// ones (an LSTM's four gate matrices) are summed four at a time, which
+// hides three quarters of the add latency these serial sums are bound by.
+func (a *Adam) clipScale(grads []*mat.Matrix) float64 {
+	if len(a.sq) != len(grads) {
+		a.sq, a.seen = make([]float64, len(grads)), make([]bool, len(grads))
+	}
+	sq, seen := a.sq, a.seen
+	for i := range seen {
+		seen[i] = false
+	}
+	for i, g := range grads {
+		if g == nil || seen[i] {
+			continue
+		}
+		quad, n := [4]int{i}, 1
+		for j := i + 1; j < len(grads) && n < 4; j++ {
+			if grads[j] != nil && !seen[j] && len(grads[j].Data) == len(g.Data) {
+				quad[n] = j
+				n++
+			}
+		}
+		if n == 4 {
+			sq[quad[0]], sq[quad[1]], sq[quad[2]], sq[quad[3]] = mat.SumSquares4(
+				grads[quad[0]].Data, grads[quad[1]].Data, grads[quad[2]].Data, grads[quad[3]].Data)
+			seen[quad[1]], seen[quad[2]], seen[quad[3]] = true, true, true
+		} else {
+			sq[i] = mat.Dot(g, g)
+		}
+	}
 	var total float64
-	for _, n := range names {
-		if g := grads[n]; g != nil {
-			total += mat.Dot(g, g)
+	for i, g := range grads {
+		if g != nil {
+			total += sq[i]
 		}
 	}
 	norm := math.Sqrt(total)
-	if norm <= maxNorm || norm == 0 {
-		return
+	if norm <= a.ClipNorm || norm == 0 {
+		return 1
 	}
-	s := maxNorm / norm
-	for _, n := range names {
-		if g := grads[n]; g != nil {
-			for i := range g.Data {
-				g.Data[i] *= s
-			}
-		}
-	}
+	return a.ClipNorm / norm
 }
 
 // --- Layers ---
@@ -418,6 +510,10 @@ func NewDense(ps *ParamSet, name string, in, out int, act Activation, rng *rand.
 	ps.Add(name+".b", mat.New(1, out))
 	return &Dense{Name: name, In: in, Out: out, Act: act, wName: name + ".W", bName: name + ".b"}
 }
+
+// ParamNames returns the names the layer's weight and bias are registered
+// under.
+func (d *Dense) ParamNames() (w, b string) { return d.wName, d.bName }
 
 // Apply runs the layer on x using parameters bound in b.
 func (d *Dense) Apply(b *Binding, x *ad.Node) *ad.Node {

@@ -1,0 +1,213 @@
+package nn
+
+// The tape-free training form of an LSTMCell. FusedCell (fused.go) took
+// prediction off the autodiff tape; TrainCell does the same for training:
+// the forward recurrence keeps the activations backward needs, and the
+// backward pass is the tape's BPTT derived by hand — the same floating-point
+// operations in the same order per output element, so losses, gradients and
+// therefore parameters match the tape bit for bit (golden-tested in
+// internal/core). What changes is the work around the arithmetic: no node
+// bookkeeping, no per-node matrices, the four gates' preactivation
+// gradients packed in one row per step, and each weight gradient
+// accumulated over the whole window in one pass (mat.MatMulATStepsInto)
+// instead of one rank-1 pass over the full matrix per step.
+//
+// Unlike FusedCell, a TrainCell reads the LIVE per-gate parameter matrices:
+// they are row-major already, which is the layout the column-vectorised
+// forward GEMV wants, and an optimiser step per sample would make any
+// packed copy stale at once. The one derived layout — the transposed
+// hidden-column block the SIMD input-gradient GEMV needs — is refreshed at
+// the start of each backward pass.
+
+import (
+	"fmt"
+
+	"aovlis/internal/mat"
+)
+
+// TrainCell runs one LSTMCell forward and backward over a fixed window.
+// The owner (core.TrainPlan) fills row t of Ctx and calls Step(t) for
+// t = 0 … Steps−1, reads hidden states from H, and drives the backward
+// pass with BeginBackward, BackStep(t) for t = Steps−1 … 0 and
+// FinishBackward. Not safe for concurrent use.
+type TrainCell struct {
+	CtxDim, Hidden, Steps int
+	// HidCols is how many leading context columns carry hidden states —
+	// the only columns whose gradient anything consumes.
+	HidCols int
+
+	w, b       [4]*mat.Matrix // live gate parameters, order i, f, c, o
+	wIdx, bIdx [4]int         // their registration indexes in the ParamSet
+
+	// Forward state. H and c have Steps+1 rows: row 0 is the zero initial
+	// state, row t+1 the state after step t. act holds each step's gate
+	// activations σ(i), σ(f), tanh(c̃), σ(o) packed in one 4·Hidden row.
+	Ctx   *mat.Matrix // Steps × CtxDim
+	H     *mat.Matrix // (Steps+1) × Hidden
+	c     *mat.Matrix // (Steps+1) × Hidden
+	act   *mat.Matrix // Steps × 4·Hidden
+	tanhC *mat.Matrix // Steps × Hidden
+
+	// Backward state, allocated by the first BeginBackward so cells that
+	// only ever run forward (drift detection on a serving model) never pay
+	// for gradient storage.
+	dpre   *mat.Matrix    // Steps × 4·Hidden preactivation gradients
+	dW, dB [4]*mat.Matrix // parameter gradients
+	dBrow  []float64      // the four dB packed in one 4·Hidden row (dB[g] view it)
+	carry  []float64      // ∂L/∂c_{t−1} contribution of step t's forget path
+	dctx   []float64      // HidCols: gradient of the current step's hidden context
+	gemv   []float64      // HidCols: one gate's share of dctx
+	// wHid[g] views the first HidCols rows of w[g] (HidCols × Hidden): the
+	// transposed-weight layout of the portable GEMV. wHidT[g] is its
+	// transpose (Hidden × HidCols), the row-major layout of the SIMD GEMV;
+	// nil when no SIMD kernel is active.
+	wHid, wHidT [4]*mat.Matrix
+}
+
+// NewTrainCell builds the training form of cell over its parameters in ps
+// for windows of the given number of steps.
+func NewTrainCell(ps *ParamSet, cell *LSTMCell, steps, hidCols int) *TrainCell {
+	if hidCols < 0 || hidCols > cell.CtxDim {
+		panic(fmt.Sprintf("nn: train cell %s: %d hidden columns in a %d-wide context", cell.Name, hidCols, cell.CtxDim))
+	}
+	h := cell.Hidden
+	c := &TrainCell{
+		CtxDim: cell.CtxDim, Hidden: h, Steps: steps, HidCols: hidCols,
+		Ctx:   mat.New(steps, cell.CtxDim),
+		H:     mat.New(steps+1, h),
+		c:     mat.New(steps+1, h),
+		act:   mat.New(steps, 4*h),
+		tanhC: mat.New(steps, h),
+	}
+	for g := range gateOrder {
+		c.w[g], c.wIdx[g] = ps.Get(cell.wNames[g]), ps.indexOf(cell.wNames[g])
+		c.b[g], c.bIdx[g] = ps.Get(cell.bNames[g]), ps.indexOf(cell.bNames[g])
+	}
+	return c
+}
+
+// Step runs forward step t: Ctx row t (filled by the caller) through the
+// four gate GEMVs and the gate kernel into H and c row t+1.
+func (c *TrainCell) Step(t int) {
+	h := c.Hidden
+	ctx, pre := c.Ctx.Row(t), c.act.Row(t)
+	for g := range c.w {
+		mat.GEMVBiasInto(pre[g*h:(g+1)*h], ctx, c.w[g], c.b[g].Data)
+	}
+	mat.LSTMGatesTrainInto(c.H.Row(t+1), c.c.Row(t+1), c.tanhC.Row(t), pre, c.c.Row(t))
+}
+
+// GradsFlatInto stores the cell's eight gradient matrices at their
+// parameters' registration indexes in dst (see Binding.GradsFlatInto).
+// The matrices exist from the first BeginBackward on; they are owned by the
+// cell and rewritten by every backward pass.
+func (c *TrainCell) GradsFlatInto(dst []*mat.Matrix) {
+	for g := range c.dW {
+		dst[c.wIdx[g]], dst[c.bIdx[g]] = c.dW[g], c.dB[g]
+	}
+}
+
+func (c *TrainCell) allocBackward() {
+	if c.dpre != nil {
+		return
+	}
+	h := c.Hidden
+	c.dpre = mat.New(c.Steps, 4*h)
+	c.carry = make([]float64, h)
+	c.dctx = make([]float64, c.HidCols)
+	c.gemv = make([]float64, c.HidCols)
+	simd := mat.SIMDGEMM() != "scalar"
+	c.dBrow = make([]float64, 4*h)
+	for g := range c.w {
+		c.dW[g] = mat.New(c.CtxDim, h)
+		c.dB[g] = mat.FromSlice(1, h, c.dBrow[g*h:(g+1)*h])
+		c.wHid[g] = mat.FromSlice(c.HidCols, h, c.w[g].Data[:c.HidCols*h])
+		if simd {
+			c.wHidT[g] = mat.New(h, c.HidCols)
+		}
+	}
+}
+
+// BeginBackward readies the cell for a backward pass over the window its
+// last Steps forward steps recorded.
+func (c *TrainCell) BeginBackward() {
+	c.allocBackward()
+	for j := range c.carry {
+		c.carry[j] = 0
+	}
+	for g, wt := range c.wHidT {
+		if wt != nil {
+			mat.TransposeTo(wt, c.wHid[g])
+		}
+	}
+}
+
+// BackStep backpropagates step t given dh = ∂L/∂h_t (read-only) and, when
+// wantCtx, returns ∂L/∂ctx_t over the HidCols hidden columns (valid until
+// the next BackStep). Call it for t = Steps−1 … 0.
+//
+// Every line is one tape backstep, in Backward's reverse recording order;
+// the leading "0 +" reproduces the tape's first accumulation into a zeroed
+// gradient matrix (it turns a −0 product into +0), and the float64
+// conversions round each product before it is added, as the tape does by
+// storing it.
+func (c *TrainCell) BackStep(t int, dh []float64, wantCtx bool) []float64 {
+	h := c.Hidden
+	act := c.act.Row(t)
+	ig, fg, cd, og := act[0:h], act[h:2*h], act[2*h:3*h], act[3*h:4*h]
+	tanhC, cPrev, carry := c.tanhC.Row(t), c.c.Row(t), c.carry
+	dpre := c.dpre.Row(t)
+	for j := 0; j < h; j++ {
+		i, f, cand, o, tc := ig[j], fg[j], cd[j], og[j], tanhC[j]
+		// h = o ⊙ tanh(c)
+		do := 0 + float64(dh[j]*tc)
+		dtc := 0 + float64(dh[j]*o)
+		// c receives the next step's forget path first, then its own tanh.
+		dc := carry[j] + float64(dtc*(1-float64(tc*tc)))
+		// c = i⊙c̃ + f⊙c_{t−1}
+		df := 0 + float64(dc*cPrev[j])
+		carry[j] = 0 + float64(dc*f)
+		di := 0 + float64(dc*cand)
+		dcand := 0 + float64(dc*i)
+		// gate nonlinearities
+		dpre[3*h+j] = 0 + float64(float64(do*o)*(1-o))
+		dpre[2*h+j] = 0 + float64(dcand*(1-float64(cand*cand)))
+		dpre[h+j] = 0 + float64(float64(df*f)*(1-f))
+		dpre[j] = 0 + float64(float64(di*i)*(1-i))
+	}
+	if !wantCtx || c.HidCols == 0 {
+		return nil
+	}
+	// ∂L/∂ctx = Σ_g dpre_g·W_gᵀ, gates in the tape's reverse order o, c, f, i,
+	// each gate's product a complete ascending-k sum before it is added.
+	for j := range c.dctx {
+		c.dctx[j] = 0
+	}
+	for g := 3; g >= 0; g-- {
+		mat.FwdGEMMBiasInto(c.gemv, dpre[g*h:(g+1)*h], 1, c.wHidT[g], c.wHid[g], nil)
+		for j, v := range c.gemv {
+			c.dctx[j] += v
+		}
+	}
+	return c.dctx
+}
+
+// FinishBackward turns the window's preactivation gradients into the
+// parameter gradients: dW_g = Σ_t ctx_tᵀ·dpre_{g,t} and dB_g = Σ_t dpre_{g,t},
+// both accumulated from zero over t descending — the order in which the
+// tape's Backward reaches the steps.
+func (c *TrainCell) FinishBackward() {
+	h := c.Hidden
+	for g := range c.dW {
+		c.dW[g].Zero()
+		mat.MatMulATStepsInto(c.dW[g], c.Ctx.Data, c.dpre.Data[g*h:], 4*h, c.Steps)
+	}
+	for j := range c.dBrow {
+		c.dBrow[j] = 0
+	}
+	for t := c.Steps - 1; t >= 0; t-- {
+		for j, v := range c.dpre.Row(t) {
+			c.dBrow[j] += v
+		}
+	}
+}

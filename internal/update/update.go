@@ -161,6 +161,7 @@ type Updater struct {
 	history  setSketch     // S_h: hidden states of historical data
 	incoming setSketch     // S_n: hidden states of buffered incoming data
 	buffer   []core.Sample // n_tmp: buffered presumed-normal segments
+	hidden   []float64     // reused Model.HiddenInto destination
 
 	// interaction threshold T: mean interaction level of the previous
 	// window (Fig. 5 line 4 filters segments with interaction < T).
@@ -180,7 +181,7 @@ func New(model *core.Model, cfg Config) (*Updater, error) {
 	if model == nil {
 		return nil, fmt.Errorf("update: nil model")
 	}
-	return &Updater{cfg: cfg, model: model, prevWindowMean: 1}, nil
+	return &Updater{cfg: cfg, model: model, prevWindowMean: 1, hidden: make([]float64, model.Config().HiddenI)}, nil
 }
 
 // Model returns the current model (callers score segments with it).
@@ -199,11 +200,10 @@ func (u *Updater) InteractionThreshold() float64 { return u.prevWindowMean }
 // training samples, the state the paper assumes at deployment time.
 func (u *Updater) SeedHistory(samples []core.Sample) error {
 	for i := range samples {
-		h, err := u.model.Hidden(&samples[i])
-		if err != nil {
+		if err := u.model.HiddenInto(&samples[i], u.hidden); err != nil {
 			return fmt.Errorf("update: seeding history: %w", err)
 		}
-		u.history.add(h)
+		u.history.add(u.hidden)
 	}
 	return nil
 }
@@ -219,14 +219,13 @@ func (u *Updater) Observe(sample core.Sample, interactionLevel float64) (Result,
 	u.curWindowSum += interactionLevel
 	u.curWindowN++
 
-	h, err := u.model.Hidden(&sample)
-	if err != nil {
+	if err := u.model.HiddenInto(&sample, u.hidden); err != nil {
 		return res, fmt.Errorf("update: hidden state: %w", err)
 	}
 
 	if interactionLevel < u.prevWindowMean {
 		u.buffer = append(u.buffer, sample)
-		u.incoming.add(h)
+		u.incoming.add(u.hidden)
 		res.Buffered = true
 	}
 
@@ -351,8 +350,7 @@ func (u *Updater) SetState(st State) error {
 // applyUpdate trains CLSTM_new on the buffered segments (warm-started from
 // the current parameters) and merges it into the running model.
 func (u *Updater) applyUpdate() error {
-	fresh := u.model.Clone()
-	fresh.ResetOptimizer()
+	fresh := u.model.Clone() // fresh optimiser state comes with the clone
 	rng := rand.New(rand.NewSource(u.cfg.Seed + int64(u.updates)))
 	for e := 0; e < u.cfg.TrainEpochs; e++ {
 		if _, err := fresh.TrainEpoch(u.buffer, rng); err != nil {
