@@ -426,9 +426,9 @@ func (d *Detector) ObserveBatch(actionFeats, audienceFeats [][]float64, results 
 //
 // Predictions are lazy and, where it is safe, batched: when a lane needs a
 // prediction and has none, every remaining lane is predicted in one
-// PredictBatchInto pass (bit-identical to per-lane PredictInto) — unless
-// the tier gate is on, whose anchor each verdict may move, or only one lane
-// remains; then that lane alone goes through PredictInto. The batch is
+// PredictBatchInto pass (a lane's bits don't depend on the lane count) —
+// unless the tier gate is on, whose anchor each verdict may move; then that
+// lane is predicted alone. The batch is
 // optimistic about the weights: if a lane's update step retrains the model
 // (the parameter version moves), the predictions of the lanes after it are
 // discarded, and the next one that needs a prediction re-predicts with the
@@ -561,9 +561,6 @@ func (d *Detector) predict(from, lanes, w0 int, acts, auds [][]float64) error {
 		})
 	}
 	d.ensurePredBufs(lanes)
-	if lanes == 1 {
-		return d.model.PredictInto(&d.samples[0], d.fhat[0], d.ahat[0])
-	}
 	return d.model.PredictBatchInto(d.samples, d.fhat[:lanes], d.ahat[:lanes])
 }
 

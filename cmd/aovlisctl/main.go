@@ -20,7 +20,7 @@
 //	    self-consistent proof for a verdict the audited ledger never held.
 //
 // Exit status is 0 only when every check passes, so the commands gate
-// shell pipelines and CI jobs directly (scripts/walsmoke.sh).
+// shell pipelines and CI jobs directly (scripts/smoke.sh wal).
 package main
 
 import (

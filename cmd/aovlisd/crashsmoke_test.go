@@ -8,7 +8,7 @@ package main
 // the journal alone, and the ledger endpoints must serve verifiable roots
 // and proofs throughout.
 //
-// TestWALCrashReplaySmoke is the CI gate behind scripts/walsmoke.sh: a
+// TestWALCrashReplaySmoke is the CI gate behind scripts/smoke.sh wal: a
 // real aovlisd process with -wal-dir/-ledger-dir/-snapshot-dir is killed
 // with SIGKILL mid-stream, restarted, and must account for every
 // acknowledged segment (lost=0); the surviving ledger must pass `aovlisctl

@@ -8,7 +8,7 @@ package main
 //
 //	LIVE-RESULT channels=C segments=N lost=0 bitequal=ok resumes=R presets=3
 //
-// which scripts/livesmoke.sh gates in CI: lost must be 0 (zero
+// which scripts/smoke.sh live gates in CI: lost must be 0 (zero
 // accepted-segment loss across kill -9 + reconnect), bitequal must be ok
 // (every delivered decision byte-identical to a batch replay of the same
 // stream on the saved model), and segments must clear the BENCH.md §10

@@ -129,10 +129,6 @@ type options struct {
 	enablePprof   bool
 	enableMetrics bool
 	admission     bool
-	shedHigh      float64
-	shedLow       float64
-	rejectHigh    float64
-	rejectLow     float64
 	snapshotDir   string
 	snapshotEvery time.Duration
 	nodeID        string
@@ -144,14 +140,13 @@ type options struct {
 	absorbEvery   time.Duration
 }
 
-// admissionConfig assembles the pool's admission control from the flags.
+// admissionConfig is the pool's admission control: the shipped watermarks,
+// or none.
 func (o options) admissionConfig() serve.AdmissionConfig {
 	if !o.admission {
 		return serve.AdmissionConfig{}
 	}
-	return serve.AdmissionConfig{Enabled: true,
-		ShedHighFrac: o.shedHigh, ShedLowFrac: o.shedLow,
-		RejectHighFrac: o.rejectHigh, RejectLowFrac: o.rejectLow}
+	return serve.DefaultAdmissionConfig()
 }
 
 func main() {
@@ -163,7 +158,7 @@ func main() {
 	flag.IntVar(&o.epochs, "epochs", 10, "training epochs")
 	flag.Int64Var(&o.seed, "seed", 1, "random seed")
 	flag.StringVar(&o.loadPath, "load", "", "load a saved detector instead of training")
-	flag.BoolVar(&o.fastMath, "fastmath", false, "score with the polynomial SIMD exp/tanh gate kernels (a few ULP off the exact kernels; see ARCHITECTURE.md §11)")
+	flag.BoolVar(&o.fastMath, "fastmath", false, "score with the polynomial SIMD exp/tanh gate kernels (a few ULP off the exact kernels; see ARCHITECTURE.md §8)")
 	flag.BoolVar(&o.tiered, "tiered", false, "enable bound-gated tier skipping: segments the anchor bound clears as normal skip the LSTM predict entirely (one-sided; flip rate pinned by the root test harness)")
 	flag.IntVar(&o.shards, "shards", 4, "detector pool shards (worker goroutines)")
 	flag.IntVar(&o.queueDepth, "queue", 256, "per-shard ingest queue depth")
@@ -172,12 +167,7 @@ func main() {
 	flag.IntVar(&o.maxChannels, "max-channels", 1024, "maximum concurrently attached channels")
 	flag.BoolVar(&o.enablePprof, "pprof", false, "serve /debug/pprof profiling endpoints (BENCH.md §4); exposes process internals, enable only on trusted listeners")
 	flag.BoolVar(&o.enableMetrics, "metrics", true, "serve the Prometheus text exposition at GET /metrics (per-stage latency histograms, admission state, shard queue depths)")
-	flag.BoolVar(&o.admission, "admission", true, "watermark-based overload control: shed scoring precision (tiered mode) at -shed-high queue fill, reject submissions with HTTP 429 at -reject-high; hysteresis via the matching -*-low fractions")
-	def := serve.DefaultAdmissionConfig()
-	flag.Float64Var(&o.shedHigh, "shed-high", def.ShedHighFrac, "queue-fill fraction that degrades scoring to tiered mode")
-	flag.Float64Var(&o.shedLow, "shed-low", def.ShedLowFrac, "queue-fill fraction that restores the configured scoring mode")
-	flag.Float64Var(&o.rejectHigh, "reject-high", def.RejectHighFrac, "queue-fill fraction that rejects new submissions (HTTP 429 + Retry-After)")
-	flag.Float64Var(&o.rejectLow, "reject-low", def.RejectLowFrac, "queue-fill fraction that stops rejecting (drops back to shed)")
+	flag.BoolVar(&o.admission, "admission", true, "watermark-based overload control: shed scoring precision (tiered mode) when shard queues are half full (until they drain to 1/8), reject submissions with HTTP 429 + Retry-After at 90% (until 1/4)")
 	flag.StringVar(&o.snapshotDir, "snapshot-dir", "", "crash-safe checkpoint directory: restore channels from it on boot, checkpoint into it periodically, on POST /snapshot and on graceful shutdown")
 	flag.DurationVar(&o.snapshotEvery, "snapshot-every", 0, "with -snapshot-dir: checkpoint every channel at this interval (0 disables periodic snapshots)")
 	flag.StringVar(&o.nodeID, "node-id", "", "stable node identity reported by /healthz; an aovlisr router cross-checks it against its -nodes config so a stale port reuse can never masquerade as a fleet member")
@@ -907,7 +897,7 @@ func (d *daemon) handleChannelSnapshot(w http.ResponseWriter, r *http.Request, i
 			http.Error(w, fmt.Sprintf("channel limit reached (%d)", d.maxChannels), http.StatusServiceUnavailable)
 			return
 		}
-		if err := d.pool.AttachSnapshot(id, r.Body); err != nil {
+		if err := d.pool.AttachSnapshot(id, http.MaxBytesReader(w, r.Body, maxSnapshotBytes)); err != nil {
 			http.Error(w, err.Error(), statusForPoolErr(err))
 			return
 		}
@@ -918,9 +908,17 @@ func (d *daemon) handleChannelSnapshot(w http.ResponseWriter, r *http.Request, i
 	}
 }
 
+// maxSnapshotBytes caps an uploaded channel snapshot. A served detector
+// snapshot is ~176 KB; the cap only has to stop a peer from feeding the
+// decoder without end.
+const maxSnapshotBytes = 64 << 20
+
 // statusForPoolErr maps pool errors onto HTTP statuses.
 func statusForPoolErr(err error) int {
+	var tooLarge *http.MaxBytesError
 	switch {
+	case errors.As(err, &tooLarge):
+		return http.StatusRequestEntityTooLarge
 	case errors.Is(err, serve.ErrChannelIDMismatch):
 		// A snapshot whose manifest id disagrees with the URL id is a
 		// malformed request, not a state conflict: reject before anything

@@ -540,6 +540,45 @@ func TestChannelSnapshotMigration(t *testing.T) {
 	}
 }
 
+// zeros is an endless stream of zero bytes.
+type zeros struct{}
+
+func (zeros) Read(p []byte) (int, error) {
+	clear(p)
+	return len(p), nil
+}
+
+// TestChannelSnapshotImportBounded: a snapshot upload larger than the cap
+// is cut off at the cap and answered 413, whatever the stream claims about
+// itself — here one gob message announcing a length just past the cap, the
+// shape that makes an unbounded decoder buffer the whole body.
+func TestChannelSnapshotImportBounded(t *testing.T) {
+	_, srv := newTestDaemon(t, 8, 8, "")
+	const claimed = maxSnapshotBytes + 1024
+	// gob's message-length prefix: byte count negated, then big-endian.
+	prefix := []byte{0xFC, byte(claimed >> 24), byte(claimed >> 16 & 0xFF), byte(claimed >> 8 & 0xFF), byte(claimed & 0xFF)}
+	body := io.MultiReader(bytes.NewReader(prefix), io.LimitReader(zeros{}, claimed))
+	req, err := http.NewRequest(http.MethodPut, srv.URL+"/channels/big/snapshot", body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized import status %d, want 413", resp.StatusCode)
+	}
+	if resp, err = http.Get(srv.URL + "/channels/big/stats"); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("stats of the refused channel status %d, want 404", resp.StatusCode)
+	}
+}
+
 func TestChannelRoutes(t *testing.T) {
 	_, srv := newTestDaemon(t, 8, 0, "")
 	for path, want := range map[string]int{

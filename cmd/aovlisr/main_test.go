@@ -17,7 +17,7 @@ package main
 //
 // TestClusterThroughput is the §8 benchmark body: a 3-node fastmath+tiered
 // fleet behind the router driven by the open-loop HTTP loadgen, printing
-// the machine-readable CLUSTER-RESULT line scripts/clustersmoke.sh gates.
+// the machine-readable CLUSTER-RESULT line scripts/smoke.sh cluster gates.
 
 import (
 	"bufio"
@@ -523,7 +523,7 @@ func TestClusterKillNodeSoak(t *testing.T) {
 
 // TestClusterThroughput drives a 3-node fastmath+tiered fleet through the
 // router with the open-loop HTTP loadgen and prints the CLUSTER-RESULT
-// line BENCH.md §8 and scripts/clustersmoke.sh gate. Functional assertion
+// line BENCH.md §8 and scripts/smoke.sh cluster gate. Functional assertion
 // here is only zero loss; the throughput floor lives in the smoke script
 // so a loaded CI box cannot flake the test suite.
 func TestClusterThroughput(t *testing.T) {

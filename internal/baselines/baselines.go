@@ -155,6 +155,14 @@ func CLSTMModel(det Detector) *core.Model {
 	return nil
 }
 
+// adamStep hands the gradients of every parameter b bound to the
+// optimiser, after Backward.
+func adamStep(opt *nn.Adam, ps *nn.ParamSet, b *nn.Binding) {
+	grads := make([]*mat.Matrix, len(ps.Names()))
+	b.GradsFlatInto(grads)
+	opt.StepFlat(ps, grads)
+}
+
 // --- LTR ---
 
 // LTR is the autoencoder-over-temporal-window baseline.
@@ -229,7 +237,7 @@ func (l *LTR) Fit(actions, audience [][]float64, cfg FitConfig) error {
 			out := l.forward(b, tp.Const(w))
 			loss := nn.MSELoss(tp, out, w)
 			tp.Backward(loss)
-			l.opt.Step(l.ps, b.Grads())
+			adamStep(l.opt, l.ps, b)
 		}
 	}
 	return nil
@@ -321,7 +329,7 @@ func (v *VEC) Fit(actions, audience [][]float64, cfg FitConfig) error {
 			out := v.forward(b, tp.Const(v.contextOf(actions, t)))
 			loss := nn.JSLoss(tp, mat.VectorOf(actions[t]), out)
 			tp.Backward(loss)
-			v.opt.Step(v.ps, b.Grads())
+			adamStep(v.opt, v.ps, b)
 		}
 	}
 	return nil
@@ -405,7 +413,7 @@ func (r *RTFM) Fit(actions, audience [][]float64, cfg FitConfig) error {
 			out := r.forward(b, tp.Const(mat.VectorOf(actions[t])))
 			loss := nn.MSELoss(tp, out, mat.VectorOf(actions[t]))
 			tp.Backward(loss)
-			r.opt.Step(r.ps, b.Grads())
+			adamStep(r.opt, r.ps, b)
 		}
 	}
 	return nil

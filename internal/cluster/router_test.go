@@ -334,6 +334,51 @@ func TestRouterRebalance(t *testing.T) {
 	}
 }
 
+// TestRouterRebalanceSurfacesImportStatus: when the target node refuses a
+// snapshot import (413 from the daemon's upload cap), the move fails once
+// with the node's status in the report — no retry — and the channel stays,
+// state and ownership, where it was.
+func TestRouterRebalanceSurfacesImportStatus(t *testing.T) {
+	stubs, r, srv := newTestCluster(t, 3, nil)
+	owners := map[string]string{}
+	for i := 0; i < 12; i++ {
+		id := fmt.Sprintf("ch-%d", i)
+		observeThrough(t, srv.URL, id, []string{obsLine(0.1), obsLine(0.2)})
+		owner, _, _ := r.tbl.get(id).state()
+		owners[id] = owner.Spec.Name
+	}
+	for _, s := range stubs {
+		s.putStatus.Store(http.StatusRequestEntityTooLarge)
+	}
+	rep, err := r.Rebalance()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Failed == 0 || rep.Moved != 0 {
+		t.Fatalf("rebalance against refusing nodes: %+v, want only failed moves", rep)
+	}
+	puts := 0
+	for _, s := range stubs {
+		puts += int(s.puts.Load())
+	}
+	if puts != rep.Failed {
+		t.Fatalf("%d import attempts for %d failed moves, want one each", puts, rep.Failed)
+	}
+	for _, mv := range rep.Moves {
+		if !strings.Contains(mv.Error, "413") {
+			t.Fatalf("move %+v does not carry the node's 413", mv)
+		}
+		owner, _, _ := r.tbl.get(mv.Channel).state()
+		if owner.Spec.Name != owners[mv.Channel] || owner.Spec.Name != mv.From {
+			t.Fatalf("channel %s owned by %s after a refused move from %s", mv.Channel, owner.Spec.Name, owners[mv.Channel])
+		}
+		decs := observeThrough(t, srv.URL, mv.Channel, []string{obsLine(0.9)})
+		if scorePos(decs[0].Score) != 3 {
+			t.Fatalf("channel %s lost its state in a refused move: %+v", mv.Channel, decs[0])
+		}
+	}
+}
+
 // TestRouterMidStreamRebalance: a stream that is mid-flight while its
 // channel migrates must not lose or reorder a single segment — the drain
 // protocol parks it, the flip rotates its connection, seqs stay

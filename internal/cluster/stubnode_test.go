@@ -33,6 +33,8 @@ type stubNode struct {
 	retryAfter atomic.Int32 // Retry-After seconds advertised with the 429 (0: omit the header)
 	sick       atomic.Bool  // /healthz answers 500
 	fail500    atomic.Bool  // observe answers 500 (broken-node, not overload)
+	putStatus  atomic.Int32 // when set, snapshot imports are refused with this status
+	puts       atomic.Int32 // snapshot imports received
 
 	// watch is the fixed event list the stub's /watch replays (live_test
 	// populates it); watchEnd makes the handler return after the replay
@@ -220,6 +222,11 @@ func (s *stubNode) handleSnapshot(w http.ResponseWriter, r *http.Request, id str
 		}
 		json.NewEncoder(w).Encode(stubState{ID: id, Observed: c.observed})
 	case http.MethodPut:
+		s.puts.Add(1)
+		if code := int(s.putStatus.Load()); code != 0 {
+			http.Error(w, "import refused", code)
+			return
+		}
 		var st stubState
 		if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&st); err != nil {
 			http.Error(w, "bad snapshot: "+err.Error(), http.StatusBadRequest)

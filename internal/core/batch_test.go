@@ -4,13 +4,15 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"aovlis/internal/mat"
 )
 
-// Property suite for the lane-stacked batch engine (ISSUE 5 satellite):
-// for random models across every coupling mode and batch sizes 1..B,
-// PredictBatchInto must be bit-identical to B independent PredictInto
-// calls — on the fresh model, after online Adam steps have moved the
-// version counter (forcing a shared repack), and after an explicit
+// Property suite for the lanes of the inference engine: for random models
+// across every coupling mode and lane counts 1..B, one Run(B) must give
+// every lane the bits a one-lane run gives it, and the one-lane run the
+// bits of the reference tape — on the fresh model, after online Adam steps
+// have moved the version counter (forcing a repack), and after an explicit
 // parameter copy.
 
 // randomBatchConfig draws a small random architecture.
@@ -25,7 +27,8 @@ func randomBatchConfig(rng *rand.Rand, coupling Coupling) Config {
 }
 
 // compareBatch checks PredictBatchInto(samples) against per-sample
-// PredictInto, elementwise on float bits.
+// PredictInto, and that against the reference tape, elementwise on float
+// bits.
 func compareBatch(t *testing.T, m *Model, samples []Sample, phase string) {
 	t.Helper()
 	B := len(samples)
@@ -40,26 +43,39 @@ func compareBatch(t *testing.T, m *Model, samples []Sample, phase string) {
 	}
 	fhat := make([]float64, m.cfg.ActionDim)
 	ahat := make([]float64, m.cfg.AudienceDim)
+	fTape := make([]float64, m.cfg.ActionDim)
+	aTape := make([]float64, m.cfg.AudienceDim)
 	for i := range samples {
 		if err := m.PredictInto(&samples[i], fhat, ahat); err != nil {
 			t.Fatalf("%s: single predict sample %d: %v", phase, i, err)
 		}
-		for j := range fhat {
-			if math.Float64bits(fhat[j]) != math.Float64bits(fhats[i][j]) {
-				t.Fatalf("%s: B=%d sample %d fhat[%d]: single %x, batch %x",
-					phase, B, i, j, math.Float64bits(fhat[j]), math.Float64bits(fhats[i][j]))
-			}
+		if !identicalBits(fhat, fhats[i]) || !identicalBits(ahat, ahats[i]) {
+			t.Fatalf("%s: B=%d sample %d: one lane %x/%x, batch %x/%x", phase, B, i,
+				bitsOf(fhat), bitsOf(ahat), bitsOf(fhats[i]), bitsOf(ahats[i]))
 		}
-		for j := range ahat {
-			if math.Float64bits(ahat[j]) != math.Float64bits(ahats[i][j]) {
-				t.Fatalf("%s: B=%d sample %d ahat[%d]: single %x, batch %x",
-					phase, B, i, j, math.Float64bits(ahat[j]), math.Float64bits(ahats[i][j]))
-			}
+		if mat.FastMathForced() {
+			continue // the tape is always exact; the forced kernel is not
+		}
+		if err := m.predictTapeInto(&samples[i], fTape, aTape); err != nil {
+			t.Fatalf("%s: tape predict sample %d: %v", phase, i, err)
+		}
+		if !identicalBits(fhat, fTape) || !identicalBits(ahat, aTape) {
+			t.Fatalf("%s: sample %d: one lane %x/%x, tape %x/%x", phase, i,
+				bitsOf(fhat), bitsOf(ahat), bitsOf(fTape), bitsOf(aTape))
 		}
 	}
 }
 
-// TestPredictBatchBitIdentical is the batch-engine property test.
+func bitsOf(v []float64) []uint64 {
+	out := make([]uint64, len(v))
+	for i, x := range v {
+		out[i] = math.Float64bits(x)
+	}
+	return out
+}
+
+// TestPredictBatchBitIdentical is the lane property test: lane counts 1..9
+// all go through the one Run(lanes).
 func TestPredictBatchBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(67))
 	const maxB = 9
@@ -78,8 +94,8 @@ func TestPredictBatchBitIdentical(t *testing.T) {
 			for B := 1; B <= maxB; B++ {
 				compareBatch(t, m, samples[:B], "fresh")
 			}
-			// Online Adam steps move the version counter; the shared repack
-			// must refresh the batch engine's weights too.
+			// Online Adam steps move the version counter; every lane must
+			// see the repacked weights.
 			for s := 0; s < 4; s++ {
 				if _, err := m.TrainStep(&samples[s]); err != nil {
 					t.Fatal(err)
@@ -100,12 +116,27 @@ func TestPredictBatchBitIdentical(t *testing.T) {
 	}
 }
 
-// TestPredictBatchGrowsAndShrinks pins that one model serves varying batch
-// sizes (growth reallocates, shrink re-views) without cross-lane bleed.
-func TestPredictBatchGrowsAndShrinks(t *testing.T) {
+// laneBytes is the size of the plan's lane state: every float64 backing
+// array at full capacity.
+func laneBytes(p *InferPlan) int {
+	n := 0
+	for i := range p.streams {
+		for _, m := range p.streams[i].state() {
+			n += 8 * cap(m.Data)
+		}
+	}
+	return n
+}
+
+// TestPlanLaneCapacity pins the capacity contract: a plan starts with one
+// lane of state and a model that only ever predicts single segments — every
+// serving channel that never batches — keeps exactly that; capacity grows
+// on demand, and once grown, any lane count up to it (16 → 1 included) runs
+// allocation-free and without cross-lane bleed.
+func TestPlanLaneCapacity(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	cfg := randomBatchConfig(rng, CouplingFull)
-	m, err := NewModel(cfg)
+	tmpl, err := NewModel(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,8 +145,45 @@ func TestPredictBatchGrowsAndShrinks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, B := range []int{2, 7, 1, 5, 16, 3} {
+	fhats := make([][]float64, 16)
+	ahats := make([][]float64, 16)
+	for i := range fhats {
+		fhats[i] = make([]float64, cfg.ActionDim)
+		ahats[i] = make([]float64, cfg.AudienceDim)
+	}
+
+	// One lane: h, c, hNext, cNext per stream, one context row, 4·H
+	// preactivations, the decoded row and its preactivations.
+	ctxI, ctxA := cfg.ctxDims()
+	oneLane := 8 * (4*cfg.HiddenI + ctxI + 4*cfg.HiddenI + 2*cfg.ActionDim +
+		4*cfg.HiddenA + ctxA + 4*cfg.HiddenA + 2*cfg.AudienceDim)
+	m := tmpl.Clone()
+	for i := 0; i < 5; i++ {
+		if err := m.PredictInto(&samples[i], fhats[0], ahats[0]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := laneBytes(m.plan); m.plan.capLanes != 1 || got != oneLane {
+		t.Fatalf("single-segment model holds %d lanes, %d bytes of lane state; want 1 lane, %d bytes", m.plan.capLanes, got, oneLane)
+	}
+
+	for _, B := range []int{2, 7, 1, 5, 16, 3, 1} {
 		compareBatch(t, m, samples[:B], "varying")
+	}
+	if got := laneBytes(m.plan); m.plan.capLanes != 16 || got != 16*oneLane {
+		t.Fatalf("after a 16-lane run the plan holds %d lanes, %d bytes; want 16 lanes, %d bytes", m.plan.capLanes, got, 16*oneLane)
+	}
+	lanes := 16
+	if n := testing.AllocsPerRun(30, func() {
+		if err := m.PredictBatchInto(samples[:lanes], fhats[:lanes], ahats[:lanes]); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.PredictInto(&samples[0], fhats[0], ahats[0]); err != nil {
+			t.Fatal(err)
+		}
+		lanes = lanes%16 + 1 // 16, 1, 2, … — every count within capacity
+	}); n != 0 {
+		t.Fatalf("lane counts within capacity allocate %v objects/op, want 0", n)
 	}
 }
 
@@ -152,8 +220,7 @@ func TestPredictBatchSteadyStateAllocs(t *testing.T) {
 	}); n != 0 {
 		t.Fatalf("steady-state PredictBatchInto allocates %v objects/op, want 0", n)
 	}
-	// Train-repack-predict cycles must stay allocation-free too (the batch
-	// plan shares the single plan's repack).
+	// Train-repack-predict cycles must stay allocation-free too.
 	if _, err := m.TrainStep(&samples[0]); err != nil {
 		t.Fatal(err)
 	}

@@ -278,18 +278,6 @@ func TestJSDivergenceProperties(t *testing.T) {
 	}
 }
 
-func TestKLDivergenceKnownValue(t *testing.T) {
-	p := []float64{0.5, 0.5}
-	q := []float64{0.25, 0.75}
-	want := 0.5*math.Log(0.5/0.25) + 0.5*math.Log(0.5/0.75)
-	if got := KLDivergence(p, q); math.Abs(got-want) > 1e-9 {
-		t.Fatalf("KL = %v, want %v", got, want)
-	}
-	if got := KLDivergence(p, p); math.Abs(got) > 1e-9 {
-		t.Fatalf("KL(p,p) = %v", got)
-	}
-}
-
 func TestCalibrateThreshold(t *testing.T) {
 	scores := []float64{5, 1, 3, 2, 4}
 	if got := CalibrateThreshold(scores, 1.0); got != 5 {
@@ -303,20 +291,6 @@ func TestCalibrateThreshold(t *testing.T) {
 	}
 	if got := CalibrateThreshold(nil, 0.5); got != 0 {
 		t.Fatalf("empty -> %v", got)
-	}
-}
-
-func TestTopK(t *testing.T) {
-	scores := []float64{0.1, 0.9, 0.5, 0.9, 0.2}
-	got := TopK(scores, 3)
-	if len(got) != 3 || got[0] != 1 || got[1] != 3 || got[2] != 2 {
-		t.Fatalf("TopK = %v", got)
-	}
-	if got := TopK(scores, 100); len(got) != 5 {
-		t.Fatalf("TopK over-length = %v", got)
-	}
-	if got := TopK(scores, 0); got != nil {
-		t.Fatalf("TopK(0) = %v", got)
 	}
 }
 

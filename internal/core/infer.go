@@ -1,13 +1,19 @@
 package core
 
-// The tape-free inference engine. Training needs the autodiff tape —
-// opcode dispatch, node bookkeeping, gradient buffers — but prediction
-// only needs the forward arithmetic, so Model and MultiModel compile their
-// trained parameters into an InferPlan: packed gate-fused weights
-// (nn.FusedCell / nn.FusedDense) plus preallocated state and scratch
-// buffers. A steady-state plan run performs one GEMV plus one fused gate
-// kernel per LSTM step with zero heap allocations, and is bit-identical to
-// the tape forward pass (golden-tested in infer_test.go).
+// The tape-free inference engine. Training needs gradients; prediction
+// only needs the forward arithmetic, so a Model compiles its parameters
+// into an InferPlan: packed gate-fused weights (nn.FusedCell /
+// nn.FusedDense) plus preallocated lane-stacked state. A lane is one
+// independent q-step window; Run(lanes) carries all of them through the
+// recurrence together, one GEMM over the stacked context rows and one
+// fused gate kernel per LSTM step, with zero heap allocations. A single
+// prediction is the one-lane call of the same body.
+//
+// Bit contract: every output is one ascending-k accumulator per (lane,
+// output) with the bias added after the full product, and each lane reads
+// only its own rows, so a lane's prediction does not depend on how many
+// lanes ran beside it and equals the tape forward pass bit for bit
+// (TestInferPlanGoldenEquivalence, TestPredictBatchBitIdentical).
 //
 // Staleness protocol: the plan records the nn.ParamSet version it was
 // packed at. Every parameter mutation (optimiser step, merge, load) bumps
@@ -15,8 +21,8 @@ package core
 // next prediction. The plan is therefore always a faithful snapshot of the
 // live parameters without training ever touching it.
 //
-// Like the tape, an InferPlan reuses its buffers across calls and is not
-// safe for concurrent use; it is confined wherever its owning model is.
+// An InferPlan reuses its buffers across calls and is not safe for
+// concurrent use; it is confined wherever its owning model is.
 
 import (
 	"fmt"
@@ -34,14 +40,16 @@ type ctxSrc struct {
 }
 
 // planSpec declares one coupled stream of a model: its cell, decoder and
-// gate-context layout.
+// gate-context layout. A layout may couple any number of streams; the
+// CLSTM's two come from Model.specs.
 type planSpec struct {
 	cell *nn.LSTMCell
 	dec  *nn.Dense
 	ctx  []ctxSrc
 }
 
-// planStream is the compiled runtime form of a planSpec.
+// planStream is the compiled runtime form of a planSpec: the packed layers
+// and the stream's lane-stacked state (row l of every matrix is lane l).
 type planStream struct {
 	srcCell *nn.LSTMCell
 	srcDec  *nn.Dense
@@ -49,27 +57,53 @@ type planStream struct {
 	dec     *nn.FusedDense
 	ctx     []ctxSrc
 
-	// Reused state and scratch. h/c are the live recurrent state; hNext/
-	// cNext receive the simultaneous update and are swapped in after every
-	// stream has read the previous step's state.
-	h, c, hNext, cNext []float64
-	ctxBuf             []float64 // cell.CtxDim
-	preBuf             []float64 // 4·cell.Hidden packed preactivations
-	decPre             []float64 // dec.Out decoder preactivation
+	// h/c are the live recurrent state; hNext/cNext receive the
+	// simultaneous update and are swapped in after every stream has read
+	// the previous step's state.
+	h, c, hNext, cNext *mat.Matrix
+	ctxBuf             *mat.Matrix // lanes × cell.CtxDim
+	pre                *mat.Matrix // lanes × 4·cell.Hidden packed preactivations
+	out, decPre        *mat.Matrix // lanes × dec.Out predictions and their preactivations
+
+	// seqs[l] is lane l's input sequence for this stream and outs[l] the
+	// caller's output buffer: bound before Run, dropped by it.
+	seqs [][][]float64
+	outs [][]float64
+}
+
+// state lists the stream's lane matrices.
+func (st *planStream) state() [8]*mat.Matrix {
+	return [8]*mat.Matrix{st.h, st.c, st.hNext, st.cNext, st.ctxBuf, st.pre, st.out, st.decPre}
+}
+
+// allocLanes gives the stream state for capLanes lanes.
+func (st *planStream) allocLanes(capLanes int) {
+	hn := st.cell.Hidden
+	st.h = mat.New(capLanes, hn)
+	st.c = mat.New(capLanes, hn)
+	st.hNext = mat.New(capLanes, hn)
+	st.cNext = mat.New(capLanes, hn)
+	st.ctxBuf = mat.New(capLanes, st.cell.CtxDim)
+	st.pre = mat.New(capLanes, 4*hn)
+	st.out = mat.New(capLanes, st.dec.Out)
+	st.decPre = mat.New(capLanes, st.dec.Out)
+	st.seqs = make([][][]float64, capLanes)
+	st.outs = make([][]float64, capLanes)
 }
 
 // InferPlan is a compiled, forward-only snapshot of a model's parameters.
 type InferPlan struct {
-	version uint64
-	seqLen  int
-	streams []planStream
+	version  uint64
+	seqLen   int
+	capLanes int
+	streams  []planStream
 }
 
-// compileInferPlan packs the specs' parameters and allocates all runtime
-// buffers. Compilation is the only allocating phase of the engine; Repack
-// and Run are allocation-free.
+// compileInferPlan packs the specs' parameters and allocates state for one
+// lane. Compilation and reserve are the only allocating phases of the
+// engine; Repack and Run are allocation-free.
 func compileInferPlan(ps *nn.ParamSet, seqLen int, specs []planSpec) *InferPlan {
-	p := &InferPlan{version: ps.Version(), seqLen: seqLen, streams: make([]planStream, len(specs))}
+	p := &InferPlan{version: ps.Version(), seqLen: seqLen, capLanes: 1, streams: make([]planStream, len(specs))}
 	for i, sp := range specs {
 		st := &p.streams[i]
 		st.srcCell, st.srcDec, st.ctx = sp.cell, sp.dec, sp.ctx
@@ -79,16 +113,23 @@ func compileInferPlan(ps *nn.ParamSet, seqLen int, specs []planSpec) *InferPlan 
 		// FastMath config OR into this via SetFastMath.
 		st.cell.FastMath = mat.FastMathForced()
 		st.dec = sp.dec.Pack(ps)
-		hn := sp.cell.Hidden
-		st.h = make([]float64, hn)
-		st.c = make([]float64, hn)
-		st.hNext = make([]float64, hn)
-		st.cNext = make([]float64, hn)
-		st.ctxBuf = make([]float64, sp.cell.CtxDim)
-		st.preBuf = make([]float64, 4*hn)
-		st.decPre = make([]float64, sp.dec.Out)
+		st.allocLanes(p.capLanes)
 	}
 	return p
+}
+
+// reserve makes room for `lanes` lanes. Capacity starts at one — a model
+// that only ever predicts single segments never holds more — and grows by
+// reallocation, at least doubling; a plan never shrinks, Run just views
+// the first rows.
+func (p *InferPlan) reserve(lanes int) {
+	if lanes <= p.capLanes {
+		return
+	}
+	p.capLanes = max(lanes, 2*p.capLanes)
+	for i := range p.streams {
+		p.streams[i].allocLanes(p.capLanes)
+	}
 }
 
 // Version returns the parameter version the plan was packed at.
@@ -97,18 +138,11 @@ func (p *InferPlan) Version() uint64 { return p.version }
 // SetFastMath switches every packed cell between the bit-exact gate
 // kernel (the default and the reference) and the polynomial fast-math
 // kernel. It is a runtime mode, not an architecture property: repacking
-// keeps it, snapshots don't carry it (owners re-apply from their config),
-// and BatchInferPlan inherits it automatically because batch runs drive
-// the same shared FusedCells.
+// keeps it, snapshots don't carry it (owners re-apply from their config).
 func (p *InferPlan) SetFastMath(on bool) {
 	for i := range p.streams {
 		p.streams[i].cell.FastMath = on
 	}
-}
-
-// FastMath reports whether the fast-math gate kernel is active.
-func (p *InferPlan) FastMath() bool {
-	return len(p.streams) > 0 && p.streams[0].cell.FastMath
 }
 
 // Repack refreshes the packed weights from ps in place, without
@@ -123,34 +157,40 @@ func (p *InferPlan) Repack(ps *nn.ParamSet) {
 	p.version = ps.Version()
 }
 
-// Run executes the fused forward recurrence: seqs[k][t] is stream k's input
-// feature at step t (seqLen steps), outs[k] receives stream k's decoded
-// prediction. Shapes are the caller's responsibility (models validate
-// before calling). Run reuses the plan's buffers and allocates nothing.
-func (p *InferPlan) Run(seqs [][][]float64, outs [][]float64) {
+// Run executes the fused forward recurrence over the first `lanes` lanes
+// (at most the reserved capacity): stream k's seqs[l][t] is lane l's input
+// feature at step t, and its outs[l] receives lane l's decoded prediction.
+// Shapes are the caller's responsibility (models validate before binding).
+// Run allocates nothing and drops the bound slices before returning.
+func (p *InferPlan) Run(lanes int) {
 	for i := range p.streams {
 		st := &p.streams[i]
-		for j := range st.h {
-			st.h[j] = 0
-			st.c[j] = 0
+		// View the first `lanes` rows of the full-capacity backing arrays.
+		for _, m := range st.state() {
+			m.Rows = lanes
+			m.Data = m.Data[:lanes*m.Cols]
 		}
+		st.h.Zero()
+		st.c.Zero()
 	}
 	for t := 0; t < p.seqLen; t++ {
 		for i := range p.streams {
 			st := &p.streams[i]
-			// Gate context: the same [h..., input] concatenation the tape
-			// builds with ConcatCols, reading every stream's PREVIOUS
-			// hidden state so all streams update simultaneously.
-			off := 0
-			for _, src := range st.ctx {
-				part := seqs[src.index][t]
-				if src.hidden {
-					part = p.streams[src.index].h
+			// Gate context, per lane: the same [h..., input] concatenation
+			// the tape builds with ConcatCols, reading every stream's
+			// PREVIOUS hidden state so all streams update simultaneously.
+			for l := 0; l < lanes; l++ {
+				row, off := st.ctxBuf.Row(l), 0
+				for _, src := range st.ctx {
+					from := &p.streams[src.index]
+					part := from.seqs[l][t]
+					if src.hidden {
+						part = from.h.Row(l)
+					}
+					off += copy(row[off:], part)
 				}
-				copy(st.ctxBuf[off:off+len(part)], part)
-				off += len(part)
 			}
-			st.cell.StepInto(st.hNext, st.cNext, st.preBuf, st.ctxBuf, st.c)
+			st.cell.StepBatch(st.hNext, st.cNext, st.pre, st.ctxBuf, st.c)
 		}
 		for i := range p.streams {
 			st := &p.streams[i]
@@ -160,20 +200,25 @@ func (p *InferPlan) Run(seqs [][][]float64, outs [][]float64) {
 	}
 	for i := range p.streams {
 		st := &p.streams[i]
-		st.dec.ApplyInto(outs[i], st.decPre, st.h)
+		st.dec.ApplyBatch(st.out, st.decPre, st.h)
+		for l := 0; l < lanes; l++ {
+			copy(st.outs[l], st.out.Row(l))
+			// Don't pin the caller's slices beyond the call.
+			st.seqs[l], st.outs[l] = nil, nil
+		}
 	}
 }
 
-// modelSpecs builds the plan layout of the 2-stream CLSTM under its
-// coupling mode: stream 0 is LSTM_I (action), stream 1 is LSTM_A
-// (audience). The ctx orders mirror Model.forward's ConcatCols calls.
-func modelSpecs(cfg Config, cellI, cellA *nn.LSTMCell, decI, decA *nn.Dense) []planSpec {
+// specs builds the plan layout of the 2-stream CLSTM under its coupling
+// mode: stream 0 is LSTM_I (action), stream 1 is LSTM_A (audience). The ctx
+// orders mirror Model.forward's ConcatCols calls.
+func (m *Model) specs() []planSpec {
 	h0 := ctxSrc{hidden: true, index: 0}
 	h1 := ctxSrc{hidden: true, index: 1}
 	in0 := ctxSrc{index: 0}
 	in1 := ctxSrc{index: 1}
 	var ctxI, ctxA []ctxSrc
-	switch cfg.Coupling {
+	switch m.cfg.Coupling {
 	case CouplingFull:
 		ctxI = []ctxSrc{h0, h1, in0}
 		ctxA = []ctxSrc{h0, h1, in1}
@@ -184,25 +229,10 @@ func modelSpecs(cfg Config, cellI, cellA *nn.LSTMCell, decI, decA *nn.Dense) []p
 		ctxI = []ctxSrc{h0, in0}
 		ctxA = []ctxSrc{h1, in1}
 	default:
-		panic(fmt.Sprintf("core: unknown coupling %d", cfg.Coupling))
+		panic(fmt.Sprintf("core: unknown coupling %d", m.cfg.Coupling))
 	}
 	return []planSpec{
-		{cell: cellI, dec: decI, ctx: ctxI},
-		{cell: cellA, dec: decA, ctx: ctxA},
+		{cell: m.cellI, dec: m.decI, ctx: ctxI},
+		{cell: m.cellA, dec: m.decA, ctx: ctxA},
 	}
-}
-
-// multiSpecs builds the plan layout of the K-stream MultiModel: stream k's
-// gates read [h^1..h^K, x^k], mirroring MultiModel.forward.
-func multiSpecs(cells []*nn.LSTMCell, decs []*nn.Dense) []planSpec {
-	specs := make([]planSpec, len(cells))
-	for k := range cells {
-		ctx := make([]ctxSrc, 0, len(cells)+1)
-		for i := range cells {
-			ctx = append(ctx, ctxSrc{hidden: true, index: i})
-		}
-		ctx = append(ctx, ctxSrc{index: k})
-		specs[k] = planSpec{cell: cells[k], dec: decs[k], ctx: ctx}
-	}
-	return specs
 }

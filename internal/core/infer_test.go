@@ -162,78 +162,6 @@ func TestInferPlanGoldenEquivalence(t *testing.T) {
 	}
 }
 
-// TestInferPlanGoldenEquivalenceMulti extends the golden property to the
-// K-stream MultiModel.
-func TestInferPlanGoldenEquivalenceMulti(t *testing.T) {
-	if mat.FastMathForced() {
-		t.Skip("AOVLIS_FASTMATH forces the polynomial gate kernel; tape-vs-plan bit equivalence only holds for the exact kernel")
-	}
-	cfg := MultiConfig{
-		Streams: []StreamSpec{
-			{Name: "action", InputDim: 8, Hidden: 6, Simplex: true, Weight: 0.6},
-			{Name: "chat", InputDim: 4, Hidden: 5, Weight: 0.3},
-			{Name: "gifts", InputDim: 3, Hidden: 4, Weight: 0.1},
-		},
-		SeqLen:       4,
-		LearningRate: 0.01,
-		Seed:         5,
-	}
-	m, err := NewMultiModel(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(9))
-	series := make([][][]float64, len(cfg.Streams))
-	const n = 30
-	for k, s := range cfg.Streams {
-		for i := 0; i < n; i++ {
-			f := make([]float64, s.InputDim)
-			for j := range f {
-				f[j] = rng.NormFloat64()
-			}
-			if s.Simplex {
-				for j := range f {
-					f[j] = math.Abs(f[j]) + 0.1
-				}
-				mat.Normalize(f)
-			}
-			series[k] = append(series[k], f)
-		}
-	}
-	if _, err := m.TrainSeries(series, rng); err != nil {
-		t.Fatal(err)
-	}
-
-	check := func(phase string) {
-		t.Helper()
-		for pos := cfg.SeqLen; pos < n; pos++ {
-			seqs, _ := windowAt(series, pos, cfg.SeqLen)
-			tape, err := m.predictTape(seqs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			fused, err := m.Predict(seqs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for k := range tape {
-				for j := range tape[k] {
-					if math.Float64bits(tape[k][j]) != math.Float64bits(fused[k][j]) {
-						t.Fatalf("%s: pos %d stream %d out[%d]: tape %v, fused %v",
-							phase, pos, k, j, tape[k][j], fused[k][j])
-					}
-				}
-			}
-		}
-	}
-	check("after-training")
-	// More training dirties the plan; predictions must track the repack.
-	if _, err := m.TrainSeries(series, rng); err != nil {
-		t.Fatal(err)
-	}
-	check("after-more-training")
-}
-
 // TestPredictMatchesPredictInto keeps the copying and in-place public
 // APIs coherent now that both route through the plan.
 func TestPredictMatchesPredictInto(t *testing.T) {

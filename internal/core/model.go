@@ -36,45 +36,19 @@ type Model struct {
 	opt *nn.Adam
 
 	// plan is the compiled tape-free inference engine; see inferPlan.
-	// seqs/inferOuts are reused argument buffers for the plans so
-	// PredictInto and TrainStep stay allocation-free. bplan is the
-	// lane-stacked batch engine (see batch.go), sharing plan's packed
-	// weights and version.
-	plan      *InferPlan
-	bplan     *BatchInferPlan
-	seqs      [2][][]float64
-	inferOuts [2][]float64
+	plan *InferPlan
 
 	// tplan is the training engine (train.go), compiled on first use so
 	// inference-only models — every serving channel clone — never pay for
-	// its buffers. order is TrainEpoch's reused shuffle permutation.
+	// its buffers. seqs is its reused argument buffer (see window), order
+	// TrainEpoch's reused shuffle permutation.
 	tplan *TrainPlan
+	seqs  [2][][]float64
 	order []int
 
-	// ref is the whole-step autodiff tape the engines replaced, bound on
-	// first use: the golden reference of the equivalence tests.
-	ref *tapeRef
-}
-
-// tapeRef is the reused per-step state of the reference tape path.
-type tapeRef struct {
-	tape  *ad.Tape
-	bind  *nn.Binding
-	grads map[string]*mat.Matrix
-}
-
-func newTapeRef(ps *nn.ParamSet) *tapeRef {
-	tp := ad.NewTape()
-	return &tapeRef{tape: tp, bind: ps.Bind(tp), grads: make(map[string]*mat.Matrix, len(ps.Names()))}
-}
-
-// begin resets the tape and rebinds the parameters for one forward/backward
-// pass. Everything recorded in the previous pass is recycled, so callers
-// must have copied any results out already.
-func (r *tapeRef) begin() (*ad.Tape, *nn.Binding) {
-	r.tape.Reset()
-	r.bind.Rebind()
-	return r.tape, r.bind
+	// ref binds the parameters to the whole-step autodiff tape the engines
+	// replaced, on first use: the golden reference of the equivalence tests.
+	ref *nn.Binding
 }
 
 // NewModel constructs a CLSTM for the given configuration.
@@ -102,10 +76,6 @@ func NewModel(cfg Config) (*Model, error) {
 	return m, nil
 }
 
-func (m *Model) specs() []planSpec {
-	return modelSpecs(m.cfg, m.cellI, m.cellA, m.decI, m.decA)
-}
-
 // inferPlan returns the compiled inference plan, repacking it first if any
 // parameter mutation (TrainStep, Merge, online update, Load) happened since
 // it was last packed. The staleness check is one integer compare and the
@@ -128,11 +98,15 @@ func (m *Model) trainPlan() *TrainPlan {
 }
 
 // begin starts one pass on the reference tape, binding it on first use.
+// Everything recorded in the previous pass is recycled, so callers must
+// have copied any results out already.
 func (m *Model) begin() (*ad.Tape, *nn.Binding) {
 	if m.ref == nil {
-		m.ref = newTapeRef(m.ps)
+		m.ref = m.ps.Bind(ad.NewTape())
 	}
-	return m.ref.begin()
+	m.ref.Tape().Reset()
+	m.ref.Rebind()
+	return m.ref.Tape(), m.ref
 }
 
 // Config returns the model configuration.
@@ -147,9 +121,6 @@ func (m *Model) Config() Config { return m.cfg }
 func (m *Model) SetFastMath(on bool) {
 	m.plan.SetFastMath(on || mat.FastMathForced())
 }
-
-// FastMath reports whether the fast-math gate kernel is active.
-func (m *Model) FastMath() bool { return m.plan.FastMath() }
 
 // NumParams returns the number of scalar parameters (the paper reports
 // 1,382,713 for its full-scale configuration).
@@ -202,39 +173,77 @@ func (m *Model) Predict(s *Sample) (fhat, ahat []float64, err error) {
 }
 
 // PredictInto is Predict with caller-supplied output buffers — the
-// allocation-free form Detector.Observe uses on its hot path. It routes
-// through the compiled InferPlan (tape-free gate-fused forward pass),
-// which is bit-identical to the tape forward pass; see infer.go and the
-// golden equivalence tests.
+// allocation-free form Detector.Observe uses on its hot path. It is the
+// one-lane run of the compiled InferPlan (tape-free gate-fused forward
+// pass), which is bit-identical to the tape forward pass; see infer.go and
+// the golden equivalence tests.
 func (m *Model) PredictInto(s *Sample, fhat, ahat []float64) error {
+	if err := m.checkLane(s, fhat, ahat); err != nil {
+		return err
+	}
+	p := m.inferPlan()
+	bindLane(p, 0, s, fhat, ahat)
+	p.Run(1)
+	return nil
+}
+
+// PredictBatchInto predicts the next-segment features for B = len(samples)
+// independent windows in one lane-stacked run: fhats[b]/ahats[b] receive
+// sample b's predictions, exactly the float bits PredictInto would produce
+// for each sample alone. Targets in the samples are ignored. Once the plan
+// has grown to the batch size the call performs no heap allocations.
+func (m *Model) PredictBatchInto(samples []Sample, fhats, ahats [][]float64) error {
+	if len(fhats) != len(samples) || len(ahats) != len(samples) {
+		return fmt.Errorf("core: PredictBatchInto got %d samples, %d/%d output buffers",
+			len(samples), len(fhats), len(ahats))
+	}
+	for i := range samples {
+		if err := m.checkLane(&samples[i], fhats[i], ahats[i]); err != nil {
+			return err
+		}
+	}
+	if len(samples) == 0 {
+		return nil
+	}
+	p := m.inferPlan()
+	p.reserve(len(samples))
+	for l := range samples {
+		bindLane(p, l, &samples[l], fhats[l], ahats[l])
+	}
+	p.Run(len(samples))
+	return nil
+}
+
+// checkLane validates one prediction window and its output buffers.
+func (m *Model) checkLane(s *Sample, fhat, ahat []float64) error {
 	if err := s.validate(m.cfg); err != nil {
 		return err
 	}
 	if len(fhat) != m.cfg.ActionDim || len(ahat) != m.cfg.AudienceDim {
-		return fmt.Errorf("core: PredictInto buffers %d/%d, model expects %d/%d",
+		return fmt.Errorf("core: prediction buffers %d/%d, model expects %d/%d",
 			len(fhat), len(ahat), m.cfg.ActionDim, m.cfg.AudienceDim)
 	}
-	p := m.inferPlan()
-	m.inferOuts[0], m.inferOuts[1] = fhat, ahat
-	p.Run(m.window(s), m.inferOuts[:])
-	// Drop the caller's slices so the reused argument buffers don't pin
-	// them beyond the call.
-	m.seqs[0], m.seqs[1] = nil, nil
-	m.inferOuts[0], m.inferOuts[1] = nil, nil
 	return nil
 }
 
-// window lays the sample's two input sequences out as the plans' seqs
-// argument in the model's reused buffer.
+// bindLane points lane l of the plan at one window and its output buffers
+// (stream 0 is the action stream, stream 1 the audience stream).
+func bindLane(p *InferPlan, l int, s *Sample, fhat, ahat []float64) {
+	p.streams[0].seqs[l], p.streams[0].outs[l] = s.ActionSeq, fhat
+	p.streams[1].seqs[l], p.streams[1].outs[l] = s.AudienceSeq, ahat
+}
+
+// window lays the sample's two input sequences out as the training
+// engine's seqs argument in the model's reused buffer.
 func (m *Model) window(s *Sample) [][][]float64 {
 	m.seqs[0], m.seqs[1] = s.ActionSeq, s.AudienceSeq
 	return m.seqs[:]
 }
 
-// predictTapeInto is the pre-InferPlan prediction path: the forward pass
-// recorded on the autodiff tape, exactly as training runs it. It exists so
-// the golden equivalence tests can pin the fused engine bit-identical to
-// the tape; production prediction goes through PredictInto.
+// predictTapeInto is prediction on the reference tape: the forward pass
+// recorded node by node. It exists so the golden equivalence tests can pin
+// the fused engine bit-identical to it; production prediction goes through
+// PredictInto.
 func (m *Model) predictTapeInto(s *Sample, fhat, ahat []float64) error {
 	if err := s.validate(m.cfg); err != nil {
 		return err
@@ -319,10 +328,10 @@ func (m *Model) validateTrain(s *Sample) error {
 	return nil
 }
 
-// trainStepTape is the pre-TrainPlan training step: forward, loss and
-// backward all recorded on the autodiff tape. It exists so the golden
-// equivalence tests can pin the engine bit-identical to it; production
-// training goes through TrainStep.
+// trainStepTape is the training step on the reference tape: forward, loss
+// and backward all recorded on it. It exists so the golden equivalence
+// tests can pin the engine bit-identical to it; production training goes
+// through TrainStep.
 func (m *Model) trainStepTape(s *Sample) (float64, error) {
 	if err := m.validateTrain(s); err != nil {
 		return 0, err
@@ -331,7 +340,9 @@ func (m *Model) trainStepTape(s *Sample) (float64, error) {
 	fhat, ahat, _, _ := m.forward(tp, b, s)
 	loss := m.loss(tp, fhat, ahat, s)
 	tp.Backward(loss)
-	m.opt.Step(m.ps, b.GradsInto(m.ref.grads))
+	grads := make([]*mat.Matrix, len(m.ps.Names()))
+	b.GradsFlatInto(grads)
+	m.opt.StepFlat(m.ps, grads)
 	return ad.Scalar(loss), nil
 }
 

@@ -33,20 +33,6 @@ func JSDivergence(p, q []float64) float64 {
 	return js
 }
 
-// KLDivergence returns KL(p ‖ q) for probability vectors.
-func KLDivergence(p, q []float64) float64 {
-	if len(p) != len(q) {
-		panic("core: KLDivergence length mismatch")
-	}
-	var kl float64
-	for i := range p {
-		if p[i] > 0 {
-			kl += p[i] * math.Log((p[i]+divEps)/(q[i]+divEps))
-		}
-	}
-	return kl
-}
-
 // REI is the action-feature reconstruction error: the JS divergence between
 // the true feature f_t and the reconstruction f̂_t (Eq. 14).
 func REI(f, fhat []float64) float64 { return JSDivergence(f, fhat) }
@@ -88,27 +74,4 @@ func CalibrateThreshold(scores []float64, quantile float64) float64 {
 	sort.Float64s(sorted)
 	idx := int(q * float64(len(sorted)-1))
 	return sorted[idx]
-}
-
-// TopK returns the indices of the k largest values in scores, ordered by
-// descending score — the paper's S_abnormal (Definition 2) is exactly the
-// top-scoring segment list.
-func TopK(scores []float64, k int) []int {
-	if k <= 0 {
-		return nil
-	}
-	idx := make([]int, len(scores))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool {
-		if scores[idx[a]] != scores[idx[b]] {
-			return scores[idx[a]] > scores[idx[b]]
-		}
-		return idx[a] < idx[b]
-	})
-	if k > len(idx) {
-		k = len(idx)
-	}
-	return idx[:k]
 }

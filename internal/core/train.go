@@ -1,8 +1,8 @@
 package core
 
 // The tape-free training engine, the twin of InferPlan (infer.go). It is
-// compiled from the same planSpec/ctxSrc layout, so Model and MultiModel
-// share it, and it runs three things the autodiff tape used to:
+// compiled from the same planSpec/ctxSrc layout, for any number of coupled
+// streams, and it runs three things the autodiff tape used to:
 //
 //   - the forward recurrence, always on the bit-exact gate kernel (the
 //     fast-math mode is an inference-only trade), keeping per step what
@@ -78,8 +78,8 @@ func compileTrainPlan(ps *nn.ParamSet, seqLen int, specs []planSpec) *TrainPlan 
 	}
 	var decNames []string
 	for i, sp := range specs {
-		// Hidden parts lead every context (modelSpecs, multiSpecs), so the
-		// columns backward needs a gradient for are a prefix.
+		// Hidden parts lead every context (Model.specs), so the columns
+		// backward needs a gradient for are a prefix.
 		hidCols, sawInput := 0, false
 		for _, src := range sp.ctx {
 			if src.hidden && sawInput {

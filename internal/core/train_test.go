@@ -7,7 +7,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"aovlis/internal/mat"
 	"aovlis/internal/nn"
 )
 
@@ -137,78 +136,6 @@ func identicalBits(a, b []float64) bool {
 		}
 	}
 	return true
-}
-
-// TestTrainPlanGoldenEquivalenceMulti extends the property to the K = 3
-// MultiModel (simplex + two dense streams, so JS and MSE heads both run).
-func TestTrainPlanGoldenEquivalenceMulti(t *testing.T) {
-	cfg := MultiConfig{
-		Streams: []StreamSpec{
-			{Name: "action", InputDim: 8, Hidden: 6, Simplex: true, Weight: 0.6},
-			{Name: "chat", InputDim: 4, Hidden: 5, Weight: 0.3},
-			{Name: "gifts", InputDim: 3, Hidden: 4, Weight: 0.1},
-		},
-		SeqLen:       4,
-		LearningRate: 0.01,
-		Seed:         5,
-	}
-	rng := rand.New(rand.NewSource(9))
-	series := make([][][]float64, len(cfg.Streams))
-	const n = 30
-	for k, s := range cfg.Streams {
-		for i := 0; i < n; i++ {
-			f := make([]float64, s.InputDim)
-			for j := range f {
-				f[j] = rng.NormFloat64()
-			}
-			if s.Simplex {
-				for j := range f {
-					f[j] = math.Abs(f[j]) + 0.1
-				}
-				mat.Normalize(f)
-			} else if i%3 == 0 {
-				f[0] = 0
-			}
-			series[k] = append(series[k], f)
-		}
-	}
-	for _, clip := range []float64{0, 5, 0.05} {
-		t.Run(fmt.Sprintf("clip=%v", clip), func(t *testing.T) {
-			plan, err := NewMultiModel(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			tape, err := NewMultiModel(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			plan.opt.ClipNorm, tape.opt.ClipNorm = clip, clip
-			for i := 0; i < 60; i++ {
-				seqs, targets := windowAt(series, cfg.SeqLen+rng.Intn(n-cfg.SeqLen), cfg.SeqLen)
-				lp, err := plan.TrainStep(seqs, targets)
-				if err != nil {
-					t.Fatal(err)
-				}
-				lt, err := tape.trainStepTape(seqs, targets)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if math.Float64bits(lp) != math.Float64bits(lt) {
-					t.Fatalf("step %d loss: plan %v, tape %v", i, lp, lt)
-				}
-				for _, pn := range plan.ps.Names() {
-					if !identicalBits(plan.ps.Get(pn).Data, tape.ps.Get(pn).Data) {
-						t.Fatalf("step %d: parameter %s diverged", i, pn)
-					}
-				}
-			}
-			got := runtimeBytes(t, func(b *bytes.Buffer) error { return plan.SaveRuntime(b) })
-			want := runtimeBytes(t, func(b *bytes.Buffer) error { return tape.SaveRuntime(b) })
-			if !bytes.Equal(got, want) {
-				t.Fatal("runtime snapshots (parameters, Adam step count and moments) differ")
-			}
-		})
-	}
 }
 
 // TestEvalLossMatchesTape pins the evaluation path (plan forward + head,

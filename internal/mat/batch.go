@@ -2,10 +2,10 @@ package mat
 
 import "fmt"
 
-// Batched inference kernels for the cross-channel micro-batching path
-// (core.BatchInferPlan): the GEMV-per-segment of the fused engine becomes a
-// GEMM over B stacked context rows, so each packed weight element is loaded
-// once per lane *block* instead of once per segment. Bit-exactness carries
+// Lane-stacked inference kernels for core.InferPlan: B prediction lanes go
+// through one GEMM over B stacked context rows instead of a GEMV each, so
+// each packed weight element is loaded once per lane *block* instead of
+// once per segment. Bit-exactness carries
 // over from the single-segment kernels by construction: every output
 // element dst[b][j] is one register-held accumulator summed over k in
 // increasing order — exactly the per-column summation order of VecMatTTo
@@ -98,7 +98,7 @@ func matMatTPortable(dst, x []float64, lanes int, wt *Matrix) {
 // is a single accumulator summed over k in ascending order with no FMA
 // contraction, so kernel choice can never change a score. The bias, when
 // non-nil, is added row-wise in a separate pass after the full GEMM —
-// the operation order of VecMatTBiasTo and of the tape's MatMul+Add.
+// the operation order of the tape's MatMul+Add.
 func FwdGEMMBiasInto(dst, x []float64, lanes int, w, wt *Matrix, bias []float64) {
 	n, m := wt.Cols, wt.Rows
 	if len(x) != lanes*n || len(dst) != lanes*m {
@@ -117,20 +117,6 @@ func FwdGEMMBiasInto(dst, x []float64, lanes int, w, wt *Matrix, bias []float64)
 	if bias != nil {
 		addBiasRows(dst, lanes, bias)
 	}
-}
-
-// MatMatTBiasTo computes dst = x·wtᵀ + bias over stacked rows: the full
-// GEMM first, then the bias added row-wise in a separate elementwise pass —
-// per lane the same operation order as VecMatTBiasTo, so every row matches
-// the single-segment kernel bit for bit. (One shared bias pass —
-// addBiasRows — serves this, VecMatTBiasTo and FwdGEMMBiasInto, so the
-// three entry points cannot drift.)
-func MatMatTBiasTo(dst, x, wt *Matrix, bias []float64) {
-	MatMatTTo(dst, x, wt)
-	if len(bias) != dst.Cols {
-		panic(dimPanic("MatMatTBiasTo", dst, x, wt))
-	}
-	addBiasRows(dst.Data, dst.Rows, bias)
 }
 
 // addBiasRows adds bias to each of the `lanes` rows of the flat row-major

@@ -52,19 +52,19 @@ func TestMatMatTToMatchesVecMatTTo(t *testing.T) {
 	}
 }
 
-// TestMatMatTBiasToMatchesVecMatTBiasTo pins the biased GEMM to the biased
-// GEMV per lane.
-func TestMatMatTBiasToMatchesVecMatTBiasTo(t *testing.T) {
+// TestFwdGEMMBiasLanesMatchSingleLane pins the biased portable GEMM to its
+// own one-lane form per lane.
+func TestFwdGEMMBiasLanesMatchSingleLane(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for _, B := range []int{1, 2, 7} {
 		x := randMatrixFor(rng, B, 33)
 		wt := randMatrixFor(rng, 13, 33)
 		bias := randMatrixFor(rng, 1, 13).Data
 		got := New(B, 13)
-		MatMatTBiasTo(got, x, wt, bias)
+		FwdGEMMBiasInto(got.Data, x.Data, B, nil, wt, bias)
 		want := make([]float64, 13)
 		for b := 0; b < B; b++ {
-			VecMatTBiasTo(want, x.Row(b), wt, bias)
+			FwdGEMMBiasInto(want, x.Row(b), 1, nil, wt, bias)
 			for j, w := range want {
 				if g := got.At(b, j); math.Float64bits(g) != math.Float64bits(w) {
 					t.Fatalf("B=%d lane %d col %d: got %v want %v", B, b, j, g, w)

@@ -195,8 +195,3 @@ var fastMathForced = os.Getenv("AOVLIS_FASTMATH") != ""
 // FastMathForced reports whether the AOVLIS_FASTMATH environment override
 // is active.
 func FastMathForced() bool { return fastMathForced }
-
-// FastMathKernel names the active fast-math vector path ("avx512", "avx2"
-// or "scalar") for diagnostics; the fast-math kernels ride the same
-// dispatch level as the forward GEMM, so AOVLIS_NOSIMD covers them too.
-func FastMathKernel() string { return SIMDGEMM() }

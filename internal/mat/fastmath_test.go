@@ -292,7 +292,7 @@ func TestFastMathPortableSIMDBitIdentical(t *testing.T) {
 			}
 		}
 	}
-	t.Logf("active fast-math kernel: %s", FastMathKernel())
+	t.Logf("active fast-math kernel: %s", SIMDGEMM())
 }
 
 func compareBits(t *testing.T, kernel string, n int, got, want []float64) {

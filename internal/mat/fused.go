@@ -85,18 +85,6 @@ func VecMatTTo(dst, x []float64, wt *Matrix) {
 	}
 }
 
-// VecMatTBiasTo computes dst = x·wᵀ + b: the full GEMV first, then the
-// bias in a separate elementwise pass — the same operation order as the
-// tape's MatMul node followed by an Add node, so results match it bit for
-// bit.
-func VecMatTBiasTo(dst, x []float64, wt *Matrix, b []float64) {
-	VecMatTTo(dst, x, wt)
-	if len(b) != len(dst) {
-		panic(fmt.Sprintf("mat: VecMatTBiasTo bias length %d, want %d", len(b), len(dst)))
-	}
-	addBiasRows(dst, 1, b)
-}
-
 // sigmoidScalar matches the tape's Sigmoid elementwise function exactly.
 func sigmoidScalar(x float64) float64 { return 1 / (1 + math.Exp(-x)) }
 

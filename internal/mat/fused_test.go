@@ -45,9 +45,9 @@ func TestVecMatTToMatchesMatMulTo(t *testing.T) {
 	}
 }
 
-// TestVecMatTBiasToMatchesMatMulAdd pins GEMV+bias to the tape's
-// MatMul-then-Add order.
-func TestVecMatTBiasToMatchesMatMulAdd(t *testing.T) {
+// TestFwdGEMMBiasMatchesMatMulAdd pins the one-lane GEMM+bias, whichever
+// kernel is active, to the tape's MatMul-then-Add order.
+func TestFwdGEMMBiasMatchesMatMulAdd(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 100; trial++ {
 		n := 1 + rng.Intn(30)
@@ -69,7 +69,7 @@ func TestVecMatTBiasToMatchesMatMulAdd(t *testing.T) {
 		ref := New(1, m)
 		AddTo(ref, mm, FromSlice(1, m, b))
 		got := make([]float64, m)
-		VecMatTBiasTo(got, x, Transpose(w), b)
+		FwdGEMMBiasInto(got, x, 1, w, Transpose(w), b)
 		for j := range got {
 			if math.Float64bits(got[j]) != math.Float64bits(ref.Data[j]) {
 				t.Fatalf("trial %d col %d: fused %v, tape order %v", trial, j, got[j], ref.Data[j])

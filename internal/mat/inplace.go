@@ -88,29 +88,6 @@ func MatMulTo(dst, a, b *Matrix) {
 	}
 }
 
-// ConcatColsTo writes the column-wise concatenation [p₁ | p₂ | ...] into
-// dst, which must have the summed column count.
-func ConcatColsTo(dst *Matrix, parts ...*Matrix) {
-	if len(parts) == 0 {
-		panic("mat: ConcatColsTo needs at least one input")
-	}
-	rows, cols := parts[0].Rows, 0
-	for _, p := range parts {
-		if p.Rows != rows {
-			panic(fmt.Sprintf("mat: ConcatColsTo row mismatch %d vs %d", rows, p.Rows))
-		}
-		cols += p.Cols
-	}
-	mustShape("ConcatColsTo", dst, rows, cols)
-	off := 0
-	for _, p := range parts {
-		for i := 0; i < rows; i++ {
-			copy(dst.Row(i)[off:off+p.Cols], p.Row(i))
-		}
-		off += p.Cols
-	}
-}
-
 // SliceColsTo copies columns [from, to) of a into dst.
 func SliceColsTo(dst, a *Matrix, from, to int) {
 	if from < 0 || to > a.Cols || from >= to {
@@ -165,36 +142,6 @@ func AddMulInto(dst, a, b *Matrix) {
 	mustSameShape("AddMulInto", dst, a)
 	for i, v := range a.Data {
 		dst.Data[i] += float64(v * b.Data[i]) // no FMA contraction, as above
-	}
-}
-
-// VecAddInto computes dst = a + b for plain slices.
-func VecAddInto(dst, a, b []float64) {
-	if len(a) != len(b) || len(dst) != len(a) {
-		panic(fmt.Sprintf("mat: VecAddInto length mismatch %d/%d/%d", len(dst), len(a), len(b)))
-	}
-	for i := range a {
-		dst[i] = a[i] + b[i]
-	}
-}
-
-// VecSubInto computes dst = a - b for plain slices.
-func VecSubInto(dst, a, b []float64) {
-	if len(a) != len(b) || len(dst) != len(a) {
-		panic(fmt.Sprintf("mat: VecSubInto length mismatch %d/%d/%d", len(dst), len(a), len(b)))
-	}
-	for i := range a {
-		dst[i] = a[i] - b[i]
-	}
-}
-
-// VecScaleInto computes dst = s * a for plain slices.
-func VecScaleInto(dst []float64, s float64, a []float64) {
-	if len(dst) != len(a) {
-		panic(fmt.Sprintf("mat: VecScaleInto length mismatch %d vs %d", len(dst), len(a)))
-	}
-	for i, v := range a {
-		dst[i] = s * v
 	}
 }
 

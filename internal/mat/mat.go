@@ -34,9 +34,6 @@ func FromSlice(rows, cols int, data []float64) *Matrix {
 	return &Matrix{Rows: rows, Cols: cols, Data: data}
 }
 
-// NewVector returns a zeroed 1 x n row vector.
-func NewVector(n int) *Matrix { return New(1, n) }
-
 // VectorOf wraps data as a 1 x len(data) row vector without copying.
 func VectorOf(data []float64) *Matrix { return FromSlice(1, len(data), data) }
 
@@ -213,19 +210,6 @@ func Transpose(a *Matrix) *Matrix {
 	return out
 }
 
-// ConcatCols returns [a | b], the column-wise concatenation of a and b.
-func ConcatCols(a, b *Matrix) *Matrix {
-	if a.Rows != b.Rows {
-		panic(fmt.Sprintf("mat: ConcatCols row mismatch %d vs %d", a.Rows, b.Rows))
-	}
-	out := New(a.Rows, a.Cols+b.Cols)
-	for i := 0; i < a.Rows; i++ {
-		copy(out.Row(i)[:a.Cols], a.Row(i))
-		copy(out.Row(i)[a.Cols:], b.Row(i))
-	}
-	return out
-}
-
 // Apply returns f applied elementwise to a.
 func Apply(a *Matrix, f func(float64) float64) *Matrix {
 	out := New(a.Rows, a.Cols)
@@ -277,86 +261,8 @@ func SumSquares4(a, b, c, d []float64) (sa, sb, sc, sd float64) {
 // Norm2 returns the Euclidean (Frobenius) norm of a.
 func Norm2(a *Matrix) float64 { return math.Sqrt(Dot(a, a)) }
 
-// Norm1 returns the sum of absolute values of a.
-func Norm1(a *Matrix) float64 {
-	var s float64
-	for _, v := range a.Data {
-		s += math.Abs(v)
-	}
-	return s
-}
-
-// MaxAbs returns the largest absolute element of a, or 0 for an empty matrix.
-func MaxAbs(a *Matrix) float64 {
-	var m float64
-	for _, v := range a.Data {
-		if av := math.Abs(v); av > m {
-			m = av
-		}
-	}
-	return m
-}
-
-// ArgMax returns the flat index of the maximum element of a.
-// It returns -1 for an empty matrix.
-func ArgMax(a *Matrix) int {
-	if len(a.Data) == 0 {
-		return -1
-	}
-	best, idx := a.Data[0], 0
-	for i, v := range a.Data {
-		if v > best {
-			best, idx = v, i
-		}
-	}
-	return idx
-}
-
-// CosineSimilarity returns the cosine of the angle between two vectors
-// (flattened matrices). It returns 0 when either vector has zero norm.
-func CosineSimilarity(a, b *Matrix) float64 {
-	na, nb := Norm2(a), Norm2(b)
-	if na == 0 || nb == 0 {
-		return 0
-	}
-	return Dot(a, b) / (na * nb)
-}
-
 // Vector helpers over plain []float64 slices. The feature pipeline deals in
 // raw slices; these avoid wrapping every call site in a Matrix.
-
-// VecAdd returns a + b.
-func VecAdd(a, b []float64) []float64 {
-	if len(a) != len(b) {
-		panic(fmt.Sprintf("mat: VecAdd length mismatch %d vs %d", len(a), len(b)))
-	}
-	out := make([]float64, len(a))
-	for i := range a {
-		out[i] = a[i] + b[i]
-	}
-	return out
-}
-
-// VecSub returns a - b.
-func VecSub(a, b []float64) []float64 {
-	if len(a) != len(b) {
-		panic(fmt.Sprintf("mat: VecSub length mismatch %d vs %d", len(a), len(b)))
-	}
-	out := make([]float64, len(a))
-	for i := range a {
-		out[i] = a[i] - b[i]
-	}
-	return out
-}
-
-// VecScale returns s * a.
-func VecScale(s float64, a []float64) []float64 {
-	out := make([]float64, len(a))
-	for i, v := range a {
-		out[i] = s * v
-	}
-	return out
-}
 
 // VecDot returns the inner product of a and b.
 func VecDot(a, b []float64) float64 {
@@ -372,15 +278,6 @@ func VecDot(a, b []float64) float64 {
 
 // VecNorm2 returns the Euclidean norm of a.
 func VecNorm2(a []float64) float64 { return math.Sqrt(VecDot(a, a)) }
-
-// VecNorm1 returns the L1 norm of a.
-func VecNorm1(a []float64) float64 {
-	var s float64
-	for _, v := range a {
-		s += math.Abs(v)
-	}
-	return s
-}
 
 // VecL2Distance returns the Euclidean distance between a and b.
 func VecL2Distance(a, b []float64) float64 {

@@ -126,63 +126,18 @@ func TestTranspose(t *testing.T) {
 	}
 }
 
-func TestConcatCols(t *testing.T) {
-	a := FromSlice(2, 2, []float64{1, 2, 3, 4})
-	b := FromSlice(2, 1, []float64{9, 10})
-	c := ConcatCols(a, b)
-	if c.Cols != 3 || c.At(0, 2) != 9 || c.At(1, 2) != 10 || c.At(1, 0) != 3 {
-		t.Fatalf("ConcatCols = %v", c.Data)
-	}
-}
-
 func TestReductionsAndNorms(t *testing.T) {
 	a := FromSlice(1, 4, []float64{1, -2, 3, -4})
 	if Sum(a) != -2 {
 		t.Fatalf("Sum = %v", Sum(a))
 	}
-	if Norm1(a) != 10 {
-		t.Fatalf("Norm1 = %v", Norm1(a))
-	}
 	if !almostEqual(Norm2(a), math.Sqrt(30), 1e-12) {
 		t.Fatalf("Norm2 = %v", Norm2(a))
-	}
-	if MaxAbs(a) != 4 {
-		t.Fatalf("MaxAbs = %v", MaxAbs(a))
-	}
-	if ArgMax(a) != 2 {
-		t.Fatalf("ArgMax = %v", ArgMax(a))
-	}
-	if ArgMax(New(0, 0)) != -1 {
-		t.Fatal("ArgMax empty should be -1")
-	}
-}
-
-func TestCosineSimilarity(t *testing.T) {
-	a := VectorOf([]float64{1, 0})
-	b := VectorOf([]float64{0, 1})
-	if got := CosineSimilarity(a, b); !almostEqual(got, 0, 1e-12) {
-		t.Fatalf("orthogonal cosine = %v", got)
-	}
-	if got := CosineSimilarity(a, a); !almostEqual(got, 1, 1e-12) {
-		t.Fatalf("self cosine = %v", got)
-	}
-	z := VectorOf([]float64{0, 0})
-	if got := CosineSimilarity(a, z); got != 0 {
-		t.Fatalf("zero-vector cosine = %v", got)
 	}
 }
 
 func TestVecHelpers(t *testing.T) {
 	a, b := []float64{1, 2, 3}, []float64{4, 5, 6}
-	if got := VecAdd(a, b); got[2] != 9 {
-		t.Fatalf("VecAdd = %v", got)
-	}
-	if got := VecSub(b, a); got[0] != 3 {
-		t.Fatalf("VecSub = %v", got)
-	}
-	if got := VecScale(2, a); got[1] != 4 {
-		t.Fatalf("VecScale = %v", got)
-	}
 	if got := VecDot(a, b); got != 32 {
 		t.Fatalf("VecDot = %v", got)
 	}

@@ -24,10 +24,11 @@ package nn
 // updating the unpacked per-gate matrices, and the owner (core.InferPlan)
 // repacks — via the allocation-free PackInto — when ParamSet.Version moves.
 //
-// StepBatch/ApplyBatch are the micro-batching forms: B stacked context
-// rows go through one GEMM per layer step instead of B GEMVs, which is
-// what lets a shard worker score B pending segments at a per-segment cost
-// well below the single-segment path (ARCHITECTURE.md §10).
+// StepBatch/ApplyBatch are what core.InferPlan runs: B stacked context
+// rows (its lanes) go through one GEMM per layer step instead of B GEMVs,
+// which is what lets a shard worker score B pending segments at a
+// per-segment cost below one-at-a-time scoring (ARCHITECTURE.md §8).
+// StepInto is the same step over one lane's plain slices.
 
 import (
 	"fmt"
@@ -166,16 +167,9 @@ func (d *Dense) PackInto(ps *ParamSet, dst *FusedDense) {
 	dst.Act = d.Act
 }
 
-// ApplyInto computes dst = act(x·W + B) using pre (scratch, length Out) for
-// the preactivation — the fused, allocation-free form of Dense.Apply.
-func (fd *FusedDense) ApplyInto(dst, pre, x []float64) {
-	mat.FwdGEMMBiasInto(pre, x, 1, fd.W, fd.WT, fd.B)
-	fd.activateRow(dst, pre)
-}
-
 // ApplyBatch computes act(x·W + B) for B stacked input rows, writing lane
-// b's activation into dst's row b; pre (B × Out) is scratch. Row-wise it
-// performs exactly the operations of B ApplyInto calls.
+// b's activation into dst's row b; pre (B × Out) is scratch — the fused,
+// allocation-free form of Dense.Apply, row-wise independent of B.
 func (fd *FusedDense) ApplyBatch(dst, pre, x *mat.Matrix) {
 	lanes := x.Rows
 	if x.Cols != fd.In {

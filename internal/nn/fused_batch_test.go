@@ -52,36 +52,6 @@ func TestStepBatchMatchesStepInto(t *testing.T) {
 	}
 }
 
-// TestApplyBatchMatchesApplyInto pins the batched decoder application to
-// the single-lane form for every activation kind.
-func TestApplyBatchMatchesApplyInto(t *testing.T) {
-	rng := rand.New(rand.NewSource(37))
-	for _, act := range []Activation{Linear, SigmoidAct, TanhAct, ReLUAct, SoftmaxAct} {
-		ps := NewParamSet()
-		d := NewDense(ps, "dec", 19, 11, act, rng)
-		fd := d.Pack(ps)
-		const lanes = 5
-		x := mat.New(lanes, 19)
-		for i := range x.Data {
-			x.Data[i] = rng.NormFloat64()
-		}
-		dst := mat.New(lanes, 11)
-		pre := mat.New(lanes, 11)
-		fd.ApplyBatch(dst, pre, x)
-
-		want := make([]float64, 11)
-		wantPre := make([]float64, 11)
-		for b := 0; b < lanes; b++ {
-			fd.ApplyInto(want, wantPre, x.Row(b))
-			for j := 0; j < 11; j++ {
-				if math.Float64bits(dst.At(b, j)) != math.Float64bits(want[j]) {
-					t.Fatalf("act=%d lane %d out[%d]: batch %v, single %v", act, b, j, dst.At(b, j), want[j])
-				}
-			}
-		}
-	}
-}
-
 // TestPackIntoFillsBothLayouts pins W (row-major) and WT (transposed) to
 // describe the same weights after a parameter mutation and repack.
 func TestPackIntoFillsBothLayouts(t *testing.T) {

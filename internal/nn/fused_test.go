@@ -55,27 +55,29 @@ func TestFusedCellMatchesTapeStep(t *testing.T) {
 	}
 }
 
-// TestFusedDenseMatchesTapeApply checks every activation kind.
+// TestFusedDenseMatchesTapeApply checks every activation kind: each row of
+// a B-lane ApplyBatch, B = 1 included, carries the bits of the tape's Apply
+// on that row alone.
 func TestFusedDenseMatchesTapeApply(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for _, act := range []Activation{Linear, SigmoidAct, TanhAct, ReLUAct, SoftmaxAct} {
 		ps := NewParamSet()
 		d := NewDense(ps, "dec", 24, 10, act, rng)
 		fd := d.Pack(ps)
-		for trial := 0; trial < 10; trial++ {
-			x := make([]float64, 24)
-			for i := range x {
-				x[i] = rng.NormFloat64()
+		for lanes := 1; lanes <= 5; lanes++ {
+			x := mat.New(lanes, 24)
+			for i := range x.Data {
+				x.Data[i] = rng.NormFloat64()
 			}
-			tp := ad.NewTape()
-			b := ps.Bind(tp)
-			ref := d.Apply(b, tp.ConstVector(x))
-			got := make([]float64, 10)
-			pre := make([]float64, 10)
-			fd.ApplyInto(got, pre, x)
-			for j := range got {
-				if math.Float64bits(got[j]) != math.Float64bits(ref.Value.Data[j]) {
-					t.Fatalf("act %d out[%d]: fused %v, tape %v", act, j, got[j], ref.Value.Data[j])
+			got, pre := mat.New(lanes, 10), mat.New(lanes, 10)
+			fd.ApplyBatch(got, pre, x)
+			for l := 0; l < lanes; l++ {
+				tp := ad.NewTape()
+				ref := d.Apply(ps.Bind(tp), tp.ConstVector(x.Row(l)))
+				for j, v := range got.Row(l) {
+					if math.Float64bits(v) != math.Float64bits(ref.Value.Data[j]) {
+						t.Fatalf("act %d lanes %d lane %d out[%d]: fused %v, tape %v", act, lanes, l, j, v, ref.Value.Data[j])
+					}
 				}
 			}
 		}
@@ -156,9 +158,8 @@ func TestParamSetVersionBumps(t *testing.T) {
 		t.Fatal("Average did not bump version")
 	}
 	v2 := ps.Version()
-	grads := map[string]*mat.Matrix{"d.W": mat.New(3, 2), "d.b": mat.New(1, 2)}
-	NewAdam(0.01).Step(ps, grads)
+	NewAdam(0.01).StepFlat(ps, []*mat.Matrix{mat.New(3, 2), mat.New(1, 2)}) // d.W, d.b
 	if ps.Version() == v2 {
-		t.Fatal("Adam.Step did not bump version")
+		t.Fatal("Adam.StepFlat did not bump version")
 	}
 }

@@ -202,26 +202,11 @@ func (b *Binding) Node(name string) *ad.Node {
 // Tape returns the tape this binding records onto.
 func (b *Binding) Tape() *ad.Tape { return b.tape }
 
-// Grads returns the gradient matrix of every bound parameter after Backward.
-func (b *Binding) Grads() map[string]*mat.Matrix {
-	return b.GradsInto(make(map[string]*mat.Matrix, len(b.nodes)))
-}
-
-// GradsInto fills dst with the gradient matrix of every bound parameter and
-// returns it. Reusing one map across steps keeps the optimiser hand-off
-// allocation-free; the gradient matrices themselves are tape-owned and only
-// valid until the tape's next Reset.
-func (b *Binding) GradsInto(dst map[string]*mat.Matrix) map[string]*mat.Matrix {
-	for name, node := range b.nodes {
-		dst[name] = node.Grad
-	}
-	return dst
-}
-
 // GradsFlatInto stores the gradient matrix of every bound parameter at its
 // registration index in dst (length = number of parameters in the set) —
-// the map-free hand-off Adam.StepFlat takes. Entries of unbound parameters
-// are left alone. Same lifetime rule as GradsInto.
+// the hand-off Adam.StepFlat takes. Entries of unbound parameters are left
+// alone. The gradient matrices are tape-owned and only valid until the
+// tape's next Reset.
 func (b *Binding) GradsFlatInto(dst []*mat.Matrix) {
 	for i, n := range b.names {
 		dst[b.index[i]] = b.nodes[n].Grad
@@ -263,9 +248,8 @@ type Adam struct {
 	names   []string
 	m, v    []*mat.Matrix
 
-	flat []*mat.Matrix // Step's scratch: its gradient map laid out for StepFlat
-	sq   []float64     // clipScale's scratch: per-parameter squared norms
-	seen []bool        // clipScale's scratch: sq[i] is computed
+	sq   []float64 // clipScale's scratch: per-parameter squared norms
+	seen []bool    // clipScale's scratch: sq[i] is computed
 }
 
 // NewAdam returns an Adam optimiser with the paper's defaults.
@@ -273,22 +257,10 @@ func NewAdam(lr float64) *Adam {
 	return &Adam{LR: lr, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8, ClipNorm: 5}
 }
 
-// Step applies one Adam update to ps given gradients keyed by parameter name.
-// Missing or nil gradients are skipped (parameters unused in this step).
-func (a *Adam) Step(ps *ParamSet, grads map[string]*mat.Matrix) {
-	if len(a.flat) != len(ps.names) {
-		a.flat = make([]*mat.Matrix, len(ps.names))
-	}
-	for i, name := range ps.names {
-		a.flat[i] = grads[name]
-	}
-	a.StepFlat(ps, a.flat)
-}
-
-// StepFlat is Step with the gradients laid out flat: grads[i] belongs to
-// the i-th registered parameter of ps, nil entries are skipped. Gradients
-// are read, never written: the clipping factor is folded into the update
-// kernel instead of rescaling them in place.
+// StepFlat applies one Adam update to ps: grads[i] belongs to the i-th
+// registered parameter of ps, nil entries are skipped (parameters unused in
+// this step). Gradients are read, never written: the clipping factor is
+// folded into the update kernel instead of rescaling them in place.
 func (a *Adam) StepFlat(ps *ParamSet, grads []*mat.Matrix) {
 	if len(grads) != len(ps.names) {
 		panic(fmt.Sprintf("nn: StepFlat got %d gradients for %d parameters", len(grads), len(ps.names)))

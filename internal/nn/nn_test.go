@@ -119,7 +119,7 @@ func TestAdamConvergesOnQuadratic(t *testing.T) {
 		for i := range g.Data {
 			g.Data[i] = 2 * (w.Data[i] - target[i])
 		}
-		opt.Step(ps, map[string]*mat.Matrix{"w": g})
+		opt.StepFlat(ps, []*mat.Matrix{g})
 	}
 	for i := range target {
 		if math.Abs(w.Data[i]-target[i]) > 0.05 {
@@ -132,7 +132,7 @@ func TestAdamSkipsNilGrads(t *testing.T) {
 	ps := NewParamSet()
 	w := ps.Add("w", mat.FromSlice(1, 1, []float64{1}))
 	opt := NewAdam(0.1)
-	opt.Step(ps, map[string]*mat.Matrix{})
+	opt.StepFlat(ps, []*mat.Matrix{nil})
 	if w.Data[0] != 1 {
 		t.Fatal("parameter changed with no gradient")
 	}
@@ -242,7 +242,9 @@ func TestLSTMLearnsConstantTarget(t *testing.T) {
 		out := dec.Apply(b, h)
 		loss := MSELoss(tp, out, target)
 		tp.Backward(loss)
-		opt.Step(ps, b.Grads())
+		grads := make([]*mat.Matrix, len(ps.Names()))
+		b.GradsFlatInto(grads)
+		opt.StepFlat(ps, grads)
 	}
 	last := lossAt()
 	if last > first*0.1 {
@@ -380,20 +382,20 @@ func BenchmarkAdamStep(b *testing.B) {
 	if ps.NumParams() != 18675 {
 		b.Fatalf("parameter set has %d scalars, want the served model's 18675", ps.NumParams())
 	}
-	grads := make(map[string]*mat.Matrix)
+	var grads []*mat.Matrix
 	for _, n := range ps.Names() {
 		p := ps.Get(n)
 		g := mat.New(p.Rows, p.Cols)
 		for i := range g.Data {
 			g.Data[i] = rng.NormFloat64()
 		}
-		grads[n] = g
+		grads = append(grads, g)
 	}
 	opt := NewAdam(0.001)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		opt.Step(ps, grads)
+		opt.StepFlat(ps, grads)
 	}
 }
 
@@ -405,8 +407,8 @@ func TestAdamSaveLoadResumesIdentically(t *testing.T) {
 	ps := NewParamSet()
 	NewDense(ps, "d", 4, 3, Linear, rng)
 	NewLSTMCell(ps, "l", 6, 4, rng)
-	grads := func(seed int64) map[string]*mat.Matrix {
-		g := make(map[string]*mat.Matrix)
+	grads := func(seed int64) []*mat.Matrix {
+		var g []*mat.Matrix
 		grng := rand.New(rand.NewSource(seed))
 		for _, n := range ps.Names() {
 			p := ps.Get(n)
@@ -414,13 +416,13 @@ func TestAdamSaveLoadResumesIdentically(t *testing.T) {
 			for i := range m.Data {
 				m.Data[i] = grng.NormFloat64()
 			}
-			g[n] = m
+			g = append(g, m)
 		}
 		return g
 	}
 	opt := NewAdam(0.01)
 	for s := int64(0); s < 3; s++ {
-		opt.Step(ps, grads(100+s))
+		opt.StepFlat(ps, grads(100+s))
 	}
 
 	// Snapshot parameters + optimiser, restore into a parallel universe.
@@ -444,8 +446,8 @@ func TestAdamSaveLoadResumesIdentically(t *testing.T) {
 	}
 
 	for s := int64(0); s < 3; s++ {
-		opt.Step(ps, grads(200+s))
-		opt2.Step(ps2, grads(200+s))
+		opt.StepFlat(ps, grads(200+s))
+		opt2.StepFlat(ps2, grads(200+s))
 	}
 	for _, n := range ps.Names() {
 		a, b := ps.Get(n), ps2.Get(n)
@@ -479,8 +481,7 @@ func TestAdamCheckShapes(t *testing.T) {
 	ps := NewParamSet()
 	NewDense(ps, "d", 4, 3, Linear, rng)
 	opt := NewAdam(0.01)
-	g := map[string]*mat.Matrix{"d.W": mat.New(4, 3), "d.b": mat.New(1, 3)}
-	opt.Step(ps, g)
+	opt.StepFlat(ps, []*mat.Matrix{mat.New(4, 3), mat.New(1, 3)}) // d.W, d.b
 	if err := opt.CheckShapes(ps); err != nil {
 		t.Fatalf("consistent state rejected: %v", err)
 	}

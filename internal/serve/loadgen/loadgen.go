@@ -415,62 +415,3 @@ func (s *Schedule) Replay(submit func(Arrival)) {
 		submit(*a)
 	}
 }
-
-// BackoffStats reports what a backoff-aware replay did.
-type BackoffStats struct {
-	// Submitted counts arrivals the server eventually accepted; GaveUp
-	// those abandoned after MaxRetries rejections.
-	Submitted int
-	GaveUp    int
-	// Rejections counts individual rejected attempts (≥ Retries since the
-	// final attempt of a given-up arrival is a rejection too); Retries the
-	// re-attempts made after honoring a backoff hint.
-	Rejections int
-	Retries    int
-	// TotalBackoff is the cumulative time spent honoring backoff hints.
-	TotalBackoff time.Duration
-}
-
-// ReplayBackoff paces the schedule like Replay but closes the loop on
-// server backpressure, modelling a well-behaved client consuming the
-// Retry-After emitted with HTTP 429 (ISSUE 7 left it emitted but never
-// consumed in-repo). submit reports (retryAfter, accepted); on a
-// rejection the replayer sleeps the hinted backoff (1s when the server
-// gave none, matching the daemon's Retry-After floor) and retries the
-// SAME arrival up to maxRetries times. Each honored backoff also shifts
-// the rest of the schedule — a client that backed off does not come back
-// and burst-replay every arrival it deferred, which would just re-trigger
-// the overload it was told to avoid.
-func (s *Schedule) ReplayBackoff(maxRetries int, submit func(Arrival) (time.Duration, bool)) BackoffStats {
-	var st BackoffStats
-	if maxRetries < 0 {
-		maxRetries = 0
-	}
-	start := time.Now()
-	for i := range s.Arrivals {
-		a := &s.Arrivals[i]
-		if wait := a.At - time.Since(start); wait > 0 {
-			time.Sleep(wait)
-		}
-		for attempt := 0; ; attempt++ {
-			backoff, ok := submit(*a)
-			if ok {
-				st.Submitted++
-				break
-			}
-			st.Rejections++
-			if attempt >= maxRetries {
-				st.GaveUp++
-				break
-			}
-			if backoff <= 0 {
-				backoff = time.Second
-			}
-			st.Retries++
-			st.TotalBackoff += backoff
-			time.Sleep(backoff)
-			start = start.Add(backoff)
-		}
-	}
-	return st
-}

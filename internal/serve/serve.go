@@ -16,8 +16,8 @@
 // observations per wake-up, groups them by channel (preserving per-channel
 // order), and scores each channel's run through Detector.ObserveBatch — one
 // batched inference pass instead of per-segment GEMVs, bit-identical to
-// serial scoring (see ARCHITECTURE.md §10). Batching changes throughput,
-// never results.
+// serial scoring (see ARCHITECTURE.md §8 and §16). Batching changes
+// throughput, never results.
 //
 // The submit path is deliberately lock-free on shared state: the channel
 // table is a copy-on-write map behind an atomic pointer (readers never

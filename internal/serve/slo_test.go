@@ -10,7 +10,7 @@ package serve
 //     work — Dropped must stay 0 even though the pool runs DropNewest as
 //     a backstop).
 //  2. Bounded p99: submit→outcome latency stays under an in-test ceiling;
-//     scripts/slosmoke.sh compares the measured p99 against the recorded
+//     scripts/smoke.sh slo compares the measured p99 against the recorded
 //     BENCH.md §7 baseline for regression gating.
 //  3. Reproducibility: the OFFERED stream is bit-identical for the fixed
 //     seed (schedule hash equality). Shed points depend on real queue
@@ -193,7 +193,7 @@ func TestSLOFlashCrowd(t *testing.T) {
 	// SLO 2: p99 submit→outcome latency. The queue bound gives a hard
 	// ceiling: 64 slots × 2ms service ≈ 128ms worst case per shard; 500ms
 	// leaves generous slack for scheduler noise. The precise measured value
-	// is the BENCH.md §7 baseline, gated by scripts/slosmoke.sh.
+	// is the BENCH.md §7 baseline, gated by scripts/smoke.sh slo.
 	sort.Slice(latencies, func(i, j int) bool { return latencies[i] < latencies[j] })
 	p50 := percentile(latencies, 0.50)
 	p99 := percentile(latencies, 0.99)
@@ -201,8 +201,8 @@ func TestSLOFlashCrowd(t *testing.T) {
 		t.Fatalf("p99 latency %v exceeds in-test ceiling 500ms", p99)
 	}
 
-	// Machine-readable result for scripts/slosmoke.sh (keep this format in
-	// sync with the parser there and the BENCH.md §7 baseline marker).
+	// Machine-readable result for scripts/smoke.sh slo (keep this format in
+	// sync with the fields it reads and slo.p99_us in scripts/baselines.txt).
 	t.Logf("SLO-RESULT profile=%s seed=%d offered=%d accepted=%d rejected=%d dropped=0 lost=0 shed_scored=%d p50_us=%d p99_us=%d hash=%s",
 		lcfg.Shape, lcfg.Seed, len(sched.Arrivals), accepted, rejected, shedScored,
 		p50.Microseconds(), p99.Microseconds(), hash[:16])

@@ -48,9 +48,8 @@ const Version = 1
 
 // Artifact kinds carried in the envelope.
 const (
-	KindModel      = "core.Model"
-	KindMultiModel = "core.MultiModel"
-	KindDetector   = "aovlis.Detector"
+	KindModel    = "core.Model"
+	KindDetector = "aovlis.Detector"
 	// KindChannelExport wraps a KindDetector stream with a channel-identity
 	// manifest (serve.ExportChannel emits it): the importer can reject a
 	// snapshot PUT to the wrong channel id before restoring anything.

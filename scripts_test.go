@@ -1,11 +1,12 @@
 package aovlis_test
 
-// Regression tests for the CI gate scripts (ISSUE 7 satellite): the
-// benchsmoke no-samples path used to exit nonzero *silently* — `set -e`
-// killed the script inside the median command substitution before the
-// diagnostic ran — so a typo'd benchmark name produced an inscrutable CI
-// failure. These tests exec the scripts the way CI does and pin both the
-// exit codes and the diagnostics.
+// Regression tests for the CI gate driver, scripts/smoke.sh. Every gate is
+// judged on a capture file (the seam CI's bench gates use anyway), so the
+// table runs the script the way CI does without spawning a fleet, and pins
+// for each gate the exit code and the diagnostic of: a passing capture, a
+// capture with no result (a typo'd benchmark, a renamed or skipped test —
+// which must fail LOUDLY, not through a silent `set -e` exit), each
+// condition the gate enforces, and a missing baseline.
 
 import (
 	"os"
@@ -15,253 +16,117 @@ import (
 	"testing"
 )
 
-// runScript executes scripts/<name> with args from the repo root and
-// returns combined output plus the exit error (nil on success).
-func runScript(t *testing.T, name string, args ...string) (string, error) {
+// runSmoke executes scripts/smoke.sh for gate on a capture holding
+// content, against a baseline file holding baselines, from the repo root.
+func runSmoke(t *testing.T, gate, baselines, content string) (string, error) {
 	t.Helper()
 	if _, err := exec.LookPath("sh"); err != nil {
 		t.Skip("sh not available")
 	}
-	cmd := exec.Command("sh", append([]string{filepath.Join("scripts", name)}, args...)...)
+	dir := t.TempDir()
+	capture, base := filepath.Join(dir, "capture.txt"), filepath.Join(dir, "baselines.txt")
+	for path, data := range map[string]string{capture: content, base: baselines} {
+		if err := os.WriteFile(path, []byte(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cmd := exec.Command("sh", filepath.Join("scripts", "smoke.sh"), gate, capture)
+	cmd.Env = append(os.Environ(), "BASELINES="+base)
 	out, err := cmd.CombinedOutput()
 	return string(out), err
 }
 
-func writeTemp(t *testing.T, name, content string) string {
-	t.Helper()
-	p := filepath.Join(t.TempDir(), name)
-	if err := os.WriteFile(p, []byte(content), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	return p
-}
-
-const benchOutput = `goos: linux
+const (
+	benchCapture = `goos: linux
 BenchmarkDetectorObserveADOS-8   	   50000	     20000 ns/op
 BenchmarkDetectorObserveADOS-8   	   50000	     21000 ns/op
 BenchmarkDetectorObserveADOS-8   	   50000	     22000 ns/op
+BenchmarkDetectorObserveTiered-8   	   50000	     3000 ns/op
 PASS
 `
+	sloCapture     = "=== RUN   TestSLOFlashCrowd\n    slo_test.go:210: SLO-RESULT profile=flash-crowd seed=7 offered=3000 accepted=2588 rejected=412 dropped=0 lost=0 shed_scored=300 p50_us=2100 p99_us=64000 hash=9f3a\n--- PASS: TestSLOFlashCrowd\n"
+	soakLine       = "SOAK-RESULT channels=12 segments=1440 lost=0 bitequal=12 killinflight=3\n"
+	tputLine       = "CLUSTER-RESULT nodes=3 agg_segs_per_sec=26000 p50_us=900 p99_us=4100 sent=9000 decisions=9000 lost=0\n"
+	clusterCapture = soakLine + tputLine
+	walCapture     = "=== RUN   TestWALCrashReplaySmoke\nWAL-RESULT channels=4 acked=210 lost=0 replayed=90 ledger=ok\n--- PASS: TestWALCrashReplaySmoke\n"
+	liveCapture    = "=== RUN   TestLiveKillResumeSmoke\nLIVE-RESULT channels=6 segments=678 lost=0 bitequal=ok resumes=1 presets=3\n--- PASS: TestLiveKillResumeSmoke\n"
+)
 
-func TestBenchsmokeHappyPath(t *testing.T) {
-	out := writeTemp(t, "bench.txt", benchOutput)
-	bench := writeTemp(t, "BENCH.md", "<!-- bench-baseline: BenchmarkDetectorObserveADOS ns/op=20000 -->\n")
-	got, err := runScript(t, "benchsmoke.sh", out, bench)
+func TestSmokeGates(t *testing.T) {
+	edit := strings.NewReplacer
+	for _, tc := range []struct {
+		name, gate, baselines, capture string
+		want                           string // must appear in the output; a case named …/ok must pass, any other must fail
+	}{
+		{"bench/ok", "bench", "bench.ns_per_op=20000", benchCapture, "median_ns=21000"},
+		{"bench/no-samples", "bench", "bench.ns_per_op=20000", "PASS\n", "no BenchmarkDetectorObserveADOS samples"},
+		// Baseline 10000 ns/op → +25% limit 12500 < median 21000.
+		{"bench/regression", "bench", "bench.ns_per_op=10000", benchCapture, "regressed more than 25%"},
+		{"bench/no-baseline", "bench", "bench-tiered.ns_per_op=1", benchCapture, "no baseline bench.ns_per_op"},
+		{"bench-tiered/ok", "bench-tiered", "bench-tiered.ns_per_op=3000", benchCapture, "median_ns=3000"},
+		{"bench-tiered/regression", "bench-tiered", "bench-tiered.ns_per_op=2000", benchCapture, "regressed more than 25%"},
+
+		{"slo/ok", "slo", "slo.p99_us=70000", sloCapture, "OK"},
+		{"slo/no-result", "slo", "slo.p99_us=70000", "ok  \taovlis/internal/serve\t0.1s\n", "no SLO-RESULT line"},
+		{"slo/lost", "slo", "slo.p99_us=70000", edit("lost=0", "lost=2").Replace(sloCapture), "accepted segments lost"},
+		{"slo/dropped", "slo", "slo.p99_us=70000", edit("dropped=0", "dropped=1").Replace(sloCapture), "accepted segments dropped"},
+		// Baseline 40000us → +50% limit 60000 < p99 64000.
+		{"slo/regression", "slo", "slo.p99_us=40000", sloCapture, "p99 regressed more than 50%"},
+		{"slo/no-baseline", "slo", "", sloCapture, "no baseline slo.p99_us"},
+
+		{"cluster/ok", "cluster", "cluster.agg_segs_per_sec=27000", clusterCapture, "OK"},
+		{"cluster/no-result", "cluster", "cluster.agg_segs_per_sec=27000", soakLine, "no CLUSTER-RESULT line"},
+		{"cluster/lost", "cluster", "cluster.agg_segs_per_sec=27000", edit("1440 lost=0", "1440 lost=1").Replace(clusterCapture), "lost across failover"},
+		{"cluster/bitequal", "cluster", "cluster.agg_segs_per_sec=27000", edit("bitequal=12", "bitequal=11").Replace(clusterCapture), "not every channel replayed bit-equal"},
+		{"cluster/no-kill-in-flight", "cluster", "cluster.agg_segs_per_sec=27000", edit("killinflight=3", "killinflight=0").Replace(clusterCapture), "the soak proved nothing"},
+		{"cluster/lost-under-load", "cluster", "cluster.agg_segs_per_sec=27000", edit("9000 lost=0", "9000 lost=4").Replace(clusterCapture), "lost under load"},
+		// Baseline 70000 seg/s → 40% floor 28000 > 26000.
+		{"cluster/collapse", "cluster", "cluster.agg_segs_per_sec=70000", clusterCapture, "collapsed below 40%"},
+		{"cluster/no-baseline", "cluster", "", clusterCapture, "no baseline cluster.agg_segs_per_sec"},
+
+		{"wal/ok", "wal", "wal.min_acked=150", walCapture, "OK"},
+		{"wal/no-result", "wal", "wal.min_acked=150", "--- SKIP: TestWALCrashReplaySmoke\n", "no WAL-RESULT line"},
+		{"wal/lost", "wal", "wal.min_acked=150", edit("lost=0", "lost=3").Replace(walCapture), "acknowledged segments lost"},
+		{"wal/ledger", "wal", "wal.min_acked=150", edit("ledger=ok", "ledger=tamper-missed").Replace(walCapture), "ledger audit did not pass"},
+		{"wal/floor", "wal", "wal.min_acked=1000", walCapture, "the drill proved too little"},
+		{"wal/no-baseline", "wal", "", walCapture, "no baseline wal.min_acked"},
+
+		{"live/ok", "live", "live.min_segments=600", liveCapture, "OK"},
+		{"live/no-result", "live", "live.min_segments=600", "PASS\n", "no LIVE-RESULT line"},
+		{"live/lost", "live", "live.min_segments=600", edit("lost=0", "lost=2").Replace(liveCapture), "accepted segments lost"},
+		{"live/bitequal", "live", "live.min_segments=600", edit("bitequal=ok", "bitequal=fail").Replace(liveCapture), "diverged from batch replay"},
+		{"live/no-resume", "live", "live.min_segments=600", edit("resumes=1", "resumes=0").Replace(liveCapture), "no Last-Seq resume exercised"},
+		{"live/presets", "live", "live.min_segments=600", edit("presets=3", "presets=2").Replace(liveCapture), "not all 3 adversarial presets"},
+		{"live/floor", "live", "live.min_segments=5000", liveCapture, "the drill proved too little"},
+		{"live/no-baseline", "live", "", liveCapture, "no baseline live.min_segments"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			got, err := runSmoke(t, tc.gate, tc.baselines+"\n", tc.capture)
+			pass := strings.HasSuffix(tc.name, "/ok")
+			if pass != (err == nil) {
+				t.Fatalf("exit %v, want pass=%v:\n%s", err, pass, got)
+			}
+			if pass != strings.Contains(got, "smoke "+tc.gate+": OK") {
+				t.Fatalf("OK verdict on a run that should pass=%v:\n%s", pass, got)
+			}
+			if !strings.Contains(got, tc.want) {
+				t.Fatalf("diagnostic %q missing:\n%s", tc.want, got)
+			}
+		})
+	}
+}
+
+// TestSmokeBaselinesRecorded: the committed baseline file answers every
+// gate the driver knows.
+func TestSmokeBaselinesRecorded(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("scripts", "baselines.txt"))
 	if err != nil {
-		t.Fatalf("benchsmoke failed on valid input: %v\n%s", err, got)
+		t.Fatal(err)
 	}
-	if !strings.Contains(got, "median 21000 ns/op") {
-		t.Fatalf("median not reported:\n%s", got)
-	}
-}
-
-// TestBenchsmokeNoSamplesFails is the regression pin: a benchmark name
-// with zero samples in the output must fail LOUDLY, with a diagnostic
-// naming the benchmark — not via a silent set -e exit.
-func TestBenchsmokeNoSamplesFails(t *testing.T) {
-	out := writeTemp(t, "bench.txt", benchOutput)
-	bench := writeTemp(t, "BENCH.md", "<!-- bench-baseline: BenchmarkDoesNotExist ns/op=20000 -->\n")
-	got, err := runScript(t, "benchsmoke.sh", out, bench, "BenchmarkDoesNotExist")
-	if err == nil {
-		t.Fatalf("benchsmoke passed with zero samples:\n%s", got)
-	}
-	if !strings.Contains(got, "no BenchmarkDoesNotExist samples") {
-		t.Fatalf("no-samples diagnostic missing:\n%s", got)
-	}
-}
-
-func TestBenchsmokeRegressionFails(t *testing.T) {
-	out := writeTemp(t, "bench.txt", benchOutput)
-	// Baseline 10000 ns/op → +25% limit 12500 < median 21000.
-	bench := writeTemp(t, "BENCH.md", "<!-- bench-baseline: BenchmarkDetectorObserveADOS ns/op=10000 -->\n")
-	got, err := runScript(t, "benchsmoke.sh", out, bench)
-	if err == nil {
-		t.Fatalf("benchsmoke passed a 2x regression:\n%s", got)
-	}
-	if !strings.Contains(got, "regressed") {
-		t.Fatalf("regression diagnostic missing:\n%s", got)
-	}
-}
-
-func TestBenchsmokeMissingBaselineFails(t *testing.T) {
-	out := writeTemp(t, "bench.txt", benchOutput)
-	bench := writeTemp(t, "BENCH.md", "no marker here\n")
-	got, err := runScript(t, "benchsmoke.sh", out, bench)
-	if err == nil {
-		t.Fatalf("benchsmoke passed without a baseline marker:\n%s", got)
-	}
-	if !strings.Contains(got, "no bench-baseline marker") {
-		t.Fatalf("missing-marker diagnostic missing:\n%s", got)
-	}
-}
-
-// TestSlosmokeMissingBaselineFails pins the slosmoke preflight: without a
-// machine-readable §7 baseline the gate must refuse to run (cheaply —
-// this path exits before invoking go test).
-func TestSlosmokeMissingBaselineFails(t *testing.T) {
-	bench := writeTemp(t, "BENCH.md", "no marker here\n")
-	got, err := runScript(t, "slosmoke.sh", bench)
-	if err == nil {
-		t.Fatalf("slosmoke passed without a baseline marker:\n%s", got)
-	}
-	if !strings.Contains(got, "no slo-baseline marker") {
-		t.Fatalf("missing-marker diagnostic missing:\n%s", got)
-	}
-}
-
-// TestClustersmokeMissingBaselineFails pins the same preflight for the
-// cluster gate: a missing §8 marker must refuse loudly before spending
-// minutes spawning a fleet.
-func TestClustersmokeMissingBaselineFails(t *testing.T) {
-	bench := writeTemp(t, "BENCH.md", "no marker here\n")
-	got, err := runScript(t, "clustersmoke.sh", bench)
-	if err == nil {
-		t.Fatalf("clustersmoke passed without a baseline marker:\n%s", got)
-	}
-	if !strings.Contains(got, "no cluster-baseline marker") {
-		t.Fatalf("missing-marker diagnostic missing:\n%s", got)
-	}
-}
-
-// The walsmoke gate parses a WAL-RESULT capture; the result-file seam
-// lets these pins run without spawning the multi-process drill.
-
-const walResult = "=== RUN   TestWALCrashReplaySmoke\nWAL-RESULT channels=4 acked=210 lost=0 replayed=90 ledger=ok\n--- PASS: TestWALCrashReplaySmoke\n"
-
-func TestWalsmokeHappyPath(t *testing.T) {
-	bench := writeTemp(t, "BENCH.md", "<!-- wal-baseline: min_acked=150 -->\n")
-	res := writeTemp(t, "result.txt", walResult)
-	got, err := runScript(t, "walsmoke.sh", bench, res)
-	if err != nil {
-		t.Fatalf("walsmoke failed on a passing capture: %v\n%s", err, got)
-	}
-	if !strings.Contains(got, "walsmoke: OK") {
-		t.Fatalf("OK verdict missing:\n%s", got)
-	}
-}
-
-func TestWalsmokeLossFails(t *testing.T) {
-	bench := writeTemp(t, "BENCH.md", "<!-- wal-baseline: min_acked=150 -->\n")
-	res := writeTemp(t, "result.txt", "WAL-RESULT channels=4 acked=210 lost=3 replayed=90 ledger=ok\n")
-	got, err := runScript(t, "walsmoke.sh", bench, res)
-	if err == nil {
-		t.Fatalf("walsmoke passed with lost=3:\n%s", got)
-	}
-	if !strings.Contains(got, "acknowledged segments lost") {
-		t.Fatalf("loss diagnostic missing:\n%s", got)
-	}
-}
-
-func TestWalsmokeLedgerTamperFails(t *testing.T) {
-	bench := writeTemp(t, "BENCH.md", "<!-- wal-baseline: min_acked=150 -->\n")
-	res := writeTemp(t, "result.txt", "WAL-RESULT channels=4 acked=210 lost=0 replayed=90 ledger=tamper-missed\n")
-	got, err := runScript(t, "walsmoke.sh", bench, res)
-	if err == nil {
-		t.Fatalf("walsmoke passed with a failed ledger audit:\n%s", got)
-	}
-	if !strings.Contains(got, "ledger audit did not pass") {
-		t.Fatalf("ledger diagnostic missing:\n%s", got)
-	}
-}
-
-func TestWalsmokeAckedFloorFails(t *testing.T) {
-	bench := writeTemp(t, "BENCH.md", "<!-- wal-baseline: min_acked=1000 -->\n")
-	res := writeTemp(t, "result.txt", walResult)
-	got, err := runScript(t, "walsmoke.sh", bench, res)
-	if err == nil {
-		t.Fatalf("walsmoke passed below the acked floor:\n%s", got)
-	}
-	if !strings.Contains(got, "the drill proved too little") {
-		t.Fatalf("floor diagnostic missing:\n%s", got)
-	}
-}
-
-// The livesmoke gate parses a LIVE-RESULT capture from the live-plane
-// kill/resume drill; the result-file seam keeps these pins process-free.
-
-const liveResult = "=== RUN   TestLiveKillResumeSmoke\nLIVE-RESULT channels=6 segments=678 lost=0 bitequal=ok resumes=1 presets=3\n--- PASS: TestLiveKillResumeSmoke\n"
-
-func TestLivesmokeHappyPath(t *testing.T) {
-	bench := writeTemp(t, "BENCH.md", "<!-- live-baseline: min_segments=600 -->\n")
-	res := writeTemp(t, "result.txt", liveResult)
-	got, err := runScript(t, "livesmoke.sh", bench, res)
-	if err != nil {
-		t.Fatalf("livesmoke failed on a passing capture: %v\n%s", err, got)
-	}
-	if !strings.Contains(got, "livesmoke: OK") {
-		t.Fatalf("OK verdict missing:\n%s", got)
-	}
-}
-
-func TestLivesmokeLossFails(t *testing.T) {
-	bench := writeTemp(t, "BENCH.md", "<!-- live-baseline: min_segments=600 -->\n")
-	res := writeTemp(t, "result.txt", "LIVE-RESULT channels=6 segments=678 lost=2 bitequal=ok resumes=1 presets=3\n")
-	got, err := runScript(t, "livesmoke.sh", bench, res)
-	if err == nil {
-		t.Fatalf("livesmoke passed with lost=2:\n%s", got)
-	}
-	if !strings.Contains(got, "accepted segments lost") {
-		t.Fatalf("loss diagnostic missing:\n%s", got)
-	}
-}
-
-func TestLivesmokeBitEqualFails(t *testing.T) {
-	bench := writeTemp(t, "BENCH.md", "<!-- live-baseline: min_segments=600 -->\n")
-	res := writeTemp(t, "result.txt", "LIVE-RESULT channels=6 segments=678 lost=0 bitequal=fail resumes=1 presets=3\n")
-	got, err := runScript(t, "livesmoke.sh", bench, res)
-	if err == nil {
-		t.Fatalf("livesmoke passed with bitequal=fail:\n%s", got)
-	}
-	if !strings.Contains(got, "diverged from batch replay") {
-		t.Fatalf("bit-equality diagnostic missing:\n%s", got)
-	}
-}
-
-func TestLivesmokeNoResumeFails(t *testing.T) {
-	bench := writeTemp(t, "BENCH.md", "<!-- live-baseline: min_segments=600 -->\n")
-	res := writeTemp(t, "result.txt", "LIVE-RESULT channels=6 segments=678 lost=0 bitequal=ok resumes=0 presets=3\n")
-	got, err := runScript(t, "livesmoke.sh", bench, res)
-	if err == nil {
-		t.Fatalf("livesmoke passed without a resume:\n%s", got)
-	}
-	if !strings.Contains(got, "no Last-Seq resume exercised") {
-		t.Fatalf("resume diagnostic missing:\n%s", got)
-	}
-}
-
-func TestLivesmokeSegmentsFloorFails(t *testing.T) {
-	bench := writeTemp(t, "BENCH.md", "<!-- live-baseline: min_segments=5000 -->\n")
-	res := writeTemp(t, "result.txt", liveResult)
-	got, err := runScript(t, "livesmoke.sh", bench, res)
-	if err == nil {
-		t.Fatalf("livesmoke passed below the segments floor:\n%s", got)
-	}
-	if !strings.Contains(got, "the drill proved too little") {
-		t.Fatalf("floor diagnostic missing:\n%s", got)
-	}
-}
-
-// TestLivesmokeMissingBaselineFails pins the preflight: without a
-// machine-readable §10 floor the gate must refuse to run, before
-// spending minutes on the multi-process drill.
-func TestLivesmokeMissingBaselineFails(t *testing.T) {
-	bench := writeTemp(t, "BENCH.md", "no marker here\n")
-	got, err := runScript(t, "livesmoke.sh", bench)
-	if err == nil {
-		t.Fatalf("livesmoke passed without a baseline marker:\n%s", got)
-	}
-	if !strings.Contains(got, "no live-baseline marker") {
-		t.Fatalf("missing-marker diagnostic missing:\n%s", got)
-	}
-}
-
-func TestWalsmokeMissingBaselineFails(t *testing.T) {
-	bench := writeTemp(t, "BENCH.md", "no marker here\n")
-	got, err := runScript(t, "walsmoke.sh", bench)
-	if err == nil {
-		t.Fatalf("walsmoke passed without a baseline marker:\n%s", got)
-	}
-	if !strings.Contains(got, "no wal-baseline marker") {
-		t.Fatalf("missing-marker diagnostic missing:\n%s", got)
+	for _, key := range []string{"bench.ns_per_op", "bench-tiered.ns_per_op", "slo.p99_us",
+		"cluster.agg_segs_per_sec", "wal.min_acked", "live.min_segments"} {
+		if !strings.Contains(string(data), "\n"+key+"=") {
+			t.Errorf("scripts/baselines.txt records no %s", key)
+		}
 	}
 }
