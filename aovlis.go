@@ -67,7 +67,7 @@ type Config struct {
 	// exp/tanh gate kernels (a few ULP from the libm-exact kernels; the
 	// tolerance is pinned by internal/mat's property tests and the
 	// verdict-flip-rate harness). Training and drift tracking (the
-	// TrainPlan) stay exact. AOVLIS_FASTMATH=1 forces this on regardless of the field.
+	// TrainPlan) stay exact.
 	FastMath bool
 	// Tiered enables bound-gated skipping of the exact LSTM predict: when
 	// the last exactly-scored segment's predictions still clear the JSmax
@@ -336,14 +336,6 @@ func (d *Detector) SetScoringMode(fastMath, tiered bool) error {
 	d.cfg.Tiered = tiered
 	d.model.SetFastMath(fastMath)
 	return nil
-}
-
-// ScoringMode reports the detector's current runtime scoring mode (the
-// pair SetScoringMode sets). The serving layer's admission controller uses
-// it to capture a channel's configured mode before degrading to tiered
-// scoring under overload, so recovery restores exactly what was set.
-func (d *Detector) ScoringMode() (fastMath, tiered bool) {
-	return d.cfg.FastMath, d.cfg.Tiered
 }
 
 // TierStats returns the tier gate counters (the zero value when Tiered is

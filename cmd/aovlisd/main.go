@@ -167,7 +167,7 @@ func main() {
 	flag.IntVar(&o.maxChannels, "max-channels", 1024, "maximum concurrently attached channels")
 	flag.BoolVar(&o.enablePprof, "pprof", false, "serve /debug/pprof profiling endpoints (BENCH.md §4); exposes process internals, enable only on trusted listeners")
 	flag.BoolVar(&o.enableMetrics, "metrics", true, "serve the Prometheus text exposition at GET /metrics (per-stage latency histograms, admission state, shard queue depths)")
-	flag.BoolVar(&o.admission, "admission", true, "watermark-based overload control: shed scoring precision (tiered mode) when shard queues are half full (until they drain to 1/8), reject submissions with HTTP 429 + Retry-After at 90% (until 1/4)")
+	flag.BoolVar(&o.admission, "admission", true, "watermark-based overload control: reject submissions with HTTP 429 + Retry-After once a shard queue is 90% full, until every queue has drained to 1/4; accepted segments are always scored, in the configured mode")
 	flag.StringVar(&o.snapshotDir, "snapshot-dir", "", "crash-safe checkpoint directory: restore channels from it on boot, checkpoint into it periodically, on POST /snapshot and on graceful shutdown")
 	flag.DurationVar(&o.snapshotEvery, "snapshot-every", 0, "with -snapshot-dir: checkpoint every channel at this interval (0 disables periodic snapshots)")
 	flag.StringVar(&o.nodeID, "node-id", "", "stable node identity reported by /healthz; an aovlisr router cross-checks it against its -nodes config so a stale port reuse can never masquerade as a fleet member")
@@ -822,8 +822,10 @@ func (d *daemon) handleChannel(w http.ResponseWriter, r *http.Request) {
 // handleObserve streams decisions for an NDJSON observation stream: the
 // NDJSON framing of the segment pump (serve.Pump). Each line is scored in
 // order through the channel's shard, up to obsWindow of them in flight at
-// once; a decision's seq is its line index in this stream. Under the drop
-// policy an overloaded queue yields a "dropped" line instead of a verdict.
+// once; a decision's seq is its line index in this stream. A line that is
+// not scored says why: "rejected" when admission control refused it
+// mid-stream (nothing lost, back off and resend), "dropped" when a full
+// queue under the drop policy lost it.
 func (d *daemon) handleObserve(w http.ResponseWriter, r *http.Request, id string) {
 	// The handler interleaves request-body reads with streamed response
 	// writes. Go's HTTP/1 server is half-duplex by default — it discards
@@ -930,9 +932,11 @@ func statusForPoolErr(err error) int {
 		return http.StatusConflict
 	case errors.Is(err, serve.ErrNotSnapshottable):
 		return http.StatusUnprocessableEntity
-	case errors.Is(err, serve.ErrOverloaded):
+	case errors.Is(err, serve.ErrRejected):
+		// Before ErrOverloaded, which it wraps: admission refused the
+		// request and nothing was lost, so the client should retry.
 		return http.StatusTooManyRequests
-	case errors.Is(err, serve.ErrClosed):
+	case errors.Is(err, serve.ErrOverloaded), errors.Is(err, serve.ErrClosed):
 		return http.StatusServiceUnavailable
 	default:
 		return http.StatusBadRequest

@@ -1,10 +1,10 @@
 package main
 
-// httptest coverage for the ISSUE 7 surface: the Prometheus /metrics
-// exposition (format, bucket monotonicity, counters never decreasing
-// across scrapes), 429 + Retry-After under admission reject, shed-state
-// visibility in /channels, and a goroutine-leak assertion on graceful
-// shutdown.
+// httptest coverage for the telemetry and overload surface: the Prometheus
+// /metrics exposition (format, bucket monotonicity, counters never
+// decreasing across scrapes), 429 + Retry-After under admission reject,
+// the rejection count in /channels, and a goroutine-leak assertion on
+// graceful shutdown.
 
 import (
 	"bufio"
@@ -27,13 +27,11 @@ import (
 )
 
 // gatedDet blocks each Observe on a release channel; closing the channel
-// opens the gate permanently. It implements the pool's scoring-mode
-// switcher so admission shed engages on it.
+// opens the gate permanently.
 type gatedDet struct {
 	release   chan struct{}
 	entered   chan struct{} // when set (buffered), signalled as each Observe parks
 	closeOnce sync.Once
-	tiered    bool
 }
 
 func (g *gatedDet) open() { g.closeOnce.Do(func() { close(g.release) }) }
@@ -43,15 +41,8 @@ func (g *gatedDet) Observe(action, audience []float64) (aovlis.Result, error) {
 		g.entered <- struct{}{}
 	}
 	<-g.release
-	return aovlis.Result{Score: 0.1, Exact: !g.tiered, Path: "exact"}, nil
+	return aovlis.Result{Score: 0.1, Exact: true, Path: "exact"}, nil
 }
-
-func (g *gatedDet) SetScoringMode(fastMath, tiered bool) error {
-	g.tiered = tiered
-	return nil
-}
-
-func (g *gatedDet) ScoringMode() (bool, bool) { return false, g.tiered }
 
 // scrape fetches /metrics and returns the body plus every sample parsed
 // into name{labels} → value.
@@ -193,8 +184,7 @@ func TestMetricsDisabled(t *testing.T) {
 func newOverloadDaemon(t *testing.T) (*daemon, *httptest.Server, *gatedDet) {
 	t.Helper()
 	pool, err := serve.NewDetectorPool(serve.Config{Shards: 1, QueueDepth: 10, Policy: serve.Block,
-		Admission: serve.AdmissionConfig{Enabled: true,
-			ShedHighFrac: 0.5, ShedLowFrac: 0.1, RejectHighFrac: 0.9, RejectLowFrac: 0.2}})
+		Admission: serve.AdmissionConfig{Enabled: true, RejectHighFrac: 0.9, RejectLowFrac: 0.2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,9 +217,9 @@ func pollUntil(t *testing.T, what string, cond func() bool) {
 
 // TestObserve429UnderOverload drives the pool into admission reject and
 // checks the HTTP surface: POST observe answers 429 with Retry-After,
-// /channels exposes the channel's shed state mid-degradation, /metrics
-// reports the admission state, and after the drain the same stream scores
-// normally again.
+// /metrics reports the admission state, /channels counts the refusals and
+// keeps scoring what was accepted, and after the drain the same stream
+// scores normally again.
 func TestObserve429UnderOverload(t *testing.T) {
 	d, srv, g := newOverloadDaemon(t)
 
@@ -281,30 +271,33 @@ func TestObserve429UnderOverload(t *testing.T) {
 	}
 
 	_, samples := scrape(t, srv)
-	if samples["aovlis_pool_admission_state"] != 2 {
-		t.Fatalf("admission_state gauge = %g, want 2 (reject)", samples["aovlis_pool_admission_state"])
+	if samples["aovlis_pool_admission_state"] != 1 {
+		t.Fatalf("admission_state gauge = %g, want 1 (reject)", samples["aovlis_pool_admission_state"])
 	}
 	if samples["aovlis_pool_rejected_total"] < 1 {
 		t.Fatalf("rejected_total = %g, want ≥ 1", samples["aovlis_pool_rejected_total"])
 	}
 
-	// Let a few segments score while still backed up: the worker degrades
-	// the channel and /channels must surface shed=true with a shed_scored
-	// count.
+	// Let a few segments score while still backed up: accepted work keeps
+	// draining under reject, and /channels must show it next to the
+	// refusals (the Submit above plus the refused stream on "slow").
 	for i := 0; i < 3; i++ {
 		g.release <- struct{}{}
 	}
-	pollUntil(t, "shed visible in /channels", func() bool {
+	pollUntil(t, "scoring and refusals visible in /channels", func() bool {
 		for _, cs := range channelList(t, srv) {
-			if cs.Channel == "slow" && cs.Shed && cs.ShedScored > 0 {
+			if cs.Channel == "slow" && cs.Observed == 3 && cs.Rejected == 1 && cs.Dropped == 0 {
 				return true
 			}
 		}
 		return false
 	})
+	if s := d.pool.AdmissionState(); s != serve.AdmitReject {
+		t.Fatalf("admission state %v with the queue still above the low watermark, want reject", s)
+	}
 
-	// Drain everything; the pool must recover to normal and clear the shed
-	// marker, and the previously-rejected stream must now score.
+	// Drain everything; the pool must recover to normal and the
+	// previously-rejected stream must now score.
 	g.open()
 	for _, out := range outs {
 		<-out
@@ -312,14 +305,27 @@ func TestObserve429UnderOverload(t *testing.T) {
 	pollUntil(t, "admission back to normal", func() bool {
 		return d.pool.AdmissionState() == serve.AdmitNormal
 	})
-	for _, cs := range channelList(t, srv) {
-		if cs.Channel == "slow" && cs.Shed {
-			t.Fatal("channel still shed in /channels after recovery")
-		}
-	}
 	decs := postObserve(t, srv, "slow", observeLine([]float64{1}, []float64{1})+"\n")
 	if len(decs) != 1 || decs[0].Error != "" || decs[0].Rejected || decs[0].Dropped {
 		t.Fatalf("post-recovery decision %+v", decs)
+	}
+}
+
+// TestStatusForPoolErr pins the two refusals apart by their error alone: an
+// admission rejection asks the client to retry, a queue-full drop does not.
+func TestStatusForPoolErr(t *testing.T) {
+	for _, tc := range []struct {
+		err  error
+		want int
+	}{
+		{fmt.Errorf("%w (channel %q, shard 0)", serve.ErrRejected, "ch"), http.StatusTooManyRequests},
+		{fmt.Errorf("%w (queue full)", serve.ErrOverloaded), http.StatusServiceUnavailable},
+		{serve.ErrClosed, http.StatusServiceUnavailable},
+		{fmt.Errorf("%w: %q", serve.ErrUnknownChannel, "ch"), http.StatusNotFound},
+	} {
+		if got := statusForPoolErr(tc.err); got != tc.want {
+			t.Errorf("statusForPoolErr(%v) = %d, want %d", tc.err, got, tc.want)
+		}
 	}
 }
 

@@ -322,8 +322,7 @@ func TestPumpOutcomeKinds(t *testing.T) {
 		// One parked, three queued: the fifth submit finds the queue at the
 		// reject watermark (⌈0.75·4⌉ = 3).
 		{"rejected", serve.Config{Shards: 1, QueueDepth: 4, Policy: serve.Block,
-			Admission: serve.AdmissionConfig{Enabled: true,
-				ShedHighFrac: 0.5, ShedLowFrac: 0.1, RejectHighFrac: 0.75, RejectLowFrac: 0.2}}, true,
+			Admission: serve.AdmissionConfig{Enabled: true, RejectHighFrac: 0.75, RejectLowFrac: 0.2}}, true,
 			[]string{gatedObs, gatedObs, gatedObs, gatedObs, gatedObs},
 			func(d wire.Decision) bool { return d.Rejected && !d.Dropped && d.Error == "" }},
 	}
@@ -366,6 +365,48 @@ func TestPumpOutcomeKinds(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestPumpRejectionIsNotADrop streams past a Block-policy pool's reject
+// watermark at full speed, so refusals land while the shard worker is
+// relaxing the admission state. Under Block nothing can be dropped: every
+// refused line must say "rejected" (back off and resend) and the lines
+// must add up to the pool's own counters. A pump that classified a refusal
+// by the admission state it read afterwards, not by the refusal's error,
+// reported some of these as "dropped".
+func TestPumpRejectionIsNotADrop(t *testing.T) {
+	cfg := serve.Config{Shards: 1, QueueDepth: 4, Policy: serve.Block,
+		Admission: serve.AdmissionConfig{Enabled: true, RejectHighFrac: 0.75, RejectLowFrac: 0.5}}
+	acts, auds := testSeries(37, 1500)
+	for _, pl := range planes {
+		t.Run(pl.name, func(t *testing.T) {
+			_, srv, _, _ := newPumpDaemon(t, cfg, 16, false)
+			st := pl.open(t, srv, "ch")
+			go func() {
+				for i := range acts {
+					st.send(observeLine(acts[i], auds[i]))
+				}
+			}()
+			var verdicts, rejected uint64
+			for i := range acts {
+				switch d := st.recv(); {
+				case d.Verdict():
+					verdicts++
+				case d.Rejected && !d.Dropped && d.Error == "":
+					rejected++
+				default:
+					t.Fatalf("line %d under Block + admission = %+v, want a verdict or a rejection", i, d)
+				}
+			}
+			cs, err := chStats(t, srv)
+			if err != nil || cs.Observed != verdicts || cs.Rejected != rejected || cs.Dropped != 0 {
+				t.Fatalf("client saw %d verdicts, %d rejections; pool %+v (%v)", verdicts, rejected, cs, err)
+			}
+			if rejected == 0 {
+				t.Fatal("the stream never outran the pool — no refusal was classified")
+			}
+		})
 	}
 }
 

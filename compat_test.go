@@ -175,9 +175,6 @@ func goldenDirs(t *testing.T) []string {
 // post-snapshot stream. With -update-golden it first (re)mints the golden
 // for the current codec version.
 func TestSnapshotGoldenCompat(t *testing.T) {
-	if mat.FastMathForced() {
-		t.Skip("AOVLIS_FASTMATH forces the polynomial gate kernel; the shipped goldens record exact-kernel score bits")
-	}
 	if *updateGolden {
 		mintGolden(t, filepath.Join("testdata", "snapshots", fmt.Sprintf("v%d", snapshot.Version)))
 	}

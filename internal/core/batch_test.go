@@ -4,8 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-
-	"aovlis/internal/mat"
 )
 
 // Property suite for the lanes of the inference engine: for random models
@@ -27,9 +25,9 @@ func randomBatchConfig(rng *rand.Rand, coupling Coupling) Config {
 }
 
 // compareBatch checks PredictBatchInto(samples) against per-sample
-// PredictInto, and that against the reference tape, elementwise on float
-// bits.
-func compareBatch(t *testing.T, m *Model, samples []Sample, phase string) {
+// PredictInto, and (on the exact kernels: the tape has no fast-math form)
+// that against the reference tape, elementwise on float bits.
+func compareBatch(t *testing.T, m *Model, samples []Sample, phase string, fast bool) {
 	t.Helper()
 	B := len(samples)
 	fhats := make([][]float64, B)
@@ -53,8 +51,8 @@ func compareBatch(t *testing.T, m *Model, samples []Sample, phase string) {
 			t.Fatalf("%s: B=%d sample %d: one lane %x/%x, batch %x/%x", phase, B, i,
 				bitsOf(fhat), bitsOf(ahat), bitsOf(fhats[i]), bitsOf(ahats[i]))
 		}
-		if mat.FastMathForced() {
-			continue // the tape is always exact; the forced kernel is not
+		if fast {
+			continue
 		}
 		if err := m.predictTapeInto(&samples[i], fTape, aTape); err != nil {
 			t.Fatalf("%s: tape predict sample %d: %v", phase, i, err)
@@ -75,24 +73,27 @@ func bitsOf(v []float64) []uint64 {
 }
 
 // TestPredictBatchBitIdentical is the lane property test: lane counts 1..9
-// all go through the one Run(lanes).
+// all go through the one Run(lanes); the last trial of each coupling runs
+// on the fast-math kernels.
 func TestPredictBatchBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(67))
 	const maxB = 9
 	for _, coupling := range []Coupling{CouplingFull, CouplingOneWay, CouplingNone} {
-		for trial := 0; trial < 3; trial++ {
+		for trial := 0; trial < 4; trial++ {
 			cfg := randomBatchConfig(rng, coupling)
 			m, err := NewModel(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
+			fast := trial == 3
+			m.SetFastMath(fast)
 			actions, audience := goldenSeries(cfg.SeqLen+maxB+12, cfg.ActionDim, cfg.AudienceDim, rng.Int63())
 			samples, err := BuildSamples(actions, audience, cfg.SeqLen)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for B := 1; B <= maxB; B++ {
-				compareBatch(t, m, samples[:B], "fresh")
+				compareBatch(t, m, samples[:B], "fresh", fast)
 			}
 			// Online Adam steps move the version counter; every lane must
 			// see the repacked weights.
@@ -100,7 +101,7 @@ func TestPredictBatchBitIdentical(t *testing.T) {
 				if _, err := m.TrainStep(&samples[s]); err != nil {
 					t.Fatal(err)
 				}
-				compareBatch(t, m, samples[s:s+maxB], "after-train-step")
+				compareBatch(t, m, samples[s:s+maxB], "after-train-step", fast)
 			}
 			// Copy-replace (the updater's merge commit path) is a distinct
 			// version bump; cover it explicitly.
@@ -111,7 +112,7 @@ func TestPredictBatchBitIdentical(t *testing.T) {
 			if err := m.Params().CopyFrom(m2.Params()); err != nil {
 				t.Fatal(err)
 			}
-			compareBatch(t, m, samples[:maxB], "after-copy")
+			compareBatch(t, m, samples[:maxB], "after-copy", fast)
 		}
 	}
 }
@@ -168,7 +169,7 @@ func TestPlanLaneCapacity(t *testing.T) {
 	}
 
 	for _, B := range []int{2, 7, 1, 5, 16, 3, 1} {
-		compareBatch(t, m, samples[:B], "varying")
+		compareBatch(t, m, samples[:B], "varying", false)
 	}
 	if got := laneBytes(m.plan); m.plan.capLanes != 16 || got != 16*oneLane {
 		t.Fatalf("after a 16-lane run the plan holds %d lanes, %d bytes; want 16 lanes, %d bytes", m.plan.capLanes, got, 16*oneLane)

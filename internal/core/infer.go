@@ -108,10 +108,6 @@ func compileInferPlan(ps *nn.ParamSet, seqLen int, specs []planSpec) *InferPlan 
 		st := &p.streams[i]
 		st.srcCell, st.srcDec, st.ctx = sp.cell, sp.dec, sp.ctx
 		st.cell = sp.cell.Pack(ps)
-		// AOVLIS_FASTMATH=1 forces every freshly compiled plan onto the
-		// fast-math kernels (the CI fast-math pass); owners with a
-		// FastMath config OR into this via SetFastMath.
-		st.cell.FastMath = mat.FastMathForced()
 		st.dec = sp.dec.Pack(ps)
 		st.allocLanes(p.capLanes)
 	}

@@ -94,9 +94,6 @@ func comparePredictions(t *testing.T, m *Model, samples []Sample, phase string) 
 // after initial training and after each online-update mutation path
 // (Adam steps, merge-average, copy-replace) repacks the plan.
 func TestInferPlanGoldenEquivalence(t *testing.T) {
-	if mat.FastMathForced() {
-		t.Skip("AOVLIS_FASTMATH forces the polynomial gate kernel; tape-vs-plan bit equivalence only holds for the exact kernel")
-	}
 	actions, audience := goldenSeries(60, 12, 5, 41)
 	for _, coupling := range []Coupling{CouplingFull, CouplingOneWay, CouplingNone} {
 		t.Run(coupling.String(), func(t *testing.T) {

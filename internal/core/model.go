@@ -116,10 +116,10 @@ func (m *Model) Config() Config { return m.cfg }
 // gate kernel and the polynomial fast-math kernel (see mat.FastExp). A
 // runtime scoring mode, not part of Config: snapshots don't carry it and
 // owners (the Detector) re-apply it from their own configuration after
-// load. AOVLIS_FASTMATH=1 forces it on regardless. Training, Hidden and
-// the golden-reference tape paths always stay exact.
+// load. Training, Hidden and the golden-reference tape paths always stay
+// exact.
 func (m *Model) SetFastMath(on bool) {
-	m.plan.SetFastMath(on || mat.FastMathForced())
+	m.plan.SetFastMath(on)
 }
 
 // NumParams returns the number of scalar parameters (the paper reports

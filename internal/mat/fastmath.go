@@ -3,7 +3,6 @@ package mat
 import (
 	"fmt"
 	"math"
-	"os"
 )
 
 // Fast-math transcendental kernels (ISSUE 6). The exact LSTM gate kernel is
@@ -185,13 +184,3 @@ func LSTMGatesBatchFastInto(h, cNext, pre, cPrev *Matrix) {
 		LSTMGatesFastInto(h.Row(b), cNext.Row(b), pre.Row(b), cPrev.Row(b))
 	}
 }
-
-// fastMathForced reports whether AOVLIS_FASTMATH=1 was set at startup —
-// the environment twin of Config.FastMath, mirroring AOVLIS_NOSIMD: it
-// forces every compiled inference plan onto the fast-math kernels so the
-// whole test suite can be run through them (the CI fast-math pass).
-var fastMathForced = os.Getenv("AOVLIS_FASTMATH") != ""
-
-// FastMathForced reports whether the AOVLIS_FASTMATH environment override
-// is active.
-func FastMathForced() bool { return fastMathForced }

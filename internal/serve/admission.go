@@ -1,31 +1,27 @@
 package serve
 
-// Adaptive overload control (ISSUE 7): watermark-based admission with
-// graceful degradation. The pool watches its shard queue depths and walks a
-// three-state machine:
+// Overload control is accept-or-reject: watermark-based admission with
+// hysteresis. The pool watches its shard queue depths and walks a two-state
+// machine:
 //
-//	normal ──(depth ≥ shed-high)──▶ shed ──(depth ≥ reject-high)──▶ reject
-//	normal ◀──(depth ≤ shed-low)── shed ◀──(depth ≤ reject-low)──── reject
+//	normal ──(one shard's depth ≥ high)──▶ reject
+//	normal ◀──(every shard's depth ≤ low)── reject
 //
-//   - normal: every channel scores in its configured mode.
-//   - shed: shard workers flip switchable detectors to bound-gated tiered
-//     scoring (SetScoringMode — the PR 6 degradation lever), trading a
-//     bounded verdict-flip rate (see TestTieredVerdictFlipRate's shed-mode
-//     run) for up to an order of magnitude of scoring headroom. Precision
-//     is shed before data: every accepted segment is still scored.
-//   - reject: new submissions fail fast with ErrOverloaded, which the
-//     daemon maps to 429 + Retry-After. Segments already accepted into a
-//     queue are never discarded by admission control — rejection happens
-//     strictly at the front door.
+//   - normal: every submission is admitted.
+//   - reject: new submissions fail fast with ErrRejected, which the daemon
+//     maps to 429 + Retry-After. Segments already accepted into a queue are
+//     never discarded by admission control — rejection happens strictly at
+//     the front door.
+//
+// Admission never touches how an accepted segment is scored: a verdict is a
+// function of the saved detector and the stream, whatever the load.
 //
 // Raising is done on the submit path from the submitting shard's queue
 // depth (one channel len read and, rarely, one CAS); lowering is done by
 // shard workers after each scored job from the maximum depth across all
 // shards. The high/low watermark split is the hysteresis: the pool must
-// drain well below the trigger depth before a state relaxes, so a queue
-// hovering at the boundary cannot flap the state per segment. States only
-// step down one level at a time through shed, giving the tiered mode a
-// drain window before full-precision scoring resumes.
+// drain well below the trigger depth before it admits again, so a queue
+// hovering at the boundary cannot flap the state per segment.
 //
 // See ARCHITECTURE.md §12 for the full state-machine argument.
 
@@ -38,23 +34,19 @@ import (
 type AdmissionState int32
 
 const (
-	// AdmitNormal admits everything at full scoring precision.
+	// AdmitNormal admits everything.
 	AdmitNormal AdmissionState = iota
-	// AdmitShed admits everything but degrades switchable detectors to
-	// bound-gated tiered scoring.
-	AdmitShed
-	// AdmitReject sheds precision AND rejects new submissions with
-	// ErrOverloaded; accepted segments keep draining.
+	// AdmitReject refuses new submissions with ErrRejected; accepted
+	// segments keep draining.
 	AdmitReject
 )
 
-// String names the state (also the /metrics and /healthz encoding).
+// String names the state (also the /healthz encoding; /metrics exports the
+// number).
 func (s AdmissionState) String() string {
 	switch s {
 	case AdmitNormal:
 		return "normal"
-	case AdmitShed:
-		return "shed"
 	case AdmitReject:
 		return "reject"
 	default:
@@ -62,33 +54,24 @@ func (s AdmissionState) String() string {
 	}
 }
 
-// AdmissionConfig parameterises overload control. All watermarks are
-// fractions of Config.QueueDepth; a raise triggers when one shard's queue
-// reaches the high watermark, the matching relax when every shard's queue
-// has drained to the low watermark. Low must sit strictly below high —
-// the gap is the hysteresis band.
+// AdmissionConfig parameterises overload control. Both watermarks are
+// fractions of Config.QueueDepth: rejection starts when one shard's queue
+// reaches the high watermark and ends when every shard's queue has drained
+// to the low watermark. Low must sit strictly below high — the gap is the
+// hysteresis band.
 type AdmissionConfig struct {
-	// Enabled turns admission control on. Disabled (the zero value) keeps
-	// the pool's historical behaviour: the overflow policy alone decides.
+	// Enabled turns admission control on. Disabled (the zero value) leaves
+	// the overflow policy alone to decide.
 	Enabled bool
-	// ShedHighFrac/ShedLowFrac bound the shed state: enter shed when a
-	// shard queue reaches ShedHighFrac·QueueDepth, leave it when all
-	// queues are back at or below ShedLowFrac·QueueDepth.
-	ShedHighFrac float64
-	ShedLowFrac  float64
-	// RejectHighFrac/RejectLowFrac bound the reject state the same way.
+	// RejectHighFrac/RejectLowFrac are the high and low watermarks.
 	RejectHighFrac float64
 	RejectLowFrac  float64
 }
 
-// DefaultAdmissionConfig returns the shipped watermarks: shed at half-full
-// queues (recover at ⅛), reject at 90% (recover at ¼).
+// DefaultAdmissionConfig returns the shipped watermarks: reject at 90%
+// full queues, admit again at ¼.
 func DefaultAdmissionConfig() AdmissionConfig {
-	return AdmissionConfig{
-		Enabled:      true,
-		ShedHighFrac: 0.50, ShedLowFrac: 0.125,
-		RejectHighFrac: 0.90, RejectLowFrac: 0.25,
-	}
+	return AdmissionConfig{Enabled: true, RejectHighFrac: 0.90, RejectLowFrac: 0.25}
 }
 
 // Validate reports the first invalid watermark. The zero value (disabled)
@@ -97,23 +80,11 @@ func (c AdmissionConfig) Validate() error {
 	if !c.Enabled {
 		return nil
 	}
-	check := func(name string, low, high float64) error {
-		if !(high > 0 && high <= 1) {
-			return fmt.Errorf("serve: admission %s high watermark must be in (0,1], got %v", name, high)
-		}
-		if !(low >= 0 && low < high) {
-			return fmt.Errorf("serve: admission %s low watermark must be in [0, high), got %v (high %v)", name, low, high)
-		}
-		return nil
+	if high := c.RejectHighFrac; !(high > 0 && high <= 1) {
+		return fmt.Errorf("serve: admission high watermark must be in (0,1], got %v", high)
 	}
-	if err := check("shed", c.ShedLowFrac, c.ShedHighFrac); err != nil {
-		return err
-	}
-	if err := check("reject", c.RejectLowFrac, c.RejectHighFrac); err != nil {
-		return err
-	}
-	if c.ShedHighFrac > c.RejectHighFrac {
-		return fmt.Errorf("serve: admission shed high watermark %v above reject high %v — shedding must precede rejection", c.ShedHighFrac, c.RejectHighFrac)
+	if low := c.RejectLowFrac; !(low >= 0 && low < c.RejectHighFrac) {
+		return fmt.Errorf("serve: admission low watermark must be in [0, high), got %v (high %v)", low, c.RejectHighFrac)
 	}
 	return nil
 }
@@ -123,8 +94,7 @@ func (c AdmissionConfig) Validate() error {
 type admission struct {
 	enabled bool
 	// Absolute queue depths derived from the fractional watermarks.
-	shedHigh, shedLow     int
-	rejectHigh, rejectLow int
+	high, low int
 
 	state atomic.Int32
 
@@ -132,106 +102,57 @@ type admission struct {
 	transitions atomic.Uint64
 }
 
-// newAdmission derives absolute watermarks. High watermarks round up (a
-// fraction of a slot cannot trigger) and are at least 1; low watermarks
-// round down and stay strictly below their high.
+// newAdmission derives absolute watermarks. The high watermark rounds up (a
+// fraction of a slot cannot trigger) and is at least 1; the low watermark
+// rounds down and stays strictly below it.
 func newAdmission(cfg AdmissionConfig, queueDepth int) *admission {
 	a := &admission{enabled: cfg.Enabled}
 	if !cfg.Enabled {
 		return a
 	}
-	ceilFrac := func(f float64) int {
-		n := int(f * float64(queueDepth))
-		if float64(n) < f*float64(queueDepth) {
-			n++
-		}
-		if n < 1 {
-			n = 1
-		}
-		return n
+	depth := float64(queueDepth)
+	a.high = int(cfg.RejectHighFrac * depth)
+	if float64(a.high) < cfg.RejectHighFrac*depth {
+		a.high++
 	}
-	floorBelow := func(f float64, high int) int {
-		n := int(f * float64(queueDepth))
-		if n >= high {
-			n = high - 1
-		}
-		return n
-	}
-	a.shedHigh = ceilFrac(cfg.ShedHighFrac)
-	a.shedLow = floorBelow(cfg.ShedLowFrac, a.shedHigh)
-	a.rejectHigh = ceilFrac(cfg.RejectHighFrac)
-	a.rejectLow = floorBelow(cfg.RejectLowFrac, a.rejectHigh)
+	a.high = max(a.high, 1)
+	a.low = min(int(cfg.RejectLowFrac*depth), a.high-1)
 	return a
 }
 
 // current returns the state.
 func (a *admission) current() AdmissionState { return AdmissionState(a.state.Load()) }
 
-// shedding reports whether the pool is in shed or worse.
-func (a *admission) shedding() bool { return a.enabled && a.current() >= AdmitShed }
-
 // admit evaluates one submission against the submitting shard's queue
-// depth, raising the state if a high watermark is crossed, and returns the
-// state the submission must obey. The hot path for an unloaded pool is one
-// atomic load and two integer compares.
+// depth, raising the state if the high watermark is crossed, and returns
+// the state the submission must obey. The hot path for an unloaded pool is
+// one integer compare and one atomic load.
 func (a *admission) admit(depth int) AdmissionState {
 	if !a.enabled {
 		return AdmitNormal
 	}
-	s := a.current()
-	switch {
-	case depth >= a.rejectHigh:
-		s = a.raise(AdmitReject)
-	case depth >= a.shedHigh:
-		s = a.raise(AdmitShed)
+	if depth >= a.high {
+		a.move(AdmitNormal, AdmitReject)
+		return AdmitReject
 	}
-	return s
+	return a.current()
 }
 
-// raise lifts the state to at least target and returns the resulting
-// state. Raising never steps down.
-func (a *admission) raise(target AdmissionState) AdmissionState {
-	for {
-		cur := a.current()
-		if cur >= target {
-			return cur
-		}
-		if a.state.CompareAndSwap(int32(cur), int32(target)) {
-			a.transitions.Add(1)
-			return target
-		}
-	}
-}
-
-// relax steps the state down while the maximum queue depth across shards
-// has drained to the current state's low watermark. Called by shard
-// workers after each scored job; one level per check so recovery passes
-// through shed (hysteresis keeps this from flapping).
+// relax returns to normal once the maximum queue depth across shards has
+// drained to the low watermark. Called by shard workers after each scored
+// job.
 func (a *admission) relax(maxDepth int) {
-	if !a.enabled {
-		return
+	if a.enabled && maxDepth <= a.low {
+		a.move(AdmitReject, AdmitNormal)
 	}
-	for {
-		cur := a.current()
-		var next AdmissionState
-		switch cur {
-		case AdmitReject:
-			if maxDepth > a.rejectLow {
-				return
-			}
-			next = AdmitShed
-		case AdmitShed:
-			if maxDepth > a.shedLow {
-				return
-			}
-			next = AdmitNormal
-		default:
-			return
-		}
-		if a.state.CompareAndSwap(int32(cur), int32(next)) {
-			a.transitions.Add(1)
-			return
-		}
+}
+
+// move performs the from → to transition if the state is still from. The
+// load comes first so the common no-op (a relax while normal, a refusal
+// while rejecting) never takes the state's cache line for writing.
+func (a *admission) move(from, to AdmissionState) {
+	if a.current() == from && a.state.CompareAndSwap(int32(from), int32(to)) {
+		a.transitions.Add(1)
 	}
 }
 
@@ -248,37 +169,4 @@ func (p *DetectorPool) maxQueueDepth() int {
 		}
 	}
 	return max
-}
-
-// scoringModeSwitcher is implemented by detectors whose scoring tier can be
-// switched at runtime (notably *aovlis.Detector): the shed state uses it to
-// degrade to bound-gated tiered scoring and to restore the configured mode
-// on recovery.
-type scoringModeSwitcher interface {
-	SetScoringMode(fastMath, tiered bool) error
-	ScoringMode() (fastMath, tiered bool)
-}
-
-// applyScoringMode reconciles one channel's detector with the pool's shed
-// state. It runs on the channel's shard worker immediately before scoring,
-// so the SetScoringMode call is ordinary single-writer activity — no other
-// goroutine ever touches the detector. Channels whose base mode is already
-// tiered (or whose detector cannot switch) only track the flag.
-func (p *DetectorPool) applyScoringMode(ch *channel) {
-	if ch.modeSwitch == nil {
-		return
-	}
-	shed := p.adm.shedding()
-	if shed == ch.degraded.Load() {
-		return
-	}
-	if !ch.baseTiered {
-		// Degrade to tiered on shed, restore the configured mode after.
-		// A failed switch leaves the channel at its previous mode; the
-		// next job retries the reconciliation.
-		if err := ch.modeSwitch.SetScoringMode(ch.baseFast, shed); err != nil {
-			return
-		}
-	}
-	ch.degraded.Store(shed)
 }

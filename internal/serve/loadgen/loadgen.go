@@ -362,7 +362,7 @@ func AdversarialPreset(name string, seed int64, channels, actionDim, audienceDim
 // Hash returns the SHA-256 of the schedule's full content (arrival times,
 // channels, features) in hex. This is the reproducibility witness the SLO
 // harness records: the OFFERED stream is bit-identical for a fixed seed
-// even though shed points under real timing are not.
+// even though rejection points under real timing are not.
 func (s *Schedule) Hash() string {
 	h := sha256.New()
 	var buf [8]byte

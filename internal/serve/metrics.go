@@ -79,19 +79,8 @@ func newPoolMetrics(p *DetectorPool) *poolMetrics {
 		"Admission state machine transitions (raises and relaxes).",
 		p.adm.transitions.Load)
 	reg.GaugeFunc("aovlis_pool_admission_state",
-		"Admission state: 0 normal, 1 shed (tiered degradation), 2 reject.",
+		"Admission state: 0 normal, 1 reject.",
 		func() int64 { return int64(p.adm.current()) })
-	reg.GaugeFunc("aovlis_pool_shed_channels",
-		"Channels currently scoring in admission-degraded (tiered) mode.",
-		func() int64 {
-			var n int64
-			for _, ch := range *p.chans.Load() {
-				if ch.degraded.Load() {
-					n++
-				}
-			}
-			return n
-		})
 	reg.GaugeFunc("aovlis_pool_channels", "Attached channels.",
 		func() int64 { return int64(len(*p.chans.Load())) })
 	for _, s := range p.shards {

@@ -105,15 +105,10 @@ func (p *Pump) Run() (uint64, error) {
 		switch {
 		case err == nil:
 			pending[head] = true
+		case errors.Is(err, ErrRejected):
+			d.Rejected = true // nothing lost: back off and resend
 		case errors.Is(err, ErrOverloaded):
-			// Admission rejection and DropNewest overflow share the
-			// sentinel; the admission state tells the client which one it
-			// was (rejected ⇒ back off and retry).
-			if p.Pool.AdmissionState() == AdmitReject {
-				d.Rejected = true
-			} else {
-				d.Dropped = true
-			}
+			d.Dropped = true
 		default:
 			d.Error = err.Error()
 		}

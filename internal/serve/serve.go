@@ -165,10 +165,10 @@ type Config struct {
 	// observation per wake-up. Batching is semantically transparent —
 	// scores are bit-identical whatever the cap.
 	Batch int
-	// Admission configures watermark-based overload control: shed to
-	// bound-gated tiered scoring when queues back up, reject new
-	// submissions (ErrOverloaded) before any accepted segment is lost,
-	// recover with hysteresis. The zero value disables it.
+	// Admission configures watermark-based overload control: reject new
+	// submissions (ErrRejected) when queues back up, before any accepted
+	// segment is lost, and admit again with hysteresis. The zero value
+	// disables it.
 	Admission AdmissionConfig
 }
 
@@ -199,11 +199,16 @@ var (
 	// ErrClosed is returned by operations on a closed pool.
 	ErrClosed = errors.New("serve: pool is closed")
 	// ErrOverloaded is returned when the observation was not enqueued
-	// because the pool is overloaded: under the DropNewest policy when the
-	// channel's shard queue is full, and by admission control in the
-	// reject state regardless of policy (the daemon maps it to HTTP 429 +
-	// Retry-After). Accepted observations are never discarded.
+	// because the pool is overloaded: as itself under the DropNewest policy
+	// when the channel's shard queue is full (the segment is lost), and
+	// wrapped in ErrRejected by admission control. Accepted observations
+	// are never discarded.
 	ErrOverloaded = errors.New("serve: pool overloaded, observation not enqueued")
+	// ErrRejected is admission control's refusal in the reject state,
+	// whatever the policy: nothing was lost, the caller should back off and
+	// resend (the daemon maps it to HTTP 429 + Retry-After). It matches
+	// ErrOverloaded under errors.Is.
+	ErrRejected = fmt.Errorf("%w: admission reject", ErrOverloaded)
 	// ErrUnknownChannel is returned for ids with no attached channel.
 	ErrUnknownChannel = errors.New("serve: unknown channel")
 	// ErrChannelExists is returned by Attach for duplicate ids.
@@ -279,23 +284,11 @@ type channel struct {
 	fstats filterStatser // det, when it exposes ADOS counters (else nil)
 	tstats tierStatser   // det, when it exposes tier counters (else nil)
 
-	// modeSwitch is det when its scoring tier can be switched at runtime;
-	// baseFast/baseTiered freeze the configured mode at Attach so the
-	// admission shed state can degrade to tiered and restore afterwards.
-	// Both are only touched under p.mu at Attach and read by the shard
-	// worker; degraded is the worker-owned shed flag (atomic so stats can
-	// read it live).
-	modeSwitch scoringModeSwitcher
-	baseFast   bool
-	baseTiered bool
-	degraded   atomic.Bool
-
 	observed    atomic.Uint64 // successfully scored observations
 	warmups     atomic.Uint64 // scored observations still in warm-up
 	detected    atomic.Uint64 // anomaly verdicts
 	dropped     atomic.Uint64 // observations shed under DropNewest
 	rejected    atomic.Uint64 // submissions refused by admission control
-	shedScored  atomic.Uint64 // observations scored while degraded
 	errors      atomic.Uint64 // detector errors
 	filtered    atomic.Uint64 // ADOS decisions made without the exact REIA
 	tierskipped atomic.Uint64 // segments cleared by the tier gate, no LSTM run
@@ -380,11 +373,6 @@ type ChannelStats struct {
 	// Rejected counts submissions refused by admission control in the
 	// reject state (they were never accepted, so nothing was lost).
 	Rejected uint64 `json:"rejected,omitempty"`
-	// Shed reports whether the channel is currently scoring in
-	// admission-degraded (bound-gated tiered) mode; ShedScored counts the
-	// observations scored while degraded.
-	Shed       bool   `json:"shed,omitempty"`
-	ShedScored uint64 `json:"shed_scored,omitempty"`
 	// Errors counts detector failures.
 	Errors uint64 `json:"errors"`
 	// QueueDepth is the number of this channel's observations enqueued but
@@ -412,11 +400,9 @@ type PoolStats struct {
 	Dropped  uint64 `json:"dropped"`
 	Rejected uint64 `json:"rejected"`
 	Errors   uint64 `json:"errors"`
-	// AdmissionState is the pool's overload-control state ("normal",
-	// "shed" or "reject"); ShedChannels counts channels currently scoring
-	// in admission-degraded mode.
+	// AdmissionState is the pool's overload-control state ("normal" or
+	// "reject").
 	AdmissionState string `json:"admission_state"`
-	ShedChannels   int    `json:"shed_channels,omitempty"`
 	// TierSkipped sums the channels' tier-gate skip counters.
 	TierSkipped uint64 `json:"tier_skipped,omitempty"`
 	// Batches/Batched sum the channels' micro-batching counters;
@@ -542,7 +528,6 @@ func (p *DetectorPool) runBatch(jobs []job, sc *batchScratch) {
 		if ch == nil { // already scored as part of an earlier group
 			continue
 		}
-		p.applyScoringMode(ch)
 		sc.acts, sc.auds, sc.jobIdx = sc.acts[:0], sc.auds[:0], sc.jobIdx[:0]
 		for k := i; k < len(jobs); k++ {
 			if jobs[k].ch == ch {
@@ -611,9 +596,6 @@ func (p *DetectorPool) finishJob(ch *channel, j *job, res aovlis.Result, err err
 			ch.detected.Add(1)
 			p.m.anomalies.Inc()
 		}
-	}
-	if err == nil && ch.degraded.Load() {
-		ch.shedScored.Add(1)
 	}
 	if j.seq != 0 {
 		// CAS-max. On the live path submit's walMu makes same-channel
@@ -693,10 +675,6 @@ func (p *DetectorPool) Attach(id string, det Detector) error {
 	}
 	if ds, ok := det.(dimser); ok {
 		ch.actionDim, ch.audienceDim = ds.Dims()
-	}
-	if sw, ok := det.(scoringModeSwitcher); ok {
-		ch.modeSwitch = sw
-		ch.baseFast, ch.baseTiered = sw.ScoringMode()
 	}
 	if lc, ok := det.(lifetimeCounter); ok {
 		if n := lc.Observed(); n > 0 {
@@ -796,7 +774,7 @@ func (p *DetectorPool) submit(id string, actionFeat, audienceFeat []float64, out
 	if p.adm.admit(len(ch.shard.queue)) == AdmitReject {
 		ch.rejected.Add(1)
 		p.m.rejected.Inc()
-		return nil, fmt.Errorf("%w (admission reject, channel %q, shard %d)", ErrOverloaded, id, ch.shard.index)
+		return nil, fmt.Errorf("%w (channel %q, shard %d)", ErrRejected, id, ch.shard.index)
 	}
 	j := job{ch: ch, action: actionFeat, audience: audienceFeat, out: out, enq: time.Now(), seq: replaySeq}
 	journaling := replaySeq == 0 && p.journal != nil
@@ -934,8 +912,6 @@ func (p *DetectorPool) AttachVerdictSink(s VerdictSink) {
 	p.sink = s
 }
 
-// AppliedSeq reports the channel's applied journal floor (0 for unknown
-// channels or journal-less pools).
 // WithChannel runs fn against id's detector at a segment boundary: fn
 // executes inside the channel's shard worker, so no Observe on that shard
 // is concurrent with it and the detector's state is between segments.
@@ -955,6 +931,8 @@ func (p *DetectorPool) WithChannel(id string, fn func(det Detector) error) error
 	return fnErr
 }
 
+// AppliedSeq reports the channel's applied journal floor (0 for unknown
+// channels or journal-less pools).
 func (p *DetectorPool) AppliedSeq(id string) uint64 {
 	ch, ok := p.lookup(id)
 	if !ok {
@@ -985,8 +963,6 @@ func (c *channel) snapshot() ChannelStats {
 		TierSkipped: c.tierskipped.Load(),
 		Dropped:     c.dropped.Load(),
 		Rejected:    c.rejected.Load(),
-		Shed:        c.degraded.Load(),
-		ShedScored:  c.shedScored.Load(),
 		Errors:      c.errors.Load(),
 		QueueDepth:  c.pending.Load(),
 		Batches:     c.batches.Load(),
@@ -1026,9 +1002,6 @@ func (p *DetectorPool) PoolStats() PoolStats {
 		st.TierSkipped += cs.TierSkipped
 		st.Batches += cs.Batches
 		st.Batched += cs.Batched
-		if cs.Shed {
-			st.ShedChannels++
-		}
 	}
 	if st.Batches > 0 {
 		st.BatchOccupancy = float64(st.Batched) / float64(st.Batches)

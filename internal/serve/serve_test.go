@@ -295,6 +295,9 @@ func TestPoolDropPolicy(t *testing.T) {
 		out, err := p.Submit("hot", feat, feat)
 		switch {
 		case errors.Is(err, ErrOverloaded):
+			if errors.Is(err, ErrRejected) {
+				t.Fatalf("a full DropNewest queue reported an admission rejection: %v", err)
+			}
 			dropped++
 		case err != nil:
 			t.Fatal(err)

@@ -216,8 +216,7 @@ func TestIngestRefusals(t *testing.T) {
 	// before Ensure: a refused stream on a new channel id must not create
 	// the channel.
 	opool, err := serve.NewDetectorPool(serve.Config{Shards: 1, QueueDepth: 4, Policy: serve.Block,
-		Admission: serve.AdmissionConfig{Enabled: true,
-			ShedHighFrac: 0.5, ShedLowFrac: 0.1, RejectHighFrac: 0.75, RejectLowFrac: 0.2}})
+		Admission: serve.AdmissionConfig{Enabled: true, RejectHighFrac: 0.75, RejectLowFrac: 0.2}})
 	if err != nil {
 		t.Fatalf("pool: %v", err)
 	}

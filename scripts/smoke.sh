@@ -14,7 +14,7 @@
 #                        …Tiered may exceed the baseline by at most 25%.
 #   slo      TestSLOFlashCrowd (internal/serve): lost=0, dropped=0, p99 at
 #            most 50% over the baseline — it includes real queueing under a
-#            deliberate 3x overload; service times are sleep-pinned.
+#            deliberate 3x overload; the service time is sleep-pinned.
 #   cluster  TestClusterKillNodeSoak + TestClusterThroughput (cmd/aovlisr):
 #            lost=0, every channel bit-equal after the kill, at least one
 #            channel killed with segments in flight, aggregate throughput at

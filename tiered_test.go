@@ -273,79 +273,3 @@ func TestScoringModeSnapshotRoundTrip(t *testing.T) {
 		t.Fatalf("tier stats diverged after replay: %+v vs %+v", got, want)
 	}
 }
-
-// TestShedModeVerdictFlipRate pins the verdict tolerance under
-// admission-triggered degradation (ISSUE 7 satellite): the serve pool's
-// overload control flips a channel's detector exact→tiered mid-stream and
-// restores it when the backlog drains. Replaying that exact switch
-// sequence segment-by-segment, the verdicts must stay within the same 2%
-// tiered flip budget, every flip must be a one-sided anomaly→normal miss
-// at a tier-skip — and flips must be confined to the degraded window:
-// restoring the exact mode must restore exact verdicts immediately.
-func TestShedModeVerdictFlipRate(t *testing.T) {
-	if testing.Short() {
-		t.Skip("trains a detector")
-	}
-	s := driftFlipStream(t)
-	exactDet, err := s.det.Clone()
-	if err != nil {
-		t.Fatal(err)
-	}
-	shedDet, err := s.det.Clone()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The overload window: the same SetScoringMode calls serve's
-	// applyScoringMode issues when admission crosses the shed watermark and
-	// when the drain relaxes it.
-	const degradeFrom, degradeTo = 80, 140
-	var exact, got []Result
-	var ts ados.TierStats
-	for i := range s.testA {
-		switch i {
-		case degradeFrom:
-			if err := shedDet.SetScoringMode(false, true); err != nil {
-				t.Fatal(err)
-			}
-		case degradeTo:
-			// Capture the gate counters first: restoring the exact mode
-			// drops the tier plan (and its stats) by design.
-			ts = shedDet.TierStats()
-			if err := shedDet.SetScoringMode(false, false); err != nil {
-				t.Fatal(err)
-			}
-		}
-		re, err := exactDet.Observe(s.testA[i], s.testU[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		rg, err := shedDet.Observe(s.testA[i], s.testU[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		exact = append(exact, re)
-		got = append(got, rg)
-	}
-	decided, flips := countFlips(exact, got)
-	rate := float64(len(flips)) / float64(decided)
-	t.Logf("shed window [%d,%d): %d decided, %d flips (rate %.4f, budget %.4f), tier %+v",
-		degradeFrom, degradeTo, decided, len(flips), rate, tieredFlipBudget, ts)
-	if rate > tieredFlipBudget {
-		t.Errorf("shed-mode flip rate %.4f exceeds tiered budget %.4f at segments %v",
-			rate, tieredFlipBudget, flips)
-	}
-	for _, i := range flips {
-		if i < degradeFrom || i >= degradeTo {
-			t.Errorf("segment %d flipped outside the degraded window [%d,%d)", i, degradeFrom, degradeTo)
-		}
-		if got[i].Anomaly || !exact[i].Anomaly {
-			t.Errorf("segment %d flipped normal→anomaly — shed flips must be one-sided misses", i)
-		}
-		if got[i].Path != "tier-skip" {
-			t.Errorf("segment %d flipped on path %q, not at a tier skip", i, got[i].Path)
-		}
-	}
-	if ts.Gated == 0 {
-		t.Error("tier gate never engaged during the shed window — the budget above is vacuous")
-	}
-}
