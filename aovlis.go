@@ -25,7 +25,6 @@
 package aovlis
 
 import (
-	"bytes"
 	"encoding/gob"
 	"errors"
 	"fmt"
@@ -649,14 +648,18 @@ func (d *Detector) Save(w io.Writer) error {
 // Clone returns an independent detector with the same configuration,
 // threshold and model weights but a fresh observation window, filter and
 // updater — the way to monitor many channels from one trained model: train
-// (or Load) once, Clone per channel. Clone only reads the detector, but it
-// must not overlap a writer (see the concurrency contract).
+// (or Load) once, Clone per channel. It behaves exactly like Load of this
+// detector's Save, at a fraction of the cost: the weights are shared
+// copy-on-write (core.Model.Clone), so a clone holds only its own state
+// until an incremental update or a warm start gives it weights of its own.
+// Clone only reads the detector, so concurrent Clones of one template are
+// fine, but it must not overlap a writer (see the concurrency contract).
 func (d *Detector) Clone() (*Detector, error) {
-	var buf bytes.Buffer
-	if err := d.Save(&buf); err != nil {
+	c := &Detector{cfg: d.cfg, model: d.model.Clone(), tau: d.tau}
+	if err := c.initRuntime(nil); err != nil {
 		return nil, fmt.Errorf("aovlis: cloning detector: %w", err)
 	}
-	return Load(&buf)
+	return c, nil
 }
 
 // Load restores a detector written by Save. The restored detector starts

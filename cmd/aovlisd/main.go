@@ -164,7 +164,7 @@ func main() {
 	flag.IntVar(&o.queueDepth, "queue", 256, "per-shard ingest queue depth")
 	flag.IntVar(&o.batch, "batch", 16, "micro-batching drain cap: segments a shard worker scores per wake-up through the batched inference path (0 or 1 disables; scores are bit-identical either way)")
 	flag.StringVar(&o.policyName, "policy", "block", "queue overflow policy: block or drop")
-	flag.IntVar(&o.maxChannels, "max-channels", 1024, "maximum concurrently attached channels")
+	flag.IntVar(&o.maxChannels, "max-channels", 1024, "maximum concurrently attached channels (each holds ~13 KB over the shared model weights, ~110 KB once it scores 16-segment batches; BENCH.md §15)")
 	flag.BoolVar(&o.enablePprof, "pprof", false, "serve /debug/pprof profiling endpoints (BENCH.md §4); exposes process internals, enable only on trusted listeners")
 	flag.BoolVar(&o.enableMetrics, "metrics", true, "serve the Prometheus text exposition at GET /metrics (per-stage latency histograms, admission state, shard queue depths)")
 	flag.BoolVar(&o.admission, "admission", true, "watermark-based overload control: reject submissions with HTTP 429 + Retry-After once a shard queue is 90% full, until every queue has drained to 1/4; accepted segments are always scored, in the configured mode")
@@ -198,7 +198,7 @@ func buildPool(o options, cfg serve.Config) (*serve.DetectorPool, error) {
 			if err != nil {
 				return nil, fmt.Errorf("restoring pool from %s: %w", o.snapshotDir, err)
 			}
-			fmt.Printf("warm restart: restored %d channels from %s\n", len(pool.Channels()), o.snapshotDir)
+			fmt.Printf("warm restart: restored %d channels from %s\n", pool.Len(), o.snapshotDir)
 			return pool, nil
 		case errors.Is(err, fs.ErrNotExist):
 			// First boot into this directory: start empty.
@@ -753,7 +753,7 @@ func (d *daemon) ensureChannel(id string) error {
 	if _, err := d.pool.Stats(id); err == nil {
 		return nil
 	}
-	if n := len(d.pool.Channels()); n >= d.maxChannels {
+	if n := d.pool.Len(); n >= d.maxChannels {
 		return fmt.Errorf("channel limit reached (%d)", d.maxChannels)
 	}
 	det, err := d.template.Clone()
@@ -895,7 +895,7 @@ func (d *daemon) handleChannelSnapshot(w http.ResponseWriter, r *http.Request, i
 	case http.MethodPut:
 		d.attachMu.Lock()
 		defer d.attachMu.Unlock()
-		if n := len(d.pool.Channels()); n >= d.maxChannels {
+		if n := d.pool.Len(); n >= d.maxChannels {
 			http.Error(w, fmt.Sprintf("channel limit reached (%d)", d.maxChannels), http.StatusServiceUnavailable)
 			return
 		}

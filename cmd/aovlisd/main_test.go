@@ -185,6 +185,44 @@ func TestObserveErrorLines(t *testing.T) {
 	}
 }
 
+// TestObserveOversizeLineAbortsOnlyItsStream pins the edge of the line
+// bound: a line past wire.MaxLine ends its own request with a final
+// "request stream aborted" decision line, while a second channel streaming
+// at the same time keeps getting verdicts — hostile input degrades a
+// channel, never the process.
+func TestObserveOversizeLineAbortsOnlyItsStream(t *testing.T) {
+	_, srv := newTestDaemon(t, 8, 8, "")
+	actions, audience := testSeries(19, 8)
+	steady, hostile := planes[0].open(t, srv, "steady"), planes[0].open(t, srv, "hostile")
+	next := 0
+	steadyVerdict := func() {
+		t.Helper()
+		steady.send(observeLine(actions[next], audience[next]))
+		if dec := steady.recv(); dec.Channel != "steady" || dec.Seq != uint64(next) || dec.Error != "" {
+			t.Fatalf("steady decision %d: %+v", next, dec)
+		}
+		next++
+	}
+	steadyVerdict()
+
+	hostile.send(observeLine(actions[0], audience[0]))
+	if dec := hostile.recv(); dec.Seq != 0 || dec.Error != "" {
+		t.Fatalf("hostile channel's first line should score cleanly: %+v", dec)
+	}
+	go hostile.send(strings.Repeat("x", wire.MaxLine)) // the terminator makes it MaxLine+1
+	steadyVerdict()                                    // while the long line is in flight
+	dec := hostile.recv()
+	if dec.Channel != "hostile" || dec.Seq != 1 ||
+		!strings.Contains(dec.Error, "request stream aborted") || !strings.Contains(dec.Error, "token too long") {
+		t.Fatalf("want a final stream-aborted line for the oversize message, got %+v", dec)
+	}
+	hostile.abort()
+
+	for next < len(actions) {
+		steadyVerdict()
+	}
+}
+
 func TestObserveRespectsChannelLimit(t *testing.T) {
 	_, srv := newTestDaemon(t, 1, 0, "")
 	actions, audience := testSeries(17, 1)

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -238,12 +237,14 @@ func (n *Node) replayObservations(id string, recs []wal.Record) (int, uint64, er
 		return 0, 0, fmt.Errorf("cluster: replaying journal of %q into %s: status %d: %s", id, n.Spec.Name, resp.StatusCode, msg)
 	}
 	applied, maxW := 0, uint64(0)
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
-	for sc.Scan() {
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
+	next := wire.ScanLines(resp.Body)
+	for {
+		line, err := next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return applied, maxW, fmt.Errorf("cluster: reading replay decisions from %s: %w", n.Spec.Name, err)
 		}
 		var d wire.Decision
 		if err := wire.DecodeDecision(line, &d); err != nil {
@@ -259,9 +260,6 @@ func (n *Node) replayObservations(id string, recs []wal.Record) (int, uint64, er
 		if d.WSeq > maxW {
 			maxW = d.WSeq
 		}
-	}
-	if err := sc.Err(); err != nil {
-		return applied, maxW, fmt.Errorf("cluster: reading replay decisions from %s: %w", n.Spec.Name, err)
 	}
 	if werr := <-writeErr; werr != nil {
 		return applied, maxW, fmt.Errorf("cluster: writing replay stream of %q to %s: %w", id, n.Spec.Name, werr)

@@ -21,11 +21,17 @@ package core
 // next prediction. The plan is therefore always a faithful snapshot of the
 // live parameters without training ever touching it.
 //
+// Sharing: the packed weight arrays are read-only between repacks, so a
+// model's clone points its own layer headers and lanes at the source's
+// arrays (clone). Neither side may then pack in place; the first Repack of
+// either packs into fresh arrays and owns them from there on.
+//
 // An InferPlan reuses its buffers across calls and is not safe for
 // concurrent use; it is confined wherever its owning model is.
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"aovlis/internal/mat"
 	"aovlis/internal/nn"
@@ -97,11 +103,16 @@ type InferPlan struct {
 	seqLen   int
 	capLanes int
 	streams  []planStream
+	// shared marks the streams' packed weight arrays as aliased by another
+	// plan. Atomic for the reason nn.ParamSet's mark is: clone sets it on a
+	// source that concurrent clones only read.
+	shared atomic.Bool
 }
 
 // compileInferPlan packs the specs' parameters and allocates state for one
-// lane. Compilation and reserve are the only allocating phases of the
-// engine; Repack and Run are allocation-free.
+// lane. Compilation, reserve and a sharing plan's first Repack are the only
+// allocating phases of the engine; Run and every later Repack are
+// allocation-free.
 func compileInferPlan(ps *nn.ParamSet, seqLen int, specs []planSpec) *InferPlan {
 	p := &InferPlan{version: ps.Version(), seqLen: seqLen, capLanes: 1, streams: make([]planStream, len(specs))}
 	for i, sp := range specs {
@@ -128,6 +139,25 @@ func (p *InferPlan) reserve(lanes int) {
 	}
 }
 
+// clone returns a plan over the same packed weight arrays, with its own
+// layer headers (in the exact gate mode, whatever p's is) and one lane of
+// its own state. It carries p's packed-at version: a clone of a stale plan
+// is stale, and repacks — into arrays of its own — before its first run.
+func (p *InferPlan) clone() *InferPlan {
+	out := &InferPlan{version: p.version, seqLen: p.seqLen, capLanes: 1, streams: make([]planStream, len(p.streams))}
+	for i := range p.streams {
+		src, st := &p.streams[i], &out.streams[i]
+		cell, dec := *src.cell, *src.dec
+		cell.FastMath = false
+		st.srcCell, st.srcDec, st.ctx = src.srcCell, src.srcDec, src.ctx
+		st.cell, st.dec = &cell, &dec
+		st.allocLanes(out.capLanes)
+	}
+	p.shared.Store(true)
+	out.shared.Store(true)
+	return out
+}
+
 // Version returns the parameter version the plan was packed at.
 func (p *InferPlan) Version() uint64 { return p.version }
 
@@ -141,15 +171,24 @@ func (p *InferPlan) SetFastMath(on bool) {
 	}
 }
 
-// Repack refreshes the packed weights from ps in place, without
-// allocating, and records the new version. Owners call it whenever
-// ps.Version() has moved past the plan's.
+// Repack refreshes the packed weights from ps and records the new version.
+// Owners call it whenever ps.Version() has moved past the plan's. A plan
+// that owns its arrays packs in place, without allocating; one that shares
+// them (see clone) packs into fresh arrays, which it owns from then on.
 func (p *InferPlan) Repack(ps *nn.ParamSet) {
+	shared := p.shared.Load()
 	for i := range p.streams {
 		st := &p.streams[i]
+		if shared {
+			fast := st.cell.FastMath
+			st.cell, st.dec = st.srcCell.Pack(ps), st.srcDec.Pack(ps)
+			st.cell.FastMath = fast
+			continue
+		}
 		st.srcCell.PackInto(ps, st.cell)
 		st.srcDec.PackInto(ps, st.dec)
 	}
+	p.shared.Store(false)
 	p.version = ps.Version()
 }
 

@@ -199,3 +199,73 @@ func TestPredictMatchesPredictInto(t *testing.T) {
 		}
 	}
 }
+
+// TestCloneSharesPlanUntilWritten pins the copy-on-write contract at the
+// engine: a clone predicts the source's bits off the source's packed arrays,
+// its gate mode is its own, its first repack after a write lands in fresh
+// arrays and leaves the source's alone, and from the second repack on a
+// detached model packs in place without allocating.
+func TestCloneSharesPlanUntilWritten(t *testing.T) {
+	actions, audience := goldenSeries(40, 10, 4, 47)
+	cfg := DefaultConfig(10, 4)
+	cfg.HiddenI, cfg.HiddenA = 8, 5
+	cfg.SeqLen = 4
+	m, err := NewModel(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	samples, err := BuildSamples(actions, audience, cfg.SeqLen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.TrainEpoch(samples, rand.New(rand.NewSource(3))); err != nil {
+		t.Fatal(err)
+	}
+	want := comparePredictions(t, m, samples, "source")
+	packed := func(m *Model) *float64 { return &m.plan.streams[0].cell.W.Data[0] }
+
+	c := m.Clone()
+	if packed(c) != packed(m) || &c.ps.Get("decI.W").Data[0] != &m.ps.Get("decI.W").Data[0] {
+		t.Fatal("a clone of a current model carries its own weights")
+	}
+	c.SetFastMath(true)
+	if m.plan.streams[0].cell.FastMath {
+		t.Fatal("the clone's gate mode reached the source's layer header")
+	}
+	c.SetFastMath(false)
+	if got := comparePredictions(t, c, samples, "clone"); got != want {
+		t.Fatalf("clone predicts %x off the shared arrays, source %x", got, want)
+	}
+
+	if _, err := c.TrainStep(&samples[0]); err != nil {
+		t.Fatal(err)
+	}
+	if got := comparePredictions(t, c, samples, "trained clone"); got == want {
+		t.Fatal("training the clone changed nothing")
+	}
+	if packed(c) == packed(m) {
+		t.Fatal("the clone repacked into the arrays it shares with the source")
+	}
+	if got := comparePredictions(t, m, samples, "source after the clone's write"); got != want {
+		t.Fatalf("the clone's write moved the source's predictions: %x, want %x", got, want)
+	}
+	fhat, ahat := make([]float64, cfg.ActionDim), make([]float64, cfg.AudienceDim)
+	if avg := testing.AllocsPerRun(20, func() {
+		c.ps.BumpVersion()
+		if err := c.PredictInto(&samples[1], fhat, ahat); err != nil {
+			t.Fatal(err)
+		}
+	}); avg != 0 {
+		t.Fatalf("a detached model's repack allocates %.1f times, want 0", avg)
+	}
+
+	// A clone taken while the source's plan is stale (written, not yet
+	// predicted from) serves the current weights all the same.
+	if _, err := m.TrainStep(&samples[2]); err != nil {
+		t.Fatal(err)
+	}
+	stale := m.Clone()
+	if got, want := comparePredictions(t, stale, samples, "clone of a stale plan"), comparePredictions(t, m, samples, "written source"); got != want {
+		t.Fatalf("clone of a stale plan predicts %x, its source %x", got, want)
+	}
+}

@@ -89,7 +89,9 @@ func (m *Model) inferPlan() *InferPlan {
 }
 
 // trainPlan returns the training engine, compiling it on first use. It
-// reads the live parameters, so unlike inferPlan it can never be stale.
+// reads the live parameters through their matrix headers, so unlike
+// inferPlan it can never be stale — not even across a copy-on-write detach
+// (nn.TrainCell re-derives its one Data view every backward pass).
 func (m *Model) trainPlan() *TrainPlan {
 	if m.tplan == nil {
 		m.tplan = compileTrainPlan(m.ps, m.cfg.SeqLen, m.specs())
@@ -406,18 +408,29 @@ func (m *Model) Score(s *Sample) (Score, error) {
 // before training a fresh CLSTM_new on buffered segments.
 func (m *Model) ResetOptimizer() { m.opt.Reset() }
 
-// Clone returns a deep copy of the model (parameters copied, optimiser
-// state reset). Used by the re-training baseline and the merge step.
+// Clone returns an independent model with m's parameters, a fresh
+// optimiser and the exact gate mode: the one way a model is copied, by the
+// serving tier (a Detector per channel), the merge step and the re-training
+// baseline alike. The copy is copy-on-write. The clone has its own
+// parameter headers, layer headers and lane state, but its parameter values
+// and packed inference weights are m's arrays, held read-only by both until
+// one of them mutates its parameters: that model's ParamSet copies the
+// values out at its next BumpVersion and its plan packs into fresh arrays
+// at the following Repack, leaving the other's untouched. A model that is
+// only ever read therefore costs its state, not its weights.
+//
+// Clone reads m (it only sets the two sharing marks), so any number of
+// goroutines may clone one quiescent model at once; it must not overlap a
+// call that mutates m or runs its engines.
 func (m *Model) Clone() *Model {
-	clone, err := NewModel(m.cfg)
-	if err != nil {
-		// cfg already validated at construction; this cannot happen.
-		panic(fmt.Sprintf("core: cloning validated model failed: %v", err))
+	return &Model{
+		cfg: m.cfg,
+		ps:  m.ps.Clone(),
+		// The layer descriptors are immutable names and shapes.
+		cellI: m.cellI, cellA: m.cellA, decI: m.decI, decA: m.decA,
+		opt:  nn.NewAdam(m.cfg.LearningRate),
+		plan: m.plan.clone(),
 	}
-	if err := clone.ps.CopyFrom(m.ps); err != nil {
-		panic(fmt.Sprintf("core: cloning parameters failed: %v", err))
-	}
-	return clone
 }
 
 // Merge folds other's parameters into m as w·m + (1−w)·other — the
@@ -493,6 +506,10 @@ func LoadModel(r io.Reader) (*Model, error) {
 	if err := m.ps.Load(r); err != nil {
 		return nil, err
 	}
+	// Pack now rather than at the first prediction: clones of a loaded
+	// model then share a current plan instead of each repacking a stale one
+	// into arrays of its own.
+	m.plan.Repack(m.ps)
 	if wire.HasOpt {
 		if err := m.opt.Load(r); err != nil {
 			return nil, err

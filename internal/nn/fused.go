@@ -23,6 +23,11 @@ package nn
 // Packed layers are immutable snapshots of a ParamSet: training keeps
 // updating the unpacked per-gate matrices, and the owner (core.InferPlan)
 // repacks — via the allocation-free PackInto — when ParamSet.Version moves.
+// A FusedCell/FusedDense value is a header: its WT, W and B may be the very
+// arrays another model's header points at (core.InferPlan shares them across
+// model clones), in which case the owner packs into fresh arrays with Pack
+// and never into these with PackInto. What is per model — FastMath — lives
+// in the header.
 //
 // StepBatch/ApplyBatch are what core.InferPlan runs: B stacked context
 // rows (its lanes) go through one GEMM per layer step instead of B GEMVs,

@@ -17,14 +17,21 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
+	"sync/atomic"
 
 	"aovlis/internal/ad"
 	"aovlis/internal/mat"
 )
 
-// ParamSet is an ordered collection of named trainable matrices. Parameters
-// are owned by the set and updated in place by the optimiser; forward passes
-// bind them to a fresh autodiff tape per step.
+// ParamSet is an ordered collection of named trainable matrices. The set
+// owns its matrix headers and updates the values in place through the
+// optimiser; forward passes bind them to a fresh autodiff tape per step.
+//
+// The values themselves may be shared: Clone hands out a set whose matrices
+// alias the source's Data, and from then on both sets treat those arrays as
+// read-only. BumpVersion — the call every mutation makes before it writes —
+// is where a sharing set takes its private copy, so a set that is only ever
+// read never owns more than its headers.
 type ParamSet struct {
 	names []string
 	mats  []*mat.Matrix // parallel to names
@@ -32,6 +39,10 @@ type ParamSet struct {
 	// version counts bulk mutations (optimiser steps, CopyFrom, Average,
 	// Load); compiled inference plans compare it to detect staleness.
 	version uint64
+	// shared marks the matrices' Data as aliased by another set. Atomic
+	// because Clone sets it on its (otherwise only read) source, and several
+	// goroutines may clone one source at once.
+	shared atomic.Bool
 }
 
 // Version returns the mutation counter. Every API that rewrites parameter
@@ -40,11 +51,26 @@ type ParamSet struct {
 // detect staleness with one integer compare on the hot path.
 func (ps *ParamSet) Version() uint64 { return ps.version }
 
-// BumpVersion marks the parameters as mutated. Callers that write to a
-// parameter's Data directly (outside the Adam/CopyFrom/Average/Load APIs)
-// must call it, or compiled inference plans will keep serving stale
-// weights.
-func (ps *ParamSet) BumpVersion() { ps.version++ }
+// BumpVersion marks the parameters as mutated, and is the one place a set
+// that shares its values (see Clone) detaches: it replaces every aliased
+// Data array with a private copy first. Callers that write to a parameter's
+// Data directly (outside the Adam/CopyFrom/Average/Load APIs) must call it
+// BEFORE they write — a later call leaves compiled inference plans serving
+// stale weights, and on a sharing set the write would already have reached
+// every other holder.
+func (ps *ParamSet) BumpVersion() {
+	if ps.shared.Load() {
+		for _, m := range ps.mats {
+			m.Data = slices.Clone(m.Data)
+		}
+		ps.shared.Store(false)
+	}
+	ps.version++
+}
+
+// Shared reports whether the set's values are still aliased by another set
+// (it has been cloned, or is a clone, and has not been written since).
+func (ps *ParamSet) Shared() bool { return ps.shared.Load() }
 
 // NewParamSet returns an empty parameter set.
 func NewParamSet() *ParamSet {
@@ -99,12 +125,21 @@ func (ps *ParamSet) NumParams() int {
 	return n
 }
 
-// Clone returns a deep copy of the parameter set.
+// Clone returns a copy-on-write copy of the set: its own matrix headers
+// and version counter over the SAME Data arrays, which both sets hold
+// read-only until one of them mutates — its BumpVersion then copies them
+// out, and the other keeps the originals. A matrix header obtained from Get
+// stays valid across that detach (its Data field is repointed), a slice of
+// its Data does not. Clone only reads ps apart from the sharing mark, so
+// concurrent Clones of one set are fine; overlapping a mutation of ps is not.
 func (ps *ParamSet) Clone() *ParamSet {
 	out := NewParamSet()
-	for _, n := range ps.names {
-		out.Add(n, ps.vals[n].Clone())
+	out.version = ps.version
+	for i, m := range ps.mats {
+		out.Add(ps.names[i], mat.FromSlice(m.Rows, m.Cols, m.Data))
 	}
+	ps.shared.Store(true)
+	out.shared.Store(true)
 	return out
 }
 

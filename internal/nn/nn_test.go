@@ -39,13 +39,54 @@ func TestParamSetDuplicatePanics(t *testing.T) {
 	ps.Add("w", mat.New(1, 1))
 }
 
+// TestParamSetCloneIsDeep pins the copy-on-write contract: a clone aliases
+// the source's values until either side writes through the BumpVersion seam,
+// and a write on one side never shows on the other.
 func TestParamSetCloneIsDeep(t *testing.T) {
 	ps := NewParamSet()
 	ps.Add("w", mat.FromSlice(1, 2, []float64{1, 2}))
 	c := ps.Clone()
-	c.Get("w").Data[0] = 99
+	if !ps.Shared() || !c.Shared() || &c.Get("w").Data[0] != &ps.Get("w").Data[0] {
+		t.Fatal("Clone copied the values eagerly")
+	}
+	if c.Get("w") == ps.Get("w") {
+		t.Fatal("Clone shares matrix headers")
+	}
+	w := c.Get("w") // a header stays valid across the detach
+	c.BumpVersion()
+	w.Data[0] = 99
 	if ps.Get("w").Data[0] != 1 {
 		t.Fatal("Clone shares storage")
+	}
+	if c.Shared() || c.Version() != ps.Version()+1 {
+		t.Fatalf("after its write the clone is shared=%v at version %d (source %d)", c.Shared(), c.Version(), ps.Version())
+	}
+	// The source still believes it is shared, so its own write copies too
+	// and cannot reach a second clone taken in between.
+	c2 := ps.Clone()
+	ps.BumpVersion()
+	ps.Get("w").Data[1] = -7
+	if c2.Get("w").Data[1] != 2 || c.Get("w").Data[1] != 2 {
+		t.Fatal("a write to the source reached its clones")
+	}
+	// Every mutating API goes through the seam.
+	other := NewParamSet()
+	other.Add("w", mat.FromSlice(1, 2, []float64{5, 5}))
+	for name, mutate := range map[string]func(*ParamSet){
+		"CopyFrom": func(p *ParamSet) { _ = p.CopyFrom(other) },
+		"Average":  func(p *ParamSet) { _ = p.Average(other, 0.5) },
+		"StepFlat": func(p *ParamSet) { NewAdam(0.1).StepFlat(p, []*mat.Matrix{mat.FromSlice(1, 2, []float64{1, 1})}) },
+	} {
+		src := NewParamSet()
+		src.Add("w", mat.FromSlice(1, 2, []float64{1, 2}))
+		cl := src.Clone()
+		mutate(cl)
+		if got := src.Get("w").Data; got[0] != 1 || got[1] != 2 {
+			t.Fatalf("%s on a clone wrote through to the source: %v", name, got)
+		}
+		if got := cl.Get("w").Data; got[0] == 1 && got[1] == 2 {
+			t.Fatalf("%s on a clone changed nothing", name)
+		}
 	}
 }
 

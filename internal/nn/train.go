@@ -60,7 +60,8 @@ type TrainCell struct {
 	// wHid[g] views the first HidCols rows of w[g] (HidCols × Hidden): the
 	// transposed-weight layout of the portable GEMV. wHidT[g] is its
 	// transpose (Hidden × HidCols), the row-major layout of the SIMD GEMV;
-	// nil when no SIMD kernel is active.
+	// nil when no SIMD kernel is active. Both are re-derived by every
+	// BeginBackward: w[g].Data moves when a sharing ParamSet detaches.
 	wHid, wHidT [4]*mat.Matrix
 }
 
@@ -121,7 +122,7 @@ func (c *TrainCell) allocBackward() {
 	for g := range c.w {
 		c.dW[g] = mat.New(c.CtxDim, h)
 		c.dB[g] = mat.FromSlice(1, h, c.dBrow[g*h:(g+1)*h])
-		c.wHid[g] = mat.FromSlice(c.HidCols, h, c.w[g].Data[:c.HidCols*h])
+		c.wHid[g] = &mat.Matrix{Rows: c.HidCols, Cols: h}
 		if simd {
 			c.wHidT[g] = mat.New(h, c.HidCols)
 		}
@@ -135,8 +136,9 @@ func (c *TrainCell) BeginBackward() {
 	for j := range c.carry {
 		c.carry[j] = 0
 	}
-	for g, wt := range c.wHidT {
-		if wt != nil {
+	for g, w := range c.w {
+		c.wHid[g].Data = w.Data[:c.HidCols*c.Hidden]
+		if wt := c.wHidT[g]; wt != nil {
 			mat.TransposeTo(wt, c.wHid[g])
 		}
 	}

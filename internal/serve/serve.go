@@ -724,6 +724,9 @@ func (p *DetectorPool) Channels() []string {
 	return out
 }
 
+// Len returns the number of attached channels.
+func (p *DetectorPool) Len() int { return len(*p.chans.Load()) }
+
 // Submit enqueues one observation for the channel and returns a buffered
 // receive-only outcome channel that delivers exactly one Outcome. Under the
 // Block policy Submit waits for queue space; under DropNewest a full queue

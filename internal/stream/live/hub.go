@@ -20,7 +20,7 @@ import (
 type Hub struct {
 	mu       sync.Mutex
 	chans    map[string]*chanState
-	watch    []watchEvent // ring, watch[i] valid for i in [watchHead-len, watchHead)
+	watch    ring[watchEvent]
 	watchCap int
 	nextID   uint64
 	subs     map[*watchSub]struct{}
@@ -66,7 +66,37 @@ type chanState struct {
 	active bool
 	conn   io.Closer // bound connection of the active session (may be nil)
 	last   uint64    // highest appended decision seq
-	ring   []ringEntry
+	ring   ring[ringEntry]
+}
+
+// ring retains the newest entries pushed into it, up to a capacity: it grows
+// like a slice until full, then overwrites the oldest in place, so a push
+// never moves the other entries.
+type ring[T any] struct {
+	buf  []T
+	head int // index of the oldest entry; 0 until the ring is full
+}
+
+func (r *ring[T]) push(capacity int, v T) {
+	if len(r.buf) < capacity {
+		r.buf = append(r.buf, v)
+		return
+	}
+	r.buf[r.head] = v
+	r.head = (r.head + 1) % len(r.buf)
+}
+
+// collect returns the retained entries that keep accepts, oldest first.
+func (r *ring[T]) collect(keep func(*T) bool) []T {
+	var out []T
+	for _, part := range [2][]T{r.buf[r.head:], r.buf[:r.head]} {
+		for i := range part {
+			if keep(&part[i]) {
+				out = append(out, part[i])
+			}
+		}
+	}
+	return out
 }
 
 type ringEntry struct {
@@ -154,15 +184,7 @@ func (s *Session) Append(seq uint64, payload []byte) error {
 		return fmt.Errorf("live: non-monotonic decision seq %d (last %d) on %s", seq, s.st.last, s.id)
 	}
 	s.st.last = seq
-	p := append([]byte(nil), payload...)
-	if len(s.st.ring) >= s.h.ringCap {
-		// Drop the oldest: copy-down keeps the ring a plain slice; ringCap
-		// is small and appends are per-decision, not per-byte.
-		copy(s.st.ring, s.st.ring[1:])
-		s.st.ring[len(s.st.ring)-1] = ringEntry{seq: seq, payload: p}
-	} else {
-		s.st.ring = append(s.st.ring, ringEntry{seq: seq, payload: p})
-	}
+	s.st.ring.push(s.h.ringCap, ringEntry{seq: seq, payload: append([]byte(nil), payload...)})
 	return nil
 }
 
@@ -170,12 +192,7 @@ func (s *Session) Append(seq uint64, payload []byte) error {
 // stopping on the first error.
 func (s *Session) Replay(after uint64, fn func(seq uint64, payload []byte) error) error {
 	s.h.mu.Lock()
-	entries := make([]ringEntry, 0, len(s.st.ring))
-	for _, e := range s.st.ring {
-		if e.seq > after {
-			entries = append(entries, e)
-		}
-	}
+	entries := s.st.ring.collect(func(e *ringEntry) bool { return e.seq > after })
 	s.h.mu.Unlock()
 	for _, e := range entries {
 		if err := fn(e.seq, e.payload); err != nil {
@@ -208,12 +225,7 @@ func (h *Hub) Publish(channel string, payload []byte) {
 	}
 	h.nextID++
 	ev := watchEvent{id: h.nextID, channel: channel, payload: append([]byte(nil), payload...)}
-	if len(h.watch) >= h.watchCap {
-		copy(h.watch, h.watch[1:])
-		h.watch[len(h.watch)-1] = ev
-	} else {
-		h.watch = append(h.watch, ev)
-	}
+	h.watch.push(h.watchCap, ev)
 	for sub := range h.subs {
 		if sub.channel != "" && sub.channel != channel {
 			continue
@@ -264,12 +276,9 @@ func (h *Hub) ServeWatch(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "shutting down", http.StatusServiceUnavailable)
 		return
 	}
-	replay := make([]watchEvent, 0, len(h.watch))
-	for _, ev := range h.watch {
-		if ev.id > after && (filter == "" || filter == ev.channel) {
-			replay = append(replay, ev)
-		}
-	}
+	replay := h.watch.collect(func(ev *watchEvent) bool {
+		return ev.id > after && (filter == "" || filter == ev.channel)
+	})
 	sub := &watchSub{ch: make(chan watchEvent, h.subBufLocked()), channel: filter}
 	h.subs[sub] = struct{}{}
 	h.mu.Unlock()

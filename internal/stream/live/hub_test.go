@@ -85,6 +85,50 @@ func TestSessionRingReplay(t *testing.T) {
 	}
 }
 
+// TestSessionRingWrapAround walks a RingCap 3 ring through every head
+// position: whatever was overwritten in place, Replay yields exactly the
+// newest three decisions above `after`, oldest first.
+func TestSessionRingWrapAround(t *testing.T) {
+	for _, tc := range []struct {
+		appended, after uint64
+		want            string
+	}{
+		{appended: 0, after: 0, want: ""},
+		{appended: 2, after: 0, want: "1,2"},
+		{appended: 3, after: 0, want: "1,2,3"},
+		{appended: 4, after: 0, want: "2,3,4"}, // head 1
+		{appended: 5, after: 3, want: "4,5"},   // head 2, filter splits the older part
+		{appended: 6, after: 0, want: "4,5,6"}, // head back at 0
+		{appended: 7, after: 5, want: "6,7"},   // second lap
+		{appended: 8, after: 8, want: ""},
+		{appended: 8, after: 2, want: "6,7,8"}, // after below the retained floor
+	} {
+		h := NewHub(HubConfig{RingCap: 3})
+		s, err := h.Acquire("ch")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for seq := uint64(1); seq <= tc.appended; seq++ {
+			if err := s.Append(seq, []byte{byte(seq)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var got []string
+		if err := s.Replay(tc.after, func(seq uint64, p []byte) error {
+			if len(p) != 1 || uint64(p[0]) != seq {
+				t.Errorf("seq %d carries payload %v", seq, p)
+			}
+			got = append(got, fmt.Sprint(seq))
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if strings.Join(got, ",") != tc.want {
+			t.Errorf("%d appended, replay after %d = %v, want %s", tc.appended, tc.after, got, tc.want)
+		}
+	}
+}
+
 // watchStream opens a /watch SSE connection and returns a line-reader plus
 // a cancel. ServeWatch flushes its headers only after the subscription is
 // registered, so once this returns, published events cannot be missed.

@@ -68,11 +68,21 @@ func (f *Feeder) Recycle(buf []byte) { f.free <- buf }
 // be read once C is closed.
 func (f *Feeder) Err() error { return f.err }
 
+// MaxLine bounds one NDJSON line, terminator included: feature vectors can
+// be wide, but a line that does not end within MaxLine bytes ends its stream
+// with bufio.ErrTooLong.
+const MaxLine = 1 << 20
+
+// scanBufInit is the line buffer every stream starts with. bufio.Scanner
+// doubles it up to MaxLine only for a line that needs the room, so a stream
+// holds memory in proportion to its longest line, not to the limit.
+const scanBufInit = 4 << 10
+
 // ScanLines adapts an NDJSON body to Feed: each call returns the next
 // non-blank line, trimmed, and io.EOF at the clean end.
 func ScanLines(r io.Reader) func() ([]byte, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<20) // feature vectors can be wide
+	sc.Buffer(make([]byte, 0, scanBufInit), MaxLine)
 	return func() ([]byte, error) {
 		for sc.Scan() {
 			if line := bytes.TrimSpace(sc.Bytes()); len(line) > 0 {

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"errors"
@@ -208,5 +209,79 @@ func TestFeedStop(t *testing.T) {
 	}
 	if !errors.Is(f.Err(), boom) {
 		t.Fatalf("Err = %v, want boom", f.Err())
+	}
+}
+
+// chunkReader delivers at most n bytes per Read.
+type chunkReader struct {
+	r io.Reader
+	n int
+}
+
+func (c chunkReader) Read(p []byte) (int, error) { return c.r.Read(p[:min(len(p), c.n)]) }
+
+// TestScanLinesBounds pins what a stream may send, however its bytes
+// arrive: blank lines vanish, CRLF and padding are trimmed, a line of
+// MaxLine−1 bytes (MaxLine with its terminator) comes back whole, one byte
+// more ends the stream with bufio.ErrTooLong — and the buffer grows with the
+// line, so a stream of ordinary lines never holds more than it started with.
+func TestScanLinesBounds(t *testing.T) {
+	line := func(n int) string { return strings.Repeat("x", n) }
+	ordinary := make([]string, 10000)
+	for i := range ordinary {
+		ordinary[i] = line(1400)
+	}
+	cases := []struct {
+		name, in string
+		want     []string
+		err      error // nil: the stream ends cleanly
+		big      bool  // MiB-sized lines: quadratic to scan a byte at a time, and meant to grow the buffer
+	}{
+		{name: "blank and CRLF", in: "  a \r\n\n\r\n \t\nbb\r\nccc", want: []string{"a", "bb", "ccc"}},
+		{name: "longest line", in: "a\n" + line(MaxLine-1) + "\nz\n", want: []string{"a", line(MaxLine - 1), "z"}, big: true},
+		{name: "longest line unterminated", in: line(MaxLine - 1), want: []string{line(MaxLine - 1)}, big: true},
+		{name: "one byte over", in: "a\n" + line(MaxLine) + "\nz\n", want: []string{"a"}, err: bufio.ErrTooLong, big: true},
+		{name: "ordinary stream", in: strings.Join(ordinary, "\n"), want: ordinary},
+	}
+	readers := []struct {
+		name string
+		wrap func(io.Reader) io.Reader
+	}{
+		{"1 byte", func(r io.Reader) io.Reader { return chunkReader{r, 1} }},
+		{"4 KiB", func(r io.Reader) io.Reader { return chunkReader{r, 4 << 10} }},
+		{"all at once", func(r io.Reader) io.Reader { return r }},
+	}
+	for _, tc := range cases {
+		for _, rd := range readers {
+			if tc.big && rd.name == "1 byte" {
+				continue
+			}
+			t.Run(tc.name+"/"+rd.name, func(t *testing.T) {
+				next := ScanLines(rd.wrap(strings.NewReader(tc.in)))
+				n, maxCap := 0, 0
+				var err error
+				for {
+					var got []byte
+					if got, err = next(); err != nil {
+						break
+					}
+					if n >= len(tc.want) || string(got) != tc.want[n] {
+						t.Fatalf("line %d = %.20q… (%d bytes), want %d lines", n, got, len(got), len(tc.want))
+					}
+					maxCap = max(maxCap, cap(got))
+					n++
+				}
+				wantErr := tc.err
+				if wantErr == nil {
+					wantErr = io.EOF
+				}
+				if n != len(tc.want) || err != wantErr {
+					t.Fatalf("%d lines then %v, want %d then %v", n, err, len(tc.want), wantErr)
+				}
+				if !tc.big && maxCap > scanBufInit {
+					t.Fatalf("line buffer grew to %d bytes over lines that fit its initial %d", maxCap, scanBufInit)
+				}
+			})
+		}
 	}
 }

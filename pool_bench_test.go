@@ -214,3 +214,48 @@ func benchmarkPoolThroughput(b *testing.B, cfg serve.Config, window int) {
 		b.ReportMetric(p(0.99), "p99-µs")
 	}
 }
+
+// BenchmarkPoolAttach measures what one more channel costs a daemon: each
+// iteration clones the template onto 256 fresh channels of a new pool and
+// reports the time per attach (clone + Attach) and the heap each attached
+// channel retains once the garbage is collected — the benchstat-able twin of
+// TestCloneFootprint's gate.
+func BenchmarkPoolAttach(b *testing.B) {
+	if err := poolBenchFixture(); err != nil {
+		b.Fatal(err)
+	}
+	const channels = 256
+	heap := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	var retained float64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		pool, err := serve.NewDetectorPool(serve.Config{Shards: 4, QueueDepth: 64, Policy: serve.Block, Batch: 32})
+		if err != nil {
+			b.Fatal(err)
+		}
+		before := heap()
+		b.StartTimer()
+		for c := 0; c < channels; c++ {
+			det, err := poolBench.template.Clone()
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := pool.Attach(fmt.Sprintf("ch-%04d", c), det); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StopTimer()
+		retained += float64(heap()) - float64(before)
+		pool.Close()
+		b.StartTimer()
+	}
+	b.ReportMetric(retained/float64(b.N)/channels, "B/channel")
+	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N)/channels, "µs/attach")
+}
