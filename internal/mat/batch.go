@@ -134,9 +134,9 @@ func addBiasRows(dst []float64, lanes int, bias []float64) {
 
 // LSTMGatesBatchInto applies the fused LSTM gate nonlinearities to B
 // stacked lanes: row b of every matrix is one lane's state, transformed by
-// exactly the scalar code of LSTMGatesInto — the batch form exists so the
-// batched plan can keep lane state in contiguous matrices, not for extra
-// arithmetic blocking (the transcendentals dominate and do not amortise
+// exactly the code of LSTMGatesInto — the batch form exists so the batched
+// plan can keep lane state in contiguous matrices, not for extra
+// arithmetic blocking (the gate kernel is elementwise; nothing amortises
 // across lanes).
 func LSTMGatesBatchInto(h, cNext, pre, cPrev *Matrix) {
 	if h.Rows != pre.Rows || cNext.Rows != pre.Rows || cPrev.Rows != pre.Rows {

@@ -5,13 +5,19 @@ import (
 	"math"
 )
 
-// Fast-math transcendental kernels (ISSUE 6). The exact LSTM gate kernel is
-// transcendental-dominated: math.Exp and math.Tanh are scalar, bit-defined
-// and branchy, and cap Observe near 27k seg/s per core (BENCH.md §3c).
-// FastExp/FastTanh trade the last few ULP for straight-line polynomial
-// arithmetic that vectorises: a 13-term Taylor expansion of e^r on the
-// reduced interval |r| ≤ ln2/2 after Cody–Waite argument reduction
-// x = k·ln2 + r, with the 2^k rescale done in integer exponent arithmetic.
+// Fast-math transcendental kernels (ISSUE 6): FastExp/FastTanh trade the
+// last few ULP of math.Exp/math.Tanh for a polynomial of their own — a
+// 13-term Taylor expansion of e^r on the reduced interval |r| ≤ ln2/2
+// after Cody–Waite argument reduction x = k·ln2 + r, with the 2^k rescale
+// done in integer exponent arithmetic — that is portable: the scalar form
+// below and the vector kernels agree bit for bit on every platform.
+//
+// Speed is not what they buy on amd64: the exact kernels of exact_amd64.s
+// run the math package's own sequences in vector lanes, and the exact gate
+// kernel is the faster of the two there (BENCH.md "The exact gate kernel").
+// What fast-math has that exact mode has not is bits that do not depend on
+// the toolchain's math package; whether that keeps the mode is BENCH.md
+// §14's open trial.
 //
 // Accuracy is not assumed: fastmath_test.go measures the max-ULP envelope
 // against math.Exp/math.Tanh over the LSTM-relevant range (and the verdict

@@ -9,17 +9,21 @@ import (
 // Each kernel performs exactly the floating-point operations of its tape
 // equivalent in the same order, so fused inference stays bit-identical to
 // the autodiff forward pass (pinned by the golden equivalence tests in
-// internal/core). Two properties carry the argument:
+// internal/core). Three properties carry the argument:
 //
 //   - VecMatTTo accumulates every output column over k in increasing k
 //     order — the accumulation order of MatMulTo for a 1×n input. The
 //     tape kernel's zero-input skip is numerically inert for finite weights
 //     (a running sum that starts at +0 never becomes −0, so adding ±0 terms
 //     cannot change any bit), which is why the dense kernel needs no branch.
-//   - LSTMGatesInto forces intermediate rounding with explicit float64
-//     conversions where the tape materialises intermediates into matrices,
-//     so no FMA contraction can fuse i⊙c̃ + f⊙c_{t-1} on platforms whose
-//     compiler would otherwise emit it.
+//   - The gate body (LSTMGatesTrainInto, which LSTMGatesInto calls) forces
+//     intermediate rounding with explicit float64 conversions where the
+//     tape materialises intermediates into matrices, so no FMA contraction
+//     can fuse i⊙c̃ + f⊙c_{t-1} on platforms whose compiler would
+//     otherwise emit it.
+//   - The transcendentals are the tape's: math.Exp and math.Tanh, by call
+//     or — where expNegInto/tanhInto find their vector kernels active — by
+//     the same instruction sequence run several operands at a time.
 
 // VecMatTTo computes the GEMV dst = x · wᵀ: wt is the TRANSPOSED weight
 // matrix (m×n for a logical n×m weight), x has length n and dst length m.
@@ -85,8 +89,25 @@ func VecMatTTo(dst, x []float64, wt *Matrix) {
 	}
 }
 
-// sigmoidScalar matches the tape's Sigmoid elementwise function exactly.
-func sigmoidScalar(x float64) float64 { return 1 / (1 + math.Exp(-x)) }
+// expNegInto computes v[i] = math.Exp(−v[i]) in place and tanhInto
+// dst[i] = math.Tanh(src[i]) (dst may be src): the two transcendentals of
+// exact mode, whose bits are by definition those of the toolchain's math
+// package. Where the vector kernels of exact_amd64.s are active they
+// execute the math routines' own operation sequence eight (or four) lanes
+// at a time and are bit-identical to the calls below on every operand
+// (TestExactTranscendentalsMatchMath is the tripwire on a Go upgrade); the
+// tail, and every element elsewhere, is the call itself.
+func expNegInto(v []float64) {
+	for i := simdExpNegInto(v); i < len(v); i++ {
+		v[i] = math.Exp(-v[i])
+	}
+}
+
+func tanhInto(dst, src []float64) {
+	for i := simdTanhInto(dst, src); i < len(src); i++ {
+		dst[i] = math.Tanh(src[i])
+	}
+}
 
 // VecRecip1pInto computes v[i] = 1/(1+v[i]) in place — the closing half of
 // a sigmoid whose exponentials are already in v. Addition and IEEE
@@ -110,49 +131,21 @@ func VecRecip1pInto(v []float64) {
 //	i = σ(pre_i)  f = σ(pre_f)  c̃ = tanh(pre_c)  o = σ(pre_o)
 //	cNext = i⊙c̃ + f⊙cPrev      h = o⊙tanh(cNext)
 //
-// The kernel is phased: the sigmoid gates' exponentials first (scalar
-// math.Exp, the bit-defined transcendental), then σ = 1/(1+e) as one
-// vectorised pass (VecRecip1pInto — the add and the IEEE correctly-rounded
-// divide are elementwise, so vectorisation cannot change a bit), then the
-// cell update. Phasing reorders only *which unit* is processed when; every
-// individual operation sees the same inputs as the fully scalar form, so
-// the result is bit-identical to it — and to the tape (the explicit
-// float64 conversions force the two products to round before the add,
-// exactly as the tape rounds them when storing the Mul nodes, so no FMA
-// contraction can perturb the result).
+// It is LSTMGatesTrainInto — the one gate body, see there — with tanh(cNext)
+// parked in h until the output gate scales it.
 func LSTMGatesInto(h, cNext, pre, cPrev []float64) {
-	n := len(h)
-	if len(cNext) != n || len(cPrev) != n || len(pre) != 4*n {
-		panic(fmt.Sprintf("mat: LSTMGatesInto lengths h=%d cNext=%d cPrev=%d pre=%d", n, len(cNext), len(cPrev), len(pre)))
-	}
-	ig, fg, cd, og := pre[0:n], pre[n:2*n], pre[2*n:3*n], pre[3*n:4*n]
-	for j, v := range ig {
-		ig[j] = math.Exp(-v)
-	}
-	for j, v := range fg {
-		fg[j] = math.Exp(-v)
-	}
-	for j, v := range og {
-		og[j] = math.Exp(-v)
-	}
-	VecRecip1pInto(pre[0 : 2*n]) // i and f gates are adjacent
-	VecRecip1pInto(og)
-	for j := 0; j < n; j++ {
-		c := math.Tanh(cd[j])
-		cn := float64(ig[j]*c) + float64(fg[j]*cPrev[j])
-		cNext[j] = cn
-		h[j] = og[j] * math.Tanh(cn)
-	}
+	LSTMGatesTrainInto(h, cNext, h, pre, cPrev)
 }
 
-// VecSigmoidInto computes dst = σ(a) elementwise with the tape's sigmoid.
+// VecSigmoidInto computes dst = σ(a) = 1/(1+exp(−a)) elementwise — the
+// tape's sigmoid, in the gate kernel's two phases.
 func VecSigmoidInto(dst, a []float64) {
 	if len(dst) != len(a) {
 		panic(fmt.Sprintf("mat: VecSigmoidInto length mismatch %d vs %d", len(dst), len(a)))
 	}
-	for i, v := range a {
-		dst[i] = sigmoidScalar(v)
-	}
+	copy(dst, a)
+	expNegInto(dst)
+	VecRecip1pInto(dst)
 }
 
 // VecTanhInto computes dst = tanh(a) elementwise.
@@ -160,9 +153,7 @@ func VecTanhInto(dst, a []float64) {
 	if len(dst) != len(a) {
 		panic(fmt.Sprintf("mat: VecTanhInto length mismatch %d vs %d", len(dst), len(a)))
 	}
-	for i, v := range a {
-		dst[i] = math.Tanh(v)
-	}
+	tanhInto(dst, a)
 }
 
 // VecReLUInto computes dst = max(0, a) elementwise.

@@ -29,37 +29,40 @@ func xgetbv0() (eax, edx uint32)
 // simdGEMMLevel is 0 (scalar only), 2 (AVX2) or 3 (AVX-512F), detected
 // once at startup. AOVLIS_NOSIMD=1 forces the portable scalar path — the
 // escape hatch for benchmarking the fallback and for debugging suspected
-// kernel issues without rebuilding.
-var simdGEMMLevel = detectGEMMLevel()
+// kernel issues without rebuilding. simdFMA reports CPUID.1:ECX bit 12 at
+// a non-zero level: the kernels that fuse (the exact transcendentals, the
+// Adam reciprocal divisions) run only with it, the others never fuse.
+var simdGEMMLevel, simdFMA = detectGEMMLevel()
 
-func detectGEMMLevel() int {
+func detectGEMMLevel() (level int, fma bool) {
 	if os.Getenv("AOVLIS_NOSIMD") != "" {
-		return 0
+		return 0, false
 	}
 	maxLeaf, _, _, _ := cpuidex(0, 0)
 	if maxLeaf < 7 {
-		return 0
+		return 0, false
 	}
 	_, _, c1, _ := cpuidex(1, 0)
-	const osxsave, avx = 1 << 27, 1 << 28
+	const fma3, osxsave, avx = 1 << 12, 1 << 27, 1 << 28
 	if c1&osxsave == 0 || c1&avx == 0 {
-		return 0
+		return 0, false
 	}
 	// The OS must context-switch the wide register state: XCR0 bits 1-2
 	// (XMM/YMM) for AVX, plus bits 5-7 (opmask, ZMM) for AVX-512.
 	xcr0, _ := xgetbv0()
 	if xcr0&0x6 != 0x6 {
-		return 0
+		return 0, false
 	}
+	fma = c1&fma3 != 0
 	_, b7, _, _ := cpuidex(7, 0)
 	const avx2, avx512f = 1 << 5, 1 << 16
 	if b7&avx512f != 0 && xcr0&0xe6 == 0xe6 {
-		return 3
+		return 3, fma
 	}
 	if b7&avx2 != 0 {
-		return 2
+		return 2, fma
 	}
-	return 0
+	return 0, false
 }
 
 // SIMDGEMM names the active forward-GEMM kernel ("avx512", "avx2" or

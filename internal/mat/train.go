@@ -26,7 +26,11 @@ import (
 //
 // The optimiser kernel (AdamInto) is purely elementwise: IEEE add, mul,
 // divide and square root are correctly rounded, so evaluating eight
-// elements per instruction cannot change any of them.
+// elements per instruction cannot change any of them. Its vector form
+// does fuse, in one place and to the same end: the two quotients whose
+// divisor is a per-step scalar are computed as a correctly rounded
+// division by other means (a reciprocal and two FMAs, see train_amd64.s),
+// which is the quotient `/` returns or the lane takes the divide.
 
 // GEMVBiasInto computes dst = x·w + bias for the ROW-MAJOR n×m weight w
 // (len(x) = n, len(dst) = len(bias) = m): each dst[j] is one accumulator
@@ -72,11 +76,22 @@ func gemvRowMajorPortable(dst, x []float64, w *Matrix) {
 	}
 }
 
-// LSTMGatesTrainInto is LSTMGatesInto for the training forward pass: the
-// same phased, bit-exact gate arithmetic, but every intermediate the
-// backward pass needs is kept. On return pre (length 4H, gate order
+// LSTMGatesTrainInto is the gate body of the engine, inference and
+// training alike: LSTMGatesInto's arithmetic with every intermediate the
+// backward pass needs kept. On return pre (length 4H, gate order
 // i, f, c, o) holds the gate ACTIVATIONS σ(pre_i), σ(pre_f), tanh(pre_c),
 // σ(pre_o), tanhC holds tanh(cNext), and cNext/h are the new states.
+// tanhC may be h itself (inference keeps nothing).
+//
+// The body is phased: the sigmoid gates' exponentials (expNegInto), then
+// σ = 1/(1+e) (VecRecip1pInto), the candidate's tanh, the cell update, its
+// tanh, the output product. Every phase is elementwise, so phasing
+// reorders only *which unit* is processed when; each operation sees the
+// inputs it would see in the scalar gate-by-gate form and the result is
+// bit-identical to it — and to the tape: the explicit float64 conversions
+// force the two products to round before the add, exactly as the tape
+// rounds them when storing the Mul nodes, so no FMA contraction can
+// perturb the result.
 func LSTMGatesTrainInto(h, cNext, tanhC, pre, cPrev []float64) {
 	n := len(h)
 	if len(cNext) != n || len(tanhC) != n || len(cPrev) != n || len(pre) != 4*n {
@@ -84,25 +99,65 @@ func LSTMGatesTrainInto(h, cNext, tanhC, pre, cPrev []float64) {
 			n, len(cNext), len(tanhC), len(cPrev), len(pre)))
 	}
 	ig, fg, cd, og := pre[0:n], pre[n:2*n], pre[2*n:3*n], pre[3*n:4*n]
-	for j, v := range ig {
-		ig[j] = math.Exp(-v)
-	}
-	for j, v := range fg {
-		fg[j] = math.Exp(-v)
-	}
-	for j, v := range og {
-		og[j] = math.Exp(-v)
-	}
-	VecRecip1pInto(pre[0 : 2*n]) // i and f gates are adjacent
+	expNegInto(pre[0 : 2*n]) // i and f gates are adjacent
+	expNegInto(og)
+	VecRecip1pInto(pre[0 : 2*n])
 	VecRecip1pInto(og)
+	tanhInto(cd, cd)
 	for j := 0; j < n; j++ {
-		c := math.Tanh(cd[j])
-		cd[j] = c
-		cn := float64(ig[j]*c) + float64(fg[j]*cPrev[j])
-		cNext[j] = cn
-		tc := math.Tanh(cn)
-		tanhC[j] = tc
-		h[j] = og[j] * tc
+		cNext[j] = float64(ig[j]*cd[j]) + float64(fg[j]*cPrev[j])
+	}
+	tanhInto(tanhC, cNext)
+	for j := 0; j < n; j++ {
+		h[j] = og[j] * tanhC[j]
+	}
+}
+
+// LSTMGatesBackInto backpropagates one step through the gate body. act and
+// tanhC are what LSTMGatesTrainInto left for that step (gate activations
+// i, f, c̃, o and tanh(c)), cPrev the cell state it started from, dh the
+// gradient reaching its hidden state (read-only). carry holds ∂L/∂c flowing
+// in from the step after and is replaced by what flows on to the step
+// before; dpre (length 4H, gate order i, f, c, o) receives the
+// preactivation gradients.
+//
+// Every line is one tape backstep, in Backward's reverse recording order;
+// the leading "0 +" reproduces the tape's first accumulation into a zeroed
+// gradient matrix (it turns a −0 product into +0), and the float64
+// conversions round each product before it is added, as the tape does by
+// storing it. All of it is elementwise, so the vector kernels — one
+// VMULPD/VADDPD/VSUBPD per operation below — are bit-identical to the loop.
+func LSTMGatesBackInto(dpre, carry, dh, act, tanhC, cPrev []float64) {
+	h := len(dh)
+	if len(dpre) != 4*h || len(act) != 4*h || len(carry) != h || len(tanhC) != h || len(cPrev) != h {
+		panic(fmt.Sprintf("mat: LSTMGatesBackInto lengths dh=%d dpre=%d act=%d carry=%d tanhC=%d cPrev=%d",
+			h, len(dpre), len(act), len(carry), len(tanhC), len(cPrev)))
+	}
+	gatesBackPortable(dpre, carry, dh, act, tanhC, cPrev, simdGatesBackInto(dpre, carry, dh, act, tanhC, cPrev))
+}
+
+// gatesBackPortable is the scalar body of LSTMGatesBackInto over elements
+// [from, len(dh)).
+func gatesBackPortable(dpre, carry, dh, act, tanhC, cPrev []float64, from int) {
+	h := len(dh)
+	ig, fg, cd, og := act[0:h], act[h:2*h], act[2*h:3*h], act[3*h:4*h]
+	for j := from; j < h; j++ {
+		i, f, cand, o, tc := ig[j], fg[j], cd[j], og[j], tanhC[j]
+		// h = o ⊙ tanh(c)
+		do := 0 + float64(dh[j]*tc)
+		dtc := 0 + float64(dh[j]*o)
+		// c receives the next step's forget path first, then its own tanh.
+		dc := carry[j] + float64(dtc*(1-float64(tc*tc)))
+		// c = i⊙c̃ + f⊙c_{t−1}
+		df := 0 + float64(dc*cPrev[j])
+		carry[j] = 0 + float64(dc*f)
+		di := 0 + float64(dc*cand)
+		dcand := 0 + float64(dc*i)
+		// gate nonlinearities
+		dpre[3*h+j] = 0 + float64(float64(do*o)*(1-o))
+		dpre[2*h+j] = 0 + float64(dcand*(1-float64(cand*cand)))
+		dpre[h+j] = 0 + float64(float64(df*f)*(1-f))
+		dpre[j] = 0 + float64(float64(di*i)*(1-i))
 	}
 }
 
@@ -171,8 +226,9 @@ type AdamCoef struct {
 //
 // with every operation rounded separately in exactly that association —
 // the scalar optimiser loop this replaces. All operations are elementwise
-// and correctly rounded, so the vector kernels are bit-identical to the
-// portable loop.
+// and correctly rounded (the vector kernels' reciprocal form of m/bc₁ and
+// v/bc₂ included: TestAdamReciprocalDivisionExact), so the vector kernels
+// are bit-identical to the portable loop.
 func AdamInto(p, m, v, g []float64, c *AdamCoef) {
 	if len(m) != len(p) || len(v) != len(p) || len(g) != len(p) {
 		panic(fmt.Sprintf("mat: AdamInto lengths p=%d m=%d v=%d g=%d", len(p), len(m), len(v), len(g)))

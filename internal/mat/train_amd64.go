@@ -13,6 +13,12 @@ func atStepsAVX512(dst, a, b *float64, n, m, ldb, steps int)
 func atStepsAVX2(dst, a, b *float64, n, m, ldb, steps int)
 
 //go:noescape
+func gatesBackAVX512(dpre, carry, dh, act, tanhC, cPrev *float64, h, n int)
+
+//go:noescape
+func gatesBackAVX2(dpre, carry, dh, act, tanhC, cPrev *float64, h, n int)
+
+//go:noescape
 func adamAVX512(p, m, v, grad *float64, n int, c *AdamCoef)
 
 //go:noescape
@@ -37,9 +43,33 @@ func simdATStepsInto(dst, a, b []float64, n, m, ldb, steps int) int {
 	return 0
 }
 
-// simdAdamInto runs the vectorised Adam update over as many leading
+// simdGatesBackInto runs the vectorised gate backward over as many leading
 // elements as the active vector width covers and returns that count.
+func simdGatesBackInto(dpre, carry, dh, act, tanhC, cPrev []float64) int {
+	h := len(dh)
+	switch simdGEMMLevel {
+	case 3:
+		if nv := h &^ 7; nv > 0 {
+			gatesBackAVX512(&dpre[0], &carry[0], &dh[0], &act[0], &tanhC[0], &cPrev[0], h, nv)
+			return nv
+		}
+	case 2:
+		if nv := h &^ 3; nv > 0 {
+			gatesBackAVX2(&dpre[0], &carry[0], &dh[0], &act[0], &tanhC[0], &cPrev[0], h, nv)
+			return nv
+		}
+	}
+	return 0
+}
+
+// simdAdamInto runs the vectorised Adam update over as many leading
+// elements as the active vector width covers and returns that count. The
+// kernels' reciprocal divisions fuse, so a CPU with AVX2 and no FMA unit
+// (none was made) is left to the portable loop.
 func simdAdamInto(p, m, v, g []float64, c *AdamCoef) int {
+	if !simdFMA {
+		return 0
+	}
 	switch simdGEMMLevel {
 	case 3:
 		if nv := len(p) &^ 7; nv > 0 {

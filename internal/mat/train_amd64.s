@@ -1,7 +1,9 @@
 // SIMD kernels of the tape-free training engine (see train.go for the
 // contracts and the bit-identity argument). As in gemm_amd64.s, vector
 // lanes are always distinct output elements and every product is rounded
-// by its own VMULPD before the VADDPD — never VFMADD. The hot loops are
+// by its own VMULPD before the VADDPD — never VFMADD, except inside the
+// Adam kernels' reciprocal division, where the fused pair IS the correctly
+// rounded quotient (see adamAVX512). The hot loops are
 // PCALIGNed: the scalar kernels they replace moved 11 % on a relink that
 // only shifted their loop heads across a fetch boundary (BENCH.md §11).
 
@@ -258,13 +260,176 @@ y2next:
 	VZEROUPPER
 	RET
 
+DATA trainOne<>+0(SB)/8, $1.0
+GLOBL trainOne<>(SB), RODATA|NOPTR, $8
+
+// GATESBACK is one vector of LSTMGatesBackInto (train.go), operation for
+// operation: every product its own VMULPD, every "0 +" a VADDPD with the
+// zero register V14 (it turns a −0 product into +0, as the scalar form
+// does), V15 = 1.0. Pointers: dpre rows i, f, c, o in DI, R14, R15, R10;
+// activations i, f, c̃, o in BX, R11, R12, R13; carry SI, dh DX, tanhC R8,
+// cPrev R9; AX is the byte offset of the vector. Written for Y and Z
+// registers alike.
+#define GATESBACK(V0, V1, V2, V3, V4, V5, V6, V7, V8, V9, V10, V11, V12, V13, V14, V15) \
+	VMOVUPD (DX)(AX*1), V0;   \ // dh
+	VMOVUPD (R8)(AX*1), V1;   \ // tanh(c)
+	VMOVUPD (R13)(AX*1), V2;  \ // o
+	VMOVUPD (BX)(AX*1), V3;   \ // i
+	VMOVUPD (R11)(AX*1), V4;  \ // f
+	VMOVUPD (R12)(AX*1), V5;  \ // c̃
+	VMOVUPD (R9)(AX*1), V6;   \ // c_{t−1}
+	VMOVUPD (SI)(AX*1), V7;   \ // carry
+	VMULPD  V1, V0, V8;       \
+	VADDPD  V8, V14, V8;      \ // do = 0 + dh·tanh(c)
+	VMULPD  V2, V0, V9;       \
+	VADDPD  V9, V14, V9;      \ // dtc = 0 + dh·o
+	VMULPD  V1, V1, V10;      \
+	VSUBPD  V10, V15, V10;    \ // 1 − tanh²(c)
+	VMULPD  V10, V9, V10;     \
+	VADDPD  V10, V7, V10;     \ // dc = carry + dtc·(1 − tanh²(c))
+	VMULPD  V6, V10, V11;     \
+	VADDPD  V11, V14, V11;    \ // df = 0 + dc·c_{t−1}
+	VMULPD  V4, V10, V7;      \
+	VADDPD  V7, V14, V7;      \ // carry = 0 + dc·f
+	VMOVUPD V7, (SI)(AX*1);   \
+	VMULPD  V5, V10, V12;     \
+	VADDPD  V12, V14, V12;    \ // di = 0 + dc·c̃
+	VMULPD  V3, V10, V13;     \
+	VADDPD  V13, V14, V13;    \ // dc̃ = 0 + dc·i
+	VMULPD  V2, V8, V8;       \
+	VSUBPD  V2, V15, V9;      \
+	VMULPD  V9, V8, V8;       \
+	VADDPD  V8, V14, V8;      \ // dpre_o = 0 + (do·o)·(1 − o)
+	VMOVUPD V8, (R10)(AX*1);  \
+	VMULPD  V5, V5, V9;       \
+	VSUBPD  V9, V15, V9;      \
+	VMULPD  V9, V13, V13;     \
+	VADDPD  V13, V14, V13;    \ // dpre_c = 0 + dc̃·(1 − c̃²)
+	VMOVUPD V13, (R15)(AX*1); \
+	VMULPD  V4, V11, V11;     \
+	VSUBPD  V4, V15, V9;      \
+	VMULPD  V9, V11, V11;     \
+	VADDPD  V11, V14, V11;    \ // dpre_f = 0 + (df·f)·(1 − f)
+	VMOVUPD V11, (R14)(AX*1); \
+	VMULPD  V3, V12, V12;     \
+	VSUBPD  V3, V15, V9;      \
+	VMULPD  V9, V12, V12;     \
+	VADDPD  V12, V14, V12;    \ // dpre_i = 0 + (di·i)·(1 − i)
+	VMOVUPD V12, (DI)(AX*1)
+
+// GATESBACKARGS loads the pointers GATESBACK names from the arguments of
+// gatesBackAVX512/AVX2 and leaves the byte length of the n elements in CX.
+#define GATESBACKARGS \
+	MOVQ dpre+0(FP), DI;   \
+	MOVQ carry+8(FP), SI;  \
+	MOVQ dh+16(FP), DX;    \
+	MOVQ act+24(FP), BX;   \
+	MOVQ tanhC+32(FP), R8; \
+	MOVQ cPrev+40(FP), R9; \
+	MOVQ h+48(FP), R10;    \
+	MOVQ n+56(FP), CX;     \
+	SHLQ $3, R10;          \
+	SHLQ $3, CX;           \
+	LEAQ (BX)(R10*1), R11; \
+	LEAQ (R11)(R10*1), R12; \
+	LEAQ (R12)(R10*1), R13; \
+	LEAQ (DI)(R10*1), R14; \
+	LEAQ (R14)(R10*1), R15; \
+	LEAQ (R15)(R10*1), R10; \
+	XORQ AX, AX
+
+// func gatesBackAVX512(dpre, carry, dh, act, tanhC, cPrev *float64, h, n int)
+// The first n elements (a positive multiple of 8) of one step's gate
+// backward; h is the gate stride of dpre and act.
+TEXT ·gatesBackAVX512(SB), NOSPLIT, $0-64
+	GATESBACKARGS
+	VPXORQ Z14, Z14, Z14
+	VBROADCASTSD trainOne<>(SB), Z15
+gb5loop:
+	GATESBACK(Z0, Z1, Z2, Z3, Z4, Z5, Z6, Z7, Z8, Z9, Z10, Z11, Z12, Z13, Z14, Z15)
+	ADDQ $64, AX
+	CMPQ AX, CX
+	JLT  gb5loop
+	VZEROUPPER
+	RET
+
+// func gatesBackAVX2(dpre, carry, dh, act, tanhC, cPrev *float64, h, n int)
+// The same on YMM registers; n is a positive multiple of 4.
+TEXT ·gatesBackAVX2(SB), NOSPLIT, $0-64
+	GATESBACKARGS
+	VXORPD Y14, Y14, Y14
+	VBROADCASTSD trainOne<>(SB), Y15
+gb2loop:
+	GATESBACK(Y0, Y1, Y2, Y3, Y4, Y5, Y6, Y7, Y8, Y9, Y10, Y11, Y12, Y13, Y14, Y15)
+	ADDQ $32, AX
+	CMPQ AX, CX
+	JLT  gb2loop
+	VZEROUPPER
+	RET
+
+// Range of the reciprocal divisions below, as bit patterns: a divisor in
+// [2⁻¹⁰⁰, 2¹⁰⁰] and a numerator of magnitude in [2⁻⁹⁰⁰, 2⁹⁰⁰] keep the
+// quotient, the residual (53 bits below the numerator) and both products
+// normal. Each range is its low end and its width, for one unsigned compare.
+DATA adamRange<>+0(SB)/8, $0x39B0000000000000  // 2⁻¹⁰⁰
+DATA adamRange<>+8(SB)/8, $0x0C80000000000000  // 2¹⁰⁰ − 2⁻¹⁰⁰
+DATA adamRange<>+16(SB)/8, $0x07B0000000000000 // 2⁻⁹⁰⁰
+DATA adamRange<>+24(SB)/8, $0x7080000000000000 // 2⁹⁰⁰ − 2⁻⁹⁰⁰
+DATA adamRange<>+32(SB)/8, $0x7830000000000000 // 2⁹⁰⁰
+DATA adamRange<>+40(SB)/8, $0x7FFFFFFFFFFFFFFF
+GLOBL adamRange<>(SB), RODATA|NOPTR, $48
+
+// DIVISOROK leaves 0 in OK when the divisor whose bits are in B lies in
+// [2⁻¹⁰⁰, 2¹⁰⁰] (positive, finite, normal), and 1 otherwise. T is clobbered.
+#define DIVISOROK(B, OK, T) \
+	MOVQ  B, T;                     \
+	SUBQ  adamRange<>+0(SB), T;     \
+	XORQ  OK, OK;                   \
+	CMPQ  T, adamRange<>+8(SB);     \
+	SETHI OK
+
+// RECIPDIV replaces A by A/B, correctly rounded, without dividing: with
+// Y = RN(1/B), Markstein's sequence q = A·Y, r = A − B·q (exact in an
+// FMA), q' = q + r·Y. Valid for the lanes the guard admits; Q is clobbered.
+#define RECIPDIV(A, B, Y, Q) \
+	VMULPD       Y, A, Q;  \
+	VFNMADD231PD B, Q, A;  \
+	VFMADD231PD  Y, A, Q;  \
+	VMOVAPD      Q, A
+
+// ADAMGUARD5 sets ZF when every lane of A may take RECIPDIV in adamAVX512
+// (whose Z27–Z29 hold the magnitude mask and the numerator range): each is
+// +0 or of magnitude in [2⁻⁹⁰⁰, 2⁹⁰⁰], and the divisor's flag OK is clear.
+// Z6, K1, K2 and R9 are clobbered.
+#define ADAMGUARD5(A, OK) \
+	VPANDQ    Z27, A, Z6;        \
+	VPSUBQ    Z28, Z6, Z6;       \
+	VPCMPUQ   $2, Z29, Z6, K1;   \ // LE: 2⁻⁹⁰⁰ ≤ |a| ≤ 2⁹⁰⁰, one unsigned compare
+	VPTESTNMQ A, A, K2;          \ // a is +0
+	KORW      K1, K2, K1;        \
+	KMOVW     K1, R9;            \
+	XORL      $0xFF, R9;         \
+	ORQ       OK, R9
+
 // func adamAVX512(p, m, v, grad *float64, n int, c *AdamCoef)
 // One Adam update over n elements (n a positive multiple of 8); see
 // AdamInto for the formula. The operation sequence and association match
 // the scalar loop term for term; VDIVPD and VSQRTPD are correctly rounded.
-// The loop is bound by the divider (three VDIVPD and a VSQRTPD per vector),
-// so the one division that can be dropped exactly is: bc₁ = 1 − β₁ᵗ is
-// 1.0 from t ≈ 350 on, and x/1 = x for every x.
+//
+// The loop is bound by the divider, and two of its three divisions have a
+// divisor that is one scalar for the whole call: m'/bc₁ and v'/bc₂. Those
+// take RECIPDIV with one true division per call (Y = 1/bc): the correctly
+// rounded quotient from a multiply and two FMAs (P. W. Markstein,
+// "Computation of elementary functions on the IBM RISC System/6000
+// processor", IBM J. Res. Dev. 34(1), 1990; Muller et al., Handbook of
+// Floating-Point Arithmetic, "Newton–Raphson-based division with an FMA";
+// BENCH.md "The exact gate kernel" has the argument) — behind a per-vector
+// guard: a vector with a lane that is not +0 and not of magnitude in
+// [2⁻⁹⁰⁰, 2⁹⁰⁰] (−0, whose sign the sequence loses, subnormal, huge,
+// non-finite) takes VDIVPD, as does every vector when bc itself is outside
+// [2⁻¹⁰⁰, 2¹⁰⁰]. bc₁ = 1 − β₁ᵗ is exactly 1.0 from t ≈ 350 on, and x/1 = x
+// for every x, so then that quotient is skipped altogether.
+// TestAdamReciprocalDivisionExact holds the sequence to `/`.
 TEXT ·adamAVX512(SB), NOSPLIT, $0-48
 	MOVQ p+0(FP), DI
 	MOVQ m+8(FP), SI
@@ -281,7 +446,16 @@ TEXT ·adamAVX512(SB), NOSPLIT, $0-48
 	VBROADCASTSD 48(AX), Z22   // bc₂
 	VBROADCASTSD 56(AX), Z23   // LR
 	VBROADCASTSD 64(AX), Z24   // ε
+	VBROADCASTSD trainOne<>(SB), Z25
+	VDIVPD Z22, Z25, Z26       // 1/bc₂
+	VDIVPD Z21, Z25, Z25       // 1/bc₁
+	VPBROADCASTQ adamRange<>+40(SB), Z27 // |·|
+	VPBROADCASTQ adamRange<>+16(SB), Z28
+	VPBROADCASTQ adamRange<>+24(SB), Z29
 	MOVQ 40(AX), R8
+	DIVISOROK(R8, R10, R9)     // R10 = 0 ⇔ bc₁ may take the reciprocal form
+	MOVQ 48(AX), R9
+	DIVISOROK(R9, R11, R12)    // R11 likewise for bc₂
 	MOVQ $0x3FF0000000000000, R9
 	XORQ R9, R8                // R8 == 0 ⇔ bc₁ is exactly 1.0
 	SHRQ $3, CX
@@ -299,9 +473,20 @@ a5loop:
 	VMOVUPD Z3, (DX)
 	TESTQ R8, R8
 	JZ   a5mhat
-	VDIVPD Z21, Z1, Z1         // m̂ = m'/bc₁
+	ADAMGUARD5(Z1, R10)
+	JNZ  a5mdiv
+	RECIPDIV(Z1, Z21, Z25, Z6) // m̂ = m'/bc₁
+	JMP  a5mhat
+a5mdiv:
+	VDIVPD Z21, Z1, Z1
 a5mhat:
-	VDIVPD Z22, Z3, Z3         // v̂ = v'/bc₂
+	ADAMGUARD5(Z3, R11)
+	JNZ  a5vdiv
+	RECIPDIV(Z3, Z22, Z26, Z6) // v̂ = v'/bc₂
+	JMP  a5vhat
+a5vdiv:
+	VDIVPD Z22, Z3, Z3
+a5vhat:
 	VMULPD Z1, Z23, Z1         // LR·m̂
 	VSQRTPD Z3, Z3
 	VADDPD Z24, Z3, Z3         // √v̂ + ε
@@ -318,8 +503,27 @@ a5mhat:
 	VZEROUPPER
 	RET
 
+// ADAMGUARD2 sets ZF when every lane of A may take RECIPDIV (see
+// adamAVX512): no lane below 2⁻⁹⁰⁰ or above 2⁹⁰⁰ in magnitude other than
+// +0, and the divisor's flag OK clear. Magnitudes compare as signed
+// integers, which is their order. T0–T2 and R9 are clobbered.
+#define ADAMGUARD2(A, OK, T0, T1, T2) \
+	VPBROADCASTQ adamRange<>+40(SB), T0; \
+	VPAND        T0, A, T0;              \
+	VPBROADCASTQ adamRange<>+16(SB), T1; \
+	VPCMPGTQ     T0, T1, T1;             \ // 2⁻⁹⁰⁰ > |a|
+	VPBROADCASTQ adamRange<>+32(SB), T2; \
+	VPCMPGTQ     T2, T0, T2;             \ // |a| > 2⁹⁰⁰
+	VPOR         T2, T1, T1;             \
+	VPXOR        T2, T2, T2;             \
+	VPCMPEQQ     T2, A, T2;              \ // a is +0
+	VPANDN       T1, T2, T1;             \
+	VMOVMSKPD    T1, R9;                 \
+	ORQ          OK, R9
+
 // func adamAVX2(p, m, v, grad *float64, n int, c *AdamCoef)
-// The same update on YMM registers; n is a positive multiple of 4.
+// The same update on YMM registers; n is a positive multiple of 4. It
+// needs FMA next to AVX2 (simdAdamInto checks).
 TEXT ·adamAVX2(SB), NOSPLIT, $0-48
 	MOVQ p+0(FP), DI
 	MOVQ m+8(FP), SI
@@ -327,22 +531,26 @@ TEXT ·adamAVX2(SB), NOSPLIT, $0-48
 	MOVQ grad+24(FP), BX
 	MOVQ n+32(FP), CX
 	MOVQ c+40(FP), AX
-	VBROADCASTSD (AX), Y6
 	VBROADCASTSD 8(AX), Y7
 	VBROADCASTSD 16(AX), Y8
 	VBROADCASTSD 24(AX), Y9
 	VBROADCASTSD 32(AX), Y10
 	VBROADCASTSD 40(AX), Y11
 	VBROADCASTSD 48(AX), Y12
-	VBROADCASTSD 56(AX), Y13
-	VBROADCASTSD 64(AX), Y14
+	VBROADCASTSD trainOne<>(SB), Y13
+	VDIVPD Y12, Y13, Y14       // 1/bc₂
+	VDIVPD Y11, Y13, Y13       // 1/bc₁
 	MOVQ 40(AX), R8
+	DIVISOROK(R8, R10, R9)
+	MOVQ 48(AX), R9
+	DIVISOROK(R9, R11, R12)
 	MOVQ $0x3FF0000000000000, R9
 	XORQ R9, R8
 	SHRQ $2, CX
 	PCALIGN $32
 a2loop:
-	VMULPD (BX), Y6, Y0
+	VBROADCASTSD (AX), Y0      // GradScale
+	VMULPD (BX), Y0, Y0
 	VMULPD (SI), Y7, Y1
 	VMULPD Y0, Y8, Y2
 	VADDPD Y2, Y1, Y1
@@ -354,12 +562,25 @@ a2loop:
 	VMOVUPD Y3, (DX)
 	TESTQ R8, R8
 	JZ   a2mhat
+	ADAMGUARD2(Y1, R10, Y4, Y5, Y6)
+	JNZ  a2mdiv
+	RECIPDIV(Y1, Y11, Y13, Y6)
+	JMP  a2mhat
+a2mdiv:
 	VDIVPD Y11, Y1, Y1
 a2mhat:
+	ADAMGUARD2(Y3, R11, Y4, Y5, Y6)
+	JNZ  a2vdiv
+	RECIPDIV(Y3, Y12, Y14, Y6)
+	JMP  a2vhat
+a2vdiv:
 	VDIVPD Y12, Y3, Y3
-	VMULPD Y1, Y13, Y1
+a2vhat:
+	VBROADCASTSD 56(AX), Y4    // LR
+	VMULPD Y1, Y4, Y1
 	VSQRTPD Y3, Y3
-	VADDPD Y14, Y3, Y3
+	VBROADCASTSD 64(AX), Y4    // ε
+	VADDPD Y4, Y3, Y3
 	VDIVPD Y3, Y1, Y1
 	VMOVUPD (DI), Y5
 	VSUBPD Y1, Y5, Y5

@@ -7,4 +7,6 @@ package mat
 
 func simdATStepsInto(dst, a, b []float64, n, m, ldb, steps int) int { return 0 }
 
+func simdGatesBackInto(dpre, carry, dh, act, tanhC, cPrev []float64) int { return 0 }
+
 func simdAdamInto(p, m, v, g []float64, c *AdamCoef) int { return 0 }

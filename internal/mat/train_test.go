@@ -66,11 +66,41 @@ func TestLSTMGatesTrainIntoMatchesInference(t *testing.T) {
 		LSTMGatesTrainInto(h, c, tc, act, cPrev)
 		sameBits(t, "h", h, wantH)
 		sameBits(t, "cNext", c, wantC)
+		sig := func(x float64) float64 { return 1 / (1 + math.Exp(-x)) }
 		for j := 0; j < n; j++ {
-			want := []float64{sigmoidScalar(pre[j]), sigmoidScalar(pre[n+j]), math.Tanh(pre[2*n+j]), sigmoidScalar(pre[3*n+j]), math.Tanh(wantC[j])}
+			want := []float64{sig(pre[j]), sig(pre[n+j]), math.Tanh(pre[2*n+j]), sig(pre[3*n+j]), math.Tanh(wantC[j])}
 			got := []float64{act[j], act[n+j], act[2*n+j], act[3*n+j], tc[j]}
 			sameBits(t, fmt.Sprintf("activations n=%d j=%d", n, j), got, want)
 		}
+	}
+}
+
+// gatesBackOperands draws one step's backward inputs: activations in their
+// ranges, signed zeros mixed into the gradients and the carry.
+func gatesBackOperands(rng *rand.Rand, h int) (dh, carry, act, tanhC, cPrev []float64) {
+	dh, carry = randMatrixFor(rng, 1, h).Data, randMatrixFor(rng, 1, h).Data
+	cPrev = randMatrixFor(rng, 1, h).Data
+	act, tanhC = make([]float64, 4*h), make([]float64, h)
+	for j := range act {
+		act[j] = rng.Float64() // σ gates; the candidate row is made signed below
+	}
+	for j := 0; j < h; j++ {
+		act[2*h+j] = math.Tanh(rng.NormFloat64())
+		tanhC[j] = math.Tanh(rng.NormFloat64())
+	}
+	return dh, carry, act, tanhC, cPrev
+}
+
+func TestLSTMGatesBackIntoMatchesPortable(t *testing.T) {
+	rng := rand.New(rand.NewSource(53))
+	for _, h := range []int{1, 3, 4, 8, 16, 19, 32, 37} {
+		dh, carry, act, tanhC, cPrev := gatesBackOperands(rng, h)
+		wantCarry, wantDpre := append([]float64(nil), carry...), make([]float64, 4*h)
+		gatesBackPortable(wantDpre, wantCarry, dh, act, tanhC, cPrev, 0)
+		dpre := make([]float64, 4*h)
+		LSTMGatesBackInto(dpre, carry, dh, act, tanhC, cPrev)
+		sameBits(t, fmt.Sprintf("h=%d dpre", h), dpre, wantDpre)
+		sameBits(t, fmt.Sprintf("h=%d carry", h), carry, wantCarry)
 	}
 }
 

@@ -119,7 +119,7 @@ func (fc *FusedCell) StepInto(h, cNext, pre, ctx, cPrev []float64) {
 // the new hidden states land in h's rows and the new cell states in
 // cNext's. pre (B × 4·Hidden) is scratch. Lane rows are computed with
 // exactly the arithmetic of B StepInto calls (one ascending-k accumulator
-// per output, bias after the full GEMM, scalar gate kernel per lane), so a
+// per output, bias after the full GEMM, the gate kernel lane by lane), so a
 // batch of B is bit-identical to B single steps.
 func (fc *FusedCell) StepBatch(h, cNext, pre, ctx, cPrev *mat.Matrix) {
 	lanes := ctx.Rows

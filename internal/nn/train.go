@@ -147,36 +147,10 @@ func (c *TrainCell) BeginBackward() {
 // BackStep backpropagates step t given dh = ∂L/∂h_t (read-only) and, when
 // wantCtx, returns ∂L/∂ctx_t over the HidCols hidden columns (valid until
 // the next BackStep). Call it for t = Steps−1 … 0.
-//
-// Every line is one tape backstep, in Backward's reverse recording order;
-// the leading "0 +" reproduces the tape's first accumulation into a zeroed
-// gradient matrix (it turns a −0 product into +0), and the float64
-// conversions round each product before it is added, as the tape does by
-// storing it.
 func (c *TrainCell) BackStep(t int, dh []float64, wantCtx bool) []float64 {
 	h := c.Hidden
-	act := c.act.Row(t)
-	ig, fg, cd, og := act[0:h], act[h:2*h], act[2*h:3*h], act[3*h:4*h]
-	tanhC, cPrev, carry := c.tanhC.Row(t), c.c.Row(t), c.carry
 	dpre := c.dpre.Row(t)
-	for j := 0; j < h; j++ {
-		i, f, cand, o, tc := ig[j], fg[j], cd[j], og[j], tanhC[j]
-		// h = o ⊙ tanh(c)
-		do := 0 + float64(dh[j]*tc)
-		dtc := 0 + float64(dh[j]*o)
-		// c receives the next step's forget path first, then its own tanh.
-		dc := carry[j] + float64(dtc*(1-float64(tc*tc)))
-		// c = i⊙c̃ + f⊙c_{t−1}
-		df := 0 + float64(dc*cPrev[j])
-		carry[j] = 0 + float64(dc*f)
-		di := 0 + float64(dc*cand)
-		dcand := 0 + float64(dc*i)
-		// gate nonlinearities
-		dpre[3*h+j] = 0 + float64(float64(do*o)*(1-o))
-		dpre[2*h+j] = 0 + float64(dcand*(1-float64(cand*cand)))
-		dpre[h+j] = 0 + float64(float64(df*f)*(1-f))
-		dpre[j] = 0 + float64(float64(di*i)*(1-i))
-	}
+	mat.LSTMGatesBackInto(dpre, c.carry, dh, c.act.Row(t), c.tanhC.Row(t), c.c.Row(t))
 	if !wantCtx || c.HidCols == 0 {
 		return nil
 	}
