@@ -45,13 +45,15 @@ type ctxSrc struct {
 	index  int  // stream index
 }
 
-// planSpec declares one coupled stream of a model: its cell, decoder and
-// gate-context layout. A layout may couple any number of streams; the
-// CLSTM's two come from Model.specs.
+// planSpec declares one coupled stream of a model: its cell, decoder,
+// gate-context layout and the reconstruction loss it trains under (the
+// training engine's concern; prediction ignores it). A layout may couple
+// any number of streams; the CLSTM's two come from Model.specs.
 type planSpec struct {
 	cell *nn.LSTMCell
 	dec  *nn.Dense
 	ctx  []ctxSrc
+	loss nn.LossKind
 }
 
 // planStream is the compiled runtime form of a planSpec: the packed layers
@@ -246,7 +248,7 @@ func (p *InferPlan) Run(lanes int) {
 
 // specs builds the plan layout of the 2-stream CLSTM under its coupling
 // mode: stream 0 is LSTM_I (action), stream 1 is LSTM_A (audience). The ctx
-// orders mirror Model.forward's ConcatCols calls.
+// orders mirror the ConcatCols calls of the reference tape (tape_test.go).
 func (m *Model) specs() []planSpec {
 	h0 := ctxSrc{hidden: true, index: 0}
 	h1 := ctxSrc{hidden: true, index: 1}
@@ -267,7 +269,7 @@ func (m *Model) specs() []planSpec {
 		panic(fmt.Sprintf("core: unknown coupling %d", m.cfg.Coupling))
 	}
 	return []planSpec{
-		{cell: m.cellI, dec: m.decI, ctx: ctxI},
-		{cell: m.cellA, dec: m.decA, ctx: ctxA},
+		{cell: m.cellI, dec: m.decI, ctx: ctxI, loss: m.cfg.Loss},
+		{cell: m.cellA, dec: m.decA, ctx: ctxA, loss: nn.LossL2}, // Eq. 13's MSE
 	}
 }

@@ -6,8 +6,6 @@ import (
 	"io"
 	"math/rand"
 
-	"aovlis/internal/ad"
-	"aovlis/internal/mat"
 	"aovlis/internal/nn"
 	"aovlis/internal/snapshot"
 )
@@ -19,7 +17,7 @@ import (
 //
 // A Model owns two compiled tape-free engines over its parameters — an
 // InferPlan for prediction and, from the first training or Hidden call on,
-// a TrainPlan for forward + BPTT — both of which reuse their buffers, so
+// a TrainPlan for forward, loss and BPTT — both of which reuse their buffers, so
 // steady-state Predict/TrainStep/HiddenInto calls are allocation-free. The
 // flip side is that Model methods are not safe for concurrent use —
 // confine a Model to one goroutine, the same single-writer contract the
@@ -45,10 +43,6 @@ type Model struct {
 	tplan *TrainPlan
 	seqs  [2][][]float64
 	order []int
-
-	// ref binds the parameters to the whole-step autodiff tape the engines
-	// replaced, on first use: the golden reference of the equivalence tests.
-	ref *nn.Binding
 }
 
 // NewModel constructs a CLSTM for the given configuration.
@@ -99,18 +93,6 @@ func (m *Model) trainPlan() *TrainPlan {
 	return m.tplan
 }
 
-// begin starts one pass on the reference tape, binding it on first use.
-// Everything recorded in the previous pass is recycled, so callers must
-// have copied any results out already.
-func (m *Model) begin() (*ad.Tape, *nn.Binding) {
-	if m.ref == nil {
-		m.ref = m.ps.Bind(ad.NewTape())
-	}
-	m.ref.Tape().Reset()
-	m.ref.Rebind()
-	return m.ref.Tape(), m.ref
-}
-
 // Config returns the model configuration.
 func (m *Model) Config() Config { return m.cfg }
 
@@ -118,8 +100,7 @@ func (m *Model) Config() Config { return m.cfg }
 // gate kernel and the polynomial fast-math kernel (see mat.FastExp). A
 // runtime scoring mode, not part of Config: snapshots don't carry it and
 // owners (the Detector) re-apply it from their own configuration after
-// load. Training, Hidden and the golden-reference tape paths always stay
-// exact.
+// load. Training and Hidden always stay exact.
 func (m *Model) SetFastMath(on bool) {
 	m.plan.SetFastMath(on)
 }
@@ -131,37 +112,6 @@ func (m *Model) NumParams() int { return m.ps.NumParams() }
 // Params exposes the underlying parameter set (used by the dynamic-update
 // merge and by tests).
 func (m *Model) Params() *nn.ParamSet { return m.ps }
-
-// forward records the coupled recurrence over one sample on the reference
-// tape and returns the decoded predictions plus the final hidden nodes.
-func (m *Model) forward(tp *ad.Tape, b *nn.Binding, s *Sample) (fhat, ahat, hFinal, gFinal *ad.Node) {
-	h, cI := m.cellI.ZeroState(tp)
-	g, cA := m.cellA.ZeroState(tp)
-	for t := 0; t < m.cfg.SeqLen; t++ {
-		f := tp.ConstVector(s.ActionSeq[t])
-		a := tp.ConstVector(s.AudienceSeq[t])
-		var ctxI, ctxA *ad.Node
-		switch m.cfg.Coupling {
-		case CouplingFull:
-			ctxI = tp.ConcatCols(h, g, f)
-			ctxA = tp.ConcatCols(h, g, a)
-		case CouplingOneWay:
-			ctxI = tp.ConcatCols(h, f)
-			ctxA = tp.ConcatCols(h, g, a)
-		case CouplingNone:
-			ctxI = tp.ConcatCols(h, f)
-			ctxA = tp.ConcatCols(g, a)
-		}
-		// Both layers read the *previous* hidden states of each other
-		// (Eq. 5 and Eq. 10), so h and g update simultaneously.
-		hNext, cINext := m.cellI.Step(b, ctxI, cI)
-		gNext, cANext := m.cellA.Step(b, ctxA, cA)
-		h, cI, g, cA = hNext, cINext, gNext, cANext
-	}
-	fhat = m.decI.Apply(b, h)
-	ahat = m.decA.Apply(b, g)
-	return fhat, ahat, h, g
-}
 
 // Predict returns the model's prediction (f̂_t, â_t) of the next segment's
 // features given the q-step history in s. Targets in s are ignored.
@@ -176,9 +126,9 @@ func (m *Model) Predict(s *Sample) (fhat, ahat []float64, err error) {
 
 // PredictInto is Predict with caller-supplied output buffers — the
 // allocation-free form Detector.Observe uses on its hot path. It is the
-// one-lane run of the compiled InferPlan (tape-free gate-fused forward
-// pass), which is bit-identical to the tape forward pass; see infer.go and
-// the golden equivalence tests.
+// one-lane run of the compiled InferPlan (gate-fused forward pass), which is
+// bit-identical to the autodiff-tape forward pass it replaced; see infer.go
+// and the golden equivalence tests.
 func (m *Model) PredictInto(s *Sample, fhat, ahat []float64) error {
 	if err := m.checkLane(s, fhat, ahat); err != nil {
 		return err
@@ -242,21 +192,6 @@ func (m *Model) window(s *Sample) [][][]float64 {
 	return m.seqs[:]
 }
 
-// predictTapeInto is prediction on the reference tape: the forward pass
-// recorded node by node. It exists so the golden equivalence tests can pin
-// the fused engine bit-identical to it; production prediction goes through
-// PredictInto.
-func (m *Model) predictTapeInto(s *Sample, fhat, ahat []float64) error {
-	if err := s.validate(m.cfg); err != nil {
-		return err
-	}
-	tp, b := m.begin()
-	fn, an, _, _ := m.forward(tp, b, s)
-	copy(fhat, fn.Value.Data)
-	copy(ahat, an.Value.Data)
-	return nil
-}
-
 // Hidden returns the final hidden state h_t of LSTM_I for the sample. The
 // dynamic-update algorithm uses these vectors for drift detection because
 // they are "more robust to scene changes compared with audience interaction
@@ -285,39 +220,32 @@ func (m *Model) HiddenInto(s *Sample, dst []float64) error {
 	return nil
 }
 
-// hiddenTape is Hidden on the reference tape (golden tests only).
-func (m *Model) hiddenTape(s *Sample) []float64 {
-	tp, b := m.begin()
-	_, _, h, _ := m.forward(tp, b, s)
-	return append([]float64(nil), h.Value.Data...)
-}
-
-// loss builds the joint training objective (Eq. 13):
+// jointLoss returns the training objective (Eq. 13) of the plan's last
+// forward against the sample's targets:
 // l(I,A) = ω·Loss(Î,I) + (1−ω)·MSE(Â,A).
-func (m *Model) loss(tp *ad.Tape, fhat, ahat *ad.Node, s *Sample) *ad.Node {
-	// Targets are wrapped through the tape's arena (headers recycled, data
-	// not copied) so the training step stays allocation-free.
-	ft := tp.Arena().Wrap(1, len(s.ActionTarget), s.ActionTarget)
-	at := tp.Arena().Wrap(1, len(s.AudienceTarget), s.AudienceTarget)
-	lI := nn.ActionLoss(m.cfg.Loss, tp, ft, fhat)
-	lA := nn.MSELoss(tp, ahat, at)
-	return tp.Add(tp.Scale(m.cfg.Omega, lI), tp.Scale(1-m.cfg.Omega, lA))
+func (m *Model) jointLoss(p *TrainPlan, s *Sample) float64 {
+	lI, lA := p.loss(0, s.ActionTarget), p.loss(1, s.AudienceTarget)
+	// Each product rounds before the add, as the tape's Scale nodes did.
+	return float64(m.cfg.Omega*lI) + float64((1-m.cfg.Omega)*lA)
 }
 
 // TrainStep runs one optimisation step on a single sample and returns its
-// loss value before the update. The step runs on the TrainPlan: tape-free
-// recurrence and BPTT around a decoder-and-loss head, bit-identical to
-// recording the whole step on the autodiff tape (trainStepTape).
+// loss value before the update. The step runs on the TrainPlan — recurrence,
+// head and BPTT all hand-derived — and is bit-identical to recording the
+// whole step on an autodiff tape (the tests' trainStepTape).
 func (m *Model) TrainStep(s *Sample) (float64, error) {
 	if err := m.validateTrain(s); err != nil {
 		return 0, err
 	}
 	p := m.trainPlan()
-	tp, outs := p.forward(m.window(s))
+	p.forward(m.window(s))
 	m.seqs[0], m.seqs[1] = nil, nil
-	loss := m.loss(tp, outs[0], outs[1], s)
-	m.opt.StepFlat(m.ps, p.backward(loss))
-	return ad.Scalar(loss), nil
+	loss := m.jointLoss(p, s)
+	// ∂l/∂Loss = ω and ∂l/∂MSE = 1−ω: what the tape's 0 + ω·1 and
+	// 0 + (1−ω)·1 come to for every ω in [0, 1].
+	dLoss := [2]float64{m.cfg.Omega, 1 - m.cfg.Omega}
+	m.opt.StepFlat(m.ps, p.backward(dLoss[:]))
+	return loss, nil
 }
 
 func (m *Model) validateTrain(s *Sample) error {
@@ -325,27 +253,9 @@ func (m *Model) validateTrain(s *Sample) error {
 		return err
 	}
 	if s.ActionTarget == nil || s.AudienceTarget == nil {
-		return fmt.Errorf("core: TrainStep requires targets")
+		return fmt.Errorf("core: the training loss requires targets")
 	}
 	return nil
-}
-
-// trainStepTape is the training step on the reference tape: forward, loss
-// and backward all recorded on it. It exists so the golden equivalence
-// tests can pin the engine bit-identical to it; production training goes
-// through TrainStep.
-func (m *Model) trainStepTape(s *Sample) (float64, error) {
-	if err := m.validateTrain(s); err != nil {
-		return 0, err
-	}
-	tp, b := m.begin()
-	fhat, ahat, _, _ := m.forward(tp, b, s)
-	loss := m.loss(tp, fhat, ahat, s)
-	tp.Backward(loss)
-	grads := make([]*mat.Matrix, len(m.ps.Names()))
-	b.GradsFlatInto(grads)
-	m.opt.StepFlat(m.ps, grads)
-	return ad.Scalar(loss), nil
 }
 
 // TrainEpoch shuffles samples with rng and performs one TrainStep per
@@ -384,11 +294,12 @@ func (m *Model) EvalLoss(samples []Sample) (float64, error) {
 	var total float64
 	for i := range samples {
 		s := &samples[i]
-		if err := s.validate(m.cfg); err != nil {
+		if err := m.validateTrain(s); err != nil {
 			return 0, err
 		}
-		tp, outs := m.trainPlan().forward(m.window(s))
-		total += ad.Scalar(m.loss(tp, outs[0], outs[1], s))
+		p := m.trainPlan()
+		p.forward(m.window(s))
+		total += m.jointLoss(p, s)
 	}
 	m.seqs[0], m.seqs[1] = nil, nil
 	return total / float64(len(samples)), nil

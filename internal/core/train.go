@@ -2,33 +2,33 @@ package core
 
 // The tape-free training engine, the twin of InferPlan (infer.go). It is
 // compiled from the same planSpec/ctxSrc layout, for any number of coupled
-// streams, and it runs three things the autodiff tape used to:
+// streams, and it runs everything the autodiff tape used to:
 //
 //   - the forward recurrence, always on the bit-exact gate kernel (the
 //     fast-math mode is an inference-only trade), keeping per step what
 //     backward needs — this alone is Hidden/HiddenInto;
+//   - the head: each stream's decoder and reconstruction loss, forward and
+//     backward (nn.TrainHead);
 //   - backpropagation through time, hand-derived per cell (nn.TrainCell)
 //     and stitched across streams here in the tape's accumulation order;
 //   - the hand-off to the optimiser as a flat gradient list.
 //
-// What stays on a tape is the head: decoders and loss, some twenty small
-// nodes (< 3 % of a step) whose three loss kinds are not worth a hand
-// derivation. The recurrence's final hidden states enter that tape as Var
-// leaves, so its Backward yields ∂L/∂h_T per stream plus the decoder
-// gradients, and BPTT takes over from there.
+// Nothing in a step touches internal/ad: the head was the last part on a
+// tape, some twenty small nodes that measured 11.6 % of a step, most of it
+// node and arena bookkeeping (BENCH.md §17), and is hand-derived like the
+// cells.
 //
 // The result is bit-identical to recording the whole step on the tape —
 // same loss, same gradients, same parameters after the optimiser step —
-// which TestTrainPlanGoldenEquivalence pins against the retained tape
-// path (Model.trainStepTape). The plan reads the live parameters, so
-// there is no staleness protocol; it is allocated lazily by the owning
-// model's first training or Hidden call, and allocates nothing after its
-// first step. Like the tape it is not safe for concurrent use.
+// which TestTrainPlanGoldenEquivalence pins against the whole-step tape
+// kept as the test-only reference (tape_test.go). The plan reads the live
+// parameters, so there is no staleness protocol; it is allocated lazily by
+// the owning model's first training or Hidden call, and allocates nothing
+// after its first step. It is not safe for concurrent use.
 
 import (
 	"fmt"
 
-	"aovlis/internal/ad"
 	"aovlis/internal/mat"
 	"aovlis/internal/nn"
 )
@@ -41,15 +41,15 @@ type hidUse struct {
 
 type trainStream struct {
 	cell *nn.TrainCell
-	dec  *nn.Dense
+	head *nn.TrainHead
 	ctx  []ctxSrc
 	// uses lists the contexts that read this stream's hidden state, in
 	// DESCENDING stream order: the order the tape's Backward reaches their
 	// ConcatCols nodes and so the order their gradients are summed.
 	uses []hidUse
-	hT   *mat.Matrix // 1×Hidden view of the final hidden state, the head's input
-	dh   []float64   // ∂L/∂h_t of the step being backpropagated
-	dctx []float64   // the cell's ∂L/∂ctx_t over its hidden columns
+	hT   []float64 // view of the final hidden state, the head's input
+	dh   []float64 // ∂L/∂h_t of the step being backpropagated
+	dctx []float64 // the cell's ∂L/∂ctx_t over its hidden columns
 }
 
 // TrainPlan is the compiled training engine of one model.
@@ -57,14 +57,9 @@ type TrainPlan struct {
 	seqLen  int
 	streams []trainStream
 
-	tape  *ad.Tape
-	bind  *nn.Binding // decoder parameters only
-	hVars []*ad.Node  // this step's Var nodes over each stream's hT
-	outs  []*ad.Node  // this step's decoded predictions
-
 	// grads is the optimiser hand-off (nn.Adam.StepFlat): one entry per
-	// parameter in registration order. The cells' entries are fixed
-	// matrices; the decoders' are refreshed from the tape every step.
+	// parameter in registration order, each a matrix its cell or head owns
+	// and rewrites every backward pass.
 	grads []*mat.Matrix
 }
 
@@ -72,11 +67,8 @@ func compileTrainPlan(ps *nn.ParamSet, seqLen int, specs []planSpec) *TrainPlan 
 	p := &TrainPlan{
 		seqLen:  seqLen,
 		streams: make([]trainStream, len(specs)),
-		tape:    ad.NewTape(),
-		hVars:   make([]*ad.Node, len(specs)),
-		outs:    make([]*ad.Node, len(specs)),
+		grads:   make([]*mat.Matrix, len(ps.Names())),
 	}
-	var decNames []string
 	for i, sp := range specs {
 		// Hidden parts lead every context (Model.specs), so the columns
 		// backward needs a gradient for are a prefix.
@@ -92,11 +84,9 @@ func compileTrainPlan(ps *nn.ParamSet, seqLen int, specs []planSpec) *TrainPlan 
 		}
 		st := &p.streams[i]
 		st.cell = nn.NewTrainCell(ps, sp.cell, seqLen, hidCols)
-		st.dec, st.ctx = sp.dec, sp.ctx
-		st.hT = mat.FromSlice(1, sp.cell.Hidden, st.cell.H.Row(seqLen))
+		st.head, st.ctx = nn.NewTrainHead(ps, sp.dec, sp.loss), sp.ctx
+		st.hT = st.cell.H.Row(seqLen)
 		st.dh = make([]float64, sp.cell.Hidden)
-		w, b := sp.dec.ParamNames()
-		decNames = append(decNames, w, b)
 	}
 	for c := len(specs) - 1; c >= 0; c-- {
 		off := 0
@@ -108,8 +98,6 @@ func compileTrainPlan(ps *nn.ParamSet, seqLen int, specs []planSpec) *TrainPlan 
 			off += specs[src.index].cell.Hidden
 		}
 	}
-	p.bind = ps.Bind(p.tape, decNames...)
-	p.grads = make([]*mat.Matrix, len(ps.Names()))
 	return p
 }
 
@@ -140,35 +128,37 @@ func (p *TrainPlan) recur(seqs [][][]float64) {
 // (plan-owned: valid until the next call into the plan).
 func (p *TrainPlan) hidden(seqs [][][]float64, k int) []float64 {
 	p.recur(seqs)
-	return p.streams[k].hT.Data
+	return p.streams[k].hT
 }
 
-// forward runs the recurrence, then records the decoder head on the plan's
-// tape and returns it with each stream's decoded prediction node. The
-// caller composes its loss on that tape and hands it to backward (training)
-// or just reads it (evaluation). Nodes are valid until the next forward.
-func (p *TrainPlan) forward(seqs [][][]float64) (*ad.Tape, []*ad.Node) {
+// forward runs the recurrence, then every stream's decoder on its final
+// hidden state. The caller takes each stream's reconstruction loss with
+// loss, composes its objective from them and — to train — hands the
+// objective's derivatives back to backward.
+func (p *TrainPlan) forward(seqs [][][]float64) {
 	p.recur(seqs)
-	p.tape.Reset()
-	p.bind.Rebind()
 	for i := range p.streams {
 		st := &p.streams[i]
-		p.hVars[i] = p.tape.Var(st.hT)
-		p.outs[i] = st.dec.Apply(p.bind, p.hVars[i])
+		st.head.Forward(st.hT)
 	}
-	return p.tape, p.outs
 }
 
-// backward differentiates loss (composed on the tape forward returned)
-// with respect to every parameter and returns the gradients laid out for
-// nn.Adam.StepFlat. They are plan- and tape-owned: valid until the next
-// forward.
-func (p *TrainPlan) backward(loss *ad.Node) []*mat.Matrix {
-	p.tape.Backward(loss)
-	p.bind.GradsFlatInto(p.grads)
+// loss returns stream k's reconstruction loss of the last forward against
+// target (read again by backward).
+func (p *TrainPlan) loss(k int, target []float64) float64 {
+	return p.streams[k].head.Loss(target)
+}
+
+// backward differentiates the objective with respect to every parameter,
+// given dLoss[k] = ∂objective/∂(stream k's loss) for the losses taken since
+// the last forward, and returns the gradients laid out for
+// nn.Adam.StepFlat. They are plan-owned: valid until the next backward.
+func (p *TrainPlan) backward(dLoss []float64) []*mat.Matrix {
 	for i := range p.streams {
 		st := &p.streams[i]
-		copy(st.dh, p.hVars[i].Grad.Data)
+		// ∂L/∂h_T comes out of the head; BPTT takes over from there.
+		copy(st.dh, st.head.Backward(dLoss[i]))
+		st.head.GradsFlatInto(p.grads)
 		st.cell.BeginBackward()
 		st.cell.GradsFlatInto(p.grads)
 	}
@@ -183,15 +173,22 @@ func (p *TrainPlan) backward(loss *ad.Node) []*mat.Matrix {
 			break
 		}
 		// ∂L/∂h_{t−1}: every context that read it, summed from zero in the
-		// tape's order.
+		// tape's order. No context gradient is ever −0 (it is a sum started
+		// at +0), so the first, 0 + x, is a copy.
 		for i := range p.streams {
 			st := &p.streams[i]
-			for j := range st.dh {
-				st.dh[j] = 0
+			if len(st.uses) == 0 {
+				for j := range st.dh {
+					st.dh[j] = 0
+				}
+				continue
 			}
-			for _, u := range st.uses {
-				for j, v := range p.streams[u.stream].dctx[u.off : u.off+len(st.dh)] {
-					st.dh[j] += v
+			for n, u := range st.uses {
+				src := p.streams[u.stream].dctx[u.off : u.off+len(st.dh)]
+				if n == 0 {
+					copy(st.dh, src)
+				} else {
+					mat.VecAddInto(st.dh, src)
 				}
 			}
 		}

@@ -99,29 +99,42 @@ func SliceColsTo(dst, a *Matrix, from, to int) {
 	}
 }
 
-// TransposeTo computes dst = aᵀ. Four source rows move together, so every
-// destination row receives four adjacent elements per visit instead of one
-// per stride (~2.4× faster at the LSTM block shapes; the training engine
-// re-transposes its hidden-column weight blocks every step).
+// TransposeTo computes dst = aᵀ. The training engine re-transposes its
+// hidden-column weight blocks every step, so where a vector kernel is active
+// the body of the matrix moves in register blocks (8×8 or 4×4 loads, shuffles
+// and stores); the ragged edges, and everything elsewhere, move four source
+// rows at a time, so every destination row receives four adjacent elements
+// per visit instead of one per stride. Pure data movement either way.
 func TransposeTo(dst, a *Matrix) {
 	mustShape("TransposeTo", dst, a.Cols, a.Rows)
-	rows, cols := a.Rows, a.Cols
-	i := 0
-	for ; i+4 <= rows; i += 4 {
-		r0 := a.Data[i*cols : (i+1)*cols]
-		r1 := a.Data[(i+1)*cols : (i+2)*cols][:len(r0)]
-		r2 := a.Data[(i+2)*cols : (i+3)*cols][:len(r0)]
-		r3 := a.Data[(i+3)*cols : (i+4)*cols][:len(r0)]
-		off := i
-		for j := range r0 {
-			d := dst.Data[off : off+4 : off+4]
-			d[0], d[1], d[2], d[3] = r0[j], r1[j], r2[j], r3[j]
+	doneRows, doneCols := simdTransposeInto(dst.Data, a.Data, a.Rows, a.Cols)
+	if doneCols < a.Cols {
+		transposePortable(dst.Data, a.Data, a.Rows, a.Cols, 0, doneRows, doneCols)
+	}
+	if doneRows < a.Rows {
+		transposePortable(dst.Data, a.Data, a.Rows, a.Cols, doneRows, a.Rows, 0)
+	}
+}
+
+// transposePortable moves rows [r0, r1) of the rows×cols matrix src, from
+// column c0 on, into dst = srcᵀ.
+func transposePortable(dst, src []float64, rows, cols, r0, r1, c0 int) {
+	i := r0
+	for ; i+4 <= r1; i += 4 {
+		s0 := src[i*cols+c0 : (i+1)*cols]
+		s1 := src[(i+1)*cols+c0 : (i+2)*cols][:len(s0)]
+		s2 := src[(i+2)*cols+c0 : (i+3)*cols][:len(s0)]
+		s3 := src[(i+3)*cols+c0 : (i+4)*cols][:len(s0)]
+		off := c0*rows + i
+		for j := range s0 {
+			d := dst[off : off+4 : off+4]
+			d[0], d[1], d[2], d[3] = s0[j], s1[j], s2[j], s3[j]
 			off += rows
 		}
 	}
-	for ; i < rows; i++ {
-		for j := 0; j < cols; j++ {
-			dst.Data[j*rows+i] = a.Data[i*cols+j]
+	for ; i < r1; i++ {
+		for j := c0; j < cols; j++ {
+			dst[j*rows+i] = src[i*cols+j]
 		}
 	}
 }

@@ -234,28 +234,9 @@ func Dot(a, b *Matrix) float64 {
 	mustSameShape("Dot", a, b)
 	var s float64
 	for i, v := range a.Data {
-		s += float64(v * b.Data[i]) // no FMA contraction: SumSquares4 must match
+		s += float64(v * b.Data[i]) // no FMA contraction: SumSquaresEach must match
 	}
 	return s
-}
-
-// SumSquares4 returns Dot(x, x) for four equal-length vectors at once. Each
-// result is its own strictly ascending sum from zero — bit for bit what Dot
-// returns — but the four dependent add chains overlap, so the latency-bound
-// reduction costs a quarter of four separate calls. (Lanes of one vector
-// cannot be split this way: that would reorder its sum.)
-func SumSquares4(a, b, c, d []float64) (sa, sb, sc, sd float64) {
-	if len(b) != len(a) || len(c) != len(a) || len(d) != len(a) {
-		panic(fmt.Sprintf("mat: SumSquares4 lengths %d/%d/%d/%d", len(a), len(b), len(c), len(d)))
-	}
-	for i, v := range a {
-		w, x, y := b[i], c[i], d[i]
-		sa += float64(v * v)
-		sb += float64(w * w)
-		sc += float64(x * x)
-		sd += float64(y * y)
-	}
-	return sa, sb, sc, sd
 }
 
 // Norm2 returns the Euclidean (Frobenius) norm of a.

@@ -13,12 +13,13 @@ import (
 //   - Accumulation order. Every output element is one accumulator that
 //     receives exactly the tape's terms in the tape's order: ascending k
 //     for the forward GEMV (GEMVBiasInto ≡ MatMulTo), descending time step
-//     for the weight gradient (MatMulATStepsInto ≡ one MatMulATInto per
-//     step in Backward's reverse order). Vector lanes are always distinct
-//     output elements, so no horizontal sum ever reorders a reduction.
+//     for the weight gradient (MatMulATStepsInto ≡ a cleared matrix and one
+//     MatMulATInto per step in Backward's reverse order). Vector lanes are
+//     always distinct output elements — or, in SumSquaresEach, distinct
+//     sums — so no horizontal sum ever reorders a reduction.
 //   - The zero-skip survives where the tape has it. MatMulATInto skips
-//     a[k] == 0 terms into an accumulating destination, which is not inert
-//     when the destination holds −0; MatMulATStepsInto keeps the branch.
+//     a[k] == 0 terms; MatMulATStepsInto keeps the branch, so a term the
+//     tape never adds (0·Inf would be NaN) is never added here either.
 //   - No FMA contraction. The assembly issues separate VMULPD/VADDPD, and
 //     the portable loops round every product through an explicit float64
 //     conversion before its add, so platforms whose compiler fuses
@@ -46,7 +47,7 @@ func GEMVBiasInto(dst, x []float64, w *Matrix, bias []float64) {
 	if !simdGEMMInto(dst, x, 1, w) {
 		gemvRowMajorPortable(dst, x, w)
 	}
-	addBiasRows(dst, 1, bias)
+	VecAddInto(dst, bias)
 }
 
 // gemvRowMajorPortable is the scalar body of GEMVBiasInto: four output
@@ -161,22 +162,28 @@ func gatesBackPortable(dpre, carry, dh, act, tanhC, cPrev []float64, from int) {
 	}
 }
 
-// MatMulATStepsInto computes dst += Σ_t a_tᵀ·b_t over t = steps−1 … 0 —
+// MatMulATStepsInto computes dst = Σ_t a_tᵀ·b_t over t = steps−1 … 0 —
 // the weight gradient of one gate over a whole BPTT window in a single
-// pass over dst, instead of one rank-1 pass per time step. dst is n×m;
-// a holds `steps` contiguous rows of length n (the saved gate contexts);
-// row t of b starts at b[t·ldb] and its first m elements are used (the
-// gate's block of the packed preactivation gradients). Element (k, j)
-// receives exactly the terms MatMulATInto(dst, a_t, b_t) would add, for
-// t descending — Backward's order — including its a_t[k] == 0 skip, so the
-// result is bit-identical to the per-step form for every dst, −0 entries
-// included.
+// pass that writes dst once, instead of one rank-1 read-modify-write per
+// time step over a cleared matrix. dst is n×m and is overwritten; a holds
+// `steps` contiguous rows of length n (the saved gate contexts); row t of b
+// starts at b[t·ldb] and its first m elements are used (the gate's block of
+// the packed preactivation gradients). Element (k, j) is one accumulator
+// started at +0 that receives exactly the terms MatMulATInto(dst, a_t, b_t)
+// would add to a zeroed dst, for t descending — Backward's order —
+// including its a_t[k] == 0 skip, so the result is bit-identical to
+// zero-then-accumulate: a −0 product still lands on +0, a skipped element
+// still reads +0.
 func MatMulATStepsInto(dst *Matrix, a, b []float64, ldb, steps int) {
 	n, m := dst.Rows, dst.Cols
 	if steps < 0 || len(a) != steps*n || ldb < m || (steps > 0 && len(b) < (steps-1)*ldb+m) {
 		panic(fmt.Sprintf("mat: MatMulATStepsInto dst %dx%d, a[%d], b[%d] ldb %d, %d steps", n, m, len(a), len(b), ldb, steps))
 	}
-	if steps == 0 || n == 0 || m == 0 {
+	if n == 0 || m == 0 {
+		return
+	}
+	if steps == 0 {
+		dst.Zero()
 		return
 	}
 	if done := simdATStepsInto(dst.Data, a, b, n, m, ldb, steps); done < m {
@@ -190,6 +197,9 @@ func MatMulATStepsInto(dst *Matrix, a, b []float64, ldb, steps int) {
 func matMulATStepsPortable(dst, a, b []float64, n, m, ldb, steps, from int) {
 	for k := 0; k < n; k++ {
 		drow := dst[k*m+from : (k+1)*m]
+		for j := range drow {
+			drow[j] = 0
+		}
 		for t := steps - 1; t >= 0; t-- {
 			av := a[t*n+k]
 			if av == 0 {
@@ -201,6 +211,114 @@ func matMulATStepsPortable(dst, a, b []float64, n, m, ldb, steps, from int) {
 			}
 		}
 	}
+}
+
+// VecAddInto computes dst[i] += src[i]: the accumulation step of the
+// backward pass's small sums (a bias gradient over time steps, a context
+// gradient over gates, a hidden gradient over the contexts that read it).
+// Elementwise, so the vector kernels are bit-identical to the loop.
+func VecAddInto(dst, src []float64) {
+	if len(dst) != len(src) {
+		panic(fmt.Sprintf("mat: VecAddInto length mismatch %d vs %d", len(dst), len(src)))
+	}
+	for i := simdVecAddInto(dst, src); i < len(dst); i++ {
+		dst[i] += src[i]
+	}
+}
+
+// sumSquaresLanes is how many sums SumSquaresEach keeps in flight.
+const sumSquaresLanes = 8
+
+// SumSquaresEach sets dst[i] = Σ_k vecs[i][k]² for every vector, each its
+// own strictly ascending sum from zero with every square rounded before it
+// is added — bit for bit Dot(v, v). Such a sum is one chain of dependent
+// adds and cannot be split without reordering it; what can overlap is the
+// chains of DIFFERENT vectors. Eight run at a time, one per lane, and a
+// lane whose vector ends takes the next one, so vectors of unequal length
+// pack: the call costs about the latency of its longest chain instead of
+// the sum of all of them. order lists the indexes of vecs in the sequence
+// lanes take them; longest first gives the shortest schedule, any
+// permutation gives the same bits.
+func SumSquaresEach(dst []float64, vecs [][]float64, order []int) {
+	if len(dst) != len(vecs) || len(order) != len(vecs) {
+		panic(fmt.Sprintf("mat: SumSquaresEach dst[%d], %d vectors, order[%d]", len(dst), len(vecs), len(order)))
+	}
+	var (
+		acc  [sumSquaresLanes]float64
+		rest [sumSquaresLanes][]float64 // what is left of each lane's vector
+		idx  [sumSquaresLanes]int       // its index in vecs, −1 for an idle lane
+		run  [sumSquaresLanes][]float64 // this round's operands
+	)
+	for l := range idx {
+		idx[l] = -1
+	}
+	next := 0
+	for {
+		// Retire finished lanes, refill free ones, and find the round's
+		// length: the shortest remainder among the busy lanes.
+		busy, n := -1, 0
+		for l := range rest {
+			if idx[l] >= 0 && len(rest[l]) == 0 {
+				dst[idx[l]], idx[l] = acc[l], -1
+			}
+			for idx[l] < 0 && next < len(order) {
+				i := order[next]
+				next++
+				if len(vecs[i]) == 0 {
+					dst[i] = 0
+					continue
+				}
+				idx[l], rest[l], acc[l] = i, vecs[i], 0
+			}
+			if idx[l] >= 0 && (busy < 0 || len(rest[l]) < n) {
+				busy, n = l, len(rest[l])
+			}
+		}
+		if busy < 0 {
+			return
+		}
+		// An idle lane reruns a busy lane's operands (valid memory of the
+		// right length) into an accumulator nobody reads.
+		spare, upper := rest[busy], false
+		for l := range run {
+			if idx[l] >= 0 {
+				run[l], rest[l] = rest[l][:n], rest[l][n:]
+				upper = upper || l >= sumSquaresLanes/2
+			} else {
+				run[l] = spare
+			}
+		}
+		sumSquaresLanesPortable(&acc, &run, simdSumSquaresLanes(&acc, &run, n, upper), n, upper)
+	}
+}
+
+// sumSquaresLanesPortable is the scalar body of SumSquaresEach's rounds over
+// elements [from, n) of the operands: the lower four lanes, then — when one
+// of them is busy — the upper four.
+func sumSquaresLanesPortable(acc *[sumSquaresLanes]float64, v *[sumSquaresLanes][]float64, from, n int, upper bool) {
+	if from >= n {
+		return
+	}
+	sumSquares4Portable(acc[:4], v[0][from:n], v[1][from:n], v[2][from:n], v[3][from:n])
+	if upper {
+		sumSquares4Portable(acc[4:], v[4][from:n], v[5][from:n], v[6][from:n], v[7][from:n])
+	}
+}
+
+// sumSquares4Portable adds the squares of four equal-length vectors to their
+// four accumulators: four independent chains of dependent adds, which is as
+// many as a scalar core overlaps at one element a cycle.
+func sumSquares4Portable(acc, a, b, c, d []float64) {
+	b, c, d = b[:len(a)], c[:len(a)], d[:len(a)]
+	sa, sb, sc, sd := acc[0], acc[1], acc[2], acc[3]
+	for i, v := range a {
+		w, x, y := b[i], c[i], d[i]
+		sa += float64(v * v)
+		sb += float64(w * w)
+		sc += float64(x * x)
+		sd += float64(y * y)
+	}
+	acc[0], acc[1], acc[2], acc[3] = sa, sb, sc, sd
 }
 
 // AdamCoef carries the per-step scalars of AdamInto. OneMinusBeta1/2 and

@@ -24,6 +24,23 @@ func adamAVX512(p, m, v, grad *float64, n int, c *AdamCoef)
 //go:noescape
 func adamAVX2(p, m, v, grad *float64, n int, c *AdamCoef)
 
+// The register-block kernels (block_amd64.s).
+
+//go:noescape
+func transposeAVX512(dst, src *float64, rows, cols int)
+
+//go:noescape
+func transposeAVX2(dst, src *float64, rows, cols int)
+
+//go:noescape
+func sumSqLanesAVX2(acc *[sumSquaresLanes]float64, ptrs *[sumSquaresLanes]*float64, nblk int, upper bool)
+
+//go:noescape
+func vecAddAVX512(dst, src *float64, n int)
+
+//go:noescape
+func vecAddAVX2(dst, src *float64, n int)
+
 // simdATStepsInto runs the vectorised weight-gradient accumulate over the
 // leading columns the active vector width covers and returns how many
 // columns that was; the caller finishes the rest with the scalar loop.
@@ -79,6 +96,59 @@ func simdAdamInto(p, m, v, g []float64, c *AdamCoef) int {
 	case 2:
 		if nv := len(p) &^ 3; nv > 0 {
 			adamAVX2(&p[0], &m[0], &v[0], &g[0], nv, c)
+			return nv
+		}
+	}
+	return 0
+}
+
+// simdTransposeInto block-transposes the leading rows and columns of the
+// rows×cols matrix src that the active vector width covers and returns how
+// many of each that was; the caller moves the ragged edges.
+func simdTransposeInto(dst, src []float64, rows, cols int) (doneRows, doneCols int) {
+	switch simdGEMMLevel {
+	case 3:
+		if rows >= 8 && cols >= 8 {
+			transposeAVX512(&dst[0], &src[0], rows, cols)
+			return rows &^ 7, cols &^ 7
+		}
+	case 2:
+		if rows >= 4 && cols >= 4 {
+			transposeAVX2(&dst[0], &src[0], rows, cols)
+			return rows &^ 3, cols &^ 3
+		}
+	}
+	return 0, 0
+}
+
+// simdSumSquaresLanes runs the lane-per-vector sum of squares over as many
+// leading elements of the n-long vectors as whole blocks of four cover and
+// returns that count; upper says whether any of lanes 4–7 is busy. Every
+// vector level runs the YMM kernel (see there).
+func simdSumSquaresLanes(acc *[sumSquaresLanes]float64, v *[sumSquaresLanes][]float64, n int, upper bool) int {
+	if simdGEMMLevel == 0 || n < 4 {
+		return 0
+	}
+	var ptrs [sumSquaresLanes]*float64
+	for l := range ptrs {
+		ptrs[l] = &v[l][0]
+	}
+	sumSqLanesAVX2(acc, &ptrs, n/4, upper)
+	return n &^ 3
+}
+
+// simdVecAddInto runs the vectorised dst += src over as many leading
+// elements as the active vector width covers and returns that count.
+func simdVecAddInto(dst, src []float64) int {
+	switch simdGEMMLevel {
+	case 3:
+		if nv := len(dst) &^ 7; nv > 0 {
+			vecAddAVX512(&dst[0], &src[0], nv)
+			return nv
+		}
+	case 2:
+		if nv := len(dst) &^ 3; nv > 0 {
+			vecAddAVX2(&dst[0], &src[0], nv)
 			return nv
 		}
 	}

@@ -11,12 +11,12 @@
 
 // func atStepsAVX512(dst, a, b *float64, n, m, ldb, steps int)
 //
-//	dst[k*m+j] += Σ_t a[t*n+k]·b[t*ldb+j]   t = steps−1 … 0, a == ±0 skipped
+//	dst[k*m+j] = Σ_t a[t*n+k]·b[t*ldb+j]   t = steps−1 … 0, a == ±0 skipped
 //
 // for j < m&^7 (the Go wrapper finishes the column tail). One dst row at a
-// time, its columns held in registers across the whole time loop, so each
-// gradient element is loaded and stored once per window instead of once
-// per step. n, m&^7 and steps are ≥ 1.
+// time, its columns held in registers across the whole time loop and
+// started from +0 there, so each gradient element is stored once per
+// window and never loaded. n, m&^7 and steps are ≥ 1.
 TEXT ·atStepsAVX512(SB), NOSPLIT, $0-56
 	MOVQ dst+0(FP), DI
 	MOVQ a+8(FP), SI
@@ -45,10 +45,10 @@ z5j32:
 	LEAQ 256(R12), AX
 	CMPQ AX, R13
 	JG   z5j16
-	VMOVUPD (DI)(R12*1), Z0
-	VMOVUPD 64(DI)(R12*1), Z1
-	VMOVUPD 128(DI)(R12*1), Z2
-	VMOVUPD 192(DI)(R12*1), Z3
+	VPXORQ Z0, Z0, Z0
+	VPXORQ Z1, Z1, Z1
+	VPXORQ Z2, Z2, Z2
+	VPXORQ Z3, Z3, Z3
 	MOVQ SI, CX            // &a[steps-1][k]
 	LEAQ (DX)(R12*1), BX   // &b[steps-1][j]
 	MOVQ R11, R15
@@ -81,8 +81,8 @@ z5j16:
 	LEAQ 128(R12), AX
 	CMPQ AX, R13
 	JG   z5j8
-	VMOVUPD (DI)(R12*1), Z0
-	VMOVUPD 64(DI)(R12*1), Z1
+	VPXORQ Z0, Z0, Z0
+	VPXORQ Z1, Z1, Z1
 	MOVQ SI, CX
 	LEAQ (DX)(R12*1), BX
 	MOVQ R11, R15
@@ -109,7 +109,7 @@ z5j8:
 	LEAQ 64(R12), AX
 	CMPQ AX, R13
 	JG   z5next
-	VMOVUPD (DI)(R12*1), Z0
+	VPXORQ Z0, Z0, Z0
 	MOVQ SI, CX
 	LEAQ (DX)(R12*1), BX
 	MOVQ R11, R15
@@ -168,10 +168,10 @@ y2j16:
 	LEAQ 128(R12), AX
 	CMPQ AX, R13
 	JG   y2j8
-	VMOVUPD (DI)(R12*1), Y0
-	VMOVUPD 32(DI)(R12*1), Y1
-	VMOVUPD 64(DI)(R12*1), Y2
-	VMOVUPD 96(DI)(R12*1), Y3
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
 	MOVQ SI, CX
 	LEAQ (DX)(R12*1), BX
 	MOVQ R11, R15
@@ -204,8 +204,8 @@ y2j8:
 	LEAQ 64(R12), AX
 	CMPQ AX, R13
 	JG   y2j4
-	VMOVUPD (DI)(R12*1), Y0
-	VMOVUPD 32(DI)(R12*1), Y1
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
 	MOVQ SI, CX
 	LEAQ (DX)(R12*1), BX
 	MOVQ R11, R15
@@ -232,7 +232,7 @@ y2j4:
 	LEAQ 32(R12), AX
 	CMPQ AX, R13
 	JG   y2next
-	VMOVUPD (DI)(R12*1), Y0
+	VXORPD Y0, Y0, Y0
 	MOVQ SI, CX
 	LEAQ (DX)(R12*1), BX
 	MOVQ R11, R15

@@ -20,11 +20,13 @@ func TestTrainKernelsEveryVectorWidth(t *testing.T) {
 		atSteps func(dst, a, b *float64, n, m, ldb, steps int)
 		adam    func(p, m, v, grad *float64, n int, c *AdamCoef)
 		back    func(dpre, carry, dh, act, tanhC, cPrev *float64, h, n int)
+		transp  func(dst, src *float64, rows, cols int)
+		vecAdd  func(dst, src *float64, n int)
 	}
 	rng := rand.New(rand.NewSource(59))
 	for _, k := range []kernels{
-		{"avx2", 2, 4, atStepsAVX2, adamAVX2, gatesBackAVX2},
-		{"avx512", 3, 8, atStepsAVX512, adamAVX512, gatesBackAVX512},
+		{"avx2", 2, 4, atStepsAVX2, adamAVX2, gatesBackAVX2, transposeAVX2, vecAddAVX2},
+		{"avx512", 3, 8, atStepsAVX512, adamAVX512, gatesBackAVX512, transposeAVX512, vecAddAVX512},
 	} {
 		if simdGEMMLevel < k.level || !simdFMA {
 			t.Logf("%s kernels not runnable here (level %d, FMA %v)", k.name, simdGEMMLevel, simdFMA)
@@ -58,6 +60,46 @@ func TestTrainKernelsEveryVectorWidth(t *testing.T) {
 			gatesBackPortable(dpre, carry, dh, act, tanhC, cPrev, done)
 			sameBits(t, fmt.Sprintf("%s gatesBack h=%d dpre", k.name, h), dpre, wantDpre)
 			sameBits(t, fmt.Sprintf("%s gatesBack h=%d carry", k.name, h), carry, wantCarry)
+		}
+		for _, sh := range [][2]int{{k.width, k.width}, {48, 32}, {16, 48}, {19, 13}, {k.width + 1, 3*k.width - 1}} {
+			rows, cols := sh[0], sh[1]
+			a := randMatrixFor(rng, rows, cols)
+			got := New(cols, rows)
+			k.transp(&got.Data[0], &a.Data[0], rows, cols)
+			doneRows, doneCols := rows&^(k.width-1), cols&^(k.width-1)
+			transposePortable(got.Data, a.Data, rows, cols, 0, doneRows, doneCols)
+			transposePortable(got.Data, a.Data, rows, cols, doneRows, rows, 0)
+			sameBits(t, fmt.Sprintf("%s transpose %dx%d", k.name, rows, cols), got.Data, Transpose(a).Data)
+		}
+		for _, nblk := range []int{1, 2, 37} {
+			// One kernel for both levels, with and without its upper lanes.
+			for _, upper := range []bool{true, false} {
+				var acc, want [sumSquaresLanes]float64
+				var ptrs [sumSquaresLanes]*float64
+				for l := range ptrs {
+					v := randMatrixFor(rng, 1, nblk*4)
+					v.Data[rng.Intn(len(v.Data))] *= 1e80
+					acc[l] = rng.Float64()
+					want[l] = acc[l]
+					for _, x := range v.Data {
+						if upper || l < sumSquaresLanes/2 {
+							want[l] += float64(x * x)
+						}
+					}
+					ptrs[l] = &v.Data[0]
+				}
+				sumSqLanesAVX2(&acc, &ptrs, nblk, upper)
+				sameBits(t, fmt.Sprintf("sumSqLanes %d blocks upper=%v", nblk, upper), acc[:], want[:])
+			}
+		}
+		for _, n := range []int{k.width, 6 * k.width} {
+			dst, src := randMatrixFor(rng, 1, n).Data, randMatrixFor(rng, 1, n).Data
+			want := append([]float64(nil), dst...)
+			for i := range want {
+				want[i] += src[i]
+			}
+			k.vecAdd(&dst[0], &src[0], n)
+			sameBits(t, fmt.Sprintf("%s vecAdd n=%d", k.name, n), dst, want)
 		}
 		c := &AdamCoef{GradScale: 0.61, Beta1: 0.9, OneMinusBeta1: 1 - 0.9, Beta2: 0.999, OneMinusBeta2: 1 - 0.999,
 			BiasCorr1: 0.271, BiasCorr2: 0.003, LR: 0.001, Eps: 1e-8}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 )
 
@@ -116,6 +117,7 @@ func stepsContext(rng *rand.Rand, kind string, steps, n int) []float64 {
 			}
 		case "onehot":
 			row[rng.Intn(n)] = 1
+		case "zero": // every a == +0: the whole gradient is skipped
 		case "sparse": // exact and negative zeros mixed in
 			copy(row, randMatrixFor(rng, 1, n).Data)
 			for k := range row {
@@ -128,29 +130,41 @@ func stepsContext(rng *rand.Rand, kind string, steps, n int) []float64 {
 	return a
 }
 
+// TestMatMulATStepsIntoMatchesPerStep holds the overwrite form to what it
+// replaced — a cleared matrix and one MatMulATInto per step, descending —
+// whatever the destination held before: ragged shapes, one step and nine,
+// one-hot and sparse contexts (a == ±0 rows are skipped, so their elements
+// read +0), and gradients with both zeros in them (a −0 product lands on
+// +0).
 func TestMatMulATStepsIntoMatchesPerStep(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	negZero := math.Copysign(0, -1)
 	for _, sh := range trainShapes {
 		n, m := sh[0], sh[1]
 		for _, steps := range []int{1, 9} {
-			for _, kind := range []string{"dense", "onehot", "sparse"} {
-				for _, seedDst := range []string{"zero", "negzero", "random"} {
+			for _, kind := range []string{"dense", "onehot", "sparse", "zero"} {
+				for _, seedDst := range []string{"zero", "negzero", "random", "nan"} {
 					name := fmt.Sprintf("%dx%d T=%d %s dst=%s", n, m, steps, kind, seedDst)
 					// b is a gate block inside a wider packed row, like the
 					// plan's 4H preactivation gradients.
 					ldb, off := 4*m, 2*m
 					a := stepsContext(rng, kind, steps, n)
 					b := randMatrixFor(rng, steps, ldb).Data
+					if kind == "sparse" {
+						// 0·Inf is NaN: the skip must keep it out, as the tape's does.
+						b[off] = math.Inf(1)
+					}
 					dst0 := New(n, m)
 					switch seedDst {
 					case "negzero":
 						dst0.Fill(negZero)
 					case "random":
 						dst0 = randMatrixFor(rng, n, m)
+					case "nan":
+						dst0.Fill(math.NaN())
 					}
 
-					want := dst0.Clone()
+					want := New(n, m)
 					for s := steps - 1; s >= 0; s-- {
 						MatMulATInto(want, FromSlice(1, n, a[s*n:(s+1)*n]), FromSlice(1, m, b[s*ldb+off:s*ldb+off+m]))
 					}
@@ -164,6 +178,112 @@ func TestMatMulATStepsIntoMatchesPerStep(t *testing.T) {
 				}
 			}
 		}
+	}
+	got := randMatrixFor(rng, 3, 5)
+	MatMulATStepsInto(got, nil, nil, 5, 0)
+	sameBits(t, "no steps", got.Data, make([]float64, 15))
+}
+
+// TestSumSquaresEachMatchesDot holds every sum to Dot(v, v), bit for bit:
+// lengths around the 4- and 8-element blocks, more vectors than lanes in
+// unequal mixes, in any taking order, with −0, Inf and NaN among the
+// elements.
+func TestSumSquaresEachMatchesDot(t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
+	check := func(name string, vecs [][]float64, order []int) {
+		t.Helper()
+		want := make([]float64, len(vecs))
+		for i, v := range vecs {
+			want[i] = Dot(VectorOf(v), VectorOf(v))
+		}
+		got := make([]float64, len(vecs))
+		for i := range got {
+			got[i] = math.NaN() // every entry must be written
+		}
+		SumSquaresEach(got, vecs, order)
+		sameBits(t, name, got, want)
+	}
+	identity := func(n int) []int {
+		order := make([]int, n)
+		for i := range order {
+			order[i] = i
+		}
+		return order
+	}
+	check("none", nil, nil)
+	for _, n := range []int{0, 1, 3, 4, 5, 7, 8, 9, 15, 16, 17, 33} {
+		check(fmt.Sprintf("one vector of %d", n), [][]float64{randMatrixFor(rng, 1, n).Data}, []int{0})
+	}
+	// The served model's twenty parameters, then random mixes.
+	served := []int{3072, 32, 3072, 32, 3072, 32, 3072, 32, 1072, 16, 1072, 16, 1072, 16, 1072, 16, 1536, 48, 304, 19}
+	mixes := [][]int{served, {0, 0, 0}, {7, 8, 9, 0, 1, 9, 8, 7, 1, 0, 33}}
+	for trial := 0; trial < 30; trial++ {
+		lens := make([]int, 1+rng.Intn(24))
+		for i := range lens {
+			lens[i] = rng.Intn(40)
+		}
+		mixes = append(mixes, lens)
+	}
+	for mi, lens := range mixes {
+		vecs := make([][]float64, len(lens))
+		for i, n := range lens {
+			vecs[i] = randMatrixFor(rng, 1, n).Data
+			if n > 2 && rng.Intn(4) == 0 {
+				vecs[i][rng.Intn(n)] = []float64{math.Inf(1), math.Inf(-1), math.NaN(), 1e200, 1e-200}[rng.Intn(5)]
+			}
+		}
+		check(fmt.Sprintf("mix %d in order", mi), vecs, identity(len(vecs)))
+		longest := identity(len(vecs))
+		sort.SliceStable(longest, func(x, y int) bool { return len(vecs[longest[x]]) > len(vecs[longest[y]]) })
+		check(fmt.Sprintf("mix %d longest first", mi), vecs, longest)
+		shuffled := identity(len(vecs))
+		rng.Shuffle(len(shuffled), func(x, y int) { shuffled[x], shuffled[y] = shuffled[y], shuffled[x] })
+		check(fmt.Sprintf("mix %d shuffled", mi), vecs, shuffled)
+
+		// The portable rounds alone must agree too.
+		var acc [sumSquaresLanes]float64
+		var run [sumSquaresLanes][]float64
+		n := 1 << 30
+		for l := range run {
+			run[l] = vecs[l%len(vecs)]
+			n = min(n, len(run[l]))
+		}
+		sumSquaresLanesPortable(&acc, &run, 0, n, true)
+		for l := range run {
+			if want := Dot(VectorOf(run[l][:n]), VectorOf(run[l][:n])); math.Float64bits(acc[l]) != math.Float64bits(want) {
+				t.Fatalf("mix %d portable lane %d: got %v, want %v", mi, l, acc[l], want)
+			}
+		}
+	}
+}
+
+func TestVecAddIntoMatchesLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(67))
+	for _, n := range []int{0, 1, 3, 4, 7, 8, 9, 16, 19, 32, 48, 128, 131} {
+		dst, src := randMatrixFor(rng, 1, n).Data, randMatrixFor(rng, 1, n).Data
+		want := append([]float64(nil), dst...)
+		for i := range want {
+			want[i] += src[i]
+		}
+		VecAddInto(dst, src)
+		sameBits(t, fmt.Sprintf("VecAddInto n=%d", n), dst, want)
+	}
+}
+
+// TestTransposeToBlocks holds the block transpose — dispatch and portable
+// body — to the allocating Transpose on the served blocks and on shapes
+// that are not multiples of a register block in either direction.
+func TestTransposeToBlocks(t *testing.T) {
+	rng := rand.New(rand.NewSource(73))
+	for _, sh := range [][2]int{{48, 32}, {48, 16}, {32, 48}, {8, 8}, {4, 4}, {9, 8}, {8, 9}, {7, 9}, {13, 21}, {17, 5}, {5, 17}, {1, 40}, {40, 1}, {3, 3}, {26, 31}} {
+		a := randMatrixFor(rng, sh[0], sh[1])
+		want := Transpose(a)
+		got := randMatrixFor(rng, sh[1], sh[0]) // dirty destination
+		TransposeTo(got, a)
+		sameBits(t, fmt.Sprintf("TransposeTo %dx%d", sh[0], sh[1]), got.Data, want.Data)
+		portable := randMatrixFor(rng, sh[1], sh[0])
+		transposePortable(portable.Data, a.Data, a.Rows, a.Cols, 0, a.Rows, 0)
+		sameBits(t, fmt.Sprintf("transposePortable %dx%d", sh[0], sh[1]), portable.Data, want.Data)
 	}
 }
 
@@ -263,6 +383,47 @@ func BenchmarkAdamInto(b *testing.B) {
 	b.Run("portable", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			adamPortable(p, m, v, g, c, 0)
+		}
+	})
+}
+
+// BenchmarkSumSquaresEach is the clip norm of one training step: the served
+// model's twenty gradients, longest first, against one Dot per gradient.
+func BenchmarkSumSquaresEach(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	lens := []int{3072, 3072, 3072, 3072, 1536, 1072, 1072, 1072, 1072, 304, 48, 32, 32, 32, 32, 19, 16, 16, 16, 16}
+	vecs, order := make([][]float64, len(lens)), make([]int, len(lens))
+	for i, n := range lens {
+		vecs[i], order[i] = randMatrixFor(rng, 1, n).Data, i
+	}
+	dst := make([]float64, len(lens))
+	b.Run(SIMDGEMM(), func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			SumSquaresEach(dst, vecs, order)
+		}
+	})
+	b.Run("dot-each", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			for j, v := range vecs {
+				dst[j] = Dot(VectorOf(v), VectorOf(v))
+			}
+		}
+	})
+}
+
+// BenchmarkTransposeTo is one hidden-column weight block of the served
+// LSTM_I (48 context columns × 32 units), re-transposed every training step.
+func BenchmarkTransposeTo(b *testing.B) {
+	a := randMatrixFor(rand.New(rand.NewSource(1)), 48, 32)
+	dst := New(32, 48)
+	b.Run(SIMDGEMM(), func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			TransposeTo(dst, a)
+		}
+	})
+	b.Run("portable", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			transposePortable(dst.Data, a.Data, a.Rows, a.Cols, 0, a.Rows, 0)
 		}
 	})
 }

@@ -191,37 +191,23 @@ func (ps *ParamSet) Average(other *ParamSet, w float64) error {
 type Binding struct {
 	ps    *ParamSet
 	tape  *ad.Tape
-	names []string // the bound parameters, in ps registration order
-	index []int    // names[i]'s position in ps registration order
 	nodes map[string]*ad.Node
 }
 
-// Bind creates a Var node on tp for every parameter — or, when names are
-// given, for just those (the training engine binds only the decoders: its
-// recurrence never touches the tape, so a Var and a zeroed gradient matrix
-// per LSTM weight per step would be pure overhead).
-func (ps *ParamSet) Bind(tp *ad.Tape, names ...string) *Binding {
+// Bind creates a Var node on tp for every parameter.
+func (ps *ParamSet) Bind(tp *ad.Tape) *Binding {
 	b := &Binding{ps: ps, tape: tp, nodes: make(map[string]*ad.Node, len(ps.names))}
-	for i, n := range ps.names {
-		if len(names) == 0 || slices.Contains(names, n) {
-			b.names = append(b.names, n)
-			b.index = append(b.index, i)
-		}
-	}
-	if len(names) != 0 && len(b.names) != len(names) {
-		panic(fmt.Sprintf("nn: Bind(%q): not all are parameters of the set", names))
-	}
 	b.Rebind()
 	return b
 }
 
-// Rebind re-registers every bound parameter as a fresh Var on the
-// binding's tape. Call it after Tape.Reset to reuse one binding across
-// steps: the node map is updated in place (same keys), so a steady-state
-// rebind performs no heap allocations.
+// Rebind re-registers every parameter as a fresh Var on the binding's tape.
+// Call it after Tape.Reset to reuse one binding across steps: the node map
+// is updated in place (same keys), so a steady-state rebind performs no heap
+// allocations.
 func (b *Binding) Rebind() {
-	for _, n := range b.names {
-		b.nodes[n] = b.tape.Var(b.ps.vals[n])
+	for i, n := range b.ps.names {
+		b.nodes[n] = b.tape.Var(b.ps.mats[i])
 	}
 }
 
@@ -237,14 +223,13 @@ func (b *Binding) Node(name string) *ad.Node {
 // Tape returns the tape this binding records onto.
 func (b *Binding) Tape() *ad.Tape { return b.tape }
 
-// GradsFlatInto stores the gradient matrix of every bound parameter at its
-// registration index in dst (length = number of parameters in the set) —
-// the hand-off Adam.StepFlat takes. Entries of unbound parameters are left
-// alone. The gradient matrices are tape-owned and only valid until the
-// tape's next Reset.
+// GradsFlatInto stores every parameter's gradient matrix at its registration
+// index in dst (length = number of parameters in the set) — the hand-off
+// Adam.StepFlat takes. The gradient matrices are tape-owned and only valid
+// until the tape's next Reset.
 func (b *Binding) GradsFlatInto(dst []*mat.Matrix) {
-	for i, n := range b.names {
-		dst[b.index[i]] = b.nodes[n].Grad
+	for i, n := range b.ps.names {
+		dst[i] = b.nodes[n].Grad
 	}
 }
 
@@ -283,8 +268,11 @@ type Adam struct {
 	names   []string
 	m, v    []*mat.Matrix
 
-	sq   []float64 // clipScale's scratch: per-parameter squared norms
-	seen []bool    // clipScale's scratch: sq[i] is computed
+	// clipScale's scratch, all in gradient order: per-parameter squared
+	// norms, the gradients' flat views, and their indexes longest first.
+	sq      []float64
+	vecs    [][]float64
+	longest []int
 }
 
 // NewAdam returns an Adam optimiser with the paper's defaults.
@@ -441,40 +429,34 @@ func (a *Adam) CheckShapes(ps *ParamSet) error {
 // summed parameter by parameter in registration order, each parameter's
 // own sum started from zero — float addition is not associative, so any
 // other order would change the factor, and therefore training, in the last
-// bits. What may overlap is the work of DIFFERENT parameters: equal-sized
-// ones (an LSTM's four gate matrices) are summed four at a time, which
-// hides three quarters of the add latency these serial sums are bound by.
+// bits. What may overlap is the work of DIFFERENT parameters, and
+// mat.SumSquaresEach overlaps eight at a time, longest first, so the norm
+// costs about its longest parameter's chain of adds instead of all of them.
 func (a *Adam) clipScale(grads []*mat.Matrix) float64 {
 	if len(a.sq) != len(grads) {
-		a.sq, a.seen = make([]float64, len(grads)), make([]bool, len(grads))
-	}
-	sq, seen := a.sq, a.seen
-	for i := range seen {
-		seen[i] = false
+		a.sq, a.vecs, a.longest = make([]float64, len(grads)), make([][]float64, len(grads)), make([]int, len(grads))
+		for i := range a.longest {
+			a.longest[i] = i
+		}
 	}
 	for i, g := range grads {
-		if g == nil || seen[i] {
-			continue
-		}
-		quad, n := [4]int{i}, 1
-		for j := i + 1; j < len(grads) && n < 4; j++ {
-			if grads[j] != nil && !seen[j] && len(grads[j].Data) == len(g.Data) {
-				quad[n] = j
-				n++
-			}
-		}
-		if n == 4 {
-			sq[quad[0]], sq[quad[1]], sq[quad[2]], sq[quad[3]] = mat.SumSquares4(
-				grads[quad[0]].Data, grads[quad[1]].Data, grads[quad[2]].Data, grads[quad[3]].Data)
-			seen[quad[1]], seen[quad[2]], seen[quad[3]] = true, true, true
-		} else {
-			sq[i] = mat.Dot(g, g)
+		a.vecs[i] = nil
+		if g != nil {
+			a.vecs[i] = g.Data
 		}
 	}
+	// Shapes do not change between steps, so after the first call this
+	// insertion sort is one pass that moves nothing.
+	for k := 1; k < len(a.longest); k++ {
+		for j := k; j > 0 && len(a.vecs[a.longest[j]]) > len(a.vecs[a.longest[j-1]]); j-- {
+			a.longest[j], a.longest[j-1] = a.longest[j-1], a.longest[j]
+		}
+	}
+	mat.SumSquaresEach(a.sq, a.vecs, a.longest)
 	var total float64
 	for i, g := range grads {
 		if g != nil {
-			total += sq[i]
+			total += a.sq[i]
 		}
 	}
 	norm := math.Sqrt(total)
@@ -517,10 +499,6 @@ func NewDense(ps *ParamSet, name string, in, out int, act Activation, rng *rand.
 	ps.Add(name+".b", mat.New(1, out))
 	return &Dense{Name: name, In: in, Out: out, Act: act, wName: name + ".W", bName: name + ".b"}
 }
-
-// ParamNames returns the names the layer's weight and bias are registered
-// under.
-func (d *Dense) ParamNames() (w, b string) { return d.wName, d.bName }
 
 // Apply runs the layer on x using parameters bound in b.
 func (d *Dense) Apply(b *Binding, x *ad.Node) *ad.Node {

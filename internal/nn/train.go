@@ -8,9 +8,9 @@ package nn
 // therefore parameters match the tape bit for bit (golden-tested in
 // internal/core). What changes is the work around the arithmetic: no node
 // bookkeeping, no per-node matrices, the four gates' preactivation
-// gradients packed in one row per step, and each weight gradient
-// accumulated over the whole window in one pass (mat.MatMulATStepsInto)
-// instead of one rank-1 pass over the full matrix per step.
+// gradients packed in one row per step, and each weight gradient written
+// once, summed over the whole window in registers (mat.MatMulATStepsInto),
+// instead of cleared and then updated by one rank-1 pass per step.
 //
 // Unlike FusedCell, a TrainCell reads the LIVE per-gate parameter matrices:
 // they are row-major already, which is the layout the column-vectorised
@@ -136,6 +136,9 @@ func (c *TrainCell) BeginBackward() {
 	for j := range c.carry {
 		c.carry[j] = 0
 	}
+	for j := range c.dBrow {
+		c.dBrow[j] = 0
+	}
 	for g, w := range c.w {
 		c.wHid[g].Data = w.Data[:c.HidCols*c.Hidden]
 		if wt := c.wHidT[g]; wt != nil {
@@ -146,44 +149,35 @@ func (c *TrainCell) BeginBackward() {
 
 // BackStep backpropagates step t given dh = ∂L/∂h_t (read-only) and, when
 // wantCtx, returns ∂L/∂ctx_t over the HidCols hidden columns (valid until
-// the next BackStep). Call it for t = Steps−1 … 0.
+// the next BackStep). Call it for t = Steps−1 … 0: the bias gradients
+// dB_g = Σ_t dpre_{g,t} accumulate here, from zero in that order — the order
+// in which the tape's Backward reaches the steps.
 func (c *TrainCell) BackStep(t int, dh []float64, wantCtx bool) []float64 {
 	h := c.Hidden
 	dpre := c.dpre.Row(t)
 	mat.LSTMGatesBackInto(dpre, c.carry, dh, c.act.Row(t), c.tanhC.Row(t), c.c.Row(t))
+	mat.VecAddInto(c.dBrow, dpre)
 	if !wantCtx || c.HidCols == 0 {
 		return nil
 	}
 	// ∂L/∂ctx = Σ_g dpre_g·W_gᵀ, gates in the tape's reverse order o, c, f, i,
-	// each gate's product a complete ascending-k sum before it is added.
-	for j := range c.dctx {
-		c.dctx[j] = 0
-	}
-	for g := 3; g >= 0; g-- {
+	// each gate's product a complete ascending-k sum before it is added. The
+	// tape adds the first to a zeroed gradient; a sum that starts at +0 is
+	// never −0, so 0 + x is x and the output gate's product lands directly.
+	mat.FwdGEMMBiasInto(c.dctx, dpre[3*h:], 1, c.wHidT[3], c.wHid[3], nil)
+	for g := 2; g >= 0; g-- {
 		mat.FwdGEMMBiasInto(c.gemv, dpre[g*h:(g+1)*h], 1, c.wHidT[g], c.wHid[g], nil)
-		for j, v := range c.gemv {
-			c.dctx[j] += v
-		}
+		mat.VecAddInto(c.dctx, c.gemv)
 	}
 	return c.dctx
 }
 
-// FinishBackward turns the window's preactivation gradients into the
-// parameter gradients: dW_g = Σ_t ctx_tᵀ·dpre_{g,t} and dB_g = Σ_t dpre_{g,t},
-// both accumulated from zero over t descending — the order in which the
-// tape's Backward reaches the steps.
+// FinishBackward turns the window's preactivation gradients into the weight
+// gradients dW_g = Σ_t ctx_tᵀ·dpre_{g,t}, each element summed from zero over
+// t descending.
 func (c *TrainCell) FinishBackward() {
 	h := c.Hidden
 	for g := range c.dW {
-		c.dW[g].Zero()
 		mat.MatMulATStepsInto(c.dW[g], c.Ctx.Data, c.dpre.Data[g*h:], 4*h, c.Steps)
-	}
-	for j := range c.dBrow {
-		c.dBrow[j] = 0
-	}
-	for t := c.Steps - 1; t >= 0; t-- {
-		for j, v := range c.dpre.Row(t) {
-			c.dBrow[j] += v
-		}
 	}
 }

@@ -243,6 +243,16 @@ func Generate(opt Options) (*Stream, error) {
 		return false
 	}
 
+	// A stream revisits its few latent states every second, and deriving a
+	// state's salience or direction seeds a generator of its own: do it once
+	// per state. (Anomalous directions are one per second and stay inline.)
+	salience := make([]float64, p.States)
+	direction := make([][]float64, p.States)
+	for st := range salience {
+		salience[st] = stateSalience(st)
+		direction[st] = stateDescriptor(st, p.DescriptorDim)
+	}
+
 	// --- per-second latent simulation ---
 	type secState struct {
 		state    int
@@ -261,7 +271,7 @@ func Generate(opt Options) (*Stream, error) {
 	for t := 0; t < opt.DurationSec; t++ {
 		anomal := inAnomaly(float64(t))
 		cur := state
-		sal := stateSalience(cur)
+		sal := salience[cur]
 		if anomal {
 			// A captivating action: salience spikes; the visual state is a
 			// blend handled at frame emission below.
@@ -332,7 +342,7 @@ func Generate(opt Options) (*Stream, error) {
 			anomalyCount++
 		}
 		prevAnomal = ss.anomal
-		target := stateDescriptor(ss.state, p.DescriptorDim)
+		target := direction[ss.state] // read-only from here on
 		if ss.anomal {
 			// A captivating action (Fig. 1: wobbling the balance board):
 			// visually close to the current normal state, but the small

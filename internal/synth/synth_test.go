@@ -1,6 +1,9 @@
 package synth
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math"
 	"testing"
 
@@ -298,6 +301,73 @@ func BenchmarkGenerate10Min(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := Generate(Options{Preset: INF(), DurationSec: 600, Seed: int64(i)}); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// streamHash digests everything Generate returns, float bits included.
+func streamHash(s *Stream) string {
+	h := sha256.New()
+	word := func(v uint64) {
+		var b [8]byte
+		binary.LittleEndian.PutUint64(b[:], v)
+		h.Write(b[:])
+	}
+	word(uint64(s.DurationSec))
+	word(uint64(s.FPS))
+	for _, f := range s.Frames {
+		word(uint64(f.Index))
+		word(uint64(f.State))
+		if f.Anomalous {
+			word(1)
+		}
+		for _, v := range f.Descriptor {
+			word(math.Float64bits(v))
+		}
+	}
+	for _, c := range s.Comments {
+		word(math.Float64bits(c.AtSec))
+		h.Write([]byte(c.Text))
+		word(0)
+	}
+	for _, e := range s.Excitement {
+		word(math.Float64bits(e))
+	}
+	for _, iv := range s.AnomalyIntervals {
+		word(math.Float64bits(iv[0]))
+		word(math.Float64bits(iv[1]))
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestGenerateOutputPinned holds every preset's stream — frames, comments,
+// excitement and anomaly schedule — to the bytes the generator produced
+// when each second re-derived its state's salience and direction from a
+// freshly seeded source; Generate now derives them once per state.
+func TestGenerateOutputPinned(t *testing.T) {
+	want := map[string]string{
+		"INF":           "5d0c6b621e6f8e4bdbd12bdc627606fc1d6c1ef0fb17fb115886814cce3d008a",
+		"INF+anomalies": "8382313f4bee5367c15dbf1de0c1317276ac52f7e811d762f9212b90e83f09a8",
+		"SPE":           "0d8a21af96994a65ae9169fef4eceb9e48c32249da07dbadb426e6b14aa92976",
+		"SPE+anomalies": "1a35f6c68f9c4f6c9f8e33501036c29908a875f2cad9ce3d3e8dd281b5c3c453",
+		"TED":           "0214d225bbeda2f794884131d16e77995f1c8a07c8bc54c16d5a4ded2aaa8888",
+		"TED+anomalies": "81b83e2f982e6004349399f30ed09faaf9dba50325555aea743064d8b0e70f65",
+		"TWI":           "8d4e61b95d13cc55a5ca1da3c9c0fd92ab55416ab7b68ec4b1c9b2d1b5f72141",
+		"TWI+anomalies": "e4a0c184719298117f8320bf5d6f7eeeb28f58aef36c5f8e3f905b62d9f70442",
+	}
+	for _, p := range Presets() {
+		for _, anomalyFree := range []bool{true, false} {
+			s, err := Generate(Options{Preset: p, DurationSec: 240, AnomalyFree: anomalyFree, Seed: 11})
+			if err != nil {
+				t.Fatal(err)
+			}
+			key := p.Name
+			if !anomalyFree {
+				key += "+anomalies"
+			}
+			if got := streamHash(s); got != want[key] {
+				t.Errorf("%s: stream hash %s, want %s", key, got, want[key])
+			}
 		}
 	}
 }
