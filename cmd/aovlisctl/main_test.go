@@ -24,7 +24,7 @@ func buildLedger(t *testing.T) (string, ledger.RootInfo, ledger.Proof) {
 		if _, err := l.Append(ledger.Entry{
 			Channel:    fmt.Sprintf("ch-%d", i%2),
 			ChannelSeq: uint64(i),
-			UnixNanos:  int64(1700000000000000000 + i),
+			UnixNanos:  1700000000000000000 + int64(i),
 			Score:      float64(i) * 0.25,
 			Exact:      true,
 			Path:       "exact",

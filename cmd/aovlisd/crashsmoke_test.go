@@ -36,6 +36,7 @@ import (
 
 	"aovlis/internal/ledger"
 	"aovlis/internal/serve"
+	"aovlis/internal/stream/live"
 	"aovlis/internal/wire"
 )
 
@@ -48,7 +49,7 @@ func newDurableDaemon(t *testing.T, o options) (*daemon, *httptest.Server) {
 		t.Fatal(err)
 	}
 	d := &daemon{pool: pool, template: template(t), maxChannels: 32,
-		obsWindow: o.batch, snapshotDir: o.snapshotDir, started: time.Now()}
+		obsWindow: o.batch, snapshotDir: o.snapshotDir, started: time.Now(), hub: live.NewHub(live.HubConfig{})}
 	if err := d.openLedger(o); err != nil {
 		pool.Close()
 		t.Fatal(err)
@@ -61,6 +62,7 @@ func newDurableDaemon(t *testing.T, o options) (*daemon, *httptest.Server) {
 	}
 	srv := httptest.NewServer(d.handler(false, false))
 	t.Cleanup(func() {
+		d.hub.Close()
 		srv.Close()
 		pool.Close()
 		d.closeDurability()

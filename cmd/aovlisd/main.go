@@ -427,20 +427,11 @@ func (d *daemon) closeDurability() error {
 // on the boot path between openLedger and openWAL so WAL-replayed verdicts
 // reach both.
 func (d *daemon) attachVerdictSinks() {
-	var sinks fanoutSink
-	if d.ledger != nil {
-		sinks = append(sinks, ledgerSink{d.ledger})
+	if d.ledger == nil {
+		d.pool.AttachVerdictSink(watchSink{hub: d.hub})
+		return
 	}
-	if d.hub != nil { // nil only in tests exercising the NDJSON plane alone
-		sinks = append(sinks, watchSink{hub: d.hub})
-	}
-	switch len(sinks) {
-	case 0:
-	case 1:
-		d.pool.AttachVerdictSink(sinks[0])
-	default:
-		d.pool.AttachVerdictSink(sinks)
-	}
+	d.pool.AttachVerdictSink(fanoutSink{ledgerSink{d.ledger}, watchSink{hub: d.hub}})
 }
 
 // fanoutSink fans one verdict out to several sinks in order.
@@ -668,8 +659,7 @@ type daemon struct {
 
 	// hub is the live plane's shared state: per-channel resume rings for
 	// the WebSocket ingest endpoint and the SSE watch fan-out. Every scored
-	// verdict reaches it through the pool's verdict sink. Nil only in tests
-	// that exercise the NDJSON plane alone.
+	// verdict reaches it through the pool's verdict sink.
 	hub *live.Hub
 
 	// base is the cross-channel continual-learning accumulator (nil
@@ -706,15 +696,13 @@ func (d *daemon) handler(enablePprof, enableMetrics bool) http.Handler {
 	mux.HandleFunc("/channels", d.handleList)
 	mux.HandleFunc("/channels/", d.handleChannel)
 	mux.HandleFunc("/snapshot", d.handleSnapshot)
-	if d.hub != nil {
-		// Live plane (ARCHITECTURE.md §15): WebSocket ingest with Last-Seq
-		// resume, and the SSE verdict dashboard. The ingest handler shares
-		// the NDJSON handler's pipelining depth so both planes feed the
-		// shard micro-batcher the same backlog.
-		mux.Handle("/live/", &live.IngestHandler{
-			Pool: d.pool, Hub: d.hub, Ensure: d.ensureChannel, Window: d.obsWindow})
-		mux.HandleFunc("/watch", d.hub.ServeWatch)
-	}
+	// Live plane (ARCHITECTURE.md §15): WebSocket ingest with Last-Seq
+	// resume, and the SSE verdict dashboard. The ingest handler shares the
+	// NDJSON handler's pipelining depth so both planes feed the shard
+	// micro-batcher the same backlog.
+	mux.Handle("/live/", &live.IngestHandler{
+		Pool: d.pool, Hub: d.hub, Ensure: d.ensureChannel, Window: d.obsWindow})
+	mux.HandleFunc("/watch", d.hub.ServeWatch)
 	mux.HandleFunc("/ledger/root", d.handleLedgerRoot)
 	mux.HandleFunc("/ledger/proof/", d.handleLedgerProof)
 	if enableMetrics {
@@ -862,10 +850,10 @@ func (d *daemon) handleObserve(w http.ResponseWriter, r *http.Request, id string
 		return
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	// Every feeder send selects on the request context, which the server
-	// cancels when the handler returns, so an aborted stream never strands
-	// the goroutine.
-	feed := wire.Feed(r.Context().Done(), wire.ScanLines(r.Body))
+	// The feeder's wait for a buffer selects on the request context, which
+	// the server cancels when the handler returns, so an aborted stream
+	// never strands the goroutine.
+	feed := wire.Feed(r.Context().Done(), wire.ScanLines(r.Body), 2)
 	out := wire.NewLineWriter(w)
 	pump := serve.Pump{Pool: d.pool, Channel: id, Window: d.obsWindow, In: feed, Out: out}
 	seq, err := pump.Run()

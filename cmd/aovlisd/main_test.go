@@ -27,6 +27,7 @@ import (
 	"aovlis/internal/mat"
 	"aovlis/internal/serve"
 	"aovlis/internal/snapshot"
+	"aovlis/internal/stream/live"
 	"aovlis/internal/wal"
 	"aovlis/internal/wire"
 )
@@ -88,9 +89,10 @@ func newTestDaemon(t *testing.T, maxChannels, batch int, snapshotDir string) (*d
 		t.Fatal(err)
 	}
 	d := &daemon{pool: pool, template: template(t), maxChannels: maxChannels,
-		obsWindow: batch, snapshotDir: snapshotDir, started: time.Now()}
+		obsWindow: batch, snapshotDir: snapshotDir, started: time.Now(), hub: live.NewHub(live.HubConfig{})}
 	srv := httptest.NewServer(d.handler(false, true))
 	t.Cleanup(func() {
+		d.hub.Close()
 		srv.Close()
 		pool.Close()
 	})

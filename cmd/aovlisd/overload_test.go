@@ -24,6 +24,7 @@ import (
 
 	"aovlis"
 	"aovlis/internal/serve"
+	"aovlis/internal/stream/live"
 )
 
 // gatedDet blocks each Observe on a release channel; closing the channel
@@ -193,10 +194,11 @@ func newOverloadDaemon(t *testing.T) (*daemon, *httptest.Server, *gatedDet) {
 		t.Fatal(err)
 	}
 	d := &daemon{pool: pool, template: template(t), maxChannels: 8,
-		obsWindow: 1, started: time.Now()}
+		obsWindow: 1, started: time.Now(), hub: live.NewHub(live.HubConfig{})}
 	srv := httptest.NewServer(d.handler(false, true))
 	t.Cleanup(func() {
 		g.open()
+		d.hub.Close()
 		srv.Close()
 		pool.Close()
 	})
@@ -353,7 +355,7 @@ func TestDaemonShutdownLeaksNoGoroutines(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := &daemon{pool: pool, template: template(t), maxChannels: 8,
-		obsWindow: 4, started: time.Now()}
+		obsWindow: 4, started: time.Now(), hub: live.NewHub(live.HubConfig{})}
 	srv := httptest.NewServer(d.handler(false, true))
 	acts, auds := testSeries(13, 8)
 	var lines strings.Builder
@@ -363,6 +365,7 @@ func TestDaemonShutdownLeaksNoGoroutines(t *testing.T) {
 	for _, ch := range []string{"a", "b", "c"} {
 		postObserve(t, srv, ch, lines.String())
 	}
+	d.hub.Close()
 	srv.Close()
 	if err := pool.Close(); err != nil {
 		t.Fatal(err)

@@ -10,15 +10,22 @@ package cluster
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
+	"log"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"aovlis/internal/snapshot"
 	"aovlis/internal/wire"
 )
 
@@ -179,7 +186,7 @@ func TestRouter429RelayDefaultRetryAfter(t *testing.T) {
 
 // TestRouterWindowFullBackpressure: a stream longer than the pipelining
 // window forces the accept path to resolve acknowledgements before taking
-// new lines (awaitAck); everything still answers in order.
+// new lines (resolve); everything still answers in order.
 func TestRouterWindowFullBackpressure(t *testing.T) {
 	_, _, srv := newTestCluster(t, 1, func(cfg *Config) {
 		cfg.Window = 2
@@ -309,5 +316,271 @@ func TestNodeClientBrokenNode(t *testing.T) {
 	}
 	if err := n.probe(time.Second); err == nil || !strings.Contains(err.Error(), "500") {
 		t.Fatalf("probe of broken node: %v, want a 500 error", err)
+	}
+}
+
+// halfOpenNode is a peer that accepts connections and never answers — the
+// shape of a node wedged below its HTTP server (or a black-holing middlebox).
+func halfOpenNode(t *testing.T, name string) NodeSpec {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	var held []net.Conn
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			mu.Lock()
+			held = append(held, c)
+			mu.Unlock()
+		}
+	}()
+	t.Cleanup(func() {
+		ln.Close()
+		mu.Lock()
+		defer mu.Unlock()
+		for _, c := range held {
+			c.Close()
+		}
+	})
+	return NodeSpec{Name: name, URL: "http://" + ln.Addr().String()}
+}
+
+// placedOn returns a channel id the ring over the given node names places
+// on want.
+func placedOn(t *testing.T, want string, names ...string) string {
+	t.Helper()
+	ring, err := NewRing(names, DefaultReplicas, DefaultLoadFactor)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 256; i++ {
+		id := fmt.Sprintf("ch-%d", i)
+		if got, err := ring.PlaceAll([]string{id}); err == nil && got[id] == want {
+			return id
+		}
+	}
+	t.Fatalf("no candidate id places on %s", want)
+	return ""
+}
+
+// own gives the channel a routing entry owned by the named node, as if it
+// had streamed there.
+func own(t *testing.T, r *Router, id, node string) {
+	t.Helper()
+	if _, err := r.tbl.ensure(id, func(string) (*Node, error) { return r.byName[node], nil }); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRebalanceFromHalfOpenSource: the source of a live migration accepts
+// the export request and never answers. Rebalance holds the topology lock
+// across that call, so without a deadline it — and every failover queued
+// behind it — never returns. With one, the move fails inside the budget and
+// ownership stays put.
+func TestRebalanceFromHalfOpenSource(t *testing.T) {
+	stub := newStubNode(t, "node-a", 1)
+	r, err := New(Config{Nodes: []NodeSpec{stub.spec(), halfOpenNode(t, "hung")},
+		FailoverWait: 300 * time.Millisecond, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(r.Close)
+	id := placedOn(t, "node-a", "node-a", "hung")
+	own(t, r, id, "hung")
+
+	type result struct {
+		rep RebalanceReport
+		err error
+	}
+	done := make(chan result, 1)
+	go func() {
+		rep, err := r.Rebalance()
+		done <- result{rep, err}
+	}()
+	select {
+	case res := <-done:
+		if res.err != nil {
+			t.Fatal(res.err)
+		}
+		if res.rep.Failed != 1 || res.rep.Moved != 0 || len(res.rep.Moves) != 1 || res.rep.Moves[0].Error == "" {
+			t.Fatalf("report %+v, want the one move reported failed", res.rep)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Rebalance is wedged on a half-open migration source")
+	}
+	if owner, _, migrating := r.tbl.get(id).state(); owner.Spec.Name != "hung" || migrating {
+		t.Fatalf("after the failed move: owner %s, migrating %v", owner.Spec.Name, migrating)
+	}
+}
+
+// TestMonitorSurvivesHalfOpenFailoverTarget: the monitor fails a node over
+// inline, and the channel's new owner — with a checkpoint to restore onto it
+// — accepts the import and never answers. Without a deadline that is the
+// health monitor's last act: no more probes, no more failovers, and Close
+// hangs. With one, the channel goes cold inside the budget and the monitor
+// lives to fail the half-open node over too.
+func TestMonitorSurvivesHalfOpenFailoverTarget(t *testing.T) {
+	dir := t.TempDir()
+	victim := newStubNode(t, "node-a", 1)
+	last := newStubNode(t, "node-z", 2)
+	vspec := victim.spec()
+	vspec.SnapshotDir = dir
+	var mu sync.Mutex
+	var logs []string
+	r, err := New(Config{
+		// Sorted by name the monitor probes node-a, then node-h, then node-z:
+		// node-a fails over while node-h still counts as alive.
+		Nodes:      []NodeSpec{vspec, halfOpenNode(t, "node-h"), last.spec()},
+		ProbeEvery: 20 * time.Millisecond, ProbeTimeout: 100 * time.Millisecond, FailAfter: 2,
+		FailoverWait: 300 * time.Millisecond,
+		Logf: func(format string, args ...interface{}) {
+			mu.Lock()
+			logs = append(logs, fmt.Sprintf(format, args...))
+			mu.Unlock()
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	closed := make(chan struct{})
+	t.Cleanup(func() {
+		go func() { r.Close(); close(closed) }()
+		select {
+		case <-closed:
+		case <-time.After(5 * time.Second):
+			t.Error("Router.Close hangs: the monitor never came back")
+		}
+	})
+
+	// One channel on the victim, checkpointed, whose canonical owner among
+	// the survivors is the half-open node.
+	id := placedOn(t, "node-h", "node-h", "node-z")
+	own(t, r, id, "node-a")
+	file := "chan-" + id + ".snap"
+	n, sum, err := snapshot.WriteFileAtomic(filepath.Join(dir, file), func(w io.Writer) error {
+		return json.NewEncoder(w).Encode(stubState{ID: id, Observed: 3})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := snapshot.WriteManifest(dir, snapshot.Manifest{Version: snapshot.Version,
+		Channels: []snapshot.ChannelEntry{{ID: id, File: file, Bytes: n, SHA256: sum}}}); err != nil {
+		t.Fatal(err)
+	}
+
+	victim.sick.Store(true)
+	r.Start()
+	waitCond(t, 5*time.Second, "the monitor never failed over the half-open node after the victim", func() bool {
+		owner, _, _ := r.tbl.get(id).state()
+		return !r.byName["node-a"].Alive() && !r.byName["node-h"].Alive() && owner.Spec.Name == "node-z"
+	})
+	mu.Lock()
+	defer mu.Unlock()
+	cold := false
+	for _, l := range logs {
+		cold = cold || (strings.Contains(l, "failover restore of") && strings.Contains(l, "cold start"))
+	}
+	if !cold {
+		t.Fatalf("the restore onto the half-open node was not reported as a cold start:\n%s", strings.Join(logs, "\n"))
+	}
+}
+
+// TestRouterMidStreamRejectWithFullWindow: the window is full and the driver
+// is inside accept, waiting for a slot, when its upstream dies and the owner
+// answers the reconnect with a whole-stream 429. Decisions were already
+// delivered, so the pending segments become per-line rejections — which
+// empties the window, and the wait for a slot must notice that rather than
+// go on waiting for an acknowledgement nothing will send: the line that was
+// being accepted is then submitted and answered like any other.
+func TestRouterMidStreamRejectWithFullWindow(t *testing.T) {
+	var conns atomic.Int32
+	kill := make(chan struct{})
+	node := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		http.NewResponseController(w).EnableFullDuplex()
+		if conns.Add(1) > 1 {
+			time.Sleep(20 * time.Millisecond) // past probeOpen's beat: the reconnect looks healthy first
+			w.Header().Set("Retry-After", "1")
+			http.Error(w, "overloaded", http.StatusTooManyRequests)
+			return
+		}
+		// First connection: answer one line, swallow the rest, die on cue.
+		sc := bufio.NewScanner(r.Body)
+		sc.Scan()
+		fmt.Fprintln(w, `{"channel":"full","seq":0,"anomaly":false,"score":1,"exact":true}`)
+		w.(http.Flusher).Flush()
+		go io.Copy(io.Discard, r.Body)
+		<-kill
+		panic(http.ErrAbortHandler)
+	}))
+	node.Config.ErrorLog = log.New(io.Discard, "", 0)
+	node.Start()
+	t.Cleanup(node.Close)
+	r, err := New(Config{Nodes: []NodeSpec{{Name: "n", URL: node.URL}}, Window: 2,
+		FailoverWait: 5 * time.Second, RetryEvery: 10 * time.Millisecond, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(r.Close)
+	srv := httptest.NewServer(r.Handler())
+	t.Cleanup(srv.Close)
+
+	s := wire.OpenStream(context.Background(), http.DefaultClient, srv.URL+"/channels/full/observe")
+	defer s.Abort()
+	next := func(what string) wire.Decision {
+		t.Helper()
+		type res struct {
+			d   wire.Decision
+			err error
+		}
+		ch := make(chan res, 1)
+		go func() {
+			var out res
+			line, err := s.Next()
+			if out.err = err; err == nil {
+				out.err = wire.DecodeDecision(line, &out.d)
+			}
+			ch <- out
+		}()
+		select {
+		case got := <-ch:
+			if got.err != nil {
+				t.Fatalf("%s: %v", what, got.err)
+			}
+			return got.d
+		case <-time.After(3 * time.Second):
+			t.Fatalf("%s never arrived", what)
+			return wire.Decision{}
+		}
+	}
+	send := func(n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			s.WriteLine([]byte(obsLine(0.5) + "\n"))
+		}
+		if err := s.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	send(3) // 0 is answered; 1 and 2 fill the window
+	if d := next("decision 0"); d.Seq != 0 || !d.Verdict() {
+		t.Fatalf("decision 0: %+v", d)
+	}
+	send(1)                           // 3 parks the driver in accept, waiting for a slot
+	time.Sleep(50 * time.Millisecond) // (if it has not got there yet, the main loop takes the same path)
+	close(kill)
+	for seq := uint64(1); seq <= 3; seq++ {
+		if d := next(fmt.Sprintf("decision %d", seq)); d.Seq != seq || !d.Rejected {
+			t.Fatalf("decision %d: %+v, want a per-line rejection", seq, d)
+		}
+	}
+	s.CloseSend()
+	if _, err := s.Next(); err != io.EOF {
+		t.Fatalf("end of stream: %v, want io.EOF", err)
 	}
 }

@@ -66,11 +66,12 @@ func (r *Router) handleLive(w http.ResponseWriter, req *http.Request) {
 		http.Error(w, fmt.Sprintf("channel %q owner %s is down", id, owner.Spec.Name), http.StatusServiceUnavailable)
 		return
 	}
-	target, err := hostport(owner.Spec.URL)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
+	u, err := url.Parse(owner.Spec.URL)
+	if err != nil || u.Host == "" {
+		http.Error(w, fmt.Sprintf("cluster: bad node URL %q", owner.Spec.URL), http.StatusInternalServerError)
 		return
 	}
+	target := live.HostPort(u)
 	up, err := net.DialTimeout("tcp", target, liveDialTimeout)
 	if err != nil {
 		http.Error(w, fmt.Sprintf("dialing owner %s: %v", owner.Spec.Name, err), http.StatusBadGateway)
@@ -121,28 +122,6 @@ func (r *Router) handleLive(w http.ResponseWriter, req *http.Request) {
 	up.Close()
 	conn.Close()
 	<-errc
-}
-
-// hostport extracts the dialable host:port from a node base URL, filling
-// the scheme default when the spec omits the port.
-func hostport(base string) (string, error) {
-	u, err := url.Parse(base)
-	if err != nil {
-		return "", fmt.Errorf("cluster: bad node URL %q: %w", base, err)
-	}
-	host := u.Host
-	if host == "" {
-		return "", fmt.Errorf("cluster: node URL %q has no host", base)
-	}
-	if u.Port() == "" {
-		switch u.Scheme {
-		case "https":
-			host = net.JoinHostPort(host, "443")
-		default:
-			host = net.JoinHostPort(host, "80")
-		}
-	}
-	return host, nil
 }
 
 // handleWatch fans the alive nodes' /watch SSE streams into one merged

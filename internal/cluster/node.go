@@ -1,7 +1,7 @@
 package cluster
 
 import (
-	"bufio"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -69,6 +69,11 @@ func ParseNodeSpecs(s string) ([]NodeSpec, error) {
 type Node struct {
 	Spec   NodeSpec
 	client *http.Client
+	// adminWait bounds each admin call (snapshot export, import, detach,
+	// journal replay). They run under the router's topology lock, and the
+	// health monitor runs failover inline, so a peer that accepts the
+	// connection and never answers must cost one budget, not the router.
+	adminWait time.Duration
 
 	// alive is flipped by the health monitor (and by failover). A dead
 	// node takes no new placements and its channels move to survivors.
@@ -85,7 +90,7 @@ type Node struct {
 }
 
 func newNode(spec NodeSpec, client *http.Client) *Node {
-	n := &Node{Spec: spec, client: client}
+	n := &Node{Spec: spec, client: client, adminWait: defaultFailoverWait}
 	n.alive.Store(true)
 	n.lastSnapshotAge.Store(-1)
 	return n
@@ -117,13 +122,7 @@ type healthResponse struct {
 // to an imposter process (stale port reuse) would silently split channel
 // state.
 func (n *Node) probe(timeout time.Duration) error {
-	req, err := http.NewRequest(http.MethodGet, n.Spec.URL+"/healthz", nil)
-	if err != nil {
-		return err
-	}
-	client := *n.client
-	client.Timeout = timeout
-	resp, err := client.Do(req)
+	resp, err := n.within(timeout).Get(n.Spec.URL + "/healthz")
 	if err != nil {
 		return err
 	}
@@ -149,11 +148,20 @@ func (n *Node) probe(timeout time.Duration) error {
 	return nil
 }
 
+// within is the node's client with d as its Timeout, which covers an
+// exchange through the last byte of the response body (and, for a journal
+// replay, of the request body).
+func (n *Node) within(d time.Duration) *http.Client {
+	c := *n.client
+	c.Timeout = d
+	return &c
+}
+
 // exportSnapshot opens the channel's export stream (GET snapshot). The
 // caller owns the returned body. A 404 is surfaced as errNoChannelState so
 // migration can treat "nothing to move" as success.
 func (n *Node) exportSnapshot(id string) (io.ReadCloser, error) {
-	resp, err := n.client.Get(n.Spec.URL + "/channels/" + id + "/snapshot")
+	resp, err := n.within(n.adminWait).Get(n.Spec.URL + "/channels/" + id + "/snapshot")
 	if err != nil {
 		return nil, fmt.Errorf("cluster: exporting %q from %s: %w", id, n.Spec.Name, err)
 	}
@@ -175,7 +183,7 @@ func (n *Node) putSnapshot(id string, body io.Reader) error {
 	if err != nil {
 		return err
 	}
-	resp, err := n.client.Do(req)
+	resp, err := n.within(n.adminWait).Do(req)
 	if err != nil {
 		return fmt.Errorf("cluster: importing %q into %s: %w", id, n.Spec.Name, err)
 	}
@@ -198,16 +206,10 @@ func (n *Node) putSnapshot(id string, body io.Reader) error {
 // assigned them (the NEW owner's journal numbering — it reseeds the relay
 // tracker so a subsequent failover of this node replays them again).
 func (n *Node) replayObservations(id string, recs []wal.Record) (int, uint64, error) {
-	pr, pw := io.Pipe()
-	req, err := http.NewRequest(http.MethodPost, n.observeURL(id), pr)
-	if err != nil {
-		return 0, 0, err
-	}
-	req.Header.Set("Content-Type", "application/x-ndjson")
+	s := wire.OpenStream(context.Background(), n.within(n.adminWait), n.observeURL(id))
+	defer s.Abort() // also ends the writer, should the reader give up first
 	writeErr := make(chan error, 1)
 	go func() {
-		bw := bufio.NewWriterSize(pw, 32<<10)
-		var failed error
 		var line []byte
 		for _, rec := range recs {
 			// wire.AppendObservation renders float64s in shortest round-trip
@@ -215,51 +217,31 @@ func (n *Node) replayObservations(id string, recs []wal.Record) (int, uint64, er
 			// journaled ones — the replay scores exactly what the dead node
 			// scored.
 			line = wire.AppendObservation(line[:0], rec.Action, rec.Audience)
-			_, err := bw.Write(line)
-			if err != nil {
-				failed = err
-				break
+			if err := s.WriteLine(line); err != nil {
+				writeErr <- err
+				return
 			}
 		}
-		if failed == nil {
-			failed = bw.Flush()
-		}
-		pw.CloseWithError(failed) // nil closes cleanly (EOF)
-		writeErr <- failed
+		writeErr <- s.CloseSend()
 	}()
-	resp, err := n.client.Do(req)
-	if err != nil {
-		return 0, 0, fmt.Errorf("cluster: replaying journal of %q into %s: %w", id, n.Spec.Name, err)
-	}
-	defer drainClose(resp.Body)
-	if resp.StatusCode != http.StatusOK {
-		msg := readErrorBody(resp.Body)
-		return 0, 0, fmt.Errorf("cluster: replaying journal of %q into %s: status %d: %s", id, n.Spec.Name, resp.StatusCode, msg)
-	}
 	applied, maxW := 0, uint64(0)
-	next := wire.ScanLines(resp.Body)
 	for {
-		line, err := next()
+		line, err := s.Next()
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
-			return applied, maxW, fmt.Errorf("cluster: reading replay decisions from %s: %w", n.Spec.Name, err)
+			return applied, maxW, fmt.Errorf("cluster: replaying journal of %q into %s: %w", id, n.Spec.Name, err)
 		}
 		var d wire.Decision
 		if err := wire.DecodeDecision(line, &d); err != nil {
 			return applied, maxW, fmt.Errorf("cluster: bad replay decision from %s: %w", n.Spec.Name, err)
 		}
-		switch {
-		case d.Error != "":
-			return applied, maxW, fmt.Errorf("cluster: replaying %q seq %d into %s: %s", id, d.Seq, n.Spec.Name, d.Error)
-		case d.Rejected, d.Dropped:
-			return applied, maxW, fmt.Errorf("cluster: node %s shed replayed segment %d of %q", n.Spec.Name, d.Seq, id)
+		if !d.Verdict() {
+			return applied, maxW, fmt.Errorf("cluster: node %s did not score replayed segment %d of %q: %s", n.Spec.Name, d.Seq, id, line)
 		}
 		applied++
-		if d.WSeq > maxW {
-			maxW = d.WSeq
-		}
+		maxW = max(maxW, d.WSeq)
 	}
 	if werr := <-writeErr; werr != nil {
 		return applied, maxW, fmt.Errorf("cluster: writing replay stream of %q to %s: %w", id, n.Spec.Name, werr)
@@ -277,7 +259,7 @@ func (n *Node) deleteChannel(id string) error {
 	if err != nil {
 		return err
 	}
-	resp, err := n.client.Do(req)
+	resp, err := n.within(n.adminWait).Do(req)
 	if err != nil {
 		return fmt.Errorf("cluster: detaching %q from %s: %w", id, n.Spec.Name, err)
 	}

@@ -1,14 +1,15 @@
 package cluster
 
 import (
-	"bufio"
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"time"
 
+	"aovlis/internal/metrics"
 	"aovlis/internal/wire"
 )
 
@@ -24,58 +25,42 @@ type slot struct {
 	sent bool
 }
 
-// upstream is one pooled forward connection: the request-body pipe the
-// driver writes lines into, plus the cancel that aborts the forward
-// request (which is what stops the connection's ack reader — the reader
-// owns the response end to end). offset is the client seq of the
+// upstream is one forward connection to a channel's owner: the wire.Stream
+// the driver writes lines into, and the Feeder that relays its decision lines
+// back so the driver never blocks on a node while the client is sending.
+// Aborting the stream ends both. offset is the client seq of the
 // connection's first line — when non-zero, acknowledged decisions carry a
 // connection-local seq and must be rewritten before reaching the client.
-// gen tags the connection so the driver can discard stale ack messages
-// after a rotation.
 type upstream struct {
 	node   *Node
 	epoch  uint64
-	gen    uint64
-	pw     *io.PipeWriter
-	bw     *bufio.Writer // over pw; flushed before every blocking wait
-	cancel context.CancelFunc
+	stream *wire.Stream
+	acks   *wire.Feeder
 	offset uint64
 }
 
-// ackMsg is one message from an upstream ack reader to the driver: either
-// a raw decision line (in a recycled buffer the driver must return to
-// ackFree) or the error that ended that connection. gen identifies which
-// connection it came from.
-type ackMsg struct {
-	gen  uint64
-	line []byte
-	err  error
+// ended is the error that closed the connection's ack relay: what the stream
+// reported (a *wire.Refused for a whole-stream 429), or the node finishing
+// the response while the driver still expected decisions on it.
+func (up *upstream) ended() error {
+	err := up.acks.Err()
+	if err == nil {
+		err = io.ErrUnexpectedEOF
+	}
+	return fmt.Errorf("cluster: node %s: %w", up.node.Spec.Name, err)
 }
 
-type respResult struct {
-	resp *http.Response
-	err  error
-}
-
-// errUpstreamRejected marks an upstream that answered the whole stream
-// with 429 + Retry-After (node admission reject).
-type errUpstreamRejected struct{ retryAfter string }
-
-func (e errUpstreamRejected) Error() string {
-	return "cluster: node rejected stream (429, Retry-After " + e.retryAfter + ")"
-}
-
-// proxyStream is the per-client-request forwarding state machine. Three
-// goroutines cooperate, but ALL routing state lives on the driver (the
-// request handler goroutine):
+// proxyStream is the per-client-request forwarding state machine: a driver
+// (the request handler goroutine, which holds ALL routing state) between two
+// instances of wire.Feeder:
 //
-//   - the feeder (wire.Feed) scans client lines into recycled buffers, so
-//     the driver never blocks on client input while an acknowledgement is
-//     waiting;
-//   - one ack reader per upstream connection relays decision lines into
-//     ackCh (buffers recycled via ackFree), tagged with the connection
-//     gen, so the driver never blocks on a node while the client is
-//     sending — the full-duplex property a windowed client depends on;
+//   - one over the client's request body, so the driver never blocks on
+//     client input while an acknowledgement is waiting;
+//   - one per upstream connection over its wire.Stream, so the driver never
+//     blocks on a node while the client is sending — the full-duplex
+//     property a windowed client depends on. A rotated-away connection's
+//     feeder is stopped and dropped with it, so a stale acknowledgement
+//     cannot reach the driver;
 //   - the driver selects over both, preserving the invariants:
 //     pending[tail..tail+npending) is the FIFO of accepted-but-unanswered
 //     segments, the sent ones form a contiguous prefix, every sent slot
@@ -97,12 +82,9 @@ type proxyStream struct {
 	npending int
 	nsent    int // sent slots (prefix of pending FIFO)
 
-	feed    *wire.Feeder // client lines
-	ackCh   chan ackMsg
-	ackFree chan []byte
+	feed *wire.Feeder // client lines
 
 	up        *upstream
-	gen       uint64 // last connection gen issued
 	responses int    // decision lines written to the client
 	seq       uint64 // next client seq
 
@@ -113,16 +95,6 @@ type proxyStream struct {
 	// loop) would reset the failover budget on every retry and livelock
 	// the stream forever.
 	recoverBy time.Time
-}
-
-// relayRetryAfter extracts the node's Retry-After header value, defaulting
-// to "1" (the node always sets it, but the relay must not vanish if a
-// proxy in between strips it).
-func relayRetryAfter(resp *http.Response) string {
-	if ra := resp.Header.Get("Retry-After"); ra != "" {
-		return ra
-	}
-	return "1"
 }
 
 // handleObserve proxies one client observe stream through the fleet.
@@ -139,20 +111,13 @@ func (r *Router) handleObserve(w http.ResponseWriter, req *http.Request, id stri
 	// Lazily flushed with the first decision line; a whole-stream 429
 	// relay (http.Error) still overrides it.
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	window := r.cfg.Window
 	ps := &proxyStream{
 		r: r, entry: e, id: id, w: w, out: wire.NewLineWriter(w), ctx: req.Context(),
-		pending: make([]slot, window),
-		feed:    wire.Feed(req.Context().Done(), wire.ScanLines(req.Body)),
-		ackCh:   make(chan ackMsg, window),
-		ackFree: make(chan []byte, window+2),
-	}
-	for i := 0; i < cap(ps.ackFree); i++ {
-		ps.ackFree <- make([]byte, 0, 256)
+		pending: make([]slot, r.cfg.Window),
+		feed:    wire.Feed(req.Context().Done(), wire.ScanLines(req.Body), 2),
 	}
 	defer ps.closeUpstream()
 
-	lineCh := ps.feed.C
 	for {
 		// Try without blocking first; only when nothing is immediately
 		// available flush the buffered client decisions and upstream lines,
@@ -160,37 +125,38 @@ func (r *Router) handleObserve(w http.ResponseWriter, req *http.Request, id stri
 		// idle transition instead of once per line is most of the router's
 		// single-core throughput.
 		var (
-			buf     []byte
-			lineOK  bool
-			m       ackMsg
-			isLine  bool
-			gotWork bool
+			buf, ack      []byte
+			lineOK, ackOK bool
+			isLine        bool
+			ackCh         chan []byte // nil (never ready) without a live upstream
 		)
-		select {
-		case buf, lineOK = <-lineCh:
-			isLine, gotWork = true, true
-		case m = <-ps.ackCh:
-			gotWork = true
-		default:
+		if ps.up != nil {
+			ackCh = ps.up.acks.C
 		}
-		if !gotWork {
-			if err := ps.flushUpstream(); err != nil {
-				if err = ps.handleUpstreamError(err); err != nil {
-					ps.terminate(err)
-					return
+		select {
+		case buf, lineOK = <-ps.feed.C:
+			isLine = true
+		case ack, ackOK = <-ackCh:
+		default:
+			if ps.up != nil {
+				if err := ps.up.stream.Flush(); err != nil {
+					if err = ps.handleUpstreamError(err); err != nil {
+						ps.terminate(err)
+						return
+					}
+					continue
 				}
-				continue
 			}
 			ps.out.Flush()
 			select {
-			case buf, lineOK = <-lineCh:
+			case buf, lineOK = <-ps.feed.C:
 				isLine = true
-			case m = <-ps.ackCh:
+			case ack, ackOK = <-ackCh:
 			}
 		}
 		if isLine {
 			if !lineOK {
-				if err := ps.drainAll(); err != nil {
+				if err := ps.resolve(0); err != nil {
 					ps.terminate(err)
 					return
 				}
@@ -207,7 +173,7 @@ func (r *Router) handleObserve(w http.ResponseWriter, req *http.Request, id stri
 			}
 			continue
 		}
-		err := ps.processAck(m)
+		err := ps.onAck(ack, ackOK)
 		if err != nil {
 			err = ps.handleUpstreamError(err)
 		}
@@ -224,11 +190,11 @@ func (r *Router) handleObserve(w http.ResponseWriter, req *http.Request, id stri
 }
 
 // accept takes one observation line from the feeder: it frees a window
-// slot if needed (resolving one acknowledgement), queues the line, and
+// slot if needed (resolving the oldest pending segment), queues the line, and
 // pushes queued lines onto the live upstream.
 func (ps *proxyStream) accept(buf []byte) error {
 	if ps.npending == len(ps.pending) {
-		if err := ps.awaitAck(); err != nil {
+		if err := ps.resolve(len(ps.pending) - 1); err != nil {
 			return err
 		}
 	}
@@ -246,20 +212,23 @@ func (ps *proxyStream) accept(buf []byte) error {
 	return ps.flushQueued()
 }
 
-// drainAll resolves every pending segment (end of client stream). Once
-// everything pending is on the wire it half-closes the upstream body:
-// the node's observe handler pipelines up to its batch depth and only
-// guarantees the tail of that pipeline on request EOF, so a drain that
-// held the pipe open could wait forever on decisions the node is
-// holding for exactly that EOF.
-func (ps *proxyStream) drainAll() error {
-	for ps.npending > 0 {
+// resolve reads acknowledgements until at most keep segments are pending:
+// accept frees one window slot with it, the end of the client stream
+// resolves everything (keep 0). Queued segments are (re)submitted first;
+// upstream failures demote the sent ones back to queued and retry within
+// the failover budget. At the end of the stream, once everything pending
+// is on the wire, it half-closes the upstream body: the node's observe
+// handler pipelines up to its batch depth and only guarantees the tail of
+// that pipeline on request EOF, so a drain that held the pipe open could
+// wait forever on decisions the node is holding for exactly that EOF.
+func (ps *proxyStream) resolve(keep int) error {
+	for ps.npending > keep {
 		if ps.nsent < ps.npending {
 			if err := ps.flushQueued(); err != nil {
 				return err
 			}
 		}
-		if ps.nsent == ps.npending {
+		if keep == 0 && ps.nsent == ps.npending {
 			ps.halfCloseUpstream()
 		}
 		if err := ps.readAck(); err != nil {
@@ -297,7 +266,7 @@ func (ps *proxyStream) flushQueued() error {
 		}
 		i := (ps.tail + ps.nsent) % len(ps.pending)
 		s := &ps.pending[i]
-		if _, err := ps.up.bw.Write(s.buf); err != nil {
+		if err := ps.up.stream.WriteLine(s.buf); err != nil {
 			ps.entry.endSegment()
 			if err := ps.handleUpstreamError(err); err != nil {
 				return err
@@ -311,89 +280,54 @@ func (ps *proxyStream) flushQueued() error {
 	return nil
 }
 
-// awaitAck resolves the oldest pending segment: flushes it upstream if
-// still queued, reads its acknowledgement, and forwards the decision to
-// the client. Upstream failures demote the sent segments back to queued
-// and retry through flushQueued.
-func (ps *proxyStream) awaitAck() error {
-	for {
-		if ps.nsent == 0 {
-			if err := ps.flushQueued(); err != nil {
-				return err
-			}
-		}
-		if err := ps.readAck(); err != nil {
-			if err := ps.handleUpstreamError(err); err != nil {
-				return err
-			}
-			continue
-		}
-		return nil
-	}
-}
-
 // drainSent acknowledges every currently-sent segment (used before
 // parking for a migration). No further line will be written on this
 // connection — ownership is about to flip and the flip rotates it — so
 // it half-closes first, forcing the node to flush its pipelined tail.
 func (ps *proxyStream) drainSent() error {
-	ps.halfCloseUpstream()
-	for ps.nsent > 0 {
-		if err := ps.readAck(); err != nil {
-			return ps.handleUpstreamError(err)
-		}
+	if err := ps.drainSentRaw(); err != nil {
+		return ps.handleUpstreamError(err)
 	}
 	return nil
 }
 
 // readAck blocks for one acknowledgement from the live upstream and
-// resolves at most one pending slot with it (stale messages from rotated
-// connections recycle silently without resolving anything — callers loop
-// on nsent/npending, not on call counts).
+// resolves one pending slot with it.
 func (ps *proxyStream) readAck() error {
 	if ps.up == nil {
 		return fmt.Errorf("cluster: no upstream")
 	}
 	select {
-	case m := <-ps.ackCh:
-		return ps.processAck(m)
+	case ack, ok := <-ps.up.acks.C:
+		return ps.onAck(ack, ok)
 	default:
 	}
 	// About to block: everything buffered must be on the wire first — the
 	// node cannot acknowledge lines it has not seen, and the client may be
 	// gating its next sends on decisions still sitting in our buffer.
-	if err := ps.flushUpstream(); err != nil {
+	if err := ps.up.stream.Flush(); err != nil {
 		return err
 	}
 	ps.out.Flush()
 	select {
-	case m := <-ps.ackCh:
-		return ps.processAck(m)
+	case ack, ok := <-ps.up.acks.C:
+		return ps.onAck(ack, ok)
 	case <-ps.ctx.Done():
 		return terminalError{fmt.Errorf("cluster: client went away")}
 	}
 }
 
-// processAck handles one ack-reader message: drop it if it belongs to a
-// rotated-away connection, surface its error, or deliver its decision
-// line to the client.
-func (ps *proxyStream) processAck(m ackMsg) error {
-	if ps.up == nil || m.gen != ps.up.gen {
-		ps.recycleAck(m)
-		return nil
+// onAck handles one receive from the live upstream's relay: a decision line
+// to deliver to the client, or (closed) the error that ended the connection.
+func (ps *proxyStream) onAck(ack []byte, ok bool) error {
+	up := ps.up
+	if !ok {
+		return up.ended()
 	}
-	if m.err != nil {
-		return m.err
-	}
-	err := ps.deliver(m.line)
-	ps.ackFree <- m.line[:0]
+	ack = append(ack, '\n')
+	err := ps.deliver(ack)
+	up.acks.Recycle(ack)
 	return err
-}
-
-func (ps *proxyStream) recycleAck(m ackMsg) {
-	if m.line != nil {
-		ps.ackFree <- m.line[:0]
-	}
 }
 
 // deliver forwards one acknowledged decision line to the client and
@@ -494,27 +428,20 @@ func (ps *proxyStream) handleUpstreamError(err error) error {
 	if te, ok := err.(terminalError); ok {
 		return te
 	}
-	if rej, ok := err.(errUpstreamRejected); ok {
+	var rej *wire.Refused
+	if errors.As(err, &rej) {
 		ps.closeUpstream()
 		ps.demoteSent()
 		ps.r.m.streams429.Inc()
 		if ps.responses == 0 {
 			// Nothing written yet: the relay can still be a real 429.
-			ps.w.Header().Set("Retry-After", rej.retryAfter)
+			ps.w.Header().Set("Retry-After", rej.RetryAfter)
 			http.Error(ps.w, "cluster: node overloaded (admission reject), retry later", http.StatusTooManyRequests)
 			return terminalError{rej}
 		}
 		// Mid-stream: the status line is gone; answer every pending
 		// segment with the node's per-line rejection shape instead.
-		for ps.npending > 0 {
-			s := &ps.pending[ps.tail]
-			if werr := ps.writeDecision(wire.Decision{Channel: ps.id, Seq: s.seq, Rejected: true}); werr != nil {
-				return ps.clientGone(werr)
-			}
-			ps.r.m.rejected.Inc()
-			ps.pop()
-		}
-		return nil
+		return ps.answerPending(wire.Decision{Rejected: true}, ps.r.m.rejected)
 	}
 
 	// Broken upstream: demote and retry against the (possibly new) owner
@@ -537,14 +464,9 @@ func (ps *proxyStream) handleUpstreamError(err error) error {
 		if time.Now().After(deadline) {
 			// Budget exhausted: answer the queued segments with error
 			// lines so the client knows exactly which were never scored.
-			for ps.npending > 0 {
-				s := &ps.pending[ps.tail]
-				if werr := ps.writeDecision(wire.Decision{Channel: ps.id, Seq: s.seq,
-					Error: fmt.Sprintf("cluster: no owner reachable within failover budget: %v", err)}); werr != nil {
-					return ps.clientGone(werr)
-				}
-				ps.r.m.errored.Inc()
-				ps.pop()
+			if werr := ps.answerPending(wire.Decision{
+				Error: fmt.Sprintf("cluster: no owner reachable within failover budget: %v", err)}, ps.r.m.errored); werr != nil {
+				return werr
 			}
 			return terminalError{fmt.Errorf("cluster: failover budget exhausted: %w", err)}
 		}
@@ -567,29 +489,29 @@ func (ps *proxyStream) handleUpstreamError(err error) error {
 // pipe writable). It does not wait for response headers — the node only
 // sends them with the first decision.
 func (ps *proxyStream) probeOpen(owner *Node, epoch uint64) error {
-	ps.openUpstream(owner, epoch)
+	// Idle failover: every accepted segment was already acknowledged, so
+	// the connection's first line will be the NEXT accept. Its client seq
+	// is ps.seq — offset 0 here would pass the new node's restarted seq
+	// numbering through to the client verbatim.
+	offset := ps.seq
 	if ps.npending > 0 {
 		// Everything pending is queued (demoted) at this point; the new
 		// connection starts with the oldest, so its node-side seq 0 maps
 		// to that client seq.
-		ps.up.offset = ps.pending[ps.tail].seq
-	} else {
-		// Idle failover: every accepted segment was already acknowledged,
-		// so the connection's first line will be the NEXT accept. Its
-		// client seq is ps.seq — leaving offset 0 here would pass the new
-		// node's restarted seq numbering through to the client verbatim.
-		ps.up.offset = ps.seq
+		offset = ps.pending[ps.tail].seq
 	}
-	// A closed port surfaces on the ack reader almost immediately; give
+	ps.openUpstream(owner, epoch, offset)
+	// A closed port surfaces on the ack relay almost immediately; give
 	// it one scheduling beat so the retry loop backs off instead of
 	// resubmitting into a void.
 	select {
-	case m := <-ps.ackCh:
-		if ps.up != nil && m.gen == ps.up.gen && m.err != nil {
+	case ack, ok := <-ps.up.acks.C:
+		if !ok {
+			err := ps.up.ended()
 			ps.closeUpstream()
-			return m.err
+			return err
 		}
-		ps.recycleAck(m)
+		ps.up.acks.Recycle(ack) // unsolicited: nothing was sent on this connection
 	case <-time.After(2 * time.Millisecond):
 	}
 	return nil
@@ -612,8 +534,7 @@ func (ps *proxyStream) demoteSent() int {
 }
 
 // ensureUpstream makes the live upstream match (owner, epoch), rotating
-// the connection when ownership moved or no connection exists. offset
-// records the first client seq the new connection will carry.
+// the connection when ownership moved or no connection exists.
 func (ps *proxyStream) ensureUpstream(owner *Node, epoch uint64) error {
 	if ps.up != nil && ps.up.node == owner && ps.up.epoch == epoch {
 		return nil
@@ -627,16 +548,13 @@ func (ps *proxyStream) ensureUpstream(owner *Node, epoch uint64) error {
 		ps.closeUpstream()
 		ps.r.m.rotations.Inc()
 	}
-	first := ps.pending[(ps.tail+ps.nsent)%len(ps.pending)].seq
-	ps.openUpstream(owner, epoch)
-	ps.up.offset = first
+	ps.openUpstream(owner, epoch, ps.pending[(ps.tail+ps.nsent)%len(ps.pending)].seq)
 	return nil
 }
 
-// drainSentRaw acknowledges sent segments without the error-recovery
-// wrapper (used inside rotation, where the caller owns recovery). The
-// connection is about to be discarded, so it half-closes first — same
-// pipelined-tail reasoning as drainSent.
+// drainSentRaw is drainSent without the error recovery (used inside
+// rotation, where the caller owns recovery and the connection is likewise
+// about to be discarded).
 func (ps *proxyStream) drainSentRaw() error {
 	ps.halfCloseUpstream()
 	for ps.nsent > 0 {
@@ -647,131 +565,65 @@ func (ps *proxyStream) drainSentRaw() error {
 	return nil
 }
 
-// openUpstream starts a forward request to owner and its ack reader. The
-// reader owns the response end to end; the driver talks to it only
-// through ackCh and stops it by cancelling the request context.
-func (ps *proxyStream) openUpstream(owner *Node, epoch uint64) {
-	pr, pw := io.Pipe()
-	ctx, cancel := context.WithCancel(ps.ctx)
-	req, _ := http.NewRequestWithContext(ctx, http.MethodPost, owner.observeURL(ps.id), pr)
-	req.Header.Set("Content-Type", "application/x-ndjson")
-	ps.gen++
-	up := &upstream{node: owner, epoch: epoch, gen: ps.gen, pw: pw,
-		bw: bufio.NewWriterSize(pw, 32<<10), cancel: cancel}
-	respCh := make(chan respResult, 1)
-	go func() {
-		resp, err := ps.r.client.Do(req)
-		respCh <- respResult{resp: resp, err: err}
-	}()
-	go ps.runAckReader(up, respCh)
-	ps.up = up
+// openUpstream starts a forward request to owner and the relay of its
+// acknowledgements; offset is the client seq of the first line it will carry.
+func (ps *proxyStream) openUpstream(owner *Node, epoch, offset uint64) {
+	stream := wire.OpenStream(ps.ctx, ps.r.client, owner.observeURL(ps.id))
+	// The relay's depth is an invariant, not a tuning: it must absorb a full
+	// window of acknowledgements without the driver's help. The driver can be
+	// parked in an upstream pipe write while the node is parked writing
+	// decisions for lines it already has; a relay that stopped reading then
+	// (two buffers are enough to do it once lines are large) would leave
+	// both parked for good. +2: one buffer with the driver, one being filled.
+	// The relay ends through Next when its stream is aborted; the client's
+	// context only stops one parked on buffers a dropped relay never gets back.
+	ps.up = &upstream{node: owner, epoch: epoch, stream: stream, offset: offset,
+		acks: wire.Feed(ps.ctx.Done(), stream.Next, len(ps.pending)+2)}
 }
 
-// runAckReader relays one connection's decision lines into ackCh until
-// the connection ends; the terminating error (including a whole-stream
-// 429) is its last message. Every send selects on the client context so
-// a finished handler can never strand it.
-func (ps *proxyStream) runAckReader(up *upstream, respCh chan respResult) {
-	send := func(m ackMsg) bool {
-		select {
-		case ps.ackCh <- m:
-			return true
-		case <-ps.ctx.Done():
-			return false
-		}
-	}
-	var res respResult
-	select {
-	case res = <-respCh:
-	case <-ps.ctx.Done():
-		// The transport will finish Do on its own (the request context is
-		// a child of ps.ctx); reap the response when it does.
-		go func() {
-			if r := <-respCh; r.resp != nil {
-				drainClose(r.resp.Body)
-			}
-		}()
-		return
-	}
-	if res.err != nil {
-		send(ackMsg{gen: up.gen, err: res.err})
-		return
-	}
-	resp := res.resp
-	defer drainClose(resp.Body)
-	switch resp.StatusCode {
-	case http.StatusOK:
-	case http.StatusTooManyRequests:
-		send(ackMsg{gen: up.gen, err: errUpstreamRejected{retryAfter: relayRetryAfter(resp)}})
-		return
-	default:
-		msg := readErrorBody(resp.Body)
-		send(ackMsg{gen: up.gen, err: fmt.Errorf("cluster: node %s: observe status %d: %s",
-			up.node.Spec.Name, resp.StatusCode, msg)})
-		return
-	}
-	br := bufio.NewReaderSize(resp.Body, 64<<10)
-	for {
-		raw, err := br.ReadSlice('\n')
-		if err != nil {
-			send(ackMsg{gen: up.gen, err: fmt.Errorf("cluster: reading acknowledgement from %s: %w", up.node.Spec.Name, err)})
-			return
-		}
-		var buf []byte
-		select {
-		case buf = <-ps.ackFree:
-		case <-ps.ctx.Done():
-			return
-		}
-		if !send(ackMsg{gen: up.gen, line: append(buf, raw...)}) {
-			return
-		}
-	}
-}
-
-// halfCloseUpstream cleanly ends the upstream request body (EOF, not an
-// error), making the node's observe handler drain and answer everything
-// it has pipelined. The connection stays readable — its ack reader keeps
-// relaying decision lines until the node finishes the response. Safe to
-// call repeatedly; a closed pipe writer stays closed.
+// halfCloseUpstream ends the upstream request body cleanly, so the node
+// answers everything it has pipelined; the relay keeps delivering until the
+// node finishes the response. Safe to call repeatedly.
 func (ps *proxyStream) halfCloseUpstream() {
 	if ps.up != nil {
-		ps.up.bw.Flush() // a flush failure surfaces on the ack reader
-		ps.up.pw.Close()
+		ps.up.stream.CloseSend() // a flush failure surfaces on the ack relay
 	}
 }
 
-// closeUpstream tears down the live upstream, if any: the pipe unblocks
-// any in-flight body write, the cancel aborts the forward request, which
-// ends its ack reader.
+// closeUpstream tears down the live upstream, if any, and with it the relay
+// of its acknowledgements.
 func (ps *proxyStream) closeUpstream() {
-	up := ps.up
-	if up == nil {
-		return
+	if ps.up != nil {
+		ps.up.stream.Abort()
+		ps.up = nil
 	}
-	ps.up = nil
-	up.pw.CloseWithError(io.ErrClosedPipe)
-	up.cancel()
 }
 
 // terminate resolves an aborted stream: any still-pending segments get
 // error lines (unless the client itself is gone) so the zero-loss
 // invariant — every accepted segment is answered — holds on every path.
 func (ps *proxyStream) terminate(err error) {
-	for ps.npending > 0 {
-		s := &ps.pending[ps.tail]
-		if werr := ps.writeDecision(wire.Decision{Channel: ps.id, Seq: s.seq,
-			Error: fmt.Sprintf("cluster: stream aborted: %v", err)}); werr != nil {
-			ps.pop()
-			break
-		}
-		ps.r.m.errored.Inc()
-		ps.pop()
-	}
+	ps.answerPending(wire.Decision{Error: fmt.Sprintf("cluster: stream aborted: %v", err)}, ps.r.m.errored)
 	for ps.npending > 0 { // client gone: release registrations only
 		ps.pop()
 	}
 	ps.r.cfg.Logf("cluster: observe stream %q aborted: %v", ps.id, err)
+}
+
+// answerPending resolves every pending segment, oldest first, with the
+// synthesised line d (a per-line rejection or an error; channel and seq are
+// filled in), counting each. A failed write means the client is gone.
+func (ps *proxyStream) answerPending(d wire.Decision, count *metrics.Counter) error {
+	d.Channel = ps.id
+	for ps.npending > 0 {
+		d.Seq = ps.pending[ps.tail].seq
+		if err := ps.writeDecision(d); err != nil {
+			return ps.clientGone(err)
+		}
+		count.Inc()
+		ps.pop()
+	}
+	return nil
 }
 
 // writeDecision emits one synthesised or rewritten decision line.
@@ -785,15 +637,5 @@ func (ps *proxyStream) writeDecision(d wire.Decision) error {
 	}
 	ps.responses++
 	ps.r.m.responses.Inc()
-	return nil
-}
-
-// flushUpstream pushes buffered observation lines to the node. Called
-// before every blocking wait on acknowledgements — unflushed lines can
-// never be acknowledged.
-func (ps *proxyStream) flushUpstream() error {
-	if ps.up != nil && ps.up.bw != nil {
-		return ps.up.bw.Flush()
-	}
 	return nil
 }

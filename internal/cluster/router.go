@@ -35,13 +35,16 @@ type Config struct {
 	// FailoverWait bounds how long a stream with a broken upstream keeps
 	// its segments queued waiting for a new owner before converting them
 	// to error lines (0 → 15s). It should exceed
-	// ProbeEvery·FailAfter + restore time.
+	// ProbeEvery·FailAfter + restore time. Each admin call to a node
+	// (snapshot export, import, detach, journal replay) gets the same budget.
 	FailoverWait time.Duration
 	// RetryEvery is the reconnect pacing inside that wait (0 → 50ms).
 	RetryEvery time.Duration
 	// Logf receives router event logs (nil → log.Printf).
 	Logf func(format string, args ...interface{})
 }
+
+const defaultFailoverWait = 15 * time.Second
 
 func (c *Config) fill() {
 	if c.Replicas <= 0 {
@@ -63,7 +66,7 @@ func (c *Config) fill() {
 		c.FailAfter = 3
 	}
 	if c.FailoverWait <= 0 {
-		c.FailoverWait = 15 * time.Second
+		c.FailoverWait = defaultFailoverWait
 	}
 	if c.RetryEvery <= 0 {
 		c.RetryEvery = 50 * time.Millisecond
@@ -122,6 +125,7 @@ func New(cfg Config) (*Router, error) {
 			return nil, fmt.Errorf("cluster: duplicate node name %q", spec.Name)
 		}
 		n := newNode(spec, r.client)
+		n.adminWait = cfg.FailoverWait
 		r.byName[spec.Name] = n
 		r.nodes = append(r.nodes, n)
 	}

@@ -2,9 +2,11 @@ package cluster
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -69,10 +71,11 @@ func observeThrough(t *testing.T, base, id string, lines []string) []wire.Decisi
 	}
 	var out []wire.Decision
 	sc := bufio.NewScanner(resp.Body)
+	sc.Buffer(nil, wire.MaxLine)
 	for sc.Scan() {
 		var d wire.Decision
 		if err := json.Unmarshal(sc.Bytes(), &d); err != nil {
-			t.Fatalf("bad decision line %q: %v", sc.Text(), err)
+			t.Fatalf("bad decision line %.200q: %v", sc.Text(), err)
 		}
 		out = append(out, d)
 	}
@@ -612,4 +615,72 @@ func TestRouterFailover(t *testing.T) {
 		t.Fatalf("%d dead rows, want 1", deadRows)
 	}
 	_ = os.Remove
+}
+
+// TestRouterWindowOfLargeLines pushes two full windows of ≈ 256 KiB
+// observations, each answered by a ≈ 256 KiB decision, through the proxy,
+// over router↔node connections whose socket buffers are clamped to 64 KiB so
+// the kernel cannot hide the coupling. The driver then parks in its upstream
+// pipe write (the node is not reading) while the node parks writing
+// decisions (the router is not reading); only a relay deep enough to take a
+// whole window of acknowledgements off the node without the driver gets both
+// moving again — the depth openUpstream passes. A two-buffer relay hangs
+// here, so the stream runs under a deadline that cuts its connections.
+func TestRouterWindowOfLargeLines(t *testing.T) {
+	const window, size, sockBuf = 8, 256 << 10, 64 << 10
+	clamp := func(c net.Conn) {
+		tc := c.(*net.TCPConn)
+		tc.SetReadBuffer(sockBuf)
+		tc.SetWriteBuffer(sockBuf)
+	}
+	stub := newStubNodeOn(t, "node-0", 1, func(ln net.Listener) net.Listener { return clampListener{ln, clamp} })
+	stub.padPath.Store(size)
+	r, err := New(Config{Nodes: []NodeSpec{stub.spec()}, Window: window, FailoverWait: 5 * time.Second, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(r.Close)
+	r.client.Transport.(*http.Transport).DialContext = func(ctx context.Context, network, addr string) (net.Conn, error) {
+		c, err := (&net.Dialer{}).DialContext(ctx, network, addr)
+		if err == nil {
+			clamp(c)
+		}
+		return c, err
+	}
+	srv := httptest.NewServer(r.Handler())
+	t.Cleanup(srv.Close)
+
+	line := `{"action":[0.5` + strings.Repeat(",0.125", size/6) + `],"audience":[0.25]}`
+	lines := make([]string, 2*window)
+	for i := range lines {
+		lines[i] = line
+	}
+	deadline := time.AfterFunc(60*time.Second, func() {
+		t.Error("a window of large lines never completed: driver and node are parked on each other")
+		srv.CloseClientConnections() // fails the stream below
+	})
+	defer deadline.Stop()
+	decs := observeThrough(t, srv.URL, "wide", lines)
+	if len(decs) != len(lines) {
+		t.Fatalf("%d decisions for %d lines", len(decs), len(lines))
+	}
+	for i, d := range decs {
+		if d.Seq != uint64(i) || d.Error != "" || len(d.Path) != size || scorePos(d.Score) != i+1 {
+			t.Fatalf("decision %d: seq %d error %q path %d bytes score %v", i, d.Seq, d.Error, len(d.Path), d.Score)
+		}
+	}
+}
+
+// clampListener applies clamp to every connection it accepts.
+type clampListener struct {
+	net.Listener
+	clamp func(net.Conn)
+}
+
+func (l clampListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err == nil {
+		l.clamp(c)
+	}
+	return c, err
 }

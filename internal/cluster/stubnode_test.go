@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -35,6 +36,7 @@ type stubNode struct {
 	fail500    atomic.Bool  // observe answers 500 (broken-node, not overload)
 	putStatus  atomic.Int32 // when set, snapshot imports are refused with this status
 	puts       atomic.Int32 // snapshot imports received
+	padPath    atomic.Int32 // bytes of padding in every decision's path (large-acknowledgement tests)
 
 	// watch is the fixed event list the stub's /watch replays (live_test
 	// populates it); watchEnd makes the handler return after the replay
@@ -61,9 +63,19 @@ type stubState struct {
 
 func newStubNode(t *testing.T, name string, seed float64) *stubNode {
 	t.Helper()
+	return newStubNodeOn(t, name, seed, nil)
+}
+
+// newStubNodeOn is newStubNode with the server's listener passed through
+// wrap first (nil: as it is), for tests that shape the node's connections.
+func newStubNodeOn(t *testing.T, name string, seed float64, wrap func(net.Listener) net.Listener) *stubNode {
+	t.Helper()
 	s := &stubNode{name: name, seed: seed, channels: map[string]*stubChannel{}}
 	s.retryAfter.Store(7)
 	s.srv = httptest.NewUnstartedServer(s.handler())
+	if wrap != nil {
+		s.srv.Listener = wrap(s.srv.Listener)
+	}
 	// The router aborts forward requests mid-body on failover retries;
 	// net/http recovers the resulting conn.serve panics but logs each one.
 	// That noise is expected stub lifecycle, not a test signal.
@@ -201,6 +213,7 @@ func (s *stubNode) handleObserve(w http.ResponseWriter, r *http.Request, id stri
 			// the counter.
 			d.Score = s.seed*1000 + float64(c.observed)
 			s.mu.Unlock()
+			d.Path = strings.Repeat("p", int(s.padPath.Load()))
 		}
 		enc.Encode(d)
 		if flusher != nil {

@@ -239,10 +239,10 @@ func specialsVector(n int, scale float64, seed int64) []float64 {
 	return v
 }
 
-// TestFastMathPortableSIMDBitIdentical drives every available kernel —
-// portable scalar, AVX2 and AVX-512 (each called directly, not just the
-// active dispatch level) — over special-laden vectors and requires
-// bit-identical outputs, tails included.
+// TestFastMathPortableSIMDBitIdentical drives the portable scalar forms and
+// the active dispatch level over special-laden vectors and requires
+// bit-identical outputs, tails included. (TestFastMathDirectKernels, amd64
+// only, calls the AVX2 and AVX-512 kernels directly.)
 func TestFastMathPortableSIMDBitIdentical(t *testing.T) {
 	for _, n := range []int{1, 3, 4, 5, 7, 8, 9, 15, 16, 17, 64, 67} {
 		src := specialsVector(n, 40, int64(n)*7919)
@@ -268,29 +268,6 @@ func TestFastMathPortableSIMDBitIdentical(t *testing.T) {
 		alias := append([]float64(nil), src...)
 		VecFastTanhInto(alias, alias)
 		compareBits(t, "VecFastTanhInto(aliased)", n, alias, wantTanh)
-
-		// Direct AVX2 call on the widest 4-aligned prefix.
-		if simdGEMMLevel >= 2 {
-			if nv := n &^ 3; nv > 0 {
-				g := append([]float64(nil), src...)
-				fastExpNegAVX2(&g[0], nv)
-				compareBits(t, "fastExpNegAVX2", nv, g[:nv], wantExp[:nv])
-				g2 := make([]float64, n)
-				fastTanhAVX2(&g2[0], &src[0], nv)
-				compareBits(t, "fastTanhAVX2", nv, g2[:nv], wantTanh[:nv])
-			}
-		}
-		// Direct AVX-512 call on the widest 8-aligned prefix.
-		if simdGEMMLevel >= 3 {
-			if nv := n &^ 7; nv > 0 {
-				g := append([]float64(nil), src...)
-				fastExpNegAVX512(&g[0], nv)
-				compareBits(t, "fastExpNegAVX512", nv, g[:nv], wantExp[:nv])
-				g2 := make([]float64, n)
-				fastTanhAVX512(&g2[0], &src[0], nv)
-				compareBits(t, "fastTanhAVX512", nv, g2[:nv], wantTanh[:nv])
-			}
-		}
 	}
 	t.Logf("active fast-math kernel: %s", SIMDGEMM())
 }

@@ -1,12 +1,11 @@
 package loadgen
 
 import (
-	"bufio"
+	"context"
+	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"sort"
-	"strconv"
 	"sync"
 	"time"
 
@@ -160,11 +159,7 @@ type streamWorker struct {
 	retries int
 
 	pending []queuedLine // FIFO, oldest first; all written on current stream
-	pw      *io.PipeWriter
-	bw      *bufio.Writer // over pw; flushed before every blocking wait
-	respCh  chan respPair
-	br      *bufio.Reader
-	body    io.ReadCloser
+	stream  *wire.Stream // nil until the first line; flushed before every blocking wait
 
 	sent, decisions           int
 	dropped, rejected, errors int
@@ -178,11 +173,6 @@ type streamWorker struct {
 	backoffTotal time.Duration
 	lats         []time.Duration
 	err          error
-}
-
-type respPair struct {
-	resp *http.Response
-	err  error
 }
 
 func (w *streamWorker) run(in chan queuedLine) {
@@ -241,7 +231,9 @@ func (w *streamWorker) recover(cause error) error {
 	}
 	for w.recoveries < w.retries {
 		w.recoveries++
-		if ra, is429 := retryAfterOf(cause); is429 {
+		var refused *wire.Refused
+		if errors.As(cause, &refused) {
+			ra := time.Duration(refused.Seconds()) * time.Second
 			w.backoffTotal += ra
 			time.Sleep(ra)
 		} else {
@@ -265,40 +257,14 @@ func (w *streamWorker) recover(cause error) error {
 	return cause
 }
 
-// err429 carries a whole-stream rejection's backoff hint.
-type err429 struct{ retryAfter time.Duration }
-
-func (e err429) Error() string {
-	return fmt.Sprintf("stream rejected (429, retry after %v)", e.retryAfter)
-}
-
-func retryAfterOf(err error) (time.Duration, bool) {
-	if e, ok := err.(err429); ok {
-		return e.retryAfter, true
-	}
-	return 0, false
-}
-
 // writeLine opens the stream lazily and sends one line, appending it to
 // the unacknowledged FIFO. fresh distinguishes first sends (counted) from
 // recovery resends (already counted).
 func (w *streamWorker) writeLine(q queuedLine, fresh bool) error {
-	if w.pw == nil {
-		pr, pw := io.Pipe()
-		req, err := http.NewRequest(http.MethodPost, w.url, pr)
-		if err != nil {
-			return err
-		}
-		req.Header.Set("Content-Type", "application/x-ndjson")
-		w.pw = pw
-		w.bw = bufio.NewWriterSize(pw, 32<<10)
-		w.respCh = make(chan respPair, 1)
-		go func(ch chan respPair) {
-			resp, err := w.client.Do(req)
-			ch <- respPair{resp, err}
-		}(w.respCh)
+	if w.stream == nil {
+		w.stream = wire.OpenStream(context.Background(), w.client, w.url)
 	}
-	if _, err := w.bw.Write(q.buf); err != nil {
+	if err := w.stream.WriteLine(q.buf); err != nil {
 		return err
 	}
 	if fresh {
@@ -310,10 +276,10 @@ func (w *streamWorker) writeLine(q queuedLine, fresh bool) error {
 
 // flush pushes buffered observation lines onto the stream.
 func (w *streamWorker) flush() error {
-	if w.bw == nil {
+	if w.stream == nil {
 		return nil
 	}
-	return w.bw.Flush()
+	return w.stream.Flush()
 }
 
 // readAck consumes one decision line and resolves the oldest pending
@@ -322,30 +288,7 @@ func (w *streamWorker) readAck() error {
 	if err := w.flush(); err != nil {
 		return err // unflushed lines can never be acknowledged
 	}
-	if w.br == nil {
-		res := <-w.respCh
-		if res.err != nil {
-			return res.err
-		}
-		switch res.resp.StatusCode {
-		case http.StatusOK:
-			w.body = res.resp.Body
-			w.br = bufio.NewReaderSize(res.resp.Body, 32<<10)
-		case http.StatusTooManyRequests:
-			ra := time.Second
-			if v, err := strconv.Atoi(res.resp.Header.Get("Retry-After")); err == nil && v > 0 {
-				ra = time.Duration(v) * time.Second
-			}
-			io.Copy(io.Discard, io.LimitReader(res.resp.Body, 4<<10))
-			res.resp.Body.Close()
-			return err429{retryAfter: ra}
-		default:
-			b, _ := io.ReadAll(io.LimitReader(res.resp.Body, 4<<10))
-			res.resp.Body.Close()
-			return fmt.Errorf("observe status %d: %s", res.resp.StatusCode, b)
-		}
-	}
-	raw, err := w.br.ReadBytes('\n')
+	raw, err := w.stream.Next()
 	if err != nil {
 		return fmt.Errorf("reading decision: %w", err)
 	}
@@ -371,25 +314,8 @@ func (w *streamWorker) readAck() error {
 
 // close tears down the current stream, if any.
 func (w *streamWorker) close() {
-	if w.pw == nil {
-		return
+	if w.stream != nil {
+		w.stream.Abort()
+		w.stream = nil
 	}
-	w.pw.CloseWithError(io.ErrClosedPipe)
-	w.pw = nil
-	w.bw = nil
-	if w.body != nil {
-		w.body.Close()
-		w.body = nil
-		w.br = nil
-		return
-	}
-	ch := w.respCh
-	go func() {
-		res := <-ch
-		if res.resp != nil {
-			io.Copy(io.Discard, io.LimitReader(res.resp.Body, 64<<10))
-			res.resp.Body.Close()
-		}
-	}()
-	w.br = nil
 }

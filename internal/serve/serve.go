@@ -629,7 +629,9 @@ func (p *DetectorPool) refreshFiltered(ch *channel) {
 func (p *DetectorPool) shardFor(id string) *shard {
 	h := fnv.New32a()
 	h.Write([]byte(id))
-	return p.shards[int(h.Sum32())%len(p.shards)]
+	// The modulus is taken unsigned: int(h.Sum32()) is negative for half of
+	// all ids where int is 32 bits.
+	return p.shards[h.Sum32()%uint32(len(p.shards))]
 }
 
 // lookup resolves a channel id through the copy-on-write table.

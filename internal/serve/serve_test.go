@@ -3,6 +3,7 @@ package serve
 import (
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"math"
 	"math/rand"
 	"sync"
@@ -475,6 +476,25 @@ func TestChannelsSorted(t *testing.T) {
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("Channels() = %v, want %v", got, want)
+		}
+	}
+}
+
+// TestShardForHighHash attaches ids whose FNV-32a hash has its top bit set
+// ("ch-0" hashes to 3 738 019 531). Where int is 32 bits a signed modulus of
+// that hash is negative and Attach indexed out of range; run it with
+// GOARCH=386 (CI does) to see what it guards.
+func TestShardForHighHash(t *testing.T) {
+	p := newTestPool(t, Config{Shards: 3, QueueDepth: 2, Policy: Block})
+	for _, id := range []string{"ch-0", "ch-1", "ch-2", "ch-3"} {
+		h := fnv.New32a()
+		h.Write([]byte(id))
+		want := p.shards[h.Sum32()%3]
+		if got := p.shardFor(id); got != want {
+			t.Fatalf("shardFor(%q) is not shard hash mod 3", id)
+		}
+		if err := p.Attach(id, &fakeDetector{}); err != nil {
+			t.Fatal(err)
 		}
 	}
 }

@@ -19,6 +19,21 @@ import (
 // endpoint uses plain HTTP statuses (404, 409, 429) to refuse upgrades.
 var ErrBadHandshake = fmt.Errorf("live: websocket handshake refused")
 
+// HostPort is the dialable host:port of u, with the scheme's default port
+// when u names none. It goes through Hostname and Port, so an IPv6 literal
+// ends up in exactly one pair of brackets whether or not it carried a port.
+func HostPort(u *url.URL) string {
+	port := u.Port()
+	switch {
+	case port != "":
+	case u.Scheme == "https" || u.Scheme == "wss":
+		port = "443"
+	default:
+		port = "80"
+	}
+	return net.JoinHostPort(u.Hostname(), port)
+}
+
 // Dial opens a client WebSocket connection to rawurl (http:// or ws://
 // scheme; TLS is out of scope for the in-repo fleet). header adds request
 // headers — the resume protocol's Last-Seq rides here. On a non-101
@@ -39,10 +54,7 @@ func DialTimeout(rawurl string, header http.Header, timeout time.Duration) (*Con
 	default:
 		return nil, nil, fmt.Errorf("live: dial %q: unsupported scheme %q (plaintext only)", rawurl, u.Scheme)
 	}
-	host := u.Host
-	if !strings.Contains(host, ":") {
-		host += ":80"
-	}
+	host := HostPort(u)
 	nc, err := net.DialTimeout("tcp", host, timeout)
 	if err != nil {
 		return nil, nil, fmt.Errorf("live: dial %s: %w", host, err)

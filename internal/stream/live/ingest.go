@@ -121,14 +121,14 @@ func (h *IngestHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// The reader: closing quit unblocks its channel sends, closing the
+	// The reader: closing quit unblocks its wait for a buffer, closing the
 	// connection unblocks a parked ReadMessage, and the range waits for it
 	// to be gone before the session is released.
 	quit := make(chan struct{})
 	feed := wire.Feed(quit, func() ([]byte, error) {
 		_, msg, err := conn.ReadMessage()
 		return msg, err
-	})
+	}, 2)
 	defer func() {
 		close(quit)
 		conn.Close()

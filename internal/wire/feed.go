@@ -24,19 +24,30 @@ type Feeder struct {
 
 // Feed starts the feeder goroutine over next, which blocks for one message
 // at a time (valid until the following call) and ends the stream with
-// io.EOF or a real error. Closing stop unblocks every channel operation;
-// a next parked in a read returns when its transport is closed, which is
-// the caller's to arrange (an HTTP server closes the request body when the
-// handler returns).
-func Feed(stop <-chan struct{}, next func() ([]byte, error)) *Feeder {
-	// Two buffers: one being filled or parked on C, one with the receiver.
-	f := &Feeder{C: make(chan []byte), free: make(chan []byte, 2)}
-	for i := 0; i < cap(f.free); i++ {
-		f.free <- make([]byte, 0, 512)
+// io.EOF or a real error. depth is how many messages the feeder may hold
+// ahead of a receiver that is not receiving: 2 for a request body (one
+// being filled, one with the receiver), what it must absorb meanwhile for
+// a relay whose receiver can be parked elsewhere. Closing stop ends the
+// feeder between messages; a next parked in a read returns when its
+// transport is closed, which is the caller's to arrange (an HTTP server
+// closes the request body when the handler returns).
+func Feed(stop <-chan struct{}, next func() ([]byte, error), depth int) *Feeder {
+	// C and free each have room for every buffer, so only the wait for a
+	// free buffer — the receiver's pace — ever blocks. Buffers grow to the
+	// lines they carry.
+	f := &Feeder{C: make(chan []byte, depth), free: make(chan []byte, depth)}
+	for i := 0; i < depth; i++ {
+		f.free <- nil
 	}
 	go func() {
 		defer close(f.C)
 		for {
+			var buf []byte
+			select {
+			case buf = <-f.free:
+			case <-stop:
+				return
+			}
 			msg, err := next()
 			if err != nil {
 				if err != io.EOF {
@@ -44,17 +55,7 @@ func Feed(stop <-chan struct{}, next func() ([]byte, error)) *Feeder {
 				}
 				return
 			}
-			var buf []byte
-			select {
-			case buf = <-f.free:
-			case <-stop:
-				return
-			}
-			select {
-			case f.C <- append(buf[:0], msg...):
-			case <-stop:
-				return
-			}
+			f.C <- append(buf[:0], msg...)
 		}
 	}()
 	return f

@@ -4,6 +4,9 @@
 // plane, the cluster router (proxying and journal replay), the load
 // generator and the SSE watch sink all speak these two shapes; each codec
 // below is the single site to fuzz, pin with golden bytes, or make faster.
+// It also owns both halves of the NDJSON transport: the server's (Feed,
+// ScanLines, LineWriter) and the client's (Stream, with Refused and
+// StatusError for what a node answers instead of decisions).
 package wire
 
 import (

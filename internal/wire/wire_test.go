@@ -164,7 +164,7 @@ func FuzzObservationLine(f *testing.F) {
 func TestFeedScanLines(t *testing.T) {
 	stop := make(chan struct{})
 	defer close(stop)
-	f := Feed(stop, ScanLines(strings.NewReader("  a \n\n\r\nbb\nccc")))
+	f := Feed(stop, ScanLines(strings.NewReader("  a \n\n\r\nbb\nccc")), 2)
 	var got []string
 	for line := range f.C {
 		got = append(got, string(line))
@@ -175,7 +175,7 @@ func TestFeedScanLines(t *testing.T) {
 	}
 
 	long := bytes.Repeat([]byte{'x'}, 1<<20+1)
-	f = Feed(stop, ScanLines(io.MultiReader(strings.NewReader("ok\n"), bytes.NewReader(long))))
+	f = Feed(stop, ScanLines(io.MultiReader(strings.NewReader("ok\n"), bytes.NewReader(long))), 2)
 	n := 0
 	for line := range f.C {
 		n++
@@ -186,8 +186,8 @@ func TestFeedScanLines(t *testing.T) {
 	}
 }
 
-// TestFeedStop pins that closing stop releases a feeder parked on a send
-// nobody will receive, and that a reader error other than io.EOF is kept.
+// TestFeedStop pins that closing stop releases a feeder parked on a buffer
+// nobody will recycle, and that a reader error other than io.EOF is kept.
 func TestFeedStop(t *testing.T) {
 	stop := make(chan struct{})
 	calls := 0
@@ -195,8 +195,8 @@ func TestFeedStop(t *testing.T) {
 	f := Feed(stop, func() ([]byte, error) {
 		calls++
 		return []byte("m"), nil
-	})
-	<-f.C // one message taken and never recycled; the feeder parks on the next send
+	}, 2)
+	<-f.C // one message taken and never recycled; the feeder parks waiting for a buffer
 	close(stop)
 	for range f.C {
 	}
@@ -204,7 +204,7 @@ func TestFeedStop(t *testing.T) {
 		t.Fatal("reader never ran")
 	}
 
-	f = Feed(make(chan struct{}), func() ([]byte, error) { return nil, boom })
+	f = Feed(make(chan struct{}), func() ([]byte, error) { return nil, boom }, 2)
 	for range f.C {
 	}
 	if !errors.Is(f.Err(), boom) {
