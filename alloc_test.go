@@ -88,6 +88,50 @@ func TestObserveSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// TestObserveUpdateSteadyStateAllocs pins the updater's share of Observe:
+// a segment whose audience interaction is at or above the threshold T is
+// not buffered, so with EnableUpdate on it must cost what it costs with the
+// updater off — no hidden-state recurrence, no window-header copies (two
+// per segment before the updater copied only what it keeps).
+func TestObserveUpdateSteadyStateAllocs(t *testing.T) {
+	actions, audience := allocFixtureSeries(90)
+	cfg := DefaultConfig(16, 6)
+	cfg.HiddenI, cfg.HiddenA = 12, 8
+	cfg.SeqLen = 4
+	cfg.Epochs = 3
+	cfg.EnableUpdate = true
+	det, err := Train(actions, audience, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Lively audience: the count block sits above the initial threshold
+	// T = 1, so no segment is presumed normal.
+	for i := range audience {
+		for j := range audience[i] {
+			audience[i][j] += 1
+		}
+	}
+	for i := 0; i < cfg.SeqLen+4; i++ {
+		if _, err := det.Observe(actions[i], audience[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	i := 0
+	n := testing.AllocsPerRun(200, func() {
+		idx := 8 + i%(len(actions)-8)
+		i++
+		if _, err := det.Observe(actions[idx], audience[idx]); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if n > 0 {
+		t.Fatalf("Observe of an unbuffered segment allocates %v times with EnableUpdate, want 0", n)
+	}
+	if st := det.upd.State(); len(st.Buffer) != 0 {
+		t.Fatalf("fixture buffered %d segments; the test must stream unbuffered ones", len(st.Buffer))
+	}
+}
+
 // TestPredictIntoSteadyStateAllocs pins the fused inference engine's
 // allocation contract: compiling an InferPlan (at model construction) may
 // allocate, but steady-state PredictInto through the plan must be

@@ -493,14 +493,14 @@ func (d *Detector) observeLanes(acts, auds [][]float64, results []Result) (int, 
 		}
 		// Dynamic maintenance (Fig. 5): buffer presumed-normal segments and
 		// update on drift. The interaction level is the mean of the count
-		// block, computed directly from the audience feature. The buffered
-		// sample gets its own window headers because the detector's window
-		// slides in place.
+		// block, computed directly from the audience feature. The sample
+		// views the detector's window, which slides in place: the updater
+		// copies the headers of the samples it buffers.
 		if d.upd != nil {
 			var upRes update.Result
 			upRes, err = d.upd.Observe(core.Sample{
-				ActionSeq:      copyWindow(d.actWin[end-q : end]),
-				AudienceSeq:    copyWindow(d.audWin[end-q : end]),
+				ActionSeq:      d.actWin[end-q : end],
+				AudienceSeq:    d.audWin[end-q : end],
 				ActionTarget:   a,
 				AudienceTarget: u,
 				Index:          d.observed - 1,
@@ -520,7 +520,7 @@ func (d *Detector) observeLanes(acts, auds [][]float64, results []Result) (int, 
 	// Slide (allocation-free): keep the last q rows of the history the n
 	// consumed lanes leave behind, and drop every other caller row from the
 	// reused backing arrays so it is not pinned past the call. Buffered
-	// update samples stay stable because copyWindow gave them their own
+	// update samples stay stable because the updater gave them their own
 	// header arrays.
 	end := w0 + n
 	keep := min(end, q)
@@ -569,14 +569,6 @@ func (d *Detector) ensurePredBufs(n int) {
 		d.fhat[i] = fdata[i*d.cfg.ActionDim : (i+1)*d.cfg.ActionDim]
 		d.ahat[i] = adata[i*d.cfg.AudienceDim : (i+1)*d.cfg.AudienceDim]
 	}
-}
-
-// copyWindow duplicates the outer slice headers; the per-segment feature
-// vectors themselves are treated as immutable.
-func copyWindow(w [][]float64) [][]float64 {
-	out := make([][]float64, len(w))
-	copy(out, w)
-	return out
 }
 
 // interactionLevel approximates the normalised audience interaction of a

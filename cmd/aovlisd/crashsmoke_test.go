@@ -2,9 +2,9 @@ package main
 
 // ISSUE 9's acceptance gates, as tests.
 //
-// TestDaemonWALLedgerInProcess drives the daemon's durability boot path
-// (openLedger → openWAL replay → AttachJournal) in-process: a daemon whose
-// pool is discarded without any checkpoint must rebuild every channel from
+// TestDaemonWALLedgerInProcess drives the node's durability boot path
+// (node.Open: ledger → sinks → journal replay → AttachJournal) in-process:
+// a node stopped without any checkpoint must rebuild every channel from
 // the journal alone, and the ledger endpoints must serve verifiable roots
 // and proofs throughout.
 //
@@ -23,7 +23,6 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"net/http/httptest"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -36,45 +35,15 @@ import (
 
 	"aovlis/internal/ledger"
 	"aovlis/internal/serve"
-	"aovlis/internal/stream/live"
 	"aovlis/internal/wire"
 )
 
-// newDurableDaemon assembles a daemon over fresh state directories the
-// way run() does, without the HTTP listener or training.
-func newDurableDaemon(t *testing.T, o options) (*daemon, *httptest.Server) {
-	t.Helper()
-	pool, err := serve.NewDetectorPool(serve.Config{Shards: 2, QueueDepth: 64, Policy: serve.Block, Batch: o.batch})
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := &daemon{pool: pool, template: template(t), maxChannels: 32,
-		obsWindow: o.batch, snapshotDir: o.snapshotDir, started: time.Now(), hub: live.NewHub(live.HubConfig{})}
-	if err := d.openLedger(o); err != nil {
-		pool.Close()
-		t.Fatal(err)
-	}
-	d.attachVerdictSinks()
-	if err := d.openWAL(o); err != nil {
-		d.closeDurability()
-		pool.Close()
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(d.handler(false, false))
-	t.Cleanup(func() {
-		d.hub.Close()
-		srv.Close()
-		pool.Close()
-		d.closeDurability()
-	})
-	return d, srv
-}
-
 func TestDaemonWALLedgerInProcess(t *testing.T) {
 	base := t.TempDir()
-	o := options{walDir: filepath.Join(base, "wal"), ledgerDir: filepath.Join(base, "ledger"),
-		ledgerBatch: 4, batch: 4}
-	d, srv := newDurableDaemon(t, o)
+	cfg := testConfig(32, 4)
+	cfg.WALDir, cfg.LedgerDir, cfg.LedgerBatch = filepath.Join(base, "wal"), filepath.Join(base, "ledger"), 4
+	n, srv, stop := startNode(t, cfg, nil)
+	defer stop()
 
 	const lines = 12
 	act, aud := testSeries(42, lines)
@@ -127,27 +96,25 @@ func TestDaemonWALLedgerInProcess(t *testing.T) {
 		t.Fatalf("served proof does not verify: %v", err)
 	}
 
-	before, err := d.pool.Stats("alpha")
+	before, err := n.Pool().Stats("alpha")
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	// Crash: the pool (all in-memory state) is discarded, the directories
-	// survive. A rebuilt daemon must recreate the channel from the journal
+	// The pool (all in-memory state) is discarded, the directories survive.
+	// A node reopened on them must recreate the channel from the journal
 	// tail alone — there was never a checkpoint.
-	srv.Close()
-	d.pool.Close()
-	d.closeDurability()
+	stop()
 
-	d2, srv2 := newDurableDaemon(t, o)
-	after, err := d2.pool.Stats("alpha")
+	n2, srv2 := openNode(t, cfg)
+	after, err := n2.Pool().Stats("alpha")
 	if err != nil {
 		t.Fatalf("channel not rebuilt by replay: %v", err)
 	}
 	if after.Observed != before.Observed || after.Detected != before.Detected {
 		t.Fatalf("replayed stats %+v, want %+v", after, before)
 	}
-	// The revived daemon continues the sequence instead of colliding.
+	// The revived node continues the sequence instead of colliding.
 	decs = postObserve(t, srv2, "alpha", observeLine(act[0], aud[0])+"\n")
 	if len(decs) != 1 || decs[0].WSeq != lines+1 {
 		t.Fatalf("post-replay wseq = %+v, want %d", decs, lines+1)
@@ -157,7 +124,7 @@ func TestDaemonWALLedgerInProcess(t *testing.T) {
 // TestLedgerEndpointsDisabled pins the no-flag behavior: both ledger
 // routes answer 412 like /snapshot does without -snapshot-dir.
 func TestLedgerEndpointsDisabled(t *testing.T) {
-	_, srv := newTestDaemon(t, 4, 0, "")
+	_, srv := openNode(t, testConfig(4, 0))
 	for _, path := range []string{"/ledger/root", "/ledger/proof/1"} {
 		resp, err := http.Get(srv.URL + path)
 		if err != nil {

@@ -12,8 +12,8 @@ package main
 //     connection followed by a Last-Seq reconnect replays exactly the
 //     decisions lost in flight, and resending from the advertised floor
 //     yields every sequence number exactly once;
-//   - race-clean teardown: hub shutdown mid-traffic cuts every live
-//     stream and watch subscriber without deadlock or data race.
+//   - race-clean teardown: Drain mid-traffic cuts every live stream and
+//     watch subscriber without deadlock or data race.
 //
 // Slow-loris writers and frame-level adversaries (fragmentation,
 // interleaved control frames, torn frames) are covered at the codec layer
@@ -25,8 +25,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"net/http/httptest"
-	"reflect"
 	"strconv"
 	"strings"
 	"sync"
@@ -34,34 +32,10 @@ import (
 	"testing"
 	"time"
 
-	"aovlis"
-	"aovlis/internal/serve"
 	"aovlis/internal/serve/loadgen"
 	"aovlis/internal/stream/live"
 	"aovlis/internal/wire"
 )
-
-// newLiveDaemon builds a daemon with the live plane mounted. The cleanup
-// order is load-bearing: the hub must close before the test server —
-// hijacked WebSocket connections and SSE streams otherwise keep
-// httptest.Server.Close waiting forever.
-func newLiveDaemon(t *testing.T, batch int) (*daemon, *httptest.Server) {
-	t.Helper()
-	pool, err := serve.NewDetectorPool(serve.Config{Shards: 2, QueueDepth: 64, Policy: serve.Block, Batch: batch})
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := &daemon{pool: pool, template: template(t), maxChannels: 32,
-		obsWindow: batch, started: time.Now(), hub: live.NewHub(live.HubConfig{})}
-	d.attachVerdictSinks()
-	srv := httptest.NewServer(d.handler(false, false))
-	t.Cleanup(func() {
-		d.hub.Close()
-		srv.Close()
-		pool.Close()
-	})
-	return d, srv
-}
 
 // dialLive dials the channel's live endpoint, retrying while the previous
 // session's teardown still holds the producer slot (409 busy).
@@ -139,8 +113,7 @@ func sendObs(t *testing.T, conn *live.Conn, action, audience []float64) {
 // is driven over its own live WebSocket connection, and each decision
 // payload must be byte-identical to the batch replay of the same stream.
 func TestLiveConformancePresets(t *testing.T) {
-	d, srv := newLiveDaemon(t, 4)
-	_ = d
+	_, srv := openNode(t, testConfig(32, 4))
 	totalSegments := 0
 	for pi, name := range loadgen.PresetNames() {
 		t.Run(name, func(t *testing.T) {
@@ -216,7 +189,7 @@ func TestLiveConformancePresets(t *testing.T) {
 // accepted segment, every sequence number arrives exactly once, and the
 // full decision sequence is byte-identical to the batch replay.
 func TestLiveDisconnectResume(t *testing.T) {
-	_, srv := newLiveDaemon(t, 4)
+	_, srv := openNode(t, testConfig(32, 4))
 	const total = 30
 	acts, auds := testSeries(5, total)
 	want := expectedPayloads(t, "res", acts, auds)
@@ -309,7 +282,7 @@ func TestLiveDisconnectResume(t *testing.T) {
 // connection to a busy channel is 409, a Last-Seq ahead of the server's
 // floor is 409 with the floor advertised, and an unknown path is 404.
 func TestLiveRefusals(t *testing.T) {
-	_, srv := newLiveDaemon(t, 0)
+	_, srv := openNode(t, testConfig(32, 0))
 	acts, auds := testSeries(9, 4)
 	conn, _ := dialLive(t, srv.URL+"/live/busy", nil)
 	defer conn.Close()
@@ -335,7 +308,7 @@ func TestLiveRefusals(t *testing.T) {
 // checks the SSE dashboard mirrors every non-warmup verdict, then
 // reconnects with Last-Event-ID and receives the retained tail again.
 func TestWatchStreamsVerdicts(t *testing.T) {
-	_, srv := newLiveDaemon(t, 0)
+	_, srv := openNode(t, testConfig(32, 0))
 	acts, auds := testSeries(13, 20)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
@@ -424,11 +397,11 @@ func TestWatchStreamsVerdicts(t *testing.T) {
 }
 
 // TestLiveTeardownRaceClean storms the live plane — three WebSocket
-// producers and two SSE watchers mid-traffic — then closes the hub.
+// producers and two SSE watchers mid-traffic — then drains the node.
 // Every stream must unblock and end, new upgrades must be refused, and
 // the whole sequence must be data-race free under -race.
 func TestLiveTeardownRaceClean(t *testing.T) {
-	d, srv := newLiveDaemon(t, 2)
+	n, srv := openNode(t, testConfig(32, 2))
 	acts, auds := testSeries(17, 400)
 	var delivered atomic.Int64
 	var wg, dialed sync.WaitGroup
@@ -473,7 +446,7 @@ func TestLiveTeardownRaceClean(t *testing.T) {
 		}()
 	}
 
-	// Every producer is connected before the hub may close: one still
+	// Every producer is connected before the node may drain: one still
 	// dialling when the others reach ten decisions would be refused (503).
 	dialed.Wait()
 	deadline := time.Now().Add(15 * time.Second)
@@ -483,14 +456,14 @@ func TestLiveTeardownRaceClean(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	d.hub.Close()
+	n.Drain()
 
 	done := make(chan struct{})
 	go func() { wg.Wait(); close(done) }()
 	select {
 	case <-done:
 	case <-time.After(20 * time.Second):
-		t.Fatal("hub close left live streams running")
+		t.Fatal("Drain left live streams running")
 	}
 	if _, resp, err := live.Dial(srv.URL+"/live/late", nil); err == nil || resp == nil || resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("post-close upgrade: err %v, resp %+v; want 503", err, resp)
@@ -499,79 +472,5 @@ func TestLiveTeardownRaceClean(t *testing.T) {
 		t.Fatalf("post-close watch: %v %v; want 503", err, resp)
 	} else {
 		resp.Body.Close()
-	}
-}
-
-// TestContinualWarmStartOnAttach pins the daemon seam: with -continual, a
-// channel attached on first use carries the shared base's parameters
-// (template + absorbed veterans), not the cold template's, and an absorb
-// sweep folds every attached channel into the base at a quiesced boundary.
-func TestContinualWarmStartOnAttach(t *testing.T) {
-	d, srv := newLiveDaemon(t, 0)
-	d.base = aovlis.NewContinualBase(template(t))
-
-	// A veteran with genuinely different weights: same architecture,
-	// different training seed.
-	cfg := aovlis.DefaultConfig(testActionDim, testAudienceDim)
-	cfg.HiddenI, cfg.HiddenA = 12, 8
-	cfg.SeqLen = 4
-	cfg.Epochs = 1
-	cfg.Seed = 99
-	vacts, vauds := testSeries(99, 90)
-	vet, err := aovlis.Train(vacts, vauds, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := d.base.AbsorbFrom(vet, 0.5); err != nil {
-		t.Fatal(err)
-	}
-
-	// The control: what a warm start from this base must produce.
-	ctrl, err := template(t).Clone()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := d.base.WarmStart(ctrl); err != nil {
-		t.Fatal(err)
-	}
-
-	// First use attaches the channel through ensureChannel.
-	acts, auds := testSeries(3, 1)
-	conn, _ := dialLive(t, srv.URL+"/live/warm", nil)
-	sendObs(t, conn, acts[0], auds[0])
-	readText(t, conn)
-	conn.Close()
-
-	sameParams := func(a, b *aovlis.Detector) bool {
-		pa, pb := a.Model().Params(), b.Model().Params()
-		for _, n := range pa.Names() {
-			ma, mb := pa.Get(n), pb.Get(n)
-			if ma == nil || mb == nil || !reflect.DeepEqual(ma.Data, mb.Data) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := d.pool.WithChannel("warm", func(det serve.Detector) error {
-		ad, ok := det.(*aovlis.Detector)
-		if !ok {
-			t.Fatal("pool channel is not an aovlis detector")
-		}
-		if !sameParams(ad, ctrl) {
-			t.Error("attached channel's params differ from the shared base")
-		}
-		if sameParams(ad, template(t)) {
-			t.Error("attached channel carries the cold template, not the base")
-		}
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-
-	// One absorb sweep folds the attached channel back into the base.
-	before := d.base.Absorbs()
-	d.absorbAll(0.25)
-	if got := d.base.Absorbs(); got != before+1 {
-		t.Fatalf("absorb sweep recorded %d absorbs, want %d", got, before+1)
 	}
 }

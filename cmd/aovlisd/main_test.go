@@ -1,10 +1,11 @@
 package main
 
-// httptest coverage for the daemon's handlers (ISSUE 5 satellite): the
+// httptest coverage for the daemon's HTTP surface (ISSUE 5 satellite): the
 // NDJSON observe stream (pipelined and synchronous), per-channel stats,
 // the channel-snapshot migration pair, on-demand pool snapshots and the
-// health endpoint — happy paths and error paths. The suite drives exactly
-// the production mux via daemon.handler.
+// health endpoint — happy paths and error paths. Every test opens the node
+// the daemon runs (node.Open) and serves node.Handler, so the suite drives
+// the production assembly, mux and teardown.
 
 import (
 	"bufio"
@@ -20,14 +21,13 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"aovlis"
 	"aovlis/internal/ledger"
 	"aovlis/internal/mat"
+	"aovlis/internal/node"
 	"aovlis/internal/serve"
 	"aovlis/internal/snapshot"
-	"aovlis/internal/stream/live"
 	"aovlis/internal/wal"
 	"aovlis/internal/wire"
 )
@@ -80,23 +80,47 @@ func template(t *testing.T) *aovlis.Detector {
 	return testTemplate.det
 }
 
-// newTestDaemon builds a daemon over a fresh pool and returns it with its
-// test server.
-func newTestDaemon(t *testing.T, maxChannels, batch int, snapshotDir string) (*daemon, *httptest.Server) {
+// testConfig is the suite's usual node: two shards, and batch as both the
+// micro-batching cap and the ingest planes' pipelining depth.
+func testConfig(maxChannels, batch int) node.Config {
+	return node.Config{MaxChannels: maxChannels, Metrics: true,
+		Pool: serve.Config{Shards: 2, QueueDepth: 64, Policy: serve.Block, Batch: batch}}
+}
+
+// startNode opens a node over the suite's template and serves its handler
+// (behind wrap, when a test wants to watch the requests go by). stop ends
+// both in the daemon's order — Drain, the listener, Close — and is safe to
+// call again.
+func startNode(t *testing.T, cfg node.Config, wrap func(http.Handler) http.Handler) (n *node.Node, srv *httptest.Server, stop func()) {
 	t.Helper()
-	pool, err := serve.NewDetectorPool(serve.Config{Shards: 2, QueueDepth: 64, Policy: serve.Block, Batch: batch})
+	cfg.Logf = t.Logf
+	n, err := node.Open(template(t), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := &daemon{pool: pool, template: template(t), maxChannels: maxChannels,
-		obsWindow: batch, snapshotDir: snapshotDir, started: time.Now(), hub: live.NewHub(live.HubConfig{})}
-	srv := httptest.NewServer(d.handler(false, true))
-	t.Cleanup(func() {
-		d.hub.Close()
-		srv.Close()
-		pool.Close()
-	})
-	return d, srv
+	h := n.Handler()
+	if wrap != nil {
+		h = wrap(h)
+	}
+	srv = httptest.NewServer(h)
+	var once sync.Once
+	return n, srv, func() {
+		once.Do(func() {
+			n.Drain()
+			srv.Close()
+			if err := n.Close(); err != nil {
+				t.Errorf("closing node: %v", err)
+			}
+		})
+	}
+}
+
+// openNode is startNode stopped by the test's cleanup.
+func openNode(t *testing.T, cfg node.Config) (*node.Node, *httptest.Server) {
+	t.Helper()
+	n, srv, stop := startNode(t, cfg, nil)
+	t.Cleanup(stop)
+	return n, srv
 }
 
 // observeLine encodes one NDJSON observation.
@@ -136,7 +160,7 @@ func postObserve(t *testing.T, srv *httptest.Server, id, body string) []wire.Dec
 func TestObserveStreamsDecisions(t *testing.T) {
 	for _, batch := range []int{0, 8} { // synchronous and pipelined handler
 		t.Run(fmt.Sprintf("batch=%d", batch), func(t *testing.T) {
-			_, srv := newTestDaemon(t, 8, batch, "")
+			_, srv := openNode(t, testConfig(8, batch))
 			actions, audience := testSeries(11, 12)
 			var body strings.Builder
 			for i := range actions {
@@ -162,7 +186,7 @@ func TestObserveStreamsDecisions(t *testing.T) {
 }
 
 func TestObserveErrorLines(t *testing.T) {
-	_, srv := newTestDaemon(t, 8, 8, "")
+	_, srv := openNode(t, testConfig(8, 8))
 	actions, audience := testSeries(13, 3)
 	body := observeLine(actions[0], audience[0]) + "\n" +
 		"this is not json\n" +
@@ -193,7 +217,7 @@ func TestObserveErrorLines(t *testing.T) {
 // at the same time keeps getting verdicts — hostile input degrades a
 // channel, never the process.
 func TestObserveOversizeLineAbortsOnlyItsStream(t *testing.T) {
-	_, srv := newTestDaemon(t, 8, 8, "")
+	_, srv := openNode(t, testConfig(8, 8))
 	actions, audience := testSeries(19, 8)
 	steady, hostile := planes[0].open(t, srv, "steady"), planes[0].open(t, srv, "hostile")
 	next := 0
@@ -226,7 +250,7 @@ func TestObserveOversizeLineAbortsOnlyItsStream(t *testing.T) {
 }
 
 func TestObserveRespectsChannelLimit(t *testing.T) {
-	_, srv := newTestDaemon(t, 1, 0, "")
+	_, srv := openNode(t, testConfig(1, 0))
 	actions, audience := testSeries(17, 1)
 	postObserve(t, srv, "only", observeLine(actions[0], audience[0]))
 	resp, err := http.Post(srv.URL+"/channels/overflow/observe", "application/x-ndjson", strings.NewReader(""))
@@ -240,7 +264,7 @@ func TestObserveRespectsChannelLimit(t *testing.T) {
 }
 
 func TestObserveMethodNotAllowed(t *testing.T) {
-	_, srv := newTestDaemon(t, 8, 0, "")
+	_, srv := openNode(t, testConfig(8, 0))
 	resp, err := http.Get(srv.URL + "/channels/x/observe")
 	if err != nil {
 		t.Fatal(err)
@@ -252,7 +276,7 @@ func TestObserveMethodNotAllowed(t *testing.T) {
 }
 
 func TestStatsAndList(t *testing.T) {
-	_, srv := newTestDaemon(t, 8, 8, "")
+	_, srv := openNode(t, testConfig(8, 8))
 	actions, audience := testSeries(19, 10)
 	var body strings.Builder
 	for i := range actions {
@@ -300,7 +324,7 @@ func TestStatsAndList(t *testing.T) {
 }
 
 func TestSnapshotEndpointWithoutDir(t *testing.T) {
-	_, srv := newTestDaemon(t, 8, 0, "")
+	_, srv := openNode(t, testConfig(8, 0))
 	resp, err := http.Post(srv.URL+"/snapshot", "", nil)
 	if err != nil {
 		t.Fatal(err)
@@ -321,7 +345,9 @@ func TestSnapshotEndpointWithoutDir(t *testing.T) {
 
 func TestSnapshotEndpointCommits(t *testing.T) {
 	dir := t.TempDir()
-	_, srv := newTestDaemon(t, 8, 8, dir)
+	cfg := testConfig(8, 8)
+	cfg.SnapshotDir = dir
+	_, srv := openNode(t, cfg)
 	actions, audience := testSeries(23, 8)
 	var body strings.Builder
 	for i := range actions {
@@ -373,36 +399,63 @@ func TestSnapshotEndpointCommits(t *testing.T) {
 // failed pending batch); the next successful checkpoint truncates.
 func TestSnapshotSkipsWALTruncateOnLedgerFlushFailure(t *testing.T) {
 	snapDir, walDir, ledgerDir := t.TempDir(), t.TempDir(), t.TempDir()
-	d, srv := newTestDaemon(t, 8, 0, snapDir)
 
-	// Wire durability by hand (openWAL/openLedger idioms, but with tiny WAL
-	// segments so checkpoint truncation has sealed files to remove, and a
-	// huge ledger batch so every verdict stays in the pending batch).
-	led, err := ledger.Open(ledgerDir, ledger.Options{BatchSize: 1 << 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { led.Close() })
-	d.ledger = led
-	d.pool.AttachVerdictSink(ledgerSink{led})
+	// The node boots on a journal left behind in tiny segments, so the
+	// checkpoint's truncation has sealed files to remove, and with a huge
+	// ledger batch, so every replayed verdict stays in the pending batch.
+	actions, audience := testSeries(41, 60)
 	j, err := wal.Open(walDir, wal.Options{SegmentBytes: 1024})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { j.Close() })
-	d.wal = j
-	d.pool.AttachJournal(j, nil)
-
-	actions, audience := testSeries(41, 60)
-	var body strings.Builder
 	for i := range actions {
-		body.WriteString(observeLine(actions[i], audience[i]) + "\n")
+		if err := j.Append("flushfail", uint64(i+1), actions[i], audience[i]); err != nil {
+			t.Fatal(err)
+		}
 	}
-	postObserve(t, srv, "flushfail", body.String())
-	if j.Segments() < 3 {
-		t.Fatalf("need sealed segments to observe truncation, got %d", j.Segments())
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
 	}
-	if led.Root().Pending == 0 {
+	cfg := testConfig(8, 0)
+	cfg.SnapshotDir, cfg.WALDir, cfg.LedgerDir, cfg.LedgerBatch = snapDir, walDir, ledgerDir, 1<<20
+	_, srv := openNode(t, cfg)
+
+	segments := func() int {
+		t.Helper()
+		files, err := filepath.Glob(filepath.Join(walDir, "wal-*.seg"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(files)
+	}
+	ledgerHead := func() (head ledger.RootInfo) {
+		t.Helper()
+		resp, err := http.Get(srv.URL + "/ledger/root")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if err := json.NewDecoder(resp.Body).Decode(&head); err != nil {
+			t.Fatal(err)
+		}
+		return head
+	}
+	checkpoint := func() {
+		t.Helper()
+		resp, err := http.Post(srv.URL+"/snapshot", "", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("POST /snapshot status %d, want 200", resp.StatusCode)
+		}
+	}
+	before := segments()
+	if before < 3 {
+		t.Fatalf("need sealed segments to observe truncation, got %d", before)
+	}
+	if ledgerHead().Pending == 0 {
 		t.Fatal("no pending verdicts; the flush under test would be a no-op")
 	}
 
@@ -414,11 +467,8 @@ func TestSnapshotSkipsWALTruncateOnLedgerFlushFailure(t *testing.T) {
 	if err := os.WriteFile(ledgerDir, []byte("not a directory"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	before := j.Segments()
-	if _, err := d.snapshotNow(); err != nil {
-		t.Fatalf("snapshot must still commit on a ledger flush failure: %v", err)
-	}
-	if got := j.Segments(); got != before {
+	checkpoint() // the snapshot must still commit on a ledger flush failure
+	if got := segments(); got != before {
 		t.Fatalf("WAL truncated to %d segments after a failed ledger flush, want %d kept", got, before)
 	}
 
@@ -429,19 +479,17 @@ func TestSnapshotSkipsWALTruncateOnLedgerFlushFailure(t *testing.T) {
 	if err := os.Rename(saved, ledgerDir); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.snapshotNow(); err != nil {
-		t.Fatal(err)
-	}
-	if got := j.Segments(); got != 1 {
+	checkpoint()
+	if got := segments(); got != 1 {
 		t.Fatalf("WAL has %d segments after a clean checkpoint, want 1", got)
 	}
-	if led.Root().Pending != 0 || led.Root().Entries == 0 {
-		t.Fatalf("ledger not flushed after healing: %+v", led.Root())
+	if head := ledgerHead(); head.Pending != 0 || head.Entries == 0 {
+		t.Fatalf("ledger not flushed after healing: %+v", head)
 	}
 }
 
 func TestHealthzWithoutSnapshots(t *testing.T) {
-	_, srv := newTestDaemon(t, 8, 0, "")
+	_, srv := openNode(t, testConfig(8, 0))
 	resp, err := http.Get(srv.URL + "/healthz")
 	if err != nil {
 		t.Fatal(err)
@@ -460,7 +508,7 @@ func TestHealthzWithoutSnapshots(t *testing.T) {
 }
 
 func TestChannelSnapshotMigration(t *testing.T) {
-	_, srv := newTestDaemon(t, 8, 8, "")
+	_, srv := openNode(t, testConfig(8, 8))
 	actions, audience := testSeries(29, 10)
 	var body strings.Builder
 	for i := range actions {
@@ -593,8 +641,8 @@ func (zeros) Read(p []byte) (int, error) {
 // itself — here one gob message announcing a length just past the cap, the
 // shape that makes an unbounded decoder buffer the whole body.
 func TestChannelSnapshotImportBounded(t *testing.T) {
-	_, srv := newTestDaemon(t, 8, 8, "")
-	const claimed = maxSnapshotBytes + 1024
+	_, srv := openNode(t, testConfig(8, 8))
+	const claimed = 64<<20 + 1024 // the node's import cap, and a little
 	// gob's message-length prefix: byte count negated, then big-endian.
 	prefix := []byte{0xFC, byte(claimed >> 24), byte(claimed >> 16 & 0xFF), byte(claimed >> 8 & 0xFF), byte(claimed & 0xFF)}
 	body := io.MultiReader(bytes.NewReader(prefix), io.LimitReader(zeros{}, claimed))
@@ -620,7 +668,7 @@ func TestChannelSnapshotImportBounded(t *testing.T) {
 }
 
 func TestChannelRoutes(t *testing.T) {
-	_, srv := newTestDaemon(t, 8, 0, "")
+	_, srv := openNode(t, testConfig(8, 0))
 	for path, want := range map[string]int{
 		"/channels/":             http.StatusNotFound,
 		"/channels/x":            http.StatusNotFound,

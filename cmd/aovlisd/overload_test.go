@@ -3,13 +3,12 @@ package main
 // httptest coverage for the telemetry and overload surface: the Prometheus
 // /metrics exposition (format, bucket monotonicity, counters never
 // decreasing across scrapes), 429 + Retry-After under admission reject,
-// the rejection count in /channels, and a goroutine-leak assertion on
-// graceful shutdown.
+// the rejection count in /channels, and a goroutine-leak assertion on the
+// node's shutdown path.
 
 import (
 	"bufio"
 	"encoding/json"
-	"fmt"
 	"io"
 	"math"
 	"net/http"
@@ -23,8 +22,8 @@ import (
 	"time"
 
 	"aovlis"
+	"aovlis/internal/node"
 	"aovlis/internal/serve"
-	"aovlis/internal/stream/live"
 )
 
 // gatedDet blocks each Observe on a release channel; closing the channel
@@ -89,7 +88,7 @@ func scrape(t *testing.T, srv *httptest.Server) (string, map[string]float64) {
 // bucket monotonicity with _count == the +Inf bucket, and counters that
 // never decrease between scrapes with traffic in between.
 func TestMetricsEndpointFormat(t *testing.T) {
-	_, srv := newTestDaemon(t, 8, 0, "")
+	_, srv := openNode(t, testConfig(8, 0))
 	acts, auds := testSeries(11, 12)
 	var lines strings.Builder
 	for i := range acts {
@@ -166,9 +165,9 @@ func TestMetricsEndpointFormat(t *testing.T) {
 }
 
 func TestMetricsDisabled(t *testing.T) {
-	d, _ := newTestDaemon(t, 4, 0, "")
-	srv := httptest.NewServer(d.handler(false, false))
-	t.Cleanup(srv.Close)
+	cfg := testConfig(4, 0)
+	cfg.Metrics = false
+	_, srv := openNode(t, cfg)
 	resp, err := http.Get(srv.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
@@ -179,30 +178,20 @@ func TestMetricsDisabled(t *testing.T) {
 	}
 }
 
-// newOverloadDaemon builds a daemon over a tiny admission-controlled pool
-// with one gated channel, so tests can steer the pool through the
-// admission states deterministically.
-func newOverloadDaemon(t *testing.T) (*daemon, *httptest.Server, *gatedDet) {
+// newOverloadNode opens a node over a tiny admission-controlled pool with
+// one gated channel, so tests can steer the pool through the admission
+// states deterministically.
+func newOverloadNode(t *testing.T) (*node.Node, *httptest.Server, *gatedDet) {
 	t.Helper()
-	pool, err := serve.NewDetectorPool(serve.Config{Shards: 1, QueueDepth: 10, Policy: serve.Block,
-		Admission: serve.AdmissionConfig{Enabled: true, RejectHighFrac: 0.9, RejectLowFrac: 0.2}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	n, srv := openNode(t, node.Config{MaxChannels: 8, Metrics: true,
+		Pool: serve.Config{Shards: 1, QueueDepth: 10, Policy: serve.Block, Batch: 1,
+			Admission: serve.AdmissionConfig{Enabled: true, RejectHighFrac: 0.9, RejectLowFrac: 0.2}}})
 	g := &gatedDet{release: make(chan struct{})}
-	if err := pool.Attach("slow", g); err != nil {
+	if err := n.Pool().Attach("slow", g); err != nil {
 		t.Fatal(err)
 	}
-	d := &daemon{pool: pool, template: template(t), maxChannels: 8,
-		obsWindow: 1, started: time.Now(), hub: live.NewHub(live.HubConfig{})}
-	srv := httptest.NewServer(d.handler(false, true))
-	t.Cleanup(func() {
-		g.open()
-		d.hub.Close()
-		srv.Close()
-		pool.Close()
-	})
-	return d, srv, g
+	t.Cleanup(g.open) // runs before openNode's stop, which waits out the parked segments
+	return n, srv, g
 }
 
 // pollUntil retries cond for up to 5s.
@@ -223,21 +212,21 @@ func pollUntil(t *testing.T, what string, cond func() bool) {
 // keeps scoring what was accepted, and after the drain the same stream
 // scores normally again.
 func TestObserve429UnderOverload(t *testing.T) {
-	d, srv, g := newOverloadDaemon(t)
+	n, srv, g := newOverloadNode(t)
 
 	// One in-flight observation plus a backlog past the reject watermark.
 	var outs []<-chan serve.Outcome
 	overloaded := false
 	for i := 0; i < 15; i++ {
-		out, err := d.pool.Submit("slow", []float64{1}, []float64{1})
+		out, err := n.Pool().Submit("slow", []float64{1}, []float64{1})
 		if err != nil {
 			overloaded = true
 			break
 		}
 		outs = append(outs, out)
 	}
-	if !overloaded || d.pool.AdmissionState() != serve.AdmitReject {
-		t.Fatalf("pool not driven to reject: overloaded=%v state=%v", overloaded, d.pool.AdmissionState())
+	if !overloaded || n.Pool().AdmissionState() != serve.AdmitReject {
+		t.Fatalf("pool not driven to reject: overloaded=%v state=%v", overloaded, n.Pool().AdmissionState())
 	}
 
 	resp, err := http.Post(srv.URL+"/channels/slow/observe", "application/x-ndjson",
@@ -268,7 +257,7 @@ func TestObserve429UnderOverload(t *testing.T) {
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("new-id observe under overload returned %s, want 429", resp.Status)
 	}
-	if chans := d.pool.Channels(); len(chans) != 1 {
+	if chans := n.Pool().Channels(); len(chans) != 1 {
 		t.Fatalf("refused new-id stream left channels %v, want only the pre-attached one", chans)
 	}
 
@@ -294,7 +283,7 @@ func TestObserve429UnderOverload(t *testing.T) {
 		}
 		return false
 	})
-	if s := d.pool.AdmissionState(); s != serve.AdmitReject {
+	if s := n.Pool().AdmissionState(); s != serve.AdmitReject {
 		t.Fatalf("admission state %v with the queue still above the low watermark, want reject", s)
 	}
 
@@ -305,29 +294,11 @@ func TestObserve429UnderOverload(t *testing.T) {
 		<-out
 	}
 	pollUntil(t, "admission back to normal", func() bool {
-		return d.pool.AdmissionState() == serve.AdmitNormal
+		return n.Pool().AdmissionState() == serve.AdmitNormal
 	})
 	decs := postObserve(t, srv, "slow", observeLine([]float64{1}, []float64{1})+"\n")
 	if len(decs) != 1 || decs[0].Error != "" || decs[0].Rejected || decs[0].Dropped {
 		t.Fatalf("post-recovery decision %+v", decs)
-	}
-}
-
-// TestStatusForPoolErr pins the two refusals apart by their error alone: an
-// admission rejection asks the client to retry, a queue-full drop does not.
-func TestStatusForPoolErr(t *testing.T) {
-	for _, tc := range []struct {
-		err  error
-		want int
-	}{
-		{fmt.Errorf("%w (channel %q, shard 0)", serve.ErrRejected, "ch"), http.StatusTooManyRequests},
-		{fmt.Errorf("%w (queue full)", serve.ErrOverloaded), http.StatusServiceUnavailable},
-		{serve.ErrClosed, http.StatusServiceUnavailable},
-		{fmt.Errorf("%w: %q", serve.ErrUnknownChannel, "ch"), http.StatusNotFound},
-	} {
-		if got := statusForPoolErr(tc.err); got != tc.want {
-			t.Errorf("statusForPoolErr(%v) = %d, want %d", tc.err, got, tc.want)
-		}
 	}
 }
 
@@ -346,39 +317,48 @@ func channelList(t *testing.T, srv *httptest.Server) []serve.ChannelStats {
 	return out
 }
 
-// TestDaemonShutdownLeaksNoGoroutines runs traffic, tears the daemon down
-// the way run() does (server first, then pool), and asserts no shard
-// worker goroutine survives.
+// TestDaemonShutdownLeaksNoGoroutines opens a node, runs traffic on both
+// ingest planes with a dashboard watching, stops it the way the daemon
+// does — Drain, the listener, Close — and asserts the process is back to
+// the goroutines it started with: no shard worker, loop, pump or feeder
+// survives the production shutdown path.
 func TestDaemonShutdownLeaksNoGoroutines(t *testing.T) {
-	pool, err := serve.NewDetectorPool(serve.Config{Shards: 4, QueueDepth: 32, Policy: serve.Block, Batch: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := &daemon{pool: pool, template: template(t), maxChannels: 8,
-		obsWindow: 4, started: time.Now(), hub: live.NewHub(live.HubConfig{})}
-	srv := httptest.NewServer(d.handler(false, true))
+	http.DefaultTransport.(*http.Transport).CloseIdleConnections()
+	before := runtime.NumGoroutine()
+
+	dir := t.TempDir()
+	cfg := node.Config{MaxChannels: 8, Metrics: true, Continual: true, AbsorbWeight: 0.25, AbsorbEvery: time.Millisecond,
+		SnapshotDir: dir + "/snap", SnapshotEvery: 5 * time.Millisecond, WALDir: dir + "/wal", LedgerDir: dir + "/ledger", LedgerBatch: 4,
+		Pool: serve.Config{Shards: 4, QueueDepth: 32, Policy: serve.Block, Batch: 4}}
+	_, srv, stop := startNode(t, cfg, nil)
+	defer stop()
 	acts, auds := testSeries(13, 8)
 	var lines strings.Builder
 	for i := range acts {
 		lines.WriteString(observeLine(acts[i], auds[i]) + "\n")
 	}
+	watch, err := http.Get(srv.URL + "/watch")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer watch.Body.Close()
 	for _, ch := range []string{"a", "b", "c"} {
 		postObserve(t, srv, ch, lines.String())
 	}
-	d.hub.Close()
-	srv.Close()
-	if err := pool.Close(); err != nil {
-		t.Fatal(err)
-	}
+	conn, _ := dialLive(t, srv.URL+"/live/d", nil) // left open: Drain must cut it
+	sendObs(t, conn, acts[0], auds[0])
+	readText(t, conn)
+
+	stop()
+	io.Copy(io.Discard, watch.Body) // Drain ended the stream
+	conn.Close()
+	http.DefaultTransport.(*http.Transport).CloseIdleConnections()
 	deadline := time.Now().Add(5 * time.Second)
-	for {
-		buf := make([]byte, 1<<20)
-		n := runtime.Stack(buf, true)
-		if !strings.Contains(string(buf[:n]), "serve.(*DetectorPool).runShard") {
-			return
-		}
+	for runtime.NumGoroutine() > before {
 		if time.Now().After(deadline) {
-			t.Fatalf("shard workers leaked after shutdown:\n%s", fmt.Sprintf("%.4000s", string(buf[:n])))
+			buf := make([]byte, 1<<20)
+			t.Fatalf("%d goroutines before the node, %d after its shutdown:\n%.8000s",
+				before, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
 		}
 		time.Sleep(5 * time.Millisecond)
 	}

@@ -1,8 +1,8 @@
 package main
 
 // One table over both framings of the segment pump (serve.Pump): the NDJSON
-// observe endpoint and the WebSocket live plane, driven against the
-// production mux. Every case runs on both, so the pump's contract — strict
+// observe endpoint and the WebSocket live plane, driven against a node's
+// handler. Every case runs on both, so the pump's contract — strict
 // message order at any window, decisions reaching an idle client, window
 // backpressure, the exit drain, and the one outcome classification — is
 // pinned once for the one implementation.
@@ -20,6 +20,7 @@ import (
 	"testing"
 	"time"
 
+	"aovlis/internal/node"
 	"aovlis/internal/serve"
 	"aovlis/internal/stream/live"
 	"aovlis/internal/wire"
@@ -133,33 +134,23 @@ func (a *streamHandlers) wrap(h http.Handler) http.Handler {
 	})
 }
 
-// newPumpDaemon builds a daemon with both planes mounted over a pool of
-// the given shape; when gated, channel "ch" is a gatedDet instead of a
+// newPumpNode opens a node over a pool of the given shape pipelining window
+// segments per stream; when gated, channel "ch" is a gatedDet instead of a
 // template clone.
-func newPumpDaemon(t *testing.T, cfg serve.Config, window int, gated bool) (*daemon, *httptest.Server, *gatedDet, *streamHandlers) {
+func newPumpNode(t *testing.T, pool serve.Config, window int, gated bool) (*node.Node, *httptest.Server, *gatedDet, *streamHandlers) {
 	t.Helper()
-	pool, err := serve.NewDetectorPool(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := &daemon{pool: pool, template: template(t), maxChannels: 8,
-		obsWindow: window, started: time.Now(), hub: live.NewHub(live.HubConfig{})}
-	d.attachVerdictSinks()
+	pool.Batch = window
+	running := &streamHandlers{}
+	n, srv, stop := startNode(t, node.Config{MaxChannels: 8, Metrics: true, Pool: pool}, running.wrap)
+	t.Cleanup(stop)
 	g := &gatedDet{release: make(chan struct{}), entered: make(chan struct{}, 64)}
 	if gated {
-		if err := pool.Attach("ch", g); err != nil {
+		if err := n.Pool().Attach("ch", g); err != nil {
 			t.Fatal(err)
 		}
 	}
-	running := &streamHandlers{}
-	srv := httptest.NewServer(running.wrap(d.handler(false, true)))
-	t.Cleanup(func() {
-		g.open()
-		d.hub.Close()
-		srv.Close()
-		pool.Close()
-	})
-	return d, srv, g, running
+	t.Cleanup(g.open) // runs before stop, which waits out the parked segments
+	return n, srv, g, running
 }
 
 var gatedObs = observeLine([]float64{1}, []float64{1})
@@ -173,14 +164,14 @@ func waitAccepted(t *testing.T, srv *httptest.Server, want float64) {
 	})
 }
 
-var blockCfg = serve.Config{Shards: 1, QueueDepth: 64, Policy: serve.Block, Batch: 4}
+var blockCfg = serve.Config{Shards: 1, QueueDepth: 64, Policy: serve.Block}
 
 func TestPumpBothFramings(t *testing.T) {
 	for _, pl := range planes {
 		t.Run(pl.name, func(t *testing.T) {
 			for _, window := range []int{1, 4, 16} {
 				t.Run(fmt.Sprintf("in-order/window=%d", window), func(t *testing.T) {
-					_, srv, _, _ := newPumpDaemon(t, blockCfg, window, false)
+					_, srv, _, _ := newPumpNode(t, blockCfg, window, false)
 					acts, auds := testSeries(31, 40)
 					clone, err := template(t).Clone()
 					if err != nil {
@@ -210,7 +201,7 @@ func TestPumpBothFramings(t *testing.T) {
 			// outcome}: a decision reaches a client that has gone quiet
 			// mid-stream, with window slots and input both still open.
 			t.Run("idle client", func(t *testing.T) {
-				_, srv, _, _ := newPumpDaemon(t, blockCfg, 4, false)
+				_, srv, _, _ := newPumpNode(t, blockCfg, 4, false)
 				acts, auds := testSeries(33, 2)
 				st := pl.open(t, srv, "ch")
 				for i := range acts {
@@ -226,7 +217,7 @@ func TestPumpBothFramings(t *testing.T) {
 			// client has sent; the rest follow, in order, as slots free.
 			t.Run("backpressure", func(t *testing.T) {
 				const window, sent = 2, 6
-				_, srv, g, _ := newPumpDaemon(t, blockCfg, window, true)
+				_, srv, g, _ := newPumpNode(t, blockCfg, window, true)
 				st := pl.open(t, srv, "ch")
 				for i := 0; i < sent; i++ {
 					st.send(gatedObs)
@@ -249,7 +240,7 @@ func TestPumpBothFramings(t *testing.T) {
 			// rings each of them so a reconnect replays what was lost.
 			t.Run("exit drain", func(t *testing.T) {
 				const inflight = 3
-				d, srv, g, running := newPumpDaemon(t, blockCfg, 4, true)
+				n, srv, g, running := newPumpNode(t, blockCfg, 4, true)
 				st := pl.open(t, srv, "ch")
 				for i := 0; i < inflight; i++ {
 					st.send(gatedObs)
@@ -262,14 +253,11 @@ func TestPumpBothFramings(t *testing.T) {
 				}
 				g.open()
 				pollUntil(t, "handler to drain and return", func() bool { return running.n.Load() == 0 })
-				if cs, err := d.pool.Stats("ch"); err != nil || cs.Observed != inflight || cs.QueueDepth != 0 {
+				if cs, err := n.Pool().Stats("ch"); err != nil || cs.Observed != inflight || cs.QueueDepth != 0 {
 					t.Fatalf("after drain: %+v, %v", cs, err)
 				}
 				if pl.name != "live" {
 					return
-				}
-				if floor := d.hub.ChannelFloor("ch"); floor != inflight {
-					t.Fatalf("ring floor %d after drain, want %d", floor, inflight)
 				}
 				conn, resp := dialLive(t, strings.Replace(srv.URL, "http://", "ws://", 1)+"/live/ch",
 					http.Header{live.LastSeqHeader: []string{"0"}})
@@ -329,7 +317,7 @@ func TestPumpOutcomeKinds(t *testing.T) {
 	for _, k := range kinds {
 		for _, pl := range planes {
 			t.Run(k.name+"/"+pl.name, func(t *testing.T) {
-				_, srv, g, _ := newPumpDaemon(t, k.cfg, 8, k.gated)
+				_, srv, g, _ := newPumpNode(t, k.cfg, 8, k.gated)
 				st := pl.open(t, srv, "ch")
 				last := len(k.lines) - 1
 				for i, line := range k.lines {
@@ -381,7 +369,7 @@ func TestPumpRejectionIsNotADrop(t *testing.T) {
 	acts, auds := testSeries(37, 1500)
 	for _, pl := range planes {
 		t.Run(pl.name, func(t *testing.T) {
-			_, srv, _, _ := newPumpDaemon(t, cfg, 16, false)
+			_, srv, _, _ := newPumpNode(t, cfg, 16, false)
 			st := pl.open(t, srv, "ch")
 			go func() {
 				for i := range acts {

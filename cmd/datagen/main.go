@@ -1,32 +1,26 @@
 // Command datagen generates a synthetic live social video stream (frames,
-// comments, ground-truth anomaly intervals) and writes a summary plus an
-// optional gob dump of the extracted feature series — useful for inspecting
-// what the AOVLIS pipeline consumes.
+// comments, ground-truth anomaly intervals) and writes a summary plus,
+// optionally, the extracted feature series as NDJSON observation lines —
+// what the AOVLIS pipeline consumes, in the form aovlisd's observe endpoint
+// eats.
 //
 // Usage:
 //
 //	datagen -preset INF -sec 600
-//	datagen -preset TWI -sec 300 -out twi.gob
+//	datagen -preset TWI -sec 300 -out twi.ndjson
+//	curl -N -XPOST --data-binary @twi.ndjson localhost:8080/channels/twi/observe
 package main
 
 import (
-	"encoding/gob"
+	"bufio"
 	"flag"
 	"fmt"
 	"os"
 
 	"aovlis/internal/feature"
 	"aovlis/internal/synth"
+	"aovlis/internal/wire"
 )
-
-// Dump is the serialised feature bundle written with -out.
-type Dump struct {
-	Preset      string
-	Actions     [][]float64
-	Audience    [][]float64
-	Labels      []bool
-	Interaction []float64
-}
 
 func main() {
 	var (
@@ -35,7 +29,7 @@ func main() {
 		classes    = flag.Int("classes", 48, "action feature classes (d1)")
 		seed       = flag.Int64("seed", 1, "random seed")
 		anomFree   = flag.Bool("anomaly-free", false, "suppress anomaly injection")
-		outPath    = flag.String("out", "", "write extracted features to this gob file")
+		outPath    = flag.String("out", "", "write the extracted features to this file, one NDJSON observation line per segment")
 	)
 	flag.Parse()
 
@@ -75,10 +69,8 @@ func run(presetName string, sec, classes int, seed int64, anomFree bool, outPath
 	if err != nil {
 		return err
 	}
-	labels := make([]bool, len(segs))
 	nAnom := 0
 	for i := range segs {
-		labels[i] = segs[i].Label
 		if segs[i].Label {
 			nAnom++
 		}
@@ -94,10 +86,18 @@ func run(presetName string, sec, classes int, seed int64, anomFree bool, outPath
 		return err
 	}
 	defer f.Close()
-	dump := Dump{Preset: preset.Name, Actions: actions, Audience: audience, Labels: labels}
-	if err := gob.NewEncoder(f).Encode(dump); err != nil {
-		return fmt.Errorf("encoding %s: %w", outPath, err)
+	w := bufio.NewWriter(f)
+	var line []byte
+	for i := range actions {
+		line = wire.AppendObservation(line[:0], actions[i], audience[i])
+		w.Write(line)
 	}
-	fmt.Printf("wrote features to %s\n", outPath)
+	if err := w.Flush(); err != nil {
+		return fmt.Errorf("writing %s: %w", outPath, err)
+	}
+	if err := f.Close(); err != nil {
+		return fmt.Errorf("writing %s: %w", outPath, err)
+	}
+	fmt.Printf("wrote %d observation lines to %s\n", len(actions), outPath)
 	return nil
 }

@@ -1,11 +1,45 @@
 package aovlis
 
+// Cross-channel continual learning (ISSUE 10): a fleet of per-channel
+// detectors shares one slowly-moving base parameter set
+// (update.SharedBase, held by internal/node). Live channels are
+// periodically absorbed into the base through the dynamic updater's
+// weighted parameter merge, and a channel attached mid-stream warm-starts
+// from the base instead of the cold training checkpoint. The payoff is
+// measured here by stepsToStable: a warm-started channel reaches its first
+// stable verdict run in a fraction of the cold channel's steps.
+
 import (
 	"math/rand"
 	"testing"
 
 	"aovlis/internal/mat"
+	"aovlis/internal/update"
 )
+
+// stepsToStable is the cold-start metric: the number of verdicts a channel
+// consumed up to and including the one that completes its first run of k
+// consecutive stable (non-warmup, non-anomaly) results. Returns -1 if the
+// stream never stabilised. Comparing a warm-started channel's count
+// against a cold one's on the same stream quantifies what the shared base
+// bought.
+func stepsToStable(results []Result, k int) int {
+	if k <= 0 {
+		k = 1
+	}
+	run := 0
+	for i := range results {
+		if !results[i].Warmup && !results[i].Anomaly {
+			run++
+			if run == k {
+				return i + 1
+			}
+		} else {
+			run = 0
+		}
+	}
+	return -1
+}
 
 // driftSeries is a drifted channel regime: half the action mass bleeds
 // into classes 8..13 the template never saw, and the audience sits below
@@ -50,8 +84,8 @@ func TestStepsToStable(t *testing.T) {
 		{nil, 2, -1},
 	}
 	for i, tc := range cases {
-		if got := StepsToStable(tc.res, tc.k); got != tc.want {
-			t.Errorf("case %d: StepsToStable = %d, want %d", i, got, tc.want)
+		if got := stepsToStable(tc.res, tc.k); got != tc.want {
+			t.Errorf("case %d: stepsToStable = %d, want %d", i, got, tc.want)
 		}
 	}
 }
@@ -96,7 +130,7 @@ func TestWarmStartHalvesColdStart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	coldSteps := StepsToStable(observeAll(cold), stableRun)
+	coldSteps := stepsToStable(observeAll(cold), stableRun)
 	if coldSteps < 0 {
 		t.Fatal("cold channel never stabilised; regime too hard for the updater")
 	}
@@ -121,9 +155,9 @@ func TestWarmStartHalvesColdStart(t *testing.T) {
 	if !adapted {
 		t.Fatal("veteran channel never retrained; absorb would carry nothing")
 	}
-	base := NewContinualBase(tmpl)
+	base := update.NewSharedBase(tmpl.Model())
 	for i := 0; i < 3; i++ {
-		if err := base.AbsorbFrom(vet, 0.5); err != nil {
+		if err := base.Absorb(vet.Model(), 0.5); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -136,10 +170,10 @@ func TestWarmStartHalvesColdStart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := base.WarmStart(warm); err != nil {
+	if err := base.Seed(warm.Model()); err != nil {
 		t.Fatal(err)
 	}
-	warmSteps := StepsToStable(observeAll(warm), stableRun)
+	warmSteps := stepsToStable(observeAll(warm), stableRun)
 	if warmSteps < 0 {
 		t.Fatal("warm channel never stabilised")
 	}

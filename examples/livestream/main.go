@@ -1,12 +1,12 @@
 // Livestream: drive the live WebSocket plane end-to-end — the connector
 // workflow a real dashboard or broadcast tool would use against aovlisd.
 //
-// One detector is trained on a normal INF stream and cloned per channel
-// on first contact (the daemon's ensure-on-attach behaviour). The live
-// endpoints are mounted on a real listener: /live/{channel} upgrades to
-// RFC 6455 WebSocket and scores each observation through the pool's
-// zero-alloc submit path, /watch streams every verdict as server-sent
-// events. Each channel then streams its own synthetic live feed over a
+// One detector is trained on a normal INF stream and handed to node.Open —
+// the node aovlisd runs — which clones it per channel on first contact.
+// The node's handler is mounted on a real listener: /live/{channel}
+// upgrades to RFC 6455 WebSocket and scores each observation through the
+// pool's zero-alloc submit path, /watch streams every verdict as
+// server-sent events. Each channel then streams its own synthetic live feed over a
 // WebSocket connection; one channel deliberately drops its connection
 // mid-stream and resumes with Last-Seq against the advertised
 // X-Aovlis-Resume floor, exercising the reconnect contract. The whole
@@ -19,7 +19,6 @@ package main
 import (
 	"bufio"
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"net"
@@ -33,6 +32,7 @@ import (
 
 	"aovlis"
 	"aovlis/internal/dataset"
+	"aovlis/internal/node"
 	"aovlis/internal/serve"
 	"aovlis/internal/stream"
 	"aovlis/internal/stream/live"
@@ -88,37 +88,19 @@ func run(channels, shards, trainSec, streamSec, classes, epochs int, seed int64)
 	}
 	fmt.Printf("template ready: %d parameters, τ = %.4f\n", template.Model().NumParams(), template.Tau())
 
-	// 2. The live plane: pool + hub behind /live/{channel} and /watch on a
-	//    real listener. Channels attach on first WebSocket contact.
-	pool, err := serve.NewDetectorPool(serve.Config{Shards: shards, QueueDepth: 256, Policy: serve.Block, Batch: 16})
+	// 2. The node: the assembly the daemon serves, on a real listener.
+	//    Channels attach on first WebSocket contact.
+	n, err := node.Open(template, node.Config{MaxChannels: channels,
+		Pool: serve.Config{Shards: shards, QueueDepth: 256, Policy: serve.Block, Batch: 16}})
 	if err != nil {
 		return err
 	}
-	defer pool.Close()
-	hub := live.NewHub(live.HubConfig{})
-	defer hub.Close()
-	var ensureMu sync.Mutex
-	ensure := func(id string) error {
-		ensureMu.Lock()
-		defer ensureMu.Unlock()
-		det, err := template.Clone()
-		if err != nil {
-			return err
-		}
-		if err := pool.Attach(id, det); err != nil && !errors.Is(err, serve.ErrChannelExists) {
-			return err
-		}
-		return nil
-	}
-	pool.AttachVerdictSink(hubSink{hub})
-	mux := http.NewServeMux()
-	mux.Handle("/live/", &live.IngestHandler{Pool: pool, Hub: hub, Ensure: ensure, Window: 16})
-	mux.HandleFunc("/watch", hub.ServeWatch)
+	defer n.Close()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return err
 	}
-	srv := &http.Server{Handler: mux}
+	srv := &http.Server{Handler: n.Handler()}
 	go srv.Serve(ln)
 	defer srv.Close()
 	base := "http://" + ln.Addr().String()
@@ -152,9 +134,10 @@ func run(channels, shards, trainSec, streamSec, classes, epochs int, seed int64)
 	wg.Wait()
 	elapsed := time.Since(start)
 
-	// 5. Teardown in dependency order — the hub first, so the dashboard
-	//    stream ends and the watcher can report — then the HTTP server.
-	hub.Close()
+	// 5. Teardown in the daemon's order: Drain ends the dashboard stream, so
+	//    the watcher can report; the deferred calls then stop the listener
+	//    and close the node.
+	n.Drain()
 	dashboard := <-watched
 
 	totalSegments, totalAnomalies, totalResumes := 0, 0, 0
@@ -166,26 +149,12 @@ func run(channels, shards, trainSec, streamSec, classes, epochs int, seed int64)
 		totalAnomalies += r.anomalies
 		totalResumes += r.resumes
 	}
-	ps := pool.PoolStats()
+	ps := n.Pool().PoolStats()
 	fmt.Printf("done in %.1fs: %d channels over WebSocket, %d segments scored (%.0f segments/s), %d flagged\n",
 		elapsed.Seconds(), channels, totalSegments, float64(totalSegments)/elapsed.Seconds(), totalAnomalies)
 	fmt.Printf("resumed %d dropped connection(s) via Last-Seq; dashboard saw %d verdict events; pool observed %d\n",
 		totalResumes, dashboard, ps.Observed)
 	return nil
-}
-
-// hubSink publishes every verdict to the hub's /watch plane, mirroring
-// the daemon's dashboard wiring (no WAL here, so WSeq stays zero).
-type hubSink struct{ hub *live.Hub }
-
-func (s hubSink) Record(channel string, channelSeq uint64, res aovlis.Result) {
-	d := wire.Decision{Channel: channel, Seq: channelSeq}
-	d.SetResult(res)
-	b, err := wire.AppendDecision(nil, &d)
-	if err != nil {
-		return
-	}
-	s.hub.Publish(channel, b[:len(b)-1])
 }
 
 // channelObservations renders one channel's synthetic live feed through
@@ -320,7 +289,7 @@ func streamLeg(base, id string, obs []serve.Observation, lastSeq, until uint64) 
 }
 
 // watchVerdicts subscribes to the SSE dashboard and counts verdict events
-// until the stream ends (hub shutdown) or the context is cancelled.
+// until the stream ends (the node draining) or the context is cancelled.
 func watchVerdicts(ctx context.Context, base string) int {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/watch", nil)
 	if err != nil {

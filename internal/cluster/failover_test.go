@@ -19,6 +19,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -26,6 +27,7 @@ import (
 	"time"
 
 	"aovlis/internal/snapshot"
+	"aovlis/internal/wal"
 	"aovlis/internal/wire"
 )
 
@@ -582,5 +584,67 @@ func TestRouterMidStreamRejectWithFullWindow(t *testing.T) {
 	s.CloseSend()
 	if _, err := s.Next(); err != io.EOF {
 		t.Fatalf("end of stream: %v, want io.EOF", err)
+	}
+}
+
+// TestJournalTailStopsAtATombstone: a dead node's journal may hold two
+// incarnations of one channel id, separated by the tombstone its detach
+// journaled. Failover's tail is the last incarnation's alone — never the
+// retired one's records, never a splice across the tombstone — and a
+// checkpoint older than the tombstone is reported as retired with it.
+func TestJournalTailStopsAtATombstone(t *testing.T) {
+	dir := t.TempDir()
+	j, err := wal.Open(dir, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	feat := []float64{1, 2}
+	for seq := uint64(1); seq <= 7; seq++ {
+		act, aud := feat, feat[:1]
+		if seq == 4 {
+			act, aud = nil, nil // x was detached here, and attached again later
+		}
+		if err := j.Append("x", seq, act, aud); err != nil {
+			t.Fatal(err)
+		}
+		if seq <= 2 {
+			if err := j.Append("y", seq, feat, feat[:1]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, r, _ := newTestCluster(t, 1, func(cfg *Config) { cfg.Nodes[0].WALDir = dir })
+	orphans := map[string]bool{"x": true, "y": true}
+	seqs := func(recs []wal.Record) (out []uint64) {
+		for _, rec := range recs {
+			if rec.Tombstone() {
+				t.Fatalf("tombstone (seq %d) handed to the replay", rec.Seq)
+			}
+			out = append(out, rec.Seq)
+		}
+		return out
+	}
+
+	// The checkpoint (floor 2) is of x's first incarnation.
+	tails, reborn := r.journalTails(r.nodes[0], orphans, map[string]uint64{"x": 2})
+	if got := seqs(tails["x"]); !reflect.DeepEqual(got, []uint64{5, 6, 7}) || reborn["x"] != 4 {
+		t.Fatalf("x's tail %v after tombstone %d, want [5 6 7] after 4", got, reborn["x"])
+	}
+	if _, ok := reborn["y"]; ok || !reflect.DeepEqual(seqs(tails["y"]), []uint64{1, 2}) {
+		t.Fatalf("y's tail %v (reborn: %v), want [1 2] and no tombstone", seqs(tails["y"]), ok)
+	}
+	// Replayed cold, from the tombstone, up to what the router relayed.
+	if got := seqs(r.replayableTail("x", tails["x"], 6, reborn["x"], false, false)); !reflect.DeepEqual(got, []uint64{5, 6}) {
+		t.Fatalf("replayable tail %v, want [5 6]", got)
+	}
+
+	// A checkpoint of the second incarnation covers the tombstone: nothing
+	// is retired, and the tail continues from the checkpoint's floor.
+	tails, reborn = r.journalTails(r.nodes[0], orphans, map[string]uint64{"x": 5})
+	if got := seqs(tails["x"]); !reflect.DeepEqual(got, []uint64{6, 7}) || len(reborn) != 0 {
+		t.Fatalf("x's tail above floor 5: %v (reborn %v), want [6 7] and none", got, reborn)
 	}
 }

@@ -226,11 +226,17 @@ func (r *Router) FailNode(name string) error {
 	for _, id := range orphans {
 		orphanSet[id] = true
 	}
-	tails := r.journalTails(n, orphanSet, floors)
+	tails, reborn := r.journalTails(n, orphanSet, floors)
 	for _, id := range sortedKeys(target) {
 		to := r.byName[target[id]]
 		mv := Move{Channel: id, From: name, To: to.Spec.Name}
 		ref, hasCkpt := checkpoints[id]
+		if seq, ok := reborn[id]; ok {
+			// The journal holds a detach above the checkpoint's floor: the
+			// checkpoint is of an incarnation that no longer exists, and this
+			// one's history starts after the tombstone.
+			hasCkpt, floors[id] = false, seq
+		}
 		if hasCkpt {
 			if err := r.restoreFromFile(to, id, ref.file); err != nil {
 				r.cfg.Logf("cluster: failover restore of %q onto %s: %v (cold start)", id, to.Spec.Name, err)
@@ -277,46 +283,51 @@ func (r *Router) FailNode(name string) error {
 // journalTails reads the dead node's shared ingest journal (read-only —
 // ScanDir never modifies the directory and stops silently at a torn tail,
 // the expected kill -9 artifact) and returns each orphaned channel's
-// records above its checkpointed floor, in journal order. Any problem
+// records above its checkpointed floor, in journal order. A tail never
+// crosses a detach: at a tombstone the records gathered so far belong to an
+// incarnation that is gone, so the tail restarts empty and reborn records
+// the tombstone's sequence — the floor of whatever follows. Any problem
 // degrades to an empty tail — the at-least-last-checkpoint bound — never
 // to a failover error.
-func (r *Router) journalTails(n *Node, orphans map[string]bool, floors map[string]uint64) map[string][]wal.Record {
+func (r *Router) journalTails(n *Node, orphans map[string]bool, floors map[string]uint64) (tails map[string][]wal.Record, reborn map[string]uint64) {
 	dir := n.Spec.WALDir
 	if dir == "" {
-		return nil
+		return nil, nil
 	}
-	out := make(map[string][]wal.Record)
+	tails, reborn = make(map[string][]wal.Record), make(map[string]uint64)
 	if err := wal.ScanDir(dir, func(rec wal.Record) error {
-		if !orphans[rec.Channel] || rec.Seq <= floors[rec.Channel] {
-			return nil
+		switch {
+		case !orphans[rec.Channel] || rec.Seq <= floors[rec.Channel]:
+		case rec.Tombstone():
+			delete(tails, rec.Channel)
+			reborn[rec.Channel] = rec.Seq
+		default:
+			tails[rec.Channel] = append(tails[rec.Channel], rec)
 		}
-		out[rec.Channel] = append(out[rec.Channel], rec)
 		return nil
 	}); err != nil {
 		r.cfg.Logf("cluster: scanning journal of %s in %s: %v (failover degrades to last checkpoint)", n.Spec.Name, dir, err)
-		return nil
+		return nil, nil
 	}
-	return out
+	return tails, reborn
 }
 
 // replayableTail bounds one channel's journal tail to the records
 // failover may re-apply: at or below the relayed-wseq boundary (above it,
 // streams resubmit — replaying would double-apply), contiguous from the
-// state the new owner actually holds (the restored checkpoint's floor, or
-// sequence 1 for a channel whose whole history is still journaled). Any
-// gap disqualifies the replay entirely — applying a wrong suffix would
-// corrupt state rather than merely losing a tail.
+// state the new owner actually holds: floor is the restored checkpoint's,
+// or for a cold channel where its whole history starts — 0, or the
+// tombstone its incarnation follows. Any gap disqualifies the replay
+// entirely — applying a wrong suffix would corrupt state rather than
+// merely losing a tail.
 func (r *Router) replayableTail(id string, recs []wal.Record, boundary, floor uint64, warm, hasCkpt bool) []wal.Record {
 	if len(recs) == 0 || boundary == 0 {
 		return nil
 	}
-	if !warm {
-		if hasCkpt {
-			// A checkpoint exists but failed to restore: splicing the
-			// journal tail onto a cold template would score garbage.
-			return nil
-		}
-		floor = 0 // cold channel: only a full history from seq 1 is usable
+	if !warm && hasCkpt {
+		// A checkpoint exists but failed to restore: splicing the journal
+		// tail onto a cold template would score garbage.
+		return nil
 	}
 	next := floor + 1
 	var out []wal.Record

@@ -2,9 +2,36 @@ package serve
 
 import (
 	"errors"
+	"net/http"
 
 	"aovlis/internal/wire"
 )
+
+// AdmitStream is the step a segment stream takes before its first message,
+// on either framing, and reports whether the stream may start; when it may
+// not, the refusal has been written. A pool in the reject state answers 429
+// + Retry-After — cheaper for both sides than a stream of per-line
+// rejections — and does so before ensure runs, so a refused stream on a new
+// channel id neither clones a detector nor takes a channel slot. ensure
+// creates the channel on first use (503 when it cannot); without one the
+// channel must already be attached (404).
+func (p *DetectorPool) AdmitStream(w http.ResponseWriter, id string, ensure func(id string) error) bool {
+	if p.AdmissionState() == AdmitReject {
+		w.Header().Set("Retry-After", "1")
+		http.Error(w, "pool overloaded (admission reject), retry later", http.StatusTooManyRequests)
+		return false
+	}
+	if ensure != nil {
+		if err := ensure(id); err != nil {
+			http.Error(w, err.Error(), http.StatusServiceUnavailable)
+			return false
+		}
+	} else if _, err := p.Stats(id); err != nil {
+		http.Error(w, err.Error(), http.StatusNotFound)
+		return false
+	}
+	return true
+}
 
 // Framing is the outbound half of a segment stream's transport: the NDJSON
 // observe endpoint and the WebSocket live plane are one Framing each (the

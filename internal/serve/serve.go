@@ -243,6 +243,12 @@ type Outcome struct {
 // sequence order for any one channel; concurrent Appends for different
 // channels may still interleave (which is what lets *wal.Log group-commit
 // their fsyncs).
+//
+// Detach journals the channel's end the same way: an Append with both
+// vectors empty, as the channel's next sequence — a tombstone. Replay
+// detaches at it, and a channel attached under the same id later continues
+// the numbering above it, so (channel, seq) names one record for as long as
+// the journal holds it.
 type Journal interface {
 	Append(channel string, seq uint64, action, audience []float64) error
 }
@@ -308,6 +314,10 @@ type channel struct {
 	walMu   sync.Mutex
 	walSeq  atomic.Uint64
 	applied atomic.Uint64
+	// tombstoned (guarded by walMu) is set once Detach has journaled the
+	// channel's tombstone: a submitter that resolved the channel before it
+	// left the table must not journal a record behind it.
+	tombstoned bool
 
 	// actionDim/audienceDim are the detector's expected feature dims,
 	// cached at Attach when the detector exposes them (0 = unknown). The
@@ -435,8 +445,14 @@ type DetectorPool struct {
 	journal Journal
 	sink    VerdictSink
 
-	mu     sync.Mutex // guards channel-table mutation and closed
+	mu     sync.Mutex // guards channel-table mutation, retired and closed
 	closed bool
+	// retired maps a detached id to its tombstone's sequence while the
+	// journal may still hold its records: Attach continues the numbering
+	// from it, and a checkpoint counts the id's records covered up to it
+	// (Report.Floors). One small entry per id detached since boot; boot
+	// re-derives it from the journal (AttachJournal).
+	retired map[string]uint64
 }
 
 // NewDetectorPool starts the shard workers and returns an empty pool.
@@ -445,7 +461,7 @@ func NewDetectorPool(cfg Config) (*DetectorPool, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	p := &DetectorPool{cfg: cfg}
+	p := &DetectorPool{cfg: cfg, retired: make(map[string]uint64)}
 	empty := make(map[string]*channel)
 	p.chans.Store(&empty)
 	for i := 0; i < cfg.Shards; i++ {
@@ -696,20 +712,42 @@ func (p *DetectorPool) Attach(id string, det Detector) error {
 			ch.tierskipped.Store(uint64(n))
 		}
 	}
+	if seq, ok := p.retired[id]; ok {
+		// A new incarnation of a detached id: number on from its tombstone,
+		// and start its checkpoint floor there too, so a replay skips the
+		// dead incarnation's records instead of applying them to this one.
+		ch.walSeq.Store(seq)
+		ch.applied.Store(seq)
+		delete(p.retired, id)
+	}
 	p.publish(func(m map[string]*channel) { m[id] = ch })
 	return nil
 }
 
 // Detach removes the channel. Observations already queued still execute;
-// new submissions fail with ErrUnknownChannel.
+// new submissions fail with ErrUnknownChannel. On a journaled pool the
+// detach is durable first: a tombstone is appended as the channel's next
+// sequence, so a restart does not replay the channel back into existence,
+// and a failed append leaves the channel attached.
 func (p *DetectorPool) Detach(id string) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.closed {
 		return ErrClosed
 	}
-	if _, ok := p.lookup(id); !ok {
+	ch, ok := p.lookup(id)
+	if !ok {
 		return fmt.Errorf("%w: %q", ErrUnknownChannel, id)
+	}
+	if p.journal != nil {
+		ch.walMu.Lock()
+		seq, err := p.journalNext(ch, nil, nil)
+		ch.tombstoned = err == nil
+		ch.walMu.Unlock()
+		if err != nil {
+			return fmt.Errorf("serve: journaling detach of channel %q: %w", id, err)
+		}
+		p.retired[id] = seq
 	}
 	p.publish(func(m map[string]*channel) { delete(m, id) })
 	return nil
@@ -787,8 +825,10 @@ func (p *DetectorPool) submit(id string, actionFeat, audienceFeat []float64, out
 		// A mis-dimensioned observation can only ever score as a detector
 		// error; refuse it here so it never enters the durable replay
 		// history (a journaled record must replay cleanly through Observe
-		// at the next boot).
-		if ch.actionDim > 0 && (len(actionFeat) != ch.actionDim || len(audienceFeat) != ch.audienceDim) {
+		// at the next boot). One with no features at all is refused whatever
+		// the detector: in the journal that shape is a channel's tombstone.
+		if len(actionFeat)+len(audienceFeat) == 0 ||
+			ch.actionDim > 0 && (len(actionFeat) != ch.actionDim || len(audienceFeat) != ch.audienceDim) {
 			ch.errors.Add(1)
 			p.m.errors.Inc()
 			return nil, fmt.Errorf("serve: channel %q: feature dims %d/%d, want %d/%d",
@@ -811,12 +851,12 @@ func (p *DetectorPool) submit(id string, actionFeat, audienceFeat []float64, out
 		// serialisation; cross-channel submitters still interleave inside
 		// the journal's group commit.
 		ch.walMu.Lock()
-		j.seq = ch.walSeq.Add(1)
-		if err := p.journal.Append(ch.id, j.seq, actionFeat, audienceFeat); err != nil {
-			// Un-assign the burned sequence — safe under walMu — so a
-			// rejected record leaves no gap in the journal numbering
-			// (cluster failover treats a gap as a degraded channel).
-			ch.walSeq.Add(^uint64(0))
+		if ch.tombstoned {
+			ch.walMu.Unlock()
+			return nil, fmt.Errorf("%w: %q", ErrUnknownChannel, id)
+		}
+		var err error
+		if j.seq, err = p.journalNext(ch, actionFeat, audienceFeat); err != nil {
 			ch.walMu.Unlock()
 			ch.errors.Add(1)
 			p.m.errors.Inc()
@@ -841,6 +881,20 @@ func (p *DetectorPool) submit(id string, actionFeat, audienceFeat []float64, out
 	}
 	p.m.accepted.Inc()
 	return j.out, nil
+}
+
+// journalNext appends one record as ch's next sequence and returns it. A
+// failed append un-assigns the burned sequence, so a rejected record leaves
+// no gap in the journal numbering (cluster failover treats a gap as a
+// degraded channel). Callers hold ch.walMu, which is what makes the
+// un-assign safe.
+func (p *DetectorPool) journalNext(ch *channel, action, audience []float64) (uint64, error) {
+	seq := ch.walSeq.Add(1)
+	if err := p.journal.Append(ch.id, seq, action, audience); err != nil {
+		ch.walSeq.Add(^uint64(0))
+		return 0, err
+	}
+	return seq, nil
 }
 
 // isClosed reports the pool's closed flag.
@@ -887,9 +941,11 @@ func (p *DetectorPool) observeSync(id string, actionFeat, audienceFeat []float64
 // per-channel sequence counters: seed maps channel id to the highest
 // sequence already journaled or checkpointed for it, so newly assigned
 // sequences continue after the recovered history instead of colliding
-// with it. It must be called on the boot path, before concurrent
-// submissions start (the daemon's order: restore snapshot, attach sink,
-// replay journal, attach journal, serve).
+// with it. A seeded id with no channel is one the replay left detached
+// (its last record is a tombstone): it is remembered as retired. It must
+// be called on the boot path, before concurrent submissions start (the
+// node's order: restore snapshot, attach sink, replay journal, attach
+// journal, serve).
 func (p *DetectorPool) AttachJournal(j Journal, seed map[string]uint64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -897,6 +953,7 @@ func (p *DetectorPool) AttachJournal(j Journal, seed map[string]uint64) {
 	for id, seq := range seed {
 		ch, ok := p.lookup(id)
 		if !ok {
+			p.retired[id] = seq
 			continue
 		}
 		if seq > ch.walSeq.Load() {

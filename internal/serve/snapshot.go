@@ -75,6 +75,11 @@ type Report struct {
 	// encoding inside its shard worker) — the per-shard pause upper bound.
 	Elapsed    time.Duration `json:"elapsed_ns"`
 	MaxQuiesce time.Duration `json:"max_quiesce_ns"`
+	// Floors is what the snapshot lets a journal forget: per channel id,
+	// the sequence at or below which every record is covered — a committed
+	// channel's applied floor, and for an id detached before the snapshot
+	// began (it is in no manifest) its tombstone's.
+	Floors map[string]uint64 `json:"-"`
 }
 
 // channelFile maps a channel id and a snapshot generation to the file name
@@ -152,7 +157,15 @@ func (p *DetectorPool) Snapshot(dir string) (Report, error) {
 		return Report{}, fmt.Errorf("serve: snapshot dir: %w", err)
 	}
 
+	// One view of who is attached and who is retired: an id retired by now
+	// is in no later manifest, one retired mid-snapshot waits for the next.
+	p.mu.Lock()
 	chmap := *p.chans.Load()
+	floors := make(map[string]uint64, len(chmap)+len(p.retired))
+	for id, seq := range p.retired {
+		floors[id] = seq
+	}
+	p.mu.Unlock()
 	chans := make([]*channel, 0, len(chmap))
 	for _, ch := range chmap {
 		chans = append(chans, ch)
@@ -226,7 +239,9 @@ func (p *DetectorPool) Snapshot(dir string) (Report, error) {
 	live := make(map[string]bool, len(entries))
 	for _, e := range entries {
 		live[e.File] = true
+		floors[e.ID] = e.WALSeq
 	}
+	report.Floors = floors
 	if dirents, err := os.ReadDir(dir); err == nil {
 		for _, de := range dirents {
 			name := de.Name()

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -228,6 +229,72 @@ func TestSubmitJournalRejectsAndRecovers(t *testing.T) {
 	}
 	if want := []uint64{1}; len(j.seqs["ch"]) != 1 || j.seqs["ch"][0] != want[0] {
 		t.Fatalf("journal seqs %v, want %v (no gap after a failed append)", j.seqs["ch"], want)
+	}
+}
+
+// TestDetachJournalsATombstone pins the channel's durable end: on a
+// journaled pool Detach appends a tombstone as the channel's next sequence,
+// a failed append leaves the channel attached (and burns no sequence), a
+// submitter that resolved the channel before the detach cannot journal
+// behind the tombstone, and a channel attached later under the same id
+// numbers on above it — so a (channel, seq) pair names one record.
+func TestDetachJournalsATombstone(t *testing.T) {
+	p := newTestPool(t, Config{Shards: 1, QueueDepth: 8, Policy: Block})
+	if err := p.Attach("ch", &fakeDetector{}); err != nil {
+		t.Fatal(err)
+	}
+	j := newCaptureJournal()
+	p.AttachJournal(j, map[string]uint64{"gone-before-boot": 9})
+	feat := []float64{1, 2}
+	for i := 0; i < 3; i++ {
+		if _, err := p.Observe("ch", feat, feat[:1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	j.fail = errors.New("disk on fire")
+	if err := p.Detach("ch"); !errors.Is(err, j.fail) {
+		t.Fatalf("Detach with a failing journal = %v, want its error", err)
+	}
+	if _, err := p.Stats("ch"); err != nil {
+		t.Fatalf("a detach that could not be journaled removed the channel: %v", err)
+	}
+	j.fail = nil
+
+	stale, _ := p.lookup("ch") // what a submitter racing the detach holds
+	if err := p.Detach("ch"); err != nil {
+		t.Fatal(err)
+	}
+	if want := []uint64{1, 2, 3, 4}; !reflect.DeepEqual(j.seqs["ch"], want) {
+		t.Fatalf("journal seqs %v, want %v (the tombstone is seq 4)", j.seqs["ch"], want)
+	}
+	stale.walMu.Lock()
+	tombstoned := stale.tombstoned
+	stale.walMu.Unlock()
+	if !tombstoned {
+		t.Fatal("detached channel not marked: a racing submitter could journal behind the tombstone")
+	}
+	// A checkpoint counts both retired ids' records as covered up to their
+	// tombstones; neither is in its manifest.
+	rep, err := p.Snapshot(t.TempDir())
+	if want := map[string]uint64{"ch": 4, "gone-before-boot": 9}; err != nil || !reflect.DeepEqual(rep.Floors, want) {
+		t.Fatalf("checkpoint floors %v (%v), want %v", rep.Floors, err, want)
+	}
+
+	if err := p.Attach("ch", &fakeDetector{}); err != nil {
+		t.Fatal(err)
+	}
+	if got := p.AppliedSeq("ch"); got != 4 {
+		t.Fatalf("new incarnation's checkpoint floor %d, want the tombstone's 4", got)
+	}
+	if _, err := p.Observe("ch", feat, feat[:1]); err != nil {
+		t.Fatal(err)
+	}
+	if got := j.seqs["ch"]; got[len(got)-1] != 5 {
+		t.Fatalf("new incarnation's first record is seq %d, want 5 (all: %v)", got[len(got)-1], got)
+	}
+	if rep, err = p.Snapshot(t.TempDir()); err != nil || len(rep.Skipped) != 1 || !reflect.DeepEqual(rep.Floors, map[string]uint64{"gone-before-boot": 9}) {
+		t.Fatalf("checkpoint after the re-attach: %+v (%v), want ch skipped (a fake) and no longer retired", rep, err)
 	}
 }
 

@@ -213,6 +213,24 @@ func (h *Hub) ChannelFloor(channel string) uint64 {
 	return 0
 }
 
+// Forget drops a channel's live-side state — its resume ring and accepted
+// floor — and cuts the connection of the session bound to it: the channel
+// was detached, so a later incarnation under the same id starts at its own
+// floor and is never replayed the old one's decisions.
+func (h *Hub) Forget(channel string) {
+	h.mu.Lock()
+	st := h.chans[channel]
+	delete(h.chans, channel)
+	var conn io.Closer
+	if st != nil {
+		conn, st.conn = st.conn, nil
+	}
+	h.mu.Unlock()
+	if conn != nil {
+		conn.Close()
+	}
+}
+
 // Publish appends one verdict event to the watch ring and fans it out to
 // the SSE subscribers. Called from the pool's verdict sink — it must
 // never block on a slow dashboard, so a subscriber whose buffer is full

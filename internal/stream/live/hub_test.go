@@ -37,6 +37,52 @@ func TestHubAcquireExclusive(t *testing.T) {
 	}
 }
 
+// closeCounter is a bound connection that counts its closes.
+type closeCounter struct{ n int }
+
+func (c *closeCounter) Close() error { c.n++; return nil }
+
+// TestHubForget: forgetting a channel drops its ring and floor and cuts the
+// session bound to it, so the next session starts a fresh channel.
+func TestHubForget(t *testing.T) {
+	h := NewHub(HubConfig{})
+	defer h.Close()
+	s, err := h.Acquire("ch")
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn := &closeCounter{}
+	s.Bind(conn)
+	for seq := uint64(1); seq <= 3; seq++ {
+		if err := s.Append(seq, []byte("d")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	h.Forget("ch")
+	h.Forget("never-seen")
+	if conn.n != 1 {
+		t.Fatalf("bound connection closed %d times, want 1", conn.n)
+	}
+	if got := h.ChannelFloor("ch"); got != 0 {
+		t.Fatalf("floor %d after Forget, want 0", got)
+	}
+	s.Release() // the cut session unwinding must not disturb the next one
+
+	s2, err := h.Acquire("ch")
+	if err != nil {
+		t.Fatalf("acquire after Forget: %v", err)
+	}
+	defer s2.Release()
+	if err := s2.Replay(0, func(seq uint64, _ []byte) error {
+		return fmt.Errorf("replayed seq %d of the forgotten incarnation", seq)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s2.Append(1, []byte("d")); err != nil {
+		t.Fatalf("a fresh channel's first decision: %v", err)
+	}
+}
+
 func TestSessionRingReplay(t *testing.T) {
 	h := NewHub(HubConfig{RingCap: 4})
 	s, err := h.Acquire("ch-0")

@@ -58,22 +58,9 @@ func (h *IngestHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		}
 		lastSeq = n
 	}
-	// Fail fast while overloaded, before the upgrade — a 429 + Retry-After
-	// is cheaper for both sides than an upgrade followed by a close — and
-	// before Ensure, so a refused stream on a new channel id neither clones
-	// a detector nor takes a channel slot.
-	if h.Pool.AdmissionState() == serve.AdmitReject {
-		w.Header().Set("Retry-After", "1")
-		http.Error(w, "pool overloaded (admission reject), retry later", http.StatusTooManyRequests)
-		return
-	}
-	if h.Ensure != nil {
-		if err := h.Ensure(id); err != nil {
-			http.Error(w, err.Error(), http.StatusServiceUnavailable)
-			return
-		}
-	} else if _, err := h.Pool.Stats(id); err != nil {
-		http.Error(w, err.Error(), http.StatusNotFound)
+	// Refusals go out before the upgrade: a plain status is cheaper for both
+	// sides than an upgrade followed by a close.
+	if !h.Pool.AdmitStream(w, id, h.Ensure) {
 		return
 	}
 	sess, err := h.Hub.Acquire(id)

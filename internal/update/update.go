@@ -210,7 +210,10 @@ func (u *Updater) SeedHistory(samples []core.Sample) error {
 
 // Observe processes one incoming segment (Fig. 5 lines 2-14): buffer it if
 // its audience interaction marks it normal, and when the buffer fills run
-// the drift check and possibly the incremental update.
+// the drift check and possibly the incremental update. The sample's window
+// slices may alias storage the caller goes on to reuse: a buffered sample
+// is given its own window headers (the feature rows are shared, and must
+// stay frozen).
 func (u *Updater) Observe(sample core.Sample, interactionLevel float64) (Result, error) {
 	var res Result
 
@@ -219,11 +222,14 @@ func (u *Updater) Observe(sample core.Sample, interactionLevel float64) (Result,
 	u.curWindowSum += interactionLevel
 	u.curWindowN++
 
-	if err := u.model.HiddenInto(&sample, u.hidden); err != nil {
-		return res, fmt.Errorf("update: hidden state: %w", err)
-	}
-
 	if interactionLevel < u.prevWindowMean {
+		// Only a buffered segment's hidden state enters S_n, so only a
+		// buffered segment pays for the recurrence that computes it.
+		if err := u.model.HiddenInto(&sample, u.hidden); err != nil {
+			return res, fmt.Errorf("update: hidden state: %w", err)
+		}
+		sample.ActionSeq = append([][]float64(nil), sample.ActionSeq...)
+		sample.AudienceSeq = append([][]float64(nil), sample.AudienceSeq...)
 		u.buffer = append(u.buffer, sample)
 		u.incoming.add(u.hidden)
 		res.Buffered = true

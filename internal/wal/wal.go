@@ -33,8 +33,10 @@
 //
 // Truncation. Sealed segments carry a per-channel max-sequence summary;
 // once a checkpoint manifest covers every channel's summary (and the
-// verdict ledger has flushed — the daemon orchestrates the order), the
-// segment is deleted. The active segment is never truncated in place.
+// verdict ledger has flushed — the node orchestrates the order), the
+// segment is deleted — oldest first, stopping at the first segment still
+// needed, so a detach tombstone never goes before an earlier record of its
+// channel. The active segment is never truncated in place.
 package wal
 
 import (
@@ -59,10 +61,18 @@ type Record struct {
 	// attached fresh).
 	Channel string
 	Seq     uint64
-	// Action and Audience are the segment's feature vectors.
+	// Action and Audience are the segment's feature vectors. Both empty
+	// marks a tombstone: the channel was detached at Seq, every earlier
+	// record of it is dead, and a later incarnation continues the numbering
+	// above it.
 	Action   []float64
 	Audience []float64
 }
+
+// Tombstone reports whether r records its channel's detach rather than an
+// observation (the accept path never journals an observation without
+// features).
+func (r Record) Tombstone() bool { return len(r.Action) == 0 && len(r.Audience) == 0 }
 
 // Frame and payload bounds. The limits exist to fail fast on garbage
 // length prefixes instead of allocating gigabytes during recovery — and
@@ -572,12 +582,14 @@ func (l *Log) rotateLocked() error {
 	return nil
 }
 
-// Truncate deletes every sealed segment whose records are all covered by
-// cover (channel -> sequence floor: a record is covered when
-// cover[channel] >= record.Seq). The daemon calls it after a checkpoint
-// manifest and a ledger flush have both committed, so nothing a deleted
-// segment could replay is lost. The active segment is never deleted. It
-// returns the number of segment files removed.
+// Truncate deletes the sealed segments, oldest first, whose records are all
+// covered by cover (channel -> sequence floor: a record is covered when
+// cover[channel] >= record.Seq), and stops at the first one that is not: a
+// journal loses only a prefix, so replay never meets a channel's records
+// with its detach tombstone already gone. The node calls it after a
+// checkpoint manifest and a ledger flush have both committed, so nothing a
+// deleted segment could replay is lost. The active segment is never
+// deleted. It returns the number of segment files removed.
 func (l *Log) Truncate(cover map[string]uint64) (int, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -586,29 +598,22 @@ func (l *Log) Truncate(cover map[string]uint64) (int, error) {
 	}
 	var (
 		removed int
-		kept    []segMeta
 		retErr  error
 	)
-	for i, s := range l.sealed {
-		covered := true
+prefix:
+	for _, s := range l.sealed {
 		for ch, seq := range s.maxSeqs {
 			if cover[ch] < seq {
-				covered = false
-				break
+				break prefix
 			}
-		}
-		if !covered {
-			kept = append(kept, s)
-			continue
 		}
 		if err := os.Remove(filepath.Join(l.dir, segName(s.index))); err != nil {
 			retErr = fmt.Errorf("wal: truncate: %w", err)
-			kept = append(kept, l.sealed[i:]...)
 			break
 		}
 		removed++
 	}
-	l.sealed = kept
+	l.sealed = l.sealed[removed:]
 	if retErr != nil {
 		return removed, retErr
 	}

@@ -394,3 +394,56 @@ func TestDecodeRecordRejectsGarbage(t *testing.T) {
 		t.Fatalf("bit flip decoded: %v", err)
 	}
 }
+
+// TestTombstoneRoundTrip: a record with both vectors empty — a channel's
+// detach — survives the codec as itself, and an observation is never one.
+func TestTombstoneRoundTrip(t *testing.T) {
+	for _, tc := range []struct {
+		rec  Record
+		want bool
+	}{
+		{Record{Channel: "ch", Seq: 13}, true},
+		{Record{Channel: "ch", Seq: 14, Action: []float64{1}, Audience: []float64{2}}, false},
+	} {
+		got, _, err := DecodeRecord(AppendRecord(nil, tc.rec))
+		if err != nil || got.Seq != tc.rec.Seq || got.Tombstone() != tc.want {
+			t.Fatalf("round trip of %+v = %+v, %v; want Tombstone() = %v", tc.rec, got, err, tc.want)
+		}
+	}
+}
+
+// TestTruncateStopsAtFirstUncoveredSegment: truncation takes a prefix. A
+// covered segment behind an uncovered one stays, so a channel's tombstone
+// is never deleted while an earlier record of the channel survives (replay
+// would bring the channel back).
+func TestTruncateStopsAtFirstUncoveredSegment(t *testing.T) {
+	l, err := Open(t.TempDir(), Options{SegmentBytes: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	feat := make([]float64, 8)
+	// "x" and "pinned" share the first segment; later segments hold x alone,
+	// ending in its tombstone.
+	if err := l.Append("pinned", 1, feat, feat); err != nil {
+		t.Fatal(err)
+	}
+	seq := uint64(0)
+	for l.Segments() < 4 {
+		seq++
+		if err := l.Append("x", seq, feat, feat); err != nil {
+			t.Fatal(err)
+		}
+	}
+	seq++
+	if err := l.Append("x", seq, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	before := l.Segments()
+	if n, err := l.Truncate(map[string]uint64{"x": seq}); err != nil || n != 0 || l.Segments() != before {
+		t.Fatalf("Truncate with the first segment uncovered removed %d (%v); want the whole journal kept", n, err)
+	}
+	if n, err := l.Truncate(map[string]uint64{"x": seq, "pinned": 1}); err != nil || n != before-1 {
+		t.Fatalf("Truncate with everything covered removed %d of %d sealed (%v)", n, before-1, err)
+	}
+}
