@@ -8,7 +8,7 @@ package aovlis
 //	go test -bench=. -benchmem
 //
 // and the experiment binaries with cmd/experiments for the larger
-// DefaultScale outputs recorded in EXPERIMENTS.md. Micro-benchmarks for the
+// DefaultScale outputs discussed in DESIGN.md §5. Micro-benchmarks for the
 // public-API hot path (Detector.Observe) sit at the bottom; per-substrate
 // micro-benchmarks live in their own packages (internal/...). The
 // multi-channel pool throughput benchmark (segments/sec vs shard count)
@@ -26,19 +26,27 @@ import (
 	"aovlis/internal/synth"
 )
 
-// runExperiment executes one experiment artifact per benchmark iteration
-// with a fresh runner (no caches), so the reported time is the full cost of
-// regenerating the artifact.
-func runExperiment(b *testing.B, run func(*experiments.Runner) (string, error)) {
+// runExperiment regenerates the experiment registered under id once per
+// benchmark iteration with a fresh runner (no caches), so the reported time
+// is the full cost of regenerating the artifact.
+func runExperiment(b *testing.B, id string) {
 	b.Helper()
+	var exp experiments.Experiment
+	for _, e := range experiments.All() {
+		if e.ID == id {
+			exp = e
+		}
+	}
+	if exp.ID == "" {
+		b.Fatalf("no experiment %q", id)
+	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		r := experiments.NewRunner(experiments.QuickScale())
-		out, err := run(r)
+		out, err := exp.Run(experiments.NewRunner(experiments.QuickScale()))
 		if err != nil {
 			b.Fatal(err)
 		}
-		if len(out) == 0 {
+		if len(out.Render()) == 0 {
 			b.Fatal("experiment produced no artifact")
 		}
 	}
@@ -47,64 +55,64 @@ func runExperiment(b *testing.B, run func(*experiments.Runner) (string, error)) 
 // --- one benchmark per paper artifact ---
 
 // BenchmarkTable1LossFunctions regenerates Table I (AUROC by loss).
-func BenchmarkTable1LossFunctions(b *testing.B) { runExperiment(b, experiments.Table1) }
+func BenchmarkTable1LossFunctions(b *testing.B) { runExperiment(b, "table1") }
 
 // BenchmarkTable2MFC regenerates Table II (MFC vs n).
-func BenchmarkTable2MFC(b *testing.B) { runExperiment(b, experiments.Table2) }
+func BenchmarkTable2MFC(b *testing.B) { runExperiment(b, "table2") }
 
 // BenchmarkTable3DynamicUpdate regenerates Table III (incremental vs
 // retraining AUROC).
-func BenchmarkTable3DynamicUpdate(b *testing.B) { runExperiment(b, experiments.Table3) }
+func BenchmarkTable3DynamicUpdate(b *testing.B) { runExperiment(b, "table3") }
 
 // BenchmarkTable4CaseStudy regenerates Table IV (15-segment case study).
-func BenchmarkTable4CaseStudy(b *testing.B) { runExperiment(b, experiments.Table4) }
+func BenchmarkTable4CaseStudy(b *testing.B) { runExperiment(b, "table4") }
 
 // BenchmarkFig8EpochCurves regenerates Fig. 8 (Re vs epoch).
-func BenchmarkFig8EpochCurves(b *testing.B) { runExperiment(b, experiments.Fig8) }
+func BenchmarkFig8EpochCurves(b *testing.B) { runExperiment(b, "fig8") }
 
 // BenchmarkFig9aOmegaSweep regenerates Fig. 9(a) (AUROC vs ω).
-func BenchmarkFig9aOmegaSweep(b *testing.B) { runExperiment(b, experiments.Fig9a) }
+func BenchmarkFig9aOmegaSweep(b *testing.B) { runExperiment(b, "fig9a") }
 
 // BenchmarkFig9bAUROCComparison regenerates Fig. 9(b) (methods × datasets).
-func BenchmarkFig9bAUROCComparison(b *testing.B) { runExperiment(b, experiments.Fig9b) }
+func BenchmarkFig9bAUROCComparison(b *testing.B) { runExperiment(b, "fig9b") }
 
 // BenchmarkFig10ROCCurves regenerates Fig. 10 (ROC curves).
-func BenchmarkFig10ROCCurves(b *testing.B) { runExperiment(b, experiments.Fig10) }
+func BenchmarkFig10ROCCurves(b *testing.B) { runExperiment(b, "fig10") }
 
 // BenchmarkFig11aFilteringPower regenerates Fig. 11(a) (bound filtering
 // power).
-func BenchmarkFig11aFilteringPower(b *testing.B) { runExperiment(b, experiments.Fig11a) }
+func BenchmarkFig11aFilteringPower(b *testing.B) { runExperiment(b, "fig11a") }
 
 // BenchmarkFig11bOptimisationStrategies regenerates Fig. 11(b) (strategy
 // timing).
-func BenchmarkFig11bOptimisationStrategies(b *testing.B) { runExperiment(b, experiments.Fig11b) }
+func BenchmarkFig11bOptimisationStrategies(b *testing.B) { runExperiment(b, "fig11b") }
 
 // BenchmarkFig11cEfficiencyComparison regenerates Fig. 11(c) (method
 // timing).
-func BenchmarkFig11cEfficiencyComparison(b *testing.B) { runExperiment(b, experiments.Fig11c) }
+func BenchmarkFig11cEfficiencyComparison(b *testing.B) { runExperiment(b, "fig11c") }
 
 // BenchmarkFig12aT1Sweep regenerates Fig. 12(a) (effect of T1).
-func BenchmarkFig12aT1Sweep(b *testing.B) { runExperiment(b, experiments.Fig12a) }
+func BenchmarkFig12aT1Sweep(b *testing.B) { runExperiment(b, "fig12a") }
 
 // BenchmarkFig12bT2Sweep regenerates Fig. 12(b) (effect of T2).
-func BenchmarkFig12bT2Sweep(b *testing.B) { runExperiment(b, experiments.Fig12b) }
+func BenchmarkFig12bT2Sweep(b *testing.B) { runExperiment(b, "fig12b") }
 
 // BenchmarkFig12cNsgSweep regenerates Fig. 12(c) (effect of Nsg).
-func BenchmarkFig12cNsgSweep(b *testing.B) { runExperiment(b, experiments.Fig12c) }
+func BenchmarkFig12cNsgSweep(b *testing.B) { runExperiment(b, "fig12c") }
 
 // BenchmarkUpdateVsRetrain regenerates the §VI-C6 wall-clock comparison.
-func BenchmarkUpdateVsRetrain(b *testing.B) { runExperiment(b, experiments.UpdateCost) }
+func BenchmarkUpdateVsRetrain(b *testing.B) { runExperiment(b, "updatecost") }
 
 // --- ablation benches (DESIGN.md §5) ---
 
 // BenchmarkAblationCoupling compares coupling variants.
-func BenchmarkAblationCoupling(b *testing.B) { runExperiment(b, experiments.AblationCoupling) }
+func BenchmarkAblationCoupling(b *testing.B) { runExperiment(b, "ablation-coupling") }
 
 // BenchmarkAblationMerge compares dynamic-update merge strategies.
-func BenchmarkAblationMerge(b *testing.B) { runExperiment(b, experiments.AblationMerge) }
+func BenchmarkAblationMerge(b *testing.B) { runExperiment(b, "ablation-merge") }
 
 // BenchmarkAblationADGGroups sweeps the ADG partition size.
-func BenchmarkAblationADGGroups(b *testing.B) { runExperiment(b, experiments.AblationADGGroups) }
+func BenchmarkAblationADGGroups(b *testing.B) { runExperiment(b, "ablation-adg") }
 
 // --- public-API hot path ---
 

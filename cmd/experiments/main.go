@@ -37,6 +37,20 @@ func main() {
 		return
 	}
 
+	selected := registry
+	if *expID != "" {
+		selected = nil
+		for _, e := range registry {
+			if e.ID == *expID {
+				selected = []experiments.Experiment{e}
+			}
+		}
+		if selected == nil {
+			fmt.Fprintf(os.Stderr, "experiments: unknown id %q (use -list)\n", *expID)
+			os.Exit(2)
+		}
+	}
+
 	scale := experiments.DefaultScale()
 	if *quick {
 		scale = experiments.QuickScale()
@@ -49,35 +63,19 @@ func main() {
 		scale.Epochs = *epochs
 	}
 	runner := experiments.NewRunner(scale)
-
-	run := func(e experiments.Experiment) error {
+	// Every experiment starts from the four datasets; a scale they cannot
+	// be built at (a test stream that drew no anomaly) is reported once.
+	if _, err := runner.Datasets(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	for _, e := range selected {
 		start := time.Now()
 		out, err := e.Run(runner)
 		if err != nil {
-			return fmt.Errorf("%s: %w", e.ID, err)
-		}
-		fmt.Printf("=== %s — %s (%s) ===\n%s\n", e.ID, e.Desc, time.Since(start).Round(time.Millisecond), out)
-		return nil
-	}
-
-	if *expID != "" {
-		for _, e := range registry {
-			if e.ID == *expID {
-				if err := run(e); err != nil {
-					fmt.Fprintln(os.Stderr, "experiments:", err)
-					os.Exit(1)
-				}
-				return
-			}
-		}
-		fmt.Fprintf(os.Stderr, "experiments: unknown id %q (use -list)\n", *expID)
-		os.Exit(2)
-	}
-
-	for _, e := range registry {
-		if err := run(e); err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
+			fmt.Fprintf(os.Stderr, "experiments: %s: %v\n", e.ID, err)
 			os.Exit(1)
 		}
+		fmt.Printf("=== %s — %s (%s) ===\n%s\n", e.ID, e.Desc, time.Since(start).Round(time.Millisecond), out.Render())
 	}
 }

@@ -1,7 +1,7 @@
 // Package evalx implements the paper's evaluation machinery: ROC curves and
-// AUROC (the effectiveness metrics of §VI), the filtering-power metric fp
-// of the efficiency study, and plain-text table/series rendering used by
-// the experiment harness to print paper-shaped artifacts.
+// AUROC (the effectiveness metrics of §VI), the confusion counts at a hard
+// threshold, and the Table an experiment returns its numbers in: a grid of
+// labelled cells that keep their values and render as aligned plain text.
 package evalx
 
 import (
@@ -128,15 +128,6 @@ func TPRAtFPR(curve []ROCPoint, fpr float64) float64 {
 	return curve[len(curve)-1].TPR
 }
 
-// FilteringPower is the paper's fp metric: filtered segments / total
-// segments.
-func FilteringPower(filtered, total int) float64 {
-	if total == 0 {
-		return 0
-	}
-	return float64(filtered) / float64(total)
-}
-
 // ConfusionAtThreshold returns TP, FP, TN, FN for a hard threshold τ
 // (score > τ ⇒ anomaly).
 func ConfusionAtThreshold(scores []float64, labels []bool, tau float64) (tp, fp, tn, fn int) {
@@ -156,11 +147,25 @@ func ConfusionAtThreshold(scores []float64, labels []bool, tau float64) (tp, fp,
 	return tp, fp, tn, fn
 }
 
-// Table renders aligned plain-text tables for the experiment harness.
+// Cell is one table entry: the number an experiment measured beside the
+// text it prints as. A cell that is only a label carries NaN.
+type Cell struct {
+	Value float64
+	Text  string
+}
+
+// Fmt is a numeric cell printed with a format of its own ("%.5f", "%.1fx").
+func Fmt(format string, v float64) Cell { return Cell{Value: v, Text: fmt.Sprintf(format, v)} }
+
+// Table is the grid an experiment returns — row labels, column headers,
+// cells that keep their value — and the one renderer of aligned plain text.
 type Table struct {
-	Title   string
+	Title string
+	// Headers[0] heads the row-label column; a row's first cell is its label.
 	Headers []string
-	rows    [][]string
+	Rows    [][]Cell
+	// Note is printed as one line under the rows when non-empty.
+	Note string
 }
 
 // NewTable creates a table with the given title and column headers.
@@ -168,26 +173,38 @@ func NewTable(title string, headers ...string) *Table {
 	return &Table{Title: title, Headers: headers}
 }
 
-// AddRow appends a row; cells beyond the header count are kept as-is.
-func (t *Table) AddRow(cells ...string) { t.rows = append(t.rows, cells) }
-
-// AddRowf appends a row of formatted values: strings pass through, floats
-// render with %.2f, ints with %d.
+// AddRowf appends a row, label first. Strings pass through, floats render
+// with %.2f, ints with %d, a Cell as it says.
 func (t *Table) AddRowf(cells ...interface{}) {
-	row := make([]string, len(cells))
+	row := make([]Cell, len(cells))
 	for i, c := range cells {
 		switch v := c.(type) {
-		case string:
+		case Cell:
 			row[i] = v
+		case string:
+			row[i] = Cell{Value: math.NaN(), Text: v}
 		case float64:
-			row[i] = fmt.Sprintf("%.2f", v)
+			row[i] = Fmt("%.2f", v)
 		case int:
-			row[i] = fmt.Sprintf("%d", v)
+			row[i] = Cell{Value: float64(v), Text: fmt.Sprintf("%d", v)}
 		default:
-			row[i] = fmt.Sprint(v)
+			row[i] = Cell{Value: math.NaN(), Text: fmt.Sprint(v)}
 		}
 	}
-	t.AddRow(row...)
+	t.Rows = append(t.Rows, row)
+}
+
+// Value returns the number in the row labelled row under the header col
+// (the first match of each), and whether there is such a cell.
+func (t *Table) Value(row, col string) (float64, bool) {
+	for j := 1; j < len(t.Headers); j++ {
+		for _, r := range t.Rows {
+			if t.Headers[j] == col && j < len(r) && r[0].Text == row {
+				return r[j].Value, true
+			}
+		}
+	}
+	return 0, false
 }
 
 // Render returns the table as aligned text.
@@ -196,53 +213,40 @@ func (t *Table) Render() string {
 	if t.Title != "" {
 		fmt.Fprintf(&b, "%s\n", t.Title)
 	}
-	widths := make([]int, len(t.Headers))
-	for i, h := range t.Headers {
-		widths[i] = len(h)
+	lines := [][]string{t.Headers, make([]string, len(t.Headers))}
+	for _, r := range t.Rows {
+		line := make([]string, len(r))
+		for i, c := range r {
+			line[i] = c.Text
+		}
+		lines = append(lines, line)
 	}
-	for _, row := range t.rows {
-		for i, c := range row {
+	widths := make([]int, len(t.Headers))
+	for _, line := range lines {
+		for i, c := range line {
 			if i < len(widths) && len(c) > widths[i] {
 				widths[i] = len(c)
 			}
 		}
 	}
-	writeRow := func(cells []string) {
-		for i, c := range cells {
+	for i := range widths {
+		lines[1][i] = strings.Repeat("-", widths[i])
+	}
+	for _, line := range lines {
+		for i, c := range line {
 			if i > 0 {
 				b.WriteString("  ")
 			}
 			if i < len(widths) {
 				fmt.Fprintf(&b, "%-*s", widths[i], c)
 			} else {
-				b.WriteString(c)
+				b.WriteString(c) // cells beyond the header count are kept as-is
 			}
 		}
 		b.WriteString("\n")
 	}
-	writeRow(t.Headers)
-	sep := make([]string, len(t.Headers))
-	for i := range sep {
-		sep[i] = strings.Repeat("-", widths[i])
-	}
-	writeRow(sep)
-	for _, row := range t.rows {
-		writeRow(row)
-	}
-	return b.String()
-}
-
-// Series renders an (x, y) sweep as "x=… y=…" lines, the harness's textual
-// analogue of a figure panel.
-func Series(name string, xs, ys []float64) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s\n", name)
-	n := len(xs)
-	if len(ys) < n {
-		n = len(ys)
-	}
-	for i := 0; i < n; i++ {
-		fmt.Fprintf(&b, "  x=%-8.3f y=%.4f\n", xs[i], ys[i])
+	if t.Note != "" {
+		fmt.Fprintf(&b, "%s\n", t.Note)
 	}
 	return b.String()
 }

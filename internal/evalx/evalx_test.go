@@ -3,7 +3,6 @@ package evalx
 import (
 	"math"
 	"math/rand"
-	"strings"
 	"testing"
 )
 
@@ -130,15 +129,6 @@ func TestTPRAtFPR(t *testing.T) {
 	}
 }
 
-func TestFilteringPower(t *testing.T) {
-	if got := FilteringPower(50, 200); got != 0.25 {
-		t.Fatalf("fp = %v", got)
-	}
-	if got := FilteringPower(1, 0); got != 0 {
-		t.Fatalf("fp with zero total = %v", got)
-	}
-}
-
 func TestConfusionAtThreshold(t *testing.T) {
 	scores := []float64{0.9, 0.4, 0.8, 0.1}
 	labels := []bool{true, true, false, false}
@@ -151,21 +141,28 @@ func TestConfusionAtThreshold(t *testing.T) {
 func TestTableRender(t *testing.T) {
 	tb := NewTable("Table I: AUROC", "Method", "INF", "SPE")
 	tb.AddRowf("CLSTM+JS", 79.88, 64.53)
-	tb.AddRowf("CLSTM+KL", 78.12, 62.31)
-	out := tb.Render()
-	if !strings.Contains(out, "Table I") || !strings.Contains(out, "79.88") {
-		t.Fatalf("render missing content:\n%s", out)
+	tb.AddRowf("CLSTM+KL", 78.12, Fmt("%.1fx", 7.25))
+	tb.Note = "best: JS"
+	want := "Table I: AUROC\n" +
+		"Method    INF    SPE  \n" +
+		"--------  -----  -----\n" +
+		"CLSTM+JS  79.88  64.53\n" +
+		"CLSTM+KL  78.12  7.2x \n" +
+		"best: JS\n"
+	if out := tb.Render(); out != want {
+		t.Fatalf("render:\n%s\nwant:\n%s", out, want)
 	}
-	lines := strings.Split(strings.TrimSpace(out), "\n")
-	if len(lines) != 5 { // title, header, sep, 2 rows
-		t.Fatalf("render has %d lines:\n%s", len(lines), out)
+	// The cell keeps the number it was printed from, not the printed text.
+	if v, ok := tb.Value("CLSTM+KL", "SPE"); !ok || v != 7.25 {
+		t.Fatalf("Value(CLSTM+KL, SPE) = %v, %v; want 7.25", v, ok)
 	}
-}
-
-func TestSeries(t *testing.T) {
-	out := Series("Fig 9a INF", []float64{0, 0.5, 1}, []float64{0.5, 0.7, 0.6})
-	if !strings.Contains(out, "Fig 9a INF") || !strings.Contains(out, "y=0.7000") {
-		t.Fatalf("series render wrong:\n%s", out)
+	if v, ok := tb.Value("CLSTM+JS", "INF"); !ok || v != 79.88 {
+		t.Fatalf("Value(CLSTM+JS, INF) = %v, %v", v, ok)
+	}
+	for _, miss := range [][2]string{{"CLSTM+L2", "INF"}, {"CLSTM+JS", "TED"}, {"CLSTM+JS", "Method"}} {
+		if _, ok := tb.Value(miss[0], miss[1]); ok {
+			t.Fatalf("Value(%s, %s) found a cell", miss[0], miss[1])
+		}
 	}
 }
 
