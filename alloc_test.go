@@ -10,6 +10,7 @@ package aovlis
 // BENCH.md for the recorded baseline.
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -246,6 +247,115 @@ func TestTrainStepSteadyStateAllocs(t *testing.T) {
 			})
 			if n > 0 {
 				t.Fatalf("steady-state HiddenInto allocates %v times per call, want 0", n)
+			}
+		})
+	}
+}
+
+// TestObserveCallerReuseSteadyStateAllocs pins the ownership contract the
+// serving path's buffer reuse rests on: the detector copies what it keeps,
+// so Observe and ObserveBatch fed one set of caller vectors — overwritten
+// with the next segment before each call and poisoned with NaN after it —
+// return bit-identical results to a twin fed fresh slices, with the updater
+// buffering and retraining too; and without the updater they allocate
+// nothing.
+func TestObserveCallerReuseSteadyStateAllocs(t *testing.T) {
+	for _, update := range []bool{false, true} {
+		t.Run(map[bool]string{false: "exact", true: "update"}[update], func(t *testing.T) {
+			rng := rand.New(rand.NewSource(61))
+			cfg := testConfig()
+			if update {
+				cfg.EnableUpdate = true
+				cfg.Update.MaxBuffer = 6
+				cfg.Update.DriftThreshold = 1 // every full buffer retrains
+				cfg.Update.TrainEpochs = 1
+			}
+			trainA, trainU := makeSeries(rng, 120, nil)
+			det, err := Train(trainA, trainU, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			streamA, streamU := makeSeries(rng, 96, map[int]bool{40: true, 41: true})
+			fresh, _ := det.Clone()
+			one, _ := det.Clone()
+			batched, _ := det.Clone()
+			want := observeSerially(t, fresh, streamA, streamU)
+
+			const B = 8
+			acts, auds := make([][]float64, B), make([][]float64, B)
+			for k := range acts {
+				acts[k], auds[k] = make([]float64, len(streamA[0])), make([]float64, len(streamU[0]))
+			}
+			fill := func(k, seg int) {
+				copy(acts[k], streamA[seg])
+				copy(auds[k], streamU[seg])
+			}
+			poison := func() {
+				for _, v := range append(acts[:B:B], auds...) {
+					for j := range v {
+						v[j] = math.NaN()
+					}
+				}
+			}
+			got := make([]Result, 0, len(streamA))
+			for i := range streamA {
+				fill(0, i)
+				r, err := one.Observe(acts[0], auds[0])
+				if err != nil {
+					t.Fatal(err)
+				}
+				got = append(got, r)
+				poison()
+			}
+			requireSameResults(t, want, got)
+
+			got = got[:0]
+			results := make([]Result, B)
+			for start := 0; start < len(streamA); start += B {
+				n := min(B, len(streamA)-start)
+				for k := 0; k < n; k++ {
+					fill(k, start+k)
+				}
+				if _, err := batched.ObserveBatch(acts[:n], auds[:n], results[:n]); err != nil {
+					t.Fatal(err)
+				}
+				got = append(got, results[:n]...)
+				poison()
+			}
+			requireSameResults(t, want, got)
+
+			if update {
+				updates := 0
+				for _, r := range want {
+					if r.Updated {
+						updates++
+					}
+				}
+				if updates == 0 {
+					t.Fatal("updater never retrained on buffered samples; the pinned rows went unexercised")
+				}
+				return
+			}
+			seg := 0
+			if n := testing.AllocsPerRun(100, func() {
+				fill(0, seg%len(streamA))
+				seg++
+				if _, err := one.Observe(acts[0], auds[0]); err != nil {
+					t.Fatal(err)
+				}
+			}); n != 0 {
+				t.Errorf("Observe of reused caller vectors allocates %v times, want 0", n)
+			}
+			if n := testing.AllocsPerRun(20, func() {
+				for k := range acts {
+					fill(k, (seg+k)%len(streamA))
+				}
+				seg += B
+				if _, err := batched.ObserveBatch(acts, auds, results); err != nil {
+					t.Fatal(err)
+				}
+			}); n != 0 {
+				t.Errorf("ObserveBatch of reused caller vectors allocates %v times, want 0", n)
 			}
 		})
 	}

@@ -178,10 +178,16 @@ type Detector struct {
 	upd    *update.Updater
 	tau    float64
 
-	// actWin/audWin hold the sliding window of the last q features; inside
-	// observeLanes they also carry the lanes being consumed (see there).
-	actWin [][]float64
-	audWin [][]float64
+	// actWin/audWin hold the sliding window of the last q segments in rows
+	// the detector owns: every consumed segment is copied in, so a caller
+	// may reuse its vectors once the call returns. Inside observeLanes they
+	// also carry the lanes being consumed (see there). pinned[i] marks a row
+	// a buffered update sample references; it leaves the window with the
+	// updater's buffer instead of being recycled. freeAct/freeAud are rows
+	// that left the window, the next lanes' copies.
+	actWin, audWin   [][]float64
+	pinned           []bool
+	freeAct, freeAud [][]float64
 
 	// Predict scratch, reused across calls: the per-lane samples and the
 	// lane prediction buffers (headers over one flat backing each). At a
@@ -358,6 +364,9 @@ func (d *Detector) Detected() int { return d.detected }
 // decision; the window then slides forward. It is the one-lane case of
 // ObserveBatch.
 //
+// The detector copies what it keeps of the two vectors, so the caller may
+// overwrite them as soon as Observe returns.
+//
 // Observe is not safe for concurrent use: a call that overlaps another
 // Observe on the same Detector returns ErrConcurrentObserve (see the
 // concurrency contract on Detector).
@@ -384,6 +393,8 @@ func (d *Detector) Observe(actionFeat, audienceFeat []float64) (Result, error) {
 // lane's prediction window is the detector's window as it would stand
 // after segments 0..i-1, and the filter/update pipeline runs serially per
 // lane in order. Only the predict step is amortised (see observeLanes).
+// Like Observe, it copies what it keeps: the feature vectors are the
+// caller's again once it returns.
 //
 // It returns the number of fully processed segments. On error, processing
 // stops at the offending lane exactly as a serial Observe sequence would:
@@ -410,10 +421,12 @@ func (d *Detector) ObserveBatch(actionFeats, audienceFeats [][]float64, results 
 // tier gate → predict → filter.Decide → tier.Commit → updater → slide. The
 // caller holds the single-writer flag.
 //
-// The window is the tail of d.actWin/d.audWin. The lanes are appended to it
-// up front (headers only; feature rows are never written), so lane i's
-// history is the q rows ending just before it, and the slide is one
-// copy-down at the end that keeps the last q rows of whatever was consumed.
+// The window is the tail of d.actWin/d.audWin. The lanes are copied onto it
+// up front, into rows the detector owns, so lane i's history is the q rows
+// ending just before it, and the slide is one copy-down at the end that
+// keeps the last q rows of whatever was consumed. Everything downstream —
+// the predictions, the filter, the tier anchor, the updater's samples —
+// reads those copies, never the caller's slices.
 //
 // Predictions are lazy and, where it is safe, batched: when a lane needs a
 // prediction and has none, every remaining lane is predicted in one
@@ -441,16 +454,22 @@ func (d *Detector) observeLanes(acts, auds [][]float64, results []Result) (int, 
 		}
 	}
 	q, w0 := d.cfg.SeqLen, len(d.actWin)
-	d.actWin = append(d.actWin, acts[:valid]...)
-	d.audWin = append(d.audWin, auds[:valid]...)
+	for i := 0; i < valid; i++ {
+		a, u := d.row()
+		copy(a, acts[i])
+		copy(u, auds[i])
+		d.actWin = append(d.actWin, a)
+		d.audWin = append(d.audWin, u)
+		d.pinned = append(d.pinned, false)
+	}
 
 	var err error
 	n := 0
 	predFrom, predTo := 0, 0 // lanes [predFrom, predTo) hold predictions in fhat/ahat[lane-predFrom]
 	version := d.model.Params().Version()
 	for ; n < valid; n++ {
-		a, u := acts[n], auds[n]
-		end := w0 + n // rows [0, end) are this lane's history
+		end := w0 + n // rows [0, end) are this lane's history; row end is the lane
+		a, u := d.actWin[end], d.audWin[end]
 		d.observed++
 		if end < q {
 			results[n] = Result{Warmup: true}
@@ -473,7 +492,7 @@ func (d *Detector) observeLanes(acts, auds [][]float64, results []Result) (int, 
 				if d.tier == nil {
 					lanes = valid - n
 				}
-				if err = d.predict(n, lanes, w0, acts, auds); err != nil {
+				if err = d.predict(n, lanes, w0); err != nil {
 					break
 				}
 				predFrom, predTo = n, n+lanes
@@ -495,7 +514,8 @@ func (d *Detector) observeLanes(acts, auds [][]float64, results []Result) (int, 
 		// update on drift. The interaction level is the mean of the count
 		// block, computed directly from the audience feature. The sample
 		// views the detector's window, which slides in place: the updater
-		// copies the headers of the samples it buffers.
+		// copies the headers of the samples it buffers, and the rows it then
+		// shares are pinned so they are never recycled under it.
 		if d.upd != nil {
 			var upRes update.Result
 			upRes, err = d.upd.Observe(core.Sample{
@@ -510,6 +530,11 @@ func (d *Detector) observeLanes(acts, auds [][]float64, results []Result) (int, 
 				break
 			}
 			res.Updated = upRes.Updated
+			if upRes.Buffered {
+				for i := end - q; i <= end; i++ {
+					d.pinned[i] = true
+				}
+			}
 			if v := d.model.Params().Version(); v != version {
 				version, predTo = v, n+1
 			}
@@ -518,17 +543,23 @@ func (d *Detector) observeLanes(acts, auds [][]float64, results []Result) (int, 
 	}
 
 	// Slide (allocation-free): keep the last q rows of the history the n
-	// consumed lanes leave behind, and drop every other caller row from the
-	// reused backing arrays so it is not pinned past the call. Buffered
-	// update samples stay stable because the updater gave them their own
-	// header arrays.
+	// consumed lanes leave behind and recycle the others — older history and
+	// lanes an error left unconsumed — unless a buffered update sample still
+	// reads them.
 	end := w0 + n
 	keep := min(end, q)
+	for i, a := range d.actWin {
+		if (i < end-keep || i >= end) && !d.pinned[i] {
+			d.freeAct = append(d.freeAct, a)
+			d.freeAud = append(d.freeAud, d.audWin[i])
+		}
+	}
 	copy(d.actWin, d.actWin[end-keep:end])
 	copy(d.audWin, d.audWin[end-keep:end])
+	copy(d.pinned, d.pinned[end-keep:end])
 	clear(d.actWin[keep:])
 	clear(d.audWin[keep:])
-	d.actWin, d.audWin = d.actWin[:keep], d.audWin[:keep]
+	d.actWin, d.audWin, d.pinned = d.actWin[:keep], d.audWin[:keep], d.pinned[:keep]
 	clear(d.samples)
 	if err != nil {
 		return n, err
@@ -538,7 +569,7 @@ func (d *Detector) observeLanes(acts, auds [][]float64, results []Result) (int, 
 
 // predict fills d.fhat/d.ahat[0:lanes] with the predictions of lanes
 // [from, from+lanes), each from the q window rows ending just before it.
-func (d *Detector) predict(from, lanes, w0 int, acts, auds [][]float64) error {
+func (d *Detector) predict(from, lanes, w0 int) error {
 	q := d.cfg.SeqLen
 	d.samples = d.samples[:0]
 	for i := from; i < from+lanes; i++ {
@@ -546,13 +577,27 @@ func (d *Detector) predict(from, lanes, w0 int, acts, auds [][]float64) error {
 		d.samples = append(d.samples, core.Sample{
 			ActionSeq:      d.actWin[end-q : end],
 			AudienceSeq:    d.audWin[end-q : end],
-			ActionTarget:   acts[i],
-			AudienceTarget: auds[i],
+			ActionTarget:   d.actWin[end],
+			AudienceTarget: d.audWin[end],
 			Index:          d.observed - 1 + i - from,
 		})
 	}
 	d.ensurePredBufs(lanes)
 	return d.model.PredictBatchInto(d.samples, d.fhat[:lanes], d.ahat[:lanes])
+}
+
+// row returns an action/audience row pair for one consumed segment: a
+// recycled pair, or a new one on a single backing array.
+func (d *Detector) row() (a, u []float64) {
+	if n := len(d.freeAct); n > 0 {
+		a, u = d.freeAct[n-1], d.freeAud[n-1]
+		d.freeAct[n-1], d.freeAud[n-1] = nil, nil
+		d.freeAct, d.freeAud = d.freeAct[:n-1], d.freeAud[:n-1]
+		return a, u
+	}
+	ad := d.cfg.ActionDim
+	buf := make([]float64, ad+d.cfg.AudienceDim)
+	return buf[:ad:ad], buf[ad:]
 }
 
 // ensurePredBufs sizes the lane prediction buffers (headers over one flat
@@ -777,6 +822,7 @@ func RestoreDetector(r io.Reader) (*Detector, error) {
 		tau:      wire.Tau,
 		actWin:   wire.ActWin,
 		audWin:   wire.AudWin,
+		pinned:   make([]bool, len(wire.ActWin)),
 		observed: wire.Observed,
 		detected: wire.Detected,
 	}

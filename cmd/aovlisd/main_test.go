@@ -10,6 +10,7 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -21,6 +22,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"aovlis"
 	"aovlis/internal/ledger"
@@ -208,6 +210,84 @@ func TestObserveErrorLines(t *testing.T) {
 	}
 	if decs[3].Error != "" || decs[3].Seq != 3 {
 		t.Fatalf("line 3 should score cleanly with ordered seq: %+v", decs[3])
+	}
+}
+
+// TestObserveNonFiniteScore is the hostile-score repro end to end over
+// HTTP: ten ordinary lines, one whose action features are all 1e300 — the
+// detector scores it +Inf — and three more, posted as one NDJSON body. Every
+// line is answered in order, the hostile one says its score is not finite
+// and keeps its verdict, the channel counts all fourteen, and /watch carries
+// the hostile verdict too.
+func TestObserveNonFiniteScore(t *testing.T) {
+	_, srv := openNode(t, testConfig(8, 8))
+	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, srv.URL+"/watch?channel=h", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	watch, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer watch.Body.Close()
+
+	acts, auds := testSeries(47, 13)
+	var body strings.Builder
+	for i, k := 0, 0; i < 14; i++ {
+		if i == 10 {
+			body.WriteString(hostileLine() + "\n")
+			continue
+		}
+		body.WriteString(observeLine(acts[k], auds[k]) + "\n")
+		k++
+	}
+	decs := postObserve(t, srv, "h", body.String())
+	if len(decs) != 14 {
+		t.Fatalf("got %d decisions, want 14", len(decs))
+	}
+	verdicts := 0
+	for i, d := range decs {
+		switch {
+		case d.Seq != uint64(i) || !d.Verdict():
+			t.Fatalf("decision %d: %+v", i, d)
+		case i == 10 && (!d.Anomaly || d.Path == "" || d.Score != 0 || !strings.Contains(d.Error, "score is not finite: +Inf")):
+			t.Fatalf("hostile line: %+v, want an anomaly with its path and a not-finite error", d)
+		case i != 10 && d.Error != "":
+			t.Fatalf("decision %d errored: %+v", i, d)
+		}
+		if !d.Warmup {
+			verdicts++
+		}
+	}
+	resp, err := http.Get(srv.URL + "/channels/h/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st serve.ChannelStats
+	err = json.NewDecoder(resp.Body).Decode(&st)
+	resp.Body.Close()
+	if err != nil || st.Observed != 14 || st.Errors != 0 {
+		t.Fatalf("stats %+v (%v), want 14 observed", st, err)
+	}
+
+	sc := bufio.NewScanner(watch.Body)
+	hostile := false
+	for events := 0; events < verdicts && sc.Scan(); {
+		data, ok := strings.CutPrefix(sc.Text(), "data: ")
+		if !ok {
+			continue
+		}
+		events++
+		var d wire.Decision
+		if err := wire.DecodeDecision([]byte(data), &d); err != nil || !d.Verdict() {
+			t.Fatalf("watch event %q: %+v (%v)", data, d, err)
+		}
+		hostile = hostile || strings.Contains(d.Error, "not finite") && d.Anomaly
+	}
+	if !hostile {
+		t.Fatalf("/watch never carried the hostile verdict (scan err %v)", sc.Err())
 	}
 }
 

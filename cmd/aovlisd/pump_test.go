@@ -408,3 +408,64 @@ func chStats(t *testing.T, srv *httptest.Server) (serve.ChannelStats, error) {
 	}
 	return serve.ChannelStats{}, fmt.Errorf("channel ch not listed")
 }
+
+// hostileLine is an observation every action feature of which is 1e300:
+// finite on the wire, but it drives the detector's bounds to a score JSON
+// cannot carry.
+func hostileLine() string {
+	act := make([]float64, testActionDim)
+	for i := range act {
+		act[i] = 1e300
+	}
+	_, auds := testSeries(41, 1)
+	return observeLine(act, auds[0])
+}
+
+// TestPumpNonFiniteScore: a segment scored ±Inf or NaN gets a line with its
+// seq that names the score as not finite and keeps the verdict's anomaly
+// flag and path, and the stream goes on — on both framings. On the live
+// plane the line keeps its accepted seq (the segment was applied; a resend
+// would apply it twice) and is ringed for a reconnect like any verdict.
+func TestPumpNonFiniteScore(t *testing.T) {
+	acts, auds := testSeries(43, 14)
+	for _, pl := range planes {
+		t.Run(pl.name, func(t *testing.T) {
+			_, srv, _, _ := newPumpNode(t, blockCfg, 4, false)
+			ref, err := template(t).Clone()
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := pl.open(t, srv, "ch")
+			for i := range acts {
+				line := observeLine(acts[i], auds[i])
+				a, u := acts[i], auds[i]
+				if i == 10 {
+					line = hostileLine()
+					var o wire.Observation
+					if err := wire.DecodeObservation([]byte(line), &o); err != nil {
+						t.Fatal(err)
+					}
+					a, u = o.Action, o.Audience
+				}
+				want, err := ref.Observe(a, u)
+				if err != nil {
+					t.Fatal(err)
+				}
+				st.send(line)
+				got := st.recv()
+				if got.Seq != st.seq(i, i) || !got.Verdict() || got.Anomaly != want.Anomaly || got.Path != want.Path {
+					t.Fatalf("line %d = %+v, want seq %d and %+v", i, got, st.seq(i, i), want)
+				}
+				if i != 10 {
+					continue
+				}
+				if !math.IsInf(want.Score, 0) && !math.IsNaN(want.Score) {
+					t.Fatalf("the hostile line scores %v; the test needs a non-finite score", want.Score)
+				}
+				if got.Score != 0 || !strings.Contains(got.Error, "not finite") || !got.Anomaly {
+					t.Fatalf("hostile line = %+v, want score 0, an anomaly and a not-finite error", got)
+				}
+			}
+		})
+	}
+}

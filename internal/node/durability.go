@@ -136,13 +136,15 @@ func (s fanoutSink) Record(channel string, channelSeq uint64, res aovlis.Result)
 
 // watchSink publishes every verdict to the live hub's SSE watch ring. The
 // hub never blocks on a slow dashboard (it disconnects laggards instead),
-// so this is safe on the scoring path.
+// so this is safe on the scoring path. The line is encoded on the stack —
+// Publish copies it into the ring — so a verdict costs no allocation.
 type watchSink struct{ hub *live.Hub }
 
 func (s watchSink) Record(channel string, channelSeq uint64, res aovlis.Result) {
 	d := wire.Decision{Channel: channel, Seq: channelSeq, WSeq: channelSeq}
 	d.SetResult(res)
-	b, err := wire.AppendDecision(nil, &d)
+	var buf [256]byte
+	b, err := wire.AppendDecision(buf[:0], &d)
 	if err != nil {
 		return
 	}

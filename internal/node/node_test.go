@@ -664,3 +664,24 @@ func TestContinualWarmStartOnAttach(t *testing.T) {
 		t.Fatalf("absorb sweep recorded %d absorbs, want %d", got, before+1)
 	}
 }
+
+// TestWatchSinkSteadyStateAllocs pins the verdict's way to the dashboard at
+// zero allocations: the watch sink encodes the line on its stack and the
+// hub copies it into a ring slot it reuses, so once the ring is full a
+// Record → Publish allocates nothing.
+func TestWatchSinkSteadyStateAllocs(t *testing.T) {
+	hub := live.NewHub(live.HubConfig{WatchCap: 16})
+	defer hub.Close()
+	sink := watchSink{hub}
+	res := aovlis.Result{Anomaly: true, Score: 0.0123456789, Exact: true, Path: "exact"}
+	for seq := uint64(1); seq <= 16; seq++ {
+		sink.Record("ch-0", seq, res)
+	}
+	seq := uint64(16)
+	if n := testing.AllocsPerRun(100, func() {
+		seq++
+		sink.Record("ch-0", seq, res)
+	}); n != 0 {
+		t.Fatalf("watch sink Record allocates %v times per verdict, want 0", n)
+	}
+}

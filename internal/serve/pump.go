@@ -48,10 +48,14 @@ type Framing interface {
 // Pump drives one channel's segment stream: observations in, decisions out
 // strictly in message order, with up to Window submissions in flight —
 // which is the per-channel backlog the shard workers amortise into batched
-// inference passes. The pipeline is a fixed ring of recycled outcome
-// channels (SubmitInto), so the per-message submit side allocates nothing
-// — at tens of thousands of segments per second a per-submit channel is
-// measurable GC pressure.
+// inference passes. The pipeline is a fixed ring of slots, each with a
+// recycled outcome channel (SubmitInto) and an observation the slot's
+// message decodes into, so a message costs no allocation from decode to
+// decision line — at tens of thousands of segments per second per-segment
+// garbage is the GC's whole workload. A slot's vectors are frozen from its
+// submission until its outcome is consumed (SubmitInto's contract); the
+// detector copies what it keeps, so the next message in the slot may
+// overwrite them.
 type Pump struct {
 	Pool    *DetectorPool
 	Channel string
@@ -76,14 +80,16 @@ type Pump struct {
 // it made before returning.
 func (p *Pump) Run() (uint64, error) {
 	window := max(p.Window, 1)
-	// Ring state: slot s holds the decision skeleton decs[s] and, when
-	// pending[s], an in-flight submission whose outcome arrives on outs[s].
-	// Slots [head-inflight, head) are occupied, oldest first.
+	// Ring state: slot s holds the decision skeleton decs[s], the decoded
+	// message obs[s] and, when pending[s], an in-flight submission whose
+	// outcome arrives on outs[s]. Slots [head-inflight, head) are occupied,
+	// oldest first.
 	outs := make([]chan Outcome, window)
 	for i := range outs {
 		outs[i] = make(chan Outcome, 1)
 	}
 	decs := make([]wire.Decision, window)
+	obs := make([]wire.Observation, window)
 	pending := make([]bool, window)
 	head, inflight := 0, 0
 	var seq uint64
@@ -122,12 +128,11 @@ func (p *Pump) Run() (uint64, error) {
 	// place a line becomes a parse error, a drop, a rejection, a submit
 	// error or an in-flight submission.
 	accept := func(msg []byte) {
-		d := &decs[head]
+		d, o := &decs[head], &obs[head]
 		*d = wire.Decision{Channel: p.Channel, Seq: seq}
-		var obs wire.Observation
-		err := wire.DecodeObservation(msg, &obs)
+		err := wire.DecodeObservation(msg, o)
 		if err == nil {
-			err = p.Pool.SubmitInto(p.Channel, obs.Action, obs.Audience, outs[head])
+			err = p.Pool.SubmitInto(p.Channel, o.Action, o.Audience, outs[head])
 		}
 		switch {
 		case err == nil:

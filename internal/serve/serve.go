@@ -783,7 +783,10 @@ func (p *DetectorPool) Submit(id string, actionFeat, audienceFeat []float64) (<-
 // segment (at tens of thousands of segments per second, per-submit
 // channel garbage is measurable GC pressure and latency jitter). out must
 // be buffered with capacity ≥ 1 and fully drained before reuse; exactly
-// one Outcome is delivered per successful SubmitInto.
+// one Outcome is delivered per successful SubmitInto. As with Submit, the
+// feature vectors must stay unchanged until that Outcome is delivered;
+// from then on they are the caller's to overwrite (an *aovlis.Detector
+// keeps copies of what it needs).
 func (p *DetectorPool) SubmitInto(id string, actionFeat, audienceFeat []float64, out chan Outcome) error {
 	if cap(out) < 1 {
 		return fmt.Errorf("serve: SubmitInto outcome channel must be buffered (cap ≥ 1)")

@@ -77,14 +77,24 @@ type ring[T any] struct {
 	head int // index of the oldest entry; 0 until the ring is full
 }
 
-func (r *ring[T]) push(capacity int, v T) {
+func (r *ring[T]) push(capacity int, v T) { *r.next(capacity) = v }
+
+// next returns the slot the next entry goes in: a new one while the ring
+// grows, then the oldest entry's, still holding it — which is what lets a
+// slot's buffers be reused.
+func (r *ring[T]) next(capacity int) *T {
 	if len(r.buf) < capacity {
-		r.buf = append(r.buf, v)
-		return
+		var zero T
+		r.buf = append(r.buf, zero)
+		return &r.buf[len(r.buf)-1]
 	}
-	r.buf[r.head] = v
+	slot := &r.buf[r.head]
 	r.head = (r.head + 1) % len(r.buf)
+	return slot
 }
+
+// at returns the k-th retained entry, oldest first.
+func (r *ring[T]) at(k int) *T { return &r.buf[(r.head+k)%len(r.buf)] }
 
 // collect returns the retained entries that keep accepts, oldest first.
 func (r *ring[T]) collect(keep func(*T) bool) []T {
@@ -104,15 +114,24 @@ type ringEntry struct {
 	payload []byte
 }
 
+// watchEvent is one slot of the watch ring. Its payload buffer is the
+// slot's own: a publish that overwrites the slot copies into it.
 type watchEvent struct {
 	id      uint64
 	channel string
 	payload []byte
 }
 
+// watchSub is one SSE subscriber, guarded by the hub's mu. Publish only
+// counts what the subscriber is owed and wakes it; the subscriber copies its
+// events out of the ring itself, under the lock, so it never reads a slot
+// that is being overwritten and a slow one costs the scoring path nothing.
 type watchSub struct {
-	ch      chan watchEvent
-	channel string // filter; "" = all
+	wake    chan struct{} // capacity 1; closed once the subscriber is gone
+	channel string        // filter; "" = all
+	next    uint64        // first event id not yet copied out
+	owed    int           // events published for it since its last copy-out
+	gone    bool          // hub closed, or the subscriber fell too far behind
 }
 
 // Errors the session API returns.
@@ -231,10 +250,12 @@ func (h *Hub) Forget(channel string) {
 	}
 }
 
-// Publish appends one verdict event to the watch ring and fans it out to
-// the SSE subscribers. Called from the pool's verdict sink — it must
-// never block on a slow dashboard, so a subscriber whose buffer is full
-// is disconnected instead of waited for.
+// Publish appends one verdict event to the watch ring and wakes the SSE
+// subscribers it concerns. Called from the pool's verdict sink — it must
+// never block on a slow dashboard, so a subscriber owed SubBuf events it has
+// not copied out, or whose oldest owed event the ring is about to lose, is
+// disconnected instead of waited for. The payload is copied into the ring
+// slot's own buffer, so once the ring is full a publish allocates nothing.
 func (h *Hub) Publish(channel string, payload []byte) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -242,19 +263,75 @@ func (h *Hub) Publish(channel string, payload []byte) {
 		return
 	}
 	h.nextID++
-	ev := watchEvent{id: h.nextID, channel: channel, payload: append([]byte(nil), payload...)}
-	h.watch.push(h.watchCap, ev)
+	id := h.nextID
+	ev := h.watch.next(h.watchCap)
+	if cap(ev.payload) < len(payload) {
+		ev.payload = nil // regrow to the line's size class, not to twice the old buffer
+	}
+	ev.id, ev.channel, ev.payload = id, channel, append(ev.payload[:0], payload...)
 	for sub := range h.subs {
-		if sub.channel != "" && sub.channel != channel {
+		switch {
+		case sub.channel != "" && sub.channel != channel:
+			if sub.owed == 0 {
+				sub.next = id + 1 // nothing owed up to here
+			}
+		case sub.owed == h.subBuf:
+			h.cut(sub)
 			continue
-		}
-		select {
-		case sub.ch <- ev:
 		default:
-			delete(h.subs, sub)
-			close(sub.ch)
+			if sub.owed == 0 {
+				sub.next = id
+			}
+			sub.owed++
+			select {
+			case sub.wake <- struct{}{}:
+			default: // already woken
+			}
+		}
+		if sub.owed > 0 && id-sub.next >= uint64(h.watchCap) {
+			h.cut(sub) // its oldest owed event just left the ring
 		}
 	}
+}
+
+// cut disconnects a subscriber that fell behind. What it was owed is
+// dropped rather than delivered with a gap; it reconnects with its
+// Last-Event-ID. Callers hold mu.
+func (h *Hub) cut(sub *watchSub) {
+	sub.owed = 0
+	h.release(sub)
+}
+
+// release ends a subscription: the subscriber copies out what it is still
+// owed and stops. Callers hold mu.
+func (h *Hub) release(sub *watchSub) {
+	sub.gone = true
+	close(sub.wake)
+	delete(h.subs, sub)
+}
+
+// copyOut appends, as SSE frames, the retained events sub is owed — from
+// sub.next on, through its filter — and marks them delivered. A subscriber
+// that is gone is owed only what it was owed when it went: nothing, if it
+// was cut. Callers hold mu.
+func (h *Hub) copyOut(sub *watchSub, dst []byte) []byte {
+	if sub.gone && sub.owed == 0 {
+		return dst
+	}
+	n := uint64(len(h.watch.buf))
+	oldest := h.nextID + 1 - n
+	sub.next = max(sub.next, oldest)
+	for ; sub.next <= h.nextID; sub.next++ {
+		ev := h.watch.at(int(sub.next - oldest))
+		if sub.channel != "" && sub.channel != ev.channel {
+			continue
+		}
+		dst = strconv.AppendUint(append(dst, "id: "...), ev.id, 10)
+		dst = append(append(dst, "\nevent: verdict\ndata: "...), ev.payload...)
+		dst = append(dst, "\n\n"...)
+	}
+	sub.owed = 0
+	return dst
 }
 
 // ServeWatch serves the SSE dashboard stream: every published verdict as
@@ -287,17 +364,15 @@ func (h *Hub) ServeWatch(w http.ResponseWriter, r *http.Request) {
 	filter := r.URL.Query().Get("channel")
 
 	// Replay and subscribe under one lock so no event can fall in the gap
-	// between them.
+	// between them: the replay is the subscriber's first copy-out.
 	h.mu.Lock()
 	if h.closed {
 		h.mu.Unlock()
 		http.Error(w, "shutting down", http.StatusServiceUnavailable)
 		return
 	}
-	replay := h.watch.collect(func(ev *watchEvent) bool {
-		return ev.id > after && (filter == "" || filter == ev.channel)
-	})
-	sub := &watchSub{ch: make(chan watchEvent, h.subBufLocked()), channel: filter}
+	sub := &watchSub{wake: make(chan struct{}, 1), channel: filter, next: after + 1}
+	frames := h.copyOut(sub, nil)
 	h.subs[sub] = struct{}{}
 	h.mu.Unlock()
 	defer func() {
@@ -316,44 +391,30 @@ func (h *Hub) ServeWatch(w http.ResponseWriter, r *http.Request) {
 	// connect is guaranteed delivery — replay and live leave no gap.
 	fmt.Fprintf(w, ": live\n\n")
 	flusher.Flush()
-	writeEvent := func(ev watchEvent) bool {
-		if _, err := fmt.Fprintf(w, "id: %d\nevent: verdict\ndata: %s\n\n", ev.id, ev.payload); err != nil {
-			return false
+	ctx := r.Context()
+	for gone := false; ; {
+		if len(frames) > 0 {
+			if _, err := w.Write(frames); err != nil {
+				return
+			}
+			flusher.Flush()
 		}
-		flusher.Flush()
-		return true
-	}
-	for _, ev := range replay {
-		if !writeEvent(ev) {
+		if gone {
+			// Hub closed or this subscriber fell too far behind; either way
+			// the client should reconnect with its Last-Event-ID.
+			fmt.Fprintf(w, ": stream closed, reconnect with Last-Event-ID\n\n")
+			flusher.Flush()
 			return
 		}
-	}
-	ctx := r.Context()
-	for {
 		select {
 		case <-ctx.Done():
 			return
-		case ev, ok := <-sub.ch:
-			if !ok {
-				// Hub closed or this subscriber fell too far behind; either
-				// way the client should reconnect with its Last-Event-ID.
-				fmt.Fprintf(w, ": stream closed, reconnect with Last-Event-ID\n\n")
-				flusher.Flush()
-				return
-			}
-			if !writeEvent(ev) {
-				return
-			}
+		case <-sub.wake:
 		}
+		h.mu.Lock()
+		frames, gone = h.copyOut(sub, frames[:0]), sub.gone
+		h.mu.Unlock()
 	}
-}
-
-// subBufLocked returns the configured subscriber buffer. Callers hold mu.
-func (h *Hub) subBufLocked() int {
-	if h.subBuf <= 0 {
-		return 256
-	}
-	return h.subBuf
 }
 
 // Close tears the hub down: every bound live connection is closed (which
@@ -374,8 +435,7 @@ func (h *Hub) Close() {
 		}
 	}
 	for sub := range h.subs {
-		delete(h.subs, sub)
-		close(sub.ch)
+		h.release(sub)
 	}
 	h.mu.Unlock()
 	for _, c := range conns {

@@ -341,10 +341,7 @@ func TestServeWatchBadRequests(t *testing.T) {
 func TestPublishSlowSubscriberDropped(t *testing.T) {
 	h := NewHub(HubConfig{SubBuf: 2})
 	defer h.Close()
-	sub := &watchSub{ch: make(chan watchEvent, 2)}
-	h.mu.Lock()
-	h.subs[sub] = struct{}{}
-	h.mu.Unlock()
+	sub := subscribe(h, "")
 
 	done := make(chan struct{})
 	go func() {
@@ -364,8 +361,8 @@ func TestPublishSlowSubscriberDropped(t *testing.T) {
 	if still {
 		t.Fatal("slow subscriber was not dropped")
 	}
-	// Its channel is closed, which is the reconnect signal.
-	for range sub.ch {
+	// Its wake channel is closed, which is the reconnect signal.
+	for range sub.wake {
 	}
 }
 
@@ -438,5 +435,67 @@ func TestHubCloseRaceClean(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("watch after close = %d, want 503", resp.StatusCode)
+	}
+}
+
+// subscribe registers a watch subscriber the test drives by hand.
+func subscribe(h *Hub, channel string) *watchSub {
+	sub := &watchSub{wake: make(chan struct{}, 1), channel: channel, next: 1}
+	h.mu.Lock()
+	h.subs[sub] = struct{}{}
+	h.mu.Unlock()
+	return sub
+}
+
+// TestPublishLaggardCut: a subscriber whose oldest owed event is about to
+// leave the watch ring is cut loose before it can be handed a gap — however
+// much SubBuf it has left — while one that keeps copying out never is.
+func TestPublishLaggardCut(t *testing.T) {
+	h := NewHub(HubConfig{WatchCap: 4, SubBuf: 100})
+	defer h.Close()
+	slow, quick := subscribe(h, ""), subscribe(h, "")
+	for i := 1; i <= 6; i++ {
+		h.Publish("ch-0", []byte(fmt.Sprintf(`{"n":%d}`, i)))
+		h.mu.Lock()
+		frames := string(h.copyOut(quick, nil))
+		h.mu.Unlock()
+		if want := fmt.Sprintf("id: %d\nevent: verdict\ndata: {\"n\":%d}\n\n", i, i); frames != want {
+			t.Fatalf("quick subscriber copied %q after event %d, want %q", frames, i, want)
+		}
+	}
+	h.mu.Lock()
+	gone, frames := slow.gone, h.copyOut(slow, nil)
+	_, quickLive := h.subs[quick]
+	h.mu.Unlock()
+	if !gone || len(frames) != 0 {
+		t.Fatalf("laggard: gone=%v, copied %q; want cut with nothing to deliver", gone, frames)
+	}
+	if !quickLive {
+		t.Fatal("a subscriber that kept up was cut")
+	}
+}
+
+// TestPublishSteadyStateAllocs pins the watch path's cost and its copy
+// semantics: once the ring is full, Publish — with a subscriber to consider
+// — allocates nothing, and the slot holds its own copy of the payload, so
+// the caller may reuse its buffer as soon as Publish returns.
+func TestPublishSteadyStateAllocs(t *testing.T) {
+	h := NewHub(HubConfig{WatchCap: 8})
+	defer h.Close()
+	subscribe(h, "other")
+	payload := []byte(`{"n":0}`)
+	for i := 0; i < 8; i++ {
+		h.Publish("ch-0", payload)
+	}
+	if n := testing.AllocsPerRun(100, func() { h.Publish("ch-0", payload) }); n != 0 {
+		t.Fatalf("Publish into a full ring allocates %v times, want 0", n)
+	}
+	copy(payload, `{"n":9}`)
+	sub := &watchSub{channel: "ch-0"}
+	h.mu.Lock()
+	frames := string(h.copyOut(sub, nil))
+	h.mu.Unlock()
+	if strings.Count(frames, `data: {"n":0}`) != 8 || strings.Contains(frames, `"n":9`) {
+		t.Fatalf("ring holds %q, want 8 copies of the payload as published", frames)
 	}
 }

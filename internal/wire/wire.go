@@ -10,9 +10,12 @@
 package wire
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"strconv"
+	"strings"
 
 	"aovlis"
 )
@@ -50,27 +53,205 @@ type Decision struct {
 	Error    string `json:"error,omitempty"`
 }
 
-// SetResult copies a detector verdict into the decision.
+// notFinite opens the Error of a verdict whose score JSON cannot carry.
+const notFinite = "score is not finite: "
+
+// SetResult copies a detector verdict into the decision. A score JSON
+// cannot carry (NaN, ±Inf — a hostile observation can drive the bounds
+// there) is sent as 0 with an Error naming it; the line keeps its anomaly
+// flag and path and still counts as a verdict, so the stream goes on and a
+// live client does not resend a segment that was applied.
 func (d *Decision) SetResult(r aovlis.Result) {
 	d.Warmup, d.Anomaly, d.Score, d.Exact, d.Path = r.Warmup, r.Anomaly, r.Score, r.Exact, r.Path
+	if math.IsNaN(r.Score) || math.IsInf(r.Score, 0) {
+		d.Score = 0
+		d.Error = notFinite + strconv.FormatFloat(r.Score, 'g', -1, 64)
+	}
 }
 
-// Verdict reports whether the line carries a detector verdict (warm-up
-// included) rather than a parse error, a drop, a rejection or a detector
-// error.
+// Verdict reports whether the line carries a detector verdict (warm-up and
+// a non-finite score included) rather than a parse error, a drop, a
+// rejection or a detector error.
 func (d *Decision) Verdict() bool {
-	return d.Error == "" && !d.Dropped && !d.Rejected
+	return (d.Error == "" || strings.HasPrefix(d.Error, notFinite)) && !d.Dropped && !d.Rejected
 }
 
-// DecodeObservation parses one observation line into o. It either fails or
-// leaves exactly the line's two vectors in o.
+// DecodeObservation parses one observation line into o, reusing o's
+// backing arrays. It either fails, leaving o empty, or leaves exactly the
+// vectors encoding/json reads from the line into a zero Observation. The
+// canonical line — one "action" and one "audience" array of numbers, in
+// either order, with JSON whitespace between tokens — is scanned here
+// without allocating; every other line (unknown, repeated or case-folded
+// keys, null, escapes, numbers out of range, malformed input) is left to
+// encoding/json, so what is accepted and every float bit are json's.
 func DecodeObservation(line []byte, o *Observation) error {
+	if scanObservation(line, o) {
+		return nil
+	}
 	*o = Observation{}
 	if err := json.Unmarshal(line, o); err != nil {
 		*o = Observation{}
 		return fmt.Errorf("bad observation line: %w", err)
 	}
 	return nil
+}
+
+// scanObservation is DecodeObservation's canonical-line scanner. It reports
+// false on anything outside the canonical shape, having possibly written
+// into o.
+func scanObservation(b []byte, o *Observation) bool {
+	i := skipSpace(b, 0)
+	if i == len(b) || b[i] != '{' {
+		return false
+	}
+	var action, audience bool
+	for k := 0; k < 2; k++ {
+		i = skipSpace(b, i+1)
+		var dst *[]float64
+		switch {
+		case !action && bytes.HasPrefix(b[i:], []byte(`"action"`)):
+			action, dst, i = true, &o.Action, i+len(`"action"`)
+		case !audience && bytes.HasPrefix(b[i:], []byte(`"audience"`)):
+			audience, dst, i = true, &o.Audience, i+len(`"audience"`)
+		default:
+			return false
+		}
+		if i = skipSpace(b, i); i == len(b) || b[i] != ':' {
+			return false
+		}
+		var ok bool
+		if i, ok = scanFloats(b, skipSpace(b, i+1), dst); !ok {
+			return false
+		}
+		if i = skipSpace(b, i); i == len(b) || b[i] != ",}"[k] {
+			return false
+		}
+	}
+	return skipSpace(b, i+1) == len(b)
+}
+
+// scanFloats reads the array of JSON numbers at b[i] into *dst's backing
+// array and returns the index after its ']'. An empty array leaves a
+// non-nil empty slice, as encoding/json does.
+func scanFloats(b []byte, i int, dst *[]float64) (int, bool) {
+	if i == len(b) || b[i] != '[' {
+		return i, false
+	}
+	v := (*dst)[:0]
+	if v == nil {
+		v = []float64{}
+	}
+	if i = skipSpace(b, i+1); i < len(b) && b[i] == ']' {
+		*dst = v
+		return i + 1, true
+	}
+	for {
+		f, end, ok := number(b, i)
+		if !ok {
+			return i, false
+		}
+		v = append(v, f)
+		if i = skipSpace(b, end); i == len(b) {
+			return i, false
+		}
+		switch b[i] {
+		case ']':
+			*dst = v
+			return i + 1, true
+		case ',':
+			i = skipSpace(b, i+1)
+		default:
+			return i, false
+		}
+	}
+}
+
+// number reads the JSON number (RFC 8259 §6) at b[i] and returns its value
+// and end. A mantissa of at most 19 digits below 2⁵³ with a decimal
+// exponent within ±22 is one exact integer times or over an exact power of
+// ten — a single correctly rounded operation (Clinger's fast path). The
+// rest go to strconv.ParseFloat. Both round correctly, so the bits are the
+// ones encoding/json reads; ok is false where ParseFloat fails (out of
+// range), which encoding/json rejects too.
+func number(b []byte, i int) (f float64, end int, ok bool) {
+	start := i
+	neg := i < len(b) && b[i] == '-'
+	if neg {
+		i++
+	}
+	var man uint64
+	digits, exp := 0, 0
+	switch {
+	case i < len(b) && b[i] == '0':
+		i++
+	case i < len(b) && '1' <= b[i] && b[i] <= '9':
+		for ; i < len(b) && isDigit(b[i]); i++ {
+			man = man*10 + uint64(b[i]-'0')
+			digits++
+		}
+	default:
+		return 0, i, false
+	}
+	if i < len(b) && b[i] == '.' {
+		i++
+		frac := i
+		for ; i < len(b) && isDigit(b[i]); i++ {
+			man = man*10 + uint64(b[i]-'0')
+			digits++
+		}
+		if i == frac {
+			return 0, i, false
+		}
+		exp = frac - i
+	}
+	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
+		i++
+		sign := 1
+		if i < len(b) && (b[i] == '+' || b[i] == '-') {
+			if b[i] == '-' {
+				sign = -1
+			}
+			i++
+		}
+		e, at := 0, i
+		for ; i < len(b) && isDigit(b[i]); i++ {
+			if e < 10000 {
+				e = e*10 + int(b[i]-'0')
+			}
+		}
+		if i == at {
+			return 0, i, false
+		}
+		exp += sign * e
+	}
+	if digits <= 19 && man < 1<<53 && -22 <= exp && exp <= 22 {
+		f = float64(man)
+		if exp < 0 {
+			f /= pow10[-exp]
+		} else {
+			f *= pow10[exp]
+		}
+		if neg {
+			f = -f
+		}
+		return f, i, true
+	}
+	f, err := strconv.ParseFloat(string(b[start:i]), 64)
+	return f, i, err == nil
+}
+
+// pow10 holds the powers of ten float64 represents exactly.
+var pow10 = [...]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10,
+	1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22}
+
+func isDigit(c byte) bool { return '0' <= c && c <= '9' }
+
+// skipSpace skips JSON whitespace.
+func skipSpace(b []byte, i int) int {
+	for i < len(b) && (b[i] == ' ' || b[i] == '\t' || b[i] == '\n' || b[i] == '\r') {
+		i++
+	}
+	return i
 }
 
 // AppendObservation appends the newline-terminated observation line for the
@@ -94,14 +275,70 @@ func appendFloats(b []byte, vs []float64) []byte {
 	return append(b, ']')
 }
 
-// AppendDecision appends d's newline-terminated line to dst. It fails only
-// on a score JSON cannot carry (NaN, ±Inf).
+// AppendDecision appends d's newline-terminated line to dst: json.Marshal's
+// bytes, written without reflection or allocation. It fails only on a score
+// JSON cannot carry (NaN, ±Inf), with json.Marshal's error and dst
+// unchanged.
 func AppendDecision(dst []byte, d *Decision) ([]byte, error) {
-	b, err := json.Marshal(d)
-	if err != nil {
-		return dst, err
+	if math.IsNaN(d.Score) || math.IsInf(d.Score, 0) {
+		return dst, &json.UnsupportedValueError{Str: strconv.FormatFloat(d.Score, 'g', -1, 64)}
 	}
-	return append(append(dst, b...), '\n'), nil
+	dst = appendString(append(dst, `{"channel":`...), d.Channel)
+	dst = strconv.AppendUint(append(dst, `,"seq":`...), d.Seq, 10)
+	if d.Warmup {
+		dst = append(dst, `,"warmup":true`...)
+	}
+	dst = strconv.AppendBool(append(dst, `,"anomaly":`...), d.Anomaly)
+	dst = appendScore(append(dst, `,"score":`...), d.Score)
+	dst = strconv.AppendBool(append(dst, `,"exact":`...), d.Exact)
+	if d.Path != "" {
+		dst = appendString(append(dst, `,"path":`...), d.Path)
+	}
+	if d.WSeq != 0 {
+		dst = strconv.AppendUint(append(dst, `,"wseq":`...), d.WSeq, 10)
+	}
+	if d.Dropped {
+		dst = append(dst, `,"dropped":true`...)
+	}
+	if d.Rejected {
+		dst = append(dst, `,"rejected":true`...)
+	}
+	if d.Error != "" {
+		dst = appendString(append(dst, `,"error":`...), d.Error)
+	}
+	return append(dst, '}', '\n'), nil
+}
+
+// appendScore writes a finite float64 the way encoding/json does: the
+// shortest round-trip digits, in exponent form outside [1e-6, 1e21) with
+// the exponent unpadded.
+func appendScore(b []byte, f float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if n := len(b); format == 'e' && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+		b[n-2] = b[n-1] // e-07 → e-7
+		b = b[:n-1]
+	}
+	return b
+}
+
+// appendString writes s as a JSON string. Printable ASCII that needs no
+// escape is copied as is; anything else goes through encoding/json, whose
+// escaping (HTML characters, control bytes, U+2028/U+2029, invalid UTF-8)
+// the line must match.
+func appendString(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= 0x7f || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(s)
+			return append(b, q...)
+		}
+	}
+	b = append(b, '"')
+	b = append(b, s...)
+	return append(b, '"')
 }
 
 // DecodeDecision parses one decision line.
