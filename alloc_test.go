@@ -42,20 +42,19 @@ func allocSeries(n, actionDim, audienceDim int) (actions, audience [][]float64) 
 	return actions, audience
 }
 
-func allocFixtureDetector(tb testing.TB, useADOS bool) (*Detector, [][]float64, [][]float64) {
+func allocFixtureDetector(tb testing.TB) (*Detector, [][]float64, [][]float64) {
 	tb.Helper()
 	actions, audience := allocFixtureSeries(90)
 	cfg := DefaultConfig(16, 6)
 	cfg.HiddenI, cfg.HiddenA = 12, 8
 	cfg.SeqLen = 4
 	cfg.Epochs = 3
-	cfg.UseADOS = useADOS
 	det, err := Train(actions, audience, cfg)
 	if err != nil {
 		tb.Fatal(err)
 	}
 	// Warm past the q-segment window AND through one full scored pass so the
-	// tape's node pool, the arena free lists and the ADG scratch are sized.
+	// inference plan's lanes and the prediction buffers are sized.
 	for i := 0; i < cfg.SeqLen+4; i++ {
 		if _, err := det.Observe(actions[i], audience[i]); err != nil {
 			tb.Fatal(err)
@@ -66,27 +65,23 @@ func allocFixtureDetector(tb testing.TB, useADOS bool) (*Detector, [][]float64, 
 
 // TestObserveSteadyStateAllocs pins the tentpole property: a steady-state
 // Detector.Observe performs zero heap allocations per segment (1655 at the
-// PR-2 baseline).
+// PR-2 baseline). The subtest names the exact scoring path, the only one
+// the detector has.
 func TestObserveSteadyStateAllocs(t *testing.T) {
-	for _, mode := range []struct {
-		name    string
-		useADOS bool
-	}{{"ADOS", true}, {"Exact", false}} {
-		t.Run(mode.name, func(t *testing.T) {
-			det, actions, audience := allocFixtureDetector(t, mode.useADOS)
-			i := 0
-			n := testing.AllocsPerRun(200, func() {
-				idx := 8 + i%(len(actions)-8)
-				i++
-				if _, err := det.Observe(actions[idx], audience[idx]); err != nil {
-					t.Fatal(err)
-				}
-			})
-			if n > 0 {
-				t.Fatalf("steady-state Observe allocates %v times per segment, want 0", n)
+	t.Run("Exact", func(t *testing.T) {
+		det, actions, audience := allocFixtureDetector(t)
+		i := 0
+		n := testing.AllocsPerRun(200, func() {
+			idx := 8 + i%(len(actions)-8)
+			i++
+			if _, err := det.Observe(actions[idx], audience[idx]); err != nil {
+				t.Fatal(err)
 			}
 		})
-	}
+		if n > 0 {
+			t.Fatalf("steady-state Observe allocates %v times per segment, want 0", n)
+		}
+	})
 }
 
 // TestObserveUpdateSteadyStateAllocs pins the updater's share of Observe:

@@ -3,9 +3,10 @@
 // anomalies in live social video streams by jointly modelling the
 // presenter's visual behaviour and the audience's real-time interaction
 // with a Coupling LSTM (CLSTM), scoring segments with the fused
-// reconstruction error REIA, filtering candidates with ADG/L1 bounds under
-// the adaptive ADOS strategy, and maintaining the model incrementally as
-// the stream drifts.
+// reconstruction error REIA, and maintaining the model incrementally as the
+// stream drifts. The paper's ADG/L1 bound strategies (ADOS) are reproduced
+// in internal/ados for its Fig. 11/12 experiments; a served verdict is the
+// exact REIA against τ.
 //
 // The top-level API is the Detector: train it on a normal (anomaly-free)
 // feature series, then feed it the stream's per-segment features — it
@@ -55,9 +56,6 @@ type Config struct {
 	// TauQuantile places the anomaly threshold τ at this quantile of the
 	// validation REIA scores (the operational form of the paper's τ sweep).
 	TauQuantile float64
-	// UseADOS enables bound-based filtering (ADG + L1 + trigger) in the
-	// detection path.
-	UseADOS bool
 	// EnableUpdate turns on the dynamic model-update machinery (Fig. 5).
 	EnableUpdate bool
 	// Update configures the updater when EnableUpdate is set.
@@ -93,7 +91,6 @@ func DefaultConfig(actionDim, audienceDim int) Config {
 		Epochs:       15,
 		LearningRate: 0.01,
 		TauQuantile:  0.95,
-		UseADOS:      true,
 		EnableUpdate: false,
 		Update:       update.DefaultConfig(),
 		Seed:         1,
@@ -142,12 +139,12 @@ type Result struct {
 	Warmup bool
 	// Anomaly is the decision (false during warm-up).
 	Anomaly bool
-	// Score is the REIA score (or its bound-implied estimate when the
-	// ADOS filter decided without the exact computation).
+	// Score is the REIA score (or the tier gate's proxy estimate when the
+	// gate cleared the segment without running the model).
 	Score float64
 	// Exact reports whether Score is the exact REIA value.
 	Exact bool
-	// Path names the deciding mechanism ("exact", "JSmax", "REG_I", ...).
+	// Path names the deciding mechanism: "exact" or "tier-skip".
 	Path string
 	// Updated is true when this observation triggered an incremental model
 	// update.
@@ -162,21 +159,20 @@ var ErrConcurrentObserve = errors.New("aovlis: concurrent Observe calls on one D
 //
 // Concurrency contract: a Detector is a single-writer object. Observe,
 // DetectSeries, Recalibrate, SetTau and Save all mutate internal state —
-// the sliding window, the ADOS filter counters and (with EnableUpdate) the
+// the sliding window, the tier gate's anchor and (with EnableUpdate) the
 // model weights themselves — and must be confined to one goroutine at a
-// time. The read accessors (Tau, Observed, Detected, FilterStats, Model)
+// time. The read accessors (Tau, Observed, Detected, TierStats, Model)
 // are safe only while no writer is active. Observe enforces the contract
 // cheaply: a call that races with another Observe fails with
 // ErrConcurrentObserve rather than silently corrupting the window. To score
 // many streams concurrently, give each its own Detector and confine each to
 // one goroutine — the DetectorPool in internal/serve does exactly this.
 type Detector struct {
-	cfg    Config
-	model  *core.Model
-	filter *ados.Filter
-	tier   *ados.TierPlan
-	upd    *update.Updater
-	tau    float64
+	cfg   Config
+	model *core.Model
+	tier  *ados.TierPlan
+	upd   *update.Updater
+	tau   float64
 
 	// actWin/audWin hold the sliding window of the last q segments in rows
 	// the detector owns: every consumed segment is copied in, so a caller
@@ -250,17 +246,8 @@ func Train(actions, audience [][]float64, cfg Config) (*Detector, error) {
 	return d, nil
 }
 
-// initRuntime builds the filter and updater around the trained model.
+// initRuntime builds the tier gate and updater around the trained model.
 func (d *Detector) initRuntime(seedSamples []core.Sample) error {
-	fcfg := ados.DefaultConfig(d.tau, d.cfg.Omega)
-	if !d.cfg.UseADOS {
-		fcfg.Strategy = ados.StrategyNoBound
-	}
-	filter, err := ados.NewFilter(fcfg)
-	if err != nil {
-		return err
-	}
-	d.filter = filter
 	if d.cfg.Tiered {
 		tier, err := ados.NewTierPlan(d.cfg.tierConfig(), d.cfg.ActionDim, d.cfg.AudienceDim)
 		if err != nil {
@@ -297,27 +284,14 @@ func (d *Detector) Dims() (actionDim, audienceDim int) {
 	return d.cfg.ActionDim, d.cfg.AudienceDim
 }
 
-// SetTau overrides the anomaly threshold (re-deriving the filter).
-func (d *Detector) SetTau(tau float64) error {
-	d.tau = tau
-	fcfg := d.filter.Config()
-	fcfg.Tau = tau
-	filter, err := ados.NewFilter(fcfg)
-	if err != nil {
-		return err
-	}
-	d.filter = filter
-	return nil
-}
+// SetTau overrides the anomaly threshold; the next verdict uses it.
+func (d *Detector) SetTau(tau float64) { d.tau = tau }
 
 // Model exposes the underlying CLSTM (used by experiments). The model's
 // compiled engines reuse their buffers, so even read-shaped calls like
 // Predict or Hidden mutate per-step state: treat Model access as writer activity under the
 // detector's single-writer contract and never overlap it with Observe.
 func (d *Detector) Model() *core.Model { return d.model }
-
-// FilterStats returns the ADOS filter activity counters.
-func (d *Detector) FilterStats() ados.Stats { return d.filter.Stats() }
 
 // SetScoringMode reconfigures the runtime scoring tiers of an existing
 // detector — the fast-math gate kernels and the bound-gated tier skip —
@@ -360,9 +334,9 @@ func (d *Detector) Detected() int { return d.detected }
 
 // Observe feeds the features of the next segment. Once q segments of
 // history are buffered, each call predicts the incoming segment from the
-// window, scores it (through the ADOS filter when enabled) and returns the
-// decision; the window then slides forward. It is the one-lane case of
-// ObserveBatch.
+// window, scores it (core.NewScore, the score τ was calibrated on) and
+// returns the decision REIA > τ; the window then slides forward. It is the
+// one-lane case of ObserveBatch.
 //
 // The detector copies what it keeps of the two vectors, so the caller may
 // overwrite them as soon as Observe returns.
@@ -391,7 +365,7 @@ func (d *Detector) Observe(actionFeat, audienceFeat []float64) (Result, error) {
 //
 // ObserveBatch is bit-identical to n sequential Observe calls: the i-th
 // lane's prediction window is the detector's window as it would stand
-// after segments 0..i-1, and the filter/update pipeline runs serially per
+// after segments 0..i-1, and the score/update pipeline runs serially per
 // lane in order. Only the predict step is amortised (see observeLanes).
 // Like Observe, it copies what it keeps: the feature vectors are the
 // caller's again once it returns.
@@ -418,14 +392,14 @@ func (d *Detector) ObserveBatch(actionFeats, audienceFeats [][]float64, results 
 }
 
 // observeLanes is the segment pipeline, stated once: dims check → warm-up →
-// tier gate → predict → filter.Decide → tier.Commit → updater → slide. The
-// caller holds the single-writer flag.
+// tier gate → predict → score → tier.Commit → updater → slide. The caller
+// holds the single-writer flag.
 //
 // The window is the tail of d.actWin/d.audWin. The lanes are copied onto it
 // up front, into rows the detector owns, so lane i's history is the q rows
 // ending just before it, and the slide is one copy-down at the end that
 // keeps the last q rows of whatever was consumed. Everything downstream —
-// the predictions, the filter, the tier anchor, the updater's samples —
+// the predictions, the score, the tier anchor, the updater's samples —
 // reads those copies, never the caller's slices.
 //
 // Predictions are lazy and, where it is safe, batched: when a lane needs a
@@ -477,12 +451,11 @@ func (d *Detector) observeLanes(acts, auds [][]float64, results []Result) (int, 
 		}
 		var res Result
 		// Tier 0: the anchor bound may clear the segment as normal without
-		// running the model at all. The gate reads the filter's live config
-		// so SetTau/Recalibrate are honoured immediately.
+		// running the model at all.
 		cleared := false
 		if d.tier != nil {
 			var tres ados.Result
-			if tres, cleared = d.tier.Gate(a, u, d.filter.Config()); cleared {
+			if tres, cleared = d.tier.Gate(a, u, d.tau, d.cfg.Omega); cleared {
 				res = Result{Score: tres.REIA, Path: tres.Path.String()}
 			}
 		}
@@ -498,14 +471,11 @@ func (d *Detector) observeLanes(acts, auds [][]float64, results []Result) (int, 
 				predFrom, predTo = n, n+lanes
 			}
 			fhat, ahat := d.fhat[n-predFrom], d.ahat[n-predFrom]
-			var fres ados.Result
-			if fres, err = d.filter.Decide(a, fhat, u, ahat); err != nil {
-				break
-			}
+			reia := core.NewScore(a, fhat, u, ahat, d.cfg.Omega).REIA
+			res = Result{Anomaly: reia > d.tau, Score: reia, Exact: true, Path: ados.PathExact.String()}
 			if d.tier != nil {
-				d.tier.Commit(a, fhat, ahat, fres.Anomaly)
+				d.tier.Commit(a, fhat, ahat, res.Anomaly)
 			}
-			res = Result{Anomaly: fres.Anomaly, Score: fres.REIA, Exact: fres.Exact, Path: fres.Path.String()}
 		}
 		if res.Anomaly {
 			d.detected++
@@ -648,7 +618,8 @@ func (d *Detector) Recalibrate(actions, audience [][]float64, quantile float64) 
 		}
 		scores = append(scores, sc.REIA)
 	}
-	return d.SetTau(core.CalibrateThreshold(scores, quantile))
+	d.SetTau(core.CalibrateThreshold(scores, quantile))
+	return nil
 }
 
 // DetectSeries scores an entire feature series offline and returns one
@@ -683,7 +654,7 @@ func (d *Detector) Save(w io.Writer) error {
 }
 
 // Clone returns an independent detector with the same configuration,
-// threshold and model weights but a fresh observation window, filter and
+// threshold and model weights but a fresh observation window, tier gate and
 // updater — the way to monitor many channels from one trained model: train
 // (or Load) once, Clone per channel. It behaves exactly like Load of this
 // detector's Save, at a fraction of the cost: the weights are shared
@@ -725,27 +696,26 @@ func Load(r io.Reader) (*Detector, error) {
 // detectorSnapWire is the gob payload of a full-runtime detector snapshot,
 // written after the versioned snapshot envelope. It captures everything
 // Save leaves behind: the sliding q-length windows, the stream counters,
-// the live ADOS filter configuration (which tracks SetTau) and its activity
-// counters, and the dynamic updater's buffered samples and drift sketches.
-// The model (with optimiser state) follows the payload in the stream.
+// the tier gate's anchor, and the dynamic updater's buffered samples and
+// drift sketches. The model (with optimiser state) follows the payload in
+// the stream. Version 1 payloads also carried the retired ADOS filter's
+// configuration and counters; gob skips those fields on restore.
 type detectorSnapWire struct {
-	Config      Config
-	Tau         float64
-	ActWin      [][]float64
-	AudWin      [][]float64
-	Observed    int
-	Detected    int
-	FilterCfg   ados.Config
-	FilterStats ados.Stats
-	HasTier     bool
-	Tier        ados.TierState
-	HasUpdater  bool
-	Updater     update.State
+	Config     Config
+	Tau        float64
+	ActWin     [][]float64
+	AudWin     [][]float64
+	Observed   int
+	Detected   int
+	HasTier    bool
+	Tier       ados.TierState
+	HasUpdater bool
+	Updater    update.State
 }
 
 // Snapshot serialises the detector's complete runtime state — model
-// weights and optimiser moments, threshold, sliding windows, filter
-// counters and pending update samples — inside a versioned envelope. A
+// weights and optimiser moments, threshold, sliding windows, tier gate
+// and pending update samples — inside a versioned envelope. A
 // detector restored with RestoreDetector produces bit-identical Result
 // sequences to this detector continuing uninterrupted, including when
 // EnableUpdate is on.
@@ -766,14 +736,12 @@ func (d *Detector) Snapshot(w io.Writer) error {
 		return err
 	}
 	wire := detectorSnapWire{
-		Config:      d.cfg,
-		Tau:         d.tau,
-		ActWin:      d.actWin,
-		AudWin:      d.audWin,
-		Observed:    d.observed,
-		Detected:    d.detected,
-		FilterCfg:   d.filter.Config(),
-		FilterStats: d.filter.Stats(),
+		Config:   d.cfg,
+		Tau:      d.tau,
+		ActWin:   d.actWin,
+		AudWin:   d.audWin,
+		Observed: d.observed,
+		Detected: d.detected,
 	}
 	if d.tier != nil {
 		wire.HasTier = true
@@ -791,7 +759,7 @@ func (d *Detector) Snapshot(w io.Writer) error {
 
 // RestoreDetector rebuilds a detector from a Snapshot stream. The restored
 // detector resumes exactly where the snapshotted one stopped: same window
-// contents, same threshold, same filter counters, same buffered update
+// contents, same threshold, same tier anchor, same buffered update
 // samples — its future Observe results are bit-identical to an
 // uninterrupted run over the same remaining stream.
 func RestoreDetector(r io.Reader) (*Detector, error) {
@@ -826,12 +794,6 @@ func RestoreDetector(r io.Reader) (*Detector, error) {
 		observed: wire.Observed,
 		detected: wire.Detected,
 	}
-	filter, err := ados.NewFilter(wire.FilterCfg)
-	if err != nil {
-		return nil, fmt.Errorf("aovlis: restoring filter: %w", err)
-	}
-	filter.RestoreStats(wire.FilterStats)
-	d.filter = filter
 	if wire.Config.Tiered {
 		tier, err := ados.NewTierPlan(wire.Config.tierConfig(), wire.Config.ActionDim, wire.Config.AudienceDim)
 		if err != nil {

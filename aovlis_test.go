@@ -3,11 +3,13 @@ package aovlis
 import (
 	"bytes"
 	"errors"
+	"math"
 	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
 
+	"aovlis/internal/core"
 	"aovlis/internal/dataset"
 	"aovlis/internal/evalx"
 	"aovlis/internal/mat"
@@ -266,42 +268,52 @@ func TestDetectorFindsInjectedAnomalies(t *testing.T) {
 	}
 }
 
-func TestADOSAndExactAgree(t *testing.T) {
+// TestObserveScoreIsModelScore pins that a served verdict is the score τ
+// was calibrated on: every decided Observe scores exactly what
+// Model().Score says for the same window and segment, bit for bit, and
+// flags the segment iff that score exceeds τ — also after SetTau moves τ.
+func TestObserveScoreIsModelScore(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	trainA, trainU := makeSeries(rng, 140, nil)
-
-	cfgA := testConfig()
-	cfgA.UseADOS = true
-	cfgB := testConfig()
-	cfgB.UseADOS = false
-
-	detA, err := Train(trainA, trainU, cfgA)
+	det, err := Train(trainA, trainU, testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	detB, err := Train(trainA, trainU, cfgB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	anoms := map[int]bool{30: true, 31: true, 60: true}
-	testA, testU := makeSeries(rng, 80, anoms)
-	resA, err := detA.DetectSeries(testA, testU)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resB, err := detB.DetectSeries(testA, testU)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range resA {
-		if resA[i].Anomaly != resB[i].Anomaly {
-			t.Fatalf("segment %d: ADOS %v vs exact %v (scores %.4f/%.4f)",
-				i, resA[i].Anomaly, resB[i].Anomaly, resA[i].Score, resB[i].Score)
+	q := det.cfg.SeqLen
+	testA, testU := makeSeries(rng, 80, map[int]bool{30: true, 31: true, 60: true})
+	var flagged, cleared int
+	for i := range testA {
+		if i == 45 {
+			det.SetTau(det.Tau() / 2)
+		}
+		res, err := det.Observe(testA[i], testU[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i < q {
+			continue
+		}
+		want, err := det.Model().Score(&core.Sample{
+			ActionSeq: testA[i-q : i], AudienceSeq: testU[i-q : i],
+			ActionTarget: testA[i], AudienceTarget: testU[i],
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(res.Score) != math.Float64bits(want.REIA) || !res.Exact || res.Path != "exact" {
+			t.Fatalf("segment %d: Observe %+v, Model().Score REIA %v", i, res, want.REIA)
+		}
+		if res.Anomaly != (want.REIA > det.Tau()) {
+			t.Fatalf("segment %d: anomaly %v for REIA %v against τ %v", i, res.Anomaly, want.REIA, det.Tau())
+		}
+		if res.Anomaly {
+			flagged++
+		} else {
+			cleared++
 		}
 	}
-	// The ADOS path must actually have used bounds somewhere.
-	if detA.FilterStats().FilteredTotal() == 0 {
-		t.Fatal("ADOS filter never filtered")
+	if flagged == 0 || cleared == 0 {
+		t.Fatalf("stream decided %d anomalous, %d normal; both verdicts must be exercised", flagged, cleared)
 	}
 }
 
@@ -346,9 +358,7 @@ func TestSetTau(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := det.SetTau(1e9); err != nil {
-		t.Fatal(err)
-	}
+	det.SetTau(1e9)
 	testA, testU := makeSeries(rng, 30, map[int]bool{20: true})
 	res, err := det.DetectSeries(testA, testU)
 	if err != nil {

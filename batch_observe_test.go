@@ -199,7 +199,7 @@ func TestObserveBatchErrorSemantics(t *testing.T) {
 // size) — the batched counterpart of TestObserveSteadyStateAllocs, run by
 // CI's bench-smoke alloc gates.
 func TestObserveBatchSteadyStateAllocs(t *testing.T) {
-	det, actions, audience := allocFixtureDetector(t, true)
+	det, actions, audience := allocFixtureDetector(t)
 	const B = 8
 	results := make([]Result, B)
 	idx := 0
@@ -321,9 +321,8 @@ func TestObserveBatchMatrix(t *testing.T) {
 				t.Fatalf("counters diverged: serial %d/%d, batched %d/%d",
 					serialDet.Observed(), serialDet.Detected(), batchDet.Observed(), batchDet.Detected())
 			}
-			if serialDet.FilterStats() != batchDet.FilterStats() || serialDet.TierStats() != batchDet.TierStats() {
-				t.Fatalf("filter/tier stats diverged: serial %+v %+v, batched %+v %+v",
-					serialDet.FilterStats(), serialDet.TierStats(), batchDet.FilterStats(), batchDet.TierStats())
+			if serialDet.TierStats() != batchDet.TierStats() {
+				t.Fatalf("tier stats diverged: serial %+v, batched %+v", serialDet.TierStats(), batchDet.TierStats())
 			}
 			if !reflect.DeepEqual(serialDet.actWin, batchDet.actWin) || !reflect.DeepEqual(serialDet.audWin, batchDet.audWin) ||
 				len(batchDet.actWin) != cfg.SeqLen {

@@ -116,7 +116,7 @@ func BenchmarkAblationADGGroups(b *testing.B) { runExperiment(b, "ablation-adg")
 
 // --- public-API hot path ---
 
-func benchmarkDetector(b *testing.B, useADOS bool, mutate ...func(*Config)) {
+func benchmarkDetector(b *testing.B, mutate ...func(*Config)) {
 	dcfg := dataset.DefaultConfig(synth.INF())
 	dcfg.TrainSec, dcfg.TestSec = 240, 240
 	dcfg.Classes = 48
@@ -127,7 +127,6 @@ func benchmarkDetector(b *testing.B, useADOS bool, mutate ...func(*Config)) {
 	}
 	cfg := DefaultConfig(48, dcfg.Audience.Dim())
 	cfg.Epochs = 4
-	cfg.UseADOS = useADOS
 	for _, m := range mutate {
 		m(&cfg)
 	}
@@ -139,9 +138,7 @@ func benchmarkDetector(b *testing.B, useADOS bool, mutate ...func(*Config)) {
 		// Widen τ above the 4-epoch model's reconstruction error so the
 		// proxy bound can clear segments (same calibration as the tiered
 		// soak fixture; see BenchmarkDetectorObserveTiered).
-		if err := det.SetTau(5 * det.Tau()); err != nil {
-			b.Fatal(err)
-		}
+		det.SetTau(5 * det.Tau())
 	}
 	// Warm the window.
 	for i := 0; i < cfg.SeqLen; i++ {
@@ -164,19 +161,15 @@ func benchmarkDetector(b *testing.B, useADOS bool, mutate ...func(*Config)) {
 	}
 }
 
-// BenchmarkDetectorObserveADOS measures the per-segment detection cost with
-// bound filtering enabled (the paper's CLSTM-ADOS configuration).
-func BenchmarkDetectorObserveADOS(b *testing.B) { benchmarkDetector(b, true) }
+// BenchmarkDetectorObserve measures the per-segment detection cost of the
+// served default: predict, then the exact REIA against τ.
+func BenchmarkDetectorObserve(b *testing.B) { benchmarkDetector(b) }
 
-// BenchmarkDetectorObserveExact measures the per-segment cost with the
-// exact REIA computed for every segment (no bounds).
-func BenchmarkDetectorObserveExact(b *testing.B) { benchmarkDetector(b, false) }
-
-// BenchmarkDetectorObserveFastMath is the ADOS configuration scored with
-// the polynomial SIMD exp/tanh gate kernels (ISSUE 6): identical GEMV
-// work, transcendental evaluation off the libm scalar ceiling.
+// BenchmarkDetectorObserveFastMath is BenchmarkDetectorObserve scored with
+// the polynomial SIMD exp/tanh gate kernels: identical GEMV work,
+// transcendental evaluation off the libm scalar ceiling.
 func BenchmarkDetectorObserveFastMath(b *testing.B) {
-	benchmarkDetector(b, true, func(cfg *Config) { cfg.FastMath = true })
+	benchmarkDetector(b, func(cfg *Config) { cfg.FastMath = true })
 }
 
 // BenchmarkDetectorObserveTiered is the full ISSUE 6 operating point:
@@ -188,7 +181,7 @@ func BenchmarkDetectorObserveFastMath(b *testing.B) {
 // fixture. The tierskip/op metric reports the realised skip fraction;
 // the flip-rate cost of skipping is pinned by TestTieredVerdictFlipRate.
 func BenchmarkDetectorObserveTiered(b *testing.B) {
-	benchmarkDetector(b, true, func(cfg *Config) {
+	benchmarkDetector(b, func(cfg *Config) {
 		cfg.FastMath = true
 		cfg.Tiered = true
 		cfg.Tier = ados.TierConfig{DriftMax: 0.6, Margin: 1, MaxRun: 8}
@@ -201,7 +194,7 @@ func BenchmarkDetectorObserveTiered(b *testing.B) {
 // B/op columns; TestObserveSteadyStateAllocs pins them at zero). Compare
 // runs with benchstat as described in BENCH.md.
 func BenchmarkObserveAllocs(b *testing.B) {
-	det, actions, audience := allocFixtureDetector(b, true)
+	det, actions, audience := allocFixtureDetector(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -217,7 +210,7 @@ func BenchmarkObserveAllocs(b *testing.B) {
 // (TestObserveBatchSteadyStateAllocs pins it at zero). The ns/op divided
 // by the batch size is the amortised per-segment cost.
 func BenchmarkObserveBatchAllocs(b *testing.B) {
-	det, actions, audience := allocFixtureDetector(b, true)
+	det, actions, audience := allocFixtureDetector(b)
 	const batch = 8
 	results := make([]Result, batch)
 	idx := 0

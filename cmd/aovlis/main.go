@@ -130,8 +130,6 @@ func run(presetName string, trainSec, monitorSec, classes, epochs int, seed int6
 		fmt.Printf("done: %d anomalies flagged (AUROC unavailable: %v)\n", detected, err)
 		return nil
 	}
-	st := det.FilterStats()
-	fmt.Printf("done: %d flagged (%d on labelled anomalies), AUROC %.3f, filtering power %.1f%%\n",
-		detected, truePos, auroc, 100*float64(st.FilteredTotal())/float64(st.Total))
+	fmt.Printf("done: %d flagged (%d on labelled anomalies), AUROC %.3f\n", detected, truePos, auroc)
 	return nil
 }

@@ -214,8 +214,8 @@ func TestObserveErrorLines(t *testing.T) {
 }
 
 // TestObserveNonFiniteScore is the hostile-score repro end to end over
-// HTTP: ten ordinary lines, one whose action features are all 1e300 — the
-// detector scores it +Inf — and three more, posted as one NDJSON body. Every
+// HTTP: ten ordinary lines, one whose audience features are all 1e200 —
+// the detector scores it +Inf — and three more, posted as one NDJSON body. Every
 // line is answered in order, the hostile one says its score is not finite
 // and keeps its verdict, the channel counts all fourteen, and /watch carries
 // the hostile verdict too.

@@ -409,16 +409,16 @@ func chStats(t *testing.T, srv *httptest.Server) (serve.ChannelStats, error) {
 	return serve.ChannelStats{}, fmt.Errorf("channel ch not listed")
 }
 
-// hostileLine is an observation every action feature of which is 1e300:
-// finite on the wire, but it drives the detector's bounds to a score JSON
-// cannot carry.
+// hostileLine is an observation every audience feature of which is 1e200:
+// finite on the wire, but the squares in its L2 reconstruction error
+// overflow, so it scores +Inf, which JSON cannot carry.
 func hostileLine() string {
-	act := make([]float64, testActionDim)
-	for i := range act {
-		act[i] = 1e300
+	acts, _ := testSeries(41, 1)
+	aud := make([]float64, testAudienceDim)
+	for i := range aud {
+		aud[i] = 1e200
 	}
-	_, auds := testSeries(41, 1)
-	return observeLine(act, auds[0])
+	return observeLine(acts[0], aud)
 }
 
 // TestPumpNonFiniteScore: a segment scored ±Inf or NaN gets a line with its

@@ -2,8 +2,8 @@
 // channel with heavy chat. This example exercises the true *live* code
 // path: frames arrive one at a time through the LiveSegmenter, comments
 // attach as segments complete, features are extracted per segment, and the
-// detector decides online with the ADOS bound filter — printing a running
-// log like a moderation dashboard would.
+// detector decides online, segment by segment — printing a running log
+// like a moderation dashboard would.
 package main
 
 import (
@@ -101,10 +101,7 @@ func main() {
 			seg.StartSec, seg.Index, res.Score, res.Path, len(seg.Comments), truth)
 	}
 
-	st := det.FilterStats()
 	fmt.Printf("\nsession done: %d segments observed, %d flagged\n", det.Observed(), flagged)
-	fmt.Printf("ADOS efficiency: %d/%d decisions needed the exact JS computation (filtering power %.0f%%)\n",
-		st.ExactREI, st.Total, 100*float64(st.FilteredTotal())/float64(st.Total))
 	fmt.Printf("injected anomaly intervals:\n")
 	for _, iv := range live.AnomalyIntervals {
 		fmt.Printf("  [%.0fs, %.0fs)\n", iv[0], iv[1])

@@ -53,6 +53,5 @@ func main() {
 			fmt.Printf("segment %3d: ANOMALY score=%.4f via %s (%s)\n", i, res.Score, res.Path, truth)
 		}
 	}
-	fmt.Printf("flagged %d/%d segments; ADOS filtered %d exact-score computations away\n",
-		anomalies, det.Observed(), det.FilterStats().FilteredTotal())
+	fmt.Printf("flagged %d/%d segments\n", anomalies, det.Observed())
 }

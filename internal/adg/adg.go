@@ -308,8 +308,8 @@ func REGUpperHybrid(rep *JointRep, f, fhat []float64, nsg int) HybridBound {
 type gc struct{ g, n int }
 
 // REGUpperHybridInto computes the refined bound into hb, reusing its
-// ExactGroups and internal scratch so the detection hot path stays
-// allocation-free (the per-detector ados.Filter owns one HybridBound).
+// ExactGroups and internal scratch so a filtering pass stays
+// allocation-free (each of internal/ados's filters owns one HybridBound).
 func REGUpperHybridInto(hb *HybridBound, rep *JointRep, f, fhat []float64, nsg int) {
 	if cap(hb.ExactGroups) < len(rep.Count) {
 		hb.ExactGroups = make([]bool, len(rep.Count))

@@ -214,8 +214,7 @@ func (f *Filter) Stats() Stats { return f.st }
 // ResetStats clears the counters.
 func (f *Filter) ResetStats() { f.st = Stats{} }
 
-// RestoreStats overwrites the activity counters, resuming the
-// filtering-power accounting of a snapshotted stream. The counters are
+// RestoreStats overwrites the activity counters. The counters are
 // observability state only — Decide never reads them — so restoring them
 // cannot change any decision.
 func (f *Filter) RestoreStats(st Stats) { f.st = st }

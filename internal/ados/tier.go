@@ -1,15 +1,14 @@
 package ados
 
-// Tiered scoring (ISSUE 6): bound-gated skipping of the exact LSTM
-// predict. The ADOS filter already decides most segments from bounds —
-// but every one of its bounds needs the model's reconstruction f̂, so the
-// LSTM forward pass still runs for every segment and Observe stays
-// transcendental/GEMV-bound. The TierPlan moves one more rung down the
-// same ladder: it reuses the predictions of the last exactly-scored
-// segment (the ANCHOR) as a proxy reconstruction, and when the stream has
-// drifted little since the anchor AND the proxy JSmax bound clears the
-// normal threshold with margin, the segment is declared normal without
-// running the model at all.
+// Tiered scoring: bound-gated skipping of the LSTM predict. A served
+// verdict is the exact REIA, and every score needs the model's
+// reconstruction f̂, so the LSTM forward pass dominates Observe. The
+// TierPlan borrows the Filter's JSmax bound to skip that pass: it reuses
+// the predictions of the last exactly-scored segment (the ANCHOR) as a
+// proxy reconstruction, and when the stream has drifted little since the
+// anchor AND the proxy JSmax bound clears the normal threshold with
+// margin, the segment is declared normal without running the model at
+// all.
 //
 // The skip condition is deliberately one-sided: a skipped segment is
 // always scored NORMAL. Tiering can therefore only delay an anomaly
@@ -42,6 +41,10 @@ import (
 	"aovlis/internal/core"
 	"aovlis/internal/mat"
 )
+
+// tierTnRatio places the gate's normal threshold at T_n = 0.7·T_a, the
+// paper's ratio (§VI-A) and DefaultConfig's TnRatio.
+const tierTnRatio = 0.7
 
 // TierConfig parameterises the skip gate.
 type TierConfig struct {
@@ -135,12 +138,12 @@ func NewTierPlan(cfg TierConfig, actionDim, audienceDim int) (*TierPlan, error) 
 // Config returns the gate configuration.
 func (t *TierPlan) Config() TierConfig { return t.cfg }
 
-// Gate consults the anchor bound for one segment. fcfg is the owning
-// filter's CURRENT configuration (passed per call because SetTau rebuilds
-// the filter). When the segment can be confidently cleared it returns the
-// tier-skip Result and true; otherwise the caller must run the exact
-// predict+Decide and Commit the outcome.
-func (t *TierPlan) Gate(fTrue, aTrue []float64, fcfg Config) (Result, bool) {
+// Gate consults the anchor bound for one segment against the owner's
+// CURRENT threshold tau and REIA weight omega (passed per call, so a new τ
+// is honoured immediately). When the segment can be confidently cleared it
+// returns the tier-skip Result and true; otherwise the caller must predict
+// and score the segment exactly and Commit the outcome.
+func (t *TierPlan) Gate(fTrue, aTrue []float64, tau, omega float64) (Result, bool) {
 	t.st.Gated++
 	if !t.have || t.anomalous {
 		return Result{}, false
@@ -149,7 +152,6 @@ func (t *TierPlan) Gate(fTrue, aTrue []float64, fcfg Config) (Result, bool) {
 		t.st.Forced++
 		return Result{}, false
 	}
-	omega := fcfg.Omega
 	if omega == 0 {
 		// Pure audience scoring needs â from the model every segment;
 		// there is nothing to skip.
@@ -166,12 +168,12 @@ func (t *TierPlan) Gate(fTrue, aTrue []float64, fcfg Config) (Result, bool) {
 		rea = core.REA(aTrue, t.ahat)
 	}
 	// Threshold conversion exactly as Filter.Decide does it.
-	ta := (fcfg.Tau - (1-omega)*rea) / omega
+	ta := (tau - (1-omega)*rea) / omega
 	if ta <= 0 {
 		t.st.Unclear++
 		return Result{}, false
 	}
-	tn := fcfg.TnRatio * ta
+	tn := tierTnRatio * ta
 	jsmax := 0.5 * mat.VecL1Distance(fTrue, t.fhat)
 	if jsmax > t.cfg.Margin*tn {
 		t.st.Unclear++

@@ -14,29 +14,30 @@ import (
 	"testing"
 )
 
-func tierFixture(t *testing.T) (*TierPlan, Config) {
+// tierFixture returns a gate with a short run budget and the τ and ω its
+// segments are scored against.
+func tierFixture(t *testing.T) (tp *TierPlan, tau, omega float64) {
 	t.Helper()
 	tp, err := NewTierPlan(TierConfig{DriftMax: 0.2, Margin: 0.8, MaxRun: 3}, 4, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fcfg := DefaultConfig(0.5, 0.7)
-	return tp, fcfg
+	return tp, 0.5, 0.7
 }
 
 func TestTierPlanGate(t *testing.T) {
-	tp, fcfg := tierFixture(t)
+	tp, tau, omega := tierFixture(t)
 	f := []float64{0.7, 0.1, 0.1, 0.1}
 	a := []float64{0.3, 0.3}
 
 	// No anchor yet: never skips.
-	if _, ok := tp.Gate(f, a, fcfg); ok {
+	if _, ok := tp.Gate(f, a, tau, omega); ok {
 		t.Fatal("Gate skipped without an anchor")
 	}
 
 	// Perfect anchor (f̂ = f, â = a): REA = 0, drift = 0, jsmax = 0 → skip.
 	tp.Commit(f, f, a, false)
-	res, ok := tp.Gate(f, a, fcfg)
+	res, ok := tp.Gate(f, a, tau, omega)
 	if !ok {
 		t.Fatal("Gate did not skip a zero-drift segment on a normal anchor")
 	}
@@ -52,11 +53,11 @@ func TestTierPlanGate(t *testing.T) {
 
 	// MaxRun exhausts the anchor (1 skip done, 2 more allowed).
 	for i := 0; i < 2; i++ {
-		if _, ok := tp.Gate(f, a, fcfg); !ok {
+		if _, ok := tp.Gate(f, a, tau, omega); !ok {
 			t.Fatalf("skip %d rejected before MaxRun", i+2)
 		}
 	}
-	if _, ok := tp.Gate(f, a, fcfg); ok {
+	if _, ok := tp.Gate(f, a, tau, omega); ok {
 		t.Fatal("Gate skipped past MaxRun")
 	}
 	if tp.Stats().Forced != 1 {
@@ -66,7 +67,7 @@ func TestTierPlanGate(t *testing.T) {
 	// Drift beyond DriftMax forces exact.
 	tp.Commit(f, f, a, false)
 	drifted := []float64{0.1, 0.7, 0.1, 0.1} // ½‖Δ‖₁ = 0.6 > 0.2
-	if _, ok := tp.Gate(drifted, a, fcfg); ok {
+	if _, ok := tp.Gate(drifted, a, tau, omega); ok {
 		t.Fatal("Gate skipped a drifted segment")
 	}
 	if tp.Stats().Drifted != 1 {
@@ -75,38 +76,38 @@ func TestTierPlanGate(t *testing.T) {
 
 	// Anomalous anchor disables skipping entirely.
 	tp.Commit(f, f, a, true)
-	if _, ok := tp.Gate(f, a, fcfg); ok {
+	if _, ok := tp.Gate(f, a, tau, omega); ok {
 		t.Fatal("Gate skipped on an anomalous anchor")
 	}
 
 	// A normal exact score re-arms it.
 	tp.Commit(f, f, a, false)
-	if _, ok := tp.Gate(f, a, fcfg); !ok {
+	if _, ok := tp.Gate(f, a, tau, omega); !ok {
 		t.Fatal("Gate did not re-arm after a normal Commit")
 	}
 
 	// Audience error big enough that T_a ≤ 0: never skip (the audience
 	// term alone can decide anomaly).
 	tp.Commit(f, f, []float64{5, 5}, false)
-	if _, ok := tp.Gate(f, []float64{-5, -5}, fcfg); ok {
+	if _, ok := tp.Gate(f, []float64{-5, -5}, tau, omega); ok {
 		t.Fatal("Gate skipped with T_a ≤ 0")
 	}
 
 	// ω = 0 never skips.
 	tp.Commit(f, f, a, false)
-	if _, ok := tp.Gate(f, a, DefaultConfig(0.5, 0)); ok {
+	if _, ok := tp.Gate(f, a, tau, 0); ok {
 		t.Fatal("Gate skipped with ω = 0")
 	}
 }
 
 func TestTierPlanProxyScore(t *testing.T) {
-	tp, fcfg := tierFixture(t)
+	tp, tau, omega := tierFixture(t)
 	f := []float64{0.7, 0.1, 0.1, 0.1}
 	fhat := []float64{0.68, 0.12, 0.1, 0.1}
 	a := []float64{0.3, 0.3}
 	ahat := []float64{0.31, 0.29}
 	tp.Commit(f, fhat, ahat, false)
-	res, ok := tp.Gate(f, a, fcfg)
+	res, ok := tp.Gate(f, a, tau, omega)
 	if !ok {
 		t.Fatal("near-anchor segment did not skip")
 	}
@@ -115,20 +116,20 @@ func TestTierPlanProxyScore(t *testing.T) {
 	jsmax := 0.5 * (math.Abs(0.7-0.68) + math.Abs(0.1-0.12))
 	rea := 0.5 * (math.Abs(0.3-0.31)*math.Abs(0.3-0.31) + math.Abs(0.3-0.29)*math.Abs(0.3-0.29))
 	_ = rea // REA's exact form lives in core; just sanity-bound the score.
-	if res.REIA <= 0 || res.REIA >= fcfg.Tau {
+	if res.REIA <= 0 || res.REIA >= tau {
 		t.Fatalf("proxy score %v outside (0, τ)", res.REIA)
 	}
-	if res.REIA < fcfg.Omega*jsmax {
-		t.Fatalf("proxy score %v below its ω·jsmax term %v", res.REIA, fcfg.Omega*jsmax)
+	if res.REIA < omega*jsmax {
+		t.Fatalf("proxy score %v below its ω·jsmax term %v", res.REIA, omega*jsmax)
 	}
 }
 
 func TestTierPlanStateRoundTrip(t *testing.T) {
-	tp, fcfg := tierFixture(t)
+	tp, tau, omega := tierFixture(t)
 	f := []float64{0.7, 0.1, 0.1, 0.1}
 	a := []float64{0.3, 0.3}
 	tp.Commit(f, f, a, false)
-	if _, ok := tp.Gate(f, a, fcfg); !ok {
+	if _, ok := tp.Gate(f, a, tau, omega); !ok {
 		t.Fatal("setup skip failed")
 	}
 
@@ -160,11 +161,11 @@ func TestTierPlanStateRoundTrip(t *testing.T) {
 		t.Fatalf("restored stats %+v, want %+v", got, want)
 	}
 	for i := 0; i < 2; i++ {
-		if _, ok := fresh.Gate(f, a, fcfg); !ok {
+		if _, ok := fresh.Gate(f, a, tau, omega); !ok {
 			t.Fatalf("restored gate rejected skip %d", i)
 		}
 	}
-	if _, ok := fresh.Gate(f, a, fcfg); ok {
+	if _, ok := fresh.Gate(f, a, tau, omega); ok {
 		t.Fatal("restored gate ignored the inherited run count")
 	}
 

@@ -144,17 +144,6 @@ func (d *clstmDetector) Score(actions, audience [][]float64) ([]float64, Range, 
 	return scores, Range{Lo: d.seqLen, Hi: len(actions)}, nil
 }
 
-// Model exposes the trained core model (for the case study and ablations).
-func (d *clstmDetector) Model() *core.Model { return d.model }
-
-// CLSTMModel extracts the core model from a CLSTM-family detector, or nil.
-func CLSTMModel(det Detector) *core.Model {
-	if c, ok := det.(*clstmDetector); ok {
-		return c.model
-	}
-	return nil
-}
-
 // adamStep hands the gradients of every parameter b bound to the
 // optimiser, after Backward.
 func adamStep(opt *nn.Adam, ps *nn.ParamSet, b *nn.Binding) {

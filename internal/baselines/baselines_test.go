@@ -123,24 +123,6 @@ func TestNames(t *testing.T) {
 	}
 }
 
-func TestCLSTMModelExtraction(t *testing.T) {
-	det := NewCLSTM(3, 4, 4, 0.8)
-	if CLSTMModel(det) != nil {
-		t.Fatal("model before Fit should be nil")
-	}
-	rng := rand.New(rand.NewSource(2))
-	a, u, _ := makeSeries(rng, 30, 8, 4, nil)
-	if err := det.Fit(a, u, FitConfig{Epochs: 1, Seed: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if CLSTMModel(det) == nil {
-		t.Fatal("model after Fit is nil")
-	}
-	if CLSTMModel(NewLTR(2, 4)) != nil {
-		t.Fatal("non-CLSTM detector returned a model")
-	}
-}
-
 func TestVECUsesBidirectionalContext(t *testing.T) {
 	// VEC's valid range must exclude both edges (needs future segments),
 	// unlike the LSTM family which only excludes the past.

@@ -39,7 +39,7 @@ func (n *Node) attach(id string, snap io.Reader) error {
 	if n.base != nil {
 		// A channel attached mid-stream starts from what its peers already
 		// learned: parameters copied bit-exactly, optimizer state reset. It
-		// keeps its own τ, filter and tier state — the base carries what
+		// keeps its own τ and tier state — the base carries what
 		// "normal" looks like, not one channel's calibration.
 		if err := n.base.Seed(det.Model()); err != nil {
 			return fmt.Errorf("warm start: %w", err)

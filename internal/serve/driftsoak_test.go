@@ -114,9 +114,7 @@ func TestPoolSoakSlowBurnDrift(t *testing.T) {
 		cfg.Tiered = true
 		cfg.Tier = ados.TierConfig{DriftMax: 0.6, Margin: 1, MaxRun: 8}
 	})
-	if err := tmpl.SetTau(5 * tmpl.Tau()); err != nil {
-		t.Fatal(err)
-	}
+	tmpl.SetTau(5 * tmpl.Tau())
 
 	ids := make([]string, lcfg.Channels)
 	scores := make([][]soakResult, lcfg.Channels)

@@ -7,6 +7,9 @@
 // probability rate(t)/peak. Everything — arrival times, channel
 // assignment, feature vectors — comes from one seeded PRNG, so a fixed
 // (Config, Seed) pair yields a bit-identical schedule; Hash pins that.
+// Features are drawn as a per-channel base point plus shifts and Gaussian
+// jitter; the action block is then mapped onto the probability simplex
+// (see simplex), the form feature.Pipeline's action features take.
 //
 // The load is OPEN-LOOP: Replay paces submissions by the schedule's
 // arrival times regardless of how fast the system under test drains them.
@@ -22,6 +25,8 @@ import (
 	"math"
 	"math/rand"
 	"time"
+
+	"aovlis/internal/mat"
 )
 
 // Shape selects the offered-load profile.
@@ -195,8 +200,9 @@ type Arrival struct {
 	Channel string
 	// ChannelIndex is the integer behind Channel.
 	ChannelIndex int
-	Action       []float64
-	Audience     []float64
+	// Action is a probability vector; Audience is unconstrained.
+	Action   []float64
+	Audience []float64
 }
 
 // Schedule is a fully materialised offered stream.
@@ -291,12 +297,29 @@ func New(cfg Config) (*Schedule, error) {
 		for j := range a.Action {
 			a.Action[j] = base[ci][j] + shift(j) + cfg.Jitter*rng.NormFloat64()
 		}
+		simplex(a.Action)
 		for j := range a.Audience {
 			a.Audience[j] = base[ci][cfg.ActionDim+j] + shift(cfg.ActionDim+j) + cfg.Jitter*rng.NormFloat64()
 		}
 		arrivals = append(arrivals, a)
 	}
 	return &Schedule{Cfg: cfg, Arrivals: arrivals}, nil
+}
+
+// simplex maps a drawn action point onto the probability simplex in place:
+// negative mass is clipped to zero and the rest normalised to sum 1
+// (uniform if nothing is left). The exact JS reconstruction error is then
+// finite, and a shift keeps its share of the vector instead of being
+// flattened the way a softmax flattens it.
+func simplex(v []float64) {
+	for j, x := range v {
+		v[j] = max(x, 0)
+	}
+	if !mat.Normalize(v) {
+		for j := range v {
+			v[j] = 1 / float64(len(v))
+		}
+	}
 }
 
 // unitVector draws a uniformly random direction.
@@ -386,7 +409,8 @@ func (s *Schedule) Hash() string {
 }
 
 // BaseFeatures returns channel i's unperturbed feature point split into
-// (action, audience) — the training template for the SLO harness. It
+// (action, audience), the action block mapped onto the simplex as New maps
+// arrivals — the pattern a channel's arrivals scatter around. It
 // re-derives the same per-channel bases New drew, without materialising a
 // schedule.
 func BaseFeatures(cfg Config, i int) (action, audience []float64) {
@@ -397,6 +421,7 @@ func BaseFeatures(cfg Config, i int) (action, audience []float64) {
 			v[j] = rng.Float64()
 		}
 	}
+	simplex(v[:cfg.ActionDim])
 	return v[:cfg.ActionDim], v[cfg.ActionDim:]
 }
 

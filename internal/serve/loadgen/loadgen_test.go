@@ -95,9 +95,9 @@ func TestOfferedLoadAccuracy(t *testing.T) {
 }
 
 // TestScheduleInvariants: times sorted within [0, Duration), channels in
-// range, features sized and finite.
+// range, features sized and finite, action features probability vectors.
 func TestScheduleInvariants(t *testing.T) {
-	for _, cfg := range []Config{steadyCfg(), rampCfg(), flashCfg()} {
+	for _, cfg := range []Config{steadyCfg(), rampCfg(), flashCfg(), raidCfg(), driftCfg()} {
 		s, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -119,6 +119,16 @@ func TestScheduleInvariants(t *testing.T) {
 				if math.IsNaN(v) || math.IsInf(v, 0) {
 					t.Fatalf("%v: arrival %d has non-finite feature", cfg.Shape, i)
 				}
+			}
+			var sum float64
+			for _, v := range a.Action {
+				if v < 0 {
+					t.Fatalf("%v: arrival %d has negative action mass %v", cfg.Shape, i, v)
+				}
+				sum += v
+			}
+			if math.Abs(sum-1) > 1e-12 {
+				t.Fatalf("%v: arrival %d action features sum to %v, want 1", cfg.Shape, i, sum)
 			}
 		}
 	}

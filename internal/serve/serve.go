@@ -80,12 +80,6 @@ func (l laneByLane) ObserveBatch(actionFeats, audienceFeats [][]float64, results
 	return len(actionFeats), nil
 }
 
-// filterStatser is implemented by detectors that expose ADOS filter
-// counters (notably *aovlis.Detector).
-type filterStatser interface {
-	FilterStats() ados.Stats
-}
-
 // tierStatser is implemented by detectors that expose tiered-scoring gate
 // counters (notably *aovlis.Detector with Tiered on).
 type tierStatser interface {
@@ -287,7 +281,6 @@ type channel struct {
 	shard  *shard
 	det    Detector
 	batch  batchObserver // det, or det lane by lane when it cannot batch
-	fstats filterStatser // det, when it exposes ADOS counters (else nil)
 	tstats tierStatser   // det, when it exposes tier counters (else nil)
 
 	observed    atomic.Uint64 // successfully scored observations
@@ -296,7 +289,6 @@ type channel struct {
 	dropped     atomic.Uint64 // observations shed under DropNewest
 	rejected    atomic.Uint64 // submissions refused by admission control
 	errors      atomic.Uint64 // detector errors
-	filtered    atomic.Uint64 // ADOS decisions made without the exact REIA
 	tierskipped atomic.Uint64 // segments cleared by the tier gate, no LSTM run
 	pending     atomic.Int64  // enqueued but not yet executed
 
@@ -372,9 +364,6 @@ type ChannelStats struct {
 	Warmups  uint64 `json:"warmups"`
 	// Detected counts anomaly verdicts.
 	Detected uint64 `json:"detected"`
-	// Filtered counts ADOS decisions reached from bounds alone (no exact
-	// REIA computation); zero for detectors without ADOS counters.
-	Filtered uint64 `json:"filtered"`
 	// TierSkipped counts segments the tier gate cleared without running
 	// the LSTM predict at all; zero for untiered detectors.
 	TierSkipped uint64 `json:"tier_skipped,omitempty"`
@@ -554,7 +543,7 @@ func (p *DetectorPool) runBatch(jobs []job, sc *batchScratch) {
 			}
 		}
 		p.runGroup(ch, jobs, sc)
-		p.refreshFiltered(ch)
+		p.refreshTier(ch)
 	}
 	// Drop caller feature references from the reused scratch.
 	clear(sc.acts)
@@ -631,11 +620,8 @@ func (p *DetectorPool) finishJob(ch *channel, j *job, res aovlis.Result, err err
 	j.out <- Outcome{Result: res, Err: err, Seq: j.seq}
 }
 
-// refreshFiltered re-reads the detector's ADOS filter and tier gauges.
-func (p *DetectorPool) refreshFiltered(ch *channel) {
-	if ch.fstats != nil {
-		ch.filtered.Store(uint64(ch.fstats.FilterStats().FilteredTotal()))
-	}
+// refreshTier re-reads the detector's tier gauge.
+func (p *DetectorPool) refreshTier(ch *channel) {
 	if ch.tstats != nil {
 		ch.tierskipped.Store(uint64(ch.tstats.TierStats().Skipped))
 	}
@@ -685,9 +671,8 @@ func (p *DetectorPool) Attach(id string, det Detector) error {
 	if _, ok := p.lookup(id); ok {
 		return fmt.Errorf("%w: %q", ErrChannelExists, id)
 	}
-	fs, _ := det.(filterStatser)
 	ts, _ := det.(tierStatser)
-	ch := &channel{id: id, shard: p.shardFor(id), det: det, fstats: fs, tstats: ts}
+	ch := &channel{id: id, shard: p.shardFor(id), det: det, tstats: ts}
 	if ch.batch, _ = det.(batchObserver); ch.batch == nil {
 		ch.batch = laneByLane{det}
 	}
@@ -700,11 +685,6 @@ func (p *DetectorPool) Attach(id string, det Detector) error {
 		}
 		if n := lc.Detected(); n > 0 {
 			ch.detected.Store(uint64(n))
-		}
-	}
-	if fs != nil {
-		if n := fs.FilterStats().FilteredTotal(); n > 0 {
-			ch.filtered.Store(uint64(n))
 		}
 	}
 	if ts != nil {
@@ -1024,7 +1004,6 @@ func (c *channel) snapshot() ChannelStats {
 		Observed:    c.observed.Load(),
 		Warmups:     c.warmups.Load(),
 		Detected:    c.detected.Load(),
-		Filtered:    c.filtered.Load(),
 		TierSkipped: c.tierskipped.Load(),
 		Dropped:     c.dropped.Load(),
 		Rejected:    c.rejected.Load(),

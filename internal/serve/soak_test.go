@@ -103,9 +103,7 @@ func runPoolSoakChaos(t *testing.T, tiered bool) {
 		// threshold sits above the reconstruction error and skips happen;
 		// clones inherit the adjusted τ through Save/Load.
 		for _, d := range []*aovlis.Detector{tmpl, updTmpl} {
-			if err := d.SetTau(5 * d.Tau()); err != nil {
-				t.Fatal(err)
-			}
+			d.SetTau(5 * d.Tau())
 		}
 	}
 	template := func(i int) *aovlis.Detector {

@@ -43,8 +43,9 @@ const Magic = "AOVLIS-SNAP"
 
 // Version is the current snapshot wire-format codec version. Bump it (and
 // add a testdata/snapshots/v<N> golden in the root package) whenever any
-// snapshot wire format changes.
-const Version = 1
+// snapshot wire format changes. Version 2 dropped the ADOS filter's
+// configuration and counters from the detector payload.
+const Version = 2
 
 // Artifact kinds carried in the envelope.
 const (

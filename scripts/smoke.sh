@@ -10,7 +10,7 @@
 # Usage: smoke.sh <gate> [capture]
 #
 #   bench, bench-tiered  capture (required) is `go test -bench` output; the
-#                        median ns/op of BenchmarkDetectorObserveADOS /
+#                        median ns/op of BenchmarkDetectorObserve /
 #                        …Tiered may exceed the baseline by at most 25%.
 #   slo      TestSLOFlashCrowd (internal/serve): lost=0, dropped=0, p99 at
 #            most 50% over the baseline — it includes real queueing under a
@@ -89,11 +89,13 @@ need() {
 
 case $GATE in
 bench | bench-tiered)
-    name=BenchmarkDetectorObserveADOS
+    name=BenchmarkDetectorObserve
     [ "$GATE" = bench ] || name=BenchmarkDetectorObserveTiered
     [ -n "$CAPTURE" ] || die "usage: smoke.sh $GATE <go test -bench output>"
     base=$(baseline ns_per_op)
-    LINE=$(awk -v name="$name" 'index($1, name) == 1 {print $3}' "$CAPTURE" | sort -n |
+    # The name matches whole: BenchmarkDetectorObserve[-N], not its
+    # …FastMath/…Tiered siblings.
+    LINE=$(awk -v name="$name" '$1 == name || index($1, name "-") == 1 {print $3}' "$CAPTURE" | sort -n |
         awk '{v[NR]=$1} END {printf "BENCH-RESULT samples=%d median_ns=%d\n", NR, v[int((NR+1)/2)]}')
     echo "smoke $GATE: $name $LINE, baseline $base ns/op"
     need samples gt 0 "no $name samples in $CAPTURE — wrong benchmark or empty output"

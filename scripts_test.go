@@ -38,9 +38,10 @@ func runSmoke(t *testing.T, gate, baselines, content string) (string, error) {
 
 const (
 	benchCapture = `goos: linux
-BenchmarkDetectorObserveADOS-8   	   50000	     20000 ns/op
-BenchmarkDetectorObserveADOS-8   	   50000	     21000 ns/op
-BenchmarkDetectorObserveADOS-8   	   50000	     22000 ns/op
+BenchmarkDetectorObserve-8   	   50000	     20000 ns/op
+BenchmarkDetectorObserve-8   	   50000	     21000 ns/op
+BenchmarkDetectorObserve-8   	   50000	     22000 ns/op
+BenchmarkDetectorObserveFastMath-8   	   50000	     1000 ns/op
 BenchmarkDetectorObserveTiered-8   	   50000	     3000 ns/op
 PASS
 `
@@ -59,7 +60,7 @@ func TestSmokeGates(t *testing.T) {
 		want                           string // must appear in the output; a case named …/ok must pass, any other must fail
 	}{
 		{"bench/ok", "bench", "bench.ns_per_op=20000", benchCapture, "median_ns=21000"},
-		{"bench/no-samples", "bench", "bench.ns_per_op=20000", "PASS\n", "no BenchmarkDetectorObserveADOS samples"},
+		{"bench/no-samples", "bench", "bench.ns_per_op=20000", "PASS\n", "no BenchmarkDetectorObserve samples"},
 		// Baseline 10000 ns/op → +25% limit 12500 < median 21000.
 		{"bench/regression", "bench", "bench.ns_per_op=10000", benchCapture, "regressed more than 25%"},
 		{"bench/no-baseline", "bench", "bench-tiered.ns_per_op=1", benchCapture, "no baseline bench.ns_per_op"},
