@@ -126,3 +126,15 @@ func TestProofSubcommand(t *testing.T) {
 		t.Fatal("proof accepted malformed JSON")
 	}
 }
+
+// TestVerifyGobGolden: the CLI audits a ledger written in the gob batch
+// format, unchanged, against the head that ledger was published with
+// (internal/ledger's TestGobGoldenCompat describes the directory).
+func TestVerifyGobGolden(t *testing.T) {
+	dir := filepath.Join("..", "..", "internal", "ledger", "testdata", "golden-gob")
+	if err := runVerify([]string{"-ledger-dir", dir,
+		"-expect-chained", "604a40456daca8f8be758f09a86ffc9c3d44b4fb217ca89afe89d18012dc9cb0",
+		"-expect-entries", "13"}); err != nil {
+		t.Fatalf("verify on the gob-format golden: %v", err)
+	}
+}

@@ -1,13 +1,18 @@
 package ledger
 
-// Native fuzz target for offline proof verification (ISSUE 9 satellite):
-// VerifyProof consumes attacker-controlled JSON (a proof fetched from an
-// untrusted daemon, or a tampered file fed to aovlisctl), so arbitrary
-// input must produce clean errors — never a panic. Seed corpus lives
-// under testdata/fuzz/ (plus the f.Add seeds below); CI runs a
-// fixed-budget smoke on every push.
+// Native fuzz targets for the ledger's two untrusted inputs. VerifyProof
+// consumes attacker-controlled JSON (a proof fetched from an untrusted
+// daemon, or a tampered file fed to aovlisctl), so arbitrary input must
+// produce clean errors — never a panic. decodeBatch reads a batch file's
+// payload past its checksum, so a file whose trailer was recomputed over
+// forged bytes reaches it: it must not panic, must size what it allocates
+// by the bytes it was given, and must accept only canonical payloads. Seed
+// corpus lives under testdata/fuzz/ (plus the f.Add seeds below); CI runs
+// a fixed-budget smoke on every push.
 
 import (
+	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -78,14 +83,19 @@ func TestMintFuzzCorpus(t *testing.T) {
 	if !*updateFuzzCorpus {
 		t.Skip("pass -update-fuzz-corpus to regenerate the seed corpus")
 	}
-	dir := filepath.Join("testdata", "fuzz", "FuzzLedgerProof")
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	for i, seed := range proofFuzzSeeds(t) {
-		body := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", seed)
-		if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf("seed-%02d", i)), []byte(body), 0o644); err != nil {
+	for target, seeds := range map[string][][]byte{
+		"FuzzLedgerProof": proofFuzzSeeds(t),
+		"FuzzReadBatch":   batchFuzzSeeds(),
+	} {
+		dir := filepath.Join("testdata", "fuzz", target)
+		if err := os.MkdirAll(dir, 0o755); err != nil {
 			t.Fatal(err)
+		}
+		for i, seed := range seeds {
+			body := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", seed)
+			if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf("seed-%02d", i)), []byte(body), 0o644); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 }
@@ -108,5 +118,54 @@ func FuzzLedgerProof(f *testing.F) {
 		// Must never panic; the error split (accept/reject) is what the
 		// unit tests pin.
 		_ = VerifyProof(p)
+	})
+}
+
+// batchFuzzSeeds are binary batch payloads: valid ones and one of each way
+// to break the layout.
+func batchFuzzSeeds() [][]byte {
+	var entries []Entry
+	for i := uint64(1); i <= 3; i++ {
+		e := testEntry(fmt.Sprintf("ch-%d", i), i)
+		e.Seq = i
+		entries = append(entries, e)
+	}
+	w := batchWire{Index: 1, FirstSeq: 1, Root: [32]byte{1}, Chained: [32]byte{2}, Entries: entries}
+	valid := appendBatch(nil, &w)
+	oneEntry := appendBatch(nil, &batchWire{Index: 9, FirstSeq: 40, Entries: entries[:1]})
+	lying := append([]byte(nil), valid...)
+	binary.LittleEndian.PutUint32(lying[16:], 1<<31) // a count no payload can hold
+	badFlags := append([]byte(nil), oneEntry...)
+	badFlags[batchFieldsSize+10+len(entries[0].Channel)+16] |= 0x80
+	return [][]byte{
+		valid,
+		oneEntry,
+		appendBatch(nil, &batchWire{}), // no entries
+		valid[:len(valid)-1],           // torn last entry
+		append(append([]byte(nil), valid...), 0),
+		lying,
+		badFlags,
+		valid[:batchFieldsSize-1],
+	}
+}
+
+func FuzzReadBatch(f *testing.F) {
+	for _, seed := range batchFuzzSeeds() {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, p []byte) {
+		if len(p) > 1<<20 {
+			return // bound the input, not coverage
+		}
+		w, err := decodeBatch(p)
+		if err != nil {
+			return
+		}
+		if room := (len(p) - batchFieldsSize) / entryFixedSize; cap(w.Entries) > room {
+			t.Fatalf("%d bytes decoded into room for %d entries, more than the %d they can hold", len(p), cap(w.Entries), room)
+		}
+		if re := appendBatch(nil, &w); !bytes.Equal(re, p) {
+			t.Fatalf("accepted payload re-encodes differently:\nread  %x\nwrote %x", p, re)
+		}
 	})
 }

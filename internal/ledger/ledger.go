@@ -9,19 +9,31 @@
 // Verdicts accumulate in memory and commit in batches of Options.BatchSize
 // (plus an explicit Flush at checkpoint and shutdown). A committed batch is
 // one file, batch-00000001.blk, batch-00000002.blk, ..., written with the
-// snapshot substrate's atomic rename-and-fsync commit and opened by the
-// standard envelope (kind ledger.Batch). Inside a batch:
+// snapshot substrate's commit discipline (staged, fsynced, renamed, directory
+// fsynced) and opened by the standard envelope. Inside a batch:
 //
 //	leaf_i  = SHA256(0x00 || canonical(entry_i))
 //	node    = SHA256(0x01 || left || right)   (odd node promoted)
 //	root    = fold of the leaves
 //	chained = SHA256(0x02 || prev_chained || root)
 //
-// with the genesis prev_chained all zeros. The chained head commits to
-// every entry ever logged, in order: republishing GET /ledger/root after
-// each checkpoint gives auditors a fork-detection point, and a per-entry
-// inclusion proof (GET /ledger/proof/{seq}, verified offline by
-// aovlisctl) is log(batch) hashes.
+// with the genesis prev_chained all zeros, where canonical is appendEntry's
+// encoding. The chained head commits to every entry ever logged, in order:
+// republishing GET /ledger/root after each checkpoint gives auditors a
+// fork-detection point, and a per-entry inclusion proof (GET
+// /ledger/proof/{seq}, verified offline by aovlisctl) is log(batch) hashes.
+//
+// # Batch file
+//
+// A batch file is the envelope (kind ledger.BinaryBatch, encoded once per
+// process), the batch's fixed fields — index, first seq, entry count,
+// prev_chained, root, chained — then each entry's canonical bytes, the very
+// bytes its leaf hashes, and a SHA-256 trailer over everything before it
+// (ARCHITECTURE.md §14 has the table). The committer encodes all of it into
+// one reused buffer and writes it in one call. Files of kind ledger.Batch
+// hold a gob payload instead: the ledger wrote those before binary batches,
+// still reads them, and chains new batches onto them unchanged, because the
+// hashes depend only on the entries.
 //
 // # What tampering is detected
 //
@@ -44,7 +56,6 @@
 package ledger
 
 import (
-	"bufio"
 	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
@@ -52,7 +63,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"io"
+	"hash"
 	"math"
 	"os"
 	"path/filepath"
@@ -81,8 +92,9 @@ type Entry struct {
 	Path    string  `json:"path"`
 }
 
-// appendEntry appends e's canonical binary encoding — the hashed
-// representation, independent of gob or JSON framing.
+// appendEntry appends e's canonical binary encoding — the bytes a leaf
+// hashes and a batch file stores. Append refuses an entry whose channel or
+// path is too long for the uint16 length.
 func appendEntry(b []byte, e Entry) []byte {
 	b = binary.LittleEndian.AppendUint64(b, e.Seq)
 	b = binary.LittleEndian.AppendUint16(b, uint16(len(e.Channel)))
@@ -103,6 +115,44 @@ func appendEntry(b []byte, e Entry) []byte {
 	return b
 }
 
+// entryFixedSize is an entry's encoding without its two strings: seq,
+// channel length, channel seq, time, flags, score, path length.
+const entryFixedSize = 8 + 2 + 8 + 8 + 1 + 8 + 2
+
+func entrySize(e Entry) int { return entryFixedSize + len(e.Channel) + len(e.Path) }
+
+// decodeEntry parses one canonical entry off the front of p and returns the
+// rest. It accepts exactly what appendEntry writes, so an accepted entry
+// re-encodes to the bytes it was read from.
+func decodeEntry(p []byte) (Entry, []byte, error) {
+	var e Entry
+	if len(p) < 10 {
+		return e, nil, errors.New("truncated entry")
+	}
+	e.Seq = binary.LittleEndian.Uint64(p)
+	n := int(binary.LittleEndian.Uint16(p[8:]))
+	p = p[10:]
+	if len(p) < n+entryFixedSize-10 {
+		return e, nil, errors.New("truncated entry")
+	}
+	e.Channel, p = string(p[:n]), p[n:]
+	e.ChannelSeq = binary.LittleEndian.Uint64(p)
+	e.UnixNanos = int64(binary.LittleEndian.Uint64(p[8:]))
+	flags := p[16]
+	if flags&^3 != 0 {
+		return e, nil, fmt.Errorf("entry %d has unknown flag bits %#x", e.Seq, flags)
+	}
+	e.Anomaly, e.Exact = flags&1 != 0, flags&2 != 0
+	e.Score = math.Float64frombits(binary.LittleEndian.Uint64(p[17:]))
+	n = int(binary.LittleEndian.Uint16(p[25:]))
+	p = p[27:]
+	if len(p) < n {
+		return e, nil, errors.New("truncated entry")
+	}
+	e.Path = string(p[:n])
+	return e, p[n:], nil
+}
+
 // Domain-separation prefixes: leaves, interior nodes and the batch chain
 // hash different spaces, so a leaf can never be reinterpreted as a node
 // (the classic second-preimage trick against unprefixed Merkle trees).
@@ -118,6 +168,8 @@ func LeafHash(e Entry) [32]byte {
 	b[0] = prefixLeaf
 	return sha256.Sum256(appendEntry(b, e))
 }
+
+var leafPrefix = [1]byte{prefixLeaf}
 
 func nodeHash(left, right [32]byte) [32]byte {
 	var b [65]byte
@@ -135,14 +187,14 @@ func chainHash(prev, root [32]byte) [32]byte {
 	return sha256.Sum256(b[:])
 }
 
-// merkleRoot folds leaves level by level; an odd node is promoted
-// unchanged (not duplicated — duplication lets two different leaf sets
-// share a root).
+// merkleRoot folds leaves level by level, in place — it overwrites leaves;
+// an odd node is promoted unchanged (not duplicated — duplication lets two
+// different leaf sets share a root).
 func merkleRoot(leaves [][32]byte) [32]byte {
 	if len(leaves) == 0 {
 		return [32]byte{}
 	}
-	level := append([][32]byte(nil), leaves...)
+	level := leaves
 	for len(level) > 1 {
 		next := level[:0]
 		for i := 0; i+1 < len(level); i += 2 {
@@ -234,7 +286,8 @@ func parseHash(s string) ([32]byte, error) {
 	return h, nil
 }
 
-// batchWire is a batch file's gob payload (after the snapshot envelope).
+// batchWire is a batch file's content after the envelope: what decodeBatch
+// reads from a binary batch, and the gob payload of the older format.
 type batchWire struct {
 	Index       uint64
 	FirstSeq    uint64
@@ -243,6 +296,72 @@ type batchWire struct {
 	Chained     [32]byte
 	Entries     []Entry
 }
+
+// batchFieldsSize is a binary batch's fixed fields: index, first seq, entry
+// count, prev chained, root, chained.
+const batchFieldsSize = 8 + 8 + 4 + 3*32
+
+// putBatchFields writes w's fixed fields into b[:batchFieldsSize].
+func putBatchFields(b []byte, w *batchWire) {
+	binary.LittleEndian.PutUint64(b, w.Index)
+	binary.LittleEndian.PutUint64(b[8:], w.FirstSeq)
+	binary.LittleEndian.PutUint32(b[16:], uint32(len(w.Entries)))
+	copy(b[20:52], w.PrevChained[:])
+	copy(b[52:84], w.Root[:])
+	copy(b[84:116], w.Chained[:])
+}
+
+// appendBatch appends w's binary payload: its fixed fields, then each
+// entry's canonical bytes.
+func appendBatch(dst []byte, w *batchWire) []byte {
+	start := len(dst)
+	dst = append(dst, make([]byte, batchFieldsSize)...)
+	putBatchFields(dst[start:], w)
+	for _, e := range w.Entries {
+		dst = appendEntry(dst, e)
+	}
+	return dst
+}
+
+// decodeBatch parses a binary payload — the file's bytes between envelope
+// and trailer. It accepts only what appendBatch writes, and it sizes the
+// entry slice by what the payload can hold, never by the count it claims.
+func decodeBatch(p []byte) (batchWire, error) {
+	var w batchWire
+	if len(p) < batchFieldsSize {
+		return w, errors.New("truncated batch fields")
+	}
+	w.Index = binary.LittleEndian.Uint64(p)
+	w.FirstSeq = binary.LittleEndian.Uint64(p[8:])
+	count := binary.LittleEndian.Uint32(p[16:])
+	copy(w.PrevChained[:], p[20:52])
+	copy(w.Root[:], p[52:84])
+	copy(w.Chained[:], p[84:116])
+	p = p[batchFieldsSize:]
+	if uint64(count) > uint64(len(p)/entryFixedSize) {
+		return w, fmt.Errorf("entry count %d is more than %d bytes can hold", count, len(p))
+	}
+	w.Entries = make([]Entry, count)
+	for i := range w.Entries {
+		var err error
+		if w.Entries[i], p, err = decodeEntry(p); err != nil {
+			return w, fmt.Errorf("entry %d: %w", i, err)
+		}
+	}
+	if len(p) != 0 {
+		return w, fmt.Errorf("%d trailing bytes after the entries", len(p))
+	}
+	return w, nil
+}
+
+// binaryBatchHeader is the envelope every binary batch file opens with.
+var binaryBatchHeader = func() []byte {
+	var b bytes.Buffer
+	if err := snapshot.WriteHeader(&b, snapshot.KindLedgerBinaryBatch); err != nil {
+		panic(err) // a fixed header into memory: only a bug fails
+	}
+	return b.Bytes()
+}()
 
 func batchName(index uint64) string { return fmt.Sprintf("batch-%08d.blk", index) }
 
@@ -257,35 +376,44 @@ func parseBatchName(name string) (uint64, bool) {
 	return n, true
 }
 
-// readBatch loads and structurally decodes one batch file. The trailing
-// self-checksum is verified against the exact file bytes first: gob
-// framing (type-descriptor names, terminators) tolerates some byte flips
-// without changing the decode, so semantic verification alone cannot
-// promise that *any* single-byte mutation is caught — the byte-level
-// trailer can.
+// readBatch loads and structurally decodes one batch file of either
+// format, dispatching on the envelope's kind. The trailing self-checksum is
+// verified against the exact file bytes first: gob framing (type-descriptor
+// names, terminators) tolerates some byte flips without changing the
+// decode, so semantic verification alone cannot promise that *any*
+// single-byte mutation is caught — the byte-level trailer can.
 func readBatch(path string) (batchWire, error) {
 	var w batchWire
+	name := filepath.Base(path)
 	b, err := os.ReadFile(path)
 	if err != nil {
 		return w, fmt.Errorf("ledger: %w", err)
 	}
 	if len(b) < sha256.Size {
-		return w, fmt.Errorf("ledger: %s: truncated batch file", filepath.Base(path))
+		return w, fmt.Errorf("ledger: %s: truncated batch file", name)
 	}
 	body, trailer := b[:len(b)-sha256.Size], b[len(b)-sha256.Size:]
 	if sum := sha256.Sum256(body); !bytes.Equal(sum[:], trailer) {
-		return w, fmt.Errorf("ledger: %s: file checksum mismatch (batch file bytes were altered)", filepath.Base(path))
+		return w, fmt.Errorf("ledger: %s: file checksum mismatch (batch file bytes were altered)", name)
 	}
-	br := bufio.NewReader(bytes.NewReader(body))
-	if _, err := snapshot.ReadHeader(br, snapshot.KindLedgerBatch); err != nil {
-		return w, fmt.Errorf("ledger: %s: %w", filepath.Base(path), err)
+	r := bytes.NewReader(body) // an io.ByteReader: gob reads exactly the header
+	h, err := snapshot.ReadHeaderAny(r)
+	if err != nil {
+		return w, fmt.Errorf("ledger: %s: %w", name, err)
 	}
-	if err := gob.NewDecoder(br).Decode(&w); err != nil {
-		return w, fmt.Errorf("ledger: %s: decoding batch: %w", filepath.Base(path), err)
+	switch h.Kind {
+	case snapshot.KindLedgerBinaryBatch:
+		w, err = decodeBatch(body[len(body)-r.Len():])
+	case snapshot.KindLedgerBatch:
+		if err = gob.NewDecoder(r).Decode(&w); err == nil && r.Len() != 0 {
+			// Nothing may trail the payload: appended bytes are a mutation too.
+			err = fmt.Errorf("%d trailing bytes after batch payload", r.Len())
+		}
+	default:
+		err = fmt.Errorf("kind %q is not a ledger batch", h.Kind)
 	}
-	// Nothing may trail the payload: appended bytes are a mutation too.
-	if n, _ := io.Copy(io.Discard, br); n != 0 {
-		return w, fmt.Errorf("ledger: %s: %d trailing bytes after batch payload", filepath.Base(path), n)
+	if err != nil {
+		return w, fmt.Errorf("ledger: %s: decoding batch: %w", name, err)
 	}
 	return w, nil
 }
@@ -376,8 +504,14 @@ type Ledger struct {
 	batches []batchMeta
 	prev    [32]byte // chained head
 	nextSeq uint64   // next entry sequence (1-based)
-	pending []Entry
+	pending []Entry  // reused from batch to batch
 	closed  bool
+
+	// Commit scratch, reused: the batch file's bytes, its leaves (folded
+	// into the root in place) and the leaf hasher.
+	buf    []byte
+	leaves [][32]byte
+	leafH  hash.Hash
 }
 
 // Open opens (creating if necessary) the ledger in dir, fully verifying
@@ -387,7 +521,7 @@ func Open(dir string, opts Options) (*Ledger, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("ledger: open: %w", err)
 	}
-	l := &Ledger{dir: dir, batchSize: opts.BatchSize, onCommit: opts.OnCommit, nextSeq: 1}
+	l := &Ledger{dir: dir, batchSize: opts.BatchSize, onCommit: opts.OnCommit, nextSeq: 1, leafH: sha256.New()}
 	if l.batchSize <= 0 {
 		l.batchSize = DefaultBatchSize
 	}
@@ -463,6 +597,9 @@ func (l *Ledger) Append(e Entry) (uint64, error) {
 	if l.closed {
 		return 0, fmt.Errorf("ledger: closed")
 	}
+	if len(e.Channel) > math.MaxUint16 || len(e.Path) > math.MaxUint16 {
+		return 0, fmt.Errorf("ledger: entry channel or path longer than %d bytes", math.MaxUint16)
+	}
 	e.Seq = l.nextSeq
 	l.nextSeq++
 	l.pending = append(l.pending, e)
@@ -487,47 +624,74 @@ func (l *Ledger) Flush() error {
 }
 
 // commitLocked writes l.pending as the next batch. Called with l.mu held.
+// The file is encoded whole into l.buf, and each leaf hashes its entry's
+// bytes where they lie in it, so the file stores exactly what the root
+// commits to.
 func (l *Ledger) commitLocked() error {
 	entries := l.pending
-	index := uint64(len(l.batches)) + 1
-	leaves := make([][32]byte, len(entries))
+	w := batchWire{Index: uint64(len(l.batches)) + 1, FirstSeq: entries[0].Seq, PrevChained: l.prev, Entries: entries}
+	b := append(l.buf[:0], binaryBatchHeader...)
+	fields := len(b)
+	b = appendBatch(b, &w)
+	if cap(l.leaves) < len(entries) {
+		l.leaves = make([][32]byte, len(entries))
+	}
+	leaves := l.leaves[:len(entries)]
+	off := fields + batchFieldsSize
 	for i, e := range entries {
-		leaves[i] = LeafHash(e)
+		n := entrySize(e)
+		l.leafH.Reset()
+		l.leafH.Write(leafPrefix[:])
+		l.leafH.Write(b[off : off+n])
+		l.leafH.Sum(leaves[i][:0])
+		off += n
 	}
-	root := merkleRoot(leaves)
-	chained := chainHash(l.prev, root)
-	w := batchWire{
-		Index: index, FirstSeq: entries[0].Seq,
-		PrevChained: l.prev, Root: root, Chained: chained,
-		Entries: entries,
-	}
-	_, _, err := snapshot.WriteFileAtomic(filepath.Join(l.dir, batchName(index)), func(out io.Writer) error {
-		// Tee the payload through a hash so the file can end with a
-		// self-checksum over its exact bytes (see readBatch).
-		sum := sha256.New()
-		tee := io.MultiWriter(out, sum)
-		if err := snapshot.WriteHeader(tee, snapshot.KindLedgerBatch); err != nil {
-			return err
-		}
-		if err := gob.NewEncoder(tee).Encode(w); err != nil {
-			return fmt.Errorf("ledger: encoding batch %d: %w", index, err)
-		}
-		_, err := out.Write(sum.Sum(nil))
-		return err
-	})
-	if err != nil {
+	w.Root = merkleRoot(leaves)
+	w.Chained = chainHash(l.prev, w.Root)
+	putBatchFields(b[fields:], &w)
+	sum := sha256.Sum256(b)
+	l.buf = append(b, sum[:]...)
+	if err := commitFile(l.dir, batchName(w.Index), l.buf); err != nil {
 		return err
 	}
 	l.batches = append(l.batches, batchMeta{
-		index: index, firstSeq: entries[0].Seq, count: len(entries),
-		root: root, prev: l.prev, chained: chained,
+		index: w.Index, firstSeq: w.FirstSeq, count: len(entries),
+		root: w.Root, prev: l.prev, chained: w.Chained,
 	})
-	l.prev = chained
-	l.pending = nil
+	l.prev = w.Chained
+	l.pending = l.pending[:0]
 	if l.onCommit != nil {
 		l.onCommit(len(entries))
 	}
 	return nil
+}
+
+// commitFile commits b as dir/name with the snapshot substrate's discipline
+// — a temporary file in dir, fsynced, renamed over the name, dir fsynced —
+// in one write: the batch is whole before its file is opened. A crash
+// leaves either no file or the whole one.
+func commitFile(dir, name string, b []byte) error {
+	path := filepath.Join(dir, name)
+	tmp := path + ".tmp"
+	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o600)
+	if err != nil {
+		return fmt.Errorf("ledger: staging %s: %w", name, err)
+	}
+	_, err = f.Write(b)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		os.Remove(tmp)
+		return fmt.Errorf("ledger: committing %s: %w", name, err)
+	}
+	return snapshot.SyncDir(dir)
 }
 
 // Root reports the committed head plus the live pending count.

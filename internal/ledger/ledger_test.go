@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -238,5 +239,44 @@ func TestProofJSONRoundTrip(t *testing.T) {
 	}
 	if err := VerifyProof(back); err != nil {
 		t.Fatalf("proof broken by JSON round trip: %v", err)
+	}
+}
+
+// TestLedgerAppendSteadyStateAllocs pins what the verdict ledger costs once
+// warm: its appends allocate nothing, and a batch commit at most 20 times
+// and 2 KiB — the batch file's create, rename and syncs, and the growth of
+// the batch index — however many entries the batch holds.
+func TestLedgerAppendSteadyStateAllocs(t *testing.T) {
+	for _, size := range []int{64, 256} {
+		t.Run(fmt.Sprintf("batch=%d", size), func(t *testing.T) {
+			l, err := Open(t.TempDir(), Options{BatchSize: size})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer l.Close()
+			const warm, commits = 16, 16
+			e := testEntry("ch-0", 1)
+			appendN := func(n int) {
+				for i := 0; i < n; i++ {
+					if _, err := l.Append(e); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			appendN(warm * size)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			appendN(commits * size)
+			runtime.ReadMemStats(&after)
+			if got := l.Root().Batches; got != warm+commits {
+				t.Fatalf("%d batches committed, want %d", got, warm+commits)
+			}
+			allocs := float64(after.Mallocs-before.Mallocs) / commits
+			bytes := float64(after.TotalAlloc-before.TotalAlloc) / commits
+			t.Logf("batch %d: %.1f allocations, %.0f B per commit", size, allocs, bytes)
+			if allocs > 20 || bytes > 2048 {
+				t.Fatalf("a commit of %d entries allocates %.1f times and %.0f B, want at most 20 and 2 KiB", size, allocs, bytes)
+			}
+		})
 	}
 }

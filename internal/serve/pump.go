@@ -69,7 +69,7 @@ type Pump struct {
 	// order, as soon as the decision's fate is known — including for
 	// submissions still in flight when the stream ends, whose lines are
 	// sealed but never written. The live plane stamps its accepted-decision
-	// seq and rings the line here.
+	// seq and rings the decision here.
 	Seal func(dst []byte, d *wire.Decision) ([]byte, error)
 }
 

@@ -57,8 +57,12 @@ const (
 	KindChannelExport = "serve.ChannelExport"
 	// KindLedgerBatch is one committed batch of the tamper-evident verdict
 	// ledger (internal/ledger): a Merkle-batched run of verdicts whose root
-	// chains to the previous batch's.
+	// chains to the previous batch's, as a gob payload. The ledger reads it
+	// and no longer writes it.
 	KindLedgerBatch = "ledger.Batch"
+	// KindLedgerBinaryBatch is the same batch with the entries stored as the
+	// canonical bytes their leaves hash — the format the ledger writes.
+	KindLedgerBinaryBatch = "ledger.BinaryBatch"
 )
 
 // Header is the self-describing envelope at the head of every snapshot

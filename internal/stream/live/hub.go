@@ -6,6 +6,8 @@ import (
 	"net/http"
 	"strconv"
 	"sync"
+
+	"aovlis/internal/wire"
 )
 
 // Hub is the live layer's shared state: one bounded decision ring per
@@ -66,26 +68,27 @@ type chanState struct {
 	active bool
 	conn   io.Closer // bound connection of the active session (may be nil)
 	last   uint64    // highest appended decision seq
-	ring   ring[ringEntry]
+	ring   ring[wire.Decision]
 }
 
-// ring retains the newest entries pushed into it, up to a capacity: it grows
-// like a slice until full, then overwrites the oldest in place, so a push
-// never moves the other entries.
+// ring retains the newest entries pushed into it, up to a capacity: it fills
+// until full, then overwrites the oldest in place, so a push never moves the
+// other entries.
 type ring[T any] struct {
 	buf  []T
 	head int // index of the oldest entry; 0 until the ring is full
 }
 
-func (r *ring[T]) push(capacity int, v T) { *r.next(capacity) = v }
-
 // next returns the slot the next entry goes in: a new one while the ring
-// grows, then the oldest entry's, still holding it — which is what lets a
-// slot's buffers be reused.
+// fills, then the oldest entry's, still holding it — which is what lets a
+// slot's buffers be reused. The backing array is allocated at full capacity
+// by the first push, once, rather than doubled into by append.
 func (r *ring[T]) next(capacity int) *T {
 	if len(r.buf) < capacity {
-		var zero T
-		r.buf = append(r.buf, zero)
+		if r.buf == nil {
+			r.buf = make([]T, 0, capacity)
+		}
+		r.buf = r.buf[:len(r.buf)+1]
 		return &r.buf[len(r.buf)-1]
 	}
 	slot := &r.buf[r.head]
@@ -107,11 +110,6 @@ func (r *ring[T]) collect(keep func(*T) bool) []T {
 		}
 	}
 	return out
-}
-
-type ringEntry struct {
-	seq     uint64
-	payload []byte
 }
 
 // watchEvent is one slot of the watch ring. Its payload buffer is the
@@ -194,27 +192,35 @@ func (s *Session) Last() uint64 {
 	return s.st.last
 }
 
-// Append records an accepted decision under seq (strictly increasing per
-// channel) for resume replay.
-func (s *Session) Append(seq uint64, payload []byte) error {
+// Append rings an accepted decision under its Seq (strictly increasing per
+// channel) for resume replay. The ring keeps the decision itself, not its
+// encoded line: Replay re-encodes it to the same bytes.
+func (s *Session) Append(d *wire.Decision) error {
 	s.h.mu.Lock()
 	defer s.h.mu.Unlock()
-	if seq <= s.st.last {
-		return fmt.Errorf("live: non-monotonic decision seq %d (last %d) on %s", seq, s.st.last, s.id)
+	if d.Seq <= s.st.last {
+		return fmt.Errorf("live: non-monotonic decision seq %d (last %d) on %s", d.Seq, s.st.last, s.id)
 	}
-	s.st.last = seq
-	s.st.ring.push(s.h.ringCap, ringEntry{seq: seq, payload: append([]byte(nil), payload...)})
+	s.st.last = d.Seq
+	*s.st.ring.next(s.h.ringCap) = *d
 	return nil
 }
 
 // Replay walks the retained decisions with seq > after, oldest first,
-// stopping on the first error.
-func (s *Session) Replay(after uint64, fn func(seq uint64, payload []byte) error) error {
+// handing fn each one's line as wire.AppendDecision encodes it — the bytes
+// it was first sent as — without the trailing newline, and stops on the
+// first error. The line is valid only during the call.
+func (s *Session) Replay(after uint64, fn func(seq uint64, line []byte) error) error {
 	s.h.mu.Lock()
-	entries := s.st.ring.collect(func(e *ringEntry) bool { return e.seq > after })
+	decs := s.st.ring.collect(func(d *wire.Decision) bool { return d.Seq > after })
 	s.h.mu.Unlock()
-	for _, e := range entries {
-		if err := fn(e.seq, e.payload); err != nil {
+	var line []byte
+	for i := range decs {
+		var err error
+		if line, err = wire.AppendDecision(line[:0], &decs[i]); err != nil {
+			return err
+		}
+		if err := fn(decs[i].Seq, line[:len(line)-1]); err != nil {
 			return err
 		}
 	}

@@ -11,7 +11,25 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"aovlis/internal/wire"
 )
+
+// verdict is the decision a ring test appends under seq; its score is the
+// seq, so a replayed line names what it carries.
+func verdict(seq uint64) *wire.Decision {
+	return &wire.Decision{Channel: "ch", Seq: seq, Score: float64(seq), Exact: true, Path: "exact"}
+}
+
+// replayedSeq decodes a replayed line and checks it is verdict(seq)'s.
+func replayedSeq(t *testing.T, seq uint64, line []byte) string {
+	t.Helper()
+	var d wire.Decision
+	if err := wire.DecodeDecision(line, &d); err != nil || d.Seq != seq || d.Score != float64(seq) {
+		t.Errorf("seq %d replayed as %q (%v)", seq, line, err)
+	}
+	return fmt.Sprint(seq)
+}
 
 func TestHubAcquireExclusive(t *testing.T) {
 	h := NewHub(HubConfig{})
@@ -54,7 +72,7 @@ func TestHubForget(t *testing.T) {
 	conn := &closeCounter{}
 	s.Bind(conn)
 	for seq := uint64(1); seq <= 3; seq++ {
-		if err := s.Append(seq, []byte("d")); err != nil {
+		if err := s.Append(verdict(seq)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -78,7 +96,7 @@ func TestHubForget(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s2.Append(1, []byte("d")); err != nil {
+	if err := s2.Append(verdict(1)); err != nil {
 		t.Fatalf("a fresh channel's first decision: %v", err)
 	}
 }
@@ -90,11 +108,11 @@ func TestSessionRingReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	for seq := uint64(1); seq <= 6; seq++ {
-		if err := s.Append(seq, []byte(fmt.Sprintf("d%d", seq))); err != nil {
+		if err := s.Append(verdict(seq)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := s.Append(6, []byte("dup")); err == nil {
+	if err := s.Append(verdict(6)); err == nil {
 		t.Fatal("non-monotonic append accepted")
 	}
 	if got := s.Last(); got != 6 {
@@ -106,12 +124,12 @@ func TestSessionRingReplay(t *testing.T) {
 	// RingCap 4 retains seqs 3..6; replay after 4 yields 5, 6.
 	var got []string
 	if err := s.Replay(4, func(seq uint64, p []byte) error {
-		got = append(got, fmt.Sprintf("%d:%s", seq, p))
+		got = append(got, replayedSeq(t, seq, p))
 		return nil
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if strings.Join(got, ",") != "5:d5,6:d6" {
+	if strings.Join(got, ",") != "5,6" {
 		t.Fatalf("replay after 4 = %v", got)
 	}
 	got = got[:0]
@@ -155,16 +173,13 @@ func TestSessionRingWrapAround(t *testing.T) {
 			t.Fatal(err)
 		}
 		for seq := uint64(1); seq <= tc.appended; seq++ {
-			if err := s.Append(seq, []byte{byte(seq)}); err != nil {
+			if err := s.Append(verdict(seq)); err != nil {
 				t.Fatal(err)
 			}
 		}
 		var got []string
 		if err := s.Replay(tc.after, func(seq uint64, p []byte) error {
-			if len(p) != 1 || uint64(p[0]) != seq {
-				t.Errorf("seq %d carries payload %v", seq, p)
-			}
-			got = append(got, fmt.Sprint(seq))
+			got = append(got, replayedSeq(t, seq, p))
 			return nil
 		}); err != nil {
 			t.Fatal(err)
@@ -392,7 +407,7 @@ func TestHubCloseRaceClean(t *testing.T) {
 					return
 				default:
 				}
-				if s.Append(seq, []byte("x")) != nil {
+				if s.Append(verdict(seq)) != nil {
 					return
 				}
 				h.Publish(id, []byte(`{}`))

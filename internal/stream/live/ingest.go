@@ -102,8 +102,8 @@ func (h *IngestHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	defer conn.Close()
 
 	// Replay the decisions the previous connection lost in flight.
-	if err := sess.Replay(lastSeq, func(seq uint64, payload []byte) error {
-		return conn.WriteMessage(OpText, payload)
+	if err := sess.Replay(lastSeq, func(_ uint64, line []byte) error {
+		return conn.WriteMessage(OpText, line)
 	}); err != nil {
 		return
 	}
@@ -126,8 +126,8 @@ func (h *IngestHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	// The live seq policy: Seq is the channel's accepted-decision sequence
 	// — the journal seq when the pool journals, a counter continuing from
 	// the resume floor otherwise — and 0 on lines without a verdict, which
-	// are not ringed and which the client may resend. Every verdict line is
-	// ringed before it is written, so a reconnect can replay it.
+	// are not ringed and which the client may resend. Every verdict is
+	// ringed before its line is written, so a reconnect can replay it.
 	last := floor
 	pump := serve.Pump{Pool: h.Pool, Channel: id, Window: h.Window, In: feed, Out: wsOut{conn},
 		Seal: func(dst []byte, d *wire.Decision) ([]byte, error) {
@@ -142,7 +142,7 @@ func (h *IngestHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			}
 			dst, err := wire.AppendDecision(dst, d)
 			if err == nil && d.Verdict() {
-				err = sess.Append(d.Seq, dst[:len(dst)-1])
+				err = sess.Append(d)
 			}
 			return dst, err
 		}}

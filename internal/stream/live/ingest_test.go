@@ -3,6 +3,7 @@ package live
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -367,4 +368,71 @@ func TestHostPort(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "[::1]:80") || strings.Contains(err.Error(), "missing port") {
 		t.Fatalf("portless IPv6 dial: %v", err)
 	}
+}
+
+// TestIngestReplayIsByteIdentical: the resume ring keeps decisions, not
+// lines, so Replay re-encodes them — and the lines a reconnect replays must
+// be the bytes first sent, warm-up and non-finite-score verdicts included.
+func TestIngestReplayIsByteIdentical(t *testing.T) {
+	pool, err := serve.NewDetectorPool(serve.Config{Shards: 1, QueueDepth: 16, Policy: serve.Block})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+	if err := pool.Attach("ch", &scriptedDetector{}); err != nil {
+		t.Fatal(err)
+	}
+	hub := NewHub(HubConfig{})
+	defer hub.Close()
+	srv := httptest.NewServer(&IngestHandler{Pool: pool, Hub: hub, Window: 4})
+	defer srv.Close()
+
+	const n = 6
+	conn, _ := dialIngest(t, srv.URL+"/live/ch", 0)
+	var sent []string
+	for i := 0; i < n; i++ {
+		sendObservation(t, conn, float64(i))
+		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		_, msg, err := conn.ReadMessage()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sent = append(sent, string(msg))
+	}
+	conn.Close()
+	for _, want := range []string{`"warmup":true`, `"error":"score is not finite: +Inf"`, `"error":"score is not finite: NaN"`} {
+		if !strings.Contains(strings.Join(sent, "\n"), want) {
+			t.Fatalf("no sent line carries %s: %q", want, sent)
+		}
+	}
+
+	conn2, _ := dialIngest(t, srv.URL+"/live/ch", 0)
+	defer conn2.Close()
+	for i, want := range sent {
+		conn2.SetReadDeadline(time.Now().Add(5 * time.Second))
+		_, msg, err := conn2.ReadMessage()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(msg) != want {
+			t.Fatalf("replayed line %d:\n got  %s\n sent %s", i, msg, want)
+		}
+	}
+}
+
+// scriptedDetector returns a warm-up verdict, then a +Inf score, a NaN
+// score and ordinary verdicts.
+type scriptedDetector struct{ n int }
+
+func (d *scriptedDetector) Observe(action, audience []float64) (aovlis.Result, error) {
+	d.n++
+	switch d.n {
+	case 1:
+		return aovlis.Result{Warmup: true}, nil
+	case 2:
+		return aovlis.Result{Anomaly: true, Score: math.Inf(1), Exact: true, Path: "exact"}, nil
+	case 3:
+		return aovlis.Result{Score: math.NaN(), Exact: true, Path: "exact"}, nil
+	}
+	return aovlis.Result{Anomaly: d.n%2 == 0, Score: 1 / float64(d.n), Exact: true, Path: "tier-skip"}, nil
 }

@@ -102,21 +102,31 @@ type Options struct {
 
 // Conn is one WebSocket connection. Reads must come from a single
 // goroutine; writes are internally serialised so control replies (pongs,
-// close echoes) may race application writes safely.
+// close echoes) may race application writes safely. A message is read
+// into, and a frame written from, buffers the connection owns, so a
+// connection in steady state allocates nothing per message.
 type Conn struct {
 	conn   net.Conn
 	br     *bufio.Reader
 	client bool // client conns send masked, expect unmasked
 	maxMsg int
 
+	// Read side, owned by the reading goroutine: msg is the message being
+	// reassembled (ReadMessage's result until its next call), ctl a control
+	// frame's payload, hdr a frame header's bytes.
+	msg []byte
+	ctl [125]byte
+	hdr [8]byte
+
 	wmu       sync.Mutex
-	bw        *bufio.Writer
+	wbuf      []byte // the frame being written
 	sentClose bool
 	maskSeed  uint64 // client mask keystream (xorshift; masking needs no CSPRNG)
 
 	// OnPong, when set, observes pong payloads from inside ReadMessage —
-	// the keepalive tests use it to assert ping/pong round trips. Set it
-	// before the read loop starts.
+	// the keepalive tests use it to assert ping/pong round trips. The
+	// payload is valid only during the call. Set it before the read loop
+	// starts.
 	OnPong func(payload []byte)
 }
 
@@ -189,7 +199,7 @@ func newConn(nc net.Conn, br *bufio.Reader, client bool, maxMsg int) *Conn {
 		br = bufio.NewReader(nc)
 	}
 	return &Conn{conn: nc, br: br, client: client, maxMsg: maxMsg,
-		bw: bufio.NewWriter(nc), maskSeed: uint64(time.Now().UnixNano()) | 1}
+		maskSeed: uint64(time.Now().UnixNano()) | 1}
 }
 
 // headerHasToken reports whether any value of header key contains token
@@ -211,128 +221,160 @@ func headerHasToken(h http.Header, key, token string) bool {
 // are answered, pongs handed to OnPong). A close frame from the peer is
 // echoed once and surfaces as *CloseError; protocol violations close the
 // connection with the matching code and also surface as *CloseError.
+//
+// The message is read into a buffer the connection reuses: it is valid
+// until the next call to ReadMessage, and a caller that keeps it copies it.
 func (c *Conn) ReadMessage() (Opcode, []byte, error) {
 	var (
-		msg     []byte
 		op      Opcode
 		started bool
 	)
+	c.msg = c.msg[:0]
 	for {
-		fin, fop, payload, err := c.readFrame()
+		h, err := c.readHeader()
 		if err != nil {
 			return 0, nil, err
 		}
-		switch fop {
-		case OpPing:
-			if werr := c.writeControl(OpPong, payload); werr != nil {
-				return 0, nil, werr
+		if h.op >= OpClose {
+			if h.op > OpPong {
+				return 0, nil, c.fail(CloseProtocolError, fmt.Sprintf("reserved opcode %d", h.op))
 			}
-		case OpPong:
-			if c.OnPong != nil {
-				c.OnPong(payload)
+			payload := c.ctl[:h.n]
+			if err := c.readPayload(payload, h); err != nil {
+				return 0, nil, err
 			}
-		case OpClose:
-			code, reason := CloseNormal, ""
-			if len(payload) >= 2 {
-				code = int(binary.BigEndian.Uint16(payload))
-				reason = string(payload[2:])
+			switch h.op {
+			case OpPing:
+				if werr := c.writeControl(OpPong, payload); werr != nil {
+					return 0, nil, werr
+				}
+			case OpPong:
+				if c.OnPong != nil {
+					c.OnPong(payload)
+				}
+			case OpClose:
+				code, reason := CloseNormal, ""
+				if len(payload) >= 2 {
+					code = int(binary.BigEndian.Uint16(payload))
+					reason = string(payload[2:])
+				}
+				c.WriteClose(code, "")
+				return 0, nil, &CloseError{Code: code, Reason: reason}
 			}
-			c.WriteClose(code, "")
-			return 0, nil, &CloseError{Code: code, Reason: reason}
+			continue
+		}
+		switch h.op {
 		case OpContinuation:
 			if !started {
 				return 0, nil, c.fail(CloseProtocolError, "continuation without a started message")
-			}
-			if len(msg)+len(payload) > c.maxMsg {
-				return 0, nil, c.fail(CloseTooBig, "message exceeds limit")
-			}
-			msg = append(msg, payload...)
-			if fin {
-				return op, msg, nil
 			}
 		case OpText, OpBinary:
 			if started {
 				return 0, nil, c.fail(CloseProtocolError, "new data frame inside a fragmented message")
 			}
-			if len(payload) > c.maxMsg {
-				return 0, nil, c.fail(CloseTooBig, "message exceeds limit")
-			}
-			op, started = fop, true
-			msg = append(msg, payload...)
-			if fin {
-				return op, msg, nil
-			}
+			op, started = h.op, true
 		default:
-			return 0, nil, c.fail(CloseProtocolError, fmt.Sprintf("reserved opcode %d", fop))
+			return 0, nil, c.fail(CloseProtocolError, fmt.Sprintf("reserved opcode %d", h.op))
+		}
+		// The limit is on the reassembled message, and it is checked against
+		// the declared length before the payload is read: a fragment that
+		// would cross it closes the connection without being buffered.
+		have := len(c.msg)
+		if have+h.n > c.maxMsg {
+			return 0, nil, c.fail(CloseTooBig, "message exceeds limit")
+		}
+		if need := have + h.n; need > cap(c.msg) {
+			grown := make([]byte, have, min(max(2*cap(c.msg), need), c.maxMsg))
+			copy(grown, c.msg)
+			c.msg = grown
+		}
+		c.msg = c.msg[:have+h.n]
+		if err := c.readPayload(c.msg[have:], h); err != nil {
+			return 0, nil, err
+		}
+		if h.fin {
+			return op, c.msg, nil
 		}
 	}
 }
 
-// readFrame reads and validates one frame, unmasking the payload.
-func (c *Conn) readFrame() (fin bool, op Opcode, payload []byte, err error) {
-	var hdr [2]byte
-	if _, err := readFull(c.br, hdr[:]); err != nil {
-		return false, 0, nil, err
+// frameHeader is one validated frame header: n payload bytes follow, masked
+// with mask when masked.
+type frameHeader struct {
+	fin    bool
+	op     Opcode
+	masked bool
+	mask   [4]byte
+	n      int
+}
+
+// readHeader reads and validates one frame header. A declared length past
+// the limit is refused here, before any of its payload is read.
+func (c *Conn) readHeader() (frameHeader, error) {
+	var h frameHeader
+	if _, err := readFull(c.br, c.hdr[:2]); err != nil {
+		return h, err
 	}
-	fin = hdr[0]&0x80 != 0
-	if hdr[0]&0x70 != 0 {
-		return false, 0, nil, c.fail(CloseProtocolError, "nonzero RSV bits")
+	h.fin = c.hdr[0]&0x80 != 0
+	if c.hdr[0]&0x70 != 0 {
+		return h, c.fail(CloseProtocolError, "nonzero RSV bits")
 	}
-	op = Opcode(hdr[0] & 0x0f)
-	masked := hdr[1]&0x80 != 0
-	n := uint64(hdr[1] & 0x7f)
-	control := op >= OpClose
-	if control {
-		if !fin {
-			return false, 0, nil, c.fail(CloseProtocolError, "fragmented control frame")
+	h.op = Opcode(c.hdr[0] & 0x0f)
+	h.masked = c.hdr[1]&0x80 != 0
+	n := uint64(c.hdr[1] & 0x7f)
+	if h.op >= OpClose {
+		if !h.fin {
+			return h, c.fail(CloseProtocolError, "fragmented control frame")
 		}
 		if n > 125 {
-			return false, 0, nil, c.fail(CloseProtocolError, "oversized control frame")
+			return h, c.fail(CloseProtocolError, "oversized control frame")
 		}
 	}
 	switch n {
 	case 126:
-		var ext [2]byte
-		if _, err := readFull(c.br, ext[:]); err != nil {
-			return false, 0, nil, err
+		if _, err := readFull(c.br, c.hdr[:2]); err != nil {
+			return h, err
 		}
-		n = uint64(binary.BigEndian.Uint16(ext[:]))
+		n = uint64(binary.BigEndian.Uint16(c.hdr[:2]))
 	case 127:
-		var ext [8]byte
-		if _, err := readFull(c.br, ext[:]); err != nil {
-			return false, 0, nil, err
+		if _, err := readFull(c.br, c.hdr[:8]); err != nil {
+			return h, err
 		}
-		n = binary.BigEndian.Uint64(ext[:])
+		n = binary.BigEndian.Uint64(c.hdr[:8])
 		if n&(1<<63) != 0 {
-			return false, 0, nil, c.fail(CloseProtocolError, "frame length high bit set")
+			return h, c.fail(CloseProtocolError, "frame length high bit set")
 		}
 	}
 	// RFC 6455 §5.1: client frames MUST be masked, server frames MUST NOT.
-	if !c.client && !masked {
-		return false, 0, nil, c.fail(CloseProtocolError, "unmasked client frame")
+	if !c.client && !h.masked {
+		return h, c.fail(CloseProtocolError, "unmasked client frame")
 	}
-	if c.client && masked {
-		return false, 0, nil, c.fail(CloseProtocolError, "masked server frame")
+	if c.client && h.masked {
+		return h, c.fail(CloseProtocolError, "masked server frame")
 	}
-	// Reject before reading: a declared length past the limit must not
-	// make the server buffer it first.
 	if n > uint64(c.maxMsg) {
-		return false, 0, nil, c.fail(CloseTooBig, "frame exceeds limit")
+		return h, c.fail(CloseTooBig, "frame exceeds limit")
 	}
-	var mask [4]byte
-	if masked {
-		if _, err := readFull(c.br, mask[:]); err != nil {
-			return false, 0, nil, err
+	if h.masked {
+		if _, err := readFull(c.br, c.hdr[:4]); err != nil {
+			return h, err
 		}
+		copy(h.mask[:], c.hdr[:4])
 	}
-	payload = make([]byte, int(n))
-	if _, err := readFull(c.br, payload); err != nil {
-		return false, 0, nil, err
+	h.n = int(n)
+	return h, nil
+}
+
+// readPayload reads h's payload into dst, which is h.n bytes, and unmasks
+// it.
+func (c *Conn) readPayload(dst []byte, h frameHeader) error {
+	if _, err := readFull(c.br, dst); err != nil {
+		return err
 	}
-	if masked {
-		maskBytes(payload, mask)
+	if h.masked {
+		maskBytes(dst, h.mask)
 	}
-	return fin, op, payload, nil
+	return nil
 }
 
 // readFull is io.ReadFull with torn-frame normalisation: a connection cut
@@ -369,7 +411,7 @@ func (c *Conn) WriteMessage(op Opcode, payload []byte) error {
 	if c.sentClose {
 		return &CloseError{Code: CloseNormal, Reason: "write after close"}
 	}
-	return c.writeFrameLocked(true, op, payload)
+	return c.writeFrameLocked(op, payload)
 }
 
 // writeControl writes a control frame (pong replies from the read path).
@@ -379,7 +421,7 @@ func (c *Conn) writeControl(op Opcode, payload []byte) error {
 	if c.sentClose {
 		return nil
 	}
-	return c.writeFrameLocked(true, op, payload)
+	return c.writeFrameLocked(op, payload)
 }
 
 // WriteClose sends a close frame once; later writes are refused. It does
@@ -394,7 +436,7 @@ func (c *Conn) WriteClose(code int, reason string) error {
 	payload := make([]byte, 2+len(reason))
 	binary.BigEndian.PutUint16(payload, uint16(code))
 	copy(payload[2:], reason)
-	err := c.writeFrameLocked(true, OpClose, payload)
+	err := c.writeFrameLocked(OpClose, payload)
 	c.sentClose = true
 	return err
 }
@@ -408,10 +450,7 @@ func (c *Conn) WriteFrame(f Frame) error {
 	if c.sentClose {
 		return &CloseError{Code: CloseNormal, Reason: "write after close"}
 	}
-	if _, err := c.bw.Write(f.Append(nil)); err != nil {
-		return err
-	}
-	return c.bw.Flush()
+	return c.writeLocked(f)
 }
 
 // WriteRaw writes bytes straight to the connection — torn-frame tests
@@ -419,22 +458,27 @@ func (c *Conn) WriteFrame(f Frame) error {
 func (c *Conn) WriteRaw(b []byte) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	if _, err := c.bw.Write(b); err != nil {
-		return err
-	}
-	return c.bw.Flush()
+	_, err := c.conn.Write(b)
+	return err
 }
 
-func (c *Conn) writeFrameLocked(fin bool, op Opcode, payload []byte) error {
-	f := Frame{Fin: fin, Op: op, Payload: payload}
+// writeFrameLocked writes one final frame, masked when this is the client
+// side. Called with wmu held.
+func (c *Conn) writeFrameLocked(op Opcode, payload []byte) error {
+	f := Frame{Fin: true, Op: op, Payload: payload}
 	if c.client {
 		f.Masked = true
 		f.MaskKey = c.nextMask()
 	}
-	if _, err := c.bw.Write(f.Append(nil)); err != nil {
-		return err
-	}
-	return c.bw.Flush()
+	return c.writeLocked(f)
+}
+
+// writeLocked encodes f into the write buffer and puts it on the wire in
+// one write. Called with wmu held.
+func (c *Conn) writeLocked(f Frame) error {
+	c.wbuf = f.Append(c.wbuf[:0])
+	_, err := c.conn.Write(c.wbuf)
+	return err
 }
 
 // nextMask draws the next client mask key (xorshift64*; masking exists to

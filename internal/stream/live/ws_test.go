@@ -3,8 +3,10 @@ package live
 import (
 	"bufio"
 	"encoding/base64"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -319,6 +321,44 @@ func TestOversizedAcrossFragments(t *testing.T) {
 	var ce *CloseError
 	if !errors.As(err, &ce) || ce.Code != CloseTooBig {
 		t.Fatalf("read = %v, want close %d", err, CloseTooBig)
+	}
+}
+
+// TestOversizedFragmentRefusedBeforeItsPayload: a continuation whose
+// declared length would carry the message past the limit closes the
+// connection with 1009 on its header alone — the server neither waits for
+// nor buffers the payload, so a message never holds more than MaxMessage.
+func TestOversizedFragmentRefusedBeforeItsPayload(t *testing.T) {
+	srvSide, cliSide := net.Pipe()
+	defer cliSide.Close()
+	srv := newConn(srvSide, nil, false, 100)
+	errc := make(chan error, 1)
+	go func() {
+		_, _, err := srv.ReadMessage()
+		srvSide.Close()
+		errc <- err
+	}()
+	cliSide.SetDeadline(time.Now().Add(5 * time.Second))
+	first := Frame{Op: OpText, Masked: true, MaskKey: [4]byte{1, 2, 3, 4}, Payload: []byte(strings.Repeat("f", 90))}
+	// The continuation's header and mask only: 50 declared bytes, never sent.
+	cont := []byte{0x80 | byte(OpContinuation), 0x80 | 50, 5, 6, 7, 8}
+	if _, err := cliSide.Write(append(first.Append(nil), cont...)); err != nil {
+		t.Fatal(err)
+	}
+	hdr := make([]byte, 2)
+	if _, err := io.ReadFull(cliSide, hdr); err != nil {
+		t.Fatalf("no close frame while the continuation's payload is unsent: %v", err)
+	}
+	payload := make([]byte, hdr[1]&0x7f)
+	if _, err := io.ReadFull(cliSide, payload); err != nil || len(payload) < 2 {
+		t.Fatalf("close frame payload %q: %v", payload, err)
+	}
+	if op, code := Opcode(hdr[0]&0x0f), int(binary.BigEndian.Uint16(payload)); op != OpClose || code != CloseTooBig {
+		t.Fatalf("server sent op %d code %d, want a %d close", op, code, CloseTooBig)
+	}
+	var ce *CloseError
+	if err := <-errc; !errors.As(err, &ce) || ce.Code != CloseTooBig {
+		t.Fatalf("server read = %v, want close %d", err, CloseTooBig)
 	}
 }
 
