@@ -10,8 +10,10 @@ package aovlis
 // BENCH.md for the recorded baseline.
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"aovlis/internal/core"
@@ -125,6 +127,80 @@ func TestObserveUpdateSteadyStateAllocs(t *testing.T) {
 	}
 	if st := det.upd.State(); len(st.Buffer) != 0 {
 		t.Fatalf("fixture buffered %d segments; the test must stream unbuffered ones", len(st.Buffer))
+	}
+}
+
+// TestObserveRetrainSteadyStateAllocs pins the drift path: on a channel
+// whose updater buffers every other segment and retrains at every drift
+// check, whole drift cycles — buffering, the drift check, CLSTM_new's
+// training and merge, the repacks that follow — allocate nothing once the
+// channel has retrained. The channel is a clone, as in serving, so its first
+// merge detaches it from the template's weights and the prediction after it
+// packs the plan into arrays of its own; the measurement starts after both.
+func TestObserveRetrainSteadyStateAllocs(t *testing.T) {
+	const maxBuffer, cycles = 5, 3
+	actions, audience := allocFixtureSeries(90)
+	cfg := DefaultConfig(16, 6)
+	cfg.HiddenI, cfg.HiddenA = 12, 8
+	cfg.SeqLen = 4
+	cfg.Epochs = 3
+	cfg.EnableUpdate = true
+	cfg.Update.MaxBuffer = maxBuffer
+	cfg.Update.DriftThreshold = 1 // every drift check retrains
+	cfg.Update.TrainEpochs = 2
+	tmpl, err := Train(actions, audience, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Interaction alternates 0.5 and 1.5 around the initial threshold T = 1,
+	// and every window mean T lands between them, so each drift cycle
+	// buffers the same every-other pattern: ten segments, a multiple of both
+	// batch sizes, so every cycle meets the batches at the same phase and
+	// holds as many rows as the one before it.
+	for i := range audience {
+		level := 0.5 + float64(i%2)
+		for j := range audience[i][:len(audience[i])/2] {
+			audience[i][j] = level
+		}
+	}
+	for _, batch := range []int{1, 5} {
+		t.Run(fmt.Sprintf("batch%d", batch), func(t *testing.T) {
+			det, err := tmpl.Clone()
+			if err != nil {
+				t.Fatal(err)
+			}
+			results := make([]Result, batch)
+			seg, updates := 0, 0
+			feed := func() {
+				k := seg % len(actions)
+				n := min(batch, len(actions)-k)
+				if _, err := det.ObserveBatch(actions[k:k+n], audience[k:k+n], results[:n]); err != nil {
+					t.Fatal(err)
+				}
+				for _, r := range results[:n] {
+					if r.Updated {
+						updates++
+					}
+				}
+				seg += n
+			}
+			for updates == 0 {
+				feed()
+			}
+			feed() // the prediction after the first merge repacks into owned arrays
+
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			start, from := updates, seg
+			for updates < start+cycles {
+				feed()
+			}
+			runtime.ReadMemStats(&after)
+			if n := after.Mallocs - before.Mallocs; n != 0 {
+				t.Fatalf("%d segments over %d drift cycles allocated %d times, want 0", seg-from, cycles, n)
+			}
+		})
 	}
 }
 

@@ -173,17 +173,21 @@ type Detector struct {
 	tier  *ados.TierPlan
 	upd   *update.Updater
 	tau   float64
+	// trainers is the CLSTM_new free list the updater retrains on, shared
+	// with the template this detector was cloned from and its other clones.
+	trainers *update.Trainers
 
 	// actWin/audWin hold the sliding window of the last q segments in rows
 	// the detector owns: every consumed segment is copied in, so a caller
 	// may reuse its vectors once the call returns. Inside observeLanes they
 	// also carry the lanes being consumed (see there). pinned[i] marks a row
-	// a buffered update sample references; it leaves the window with the
-	// updater's buffer instead of being recycled. freeAct/freeAud are rows
-	// that left the window, the next lanes' copies.
-	actWin, audWin   [][]float64
-	pinned           []bool
-	freeAct, freeAud [][]float64
+	// a buffered update sample references; when it leaves the window it is
+	// parked (parkedAct/parkedAud) until the updater's buffer empties.
+	// freeAct/freeAud are rows no one reads, the next lanes' copies.
+	actWin, audWin       [][]float64
+	pinned               []bool
+	parkedAct, parkedAud [][]float64
+	freeAct, freeAud     [][]float64
 
 	// Predict scratch, reused across calls: the per-lane samples and the
 	// lane prediction buffers (headers over one flat backing each). At a
@@ -239,7 +243,7 @@ func Train(actions, audience [][]float64, cfg Config) (*Detector, error) {
 	}
 	tau := core.CalibrateThreshold(valScores, cfg.TauQuantile)
 
-	d := &Detector{cfg: cfg, model: model, tau: tau}
+	d := &Detector{cfg: cfg, model: model, tau: tau, trainers: new(update.Trainers)}
 	if err := d.initRuntime(train); err != nil {
 		return nil, err
 	}
@@ -259,7 +263,7 @@ func (d *Detector) initRuntime(seedSamples []core.Sample) error {
 	// serialised model: every construction path re-applies it here.
 	d.model.SetFastMath(d.cfg.FastMath)
 	if d.cfg.EnableUpdate {
-		upd, err := update.New(d.model, d.cfg.Update)
+		upd, err := update.NewShared(d.model, d.cfg.Update, d.trainers)
 		if err != nil {
 			return err
 		}
@@ -485,7 +489,8 @@ func (d *Detector) observeLanes(acts, auds [][]float64, results []Result) (int, 
 		// block, computed directly from the audience feature. The sample
 		// views the detector's window, which slides in place: the updater
 		// copies the headers of the samples it buffers, and the rows it then
-		// shares are pinned so they are never recycled under it.
+		// shares are pinned so they are not recycled under it until its
+		// buffer empties.
 		if d.upd != nil {
 			var upRes update.Result
 			upRes, err = d.upd.Observe(core.Sample{
@@ -495,16 +500,19 @@ func (d *Detector) observeLanes(acts, auds [][]float64, results []Result) (int, 
 				AudienceTarget: u,
 				Index:          d.observed - 1,
 			}, interactionLevel(u))
-			if err != nil {
-				err = fmt.Errorf("aovlis: dynamic update: %w", err)
-				break
-			}
-			res.Updated = upRes.Updated
 			if upRes.Buffered {
 				for i := end - q; i <= end; i++ {
 					d.pinned[i] = true
 				}
 			}
+			if err != nil {
+				err = fmt.Errorf("aovlis: dynamic update: %w", err)
+				break
+			}
+			if upRes.Triggered {
+				d.unpin()
+			}
+			res.Updated = upRes.Updated
 			if v := d.model.Params().Version(); v != version {
 				version, predTo = v, n+1
 			}
@@ -514,12 +522,17 @@ func (d *Detector) observeLanes(acts, auds [][]float64, results []Result) (int, 
 
 	// Slide (allocation-free): keep the last q rows of the history the n
 	// consumed lanes leave behind and recycle the others — older history and
-	// lanes an error left unconsumed — unless a buffered update sample still
-	// reads them.
+	// lanes an error left unconsumed — or park them while a buffered update
+	// sample still reads them.
 	end := w0 + n
 	keep := min(end, q)
 	for i, a := range d.actWin {
-		if (i < end-keep || i >= end) && !d.pinned[i] {
+		switch {
+		case i >= end-keep && i < end: // stays in the window
+		case d.pinned[i]:
+			d.parkedAct = append(d.parkedAct, a)
+			d.parkedAud = append(d.parkedAud, d.audWin[i])
+		default:
 			d.freeAct = append(d.freeAct, a)
 			d.freeAud = append(d.freeAud, d.audWin[i])
 		}
@@ -535,6 +548,18 @@ func (d *Detector) observeLanes(acts, auds [][]float64, results []Result) (int, 
 		return n, err
 	}
 	return valid, dimErr
+}
+
+// unpin hands the rows the updater's buffer held back to the detector once
+// the buffer has emptied: the parked rows to the free lists, the ones still
+// in the window to the slide.
+func (d *Detector) unpin() {
+	d.freeAct = append(d.freeAct, d.parkedAct...)
+	d.freeAud = append(d.freeAud, d.parkedAud...)
+	clear(d.parkedAct)
+	clear(d.parkedAud)
+	d.parkedAct, d.parkedAud = d.parkedAct[:0], d.parkedAud[:0]
+	clear(d.pinned)
 }
 
 // predict fills d.fhat/d.ahat[0:lanes] with the predictions of lanes
@@ -659,11 +684,12 @@ func (d *Detector) Save(w io.Writer) error {
 // (or Load) once, Clone per channel. It behaves exactly like Load of this
 // detector's Save, at a fraction of the cost: the weights are shared
 // copy-on-write (core.Model.Clone), so a clone holds only its own state
-// until an incremental update or a warm start gives it weights of its own.
+// until an incremental update or a warm start gives it weights of its own,
+// and the template and all its clones retrain on one list of trainers.
 // Clone only reads the detector, so concurrent Clones of one template are
 // fine, but it must not overlap a writer (see the concurrency contract).
 func (d *Detector) Clone() (*Detector, error) {
-	c := &Detector{cfg: d.cfg, model: d.model.Clone(), tau: d.tau}
+	c := &Detector{cfg: d.cfg, model: d.model.Clone(), tau: d.tau, trainers: d.trainers}
 	if err := c.initRuntime(nil); err != nil {
 		return nil, fmt.Errorf("aovlis: cloning detector: %w", err)
 	}
@@ -686,7 +712,7 @@ func Load(r io.Reader) (*Detector, error) {
 	if err != nil {
 		return nil, err
 	}
-	d := &Detector{cfg: wire.Config, model: model, tau: wire.Tau}
+	d := &Detector{cfg: wire.Config, model: model, tau: wire.Tau, trainers: new(update.Trainers)}
 	if err := d.initRuntime(nil); err != nil {
 		return nil, err
 	}
@@ -788,6 +814,7 @@ func RestoreDetector(r io.Reader) (*Detector, error) {
 		cfg:      wire.Config,
 		model:    model,
 		tau:      wire.Tau,
+		trainers: new(update.Trainers),
 		actWin:   wire.ActWin,
 		audWin:   wire.AudWin,
 		pinned:   make([]bool, len(wire.ActWin)),
@@ -807,7 +834,7 @@ func RestoreDetector(r io.Reader) (*Detector, error) {
 	// Runtime inference mode is config-owned, not snapshot-owned: re-apply.
 	d.model.SetFastMath(d.cfg.FastMath)
 	if wire.HasUpdater {
-		upd, err := update.New(model, d.cfg.Update)
+		upd, err := update.NewShared(model, d.cfg.Update, d.trainers)
 		if err != nil {
 			return nil, fmt.Errorf("aovlis: restoring updater: %w", err)
 		}

@@ -211,14 +211,6 @@ func (f *Filter) Config() Config { return f.cfg }
 // Stats returns a snapshot of the activity counters.
 func (f *Filter) Stats() Stats { return f.st }
 
-// ResetStats clears the counters.
-func (f *Filter) ResetStats() { f.st = Stats{} }
-
-// RestoreStats overwrites the activity counters. The counters are
-// observability state only — Decide never reads them — so restoring them
-// cannot change any decision.
-func (f *Filter) RestoreStats(st Stats) { f.st = st }
-
 // trigger reports whether the L1 pass should be computed for this segment.
 func (f *Filter) trigger(fTrue, fHat []float64) bool {
 	i := mat.VecArgMax(fTrue)

@@ -225,18 +225,6 @@ func TestStrategyAndPathStrings(t *testing.T) {
 	}
 }
 
-func TestResetStats(t *testing.T) {
-	fl, _ := NewFilter(DefaultConfig(0.1, 0.8))
-	f := randDist(rand.New(rand.NewSource(4)), 20)
-	if _, err := fl.Decide(f, f, []float64{0}, []float64{0}); err != nil {
-		t.Fatal(err)
-	}
-	fl.ResetStats()
-	if fl.Stats().Total != 0 {
-		t.Fatal("ResetStats did not clear")
-	}
-}
-
 // Efficiency shape: on a mostly-normal workload ADOS must issue fewer
 // exact-REI computations than the no-bound strategy (which always does).
 func TestADOSReducesExactComputations(t *testing.T) {

@@ -202,13 +202,6 @@ func (t *TierPlan) Commit(fTrue, fHat, aHat []float64, anomalous bool) {
 // Stats returns a snapshot of the gate counters.
 func (t *TierPlan) Stats() TierStats { return t.st }
 
-// ResetStats clears the gate counters.
-func (t *TierPlan) ResetStats() { t.st = TierStats{} }
-
-// RestoreStats overwrites the gate counters (observability state only;
-// Gate decisions never read them).
-func (t *TierPlan) RestoreStats(st TierStats) { t.st = st }
-
 // State snapshots the full gating state (anchor + counters).
 func (t *TierPlan) State() TierState {
 	return TierState{

@@ -1,10 +1,9 @@
 package ados
 
-// Unit tests for the TierPlan skip gate, plus the satellite-6 audit: every
-// counter field of Stats and TierStats must round-trip symmetrically
-// through ResetStats/RestoreStats (reflection-driven so a future field
-// cannot silently escape the reset/restore pair), and TierState must carry
-// the full gating state.
+// Unit tests for the TierPlan skip gate, plus the counter audit: every
+// field of TierStats must round-trip through State/SetState
+// (reflection-driven so a future field cannot silently escape the
+// snapshot), and TierState must carry the full gating state.
 
 import (
 	"bytes"
@@ -209,28 +208,10 @@ func fillCounters(v reflect.Value, base int) {
 	}
 }
 
-// TestStatsRoundTripSymmetry is the satellite-6 audit: Filter.Stats and
-// TierPlan.TierStats must reset to zero and restore to exactly what was
-// stored, for EVERY field (reflection catches fields added without
-// updating the reset/restore pair — both are whole-struct assignments, so
-// this pins that they stay that way).
+// TestStatsRoundTripSymmetry is the counter audit: TierPlan's counters must
+// restore through SetState to exactly what State exported, for EVERY field
+// (reflection catches a field added without reaching the snapshot).
 func TestStatsRoundTripSymmetry(t *testing.T) {
-	t.Run("Filter", func(t *testing.T) {
-		f, err := NewFilter(DefaultConfig(0.5, 0.7))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var st Stats
-		fillCounters(reflect.ValueOf(&st).Elem(), 100)
-		f.RestoreStats(st)
-		if got := f.Stats(); got != st {
-			t.Fatalf("RestoreStats lost fields: got %+v, want %+v", got, st)
-		}
-		f.ResetStats()
-		if got := f.Stats(); got != (Stats{}) {
-			t.Fatalf("ResetStats left fields: %+v", got)
-		}
-	})
 	t.Run("TierPlan", func(t *testing.T) {
 		tp, err := NewTierPlan(DefaultTierConfig(), 4, 2)
 		if err != nil {
@@ -238,17 +219,12 @@ func TestStatsRoundTripSymmetry(t *testing.T) {
 		}
 		var st TierStats
 		fillCounters(reflect.ValueOf(&st).Elem(), 200)
-		tp.RestoreStats(st)
+		if err := tp.SetState(TierState{Stats: st}); err != nil {
+			t.Fatal(err)
+		}
 		if got := tp.Stats(); got != st {
-			t.Fatalf("RestoreStats lost fields: got %+v, want %+v", got, st)
+			t.Fatalf("SetState lost counters: got %+v, want %+v", got, st)
 		}
-		tp.ResetStats()
-		if got := tp.Stats(); got != (TierStats{}) {
-			t.Fatalf("ResetStats left fields: %+v", got)
-		}
-		// State must carry the counters too (Snapshot/Restore path).
-		fillCounters(reflect.ValueOf(&st).Elem(), 300)
-		tp.RestoreStats(st)
 		if got := tp.State().Stats; got != st {
 			t.Fatalf("State dropped counters: got %+v, want %+v", got, st)
 		}

@@ -315,16 +315,18 @@ func (m *Model) Score(s *Sample) (Score, error) {
 	return NewScore(s.ActionTarget, fhat, s.AudienceTarget, ahat, m.cfg.Omega), nil
 }
 
-// ResetOptimizer clears Adam state; the dynamic-update algorithm calls this
-// before training a fresh CLSTM_new on buffered segments.
+// ResetOptimizer clears Adam state; a model warm-started from another's
+// parameters (update.SharedBase.Seed) calls it so its training starts from
+// a fresh optimiser.
 func (m *Model) ResetOptimizer() { m.opt.Reset() }
 
 // Clone returns an independent model with m's parameters, a fresh
-// optimiser and the exact gate mode: the one way a model is copied, by the
-// serving tier (a Detector per channel), the merge step and the re-training
-// baseline alike. The copy is copy-on-write. The clone has its own
-// parameter headers, layer headers and lane state, but its parameter values
-// and packed inference weights are m's arrays, held read-only by both until
+// optimiser and the exact gate mode: the way a model is copied by the
+// serving tier (a Detector per channel) and the re-training baseline alike;
+// the dynamic update trains on a Trainer instead. The copy is
+// copy-on-write. The clone has its own parameter headers, layer headers and
+// lane state, but its parameter values and packed inference weights are
+// m's arrays, held read-only by both until
 // one of them mutates its parameters: that model's ParamSet copies the
 // values out at its next BumpVersion and its plan packs into fresh arrays
 // at the following Repack, leaving the other's untouched. A model that is
@@ -343,6 +345,47 @@ func (m *Model) Clone() *Model {
 		plan: m.plan.clone(),
 	}
 }
+
+// Trainer is a model that only trains — CLSTM_new of the dynamic update. It
+// holds parameters, optimiser moments and a training engine of its own, and
+// no inference plan. Reset makes it what src.Clone() would be for training:
+// src's parameters and a fresh optimiser, written into the arrays it
+// already has, so a trainer reused across retrains allocates nothing after
+// its first. A Trainer is not safe for concurrent use.
+type Trainer struct{ m *Model }
+
+// NewTrainer returns a trainer holding a copy of src's parameters. It only
+// reads src: unlike Clone it sets no sharing mark, so src goes on writing
+// its parameters and packing its plan in place.
+func NewTrainer(src *Model) *Trainer {
+	return &Trainer{m: &Model{
+		cfg:   src.cfg,
+		ps:    src.ps.Copy(),
+		cellI: src.cellI, cellA: src.cellA, decI: src.decI, decA: src.decA,
+		opt: nn.NewAdam(src.cfg.LearningRate),
+	}}
+}
+
+// Reset overwrites the trainer's parameters with src's and restarts its
+// optimiser: moments zeroed in place, step count 0.
+func (t *Trainer) Reset(src *Model) error {
+	if t.m.cfg != src.cfg {
+		return fmt.Errorf("core: cannot reset a trainer from a model with a different configuration")
+	}
+	if err := t.m.ps.CopyFrom(src.ps); err != nil {
+		return err
+	}
+	t.m.opt.Restart()
+	return nil
+}
+
+// TrainEpoch is Model.TrainEpoch on the trainer's parameters.
+func (t *Trainer) TrainEpoch(samples []Sample, rng *rand.Rand) (float64, error) {
+	return t.m.TrainEpoch(samples, rng)
+}
+
+// Params exposes the trained parameters (the merge reads them).
+func (t *Trainer) Params() *nn.ParamSet { return t.m.ps }
 
 // Merge folds other's parameters into m as w·m + (1−w)·other — the
 // parameter-space realisation of merge(CLSTM_new, CLSTM_{t-1}) in the

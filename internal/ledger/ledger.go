@@ -61,6 +61,7 @@ import (
 	"encoding/binary"
 	"encoding/gob"
 	"encoding/hex"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"hash"
@@ -90,6 +91,75 @@ type Entry struct {
 	Score   float64 `json:"score"`
 	Exact   bool    `json:"exact"`
 	Path    string  `json:"path"`
+}
+
+// entryFields is Entry without its JSON methods.
+type entryFields Entry
+
+// MarshalJSON writes e with a score encoding/json would refuse — a hostile
+// observation can score ±Inf or NaN — as a string (see jsonScore), so the
+// proof of any ledgered verdict is servable.
+func (e Entry) MarshalJSON() ([]byte, error) {
+	return json.Marshal(struct {
+		entryFields
+		Score jsonScore `json:"score"`
+	}{entryFields(e), jsonScore(e.Score)})
+}
+
+// UnmarshalJSON reads what MarshalJSON writes.
+func (e *Entry) UnmarshalJSON(b []byte) error {
+	w := struct {
+		*entryFields
+		Score jsonScore `json:"score"`
+	}{entryFields: (*entryFields)(e)}
+	if err := json.Unmarshal(b, &w); err != nil {
+		return err
+	}
+	e.Score = float64(w.Score)
+	return nil
+}
+
+// jsonScore is a score's JSON form: a number when finite, else "+Inf",
+// "-Inf" or "NaN:" and the 16 hex digits of its bits. The leaf hash reads
+// the score's bits, so a proof must carry a NaN's payload too.
+type jsonScore float64
+
+func (s jsonScore) MarshalJSON() ([]byte, error) {
+	f := float64(s)
+	switch {
+	case math.IsInf(f, 1):
+		return []byte(`"+Inf"`), nil
+	case math.IsInf(f, -1):
+		return []byte(`"-Inf"`), nil
+	case math.IsNaN(f):
+		return fmt.Appendf(nil, `"NaN:%016x"`, math.Float64bits(f)), nil
+	}
+	return json.Marshal(f)
+}
+
+func (s *jsonScore) UnmarshalJSON(b []byte) error {
+	if len(b) == 0 || b[0] != '"' {
+		return json.Unmarshal(b, (*float64)(s))
+	}
+	var str string
+	if err := json.Unmarshal(b, &str); err != nil {
+		return err
+	}
+	switch {
+	case str == "+Inf":
+		*s = jsonScore(math.Inf(1))
+	case str == "-Inf":
+		*s = jsonScore(math.Inf(-1))
+	case strings.HasPrefix(str, "NaN:") && len(str) == 4+16:
+		bits, err := strconv.ParseUint(str[4:], 16, 64)
+		if err != nil || !math.IsNaN(math.Float64frombits(bits)) {
+			return fmt.Errorf("ledger: score %q is not a NaN's bits", str)
+		}
+		*s = jsonScore(math.Float64frombits(bits))
+	default:
+		return fmt.Errorf("ledger: score %q is not a number, +Inf, -Inf or NaN:<bits>", str)
+	}
+	return nil
 }
 
 // appendEntry appends e's canonical binary encoding — the bytes a leaf

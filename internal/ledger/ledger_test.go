@@ -1,9 +1,11 @@
 package ledger
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -239,6 +241,68 @@ func TestProofJSONRoundTrip(t *testing.T) {
 	}
 	if err := VerifyProof(back); err != nil {
 		t.Fatalf("proof broken by JSON round trip: %v", err)
+	}
+}
+
+// TestEntryJSONScores pins an entry's JSON score: a finite score is the
+// number encoding/json writes for it, and every score — ±Inf and NaNs with
+// any payload included, which a hostile observation can produce — comes
+// back with its bits, so the proof of its entry still verifies.
+func TestEntryJSONScores(t *testing.T) {
+	scores := []float64{0.125, 1e-7, 4.4e300, math.Copysign(0, -1),
+		math.Inf(1), math.Inf(-1), math.NaN(), math.Float64frombits(0xfff8000000000000)}
+	dir := t.TempDir()
+	l, err := Open(dir, Options{BatchSize: len(scores)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	for i, s := range scores {
+		e := testEntry("ch", uint64(i+1))
+		e.Score = s
+		if _, err := l.Append(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, s := range scores {
+		p, err := l.Proof(uint64(i + 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, err := json.Marshal(p)
+		if err != nil {
+			t.Fatalf("score %v: %v", s, err)
+		}
+		var fields struct {
+			Entry struct {
+				Score json.RawMessage `json:"score"`
+			} `json:"entry"`
+		}
+		if err := json.Unmarshal(raw, &fields); err != nil {
+			t.Fatal(err)
+		}
+		if want, err := json.Marshal(s); err == nil && !bytes.Equal(fields.Entry.Score, want) {
+			t.Fatalf("finite score %v encodes as %s, encoding/json writes %s", s, fields.Entry.Score, want)
+		}
+		var back Proof
+		if err := json.Unmarshal(raw, &back); err != nil {
+			t.Fatalf("score %s: %v", fields.Entry.Score, err)
+		}
+		got, want := back.Entry, p.Entry
+		got.Score, want.Score = 0, 0
+		if got != want || math.Float64bits(back.Entry.Score) != math.Float64bits(s) {
+			t.Fatalf("entry with score %s came back as %+v (score bits %x), want score bits %x",
+				fields.Entry.Score, back.Entry, math.Float64bits(back.Entry.Score), math.Float64bits(s))
+		}
+		if err := VerifyProof(back); err != nil {
+			t.Fatalf("score %s: proof broken by its JSON round trip: %v", fields.Entry.Score, err)
+		}
+	}
+	for _, bad := range []string{`"Inf"`, `"NaN"`, `"NaN:3ff0000000000000"`, `"NaN:zz"`, `"1.5"`} {
+		var e Entry
+		if err := json.Unmarshal([]byte(`{"score":`+bad+`}`), &e); err == nil {
+			t.Fatalf("score %s accepted as %v", bad, e.Score)
+		}
 	}
 }
 

@@ -143,6 +143,18 @@ func (ps *ParamSet) Clone() *ParamSet {
 	return out
 }
 
+// Copy returns a deep copy of the set: its own headers, version counter and
+// values. Unlike Clone it only reads ps — it sets no sharing mark — so ps
+// goes on writing its values in place.
+func (ps *ParamSet) Copy() *ParamSet {
+	out := NewParamSet()
+	out.version = ps.version
+	for i, m := range ps.mats {
+		out.Add(ps.names[i], mat.FromSlice(m.Rows, m.Cols, slices.Clone(m.Data)))
+	}
+	return out
+}
+
 // CopyFrom overwrites every parameter in ps with the values from src, which
 // must contain an identically-shaped parameter for every name in ps.
 func (ps *ParamSet) CopyFrom(src *ParamSet) error {
@@ -335,6 +347,18 @@ func (a *Adam) align(ps *ParamSet) {
 func (a *Adam) Reset() {
 	a.t = 0
 	a.aligned, a.names, a.m, a.v = nil, nil, nil, nil
+}
+
+// Restart zeroes the moment estimates in place and the step count: the next
+// step is bit for bit a fresh optimiser's, without reallocating the moments.
+func (a *Adam) Restart() {
+	a.t = 0
+	for i := range a.m {
+		if a.m[i] != nil {
+			a.m[i].Zero()
+			a.v[i].Zero()
+		}
+	}
 }
 
 // adamWire is the gob wire format for Adam state. Moment matrices are

@@ -308,9 +308,14 @@ func (n *Node) handleHealth(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, resp)
 }
 
+// writeJSON answers v as indented JSON, or 500 when v cannot be encoded:
+// the body is encoded whole before the status goes out.
 func writeJSON(w http.ResponseWriter, v interface{}) {
+	b, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		http.Error(w, "encoding response: "+err.Error(), http.StatusInternalServerError)
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
+	w.Write(append(b, '\n'))
 }

@@ -9,6 +9,7 @@ package node
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"math"
 	"math/rand"
@@ -317,6 +318,54 @@ func TestReplayedVerdictsReachTheLedger(t *testing.T) {
 	shut(t, n2)
 	if again, err := ledger.Verify(d.ledger); err != nil || again.Entries != 2*first.Entries {
 		t.Fatalf("ledger after the replay: %+v, %v; want %d entries", again, err, 2*first.Entries)
+	}
+}
+
+// TestNonFiniteVerdictProofIsServable: a segment whose audience features
+// are all 1e200 scores +Inf, and the ledger records that score. Its proof
+// must be servable — encoding/json refuses +Inf as a number — and decode
+// back to an entry scored +Inf whose proof verifies.
+func TestNonFiniteVerdictProofIsServable(t *testing.T) {
+	n, _ := open(t, testConfig(allDirs(t)))
+	defer shut(t, n)
+	acts, auds := testSeries(41, 6)
+	for i := range auds[5] {
+		auds[5][i] = 1e200
+	}
+	res := observe(t, n, "hostile", acts, auds, 0, 6)
+	if !math.IsInf(res[5].Score, 1) {
+		t.Fatalf("hostile segment scored %v, want +Inf", res[5].Score)
+	}
+	if err := n.ledger.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(n.Handler())
+	defer srv.Close()
+	// Segments 4 and 5 are the channel's verdicts: ledger seqs 1 and 2.
+	resp, err := http.Get(srv.URL + "/ledger/proof/2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var p ledger.Proof
+	if err := json.NewDecoder(resp.Body).Decode(&p); resp.StatusCode != http.StatusOK || err != nil {
+		t.Fatalf("GET /ledger/proof/2: status %d, decoding %v", resp.StatusCode, err)
+	}
+	if !math.IsInf(p.Entry.Score, 1) || p.Entry.Channel != "hostile" {
+		t.Fatalf("proof carries %+v, want channel hostile scored +Inf", p.Entry)
+	}
+	if err := ledger.VerifyProof(p); err != nil {
+		t.Fatalf("served proof does not verify: %v", err)
+	}
+}
+
+// TestWriteJSONEncodeError: a body that cannot be encoded answers 500, not
+// 200 with an empty body.
+func TestWriteJSONEncodeError(t *testing.T) {
+	rec := httptest.NewRecorder()
+	writeJSON(rec, map[string]float64{"score": math.Inf(1)})
+	if rec.Code != http.StatusInternalServerError || !strings.Contains(rec.Body.String(), "encoding response") {
+		t.Fatalf("writeJSON of +Inf answered %d %q, want 500", rec.Code, rec.Body.String())
 	}
 }
 

@@ -17,6 +17,8 @@ package update
 import (
 	"fmt"
 	"math/rand"
+	"slices"
+	"sync"
 
 	"aovlis/internal/core"
 	"aovlis/internal/mat"
@@ -79,17 +81,29 @@ func (c Config) Validate() error {
 }
 
 // setSketch is the O(dim) exact representation of a hidden-state set for
-// Eq. 17: the sum of unit-normalised members plus the member count.
+// Eq. 17: the sum of unit-normalised members plus the member count. sum is
+// nil until the set's first member; reset keeps the zeroed array in spare
+// for the next one.
 type setSketch struct {
 	sum   []float64
 	count int
+	spare []float64
+}
+
+// init gives an empty sketch its zeroed sum of dimension n.
+func (s *setSketch) init(n int) {
+	if s.sum != nil {
+		return
+	}
+	if len(s.spare) != n {
+		s.spare = make([]float64, n)
+	}
+	s.sum, s.spare = s.spare, nil
 }
 
 func (s *setSketch) add(h []float64) {
 	n := mat.VecNorm2(h)
-	if s.sum == nil {
-		s.sum = make([]float64, len(h))
-	}
+	s.init(len(h))
 	if n == 0 {
 		s.count++ // zero vectors contribute zero cosine everywhere
 		return
@@ -104,16 +118,19 @@ func (s *setSketch) merge(o *setSketch) {
 	if o.sum == nil {
 		return
 	}
-	if s.sum == nil {
-		s.sum = make([]float64, len(o.sum))
-	}
+	s.init(len(o.sum))
 	for i, v := range o.sum {
 		s.sum[i] += v
 	}
 	s.count += o.count
 }
 
+// reset empties the sketch in place.
 func (s *setSketch) reset() {
+	if s.sum != nil {
+		clear(s.sum)
+		s.spare = s.sum
+	}
 	s.sum = nil
 	s.count = 0
 }
@@ -146,6 +163,8 @@ type Result struct {
 	// Buffered reports whether the segment entered the normal buffer.
 	Buffered bool
 	// Triggered reports whether the buffer filled and a drift check ran.
+	// Unless Observe also returned an error, the buffer is then empty: no
+	// buffered sample references the caller's rows any more.
 	Triggered bool
 	// DriftSim is the Eq. 17 similarity when Triggered.
 	DriftSim float64
@@ -153,15 +172,66 @@ type Result struct {
 	Updated bool
 }
 
+// Trainers is a free list of CLSTM_new trainers, shared by the updaters of
+// one template's detectors (see NewShared). A retrain takes a trainer,
+// resets it from its serving model and puts it back after the merge, so the
+// number of trainers ever made is bounded by how many retrains run at once,
+// not by how many updaters share the list. The zero value is an empty list;
+// it is safe for concurrent use.
+type Trainers struct {
+	mu   sync.Mutex
+	free []*trainer
+	made int
+}
+
+// trainer is one CLSTM_new and the rng its epochs shuffle with.
+type trainer struct {
+	model *core.Trainer
+	rng   *rand.Rand
+}
+
+// Made reports how many trainers the list has ever made.
+func (l *Trainers) Made() int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.made
+}
+
+// take pops a trainer, or makes one from serving when the list is empty.
+func (l *Trainers) take(serving *core.Model) *trainer {
+	l.mu.Lock()
+	if n := len(l.free); n > 0 {
+		tr := l.free[n-1]
+		l.free[n-1] = nil
+		l.free = l.free[:n-1]
+		l.mu.Unlock()
+		return tr
+	}
+	l.made++
+	l.mu.Unlock()
+	return &trainer{model: core.NewTrainer(serving), rng: rand.New(rand.NewSource(0))}
+}
+
+// put returns a trainer to the list.
+func (l *Trainers) put(tr *trainer) {
+	l.mu.Lock()
+	l.free = append(l.free, tr)
+	l.mu.Unlock()
+}
+
 // Updater maintains a CLSTM over a stream per Fig. 5.
 type Updater struct {
-	cfg   Config
-	model *core.Model
+	cfg      Config
+	model    *core.Model
+	trainers *Trainers
 
 	history  setSketch     // S_h: hidden states of historical data
 	incoming setSketch     // S_n: hidden states of buffered incoming data
 	buffer   []core.Sample // n_tmp: buffered presumed-normal segments
 	hidden   []float64     // reused Model.HiddenInto destination
+	// heads is the arena of the buffered samples' window headers: each
+	// buffered sample's ActionSeq and AudienceSeq view its next 2q entries.
+	heads [][]float64
 
 	// interaction threshold T: mean interaction level of the previous
 	// window (Fig. 5 line 4 filters segments with interaction < T).
@@ -173,15 +243,22 @@ type Updater struct {
 	checks  int
 }
 
-// New builds an updater around a trained model.
+// New builds an updater around a trained model, with a trainer list of its
+// own.
 func New(model *core.Model, cfg Config) (*Updater, error) {
+	return NewShared(model, cfg, new(Trainers))
+}
+
+// NewShared builds an updater that trains CLSTM_new on trainers from l, a
+// list it shares with the updaters of models of the same configuration.
+func NewShared(model *core.Model, cfg Config, l *Trainers) (*Updater, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	if model == nil {
 		return nil, fmt.Errorf("update: nil model")
 	}
-	return &Updater{cfg: cfg, model: model, prevWindowMean: 1, hidden: make([]float64, model.Config().HiddenI)}, nil
+	return &Updater{cfg: cfg, model: model, trainers: l, prevWindowMean: 1, hidden: make([]float64, model.Config().HiddenI)}, nil
 }
 
 // Model returns the current model (callers score segments with it).
@@ -212,8 +289,8 @@ func (u *Updater) SeedHistory(samples []core.Sample) error {
 // its audience interaction marks it normal, and when the buffer fills run
 // the drift check and possibly the incremental update. The sample's window
 // slices may alias storage the caller goes on to reuse: a buffered sample
-// is given its own window headers (the feature rows are shared, and must
-// stay frozen).
+// is given its own window headers. Its feature rows are shared, and the
+// caller must leave them alone until a Result reports Triggered.
 func (u *Updater) Observe(sample core.Sample, interactionLevel float64) (Result, error) {
 	var res Result
 
@@ -228,8 +305,10 @@ func (u *Updater) Observe(sample core.Sample, interactionLevel float64) (Result,
 		if err := u.model.HiddenInto(&sample, u.hidden); err != nil {
 			return res, fmt.Errorf("update: hidden state: %w", err)
 		}
-		sample.ActionSeq = append([][]float64(nil), sample.ActionSeq...)
-		sample.AudienceSeq = append([][]float64(nil), sample.AudienceSeq...)
+		if cap(u.buffer) == 0 {
+			u.buffer = make([]core.Sample, 0, u.cfg.MaxBuffer)
+		}
+		sample = u.ownHeaders(sample)
 		u.buffer = append(u.buffer, sample)
 		u.incoming.add(u.hidden)
 		res.Buffered = true
@@ -261,8 +340,23 @@ func (u *Updater) Observe(sample core.Sample, interactionLevel float64) (Result,
 	// S_h ← S_h ∪ S_n; clear S_n and n_tmp (lines 13-14).
 	u.history.merge(&u.incoming)
 	u.incoming.reset()
-	u.buffer = u.buffer[:0]
+	clear(u.buffer)
+	clear(u.heads)
+	u.buffer, u.heads = u.buffer[:0], u.heads[:0]
 	return res, nil
+}
+
+// ownHeaders returns s with window headers copied into the arena. The
+// arena is sized for a full buffer on first use; a restored buffer beyond
+// that grows it by append, which leaves earlier samples on the old array.
+func (u *Updater) ownHeaders(s core.Sample) core.Sample {
+	if u.heads == nil {
+		u.heads = make([][]float64, 0, 2*u.model.Config().SeqLen*u.cfg.MaxBuffer)
+	}
+	at, mid := len(u.heads), len(u.heads)+len(s.ActionSeq)
+	u.heads = append(append(u.heads, s.ActionSeq...), s.AudienceSeq...)
+	s.ActionSeq, s.AudienceSeq = u.heads[at:mid:mid], u.heads[mid:len(u.heads):len(u.heads)]
+	return s
 }
 
 // State is the updater's complete mutable runtime state, exported for
@@ -290,7 +384,9 @@ type State struct {
 	Checks  int
 }
 
-// State returns a deep copy of the updater's runtime state.
+// State returns a deep copy of the updater's runtime state, the buffered
+// samples' feature rows included: the caller recycles those rows once the
+// buffer empties.
 func (u *Updater) State() State {
 	st := State{
 		HistorySum:     append([]float64(nil), u.history.sum...),
@@ -304,8 +400,24 @@ func (u *Updater) State() State {
 		Checks:         u.checks,
 	}
 	st.Buffer = make([]core.Sample, len(u.buffer))
-	copy(st.Buffer, u.buffer)
+	for i, s := range u.buffer {
+		st.Buffer[i] = copySample(s)
+	}
 	return st
+}
+
+// copySample deep-copies a sample: window headers, rows and targets.
+func copySample(s core.Sample) core.Sample {
+	rows := func(seq [][]float64) [][]float64 {
+		out := make([][]float64, len(seq))
+		for t, r := range seq {
+			out[t] = slices.Clone(r)
+		}
+		return out
+	}
+	s.ActionSeq, s.AudienceSeq = rows(s.ActionSeq), rows(s.AudienceSeq)
+	s.ActionTarget, s.AudienceTarget = slices.Clone(s.ActionTarget), slices.Clone(s.AudienceTarget)
+	return s
 }
 
 // SetState replaces the updater's runtime state with a previously exported
@@ -343,8 +455,12 @@ func (u *Updater) SetState(st State) error {
 	}
 	u.history = setSketch{sum: append([]float64(nil), st.HistorySum...), count: st.HistoryCount}
 	u.incoming = setSketch{sum: append([]float64(nil), st.IncomingSum...), count: st.IncomingCount}
+	clear(u.heads)
+	u.heads = u.heads[:0]
 	u.buffer = make([]core.Sample, len(st.Buffer))
-	copy(u.buffer, st.Buffer)
+	for i, s := range st.Buffer {
+		u.buffer[i] = u.ownHeaders(copySample(s))
+	}
 	u.prevWindowMean = st.PrevWindowMean
 	u.curWindowSum = st.CurWindowSum
 	u.curWindowN = st.CurWindowN
@@ -354,21 +470,28 @@ func (u *Updater) SetState(st State) error {
 }
 
 // applyUpdate trains CLSTM_new on the buffered segments (warm-started from
-// the current parameters) and merges it into the running model.
+// the current parameters) and merges it into the running model. CLSTM_new
+// is a trainer from the shared list, reset from the running model: the
+// parameters, fresh optimiser and shuffle seed a Clone of it would start
+// from, in arrays the trainer reuses.
 func (u *Updater) applyUpdate() error {
-	fresh := u.model.Clone() // fresh optimiser state comes with the clone
-	rng := rand.New(rand.NewSource(u.cfg.Seed + int64(u.updates)))
+	tr := u.trainers.take(u.model)
+	defer u.trainers.put(tr)
+	if err := tr.model.Reset(u.model); err != nil {
+		return fmt.Errorf("update: resetting CLSTM_new: %w", err)
+	}
+	tr.rng.Seed(u.cfg.Seed + int64(u.updates))
 	for e := 0; e < u.cfg.TrainEpochs; e++ {
-		if _, err := fresh.TrainEpoch(u.buffer, rng); err != nil {
+		if _, err := tr.model.TrainEpoch(u.buffer, tr.rng); err != nil {
 			return fmt.Errorf("update: training CLSTM_new: %w", err)
 		}
 	}
 	switch u.cfg.Mode {
 	case MergeReplace:
-		return u.model.Params().CopyFrom(fresh.Params())
+		return u.model.Params().CopyFrom(tr.model.Params())
 	case MergeAverage:
 		// θ_model ← (1−w)·θ_model + w·θ_new.
-		return u.model.Params().Average(fresh.Params(), 1-u.cfg.MergeWeight)
+		return u.model.Params().Average(tr.model.Params(), 1-u.cfg.MergeWeight)
 	default:
 		return fmt.Errorf("update: unknown merge mode %d", u.cfg.Mode)
 	}

@@ -464,3 +464,85 @@ func TestSetStateRejectsMismatchedDimensions(t *testing.T) {
 		t.Fatalf("consistent state rejected: %v", err)
 	}
 }
+
+// TestReusedTrainerMatchesFreshClone pins the trainer list's bit contract.
+// A retrain takes a trainer that another updater has already trained with:
+// its parameters, Adam moments, training engine and rng are all dirty. The
+// merge must still land on exactly the parameters the update algorithm gets
+// from a fresh Clone of the model, a fresh optimiser and a fresh rng seeded
+// Seed+updates — twice in a row, the second time on the trainer this
+// updater used itself.
+func TestReusedTrainerMatchesFreshClone(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	base := testModel(t)
+	r := rand.New(rand.NewSource(32))
+	for e := 0; e < 3; e++ {
+		if _, err := base.TrainEpoch(makeSamples(t, rng, 30, 0), r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cfg := DefaultConfig()
+	cfg.MaxBuffer = 8
+	cfg.DriftThreshold = 1 // every drift check retrains
+	cfg.TrainEpochs = 2
+
+	// A full buffer's worth of samples (BuildSamples keeps n − q of n).
+	buffer := func(phase int) []core.Sample {
+		return makeSamples(t, rng, cfg.MaxBuffer+3, phase)[:cfg.MaxBuffer]
+	}
+
+	list := new(Trainers)
+	other, err := NewShared(base.Clone(), cfg, list)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range buffer(4) {
+		if _, err := other.Observe(s, 0.1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if other.Updates() != 1 || list.Made() != 1 {
+		t.Fatalf("dirtying run: %d updates, %d trainers made; want 1 and 1", other.Updates(), list.Made())
+	}
+
+	u, err := NewShared(base.Clone(), cfg, list)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := base.Clone()
+	for round := 0; round < 2; round++ {
+		stream := buffer(3)
+		fresh := want.Clone()
+		shuffle := rand.New(rand.NewSource(cfg.Seed + int64(round)))
+		for e := 0; e < cfg.TrainEpochs; e++ {
+			if _, err := fresh.TrainEpoch(stream, shuffle); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := want.Params().Average(fresh.Params(), 1-cfg.MergeWeight); err != nil {
+			t.Fatal(err)
+		}
+		// Each round's interaction sits below the last round's mean, T.
+		level := 0.5 - 0.1*float64(round)
+		for i, s := range stream {
+			res, err := u.Observe(s, level)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if last := i == len(stream)-1; res.Updated != last {
+				t.Fatalf("round %d segment %d: Updated = %v", round, i, res.Updated)
+			}
+		}
+		for _, name := range want.Params().Names() {
+			w, g := want.Params().Get(name).Data, u.Model().Params().Get(name).Data
+			for i := range w {
+				if math.Float64bits(w[i]) != math.Float64bits(g[i]) {
+					t.Fatalf("round %d: %s[%d] = %v on the reused trainer, %v from a fresh clone", round, name, i, g[i], w[i])
+				}
+			}
+		}
+	}
+	if list.Made() != 1 {
+		t.Fatalf("%d trainers made for retrains that never overlapped, want 1", list.Made())
+	}
+}

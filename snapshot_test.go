@@ -100,6 +100,73 @@ func TestSnapshotRestoreBitIdentical(t *testing.T) {
 	}
 }
 
+// TestStateBeforeDriftCheckSurvivesRecycling takes a Snapshot and an
+// Updater.State one segment before a drift check that retrains. The
+// original then runs on through the check, which hands the rows its
+// buffered samples pinned back to the free lists, and later segments are
+// copied into those rows. A detector restored from the snapshot, and one
+// given the exported updater state only after all that, must still retrain
+// on the buffered samples as they were: the same verdicts and the same
+// merged parameters as the original, bit for bit.
+func TestStateBeforeDriftCheckSurvivesRecycling(t *testing.T) {
+	det := trainSnapshotDetector(t)
+	rng := rand.New(rand.NewSource(11))
+	actions, audience := makeSeries(rng, 60, map[int]bool{25: true, 44: true})
+
+	probe, err := det.Clone()
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := -1
+	for i := range actions {
+		r, err := probe.Observe(actions[i], audience[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Updated {
+			check = i
+			break
+		}
+	}
+	if check < 0 {
+		t.Fatal("stream never retrained")
+	}
+
+	for i := 0; i < check; i++ {
+		if _, err := det.Observe(actions[i], audience[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snap := snapshotBytes(t, det)
+	st := det.upd.State()
+	if len(st.Buffer) != det.cfg.Update.MaxBuffer-1 {
+		t.Fatalf("%d samples buffered before the drift check, want %d", len(st.Buffer), det.cfg.Update.MaxBuffer-1)
+	}
+	want := observeSerially(t, det, actions[check:], audience[check:])
+	if !want[0].Updated || len(det.parkedAct) != 0 || len(det.freeAct) == 0 {
+		t.Fatalf("the check did not retrain and recycle: updated %v, %d rows parked, %d free",
+			want[0].Updated, len(det.parkedAct), len(det.freeAct))
+	}
+
+	restored, err := RestoreDetector(bytes.NewReader(snap))
+	if err != nil {
+		t.Fatal(err)
+	}
+	twin, err := RestoreDetector(bytes.NewReader(snap))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := twin.upd.SetState(st); err != nil {
+		t.Fatal(err)
+	}
+	for name, d := range map[string]*Detector{"snapshot": restored, "updater state": twin} {
+		requireSameResults(t, want, observeSerially(t, d, actions[check:], audience[check:]))
+		if !bytes.Equal(saveBytes(t, d), saveBytes(t, det)) {
+			t.Fatalf("restored from the %s, the detector's weights differ from the original's", name)
+		}
+	}
+}
+
 func TestSnapshotDuringWarmup(t *testing.T) {
 	cfg := testConfig()
 	rng := rand.New(rand.NewSource(5))
