@@ -454,6 +454,10 @@ func (d *Detector) observeLanes(acts, auds [][]float64, results []Result) (int, 
 			continue
 		}
 		var res Result
+		// hidden is LSTM_I's final state for the lane's window when the
+		// prediction below computed it on the exact kernels: the drift check
+		// reads it instead of running the recurrence again.
+		var hidden []float64
 		// Tier 0: the anchor bound may clear the segment as normal without
 		// running the model at all.
 		cleared := false
@@ -475,6 +479,7 @@ func (d *Detector) observeLanes(acts, auds [][]float64, results []Result) (int, 
 				predFrom, predTo = n, n+lanes
 			}
 			fhat, ahat := d.fhat[n-predFrom], d.ahat[n-predFrom]
+			hidden = d.model.LaneHidden(n - predFrom)
 			reia := core.NewScore(a, fhat, u, ahat, d.cfg.Omega).REIA
 			res = Result{Anomaly: reia > d.tau, Score: reia, Exact: true, Path: ados.PathExact.String()}
 			if d.tier != nil {
@@ -488,18 +493,18 @@ func (d *Detector) observeLanes(acts, auds [][]float64, results []Result) (int, 
 		// update on drift. The interaction level is the mean of the count
 		// block, computed directly from the audience feature. The sample
 		// views the detector's window, which slides in place: the updater
-		// copies the headers of the samples it buffers, and the rows it then
+		// logs the headers of the samples it buffers, and the rows it then
 		// shares are pinned so they are not recycled under it until its
 		// buffer empties.
 		if d.upd != nil {
 			var upRes update.Result
-			upRes, err = d.upd.Observe(core.Sample{
+			upRes, err = d.upd.ObserveHidden(core.Sample{
 				ActionSeq:      d.actWin[end-q : end],
 				AudienceSeq:    d.audWin[end-q : end],
 				ActionTarget:   a,
 				AudienceTarget: u,
 				Index:          d.observed - 1,
-			}, interactionLevel(u))
+			}, interactionLevel(u), hidden)
 			if upRes.Buffered {
 				for i := end - q; i <= end; i++ {
 					d.pinned[i] = true

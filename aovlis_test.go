@@ -14,6 +14,7 @@ import (
 	"aovlis/internal/evalx"
 	"aovlis/internal/mat"
 	"aovlis/internal/synth"
+	"aovlis/internal/update"
 )
 
 func testConfig() Config {
@@ -314,6 +315,72 @@ func TestObserveScoreIsModelScore(t *testing.T) {
 	}
 	if flagged == 0 || cleared == 0 {
 		t.Fatalf("stream decided %d anomalous, %d normal; both verdicts must be exercised", flagged, cleared)
+	}
+}
+
+// TestDriftCheckReadsTheScoresState pins the hand-over end to end: a
+// detector whose exact predictions hand their LSTM_I states to the drift
+// check builds the Eq. 17 sketches bit for bit as an updater that runs
+// HiddenInto on every buffered window — one segment at a time, in uneven
+// batches, and tiered, where the segments the gate clears take the
+// HiddenInto path.
+func TestDriftCheckReadsTheScoresState(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	trainA, trainU := makeSeries(rng, 140, nil)
+	cfg := testConfig()
+	cfg.EnableUpdate = true
+	cfg.Update.MaxBuffer = 25
+	cfg.Update.DriftThreshold = -1 // drift checks never retrain: the model stays put
+	tmpl, err := Train(trainA, trainU, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	testA, testU := makeSeries(rng, 160, nil)
+	q := cfg.SeqLen
+	for _, mode := range []struct {
+		name   string
+		tiered bool
+		chunks []int
+	}{{"serial", false, []int{1}}, {"batched", false, []int{5, 1, 16, 3}}, {"tiered", true, []int{1}}} {
+		t.Run(mode.name, func(t *testing.T) {
+			det, err := tmpl.Clone()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := det.SetScoringMode(false, mode.tiered); err != nil {
+				t.Fatal(err)
+			}
+			if mode.tiered {
+				det.SetTau(5 * det.Tau()) // let the gate clear segments
+			}
+			ref, err := update.New(det.Model().Clone(), cfg.Update)
+			if err != nil {
+				t.Fatal(err)
+			}
+			observeBatched(t, det, testA, testU, mode.chunks)
+			for i := q; i < len(testA); i++ {
+				s := core.Sample{ActionSeq: testA[i-q : i], AudienceSeq: testU[i-q : i], ActionTarget: testA[i], AudienceTarget: testU[i]}
+				if _, err := ref.Observe(s, interactionLevel(testU[i])); err != nil {
+					t.Fatal(err)
+				}
+			}
+			got, want := det.upd.State(), ref.State()
+			if got.Checks != want.Checks || got.Checks < 2 || got.HistoryCount != want.HistoryCount ||
+				got.IncomingCount != want.IncomingCount || len(got.Buffer) != len(want.Buffer) {
+				t.Fatalf("detector ran %d checks over %d+%d states, the reference %d over %d+%d (want at least 2 checks)",
+					got.Checks, got.HistoryCount, got.IncomingCount, want.Checks, want.HistoryCount, want.IncomingCount)
+			}
+			for _, sums := range [][2][]float64{{got.HistorySum, want.HistorySum}, {got.IncomingSum, want.IncomingSum}} {
+				for j := range sums[1] {
+					if math.Float64bits(sums[0][j]) != math.Float64bits(sums[1][j]) {
+						t.Fatalf("sketch element %d: %v from the scores' states, %v from HiddenInto", j, sums[0][j], sums[1][j])
+					}
+				}
+			}
+			if ts := det.TierStats(); mode.tiered && ts.Skipped == 0 {
+				t.Fatal("the tier gate cleared no segment; the HiddenInto path went unexercised")
+			}
+		})
 	}
 }
 

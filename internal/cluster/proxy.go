@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"time"
 
 	"aovlis/internal/metrics"
@@ -87,6 +88,7 @@ type proxyStream struct {
 	up        *upstream
 	responses int    // decision lines written to the client
 	seq       uint64 // next client seq
+	line      []byte // a rewritten or synthesised decision line, reused
 
 	// recoverBy bounds TOTAL time in upstream recovery without real
 	// progress. Set on the first broken-upstream error, cleared only by a
@@ -332,45 +334,44 @@ func (ps *proxyStream) onAck(ack []byte, ok bool) error {
 
 // deliver forwards one acknowledged decision line to the client and
 // resolves the oldest pending slot. The node answers lines strictly in
-// submission order, so FIFO matching is exact.
+// submission order, so FIFO matching is exact. Flushing is deferred to the
+// next blocking wait (or handler return) — one syscall per idle transition,
+// not per decision — and neither the wseq high-water mark nor a rotated
+// connection's seq costs a JSON parse: both are byte scans of the node's
+// line, which allocate nothing.
 func (ps *proxyStream) deliver(raw []byte) error {
 	up := ps.up
 	s := &ps.pending[ps.tail]
 	ps.recoverBy = time.Time{} // real progress: the failover budget rearms
 	ps.r.m.forwardLatency.Observe(time.Since(s.t0).Seconds())
-	if up.offset == 0 {
-		// Fast path: the connection's seqs coincide with the client's, so
-		// the node line passes through verbatim. Flushing is deferred to
-		// the next blocking wait (or handler return) — one syscall per idle
-		// transition, not per decision. The wseq high-water mark is scraped
-		// with a byte scan instead of a JSON parse for the same reason.
-		ps.entry.noteWseq(scanWseq(raw))
-		if err := ps.out.WriteLine(raw); err != nil {
-			return ps.clientGone(err)
-		}
-		ps.responses++
-		ps.r.m.responses.Inc()
-	} else {
+	line := raw // the connection's seqs coincide with the client's
+	if up.offset != 0 {
 		// Rotated connection: node seqs restart at 0, rewrite to the
 		// client's numbering.
-		var d wire.Decision
-		if err := wire.DecodeDecision(raw, &d); err != nil {
-			return fmt.Errorf("cluster: bad acknowledgement line from %s: %w", up.node.Spec.Name, err)
+		var ok bool
+		if ps.line, ok = appendReseq(ps.line[:0], raw, s.seq); !ok {
+			return fmt.Errorf("cluster: bad acknowledgement line from %s: no seq field", up.node.Spec.Name)
 		}
-		d.Seq = s.seq
-		ps.entry.noteWseq(d.WSeq)
-		if err := ps.writeDecision(d); err != nil {
-			return ps.clientGone(err)
-		}
+		line = ps.line
 	}
+	ps.entry.noteWseq(scanWseq(raw))
+	if err := ps.out.WriteLine(line); err != nil {
+		return ps.clientGone(err)
+	}
+	ps.responses++
+	ps.r.m.responses.Inc()
 	ps.pop()
 	return nil
 }
 
-// wseqKey is the decision wire field scanWseq scrapes. The literal byte
-// sequence cannot be forged by channel names: the only free-form string
-// in a decision line is JSON-encoded, which escapes its quotes.
-var wseqKey = []byte(`"wseq":`)
+// wseqKey and seqKey are the decision wire fields deliver scans for. The
+// literal byte sequences cannot be forged by channel names or errors: the
+// only free-form strings in a decision line are JSON-encoded, which escapes
+// their quotes.
+var (
+	wseqKey = []byte(`"wseq":`)
+	seqKey  = []byte(`"seq":`)
+)
 
 // scanWseq extracts the wseq field from a raw decision line without a
 // full JSON parse (0 when absent — the node runs without -wal-dir).
@@ -387,6 +388,27 @@ func scanWseq(raw []byte) uint64 {
 		w = w*10 + uint64(c-'0')
 	}
 	return w
+}
+
+// appendReseq appends the decision line raw to dst with the digits of its
+// seq field replaced by seq — the bytes wire.AppendDecision writes for the
+// same decision carrying that seq. It reports false when raw has no seq
+// field.
+func appendReseq(dst, raw []byte, seq uint64) ([]byte, bool) {
+	i := bytes.Index(raw, seqKey)
+	if i < 0 {
+		return dst, false
+	}
+	i += len(seqKey)
+	j := i
+	for j < len(raw) && '0' <= raw[j] && raw[j] <= '9' {
+		j++
+	}
+	if j == i {
+		return dst, false
+	}
+	dst = strconv.AppendUint(append(dst, raw[:i]...), seq, 10)
+	return append(dst, raw[j:]...), true
 }
 
 // clientGone wraps a response-write failure: the client disconnected, so
@@ -626,11 +648,12 @@ func (ps *proxyStream) answerPending(d wire.Decision, count *metrics.Counter) er
 	return nil
 }
 
-// writeDecision emits one synthesised or rewritten decision line.
+// writeDecision emits one synthesised decision line.
 func (ps *proxyStream) writeDecision(d wire.Decision) error {
-	line, err := wire.AppendDecision(nil, &d)
+	var err error
+	ps.line, err = wire.AppendDecision(ps.line[:0], &d)
 	if err == nil {
-		err = ps.out.WriteLine(line)
+		err = ps.out.WriteLine(ps.line)
 	}
 	if err != nil {
 		return err

@@ -188,6 +188,36 @@ func TestPlanLaneCapacity(t *testing.T) {
 	}
 }
 
+// TestPlanPackedBytesEqualParamBytes is the footprint gate of the packing: a
+// plan's packed weights are one layout, so they cost exactly the bytes of
+// the parameters they snapshot — at the served shape, 18 675 parameters or
+// 149 400 bytes — before and after a repack. A second layout beside them
+// doubled it.
+func TestPlanPackedBytesEqualParamBytes(t *testing.T) {
+	cfg := DefaultConfig(48, 19)
+	cfg.HiddenI, cfg.HiddenA = 32, 16
+	m, err := NewModel(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	packed := func() int {
+		n := 0
+		for i := range m.plan.streams {
+			st := &m.plan.streams[i]
+			n += 8 * (cap(st.cell.W.Data) + cap(st.cell.B) + cap(st.dec.W.Data) + cap(st.dec.B))
+		}
+		return n
+	}
+	if got, want := packed(), 8*m.NumParams(); got != want || want != 149400 {
+		t.Fatalf("a packed plan holds %d bytes, its parameters %d (want 149400)", got, want)
+	}
+	m.Params().BumpVersion()
+	m.inferPlan()
+	if got, want := packed(), 8*m.NumParams(); got != want {
+		t.Fatalf("a repacked plan holds %d bytes, its parameters %d", got, want)
+	}
+}
+
 // TestPredictBatchSteadyStateAllocs pins the batched predict path
 // allocation-free at a stable batch size, including across online updates
 // and the repacks they force.

@@ -205,9 +205,10 @@ func (m *Model) Hidden(s *Sample) ([]float64, error) {
 }
 
 // HiddenInto is Hidden with a caller-supplied buffer of length HiddenI —
-// the allocation-free form the updater calls on every segment. It runs the
-// training engine's forward recurrence: tape-free, and on the bit-exact
-// gate kernel whatever SetFastMath says.
+// the allocation-free form the updater falls back on when no exact
+// prediction of the window computed the state already (see LaneHidden). It
+// runs the training engine's forward recurrence: tape-free, and on the
+// bit-exact gate kernel whatever SetFastMath says.
 func (m *Model) HiddenInto(s *Sample, dst []float64) error {
 	if err := s.validate(m.cfg); err != nil {
 		return err
@@ -218,6 +219,21 @@ func (m *Model) HiddenInto(s *Sample, dst []float64) error {
 	copy(dst, m.trainPlan().hidden(m.window(s), 0))
 	m.seqs[0], m.seqs[1] = nil, nil
 	return nil
+}
+
+// LaneHidden returns lane l's final LSTM_I hidden state from the last
+// PredictInto or PredictBatchInto — the state its decoder read, and bit for
+// bit what HiddenInto computes for the same window: the two engines run the
+// same ascending-k sums and the same gate body (TestPlanHiddenMatchesHiddenInto).
+// It returns nil when the plan runs the fast-math gate kernel, whose states
+// are not HiddenInto's, or when the last run had no lane l. The slice is the
+// plan's: read it before the next prediction.
+func (m *Model) LaneHidden(l int) []float64 {
+	st := &m.plan.streams[0]
+	if st.cell.FastMath || l >= st.h.Rows {
+		return nil
+	}
+	return st.h.Row(l)
 }
 
 // jointLoss returns the training objective (Eq. 13) of the plan's last

@@ -1,7 +1,6 @@
 package mat
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -24,20 +23,21 @@ func randMatrixFor(rng *rand.Rand, rows, cols int) *Matrix {
 	return m
 }
 
-// TestMatMatTToMatchesVecMatTTo pins the batched GEMM bit-identical to B
-// independent single-lane GEMVs across lane counts (odd and even, hitting
-// the lane-pair kernel and the tail), output widths that exercise the
-// 4-column block and its tail, and context widths around the unroll
+// TestFwdGEMMMatchesVecMatTTo pins the batched row-major GEMM bit-identical
+// to B independent GEMVs over the transposed weight — the decoder head's
+// input-gradient kernel — across lane counts, output widths that exercise
+// the 4-column block and its tail, and context widths around the unroll
 // boundaries.
-func TestMatMatTToMatchesVecMatTTo(t *testing.T) {
+func TestFwdGEMMMatchesVecMatTTo(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, B := range []int{1, 2, 3, 5, 8, 16} {
 		for _, m := range []int{1, 3, 4, 7, 64, 128} {
 			for _, n := range []int{1, 2, 5, 96} {
 				x := randMatrixFor(rng, B, n)
-				wt := randMatrixFor(rng, m, n)
+				w := randMatrixFor(rng, n, m)
+				wt := Transpose(w)
 				got := New(B, m)
-				MatMatTTo(got, x, wt)
+				FwdGEMMBiasInto(got.Data, x.Data, B, w, nil, nil)
 				want := make([]float64, m)
 				for b := 0; b < B; b++ {
 					VecMatTTo(want, x.Row(b), wt)
@@ -52,19 +52,19 @@ func TestMatMatTToMatchesVecMatTTo(t *testing.T) {
 	}
 }
 
-// TestFwdGEMMBiasLanesMatchSingleLane pins the biased portable GEMM to its
-// own one-lane form per lane.
+// TestFwdGEMMBiasLanesMatchSingleLane pins the biased GEMM to its own
+// one-lane form per lane.
 func TestFwdGEMMBiasLanesMatchSingleLane(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for _, B := range []int{1, 2, 7} {
 		x := randMatrixFor(rng, B, 33)
-		wt := randMatrixFor(rng, 13, 33)
+		w := randMatrixFor(rng, 33, 13)
 		bias := randMatrixFor(rng, 1, 13).Data
 		got := New(B, 13)
-		FwdGEMMBiasInto(got.Data, x.Data, B, nil, wt, bias)
+		FwdGEMMBiasInto(got.Data, x.Data, B, w, nil, bias)
 		want := make([]float64, 13)
 		for b := 0; b < B; b++ {
-			FwdGEMMBiasInto(want, x.Row(b), 1, nil, wt, bias)
+			FwdGEMMBiasInto(want, x.Row(b), 1, w, nil, bias)
 			for j, w := range want {
 				if g := got.At(b, j); math.Float64bits(g) != math.Float64bits(w) {
 					t.Fatalf("B=%d lane %d col %d: got %v want %v", B, b, j, g, w)
@@ -100,39 +100,22 @@ func TestLSTMGatesBatchIntoMatchesScalar(t *testing.T) {
 	}
 }
 
-// TestMatMatTToDims pins the dimension panics.
-func TestMatMatTToDims(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("mismatched dims did not panic")
-		}
-	}()
-	MatMatTTo(New(2, 4), New(2, 3), New(4, 5))
-}
-
-// BenchmarkMatMatTTo measures the batched GEMM against B repeated GEMVs at
-// the CLSTM hot shape (context 96 → packed gates 128): the per-lane
-// amortisation of weight loads is the core of the micro-batching win.
-func BenchmarkMatMatTTo(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	const n, m = 96, 128
-	wt := randMatrixFor(rng, m, n)
-	for _, B := range []int{1, 2, 4, 8, 16} {
-		x := randMatrixFor(rng, B, n)
-		dst := New(B, m)
-		b.Run(fmt.Sprintf("gemm/B=%d", B), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				MatMatTTo(dst, x, wt)
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(B), "ns/lane")
-		})
-		b.Run(fmt.Sprintf("gemv/B=%d", B), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				for l := 0; l < B; l++ {
-					VecMatTTo(dst.Row(l), x.Row(l), wt)
+// TestFwdGEMMDims pins the dimension panics: buffers that do not hold
+// `lanes` rows of the weight's shape, and a bias of the wrong width.
+func TestFwdGEMMDims(t *testing.T) {
+	w := New(3, 4)
+	for name, call := range map[string]func(){
+		"x":    func() { FwdGEMMBiasInto(make([]float64, 8), make([]float64, 5), 2, w, nil, nil) },
+		"dst":  func() { FwdGEMMBiasInto(make([]float64, 7), make([]float64, 6), 2, w, nil, nil) },
+		"bias": func() { FwdGEMMBiasInto(make([]float64, 8), make([]float64, 6), 2, w, nil, make([]float64, 3)) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("mismatched %s did not panic", name)
 				}
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(B), "ns/lane")
-		})
+			}()
+			call()
+		}()
 	}
 }

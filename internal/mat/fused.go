@@ -11,11 +11,12 @@ import (
 // the autodiff forward pass (pinned by the golden equivalence tests in
 // internal/core). Three properties carry the argument:
 //
-//   - VecMatTTo accumulates every output column over k in increasing k
-//     order — the accumulation order of MatMulTo for a 1×n input. The
-//     tape kernel's zero-input skip is numerically inert for finite weights
-//     (a running sum that starts at +0 never becomes −0, so adding ±0 terms
-//     cannot change any bit), which is why the dense kernel needs no branch.
+//   - FwdGEMMBiasInto (batch.go) accumulates every output column over k in
+//     increasing k order — the accumulation order of MatMulTo for a 1×n
+//     input. The tape kernel's zero-input skip is numerically inert for
+//     finite weights (a running sum that starts at +0 never becomes −0, so
+//     adding ±0 terms cannot change any bit), which is why the dense kernel
+//     needs no branch.
 //   - The gate body (LSTMGatesTrainInto, which LSTMGatesInto calls) forces
 //     intermediate rounding with explicit float64 conversions where the
 //     tape materialises intermediates into matrices, so no FMA contraction
@@ -29,10 +30,10 @@ import (
 // matrix (m×n for a logical n×m weight), x has length n and dst length m.
 // Each dst[j] is the dot product of x with wt's row j, accumulated over k
 // in increasing order — the same per-column summation order as MatMulTo on
-// a 1×n input — but held in a register for the whole row instead of doing
-// a load-add-store of dst[j] per term, which is what makes the fused
-// inference GEMV ~2× faster than the row-major tape kernel. The body is
-// unrolled ×4 with a single accumulator, so the addition sequence is
+// a 1×n input — but held in a register for the whole row. It is the
+// decoder head's input-gradient product dz·Wᵀ (nn.TrainHead), where the
+// live row-major W already is that transposed layout. The body is
+// unrolled with one accumulator per column, so the addition sequence is
 // untouched; the explicit float64 conversions round every product before
 // its add, forbidding FMA contraction on platforms whose compiler would
 // otherwise fuse (the tape kernel rounds through memory on every term).

@@ -106,8 +106,9 @@ func simdRecip1pInto(v []float64) bool {
 
 // simdGEMMInto runs the vectorised kernel over the row-major weight w
 // (n×m) when one is active, finishing the sub-block column tail with the
-// scalar loop. It reports false when the caller must use the portable
-// transposed kernel instead.
+// portable loop. It reports false when the caller must run the portable
+// loop over every column instead: no SIMD level, no whole column block, or
+// nothing for the vector kernel to read.
 func simdGEMMInto(dst, x []float64, lanes int, w *Matrix) bool {
 	if simdGEMMLevel == 0 {
 		return false
@@ -119,33 +120,16 @@ func simdGEMMInto(dst, x []float64, lanes int, w *Matrix) bool {
 	} else {
 		mAsm = m &^ 3
 	}
-	if mAsm == 0 {
+	if mAsm == 0 || lanes == 0 || n == 0 {
 		return false
-	}
-	if lanes == 0 {
-		return true
-	}
-	if n == 0 {
-		for i := range dst[:lanes*m] {
-			dst[i] = 0
-		}
-		return true
 	}
 	if simdGEMMLevel == 3 {
 		gemmRowMajorAVX512(&dst[0], &x[0], &w.Data[0], lanes, n, m)
 	} else {
 		gemmRowMajorAVX2(&dst[0], &x[0], &w.Data[0], lanes, n, m)
 	}
-	for l := 0; l < lanes; l++ {
-		xr := x[l*n : l*n+n]
-		dr := dst[l*m : l*m+m]
-		for j := mAsm; j < m; j++ {
-			var s float64
-			for k, xv := range xr {
-				s += float64(xv * w.Data[k*m+j])
-			}
-			dr[j] = s
-		}
+	if mAsm < m {
+		gemmRowMajorPortable(dst, x, lanes, w, mAsm)
 	}
 	return true
 }

@@ -3,7 +3,7 @@
 package mat
 
 // Non-amd64 platforms have no SIMD forward-GEMM kernel; every call takes
-// the portable transposed path (MatMatTTo / VecMatTTo), which is
+// the portable row-major loop (gemmRowMajorPortable), which is
 // bit-identical by construction.
 
 const simdGEMMLevel = 0

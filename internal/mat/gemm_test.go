@@ -7,34 +7,27 @@ import (
 	"testing"
 )
 
-// transposeOf returns the row-major n×m layout of a transposed m×n packed
-// weight, the second layout FwdGEMMBiasInto dispatches on.
-func transposeOf(wt *Matrix) *Matrix {
-	w := New(wt.Cols, wt.Rows)
-	TransposeTo(w, wt)
-	return w
-}
-
 // TestFwdGEMMSIMDMatchesPortable pins the dispatching GEMM — whatever
 // kernel is active on this machine — bit-identical to the portable
-// transposed kernel, across lane counts, output widths around every block
-// boundary of both vector kernels (32/16/8/4 and their tails), and inputs
-// with exact and negative zeros. On machines without SIMD this degenerates
-// to portable-vs-portable, which still pins the bias pass.
+// row-major loop over every column, across lane counts, output widths
+// around every block boundary of both vector kernels (32/16/8/4 and their
+// tails), and inputs with exact and negative zeros. On machines without
+// SIMD this degenerates to portable-vs-portable, which still pins the bias
+// pass.
 func TestFwdGEMMSIMDMatchesPortable(t *testing.T) {
 	t.Logf("active kernel: %s", SIMDGEMM())
 	rng := rand.New(rand.NewSource(3))
 	for _, lanes := range []int{0, 1, 2, 3, 8} {
 		for _, m := range []int{1, 3, 4, 7, 8, 9, 16, 33, 48, 64, 128} {
 			for _, n := range []int{1, 2, 96} {
-				wt := randMatrixFor(rng, m, n)
-				w := transposeOf(wt)
+				w := randMatrixFor(rng, n, m)
 				x := randMatrixFor(rng, lanes, n)
 				bias := randMatrixFor(rng, 1, m).Data
 				got := make([]float64, lanes*m)
 				want := make([]float64, lanes*m)
-				FwdGEMMBiasInto(got, x.Data, lanes, w, wt, bias)
-				FwdGEMMBiasInto(want, x.Data, lanes, nil, wt, bias)
+				FwdGEMMBiasInto(got, x.Data, lanes, w, nil, bias)
+				gemmRowMajorPortable(want, x.Data, lanes, w, 0)
+				addBiasRows(want, lanes, bias)
 				for i := range got {
 					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
 						t.Fatalf("lanes=%d m=%d n=%d elem %d: %x != %x",
@@ -46,16 +39,16 @@ func TestFwdGEMMSIMDMatchesPortable(t *testing.T) {
 	}
 }
 
-// TestFwdGEMMNoBias pins the nil-bias path of the dispatcher.
+// TestFwdGEMMNoBias pins the nil-bias path of the dispatcher to the tape's
+// MatMulTo, lane by lane.
 func TestFwdGEMMNoBias(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	wt := randMatrixFor(rng, 24, 17)
-	w := transposeOf(wt)
+	w := randMatrixFor(rng, 17, 24)
 	x := randMatrixFor(rng, 4, 17)
 	got := make([]float64, 4*24)
-	FwdGEMMBiasInto(got, x.Data, 4, w, wt, nil)
+	FwdGEMMBiasInto(got, x.Data, 4, w, nil, nil)
 	want := New(4, 24)
-	MatMatTTo(want, x, wt)
+	MatMulTo(want, x, w)
 	for i := range got {
 		if math.Float64bits(got[i]) != math.Float64bits(want.Data[i]) {
 			t.Fatalf("elem %d: %v != %v", i, got[i], want.Data[i])
@@ -64,27 +57,27 @@ func TestFwdGEMMNoBias(t *testing.T) {
 }
 
 // BenchmarkFwdGEMM measures the dispatched kernel at the CLSTM hot shape
-// (context 96 → packed gates 128) against the portable transposed kernel,
-// per lane. The SIMD kernel is the load-bearing half of the micro-batching
+// (context 96 → packed gates 128) against the portable row-major loop, per
+// lane. The SIMD kernel is the load-bearing half of the micro-batching
 // speedup (BENCH.md §3b).
 func BenchmarkFwdGEMM(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	const n, m = 96, 128
-	wt := randMatrixFor(rng, m, n)
-	w := transposeOf(wt)
+	w := randMatrixFor(rng, n, m)
 	bias := randMatrixFor(rng, 1, m).Data
 	for _, lanes := range []int{1, 4, 8} {
 		x := randMatrixFor(rng, lanes, n)
 		dst := make([]float64, lanes*m)
 		b.Run(fmt.Sprintf("%s/lanes=%d", SIMDGEMM(), lanes), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				FwdGEMMBiasInto(dst, x.Data, lanes, w, wt, bias)
+				FwdGEMMBiasInto(dst, x.Data, lanes, w, nil, bias)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(lanes), "ns/lane")
 		})
 		b.Run(fmt.Sprintf("portable/lanes=%d", lanes), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				FwdGEMMBiasInto(dst, x.Data, lanes, nil, wt, bias)
+				gemmRowMajorPortable(dst, x.Data, lanes, w, 0)
+				addBiasRows(dst, lanes, bias)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(lanes), "ns/lane")
 		})

@@ -80,7 +80,7 @@ func MatMulTo(dst, a, b *Matrix) {
 			brow := b.Data[k*b.Cols : (k+1)*b.Cols]
 			for j, bv := range brow {
 				// float64() forbids FMA contraction so this kernel and
-				// the fused VecMatTTo round identically on every
+				// the fused FwdGEMMBiasInto round identically on every
 				// platform, not just non-contracting amd64.
 				orow[j] += float64(av * bv)
 			}

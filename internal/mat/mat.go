@@ -142,7 +142,7 @@ func MatMul(a, b *Matrix) *Matrix {
 			for j, bv := range brow {
 				// The conversion forces the product to round before the
 				// add on every platform (no FMA contraction), keeping
-				// this kernel bit-identical to the fused VecMatTTo even
+				// this kernel bit-identical to the fused FwdGEMMBiasInto even
 				// where the compiler would otherwise fuse.
 				orow[j] += float64(av * bv)
 			}

@@ -45,36 +45,9 @@ func GEMVBiasInto(dst, x []float64, w *Matrix, bias []float64) {
 		panic(fmt.Sprintf("mat: GEMVBiasInto x[%d]·(%dx%d) + bias[%d] → dst[%d]", len(x), n, m, len(bias), len(dst)))
 	}
 	if !simdGEMMInto(dst, x, 1, w) {
-		gemvRowMajorPortable(dst, x, w)
+		gemmRowMajorPortable(dst, x, 1, w, 0)
 	}
 	VecAddInto(dst, bias)
-}
-
-// gemvRowMajorPortable is the scalar body of GEMVBiasInto: four output
-// columns per pass, each its own register accumulator over ascending k.
-func gemvRowMajorPortable(dst, x []float64, w *Matrix) {
-	m := w.Cols
-	j := 0
-	for ; j+4 <= m; j += 4 {
-		var s0, s1, s2, s3 float64
-		off := j
-		for _, xv := range x {
-			r := w.Data[off : off+4 : off+4]
-			s0 += float64(xv * r[0])
-			s1 += float64(xv * r[1])
-			s2 += float64(xv * r[2])
-			s3 += float64(xv * r[3])
-			off += m
-		}
-		dst[j], dst[j+1], dst[j+2], dst[j+3] = s0, s1, s2, s3
-	}
-	for ; j < m; j++ {
-		var s float64
-		for k, xv := range x {
-			s += float64(xv * w.Data[k*m+j])
-		}
-		dst[j] = s
-	}
 }
 
 // LSTMGatesTrainInto is the gate body of the engine, inference and

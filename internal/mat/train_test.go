@@ -48,9 +48,9 @@ func TestGEMVBiasIntoMatchesMatMulTo(t *testing.T) {
 		sameBits(t, fmt.Sprintf("GEMVBiasInto %dx%d", n, m), got, want.Data)
 
 		portable := make([]float64, m)
-		gemvRowMajorPortable(portable, x.Data, w)
+		gemmRowMajorPortable(portable, x.Data, 1, w, 0)
 		addBiasRows(portable, 1, bias.Data)
-		sameBits(t, fmt.Sprintf("gemvRowMajorPortable %dx%d", n, m), portable, want.Data)
+		sameBits(t, fmt.Sprintf("gemmRowMajorPortable %dx%d", n, m), portable, want.Data)
 	}
 }
 

@@ -4,26 +4,20 @@ package nn
 // through four separate ctxDim×H gate weight matrices on the autodiff tape;
 // for prediction those four matmuls collapse into a single GEMV against one
 // packed gate matrix (gate order i, f, c, o) followed by the fused
-// elementwise gate kernel. Each packed layer carries the gate weights in
-// TWO layouts filled by the same PackInto:
-//
-//   - WT, transposed (4H×ctxDim): packed row g·H+j is gate g's column j,
-//     so each output activation is one contiguous register-accumulated dot
-//     product — the layout the portable scalar kernel (mat.VecMatTTo /
-//     mat.MatMatTTo) wants.
-//   - W, row-major (ctxDim×4H): row k holds every gate output's weight at
-//     context element k, so the SIMD kernels (mat.FwdGEMMBiasInto) can
-//     load 4-8 output columns per vector instruction.
-//
-// Both kernels accumulate every output over k in ascending order with no
-// FMA contraction, so layout and kernel choice never change a float bit
+// elementwise gate kernel. A packed layer keeps its weights in ONE layout,
+// row-major W (ctxDim×4H for a cell): row k holds every gate output's
+// weight at context element k, so the SIMD kernels load 4-8 output columns
+// per vector instruction and the portable loop walks the same rows
+// (mat.FwdGEMMBiasInto). Every output accumulates over k in ascending order
+// with no FMA contraction, so kernel choice never changes a float bit
 // relative to the tape forward pass (see mat/batch.go and the golden
-// equivalence tests in internal/core).
+// equivalence tests in internal/core). A packed layer therefore costs its
+// parameters' bytes and no more.
 //
 // Packed layers are immutable snapshots of a ParamSet: training keeps
 // updating the unpacked per-gate matrices, and the owner (core.InferPlan)
 // repacks — via the allocation-free PackInto — when ParamSet.Version moves.
-// A FusedCell/FusedDense value is a header: its WT, W and B may be the very
+// A FusedCell/FusedDense value is a header: its W and B may be the very
 // arrays another model's header points at (core.InferPlan shares them across
 // model clones), in which case the owner packs into fresh arrays with Pack
 // and never into these with PackInto. What is per model — FastMath — lives
@@ -44,12 +38,9 @@ import (
 // FusedCell is the inference-only packed form of an LSTMCell.
 type FusedCell struct {
 	CtxDim, Hidden int
-	// WT is the 4·Hidden × CtxDim transposed packed gate weight matrix
-	// (gate order i,f,c,o): row g·Hidden+j holds gate g's weight column j.
-	WT *mat.Matrix
-	// W is the same packed weight in row-major CtxDim × 4·Hidden layout
-	// (row k = all gate outputs at context element k), the layout the SIMD
-	// forward kernels consume.
+	// W is the packed gate weight in row-major CtxDim × 4·Hidden layout
+	// (gate order i,f,c,o): row k holds every gate output's weight at
+	// context element k, columns g·Hidden … g·Hidden+Hidden−1 gate g's.
 	W *mat.Matrix
 	// B is the packed 4·Hidden gate bias (same order).
 	B []float64
@@ -66,7 +57,6 @@ func (c *LSTMCell) Pack(ps *ParamSet) *FusedCell {
 	fc := &FusedCell{
 		CtxDim: c.CtxDim,
 		Hidden: c.Hidden,
-		WT:     mat.New(4*c.Hidden, c.CtxDim),
 		W:      mat.New(c.CtxDim, 4*c.Hidden),
 		B:      make([]float64, 4*c.Hidden),
 	}
@@ -85,12 +75,6 @@ func (c *LSTMCell) PackInto(ps *ParamSet, dst *FusedCell) {
 	h := c.Hidden
 	for gi := range gateOrder {
 		w := ps.Get(c.wNames[gi]) // CtxDim × Hidden
-		for j := 0; j < h; j++ {
-			row := dst.WT.Row(gi*h + j)
-			for k := 0; k < c.CtxDim; k++ {
-				row[k] = w.Data[k*h+j]
-			}
-		}
 		for k := 0; k < c.CtxDim; k++ {
 			copy(dst.W.Row(k)[gi*h:(gi+1)*h], w.Data[k*h:(k+1)*h])
 		}
@@ -106,7 +90,7 @@ func (fc *FusedCell) StepInto(h, cNext, pre, ctx, cPrev []float64) {
 	if len(ctx) != fc.CtxDim {
 		panic(fmt.Sprintf("nn: fused step ctx has %d elements, want %d", len(ctx), fc.CtxDim))
 	}
-	mat.FwdGEMMBiasInto(pre, ctx, 1, fc.W, fc.WT, fc.B)
+	mat.FwdGEMMBiasInto(pre, ctx, 1, fc.W, nil, fc.B)
 	if fc.FastMath {
 		mat.LSTMGatesFastInto(h, cNext, pre, cPrev)
 	} else {
@@ -130,7 +114,7 @@ func (fc *FusedCell) StepBatch(h, cNext, pre, ctx, cPrev *mat.Matrix) {
 		panic(fmt.Sprintf("nn: fused batch step lanes h=%d cNext=%d pre=%d cPrev=%d, want %d",
 			h.Rows, cNext.Rows, pre.Rows, cPrev.Rows, lanes))
 	}
-	mat.FwdGEMMBiasInto(pre.Data, ctx.Data, lanes, fc.W, fc.WT, fc.B)
+	mat.FwdGEMMBiasInto(pre.Data, ctx.Data, lanes, fc.W, nil, fc.B)
 	if fc.FastMath {
 		mat.LSTMGatesBatchFastInto(h, cNext, pre, cPrev)
 	} else {
@@ -142,8 +126,7 @@ func (fc *FusedCell) StepBatch(h, cNext, pre, ctx, cPrev *mat.Matrix) {
 type FusedDense struct {
 	In, Out int
 	Act     Activation
-	WT      *mat.Matrix // Out × In (transposed weights)
-	W       *mat.Matrix // In × Out (row-major weights, SIMD layout)
+	W       *mat.Matrix // In × Out (row-major weights)
 	B       []float64   // Out
 }
 
@@ -151,9 +134,8 @@ type FusedDense struct {
 func (d *Dense) Pack(ps *ParamSet) *FusedDense {
 	fd := &FusedDense{
 		In: d.In, Out: d.Out, Act: d.Act,
-		WT: mat.New(d.Out, d.In),
-		W:  mat.New(d.In, d.Out),
-		B:  make([]float64, d.Out),
+		W: mat.New(d.In, d.Out),
+		B: make([]float64, d.Out),
 	}
 	d.PackInto(ps, fd)
 	return fd
@@ -165,9 +147,7 @@ func (d *Dense) PackInto(ps *ParamSet, dst *FusedDense) {
 	if dst.In != d.In || dst.Out != d.Out {
 		panic(fmt.Sprintf("nn: PackInto dense %s shape %dx%d, dst %dx%d", d.Name, d.In, d.Out, dst.In, dst.Out))
 	}
-	w := ps.Get(d.wName) // In × Out, already the row-major SIMD layout
-	mat.TransposeTo(dst.WT, w)
-	copy(dst.W.Data, w.Data)
+	copy(dst.W.Data, ps.Get(d.wName).Data) // In × Out, already the packed layout
 	copy(dst.B, ps.Get(d.bName).Data)
 	dst.Act = d.Act
 }
@@ -183,7 +163,7 @@ func (fd *FusedDense) ApplyBatch(dst, pre, x *mat.Matrix) {
 	if dst.Rows != lanes || pre.Rows != lanes {
 		panic(fmt.Sprintf("nn: fused batch apply lanes dst=%d pre=%d, want %d", dst.Rows, pre.Rows, lanes))
 	}
-	mat.FwdGEMMBiasInto(pre.Data, x.Data, lanes, fd.W, fd.WT, fd.B)
+	mat.FwdGEMMBiasInto(pre.Data, x.Data, lanes, fd.W, nil, fd.B)
 	for b := 0; b < lanes; b++ {
 		fd.activateRow(dst.Row(b), pre.Row(b))
 	}

@@ -111,14 +111,14 @@ func TestPackIntoTracksUpdates(t *testing.T) {
 		t.Fatalf("PackInto allocates %v per repack, want 0", allocs)
 	}
 
-	// Spot-check the packed layout: transposed packed row g·H+j equals
-	// gate g's weight column j, for every gate.
+	// Check the packed layout: packed column g·H+j of row k equals gate g's
+	// weight W[k][j], for every gate.
 	h := cell.Hidden
 	for gi, gate := range []string{"i", "f", "c", "o"} {
 		w := ps.Get("cell.W" + gate)
 		for k := 0; k < cell.CtxDim; k++ {
 			for j := 0; j < h; j++ {
-				if got, want := fc.WT.At(gi*h+j, k), w.At(k, j); got != want {
+				if got, want := fc.W.At(k, gi*h+j), w.At(k, j); got != want {
 					t.Fatalf("gate %s W[%d][%d]: packed %v, live %v", gate, k, j, got, want)
 				}
 			}
@@ -130,7 +130,7 @@ func TestPackIntoTracksUpdates(t *testing.T) {
 			}
 		}
 	}
-	if fd.WT.At(3, 2) != ps.Get("dec.W").At(2, 3) || fd.B[1] != ps.Get("dec.b").Data[1] {
+	if fd.W.At(2, 3) != ps.Get("dec.W").At(2, 3) || fd.B[1] != ps.Get("dec.b").Data[1] {
 		t.Fatal("dense not repacked to live values")
 	}
 }

@@ -16,8 +16,8 @@ package nn
 // they are row-major already, which is the layout the column-vectorised
 // forward GEMV wants, and an optimiser step per sample would make any
 // packed copy stale at once. The one derived layout — the transposed
-// hidden-column block the SIMD input-gradient GEMV needs — is refreshed at
-// the start of each backward pass.
+// hidden-column block the input-gradient GEMM reads row-major — is
+// refreshed at the start of each backward pass.
 
 import (
 	"fmt"
@@ -57,10 +57,9 @@ type TrainCell struct {
 	carry  []float64      // ∂L/∂c_{t−1} contribution of step t's forget path
 	dctx   []float64      // HidCols: gradient of the current step's hidden context
 	gemv   []float64      // HidCols: one gate's share of dctx
-	// wHid[g] views the first HidCols rows of w[g] (HidCols × Hidden): the
-	// transposed-weight layout of the portable GEMV. wHidT[g] is its
-	// transpose (Hidden × HidCols), the row-major layout of the SIMD GEMV;
-	// nil when no SIMD kernel is active. Both are re-derived by every
+	// wHid[g] views the first HidCols rows of w[g] (HidCols × Hidden) and
+	// wHidT[g] is its transpose (Hidden × HidCols), the row-major weight of
+	// the input-gradient product dpre_g·W_gᵀ. Both are re-derived by every
 	// BeginBackward: w[g].Data moves when a sharing ParamSet detaches.
 	wHid, wHidT [4]*mat.Matrix
 }
@@ -117,15 +116,12 @@ func (c *TrainCell) allocBackward() {
 	c.carry = make([]float64, h)
 	c.dctx = make([]float64, c.HidCols)
 	c.gemv = make([]float64, c.HidCols)
-	simd := mat.SIMDGEMM() != "scalar"
 	c.dBrow = make([]float64, 4*h)
 	for g := range c.w {
 		c.dW[g] = mat.New(c.CtxDim, h)
 		c.dB[g] = mat.FromSlice(1, h, c.dBrow[g*h:(g+1)*h])
 		c.wHid[g] = &mat.Matrix{Rows: c.HidCols, Cols: h}
-		if simd {
-			c.wHidT[g] = mat.New(h, c.HidCols)
-		}
+		c.wHidT[g] = mat.New(h, c.HidCols)
 	}
 }
 
@@ -141,9 +137,7 @@ func (c *TrainCell) BeginBackward() {
 	}
 	for g, w := range c.w {
 		c.wHid[g].Data = w.Data[:c.HidCols*c.Hidden]
-		if wt := c.wHidT[g]; wt != nil {
-			mat.TransposeTo(wt, c.wHid[g])
-		}
+		mat.TransposeTo(c.wHidT[g], c.wHid[g])
 	}
 }
 
@@ -164,9 +158,9 @@ func (c *TrainCell) BackStep(t int, dh []float64, wantCtx bool) []float64 {
 	// each gate's product a complete ascending-k sum before it is added. The
 	// tape adds the first to a zeroed gradient; a sum that starts at +0 is
 	// never −0, so 0 + x is x and the output gate's product lands directly.
-	mat.FwdGEMMBiasInto(c.dctx, dpre[3*h:], 1, c.wHidT[3], c.wHid[3], nil)
+	mat.FwdGEMMBiasInto(c.dctx, dpre[3*h:], 1, c.wHidT[3], nil, nil)
 	for g := 2; g >= 0; g-- {
-		mat.FwdGEMMBiasInto(c.gemv, dpre[g*h:(g+1)*h], 1, c.wHidT[g], c.wHid[g], nil)
+		mat.FwdGEMMBiasInto(c.gemv, dpre[g*h:(g+1)*h], 1, c.wHidT[g], nil, nil)
 		mat.VecAddInto(c.dctx, c.gemv)
 	}
 	return c.dctx

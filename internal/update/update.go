@@ -229,9 +229,13 @@ type Updater struct {
 	incoming setSketch     // S_n: hidden states of buffered incoming data
 	buffer   []core.Sample // n_tmp: buffered presumed-normal segments
 	hidden   []float64     // reused Model.HiddenInto destination
-	// heads is the arena of the buffered samples' window headers: each
-	// buffered sample's ActionSeq and AudienceSeq view its next 2q entries.
-	heads [][]float64
+	// actLog/audLog are the window log: the rows the buffered samples'
+	// windows read, in stream order, action and audience side by side. Each
+	// buffered sample's ActionSeq and AudienceSeq are q-row views of it, and
+	// a window that overlaps the log's tail — the previous buffered
+	// segment's, in a stream buffered densely — adds only the rows past it.
+	// Emptied, not freed, by every drift check.
+	actLog, audLog [][]float64
 
 	// interaction threshold T: mean interaction level of the previous
 	// window (Fig. 5 line 4 filters segments with interaction < T).
@@ -288,10 +292,20 @@ func (u *Updater) SeedHistory(samples []core.Sample) error {
 // Observe processes one incoming segment (Fig. 5 lines 2-14): buffer it if
 // its audience interaction marks it normal, and when the buffer fills run
 // the drift check and possibly the incremental update. The sample's window
-// slices may alias storage the caller goes on to reuse: a buffered sample
-// is given its own window headers. Its feature rows are shared, and the
-// caller must leave them alone until a Result reports Triggered.
+// slices may alias storage the caller goes on to reuse: a buffered sample's
+// window is given headers in the updater's window log. Its feature rows are
+// shared, and the caller must leave them alone until a Result reports
+// Triggered.
 func (u *Updater) Observe(sample core.Sample, interactionLevel float64) (Result, error) {
+	return u.ObserveHidden(sample, interactionLevel, nil)
+}
+
+// ObserveHidden is Observe for a caller that already holds the model's
+// final LSTM_I hidden state for the sample's window — bit for bit what
+// Model.HiddenInto computes, which an exact prediction of that window leaves
+// behind (core.Model.LaneHidden) — so a buffered segment costs no second
+// recurrence. A nil hidden makes it Observe. hidden is read, not kept.
+func (u *Updater) ObserveHidden(sample core.Sample, interactionLevel float64, hidden []float64) (Result, error) {
 	var res Result
 
 	// Maintain the adaptive interaction threshold T (mean of the previous
@@ -301,16 +315,24 @@ func (u *Updater) Observe(sample core.Sample, interactionLevel float64) (Result,
 
 	if interactionLevel < u.prevWindowMean {
 		// Only a buffered segment's hidden state enters S_n, so only a
-		// buffered segment pays for the recurrence that computes it.
-		if err := u.model.HiddenInto(&sample, u.hidden); err != nil {
-			return res, fmt.Errorf("update: hidden state: %w", err)
+		// buffered segment without one pays for the recurrence.
+		cfg := u.model.Config()
+		switch {
+		case hidden == nil:
+			if err := u.model.HiddenInto(&sample, u.hidden); err != nil {
+				return res, fmt.Errorf("update: hidden state: %w", err)
+			}
+			hidden = u.hidden
+		case len(hidden) != cfg.HiddenI:
+			return res, fmt.Errorf("update: hidden state has %d values, model hidden is %d", len(hidden), cfg.HiddenI)
+		case len(sample.ActionSeq) != cfg.SeqLen || len(sample.AudienceSeq) != cfg.SeqLen:
+			return res, fmt.Errorf("update: sample window %d/%d, model q is %d", len(sample.ActionSeq), len(sample.AudienceSeq), cfg.SeqLen)
 		}
 		if cap(u.buffer) == 0 {
 			u.buffer = make([]core.Sample, 0, u.cfg.MaxBuffer)
 		}
-		sample = u.ownHeaders(sample)
-		u.buffer = append(u.buffer, sample)
-		u.incoming.add(u.hidden)
+		u.buffer = append(u.buffer, u.logWindow(sample))
+		u.incoming.add(hidden)
 		res.Buffered = true
 	}
 
@@ -341,22 +363,56 @@ func (u *Updater) Observe(sample core.Sample, interactionLevel float64) (Result,
 	u.history.merge(&u.incoming)
 	u.incoming.reset()
 	clear(u.buffer)
-	clear(u.heads)
-	u.buffer, u.heads = u.buffer[:0], u.heads[:0]
+	clear(u.actLog)
+	clear(u.audLog)
+	u.buffer, u.actLog, u.audLog = u.buffer[:0], u.actLog[:0], u.audLog[:0]
 	return res, nil
 }
 
-// ownHeaders returns s with window headers copied into the arena. The
-// arena is sized for a full buffer on first use; a restored buffer beyond
-// that grows it by append, which leaves earlier samples on the old array.
-func (u *Updater) ownHeaders(s core.Sample) core.Sample {
-	if u.heads == nil {
-		u.heads = make([][]float64, 0, 2*u.model.Config().SeqLen*u.cfg.MaxBuffer)
+// logWindow returns s with its window re-pointed into the window log. The
+// rows the log's tail already holds — found by identity, not by value — are
+// shared, and only the ones past them are appended. The log starts at the
+// size a fully buffered cycle needs (MaxBuffer + q − 1 rows) and grows, by
+// doubling, up to q·MaxBuffer rows, what a cycle of disjoint windows needs.
+// Growing copies the log into a new array and leaves the samples already
+// buffered on the old one, whose rows are the same.
+func (u *Updater) logWindow(s core.Sample) core.Sample {
+	q := len(s.ActionSeq)
+	k := u.overlap(s)
+	at, need := len(u.actLog)-k, len(u.actLog)+q-k
+	if need > cap(u.actLog) {
+		c := max(need, 2*cap(u.actLog), u.cfg.MaxBuffer+q-1)
+		c = min(c, max(need, q*u.cfg.MaxBuffer))
+		u.actLog = append(make([][]float64, 0, c), u.actLog...)
+		u.audLog = append(make([][]float64, 0, c), u.audLog...)
 	}
-	at, mid := len(u.heads), len(u.heads)+len(s.ActionSeq)
-	u.heads = append(append(u.heads, s.ActionSeq...), s.AudienceSeq...)
-	s.ActionSeq, s.AudienceSeq = u.heads[at:mid:mid], u.heads[mid:len(u.heads):len(u.heads)]
+	u.actLog = append(u.actLog, s.ActionSeq[k:]...)
+	u.audLog = append(u.audLog, s.AudienceSeq[k:]...)
+	s.ActionSeq, s.AudienceSeq = u.actLog[at:need:need], u.audLog[at:need:need]
 	return s
+}
+
+// overlap returns the largest k such that the log's last k rows are the
+// first k rows of s's window, action and audience alike.
+func (u *Updater) overlap(s core.Sample) int {
+	n := len(u.actLog)
+	for k := min(n, len(s.ActionSeq)); k > 0; k-- {
+		if sameRows(u.actLog[n-k:], s.ActionSeq[:k]) && sameRows(u.audLog[n-k:], s.AudienceSeq[:k]) {
+			return k
+		}
+	}
+	return 0
+}
+
+// sameRows reports whether a and b are the same rows: the same backing
+// arrays, not merely equal values.
+func sameRows(a, b [][]float64) bool {
+	for i := range a {
+		if len(a[i]) != len(b[i]) || len(a[i]) == 0 || &a[i][0] != &b[i][0] {
+			return false
+		}
+	}
+	return true
 }
 
 // State is the updater's complete mutable runtime state, exported for
@@ -455,11 +511,12 @@ func (u *Updater) SetState(st State) error {
 	}
 	u.history = setSketch{sum: append([]float64(nil), st.HistorySum...), count: st.HistoryCount}
 	u.incoming = setSketch{sum: append([]float64(nil), st.IncomingSum...), count: st.IncomingCount}
-	clear(u.heads)
-	u.heads = u.heads[:0]
+	clear(u.actLog)
+	clear(u.audLog)
+	u.actLog, u.audLog = u.actLog[:0], u.audLog[:0]
 	u.buffer = make([]core.Sample, len(st.Buffer))
 	for i, s := range st.Buffer {
-		u.buffer[i] = u.ownHeaders(copySample(s))
+		u.buffer[i] = u.logWindow(copySample(s))
 	}
 	u.prevWindowMean = st.PrevWindowMean
 	u.curWindowSum = st.CurWindowSum

@@ -546,3 +546,142 @@ func TestReusedTrainerMatchesFreshClone(t *testing.T) {
 		t.Fatalf("%d trainers made for retrains that never overlapped, want 1", list.Made())
 	}
 }
+
+// TestWindowLogSharesOverlappingRows pins the window log: a buffered
+// sample's window is a q-row view of one stream-ordered log whose rows are
+// the caller's own, and the log holds each row once. A densely buffered
+// cycle of n windows costs n + q − 1 rows and never grows the log past its
+// first size; every other segment costs 2 rows a window; disjoint windows
+// cost q rows each, at most q·MaxBuffer. The log is reused across cycles:
+// a second dense cycle allocates nothing.
+func TestWindowLogSharesOverlappingRows(t *testing.T) {
+	const q, maxBuffer = 3, 12
+	cfg := DefaultConfig()
+	cfg.MaxBuffer = maxBuffer
+	cfg.DriftThreshold = -1 // drift checks never retrain
+	rng := rand.New(rand.NewSource(37))
+	stream := makeSamples(t, rng, 200, 0)
+	for _, tc := range []struct {
+		name   string
+		stride int
+		rows   int // log length after maxBuffer−1 buffered windows
+	}{
+		{"dense", 1, maxBuffer - 1 + q - 1},
+		{"every-other", 2, q + 2*(maxBuffer-2)},
+		{"disjoint", q + 1, q * (maxBuffer - 1)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			u, err := New(testModel(t), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < maxBuffer-1; i++ {
+				s := stream[i*tc.stride]
+				if res, err := u.Observe(s, 0); err != nil || !res.Buffered {
+					t.Fatalf("window %d: buffered %v, %v", i, res.Buffered, err)
+				}
+				b := u.buffer[i]
+				for r := 0; r < q; r++ {
+					if &b.ActionSeq[r][0] != &s.ActionSeq[r][0] || &b.AudienceSeq[r][0] != &s.AudienceSeq[r][0] {
+						t.Fatalf("window %d row %d: the buffered sample reads another row than the caller's", i, r)
+					}
+				}
+			}
+			if len(u.actLog) != tc.rows || len(u.audLog) != tc.rows {
+				t.Fatalf("the log holds %d/%d rows, want %d", len(u.actLog), len(u.audLog), tc.rows)
+			}
+			if c := cap(u.actLog); c > q*maxBuffer {
+				t.Fatalf("the log has room for %d rows, more than the %d disjoint windows need", c, q*maxBuffer)
+			}
+			if tc.stride == 1 && cap(u.actLog) != maxBuffer+q-1 {
+				t.Fatalf("a dense cycle grew the log to %d rows, want its first size %d", cap(u.actLog), maxBuffer+q-1)
+			}
+		})
+	}
+
+	u, err := New(testModel(t), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	feed := func(from int) {
+		for i := from; i < from+maxBuffer; i++ {
+			// Falling interaction stays below every window's mean, T.
+			res, err := u.Observe(stream[i], -float64(i))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Triggered != (i == from+maxBuffer-1) {
+				t.Fatalf("segment %d: Triggered = %v", i, res.Triggered)
+			}
+		}
+	}
+	feed(0)
+	if len(u.actLog) != 0 || len(u.buffer) != 0 {
+		t.Fatalf("a drift check left %d log rows and %d samples", len(u.actLog), len(u.buffer))
+	}
+	from := maxBuffer
+	if n := testing.AllocsPerRun(3, func() {
+		feed(from)
+		from += maxBuffer
+	}); n != 0 {
+		t.Fatalf("a dense cycle on a reused log allocates %v times, want 0", n)
+	}
+}
+
+// TestObserveHiddenMatchesObserve pins the handover: an updater given each
+// buffered window's hidden state by its caller buffers, checks drift and
+// retrains exactly as one that computes the states itself, and ends with
+// the same parameters; a state of the wrong size is refused.
+func TestObserveHiddenMatchesObserve(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	base := testModel(t)
+	cfg := DefaultConfig()
+	cfg.MaxBuffer = 10
+	cfg.DriftThreshold = 1
+	cfg.TrainEpochs = 1
+	plain, err := New(base.Clone(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	handed, err := New(base.Clone(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stream := append(makeSamples(t, rng, 40, 0), makeSamples(t, rng, 40, 4)...)
+	hidden := make([]float64, base.Config().HiddenI)
+	updates := 0
+	for i, s := range stream {
+		level := 0.5 - 0.001*float64(i)
+		want, err := plain.Observe(s, level)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := handed.Model().HiddenInto(&s, hidden); err != nil {
+			t.Fatal(err)
+		}
+		got, err := handed.ObserveHidden(s, level, hidden)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Fatalf("segment %d: %+v handed the state, %+v computing it", i, got, want)
+		}
+		if got.Updated {
+			updates++
+		}
+	}
+	if updates < 2 {
+		t.Fatalf("%d retrains; the stream must retrain at least twice", updates)
+	}
+	for _, name := range plain.Model().Params().Names() {
+		w, g := plain.Model().Params().Get(name).Data, handed.Model().Params().Get(name).Data
+		for i := range w {
+			if math.Float64bits(w[i]) != math.Float64bits(g[i]) {
+				t.Fatalf("%s[%d] = %v handed the states, %v computing them", name, i, g[i], w[i])
+			}
+		}
+	}
+	if _, err := handed.ObserveHidden(stream[0], 0, hidden[1:]); err == nil {
+		t.Fatal("a hidden state of the wrong size was accepted")
+	}
+}
