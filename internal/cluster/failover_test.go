@@ -506,7 +506,7 @@ func TestRouterMidStreamRejectWithFullWindow(t *testing.T) {
 	node := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		http.NewResponseController(w).EnableFullDuplex()
 		if conns.Add(1) > 1 {
-			time.Sleep(20 * time.Millisecond) // past probeOpen's beat: the reconnect looks healthy first
+			time.Sleep(20 * time.Millisecond) // the reconnect looks healthy first
 			w.Header().Set("Retry-After", "1")
 			http.Error(w, "overloaded", http.StatusTooManyRequests)
 			return
@@ -532,7 +532,10 @@ func TestRouterMidStreamRejectWithFullWindow(t *testing.T) {
 	srv := httptest.NewServer(r.Handler())
 	t.Cleanup(srv.Close)
 
-	s := wire.OpenStream(context.Background(), http.DefaultClient, srv.URL+"/channels/full/observe")
+	s, err := wire.OpenStream(context.Background(), nil, srv.URL+"/channels/full/observe")
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer s.Abort()
 	next := func(what string) wire.Decision {
 		t.Helper()

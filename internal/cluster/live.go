@@ -34,6 +34,7 @@ import (
 	"time"
 
 	"aovlis/internal/stream/live"
+	"aovlis/internal/wire"
 )
 
 // liveDialTimeout bounds the TCP connect to a channel's owner; the tunnel
@@ -71,7 +72,7 @@ func (r *Router) handleLive(w http.ResponseWriter, req *http.Request) {
 		http.Error(w, fmt.Sprintf("cluster: bad node URL %q", owner.Spec.URL), http.StatusInternalServerError)
 		return
 	}
-	target := live.HostPort(u)
+	target := wire.HostPort(u)
 	up, err := net.DialTimeout("tcp", target, liveDialTimeout)
 	if err != nil {
 		http.Error(w, fmt.Sprintf("dialing owner %s: %v", owner.Spec.Name, err), http.StatusBadGateway)

@@ -149,8 +149,7 @@ func (n *Node) probe(timeout time.Duration) error {
 }
 
 // within is the node's client with d as its Timeout, which covers an
-// exchange through the last byte of the response body (and, for a journal
-// replay, of the request body).
+// exchange through the last byte of the response body.
 func (n *Node) within(d time.Duration) *http.Client {
 	c := *n.client
 	c.Timeout = d
@@ -198,7 +197,8 @@ func (n *Node) putSnapshot(id string, body io.Reader) error {
 // replayObservations re-applies journaled observations onto this node's
 // channel, in order, through the regular observe endpoint — the receive
 // half of failover journal replay. The request is written concurrently
-// with the response read (the node pipelines decisions), and every record
+// with the response read (the node pipelines decisions), the whole
+// exchange runs under one adminWait deadline, and every record
 // must come back as a scored decision: a rejected, dropped or errored
 // line fails the replay, because a partially applied journal tail would
 // silently break the bit-equal contract the replay exists to restore.
@@ -206,7 +206,12 @@ func (n *Node) putSnapshot(id string, body io.Reader) error {
 // assigned them (the NEW owner's journal numbering — it reseeds the relay
 // tracker so a subsequent failover of this node replays them again).
 func (n *Node) replayObservations(id string, recs []wal.Record) (int, uint64, error) {
-	s := wire.OpenStream(context.Background(), n.within(n.adminWait), n.observeURL(id))
+	ctx, cancel := context.WithTimeout(context.Background(), n.adminWait)
+	defer cancel()
+	s, err := wire.OpenStream(ctx, nil, n.observeURL(id))
+	if err != nil {
+		return 0, 0, fmt.Errorf("cluster: replaying journal of %q into %s: %w", id, n.Spec.Name, err)
+	}
 	defer s.Abort() // also ends the writer, should the reader give up first
 	writeErr := make(chan error, 1)
 	go func() {

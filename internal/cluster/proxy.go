@@ -474,11 +474,23 @@ func (ps *proxyStream) handleUpstreamError(err error) error {
 		ps.r.m.resubmitted.Add(uint64(demoted))
 	}
 	ps.out.Flush() // decisions already delivered should not wait out a failover
-	if ps.recoverBy.IsZero() {
+	// The first failure after progress reopens at once; a failure before
+	// any decision came back on the reopened connection (a node that
+	// accepts streams and fails them) waits a retry beat first, so an
+	// unproductive open/fail cycle runs at the retry pace, not the dial's.
+	paced := !ps.recoverBy.IsZero()
+	if !paced {
 		ps.recoverBy = time.Now().Add(ps.r.cfg.FailoverWait)
 	}
 	deadline := ps.recoverBy
-	for {
+	for ; ; paced = true {
+		if paced {
+			select {
+			case <-ps.ctx.Done():
+				return terminalError{fmt.Errorf("cluster: client went away during failover")}
+			case <-time.After(ps.r.cfg.RetryEvery):
+			}
+		}
 		// The budget check comes FIRST: a reopened connection alone must
 		// not count as recovery (probeOpen succeeds against a node that
 		// then fails every stream), so an unproductive open/fail cycle
@@ -498,18 +510,12 @@ func (ps *proxyStream) handleUpstreamError(err error) error {
 				return nil // flushQueued will resubmit
 			}
 		}
-		select {
-		case <-ps.ctx.Done():
-			return terminalError{fmt.Errorf("cluster: client went away during failover")}
-		case <-time.After(ps.r.cfg.RetryEvery):
-		}
 	}
 }
 
-// probeOpen opens a fresh upstream to the owner and verifies the node is
-// actually accepting (a dead process refuses fast; a live one leaves the
-// pipe writable). It does not wait for response headers — the node only
-// sends them with the first decision.
+// probeOpen opens a fresh upstream to the owner: a dead process refuses the
+// dial, which is the open's own error. It does not wait for response
+// headers — the node only sends them with the first decision.
 func (ps *proxyStream) probeOpen(owner *Node, epoch uint64) error {
 	// Idle failover: every accepted segment was already acknowledged, so
 	// the connection's first line will be the NEXT accept. Its client seq
@@ -522,21 +528,7 @@ func (ps *proxyStream) probeOpen(owner *Node, epoch uint64) error {
 		// to that client seq.
 		offset = ps.pending[ps.tail].seq
 	}
-	ps.openUpstream(owner, epoch, offset)
-	// A closed port surfaces on the ack relay almost immediately; give
-	// it one scheduling beat so the retry loop backs off instead of
-	// resubmitting into a void.
-	select {
-	case ack, ok := <-ps.up.acks.C:
-		if !ok {
-			err := ps.up.ended()
-			ps.closeUpstream()
-			return err
-		}
-		ps.up.acks.Recycle(ack) // unsolicited: nothing was sent on this connection
-	case <-time.After(2 * time.Millisecond):
-	}
-	return nil
+	return ps.openUpstream(owner, epoch, offset)
 }
 
 // demoteSent converts every sent slot back to queued and releases its
@@ -570,8 +562,7 @@ func (ps *proxyStream) ensureUpstream(owner *Node, epoch uint64) error {
 		ps.closeUpstream()
 		ps.r.m.rotations.Inc()
 	}
-	ps.openUpstream(owner, epoch, ps.pending[(ps.tail+ps.nsent)%len(ps.pending)].seq)
-	return nil
+	return ps.openUpstream(owner, epoch, ps.pending[(ps.tail+ps.nsent)%len(ps.pending)].seq)
 }
 
 // drainSentRaw is drainSent without the error recovery (used inside
@@ -589,11 +580,15 @@ func (ps *proxyStream) drainSentRaw() error {
 
 // openUpstream starts a forward request to owner and the relay of its
 // acknowledgements; offset is the client seq of the first line it will carry.
-func (ps *proxyStream) openUpstream(owner *Node, epoch, offset uint64) {
-	stream := wire.OpenStream(ps.ctx, ps.r.client, owner.observeURL(ps.id))
+// A failed dial is its error, and leaves no upstream.
+func (ps *proxyStream) openUpstream(owner *Node, epoch, offset uint64) error {
+	stream, err := wire.OpenStream(ps.ctx, ps.r.dial, owner.observeURL(ps.id))
+	if err != nil {
+		return fmt.Errorf("cluster: node %s: %w", owner.Spec.Name, err)
+	}
 	// The relay's depth is an invariant, not a tuning: it must absorb a full
 	// window of acknowledgements without the driver's help. The driver can be
-	// parked in an upstream pipe write while the node is parked writing
+	// parked in an upstream socket write while the node is parked writing
 	// decisions for lines it already has; a relay that stopped reading then
 	// (two buffers are enough to do it once lines are large) would leave
 	// both parked for good. +2: one buffer with the driver, one being filled.
@@ -601,6 +596,7 @@ func (ps *proxyStream) openUpstream(owner *Node, epoch, offset uint64) {
 	// context only stops one parked on buffers a dropped relay never gets back.
 	ps.up = &upstream{node: owner, epoch: epoch, stream: stream, offset: offset,
 		acks: wire.Feed(ps.ctx.Done(), stream.Next, len(ps.pending)+2)}
+	return nil
 }
 
 // halfCloseUpstream ends the upstream request body cleanly, so the node

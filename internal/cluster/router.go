@@ -10,6 +10,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"aovlis/internal/wire"
 )
 
 // Config parameterises a Router.
@@ -83,10 +85,14 @@ type Router struct {
 	cfg    Config
 	nodes  []*Node // sorted by name
 	byName map[string]*Node
-	client *http.Client
+	client *http.Client         // admin calls, /watch and stats relays
 	ring   atomic.Pointer[Ring] // over currently-alive nodes
 	tbl    *table
 	m      *routerMetrics
+
+	// dial opens each observe upstream's connection (nil: a plain TCP
+	// dial); tests replace it to shape the router's sockets.
+	dial wire.Dialer
 
 	// topoMu serialises topology transitions: ring rebuilds, rebalances
 	// and failovers. The proxy hot path never takes it.
@@ -107,9 +113,10 @@ func New(cfg Config) (*Router, error) {
 	}
 	r := &Router{
 		cfg: cfg,
-		// No Client.Timeout: observe forwards are long-lived streams. The
-		// transport pools connections per node; probes clone the client
-		// with a deadline.
+		// No Client.Timeout: a /watch relay is a long-lived stream. The
+		// transport pools connections per node; probes and admin calls
+		// clone the client with a deadline. Observe forwards do not use
+		// it: each is a wire.Stream on a connection of its own.
 		client: &http.Client{Transport: &http.Transport{
 			MaxIdleConns:        256,
 			MaxIdleConnsPerHost: 64,

@@ -12,6 +12,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -621,7 +622,7 @@ func TestRouterFailover(t *testing.T) {
 // observations, each answered by a ≈ 256 KiB decision, through the proxy,
 // over router↔node connections whose socket buffers are clamped to 64 KiB so
 // the kernel cannot hide the coupling. The driver then parks in its upstream
-// pipe write (the node is not reading) while the node parks writing
+// socket write (the node is not reading) while the node parks writing
 // decisions (the router is not reading); only a relay deep enough to take a
 // whole window of acknowledgements off the node without the driver gets both
 // moving again — the depth openUpstream passes. A two-buffer relay hangs
@@ -640,7 +641,11 @@ func TestRouterWindowOfLargeLines(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(r.Close)
-	r.client.Transport.(*http.Transport).DialContext = func(ctx context.Context, network, addr string) (net.Conn, error) {
+	// Upstream streams dial through r.dial; the count below proves the clamp
+	// reached them, or the test would pass without the coupling it exists for.
+	var dials atomic.Int32
+	r.dial = func(ctx context.Context, network, addr string) (net.Conn, error) {
+		dials.Add(1)
 		c, err := (&net.Dialer{}).DialContext(ctx, network, addr)
 		if err == nil {
 			clamp(c)
@@ -661,6 +666,9 @@ func TestRouterWindowOfLargeLines(t *testing.T) {
 	})
 	defer deadline.Stop()
 	decs := observeThrough(t, srv.URL, "wide", lines)
+	if dials.Load() == 0 {
+		t.Fatal("the upstream never dialed through the clamped seam")
+	}
 	if len(decs) != len(lines) {
 		t.Fatalf("%d decisions for %d lines", len(decs), len(lines))
 	}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net/http"
 	"sort"
 	"sync"
 	"time"
@@ -20,9 +19,6 @@ import (
 type HTTPReplay struct {
 	// BaseURL is the serving endpoint, e.g. "http://127.0.0.1:7600".
 	BaseURL string
-	// Client defaults to a fresh timeout-free client (observe streams are
-	// long-lived).
-	Client *http.Client
 	// Window bounds unacknowledged lines per channel stream (0 → 32).
 	Window int
 	// Backoff honors whole-stream 429s: sleep the server's Retry-After,
@@ -76,11 +72,6 @@ func (h *HTTPReplay) Run(s *Schedule) (HTTPResult, error) {
 	if retries <= 0 {
 		retries = 3
 	}
-	client := h.Client
-	if client == nil {
-		client = &http.Client{}
-	}
-
 	workers := make([]*streamWorker, s.Cfg.Channels)
 	chans := make([]chan queuedLine, s.Cfg.Channels)
 	var wg sync.WaitGroup
@@ -91,7 +82,6 @@ func (h *HTTPReplay) Run(s *Schedule) (HTTPResult, error) {
 		}
 		w := &streamWorker{
 			url:     h.BaseURL + "/channels/" + ChannelID(ci) + "/observe",
-			client:  client,
 			backoff: h.Backoff, retries: retries,
 			pending: make([]queuedLine, 0, window),
 		}
@@ -154,7 +144,6 @@ func (h *HTTPReplay) Run(s *Schedule) (HTTPResult, error) {
 // with Backoff set, transport failures.
 type streamWorker struct {
 	url     string
-	client  *http.Client
 	backoff bool
 	retries int
 
@@ -262,7 +251,11 @@ func (w *streamWorker) recover(cause error) error {
 // recovery resends (already counted).
 func (w *streamWorker) writeLine(q queuedLine, fresh bool) error {
 	if w.stream == nil {
-		w.stream = wire.OpenStream(context.Background(), w.client, w.url)
+		s, err := wire.OpenStream(context.Background(), nil, w.url)
+		if err != nil {
+			return err
+		}
+		w.stream = s
 	}
 	if err := w.stream.WriteLine(q.buf); err != nil {
 		return err

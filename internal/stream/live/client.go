@@ -11,6 +11,8 @@ import (
 	"net/url"
 	"strings"
 	"time"
+
+	"aovlis/internal/wire"
 )
 
 // ErrBadHandshake reports a server that answered the upgrade request with
@@ -18,21 +20,6 @@ import (
 // carries the status and (bounded) body for diagnosis — the ingest
 // endpoint uses plain HTTP statuses (404, 409, 429) to refuse upgrades.
 var ErrBadHandshake = fmt.Errorf("live: websocket handshake refused")
-
-// HostPort is the dialable host:port of u, with the scheme's default port
-// when u names none. It goes through Hostname and Port, so an IPv6 literal
-// ends up in exactly one pair of brackets whether or not it carried a port.
-func HostPort(u *url.URL) string {
-	port := u.Port()
-	switch {
-	case port != "":
-	case u.Scheme == "https" || u.Scheme == "wss":
-		port = "443"
-	default:
-		port = "80"
-	}
-	return net.JoinHostPort(u.Hostname(), port)
-}
 
 // Dial opens a client WebSocket connection to rawurl (http:// or ws://
 // scheme; TLS is out of scope for the in-repo fleet). header adds request
@@ -54,7 +41,7 @@ func DialTimeout(rawurl string, header http.Header, timeout time.Duration) (*Con
 	default:
 		return nil, nil, fmt.Errorf("live: dial %q: unsupported scheme %q (plaintext only)", rawurl, u.Scheme)
 	}
-	host := HostPort(u)
+	host := wire.HostPort(u)
 	nc, err := net.DialTimeout("tcp", host, timeout)
 	if err != nil {
 		return nil, nil, fmt.Errorf("live: dial %s: %w", host, err)

@@ -6,7 +6,6 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
-	"net/url"
 	"strconv"
 	"strings"
 	"sync"
@@ -340,30 +339,9 @@ func TestDialRefusals(t *testing.T) {
 	if _, _, err := DialTimeout("http://127.0.0.1:1/live/a", nil, 50*time.Millisecond); err == nil {
 		t.Fatal("dial to closed port succeeded")
 	}
-}
-
-// TestHostPort pins the one place a URL's port is defaulted: bare hosts get
-// the scheme's port, explicit ports survive, and an IPv6 literal is bracketed
-// exactly once either way.
-func TestHostPort(t *testing.T) {
-	for _, c := range []struct{ raw, want string }{
-		{"http://node-a/live/x", "node-a:80"},
-		{"http://node-a:7601", "node-a:7601"},
-		{"ws://[::1]/live/x", "[::1]:80"},
-		{"http://[::1]:8080", "[::1]:8080"},
-		{"https://node-a", "node-a:443"},
-		{"https://[fe80::1]", "[fe80::1]:443"},
-	} {
-		u, err := url.Parse(c.raw)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := HostPort(u); got != c.want {
-			t.Errorf("HostPort(%q) = %q, want %q", c.raw, got, c.want)
-		}
-	}
-	// Through the dialer: a portless IPv6 literal reaches the TCP dial as
-	// [::1]:80 (refused here) instead of failing on "missing port in address".
+	// wire.HostPort defaults the port: a portless IPv6 literal reaches the
+	// TCP dial as [::1]:80 (refused here) instead of failing on "missing
+	// port in address".
 	_, _, err := DialTimeout("http://[::1]/live/a", nil, 50*time.Millisecond)
 	if err == nil || !strings.Contains(err.Error(), "[::1]:80") || strings.Contains(err.Error(), "missing port") {
 		t.Fatalf("portless IPv6 dial: %v", err)

@@ -3,90 +3,179 @@ package wire
 import (
 	"bufio"
 	"context"
+	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
+	"time"
 )
 
-// Stream is the client half of the NDJSON observe stream: one in-flight
-// POST …/observe whose request body is a pipe the caller writes observation
-// lines into while decision lines come back on the response. The router's
-// upstream, failover journal replay and the load generator are its callers.
+// Stream is the client half of the NDJSON observe stream: one POST …/observe
+// on a TCP connection of its own, written by hand — the request head, then a
+// chunked body of the caller's observation lines — while decision lines come
+// back on the response, read with http.ReadResponse. The router's upstream,
+// failover journal replay and the load generator are its callers.
 //
 // The write side (WriteLine, Flush, CloseSend) belongs to one goroutine and
 // the read side (Next) to one goroutine; they may be different goroutines.
-// Abort may be called from any goroutine, and must be called once the caller
-// is done with the stream, however it ended.
+// The stream runs none of its own. Abort may be called from any goroutine,
+// and must be called once the caller is done with the stream, however it
+// ended.
 type Stream struct {
-	pw     *io.PipeWriter
-	bw     *bufio.Writer // over pw; callers Flush exactly when about to block
-	cancel context.CancelFunc
+	conn net.Conn
+	stop func() bool // unhooks the close armed on the opening context
 
-	ready chan struct{} // closed once Do has returned and resp, doErr are set
-	resp  *http.Response
-	doErr error
+	// Write side. buf holds chunkHead reserved bytes, where Flush writes the
+	// chunk's size, then the lines of the chunk being filled.
+	buf  []byte
+	werr error // sticky: a failed write leaves the chunk framing broken
 
-	lines func() ([]byte, error) // read side: set once the headers say 200
-	err   error                  // read side: what ended the stream
+	// Read side.
+	br    *bufio.Reader
+	lines func() ([]byte, error) // set once the headers say 200
+	err   error                  // what ended the stream
 }
 
-// OpenStream starts POST url over a pipe and returns at once: a node sends
-// its response headers only with its first decision, so Do runs on its own
-// goroutine and the first Next waits for it. A request that cannot be built
-// is reported by the first Next as well.
-func OpenStream(ctx context.Context, hc *http.Client, url string) *Stream {
-	pr, pw := io.Pipe()
-	ctx, cancel := context.WithCancel(ctx)
-	s := &Stream{pw: pw, bw: bufio.NewWriterSize(pw, 32<<10), cancel: cancel, ready: make(chan struct{})}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, pr)
+const (
+	// chunkHead is room for a chunk size of up to eight hex digits and its
+	// CRLF, ahead of the lines in a Stream's buffer.
+	chunkHead = 10
+	// flushAt is the buffered body a WriteLine pushes out by itself: a
+	// caller that writes a long run of lines without waiting on a decision
+	// (a journal replay) must not hold all of them.
+	flushAt = 32 << 10
+	// streamReadBuf is the reader the response is parsed from.
+	streamReadBuf = 4 << 10
+)
+
+// Dialer opens the connection a Stream runs on. It has
+// net.Dialer.DialContext's signature, so a test can shape the socket.
+type Dialer func(ctx context.Context, network, addr string) (net.Conn, error)
+
+// streamDialer is OpenStream's Dialer when the caller passes none.
+var streamDialer = net.Dialer{Timeout: 10 * time.Second}
+
+// errSendClosed is what a write after CloseSend returns.
+var errSendClosed = errors.New("wire: observe stream: write after CloseSend")
+
+// OpenStream dials url's host with dial (nil: a plain TCP dial) under ctx
+// and writes the request head. It does not wait for the response: a node
+// sends its headers only with its first decision, which the first Next
+// reads. ctx bounds the whole exchange — its end, a deadline included,
+// closes the connection, failing any parked read or write. Only a plaintext
+// http URL can be opened.
+func OpenStream(ctx context.Context, dial Dialer, rawurl string) (*Stream, error) {
+	u, err := url.Parse(rawurl)
 	if err != nil {
-		pr.CloseWithError(err)
-		s.doErr = err
-		close(s.ready)
-		return s
+		return nil, fmt.Errorf("wire: observe stream: %w", err)
 	}
-	req.Header.Set("Content-Type", "application/x-ndjson")
-	// Do's goroutine owns the response: whenever it arrives, it is closed
-	// when the context ends, which Abort sees to.
-	go func() {
-		s.resp, s.doErr = hc.Do(req)
-		close(s.ready)
-		if s.resp != nil {
-			<-ctx.Done()
-			s.resp.Body.Close()
-		}
-	}()
-	return s
+	if u.Scheme != "http" {
+		return nil, fmt.Errorf("wire: observe stream %q: unsupported scheme %q (plaintext only)", rawurl, u.Scheme)
+	}
+	if dial == nil {
+		dial = streamDialer.DialContext
+	}
+	conn, err := dial(ctx, "tcp", HostPort(u))
+	if err != nil {
+		return nil, fmt.Errorf("wire: POST %s: %w", rawurl, err)
+	}
+	s := &Stream{conn: conn, buf: make([]byte, chunkHead, 4<<10), br: bufio.NewReaderSize(conn, streamReadBuf)}
+	s.stop = context.AfterFunc(ctx, func() { conn.Close() })
+	head := "POST " + u.RequestURI() + " HTTP/1.1\r\nHost: " + u.Host +
+		"\r\nContent-Type: application/x-ndjson\r\nTransfer-Encoding: chunked\r\n\r\n"
+	if _, err := io.WriteString(conn, head); err != nil {
+		s.Abort()
+		return nil, fmt.Errorf("wire: POST %s: %w", rawurl, err)
+	}
+	return s, nil
 }
 
-// WriteLine buffers one newline-terminated observation line.
+// HostPort is the dialable host:port of u, with the scheme's default port
+// when u names none. It goes through Hostname and Port, so an IPv6 literal
+// ends up in exactly one pair of brackets whether or not it carried a port.
+func HostPort(u *url.URL) string {
+	port := u.Port()
+	switch {
+	case port != "":
+	case u.Scheme == "https" || u.Scheme == "wss":
+		port = "443"
+	default:
+		port = "80"
+	}
+	return net.JoinHostPort(u.Hostname(), port)
+}
+
+// WriteLine buffers one newline-terminated observation line. Once flushAt
+// bytes are waiting it flushes them itself.
 func (s *Stream) WriteLine(line []byte) error {
-	_, err := s.bw.Write(line)
+	if s.werr != nil {
+		return s.werr
+	}
+	s.buf = append(s.buf, line...)
+	if len(s.buf) >= flushAt {
+		return s.Flush()
+	}
+	return nil
+}
+
+// Flush pushes buffered lines to the node as one chunk in one write. A line
+// still in the buffer can never be answered, so callers flush before every
+// wait on a decision.
+func (s *Stream) Flush() error { return s.flush("") }
+
+// flush writes the buffered lines as one chunk, followed by tail. With
+// neither there is nothing to fail, after CloseSend included.
+func (s *Stream) flush(tail string) error {
+	if len(s.buf) == chunkHead && tail == "" {
+		return nil
+	}
+	if s.werr != nil {
+		return s.werr
+	}
+	start := chunkHead
+	if n := len(s.buf) - chunkHead; n > 0 {
+		// The size in hex, right-aligned against its CRLF.
+		s.buf[chunkHead-2], s.buf[chunkHead-1] = '\r', '\n'
+		start -= 2
+		for ; n > 0; n >>= 4 {
+			start--
+			s.buf[start] = "0123456789abcdef"[n&15]
+		}
+		s.buf = append(s.buf, '\r', '\n')
+	}
+	s.buf = append(s.buf, tail...)
+	_, err := s.conn.Write(s.buf[start:])
+	s.buf = s.buf[:chunkHead]
+	s.werr = err
 	return err
 }
 
-// Flush pushes buffered lines to the node. A line still in the buffer can
-// never be answered, so callers flush before every wait on a decision.
-func (s *Stream) Flush() error { return s.bw.Flush() }
-
-// CloseSend ends the request body cleanly (EOF, not an error): the node
-// drains and answers everything it has pipelined, and the response stays
-// readable until the node finishes it. Calling it again does nothing.
+// CloseSend flushes and ends the request body cleanly (the last chunk, not
+// an error): the node drains and answers everything it has pipelined, and
+// the response stays readable until the node finishes it. Later writes
+// fail; calling it again does nothing.
 func (s *Stream) CloseSend() error {
-	err := s.bw.Flush()
-	s.pw.Close()
-	return err
+	if s.werr == errSendClosed {
+		return nil
+	}
+	if err := s.flush("0\r\n\r\n"); err != nil {
+		return err
+	}
+	s.werr = errSendClosed
+	return nil
 }
 
 // Next returns the next decision line, valid until the following call — the
-// signature Feed takes. The first call waits for the response headers and
+// signature Feed takes. The first call reads the response headers and
 // classifies them once: 200 streams lines (bounded by MaxLine) until io.EOF
 // at the clean end, 429 is *Refused, anything else *StatusError.
 func (s *Stream) Next() ([]byte, error) {
 	if s.err == nil && s.lines == nil {
-		s.err = s.awaitHeaders()
+		s.err = s.readHeaders()
 	}
 	if s.err != nil {
 		return nil, s.err
@@ -96,37 +185,36 @@ func (s *Stream) Next() ([]byte, error) {
 	return line, err
 }
 
-func (s *Stream) awaitHeaders() error {
-	<-s.ready
-	if s.doErr != nil {
-		return s.doErr
+func (s *Stream) readHeaders() error {
+	resp, err := http.ReadResponse(s.br, &http.Request{Method: http.MethodPost})
+	if err == io.EOF {
+		err = io.ErrUnexpectedEOF // io.EOF from Next is the clean end only
 	}
-	if s.resp.StatusCode == http.StatusOK {
-		s.lines = ScanLines(s.resp.Body)
+	if err != nil {
+		return fmt.Errorf("wire: reading observe response: %w", err)
+	}
+	if resp.StatusCode == http.StatusOK {
+		s.lines = ScanLines(resp.Body)
 		return nil
 	}
-	// A refusal's body is short: reading it (bounded) also lets the
-	// connection go back to the pool.
-	b, _ := io.ReadAll(io.LimitReader(s.resp.Body, 4<<10))
-	if s.resp.StatusCode != http.StatusTooManyRequests {
-		return &StatusError{Code: s.resp.StatusCode, Body: strings.TrimSpace(string(b))}
+	b, _ := io.ReadAll(io.LimitReader(resp.Body, 4<<10))
+	if resp.StatusCode != http.StatusTooManyRequests {
+		return &StatusError{Code: resp.StatusCode, Body: strings.TrimSpace(string(b))}
 	}
-	ra := s.resp.Header.Get("Retry-After")
+	ra := resp.Header.Get("Retry-After")
 	if ra == "" {
 		ra = "1" // the node always sets it; a proxy in between may strip it
 	}
 	return &Refused{RetryAfter: ra}
 }
 
-// Abort tears the stream down: it fails any write parked in the pipe and
-// cancels the request, on which Do's goroutine closes the response whether
-// it has arrived or is still to — so a Next parked in a read returns and no
-// goroutine or connection outlives the caller (a Feed over Next ends with
-// it). After a clean io.EOF it only releases that goroutine and the context.
-// Calling it again does nothing.
+// Abort tears the stream down: it closes the connection, so a write or a
+// Next parked on it returns and nothing outlives the caller (a Feed over
+// Next ends with it), and it unhooks the close armed on the opening
+// context. Calling it again does nothing.
 func (s *Stream) Abort() {
-	s.pw.CloseWithError(io.ErrClosedPipe)
-	s.cancel()
+	s.stop()
+	s.conn.Close()
 }
 
 // Refused is a whole-stream 429: admission control turned the stream away

@@ -7,8 +7,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"runtime"
 	"strings"
 	"sync/atomic"
@@ -34,12 +36,23 @@ func testServer(t *testing.T, h http.HandlerFunc) *httptest.Server {
 	return srv
 }
 
+// open is OpenStream under the background context with the plain dialer,
+// failing the test when the dial does.
+func open(t *testing.T, rawurl string) *Stream {
+	t.Helper()
+	s, err := OpenStream(context.Background(), nil, rawurl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 // TestStreamRoundTrip reads a 200 stream to io.EOF: lines written before
 // the headers exist are answered in order, CloseSend ends the body cleanly
 // and the clean end is io.EOF, again on every later call.
 func TestStreamRoundTrip(t *testing.T) {
 	srv := testServer(t, echoObserve)
-	s := OpenStream(context.Background(), srv.Client(), srv.URL)
+	s := open(t, srv.URL)
 	defer s.Abort()
 	for i := 0; i < 3; i++ {
 		if err := s.WriteLine([]byte("{}\n")); err != nil {
@@ -76,7 +89,7 @@ func TestStreamCloseSendHalfCloses(t *testing.T) {
 		n, _ := io.Copy(io.Discard, r.Body) // returns at EOF only
 		fmt.Fprintf(w, "{\"read\":%d}\n", n)
 	})
-	s := OpenStream(context.Background(), srv.Client(), srv.URL)
+	s := open(t, srv.URL)
 	defer s.Abort()
 	s.WriteLine([]byte("abc\n"))
 	if err := s.CloseSend(); err != nil {
@@ -109,7 +122,7 @@ func TestStreamRefused(t *testing.T) {
 			}
 			http.Error(w, "overloaded", http.StatusTooManyRequests)
 		})
-		s := OpenStream(context.Background(), srv.Client(), srv.URL)
+		s := open(t, srv.URL)
 		s.WriteLine([]byte("{}\n"))
 		s.Flush()
 		_, err := s.Next()
@@ -132,7 +145,7 @@ func TestStreamStatusError(t *testing.T) {
 		w.WriteHeader(http.StatusInternalServerError)
 		w.Write(bytes.Repeat([]byte("x"), 64<<10))
 	})
-	s := OpenStream(context.Background(), srv.Client(), srv.URL)
+	s := open(t, srv.URL)
 	defer s.Abort()
 	_, err := s.Next()
 	var se *StatusError
@@ -147,20 +160,52 @@ func TestStreamStatusError(t *testing.T) {
 	}
 }
 
-// TestStreamBadURL: a request that cannot be built surfaces on both sides
-// instead of leaving a pipe nobody reads.
+// TestStreamBadURL: a URL that cannot be parsed, one that is not plaintext
+// http and one whose port refuses the dial are OpenStream's own errors —
+// there is no stream to abort.
 func TestStreamBadURL(t *testing.T) {
-	s := OpenStream(context.Background(), http.DefaultClient, "http://bad host/")
-	defer s.Abort()
-	if _, err := s.Next(); err == nil {
-		t.Fatal("Next on an unbuildable request succeeded")
+	for _, c := range []struct{ url, want string }{
+		{"http://bad host/", "invalid character"},
+		{"https://127.0.0.1/", "unsupported scheme"},
+		{"http://127.0.0.1:1/channels/a/observe", "refused"},
+	} {
+		s, err := OpenStream(context.Background(), nil, c.url)
+		if err == nil || s != nil || !strings.Contains(err.Error(), c.want) {
+			t.Fatalf("OpenStream(%q) = %v, %v; want no stream and an error naming %q", c.url, s, err, c.want)
+		}
 	}
-	if err := s.CloseSend(); err != nil { // nothing buffered: nothing to fail
-		t.Fatal(err)
+}
+
+// TestHostPort pins the one place a URL's port is defaulted: bare hosts get
+// the scheme's port, explicit ports survive, and an IPv6 literal is bracketed
+// exactly once either way.
+func TestHostPort(t *testing.T) {
+	for _, c := range []struct{ raw, want string }{
+		{"http://node-a/live/x", "node-a:80"},
+		{"http://node-a:7601", "node-a:7601"},
+		{"ws://[::1]/live/x", "[::1]:80"},
+		{"http://[::1]:8080", "[::1]:8080"},
+		{"https://node-a", "node-a:443"},
+		{"https://[fe80::1]", "[fe80::1]:443"},
+	} {
+		u, err := url.Parse(c.raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := HostPort(u); got != c.want {
+			t.Errorf("HostPort(%q) = %q, want %q", c.raw, got, c.want)
+		}
 	}
-	s.WriteLine(bytes.Repeat([]byte("x"), 64<<10))
-	if err := s.Flush(); err == nil {
-		t.Fatal("write into an unbuildable request succeeded")
+	// Through the stream's dial: a portless IPv6 literal reaches the TCP
+	// dial as [::1]:80 (refused here) instead of failing on "missing port in
+	// address".
+	var dialed string
+	dial := func(ctx context.Context, network, addr string) (net.Conn, error) {
+		dialed = addr
+		return nil, errors.New("refused")
+	}
+	if _, err := OpenStream(context.Background(), dial, "http://[::1]/channels/a/observe"); err == nil || dialed != "[::1]:80" {
+		t.Fatalf("portless IPv6 open dialed %q: %v", dialed, err)
 	}
 }
 
@@ -172,7 +217,7 @@ func TestStreamOverlongLine(t *testing.T) {
 		w.Write([]byte("ok\n"))
 		w.Write(bytes.Repeat([]byte("x"), MaxLine+1))
 	})
-	s := OpenStream(context.Background(), srv.Client(), srv.URL)
+	s := open(t, srv.URL)
 	defer s.Abort()
 	if line, err := s.Next(); err != nil || string(line) != "ok" {
 		t.Fatalf("first line: %q, %v", line, err)
@@ -198,9 +243,8 @@ func TestStreamAbort(t *testing.T) {
 			<-r.Context().Done()
 			ended.Add(1)
 		})
-		hc := srv.Client()
 		before := runtime.NumGoroutine()
-		s := OpenStream(context.Background(), hc, srv.URL)
+		s := open(t, srv.URL)
 		s.WriteLine([]byte("{}\n"))
 		s.Flush()
 		if midBody {
@@ -228,8 +272,152 @@ func TestStreamAbort(t *testing.T) {
 			t.Fatalf("midBody=%v: write after Abort succeeded", midBody)
 		}
 		waitFor(t, "handler to see its request end", func() bool { return ended.Load() == 1 })
-		hc.CloseIdleConnections()
 		waitFor(t, "goroutines to settle", func() bool { return runtime.NumGoroutine() <= before })
+	}
+}
+
+// TestStreamDeadline: the opening context's deadline bounds the whole
+// exchange — a node that takes the request and never answers costs the
+// deadline, not a parked reader — and its end fails the write side too.
+func TestStreamDeadline(t *testing.T) {
+	srv := testServer(t, func(w http.ResponseWriter, r *http.Request) {
+		http.NewResponseController(w).EnableFullDuplex()
+		io.Copy(io.Discard, r.Body)
+	})
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	s, err := OpenStream(ctx, nil, srv.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Abort()
+	start := time.Now()
+	if _, err := s.Next(); err == nil || err == io.EOF {
+		t.Fatalf("Next on a silent node: %v, want an error", err)
+	}
+	if waited := time.Since(start); waited > 5*time.Second {
+		t.Fatalf("the deadline ended Next after %v", waited)
+	}
+	s.WriteLine([]byte("{}\n"))
+	if err := s.Flush(); err == nil {
+		t.Fatal("a write after the deadline succeeded")
+	}
+}
+
+// TestStreamChunks: lines reach the node byte for byte whatever the chunk
+// sizes — one-line flushes, a long unflushed run that WriteLine pushes out
+// by itself at flushAt, and a line longer than flushAt — and CloseSend ends
+// the body.
+func TestStreamChunks(t *testing.T) {
+	got := make(chan []byte, 1)
+	srv := testServer(t, func(w http.ResponseWriter, r *http.Request) {
+		http.NewResponseController(w).EnableFullDuplex()
+		b, _ := io.ReadAll(r.Body)
+		got <- b
+	})
+	s := open(t, srv.URL)
+	defer s.Abort()
+	var want bytes.Buffer
+	write := func(line string) {
+		want.WriteString(line)
+		if err := s.WriteLine([]byte(line)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write("a\n")
+	s.Flush()
+	for i := 0; len(s.buf) < flushAt-100; i++ {
+		write(fmt.Sprintf("{\"i\":%d}\n", i))
+	}
+	write(strings.Repeat("y", 100) + "\n") // crosses flushAt: out by itself
+	if len(s.buf) != chunkHead {
+		t.Fatalf("%d bytes still buffered past flushAt", len(s.buf)-chunkHead)
+	}
+	write(strings.Repeat("z", 3*flushAt) + "\n")
+	write("b\n")
+	if err := s.CloseSend(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.WriteLine([]byte("c\n")); err == nil {
+		t.Fatal("a write after CloseSend succeeded")
+	}
+	select {
+	case b := <-got:
+		if !bytes.Equal(b, want.Bytes()) {
+			t.Fatalf("node read %d bytes, want the %d written", len(b), want.Len())
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the node never saw the body end")
+	}
+}
+
+// rawPeer serves one observe stream written against the socket: it reads the
+// request head with http.ReadRequest, answers 200 with a chunked body, and
+// writes one canned decision chunk per request line. Unlike net/http's
+// server, which formats a chunk header per flush, it allocates nothing per
+// line, so a count over a round trip is the client's.
+func rawPeer(t *testing.T) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	dec := `{"channel":"a","seq":0,"anomaly":false,"score":1.5}` + "\n"
+	chunk := []byte(fmt.Sprintf("%x\r\n%s\r\n", len(dec), dec))
+	go func() {
+		c, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer c.Close()
+		req, err := http.ReadRequest(bufio.NewReader(c))
+		if err != nil {
+			return
+		}
+		if _, err := io.WriteString(c, "HTTP/1.1 200 OK\r\nContent-Type: application/x-ndjson\r\nTransfer-Encoding: chunked\r\n\r\n"); err != nil {
+			return
+		}
+		sc := bufio.NewScanner(req.Body)
+		sc.Buffer(make([]byte, 0, 4<<10), MaxLine)
+		for sc.Scan() {
+			if _, err := c.Write(chunk); err != nil {
+				return
+			}
+		}
+		io.WriteString(c, "0\r\n\r\n")
+	}()
+	return "http://" + ln.Addr().String() + "/channels/a/observe"
+}
+
+// TestStreamSteadyStateAllocs: a warm WriteLine/Flush/Next round trip —
+// one chunk out, one decision line back — allocates nothing.
+func TestStreamSteadyStateAllocs(t *testing.T) {
+	s := open(t, rawPeer(t))
+	defer s.Abort()
+	line := append(canonicalLine(), '\n')
+	roundTrip := func() {
+		if err := s.WriteLine(line); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if d, err := s.Next(); err != nil || !bytes.HasPrefix(d, []byte(`{"channel":"a"`)) {
+			t.Fatalf("decision %q, %v", d, err)
+		}
+	}
+	for i := 0; i < 100; i++ {
+		roundTrip()
+	}
+	if n := testing.AllocsPerRun(2000, roundTrip); n != 0 {
+		t.Fatalf("a warm round trip allocates %v times, want 0", n)
+	}
+	if err := s.CloseSend(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Next(); err != io.EOF {
+		t.Fatalf("end: %v, want io.EOF", err)
 	}
 }
 
