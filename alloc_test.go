@@ -133,10 +133,10 @@ func TestObserveUpdateSteadyStateAllocs(t *testing.T) {
 // TestObserveRetrainSteadyStateAllocs pins the drift path: on a channel
 // whose updater buffers every other segment and retrains at every drift
 // check, whole drift cycles — buffering, the drift check, CLSTM_new's
-// training and merge, the repacks that follow — allocate nothing once the
-// channel has retrained. The channel is a clone, as in serving, so its first
-// merge detaches it from the template's weights and the prediction after it
-// packs the plan into arrays of its own; the measurement starts after both.
+// training and merge, the predictions on the merged weights — allocate
+// nothing once the channel has retrained. The channel is a clone, as in
+// serving, so its first merge detaches it from the template's weights; the
+// measurement starts after it and one prediction on the merged weights.
 func TestObserveRetrainSteadyStateAllocs(t *testing.T) {
 	const maxBuffer, cycles = 5, 3
 	actions, audience := allocFixtureSeries(90)
@@ -187,7 +187,7 @@ func TestObserveRetrainSteadyStateAllocs(t *testing.T) {
 			for updates == 0 {
 				feed()
 			}
-			feed() // the prediction after the first merge repacks into owned arrays
+			feed() // one prediction on the merged weights
 
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 			var before, after runtime.MemStats
@@ -208,8 +208,7 @@ func TestObserveRetrainSteadyStateAllocs(t *testing.T) {
 // allocation contract: compiling an InferPlan (at model construction) may
 // allocate, but steady-state PredictInto through the plan must be
 // allocation-free — including when online TrainSteps interleave with
-// predictions, where every prediction first repacks the dirtied plan
-// in place.
+// predictions, which read the written weights where they are.
 func TestPredictIntoSteadyStateAllocs(t *testing.T) {
 	actions, audience := allocFixtureSeries(30)
 	mcfg := core.DefaultConfig(16, 6)
@@ -253,15 +252,15 @@ func TestPredictIntoSteadyStateAllocs(t *testing.T) {
 			if _, err := model.TrainStep(&samples[i%len(samples)]); err != nil {
 				t.Fatal(err)
 			}
-			// The TrainStep bumped the parameter version; this PredictInto
-			// must repack the plan — still without allocating.
+			// The TrainStep wrote the weights; this PredictInto reads them,
+			// without allocating.
 			if err := model.PredictInto(&samples[i%len(samples)], fhat, ahat); err != nil {
 				t.Fatal(err)
 			}
 			i++
 		})
 		if n > 0 {
-			t.Fatalf("train+repack+predict cycle allocates %v times, want 0", n)
+			t.Fatalf("train+predict cycle allocates %v times, want 0", n)
 		}
 	})
 }

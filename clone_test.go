@@ -408,14 +408,12 @@ func TestCloneFootprint(t *testing.T) {
 
 // TestUpdatingChannelFootprint gates what an updating channel costs once it
 // has retrained. A clone of the benchmark-shape model at the paper's update
-// operating point (ls = 300) buffers a full cycle, retrains, merges — which
-// gives it parameters of its own — and packs its plan into arrays of its
-// own at the next prediction. After that it retains its parameters and one
-// packed copy of them (149 KB each), the 309 rows its buffer pinned (166 KB,
-// now its free list), the emptied buffer and window log, and one lane of
-// state: 444 KB, gated at 480 KiB. Before the packing kept one layout it
-// retained 737 KB: a second packed layout, a training engine of its own for
-// the drift check's recurrence, and a 130 KB arena of window headers.
+// operating point (ls = 300) buffers a full cycle, retrains and merges,
+// which gives it parameters of its own (149 KB); its plan reads them where
+// they are. After that it retains those parameters, the 309 rows its buffer
+// pinned (166 KB, now its free list), the emptied buffer and window log, and
+// one lane of state: 307 KB, gated at 336 KiB. A plan that packed a copy of
+// the weights would add 149 KB.
 func TestUpdatingChannelFootprint(t *testing.T) {
 	acts, auds := allocSeries(320, 48, 19)
 	cfg := DefaultConfig(48, 19)
@@ -438,7 +436,7 @@ func TestUpdatingChannelFootprint(t *testing.T) {
 				t.Fatal(err)
 			}
 			if r.Updated {
-				// The prediction after the merge packs the plan the clone owns.
+				// One prediction after the merge, on the merged weights.
 				if _, err := c.Observe(acts[(i+1)%len(acts)], auds[(i+1)%len(auds)]); err != nil {
 					t.Fatal(err)
 				}
@@ -449,7 +447,7 @@ func TestUpdatingChannelFootprint(t *testing.T) {
 	merged() // makes the template's one trainer, which its clones share
 	per := retainedPerClone(t, 8, merged)
 	t.Logf("an updating clone retains %.0f B after its first merge", per)
-	if per > 480<<10 {
-		t.Errorf("an updating clone retains %.0f B after its first merge, want at most %d", per, 480<<10)
+	if per > 336<<10 {
+		t.Errorf("an updating clone retains %.0f B after its first merge, want at most %d", per, 336<<10)
 	}
 }

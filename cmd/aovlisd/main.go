@@ -114,7 +114,7 @@ func main() {
 	flag.IntVar(&cfg.Pool.QueueDepth, "queue", 256, "per-shard ingest queue depth")
 	flag.IntVar(&cfg.Pool.Batch, "batch", 16, "micro-batching drain cap: segments a shard worker scores per wake-up through the batched inference path (0 or 1 disables; scores are bit-identical either way)")
 	flag.StringVar(&policyName, "policy", "block", "queue overflow policy: block or drop")
-	flag.IntVar(&cfg.MaxChannels, "max-channels", 1024, "maximum concurrently attached channels (each holds ~13 KB over the shared model weights, ~125 KB once it scores 16-segment batches: lanes and its own window rows, BENCH.md §15; a channel of an EnableUpdate model ~445 KB once it has retrained: its own weights, packed once, and its pinned rows, BENCH.md §23)")
+	flag.IntVar(&cfg.MaxChannels, "max-channels", 1024, "maximum concurrently attached channels (each holds ~13 KB over the shared model weights, ~125 KB once it scores 16-segment batches: lanes and its own window rows, BENCH.md §15; a channel of an EnableUpdate model ~310 KB once it has retrained: its own weights and its pinned rows, BENCH.md §25)")
 	flag.BoolVar(&cfg.Pprof, "pprof", false, "serve /debug/pprof profiling endpoints (BENCH.md §4); exposes process internals, enable only on trusted listeners")
 	flag.BoolVar(&cfg.Metrics, "metrics", true, "serve the Prometheus text exposition at GET /metrics (per-stage latency histograms, admission state, shard queue depths)")
 	flag.BoolVar(&admission, "admission", true, "watermark-based overload control: reject submissions with HTTP 429 + Retry-After once a shard queue is 90% full, until every queue has drained to 1/4; accepted segments are always scored, in the configured mode")

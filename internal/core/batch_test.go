@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -10,7 +11,7 @@ import (
 // across every coupling mode and lane counts 1..B, one Run(B) must give
 // every lane the bits a one-lane run gives it, and the one-lane run the
 // bits of the reference tape — on the fresh model, after online Adam steps
-// have moved the version counter (forcing a repack), and after an explicit
+// have written the parameters the plan reads, and after an explicit
 // parameter copy.
 
 // randomBatchConfig draws a small random architecture.
@@ -95,8 +96,8 @@ func TestPredictBatchBitIdentical(t *testing.T) {
 			for B := 1; B <= maxB; B++ {
 				compareBatch(t, m, samples[:B], "fresh", fast)
 			}
-			// Online Adam steps move the version counter; every lane must
-			// see the repacked weights.
+			// Online Adam steps write the parameters; every lane must see
+			// the written weights.
 			for s := 0; s < 4; s++ {
 				if _, err := m.TrainStep(&samples[s]); err != nil {
 					t.Fatal(err)
@@ -188,39 +189,70 @@ func TestPlanLaneCapacity(t *testing.T) {
 	}
 }
 
-// TestPlanPackedBytesEqualParamBytes is the footprint gate of the packing: a
-// plan's packed weights are one layout, so they cost exactly the bytes of
-// the parameters they snapshot — at the served shape, 18 675 parameters or
-// 149 400 bytes — before and after a repack. A second layout beside them
-// doubled it.
-func TestPlanPackedBytesEqualParamBytes(t *testing.T) {
+// TestPlanHoldsNoWeights is the footprint gate of the plan: its fused layers
+// are the model's own parameter headers, so a plan costs its lane state and
+// no weight bytes. At the served shape the parameters are 18 675 floats,
+// 149 400 bytes, which a packed plan held a second time. A clone's first
+// write copies its parameters out of the shared arrays, and that copy is
+// all the write and the next prediction allocate: there is no second one to
+// pack.
+func TestPlanHoldsNoWeights(t *testing.T) {
 	cfg := DefaultConfig(48, 19)
 	cfg.HiddenI, cfg.HiddenA = 32, 16
 	m, err := NewModel(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	packed := func() int {
-		n := 0
-		for i := range m.plan.streams {
+	weights := 8 * m.NumParams()
+	if weights != 149400 {
+		t.Fatalf("the served shape has %d bytes of parameters, want 149400", weights)
+	}
+	readsParams := func(m *Model, what string) {
+		for i, names := range [][2]string{{"lstmI", "decI"}, {"lstmA", "decA"}} {
 			st := &m.plan.streams[i]
-			n += 8 * (cap(st.cell.W.Data) + cap(st.cell.B) + cap(st.dec.W.Data) + cap(st.dec.B))
+			for g, gate := range []string{"i", "f", "c", "o"} {
+				if st.cell.W[g] != m.ps.Get(names[0]+".W"+gate) || st.cell.B[g] != m.ps.Get(names[0]+".b"+gate) {
+					t.Fatalf("%s: stream %d gate %s is not the parameter header", what, i, gate)
+				}
+			}
+			if st.dec.W != m.ps.Get(names[1]+".W") || st.dec.B != m.ps.Get(names[1]+".b") {
+				t.Fatalf("%s: stream %d's decoder is not the parameter header", what, i)
+			}
 		}
-		return n
 	}
-	if got, want := packed(), 8*m.NumParams(); got != want || want != 149400 {
-		t.Fatalf("a packed plan holds %d bytes, its parameters %d (want 149400)", got, want)
+	readsParams(m, "model")
+	c := m.Clone()
+	readsParams(c, "clone")
+
+	actions, audience := goldenSeries(cfg.SeqLen+2, cfg.ActionDim, cfg.AudienceDim, 13)
+	samples, err := BuildSamples(actions, audience, cfg.SeqLen)
+	if err != nil {
+		t.Fatal(err)
 	}
-	m.Params().BumpVersion()
-	m.inferPlan()
-	if got, want := packed(), 8*m.NumParams(); got != want {
-		t.Fatalf("a repacked plan holds %d bytes, its parameters %d", got, want)
+	fhat, ahat := make([]float64, cfg.ActionDim), make([]float64, cfg.AudienceDim)
+	if err := c.PredictInto(&samples[0], fhat, ahat); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	c.ps.BumpVersion() // the seam every write goes through: the clone detaches
+	if err := c.PredictInto(&samples[1], fhat, ahat); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	readsParams(c, "written clone")
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("a clone's first write and prediction allocate %d bytes", got)
+	if got > uint64(weights+weights/4) {
+		t.Fatalf("a clone's first write and prediction allocate %d bytes, want one copy of the weights (%d) and headers", got, weights)
+	}
+	if &c.plan.streams[0].cell.W[0].Data[0] == &m.plan.streams[0].cell.W[0].Data[0] {
+		t.Fatal("the written clone's plan still reads the source's arrays")
 	}
 }
 
 // TestPredictBatchSteadyStateAllocs pins the batched predict path
-// allocation-free at a stable batch size, including across online updates
-// and the repacks they force.
+// allocation-free at a stable batch size, including across online updates.
 func TestPredictBatchSteadyStateAllocs(t *testing.T) {
 	cfg := DefaultConfig(12, 8)
 	cfg.SeqLen = 4
@@ -251,7 +283,7 @@ func TestPredictBatchSteadyStateAllocs(t *testing.T) {
 	}); n != 0 {
 		t.Fatalf("steady-state PredictBatchInto allocates %v objects/op, want 0", n)
 	}
-	// Train-repack-predict cycles must stay allocation-free too.
+	// Train-predict cycles must stay allocation-free too.
 	if _, err := m.TrainStep(&samples[0]); err != nil {
 		t.Fatal(err)
 	}
@@ -263,6 +295,6 @@ func TestPredictBatchSteadyStateAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}); n != 0 {
-		t.Fatalf("train+repack+batch-predict cycle allocates %v objects/op, want 0", n)
+		t.Fatalf("train+batch-predict cycle allocates %v objects/op, want 0", n)
 	}
 }

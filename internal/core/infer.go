@@ -1,13 +1,13 @@
 package core
 
 // The tape-free inference engine. Training needs gradients; prediction
-// only needs the forward arithmetic, so a Model compiles its parameters
-// into an InferPlan: packed gate-fused weights (nn.FusedCell /
-// nn.FusedDense) plus preallocated lane-stacked state. A lane is one
-// independent q-step window; Run(lanes) carries all of them through the
-// recurrence together, one GEMM over the stacked context rows and one
-// fused gate kernel per LSTM step, with zero heap allocations. A single
-// prediction is the one-lane call of the same body.
+// only needs the forward arithmetic, so a Model compiles its layers into an
+// InferPlan: gate-fused layers (nn.FusedCell / nn.FusedDense) plus
+// preallocated lane-stacked state. A lane is one independent q-step window;
+// Run(lanes) carries all of them through the recurrence together, one GEMM
+// per gate over the stacked context rows and one fused gate kernel per LSTM
+// step, with zero heap allocations. A single prediction is the one-lane call
+// of the same body.
 //
 // Bit contract: every output is one ascending-k accumulator per (lane,
 // output) with the bias added after the full product, and each lane reads
@@ -15,23 +15,18 @@ package core
 // lanes ran beside it and equals the tape forward pass bit for bit
 // (TestInferPlanGoldenEquivalence, TestPredictBatchBitIdentical).
 //
-// Staleness protocol: the plan records the nn.ParamSet version it was
-// packed at. Every parameter mutation (optimiser step, merge, load) bumps
-// the version, and the owning model repacks — allocation-free — before the
-// next prediction. The plan is therefore always a faithful snapshot of the
-// live parameters without training ever touching it.
-//
-// Sharing: the packed weight arrays are read-only between repacks, so a
-// model's clone points its own layer headers and lanes at the source's
-// arrays (clone). Neither side may then pack in place; the first Repack of
-// either packs into fresh arrays and owns them from there on.
+// Weights: the plan holds none. Its fused layers read the model's
+// parameter matrices through the ParamSet's own headers, so every parameter
+// mutation (optimiser step, merge, load) is what the next prediction
+// reads — there is no packed snapshot to go stale and nothing to repack.
+// A clone's plan reads the clone's headers, which alias the source's arrays
+// until one side writes (nn.ParamSet.Clone); a plan costs its lane state.
 //
 // An InferPlan reuses its buffers across calls and is not safe for
 // concurrent use; it is confined wherever its owning model is.
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"aovlis/internal/mat"
 	"aovlis/internal/nn"
@@ -56,14 +51,12 @@ type planSpec struct {
 	loss nn.LossKind
 }
 
-// planStream is the compiled runtime form of a planSpec: the packed layers
+// planStream is the compiled runtime form of a planSpec: the fused layers
 // and the stream's lane-stacked state (row l of every matrix is lane l).
 type planStream struct {
-	srcCell *nn.LSTMCell
-	srcDec  *nn.Dense
-	cell    *nn.FusedCell
-	dec     *nn.FusedDense
-	ctx     []ctxSrc
+	cell *nn.FusedCell
+	dec  *nn.FusedDense
+	ctx  []ctxSrc
 
 	// h/c are the live recurrent state; hNext/cNext receive the
 	// simultaneous update and are swapped in after every stream has read
@@ -99,29 +92,21 @@ func (st *planStream) allocLanes(capLanes int) {
 	st.outs = make([][]float64, capLanes)
 }
 
-// InferPlan is a compiled, forward-only snapshot of a model's parameters.
+// InferPlan is a compiled, forward-only view of a model's parameters.
 type InferPlan struct {
-	version  uint64
 	seqLen   int
 	capLanes int
 	streams  []planStream
-	// shared marks the streams' packed weight arrays as aliased by another
-	// plan. Atomic for the reason nn.ParamSet's mark is: clone sets it on a
-	// source that concurrent clones only read.
-	shared atomic.Bool
 }
 
-// compileInferPlan packs the specs' parameters and allocates state for one
-// lane. Compilation, reserve and a sharing plan's first Repack are the only
-// allocating phases of the engine; Run and every later Repack are
-// allocation-free.
+// compileInferPlan fuses the specs' layers over ps and allocates state for
+// one lane. Compilation and reserve are the only allocating phases of the
+// engine; Run is allocation-free.
 func compileInferPlan(ps *nn.ParamSet, seqLen int, specs []planSpec) *InferPlan {
-	p := &InferPlan{version: ps.Version(), seqLen: seqLen, capLanes: 1, streams: make([]planStream, len(specs))}
+	p := &InferPlan{seqLen: seqLen, capLanes: 1, streams: make([]planStream, len(specs))}
 	for i, sp := range specs {
 		st := &p.streams[i]
-		st.srcCell, st.srcDec, st.ctx = sp.cell, sp.dec, sp.ctx
-		st.cell = sp.cell.Pack(ps)
-		st.dec = sp.dec.Pack(ps)
+		st.cell, st.dec, st.ctx = sp.cell.Pack(ps), sp.dec.Pack(ps), sp.ctx
 		st.allocLanes(p.capLanes)
 	}
 	return p
@@ -141,57 +126,15 @@ func (p *InferPlan) reserve(lanes int) {
 	}
 }
 
-// clone returns a plan over the same packed weight arrays, with its own
-// layer headers (in the exact gate mode, whatever p's is) and one lane of
-// its own state. It carries p's packed-at version: a clone of a stale plan
-// is stale, and repacks — into arrays of its own — before its first run.
-func (p *InferPlan) clone() *InferPlan {
-	out := &InferPlan{version: p.version, seqLen: p.seqLen, capLanes: 1, streams: make([]planStream, len(p.streams))}
-	for i := range p.streams {
-		src, st := &p.streams[i], &out.streams[i]
-		cell, dec := *src.cell, *src.dec
-		cell.FastMath = false
-		st.srcCell, st.srcDec, st.ctx = src.srcCell, src.srcDec, src.ctx
-		st.cell, st.dec = &cell, &dec
-		st.allocLanes(out.capLanes)
-	}
-	p.shared.Store(true)
-	out.shared.Store(true)
-	return out
-}
-
-// Version returns the parameter version the plan was packed at.
-func (p *InferPlan) Version() uint64 { return p.version }
-
-// SetFastMath switches every packed cell between the bit-exact gate
-// kernel (the default and the reference) and the polynomial fast-math
-// kernel. It is a runtime mode, not an architecture property: repacking
-// keeps it, snapshots don't carry it (owners re-apply from their config).
+// SetFastMath switches every fused cell between the bit-exact gate kernel
+// (the default and the reference) and the polynomial fast-math kernel. It
+// is a runtime mode of this plan, not an architecture property: snapshots
+// don't carry it (owners re-apply from their config), and a clone's plan
+// starts exact.
 func (p *InferPlan) SetFastMath(on bool) {
 	for i := range p.streams {
 		p.streams[i].cell.FastMath = on
 	}
-}
-
-// Repack refreshes the packed weights from ps and records the new version.
-// Owners call it whenever ps.Version() has moved past the plan's. A plan
-// that owns its arrays packs in place, without allocating; one that shares
-// them (see clone) packs into fresh arrays, which it owns from then on.
-func (p *InferPlan) Repack(ps *nn.ParamSet) {
-	shared := p.shared.Load()
-	for i := range p.streams {
-		st := &p.streams[i]
-		if shared {
-			fast := st.cell.FastMath
-			st.cell, st.dec = st.srcCell.Pack(ps), st.srcDec.Pack(ps)
-			st.cell.FastMath = fast
-			continue
-		}
-		st.srcCell.PackInto(ps, st.cell)
-		st.srcDec.PackInto(ps, st.dec)
-	}
-	p.shared.Store(false)
-	p.version = ps.Version()
 }
 
 // Run executes the fused forward recurrence over the first `lanes` lanes

@@ -44,6 +44,26 @@ func BenchmarkPredictIntoFused(b *testing.B) {
 	}
 }
 
+// BenchmarkPredictBatch8Fused measures the InferPlan path the Detector
+// runs: eight lanes per call, reported per lane.
+func BenchmarkPredictBatch8Fused(b *testing.B) {
+	const lanes = 8
+	m, samples := inferBenchModel(b)
+	fhats, ahats := make([][]float64, lanes), make([][]float64, lanes)
+	for l := range fhats {
+		fhats[l], ahats[l] = make([]float64, m.cfg.ActionDim), make([]float64, m.cfg.AudienceDim)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		at := (i * lanes) % (len(samples) - lanes)
+		if err := m.PredictBatchInto(samples[at:at+lanes], fhats, ahats); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/lanes, "ns/lane")
+}
+
 // BenchmarkPredictIntoTape measures the autodiff-tape forward path the
 // fused engine replaced.
 func BenchmarkPredictIntoTape(b *testing.B) {

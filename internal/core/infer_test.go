@@ -12,8 +12,8 @@ import (
 // Golden equivalence suite for the tape-free inference engine: the fused
 // InferPlan forward pass must be bit-identical to the autodiff tape
 // forward pass — on a freshly trained model, and after every kind of
-// online parameter mutation (optimiser steps, merge-average, copy-replace)
-// forces a repack. The comparison fingerprints the float bits of both
+// online parameter mutation (optimiser steps, merge-average, copy-replace),
+// which the plan reads in place. The comparison fingerprints the float bits of both
 // prediction streams, so any silent divergence fails loudly.
 
 // goldenSeries builds a deterministic feature series shaped like the
@@ -92,7 +92,7 @@ func comparePredictions(t *testing.T, m *Model, samples []Sample, phase string) 
 // TestInferPlanGoldenEquivalence is the golden test: fused inference is
 // bit-identical to the tape forward pass across every coupling mode, both
 // after initial training and after each online-update mutation path
-// (Adam steps, merge-average, copy-replace) repacks the plan.
+// (Adam steps, merge-average, copy-replace) has written the weights.
 func TestInferPlanGoldenEquivalence(t *testing.T) {
 	actions, audience := goldenSeries(60, 12, 5, 41)
 	for _, coupling := range []Coupling{CouplingFull, CouplingOneWay, CouplingNone} {
@@ -120,8 +120,8 @@ func TestInferPlanGoldenEquivalence(t *testing.T) {
 			fp1 := comparePredictions(t, m, samples, "after-training")
 
 			// Phase 2: online optimiser updates interleaved with
-			// predictions — every TrainStep dirties the plan, every
-			// PredictInto must serve repacked weights.
+			// predictions — every TrainStep writes the weights, every
+			// PredictInto must serve the written ones.
 			fhat := make([]float64, cfg.ActionDim)
 			ahat := make([]float64, cfg.AudienceDim)
 			for i := 0; i < 10; i++ {
@@ -147,7 +147,7 @@ func TestInferPlanGoldenEquivalence(t *testing.T) {
 			}
 			fp3 := comparePredictions(t, m, samples, "after-merge")
 			if fp3 == fp2 {
-				t.Fatal("merge did not change predictions; repack path not exercised")
+				t.Fatal("merge did not change predictions; merge path not exercised")
 			}
 
 			// Phase 4: copy-replace (the updater's MergeReplace).
@@ -201,10 +201,10 @@ func TestPredictMatchesPredictInto(t *testing.T) {
 }
 
 // TestCloneSharesPlanUntilWritten pins the copy-on-write contract at the
-// engine: a clone predicts the source's bits off the source's packed arrays,
-// its gate mode is its own, its first repack after a write lands in fresh
-// arrays and leaves the source's alone, and from the second repack on a
-// detached model packs in place without allocating.
+// engine: a clone predicts the source's bits off the source's parameter
+// arrays, its gate mode is its own, its first write leaves its plan reading
+// arrays of its own and the source's alone, and from then on a write and a
+// prediction allocate nothing.
 func TestCloneSharesPlanUntilWritten(t *testing.T) {
 	actions, audience := goldenSeries(40, 10, 4, 47)
 	cfg := DefaultConfig(10, 4)
@@ -222,11 +222,11 @@ func TestCloneSharesPlanUntilWritten(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := comparePredictions(t, m, samples, "source")
-	packed := func(m *Model) *float64 { return &m.plan.streams[0].cell.W.Data[0] }
+	read := func(m *Model) *float64 { return &m.plan.streams[0].cell.W[0].Data[0] }
 
 	c := m.Clone()
-	if packed(c) != packed(m) || &c.ps.Get("decI.W").Data[0] != &m.ps.Get("decI.W").Data[0] {
-		t.Fatal("a clone of a current model carries its own weights")
+	if read(c) != read(m) || &c.ps.Get("decI.W").Data[0] != &m.ps.Get("decI.W").Data[0] {
+		t.Fatal("a clone carries its own weights")
 	}
 	c.SetFastMath(true)
 	if m.plan.streams[0].cell.FastMath {
@@ -243,8 +243,8 @@ func TestCloneSharesPlanUntilWritten(t *testing.T) {
 	if got := comparePredictions(t, c, samples, "trained clone"); got == want {
 		t.Fatal("training the clone changed nothing")
 	}
-	if packed(c) == packed(m) {
-		t.Fatal("the clone repacked into the arrays it shares with the source")
+	if read(c) == read(m) || read(c) != &c.ps.Get("lstmI.Wi").Data[0] {
+		t.Fatal("the written clone's plan does not read the clone's own arrays")
 	}
 	if got := comparePredictions(t, m, samples, "source after the clone's write"); got != want {
 		t.Fatalf("the clone's write moved the source's predictions: %x, want %x", got, want)
@@ -256,16 +256,16 @@ func TestCloneSharesPlanUntilWritten(t *testing.T) {
 			t.Fatal(err)
 		}
 	}); avg != 0 {
-		t.Fatalf("a detached model's repack allocates %.1f times, want 0", avg)
+		t.Fatalf("a detached model's write and prediction allocate %.1f times, want 0", avg)
 	}
 
-	// A clone taken while the source's plan is stale (written, not yet
-	// predicted from) serves the current weights all the same.
+	// A clone taken right after the source's write, before it predicted
+	// again, serves the written weights.
 	if _, err := m.TrainStep(&samples[2]); err != nil {
 		t.Fatal(err)
 	}
-	stale := m.Clone()
-	if got, want := comparePredictions(t, stale, samples, "clone of a stale plan"), comparePredictions(t, m, samples, "written source"); got != want {
-		t.Fatalf("clone of a stale plan predicts %x, its source %x", got, want)
+	fresh := m.Clone()
+	if got, want := comparePredictions(t, fresh, samples, "clone of a written source"), comparePredictions(t, m, samples, "written source"); got != want {
+		t.Fatalf("clone of a written source predicts %x, its source %x", got, want)
 	}
 }

@@ -33,7 +33,8 @@ type Model struct {
 
 	opt *nn.Adam
 
-	// plan is the compiled tape-free inference engine; see inferPlan.
+	// plan is the compiled tape-free inference engine (infer.go); it reads
+	// ps, so it is never stale.
 	plan *InferPlan
 
 	// tplan is the training engine (train.go), compiled on first use so
@@ -70,22 +71,10 @@ func NewModel(cfg Config) (*Model, error) {
 	return m, nil
 }
 
-// inferPlan returns the compiled inference plan, repacking it first if any
-// parameter mutation (TrainStep, Merge, online update, Load) happened since
-// it was last packed. The staleness check is one integer compare and the
-// repack is allocation-free, so the prediction hot path stays cheap and the
-// plan can never silently serve stale weights.
-func (m *Model) inferPlan() *InferPlan {
-	if m.plan.Version() != m.ps.Version() {
-		m.plan.Repack(m.ps)
-	}
-	return m.plan
-}
-
 // trainPlan returns the training engine, compiling it on first use. It
-// reads the live parameters through their matrix headers, so unlike
-// inferPlan it can never be stale — not even across a copy-on-write detach
-// (nn.TrainCell re-derives its one Data view every backward pass).
+// reads the live parameters through their matrix headers, as the inference
+// plan does, so it can never be stale — not even across a copy-on-write
+// detach (nn.TrainCell re-derives its one Data view every backward pass).
 func (m *Model) trainPlan() *TrainPlan {
 	if m.tplan == nil {
 		m.tplan = compileTrainPlan(m.ps, m.cfg.SeqLen, m.specs())
@@ -133,7 +122,7 @@ func (m *Model) PredictInto(s *Sample, fhat, ahat []float64) error {
 	if err := m.checkLane(s, fhat, ahat); err != nil {
 		return err
 	}
-	p := m.inferPlan()
+	p := m.plan
 	bindLane(p, 0, s, fhat, ahat)
 	p.Run(1)
 	return nil
@@ -157,7 +146,7 @@ func (m *Model) PredictBatchInto(samples []Sample, fhats, ahats [][]float64) err
 	if len(samples) == 0 {
 		return nil
 	}
-	p := m.inferPlan()
+	p := m.plan
 	p.reserve(len(samples))
 	for l := range samples {
 		bindLane(p, l, &samples[l], fhats[l], ahats[l])
@@ -341,25 +330,26 @@ func (m *Model) ResetOptimizer() { m.opt.Reset() }
 // serving tier (a Detector per channel) and the re-training baseline alike;
 // the dynamic update trains on a Trainer instead. The copy is
 // copy-on-write. The clone has its own parameter headers, layer headers and
-// lane state, but its parameter values and packed inference weights are
-// m's arrays, held read-only by both until
-// one of them mutates its parameters: that model's ParamSet copies the
-// values out at its next BumpVersion and its plan packs into fresh arrays
-// at the following Repack, leaving the other's untouched. A model that is
-// only ever read therefore costs its state, not its weights.
+// lane state, but its parameter values are m's arrays, held read-only by
+// both until one of them mutates its parameters: that model's ParamSet
+// copies the values out at its next BumpVersion, and its plan, which reads
+// the parameters through the headers, follows, leaving the other's
+// untouched. A model that is only ever read therefore costs its state, not
+// its weights; one that has written costs one copy of them.
 //
-// Clone reads m (it only sets the two sharing marks), so any number of
+// Clone reads m (it only sets the sharing mark), so any number of
 // goroutines may clone one quiescent model at once; it must not overlap a
 // call that mutates m or runs its engines.
 func (m *Model) Clone() *Model {
-	return &Model{
+	c := &Model{
 		cfg: m.cfg,
 		ps:  m.ps.Clone(),
 		// The layer descriptors are immutable names and shapes.
 		cellI: m.cellI, cellA: m.cellA, decI: m.decI, decA: m.decA,
-		opt:  nn.NewAdam(m.cfg.LearningRate),
-		plan: m.plan.clone(),
+		opt: nn.NewAdam(m.cfg.LearningRate),
 	}
+	c.plan = compileInferPlan(c.ps, c.cfg.SeqLen, c.specs())
+	return c
 }
 
 // Trainer is a model that only trains — CLSTM_new of the dynamic update. It
@@ -476,10 +466,6 @@ func LoadModel(r io.Reader) (*Model, error) {
 	if err := m.ps.Load(r); err != nil {
 		return nil, err
 	}
-	// Pack now rather than at the first prediction: clones of a loaded
-	// model then share a current plan instead of each repacking a stale one
-	// into arrays of its own.
-	m.plan.Repack(m.ps)
 	if wire.HasOpt {
 		if err := m.opt.Load(r); err != nil {
 			return nil, err

@@ -125,7 +125,7 @@ func VecRecip1pInto(v []float64) {
 
 // LSTMGatesInto applies the fused LSTM gate nonlinearities to one step's
 // packed preactivations. pre has length 4H in gate order i, f, c, o
-// (pre = ctx·W_packed + b_packed) and is CONSUMED as scratch; cPrev is the
+// (pre_g = ctx·W_g + b_g) and is CONSUMED as scratch; cPrev is the
 // previous cell state. It writes the new cell state into cNext and the
 // hidden state into h:
 //

@@ -11,10 +11,10 @@ import "os"
 // are bit-identical to the scalar kernels on every input.
 
 //go:noescape
-func gemmRowMajorAVX512(dst, x, w *float64, lanes, n, m int)
+func gemmRowMajorAVX512(dst, x, w *float64, lanes, n, m, ld int)
 
 //go:noescape
-func gemmRowMajorAVX2(dst, x, w *float64, lanes, n, m int)
+func gemmRowMajorAVX2(dst, x, w *float64, lanes, n, m, ld int)
 
 //go:noescape
 func vecRecip1pAVX512(v *float64, n int)
@@ -105,11 +105,12 @@ func simdRecip1pInto(v []float64) bool {
 }
 
 // simdGEMMInto runs the vectorised kernel over the row-major weight w
-// (n×m) when one is active, finishing the sub-block column tail with the
-// portable loop. It reports false when the caller must run the portable
-// loop over every column instead: no SIMD level, no whole column block, or
-// nothing for the vector kernel to read.
-func simdGEMMInto(dst, x []float64, lanes int, w *Matrix) bool {
+// (n×m) when one is active, lane l's outputs starting at dst[l·ld], and
+// finishes the sub-block column tail with the portable loop. It reports
+// false when the caller must run the portable loop over every column
+// instead: no SIMD level, no whole column block, or nothing for the vector
+// kernel to read.
+func simdGEMMInto(dst []float64, ld int, x []float64, lanes int, w *Matrix) bool {
 	if simdGEMMLevel == 0 {
 		return false
 	}
@@ -124,12 +125,12 @@ func simdGEMMInto(dst, x []float64, lanes int, w *Matrix) bool {
 		return false
 	}
 	if simdGEMMLevel == 3 {
-		gemmRowMajorAVX512(&dst[0], &x[0], &w.Data[0], lanes, n, m)
+		gemmRowMajorAVX512(&dst[0], &x[0], &w.Data[0], lanes, n, m, ld)
 	} else {
-		gemmRowMajorAVX2(&dst[0], &x[0], &w.Data[0], lanes, n, m)
+		gemmRowMajorAVX2(&dst[0], &x[0], &w.Data[0], lanes, n, m, ld)
 	}
 	if mAsm < m {
-		gemmRowMajorPortable(dst, x, lanes, w, mAsm)
+		gemmRowMajorPortable(dst, ld, x, lanes, w, mAsm)
 	}
 	return true
 }

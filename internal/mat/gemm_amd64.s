@@ -1,7 +1,7 @@
 // SIMD forward-GEMM kernels for the batched inference path. Both kernels
 // compute, for every lane l and output column j,
 //
-//	dst[l*m+j] = Σ_k x[l*n+k] · w[k*m+j]   (k strictly ascending)
+//	dst[l*ld+j] = Σ_k x[l*n+k] · w[k*m+j]   (k strictly ascending)
 //
 // with one register accumulator per (l, j) and separate VMULPD/VADDPD
 // instructions — never VFMADD — so every product is rounded to float64
@@ -12,6 +12,9 @@
 //
 // w is the ROW-MAJOR n×m weight (row k = all m outputs at context k),
 // which is what makes the column-vectorised load w[k][j..j+7] contiguous.
+// dst rows are ld ≥ m elements apart, and only their first m columns are
+// written: one LSTM gate's GEMM fills its column block of the packed
+// preactivation row in place.
 // Column blocks are 32/16/8 (AVX-512) and 16/8/4 (AVX2) wide; at the
 // widest block each accumulator receives one add per 4+ issue cycles,
 // hiding the VADDPD latency chain. Columns beyond m&^7 (m&^3 for AVX2)
@@ -20,7 +23,7 @@
 
 #include "textflag.h"
 
-// func gemmRowMajorAVX512(dst, x, w *float64, lanes, n, m int)
+// func gemmRowMajorAVX512(dst, x, w *float64, lanes, n, m, ld int)
 //
 // Loop order is column-block outer, lane inner: a 32-column weight panel
 // (n rows × 256 B ≈ 24 KiB at the CLSTM shape) is re-read for every lane
@@ -28,7 +31,7 @@
 // that dominates a single GEMV. The per-(lane, column) accumulation is an
 // independent ascending-k sum regardless of loop order, so this changes
 // which sums run concurrently, never any sum's bits.
-TEXT ·gemmRowMajorAVX512(SB), NOSPLIT, $0-48
+TEXT ·gemmRowMajorAVX512(SB), NOSPLIT, $0-56
 	MOVQ dst+0(FP), DI
 	MOVQ x+8(FP), SI
 	MOVQ w+16(FP), DX
@@ -38,9 +41,9 @@ TEXT ·gemmRowMajorAVX512(SB), NOSPLIT, $0-48
 	MOVQ R10, R11
 	ANDQ $-8, R11          // mAsm = m &^ 7
 	MOVQ R10, R15
-	SHLQ $3, R15           // w row / dst lane stride in bytes = m*8
-	MOVQ R9, R14
-	SHLQ $3, R14           // x lane stride in bytes = n*8
+	SHLQ $3, R15           // w row stride in bytes = m*8
+	MOVQ ld+48(FP), R14
+	SHLQ $3, R14           // dst lane stride in bytes = ld*8
 	TESTQ R9, R9
 	JZ   z512done
 	XORQ R12, R12          // j = 0
@@ -76,8 +79,8 @@ z512k32:
 	VMOVUPD Z1, 64(AX)
 	VMOVUPD Z2, 128(AX)
 	VMOVUPD Z3, 192(AX)
-	ADDQ R14, CX           // next lane's x row
-	ADDQ R15, AX           // next lane's dst row
+	LEAQ (CX)(R9*8), CX    // next lane's x row
+	ADDQ R14, AX           // next lane's dst row
 	DECQ R10
 	JNZ  z512l32
 	ADDQ $32, R12
@@ -106,8 +109,8 @@ z512k16:
 	JNE  z512k16
 	VMOVUPD Z0, (AX)
 	VMOVUPD Z1, 64(AX)
-	ADDQ R14, CX
-	ADDQ R15, AX
+	LEAQ (CX)(R9*8), CX
+	ADDQ R14, AX
 	DECQ R10
 	JNZ  z512l16
 	ADDQ $16, R12
@@ -132,8 +135,8 @@ z512k8:
 	CMPQ R13, R9
 	JNE  z512k8
 	VMOVUPD Z0, (AX)
-	ADDQ R14, CX
-	ADDQ R15, AX
+	LEAQ (CX)(R9*8), CX
+	ADDQ R14, AX
 	DECQ R10
 	JNZ  z512l8
 	ADDQ $8, R12
@@ -142,8 +145,8 @@ z512done:
 	VZEROUPPER
 	RET
 
-// func gemmRowMajorAVX2(dst, x, w *float64, lanes, n, m int)
-TEXT ·gemmRowMajorAVX2(SB), NOSPLIT, $0-48
+// func gemmRowMajorAVX2(dst, x, w *float64, lanes, n, m, ld int)
+TEXT ·gemmRowMajorAVX2(SB), NOSPLIT, $0-56
 	MOVQ dst+0(FP), DI
 	MOVQ x+8(FP), SI
 	MOVQ w+16(FP), DX
@@ -153,7 +156,9 @@ TEXT ·gemmRowMajorAVX2(SB), NOSPLIT, $0-48
 	MOVQ R10, R11
 	ANDQ $-4, R11          // mAsm = m &^ 3
 	MOVQ R10, R15
-	SHLQ $3, R15
+	SHLQ $3, R15           // w row stride in bytes = m*8
+	MOVQ ld+48(FP), R14
+	SHLQ $3, R14           // dst lane stride in bytes = ld*8
 	TESTQ R9, R9
 	JZ   y2done
 y2lane:
@@ -234,7 +239,7 @@ y2k4:
 	ADDQ $4, R12
 	JMP  y2j4
 y2lanenext:
-	ADDQ R15, DI
+	ADDQ R14, DI
 	LEAQ (SI)(R9*8), SI
 	DECQ R8
 	JMP  y2lane

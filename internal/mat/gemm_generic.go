@@ -11,6 +11,6 @@ const simdGEMMLevel = 0
 // SIMDGEMM names the active forward-GEMM kernel; always "scalar" here.
 func SIMDGEMM() string { return "scalar" }
 
-func simdGEMMInto(dst, x []float64, lanes int, w *Matrix) bool { return false }
+func simdGEMMInto(dst []float64, ld int, x []float64, lanes int, w *Matrix) bool { return false }
 
 func simdRecip1pInto(v []float64) bool { return false }

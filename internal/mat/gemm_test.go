@@ -26,12 +26,54 @@ func TestFwdGEMMSIMDMatchesPortable(t *testing.T) {
 				got := make([]float64, lanes*m)
 				want := make([]float64, lanes*m)
 				FwdGEMMBiasInto(got, x.Data, lanes, w, nil, bias)
-				gemmRowMajorPortable(want, x.Data, lanes, w, 0)
-				addBiasRows(want, lanes, bias)
+				gemmRowMajorPortable(want, m, x.Data, lanes, w, 0)
+				addBiasRows(want, m, lanes, bias)
 				for i := range got {
 					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
 						t.Fatalf("lanes=%d m=%d n=%d elem %d: %x != %x",
 							lanes, m, n, i, math.Float64bits(got[i]), math.Float64bits(want[i]))
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestFwdGEMMStrideWritesOnlyItsColumns pins the strided form: written
+// into column block [col, col+m) of a lanes × ld buffer, every lane's
+// outputs carry the bits of the contiguous GEMM, on the vector kernel and
+// the portable loop alike, and no other element of the buffer is touched —
+// the four gate GEMMs of a fused LSTM step share one preactivation row.
+func TestFwdGEMMStrideWritesOnlyItsColumns(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	sentinel := math.Float64frombits(0x7ff8dead0000beef)
+	for _, lanes := range []int{1, 2, 3, 8} {
+		for _, m := range []int{3, 8, 9, 16, 32, 48} {
+			for _, pad := range []int{0, 1, 5, 3 * m} {
+				n, ld := 37, m+pad
+				w := randMatrixFor(rng, n, m)
+				x := randMatrixFor(rng, lanes, n)
+				bias := randMatrixFor(rng, 1, m).Data
+				want := make([]float64, lanes*m)
+				FwdGEMMBiasInto(want, x.Data, lanes, w, nil, bias)
+				col := pad / 2
+				buf := make([]float64, lanes*ld)
+				for i := range buf {
+					buf[i] = sentinel
+				}
+				FwdGEMMBiasStrideInto(buf[col:], ld, x.Data, lanes, w, bias)
+				for l := 0; l < lanes; l++ {
+					for j := 0; j < ld; j++ {
+						got := math.Float64bits(buf[l*ld+j])
+						if j < col || j >= col+m {
+							if got != math.Float64bits(sentinel) {
+								t.Fatalf("lanes=%d m=%d ld=%d: element (%d, %d) outside the block was written", lanes, m, ld, l, j)
+							}
+							continue
+						}
+						if w := math.Float64bits(want[l*m+j-col]); got != w {
+							t.Fatalf("lanes=%d m=%d ld=%d lane %d col %d: %x, contiguous %x", lanes, m, ld, l, j-col, got, w)
+						}
 					}
 				}
 			}
@@ -76,8 +118,8 @@ func BenchmarkFwdGEMM(b *testing.B) {
 		})
 		b.Run(fmt.Sprintf("portable/lanes=%d", lanes), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				gemmRowMajorPortable(dst, x.Data, lanes, w, 0)
-				addBiasRows(dst, lanes, bias)
+				gemmRowMajorPortable(dst, m, x.Data, lanes, w, 0)
+				addBiasRows(dst, m, lanes, bias)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(lanes), "ns/lane")
 		})

@@ -38,16 +38,14 @@ import (
 // over k in ascending order, then the bias is added in a separate pass —
 // the tape's MatMul node followed by its Add node. It is the forward GEMV
 // of the training engine, which reads the live per-gate parameter matrices
-// (already row-major) and therefore needs no packed or transposed copy.
+// (already row-major) and therefore needs no packed or transposed copy. It
+// is the one-lane case of the inference engine's GEMM.
 func GEMVBiasInto(dst, x []float64, w *Matrix, bias []float64) {
 	n, m := w.Rows, w.Cols
 	if len(x) != n || len(dst) != m || len(bias) != m {
 		panic(fmt.Sprintf("mat: GEMVBiasInto x[%d]·(%dx%d) + bias[%d] → dst[%d]", len(x), n, m, len(bias), len(dst)))
 	}
-	if !simdGEMMInto(dst, x, 1, w) {
-		gemmRowMajorPortable(dst, x, 1, w, 0)
-	}
-	VecAddInto(dst, bias)
+	gemmBias(dst, m, x, 1, w, bias)
 }
 
 // LSTMGatesTrainInto is the gate body of the engine, inference and

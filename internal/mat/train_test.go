@@ -48,8 +48,8 @@ func TestGEMVBiasIntoMatchesMatMulTo(t *testing.T) {
 		sameBits(t, fmt.Sprintf("GEMVBiasInto %dx%d", n, m), got, want.Data)
 
 		portable := make([]float64, m)
-		gemmRowMajorPortable(portable, x.Data, 1, w, 0)
-		addBiasRows(portable, 1, bias.Data)
+		gemmRowMajorPortable(portable, m, x.Data, 1, w, 0)
+		addBiasRows(portable, m, 1, bias.Data)
 		sameBits(t, fmt.Sprintf("gemmRowMajorPortable %dx%d", n, m), portable, want.Data)
 	}
 }

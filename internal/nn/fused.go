@@ -2,30 +2,27 @@ package nn
 
 // Gate-fused, tape-free inference forms of the layers. An LSTMCell trains
 // through four separate ctxDim×H gate weight matrices on the autodiff tape;
-// for prediction those four matmuls collapse into a single GEMV against one
-// packed gate matrix (gate order i, f, c, o) followed by the fused
-// elementwise gate kernel. A packed layer keeps its weights in ONE layout,
-// row-major W (ctxDim×4H for a cell): row k holds every gate output's
-// weight at context element k, so the SIMD kernels load 4-8 output columns
-// per vector instruction and the portable loop walks the same rows
-// (mat.FwdGEMMBiasInto). Every output accumulates over k in ascending order
-// with no FMA contraction, so kernel choice never changes a float bit
-// relative to the tape forward pass (see mat/batch.go and the golden
-// equivalence tests in internal/core). A packed layer therefore costs its
-// parameters' bytes and no more.
+// for prediction the step fills one packed preactivation row per lane (gate
+// order i, f, c, o, 4H wide) and runs the fused elementwise gate kernel over
+// it. The row is packed, the weights are not: each gate's GEMM reads that
+// gate's own row-major parameter matrix — row k holds the gate's outputs'
+// weights at context element k, so the SIMD kernels load 4-8 output columns
+// per vector instruction — and writes its H-column block of the row in
+// place (mat.FwdGEMMBiasStrideInto). Every output accumulates over k in
+// ascending order with no FMA contraction, so kernel choice never changes a
+// float bit relative to the tape forward pass (see mat/batch.go and the
+// golden equivalence tests in internal/core).
 //
-// Packed layers are immutable snapshots of a ParamSet: training keeps
-// updating the unpacked per-gate matrices, and the owner (core.InferPlan)
-// repacks — via the allocation-free PackInto — when ParamSet.Version moves.
-// A FusedCell/FusedDense value is a header: its W and B may be the very
-// arrays another model's header points at (core.InferPlan shares them across
-// model clones), in which case the owner packs into fresh arrays with Pack
-// and never into these with PackInto. What is per model — FastMath — lives
-// in the header.
+// A FusedCell/FusedDense is therefore a header over a ParamSet's own matrix
+// headers and costs no weight bytes. A write to the parameters — an
+// optimiser step, a merge, a load — is what the next step reads, with
+// nothing to refresh in between, and a copy-on-write detach (ParamSet.Clone)
+// repoints the headers' Data, which the layer follows. What is per model —
+// FastMath — lives in the FusedCell itself.
 //
 // StepBatch/ApplyBatch are what core.InferPlan runs: B stacked context
-// rows (its lanes) go through one GEMM per layer step instead of B GEMVs,
-// which is what lets a shard worker score B pending segments at a
+// rows (its lanes) go through one GEMM per gate and layer step instead of B
+// GEMVs, which is what lets a shard worker score B pending segments at a
 // per-segment cost below one-at-a-time scoring (ARCHITECTURE.md §8).
 // StepInto is the same step over one lane's plain slices.
 
@@ -35,50 +32,38 @@ import (
 	"aovlis/internal/mat"
 )
 
-// FusedCell is the inference-only packed form of an LSTMCell.
+// FusedCell is the inference-only form of an LSTMCell.
 type FusedCell struct {
 	CtxDim, Hidden int
-	// W is the packed gate weight in row-major CtxDim × 4·Hidden layout
-	// (gate order i,f,c,o): row k holds every gate output's weight at
-	// context element k, columns g·Hidden … g·Hidden+Hidden−1 gate g's.
-	W *mat.Matrix
-	// B is the packed 4·Hidden gate bias (same order).
-	B []float64
+	// W and B are the cell's gate parameters, order i, f, c, o: the
+	// ParamSet's own CtxDim × Hidden weight and 1 × Hidden bias headers, read
+	// at every step.
+	W, B [4]*mat.Matrix
 	// FastMath selects the polynomial fast-math gate kernel
 	// (mat.LSTMGatesFastInto) instead of the bit-exact one — a runtime
-	// mode set by the plan owner (core.InferPlan.SetFastMath), not part
-	// of the packed parameters: PackInto never touches it, so repacking
-	// after an online update keeps the mode.
+	// mode set by the plan owner (core.InferPlan.SetFastMath), not a
+	// property of the parameters.
 	FastMath bool
 }
 
-// Pack compiles the cell's current parameters in ps into a new FusedCell.
+// Pack returns the fused form of the cell over its parameters in ps. It
+// copies no weights — the form reads ps's matrices where they are — so it
+// never goes stale and needs no refresh after a parameter write.
 func (c *LSTMCell) Pack(ps *ParamSet) *FusedCell {
-	fc := &FusedCell{
-		CtxDim: c.CtxDim,
-		Hidden: c.Hidden,
-		W:      mat.New(c.CtxDim, 4*c.Hidden),
-		B:      make([]float64, 4*c.Hidden),
+	fc := &FusedCell{CtxDim: c.CtxDim, Hidden: c.Hidden}
+	for g := range gateOrder {
+		fc.W[g], fc.B[g] = ps.Get(c.wNames[g]), ps.Get(c.bNames[g])
 	}
-	c.PackInto(ps, fc)
 	return fc
 }
 
-// PackInto overwrites dst (shaped by a previous Pack of the same cell) with
-// the cell's current parameter values. It performs no allocations, so
-// repacking after an online update is free of GC traffic.
-func (c *LSTMCell) PackInto(ps *ParamSet, dst *FusedCell) {
-	if dst.CtxDim != c.CtxDim || dst.Hidden != c.Hidden {
-		panic(fmt.Sprintf("nn: PackInto cell %s shape %dx%d, dst %dx%d",
-			c.Name, c.CtxDim, c.Hidden, dst.CtxDim, dst.Hidden))
-	}
-	h := c.Hidden
-	for gi := range gateOrder {
-		w := ps.Get(c.wNames[gi]) // CtxDim × Hidden
-		for k := 0; k < c.CtxDim; k++ {
-			copy(dst.W.Row(k)[gi*h:(gi+1)*h], w.Data[k*h:(k+1)*h])
-		}
-		copy(dst.B[gi*h:(gi+1)*h], ps.Get(c.bNames[gi]).Data)
+// preact writes the packed preactivations ctx·W_g + b_g of `lanes` stacked
+// context rows into pre (lanes × 4·Hidden), gate g into columns
+// g·Hidden … g·Hidden+Hidden−1 of every row.
+func (fc *FusedCell) preact(pre, ctx []float64, lanes int) {
+	h := fc.Hidden
+	for g, w := range fc.W {
+		mat.FwdGEMMBiasStrideInto(pre[g*h:], 4*h, ctx, lanes, w, fc.B[g].Data)
 	}
 }
 
@@ -87,10 +72,10 @@ func (c *LSTMCell) PackInto(ps *ParamSet, dst *FusedCell) {
 // the new hidden state into h and the new cell state into cNext. All
 // buffers are caller-owned; the call allocates nothing.
 func (fc *FusedCell) StepInto(h, cNext, pre, ctx, cPrev []float64) {
-	if len(ctx) != fc.CtxDim {
-		panic(fmt.Sprintf("nn: fused step ctx has %d elements, want %d", len(ctx), fc.CtxDim))
+	if len(ctx) != fc.CtxDim || len(pre) != 4*fc.Hidden {
+		panic(fmt.Sprintf("nn: fused step ctx has %d elements and pre %d, want %d and %d", len(ctx), len(pre), fc.CtxDim, 4*fc.Hidden))
 	}
-	mat.FwdGEMMBiasInto(pre, ctx, 1, fc.W, nil, fc.B)
+	fc.preact(pre, ctx, 1)
 	if fc.FastMath {
 		mat.LSTMGatesFastInto(h, cNext, pre, cPrev)
 	} else {
@@ -110,11 +95,11 @@ func (fc *FusedCell) StepBatch(h, cNext, pre, ctx, cPrev *mat.Matrix) {
 	if ctx.Cols != fc.CtxDim {
 		panic(fmt.Sprintf("nn: fused batch step ctx is %dx%d, want ctx dim %d", ctx.Rows, ctx.Cols, fc.CtxDim))
 	}
-	if h.Rows != lanes || cNext.Rows != lanes || pre.Rows != lanes || cPrev.Rows != lanes {
-		panic(fmt.Sprintf("nn: fused batch step lanes h=%d cNext=%d pre=%d cPrev=%d, want %d",
-			h.Rows, cNext.Rows, pre.Rows, cPrev.Rows, lanes))
+	if h.Rows != lanes || cNext.Rows != lanes || pre.Rows != lanes || cPrev.Rows != lanes || pre.Cols != 4*fc.Hidden {
+		panic(fmt.Sprintf("nn: fused batch step lanes h=%d cNext=%d pre=%dx%d cPrev=%d, want %d lanes, pre %d wide",
+			h.Rows, cNext.Rows, pre.Rows, pre.Cols, cPrev.Rows, lanes, 4*fc.Hidden))
 	}
-	mat.FwdGEMMBiasInto(pre.Data, ctx.Data, lanes, fc.W, nil, fc.B)
+	fc.preact(pre.Data, ctx.Data, lanes)
 	if fc.FastMath {
 		mat.LSTMGatesBatchFastInto(h, cNext, pre, cPrev)
 	} else {
@@ -122,34 +107,17 @@ func (fc *FusedCell) StepBatch(h, cNext, pre, ctx, cPrev *mat.Matrix) {
 	}
 }
 
-// FusedDense is the inference-only snapshot of a Dense layer.
+// FusedDense is the inference-only form of a Dense layer.
 type FusedDense struct {
 	In, Out int
 	Act     Activation
-	W       *mat.Matrix // In × Out (row-major weights)
-	B       []float64   // Out
+	W, B    *mat.Matrix // the ParamSet's own In × Out weight and 1 × Out bias headers
 }
 
-// Pack compiles the layer's current parameters in ps into a new FusedDense.
+// Pack returns the fused form of the layer over its parameters in ps; like
+// LSTMCell.Pack it copies nothing.
 func (d *Dense) Pack(ps *ParamSet) *FusedDense {
-	fd := &FusedDense{
-		In: d.In, Out: d.Out, Act: d.Act,
-		W: mat.New(d.In, d.Out),
-		B: make([]float64, d.Out),
-	}
-	d.PackInto(ps, fd)
-	return fd
-}
-
-// PackInto overwrites dst with the layer's current parameter values without
-// allocating.
-func (d *Dense) PackInto(ps *ParamSet, dst *FusedDense) {
-	if dst.In != d.In || dst.Out != d.Out {
-		panic(fmt.Sprintf("nn: PackInto dense %s shape %dx%d, dst %dx%d", d.Name, d.In, d.Out, dst.In, dst.Out))
-	}
-	copy(dst.W.Data, ps.Get(d.wName).Data) // In × Out, already the packed layout
-	copy(dst.B, ps.Get(d.bName).Data)
-	dst.Act = d.Act
+	return &FusedDense{In: d.In, Out: d.Out, Act: d.Act, W: ps.Get(d.wName), B: ps.Get(d.bName)}
 }
 
 // ApplyBatch computes act(x·W + B) for B stacked input rows, writing lane
@@ -163,7 +131,7 @@ func (fd *FusedDense) ApplyBatch(dst, pre, x *mat.Matrix) {
 	if dst.Rows != lanes || pre.Rows != lanes {
 		panic(fmt.Sprintf("nn: fused batch apply lanes dst=%d pre=%d, want %d", dst.Rows, pre.Rows, lanes))
 	}
-	mat.FwdGEMMBiasInto(pre.Data, x.Data, lanes, fd.W, nil, fd.B)
+	mat.FwdGEMMBiasInto(pre.Data, x.Data, lanes, fd.W, nil, fd.B.Data)
 	for b := 0; b < lanes; b++ {
 		fd.activateRow(dst.Row(b), pre.Row(b))
 	}

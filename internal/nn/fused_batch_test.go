@@ -57,49 +57,3 @@ func TestStepBatchMatchesStepInto(t *testing.T) {
 		}
 	}
 }
-
-// TestPackedBytesEqualParamBytes pins the one-layout packing: after a
-// parameter mutation and repack, a packed cell and a packed dense layer
-// hold exactly as many floats as the parameters they snapshot, and every
-// one of them carries its parameter's bits.
-func TestPackedBytesEqualParamBytes(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	ps := NewParamSet()
-	cell := NewLSTMCell(ps, "cell", 13, 4, rng)
-	dec := NewDense(ps, "dec", 4, 7, SoftmaxAct, rng)
-	fc, fd := cell.Pack(ps), dec.Pack(ps)
-	// Mutate and repack so the test covers the refresh path, not just Pack.
-	for _, name := range ps.Names() {
-		m := ps.Get(name)
-		for i := range m.Data {
-			m.Data[i] += 0.25
-		}
-	}
-	ps.BumpVersion()
-	cell.PackInto(ps, fc)
-	dec.PackInto(ps, fd)
-	if packed, params := len(fc.W.Data)+len(fc.B)+len(fd.W.Data)+len(fd.B), ps.NumParams(); packed != params {
-		t.Fatalf("packed layers hold %d floats, their parameters %d", packed, params)
-	}
-	h := cell.Hidden
-	for gi, gate := range []string{"i", "f", "c", "o"} {
-		w, b := ps.Get("cell.W"+gate), ps.Get("cell.b"+gate)
-		for k := 0; k < cell.CtxDim; k++ {
-			for j := 0; j < h; j++ {
-				if math.Float64bits(fc.W.At(k, gi*h+j)) != math.Float64bits(w.At(k, j)) {
-					t.Fatalf("gate %s W[%d][%d]: packed %v, live %v", gate, k, j, fc.W.At(k, gi*h+j), w.At(k, j))
-				}
-			}
-		}
-		for j := 0; j < h; j++ {
-			if math.Float64bits(fc.B[gi*h+j]) != math.Float64bits(b.Data[j]) {
-				t.Fatalf("gate %s b[%d]: packed %v, live %v", gate, j, fc.B[gi*h+j], b.Data[j])
-			}
-		}
-	}
-	for i, v := range ps.Get("dec.W").Data {
-		if math.Float64bits(fd.W.Data[i]) != math.Float64bits(v) {
-			t.Fatalf("dense W[%d]: packed %v, live %v", i, fd.W.Data[i], v)
-		}
-	}
-}

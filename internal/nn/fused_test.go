@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -10,7 +11,7 @@ import (
 )
 
 // TestFusedCellMatchesTapeStep drives one LSTM step both ways — four gate
-// MatMul nodes on the tape vs the packed GEMV + fused gate kernel — and
+// MatMul nodes on the tape vs the four strided gate GEMVs + fused gate kernel — and
 // requires bit-identical hidden and cell states.
 func TestFusedCellMatchesTapeStep(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
@@ -84,54 +85,117 @@ func TestFusedDenseMatchesTapeApply(t *testing.T) {
 	}
 }
 
-// TestPackIntoTracksUpdates verifies that PackInto refreshes an existing
-// packed cell/dense to the live parameter values without allocating.
+// TestPackIntoTracksUpdates pins that a packed cell and dense layer track
+// parameter updates with no refresh step and no allocation: a write — in
+// place, or through a copy-on-write detach that repoints Data — is what the
+// next step reads, bit for bit the tape's step on the written values, and
+// the source of a detached clone keeps reading its own values.
 func TestPackIntoTracksUpdates(t *testing.T) {
 	rng := rand.New(rand.NewSource(25))
-	ps := NewParamSet()
-	cell := NewLSTMCell(ps, "cell", 12, 5, rng)
-	dec := NewDense(ps, "dec", 5, 4, SoftmaxAct, rng)
-	fc := cell.Pack(ps)
-	fd := dec.Pack(ps)
+	src := NewParamSet()
+	cell := NewLSTMCell(src, "cell", 12, 5, rng)
+	dec := NewDense(src, "dec", 5, 4, SoftmaxAct, rng)
+	ps := src.Clone()
+	fc, fd := cell.Pack(ps), dec.Pack(ps)
 
-	// Mutate every parameter, as an optimiser step would.
+	ctx, cPrev := make([]float64, cell.CtxDim), make([]float64, cell.Hidden)
+	for i := range ctx {
+		ctx[i] = rng.NormFloat64()
+	}
+	h, c, pre := make([]float64, cell.Hidden), make([]float64, cell.Hidden), make([]float64, 4*cell.Hidden)
+	hRow, out, outPre := mat.FromSlice(1, len(h), h), mat.New(1, dec.Out), mat.New(1, dec.Out)
+	fused := func() {
+		fc.StepInto(h, c, pre, ctx, cPrev)
+		fd.ApplyBatch(out, outPre, hRow)
+	}
+	step := func(set *ParamSet) (string, string) {
+		fused()
+		tp := ad.NewTape()
+		b := set.Bind(tp)
+		hN, cN := cell.Step(b, tp.ConstVector(ctx), tp.Const(mat.VectorOf(cPrev)))
+		y := dec.Apply(b, hN)
+		for j := range h {
+			if math.Float64bits(h[j]) != math.Float64bits(hN.Value.Data[j]) || math.Float64bits(c[j]) != math.Float64bits(cN.Value.Data[j]) {
+				t.Fatalf("state %d: fused (%v, %v), tape (%v, %v)", j, h[j], c[j], hN.Value.Data[j], cN.Value.Data[j])
+			}
+		}
+		for j, v := range out.Data {
+			if math.Float64bits(v) != math.Float64bits(y.Value.Data[j]) {
+				t.Fatalf("out %d: fused %v, tape %v", j, v, y.Value.Data[j])
+			}
+		}
+		return fmt.Sprint(h), fmt.Sprint(out.Data)
+	}
+	h0, y0 := step(ps)
+
+	// Mutate every parameter, as an optimiser step would: BumpVersion first,
+	// which detaches the clone from src.
+	ps.BumpVersion()
 	for _, name := range ps.Names() {
 		m := ps.Get(name)
 		for i := range m.Data {
 			m.Data[i] += 0.25 * rng.NormFloat64()
 		}
 	}
+	if allocs := testing.AllocsPerRun(50, fused); allocs > 0 {
+		t.Fatalf("a fused step after a parameter write allocates %v, want 0", allocs)
+	}
+	if h1, y1 := step(ps); h1 == h0 || y1 == y0 {
+		t.Fatal("the fused layers did not see the parameter write")
+	}
+	fc, fd = cell.Pack(src), dec.Pack(src)
+	if h2, y2 := step(src); h2 != h0 || y2 != y0 {
+		t.Fatal("the clone's write reached its source's fused layers")
+	}
+}
+
+// TestPackedBytesEqualParamBytes pins that a packed cell and a packed dense
+// layer cost no weight bytes of their own: their matrices are the
+// ParamSet's headers, so the floats they read are exactly the parameters'
+// floats, before and after a copy-on-write detach repoints the headers'
+// Data.
+func TestPackedBytesEqualParamBytes(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	src := NewParamSet()
+	cell := NewLSTMCell(src, "cell", 13, 4, rng)
+	dec := NewDense(src, "dec", 4, 7, SoftmaxAct, rng)
+	ps := src.Clone()
+	fc, fd := cell.Pack(ps), dec.Pack(ps)
+	check := func(stage string) {
+		t.Helper()
+		held := []*mat.Matrix{fd.W, fd.B}
+		for g, gate := range []string{"i", "f", "c", "o"} {
+			if fc.W[g] != ps.Get("cell.W"+gate) || fc.B[g] != ps.Get("cell.b"+gate) {
+				t.Fatalf("%s: gate %s of the packed cell holds matrices of its own", stage, gate)
+			}
+			held = append(held, fc.W[g], fc.B[g])
+		}
+		if fd.W != ps.Get("dec.W") || fd.B != ps.Get("dec.b") {
+			t.Fatalf("%s: the packed dense layer holds matrices of its own", stage)
+		}
+		floats := 0
+		for _, m := range held {
+			floats += len(m.Data)
+		}
+		if params := ps.NumParams(); floats != params {
+			t.Fatalf("%s: packed layers read %d floats, their parameters hold %d", stage, floats, params)
+		}
+	}
+	check("packed")
+	// Mutate every parameter, as an optimiser step would: BumpVersion first,
+	// which detaches the clone from src and repoints its headers' Data.
 	ps.BumpVersion()
-
-	allocs := testing.AllocsPerRun(50, func() {
-		cell.PackInto(ps, fc)
-		dec.PackInto(ps, fd)
-	})
-	if allocs > 0 {
-		t.Fatalf("PackInto allocates %v per repack, want 0", allocs)
-	}
-
-	// Check the packed layout: packed column g·H+j of row k equals gate g's
-	// weight W[k][j], for every gate.
-	h := cell.Hidden
-	for gi, gate := range []string{"i", "f", "c", "o"} {
-		w := ps.Get("cell.W" + gate)
-		for k := 0; k < cell.CtxDim; k++ {
-			for j := 0; j < h; j++ {
-				if got, want := fc.W.At(k, gi*h+j), w.At(k, j); got != want {
-					t.Fatalf("gate %s W[%d][%d]: packed %v, live %v", gate, k, j, got, want)
-				}
-			}
-		}
-		b := ps.Get("cell.b" + gate)
-		for j := 0; j < h; j++ {
-			if fc.B[gi*h+j] != b.Data[j] {
-				t.Fatalf("gate %s b[%d] not repacked", gate, j)
-			}
+	for _, name := range ps.Names() {
+		m := ps.Get(name)
+		for i := range m.Data {
+			m.Data[i] += 0.25
 		}
 	}
-	if fd.W.At(2, 3) != ps.Get("dec.W").At(2, 3) || fd.B[1] != ps.Get("dec.b").Data[1] {
-		t.Fatal("dense not repacked to live values")
+	check("after a write")
+	for _, name := range ps.Names() {
+		if &ps.Get(name).Data[0] == &src.Get(name).Data[0] {
+			t.Fatalf("%s: the written clone still shares its source's floats", name)
+		}
 	}
 }
 

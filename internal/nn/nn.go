@@ -37,7 +37,8 @@ type ParamSet struct {
 	mats  []*mat.Matrix // parallel to names
 	vals  map[string]*mat.Matrix
 	// version counts bulk mutations (optimiser steps, CopyFrom, Average,
-	// Load); compiled inference plans compare it to detect staleness.
+	// Load); a reader holding results computed from the values compares it
+	// to tell whether they are still current.
 	version uint64
 	// shared marks the matrices' Data as aliased by another set. Atomic
 	// because Clone sets it on its (otherwise only read) source, and several
@@ -47,17 +48,17 @@ type ParamSet struct {
 
 // Version returns the mutation counter. Every API that rewrites parameter
 // values (Adam.Step, CopyFrom, Average, Load) increments it, so a consumer
-// holding a compiled snapshot of the parameters — core.InferPlan — can
-// detect staleness with one integer compare on the hot path.
+// holding results computed from the parameters — the Detector's batch of
+// predictions, when an update merges mid-batch — can tell they are stale
+// with one integer compare.
 func (ps *ParamSet) Version() uint64 { return ps.version }
 
 // BumpVersion marks the parameters as mutated, and is the one place a set
 // that shares its values (see Clone) detaches: it replaces every aliased
 // Data array with a private copy first. Callers that write to a parameter's
 // Data directly (outside the Adam/CopyFrom/Average/Load APIs) must call it
-// BEFORE they write — a later call leaves compiled inference plans serving
-// stale weights, and on a sharing set the write would already have reached
-// every other holder.
+// BEFORE they write — on a sharing set a later call finds the write already
+// in every other holder's weights.
 func (ps *ParamSet) BumpVersion() {
 	if ps.shared.Load() {
 		for _, m := range ps.mats {
@@ -159,7 +160,7 @@ func (ps *ParamSet) Copy() *ParamSet {
 // must contain an identically-shaped parameter for every name in ps.
 func (ps *ParamSet) CopyFrom(src *ParamSet) error {
 	// Bump before mutating: an error below may leave earlier parameters
-	// already overwritten, and a compiled inference plan must never treat
+	// already overwritten, and a reader comparing versions must never treat
 	// partially-mutated weights as current.
 	ps.BumpVersion()
 	for _, n := range ps.names {

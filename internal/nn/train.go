@@ -12,12 +12,11 @@ package nn
 // once, summed over the whole window in registers (mat.MatMulATStepsInto),
 // instead of cleared and then updated by one rank-1 pass per step.
 //
-// Unlike FusedCell, a TrainCell reads the LIVE per-gate parameter matrices:
+// Like FusedCell, a TrainCell reads the LIVE per-gate parameter matrices:
 // they are row-major already, which is the layout the column-vectorised
-// forward GEMV wants, and an optimiser step per sample would make any
-// packed copy stale at once. The one derived layout — the transposed
-// hidden-column block the input-gradient GEMM reads row-major — is
-// refreshed at the start of each backward pass.
+// forward GEMV wants. The one derived layout — the transposed hidden-column
+// block the input-gradient GEMM reads row-major — is refreshed at the start
+// of each backward pass.
 
 import (
 	"fmt"
