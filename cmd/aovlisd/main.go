@@ -89,7 +89,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"net/http"
+	"net"
 	"os"
 	"os/signal"
 	"syscall"
@@ -98,6 +98,7 @@ import (
 	"aovlis"
 	"aovlis/internal/node"
 	"aovlis/internal/serve"
+	"aovlis/internal/wire"
 )
 
 func main() {
@@ -143,6 +144,13 @@ func run(addr, loadPath, policyName string, fastMath, tiered, admission bool, cf
 	if admission {
 		cfg.Pool.Admission = serve.DefaultAdmissionConfig()
 	}
+	// Bind before anything else: a taken port fails here, before the node
+	// opens its directories or anything is announced.
+	l, err := net.Listen("tcp", addr)
+	if err != nil {
+		return err
+	}
+	defer l.Close()
 	// The node's own lines — boot, checkpoints, faults — go to stderr.
 	cfg.Logf = log.New(os.Stderr, "", 0).Printf
 	template, err := loadTemplate(loadPath, fastMath, tiered)
@@ -153,14 +161,14 @@ func run(addr, loadPath, policyName string, fastMath, tiered, admission bool, cf
 	if err != nil {
 		return err
 	}
-	srv := &http.Server{Addr: addr, Handler: n.Handler()}
+	srv := &wire.Server{Handler: n.Handler()}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	errc := make(chan error, 1)
-	go func() { errc <- srv.ListenAndServe() }()
+	go func() { errc <- srv.Serve(l) }()
 	fmt.Printf("aovlisd listening on %s (%d shards, queue %d, policy %s, τ = %.4f)\n",
-		addr, cfg.Pool.Shards, cfg.Pool.QueueDepth, cfg.Pool.Policy, template.Tau())
+		l.Addr(), cfg.Pool.Shards, cfg.Pool.QueueDepth, cfg.Pool.Policy, template.Tau())
 
 	select {
 	case err := <-errc:

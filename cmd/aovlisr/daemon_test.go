@@ -1,0 +1,120 @@
+package main
+
+// Tests of the two daemon binaries as built: what they link, and how they
+// bind and announce.
+
+import (
+	"bufio"
+	"bytes"
+	"debug/elf"
+	"net"
+	"net/http"
+	"os"
+	"os/exec"
+	"strings"
+	"testing"
+	"time"
+)
+
+// TestDaemonsLinkNoTLS: neither daemon links net/http's server or client
+// transport, a TLS handshake or HTTP/2 — they serve through wire.Server and
+// call out through wire.Do. An http.Get or http.ListenAndServe anywhere on
+// their import graph puts that megabyte back and fails this test.
+func TestDaemonsLinkNoTLS(t *testing.T) {
+	soakBinaries(t)
+	banned := []string{
+		"crypto/tls.(*Conn).serverHandshake",
+		"crypto/tls.(*Conn).clientHandshake",
+		"net/http.(*Server).Serve",
+		"net/http.(*Transport).roundTrip",
+		"net/http.(*http2Server).ServeConn",
+	}
+	for _, bin := range []string{soakFixture.bin, soakFixture.router} {
+		f, err := elf.Open(bin)
+		if err != nil {
+			t.Fatal(err)
+		}
+		syms, err := f.Symbols()
+		f.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		have := make(map[string]bool, len(syms))
+		for _, s := range syms {
+			have[s.Name] = true
+		}
+		if !have["aovlis/internal/wire.(*Server).Serve"] {
+			t.Fatalf("%s: no wire.(*Server).Serve symbol; is the symbol table there?", bin)
+		}
+		for _, name := range banned {
+			if have[name] {
+				t.Errorf("%s links %s", bin, name)
+			}
+		}
+	}
+}
+
+// TestRouterBindsBeforeAnnouncing: on an occupied port aovlisr exits 1
+// naming the bind error and prints no routing line; on port 0 it announces
+// the address it bound, serves there, and shuts down on SIGINT.
+func TestRouterBindsBeforeAnnouncing(t *testing.T) {
+	soakBinaries(t)
+	taken, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer taken.Close()
+	var stdout, stderr bytes.Buffer
+	cmd := exec.Command(soakFixture.router, "-addr", taken.Addr().String(), "-nodes", "a=http://127.0.0.1:1")
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	err = cmd.Run()
+	if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 1 {
+		t.Fatalf("on a taken port: %v, want exit status 1", err)
+	}
+	if !strings.Contains(stderr.String(), "address already in use") || strings.Contains(stdout.String(), "routing") {
+		t.Fatalf("on a taken port: stdout %q, stderr %q; want the bind error and no routing line", stdout.String(), stderr.String())
+	}
+
+	cmd = exec.Command(soakFixture.router, "-addr", "127.0.0.1:0", "-nodes", "a=http://127.0.0.1:1", "-probe-every", "1h")
+	out, err := cmd.StdoutPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cmd.Stderr = os.Stderr
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer cmd.Process.Kill()
+	sc := bufio.NewScanner(out)
+	if !sc.Scan() {
+		t.Fatalf("no announcement: %v", sc.Err())
+	}
+	_, rest, _ := strings.Cut(sc.Text(), " on ")
+	addr, _, _ := strings.Cut(rest, " ")
+	if _, port, err := net.SplitHostPort(addr); err != nil || port == "0" {
+		t.Fatalf("announcement %q does not name the bound port", sc.Text())
+	}
+	resp, err := http.Get("http://" + addr + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/healthz at the announced address: %s", resp.Status)
+	}
+	cmd.Process.Signal(os.Interrupt)
+	done := make(chan error, 1)
+	go func() {
+		for sc.Scan() {
+		}
+		done <- cmd.Wait()
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("after SIGINT: %v", err)
+		}
+	case <-time.After(15 * time.Second):
+		t.Fatal("aovlisr did not shut down on SIGINT")
+	}
+}

@@ -2,8 +2,8 @@
 // in front of N aovlisd node processes. It consistent-hash-places channels
 // across the fleet (bounded-load, so no node carries more than
 // -load-factor times its fair share), forwards NDJSON observe streams to
-// each channel's owner over pooled connections, live-migrates channels
-// between nodes on POST /cluster/rebalance, and fails a dead node's
+// each channel's owner on connections of their own, live-migrates
+// channels between nodes on POST /cluster/rebalance, and fails a dead node's
 // channels over onto survivors — warm-restoring each from the node's last
 // checkpoint when its -snapshot-dir is shared with the router, then
 // replaying the node's ingest journal tail when its -wal-dir is shared
@@ -30,13 +30,14 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"net/http"
+	"net"
 	"os"
 	"os/signal"
 	"syscall"
 	"time"
 
 	"aovlis/internal/cluster"
+	"aovlis/internal/wire"
 )
 
 func main() {
@@ -66,6 +67,12 @@ func run(addr, nodes string, replicas int, loadFactor float64, window int,
 	if err != nil {
 		return err
 	}
+	// Bind before the router starts probing or announces anything.
+	l, err := net.Listen("tcp", addr)
+	if err != nil {
+		return err
+	}
+	defer l.Close()
 	r, err := cluster.New(cluster.Config{
 		Nodes:        specs,
 		Replicas:     replicas,
@@ -81,13 +88,13 @@ func run(addr, nodes string, replicas int, loadFactor float64, window int,
 	r.Start()
 	defer r.Close()
 
-	srv := &http.Server{Addr: addr, Handler: r.Handler()}
+	srv := &wire.Server{Handler: r.Handler()}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	errc := make(chan error, 1)
-	go func() { errc <- srv.ListenAndServe() }()
+	go func() { errc <- srv.Serve(l) }()
 	fmt.Printf("aovlisr routing %d nodes on %s (vnodes %d, load factor %.2f)\n",
-		len(specs), addr, replicas, loadFactor)
+		len(specs), l.Addr(), replicas, loadFactor)
 
 	select {
 	case err := <-errc:

@@ -47,14 +47,16 @@ const (
 	soakAudienceDim = 6
 )
 
-// soakFixture builds the shared process fixtures once: the aovlisd binary
-// (race-instrumented when the test binary is) and a tiny trained detector
-// every node loads, so all processes score with identical weights.
+// soakFixture builds the shared process fixtures once: the aovlisd and
+// aovlisr binaries (race-instrumented when the test binary is) and a tiny
+// trained detector every node loads, so all processes score with identical
+// weights.
 var soakFixture struct {
-	once  sync.Once
-	bin   string
-	model string
-	err   error
+	once   sync.Once
+	bin    string
+	router string
+	model  string
+	err    error
 }
 
 func soakBinaries(t *testing.T) (bin, model string) {
@@ -66,15 +68,17 @@ func soakBinaries(t *testing.T) (bin, model string) {
 			return
 		}
 		soakFixture.bin = filepath.Join(dir, "aovlisd")
-		args := []string{"build", "-o", soakFixture.bin}
-		if raceEnabled {
-			args = append(args, "-race")
-		}
-		args = append(args, "aovlis/cmd/aovlisd")
-		cmd := exec.Command("go", args...)
-		if out, err := cmd.CombinedOutput(); err != nil {
-			soakFixture.err = fmt.Errorf("building aovlisd: %v\n%s", err, out)
-			return
+		soakFixture.router = filepath.Join(dir, "aovlisr")
+		for _, b := range []string{soakFixture.bin, soakFixture.router} {
+			args := []string{"build", "-o", b}
+			if raceEnabled {
+				args = append(args, "-race")
+			}
+			args = append(args, "aovlis/cmd/"+filepath.Base(b))
+			if out, err := exec.Command("go", args...).CombinedOutput(); err != nil {
+				soakFixture.err = fmt.Errorf("building %s: %v\n%s", filepath.Base(b), err, out)
+				return
+			}
 		}
 
 		cfg := aovlis.DefaultConfig(soakActionDim, soakAudienceDim)

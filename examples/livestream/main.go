@@ -100,9 +100,9 @@ func run(channels, shards, trainSec, streamSec, classes, epochs int, seed int64)
 	if err != nil {
 		return err
 	}
-	srv := &http.Server{Handler: n.Handler()}
+	srv := &wire.Server{Handler: n.Handler()}
 	go srv.Serve(ln)
-	defer srv.Close()
+	defer srv.Shutdown(context.Background())
 	base := "http://" + ln.Addr().String()
 	fmt.Printf("live plane on %s (/live/{channel} WebSocket, /watch SSE)\n", base)
 
@@ -295,7 +295,7 @@ func watchVerdicts(ctx context.Context, base string) int {
 	if err != nil {
 		return 0
 	}
-	resp, err := http.DefaultClient.Do(req)
+	resp, err := wire.Do(ctx, nil, req)
 	if err != nil {
 		return 0
 	}

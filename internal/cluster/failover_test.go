@@ -14,10 +14,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"log"
 	"net"
 	"net/http"
-	"net/http/httptest"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -29,6 +27,7 @@ import (
 	"aovlis/internal/snapshot"
 	"aovlis/internal/wal"
 	"aovlis/internal/wire"
+	"aovlis/internal/wire/wiretest"
 )
 
 // TestRouterIdleFailoverSeqContinuity is the regression pin for the
@@ -262,7 +261,7 @@ func waitCond(t *testing.T, timeout time.Duration, msg string, cond func() bool)
 // errors must all surface as typed/descriptive errors, not hangs.
 func TestNodeClientErrorPaths(t *testing.T) {
 	stub := newStubNode(t, "n", 1)
-	n := newNode(stub.spec(), stub.srv.Client())
+	n := newNode(stub.spec())
 
 	// Export of a channel the node never saw: the "nothing to move"
 	// sentinel, which migration treats as an ownership-flip-only move.
@@ -294,18 +293,17 @@ func TestNodeClientErrorPaths(t *testing.T) {
 
 // brokenNode is a server that answers every request 500 — the shape of a
 // node stuck behind a crashed backend.
-func brokenServer(t *testing.T) *httptest.Server {
+func brokenServer(t *testing.T) *wiretest.Server {
 	t.Helper()
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	srv := wiretest.NewServer(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "internal meltdown", http.StatusInternalServerError)
 	}))
-	t.Cleanup(srv.Close)
 	return srv
 }
 
 func TestNodeClientBrokenNode(t *testing.T) {
 	srv := brokenServer(t)
-	n := newNode(NodeSpec{Name: "b", URL: srv.URL}, srv.Client())
+	n := newNode(NodeSpec{Name: "b", URL: srv.URL})
 
 	if _, err := n.exportSnapshot("x"); err == nil || !strings.Contains(err.Error(), "500") {
 		t.Fatalf("export from broken node: %v, want a 500 error", err)
@@ -503,7 +501,7 @@ func TestMonitorSurvivesHalfOpenFailoverTarget(t *testing.T) {
 func TestRouterMidStreamRejectWithFullWindow(t *testing.T) {
 	var conns atomic.Int32
 	kill := make(chan struct{})
-	node := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	node := wiretest.NewServer(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		http.NewResponseController(w).EnableFullDuplex()
 		if conns.Add(1) > 1 {
 			time.Sleep(20 * time.Millisecond) // the reconnect looks healthy first
@@ -520,17 +518,13 @@ func TestRouterMidStreamRejectWithFullWindow(t *testing.T) {
 		<-kill
 		panic(http.ErrAbortHandler)
 	}))
-	node.Config.ErrorLog = log.New(io.Discard, "", 0)
-	node.Start()
-	t.Cleanup(node.Close)
 	r, err := New(Config{Nodes: []NodeSpec{{Name: "n", URL: node.URL}}, Window: 2,
 		FailoverWait: 5 * time.Second, RetryEvery: 10 * time.Millisecond, Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(r.Close)
-	srv := httptest.NewServer(r.Handler())
-	t.Cleanup(srv.Close)
+	srv := wiretest.NewServer(t, r.Handler())
 
 	s, err := wire.OpenStream(context.Background(), nil, srv.URL+"/channels/full/observe")
 	if err != nil {

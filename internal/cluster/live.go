@@ -201,16 +201,11 @@ func (r *Router) handleWatch(w http.ResponseWriter, req *http.Request) {
 // comments (keepalives, shutdown notes) are not forwarded — the fan-in
 // writes its own.
 func (r *Router) relayWatch(ctx context.Context, n *Node, rawQuery string, blocks chan<- []byte) {
-	u := n.Spec.URL + "/watch"
+	path := "/watch"
 	if rawQuery != "" {
-		u += "?" + rawQuery
+		path += "?" + rawQuery
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
-	if err != nil {
-		return
-	}
-	req.Header.Set("Accept", "text/event-stream")
-	resp, err := r.client.Do(req)
+	resp, err := n.send(ctx, http.MethodGet, path, nil)
 	if err != nil {
 		return
 	}

@@ -67,8 +67,7 @@ func ParseNodeSpecs(s string) ([]NodeSpec, error) {
 // health state maintained by the prober and an owned-channel gauge
 // maintained by placement.
 type Node struct {
-	Spec   NodeSpec
-	client *http.Client
+	Spec NodeSpec
 	// adminWait bounds each admin call (snapshot export, import, detach,
 	// journal replay). They run under the router's topology lock, and the
 	// health monitor runs failover inline, so a peer that accepts the
@@ -89,8 +88,8 @@ type Node struct {
 	lastSnapshotAge atomic.Int64
 }
 
-func newNode(spec NodeSpec, client *http.Client) *Node {
-	n := &Node{Spec: spec, client: client, adminWait: defaultFailoverWait}
+func newNode(spec NodeSpec) *Node {
+	n := &Node{Spec: spec, adminWait: defaultFailoverWait}
 	n.alive.Store(true)
 	n.lastSnapshotAge.Store(-1)
 	return n
@@ -122,11 +121,11 @@ type healthResponse struct {
 // to an imposter process (stale port reuse) would silently split channel
 // state.
 func (n *Node) probe(timeout time.Duration) error {
-	resp, err := n.within(timeout).Get(n.Spec.URL + "/healthz")
+	resp, err := n.within(timeout, http.MethodGet, "/healthz", nil)
 	if err != nil {
 		return err
 	}
-	defer drainClose(resp.Body)
+	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		return fmt.Errorf("cluster: node %s: /healthz status %d", n.Spec.Name, resp.StatusCode)
 	}
@@ -148,19 +147,46 @@ func (n *Node) probe(timeout time.Duration) error {
 	return nil
 }
 
-// within is the node's client with d as its Timeout, which covers an
-// exchange through the last byte of the response body.
-func (n *Node) within(d time.Duration) *http.Client {
-	c := *n.client
-	c.Timeout = d
-	return &c
+// send makes one request to the node on a connection of its own (wire.Do);
+// ctx bounds it through the last byte of the response body.
+func (n *Node) send(ctx context.Context, method, path string, body io.Reader) (*http.Response, error) {
+	req, err := http.NewRequestWithContext(ctx, method, n.Spec.URL+path, body)
+	if err != nil {
+		return nil, err
+	}
+	return wire.Do(ctx, nil, req)
+}
+
+// within is send under a deadline d from now, which closing the response
+// body releases.
+func (n *Node) within(d time.Duration, method, path string, body io.Reader) (*http.Response, error) {
+	ctx, cancel := context.WithTimeout(context.Background(), d)
+	resp, err := n.send(ctx, method, path, body)
+	if err != nil {
+		cancel()
+		return nil, err
+	}
+	resp.Body = cancelOnClose{resp.Body, cancel}
+	return resp, nil
+}
+
+// cancelOnClose ends a request's context when its response body is closed.
+type cancelOnClose struct {
+	io.ReadCloser
+	cancel context.CancelFunc
+}
+
+func (b cancelOnClose) Close() error {
+	err := b.ReadCloser.Close()
+	b.cancel()
+	return err
 }
 
 // exportSnapshot opens the channel's export stream (GET snapshot). The
 // caller owns the returned body. A 404 is surfaced as errNoChannelState so
 // migration can treat "nothing to move" as success.
 func (n *Node) exportSnapshot(id string) (io.ReadCloser, error) {
-	resp, err := n.within(n.adminWait).Get(n.Spec.URL + "/channels/" + id + "/snapshot")
+	resp, err := n.within(n.adminWait, http.MethodGet, "/channels/"+id+"/snapshot", nil)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: exporting %q from %s: %w", id, n.Spec.Name, err)
 	}
@@ -168,7 +194,7 @@ func (n *Node) exportSnapshot(id string) (io.ReadCloser, error) {
 	case http.StatusOK:
 		return resp.Body, nil
 	case http.StatusNotFound:
-		drainClose(resp.Body)
+		resp.Body.Close()
 		return nil, errNoChannelState
 	default:
 		msg := readErrorBody(resp.Body)
@@ -178,15 +204,11 @@ func (n *Node) exportSnapshot(id string) (io.ReadCloser, error) {
 
 // putSnapshot imports a channel snapshot stream (PUT snapshot).
 func (n *Node) putSnapshot(id string, body io.Reader) error {
-	req, err := http.NewRequest(http.MethodPut, n.Spec.URL+"/channels/"+id+"/snapshot", body)
-	if err != nil {
-		return err
-	}
-	resp, err := n.within(n.adminWait).Do(req)
+	resp, err := n.within(n.adminWait, http.MethodPut, "/channels/"+id+"/snapshot", body)
 	if err != nil {
 		return fmt.Errorf("cluster: importing %q into %s: %w", id, n.Spec.Name, err)
 	}
-	defer drainClose(resp.Body)
+	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusCreated {
 		msg := readErrorBody(resp.Body)
 		return fmt.Errorf("cluster: importing %q into %s: status %d: %s", id, n.Spec.Name, resp.StatusCode, msg)
@@ -260,15 +282,11 @@ func (n *Node) replayObservations(id string, recs []wal.Record) (int, uint64, er
 // deleteChannel detaches a channel from the node. 404 counts as success
 // (the desired end state holds).
 func (n *Node) deleteChannel(id string) error {
-	req, err := http.NewRequest(http.MethodDelete, n.Spec.URL+"/channels/"+id, nil)
-	if err != nil {
-		return err
-	}
-	resp, err := n.within(n.adminWait).Do(req)
+	resp, err := n.within(n.adminWait, http.MethodDelete, "/channels/"+id, nil)
 	if err != nil {
 		return fmt.Errorf("cluster: detaching %q from %s: %w", id, n.Spec.Name, err)
 	}
-	defer drainClose(resp.Body)
+	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusNotFound {
 		msg := readErrorBody(resp.Body)
 		return fmt.Errorf("cluster: detaching %q from %s: status %d: %s", id, n.Spec.Name, resp.StatusCode, msg)
@@ -280,13 +298,6 @@ func (n *Node) deleteChannel(id string) error {
 // channel (never streamed, or already detached) — the move degenerates to
 // an ownership flip.
 var errNoChannelState = fmt.Errorf("cluster: channel has no exportable state")
-
-// drainClose consumes and closes a response body so the underlying
-// connection returns to the pool instead of being torn down.
-func drainClose(body io.ReadCloser) {
-	io.Copy(io.Discard, io.LimitReader(body, 64<<10))
-	body.Close()
-}
 
 // readErrorBody captures a bounded error message then closes the body.
 func readErrorBody(body io.ReadCloser) string {

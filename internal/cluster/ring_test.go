@@ -143,7 +143,7 @@ func TestRingLookupAllocs(t *testing.T) {
 // lookup, in-flight registration, release — at zero allocations.
 func TestTableHotPathAllocs(t *testing.T) {
 	tbl := newTable()
-	node := newNode(NodeSpec{Name: "a", URL: "http://invalid"}, nil)
+	node := newNode(NodeSpec{Name: "a", URL: "http://invalid"})
 	if _, err := tbl.ensure("ch-0", func(string) (*Node, error) { return node, nil }); err != nil {
 		t.Fatal(err)
 	}

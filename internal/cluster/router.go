@@ -85,7 +85,6 @@ type Router struct {
 	cfg    Config
 	nodes  []*Node // sorted by name
 	byName map[string]*Node
-	client *http.Client         // admin calls, /watch and stats relays
 	ring   atomic.Pointer[Ring] // over currently-alive nodes
 	tbl    *table
 	m      *routerMetrics
@@ -112,16 +111,7 @@ func New(cfg Config) (*Router, error) {
 		return nil, fmt.Errorf("cluster: router needs at least one node")
 	}
 	r := &Router{
-		cfg: cfg,
-		// No Client.Timeout: a /watch relay is a long-lived stream. The
-		// transport pools connections per node; probes and admin calls
-		// clone the client with a deadline. Observe forwards do not use
-		// it: each is a wire.Stream on a connection of its own.
-		client: &http.Client{Transport: &http.Transport{
-			MaxIdleConns:        256,
-			MaxIdleConnsPerHost: 64,
-			IdleConnTimeout:     90 * time.Second,
-		}},
+		cfg:     cfg,
 		byName:  make(map[string]*Node, len(cfg.Nodes)),
 		tbl:     newTable(),
 		started: time.Now(),
@@ -131,7 +121,7 @@ func New(cfg Config) (*Router, error) {
 		if _, dup := r.byName[spec.Name]; dup {
 			return nil, fmt.Errorf("cluster: duplicate node name %q", spec.Name)
 		}
-		n := newNode(spec, r.client)
+		n := newNode(spec)
 		n.adminWait = cfg.FailoverWait
 		r.byName[spec.Name] = n
 		r.nodes = append(r.nodes, n)
@@ -384,13 +374,13 @@ func (r *Router) handleChannels(w http.ResponseWriter, req *http.Request) {
 		if !n.Alive() {
 			continue
 		}
-		resp, err := n.client.Get(n.Spec.URL + "/channels")
+		resp, err := n.send(req.Context(), http.MethodGet, "/channels", nil)
 		if err != nil {
 			continue
 		}
 		var one map[string]json.RawMessage
 		err = decodeJSONLimited(resp.Body, &one)
-		drainClose(resp.Body)
+		resp.Body.Close()
 		if err != nil {
 			continue
 		}
@@ -428,12 +418,12 @@ func (r *Router) handleChannel(w http.ResponseWriter, req *http.Request) {
 			return
 		}
 		owner, _, _ := e.state()
-		resp, err := r.client.Get(owner.Spec.URL + "/channels/" + id + "/stats")
+		resp, err := owner.send(req.Context(), http.MethodGet, "/channels/"+id+"/stats", nil)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadGateway)
 			return
 		}
-		defer drainClose(resp.Body)
+		defer resp.Body.Close()
 		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(resp.StatusCode)
 		io.Copy(w, resp.Body)

@@ -8,7 +8,6 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -19,12 +18,13 @@ import (
 	"aovlis/internal/serve/loadgen"
 	"aovlis/internal/snapshot"
 	"aovlis/internal/wire"
+	"aovlis/internal/wire/wiretest"
 )
 
 // newTestCluster builds n stub nodes and a router over them, served by
-// httptest. The monitor is NOT started — tests that need probing or
+// wiretest. The monitor is NOT started — tests that need probing or
 // failover drive it explicitly (FailNode) or start it themselves.
-func newTestCluster(t *testing.T, n int, mut func(cfg *Config)) ([]*stubNode, *Router, *httptest.Server) {
+func newTestCluster(t *testing.T, n int, mut func(cfg *Config)) ([]*stubNode, *Router, *wiretest.Server) {
 	t.Helper()
 	stubs := make([]*stubNode, n)
 	specs := make([]NodeSpec, n)
@@ -47,8 +47,7 @@ func newTestCluster(t *testing.T, n int, mut func(cfg *Config)) ([]*stubNode, *R
 		t.Fatal(err)
 	}
 	t.Cleanup(r.Close)
-	srv := httptest.NewServer(r.Handler())
-	t.Cleanup(srv.Close)
+	srv := wiretest.NewServer(t, r.Handler())
 	return stubs, r, srv
 }
 
@@ -90,7 +89,7 @@ func obsLine(v float64) string {
 	return fmt.Sprintf(`{"action":[%g,0.5],"audience":[0.25]}`, v)
 }
 
-// TestRouterAdminEndpoints is the satellite-3 httptest table over the
+// TestRouterAdminEndpoints is the table over the
 // admin surface, mirroring the aovlisd handler() factory pattern: every
 // route × method pins its status and the load-bearing payload fields.
 func TestRouterAdminEndpoints(t *testing.T) {
@@ -516,8 +515,7 @@ func TestRouterFailover(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(r.Close)
-	srv := httptest.NewServer(r.Handler())
-	t.Cleanup(srv.Close)
+	srv := wiretest.NewServer(t, r.Handler())
 
 	// Stream enough channels that the victim owns several.
 	for i := 0; i < 12; i++ {
@@ -652,8 +650,7 @@ func TestRouterWindowOfLargeLines(t *testing.T) {
 		}
 		return c, err
 	}
-	srv := httptest.NewServer(r.Handler())
-	t.Cleanup(srv.Close)
+	srv := wiretest.NewServer(t, r.Handler())
 
 	line := `{"action":[0.5` + strings.Repeat(",0.125", size/6) + `],"audience":[0.25]}`
 	lines := make([]string, 2*window)

@@ -5,16 +5,15 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"log"
 	"net"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"aovlis/internal/wire"
+	"aovlis/internal/wire/wiretest"
 )
 
 // stubNode is an in-process aovlisd stand-in for router tests: it speaks
@@ -28,7 +27,7 @@ import (
 type stubNode struct {
 	name string
 	seed float64
-	srv  *httptest.Server
+	srv  *wiretest.Server
 
 	reject     atomic.Bool  // 429 + Retry-After on new observe streams
 	retryAfter atomic.Int32 // Retry-After seconds advertised with the 429 (0: omit the header)
@@ -72,16 +71,7 @@ func newStubNodeOn(t *testing.T, name string, seed float64, wrap func(net.Listen
 	t.Helper()
 	s := &stubNode{name: name, seed: seed, channels: map[string]*stubChannel{}}
 	s.retryAfter.Store(7)
-	s.srv = httptest.NewUnstartedServer(s.handler())
-	if wrap != nil {
-		s.srv.Listener = wrap(s.srv.Listener)
-	}
-	// The router aborts forward requests mid-body on failover retries;
-	// net/http recovers the resulting conn.serve panics but logs each one.
-	// That noise is expected stub lifecycle, not a test signal.
-	s.srv.Config.ErrorLog = log.New(io.Discard, "", 0)
-	s.srv.Start()
-	t.Cleanup(s.srv.Close)
+	s.srv = wiretest.NewServerOn(t, s.handler(), wrap)
 	return s
 }
 

@@ -126,11 +126,8 @@ func (n *Node) handleObserve(w http.ResponseWriter, r *http.Request, id string) 
 		return
 	}
 	// A pre-stream refusal leaves the request body unread with full duplex
-	// on, so it closes the connection: reusing it makes net/http find the
-	// body's EOF only while closing it after the response, and its next
-	// read then panics on its own background read ("invalid concurrent
-	// Body.Read call") — the client got its status, but the connection
-	// dies noisily.
+	// on, so it closes the connection: an observe body is open-ended, and
+	// the server would otherwise read it on to keep the connection.
 	w.Header().Set("Connection", "close")
 	if !n.pool.AdmitStream(w, id, n.ensure) {
 		return

@@ -233,12 +233,12 @@ func (n *Node) every(d time.Duration, fn func()) {
 // in process beside the HTTP surface.
 func (n *Node) Pool() *serve.DetectorPool { return n.pool }
 
-// Drain cuts the connections an http.Server cannot drain on its own —
+// Drain cuts the connections a wire.Server cannot drain on its own —
 // hijacked WebSocket connections are invisible to Shutdown, and an SSE
 // watch stream never ends by itself — and refuses new ones: every live
 // handler unblocks, drains its in-flight submissions into the resume ring
 // and returns, and only then can the listener's own drain finish. Call it
-// before http.Server.Shutdown, and Close after.
+// before wire.Server.Shutdown, and Close after.
 func (n *Node) Drain() { n.hub.Close() }
 
 // Close is the rest of the shutdown order, for after the listener has

@@ -32,6 +32,7 @@ import (
 	"aovlis/internal/stream/live"
 	"aovlis/internal/wal"
 	"aovlis/internal/wire"
+	"aovlis/internal/wire/wiretest"
 )
 
 const (
@@ -339,8 +340,7 @@ func TestNonFiniteVerdictProofIsServable(t *testing.T) {
 	if err := n.ledger.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(n.Handler())
-	defer srv.Close()
+	srv := wiretest.NewServer(t, n.Handler())
 	// Segments 4 and 5 are the channel's verdicts: ledger seqs 1 and 2.
 	resp, err := http.Get(srv.URL + "/ledger/proof/2")
 	if err != nil {
@@ -433,7 +433,7 @@ func TestOpenCloseRepeatedly(t *testing.T) {
 // floor and the seq of every decision, which must be verdicts of this
 // connection's own segments — a replayed decision of an earlier session
 // would show up as an extra message.
-func liveLeg(t *testing.T, srv *httptest.Server, id string, acts, auds [][]float64) (floor uint64, seqs []uint64) {
+func liveLeg(t *testing.T, srv *wiretest.Server, id string, acts, auds [][]float64) (floor uint64, seqs []uint64) {
 	t.Helper()
 	conn, resp, err := live.Dial(srv.URL+"/live/"+id, nil)
 	if err != nil {
@@ -484,7 +484,7 @@ func TestDetachForgetsTheLiveSession(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			n, _ := open(t, testConfig(tc.d))
-			srv := httptest.NewServer(n.Handler())
+			srv := wiretest.NewServer(t, n.Handler())
 			defer func() { n.Drain(); srv.Close(); n.Close() }()
 			acts, auds := testSeries(29, 12)
 			acts2, auds2 := testSeries(30, 12) // a different stream: a replayed decision cannot pass for a new one

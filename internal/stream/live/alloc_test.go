@@ -2,7 +2,6 @@ package live
 
 import (
 	"math/rand"
-	"net/http/httptest"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -14,6 +13,7 @@ import (
 	"aovlis/internal/serve"
 	"aovlis/internal/wal"
 	"aovlis/internal/wire"
+	"aovlis/internal/wire/wiretest"
 )
 
 // liveStream is a deterministic stream of probability-vector actions and
@@ -97,8 +97,7 @@ func TestLiveSteadyStateAllocs(t *testing.T) {
 	pool.AttachJournal(journal, nil)
 	hub := NewHub(HubConfig{RingCap: ringCap})
 	defer hub.Close()
-	srv := httptest.NewServer(&IngestHandler{Pool: pool, Hub: hub, Window: 16})
-	defer srv.Close()
+	srv := wiretest.NewServer(t, &IngestHandler{Pool: pool, Hub: hub, Window: 16})
 
 	var (
 		read, warmed  atomic.Int64

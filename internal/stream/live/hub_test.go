@@ -6,13 +6,13 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"aovlis/internal/wire"
+	"aovlis/internal/wire/wiretest"
 )
 
 // verdict is the decision a ring test appends under seq; its score is the
@@ -193,7 +193,7 @@ func TestSessionRingWrapAround(t *testing.T) {
 // watchStream opens a /watch SSE connection and returns a line-reader plus
 // a cancel. ServeWatch flushes its headers only after the subscription is
 // registered, so once this returns, published events cannot be missed.
-func watchStream(t *testing.T, srv *httptest.Server, extra string, hdr http.Header) (*bufio.Reader, context.CancelFunc) {
+func watchStream(t *testing.T, srv *wiretest.Server, extra string, hdr http.Header) (*bufio.Reader, context.CancelFunc) {
 	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, srv.URL+"/watch"+extra, nil)
@@ -243,8 +243,7 @@ func readEvent(t *testing.T, br *bufio.Reader) (id, event, data string) {
 
 func TestServeWatchSSE(t *testing.T) {
 	h := NewHub(HubConfig{})
-	srv := httptest.NewServer(http.HandlerFunc(h.ServeWatch))
-	defer srv.Close()
+	srv := wiretest.NewServer(t, http.HandlerFunc(h.ServeWatch))
 	defer h.Close() // before srv.Close (LIFO): ends the SSE handlers it waits on
 
 	h.Publish("ch-0", []byte(`{"n":1}`))
@@ -266,10 +265,35 @@ func TestServeWatchSSE(t *testing.T) {
 	cancel()
 }
 
+// TestServeWatchClientGoneUnsubscribes: a dashboard that disconnects is
+// unsubscribed as soon as it goes — the serving loop's background read sees
+// the close and cancels the request — not when the next event is published.
+func TestServeWatchClientGoneUnsubscribes(t *testing.T) {
+	h := NewHub(HubConfig{})
+	srv := wiretest.NewServer(t, http.HandlerFunc(h.ServeWatch))
+	defer h.Close()
+	subs := func() int {
+		h.mu.Lock()
+		defer h.mu.Unlock()
+		return len(h.subs)
+	}
+	_, cancel := watchStream(t, srv, "", nil)
+	if n := subs(); n != 1 {
+		t.Fatalf("%d subscribers with one dashboard connected", n)
+	}
+	cancel()
+	deadline := time.Now().Add(5 * time.Second)
+	for subs() != 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("a disconnected dashboard is still subscribed while no event is published")
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 func TestServeWatchLastEventIDReconnect(t *testing.T) {
 	h := NewHub(HubConfig{})
-	srv := httptest.NewServer(http.HandlerFunc(h.ServeWatch))
-	defer srv.Close()
+	srv := wiretest.NewServer(t, http.HandlerFunc(h.ServeWatch))
 	defer h.Close()
 
 	for i := 1; i <= 5; i++ {
@@ -309,8 +333,7 @@ func TestServeWatchLastEventIDReconnect(t *testing.T) {
 
 func TestServeWatchChannelFilter(t *testing.T) {
 	h := NewHub(HubConfig{})
-	srv := httptest.NewServer(http.HandlerFunc(h.ServeWatch))
-	defer srv.Close()
+	srv := wiretest.NewServer(t, http.HandlerFunc(h.ServeWatch))
 	defer h.Close()
 
 	br, _ := watchStream(t, srv, "?channel=ch-1", nil)
@@ -328,8 +351,7 @@ func TestServeWatchChannelFilter(t *testing.T) {
 func TestServeWatchBadRequests(t *testing.T) {
 	h := NewHub(HubConfig{})
 	defer h.Close()
-	srv := httptest.NewServer(http.HandlerFunc(h.ServeWatch))
-	defer srv.Close()
+	srv := wiretest.NewServer(t, http.HandlerFunc(h.ServeWatch))
 
 	resp, err := http.Post(srv.URL+"/watch", "text/plain", nil)
 	if err != nil {
@@ -386,8 +408,7 @@ func TestPublishSlowSubscriberDropped(t *testing.T) {
 // this is the teardown half of the conformance contract.
 func TestHubCloseRaceClean(t *testing.T) {
 	h := NewHub(HubConfig{})
-	srv := httptest.NewServer(http.HandlerFunc(h.ServeWatch))
-	defer srv.Close()
+	srv := wiretest.NewServer(t, http.HandlerFunc(h.ServeWatch))
 
 	var wg sync.WaitGroup
 	stop := make(chan struct{})

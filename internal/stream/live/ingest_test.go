@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"net/http"
-	"net/http/httptest"
 	"strconv"
 	"strings"
 	"sync"
@@ -14,6 +13,7 @@ import (
 
 	"aovlis"
 	"aovlis/internal/serve"
+	"aovlis/internal/wire/wiretest"
 )
 
 // fakeDetector is a deterministic serve.Detector: the nth observation on
@@ -36,9 +36,9 @@ func (d *fakeDetector) Observe(action, audience []float64) (aovlis.Result, error
 }
 
 // newIngestServer builds a pool of fake detectors behind an IngestHandler
-// on a real listener (Upgrade needs http.Hijacker, so httptest.NewServer,
+// on a real listener (Upgrade needs http.Hijacker, so a served connection,
 // not a ResponseRecorder).
-func newIngestServer(t *testing.T, hub *Hub, ensure func(string) error, channels ...string) (*httptest.Server, *serve.DetectorPool) {
+func newIngestServer(t *testing.T, hub *Hub, ensure func(string) error, channels ...string) (*wiretest.Server, *serve.DetectorPool) {
 	t.Helper()
 	pool, err := serve.NewDetectorPool(serve.Config{Shards: 1, QueueDepth: 64, Policy: serve.Block})
 	if err != nil {
@@ -52,8 +52,7 @@ func newIngestServer(t *testing.T, hub *Hub, ensure func(string) error, channels
 	}
 	mux := http.NewServeMux()
 	mux.Handle("/live/", &IngestHandler{Pool: pool, Hub: hub, Ensure: ensure, Window: 4})
-	srv := httptest.NewServer(mux)
-	t.Cleanup(srv.Close)
+	srv := wiretest.NewServer(t, mux)
 	t.Cleanup(hub.Close)
 	return srv, pool
 }
@@ -232,9 +231,8 @@ func TestIngestRefusals(t *testing.T) {
 		}
 	}
 	ensured := 0
-	osrv := httptest.NewServer(&IngestHandler{Pool: opool, Hub: NewHub(HubConfig{}),
+	osrv := wiretest.NewServer(t, &IngestHandler{Pool: opool, Hub: NewHub(HubConfig{}),
 		Ensure: func(id string) error { ensured++; return opool.Attach(id, &fakeDetector{}) }})
-	t.Cleanup(osrv.Close)
 	_, resp, err := Dial(osrv.URL+"/live/newcomer", nil)
 	if err == nil || resp == nil || resp.StatusCode != http.StatusTooManyRequests || resp.Header.Get("Retry-After") == "" {
 		t.Fatalf("overloaded pool: err %v resp %+v, want 429 with Retry-After", err, resp)
@@ -362,8 +360,7 @@ func TestIngestReplayIsByteIdentical(t *testing.T) {
 	}
 	hub := NewHub(HubConfig{})
 	defer hub.Close()
-	srv := httptest.NewServer(&IngestHandler{Pool: pool, Hub: hub, Window: 4})
-	defer srv.Close()
+	srv := wiretest.NewServer(t, &IngestHandler{Pool: pool, Hub: hub, Window: 4})
 
 	const n = 6
 	conn, _ := dialIngest(t, srv.URL+"/live/ch", 0)

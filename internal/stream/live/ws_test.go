@@ -9,19 +9,20 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"net/http/httptest"
 	"reflect"
 	"strings"
 	"testing"
 	"time"
+
+	"aovlis/internal/wire/wiretest"
 )
 
 // echoServer upgrades and echoes every data message back; errc receives
 // the read-loop's terminal error (one handler at a time in these tests).
-func echoServer(t *testing.T, opts *Options) (*httptest.Server, chan error) {
+func echoServer(t *testing.T, opts *Options) (*wiretest.Server, chan error) {
 	t.Helper()
 	errc := make(chan error, 16)
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	srv := wiretest.NewServer(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		c, err := Upgrade(w, r, opts)
 		if err != nil {
 			return
@@ -39,7 +40,6 @@ func echoServer(t *testing.T, opts *Options) (*httptest.Server, chan error) {
 			}
 		}
 	}))
-	t.Cleanup(srv.Close)
 	return srv, errc
 }
 
@@ -518,10 +518,9 @@ func TestSlowLorisWriterStillScores(t *testing.T) {
 // ErrBadHandshake with the response attached — how clients see the
 // ingest endpoint's 404/409/429 refusals.
 func TestDialRefusedSurfacesStatus(t *testing.T) {
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	srv := wiretest.NewServer(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "nope", http.StatusConflict)
 	}))
-	defer srv.Close()
 	_, resp, err := Dial(srv.URL+"/live/ch", nil)
 	if !errors.Is(err, ErrBadHandshake) {
 		t.Fatalf("err = %v, want ErrBadHandshake", err)

@@ -11,6 +11,7 @@ import (
 	"net/url"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 )
 
@@ -56,7 +57,7 @@ const (
 // net.Dialer.DialContext's signature, so a test can shape the socket.
 type Dialer func(ctx context.Context, network, addr string) (net.Conn, error)
 
-// streamDialer is OpenStream's Dialer when the caller passes none.
+// streamDialer is the Dialer of OpenStream and Do when the caller passes none.
 var streamDialer = net.Dialer{Timeout: 10 * time.Second}
 
 // errSendClosed is what a write after CloseSend returns.
@@ -73,13 +74,7 @@ func OpenStream(ctx context.Context, dial Dialer, rawurl string) (*Stream, error
 	if err != nil {
 		return nil, fmt.Errorf("wire: observe stream: %w", err)
 	}
-	if u.Scheme != "http" {
-		return nil, fmt.Errorf("wire: observe stream %q: unsupported scheme %q (plaintext only)", rawurl, u.Scheme)
-	}
-	if dial == nil {
-		dial = streamDialer.DialContext
-	}
-	conn, err := dial(ctx, "tcp", HostPort(u))
+	conn, err := dialURL(ctx, dial, u)
 	if err != nil {
 		return nil, fmt.Errorf("wire: POST %s: %w", rawurl, err)
 	}
@@ -92,6 +87,81 @@ func OpenStream(ctx context.Context, dial Dialer, rawurl string) (*Stream, error
 		return nil, fmt.Errorf("wire: POST %s: %w", rawurl, err)
 	}
 	return s, nil
+}
+
+// Do sends req on a connection of its own, dialed with dial (nil: a plain
+// TCP dial) under ctx, and returns the response: the one-shot twin of
+// OpenStream, for admin calls, probes and relays. The connection closes
+// when ctx ends or the response body is closed, so ctx bounds the whole
+// exchange, body included. Do sets req.Close. A request body is written
+// beside the response read, so an early answer (a 413 before the upload
+// ends) is the result rather than a broken write; closing the response
+// body waits until nothing reads req.Body any more. Only a plaintext http
+// URL can be sent.
+func Do(ctx context.Context, dial Dialer, req *http.Request) (*http.Response, error) {
+	conn, err := dialURL(ctx, dial, req.URL)
+	if err != nil {
+		return nil, fmt.Errorf("wire: %s %s: %w", req.Method, req.URL, err)
+	}
+	stop := context.AfterFunc(ctx, func() { conn.Close() })
+	req.Close = true
+	wrote := make(chan error, 1)
+	if req.Body == nil || req.Body == http.NoBody {
+		wrote <- req.Write(conn)
+	} else {
+		go func() { wrote <- req.Write(conn) }()
+	}
+	resp, err := readResponse(bufio.NewReaderSize(conn, streamReadBuf), req)
+	if err != nil {
+		stop()
+		conn.Close()
+		if werr := <-wrote; werr != nil {
+			err = werr
+		}
+		return nil, fmt.Errorf("wire: %s %s: %w", req.Method, req.URL, err)
+	}
+	resp.Body = &doBody{ReadCloser: resp.Body, conn: conn, stop: stop, wrote: wrote}
+	return resp, nil
+}
+
+// doBody is a Do response's body; closing it closes the connection.
+type doBody struct {
+	io.ReadCloser
+	conn  net.Conn
+	stop  func() bool
+	wrote chan error
+	once  sync.Once
+}
+
+func (b *doBody) Close() error {
+	b.once.Do(func() {
+		b.stop()
+		b.conn.Close()
+		<-b.wrote
+	})
+	return nil
+}
+
+// dialURL dials u's host with dial (nil: a plain TCP dial) under ctx; u
+// must be a plaintext http URL.
+func dialURL(ctx context.Context, dial Dialer, u *url.URL) (net.Conn, error) {
+	if u.Scheme != "http" {
+		return nil, fmt.Errorf("unsupported scheme %q (plaintext only)", u.Scheme)
+	}
+	if dial == nil {
+		dial = streamDialer.DialContext
+	}
+	return dial(ctx, "tcp", HostPort(u))
+}
+
+// readResponse reads a response head off br; a connection that ends before
+// it is io.ErrUnexpectedEOF, so that io.EOF keeps meaning a clean end.
+func readResponse(br *bufio.Reader, req *http.Request) (*http.Response, error) {
+	resp, err := http.ReadResponse(br, req)
+	if err == io.EOF {
+		err = io.ErrUnexpectedEOF
+	}
+	return resp, err
 }
 
 // HostPort is the dialable host:port of u, with the scheme's default port
@@ -186,10 +256,7 @@ func (s *Stream) Next() ([]byte, error) {
 }
 
 func (s *Stream) readHeaders() error {
-	resp, err := http.ReadResponse(s.br, &http.Request{Method: http.MethodPost})
-	if err == io.EOF {
-		err = io.ErrUnexpectedEOF // io.EOF from Next is the clean end only
-	}
+	resp, err := readResponse(s.br, &http.Request{Method: http.MethodPost})
 	if err != nil {
 		return fmt.Errorf("wire: reading observe response: %w", err)
 	}

@@ -9,7 +9,6 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"net/http/httptest"
 	"net/url"
 	"runtime"
 	"strings"
@@ -27,13 +26,6 @@ func echoObserve(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(w, "{\"seq\":%d}\n", n)
 		w.(http.Flusher).Flush()
 	}
-}
-
-func testServer(t *testing.T, h http.HandlerFunc) *httptest.Server {
-	t.Helper()
-	srv := httptest.NewServer(h)
-	t.Cleanup(srv.Close)
-	return srv
 }
 
 // open is OpenStream under the background context with the plain dialer,
