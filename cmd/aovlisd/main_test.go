@@ -16,7 +16,6 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -32,6 +31,7 @@ import (
 	"aovlis/internal/snapshot"
 	"aovlis/internal/wal"
 	"aovlis/internal/wire"
+	"aovlis/internal/wire/wiretest"
 )
 
 // testTemplate trains a small detector once for the whole suite.
@@ -93,7 +93,7 @@ func testConfig(maxChannels, batch int) node.Config {
 // (behind wrap, when a test wants to watch the requests go by). stop ends
 // both in the daemon's order — Drain, the listener, Close — and is safe to
 // call again.
-func startNode(t *testing.T, cfg node.Config, wrap func(http.Handler) http.Handler) (n *node.Node, srv *httptest.Server, stop func()) {
+func startNode(t *testing.T, cfg node.Config, wrap func(wire.Handler) wire.Handler) (n *node.Node, srv *wiretest.Server, stop func()) {
 	t.Helper()
 	cfg.Logf = t.Logf
 	n, err := node.Open(template(t), cfg)
@@ -104,7 +104,7 @@ func startNode(t *testing.T, cfg node.Config, wrap func(http.Handler) http.Handl
 	if wrap != nil {
 		h = wrap(h)
 	}
-	srv = httptest.NewServer(h)
+	srv = wiretest.NewServer(t, h)
 	var once sync.Once
 	return n, srv, func() {
 		once.Do(func() {
@@ -118,7 +118,7 @@ func startNode(t *testing.T, cfg node.Config, wrap func(http.Handler) http.Handl
 }
 
 // openNode is startNode stopped by the test's cleanup.
-func openNode(t *testing.T, cfg node.Config) (*node.Node, *httptest.Server) {
+func openNode(t *testing.T, cfg node.Config) (*node.Node, *wiretest.Server) {
 	t.Helper()
 	n, srv, stop := startNode(t, cfg, nil)
 	t.Cleanup(stop)
@@ -133,7 +133,7 @@ func observeLine(action, audience []float64) string {
 
 // postObserve streams body to the observe endpoint and decodes the NDJSON
 // response lines.
-func postObserve(t *testing.T, srv *httptest.Server, id, body string) []wire.Decision {
+func postObserve(t *testing.T, srv *wiretest.Server, id, body string) []wire.Decision {
 	t.Helper()
 	resp, err := http.Post(srv.URL+"/channels/"+id+"/observe", "application/x-ndjson", strings.NewReader(body))
 	if err != nil {

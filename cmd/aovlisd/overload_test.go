@@ -12,7 +12,6 @@ import (
 	"io"
 	"math"
 	"net/http"
-	"net/http/httptest"
 	"runtime"
 	"sort"
 	"strconv"
@@ -24,6 +23,7 @@ import (
 	"aovlis"
 	"aovlis/internal/node"
 	"aovlis/internal/serve"
+	"aovlis/internal/wire/wiretest"
 )
 
 // gatedDet blocks each Observe on a release channel; closing the channel
@@ -46,7 +46,7 @@ func (g *gatedDet) Observe(action, audience []float64) (aovlis.Result, error) {
 
 // scrape fetches /metrics and returns the body plus every sample parsed
 // into name{labels} → value.
-func scrape(t *testing.T, srv *httptest.Server) (string, map[string]float64) {
+func scrape(t *testing.T, srv *wiretest.Server) (string, map[string]float64) {
 	t.Helper()
 	resp, err := http.Get(srv.URL + "/metrics")
 	if err != nil {
@@ -181,7 +181,7 @@ func TestMetricsDisabled(t *testing.T) {
 // newOverloadNode opens a node over a tiny admission-controlled pool with
 // one gated channel, so tests can steer the pool through the admission
 // states deterministically.
-func newOverloadNode(t *testing.T) (*node.Node, *httptest.Server, *gatedDet) {
+func newOverloadNode(t *testing.T) (*node.Node, *wiretest.Server, *gatedDet) {
 	t.Helper()
 	n, srv := openNode(t, node.Config{MaxChannels: 8, Metrics: true,
 		Pool: serve.Config{Shards: 1, QueueDepth: 10, Policy: serve.Block, Batch: 1,
@@ -303,7 +303,7 @@ func TestObserve429UnderOverload(t *testing.T) {
 }
 
 // channelList decodes GET /channels.
-func channelList(t *testing.T, srv *httptest.Server) []serve.ChannelStats {
+func channelList(t *testing.T, srv *wiretest.Server) []serve.ChannelStats {
 	t.Helper()
 	resp, err := http.Get(srv.URL + "/channels")
 	if err != nil {

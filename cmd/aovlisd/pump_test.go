@@ -14,7 +14,6 @@ import (
 	"io"
 	"math"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -24,6 +23,7 @@ import (
 	"aovlis/internal/serve"
 	"aovlis/internal/stream/live"
 	"aovlis/internal/wire"
+	"aovlis/internal/wire/wiretest"
 )
 
 // planeStream is one client connection to a plane.
@@ -36,11 +36,11 @@ type planeStream struct {
 
 type plane struct {
 	name string
-	open func(t *testing.T, srv *httptest.Server, id string) *planeStream
+	open func(t *testing.T, srv *wiretest.Server, id string) *planeStream
 }
 
 var planes = []plane{
-	{"ndjson", func(t *testing.T, srv *httptest.Server, id string) *planeStream {
+	{"ndjson", func(t *testing.T, srv *wiretest.Server, id string) *planeStream {
 		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 		t.Cleanup(cancel)
 		pr, pw := io.Pipe()
@@ -93,7 +93,7 @@ var planes = []plane{
 			seq:   func(i, v int) uint64 { return uint64(i) },
 		}
 	}},
-	{"live", func(t *testing.T, srv *httptest.Server, id string) *planeStream {
+	{"live", func(t *testing.T, srv *wiretest.Server, id string) *planeStream {
 		conn, _ := dialLive(t, strings.Replace(srv.URL, "http://", "ws://", 1)+"/live/"+id, nil)
 		t.Cleanup(func() { conn.Close() })
 		return &planeStream{
@@ -124,8 +124,8 @@ var planes = []plane{
 // streamHandlers counts the observe/live handlers currently running.
 type streamHandlers struct{ n atomic.Int64 }
 
-func (a *streamHandlers) wrap(h http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+func (a *streamHandlers) wrap(h wire.Handler) wire.Handler {
+	return wire.HandlerFunc(func(w wire.ResponseWriter, r *wire.Request) {
 		if strings.HasSuffix(r.URL.Path, "/observe") || strings.HasPrefix(r.URL.Path, "/live/") {
 			a.n.Add(1)
 			defer a.n.Add(-1)
@@ -137,7 +137,7 @@ func (a *streamHandlers) wrap(h http.Handler) http.Handler {
 // newPumpNode opens a node over a pool of the given shape pipelining window
 // segments per stream; when gated, channel "ch" is a gatedDet instead of a
 // template clone.
-func newPumpNode(t *testing.T, pool serve.Config, window int, gated bool) (*node.Node, *httptest.Server, *gatedDet, *streamHandlers) {
+func newPumpNode(t *testing.T, pool serve.Config, window int, gated bool) (*node.Node, *wiretest.Server, *gatedDet, *streamHandlers) {
 	t.Helper()
 	pool.Batch = window
 	running := &streamHandlers{}
@@ -156,7 +156,7 @@ func newPumpNode(t *testing.T, pool serve.Config, window int, gated bool) (*node
 var gatedObs = observeLine([]float64{1}, []float64{1})
 
 // waitAccepted polls the pool's accepted counter until it reaches want.
-func waitAccepted(t *testing.T, srv *httptest.Server, want float64) {
+func waitAccepted(t *testing.T, srv *wiretest.Server, want float64) {
 	t.Helper()
 	pollUntil(t, fmt.Sprintf("%g accepted submissions", want), func() bool {
 		_, samples := scrape(t, srv)
@@ -399,7 +399,7 @@ func TestPumpRejectionIsNotADrop(t *testing.T) {
 }
 
 // chStats reads channel "ch"'s counters over HTTP.
-func chStats(t *testing.T, srv *httptest.Server) (serve.ChannelStats, error) {
+func chStats(t *testing.T, srv *wiretest.Server) (serve.ChannelStats, error) {
 	t.Helper()
 	for _, cs := range channelList(t, srv) {
 		if cs.Channel == "ch" {

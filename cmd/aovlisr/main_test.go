@@ -28,7 +28,6 @@ import (
 	"math/rand"
 	"net"
 	"net/http"
-	"net/http/httptest"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -40,6 +39,7 @@ import (
 	"aovlis/internal/cluster"
 	"aovlis/internal/mat"
 	"aovlis/internal/serve/loadgen"
+	"aovlis/internal/wire/wiretest"
 )
 
 const (
@@ -353,7 +353,7 @@ func TestClusterKillNodeSoak(t *testing.T) {
 	}
 	r.Start()
 	defer r.Close()
-	router := httptest.NewServer(r.Handler())
+	router := wiretest.NewServer(t, r.Handler())
 	defer router.Close()
 
 	// A reference node replays every channel's full stream undisturbed —
@@ -590,7 +590,7 @@ func TestClusterThroughput(t *testing.T) {
 	}
 	r.Start()
 	defer r.Close()
-	router := httptest.NewServer(r.Handler())
+	router := wiretest.NewServer(t, r.Handler())
 	defer router.Close()
 
 	sched, err := loadgen.New(loadgen.Config{

@@ -22,7 +22,6 @@ import (
 	"flag"
 	"fmt"
 	"net"
-	"net/http"
 	"os"
 	"runtime"
 	"strconv"
@@ -35,7 +34,7 @@ import (
 	"aovlis/internal/node"
 	"aovlis/internal/serve"
 	"aovlis/internal/stream"
-	"aovlis/internal/stream/live"
+	"aovlis/internal/stream/liveplane"
 	"aovlis/internal/synth"
 	"aovlis/internal/wire"
 )
@@ -223,25 +222,25 @@ func streamChannel(base, id string, obs []serve.Observation, demoResume bool) ch
 // observations from the advertised floor, and reads decisions until seq
 // reaches until. Returns the highest seq seen and the anomaly count.
 func streamLeg(base, id string, obs []serve.Observation, lastSeq, until uint64) (uint64, int, error) {
-	hdr := http.Header{}
+	hdr := wire.Header{}
 	if lastSeq > 0 {
-		hdr.Set(live.LastSeqHeader, strconv.FormatUint(lastSeq, 10))
+		hdr.Set(liveplane.LastSeqHeader, strconv.FormatUint(lastSeq, 10))
 	}
-	conn, resp, err := live.Dial(base+"/live/"+id, hdr)
+	conn, resp, err := liveplane.Dial(base+"/live/"+id, hdr)
 	// A reconnect can race the server noticing the previous connection is
 	// gone (it frees the channel when its read loop sees the close), so a
 	// brief 409 is expected; retry like a real client would.
-	for attempt := 0; err != nil && resp != nil && resp.StatusCode == http.StatusConflict && attempt < 100; attempt++ {
+	for attempt := 0; err != nil && resp != nil && resp.StatusCode == wire.StatusConflict && attempt < 100; attempt++ {
 		time.Sleep(10 * time.Millisecond)
-		conn, resp, err = live.Dial(base+"/live/"+id, hdr)
+		conn, resp, err = liveplane.Dial(base+"/live/"+id, hdr)
 	}
 	if err != nil {
 		return lastSeq, 0, fmt.Errorf("dial: %w", err)
 	}
 	defer conn.Close()
-	floor, err := strconv.ParseUint(resp.Header.Get(live.ResumeHeader), 10, 64)
+	floor, err := strconv.ParseUint(resp.Header.Get(liveplane.ResumeHeader), 10, 64)
 	if err != nil {
-		return lastSeq, 0, fmt.Errorf("bad resume floor %q", resp.Header.Get(live.ResumeHeader))
+		return lastSeq, 0, fmt.Errorf("bad resume floor %q", resp.Header.Get(liveplane.ResumeHeader))
 	}
 
 	// Writer: everything at or below the floor is already accepted
@@ -252,7 +251,7 @@ func streamLeg(base, id string, obs []serve.Observation, lastSeq, until uint64) 
 		var b []byte
 		for i := floor; i < uint64(len(obs)); i++ {
 			b = wire.AppendObservation(b[:0], obs[i].Action, obs[i].Audience)
-			if conn.WriteMessage(live.OpText, b[:len(b)-1]) != nil {
+			if conn.WriteMessage(liveplane.OpText, b[:len(b)-1]) != nil {
 				return // connection closed under us (the resume demo's cut)
 			}
 		}
@@ -267,7 +266,7 @@ func streamLeg(base, id string, obs []serve.Observation, lastSeq, until uint64) 
 			<-done
 			return last, anomalies, fmt.Errorf("read after seq %d: %w", last, err)
 		}
-		if op != live.OpText {
+		if op != liveplane.OpText {
 			continue
 		}
 		var dec wire.Decision
@@ -291,7 +290,7 @@ func streamLeg(base, id string, obs []serve.Observation, lastSeq, until uint64) 
 // watchVerdicts subscribes to the SSE dashboard and counts verdict events
 // until the stream ends (the node draining) or the context is cancelled.
 func watchVerdicts(ctx context.Context, base string) int {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/watch", nil)
+	req, err := wire.NewRequest(wire.MethodGet, base+"/watch", nil)
 	if err != nil {
 		return 0
 	}
@@ -300,7 +299,7 @@ func watchVerdicts(ctx context.Context, base string) int {
 		return 0
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
+	if resp.StatusCode != wire.StatusOK {
 		return 0
 	}
 	sc := bufio.NewScanner(resp.Body)

@@ -295,8 +295,8 @@ func TestNodeClientErrorPaths(t *testing.T) {
 // node stuck behind a crashed backend.
 func brokenServer(t *testing.T) *wiretest.Server {
 	t.Helper()
-	srv := wiretest.NewServer(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		http.Error(w, "internal meltdown", http.StatusInternalServerError)
+	srv := wiretest.NewServer(t, wire.HandlerFunc(func(w wire.ResponseWriter, r *wire.Request) {
+		wire.Error(w, "internal meltdown", http.StatusInternalServerError)
 	}))
 	return srv
 }
@@ -501,22 +501,22 @@ func TestMonitorSurvivesHalfOpenFailoverTarget(t *testing.T) {
 func TestRouterMidStreamRejectWithFullWindow(t *testing.T) {
 	var conns atomic.Int32
 	kill := make(chan struct{})
-	node := wiretest.NewServer(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		http.NewResponseController(w).EnableFullDuplex()
+	node := wiretest.NewServer(t, wire.HandlerFunc(func(w wire.ResponseWriter, r *wire.Request) {
 		if conns.Add(1) > 1 {
 			time.Sleep(20 * time.Millisecond) // the reconnect looks healthy first
 			w.Header().Set("Retry-After", "1")
-			http.Error(w, "overloaded", http.StatusTooManyRequests)
+			wire.Error(w, "overloaded", http.StatusTooManyRequests)
 			return
 		}
 		// First connection: answer one line, swallow the rest, die on cue.
 		sc := bufio.NewScanner(r.Body)
 		sc.Scan()
 		fmt.Fprintln(w, `{"channel":"full","seq":0,"anomaly":false,"score":1,"exact":true}`)
-		w.(http.Flusher).Flush()
+		w.Flush()
 		go io.Copy(io.Discard, r.Body)
 		<-kill
-		panic(http.ErrAbortHandler)
+		c, _, _ := w.Hijack()
+		c.Close()
 	}))
 	r, err := New(Config{Nodes: []NodeSpec{{Name: "n", URL: node.URL}}, Window: 2,
 		FailoverWait: 5 * time.Second, RetryEvery: 10 * time.Millisecond, Logf: t.Logf})

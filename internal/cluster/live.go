@@ -27,13 +27,12 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"net/http"
 	"net/url"
 	"strings"
 	"sync"
 	"time"
 
-	"aovlis/internal/stream/live"
+	"aovlis/internal/stream/liveplane"
 	"aovlis/internal/wire"
 )
 
@@ -42,40 +41,35 @@ import (
 const liveDialTimeout = 10 * time.Second
 
 // handleLive tunnels GET /live/{channel} to the channel's owner.
-func (r *Router) handleLive(w http.ResponseWriter, req *http.Request) {
+func (r *Router) handleLive(w wire.ResponseWriter, req *wire.Request) {
 	id := strings.TrimPrefix(req.URL.Path, "/live/")
 	if id == "" || strings.ContainsRune(id, '/') {
-		http.Error(w, "want /live/{channel}", http.StatusNotFound)
+		wire.Error(w, "want /live/{channel}", wire.StatusNotFound)
 		return
 	}
-	if req.Method != http.MethodGet {
-		http.Error(w, "live wants GET", http.StatusMethodNotAllowed)
-		return
-	}
-	hj, ok := w.(http.Hijacker)
-	if !ok {
-		http.Error(w, "live needs a hijackable connection", http.StatusInternalServerError)
+	if req.Method != wire.MethodGet {
+		wire.Error(w, "live wants GET", wire.StatusMethodNotAllowed)
 		return
 	}
 	e, err := r.tbl.ensure(id, r.place)
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusServiceUnavailable)
+		wire.Error(w, err.Error(), wire.StatusUnavailable)
 		return
 	}
 	owner, _, _ := e.state()
 	if !owner.Alive() {
-		http.Error(w, fmt.Sprintf("channel %q owner %s is down", id, owner.Spec.Name), http.StatusServiceUnavailable)
+		wire.Error(w, fmt.Sprintf("channel %q owner %s is down", id, owner.Spec.Name), wire.StatusUnavailable)
 		return
 	}
 	u, err := url.Parse(owner.Spec.URL)
 	if err != nil || u.Host == "" {
-		http.Error(w, fmt.Sprintf("cluster: bad node URL %q", owner.Spec.URL), http.StatusInternalServerError)
+		wire.Error(w, fmt.Sprintf("cluster: bad node URL %q", owner.Spec.URL), wire.StatusInternalError)
 		return
 	}
 	target := wire.HostPort(u)
 	up, err := net.DialTimeout("tcp", target, liveDialTimeout)
 	if err != nil {
-		http.Error(w, fmt.Sprintf("dialing owner %s: %v", owner.Spec.Name, err), http.StatusBadGateway)
+		wire.Error(w, fmt.Sprintf("dialing owner %s: %v", owner.Spec.Name, err), wire.StatusBadGateway)
 		return
 	}
 
@@ -86,7 +80,7 @@ func (r *Router) handleLive(w http.ResponseWriter, req *http.Request) {
 	var hs bytes.Buffer
 	fmt.Fprintf(&hs, "GET /live/%s HTTP/1.1\r\nHost: %s\r\n", id, target)
 	hs.WriteString("Upgrade: websocket\r\nConnection: Upgrade\r\n")
-	for _, h := range []string{"Sec-WebSocket-Key", "Sec-WebSocket-Version", live.LastSeqHeader} {
+	for _, h := range []string{"Sec-WebSocket-Key", "Sec-WebSocket-Version", liveplane.LastSeqHeader} {
 		if v := req.Header.Get(h); v != "" {
 			fmt.Fprintf(&hs, "%s: %s\r\n", h, v)
 		}
@@ -94,14 +88,14 @@ func (r *Router) handleLive(w http.ResponseWriter, req *http.Request) {
 	hs.WriteString("\r\n")
 	if _, err := up.Write(hs.Bytes()); err != nil {
 		up.Close()
-		http.Error(w, fmt.Sprintf("owner %s refused upgrade write: %v", owner.Spec.Name, err), http.StatusBadGateway)
+		wire.Error(w, fmt.Sprintf("owner %s refused upgrade write: %v", owner.Spec.Name, err), wire.StatusBadGateway)
 		return
 	}
 
-	conn, brw, err := hj.Hijack()
+	conn, brw, err := w.Hijack()
 	if err != nil {
 		up.Close()
-		http.Error(w, err.Error(), http.StatusInternalServerError)
+		wire.Error(w, err.Error(), wire.StatusInternalError)
 		return
 	}
 	// Frames the client pipelined behind its handshake are sitting in the
@@ -131,14 +125,9 @@ func (r *Router) handleLive(w http.ResponseWriter, req *http.Request) {
 // /watch does not honour Last-Event-ID; a reconnecting dashboard gets
 // each node's ring replay instead. The ?channel= filter passes through to
 // every node (only the owner has events for it, the rest stay silent).
-func (r *Router) handleWatch(w http.ResponseWriter, req *http.Request) {
-	if req.Method != http.MethodGet {
-		http.Error(w, "watch wants GET", http.StatusMethodNotAllowed)
-		return
-	}
-	flusher, ok := w.(http.Flusher)
-	if !ok {
-		http.Error(w, "watch needs a flushable connection", http.StatusInternalServerError)
+func (r *Router) handleWatch(w wire.ResponseWriter, req *wire.Request) {
+	if req.Method != wire.MethodGet {
+		wire.Error(w, "watch wants GET", wire.StatusMethodNotAllowed)
 		return
 	}
 	ctx := req.Context()
@@ -157,7 +146,7 @@ func (r *Router) handleWatch(w http.ResponseWriter, req *http.Request) {
 		}(n)
 	}
 	if fanned == 0 {
-		http.Error(w, "no alive nodes", http.StatusServiceUnavailable)
+		wire.Error(w, "no alive nodes", wire.StatusUnavailable)
 		return
 	}
 	done := make(chan struct{})
@@ -166,7 +155,7 @@ func (r *Router) handleWatch(w http.ResponseWriter, req *http.Request) {
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
 	fmt.Fprintf(w, ": live fan-in over %d nodes\n\n", fanned)
-	flusher.Flush()
+	w.Flush()
 	for {
 		select {
 		case <-ctx.Done():
@@ -175,7 +164,7 @@ func (r *Router) handleWatch(w http.ResponseWriter, req *http.Request) {
 			if _, err := w.Write(b); err != nil {
 				return
 			}
-			flusher.Flush()
+			w.Flush()
 		case <-done:
 			// Every upstream ended (nodes down or hub shutdown): drain the
 			// residue, then end so the client knows to reconnect.
@@ -185,10 +174,10 @@ func (r *Router) handleWatch(w http.ResponseWriter, req *http.Request) {
 					if _, err := w.Write(b); err != nil {
 						return
 					}
-					flusher.Flush()
+					w.Flush()
 				default:
 					fmt.Fprintf(w, ": all upstreams closed, reconnect\n\n")
-					flusher.Flush()
+					w.Flush()
 					return
 				}
 			}
@@ -205,12 +194,12 @@ func (r *Router) relayWatch(ctx context.Context, n *Node, rawQuery string, block
 	if rawQuery != "" {
 		path += "?" + rawQuery
 	}
-	resp, err := n.send(ctx, http.MethodGet, path, nil)
+	resp, err := n.send(ctx, wire.MethodGet, path, nil)
 	if err != nil {
 		return
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
+	if resp.StatusCode != wire.StatusOK {
 		io.Copy(io.Discard, io.LimitReader(resp.Body, 4<<10))
 		return
 	}

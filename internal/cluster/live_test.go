@@ -18,6 +18,8 @@ import (
 	"time"
 
 	"aovlis/internal/stream/live"
+	"aovlis/internal/stream/liveplane"
+	"aovlis/internal/wire"
 )
 
 // handleLive is the stub's live endpoint: an RFC 6455 echo that tags
@@ -25,20 +27,20 @@ import (
 // router can prove exactly which node terminated the tunnel. The resume
 // floor echoes the client's Last-Seq, pinning request-header passthrough;
 // the reject flag answers 409 + floor, pinning refusal relay.
-func (s *stubNode) handleLive(w http.ResponseWriter, r *http.Request) {
+func (s *stubNode) handleLive(w wire.ResponseWriter, r *wire.Request) {
 	id := strings.TrimPrefix(r.URL.Path, "/live/")
 	if s.reject.Load() {
 		w.Header().Set(live.ResumeHeader, "0")
-		http.Error(w, "stream busy", http.StatusConflict)
+		wire.Error(w, "stream busy", http.StatusConflict)
 		return
 	}
-	hdr := http.Header{}
+	hdr := wire.Header{}
 	floor := r.Header.Get(live.LastSeqHeader)
 	if floor == "" {
 		floor = "0"
 	}
 	hdr.Set(live.ResumeHeader, floor)
-	conn, err := live.Upgrade(w, r, &live.Options{Header: hdr})
+	conn, err := liveplane.Upgrade(w, r, &liveplane.Options{Header: hdr})
 	if err != nil {
 		return
 	}
@@ -67,12 +69,7 @@ func (s *stubNode) handleLive(w http.ResponseWriter, r *http.Request) {
 // with node-local ids 1..n, then holds the stream open until the client
 // goes away (or returns immediately when watchEnd is set, so tests can
 // drive the fan-in's all-upstreams-closed path).
-func (s *stubNode) handleWatch(w http.ResponseWriter, r *http.Request) {
-	flusher, ok := w.(http.Flusher)
-	if !ok {
-		http.Error(w, "no flusher", http.StatusInternalServerError)
-		return
-	}
+func (s *stubNode) handleWatch(w wire.ResponseWriter, r *wire.Request) {
 	s.watchQuery.Store(r.URL.RawQuery)
 	w.Header().Set("Content-Type", "text/event-stream")
 	fmt.Fprintf(w, ": stub stream\n\n")
@@ -82,7 +79,7 @@ func (s *stubNode) handleWatch(w http.ResponseWriter, r *http.Request) {
 	for i, data := range events {
 		fmt.Fprintf(w, "id: %d\nevent: verdict\ndata: %s\n\n", i+1, data)
 	}
-	flusher.Flush()
+	w.Flush()
 	if s.watchEnd.Load() {
 		return
 	}

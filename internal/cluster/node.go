@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"net/http"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -121,12 +120,12 @@ type healthResponse struct {
 // to an imposter process (stale port reuse) would silently split channel
 // state.
 func (n *Node) probe(timeout time.Duration) error {
-	resp, err := n.within(timeout, http.MethodGet, "/healthz", nil)
+	resp, err := n.within(timeout, wire.MethodGet, "/healthz", nil)
 	if err != nil {
 		return err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
+	if resp.StatusCode != wire.StatusOK {
 		return fmt.Errorf("cluster: node %s: /healthz status %d", n.Spec.Name, resp.StatusCode)
 	}
 	var h healthResponse
@@ -149,8 +148,8 @@ func (n *Node) probe(timeout time.Duration) error {
 
 // send makes one request to the node on a connection of its own (wire.Do);
 // ctx bounds it through the last byte of the response body.
-func (n *Node) send(ctx context.Context, method, path string, body io.Reader) (*http.Response, error) {
-	req, err := http.NewRequestWithContext(ctx, method, n.Spec.URL+path, body)
+func (n *Node) send(ctx context.Context, method, path string, body io.Reader) (*wire.Response, error) {
+	req, err := wire.NewRequest(method, n.Spec.URL+path, body)
 	if err != nil {
 		return nil, err
 	}
@@ -159,7 +158,7 @@ func (n *Node) send(ctx context.Context, method, path string, body io.Reader) (*
 
 // within is send under a deadline d from now, which closing the response
 // body releases.
-func (n *Node) within(d time.Duration, method, path string, body io.Reader) (*http.Response, error) {
+func (n *Node) within(d time.Duration, method, path string, body io.Reader) (*wire.Response, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), d)
 	resp, err := n.send(ctx, method, path, body)
 	if err != nil {
@@ -186,14 +185,14 @@ func (b cancelOnClose) Close() error {
 // caller owns the returned body. A 404 is surfaced as errNoChannelState so
 // migration can treat "nothing to move" as success.
 func (n *Node) exportSnapshot(id string) (io.ReadCloser, error) {
-	resp, err := n.within(n.adminWait, http.MethodGet, "/channels/"+id+"/snapshot", nil)
+	resp, err := n.within(n.adminWait, wire.MethodGet, "/channels/"+id+"/snapshot", nil)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: exporting %q from %s: %w", id, n.Spec.Name, err)
 	}
 	switch resp.StatusCode {
-	case http.StatusOK:
+	case wire.StatusOK:
 		return resp.Body, nil
-	case http.StatusNotFound:
+	case wire.StatusNotFound:
 		resp.Body.Close()
 		return nil, errNoChannelState
 	default:
@@ -204,12 +203,12 @@ func (n *Node) exportSnapshot(id string) (io.ReadCloser, error) {
 
 // putSnapshot imports a channel snapshot stream (PUT snapshot).
 func (n *Node) putSnapshot(id string, body io.Reader) error {
-	resp, err := n.within(n.adminWait, http.MethodPut, "/channels/"+id+"/snapshot", body)
+	resp, err := n.within(n.adminWait, wire.MethodPut, "/channels/"+id+"/snapshot", body)
 	if err != nil {
 		return fmt.Errorf("cluster: importing %q into %s: %w", id, n.Spec.Name, err)
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusCreated {
+	if resp.StatusCode != wire.StatusCreated {
 		msg := readErrorBody(resp.Body)
 		return fmt.Errorf("cluster: importing %q into %s: status %d: %s", id, n.Spec.Name, resp.StatusCode, msg)
 	}
@@ -282,12 +281,12 @@ func (n *Node) replayObservations(id string, recs []wal.Record) (int, uint64, er
 // deleteChannel detaches a channel from the node. 404 counts as success
 // (the desired end state holds).
 func (n *Node) deleteChannel(id string) error {
-	resp, err := n.within(n.adminWait, http.MethodDelete, "/channels/"+id, nil)
+	resp, err := n.within(n.adminWait, wire.MethodDelete, "/channels/"+id, nil)
 	if err != nil {
 		return fmt.Errorf("cluster: detaching %q from %s: %w", id, n.Spec.Name, err)
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusNotFound {
+	if resp.StatusCode != wire.StatusOK && resp.StatusCode != wire.StatusNotFound {
 		msg := readErrorBody(resp.Body)
 		return fmt.Errorf("cluster: detaching %q from %s: status %d: %s", id, n.Spec.Name, resp.StatusCode, msg)
 	}

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"net/http"
 	"strconv"
 	"time"
 
@@ -74,7 +73,7 @@ type proxyStream struct {
 	entry *entry
 	id    string
 
-	w   http.ResponseWriter
+	w   wire.ResponseWriter
 	out *wire.LineWriter // over w: decision lines, flushed before every blocking wait
 	ctx context.Context
 
@@ -100,18 +99,14 @@ type proxyStream struct {
 }
 
 // handleObserve proxies one client observe stream through the fleet.
-func (r *Router) handleObserve(w http.ResponseWriter, req *http.Request, id string) {
+func (r *Router) handleObserve(w wire.ResponseWriter, req *wire.Request, id string) {
 	e, err := r.tbl.ensure(id, r.place)
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusServiceUnavailable)
-		return
-	}
-	if err := http.NewResponseController(w).EnableFullDuplex(); err != nil && req.ProtoMajor == 1 {
-		http.Error(w, fmt.Sprintf("streaming unsupported: %v", err), http.StatusInternalServerError)
+		wire.Error(w, err.Error(), wire.StatusUnavailable)
 		return
 	}
 	// Lazily flushed with the first decision line; a whole-stream 429
-	// relay (http.Error) still overrides it.
+	// relay (wire.Error) still overrides it.
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	ps := &proxyStream{
 		r: r, entry: e, id: id, w: w, out: wire.NewLineWriter(w), ctx: req.Context(),
@@ -458,7 +453,7 @@ func (ps *proxyStream) handleUpstreamError(err error) error {
 		if ps.responses == 0 {
 			// Nothing written yet: the relay can still be a real 429.
 			ps.w.Header().Set("Retry-After", rej.RetryAfter)
-			http.Error(ps.w, "cluster: node overloaded (admission reject), retry later", http.StatusTooManyRequests)
+			wire.Error(ps.w, "cluster: node overloaded (admission reject), retry later", wire.StatusTooManyRequests)
 			return terminalError{rej}
 		}
 		// Mid-stream: the status line is gone; answer every pending

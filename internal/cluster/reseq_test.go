@@ -3,10 +3,11 @@ package cluster
 import (
 	"bytes"
 	"math"
-	"net/http"
+
 	"testing"
 
 	"aovlis/internal/wire"
+	"aovlis/internal/wire/wiretest"
 )
 
 // reseqCases are decision lines a node writes, including the strings JSON
@@ -53,12 +54,10 @@ func TestReseqMatchesAppendDecision(t *testing.T) {
 
 // lineSink is a ResponseWriter that keeps only the bytes of its last write.
 type lineSink struct {
-	h    http.Header
+	wiretest.Recorder
 	last []byte
 }
 
-func (w *lineSink) Header() http.Header { return w.h }
-func (w *lineSink) WriteHeader(int)     {}
 func (w *lineSink) Write(b []byte) (int, error) {
 	w.last = append(w.last[:0], b...)
 	return len(b), nil
@@ -72,7 +71,7 @@ func (w *lineSink) Write(b []byte) (int, error) {
 func TestRotatedDeliverAllocs(t *testing.T) {
 	r := &Router{tbl: newTable()}
 	r.m = newRouterMetrics(r)
-	sink := &lineSink{h: http.Header{}}
+	sink := &lineSink{}
 	ps := &proxyStream{
 		r: r, entry: &entry{id: "a"}, out: wire.NewLineWriter(sink),
 		pending: make([]slot, 1),

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"log"
-	"net/http"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -235,8 +234,8 @@ func (r *Router) reviveNode(n *Node) {
 
 // Handler returns the router's HTTP surface: the proxied channel endpoints
 // plus the cluster admin API.
-func (r *Router) Handler() http.Handler {
-	mux := http.NewServeMux()
+func (r *Router) Handler() wire.Handler {
+	mux := &wire.Mux{}
 	mux.HandleFunc("/healthz", r.handleHealth)
 	mux.HandleFunc("/metrics", r.handleMetrics)
 	mux.HandleFunc("/cluster/nodes", r.handleNodes)
@@ -249,16 +248,16 @@ func (r *Router) Handler() http.Handler {
 	return mux
 }
 
-func (r *Router) handleMetrics(w http.ResponseWriter, req *http.Request) {
-	if req.Method != http.MethodGet {
-		http.Error(w, "metrics wants GET", http.StatusMethodNotAllowed)
+func (r *Router) handleMetrics(w wire.ResponseWriter, req *wire.Request) {
+	if req.Method != wire.MethodGet {
+		wire.Error(w, "metrics wants GET", wire.StatusMethodNotAllowed)
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	r.m.reg.WritePrometheus(w)
 }
 
-func (r *Router) handleHealth(w http.ResponseWriter, req *http.Request) {
+func (r *Router) handleHealth(w wire.ResponseWriter, req *wire.Request) {
 	alive := 0
 	for _, n := range r.nodes {
 		if n.Alive() {
@@ -288,9 +287,9 @@ type nodeStatus struct {
 	SnapshotDir            string `json:"snapshot_dir,omitempty"`
 }
 
-func (r *Router) handleNodes(w http.ResponseWriter, req *http.Request) {
-	if req.Method != http.MethodGet {
-		http.Error(w, "nodes wants GET", http.StatusMethodNotAllowed)
+func (r *Router) handleNodes(w wire.ResponseWriter, req *wire.Request) {
+	if req.Method != wire.MethodGet {
+		wire.Error(w, "nodes wants GET", wire.StatusMethodNotAllowed)
 		return
 	}
 	out := make([]nodeStatus, 0, len(r.nodes))
@@ -322,14 +321,14 @@ type placement struct {
 	Epoch  uint64 `json:"epoch,omitempty"`
 }
 
-func (r *Router) handlePlace(w http.ResponseWriter, req *http.Request) {
-	if req.Method != http.MethodGet {
-		http.Error(w, "place wants GET", http.StatusMethodNotAllowed)
+func (r *Router) handlePlace(w wire.ResponseWriter, req *wire.Request) {
+	if req.Method != wire.MethodGet {
+		wire.Error(w, "place wants GET", wire.StatusMethodNotAllowed)
 		return
 	}
 	id := req.URL.Query().Get("channel")
 	if id == "" {
-		http.Error(w, "place wants ?channel={id}", http.StatusBadRequest)
+		wire.Error(w, "place wants ?channel={id}", wire.StatusBadRequest)
 		return
 	}
 	if e := r.tbl.get(id); e != nil {
@@ -343,20 +342,20 @@ func (r *Router) handlePlace(w http.ResponseWriter, req *http.Request) {
 	n, err := r.place(id)
 	r.tbl.mu.Unlock()
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusServiceUnavailable)
+		wire.Error(w, err.Error(), wire.StatusUnavailable)
 		return
 	}
 	writeJSON(w, placement{Channel: id, Node: n.Spec.Name, URL: n.Spec.URL, Placed: false})
 }
 
-func (r *Router) handleRebalance(w http.ResponseWriter, req *http.Request) {
-	if req.Method != http.MethodPost {
-		http.Error(w, "rebalance wants POST", http.StatusMethodNotAllowed)
+func (r *Router) handleRebalance(w wire.ResponseWriter, req *wire.Request) {
+	if req.Method != wire.MethodPost {
+		wire.Error(w, "rebalance wants POST", wire.StatusMethodNotAllowed)
 		return
 	}
 	rep, err := r.Rebalance()
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusServiceUnavailable)
+		wire.Error(w, err.Error(), wire.StatusUnavailable)
 		return
 	}
 	writeJSON(w, rep)
@@ -364,9 +363,9 @@ func (r *Router) handleRebalance(w http.ResponseWriter, req *http.Request) {
 
 // handleChannels aggregates GET /channels across the alive fleet into one
 // stats map, keyed by channel id.
-func (r *Router) handleChannels(w http.ResponseWriter, req *http.Request) {
-	if req.Method != http.MethodGet {
-		http.Error(w, "channels wants GET", http.StatusMethodNotAllowed)
+func (r *Router) handleChannels(w wire.ResponseWriter, req *wire.Request) {
+	if req.Method != wire.MethodGet {
+		wire.Error(w, "channels wants GET", wire.StatusMethodNotAllowed)
 		return
 	}
 	merged := make(map[string]json.RawMessage)
@@ -374,7 +373,7 @@ func (r *Router) handleChannels(w http.ResponseWriter, req *http.Request) {
 		if !n.Alive() {
 			continue
 		}
-		resp, err := n.send(req.Context(), http.MethodGet, "/channels", nil)
+		resp, err := n.send(req.Context(), wire.MethodGet, "/channels", nil)
 		if err != nil {
 			continue
 		}
@@ -393,34 +392,34 @@ func (r *Router) handleChannels(w http.ResponseWriter, req *http.Request) {
 
 // handleChannel routes /channels/{id}/observe (proxied stream) and
 // /channels/{id}/stats (passthrough to the owner).
-func (r *Router) handleChannel(w http.ResponseWriter, req *http.Request) {
+func (r *Router) handleChannel(w wire.ResponseWriter, req *wire.Request) {
 	rest := req.URL.Path[len("/channels/"):]
 	id, verb, ok := cutSlash(rest)
 	if !ok || id == "" {
-		http.Error(w, "want /channels/{id}/observe or /channels/{id}/stats", http.StatusNotFound)
+		wire.Error(w, "want /channels/{id}/observe or /channels/{id}/stats", wire.StatusNotFound)
 		return
 	}
 	switch verb {
 	case "observe":
-		if req.Method != http.MethodPost {
-			http.Error(w, "observe wants POST", http.StatusMethodNotAllowed)
+		if req.Method != wire.MethodPost {
+			wire.Error(w, "observe wants POST", wire.StatusMethodNotAllowed)
 			return
 		}
 		r.handleObserve(w, req, id)
 	case "stats":
-		if req.Method != http.MethodGet {
-			http.Error(w, "stats wants GET", http.StatusMethodNotAllowed)
+		if req.Method != wire.MethodGet {
+			wire.Error(w, "stats wants GET", wire.StatusMethodNotAllowed)
 			return
 		}
 		e := r.tbl.get(id)
 		if e == nil {
-			http.Error(w, fmt.Sprintf("channel %q not routed", id), http.StatusNotFound)
+			wire.Error(w, fmt.Sprintf("channel %q not routed", id), wire.StatusNotFound)
 			return
 		}
 		owner, _, _ := e.state()
-		resp, err := owner.send(req.Context(), http.MethodGet, "/channels/"+id+"/stats", nil)
+		resp, err := owner.send(req.Context(), wire.MethodGet, "/channels/"+id+"/stats", nil)
 		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadGateway)
+			wire.Error(w, err.Error(), wire.StatusBadGateway)
 			return
 		}
 		defer resp.Body.Close()
@@ -428,7 +427,7 @@ func (r *Router) handleChannel(w http.ResponseWriter, req *http.Request) {
 		w.WriteHeader(resp.StatusCode)
 		io.Copy(w, resp.Body)
 	default:
-		http.Error(w, fmt.Sprintf("unknown channel action %q", verb), http.StatusNotFound)
+		wire.Error(w, fmt.Sprintf("unknown channel action %q", verb), wire.StatusNotFound)
 	}
 }
 
@@ -442,7 +441,7 @@ func cutSlash(s string) (id, verb string, ok bool) {
 	return s, "", false
 }
 
-func writeJSON(w http.ResponseWriter, v interface{}) {
+func writeJSON(w wire.ResponseWriter, v interface{}) {
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")

@@ -90,11 +90,11 @@ func (s *stubNode) observedCount(id string) int {
 
 func (s *stubNode) hasChannel(id string) bool { return s.observedCount(id) >= 0 }
 
-func (s *stubNode) handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
+func (s *stubNode) handler() wire.Handler {
+	mux := &wire.Mux{}
+	mux.HandleFunc("/healthz", func(w wire.ResponseWriter, r *wire.Request) {
 		if s.sick.Load() {
-			http.Error(w, "sick", http.StatusInternalServerError)
+			wire.Error(w, "sick", http.StatusInternalServerError)
 			return
 		}
 		age := 3
@@ -102,7 +102,7 @@ func (s *stubNode) handler() http.Handler {
 			"status": "ok", "node_id": s.name, "last_snapshot_age_seconds": age,
 		})
 	})
-	mux.HandleFunc("/channels", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("/channels", func(w wire.ResponseWriter, r *wire.Request) {
 		s.mu.Lock()
 		out := make(map[string]stubState, len(s.channels))
 		for id, c := range s.channels {
@@ -117,7 +117,7 @@ func (s *stubNode) handler() http.Handler {
 	return mux
 }
 
-func (s *stubNode) handleChannel(w http.ResponseWriter, r *http.Request) {
+func (s *stubNode) handleChannel(w wire.ResponseWriter, r *wire.Request) {
 	rest := strings.TrimPrefix(r.URL.Path, "/channels/")
 	id, verb, ok := strings.Cut(rest, "/")
 	if !ok {
@@ -127,13 +127,13 @@ func (s *stubNode) handleChannel(w http.ResponseWriter, r *http.Request) {
 			delete(s.channels, id)
 			s.mu.Unlock()
 			if !exists {
-				http.Error(w, "unknown channel", http.StatusNotFound)
+				wire.Error(w, "unknown channel", http.StatusNotFound)
 				return
 			}
 			fmt.Fprintln(w, "detached")
 			return
 		}
-		http.NotFound(w, r)
+		wire.Error(w, "404 page not found", http.StatusNotFound)
 		return
 	}
 	switch verb {
@@ -144,33 +144,27 @@ func (s *stubNode) handleChannel(w http.ResponseWriter, r *http.Request) {
 		c := s.channels[id]
 		s.mu.Unlock()
 		if c == nil {
-			http.Error(w, "unknown channel", http.StatusNotFound)
+			wire.Error(w, "unknown channel", http.StatusNotFound)
 			return
 		}
 		json.NewEncoder(w).Encode(stubState{ID: id, Observed: c.observed})
 	case "snapshot":
 		s.handleSnapshot(w, r, id)
 	default:
-		http.NotFound(w, r)
+		wire.Error(w, "404 page not found", http.StatusNotFound)
 	}
 }
 
-func (s *stubNode) handleObserve(w http.ResponseWriter, r *http.Request, id string) {
-	// Full duplex before any early return, like the real daemon: a rejecting
-	// node must not block post-handler draining the router's open pipe.
-	if err := http.NewResponseController(w).EnableFullDuplex(); err != nil && r.ProtoMajor == 1 {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
+func (s *stubNode) handleObserve(w wire.ResponseWriter, r *wire.Request, id string) {
 	if s.fail500.Load() {
-		http.Error(w, "stub exploded", http.StatusInternalServerError)
+		wire.Error(w, "stub exploded", http.StatusInternalServerError)
 		return
 	}
 	if s.reject.Load() {
 		if ra := s.retryAfter.Load(); ra > 0 {
 			w.Header().Set("Retry-After", fmt.Sprint(ra))
 		}
-		http.Error(w, "stub overloaded", http.StatusTooManyRequests)
+		wire.Error(w, "stub overloaded", http.StatusTooManyRequests)
 		return
 	}
 	s.mu.Lock()
@@ -178,7 +172,6 @@ func (s *stubNode) handleObserve(w http.ResponseWriter, r *http.Request, id stri
 		s.channels[id] = &stubChannel{}
 	}
 	s.mu.Unlock()
-	flusher, _ := w.(http.Flusher)
 	enc := json.NewEncoder(w)
 	sc := bufio.NewScanner(r.Body)
 	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
@@ -206,39 +199,37 @@ func (s *stubNode) handleObserve(w http.ResponseWriter, r *http.Request, id stri
 			d.Path = strings.Repeat("p", int(s.padPath.Load()))
 		}
 		enc.Encode(d)
-		if flusher != nil {
-			flusher.Flush()
-		}
+		w.Flush()
 		seq++
 	}
 }
 
-func (s *stubNode) handleSnapshot(w http.ResponseWriter, r *http.Request, id string) {
+func (s *stubNode) handleSnapshot(w wire.ResponseWriter, r *wire.Request, id string) {
 	switch r.Method {
 	case http.MethodGet:
 		s.mu.Lock()
 		c := s.channels[id]
 		s.mu.Unlock()
 		if c == nil {
-			http.Error(w, "unknown channel", http.StatusNotFound)
+			wire.Error(w, "unknown channel", http.StatusNotFound)
 			return
 		}
 		json.NewEncoder(w).Encode(stubState{ID: id, Observed: c.observed})
 	case http.MethodPut:
 		s.puts.Add(1)
 		if code := int(s.putStatus.Load()); code != 0 {
-			http.Error(w, "import refused", code)
+			wire.Error(w, "import refused", code)
 			return
 		}
 		var st stubState
 		if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&st); err != nil {
-			http.Error(w, "bad snapshot: "+err.Error(), http.StatusBadRequest)
+			wire.Error(w, "bad snapshot: "+err.Error(), http.StatusBadRequest)
 			return
 		}
 		// Mirror the daemon's id-mismatch guard (satellite 2): a stream
 		// exported for another channel is a 400.
 		if st.ID != "" && st.ID != id {
-			http.Error(w, fmt.Sprintf("snapshot exports %q, attaching as %q", st.ID, id), http.StatusBadRequest)
+			wire.Error(w, fmt.Sprintf("snapshot exports %q, attaching as %q", st.ID, id), http.StatusBadRequest)
 			return
 		}
 		s.mu.Lock()
@@ -248,12 +239,12 @@ func (s *stubNode) handleSnapshot(w http.ResponseWriter, r *http.Request, id str
 		}
 		s.mu.Unlock()
 		if exists {
-			http.Error(w, "channel exists", http.StatusConflict)
+			wire.Error(w, "channel exists", http.StatusConflict)
 			return
 		}
 		w.WriteHeader(http.StatusCreated)
 	default:
-		http.Error(w, "snapshot wants GET or PUT", http.StatusMethodNotAllowed)
+		wire.Error(w, "snapshot wants GET or PUT", http.StatusMethodNotAllowed)
 	}
 }
 

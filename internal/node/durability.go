@@ -9,7 +9,7 @@ import (
 	"aovlis/internal/ledger"
 	"aovlis/internal/metrics"
 	"aovlis/internal/serve"
-	"aovlis/internal/stream/live"
+	"aovlis/internal/stream/liveplane"
 	"aovlis/internal/wal"
 	"aovlis/internal/wire"
 )
@@ -138,7 +138,7 @@ func (s fanoutSink) Record(channel string, channelSeq uint64, res aovlis.Result)
 // hub never blocks on a slow dashboard (it disconnects laggards instead),
 // so this is safe on the scoring path. The line is encoded on the stack —
 // Publish copies it into the ring — so a verdict costs no allocation.
-type watchSink struct{ hub *live.Hub }
+type watchSink struct{ hub *liveplane.Hub }
 
 func (s watchSink) Record(channel string, channelSeq uint64, res aovlis.Result) {
 	d := wire.Decision{Channel: channel, Seq: channelSeq, WSeq: channelSeq}

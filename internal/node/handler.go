@@ -4,22 +4,21 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"net/http"
-	"net/http/pprof"
+	"io"
 	"strconv"
 	"strings"
 	"time"
 
 	"aovlis/internal/ledger"
 	"aovlis/internal/serve"
-	"aovlis/internal/stream/live"
+	"aovlis/internal/stream/liveplane"
 	"aovlis/internal/wire"
 )
 
 // Handler is the node's HTTP surface (the routes are listed in
 // cmd/aovlisd's package comment).
-func (n *Node) Handler() http.Handler {
-	mux := http.NewServeMux()
+func (n *Node) Handler() wire.Handler {
+	mux := &wire.Mux{}
 	mux.HandleFunc("/healthz", n.handleHealth)
 	mux.HandleFunc("/channels", n.handleList)
 	mux.HandleFunc("/channels/", n.handleChannel)
@@ -28,7 +27,7 @@ func (n *Node) Handler() http.Handler {
 	// resume, and the SSE verdict dashboard. The ingest handler shares the
 	// NDJSON handler's pipelining depth so both planes feed the shard
 	// micro-batcher the same backlog.
-	mux.Handle("/live/", &live.IngestHandler{
+	mux.Handle("/live/", &liveplane.IngestHandler{
 		Pool: n.pool, Hub: n.hub, Ensure: n.ensure, Window: n.cfg.Pool.Batch})
 	mux.HandleFunc("/watch", n.hub.ServeWatch)
 	mux.HandleFunc("/ledger/root", n.handleLedgerRoot)
@@ -41,11 +40,7 @@ func (n *Node) Handler() http.Handler {
 		// CPU, heap, allocation and execution-trace profiles against a live
 		// daemon. Opt-in because profiles leak process internals and a
 		// repeated /profile capture degrades detection latency.
-		mux.HandleFunc("/debug/pprof/", pprof.Index)
-		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+		mux.HandleFunc("/debug/pprof/", handlePprof)
 	}
 	return mux
 }
@@ -53,9 +48,9 @@ func (n *Node) Handler() http.Handler {
 // handleMetrics serves the pool's registry in Prometheus text exposition
 // format. The registry is live — scraping reads the pool's atomics in
 // place, so the endpoint costs one buffer write per instrument.
-func (n *Node) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "metrics wants GET", http.StatusMethodNotAllowed)
+func (n *Node) handleMetrics(w wire.ResponseWriter, r *wire.Request) {
+	if r.Method != wire.MethodGet {
+		wire.Error(w, "metrics wants GET", wire.StatusMethodNotAllowed)
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
@@ -64,43 +59,43 @@ func (n *Node) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 // handleChannel routes /channels/{id}/observe, /stats and /snapshot, and
 // DELETE /channels/{id}.
-func (n *Node) handleChannel(w http.ResponseWriter, r *http.Request) {
+func (n *Node) handleChannel(w wire.ResponseWriter, r *wire.Request) {
 	rest := strings.TrimPrefix(r.URL.Path, "/channels/")
 	id, verb, ok := strings.Cut(rest, "/")
 	if !ok || id == "" {
-		if id != "" && r.Method == http.MethodDelete {
+		if id != "" && r.Method == wire.MethodDelete {
 			if err := n.detach(id); err != nil {
-				http.Error(w, err.Error(), statusForPoolErr(err))
+				wire.Error(w, err.Error(), statusForPoolErr(err))
 				return
 			}
 			fmt.Fprintf(w, "channel %q detached\n", id)
 			return
 		}
-		http.Error(w, "want /channels/{id}/observe, /channels/{id}/stats or DELETE /channels/{id}", http.StatusNotFound)
+		wire.Error(w, "want /channels/{id}/observe, /channels/{id}/stats or DELETE /channels/{id}", wire.StatusNotFound)
 		return
 	}
 	switch verb {
 	case "observe":
-		if r.Method != http.MethodPost {
-			http.Error(w, "observe wants POST", http.StatusMethodNotAllowed)
+		if r.Method != wire.MethodPost {
+			wire.Error(w, "observe wants POST", wire.StatusMethodNotAllowed)
 			return
 		}
 		n.handleObserve(w, r, id)
 	case "stats":
-		if r.Method != http.MethodGet {
-			http.Error(w, "stats wants GET", http.StatusMethodNotAllowed)
+		if r.Method != wire.MethodGet {
+			wire.Error(w, "stats wants GET", wire.StatusMethodNotAllowed)
 			return
 		}
 		st, err := n.pool.Stats(id)
 		if err != nil {
-			http.Error(w, err.Error(), http.StatusNotFound)
+			wire.Error(w, err.Error(), wire.StatusNotFound)
 			return
 		}
 		writeJSON(w, st)
 	case "snapshot":
 		n.handleChannelSnapshot(w, r, id)
 	default:
-		http.Error(w, fmt.Sprintf("unknown channel action %q", verb), http.StatusNotFound)
+		wire.Error(w, fmt.Sprintf("unknown channel action %q", verb), wire.StatusNotFound)
 	}
 }
 
@@ -111,23 +106,12 @@ func (n *Node) handleChannel(w http.ResponseWriter, r *http.Request) {
 // line that is not scored says why: "rejected" when admission control
 // refused it mid-stream (nothing lost, back off and resend), "dropped"
 // when a full queue under the drop policy lost it.
-func (n *Node) handleObserve(w http.ResponseWriter, r *http.Request, id string) {
+func (n *Node) handleObserve(w wire.ResponseWriter, r *wire.Request, id string) {
 	// The handler interleaves request-body reads with streamed response
-	// writes. Go's HTTP/1 server is half-duplex by default — it discards
-	// the unread body once the response starts — so full duplex must be
-	// requested explicitly (HTTP/2 interleaves natively; the error there
-	// is ignorable). This must happen before ANY early return that writes
-	// a response: without it the server blocks post-handler draining the
-	// unread request body, and a router (aovlisr) holds its forward pipe
-	// open indefinitely — a pre-stream 429 would deadlock instead of
-	// reaching the client.
-	if err := http.NewResponseController(w).EnableFullDuplex(); err != nil && r.ProtoMajor == 1 {
-		http.Error(w, fmt.Sprintf("streaming unsupported: %v", err), http.StatusInternalServerError)
-		return
-	}
-	// A pre-stream refusal leaves the request body unread with full duplex
-	// on, so it closes the connection: an observe body is open-ended, and
-	// the server would otherwise read it on to keep the connection.
+	// writes, which wire.Server allows on every response. A pre-stream
+	// refusal leaves the request body unread, so it closes the connection:
+	// an observe body is open-ended, and the server would otherwise read it
+	// on to keep the connection.
 	w.Header().Set("Connection", "close")
 	if !n.pool.AdmitStream(w, id, n.ensure) {
 		return
@@ -155,24 +139,24 @@ func (n *Node) handleObserve(w http.ResponseWriter, r *http.Request, id string) 
 // restored from the uploaded snapshot (import). Together they move a live
 // channel between nodes without losing its window, threshold adaptation
 // or pending update samples.
-func (n *Node) handleChannelSnapshot(w http.ResponseWriter, r *http.Request, id string) {
+func (n *Node) handleChannelSnapshot(w wire.ResponseWriter, r *wire.Request, id string) {
 	switch r.Method {
-	case http.MethodGet:
+	case wire.MethodGet:
 		w.Header().Set("Content-Type", "application/octet-stream")
 		if err := n.pool.ExportChannel(id, w); err != nil {
 			// Headers may already be out; a mid-stream failure surfaces as a
 			// truncated body, which the importer's envelope check rejects.
-			http.Error(w, err.Error(), statusForPoolErr(err))
+			wire.Error(w, err.Error(), statusForPoolErr(err))
 		}
-	case http.MethodPut:
-		if err := n.attach(id, http.MaxBytesReader(w, r.Body, maxSnapshotBytes)); err != nil {
-			http.Error(w, err.Error(), statusForPoolErr(err))
+	case wire.MethodPut:
+		if err := n.attach(id, &maxBytesReader{r: r.Body, n: maxSnapshotBytes}); err != nil {
+			wire.Error(w, err.Error(), statusForPoolErr(err))
 			return
 		}
-		w.WriteHeader(http.StatusCreated)
+		w.WriteHeader(wire.StatusCreated)
 		fmt.Fprintf(w, "channel %q attached from snapshot\n", id)
 	default:
-		http.Error(w, "snapshot wants GET (export) or PUT (import)", http.StatusMethodNotAllowed)
+		wire.Error(w, "snapshot wants GET (export) or PUT (import)", wire.StatusMethodNotAllowed)
 	}
 }
 
@@ -181,48 +165,71 @@ func (n *Node) handleChannelSnapshot(w http.ResponseWriter, r *http.Request, id 
 // decoder without end.
 const maxSnapshotBytes = 64 << 20
 
+// errTooLarge is an upload past its cap; it is answered 413.
+var errTooLarge = errors.New("request body too large")
+
+// maxBytesReader fails a body read once n bytes have been read: the body
+// is larger than its cap.
+type maxBytesReader struct {
+	r io.Reader
+	n int64
+}
+
+func (m *maxBytesReader) Read(p []byte) (int, error) {
+	if m.n < 0 {
+		return 0, errTooLarge
+	}
+	if int64(len(p)) > m.n+1 {
+		p = p[:m.n+1]
+	}
+	k, err := m.r.Read(p)
+	if m.n -= int64(k); m.n < 0 {
+		return k + int(m.n), errTooLarge
+	}
+	return k, err
+}
+
 // statusForPoolErr maps pool errors onto HTTP statuses.
 func statusForPoolErr(err error) int {
-	var tooLarge *http.MaxBytesError
 	switch {
-	case errors.As(err, &tooLarge):
-		return http.StatusRequestEntityTooLarge
+	case errors.Is(err, errTooLarge):
+		return wire.StatusRequestTooLarge
 	case errors.Is(err, serve.ErrChannelIDMismatch):
 		// A snapshot whose manifest id disagrees with the URL id is a
 		// malformed request, not a state conflict: reject before anything
 		// attaches.
-		return http.StatusBadRequest
+		return wire.StatusBadRequest
 	case errors.Is(err, serve.ErrUnknownChannel):
-		return http.StatusNotFound
+		return wire.StatusNotFound
 	case errors.Is(err, serve.ErrChannelExists):
-		return http.StatusConflict
+		return wire.StatusConflict
 	case errors.Is(err, serve.ErrNotSnapshottable):
-		return http.StatusUnprocessableEntity
+		return wire.StatusUnprocessable
 	case errors.Is(err, serve.ErrRejected):
 		// Before ErrOverloaded, which it wraps: admission refused the
 		// request and nothing was lost, so the client should retry.
-		return http.StatusTooManyRequests
+		return wire.StatusTooManyRequests
 	case errors.Is(err, serve.ErrOverloaded), errors.Is(err, serve.ErrClosed), errors.Is(err, errChannelLimit):
-		return http.StatusServiceUnavailable
+		return wire.StatusUnavailable
 	default:
-		return http.StatusBadRequest
+		return wire.StatusBadRequest
 	}
 }
 
 // handleSnapshot checkpoints every channel on demand (POST /snapshot) and
 // returns the commit report.
-func (n *Node) handleSnapshot(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "snapshot wants POST", http.StatusMethodNotAllowed)
+func (n *Node) handleSnapshot(w wire.ResponseWriter, r *wire.Request) {
+	if r.Method != wire.MethodPost {
+		wire.Error(w, "snapshot wants POST", wire.StatusMethodNotAllowed)
 		return
 	}
 	if n.cfg.SnapshotDir == "" {
-		http.Error(w, "snapshots disabled: start aovlisd with -snapshot-dir", http.StatusPreconditionFailed)
+		wire.Error(w, "snapshots disabled: start aovlisd with -snapshot-dir", wire.StatusPreconditionFailed)
 		return
 	}
 	rep, err := n.checkpoint()
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
+		wire.Error(w, err.Error(), wire.StatusInternalError)
 		return
 	}
 	writeJSON(w, rep)
@@ -232,7 +239,7 @@ func (n *Node) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 // entry counts plus the chained Merkle root. Operators record the chained
 // hash out-of-band and later hand it to `aovlisctl verify -expect-chained`
 // — a ledger directory rewritten after the fact can then never verify.
-func (n *Node) handleLedgerRoot(w http.ResponseWriter, r *http.Request) {
+func (n *Node) handleLedgerRoot(w wire.ResponseWriter, r *wire.Request) {
 	if n.ledgerFor(w, r, "ledger root wants GET") {
 		writeJSON(w, n.ledger.Root())
 	}
@@ -242,22 +249,22 @@ func (n *Node) handleLedgerRoot(w http.ResponseWriter, r *http.Request) {
 // verdict by ledger sequence. The proof is self-contained JSON — verify it
 // offline with ledger.VerifyProof / aovlisctl, no trust in this node
 // required beyond the out-of-band root.
-func (n *Node) handleLedgerProof(w http.ResponseWriter, r *http.Request) {
+func (n *Node) handleLedgerProof(w wire.ResponseWriter, r *wire.Request) {
 	if !n.ledgerFor(w, r, "ledger proof wants GET") {
 		return
 	}
 	seq, err := strconv.ParseUint(strings.TrimPrefix(r.URL.Path, "/ledger/proof/"), 10, 64)
 	if err != nil {
-		http.Error(w, "want /ledger/proof/{seq}", http.StatusBadRequest)
+		wire.Error(w, "want /ledger/proof/{seq}", wire.StatusBadRequest)
 		return
 	}
 	p, err := n.ledger.Proof(seq)
 	if errors.Is(err, ledger.ErrNotCommitted) {
-		http.Error(w, err.Error(), http.StatusNotFound)
+		wire.Error(w, err.Error(), wire.StatusNotFound)
 		return
 	}
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
+		wire.Error(w, err.Error(), wire.StatusInternalError)
 		return
 	}
 	writeJSON(w, p)
@@ -265,29 +272,29 @@ func (n *Node) handleLedgerProof(w http.ResponseWriter, r *http.Request) {
 
 // ledgerFor reports whether a ledger route may be served, answering 405
 // (with wantGET) or 412 itself when it may not.
-func (n *Node) ledgerFor(w http.ResponseWriter, r *http.Request, wantGET string) bool {
-	if r.Method != http.MethodGet {
-		http.Error(w, wantGET, http.StatusMethodNotAllowed)
+func (n *Node) ledgerFor(w wire.ResponseWriter, r *wire.Request, wantGET string) bool {
+	if r.Method != wire.MethodGet {
+		wire.Error(w, wantGET, wire.StatusMethodNotAllowed)
 		return false
 	}
 	if n.ledger == nil {
-		http.Error(w, "verdict ledger disabled: start aovlisd with -ledger-dir", http.StatusPreconditionFailed)
+		wire.Error(w, "verdict ledger disabled: start aovlisd with -ledger-dir", wire.StatusPreconditionFailed)
 		return false
 	}
 	return true
 }
 
 // handleList reports every channel's counters.
-func (n *Node) handleList(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "channels wants GET", http.StatusMethodNotAllowed)
+func (n *Node) handleList(w wire.ResponseWriter, r *wire.Request) {
+	if r.Method != wire.MethodGet {
+		wire.Error(w, "channels wants GET", wire.StatusMethodNotAllowed)
 		return
 	}
 	writeJSON(w, n.pool.AllStats())
 }
 
 // handleHealth is the liveness endpoint.
-func (n *Node) handleHealth(w http.ResponseWriter, r *http.Request) {
+func (n *Node) handleHealth(w wire.ResponseWriter, r *wire.Request) {
 	resp := map[string]interface{}{
 		"status":         "ok",
 		"uptime_seconds": int(time.Since(n.started).Seconds()),
@@ -307,10 +314,10 @@ func (n *Node) handleHealth(w http.ResponseWriter, r *http.Request) {
 
 // writeJSON answers v as indented JSON, or 500 when v cannot be encoded:
 // the body is encoded whole before the status goes out.
-func writeJSON(w http.ResponseWriter, v interface{}) {
+func writeJSON(w wire.ResponseWriter, v interface{}) {
 	b, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
-		http.Error(w, "encoding response: "+err.Error(), http.StatusInternalServerError)
+		wire.Error(w, "encoding response: "+err.Error(), wire.StatusInternalError)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")

@@ -24,7 +24,7 @@ import (
 	"aovlis/internal/ledger"
 	"aovlis/internal/serve"
 	"aovlis/internal/snapshot"
-	"aovlis/internal/stream/live"
+	"aovlis/internal/stream/liveplane"
 	"aovlis/internal/update"
 	"aovlis/internal/wal"
 )
@@ -97,7 +97,7 @@ type Node struct {
 	// hub is the live plane's shared state: per-channel resume rings for
 	// the WebSocket ingest endpoint and the SSE watch fan-out. Every scored
 	// verdict reaches it through the pool's verdict sink.
-	hub *live.Hub
+	hub *liveplane.Hub
 
 	// wal is the ingest journal (nil without WALDir): submit fsyncs every
 	// accepted observation into it before queueing, and a checkpoint
@@ -152,7 +152,7 @@ func Open(template *aovlis.Detector, cfg Config) (*Node, error) {
 		return nil, err
 	}
 	n := &Node{cfg: cfg, template: template, pool: pool, started: time.Now(),
-		hub: live.NewHub(live.HubConfig{}), stop: make(chan struct{})}
+		hub: liveplane.NewHub(liveplane.HubConfig{}), stop: make(chan struct{})}
 	if cfg.Continual {
 		n.base = update.NewSharedBase(template.Model())
 	}

@@ -11,10 +11,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"net/http"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -362,7 +362,7 @@ func TestNonFiniteVerdictProofIsServable(t *testing.T) {
 // TestWriteJSONEncodeError: a body that cannot be encoded answers 500, not
 // 200 with an empty body.
 func TestWriteJSONEncodeError(t *testing.T) {
-	rec := httptest.NewRecorder()
+	rec := &wiretest.Recorder{}
 	writeJSON(rec, map[string]float64{"score": math.Inf(1)})
 	if rec.Code != http.StatusInternalServerError || !strings.Contains(rec.Body.String(), "encoding response") {
 		t.Fatalf("writeJSON of +Inf answered %d %q, want 500", rec.Code, rec.Body.String())
@@ -732,5 +732,56 @@ func TestWatchSinkSteadyStateAllocs(t *testing.T) {
 		sink.Record("ch-0", seq, res)
 	}); n != 0 {
 		t.Fatalf("watch sink Record allocates %v times per verdict, want 0", n)
+	}
+}
+
+// TestPprofEndpoints: with Pprof on, /debug/pprof/ serves runtime/pprof's
+// profiles — text for heap?debug=1, gzipped protobuf for allocs and a CPU
+// profile — and an execution trace, and refuses a profile it does not
+// know; with Pprof off the paths are not routed.
+func TestPprofEndpoints(t *testing.T) {
+	get := func(srv *wiretest.Server, path string) (int, []byte) {
+		t.Helper()
+		resp, err := http.Get(srv.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		b, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		return resp.StatusCode, b
+	}
+	gzipped := func(b []byte) bool { return len(b) > 2 && b[0] == 0x1f && b[1] == 0x8b }
+
+	cfg := testConfig(dirs{})
+	cfg.Pprof = true
+	n, _ := open(t, cfg)
+	defer shut(t, n)
+	srv := wiretest.NewServer(t, n.Handler())
+	if code, b := get(srv, "/debug/pprof/heap?debug=1"); code != http.StatusOK || !bytes.Contains(b, []byte("# HeapAlloc")) {
+		t.Fatalf("heap?debug=1: %d, %.80q", code, b)
+	}
+	for _, path := range []string{"/debug/pprof/allocs", "/debug/pprof/profile?seconds=1"} {
+		if code, b := get(srv, path); code != http.StatusOK || !gzipped(b) {
+			t.Fatalf("%s: %d, %.16q; want gzip data", path, code, b)
+		}
+	}
+	if code, b := get(srv, "/debug/pprof/trace?seconds=1"); code != http.StatusOK || len(b) == 0 {
+		t.Fatalf("trace: %d, %d bytes", code, len(b))
+	}
+	if code, b := get(srv, "/debug/pprof/"); code != http.StatusOK || !bytes.Contains(b, []byte("goroutine")) {
+		t.Fatalf("index: %d, %q", code, b)
+	}
+	if code, _ := get(srv, "/debug/pprof/nosuch"); code != http.StatusNotFound {
+		t.Fatalf("an unknown profile answered %d, want 404", code)
+	}
+
+	cfg.Pprof = false
+	off, _ := open(t, cfg)
+	defer shut(t, off)
+	if code, _ := get(wiretest.NewServer(t, off.Handler()), "/debug/pprof/heap"); code != http.StatusNotFound {
+		t.Fatalf("with Pprof off, heap answered %d, want 404", code)
 	}
 }

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"errors"
-	"net/http"
 
 	"aovlis/internal/wire"
 )
@@ -15,19 +14,19 @@ import (
 // channel id neither clones a detector nor takes a channel slot. ensure
 // creates the channel on first use (503 when it cannot); without one the
 // channel must already be attached (404).
-func (p *DetectorPool) AdmitStream(w http.ResponseWriter, id string, ensure func(id string) error) bool {
+func (p *DetectorPool) AdmitStream(w wire.ResponseWriter, id string, ensure func(id string) error) bool {
 	if p.AdmissionState() == AdmitReject {
 		w.Header().Set("Retry-After", "1")
-		http.Error(w, "pool overloaded (admission reject), retry later", http.StatusTooManyRequests)
+		wire.Error(w, "pool overloaded (admission reject), retry later", wire.StatusTooManyRequests)
 		return false
 	}
 	if ensure != nil {
 		if err := ensure(id); err != nil {
-			http.Error(w, err.Error(), http.StatusServiceUnavailable)
+			wire.Error(w, err.Error(), wire.StatusUnavailable)
 			return false
 		}
 	} else if _, err := p.Stats(id); err != nil {
-		http.Error(w, err.Error(), http.StatusNotFound)
+		wire.Error(w, err.Error(), wire.StatusNotFound)
 		return false
 	}
 	return true

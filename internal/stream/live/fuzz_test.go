@@ -158,7 +158,7 @@ func FuzzReadMessage(f *testing.F) {
 			}
 		}
 		raw = append(raw, tail...)
-		c := newConn(&streamConn{chunks: sc.Chunks(raw)}, nil, false, fuzzMaxMessage)
+		c := NewConn(&streamConn{chunks: sc.Chunks(raw)}, nil, false, fuzzMaxMessage)
 		for i := 0; ; i++ {
 			op, msg, err := c.ReadMessage()
 			if err != nil {

@@ -243,7 +243,7 @@ func readEvent(t *testing.T, br *bufio.Reader) (id, event, data string) {
 
 func TestServeWatchSSE(t *testing.T) {
 	h := NewHub(HubConfig{})
-	srv := wiretest.NewServer(t, http.HandlerFunc(h.ServeWatch))
+	srv := wiretest.NewServer(t, wire.HandlerFunc(h.ServeWatch))
 	defer h.Close() // before srv.Close (LIFO): ends the SSE handlers it waits on
 
 	h.Publish("ch-0", []byte(`{"n":1}`))
@@ -270,20 +270,15 @@ func TestServeWatchSSE(t *testing.T) {
 // the close and cancels the request — not when the next event is published.
 func TestServeWatchClientGoneUnsubscribes(t *testing.T) {
 	h := NewHub(HubConfig{})
-	srv := wiretest.NewServer(t, http.HandlerFunc(h.ServeWatch))
+	srv := wiretest.NewServer(t, wire.HandlerFunc(h.ServeWatch))
 	defer h.Close()
-	subs := func() int {
-		h.mu.Lock()
-		defer h.mu.Unlock()
-		return len(h.subs)
-	}
 	_, cancel := watchStream(t, srv, "", nil)
-	if n := subs(); n != 1 {
+	if n := h.Watchers(); n != 1 {
 		t.Fatalf("%d subscribers with one dashboard connected", n)
 	}
 	cancel()
 	deadline := time.Now().Add(5 * time.Second)
-	for subs() != 0 {
+	for h.Watchers() != 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("a disconnected dashboard is still subscribed while no event is published")
 		}
@@ -293,7 +288,7 @@ func TestServeWatchClientGoneUnsubscribes(t *testing.T) {
 
 func TestServeWatchLastEventIDReconnect(t *testing.T) {
 	h := NewHub(HubConfig{})
-	srv := wiretest.NewServer(t, http.HandlerFunc(h.ServeWatch))
+	srv := wiretest.NewServer(t, wire.HandlerFunc(h.ServeWatch))
 	defer h.Close()
 
 	for i := 1; i <= 5; i++ {
@@ -333,7 +328,7 @@ func TestServeWatchLastEventIDReconnect(t *testing.T) {
 
 func TestServeWatchChannelFilter(t *testing.T) {
 	h := NewHub(HubConfig{})
-	srv := wiretest.NewServer(t, http.HandlerFunc(h.ServeWatch))
+	srv := wiretest.NewServer(t, wire.HandlerFunc(h.ServeWatch))
 	defer h.Close()
 
 	br, _ := watchStream(t, srv, "?channel=ch-1", nil)
@@ -351,7 +346,7 @@ func TestServeWatchChannelFilter(t *testing.T) {
 func TestServeWatchBadRequests(t *testing.T) {
 	h := NewHub(HubConfig{})
 	defer h.Close()
-	srv := wiretest.NewServer(t, http.HandlerFunc(h.ServeWatch))
+	srv := wiretest.NewServer(t, wire.HandlerFunc(h.ServeWatch))
 
 	resp, err := http.Post(srv.URL+"/watch", "text/plain", nil)
 	if err != nil {
@@ -392,14 +387,11 @@ func TestPublishSlowSubscriberDropped(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("Publish blocked on a slow subscriber")
 	}
-	h.mu.Lock()
-	_, still := h.subs[sub]
-	h.mu.Unlock()
-	if still {
+	if _, gone := sub.Next(nil); !gone || h.Watchers() != 0 {
 		t.Fatal("slow subscriber was not dropped")
 	}
 	// Its wake channel is closed, which is the reconnect signal.
-	for range sub.wake {
+	for range sub.Wake() {
 	}
 }
 
@@ -408,7 +400,7 @@ func TestPublishSlowSubscriberDropped(t *testing.T) {
 // this is the teardown half of the conformance contract.
 func TestHubCloseRaceClean(t *testing.T) {
 	h := NewHub(HubConfig{})
-	srv := wiretest.NewServer(t, http.HandlerFunc(h.ServeWatch))
+	srv := wiretest.NewServer(t, wire.HandlerFunc(h.ServeWatch))
 
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -475,11 +467,11 @@ func TestHubCloseRaceClean(t *testing.T) {
 }
 
 // subscribe registers a watch subscriber the test drives by hand.
-func subscribe(h *Hub, channel string) *watchSub {
-	sub := &watchSub{wake: make(chan struct{}, 1), channel: channel, next: 1}
-	h.mu.Lock()
-	h.subs[sub] = struct{}{}
-	h.mu.Unlock()
+func subscribe(h *Hub, channel string) *Watcher {
+	sub, _, err := h.Watch(channel, 0)
+	if err != nil {
+		panic(err)
+	}
 	return sub
 }
 
@@ -492,21 +484,17 @@ func TestPublishLaggardCut(t *testing.T) {
 	slow, quick := subscribe(h, ""), subscribe(h, "")
 	for i := 1; i <= 6; i++ {
 		h.Publish("ch-0", []byte(fmt.Sprintf(`{"n":%d}`, i)))
-		h.mu.Lock()
-		frames := string(h.copyOut(quick, nil))
-		h.mu.Unlock()
+		b, _ := quick.Next(nil)
+		frames := string(b)
 		if want := fmt.Sprintf("id: %d\nevent: verdict\ndata: {\"n\":%d}\n\n", i, i); frames != want {
 			t.Fatalf("quick subscriber copied %q after event %d, want %q", frames, i, want)
 		}
 	}
-	h.mu.Lock()
-	gone, frames := slow.gone, h.copyOut(slow, nil)
-	_, quickLive := h.subs[quick]
-	h.mu.Unlock()
+	frames, gone := slow.Next(nil)
 	if !gone || len(frames) != 0 {
 		t.Fatalf("laggard: gone=%v, copied %q; want cut with nothing to deliver", gone, frames)
 	}
-	if !quickLive {
+	if _, quickGone := quick.Next(nil); quickGone {
 		t.Fatal("a subscriber that kept up was cut")
 	}
 }
@@ -527,10 +515,11 @@ func TestPublishSteadyStateAllocs(t *testing.T) {
 		t.Fatalf("Publish into a full ring allocates %v times, want 0", n)
 	}
 	copy(payload, `{"n":9}`)
-	sub := &watchSub{channel: "ch-0"}
-	h.mu.Lock()
-	frames := string(h.copyOut(sub, nil))
-	h.mu.Unlock()
+	_, replay, err := h.Watch("ch-0", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frames := string(replay)
 	if strings.Count(frames, `data: {"n":0}`) != 8 || strings.Contains(frames, `"n":9`) {
 		t.Fatalf("ring holds %q, want 8 copies of the payload as published", frames)
 	}

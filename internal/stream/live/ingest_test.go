@@ -13,6 +13,7 @@ import (
 
 	"aovlis"
 	"aovlis/internal/serve"
+	"aovlis/internal/wire"
 	"aovlis/internal/wire/wiretest"
 )
 
@@ -50,7 +51,7 @@ func newIngestServer(t *testing.T, hub *Hub, ensure func(string) error, channels
 			t.Fatalf("attach %s: %v", id, err)
 		}
 	}
-	mux := http.NewServeMux()
+	mux := &wire.Mux{}
 	mux.Handle("/live/", &IngestHandler{Pool: pool, Hub: hub, Ensure: ensure, Window: 4})
 	srv := wiretest.NewServer(t, mux)
 	t.Cleanup(hub.Close)

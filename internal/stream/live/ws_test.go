@@ -7,13 +7,17 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/rand"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"aovlis/internal/stream/liveplane"
+	"aovlis/internal/wire"
 	"aovlis/internal/wire/wiretest"
 )
 
@@ -22,8 +26,8 @@ import (
 func echoServer(t *testing.T, opts *Options) (*wiretest.Server, chan error) {
 	t.Helper()
 	errc := make(chan error, 16)
-	srv := wiretest.NewServer(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		c, err := Upgrade(w, r, opts)
+	srv := wiretest.NewServer(t, wire.HandlerFunc(func(w wire.ResponseWriter, r *wire.Request) {
+		c, err := liveplane.Upgrade(w, r, opts)
 		if err != nil {
 			return
 		}
@@ -205,9 +209,9 @@ func TestScrambledMessagesReassemble(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	sc := NewScrambler(1234)
+	sc, lens := NewScrambler(1234), rand.New(rand.NewSource(1234))
 	for i := 0; i < 50; i++ {
-		msg := []byte(fmt.Sprintf("message-%03d-%s", i, strings.Repeat("p", sc.rng.Intn(400))))
+		msg := []byte(fmt.Sprintf("message-%03d-%s", i, strings.Repeat("p", lens.Intn(400))))
 		if err := sc.WriteScrambled(conn, OpText, msg); err != nil {
 			t.Fatal(err)
 		}
@@ -331,7 +335,7 @@ func TestOversizedAcrossFragments(t *testing.T) {
 func TestOversizedFragmentRefusedBeforeItsPayload(t *testing.T) {
 	srvSide, cliSide := net.Pipe()
 	defer cliSide.Close()
-	srv := newConn(srvSide, nil, false, 100)
+	srv := NewConn(srvSide, nil, false, 100)
 	errc := make(chan error, 1)
 	go func() {
 		_, _, err := srv.ReadMessage()
@@ -518,8 +522,8 @@ func TestSlowLorisWriterStillScores(t *testing.T) {
 // ErrBadHandshake with the response attached — how clients see the
 // ingest endpoint's 404/409/429 refusals.
 func TestDialRefusedSurfacesStatus(t *testing.T) {
-	srv := wiretest.NewServer(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		http.Error(w, "nope", http.StatusConflict)
+	srv := wiretest.NewServer(t, wire.HandlerFunc(func(w wire.ResponseWriter, r *wire.Request) {
+		wire.Error(w, "nope", http.StatusConflict)
 	}))
 	_, resp, err := Dial(srv.URL+"/live/ch", nil)
 	if !errors.Is(err, ErrBadHandshake) {
@@ -527,5 +531,49 @@ func TestDialRefusedSurfacesStatus(t *testing.T) {
 	}
 	if resp == nil || resp.StatusCode != http.StatusConflict {
 		t.Fatalf("resp = %+v, want 409", resp)
+	}
+}
+
+// TestUpgradeOnNetHTTP: Upgrade with net/http's types — what a net/http
+// program calls — runs the same handshake on an http.Server: an upgrade
+// echoes through the hijacked connection, and a request that is not one
+// gets the same refusal as on the daemons' loop.
+func TestUpgradeOnNetHTTP(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		c, err := Upgrade(w, r, &Options{Header: wire.Header{ResumeHeader: []string{"7"}}})
+		if err != nil {
+			return
+		}
+		defer c.Close()
+		for {
+			op, msg, err := c.ReadMessage()
+			if err != nil || c.WriteMessage(op, msg) != nil {
+				return
+			}
+		}
+	}))
+	defer srv.Close()
+	c, resp, err := Dial(srv.URL+"/", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if resp.StatusCode != http.StatusSwitchingProtocols || resp.Header.Get(ResumeHeader) != "7" {
+		t.Fatalf("upgrade answered %s with %v", resp.Status, resp.Header)
+	}
+	if err := c.WriteMessage(OpText, []byte("over net/http")); err != nil {
+		t.Fatal(err)
+	}
+	if _, msg, err := c.ReadMessage(); err != nil || string(msg) != "over net/http" {
+		t.Fatalf("echo %q, %v", msg, err)
+	}
+	plain, err := http.Get(srv.URL + "/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(plain.Body)
+	plain.Body.Close()
+	if plain.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "Connection: Upgrade") {
+		t.Fatalf("a plain GET answered %s %q, want 400", plain.Status, body)
 	}
 }

@@ -1,13 +1,13 @@
-package live
+package liveplane
 
 import (
 	"bufio"
-	"crypto/rand"
 	"encoding/base64"
+	"encoding/binary"
 	"fmt"
 	"io"
+	"math/rand"
 	"net"
-	"net/http"
 	"net/url"
 	"strings"
 	"time"
@@ -16,7 +16,7 @@ import (
 )
 
 // ErrBadHandshake reports a server that answered the upgrade request with
-// something other than 101. The *http.Response returned alongside it
+// something other than 101. The *wire.Response returned alongside it
 // carries the status and (bounded) body for diagnosis — the ingest
 // endpoint uses plain HTTP statuses (404, 409, 429) to refuse upgrades.
 var ErrBadHandshake = fmt.Errorf("live: websocket handshake refused")
@@ -26,12 +26,12 @@ var ErrBadHandshake = fmt.Errorf("live: websocket handshake refused")
 // headers — the resume protocol's Last-Seq rides here. On a non-101
 // answer the response is returned with a drained body and the error is
 // ErrBadHandshake.
-func Dial(rawurl string, header http.Header) (*Conn, *http.Response, error) {
+func Dial(rawurl string, header wire.Header) (*Conn, *wire.Response, error) {
 	return DialTimeout(rawurl, header, 10*time.Second)
 }
 
 // DialTimeout is Dial with an explicit TCP connect + handshake deadline.
-func DialTimeout(rawurl string, header http.Header, timeout time.Duration) (*Conn, *http.Response, error) {
+func DialTimeout(rawurl string, header wire.Header, timeout time.Duration) (*Conn, *wire.Response, error) {
 	u, err := url.Parse(rawurl)
 	if err != nil {
 		return nil, nil, fmt.Errorf("live: dial %q: %w", rawurl, err)
@@ -48,11 +48,11 @@ func DialTimeout(rawurl string, header http.Header, timeout time.Duration) (*Con
 	}
 	nc.SetDeadline(time.Now().Add(timeout))
 
+	// The key is a nonce that proves the server speaks WebSocket (RFC 6455
+	// §4.1), not a secret, so it needs no CSPRNG.
 	var keyRaw [16]byte
-	if _, err := rand.Read(keyRaw[:]); err != nil {
-		nc.Close()
-		return nil, nil, err
-	}
+	binary.LittleEndian.PutUint64(keyRaw[:8], rand.Uint64())
+	binary.LittleEndian.PutUint64(keyRaw[8:], rand.Uint64())
 	key := base64.StdEncoding.EncodeToString(keyRaw[:])
 
 	path := u.RequestURI()
@@ -78,12 +78,12 @@ func DialTimeout(rawurl string, header http.Header, timeout time.Duration) (*Con
 	}
 
 	br := bufio.NewReader(nc)
-	resp, err := http.ReadResponse(br, &http.Request{Method: http.MethodGet})
+	resp, err := wire.ReadResponseHead(br, wire.MethodGet)
 	if err != nil {
 		nc.Close()
 		return nil, nil, fmt.Errorf("live: reading handshake response: %w", err)
 	}
-	if resp.StatusCode != http.StatusSwitchingProtocols {
+	if resp.StatusCode != wire.StatusSwitchingProtocols {
 		// Drain a bounded body so the caller can report the refusal, then
 		// detach it from the dead connection.
 		body, _ := io.ReadAll(io.LimitReader(resp.Body, 8<<10))
@@ -97,5 +97,5 @@ func DialTimeout(rawurl string, header http.Header, timeout time.Duration) (*Con
 		return nil, resp, fmt.Errorf("live: handshake accept mismatch (got %q)", got)
 	}
 	nc.SetDeadline(time.Time{})
-	return newConn(nc, br, true, 0), resp, nil
+	return NewConn(nc, br, true, 0), resp, nil
 }

@@ -1,9 +1,8 @@
-package live
+package liveplane
 
 import (
 	"fmt"
 	"io"
-	"net/http"
 	"strconv"
 	"sync"
 
@@ -25,7 +24,7 @@ type Hub struct {
 	watch    ring[watchEvent]
 	watchCap int
 	nextID   uint64
-	subs     map[*watchSub]struct{}
+	subs     map[*Watcher]struct{}
 	closed   bool
 	ringCap  int
 	subBuf   int
@@ -59,7 +58,7 @@ func NewHub(cfg HubConfig) *Hub {
 		watchCap: cfg.WatchCap,
 		ringCap:  cfg.RingCap,
 		subBuf:   cfg.SubBuf,
-		subs:     make(map[*watchSub]struct{}),
+		subs:     make(map[*Watcher]struct{}),
 	}
 }
 
@@ -120,11 +119,13 @@ type watchEvent struct {
 	payload []byte
 }
 
-// watchSub is one SSE subscriber, guarded by the hub's mu. Publish only
-// counts what the subscriber is owed and wakes it; the subscriber copies its
-// events out of the ring itself, under the lock, so it never reads a slot
-// that is being overwritten and a slow one costs the scoring path nothing.
-type watchSub struct {
+// Watcher is one SSE subscriber. Publish only counts what the subscriber
+// is owed and wakes it; the subscriber copies its events out of the ring
+// itself (Next), under the hub's lock, so it never reads a slot that is
+// being overwritten and a slow one costs the scoring path nothing. Its
+// fields are guarded by the hub's mu.
+type Watcher struct {
+	h       *Hub
 	wake    chan struct{} // capacity 1; closed once the subscriber is gone
 	channel string        // filter; "" = all
 	next    uint64        // first event id not yet copied out
@@ -303,14 +304,14 @@ func (h *Hub) Publish(channel string, payload []byte) {
 // cut disconnects a subscriber that fell behind. What it was owed is
 // dropped rather than delivered with a gap; it reconnects with its
 // Last-Event-ID. Callers hold mu.
-func (h *Hub) cut(sub *watchSub) {
+func (h *Hub) cut(sub *Watcher) {
 	sub.owed = 0
 	h.release(sub)
 }
 
 // release ends a subscription: the subscriber copies out what it is still
 // owed and stops. Callers hold mu.
-func (h *Hub) release(sub *watchSub) {
+func (h *Hub) release(sub *Watcher) {
 	sub.gone = true
 	close(sub.wake)
 	delete(h.subs, sub)
@@ -320,7 +321,7 @@ func (h *Hub) release(sub *watchSub) {
 // sub.next on, through its filter — and marks them delivered. A subscriber
 // that is gone is owed only what it was owed when it went: nothing, if it
 // was cut. Callers hold mu.
-func (h *Hub) copyOut(sub *watchSub, dst []byte) []byte {
+func (h *Hub) copyOut(sub *Watcher, dst []byte) []byte {
 	if sub.gone && sub.owed == 0 {
 		return dst
 	}
@@ -340,18 +341,57 @@ func (h *Hub) copyOut(sub *watchSub, dst []byte) []byte {
 	return dst
 }
 
+// Watch subscribes to the events published from now on that concern
+// channel ("": every channel), and returns the retained ones above after
+// as SSE frames. Replay and subscription happen under one lock, so no event
+// falls in the gap between them: the replay is the watcher's first
+// copy-out.
+func (h *Hub) Watch(channel string, after uint64) (*Watcher, []byte, error) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if h.closed {
+		return nil, nil, ErrHubClosed
+	}
+	sub := &Watcher{h: h, wake: make(chan struct{}, 1), channel: channel, next: after + 1}
+	frames := h.copyOut(sub, nil)
+	h.subs[sub] = struct{}{}
+	return sub, frames, nil
+}
+
+// Wake receives when events are owed to the watcher, and is closed once it
+// is gone.
+func (sub *Watcher) Wake() <-chan struct{} { return sub.wake }
+
+// Next appends the events the watcher is owed to dst as SSE frames, and
+// reports whether it is gone — the hub closed, or cut it for falling
+// behind — after which nothing more comes.
+func (sub *Watcher) Next(dst []byte) ([]byte, bool) {
+	sub.h.mu.Lock()
+	defer sub.h.mu.Unlock()
+	return sub.h.copyOut(sub, dst), sub.gone
+}
+
+// Stop ends the subscription.
+func (sub *Watcher) Stop() {
+	sub.h.mu.Lock()
+	delete(sub.h.subs, sub)
+	sub.h.mu.Unlock()
+}
+
+// Watchers is the number of subscriptions the hub holds.
+func (h *Hub) Watchers() int {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return len(h.subs)
+}
+
 // ServeWatch serves the SSE dashboard stream: every published verdict as
 // an `event: verdict` with its ring id, replaying retained events above
 // the client's Last-Event-ID (header or ?last_id=) first. ?channel=
 // filters to one channel.
-func (h *Hub) ServeWatch(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "watch wants GET", http.StatusMethodNotAllowed)
-		return
-	}
-	flusher, ok := w.(http.Flusher)
-	if !ok {
-		http.Error(w, "watch needs a flushable connection", http.StatusInternalServerError)
+func (h *Hub) ServeWatch(w wire.ResponseWriter, r *wire.Request) {
+	if r.Method != wire.MethodGet {
+		wire.Error(w, "watch wants GET", wire.StatusMethodNotAllowed)
 		return
 	}
 	after := uint64(0)
@@ -362,32 +402,17 @@ func (h *Hub) ServeWatch(w http.ResponseWriter, r *http.Request) {
 	if lastID != "" {
 		v, err := strconv.ParseUint(lastID, 10, 64)
 		if err != nil {
-			http.Error(w, "bad Last-Event-ID", http.StatusBadRequest)
+			wire.Error(w, "bad Last-Event-ID", wire.StatusBadRequest)
 			return
 		}
 		after = v
 	}
-	filter := r.URL.Query().Get("channel")
-
-	// Replay and subscribe under one lock so no event can fall in the gap
-	// between them: the replay is the subscriber's first copy-out.
-	h.mu.Lock()
-	if h.closed {
-		h.mu.Unlock()
-		http.Error(w, "shutting down", http.StatusServiceUnavailable)
+	sub, frames, err := h.Watch(r.URL.Query().Get("channel"), after)
+	if err != nil {
+		wire.Error(w, "shutting down", wire.StatusUnavailable)
 		return
 	}
-	sub := &watchSub{wake: make(chan struct{}, 1), channel: filter, next: after + 1}
-	frames := h.copyOut(sub, nil)
-	h.subs[sub] = struct{}{}
-	h.mu.Unlock()
-	defer func() {
-		h.mu.Lock()
-		if _, live := h.subs[sub]; live {
-			delete(h.subs, sub)
-		}
-		h.mu.Unlock()
-	}()
+	defer sub.Stop()
 
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
@@ -396,20 +421,20 @@ func (h *Hub) ServeWatch(w http.ResponseWriter, r *http.Request) {
 	// subscription is already registered, anything it publishes-after-
 	// connect is guaranteed delivery — replay and live leave no gap.
 	fmt.Fprintf(w, ": live\n\n")
-	flusher.Flush()
+	w.Flush()
 	ctx := r.Context()
 	for gone := false; ; {
 		if len(frames) > 0 {
 			if _, err := w.Write(frames); err != nil {
 				return
 			}
-			flusher.Flush()
+			w.Flush()
 		}
 		if gone {
 			// Hub closed or this subscriber fell too far behind; either way
 			// the client should reconnect with its Last-Event-ID.
 			fmt.Fprintf(w, ": stream closed, reconnect with Last-Event-ID\n\n")
-			flusher.Flush()
+			w.Flush()
 			return
 		}
 		select {
@@ -417,9 +442,7 @@ func (h *Hub) ServeWatch(w http.ResponseWriter, r *http.Request) {
 			return
 		case <-sub.wake:
 		}
-		h.mu.Lock()
-		frames, gone = h.copyOut(sub, frames[:0]), sub.gone
-		h.mu.Unlock()
+		frames, gone = sub.Next(frames[:0])
 	}
 }
 

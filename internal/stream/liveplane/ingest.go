@@ -1,9 +1,8 @@
-package live
+package liveplane
 
 import (
 	"errors"
 	"fmt"
-	"net/http"
 	"strconv"
 	"strings"
 
@@ -43,17 +42,17 @@ type IngestHandler struct {
 }
 
 // ServeHTTP implements the endpoint.
-func (h *IngestHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+func (h *IngestHandler) ServeHTTP(w wire.ResponseWriter, r *wire.Request) {
 	id := strings.TrimPrefix(r.URL.Path, "/live/")
 	if id == "" || strings.Contains(id, "/") {
-		http.Error(w, "want /live/{channel}", http.StatusNotFound)
+		wire.Error(w, "want /live/{channel}", wire.StatusNotFound)
 		return
 	}
 	var lastSeq uint64
 	if v := r.Header.Get(LastSeqHeader); v != "" {
 		n, err := strconv.ParseUint(v, 10, 64)
 		if err != nil {
-			http.Error(w, "bad Last-Seq header", http.StatusBadRequest)
+			wire.Error(w, "bad Last-Seq header", wire.StatusBadRequest)
 			return
 		}
 		lastSeq = n
@@ -65,11 +64,11 @@ func (h *IngestHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 	sess, err := h.Hub.Acquire(id)
 	if err != nil {
-		status := http.StatusServiceUnavailable
+		status := wire.StatusUnavailable
 		if errors.Is(err, ErrChannelBusy) {
-			status = http.StatusConflict
+			status = wire.StatusConflict
 		}
-		http.Error(w, err.Error(), status)
+		wire.Error(w, err.Error(), status)
 		return
 	}
 	// The accepted floor: everything the hub has ringed, raised to the WAL
@@ -85,13 +84,13 @@ func (h *IngestHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		// splicing two incompatible sequence spaces.
 		sess.Release()
 		w.Header().Set(ResumeHeader, strconv.FormatUint(floor, 10))
-		http.Error(w, fmt.Sprintf("Last-Seq %d ahead of server floor %d; reset the stream", lastSeq, floor),
-			http.StatusConflict)
+		wire.Error(w, fmt.Sprintf("Last-Seq %d ahead of server floor %d; reset the stream", lastSeq, floor),
+			wire.StatusConflict)
 		return
 	}
 	conn, err := Upgrade(w, r, &Options{
 		MaxMessage: h.MaxMessage,
-		Header:     http.Header{ResumeHeader: []string{strconv.FormatUint(floor, 10)}},
+		Header:     wire.Header{ResumeHeader: []string{strconv.FormatUint(floor, 10)}},
 	})
 	if err != nil {
 		sess.Release()

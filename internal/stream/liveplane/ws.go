@@ -1,7 +1,9 @@
-// Package live is the daemon's live-protocol layer: a dependency-free
+// Package liveplane is the daemon's live-protocol layer: a dependency-free
 // RFC 6455 WebSocket server and client pair, an SSE fan-out hub with
 // replayable event rings, and the ingest handler that bridges WebSocket
-// observation streams onto a serve.DetectorPool (ISSUE 10).
+// observation streams onto a serve.DetectorPool. It speaks HTTP through
+// internal/wire's types, so a daemon that serves it links no net/http;
+// internal/stream/live puts its handshake behind net/http's.
 //
 // The package exists so the paper's actual setting — live social video
 // streams pushing segments as they happen — has a first-class transport
@@ -22,7 +24,7 @@
 // never resent and therefore never double-applied — the live layer
 // composes with the journal's exactly-once story instead of inventing its
 // own.
-package live
+package liveplane
 
 import (
 	"bufio"
@@ -31,10 +33,11 @@ import (
 	"encoding/binary"
 	"fmt"
 	"net"
-	"net/http"
 	"strings"
 	"sync"
 	"time"
+
+	"aovlis/internal/wire"
 )
 
 // Opcode is an RFC 6455 frame opcode.
@@ -97,7 +100,7 @@ type Options struct {
 	MaxMessage int
 	// Header adds response headers to the 101 handshake (e.g. the
 	// X-Aovlis-Resume floor).
-	Header http.Header
+	Header wire.Header
 }
 
 // Conn is one WebSocket connection. Reads must come from a single
@@ -133,40 +136,35 @@ type Conn struct {
 // Upgrade performs the server half of the RFC 6455 handshake and hijacks
 // the connection. On a handshake violation it writes the appropriate HTTP
 // error itself and returns a non-nil error.
-func Upgrade(w http.ResponseWriter, r *http.Request, opts *Options) (*Conn, error) {
+func Upgrade(w wire.ResponseWriter, r *wire.Request, opts *Options) (*Conn, error) {
 	if opts == nil {
 		opts = &Options{}
 	}
-	if r.Method != http.MethodGet {
-		http.Error(w, "websocket handshake wants GET", http.StatusMethodNotAllowed)
+	if r.Method != wire.MethodGet {
+		wire.Error(w, "websocket handshake wants GET", wire.StatusMethodNotAllowed)
 		return nil, fmt.Errorf("live: handshake method %s", r.Method)
 	}
-	if !headerHasToken(r.Header, "Connection", "upgrade") {
-		http.Error(w, "websocket handshake needs Connection: Upgrade", http.StatusBadRequest)
+	if !r.Header.HasToken("Connection", "upgrade") {
+		wire.Error(w, "websocket handshake needs Connection: Upgrade", wire.StatusBadRequest)
 		return nil, fmt.Errorf("live: missing Connection: Upgrade")
 	}
 	if !strings.EqualFold(r.Header.Get("Upgrade"), "websocket") {
-		http.Error(w, "websocket handshake needs Upgrade: websocket", http.StatusBadRequest)
+		wire.Error(w, "websocket handshake needs Upgrade: websocket", wire.StatusBadRequest)
 		return nil, fmt.Errorf("live: missing Upgrade: websocket")
 	}
 	if v := r.Header.Get("Sec-WebSocket-Version"); v != "13" {
 		w.Header().Set("Sec-WebSocket-Version", "13")
-		http.Error(w, "unsupported websocket version", http.StatusUpgradeRequired)
+		wire.Error(w, "unsupported websocket version", wire.StatusUpgradeRequired)
 		return nil, fmt.Errorf("live: unsupported Sec-WebSocket-Version %q", v)
 	}
 	key := r.Header.Get("Sec-WebSocket-Key")
 	if raw, err := base64.StdEncoding.DecodeString(key); err != nil || len(raw) != 16 {
-		http.Error(w, "bad Sec-WebSocket-Key", http.StatusBadRequest)
+		wire.Error(w, "bad Sec-WebSocket-Key", wire.StatusBadRequest)
 		return nil, fmt.Errorf("live: bad Sec-WebSocket-Key %q", key)
 	}
-	hj, ok := w.(http.Hijacker)
-	if !ok {
-		http.Error(w, "websocket needs a hijackable connection", http.StatusInternalServerError)
-		return nil, fmt.Errorf("live: ResponseWriter is not a Hijacker")
-	}
-	nc, brw, err := hj.Hijack()
+	nc, brw, err := w.Hijack()
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
+		wire.Error(w, err.Error(), wire.StatusInternalError)
 		return nil, fmt.Errorf("live: hijack: %w", err)
 	}
 	var resp strings.Builder
@@ -188,10 +186,13 @@ func Upgrade(w http.ResponseWriter, r *http.Request, opts *Options) (*Conn, erro
 		nc.Close()
 		return nil, fmt.Errorf("live: flushing handshake: %w", err)
 	}
-	return newConn(nc, brw.Reader, false, opts.MaxMessage), nil
+	return NewConn(nc, brw.Reader, false, opts.MaxMessage), nil
 }
 
-func newConn(nc net.Conn, br *bufio.Reader, client bool, maxMsg int) *Conn {
+// NewConn is a Conn over nc, whose handshake is done: client says which
+// side this is, br holds what was read past the handshake (nil: nothing),
+// and maxMsg caps a message (0: DefaultMaxMessage).
+func NewConn(nc net.Conn, br *bufio.Reader, client bool, maxMsg int) *Conn {
 	if maxMsg <= 0 {
 		maxMsg = DefaultMaxMessage
 	}
@@ -200,20 +201,6 @@ func newConn(nc net.Conn, br *bufio.Reader, client bool, maxMsg int) *Conn {
 	}
 	return &Conn{conn: nc, br: br, client: client, maxMsg: maxMsg,
 		maskSeed: uint64(time.Now().UnixNano()) | 1}
-}
-
-// headerHasToken reports whether any value of header key contains token
-// in its comma-separated list (case-insensitive) — "keep-alive, Upgrade"
-// must match.
-func headerHasToken(h http.Header, key, token string) bool {
-	for _, v := range h.Values(key) {
-		for _, part := range strings.Split(v, ",") {
-			if strings.EqualFold(strings.TrimSpace(part), token) {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // ReadMessage returns the next complete data message, transparently

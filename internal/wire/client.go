@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"net/http"
 	"net/url"
 	"strconv"
 	"strings"
@@ -18,7 +17,7 @@ import (
 // Stream is the client half of the NDJSON observe stream: one POST …/observe
 // on a TCP connection of its own, written by hand — the request head, then a
 // chunked body of the caller's observation lines — while decision lines come
-// back on the response, read with http.ReadResponse. The router's upstream,
+// back on the response, read with ReadResponseHead. The router's upstream,
 // failover journal replay and the load generator are its callers.
 //
 // The write side (WriteLine, Flush, CloseSend) belongs to one goroutine and
@@ -96,22 +95,21 @@ func OpenStream(ctx context.Context, dial Dialer, rawurl string) (*Stream, error
 // exchange, body included. Do sets req.Close. A request body is written
 // beside the response read, so an early answer (a 413 before the upload
 // ends) is the result rather than a broken write; closing the response
-// body waits until nothing reads req.Body any more. Only a plaintext http
-// URL can be sent.
-func Do(ctx context.Context, dial Dialer, req *http.Request) (*http.Response, error) {
+// body waits until nothing reads req.Body any more. The request goes with
+// Connection: close. Only a plaintext http URL can be sent.
+func Do(ctx context.Context, dial Dialer, req *Request) (*Response, error) {
 	conn, err := dialURL(ctx, dial, req.URL)
 	if err != nil {
 		return nil, fmt.Errorf("wire: %s %s: %w", req.Method, req.URL, err)
 	}
 	stop := context.AfterFunc(ctx, func() { conn.Close() })
-	req.Close = true
 	wrote := make(chan error, 1)
-	if req.Body == nil || req.Body == http.NoBody {
-		wrote <- req.Write(conn)
+	if req.Body == nil {
+		wrote <- req.write(conn)
 	} else {
-		go func() { wrote <- req.Write(conn) }()
+		go func() { wrote <- req.write(conn) }()
 	}
-	resp, err := readResponse(bufio.NewReaderSize(conn, streamReadBuf), req)
+	resp, err := ReadResponseHead(bufio.NewReaderSize(conn, streamReadBuf), req.Method)
 	if err != nil {
 		stop()
 		conn.Close()
@@ -152,16 +150,6 @@ func dialURL(ctx context.Context, dial Dialer, u *url.URL) (net.Conn, error) {
 		dial = streamDialer.DialContext
 	}
 	return dial(ctx, "tcp", HostPort(u))
-}
-
-// readResponse reads a response head off br; a connection that ends before
-// it is io.ErrUnexpectedEOF, so that io.EOF keeps meaning a clean end.
-func readResponse(br *bufio.Reader, req *http.Request) (*http.Response, error) {
-	resp, err := http.ReadResponse(br, req)
-	if err == io.EOF {
-		err = io.ErrUnexpectedEOF
-	}
-	return resp, err
 }
 
 // HostPort is the dialable host:port of u, with the scheme's default port
@@ -256,16 +244,16 @@ func (s *Stream) Next() ([]byte, error) {
 }
 
 func (s *Stream) readHeaders() error {
-	resp, err := readResponse(s.br, &http.Request{Method: http.MethodPost})
+	resp, err := ReadResponseHead(s.br, MethodPost)
 	if err != nil {
 		return fmt.Errorf("wire: reading observe response: %w", err)
 	}
-	if resp.StatusCode == http.StatusOK {
+	if resp.StatusCode == StatusOK {
 		s.lines = ScanLines(resp.Body)
 		return nil
 	}
 	b, _ := io.ReadAll(io.LimitReader(resp.Body, 4<<10))
-	if resp.StatusCode != http.StatusTooManyRequests {
+	if resp.StatusCode != StatusTooManyRequests {
 		return &StatusError{Code: resp.StatusCode, Body: strings.TrimSpace(string(b))}
 	}
 	ra := resp.Header.Get("Retry-After")

@@ -19,12 +19,11 @@ import (
 
 // echoObserve answers every request line with `{"seq":N}`, flushing each,
 // like a node's observe handler with a one-line pipeline.
-func echoObserve(w http.ResponseWriter, r *http.Request) {
-	http.NewResponseController(w).EnableFullDuplex()
+func echoObserve(w ResponseWriter, r *Request) {
 	sc := bufio.NewScanner(r.Body)
 	for n := 0; sc.Scan(); n++ {
 		fmt.Fprintf(w, "{\"seq\":%d}\n", n)
-		w.(http.Flusher).Flush()
+		w.Flush()
 	}
 }
 
@@ -76,8 +75,7 @@ func TestStreamRoundTrip(t *testing.T) {
 // TestStreamCloseSendHalfCloses: the handler reads EOF on the request body
 // while it can still write — the tail it was holding for that EOF arrives.
 func TestStreamCloseSendHalfCloses(t *testing.T) {
-	srv := testServer(t, func(w http.ResponseWriter, r *http.Request) {
-		http.NewResponseController(w).EnableFullDuplex()
+	srv := testServer(t, func(w ResponseWriter, r *Request) {
 		n, _ := io.Copy(io.Discard, r.Body) // returns at EOF only
 		fmt.Fprintf(w, "{\"read\":%d}\n", n)
 	})
@@ -107,12 +105,11 @@ func TestStreamRefused(t *testing.T) {
 		{"Wed, 21 Oct 2026 07:28:00 GMT", "Wed, 21 Oct 2026 07:28:00 GMT", 1},
 		{"-3", "-3", 1},
 	} {
-		srv := testServer(t, func(w http.ResponseWriter, r *http.Request) {
-			http.NewResponseController(w).EnableFullDuplex()
+		srv := testServer(t, func(w ResponseWriter, r *Request) {
 			if c.header != "" {
 				w.Header().Set("Retry-After", c.header)
 			}
-			http.Error(w, "overloaded", http.StatusTooManyRequests)
+			Error(w, "overloaded", http.StatusTooManyRequests)
 		})
 		s := open(t, srv.URL)
 		s.WriteLine([]byte("{}\n"))
@@ -132,8 +129,7 @@ func TestStreamRefused(t *testing.T) {
 // TestStreamStatusError: any other status is *StatusError with a bounded
 // body, however much the server sends.
 func TestStreamStatusError(t *testing.T) {
-	srv := testServer(t, func(w http.ResponseWriter, r *http.Request) {
-		http.NewResponseController(w).EnableFullDuplex()
+	srv := testServer(t, func(w ResponseWriter, r *Request) {
 		w.WriteHeader(http.StatusInternalServerError)
 		w.Write(bytes.Repeat([]byte("x"), 64<<10))
 	})
@@ -204,8 +200,7 @@ func TestHostPort(t *testing.T) {
 // TestStreamOverlongLine: a decision line over MaxLine ends Next with
 // bufio.ErrTooLong rather than growing without bound.
 func TestStreamOverlongLine(t *testing.T) {
-	srv := testServer(t, func(w http.ResponseWriter, r *http.Request) {
-		http.NewResponseController(w).EnableFullDuplex()
+	srv := testServer(t, func(w ResponseWriter, r *Request) {
 		w.Write([]byte("ok\n"))
 		w.Write(bytes.Repeat([]byte("x"), MaxLine+1))
 	})
@@ -225,11 +220,10 @@ func TestStreamOverlongLine(t *testing.T) {
 func TestStreamAbort(t *testing.T) {
 	for _, midBody := range []bool{false, true} {
 		var ended atomic.Int32
-		srv := testServer(t, func(w http.ResponseWriter, r *http.Request) {
-			http.NewResponseController(w).EnableFullDuplex()
+		srv := testServer(t, func(w ResponseWriter, r *Request) {
 			if midBody {
 				w.Write([]byte("first\n"))
-				w.(http.Flusher).Flush()
+				w.Flush()
 			}
 			io.Copy(io.Discard, r.Body) // parked until the client goes away
 			<-r.Context().Done()
@@ -272,8 +266,7 @@ func TestStreamAbort(t *testing.T) {
 // exchange — a node that takes the request and never answers costs the
 // deadline, not a parked reader — and its end fails the write side too.
 func TestStreamDeadline(t *testing.T) {
-	srv := testServer(t, func(w http.ResponseWriter, r *http.Request) {
-		http.NewResponseController(w).EnableFullDuplex()
+	srv := testServer(t, func(w ResponseWriter, r *Request) {
 		io.Copy(io.Discard, r.Body)
 	})
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
@@ -302,8 +295,7 @@ func TestStreamDeadline(t *testing.T) {
 // the body.
 func TestStreamChunks(t *testing.T) {
 	got := make(chan []byte, 1)
-	srv := testServer(t, func(w http.ResponseWriter, r *http.Request) {
-		http.NewResponseController(w).EnableFullDuplex()
+	srv := testServer(t, func(w ResponseWriter, r *Request) {
 		b, _ := io.ReadAll(r.Body)
 		got <- b
 	})
@@ -445,6 +437,53 @@ func TestFeedDepth(t *testing.T) {
 		waitFor(t, "the recycled buffer to be refilled", func() bool { return calls.Load() == int32(depth)+1 })
 		close(stop)
 		for range f.C {
+		}
+	}
+}
+
+// TestDo: a Do request goes out with its headers, a body chunked, and
+// Connection: close; the response comes back with its status, headers and
+// body, whether the server framed it with a length or chunked, and a
+// HEAD response has no body.
+func TestDo(t *testing.T) {
+	srv := testServer(t, func(w ResponseWriter, r *Request) {
+		b, err := io.ReadAll(r.Body)
+		if err != nil {
+			Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		w.Header().Set("X-Got", fmt.Sprintf("%s %s %d %q close=%v %s", r.Method, r.URL.RequestURI(),
+			r.ContentLength, b, r.Close, r.Header.Get("X-Sent")))
+		w.WriteHeader(http.StatusCreated)
+		io.WriteString(w, "made")
+		if r.URL.Query().Get("flush") != "" {
+			w.Flush()
+		}
+		io.WriteString(w, " it")
+	})
+	for _, tc := range []struct {
+		method, path string
+		body         io.Reader
+		want, body2  string
+	}{
+		{MethodPut, "/s?flush=1", strings.NewReader("snapshot bytes"), `PUT /s?flush=1 -1 "snapshot bytes" close=true yes`, "made it"},
+		{MethodGet, "/g", nil, `GET /g 0 "" close=true yes`, "made it"},
+		{MethodHead, "/h", nil, `HEAD /h 0 "" close=true yes`, ""},
+	} {
+		req, err := NewRequest(tc.method, srv.URL+tc.path, tc.body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("x-sent", "yes")
+		resp, err := Do(context.Background(), nil, req)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.method, err)
+		}
+		b, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusCreated || resp.Status != "201 Created" ||
+			resp.Header.Get("X-Got") != tc.want || string(b) != tc.body2 {
+			t.Fatalf("%s: %s %q %q, %v; want 201 %q %q", tc.method, resp.Status, resp.Header.Get("X-Got"), b, err, tc.want, tc.body2)
 		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"io"
-	"net/http"
 )
 
 // Feeder moves inbound messages off a blocking reader onto a channel, so a
@@ -104,16 +103,12 @@ func ScanLines(r io.Reader) func() ([]byte, error) {
 // block, so every decision they hold is on the wire before they wait for
 // anything; the server's own end-of-handler flush covers returns.
 type LineWriter struct {
-	w       http.ResponseWriter
-	flusher http.Flusher
-	dirty   bool
+	w     ResponseWriter
+	dirty bool
 }
 
 // NewLineWriter wraps w.
-func NewLineWriter(w http.ResponseWriter) *LineWriter {
-	flusher, _ := w.(http.Flusher)
-	return &LineWriter{w: w, flusher: flusher}
-}
+func NewLineWriter(w ResponseWriter) *LineWriter { return &LineWriter{w: w} }
 
 // WriteLine buffers one newline-terminated line.
 func (lw *LineWriter) WriteLine(line []byte) error {
@@ -124,8 +119,8 @@ func (lw *LineWriter) WriteLine(line []byte) error {
 
 // Flush pushes buffered lines to the client, if there are any.
 func (lw *LineWriter) Flush() {
-	if lw.dirty && lw.flusher != nil {
-		lw.flusher.Flush()
+	if lw.dirty {
+		lw.w.Flush()
 		lw.dirty = false
 	}
 }

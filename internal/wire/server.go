@@ -8,25 +8,23 @@ import (
 	"io"
 	"log"
 	"net"
-	"net/http"
 	"runtime"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 )
 
 // Server serves HTTP/1.1 on the connections a listener accepts: one
-// goroutine per connection reads each request head with http.ReadRequest,
+// goroutine per connection reads each request head with ReadRequestHead,
 // runs the handler, and writes the response by hand from per-connection
 // buffers — the status line and headers, then a Content-Length body or a
 // chunked one. It is the serving half of Stream and Do, and the loop both
 // daemons run.
 //
-// The handler's ResponseWriter supports Flush, Hijack and EnableFullDuplex
-// (through http.ResponseController too). Every response is full duplex: the
-// loop never discards an unread request body before the response starts.
+// Every response is full duplex: the loop never discards an unread request
+// body before the response starts, so a handler may interleave body reads
+// with flushed writes.
 // The request's context is cancelled when the handler returns, when a
 // write to the client fails, and — through one background read once the
 // request body is consumed, as net/http does — when the client goes away.
@@ -35,10 +33,10 @@ import (
 // network boundary), HTTP/2 (a request line that is not HTTP/1.x gets 505;
 // streams are one connection each, so multiplexing buys nothing), response
 // trailers and 1xx statuses other than the 100 Continue it sends itself.
-// Leaving them out keeps net/http's server, its TLS handshake and its
-// bundled HTTP/2 out of the binary.
+// A response goes with the Content-Type its handler set, or none: the body
+// is not sniffed.
 type Server struct {
-	Handler http.Handler
+	Handler Handler
 
 	// maxHead caps the bytes a request head may read off the connection
 	// (0: MaxHeadBytes); tests lower it.
@@ -80,8 +78,24 @@ const (
 // aLongTimeAgo is a read deadline that fails a parked read at once.
 var aLongTimeAgo = time.Unix(1, 0)
 
+// Errors of Serve and of a ResponseWriter.
+var (
+	// ErrServerClosed is what Serve returns after Shutdown.
+	ErrServerClosed = errors.New("wire: Server closed")
+	// errHijacked is a write, flush or hijack after Hijack.
+	errHijacked = errors.New("wire: connection has been hijacked")
+	// errBodyNotAllowed is a body write to a HEAD request or a status
+	// that has no body.
+	errBodyNotAllowed = errors.New("wire: request method or response status code does not allow body")
+	// errContentLength is a body write past the declared Content-Length.
+	errContentLength = errors.New("wire: wrote more than the declared Content-Length")
+	// errBodyClosed is a body read after the handler closed the body or
+	// returned.
+	errBodyClosed = errors.New("wire: invalid Read on closed Body")
+)
+
 // Serve accepts connections on l and serves each on its own goroutine until
-// Shutdown is called, then returns http.ErrServerClosed; it is called once.
+// Shutdown is called, then returns ErrServerClosed; it is called once.
 // A failed Accept that is not the listener closing is retried after a pause
 // (too many open files must not stop the server).
 func (s *Server) Serve(l net.Listener) error {
@@ -90,14 +104,14 @@ func (s *Server) Serve(l net.Listener) error {
 	s.mu.Unlock()
 	if s.closing.Load() {
 		l.Close()
-		return http.ErrServerClosed
+		return ErrServerClosed
 	}
 	var pause time.Duration
 	for {
 		rwc, err := l.Accept()
 		if err != nil {
 			if s.closing.Load() {
-				return http.ErrServerClosed
+				return ErrServerClosed
 			}
 			if errors.Is(err, net.ErrClosed) {
 				return err
@@ -113,7 +127,7 @@ func (s *Server) Serve(l net.Listener) error {
 		if s.closing.Load() {
 			s.mu.Unlock()
 			rwc.Close()
-			return http.ErrServerClosed
+			return ErrServerClosed
 		}
 		s.conns[c] = struct{}{}
 		s.mu.Unlock()
@@ -203,24 +217,24 @@ func (c *conn) serve() {
 			c.close()
 			return
 		}
-		req, err := http.ReadRequest(c.br)
+		req, err := ReadRequestHead(c.br)
 		tooLong := c.r.endHead()
 		var ne net.Error
 		switch {
 		case err != nil && tooLong:
-			c.refuse(http.StatusRequestHeaderFieldsTooLarge)
+			c.refuse(StatusHeaderTooLarge)
 			return
 		case errors.Is(err, io.ErrUnexpectedEOF) || errors.As(err, &ne):
 			c.close() // the client or the connection went, not a bad request
 			return
-		case err != nil:
-			c.refuse(http.StatusBadRequest)
+		case err == ErrVersion:
+			c.refuse(StatusVersionUnsupported)
 			return
-		case req.ProtoMajor != 1:
-			c.refuse(http.StatusHTTPVersionNotSupported)
+		case err != nil:
+			c.refuse(StatusBadRequest)
 			return
 		case req.Header.Get("Expect") != "" && !expectsContinue(req):
-			c.refuse(http.StatusExpectationFailed)
+			c.refuse(StatusExpectationFailed)
 			return
 		}
 		if !c.serveRequest(req) {
@@ -233,22 +247,21 @@ func (c *conn) serve() {
 	}
 }
 
-func expectsContinue(req *http.Request) bool {
-	return req.ProtoAtLeast(1, 1) && strings.EqualFold(req.Header.Get("Expect"), "100-continue")
+func expectsContinue(req *Request) bool {
+	return req.ProtoMinor >= 1 && asciiEqualFold(req.Header.Get("Expect"), "100-continue")
 }
 
 // serveRequest runs the handler on one request and finishes its response.
 // It reports whether the connection is kept for another request; when it
 // is not, the connection is closed, or the handler's after a hijack.
-func (c *conn) serveRequest(req *http.Request) bool {
+func (c *conn) serveRequest(req *Request) bool {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	c.r.setCancel(cancel)
-	req = req.WithContext(ctx)
-	req.RemoteAddr = c.rwc.RemoteAddr().String()
-	w := &response{c: c, req: req, header: make(http.Header), length: -1}
+	req.ctx = ctx
+	w := &response{c: c, req: req, header: make(Header), length: -1}
 	var b *body
-	if req.Body == http.NoBody {
+	if req.ContentLength == 0 {
 		c.r.startBackgroundRead()
 	} else {
 		b = &body{src: req.Body, w: w, cont: expectsContinue(req)}
@@ -276,17 +289,14 @@ func (c *conn) serveRequest(req *http.Request) bool {
 }
 
 // runHandler calls the handler, turning a panic into a closed connection:
-// the process lives on, and a panic other than http.ErrAbortHandler is
-// logged with its stack, as net/http does.
-func (c *conn) runHandler(w *response, req *http.Request) (panicked bool) {
+// the process lives on, and the panic is logged with its stack.
+func (c *conn) runHandler(w *response, req *Request) (panicked bool) {
 	defer func() {
 		if v := recover(); v != nil {
 			panicked = true
-			if v != http.ErrAbortHandler {
-				buf := make([]byte, 64<<10)
-				buf = buf[:runtime.Stack(buf, false)]
-				log.Printf("wire: panic serving %v: %v\n%s", c.rwc.RemoteAddr(), v, buf)
-			}
+			buf := make([]byte, 64<<10)
+			buf = buf[:runtime.Stack(buf, false)]
+			log.Printf("wire: panic serving %v: %v\n%s", c.rwc.RemoteAddr(), v, buf)
 		}
 	}()
 	c.srv.Handler.ServeHTTP(w, req)
@@ -296,7 +306,7 @@ func (c *conn) runHandler(w *response, req *http.Request) (panicked bool) {
 // refuse answers a request the loop will not serve with a bare status and
 // closes the connection.
 func (c *conn) refuse(code int) {
-	text := strconv.Itoa(code) + " " + http.StatusText(code)
+	text := strconv.Itoa(code) + " " + statusText(code)
 	io.WriteString(c.rwc, "HTTP/1.1 "+text+"\r\nContent-Type: text/plain; charset=utf-8\r\nConnection: close\r\n\r\n"+text)
 	c.lingerClose(nil)
 }
@@ -451,7 +461,7 @@ func (cr *connReader) abortPendingRead() {
 // returns reads its rest for the next request — or fails every read.
 type body struct {
 	mu   sync.Mutex
-	src  io.ReadCloser // http.ReadRequest's body
+	src  io.ReadCloser // ReadRequestHead's body
 	w    *response
 	cont bool // a 100 Continue is owed before the first read
 	eof  bool
@@ -463,7 +473,7 @@ func (b *body) Read(p []byte) (int, error) {
 	defer b.mu.Unlock()
 	switch {
 	case b.done:
-		return 0, http.ErrBodyReadAfterClose
+		return 0, errBodyClosed
 	case b.eof:
 		return 0, io.EOF
 	}
@@ -505,27 +515,26 @@ func (b *body) finish() bool {
 	return err == io.EOF
 }
 
-// response is the handler's http.ResponseWriter. The head is formatted when
-// the status is set and goes out with the first flush, which also decides
-// the framing: a body that ends before its first flush gets a
-// Content-Length, any other a chunked encoding (or, for an HTTP/1.0 client,
-// the connection's close).
+// response is the handler's ResponseWriter. The head is formatted when the
+// status is set and goes out with the first flush, which also decides the
+// framing: a body that ends before its first flush gets a Content-Length,
+// any other a chunked encoding (or, for an HTTP/1.0 client, the
+// connection's close).
 type response struct {
 	c      *conn
-	req    *http.Request
-	header http.Header
+	req    *Request
+	header Header
 	status int // 0 until WriteHeader
 
 	length     int64 // the declared Content-Length, or -1
 	written    int64
 	sent       bool // the head is on the wire
 	chunked    bool
-	sniff      bool // no Content-Type given: sniff it from the first bytes
 	closeAfter bool
 	hijacked   bool
 }
 
-func (w *response) Header() http.Header { return w.header }
+func (w *response) Header() Header { return w.header }
 
 // WriteHeader formats the status line and the handler's headers, so that
 // later changes to the header map do not apply, as with net/http. A 1xx
@@ -542,21 +551,20 @@ func (w *response) WriteHeader(code int) {
 	w.status = code
 	c.wmu.Unlock()
 	h := append(c.head[:0], "HTTP/1.0 "...)
-	if w.req.ProtoAtLeast(1, 1) {
+	if w.req.ProtoMinor >= 1 {
 		h[len("HTTP/1.")] = '1'
 	}
 	h = strconv.AppendInt(h, int64(code), 10)
 	h = append(h, ' ')
-	h = append(h, http.StatusText(code)...)
+	h = append(h, statusText(code)...)
 	h = append(h, "\r\n"...)
-	w.sniff = true
-	w.closeAfter = w.req.Close || !w.req.ProtoAtLeast(1, 1)
+	w.closeAfter = w.req.Close || w.req.ProtoMinor < 1
 	for k, vs := range w.header {
 		switch k {
 		case "Transfer-Encoding", "Trailer":
 			continue // the loop frames the body, and writes no trailers
 		case "Connection":
-			w.closeAfter = w.closeAfter || hasToken(vs, "close")
+			w.closeAfter = w.closeAfter || w.header.HasToken(k, "close")
 			continue // the loop writes its own
 		case "Content-Length":
 			n, err := strconv.ParseInt(vs[0], 10, 64)
@@ -564,8 +572,6 @@ func (w *response) WriteHeader(code int) {
 				continue
 			}
 			w.length = n
-		case "Content-Type":
-			w.sniff = false
 		}
 		for _, v := range vs {
 			h = appendField(h, k, v)
@@ -594,40 +600,26 @@ func appendClean(h []byte, s string) []byte {
 	return h
 }
 
-// hasToken reports whether token is in any of the comma-separated lists vs.
-func hasToken(vs []string, token string) bool {
-	for _, v := range vs {
-		for v != "" {
-			var part string
-			part, v, _ = strings.Cut(v, ",")
-			if strings.EqualFold(strings.TrimSpace(part), token) {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // bodyAllowed reports whether the response carries a body on the wire.
 func (w *response) bodyAllowed() bool {
-	return w.req.Method != http.MethodHead && w.status != http.StatusNoContent && w.status != http.StatusNotModified
+	return w.req.Method != MethodHead && w.status != StatusNoContent && w.status != StatusNotModified
 }
 
 func (w *response) Write(p []byte) (int, error) {
 	if w.hijacked {
-		return 0, http.ErrHijacked
+		return 0, errHijacked
 	}
 	if w.status == 0 {
-		w.WriteHeader(http.StatusOK)
+		w.WriteHeader(StatusOK)
 	}
 	switch {
-	case w.req.Method == http.MethodHead:
+	case w.req.Method == MethodHead:
 		w.written += int64(len(p))
 		return len(p), nil
 	case !w.bodyAllowed():
-		return 0, http.ErrBodyNotAllowed
+		return 0, errBodyNotAllowed
 	case w.length >= 0 && w.written+int64(len(p)) > w.length:
-		return 0, http.ErrContentLength
+		return 0, errContentLength
 	}
 	w.written += int64(len(p))
 	c, n := w.c, 0
@@ -646,27 +638,20 @@ func (w *response) Write(p []byte) (int, error) {
 	return n, nil
 }
 
-// Flush sends the head, if it has not gone yet, and what is buffered.
-func (w *response) Flush() { w.FlushError() }
-
-// FlushError is Flush with its error, for http.ResponseController.
-func (w *response) FlushError() error {
-	if w.hijacked {
-		return http.ErrHijacked
+// Flush sends the head, if it has not gone yet, and what is buffered. A
+// failed write shows in the next Write.
+func (w *response) Flush() {
+	if !w.hijacked {
+		w.flush(false)
 	}
-	return w.flush(false)
 }
-
-// EnableFullDuplex is for http.ResponseController: every response of the
-// loop is full duplex already.
-func (w *response) EnableFullDuplex() error { return nil }
 
 // Hijack hands the connection to the handler, with the bytes the loop has
 // read past the request head in the returned reader. A pending response is
 // flushed first.
 func (w *response) Hijack() (net.Conn, *bufio.ReadWriter, error) {
 	if w.hijacked {
-		return nil, nil, http.ErrHijacked
+		return nil, nil, errHijacked
 	}
 	if w.status != 0 {
 		if err := w.flush(false); err != nil {
@@ -708,7 +693,7 @@ func (w *response) flush(final bool) error {
 		return c.werr
 	}
 	if w.status == 0 {
-		w.WriteHeader(http.StatusOK)
+		w.WriteHeader(StatusOK)
 	}
 	data := c.buf[chunkHead:]
 	var out []byte
@@ -750,8 +735,8 @@ func (w *response) flush(final bool) error {
 	return err
 }
 
-// commit completes the head — framing, sniffed Content-Type, Connection —
-// and returns it followed by the buffered body, framed.
+// commit completes the head — framing and Connection — and returns it
+// followed by the buffered body, framed.
 func (w *response) commit(final bool) []byte {
 	c := w.c
 	h, data := c.head, c.buf[chunkHead:]
@@ -764,20 +749,17 @@ func (w *response) commit(final bool) []byte {
 			h = append(h, "Content-Length: "...)
 			h = strconv.AppendInt(h, w.length, 10)
 			h = append(h, "\r\n"...)
-		case w.req.ProtoAtLeast(1, 1):
+		case w.req.ProtoMinor >= 1:
 			w.chunked = true
 			h = append(h, "Transfer-Encoding: chunked\r\n"...)
 		default:
 			w.closeAfter = true // an HTTP/1.0 body of unknown length ends with the connection
 		}
 	}
-	if w.sniff && len(data) > 0 {
-		h = appendField(h, "Content-Type", http.DetectContentType(data))
-	}
 	if c.srv.closing.Load() {
 		w.closeAfter = true
 	}
-	if w.closeAfter && w.req.ProtoAtLeast(1, 1) {
+	if w.closeAfter && w.req.ProtoMinor >= 1 {
 		h = append(h, "Connection: close\r\n"...)
 	}
 	h = append(h, "\r\n"...)

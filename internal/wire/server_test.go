@@ -25,7 +25,7 @@ type served struct {
 }
 
 // testServer serves h on a loopback port until the test ends.
-func testServer(t testing.TB, h http.HandlerFunc) *served {
+func testServer(t testing.TB, h HandlerFunc) *served {
 	t.Helper()
 	return serveWith(t, &Server{Handler: h})
 }
@@ -44,8 +44,8 @@ func serveWith(t testing.TB, srv *Server) *served {
 		if err := srv.Shutdown(ctx); err != nil {
 			t.Errorf("Shutdown: %v", err)
 		}
-		if err := <-done; err != http.ErrServerClosed {
-			t.Errorf("Serve returned %v, want http.ErrServerClosed", err)
+		if err := <-done; err != ErrServerClosed {
+			t.Errorf("Serve returned %v, want ErrServerClosed", err)
 		}
 	})
 	return &served{URL: "http://" + l.Addr().String(), Addr: l.Addr().String(), srv: srv}
@@ -94,7 +94,7 @@ func expectClosed(t *testing.T, br *bufio.Reader) {
 // allocates nothing, client and server together.
 func TestServeSteadyStateAllocs(t *testing.T) {
 	dec := []byte(`{"channel":"a","seq":0,"anomaly":false,"score":1.5}` + "\n")
-	srv := testServer(t, func(w http.ResponseWriter, r *http.Request) {
+	srv := testServer(t, func(w ResponseWriter, r *Request) {
 		next, out := ScanLines(r.Body), NewLineWriter(w)
 		for {
 			if _, err := next(); err != nil {
@@ -135,13 +135,15 @@ func TestServeSteadyStateAllocs(t *testing.T) {
 // TestServeFraming: a body that ends before its first flush goes out with
 // a Content-Length, a flushed one chunked; an HTTP/1.0 client gets the body
 // delimited by the connection's close. Two pipelined requests are answered
-// in order on one connection, and a header value cannot inject a line.
+// in order on one connection, a header value cannot inject a line, and a
+// body whose handler set no Content-Type goes without one (it is not
+// sniffed).
 func TestServeFraming(t *testing.T) {
-	srv := testServer(t, func(w http.ResponseWriter, r *http.Request) {
+	srv := testServer(t, func(w ResponseWriter, r *Request) {
 		w.Header().Set("X-Echo", r.URL.Query().Get("echo"))
 		io.WriteString(w, "hello ")
 		if r.URL.Path == "/flushed" {
-			w.(http.Flusher).Flush()
+			w.Flush()
 		}
 		io.WriteString(w, r.URL.Path)
 	})
@@ -154,7 +156,7 @@ func TestServeFraming(t *testing.T) {
 	if resp.Header.Get("Evil") != "" || resp.Header.Get("X-Echo") != "a  Evil: 1" {
 		t.Fatalf("header injection: X-Echo %q, Evil %q", resp.Header.Get("X-Echo"), resp.Header.Get("Evil"))
 	}
-	if got := resp.Header.Get("Content-Type"); got != "text/plain; charset=utf-8" {
+	if got, ok := resp.Header["Content-Type"]; ok {
 		t.Fatalf("sniffed Content-Type %q", got)
 	}
 	resp, body = readResp(t, br, "GET")
@@ -174,7 +176,7 @@ func TestServeFraming(t *testing.T) {
 // TestServeHeadWritesNoBody: a HEAD response carries the handler's headers
 // and no body, and the connection stays in step for the next request.
 func TestServeHeadWritesNoBody(t *testing.T) {
-	srv := testServer(t, func(w http.ResponseWriter, r *http.Request) {
+	srv := testServer(t, func(w ResponseWriter, r *Request) {
 		w.Header().Set("Content-Type", "text/plain")
 		io.WriteString(w, "a body HEAD must not send")
 	})
@@ -193,10 +195,10 @@ func TestServeHeadWritesNoBody(t *testing.T) {
 // body once the body is consumed — through the loop's background read.
 func TestServeCancelsWhenClientGoes(t *testing.T) {
 	cancelled := make(chan string, 2)
-	srv := testServer(t, func(w http.ResponseWriter, r *http.Request) {
+	srv := testServer(t, func(w ResponseWriter, r *Request) {
 		io.Copy(io.Discard, r.Body)
 		w.Write([]byte("up\n"))
-		w.(http.Flusher).Flush()
+		w.Flush()
 		select {
 		case <-r.Context().Done():
 			cancelled <- r.Method
@@ -228,12 +230,12 @@ func TestServeCancelsWhenClientGoes(t *testing.T) {
 // with the head, or after it, when the background read took its first byte.
 func TestServeHijackHandsOverBufferedBytes(t *testing.T) {
 	entered, release := make(chan struct{}), make(chan struct{})
-	srv := testServer(t, func(w http.ResponseWriter, r *http.Request) {
+	srv := testServer(t, func(w ResponseWriter, r *Request) {
 		if r.URL.Path == "/late" {
 			entered <- struct{}{}
 			<-release
 		}
-		conn, brw, err := w.(http.Hijacker).Hijack()
+		conn, brw, err := w.Hijack()
 		if err != nil {
 			t.Error(err)
 			return
@@ -271,9 +273,9 @@ func TestServeHijackHandsOverBufferedBytes(t *testing.T) {
 // reads the body, and not at all when the handler answers without reading
 // it — the client keeps its body, and the connection closes.
 func TestServeExpectContinue(t *testing.T) {
-	srv := testServer(t, func(w http.ResponseWriter, r *http.Request) {
+	srv := testServer(t, func(w ResponseWriter, r *Request) {
 		if r.URL.Path == "/refuse" {
-			http.Error(w, "too large", http.StatusRequestEntityTooLarge)
+			Error(w, "too large", http.StatusRequestEntityTooLarge)
 			return
 		}
 		b, _ := io.ReadAll(r.Body)
@@ -304,7 +306,7 @@ func TestServeExpectContinue(t *testing.T) {
 // TestServeRefusesBadHeads: a malformed request gets 400, a head over
 // MaxHeadBytes 431 and an HTTP/2 preface 505, each followed by the close.
 func TestServeRefusesBadHeads(t *testing.T) {
-	srv := testServer(t, func(w http.ResponseWriter, r *http.Request) {
+	srv := testServer(t, func(w ResponseWriter, r *Request) {
 		t.Errorf("handler called for %s %s", r.Method, r.URL)
 	})
 	for _, c := range []struct {
@@ -313,6 +315,7 @@ func TestServeRefusesBadHeads(t *testing.T) {
 	}{
 		{"GARBAGE\r\n\r\n", http.StatusBadRequest},
 		{"GET / HTTP/1.1\r\nHost: x\r\nNo colon here\r\n\r\n", http.StatusBadRequest},
+		{"GET /%zz HTTP/1.1\r\nHost: x\r\n\r\n", http.StatusBadRequest},
 		{"GET / HTTP/1.1\r\nX-Big: " + strings.Repeat("a", 2*MaxHeadBytes) + "\r\n\r\n", http.StatusRequestHeaderFieldsTooLarge},
 		{"PRI * HTTP/2.0\r\n\r\nSM\r\n\r\n", http.StatusHTTPVersionNotSupported},
 		{"GET / HTTP/1.1\r\nHost: x\r\nExpect: tea\r\n\r\n", http.StatusExpectationFailed},
@@ -327,33 +330,27 @@ func TestServeRefusesBadHeads(t *testing.T) {
 }
 
 // TestServeHandlerPanic: a panicking handler costs its connection, not the
-// process; the panic is logged unless it is http.ErrAbortHandler.
+// process, and the panic is logged.
 func TestServeHandlerPanic(t *testing.T) {
 	var logged bytes.Buffer
 	log.SetOutput(&logged)
 	defer log.SetOutput(os.Stderr)
-	srv := testServer(t, func(w http.ResponseWriter, r *http.Request) {
-		switch r.URL.Path {
-		case "/abort":
-			panic(http.ErrAbortHandler)
-		case "/boom":
+	srv := testServer(t, func(w ResponseWriter, r *Request) {
+		if r.URL.Path == "/boom" {
 			panic("boom")
 		}
 		io.WriteString(w, "fine")
 	})
-	for _, path := range []string{"/abort", "/boom"} {
-		c, br := dialRaw(t, srv.Addr)
-		io.WriteString(c, "GET "+path+" HTTP/1.1\r\nHost: x\r\n\r\n")
-		expectClosed(t, br)
-	}
 	c, br := dialRaw(t, srv.Addr)
+	io.WriteString(c, "GET /boom HTTP/1.1\r\nHost: x\r\n\r\n")
+	expectClosed(t, br)
+	c, br = dialRaw(t, srv.Addr)
 	io.WriteString(c, "GET / HTTP/1.1\r\nHost: x\r\n\r\n")
 	if _, body := readResp(t, br, "GET"); body != "fine" {
-		t.Fatalf("after the panics: %q", body)
+		t.Fatalf("after the panic: %q", body)
 	}
-	if out := logged.String(); !strings.Contains(out, "panic serving") || !strings.Contains(out, "boom") ||
-		strings.Contains(out, http.ErrAbortHandler.Error()) {
-		t.Fatalf("log: %q, want the boom panic only", out)
+	if out := logged.String(); !strings.Contains(out, "panic serving") || !strings.Contains(out, "boom") {
+		t.Fatalf("log: %q, want the boom panic", out)
 	}
 }
 
@@ -361,7 +358,7 @@ func TestServeHandlerPanic(t *testing.T) {
 // its body unread keeps the connection; a larger unread body closes it
 // after the response.
 func TestServeDrainsSmallUnreadBody(t *testing.T) {
-	srv := testServer(t, func(w http.ResponseWriter, r *http.Request) {
+	srv := testServer(t, func(w ResponseWriter, r *Request) {
 		io.WriteString(w, "ignored")
 	})
 	for _, c := range []struct {
@@ -396,13 +393,13 @@ func TestServeDrainsSmallUnreadBody(t *testing.T) {
 // a hijacked connection does not hold it.
 func TestServeShutdown(t *testing.T) {
 	release, entered := make(chan struct{}), make(chan string, 4)
-	srv := &Server{Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	srv := &Server{Handler: HandlerFunc(func(w ResponseWriter, r *Request) {
 		entered <- r.URL.Path
 		switch r.URL.Path {
 		case "/slow":
 			<-release
 		case "/hijack":
-			conn, _, _ := w.(http.Hijacker).Hijack()
+			conn, _, _ := w.Hijack()
 			t.Cleanup(func() { conn.Close() })
 			return
 		}
@@ -432,7 +429,7 @@ func TestServeShutdown(t *testing.T) {
 	if err := srv.Shutdown(ctx); err != context.DeadlineExceeded {
 		t.Fatalf("Shutdown with a request in flight: %v, want the deadline", err)
 	}
-	if err := <-served; err != http.ErrServerClosed {
+	if err := <-served; err != ErrServerClosed {
 		t.Fatalf("Serve: %v", err)
 	}
 	if c, err := net.Dial("tcp", addr); err == nil {
@@ -511,8 +508,8 @@ func FuzzServe(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, in []byte) {
 		var methods []string
-		h := func(w http.ResponseWriter, r *http.Request) {
-			head := len(r.Method) + len(r.RequestURI) + len(r.Proto) + 4
+		h := func(w ResponseWriter, r *Request) {
+			head := len(r.Method) + len(r.URL.RequestURI()) + len("HTTP/1.x") + 4
 			for k, vs := range r.Header {
 				for _, v := range vs {
 					head += len(k) + len(v) + 4
@@ -525,11 +522,11 @@ func FuzzServe(f *testing.F) {
 			n, _ := io.Copy(io.Discard, io.LimitReader(r.Body, 1<<20))
 			fmt.Fprintf(w, "%d bytes", n)
 			if r.URL.Path == "/flush" {
-				w.(http.Flusher).Flush()
+				w.Flush()
 			}
 		}
 		c := &fuzzConn{in: in}
-		newConn(&Server{Handler: http.HandlerFunc(h), maxHead: maxHead}, c).serve()
+		newConn(&Server{Handler: HandlerFunc(h), maxHead: maxHead}, c).serve()
 
 		out := c.out.String()
 		br := bufio.NewReader(strings.NewReader(out))

@@ -4,9 +4,11 @@
 package wiretest
 
 import (
+	"bufio"
+	"bytes"
 	"context"
+	"errors"
 	"net"
-	"net/http"
 	"sync"
 	"testing"
 	"time"
@@ -25,14 +27,14 @@ type Server struct {
 }
 
 // NewServer serves h on a fresh loopback port until the test ends.
-func NewServer(t testing.TB, h http.Handler) *Server {
+func NewServer(t testing.TB, h wire.Handler) *Server {
 	t.Helper()
 	return NewServerOn(t, h, nil)
 }
 
 // NewServerOn is NewServer with the listener passed through wrap first
 // (nil: as it is), for tests that shape the server's connections.
-func NewServerOn(t testing.TB, h http.Handler, wrap func(net.Listener) net.Listener) *Server {
+func NewServerOn(t testing.TB, h wire.Handler, wrap func(net.Listener) net.Listener) *Server {
 	t.Helper()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -90,4 +92,42 @@ func (l *trackListener) Accept() (net.Conn, error) {
 		l.mu.Unlock()
 	}
 	return c, err
+}
+
+// Recorder is a wire.ResponseWriter that keeps what a handler wrote: the
+// stand-in for httptest.ResponseRecorder. Its zero value is ready.
+type Recorder struct {
+	Code    int // the status written, 200 when only a body was
+	Body    bytes.Buffer
+	Flushed bool
+
+	header wire.Header
+}
+
+func (r *Recorder) Header() wire.Header {
+	if r.header == nil {
+		r.header = make(wire.Header)
+	}
+	return r.header
+}
+
+func (r *Recorder) WriteHeader(code int) {
+	if r.Code == 0 {
+		r.Code = code
+	}
+}
+
+func (r *Recorder) Write(p []byte) (int, error) {
+	r.WriteHeader(200)
+	return r.Body.Write(p)
+}
+
+func (r *Recorder) Flush() {
+	r.WriteHeader(200)
+	r.Flushed = true
+}
+
+// Hijack fails: a Recorder has no connection.
+func (r *Recorder) Hijack() (net.Conn, *bufio.ReadWriter, error) {
+	return nil, nil, errors.New("wiretest: a Recorder cannot be hijacked")
 }
