@@ -89,7 +89,6 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"net"
 	"os"
 	"os/signal"
 	"syscall"
@@ -107,7 +106,7 @@ func main() {
 		addr, loadPath, policyName  string
 		fastMath, tiered, admission bool
 	)
-	flag.StringVar(&addr, "addr", ":8080", "listen address")
+	flag.StringVar(&addr, "addr", ":8080", "listen address, host:port; the host is an IP literal, a name in /etc/hosts, or empty for every interface")
 	flag.StringVar(&loadPath, "load", "", "the saved detector whose clones serve the channels (required; `aovlis -save` writes one)")
 	flag.BoolVar(&fastMath, "fastmath", false, "score with the polynomial SIMD exp/tanh gate kernels (a few ULP off the exact kernels; see ARCHITECTURE.md §8)")
 	flag.BoolVar(&tiered, "tiered", false, "enable bound-gated tier skipping: segments the anchor bound clears as normal skip the LSTM predict entirely (one-sided; flip rate pinned by the root test harness)")
@@ -146,9 +145,9 @@ func run(addr, loadPath, policyName string, fastMath, tiered, admission bool, cf
 	}
 	// Bind before anything else: a taken port fails here, before the node
 	// opens its directories or anything is announced.
-	l, err := net.Listen("tcp", addr)
+	l, err := wire.Listen(addr)
 	if err != nil {
-		return err
+		return fmt.Errorf("-addr: %w", err)
 	}
 	defer l.Close()
 	// The node's own lines — boot, checkpoints, faults — go to stderr.

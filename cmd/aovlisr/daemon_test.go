@@ -21,14 +21,20 @@ import (
 // wire.Do and profile through runtime/pprof. Importing net/http, even for
 // its types, links its TLS, x509, HTTP/2 and mime code through package
 // initialisation, about a megabyte of image that every daemon keeps
-// resident. The built binaries must still carry wire.(*Server).Serve, so
-// the symbol table the sanity check reads is there.
+// resident. Nor do they import net (or net/textproto, which imports it):
+// wire opens its own sockets, and net's cgo resolver links runtime/cgo, so
+// a daemon built with cgo available would load libc through the dynamic
+// loader. The binaries, built with CGO_ENABLED=1 outside -race (which needs
+// cgo), must be static: no PT_INTERP program header and no DT_NEEDED
+// library. They must still carry wire.(*Server).Serve, so the symbol table
+// the sanity check reads is there.
 func TestDaemonsLinkNoTLS(t *testing.T) {
 	out, err := exec.Command("go", "list", "-deps", "aovlis/cmd/aovlisd", "aovlis/cmd/aovlisr").Output()
 	if err != nil {
 		t.Fatalf("go list -deps: %v", err)
 	}
-	banned := map[string]bool{"net/http": true, "net/http/pprof": true, "crypto/tls": true, "crypto/x509": true, "mime": true}
+	banned := map[string]bool{"net/http": true, "net/http/pprof": true, "crypto/tls": true, "crypto/x509": true, "mime": true,
+		"net": true, "net/textproto": true, "runtime/cgo": true}
 	for _, pkg := range strings.Fields(string(out)) {
 		if banned[pkg] {
 			t.Errorf("the daemons import %s", pkg)
@@ -41,9 +47,17 @@ func TestDaemonsLinkNoTLS(t *testing.T) {
 			t.Fatal(err)
 		}
 		syms, err := f.Symbols()
+		libs, lerr := f.ImportedLibraries()
+		interp := false
+		for _, p := range f.Progs {
+			interp = interp || p.Type == elf.PT_INTERP
+		}
 		f.Close()
-		if err != nil {
-			t.Fatal(err)
+		if err != nil || lerr != nil {
+			t.Fatal(err, lerr)
+		}
+		if !raceEnabled && (interp || len(libs) > 0) {
+			t.Errorf("%s is dynamic: interpreter %v, needs %v", bin, interp, libs)
 		}
 		have := make(map[string]bool, len(syms))
 		for _, s := range syms {
@@ -117,5 +131,32 @@ func TestRouterBindsBeforeAnnouncing(t *testing.T) {
 		}
 	case <-time.After(15 * time.Second):
 		t.Fatal("aovlisr did not shut down on SIGINT")
+	}
+}
+
+// TestDaemonsRefuseUnknownHosts: a host that is neither an IP literal nor
+// a name in /etc/hosts is refused at startup, exit status 1, by an error
+// that names the flag it came in: there is no DNS behind the daemons.
+func TestDaemonsRefuseUnknownHosts(t *testing.T) {
+	bin, model := soakBinaries(t)
+	for _, c := range []struct {
+		flag string
+		args []string
+	}{
+		{"-addr", []string{bin, "-addr", "nosuch.invalid:0", "-load", model}},
+		{"-addr", []string{soakFixture.router, "-addr", "nosuch.invalid:0", "-nodes", "a=http://127.0.0.1:1"}},
+		{"-nodes", []string{soakFixture.router, "-addr", "127.0.0.1:0", "-nodes", "a=http://127.0.0.1:1,b=http://nosuch.invalid:1"}},
+	} {
+		var stdout, stderr bytes.Buffer
+		cmd := exec.Command(c.args[0], c.args[1:]...)
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		err := cmd.Run()
+		if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 1 {
+			t.Fatalf("%v: %v, want exit status 1", c.args, err)
+		}
+		msg := stderr.String()
+		if !strings.Contains(msg, c.flag+":") || !strings.Contains(msg, `"nosuch.invalid"`) || stdout.Len() > 0 && strings.Contains(stdout.String(), " on ") {
+			t.Fatalf("%v: stderr %q, stdout %q; want the host refused under %s and nothing announced", c.args, msg, stdout.String(), c.flag)
+		}
 	}
 }

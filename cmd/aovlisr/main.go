@@ -30,7 +30,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"net"
+	"net/url"
 	"os"
 	"os/signal"
 	"syscall"
@@ -42,8 +42,8 @@ import (
 
 func main() {
 	var (
-		addr       = flag.String("addr", ":7600", "router listen address")
-		nodes      = flag.String("nodes", "", "fleet spec: name=url[=snapshotdir[=waldir]],... — the name must match each node's -node-id; the optional snapshotdir is that node's -snapshot-dir as visible to the router, enabling warm failover; the optional waldir is its -wal-dir, enabling journal-tail replay (bit-equal failover)")
+		addr       = flag.String("addr", ":7600", "router listen address, host:port; the host is an IP literal, a name in /etc/hosts, or empty for every interface")
+		nodes      = flag.String("nodes", "", "fleet spec: name=url[=snapshotdir[=waldir]],... — each url's host is an IP literal or a name in /etc/hosts; the name must match each node's -node-id; the optional snapshotdir is that node's -snapshot-dir as visible to the router, enabling warm failover; the optional waldir is its -wal-dir, enabling journal-tail replay (bit-equal failover)")
 		replicas   = flag.Int("vnodes", cluster.DefaultReplicas, "virtual points per node on the hash ring")
 		loadFactor = flag.Float64("load-factor", cluster.DefaultLoadFactor, "bounded-load factor: no node owns more than this multiple of the mean channel count")
 		window     = flag.Int("window", 32, "per-stream pipelining depth: unacknowledged segments in flight per observe stream (also bounds segments queued at the router across a failover)")
@@ -67,10 +67,21 @@ func run(addr, nodes string, replicas int, loadFactor float64, window int,
 	if err != nil {
 		return err
 	}
+	// Every node's host must resolve now: there is no DNS behind it, and a
+	// name that fails at the first stream would fail at every one.
+	for _, s := range specs {
+		u, err := url.Parse(s.URL)
+		if err == nil {
+			_, err = wire.LookupHost(u.Hostname())
+		}
+		if err != nil {
+			return fmt.Errorf("-nodes: node %s: %w", s.Name, err)
+		}
+	}
 	// Bind before the router starts probing or announces anything.
-	l, err := net.Listen("tcp", addr)
+	l, err := wire.Listen(addr)
 	if err != nil {
-		return err
+		return fmt.Errorf("-addr: %w", err)
 	}
 	defer l.Close()
 	r, err := cluster.New(cluster.Config{

@@ -75,7 +75,13 @@ func soakBinaries(t *testing.T) (bin, model string) {
 				args = append(args, "-race")
 			}
 			args = append(args, "aovlis/cmd/"+filepath.Base(b))
-			if out, err := exec.Command("go", args...).CombinedOutput(); err != nil {
+			cmd := exec.Command("go", args...)
+			if !raceEnabled {
+				// With cgo on, a daemon that imported net would link libc:
+				// TestDaemonsLinkNoTLS reads these binaries for that.
+				cmd.Env = append(os.Environ(), "CGO_ENABLED=1")
+			}
+			if out, err := cmd.CombinedOutput(); err != nil {
 				soakFixture.err = fmt.Errorf("building %s: %v\n%s", filepath.Base(b), err, out)
 				return
 			}

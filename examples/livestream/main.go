@@ -21,7 +21,6 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"net"
 	"os"
 	"runtime"
 	"strconv"
@@ -95,14 +94,14 @@ func run(channels, shards, trainSec, streamSec, classes, epochs int, seed int64)
 		return err
 	}
 	defer n.Close()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	ln, err := wire.Listen("127.0.0.1:0")
 	if err != nil {
 		return err
 	}
 	srv := &wire.Server{Handler: n.Handler()}
 	go srv.Serve(ln)
 	defer srv.Shutdown(context.Background())
-	base := "http://" + ln.Addr().String()
+	base := "http://" + ln.Addr()
 	fmt.Printf("live plane on %s (/live/{channel} WebSocket, /watch SSE)\n", base)
 
 	// 3. A dashboard: one SSE subscriber counting every verdict the fleet

@@ -26,7 +26,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"net"
 	"net/url"
 	"strings"
 	"sync"
@@ -67,7 +66,7 @@ func (r *Router) handleLive(w wire.ResponseWriter, req *wire.Request) {
 		return
 	}
 	target := wire.HostPort(u)
-	up, err := net.DialTimeout("tcp", target, liveDialTimeout)
+	up, err := wire.Dial(req.Context(), target, liveDialTimeout)
 	if err != nil {
 		wire.Error(w, fmt.Sprintf("dialing owner %s: %v", owner.Spec.Name, err), wire.StatusBadGateway)
 		return

@@ -12,6 +12,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 
@@ -627,12 +628,17 @@ func TestRouterFailover(t *testing.T) {
 // here, so the stream runs under a deadline that cuts its connections.
 func TestRouterWindowOfLargeLines(t *testing.T) {
 	const window, size, sockBuf = 8, 256 << 10, 64 << 10
-	clamp := func(c net.Conn) {
-		tc := c.(*net.TCPConn)
-		tc.SetReadBuffer(sockBuf)
-		tc.SetWriteBuffer(sockBuf)
+	clamp := func(c wire.Conn) {
+		rc, err := c.(syscall.Conn).SyscallConn()
+		if err != nil {
+			t.Fatal(err)
+		}
+		rc.Control(func(fd uintptr) {
+			syscall.SetsockoptInt(int(fd), syscall.SOL_SOCKET, syscall.SO_RCVBUF, sockBuf)
+			syscall.SetsockoptInt(int(fd), syscall.SOL_SOCKET, syscall.SO_SNDBUF, sockBuf)
+		})
 	}
-	stub := newStubNodeOn(t, "node-0", 1, func(ln net.Listener) net.Listener { return clampListener{ln, clamp} })
+	stub := newStubNodeOn(t, "node-0", 1, func(ln wire.Listener) wire.Listener { return clampListener{ln, clamp} })
 	stub.padPath.Store(size)
 	r, err := New(Config{Nodes: []NodeSpec{stub.spec()}, Window: window, FailoverWait: 5 * time.Second, Logf: t.Logf})
 	if err != nil {
@@ -642,13 +648,14 @@ func TestRouterWindowOfLargeLines(t *testing.T) {
 	// Upstream streams dial through r.dial; the count below proves the clamp
 	// reached them, or the test would pass without the coupling it exists for.
 	var dials atomic.Int32
-	r.dial = func(ctx context.Context, network, addr string) (net.Conn, error) {
+	r.dial = func(ctx context.Context, network, addr string) (wire.Conn, error) {
 		dials.Add(1)
 		c, err := (&net.Dialer{}).DialContext(ctx, network, addr)
-		if err == nil {
-			clamp(c)
+		if err != nil {
+			return nil, err
 		}
-		return c, err
+		clamp(c)
+		return c, nil
 	}
 	srv := wiretest.NewServer(t, r.Handler())
 
@@ -678,11 +685,11 @@ func TestRouterWindowOfLargeLines(t *testing.T) {
 
 // clampListener applies clamp to every connection it accepts.
 type clampListener struct {
-	net.Listener
-	clamp func(net.Conn)
+	wire.Listener
+	clamp func(wire.Conn)
 }
 
-func (l clampListener) Accept() (net.Conn, error) {
+func (l clampListener) Accept() (wire.Conn, error) {
 	c, err := l.Listener.Accept()
 	if err == nil {
 		l.clamp(c)

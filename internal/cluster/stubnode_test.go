@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"strings"
 	"sync"
@@ -67,7 +66,7 @@ func newStubNode(t *testing.T, name string, seed float64) *stubNode {
 
 // newStubNodeOn is newStubNode with the server's listener passed through
 // wrap first (nil: as it is), for tests that shape the node's connections.
-func newStubNodeOn(t *testing.T, name string, seed float64, wrap func(net.Listener) net.Listener) *stubNode {
+func newStubNodeOn(t *testing.T, name string, seed float64, wrap func(wire.Listener) wire.Listener) *stubNode {
 	t.Helper()
 	s := &stubNode{name: name, seed: seed, channels: map[string]*stubChannel{}}
 	s.retryAfter.Store(7)

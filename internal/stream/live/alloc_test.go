@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -46,6 +45,13 @@ func liveStream(seed int64, n int) (actions, audience [][]float64) {
 // into and written from per-connection buffers, the WAL encodes into its
 // own buffer, and the ring keeps the decision rather than a copy of its
 // line.
+//
+// The window opens at a quiet point: every sender stops after warm
+// messages, and once each channel has read its warm decisions the runtime's
+// sudog caches are filled (warmSudogs) before the count starts. The
+// pumps' blocking selects take their sudogs from those caches; left cold,
+// the runtime allocates them on demand, a burst of up to a hundred that
+// lands in the window about one run in ten.
 func TestLiveSteadyStateAllocs(t *testing.T) {
 	const (
 		channels = 4
@@ -100,11 +106,12 @@ func TestLiveSteadyStateAllocs(t *testing.T) {
 	srv := wiretest.NewServer(t, &IngestHandler{Pool: pool, Hub: hub, Window: 16})
 
 	var (
-		read, warmed  atomic.Int64
 		before, after runtime.MemStats
-		warmTotal     int64
 		wg            sync.WaitGroup
+		atWarm        sync.WaitGroup // every channel has read its warm decisions
+		resume        = make(chan struct{})
 	)
+	atWarm.Add(channels)
 	deadline := time.Now().Add(2 * time.Minute)
 	for _, id := range ids {
 		conn, _, err := Dial(srv.URL+"/live/"+id, nil)
@@ -117,6 +124,9 @@ func TestLiveSteadyStateAllocs(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < lines; i++ {
+				if i == warm {
+					<-resume
+				}
 				if err := conn.WriteMessage(OpText, msgs[i%len(msgs)]); err != nil {
 					t.Errorf("send %d: %v", i, err)
 					return
@@ -125,20 +135,28 @@ func TestLiveSteadyStateAllocs(t *testing.T) {
 		}()
 		go func(id string) {
 			defer wg.Done()
-			for k := 1; k <= lines; k++ {
+			k := 1
+			defer func() {
+				if k <= warm {
+					atWarm.Done() // failed before the warm mark
+				}
+			}()
+			for ; k <= lines; k++ {
 				if _, _, err := conn.ReadMessage(); err != nil {
 					t.Errorf("channel %s decision %d: %v", id, k, err)
 					conn.Close()
 					return
 				}
-				total := read.Add(1)
-				if k == warm && warmed.Add(1) == channels {
-					warmTotal = total
-					runtime.ReadMemStats(&before)
+				if k == warm {
+					atWarm.Done()
 				}
 			}
 		}(id)
 	}
+	atWarm.Wait()
+	warmSudogs()
+	runtime.ReadMemStats(&before)
+	close(resume)
 	wg.Wait()
 	runtime.ReadMemStats(&after)
 	if t.Failed() {
@@ -152,10 +170,41 @@ func TestLiveSteadyStateAllocs(t *testing.T) {
 			t.Fatalf("channel %s: ring floor %d, want %d", id, floor, lines)
 		}
 	}
-	segs := float64(channels*lines - warmTotal)
+	segs := float64(channels * (lines - warm))
 	perSeg := float64(after.Mallocs-before.Mallocs) / segs
 	t.Logf("%d allocations over %.0f warm segments: %.4f per segment", after.Mallocs-before.Mallocs, segs, perSeg)
 	if perSeg >= 0.01 {
 		t.Fatalf("a warm live segment allocates %.4f times from message to decision, want < 0.01", perSeg)
 	}
+}
+
+// warmSudogs fills the runtime's sudog caches: a goroutine parked in a
+// select holds a sudog per case, from its P's cache, refilled from a
+// central one, or else allocated. It garbage-collects first, since a cycle
+// empties the central cache, then parks 256 goroutines on four cases each
+// and releases them, so about a thousand sudogs wait in the caches for the
+// window's selects to take.
+func warmSudogs() {
+	runtime.GC()
+	const n = 256
+	stop := make(chan struct{})
+	var parked, done sync.WaitGroup
+	parked.Add(n)
+	done.Add(n)
+	for i := 0; i < n; i++ {
+		go func() {
+			defer done.Done()
+			parked.Done()
+			select {
+			case <-stop:
+			case <-stop:
+			case <-stop:
+			case <-stop:
+			}
+		}()
+	}
+	parked.Wait()
+	time.Sleep(10 * time.Millisecond) // the last ones reach their select
+	close(stop)
+	done.Wait()
 }

@@ -84,7 +84,7 @@ func (w httpWriter) Header() wire.Header         { return wire.Header(w.w.Header
 func (w httpWriter) WriteHeader(code int)        { w.w.WriteHeader(code) }
 func (w httpWriter) Write(p []byte) (int, error) { return w.w.Write(p) }
 func (w httpWriter) Flush()                      { http.NewResponseController(w.w).Flush() }
-func (w httpWriter) Hijack() (net.Conn, *bufio.ReadWriter, error) {
+func (w httpWriter) Hijack() (wire.Conn, *bufio.ReadWriter, error) {
 	return http.NewResponseController(w.w).Hijack()
 }
 

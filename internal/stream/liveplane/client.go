@@ -2,12 +2,12 @@ package liveplane
 
 import (
 	"bufio"
+	"context"
 	"encoding/base64"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"math/rand"
-	"net"
 	"net/url"
 	"strings"
 	"time"
@@ -42,7 +42,7 @@ func DialTimeout(rawurl string, header wire.Header, timeout time.Duration) (*Con
 		return nil, nil, fmt.Errorf("live: dial %q: unsupported scheme %q (plaintext only)", rawurl, u.Scheme)
 	}
 	host := wire.HostPort(u)
-	nc, err := net.DialTimeout("tcp", host, timeout)
+	nc, err := wire.Dial(context.Background(), host, timeout)
 	if err != nil {
 		return nil, nil, fmt.Errorf("live: dial %s: %w", host, err)
 	}

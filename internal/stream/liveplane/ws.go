@@ -32,7 +32,6 @@ import (
 	"encoding/base64"
 	"encoding/binary"
 	"fmt"
-	"net"
 	"strings"
 	"sync"
 	"time"
@@ -109,7 +108,7 @@ type Options struct {
 // into, and a frame written from, buffers the connection owns, so a
 // connection in steady state allocates nothing per message.
 type Conn struct {
-	conn   net.Conn
+	conn   wire.Conn
 	br     *bufio.Reader
 	client bool // client conns send masked, expect unmasked
 	maxMsg int
@@ -192,7 +191,7 @@ func Upgrade(w wire.ResponseWriter, r *wire.Request, opts *Options) (*Conn, erro
 // NewConn is a Conn over nc, whose handshake is done: client says which
 // side this is, br holds what was read past the handshake (nil: nothing),
 // and maxMsg caps a message (0: DefaultMaxMessage).
-func NewConn(nc net.Conn, br *bufio.Reader, client bool, maxMsg int) *Conn {
+func NewConn(nc wire.Conn, br *bufio.Reader, client bool, maxMsg int) *Conn {
 	if maxMsg <= 0 {
 		maxMsg = DefaultMaxMessage
 	}
@@ -486,7 +485,7 @@ func (c *Conn) Close() error { return c.conn.Close() }
 
 // NetConn exposes the underlying connection so tests can cut it abruptly
 // (the disconnect half of disconnect+resume).
-func (c *Conn) NetConn() net.Conn { return c.conn }
+func (c *Conn) NetConn() wire.Conn { return c.conn }
 
 // SetReadDeadline bounds the next reads.
 func (c *Conn) SetReadDeadline(t time.Time) error { return c.conn.SetReadDeadline(t) }

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"net"
 	"net/url"
 	"strconv"
 	"strings"
@@ -26,7 +25,7 @@ import (
 // and must be called once the caller is done with the stream, however it
 // ended.
 type Stream struct {
-	conn net.Conn
+	conn Conn
 	stop func() bool // unhooks the close armed on the opening context
 
 	// Write side. buf holds chunkHead reserved bytes, where Flush writes the
@@ -53,11 +52,22 @@ const (
 )
 
 // Dialer opens the connection a Stream runs on. It has
-// net.Dialer.DialContext's signature, so a test can shape the socket.
-type Dialer func(ctx context.Context, network, addr string) (net.Conn, error)
+// net.Dialer.DialContext's shape, so a test can shape the socket with
+// net's dialer.
+type Dialer func(ctx context.Context, network, addr string) (Conn, error)
 
-// streamDialer is the Dialer of OpenStream and Do when the caller passes none.
-var streamDialer = net.Dialer{Timeout: 10 * time.Second}
+// dialTimeout bounds the connect of OpenStream and Do when the caller
+// passes no Dialer.
+const dialTimeout = 10 * time.Second
+
+// dialTCP is the Dialer of OpenStream and Do when the caller passes none.
+func dialTCP(ctx context.Context, _, addr string) (Conn, error) {
+	c, err := Dial(ctx, addr, dialTimeout)
+	if err != nil {
+		return nil, err
+	}
+	return c, nil
+}
 
 // errSendClosed is what a write after CloseSend returns.
 var errSendClosed = errors.New("wire: observe stream: write after CloseSend")
@@ -125,7 +135,7 @@ func Do(ctx context.Context, dial Dialer, req *Request) (*Response, error) {
 // doBody is a Do response's body; closing it closes the connection.
 type doBody struct {
 	io.ReadCloser
-	conn  net.Conn
+	conn  Conn
 	stop  func() bool
 	wrote chan error
 	once  sync.Once
@@ -142,29 +152,14 @@ func (b *doBody) Close() error {
 
 // dialURL dials u's host with dial (nil: a plain TCP dial) under ctx; u
 // must be a plaintext http URL.
-func dialURL(ctx context.Context, dial Dialer, u *url.URL) (net.Conn, error) {
+func dialURL(ctx context.Context, dial Dialer, u *url.URL) (Conn, error) {
 	if u.Scheme != "http" {
 		return nil, fmt.Errorf("unsupported scheme %q (plaintext only)", u.Scheme)
 	}
 	if dial == nil {
-		dial = streamDialer.DialContext
+		dial = dialTCP
 	}
 	return dial(ctx, "tcp", HostPort(u))
-}
-
-// HostPort is the dialable host:port of u, with the scheme's default port
-// when u names none. It goes through Hostname and Port, so an IPv6 literal
-// ends up in exactly one pair of brackets whether or not it carried a port.
-func HostPort(u *url.URL) string {
-	port := u.Port()
-	switch {
-	case port != "":
-	case u.Scheme == "https" || u.Scheme == "wss":
-		port = "443"
-	default:
-		port = "80"
-	}
-	return net.JoinHostPort(u.Hostname(), port)
 }
 
 // WriteLine buffers one newline-terminated observation line. Once flushAt

@@ -188,7 +188,7 @@ func TestHostPort(t *testing.T) {
 	// dial as [::1]:80 (refused here) instead of failing on "missing port in
 	// address".
 	var dialed string
-	dial := func(ctx context.Context, network, addr string) (net.Conn, error) {
+	dial := func(ctx context.Context, network, addr string) (Conn, error) {
 		dialed = addr
 		return nil, errors.New("refused")
 	}

@@ -6,14 +6,13 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"net/textproto"
 	"net/url"
 	"strconv"
 	"strings"
 )
 
 // The head parsers. They read what net/http's ReadRequest and ReadResponse
-// read — the start line, then the header fields with textproto — and frame
+// read — the start line, then the header fields as textproto does — and frame
 // the body by the same rules, with two exceptions. A message that declares
 // both a chunked Transfer-Encoding and a Content-Length is refused, where
 // net/http drops the length and reads it chunked (RFC 9112 §6.3 lets a
@@ -37,8 +36,7 @@ func (e *headError) Error() string { return fmt.Sprintf("wire: %s: %q", e.what, 
 // connection that ends inside the head is io.ErrUnexpectedEOF; one that
 // ends before it, io.EOF.
 func ReadRequestHead(br *bufio.Reader) (req *Request, err error) {
-	tp := textproto.NewReader(br)
-	line, err := tp.ReadLine()
+	b, err := readLine(br)
 	if err != nil {
 		return nil, err
 	}
@@ -47,6 +45,7 @@ func ReadRequestHead(br *bufio.Reader) (req *Request, err error) {
 			err = io.ErrUnexpectedEOF
 		}
 	}()
+	line := string(b)
 	method, rest, ok1 := strings.Cut(line, " ")
 	target, proto, ok2 := strings.Cut(rest, " ")
 	if !ok1 || !ok2 {
@@ -66,18 +65,15 @@ func ReadRequestHead(br *bufio.Reader) (req *Request, err error) {
 	}
 	u, err := url.ParseRequestURI(target)
 	if err != nil {
-		// Not the *url.Error itself: it is a net.Error, which a Server
-		// takes for the connection failing rather than a bad request.
 		return nil, &headError{"malformed request target", target}
 	}
 	if authority {
 		u.Scheme = ""
 	}
-	mh, err := tp.ReadMIMEHeader()
+	h, err := readHeader(br)
 	if err != nil {
 		return nil, err
 	}
-	h := Header(mh)
 	if len(h["Host"]) > 1 {
 		return nil, &headError{"too many Host headers", strings.Join(h["Host"], ", ")}
 	}
@@ -117,11 +113,11 @@ func ReadResponseHead(br *bufio.Reader, method string) (resp *Response, err erro
 			err = io.ErrUnexpectedEOF
 		}
 	}()
-	tp := textproto.NewReader(br)
-	line, err := tp.ReadLine()
+	b, err := readLine(br)
 	if err != nil {
 		return nil, err
 	}
+	line := string(b)
 	proto, status, ok := strings.Cut(line, " ")
 	if !ok {
 		return nil, &headError{"malformed HTTP response", line}
@@ -142,11 +138,9 @@ func ReadResponseHead(br *bufio.Reader, method string) (resp *Response, err erro
 	if major == 0 && minor == 0 {
 		major, minor = 1, 1 // as net/http frames HTTP/0.0
 	}
-	mh, err := tp.ReadMIMEHeader()
-	if err != nil {
+	if resp.Header, err = readHeader(br); err != nil {
 		return nil, err
 	}
-	resp.Header = Header(mh)
 	chunked, n, err := framing(resp.Header, major > 1 || major == 1 && minor >= 1)
 	if err != nil {
 		return nil, err
@@ -185,9 +179,9 @@ func framing(h Header, http11 bool) (chunked bool, n int64, err error) {
 	}
 	cls := h["Content-Length"]
 	if len(cls) > 0 {
-		first := textproto.TrimString(cls[0])
+		first := trimString(cls[0])
 		for _, cl := range cls[1:] {
-			if textproto.TrimString(cl) != first {
+			if trimString(cl) != first {
 				return false, 0, &headError{"conflicting Content-Length headers", strings.Join(cls, ", ")}
 			}
 		}
@@ -219,7 +213,7 @@ func checkTrailer(h Header) error {
 	delete(h, "Trailer")
 	for _, v := range vs {
 		for _, k := range strings.Split(v, ",") {
-			switch textproto.CanonicalMIMEHeaderKey(textproto.TrimString(k)) {
+			switch CanonicalHeaderKey(trimString(k)) {
 			case "Transfer-Encoding", "Trailer", "Content-Length":
 				return &headError{"bad trailer key", k}
 			}
@@ -418,7 +412,7 @@ func (cr *chunkedReader) trailer() error {
 			return errors.New("wire: trailer does not end within the buffer")
 		}
 	}
-	if _, err := textproto.NewReader(cr.r).ReadMIMEHeader(); err != nil {
+	if _, err := readHeader(cr.r); err != nil {
 		return eofIsUnexpected(err, err)
 	}
 	return io.EOF

@@ -172,3 +172,28 @@ func TestHeaderCanonicalKeys(t *testing.T) {
 		t.Fatalf("converted http.Header: %v", hh)
 	}
 }
+
+// FuzzCanonicalHeaderKey pins CanonicalHeaderKey, which files every Header
+// key, to textproto.CanonicalMIMEHeaderKey: the same key for every string,
+// so that a Header keeps converting to and from an http.Header as it is,
+// and Get, Set and Del find what the head parsers filed.
+func FuzzCanonicalHeaderKey(f *testing.F) {
+	for _, s := range []string{"", "content-length", "CONTENT-TYPE", "x-aovlis-resume", "last-seq",
+		"sec-websocket-key", "a-", "-a", "x_under", "with space", "bad:colon", "uniçode", "Host", "te\x7f"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		want := textproto.CanonicalMIMEHeaderKey(s)
+		if got := CanonicalHeaderKey(s); got != want {
+			t.Fatalf("CanonicalHeaderKey(%q) = %q, textproto %q", s, got, want)
+		}
+		h := Header{}
+		h.Set(s, "v")
+		if _, ok := h[want]; !ok || h.Get(s) != "v" || len(h.Values(s)) != 1 {
+			t.Fatalf("Set(%q) filed %q", s, h)
+		}
+		if h.Del(s); len(h) != 0 {
+			t.Fatalf("Del(%q) left %q", s, h)
+		}
+	})
+}

@@ -4,8 +4,6 @@ import (
 	"bufio"
 	"context"
 	"io"
-	"net"
-	"net/textproto"
 	"net/url"
 	"strconv"
 	"strings"
@@ -75,21 +73,26 @@ var reasons = map[int]string{
 func statusText(code int) string { return reasons[code] }
 
 // Header is a request's or response's header fields. Keys are canonical
-// (textproto.CanonicalMIMEHeaderKey), so that a Header and an http.Header
-// convert into each other as they are.
+// (CanonicalHeaderKey, which is textproto.CanonicalMIMEHeaderKey), so that
+// a Header and an http.Header convert into each other as they are.
 type Header map[string][]string
 
 // Get is the first value of key, or "".
-func (h Header) Get(key string) string { return textproto.MIMEHeader(h).Get(key) }
+func (h Header) Get(key string) string {
+	if v := h[CanonicalHeaderKey(key)]; len(v) > 0 {
+		return v[0]
+	}
+	return ""
+}
 
 // Values is every value of key.
-func (h Header) Values(key string) []string { return textproto.MIMEHeader(h).Values(key) }
+func (h Header) Values(key string) []string { return h[CanonicalHeaderKey(key)] }
 
 // Set replaces the values of key with value.
-func (h Header) Set(key, value string) { textproto.MIMEHeader(h).Set(key, value) }
+func (h Header) Set(key, value string) { h[CanonicalHeaderKey(key)] = []string{value} }
 
 // Del removes key.
-func (h Header) Del(key string) { textproto.MIMEHeader(h).Del(key) }
+func (h Header) Del(key string) { delete(h, CanonicalHeaderKey(key)) }
 
 // HasToken reports whether token is in the comma-separated lists of key's
 // values, ignoring ASCII case: "keep-alive, Upgrade" has "upgrade".
@@ -98,7 +101,7 @@ func (h Header) HasToken(key, token string) bool {
 		for v != "" {
 			var part string
 			part, v, _ = strings.Cut(v, ",")
-			if asciiEqualFold(textproto.TrimString(part), token) {
+			if asciiEqualFold(trimString(part), token) {
 				return true
 			}
 		}
@@ -177,7 +180,7 @@ type ResponseWriter interface {
 	WriteHeader(code int)
 	Write(p []byte) (int, error)
 	Flush()
-	Hijack() (net.Conn, *bufio.ReadWriter, error)
+	Hijack() (Conn, *bufio.ReadWriter, error)
 }
 
 // Handler answers one request.

@@ -6,8 +6,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"log"
-	"net"
+	"os"
 	"runtime"
 	"strconv"
 	"sync"
@@ -43,7 +44,7 @@ type Server struct {
 	maxHead int64
 
 	mu      sync.Mutex
-	l       net.Listener // the one Serve accepts on
+	l       Listener // the one Serve accepts on
 	conns   map[*conn]struct{}
 	closing atomic.Bool
 }
@@ -98,7 +99,7 @@ var (
 // Shutdown is called, then returns ErrServerClosed; it is called once.
 // A failed Accept that is not the listener closing is retried after a pause
 // (too many open files must not stop the server).
-func (s *Server) Serve(l net.Listener) error {
+func (s *Server) Serve(l Listener) error {
 	s.mu.Lock()
 	s.l, s.conns = l, make(map[*conn]struct{})
 	s.mu.Unlock()
@@ -113,7 +114,7 @@ func (s *Server) Serve(l net.Listener) error {
 			if s.closing.Load() {
 				return ErrServerClosed
 			}
-			if errors.Is(err, net.ErrClosed) {
+			if errors.Is(err, os.ErrClosed) {
 				return err
 			}
 			pause = min(max(2*pause, 5*time.Millisecond), time.Second)
@@ -180,7 +181,7 @@ func (s *Server) forget(c *conn) {
 // conn is one served connection.
 type conn struct {
 	srv   *Server
-	rwc   net.Conn
+	rwc   Conn
 	state atomic.Int32
 	r     connReader
 	br    *bufio.Reader // over r
@@ -195,7 +196,7 @@ type conn struct {
 	werr error // sticky: a failed write leaves the response framing broken
 }
 
-func newConn(s *Server, rwc net.Conn) *conn {
+func newConn(s *Server, rwc Conn) *conn {
 	c := &conn{srv: s, rwc: rwc, buf: make([]byte, chunkHead, chunkHead+serverBuf+len("\r\n0\r\n\r\n"))}
 	c.r.rwc = rwc
 	c.r.cond.L = &c.r.mu
@@ -219,12 +220,11 @@ func (c *conn) serve() {
 		}
 		req, err := ReadRequestHead(c.br)
 		tooLong := c.r.endHead()
-		var ne net.Error
 		switch {
 		case err != nil && tooLong:
 			c.refuse(StatusHeaderTooLarge)
 			return
-		case errors.Is(err, io.ErrUnexpectedEOF) || errors.As(err, &ne):
+		case errors.Is(err, io.ErrUnexpectedEOF) || fromSocket(err):
 			c.close() // the client or the connection went, not a bad request
 			return
 		case err == ErrVersion:
@@ -245,6 +245,23 @@ func (c *conn) serve() {
 			return
 		}
 	}
+}
+
+// fromSocket reports whether err is the connection failing rather than a
+// bad request: a socket read fails with an *fs.PathError, a closed
+// connection with os.ErrClosed and an expired deadline with
+// os.ErrDeadlineExceeded.
+func fromSocket(err error) bool {
+	var pe *fs.PathError
+	return errors.As(err, &pe) || errors.Is(err, os.ErrClosed) || errors.Is(err, os.ErrDeadlineExceeded)
+}
+
+// peer names a connection's client for a log line.
+func peer(c Conn) string {
+	if tc, ok := c.(*TCPConn); ok {
+		return tc.RemoteAddr()
+	}
+	return "?"
 }
 
 func expectsContinue(req *Request) bool {
@@ -296,7 +313,7 @@ func (c *conn) runHandler(w *response, req *Request) (panicked bool) {
 			panicked = true
 			buf := make([]byte, 64<<10)
 			buf = buf[:runtime.Stack(buf, false)]
-			log.Printf("wire: panic serving %v: %v\n%s", c.rwc.RemoteAddr(), v, buf)
+			log.Printf("wire: panic serving %s: %v\n%s", peer(c.rwc), v, buf)
 		}
 	}()
 	c.srv.Handler.ServeHTTP(w, req)
@@ -343,7 +360,7 @@ func (c *conn) close() {
 // consumed it keeps one background read pending until the handler returns,
 // so a client that goes away cancels the request's context.
 type connReader struct {
-	rwc     net.Conn
+	rwc     Conn
 	mu      sync.Mutex
 	cond    sync.Cond // on mu: a background read ended
 	cancel  context.CancelFunc
@@ -432,8 +449,7 @@ func (cr *connReader) backgroundRead() {
 	// A byte is the start of a pipelined request: it waits for the next
 	// head, and the current request is not cancelled.
 	cr.hasByte = n == 1
-	var ne net.Error
-	if err != nil && !(cr.aborted && errors.As(err, &ne) && ne.Timeout()) && cr.cancel != nil {
+	if err != nil && !(cr.aborted && errors.Is(err, os.ErrDeadlineExceeded)) && cr.cancel != nil {
 		cr.cancel()
 	}
 	cr.inRead, cr.aborted = false, false
@@ -649,7 +665,7 @@ func (w *response) Flush() {
 // Hijack hands the connection to the handler, with the bytes the loop has
 // read past the request head in the returned reader. A pending response is
 // flushed first.
-func (w *response) Hijack() (net.Conn, *bufio.ReadWriter, error) {
+func (w *response) Hijack() (Conn, *bufio.ReadWriter, error) {
 	if w.hijacked {
 		return nil, nil, errHijacked
 	}

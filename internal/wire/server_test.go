@@ -32,7 +32,7 @@ func testServer(t testing.TB, h HandlerFunc) *served {
 
 func serveWith(t testing.TB, srv *Server) *served {
 	t.Helper()
-	l, err := net.Listen("tcp", "127.0.0.1:0")
+	l, err := Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func serveWith(t testing.TB, srv *Server) *served {
 			t.Errorf("Serve returned %v, want ErrServerClosed", err)
 		}
 	})
-	return &served{URL: "http://" + l.Addr().String(), Addr: l.Addr().String(), srv: srv}
+	return &served{URL: "http://" + l.Addr(), Addr: l.Addr(), srv: srv}
 }
 
 // dialRaw opens a plain connection to a served address, closed when the
@@ -332,7 +332,7 @@ func TestServeRefusesBadHeads(t *testing.T) {
 // TestServeHandlerPanic: a panicking handler costs its connection, not the
 // process, and the panic is logged.
 func TestServeHandlerPanic(t *testing.T) {
-	var logged bytes.Buffer
+	var logged lockedBuffer // the connection's goroutine writes it
 	log.SetOutput(&logged)
 	defer log.SetOutput(os.Stderr)
 	srv := testServer(t, func(w ResponseWriter, r *Request) {
@@ -352,6 +352,25 @@ func TestServeHandlerPanic(t *testing.T) {
 	if out := logged.String(); !strings.Contains(out, "panic serving") || !strings.Contains(out, "boom") {
 		t.Fatalf("log: %q, want the boom panic", out)
 	}
+}
+
+// lockedBuffer is a bytes.Buffer that one goroutine may write while
+// another reads it.
+type lockedBuffer struct {
+	mu sync.Mutex
+	b  bytes.Buffer
+}
+
+func (l *lockedBuffer) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.Write(p)
+}
+
+func (l *lockedBuffer) String() string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.String()
 }
 
 // TestServeDrainsSmallUnreadBody: a handler that leaves up to maxDrain of
@@ -405,13 +424,13 @@ func TestServeShutdown(t *testing.T) {
 		}
 		io.WriteString(w, "done")
 	})}
-	l, err := net.Listen("tcp", "127.0.0.1:0")
+	l, err := Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	served := make(chan error, 1)
 	go func() { served <- srv.Serve(l) }()
-	addr := l.Addr().String()
+	addr := l.Addr()
 
 	idle, idleR := dialRaw(t, addr)
 	io.WriteString(idle, "GET /idle HTTP/1.1\r\nHost: x\r\n\r\n")

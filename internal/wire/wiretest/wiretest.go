@@ -8,7 +8,6 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"net"
 	"sync"
 	"testing"
 	"time"
@@ -34,15 +33,15 @@ func NewServer(t testing.TB, h wire.Handler) *Server {
 
 // NewServerOn is NewServer with the listener passed through wrap first
 // (nil: as it is), for tests that shape the server's connections.
-func NewServerOn(t testing.TB, h wire.Handler, wrap func(net.Listener) net.Listener) *Server {
+func NewServerOn(t testing.TB, h wire.Handler, wrap func(wire.Listener) wire.Listener) *Server {
 	t.Helper()
-	l, err := net.Listen("tcp", "127.0.0.1:0")
+	l, err := wire.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := &Server{URL: "http://" + l.Addr().String(), l: &trackListener{Listener: l}, done: make(chan struct{})}
+	s := &Server{URL: "http://" + l.Addr(), l: &trackListener{Listener: l}, done: make(chan struct{})}
 	s.srv.Handler = h
-	var ln net.Listener = s.l
+	var ln wire.Listener = s.l
 	if wrap != nil {
 		ln = wrap(ln)
 	}
@@ -79,12 +78,12 @@ func (s *Server) CloseClientConnections() {
 
 // trackListener remembers the connections it accepts.
 type trackListener struct {
-	net.Listener
+	wire.Listener
 	mu    sync.Mutex
-	conns []net.Conn
+	conns []wire.Conn
 }
 
-func (l *trackListener) Accept() (net.Conn, error) {
+func (l *trackListener) Accept() (wire.Conn, error) {
 	c, err := l.Listener.Accept()
 	if err == nil {
 		l.mu.Lock()
@@ -128,6 +127,6 @@ func (r *Recorder) Flush() {
 }
 
 // Hijack fails: a Recorder has no connection.
-func (r *Recorder) Hijack() (net.Conn, *bufio.ReadWriter, error) {
+func (r *Recorder) Hijack() (wire.Conn, *bufio.ReadWriter, error) {
 	return nil, nil, errors.New("wiretest: a Recorder cannot be hijacked")
 }
