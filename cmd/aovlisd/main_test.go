@@ -28,7 +28,7 @@ import (
 	"aovlis/internal/mat"
 	"aovlis/internal/node"
 	"aovlis/internal/serve"
-	"aovlis/internal/snapshot"
+	"aovlis/internal/snapshot/manifest"
 	"aovlis/internal/wal"
 	"aovlis/internal/wire"
 	"aovlis/internal/wire/wiretest"
@@ -447,7 +447,7 @@ func TestSnapshotEndpointCommits(t *testing.T) {
 	if rep.Channels != 1 || rep.Bytes == 0 {
 		t.Fatalf("snapshot report %+v, want 1 committed channel", rep)
 	}
-	if _, err := os.Stat(filepath.Join(dir, snapshot.ManifestName)); err != nil {
+	if _, err := os.Stat(filepath.Join(dir, manifest.Name)); err != nil {
 		t.Fatalf("manifest not committed: %v", err)
 	}
 

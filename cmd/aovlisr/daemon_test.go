@@ -28,16 +28,31 @@ import (
 // cgo), must be static: no PT_INTERP program header and no DT_NEEDED
 // library. They must still carry wire.(*Server).Serve, so the symbol table
 // the sanity check reads is there.
+//
+// Neither imports encoding/json or net/netip either: wire writes and reads
+// the JSON and IP literals they use. And the router imports none of the
+// detector — the root package, core, nn, serve, the live plane — nor
+// encoding/gob, which only the node's formats need.
 func TestDaemonsLinkNoTLS(t *testing.T) {
-	out, err := exec.Command("go", "list", "-deps", "aovlis/cmd/aovlisd", "aovlis/cmd/aovlisr").Output()
-	if err != nil {
-		t.Fatalf("go list -deps: %v", err)
-	}
-	banned := map[string]bool{"net/http": true, "net/http/pprof": true, "crypto/tls": true, "crypto/x509": true, "mime": true,
-		"net": true, "net/textproto": true, "runtime/cgo": true}
-	for _, pkg := range strings.Fields(string(out)) {
-		if banned[pkg] {
-			t.Errorf("the daemons import %s", pkg)
+	banned := []string{"net/http", "net/http/pprof", "crypto/tls", "crypto/x509", "mime",
+		"net", "net/textproto", "runtime/cgo", "encoding/json", "net/netip"}
+	for bin, more := range map[string][]string{
+		"aovlis/cmd/aovlisd": nil,
+		"aovlis/cmd/aovlisr": {"encoding/gob", "aovlis", "aovlis/internal/core", "aovlis/internal/nn",
+			"aovlis/internal/serve", "aovlis/internal/stream/liveplane"},
+	} {
+		out, err := exec.Command("go", "list", "-deps", bin).Output()
+		if err != nil {
+			t.Fatalf("go list -deps %s: %v", bin, err)
+		}
+		deps := make(map[string]bool)
+		for _, pkg := range strings.Fields(string(out)) {
+			deps[pkg] = true
+		}
+		for _, pkg := range append(banned, more...) {
+			if deps[pkg] {
+				t.Errorf("%s imports %s", bin, pkg)
+			}
 		}
 	}
 	soakBinaries(t)

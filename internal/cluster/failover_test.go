@@ -25,6 +25,7 @@ import (
 	"time"
 
 	"aovlis/internal/snapshot"
+	"aovlis/internal/snapshot/manifest"
 	"aovlis/internal/wal"
 	"aovlis/internal/wire"
 	"aovlis/internal/wire/wiretest"
@@ -469,8 +470,8 @@ func TestMonitorSurvivesHalfOpenFailoverTarget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := snapshot.WriteManifest(dir, snapshot.Manifest{Version: snapshot.Version,
-		Channels: []snapshot.ChannelEntry{{ID: id, File: file, Bytes: n, SHA256: sum}}}); err != nil {
+	if err := snapshot.WriteManifest(dir, manifest.Manifest{Version: snapshot.Version,
+		Channels: []manifest.ChannelEntry{{ID: id, File: file, Bytes: n, SHA256: sum}}}); err != nil {
 		t.Fatal(err)
 	}
 

@@ -31,7 +31,6 @@ import (
 	"sync"
 	"time"
 
-	"aovlis/internal/stream/liveplane"
 	"aovlis/internal/wire"
 )
 
@@ -79,7 +78,7 @@ func (r *Router) handleLive(w wire.ResponseWriter, req *wire.Request) {
 	var hs bytes.Buffer
 	fmt.Fprintf(&hs, "GET /live/%s HTTP/1.1\r\nHost: %s\r\n", id, target)
 	hs.WriteString("Upgrade: websocket\r\nConnection: Upgrade\r\n")
-	for _, h := range []string{"Sec-WebSocket-Key", "Sec-WebSocket-Version", liveplane.LastSeqHeader} {
+	for _, h := range []string{"Sec-WebSocket-Key", "Sec-WebSocket-Version", wire.LastSeqHeader} {
 		if v := req.Header.Get(h); v != "" {
 			fmt.Fprintf(&hs, "%s: %s\r\n", h, v)
 		}

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"strings"
@@ -113,6 +112,38 @@ type healthResponse struct {
 	LastSnapshotAge *int   `json:"last_snapshot_age_seconds"`
 }
 
+var healthKeys = []string{"status", "node_id", "last_snapshot_age_seconds"}
+
+// read decodes a /healthz body as a json.Decoder decodes it into h.
+func (h *healthResponse) read(body io.Reader) error {
+	var r wire.JSONReader
+	if err := readJSONLimited(body, &r); err != nil {
+		return err
+	}
+	if r.Object("", "cluster.healthResponse") {
+		for r.More() {
+			switch r.Key(healthKeys...) {
+			case 0:
+				r.String(&h.Status, "healthResponse.status")
+			case 1:
+				r.String(&h.NodeID, "healthResponse.node_id")
+			case 2:
+				if r.Null() {
+					h.LastSnapshotAge = nil
+					continue
+				}
+				if h.LastSnapshotAge == nil {
+					h.LastSnapshotAge = new(int)
+				}
+				wire.ReadInt(&r, h.LastSnapshotAge, "healthResponse.last_snapshot_age_seconds")
+			default:
+				r.Skip()
+			}
+		}
+	}
+	return r.Err()
+}
+
 // probe performs one health check with the given timeout. A nil error
 // means the node answered 200 with status "ok"; the snapshot-age gauge is
 // refreshed as a side effect. When the node reports a node_id that
@@ -129,7 +160,7 @@ func (n *Node) probe(timeout time.Duration) error {
 		return fmt.Errorf("cluster: node %s: /healthz status %d", n.Spec.Name, resp.StatusCode)
 	}
 	var h healthResponse
-	if err := decodeJSONLimited(resp.Body, &h); err != nil {
+	if err := h.read(resp.Body); err != nil {
 		return fmt.Errorf("cluster: node %s: bad /healthz payload: %w", n.Spec.Name, err)
 	}
 	if h.Status != "ok" {
@@ -305,8 +336,15 @@ func readErrorBody(body io.ReadCloser) string {
 	return strings.TrimSpace(string(b))
 }
 
-// decodeJSONLimited decodes a bounded JSON payload (health probes should
-// never stream megabytes).
-func decodeJSONLimited(r io.Reader, v interface{}) error {
-	return json.NewDecoder(io.LimitReader(r, 1<<20)).Decode(v)
+// readJSONLimited starts r on a bounded JSON payload (health probes should
+// never stream megabytes): the value at the front of the first MiB of
+// body, as a json.Decoder reads it off the stream. A body that fails
+// before the value is complete fails with its read error.
+func readJSONLimited(body io.Reader, r *wire.JSONReader) error {
+	b, rerr := io.ReadAll(io.LimitReader(body, 1<<20))
+	err := r.ResetPrefix(b)
+	if rerr != nil && (err == io.EOF || err == io.ErrUnexpectedEOF) {
+		return rerr
+	}
+	return err
 }

@@ -7,8 +7,9 @@ import (
 	"sort"
 	"time"
 
-	"aovlis/internal/snapshot"
+	"aovlis/internal/snapshot/manifest"
 	"aovlis/internal/wal"
+	"aovlis/internal/wire"
 )
 
 // Move records one channel relocation in a rebalance or failover report.
@@ -34,6 +35,36 @@ type RebalanceReport struct {
 	Moved      int    `json:"moved"`
 	Failed     int    `json:"failed"`
 	Moves      []Move `json:"moves,omitempty"`
+}
+
+func (rep RebalanceReport) writeJSON(j *wire.JSON) {
+	j.Object()
+	j.Key("considered").Int(int64(rep.Considered))
+	j.Key("moved").Int(int64(rep.Moved))
+	j.Key("failed").Int(int64(rep.Failed))
+	if len(rep.Moves) > 0 {
+		j.Key("moves").Array()
+		for _, mv := range rep.Moves {
+			mv.writeJSON(j)
+		}
+		j.EndArray()
+	}
+	j.EndObject()
+}
+
+func (mv Move) writeJSON(j *wire.JSON) {
+	j.Object()
+	j.Key("channel").String(mv.Channel)
+	j.Key("from").String(mv.From)
+	j.Key("to").String(mv.To)
+	j.Key("warm").Bool(mv.Warm)
+	if mv.Replayed != 0 {
+		j.Key("replayed").Int(int64(mv.Replayed))
+	}
+	if mv.Error != "" {
+		j.Key("error").String(mv.Error)
+	}
+	j.EndObject()
 }
 
 // Rebalance recomputes the canonical bounded-load placement of every
@@ -368,14 +399,14 @@ func (r *Router) checkpointIndex(n *Node) map[string]checkpointRef {
 	if dir == "" {
 		return nil
 	}
-	man, err := snapshot.ReadManifest(dir)
+	man, err := manifest.Read(dir)
 	if err != nil {
 		r.cfg.Logf("cluster: no usable checkpoint manifest for %s in %s: %v", n.Spec.Name, dir, err)
 		return nil
 	}
 	out := make(map[string]checkpointRef, len(man.Channels))
 	for _, ce := range man.Channels {
-		if err := snapshot.VerifyEntry(dir, ce); err != nil {
+		if err := manifest.Verify(dir, ce); err != nil {
 			r.cfg.Logf("cluster: checkpoint for %q fails verification: %v", ce.ID, err)
 			continue
 		}

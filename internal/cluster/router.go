@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"log"
@@ -264,13 +263,16 @@ func (r *Router) handleHealth(w wire.ResponseWriter, req *wire.Request) {
 			alive++
 		}
 	}
-	writeJSON(w, map[string]interface{}{
-		"status":         "ok",
-		"role":           "router",
-		"uptime_seconds": int(time.Since(r.started).Seconds()),
-		"nodes":          len(r.nodes),
-		"nodes_alive":    alive,
-		"channels":       len(r.tbl.snapshot()),
+	channels, uptime := len(r.tbl.snapshot()), int(time.Since(r.started).Seconds())
+	wire.WriteJSON(w, func(j *wire.JSON) {
+		j.Object()
+		j.Key("channels").Int(int64(channels))
+		j.Key("nodes").Int(int64(len(r.nodes)))
+		j.Key("nodes_alive").Int(int64(alive))
+		j.Key("role").String("router")
+		j.Key("status").String("ok")
+		j.Key("uptime_seconds").Int(int64(uptime))
+		j.EndObject()
 	})
 }
 
@@ -307,7 +309,29 @@ func (r *Router) handleNodes(w wire.ResponseWriter, req *wire.Request) {
 		}
 		out = append(out, st)
 	}
-	writeJSON(w, out)
+	wire.WriteJSON(w, func(j *wire.JSON) {
+		j.Array()
+		for _, st := range out {
+			st.writeJSON(j)
+		}
+		j.EndArray()
+	})
+}
+
+func (st nodeStatus) writeJSON(j *wire.JSON) {
+	j.Object()
+	j.Key("name").String(st.Name)
+	j.Key("url").String(st.URL)
+	j.Key("alive").Bool(st.Alive)
+	j.Key("channels").Int(st.Channels)
+	j.Key("consecutive_fails").Int(int64(st.ConsecutiveFails))
+	if st.LastSnapshotAgeSeconds != nil {
+		j.Key("last_snapshot_age_seconds").Int(*st.LastSnapshotAgeSeconds)
+	}
+	if st.SnapshotDir != "" {
+		j.Key("snapshot_dir").String(st.SnapshotDir)
+	}
+	j.EndObject()
 }
 
 // placement is the GET /cluster/place response.
@@ -319,6 +343,18 @@ type placement struct {
 	// means Node is the prediction for a channel not yet seen.
 	Placed bool   `json:"placed"`
 	Epoch  uint64 `json:"epoch,omitempty"`
+}
+
+func (p placement) writeJSON(j *wire.JSON) {
+	j.Object()
+	j.Key("channel").String(p.Channel)
+	j.Key("node").String(p.Node)
+	j.Key("url").String(p.URL)
+	j.Key("placed").Bool(p.Placed)
+	if p.Epoch != 0 {
+		j.Key("epoch").Uint(p.Epoch)
+	}
+	j.EndObject()
 }
 
 func (r *Router) handlePlace(w wire.ResponseWriter, req *wire.Request) {
@@ -333,7 +369,7 @@ func (r *Router) handlePlace(w wire.ResponseWriter, req *wire.Request) {
 	}
 	if e := r.tbl.get(id); e != nil {
 		owner, epoch, _ := e.state()
-		writeJSON(w, placement{Channel: id, Node: owner.Spec.Name, URL: owner.Spec.URL, Placed: true, Epoch: epoch})
+		wire.WriteJSON(w, placement{Channel: id, Node: owner.Spec.Name, URL: owner.Spec.URL, Placed: true, Epoch: epoch}.writeJSON)
 		return
 	}
 	// Prediction path: same bounded-load rule a real placement would use,
@@ -345,7 +381,7 @@ func (r *Router) handlePlace(w wire.ResponseWriter, req *wire.Request) {
 		wire.Error(w, err.Error(), wire.StatusUnavailable)
 		return
 	}
-	writeJSON(w, placement{Channel: id, Node: n.Spec.Name, URL: n.Spec.URL, Placed: false})
+	wire.WriteJSON(w, placement{Channel: id, Node: n.Spec.Name, URL: n.Spec.URL, Placed: false}.writeJSON)
 }
 
 func (r *Router) handleRebalance(w wire.ResponseWriter, req *wire.Request) {
@@ -358,7 +394,7 @@ func (r *Router) handleRebalance(w wire.ResponseWriter, req *wire.Request) {
 		wire.Error(w, err.Error(), wire.StatusUnavailable)
 		return
 	}
-	writeJSON(w, rep)
+	wire.WriteJSON(w, rep.writeJSON)
 }
 
 // handleChannels aggregates GET /channels across the alive fleet into one
@@ -368,7 +404,7 @@ func (r *Router) handleChannels(w wire.ResponseWriter, req *wire.Request) {
 		wire.Error(w, "channels wants GET", wire.StatusMethodNotAllowed)
 		return
 	}
-	merged := make(map[string]json.RawMessage)
+	merged := make(channelMap)
 	for _, n := range r.nodes {
 		if !n.Alive() {
 			continue
@@ -377,8 +413,7 @@ func (r *Router) handleChannels(w wire.ResponseWriter, req *wire.Request) {
 		if err != nil {
 			continue
 		}
-		var one map[string]json.RawMessage
-		err = decodeJSONLimited(resp.Body, &one)
+		one, err := readChannelMap(resp.Body)
 		resp.Body.Close()
 		if err != nil {
 			continue
@@ -387,7 +422,43 @@ func (r *Router) handleChannels(w wire.ResponseWriter, req *wire.Request) {
 			merged[k] = v
 		}
 	}
-	writeJSON(w, merged)
+	wire.WriteJSON(w, merged.writeJSON)
+}
+
+// channelMap is channel ids to the raw JSON of each one's stats, as a
+// map[string]json.RawMessage holds them.
+type channelMap map[string][]byte
+
+// writeJSON writes m as encoding/json writes the map: members sorted by
+// key, each value compacted and re-indented in place.
+func (m channelMap) writeJSON(j *wire.JSON) {
+	ids := make([]string, 0, len(m))
+	for k := range m {
+		ids = append(ids, k)
+	}
+	sort.Strings(ids)
+	j.Object()
+	for _, k := range ids {
+		j.Key(k).Raw(m[k])
+	}
+	j.EndObject()
+}
+
+// readChannelMap reads a node's /channels body as a json.Decoder reads a
+// map[string]json.RawMessage: each member's value as its raw bytes.
+func readChannelMap(body io.Reader) (channelMap, error) {
+	var r wire.JSONReader
+	if err := readJSONLimited(body, &r); err != nil {
+		return nil, err
+	}
+	one := make(channelMap)
+	if r.Object("", "map[string]json.RawMessage") {
+		for r.More() {
+			k := r.MapKey()
+			one[k] = r.Raw()
+		}
+	}
+	return one, r.Err()
 }
 
 // handleChannel routes /channels/{id}/observe (proxied stream) and
@@ -439,11 +510,4 @@ func cutSlash(s string) (id, verb string, ok bool) {
 		}
 	}
 	return s, "", false
-}
-
-func writeJSON(w wire.ResponseWriter, v interface{}) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
 }

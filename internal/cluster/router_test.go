@@ -18,6 +18,7 @@ import (
 
 	"aovlis/internal/serve/loadgen"
 	"aovlis/internal/snapshot"
+	"aovlis/internal/snapshot/manifest"
 	"aovlis/internal/wire"
 	"aovlis/internal/wire/wiretest"
 )
@@ -543,7 +544,7 @@ func TestRouterFailover(t *testing.T) {
 	// Fabricate the victim's shared-dir checkpoint for all but one of its
 	// channels (the odd one out must cold-start).
 	victim.Spec.SnapshotDir = dir
-	var entries []snapshot.ChannelEntry
+	var entries []manifest.ChannelEntry
 	warm := owned[:len(owned)-1]
 	cold := owned[len(owned)-1]
 	for _, id := range warm {
@@ -554,9 +555,9 @@ func TestRouterFailover(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		entries = append(entries, snapshot.ChannelEntry{ID: id, File: file, Bytes: n, SHA256: sum})
+		entries = append(entries, manifest.ChannelEntry{ID: id, File: file, Bytes: n, SHA256: sum})
 	}
-	if err := snapshot.WriteManifest(dir, snapshot.Manifest{Version: snapshot.Version, Channels: entries}); err != nil {
+	if err := snapshot.WriteManifest(dir, manifest.Manifest{Version: snapshot.Version, Channels: entries}); err != nil {
 		t.Fatal(err)
 	}
 

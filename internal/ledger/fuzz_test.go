@@ -16,9 +16,14 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
+
+	"aovlis/internal/wire"
 )
 
 var updateFuzzCorpus = flag.Bool("update-fuzz-corpus", false, "regenerate the testdata/fuzz seed corpus files")
@@ -109,8 +114,21 @@ func FuzzLedgerProof(f *testing.F) {
 			return // bound allocation, not coverage
 		}
 		var p Proof
-		if err := json.Unmarshal(data, &p); err != nil {
+		var o oracleProof
+		err, oerr := json.Unmarshal(data, &p), json.Unmarshal(data, &o)
+		if (err == nil) != (oerr == nil) {
+			t.Fatalf("%q: err %v, encoding/json oracle %v", data, err, oerr)
+		}
+		if err != nil {
 			return
+		}
+		if !sameProof(p, o) {
+			t.Fatalf("%q: read %+v, encoding/json oracle %+v", data, p, o)
+		}
+		got, err := p.Entry.MarshalJSON()
+		want, werr := oracleEntry(p.Entry).MarshalJSON()
+		if err != nil || werr != nil || !bytes.Equal(got, want) {
+			t.Fatalf("entry %+v: %s (%v), encoding/json oracle %s (%v)", p.Entry, got, err, want, werr)
 		}
 		if len(p.Steps) > 1<<12 {
 			return // a real proof is log(batch) steps; bound the fold
@@ -168,4 +186,139 @@ func FuzzReadBatch(f *testing.F) {
 			t.Fatalf("accepted payload re-encodes differently:\nread  %x\nwrote %x", p, re)
 		}
 	})
+}
+
+// oracleEntry is Entry with the JSON methods it had when encoding/json
+// wrote and read it: the fields through a method-less copy of the type,
+// the score through oracleScore. FuzzLedgerProof holds Entry's hand-written
+// methods to it.
+type oracleEntry Entry
+
+// oracleFields is Entry without JSON methods.
+type oracleFields Entry
+
+func (e oracleEntry) MarshalJSON() ([]byte, error) {
+	return json.Marshal(struct {
+		oracleFields
+		Score oracleScore `json:"score"`
+	}{oracleFields(e), oracleScore(e.Score)})
+}
+
+func (e *oracleEntry) UnmarshalJSON(b []byte) error {
+	w := struct {
+		*oracleFields
+		Score oracleScore `json:"score"`
+	}{oracleFields: (*oracleFields)(e)}
+	if err := json.Unmarshal(b, &w); err != nil {
+		return err
+	}
+	e.Score = float64(w.Score)
+	return nil
+}
+
+type oracleScore float64
+
+func (s oracleScore) MarshalJSON() ([]byte, error) {
+	f := float64(s)
+	switch {
+	case math.IsInf(f, 1):
+		return []byte(`"+Inf"`), nil
+	case math.IsInf(f, -1):
+		return []byte(`"-Inf"`), nil
+	case math.IsNaN(f):
+		return fmt.Appendf(nil, `"NaN:%016x"`, math.Float64bits(f)), nil
+	}
+	return json.Marshal(f)
+}
+
+func (s *oracleScore) UnmarshalJSON(b []byte) error {
+	if len(b) == 0 || b[0] != '"' {
+		return json.Unmarshal(b, (*float64)(s))
+	}
+	var str string
+	if err := json.Unmarshal(b, &str); err != nil {
+		return err
+	}
+	switch {
+	case str == "+Inf":
+		*s = oracleScore(math.Inf(1))
+	case str == "-Inf":
+		*s = oracleScore(math.Inf(-1))
+	case strings.HasPrefix(str, "NaN:") && len(str) == 4+16:
+		bits, err := strconv.ParseUint(str[4:], 16, 64)
+		if err != nil || !math.IsNaN(math.Float64frombits(bits)) {
+			return fmt.Errorf("ledger: score %q is not a NaN's bits", str)
+		}
+		*s = oracleScore(math.Float64frombits(bits))
+	default:
+		return fmt.Errorf("ledger: score %q is not a number, +Inf, -Inf or NaN:<bits>", str)
+	}
+	return nil
+}
+
+// oracleProof is Proof with an oracleEntry.
+type oracleProof struct {
+	Seq         uint64      `json:"seq"`
+	Batch       uint64      `json:"batch"`
+	Index       int         `json:"index"`
+	Entry       oracleEntry `json:"entry"`
+	Steps       []ProofStep `json:"steps"`
+	Root        string      `json:"root"`
+	PrevChained string      `json:"prev_chained"`
+	Chained     string      `json:"chained"`
+}
+
+// sameProof reports whether p and o hold the same values, the score's bits
+// included.
+func sameProof(p Proof, o oracleProof) bool {
+	e, oe := p.Entry, Entry(o.Entry)
+	sameScore := math.Float64bits(e.Score) == math.Float64bits(oe.Score)
+	e.Score, oe.Score = 0, 0
+	return sameScore && e == oe && p.Seq == o.Seq && p.Batch == o.Batch && p.Index == o.Index &&
+		p.Root == o.Root && p.PrevChained == o.PrevChained && p.Chained == o.Chained &&
+		(p.Steps == nil) == (o.Steps == nil) && fmt.Sprint(p.Steps) == fmt.Sprint(o.Steps)
+}
+
+// TestLedgerDocumentsMatchEncodingJSON pins the /ledger/root and
+// /ledger/proof documents, and an entry's JSON, to encoding/json's bytes:
+// the proof as json.MarshalIndent writes it around the oracle's entry.
+func TestLedgerDocumentsMatchEncodingJSON(t *testing.T) {
+	entries := []Entry{
+		{Seq: 1, Channel: "a", UnixNanos: -5, Score: 0.125, Path: "exact"},
+		{Seq: 2, Channel: "<b&\u2028>", ChannelSeq: 9, Anomaly: true, Exact: true, Score: 1e-9, Path: "tier-skip"},
+		{Seq: 3, Channel: "\xff", Score: math.Inf(1)}, {Seq: 4, Score: math.Inf(-1)},
+		{Seq: 5, Score: math.Float64frombits(0x7ff8000000000abc)}, {Seq: 6, Score: math.Copysign(0, -1)},
+		{Seq: 7, Score: 1e21},
+	}
+	for i, e := range entries {
+		got, err := e.MarshalJSON()
+		want, werr := oracleEntry(e).MarshalJSON()
+		if err != nil || werr != nil || !bytes.Equal(got, want) {
+			t.Fatalf("entry %+v: %s (%v), encoding/json %s (%v)", e, got, err, want, werr)
+		}
+		p := Proof{Seq: e.Seq, Batch: 3, Index: i, Entry: e, Root: "r", PrevChained: "p", Chained: "c"}
+		if i%2 == 1 {
+			p.Steps = []ProofStep{{Hash: "00", Left: true}, {Hash: "ff"}}
+		}
+		o := oracleProof{p.Seq, p.Batch, p.Index, oracleEntry(e), p.Steps, p.Root, p.PrevChained, p.Chained}
+		same(t, "proof", p.WriteJSON, o)
+	}
+	same(t, "proof without steps", Proof{Steps: []ProofStep{}}.WriteJSON, oracleProof{Steps: []ProofStep{}})
+	for _, ri := range []RootInfo{{Chained: "00"}, {Batches: 2, Entries: 10, Pending: 3, Root: "ab", Chained: "cd"}} {
+		same(t, "root", ri.WriteJSON, ri)
+	}
+}
+
+// same fails unless write writes json.MarshalIndent(v, "", "  ").
+func same(t *testing.T, what string, write func(*wire.JSON), v any) {
+	t.Helper()
+	want, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	j := wire.JSON{Indent: true}
+	write(&j)
+	if j.Err() != nil || !bytes.Equal(j.B, want) {
+		t.Fatalf("%s (%v):\n got %s\nwant %s", what, j.Err(), j.B, want)
+	}
 }

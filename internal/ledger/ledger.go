@@ -61,7 +61,6 @@ import (
 	"encoding/binary"
 	"encoding/gob"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash"
@@ -74,6 +73,7 @@ import (
 	"sync"
 
 	"aovlis/internal/snapshot"
+	"aovlis/internal/wire"
 )
 
 // Entry is one scored verdict.
@@ -93,69 +93,105 @@ type Entry struct {
 	Path    string  `json:"path"`
 }
 
-// entryFields is Entry without its JSON methods.
-type entryFields Entry
-
-// MarshalJSON writes e with a score encoding/json would refuse — a hostile
-// observation can score ±Inf or NaN — as a string (see jsonScore), so the
-// proof of any ledgered verdict is servable.
+// MarshalJSON writes e as encoding/json writes its fields, except that a
+// score JSON cannot carry — a hostile observation can score ±Inf or NaN —
+// is a string: "+Inf", "-Inf", or "NaN:" and the 16 hex digits of its bits
+// (the leaf hash reads the score's bits, so a proof must carry a NaN's
+// payload too). That keeps the proof of any ledgered verdict servable.
 func (e Entry) MarshalJSON() ([]byte, error) {
-	return json.Marshal(struct {
-		entryFields
-		Score jsonScore `json:"score"`
-	}{entryFields(e), jsonScore(e.Score)})
+	var j wire.JSON
+	e.writeJSON(&j)
+	return j.B, j.Err()
 }
 
-// UnmarshalJSON reads what MarshalJSON writes.
+func (e Entry) writeJSON(j *wire.JSON) {
+	j.Object()
+	j.Key("seq").Uint(e.Seq)
+	j.Key("channel").String(e.Channel)
+	if e.ChannelSeq != 0 {
+		j.Key("channel_seq").Uint(e.ChannelSeq)
+	}
+	j.Key("unix_nanos").Int(e.UnixNanos)
+	j.Key("anomaly").Bool(e.Anomaly)
+	j.Key("exact").Bool(e.Exact)
+	j.Key("path").String(e.Path)
+	j.Key("score")
+	switch f := e.Score; {
+	case math.IsInf(f, 1):
+		j.String("+Inf")
+	case math.IsInf(f, -1):
+		j.String("-Inf")
+	case math.IsNaN(f):
+		j.String(fmt.Sprintf("NaN:%016x", math.Float64bits(f)))
+	default:
+		j.Float(f)
+	}
+	j.EndObject()
+}
+
+var entryKeys = []string{"seq", "channel", "channel_seq", "unix_nanos", "anomaly", "exact", "path", "score"}
+
+// UnmarshalJSON reads what MarshalJSON writes, accepting what encoding/json
+// accepts for Entry's fields.
 func (e *Entry) UnmarshalJSON(b []byte) error {
-	w := struct {
-		*entryFields
-		Score jsonScore `json:"score"`
-	}{entryFields: (*entryFields)(e)}
-	if err := json.Unmarshal(b, &w); err != nil {
+	var r wire.JSONReader
+	if err := r.Reset(b); err != nil {
 		return err
 	}
-	e.Score = float64(w.Score)
+	var score float64
+	if r.Object("", "ledger.Entry") {
+		for r.More() {
+			switch r.Key(entryKeys...) {
+			case 0:
+				r.Uint(&e.Seq, "Entry.seq")
+			case 1:
+				r.String(&e.Channel, "Entry.channel")
+			case 2:
+				r.Uint(&e.ChannelSeq, "Entry.channel_seq")
+			case 3:
+				wire.ReadInt(&r, &e.UnixNanos, "Entry.unix_nanos")
+			case 4:
+				r.Bool(&e.Anomaly, "Entry.anomaly")
+			case 5:
+				r.Bool(&e.Exact, "Entry.exact")
+			case 6:
+				r.String(&e.Path, "Entry.path")
+			case 7:
+				if err := readScore(&r, &score); err != nil {
+					return err
+				}
+			default:
+				r.Skip()
+			}
+		}
+	}
+	if err := r.Err(); err != nil {
+		return err
+	}
+	e.Score = score
 	return nil
 }
 
-// jsonScore is a score's JSON form: a number when finite, else "+Inf",
-// "-Inf" or "NaN:" and the 16 hex digits of its bits. The leaf hash reads
-// the score's bits, so a proof must carry a NaN's payload too.
-type jsonScore float64
-
-func (s jsonScore) MarshalJSON() ([]byte, error) {
-	f := float64(s)
-	switch {
-	case math.IsInf(f, 1):
-		return []byte(`"+Inf"`), nil
-	case math.IsInf(f, -1):
-		return []byte(`"-Inf"`), nil
-	case math.IsNaN(f):
-		return fmt.Appendf(nil, `"NaN:%016x"`, math.Float64bits(f)), nil
-	}
-	return json.Marshal(f)
-}
-
-func (s *jsonScore) UnmarshalJSON(b []byte) error {
-	if len(b) == 0 || b[0] != '"' {
-		return json.Unmarshal(b, (*float64)(s))
+// readScore reads a score as MarshalJSON writes it: a number, or one of
+// its three strings.
+func readScore(r *wire.JSONReader, f *float64) error {
+	if r.Next() != '"' {
+		r.Float(f, "")
+		return nil
 	}
 	var str string
-	if err := json.Unmarshal(b, &str); err != nil {
-		return err
-	}
+	r.String(&str, "")
 	switch {
 	case str == "+Inf":
-		*s = jsonScore(math.Inf(1))
+		*f = math.Inf(1)
 	case str == "-Inf":
-		*s = jsonScore(math.Inf(-1))
+		*f = math.Inf(-1)
 	case strings.HasPrefix(str, "NaN:") && len(str) == 4+16:
 		bits, err := strconv.ParseUint(str[4:], 16, 64)
 		if err != nil || !math.IsNaN(math.Float64frombits(bits)) {
 			return fmt.Errorf("ledger: score %q is not a NaN's bits", str)
 		}
-		*s = jsonScore(math.Float64frombits(bits))
+		*f = math.Float64frombits(bits)
 	default:
 		return fmt.Errorf("ledger: score %q is not a number, +Inf, -Inf or NaN:<bits>", str)
 	}
@@ -301,6 +337,30 @@ type Proof struct {
 	Root        string `json:"root"`
 	PrevChained string `json:"prev_chained"`
 	Chained     string `json:"chained"`
+}
+
+// WriteJSON writes p as encoding/json writes it.
+func (p Proof) WriteJSON(j *wire.JSON) {
+	j.Object()
+	j.Key("seq").Uint(p.Seq)
+	j.Key("batch").Uint(p.Batch)
+	j.Key("index").Int(int64(p.Index))
+	p.Entry.writeJSON(j.Key("entry"))
+	j.Key("steps")
+	if p.Steps == nil {
+		j.Null()
+	} else {
+		j.Array()
+		for _, st := range p.Steps {
+			j.Object().Key("hash").String(st.Hash)
+			j.Key("left").Bool(st.Left).EndObject()
+		}
+		j.EndArray()
+	}
+	j.Key("root").String(p.Root)
+	j.Key("prev_chained").String(p.PrevChained)
+	j.Key("chained").String(p.Chained)
+	j.EndObject()
 }
 
 // VerifyProof recomputes the leaf from p.Entry, folds the sibling path,
@@ -533,6 +593,21 @@ type RootInfo struct {
 	// the all-zero genesis value.
 	Root    string `json:"root,omitempty"`
 	Chained string `json:"chained"`
+}
+
+// WriteJSON writes ri as encoding/json writes it.
+func (ri RootInfo) WriteJSON(j *wire.JSON) {
+	j.Object()
+	j.Key("batches").Uint(ri.Batches)
+	j.Key("entries").Uint(ri.Entries)
+	if ri.Pending != 0 {
+		j.Key("pending").Int(int64(ri.Pending))
+	}
+	if ri.Root != "" {
+		j.Key("root").String(ri.Root)
+	}
+	j.Key("chained").String(ri.Chained)
+	j.EndObject()
 }
 
 // ErrNotCommitted is returned by Proof for sequences not yet inside a

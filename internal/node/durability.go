@@ -142,7 +142,7 @@ type watchSink struct{ hub *liveplane.Hub }
 
 func (s watchSink) Record(channel string, channelSeq uint64, res aovlis.Result) {
 	d := wire.Decision{Channel: channel, Seq: channelSeq, WSeq: channelSeq}
-	d.SetResult(res)
+	serve.SetResult(&d, res)
 	var buf [256]byte
 	b, err := wire.AppendDecision(buf[:0], &d)
 	if err != nil {

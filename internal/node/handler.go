@@ -1,7 +1,6 @@
 package node
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -91,7 +90,7 @@ func (n *Node) handleChannel(w wire.ResponseWriter, r *wire.Request) {
 			wire.Error(w, err.Error(), wire.StatusNotFound)
 			return
 		}
-		writeJSON(w, st)
+		wire.WriteJSON(w, st.WriteJSON)
 	case "snapshot":
 		n.handleChannelSnapshot(w, r, id)
 	default:
@@ -232,7 +231,7 @@ func (n *Node) handleSnapshot(w wire.ResponseWriter, r *wire.Request) {
 		wire.Error(w, err.Error(), wire.StatusInternalError)
 		return
 	}
-	writeJSON(w, rep)
+	wire.WriteJSON(w, rep.WriteJSON)
 }
 
 // handleLedgerRoot publishes the verdict ledger's current head: batch and
@@ -241,7 +240,7 @@ func (n *Node) handleSnapshot(w wire.ResponseWriter, r *wire.Request) {
 // — a ledger directory rewritten after the fact can then never verify.
 func (n *Node) handleLedgerRoot(w wire.ResponseWriter, r *wire.Request) {
 	if n.ledgerFor(w, r, "ledger root wants GET") {
-		writeJSON(w, n.ledger.Root())
+		wire.WriteJSON(w, n.ledger.Root().WriteJSON)
 	}
 }
 
@@ -267,7 +266,7 @@ func (n *Node) handleLedgerProof(w wire.ResponseWriter, r *wire.Request) {
 		wire.Error(w, err.Error(), wire.StatusInternalError)
 		return
 	}
-	writeJSON(w, p)
+	wire.WriteJSON(w, p.WriteJSON)
 }
 
 // ledgerFor reports whether a ledger route may be served, answering 405
@@ -290,36 +289,55 @@ func (n *Node) handleList(w wire.ResponseWriter, r *wire.Request) {
 		wire.Error(w, "channels wants GET", wire.StatusMethodNotAllowed)
 		return
 	}
-	writeJSON(w, n.pool.AllStats())
+	all := n.pool.AllStats()
+	wire.WriteJSON(w, func(j *wire.JSON) { writeChannelList(j, all) })
+}
+
+// writeChannelList writes /channels: every channel's stats, in an array.
+func writeChannelList(j *wire.JSON, all []serve.ChannelStats) {
+	j.Array()
+	for _, st := range all {
+		st.WriteJSON(j)
+	}
+	j.EndArray()
 }
 
 // handleHealth is the liveness endpoint.
 func (n *Node) handleHealth(w wire.ResponseWriter, r *wire.Request) {
-	resp := map[string]interface{}{
-		"status":         "ok",
-		"uptime_seconds": int(time.Since(n.started).Seconds()),
-		"pool":           n.pool.PoolStats(),
+	h := health{uptime: int(time.Since(n.started).Seconds()), pool: n.pool.PoolStats(),
+		nodeID: n.cfg.NodeID, snapshotDir: n.cfg.SnapshotDir}
+	if ns := n.lastSnapshot.Load(); ns > 0 && h.snapshotDir != "" {
+		h.age, h.aged = int(time.Since(time.Unix(0, ns)).Seconds()), true
 	}
-	if n.cfg.NodeID != "" {
-		resp["node_id"] = n.cfg.NodeID
-	}
-	if n.cfg.SnapshotDir != "" {
-		resp["snapshot_dir"] = n.cfg.SnapshotDir
-		if ns := n.lastSnapshot.Load(); ns > 0 {
-			resp["last_snapshot_age_seconds"] = int(time.Since(time.Unix(0, ns)).Seconds())
-		}
-	}
-	writeJSON(w, resp)
+	wire.WriteJSON(w, h.writeJSON)
 }
 
-// writeJSON answers v as indented JSON, or 500 when v cannot be encoded:
-// the body is encoded whole before the status goes out.
-func writeJSON(w wire.ResponseWriter, v interface{}) {
-	b, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		wire.Error(w, "encoding response: "+err.Error(), wire.StatusInternalError)
-		return
+// health is the /healthz document: a JSON object of "status" ("ok"),
+// "uptime_seconds" and "pool", plus "node_id" and "snapshot_dir" when set
+// and "last_snapshot_age_seconds" once a snapshot has committed (aged).
+type health struct {
+	uptime      int
+	pool        serve.PoolStats
+	nodeID      string
+	snapshotDir string
+	age         int
+	aged        bool
+}
+
+// writeJSON writes h's members in encoding/json's map order: sorted.
+func (h health) writeJSON(j *wire.JSON) {
+	j.Object()
+	if h.aged {
+		j.Key("last_snapshot_age_seconds").Int(int64(h.age))
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(append(b, '\n'))
+	if h.nodeID != "" {
+		j.Key("node_id").String(h.nodeID)
+	}
+	h.pool.WriteJSON(j.Key("pool"))
+	if h.snapshotDir != "" {
+		j.Key("snapshot_dir").String(h.snapshotDir)
+	}
+	j.Key("status").String("ok")
+	j.Key("uptime_seconds").Int(int64(h.uptime))
+	j.EndObject()
 }

@@ -23,7 +23,7 @@ import (
 	"aovlis"
 	"aovlis/internal/ledger"
 	"aovlis/internal/serve"
-	"aovlis/internal/snapshot"
+	"aovlis/internal/snapshot/manifest"
 	"aovlis/internal/stream/liveplane"
 	"aovlis/internal/update"
 	"aovlis/internal/wal"
@@ -190,7 +190,7 @@ func Open(template *aovlis.Detector, cfg Config) (*Node, error) {
 func restoreOrNew(cfg Config) (*serve.DetectorPool, map[string]uint64, error) {
 	floors := make(map[string]uint64)
 	if cfg.SnapshotDir != "" {
-		switch m, err := snapshot.ReadManifest(cfg.SnapshotDir); {
+		switch m, err := manifest.Read(cfg.SnapshotDir); {
 		case err == nil:
 			pool, err := serve.RestorePool(cfg.SnapshotDir, cfg.Pool)
 			if err != nil {

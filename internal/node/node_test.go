@@ -28,7 +28,7 @@ import (
 	"aovlis/internal/ledger"
 	"aovlis/internal/mat"
 	"aovlis/internal/serve"
-	"aovlis/internal/snapshot"
+	"aovlis/internal/snapshot/manifest"
 	"aovlis/internal/stream/live"
 	"aovlis/internal/wal"
 	"aovlis/internal/wire"
@@ -254,7 +254,7 @@ func TestOpenRestoresOrStartsEmpty(t *testing.T) {
 	t.Run("unreadable", func(t *testing.T) {
 		dir := t.TempDir()
 		garbage := []byte("not a manifest")
-		if err := os.WriteFile(filepath.Join(dir, snapshot.ManifestName), garbage, 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(dir, manifest.Name), garbage, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		cfg := testConfig(dirs{snap: dir})
@@ -266,7 +266,7 @@ func TestOpenRestoresOrStartsEmpty(t *testing.T) {
 		if err != nil || len(ents) != 1 {
 			t.Fatalf("directory after the refused boot: %v, %v; want the manifest alone", ents, err)
 		}
-		if b, err := os.ReadFile(filepath.Join(dir, snapshot.ManifestName)); err != nil || !bytes.Equal(b, garbage) {
+		if b, err := os.ReadFile(filepath.Join(dir, manifest.Name)); err != nil || !bytes.Equal(b, garbage) {
 			t.Fatalf("refused boot rewrote the manifest: %q, %v", b, err)
 		}
 	})
@@ -363,7 +363,7 @@ func TestNonFiniteVerdictProofIsServable(t *testing.T) {
 // 200 with an empty body.
 func TestWriteJSONEncodeError(t *testing.T) {
 	rec := &wiretest.Recorder{}
-	writeJSON(rec, map[string]float64{"score": math.Inf(1)})
+	wire.WriteJSON(rec, func(j *wire.JSON) { j.Object().Key("score").Float(math.Inf(1)).EndObject() })
 	if rec.Code != http.StatusInternalServerError || !strings.Contains(rec.Body.String(), "encoding response") {
 		t.Fatalf("writeJSON of +Inf answered %d %q, want 500", rec.Code, rec.Body.String())
 	}

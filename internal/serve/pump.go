@@ -3,8 +3,16 @@ package serve
 import (
 	"errors"
 
+	"aovlis"
 	"aovlis/internal/wire"
 )
+
+// SetResult copies a detector verdict into a decision line; a score JSON
+// cannot carry goes out as wire.Decision.SetScore sends it.
+func SetResult(d *wire.Decision, r aovlis.Result) {
+	d.Warmup, d.Anomaly, d.Exact, d.Path = r.Warmup, r.Anomaly, r.Exact, r.Path
+	d.SetScore(r.Score)
+}
 
 // AdmitStream is the step a segment stream takes before its first message,
 // on either framing, and reports whether the stream may start; when it may
@@ -104,7 +112,7 @@ func (p *Pump) Run() (uint64, error) {
 		if o.Err != nil {
 			decs[s].Error = o.Err.Error()
 		} else {
-			decs[s].SetResult(o.Result)
+			SetResult(&decs[s], o.Result)
 		}
 	}
 	defer func() {

@@ -2,7 +2,9 @@ package serve
 
 import (
 	"io"
+	"math"
 	"runtime"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -110,5 +112,40 @@ func TestPumpSteadyStateAllocs(t *testing.T) {
 	t.Logf("%d allocations over %.0f warm segments: %.4f per segment", after.Mallocs-before.Mallocs, segs, perSeg)
 	if perSeg >= 0.01 {
 		t.Fatalf("a warm segment allocates %.4f times from line to decision, want < 0.01", perSeg)
+	}
+}
+
+func TestSetResultAndVerdict(t *testing.T) {
+	d := wire.Decision{Channel: "c", Seq: 3}
+	SetResult(&d, aovlis.Result{Warmup: true, Anomaly: true, Score: 2, Exact: true, Path: "exact", Updated: true})
+	want := wire.Decision{Channel: "c", Seq: 3, Warmup: true, Anomaly: true, Score: 2, Exact: true, Path: "exact"}
+	if d != want {
+		t.Fatalf("SetResult: %+v, want %+v", d, want)
+	}
+	if !d.Verdict() {
+		t.Fatalf("%+v is not a verdict", d)
+	}
+}
+
+// TestSetResultNonFinite pins the line a non-finite score gets: score 0 and
+// an Error naming the value, with the anomaly flag and the path kept — and
+// the line still counts as a verdict.
+func TestSetResultNonFinite(t *testing.T) {
+	for _, score := range []float64{math.Inf(1), math.Inf(-1), math.NaN()} {
+		d := wire.Decision{Channel: "c", Seq: 10}
+		SetResult(&d, aovlis.Result{Anomaly: true, Score: score, Path: "JSmin"})
+		line, err := wire.AppendDecision(nil, &d)
+		if err != nil {
+			t.Fatalf("score %v: %v", score, err)
+		}
+		want := `{"channel":"c","seq":10,"anomaly":true,"score":0,"exact":false,"path":"JSmin",` +
+			`"error":"score is not finite: ` + strconv.FormatFloat(score, 'g', -1, 64) + `"}` + "\n"
+		if string(line) != want {
+			t.Errorf("score %v:\n got %s\nwant %s", score, line, want)
+		}
+		var back wire.Decision
+		if err := wire.DecodeDecision(line, &back); err != nil || !back.Verdict() || !back.Anomaly {
+			t.Errorf("score %v: decoded %+v (%v), want a verdict", score, back, err)
+		}
 	}
 }

@@ -46,6 +46,7 @@ import (
 
 	"aovlis"
 	"aovlis/internal/ados"
+	"aovlis/internal/wire"
 )
 
 // Detector is the per-channel scoring interface. *aovlis.Detector
@@ -387,6 +388,40 @@ type ChannelStats struct {
 	BatchOccupancy float64 `json:"batch_occupancy,omitempty"`
 }
 
+// WriteJSON writes cs as encoding/json writes it.
+func (cs ChannelStats) WriteJSON(j *wire.JSON) {
+	j.Object()
+	j.Key("channel").String(cs.Channel)
+	j.Key("shard").Int(int64(cs.Shard))
+	j.Key("observed").Uint(cs.Observed)
+	j.Key("warmups").Uint(cs.Warmups)
+	j.Key("detected").Uint(cs.Detected)
+	if cs.TierSkipped != 0 {
+		j.Key("tier_skipped").Uint(cs.TierSkipped)
+	}
+	j.Key("dropped").Uint(cs.Dropped)
+	if cs.Rejected != 0 {
+		j.Key("rejected").Uint(cs.Rejected)
+	}
+	j.Key("errors").Uint(cs.Errors)
+	j.Key("queue_depth").Int(cs.QueueDepth)
+	writeBatching(j, cs.Batches, cs.Batched, cs.BatchOccupancy)
+	j.EndObject()
+}
+
+// writeBatching writes the three omitempty micro-batching counters.
+func writeBatching(j *wire.JSON, batches, batched uint64, occupancy float64) {
+	if batches != 0 {
+		j.Key("batches").Uint(batches)
+	}
+	if batched != 0 {
+		j.Key("batched").Uint(batched)
+	}
+	if occupancy != 0 {
+		j.Key("batch_occupancy").Float(occupancy)
+	}
+}
+
 // PoolStats aggregates the pool.
 type PoolStats struct {
 	// Channels is the number of attached channels; Shards echoes the
@@ -411,6 +446,34 @@ type PoolStats struct {
 	BatchOccupancy float64 `json:"batch_occupancy,omitempty"`
 	// QueueDepths is the current length of each shard's ingest queue.
 	QueueDepths []int `json:"queue_depths"`
+}
+
+// WriteJSON writes ps as encoding/json writes it.
+func (ps PoolStats) WriteJSON(j *wire.JSON) {
+	j.Object()
+	j.Key("channels").Int(int64(ps.Channels))
+	j.Key("shards").Int(int64(ps.Shards))
+	j.Key("observed").Uint(ps.Observed)
+	j.Key("detected").Uint(ps.Detected)
+	j.Key("dropped").Uint(ps.Dropped)
+	j.Key("rejected").Uint(ps.Rejected)
+	j.Key("errors").Uint(ps.Errors)
+	j.Key("admission_state").String(ps.AdmissionState)
+	if ps.TierSkipped != 0 {
+		j.Key("tier_skipped").Uint(ps.TierSkipped)
+	}
+	writeBatching(j, ps.Batches, ps.Batched, ps.BatchOccupancy)
+	j.Key("queue_depths")
+	if ps.QueueDepths == nil {
+		j.Null()
+	} else {
+		j.Array()
+		for _, d := range ps.QueueDepths {
+			j.Int(int64(d))
+		}
+		j.EndArray()
+	}
+	j.EndObject()
 }
 
 // DetectorPool is a sharded multi-channel detection service. All methods

@@ -42,6 +42,8 @@ import (
 
 	"aovlis"
 	"aovlis/internal/snapshot"
+	"aovlis/internal/snapshot/manifest"
+	"aovlis/internal/wire"
 )
 
 // Snapshotter is implemented by detectors whose full runtime state can be
@@ -80,6 +82,23 @@ type Report struct {
 	// channel's applied floor, and for an id detached before the snapshot
 	// began (it is in no manifest) its tombstone's.
 	Floors map[string]uint64 `json:"-"`
+}
+
+// WriteJSON writes rep as encoding/json writes it.
+func (rep Report) WriteJSON(j *wire.JSON) {
+	j.Object()
+	j.Key("channels").Int(int64(rep.Channels))
+	if len(rep.Skipped) > 0 {
+		j.Key("skipped").Array()
+		for _, id := range rep.Skipped {
+			j.String(id)
+		}
+		j.EndArray()
+	}
+	j.Key("bytes").Int(rep.Bytes)
+	j.Key("elapsed_ns").Int(int64(rep.Elapsed))
+	j.Key("max_quiesce_ns").Int(int64(rep.MaxQuiesce))
+	j.EndObject()
 }
 
 // channelFile maps a channel id and a snapshot generation to the file name
@@ -176,7 +195,7 @@ func (p *DetectorPool) Snapshot(dir string) (Report, error) {
 		wg       sync.WaitGroup
 		mu       sync.Mutex // guards report, entries, firstErr
 		report   Report
-		entries  []snapshot.ChannelEntry
+		entries  []manifest.ChannelEntry
 		firstErr error
 	)
 	for _, ch := range chans {
@@ -192,7 +211,7 @@ func (p *DetectorPool) Snapshot(dir string) (Report, error) {
 			// the same shard serialise at the shard queue; channels on
 			// different shards proceed in parallel.
 			buf, quiesced, applied, err := p.encodeQuiesced(ch, snap)
-			var entry snapshot.ChannelEntry
+			var entry manifest.ChannelEntry
 			if err == nil {
 				var size int64
 				var sum string
@@ -201,7 +220,7 @@ func (p *DetectorPool) Snapshot(dir string) (Report, error) {
 					_, werr := w.Write(buf.Bytes())
 					return werr
 				})
-				entry = snapshot.ChannelEntry{
+				entry = manifest.ChannelEntry{
 					ID: ch.id, File: file,
 					Bytes: size, SHA256: sum, Shard: ch.shard.index,
 					WALSeq: applied,
@@ -228,7 +247,7 @@ func (p *DetectorPool) Snapshot(dir string) (Report, error) {
 		return Report{}, firstErr
 	}
 	sort.Slice(entries, func(i, j int) bool { return entries[i].ID < entries[j].ID })
-	m := snapshot.Manifest{Version: snapshot.Version, UnixNanos: gen, Channels: entries}
+	m := manifest.Manifest{Version: snapshot.Version, UnixNanos: gen, Channels: entries}
 	if err := snapshot.WriteManifest(dir, m); err != nil {
 		return Report{}, err
 	}
@@ -353,7 +372,7 @@ func DecodeChannelExport(r io.Reader) (string, *aovlis.Detector, error) {
 // re-derived from the channel ids, so cfg.Shards may differ from the
 // snapshotted pool's.
 func RestorePool(dir string, cfg Config) (*DetectorPool, error) {
-	m, err := snapshot.ReadManifest(dir)
+	m, err := manifest.Read(dir)
 	if err != nil {
 		return nil, err
 	}
@@ -371,8 +390,8 @@ func RestorePool(dir string, cfg Config) (*DetectorPool, error) {
 }
 
 // restoreChannel verifies and attaches one manifest entry.
-func restoreChannel(p *DetectorPool, dir string, e snapshot.ChannelEntry) error {
-	if err := snapshot.VerifyEntry(dir, e); err != nil {
+func restoreChannel(p *DetectorPool, dir string, e manifest.ChannelEntry) error {
+	if err := manifest.Verify(dir, e); err != nil {
 		return err
 	}
 	f, err := os.Open(filepath.Join(dir, e.File))

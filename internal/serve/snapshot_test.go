@@ -19,7 +19,7 @@ import (
 
 	"aovlis"
 	"aovlis/internal/mat"
-	"aovlis/internal/snapshot"
+	"aovlis/internal/snapshot/manifest"
 )
 
 // channelSeries builds a deterministic per-channel feature stream.
@@ -330,7 +330,7 @@ func TestSnapshotSkipsNonSnapshottable(t *testing.T) {
 	if rep.Channels != 1 || len(rep.Skipped) != 1 || rep.Skipped[0] != "fake" {
 		t.Fatalf("report %+v, want 1 committed + fake skipped", rep)
 	}
-	m, err := snapshot.ReadManifest(dir)
+	m, err := manifest.Read(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,7 +357,7 @@ func TestRestorePoolVerifiesIntegrity(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Flip one byte in the committed channel file: restore must refuse.
-	m, err := snapshot.ReadManifest(dir)
+	m, err := manifest.Read(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -404,7 +404,7 @@ func TestSnapshotStaleFileCleanup(t *testing.T) {
 	// After the second commit only the new generation's "keep" file (plus
 	// the manifest) may remain: the detached channel's file and the first
 	// generation's files are stale.
-	m, err := snapshot.ReadManifest(dir)
+	m, err := manifest.Read(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -445,7 +445,7 @@ func TestInterruptedSnapshotKeepsPreviousRestorable(t *testing.T) {
 	if _, err := p.Snapshot(dir); err != nil {
 		t.Fatal(err)
 	}
-	before, err := snapshot.ReadManifest(dir)
+	before, err := manifest.Read(dir)
 	if err != nil {
 		t.Fatal(err)
 	}

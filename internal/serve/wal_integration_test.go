@@ -18,7 +18,7 @@ import (
 	"testing"
 
 	"aovlis"
-	"aovlis/internal/snapshot"
+	"aovlis/internal/snapshot/manifest"
 	"aovlis/internal/wal"
 )
 
@@ -468,7 +468,7 @@ func TestPoolWALReplayAfterCheckpointFloor(t *testing.T) {
 	if _, err := victim.Snapshot(snapDir); err != nil {
 		t.Fatal(err)
 	}
-	m, err := snapshot.ReadManifest(snapDir)
+	m, err := manifest.Read(snapDir)
 	if err != nil {
 		t.Fatal(err)
 	}

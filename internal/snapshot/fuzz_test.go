@@ -14,8 +14,11 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
+
+	"aovlis/internal/snapshot/manifest"
 )
 
 var updateFuzzCorpus = flag.Bool("update-fuzz-corpus", false, "regenerate the testdata/fuzz seed corpus files")
@@ -51,7 +54,7 @@ func headerFuzzSeeds() [][]byte {
 }
 
 func manifestFuzzSeeds() [][]byte {
-	valid, err := json.Marshal(Manifest{Version: Version, UnixNanos: 42, Channels: []ChannelEntry{
+	valid, err := json.Marshal(manifest.Manifest{Version: Version, UnixNanos: 42, Channels: []manifest.ChannelEntry{
 		{ID: "a", File: "a.1.snap", Bytes: 10, SHA256: strings.Repeat("0", 64), Shard: 0},
 	}})
 	if err != nil {
@@ -103,6 +106,9 @@ func FuzzReadHeader(f *testing.F) {
 	})
 }
 
+// FuzzParseManifest holds ParseManifest to encoding/json: it fails to
+// decode exactly where json.Unmarshal does, with its error text, reads the
+// same Manifest otherwise, and accepts only valid ones.
 func FuzzParseManifest(f *testing.F) {
 	for _, seed := range manifestFuzzSeeds() {
 		f.Add(seed)
@@ -111,7 +117,20 @@ func FuzzParseManifest(f *testing.F) {
 		if len(data) > 1<<18 {
 			return
 		}
-		m, err := ParseManifest(data)
+		m, err := manifest.Parse(data)
+		var ref manifest.Manifest
+		if refErr := json.Unmarshal(data, &ref); refErr != nil {
+			if err == nil || err.Error() != "snapshot: decoding manifest: "+refErr.Error() {
+				t.Fatalf("%q: err %v, encoding/json %v", data, err, refErr)
+			}
+			return
+		}
+		if err != nil && strings.HasPrefix(err.Error(), "snapshot: decoding manifest") {
+			t.Fatalf("%q: %v, encoding/json reads it", data, err)
+		}
+		if !reflect.DeepEqual(m, ref) {
+			t.Fatalf("%q: read %+v, encoding/json %+v", data, m, ref)
+		}
 		if err != nil {
 			return
 		}

@@ -1,8 +1,8 @@
 // Package snapshot is the crash-safe persistence substrate for the AOVLIS
 // runtime: a versioned, self-describing envelope that every serialised
-// artifact (model weights, detector runtime state, pool manifests) opens
-// with, plus atomic rename-on-commit file writes and the pool manifest
-// format.
+// artifact (model weights, detector runtime state) opens with, plus atomic
+// rename-on-commit file writes and the pool manifest's commit. The
+// manifest's format and reader are package manifest, which needs no gob.
 //
 // # Envelope
 //
@@ -31,21 +31,20 @@ import (
 	"crypto/sha256"
 	"encoding/gob"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+
+	"aovlis/internal/snapshot/manifest"
 )
 
 // Magic identifies an AOVLIS snapshot stream.
 const Magic = "AOVLIS-SNAP"
 
-// Version is the current snapshot wire-format codec version. Bump it (and
-// add a testdata/snapshots/v<N> golden in the root package) whenever any
-// snapshot wire format changes. Version 2 dropped the ADOS filter's
-// configuration and counters from the detector payload.
-const Version = 2
+// Version is the current snapshot wire-format codec version; it is defined,
+// and bumped, in package manifest (see manifest.Version).
+const Version = manifest.Version
 
 // Artifact kinds carried in the envelope.
 const (
@@ -200,110 +199,12 @@ func SyncDir(dir string) error {
 	return nil
 }
 
-// ManifestName is the file the pool manifest commits to inside a snapshot
-// directory.
-const ManifestName = "MANIFEST.json"
-
-// ChannelEntry records one channel's committed snapshot file in a pool
-// manifest.
-type ChannelEntry struct {
-	// ID is the channel id; File is the snapshot file name relative to the
-	// manifest's directory.
-	ID   string `json:"id"`
-	File string `json:"file"`
-	// Bytes and SHA256 fingerprint the committed payload; RestorePool
-	// verifies them before rebuilding a channel.
-	Bytes  int64  `json:"bytes"`
-	SHA256 string `json:"sha256"`
-	// Shard records the shard the channel was confined to when snapshotted
-	// (informational: shard assignment is re-derived from the id on
-	// restore).
-	Shard int `json:"shard"`
-	// WALSeq is the channel's highest journaled sequence already applied
-	// when this snapshot quiesced — the replay floor: on boot the daemon
-	// skips WAL records with Seq <= WALSeq because their effects are
-	// inside the snapshot. Zero for pools running without a journal
-	// (JSON-additive: older manifests decode with a zero floor, which
-	// replays conservatively).
-	WALSeq uint64 `json:"wal_seq,omitempty"`
-}
-
-// Manifest indexes one committed pool snapshot. It is written last, with
-// the same atomic-rename commit as the channel files, so its presence
-// implies every file it names is complete.
-type Manifest struct {
-	// Version is the snapshot codec version the channel files were written
-	// with.
-	Version int `json:"version"`
-	// UnixNanos is the commit time.
-	UnixNanos int64 `json:"unix_nanos"`
-	// Channels lists every committed channel snapshot, sorted by id.
-	Channels []ChannelEntry `json:"channels"`
-}
-
-// WriteManifest commits m atomically into dir.
-func WriteManifest(dir string, m Manifest) error {
-	_, _, err := WriteFileAtomic(filepath.Join(dir, ManifestName), func(w io.Writer) error {
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(m); err != nil {
-			return fmt.Errorf("snapshot: encoding manifest: %w", err)
-		}
-		return nil
+// WriteManifest commits m atomically into dir, as manifest.Name: the pool
+// manifest, written last (package manifest holds its format and reader).
+func WriteManifest(dir string, m manifest.Manifest) error {
+	_, _, err := WriteFileAtomic(filepath.Join(dir, manifest.Name), func(w io.Writer) error {
+		_, err := w.Write(manifest.Append(nil, m))
+		return err
 	})
 	return err
-}
-
-// ReadManifest loads and validates dir's manifest.
-func ReadManifest(dir string) (Manifest, error) {
-	data, err := os.ReadFile(filepath.Join(dir, ManifestName))
-	if err != nil {
-		return Manifest{}, fmt.Errorf("snapshot: reading manifest: %w", err)
-	}
-	return ParseManifest(data)
-}
-
-// ParseManifest decodes and validates a manifest payload. Split from
-// ReadManifest so untrusted bytes can be validated without touching the
-// filesystem (the fuzz targets drive this directly).
-func ParseManifest(data []byte) (Manifest, error) {
-	var m Manifest
-	if err := json.Unmarshal(data, &m); err != nil {
-		return m, fmt.Errorf("snapshot: decoding manifest: %w", err)
-	}
-	if m.Version < 1 || m.Version > Version {
-		return m, fmt.Errorf("snapshot: manifest version %d not in supported range [1, %d]", m.Version, Version)
-	}
-	for i, e := range m.Channels {
-		if e.ID == "" || e.File == "" {
-			return m, fmt.Errorf("snapshot: manifest entry %d has empty id or file", i)
-		}
-		if e.Bytes < 0 {
-			return m, fmt.Errorf("snapshot: manifest entry %q records negative size %d", e.ID, e.Bytes)
-		}
-	}
-	return m, nil
-}
-
-// VerifyEntry re-hashes the entry's committed file under dir and compares
-// size and checksum, guarding a restore against truncated or corrupted
-// snapshot files.
-func VerifyEntry(dir string, e ChannelEntry) error {
-	f, err := os.Open(filepath.Join(dir, e.File))
-	if err != nil {
-		return fmt.Errorf("snapshot: channel %q: %w", e.ID, err)
-	}
-	defer f.Close()
-	h := sha256.New()
-	n, err := io.Copy(h, f)
-	if err != nil {
-		return fmt.Errorf("snapshot: channel %q: hashing %s: %w", e.ID, e.File, err)
-	}
-	if n != e.Bytes {
-		return fmt.Errorf("snapshot: channel %q: %s is %d bytes, manifest records %d", e.ID, e.File, n, e.Bytes)
-	}
-	if sum := hex.EncodeToString(h.Sum(nil)); sum != e.SHA256 {
-		return fmt.Errorf("snapshot: channel %q: %s checksum mismatch", e.ID, e.File)
-	}
-	return nil
 }

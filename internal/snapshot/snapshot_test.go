@@ -10,6 +10,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"aovlis/internal/snapshot/manifest"
 )
 
 func TestHeaderRoundTrip(t *testing.T) {
@@ -106,7 +108,7 @@ func TestWriteFileAtomic(t *testing.T) {
 	if err != nil || !bytes.Equal(got, payload) {
 		t.Fatalf("committed %q, %v", got, err)
 	}
-	if err := VerifyEntry(dir, ChannelEntry{ID: "ch", File: "ch.snap", Bytes: n, SHA256: sum}); err != nil {
+	if err := manifest.Verify(dir, manifest.ChannelEntry{ID: "ch", File: "ch.snap", Bytes: n, SHA256: sum}); err != nil {
 		t.Fatalf("verify fresh entry: %v", err)
 	}
 	// A failing fill must leave the previous committed file untouched and
@@ -138,30 +140,30 @@ func TestVerifyEntryDetectsCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	entry := ChannelEntry{ID: "ch", File: "ch.snap", Bytes: n, SHA256: sum}
+	entry := manifest.ChannelEntry{ID: "ch", File: "ch.snap", Bytes: n, SHA256: sum}
 	if err := os.WriteFile(path, []byte("paYload"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := VerifyEntry(dir, entry); err == nil || !strings.Contains(err.Error(), "checksum") {
+	if err := manifest.Verify(dir, entry); err == nil || !strings.Contains(err.Error(), "checksum") {
 		t.Fatalf("corruption not detected: %v", err)
 	}
 	if err := os.WriteFile(path, []byte("short"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := VerifyEntry(dir, entry); err == nil || !strings.Contains(err.Error(), "bytes") {
+	if err := manifest.Verify(dir, entry); err == nil || !strings.Contains(err.Error(), "bytes") {
 		t.Fatalf("truncation not detected: %v", err)
 	}
-	if err := VerifyEntry(dir, ChannelEntry{ID: "gone", File: "gone.snap"}); err == nil {
+	if err := manifest.Verify(dir, manifest.ChannelEntry{ID: "gone", File: "gone.snap"}); err == nil {
 		t.Fatal("missing file not detected")
 	}
 }
 
 func TestManifestRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	m := Manifest{
+	m := manifest.Manifest{
 		Version:   Version,
 		UnixNanos: 12345,
-		Channels: []ChannelEntry{
+		Channels: []manifest.ChannelEntry{
 			{ID: "a", File: "a.snap", Bytes: 3, SHA256: "00", Shard: 1},
 			{ID: "b", File: "b.snap", Bytes: 4, SHA256: "11", Shard: 0},
 		},
@@ -169,7 +171,7 @@ func TestManifestRoundTrip(t *testing.T) {
 	if err := WriteManifest(dir, m); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadManifest(dir)
+	got, err := manifest.Read(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,10 +187,10 @@ func TestManifestRoundTrip(t *testing.T) {
 	if err := WriteManifest(dir, bad); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadManifest(dir); err == nil {
+	if _, err := manifest.Read(dir); err == nil {
 		t.Fatal("future manifest version accepted")
 	}
-	if _, err := ReadManifest(t.TempDir()); err == nil {
+	if _, err := manifest.Read(t.TempDir()); err == nil {
 		t.Fatal("missing manifest accepted")
 	}
 }

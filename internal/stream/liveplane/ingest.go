@@ -20,7 +20,7 @@ type (
 // LastSeqHeader carries the client's replay cursor on the request.
 const (
 	ResumeHeader  = "X-Aovlis-Resume"
-	LastSeqHeader = "Last-Seq"
+	LastSeqHeader = wire.LastSeqHeader
 )
 
 // IngestHandler serves /live/{channel}: it upgrades the connection,

@@ -119,26 +119,50 @@ func Do(ctx context.Context, dial Dialer, req *Request) (*Response, error) {
 	} else {
 		go func() { wrote <- req.write(conn) }()
 	}
-	resp, err := ReadResponseHead(bufio.NewReaderSize(conn, streamReadBuf), req.Method)
+	br := doReaders.Get().(*bufio.Reader)
+	br.Reset(conn)
+	resp, err := ReadResponseHead(br, req.Method)
 	if err != nil {
 		stop()
 		conn.Close()
 		if werr := <-wrote; werr != nil {
 			err = werr
 		}
+		br.Reset(nil)
+		doReaders.Put(br)
 		return nil, fmt.Errorf("wire: %s %s: %w", req.Method, req.URL, err)
 	}
-	resp.Body = &doBody{ReadCloser: resp.Body, conn: conn, stop: stop, wrote: wrote}
+	resp.Body = &doBody{body: resp.Body, br: br, conn: conn, stop: stop, wrote: wrote}
 	return resp, nil
 }
 
-// doBody is a Do response's body; closing it closes the connection.
+// doReaders recycles the readers Do parses responses from: a router
+// probes its nodes every few hundred milliseconds, and a fresh reader a
+// call was most of what those probes allocated.
+var doReaders = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, streamReadBuf) }}
+
+// doBody is a Do response's body; closing it closes the connection and
+// returns its reader to doReaders. A read holds mu, so Close — which
+// closes the connection first, ending any read parked on it — only
+// recycles the reader once no read can touch it again.
 type doBody struct {
-	io.ReadCloser
-	conn  Conn
-	stop  func() bool
-	wrote chan error
-	once  sync.Once
+	mu     sync.Mutex
+	body   io.ReadCloser
+	br     *bufio.Reader
+	conn   Conn
+	stop   func() bool
+	wrote  chan error
+	closed bool
+	once   sync.Once
+}
+
+func (b *doBody) Read(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.closed {
+		return 0, errBodyClosed
+	}
+	return b.body.Read(p)
 }
 
 func (b *doBody) Close() error {
@@ -146,6 +170,11 @@ func (b *doBody) Close() error {
 		b.stop()
 		b.conn.Close()
 		<-b.wrote
+		b.mu.Lock()
+		b.closed = true
+		b.br.Reset(nil)
+		doReaders.Put(b.br)
+		b.mu.Unlock()
 	})
 	return nil
 }

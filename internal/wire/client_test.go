@@ -487,3 +487,39 @@ func TestDo(t *testing.T) {
 		}
 	}
 }
+
+// TestDoBodyCloseDuringRead: closing a Do response body while another
+// goroutine is parked reading it ends the read, and only then is the
+// body's reader recycled — the next Do on it must not see the old stream.
+func TestDoBodyCloseDuringRead(t *testing.T) {
+	release := make(chan struct{})
+	srv := testServer(t, func(w ResponseWriter, r *Request) {
+		io.WriteString(w, "first")
+		w.Flush()
+		select {
+		case <-release:
+		case <-r.Context().Done():
+		}
+	})
+	defer close(release)
+	for i := 0; i < 20; i++ {
+		req, err := NewRequest(MethodGet, srv.URL+"/slow", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := Do(context.Background(), nil, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		read := make(chan error, 1)
+		go func() {
+			_, err := io.Copy(io.Discard, resp.Body)
+			read <- err
+		}()
+		time.Sleep(time.Millisecond)
+		resp.Body.Close()
+		if err := <-read; err == nil {
+			t.Fatal("a read parked on a closed body returned no error")
+		}
+	}
+}

@@ -12,6 +12,10 @@ import (
 // holds the parsers to net/http's, and FuzzCanonicalHeaderKey the key
 // canonicalisation to textproto.CanonicalMIMEHeaderKey.
 
+// LastSeqHeader carries a live client's replay cursor on its upgrade
+// request: the node's live plane reads it, and the router forwards it.
+const LastSeqHeader = "Last-Seq"
+
 // CanonicalHeaderKey is the canonical form of a header key: the first
 // letter and every letter after a hyphen upper case, the rest lower case
 // ("accept-encoding" is "Accept-Encoding"). A key with a byte that is not

@@ -3,7 +3,6 @@ package wire
 import (
 	"errors"
 	"fmt"
-	"net/netip"
 	"net/url"
 	"os"
 	"strconv"
@@ -17,16 +16,16 @@ var hostsFile = "/etc/hosts"
 // the hosts file gives the name, in the file's order. Names match without
 // regard to ASCII case or a trailing dot. Anything else is a *hostError:
 // there is no DNS.
-func LookupHost(host string) ([]netip.Addr, error) {
-	if ip, err := netip.ParseAddr(host); err == nil {
-		return []netip.Addr{ip}, nil
+func LookupHost(host string) ([]IP, error) {
+	if ip, err := ParseIP(host); err == nil {
+		return []IP{ip}, nil
 	}
 	name := strings.TrimSuffix(host, ".")
 	data, err := os.ReadFile(hostsFile)
 	if err != nil && !errors.Is(err, os.ErrNotExist) {
 		return nil, fmt.Errorf("host %q: %w", host, err)
 	}
-	var ips []netip.Addr
+	var ips []IP
 	for _, line := range strings.Split(string(data), "\n") {
 		if i := strings.IndexByte(line, '#'); i >= 0 {
 			line = line[:i]
@@ -35,7 +34,7 @@ func LookupHost(host string) ([]netip.Addr, error) {
 		if len(f) < 2 {
 			continue
 		}
-		ip, err := netip.ParseAddr(f[0])
+		ip, err := ParseIP(f[0])
 		if err != nil {
 			continue
 		}

@@ -6,7 +6,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"net/netip"
 	"os"
 	"strconv"
 	"sync/atomic"
@@ -406,10 +405,10 @@ func accept(fd int) (int, syscall.Sockaddr, error) {
 
 // sockaddr is ip:port as a socket address; an IPv4-mapped IPv6 address is
 // IPv4, and an IPv6 zone must be an interface index.
-func sockaddr(ip netip.Addr, port int) (syscall.Sockaddr, error) {
+func sockaddr(ip IP, port int) (syscall.Sockaddr, error) {
 	ip = ip.Unmap()
 	if ip.Is4() {
-		return &syscall.SockaddrInet4{Port: port, Addr: ip.As4()}, nil
+		return &syscall.SockaddrInet4{Port: port, Addr: [4]byte(ip.addr[12:])}, nil
 	}
 	sa := &syscall.SockaddrInet6{Port: port, Addr: ip.As16()}
 	if z := ip.Zone(); z != "" {
@@ -426,13 +425,13 @@ func sockaddr(ip netip.Addr, port int) (syscall.Sockaddr, error) {
 func sockaddrString(sa syscall.Sockaddr) string {
 	switch sa := sa.(type) {
 	case *syscall.SockaddrInet4:
-		return netip.AddrFrom4(sa.Addr).String() + ":" + strconv.Itoa(sa.Port)
+		return string(appendIPv4(nil, sa.Addr[:])) + ":" + strconv.Itoa(sa.Port)
 	case *syscall.SockaddrInet6:
-		ip := netip.AddrFrom16(sa.Addr).Unmap()
+		ip := IP{addr: sa.Addr}
 		if sa.ZoneId != 0 {
-			ip = ip.WithZone(strconv.FormatUint(uint64(sa.ZoneId), 10))
+			ip.zone = strconv.FormatUint(uint64(sa.ZoneId), 10)
 		}
-		return joinHostPort(ip.String(), strconv.Itoa(sa.Port))
+		return joinHostPort(ip.Unmap().String(), strconv.Itoa(sa.Port))
 	}
 	return "?"
 }

@@ -11,13 +11,10 @@ package wire
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"math"
 	"strconv"
 	"strings"
-
-	"aovlis"
 )
 
 // Observation is one inbound segment: the action and audience feature
@@ -56,16 +53,16 @@ type Decision struct {
 // notFinite opens the Error of a verdict whose score JSON cannot carry.
 const notFinite = "score is not finite: "
 
-// SetResult copies a detector verdict into the decision. A score JSON
-// cannot carry (NaN, ±Inf — a hostile observation can drive the bounds
-// there) is sent as 0 with an Error naming it; the line keeps its anomaly
-// flag and path and still counts as a verdict, so the stream goes on and a
-// live client does not resend a segment that was applied.
-func (d *Decision) SetResult(r aovlis.Result) {
-	d.Warmup, d.Anomaly, d.Score, d.Exact, d.Path = r.Warmup, r.Anomaly, r.Score, r.Exact, r.Path
-	if math.IsNaN(r.Score) || math.IsInf(r.Score, 0) {
+// SetScore sets a verdict's score. A score JSON cannot carry (NaN, ±Inf —
+// a hostile observation can drive the bounds there) is sent as 0 with an
+// Error naming it; the line keeps its anomaly flag and path and still
+// counts as a verdict, so the stream goes on and a live client does not
+// resend a segment that was applied.
+func (d *Decision) SetScore(score float64) {
+	d.Score = score
+	if math.IsNaN(score) || math.IsInf(score, 0) {
 		d.Score = 0
-		d.Error = notFinite + strconv.FormatFloat(r.Score, 'g', -1, 64)
+		d.Error = notFinite + strconv.FormatFloat(score, 'g', -1, 64)
 	}
 }
 
@@ -82,14 +79,32 @@ func (d *Decision) Verdict() bool {
 // canonical line — one "action" and one "audience" array of numbers, in
 // either order, with JSON whitespace between tokens — is scanned here
 // without allocating; every other line (unknown, repeated or case-folded
-// keys, null, escapes, numbers out of range, malformed input) is left to
-// encoding/json, so what is accepted and every float bit are json's.
+// keys, null, escapes, numbers out of range, malformed input) goes through
+// JSONReader, which accepts what encoding/json accepts, reads the same
+// float bits and fails with the same error text.
 func DecodeObservation(line []byte, o *Observation) error {
 	if scanObservation(line, o) {
 		return nil
 	}
 	*o = Observation{}
-	if err := json.Unmarshal(line, o); err != nil {
+	var r JSONReader
+	err := r.Reset(line)
+	if err == nil && r.Object("", "wire.Observation") {
+		for r.More() {
+			switch r.Key("action", "audience") {
+			case 0:
+				r.Floats(&o.Action, "Observation.action")
+			case 1:
+				r.Floats(&o.Audience, "Observation.audience")
+			default:
+				r.Skip()
+			}
+		}
+	}
+	if err == nil {
+		err = r.Err()
+	}
+	if err != nil {
 		*o = Observation{}
 		return fmt.Errorf("bad observation line: %w", err)
 	}
@@ -277,11 +292,11 @@ func appendFloats(b []byte, vs []float64) []byte {
 
 // AppendDecision appends d's newline-terminated line to dst: json.Marshal's
 // bytes, written without reflection or allocation. It fails only on a score
-// JSON cannot carry (NaN, ±Inf), with json.Marshal's error and dst
+// JSON cannot carry (NaN, ±Inf), with json.Marshal's error text and dst
 // unchanged.
 func AppendDecision(dst []byte, d *Decision) ([]byte, error) {
 	if math.IsNaN(d.Score) || math.IsInf(d.Score, 0) {
-		return dst, &json.UnsupportedValueError{Str: strconv.FormatFloat(d.Score, 'g', -1, 64)}
+		return dst, &UnsupportedValueError{Str: strconv.FormatFloat(d.Score, 'g', -1, 64)}
 	}
 	dst = appendString(append(dst, `{"channel":`...), d.Channel)
 	dst = strconv.AppendUint(append(dst, `,"seq":`...), d.Seq, 10)
@@ -309,40 +324,47 @@ func AppendDecision(dst []byte, d *Decision) ([]byte, error) {
 	return append(dst, '}', '\n'), nil
 }
 
-// appendScore writes a finite float64 the way encoding/json does: the
-// shortest round-trip digits, in exponent form outside [1e-6, 1e21) with
-// the exponent unpadded.
-func appendScore(b []byte, f float64) []byte {
-	format := byte('f')
-	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	b = strconv.AppendFloat(b, f, format, -1, 64)
-	if n := len(b); format == 'e' && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
-		b[n-2] = b[n-1] // e-07 → e-7
-		b = b[:n-1]
-	}
-	return b
-}
+// decisionKeys are Decision's JSON member names, in field order.
+var decisionKeys = []string{"channel", "seq", "warmup", "anomaly", "score", "exact", "path", "wseq", "dropped", "rejected", "error"}
 
-// appendString writes s as a JSON string. Printable ASCII that needs no
-// escape is copied as is; anything else goes through encoding/json, whose
-// escaping (HTML characters, control bytes, U+2028/U+2029, invalid UTF-8)
-// the line must match.
-func appendString(b []byte, s string) []byte {
-	for i := 0; i < len(s); i++ {
-		if c := s[i]; c < 0x20 || c >= 0x7f || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
-			q, _ := json.Marshal(s)
-			return append(b, q...)
-		}
-	}
-	b = append(b, '"')
-	b = append(b, s...)
-	return append(b, '"')
-}
-
-// DecodeDecision parses one decision line.
+// DecodeDecision parses one decision line: what json.Unmarshal reads into
+// a zero Decision, and its error where it fails.
 func DecodeDecision(line []byte, d *Decision) error {
 	*d = Decision{}
-	return json.Unmarshal(line, d)
+	var r JSONReader
+	if err := r.Reset(line); err != nil {
+		return err
+	}
+	if !r.Object("", "wire.Decision") {
+		return r.Err()
+	}
+	for r.More() {
+		switch r.Key(decisionKeys...) {
+		case 0:
+			r.String(&d.Channel, "Decision.channel")
+		case 1:
+			r.Uint(&d.Seq, "Decision.seq")
+		case 2:
+			r.Bool(&d.Warmup, "Decision.warmup")
+		case 3:
+			r.Bool(&d.Anomaly, "Decision.anomaly")
+		case 4:
+			r.Float(&d.Score, "Decision.score")
+		case 5:
+			r.Bool(&d.Exact, "Decision.exact")
+		case 6:
+			r.String(&d.Path, "Decision.path")
+		case 7:
+			r.Uint(&d.WSeq, "Decision.wseq")
+		case 8:
+			r.Bool(&d.Dropped, "Decision.dropped")
+		case 9:
+			r.Bool(&d.Rejected, "Decision.rejected")
+		case 10:
+			r.String(&d.Error, "Decision.error")
+		default:
+			r.Skip()
+		}
+	}
+	return r.Err()
 }

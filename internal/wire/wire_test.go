@@ -12,8 +12,6 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-
-	"aovlis"
 )
 
 // TestDecisionGoldenBytes pins the decision line byte for byte: every
@@ -51,19 +49,16 @@ func TestDecisionGoldenBytes(t *testing.T) {
 	}
 }
 
-func TestSetResultAndVerdict(t *testing.T) {
-	d := Decision{Channel: "c", Seq: 3}
-	d.SetResult(aovlis.Result{Warmup: true, Anomaly: true, Score: 2, Exact: true, Path: "exact", Updated: true})
-	want := Decision{Channel: "c", Seq: 3, Warmup: true, Anomaly: true, Score: 2, Exact: true, Path: "exact"}
-	if d != want {
-		t.Fatalf("SetResult: %+v, want %+v", d, want)
-	}
+// TestVerdict: only a line that carries a detector verdict — warm-up and a
+// non-finite score included — is one.
+func TestVerdict(t *testing.T) {
 	for _, tc := range []struct {
 		d    Decision
 		want bool
 	}{
 		{Decision{}, true},
 		{Decision{Warmup: true}, true},
+		{Decision{Error: notFinite + "NaN"}, true},
 		{Decision{Error: "x"}, false},
 		{Decision{Dropped: true}, false},
 		{Decision{Rejected: true}, false},
@@ -374,29 +369,6 @@ func TestScanLinesBounds(t *testing.T) {
 					t.Fatalf("line buffer grew to %d bytes over lines that fit its initial %d", maxCap, scanBufInit)
 				}
 			})
-		}
-	}
-}
-
-// TestSetResultNonFinite pins the line a non-finite score gets: score 0 and
-// an Error naming the value, with the anomaly flag and the path kept — and
-// the line still counts as a verdict.
-func TestSetResultNonFinite(t *testing.T) {
-	for _, score := range []float64{math.Inf(1), math.Inf(-1), math.NaN()} {
-		d := Decision{Channel: "c", Seq: 10}
-		d.SetResult(aovlis.Result{Anomaly: true, Score: score, Path: "JSmin"})
-		line, err := AppendDecision(nil, &d)
-		if err != nil {
-			t.Fatalf("score %v: %v", score, err)
-		}
-		want := `{"channel":"c","seq":10,"anomaly":true,"score":0,"exact":false,"path":"JSmin",` +
-			`"error":"score is not finite: ` + strconv.FormatFloat(score, 'g', -1, 64) + `"}` + "\n"
-		if string(line) != want {
-			t.Errorf("score %v:\n got %s\nwant %s", score, line, want)
-		}
-		var back Decision
-		if err := DecodeDecision(line, &back); err != nil || !back.Verdict() || !back.Anomaly {
-			t.Errorf("score %v: decoded %+v (%v), want a verdict", score, back, err)
 		}
 	}
 }
