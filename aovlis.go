@@ -60,12 +60,6 @@ type Config struct {
 	EnableUpdate bool
 	// Update configures the updater when EnableUpdate is set.
 	Update update.Config
-	// FastMath switches the inference hot path to the polynomial SIMD
-	// exp/tanh gate kernels (a few ULP from the libm-exact kernels; the
-	// tolerance is pinned by internal/mat's property tests and the
-	// verdict-flip-rate harness). Training and drift tracking (the
-	// TrainPlan) stay exact.
-	FastMath bool
 	// Tiered enables bound-gated skipping of the exact LSTM predict: when
 	// the last exactly-scored segment's predictions still clear the JSmax
 	// normal bound with margin, the segment is declared normal without
@@ -259,9 +253,6 @@ func (d *Detector) initRuntime(seedSamples []core.Sample) error {
 		}
 		d.tier = tier
 	}
-	// FastMath is a runtime mode of the inference plan, not part of the
-	// serialised model: every construction path re-applies it here.
-	d.model.SetFastMath(d.cfg.FastMath)
 	if d.cfg.EnableUpdate {
 		upd, err := update.NewShared(d.model, d.cfg.Update, d.trainers)
 		if err != nil {
@@ -297,14 +288,15 @@ func (d *Detector) SetTau(tau float64) { d.tau = tau }
 // detector's single-writer contract and never overlap it with Observe.
 func (d *Detector) Model() *core.Model { return d.model }
 
-// SetScoringMode reconfigures the runtime scoring tiers of an existing
-// detector — the fast-math gate kernels and the bound-gated tier skip —
-// for detectors restored by Load from a model saved without them. Both
-// fields of the scoring mode are set; enabling Tiered on an untiered
-// detector builds a fresh gate, disabling drops it. SetScoringMode
-// mutates detector state and is writer activity under the single-writer
-// contract; future Clone/Save calls carry the new mode.
-func (d *Detector) SetScoringMode(fastMath, tiered bool) error {
+// SetScoringMode switches the bound-gated tier skip of an existing
+// detector on or off, for detectors restored by Load from a model saved
+// without it: enabling Tiered on an untiered detector builds a fresh gate,
+// disabling drops it. The first argument is ignored: it selected the
+// retired fast-math gate kernel, and every detector now scores on the
+// exact one. SetScoringMode mutates detector state and is writer activity
+// under the single-writer contract; future Clone/Save calls carry the new
+// mode.
+func (d *Detector) SetScoringMode(_, tiered bool) error {
 	if tiered && d.tier == nil {
 		tier, err := ados.NewTierPlan(d.cfg.tierConfig(), d.cfg.ActionDim, d.cfg.AudienceDim)
 		if err != nil {
@@ -315,9 +307,7 @@ func (d *Detector) SetScoringMode(fastMath, tiered bool) error {
 	if !tiered {
 		d.tier = nil
 	}
-	d.cfg.FastMath = fastMath
 	d.cfg.Tiered = tiered
-	d.model.SetFastMath(fastMath)
 	return nil
 }
 
@@ -455,8 +445,8 @@ func (d *Detector) observeLanes(acts, auds [][]float64, results []Result) (int, 
 		}
 		var res Result
 		// hidden is LSTM_I's final state for the lane's window when the
-		// prediction below computed it on the exact kernels: the drift check
-		// reads it instead of running the recurrence again.
+		// prediction below computed it: the drift check reads it instead of
+		// running the recurrence again.
 		var hidden []float64
 		// Tier 0: the anchor bound may clear the segment as normal without
 		// running the model at all.
@@ -836,8 +826,6 @@ func RestoreDetector(r io.Reader) (*Detector, error) {
 		}
 		d.tier = tier
 	}
-	// Runtime inference mode is config-owned, not snapshot-owned: re-apply.
-	d.model.SetFastMath(d.cfg.FastMath)
 	if wire.HasUpdater {
 		upd, err := update.NewShared(model, d.cfg.Update, d.trainers)
 		if err != nil {

@@ -238,19 +238,17 @@ func TestObserveBatchSteadyStateAllocs(t *testing.T) {
 // call) and replays them when a retrain lands mid-batch.
 func TestObserveBatchMatrix(t *testing.T) {
 	for _, tc := range []struct {
-		name                 string
-		fast, tiered, update bool
+		name           string
+		tiered, update bool
 	}{
-		{"exact", false, false, false},
-		{"fastmath", true, false, false},
-		{"tiered", false, true, false},
-		{"update", false, false, true},
-		{"tiered+update", false, true, true},
+		{"exact", false, false},
+		{"tiered", true, false},
+		{"update", false, true},
+		{"tiered+update", true, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(59))
 			cfg := testConfig()
-			cfg.FastMath = tc.fast
 			if tc.tiered {
 				cfg.Tiered = true
 				cfg.Tier = ados.TierConfig{DriftMax: 0.6, Margin: 1, MaxRun: 8}

@@ -165,16 +165,9 @@ func benchmarkDetector(b *testing.B, mutate ...func(*Config)) {
 // served default: predict, then the exact REIA against τ.
 func BenchmarkDetectorObserve(b *testing.B) { benchmarkDetector(b) }
 
-// BenchmarkDetectorObserveFastMath is BenchmarkDetectorObserve scored with
-// the polynomial SIMD exp/tanh gate kernels: identical GEMV work,
-// transcendental evaluation off the libm scalar ceiling.
-func BenchmarkDetectorObserveFastMath(b *testing.B) {
-	benchmarkDetector(b, func(cfg *Config) { cfg.FastMath = true })
-}
-
-// BenchmarkDetectorObserveTiered is the full ISSUE 6 operating point:
-// fast-math kernels plus the bound-gated tier skip, so segments the
-// anchor bound clears never run the LSTM at all. The gate here is the
+// BenchmarkDetectorObserveTiered is BenchmarkDetectorObserve with the
+// bound-gated tier skip, so segments the anchor bound clears never run the
+// LSTM at all. The gate here is the
 // lax calibration (wide drift bound, full margin) with a widened τ — the
 // 4-epoch bench model reconstructs too loosely for the proxy bound to
 // clear the strict 0.95-quantile threshold, exactly like the tiered soak
@@ -182,7 +175,6 @@ func BenchmarkDetectorObserveFastMath(b *testing.B) {
 // the flip-rate cost of skipping is pinned by TestTieredVerdictFlipRate.
 func BenchmarkDetectorObserveTiered(b *testing.B) {
 	benchmarkDetector(b, func(cfg *Config) {
-		cfg.FastMath = true
 		cfg.Tiered = true
 		cfg.Tier = ados.TierConfig{DriftMax: 0.6, Margin: 1, MaxRun: 8}
 		cfg.TauQuantile = 1

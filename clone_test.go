@@ -120,9 +120,9 @@ func TestCloneMatchesSaveLoad(t *testing.T) {
 	rs := regimeSwitchStream(t)
 	saved := saveBytes(t, rs.det)
 	for _, mode := range []struct {
-		name             string
-		fastMath, tiered bool
-	}{{"exact", false, false}, {"fastmath+tiered", true, true}} {
+		name   string
+		tiered bool
+	}{{"exact", false}, {"tiered", true}} {
 		t.Run(mode.name, func(t *testing.T) {
 			cow, err := rs.det.Clone()
 			if err != nil {
@@ -136,7 +136,7 @@ func TestCloneMatchesSaveLoad(t *testing.T) {
 				t.Fatal("want the clone sharing the template's weights and the loaded detector owning its own")
 			}
 			for _, d := range []*Detector{cow, loaded} {
-				if err := d.SetScoringMode(mode.fastMath, mode.tiered); err != nil {
+				if err := d.SetScoringMode(false, mode.tiered); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -164,7 +164,7 @@ func TestCloneMatchesSaveLoad(t *testing.T) {
 // TestSharedWeightsIsolation runs eight clones of one EnableUpdate template
 // on eight goroutines (run it under -race). Two stream across the regime
 // switch and retrain mid-run while six keep reading the shared weights, one
-// of those in fast-math mode; the readers hold their second half back until
+// of those tiered; the readers hold their second half back until
 // a writer has retrained, so reads of the shared arrays overlap both the
 // writers' detach and their later retrains. Every clone must reproduce its
 // solo run, the readers must end still sharing, and the template's bytes
@@ -186,7 +186,7 @@ func TestSharedWeightsIsolation(t *testing.T) {
 			s = writerStream
 		}
 		if i == writers {
-			if err := d.SetScoringMode(true, false); err != nil {
+			if err := d.SetScoringMode(false, true); err != nil {
 				return nil, err
 			}
 		}

@@ -108,7 +108,7 @@ func main() {
 	)
 	flag.StringVar(&addr, "addr", ":8080", "listen address, host:port; the host is an IP literal, a name in /etc/hosts, or empty for every interface")
 	flag.StringVar(&loadPath, "load", "", "the saved detector whose clones serve the channels (required; `aovlis -save` writes one)")
-	flag.BoolVar(&fastMath, "fastmath", false, "score with the polynomial SIMD exp/tanh gate kernels (a few ULP off the exact kernels; see ARCHITECTURE.md §8)")
+	flag.BoolVar(&fastMath, "fastmath", false, "accepted and ignored: the fast-math gate kernel is retired, and every detector scores on the exact one")
 	flag.BoolVar(&tiered, "tiered", false, "enable bound-gated tier skipping: segments the anchor bound clears as normal skip the LSTM predict entirely (one-sided; flip rate pinned by the root test harness)")
 	flag.IntVar(&cfg.Pool.Shards, "shards", 4, "detector pool shards (worker goroutines)")
 	flag.IntVar(&cfg.Pool.QueueDepth, "queue", 256, "per-shard ingest queue depth")
@@ -129,13 +129,16 @@ func main() {
 	flag.DurationVar(&cfg.AbsorbEvery, "absorb-every", 30*time.Second, "with -continual: how often the absorb loop folds every channel into the shared base")
 	flag.Parse()
 
-	if err := run(addr, loadPath, policyName, fastMath, tiered, admission, cfg); err != nil {
+	if fastMath {
+		fmt.Fprintln(os.Stderr, "aovlisd: -fastmath is ignored: the fast-math gate kernel is retired, and scoring is exact")
+	}
+	if err := run(addr, loadPath, policyName, tiered, admission, cfg); err != nil {
 		fmt.Fprintln(os.Stderr, "aovlisd:", err)
 		os.Exit(1)
 	}
 }
 
-func run(addr, loadPath, policyName string, fastMath, tiered, admission bool, cfg node.Config) error {
+func run(addr, loadPath, policyName string, tiered, admission bool, cfg node.Config) error {
 	var err error
 	if cfg.Pool.Policy, err = serve.ParsePolicy(policyName); err != nil {
 		return err
@@ -152,7 +155,7 @@ func run(addr, loadPath, policyName string, fastMath, tiered, admission bool, cf
 	defer l.Close()
 	// The node's own lines — boot, checkpoints, faults — go to stderr.
 	cfg.Logf = log.New(os.Stderr, "", 0).Printf
-	template, err := loadTemplate(loadPath, fastMath, tiered)
+	template, err := loadTemplate(loadPath, tiered)
 	if err != nil {
 		return err
 	}
@@ -186,9 +189,9 @@ func run(addr, loadPath, policyName string, fastMath, tiered, admission bool, cf
 }
 
 // loadTemplate loads the saved detector whose clones serve the channels.
-// -fastmath/-tiered override the scoring mode it was saved with; clones
-// inherit the override.
-func loadTemplate(path string, fastMath, tiered bool) (*aovlis.Detector, error) {
+// -tiered overrides the scoring mode it was saved with; clones inherit the
+// override.
+func loadTemplate(path string, tiered bool) (*aovlis.Detector, error) {
 	if path == "" {
 		return nil, fmt.Errorf("-load is required: aovlisd serves a saved detector and does not train one (`aovlis -save model.bin` does)")
 	}
@@ -202,16 +205,9 @@ func loadTemplate(path string, fastMath, tiered bool) (*aovlis.Detector, error) 
 		return nil, err
 	}
 	mode := ""
-	switch {
-	case fastMath && tiered:
-		mode = ", fastmath+tiered scoring"
-	case fastMath:
-		mode = ", fastmath scoring"
-	case tiered:
+	if tiered {
 		mode = ", tiered scoring"
-	}
-	if mode != "" {
-		if err := det.SetScoringMode(fastMath, tiered); err != nil {
+		if err := det.SetScoringMode(false, true); err != nil {
 			return nil, err
 		}
 	}

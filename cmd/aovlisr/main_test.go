@@ -15,7 +15,7 @@ package main
 //     the state an undisturbed run would have had. The former
 //     at-least-last-checkpoint carve-out is gone.
 //
-// TestClusterThroughput is the §8 benchmark body: a 3-node fastmath+tiered
+// TestClusterThroughput is the §8 benchmark body: a 3-node tiered
 // fleet behind the router driven by the open-loop HTTP loadgen, printing
 // the machine-readable CLUSTER-RESULT line scripts/smoke.sh cluster gates.
 
@@ -531,7 +531,7 @@ func TestClusterKillNodeSoak(t *testing.T) {
 	}
 }
 
-// TestClusterThroughput drives a 3-node fastmath+tiered fleet through the
+// TestClusterThroughput drives a 3-node tiered fleet through the
 // router with the open-loop HTTP loadgen and prints the CLUSTER-RESULT
 // line BENCH.md §8 and scripts/smoke.sh cluster gate. Functional assertion
 // here is only zero loss; the throughput floor lives in the smoke script
@@ -559,7 +559,7 @@ func TestClusterThroughput(t *testing.T) {
 		cmd := exec.Command(bin,
 			"-addr", addr, "-load", model, "-node-id", name,
 			"-snapshot-dir", dir, "-shards", "1", "-queue", "512",
-			"-fastmath", "-tiered", "-admission=false", "-metrics=false")
+			"-tiered", "-admission=false", "-metrics=false")
 		// The bench fights for one core with its own clients; relaxed GC in
 		// the children keeps the measurement about serving, not collection.
 		cmd.Env = append(os.Environ(), "GOGC=400")

@@ -253,3 +253,84 @@ func TestSnapshotGoldenCurrent(t *testing.T) {
 		}
 	}
 }
+
+// testdata/fastmath holds a detector written with the retired
+// Config.FastMath field set, by the last code that had the field:
+// goldenConfig with FastMath on, trained on goldenSeries(1, 64, nil),
+// saved (detector.bin), then fed the first goldenPreSegments of
+// goldenLiveStream and snapshotted (detector.snap). Gob skips a field the
+// type no longer has, so both files must still load — and, with one gate
+// kernel left, score bit for bit as the exact detector of goldenConfig
+// does, write the bytes it writes, and carry nothing of the field.
+func TestRetiredFastMathFilesScoreExact(t *testing.T) {
+	trainA, trainU := goldenSeries(1, 64, nil)
+	exact, err := Train(trainA, trainU, goldenConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	open := func(name string) *os.File {
+		f, err := os.Open(filepath.Join("testdata", "fastmath", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { f.Close() })
+		return f
+	}
+	loaded, err := Load(open("detector.bin"))
+	if err != nil {
+		t.Fatalf("a detector saved with FastMath no longer loads: %v", err)
+	}
+	if !bytes.Equal(saveBytes(t, loaded), saveBytes(t, exact)) {
+		t.Fatal("the loaded detector saves other bytes than the exact detector of its configuration")
+	}
+	liveA, liveU := goldenLiveStream()
+	reference, err := exact.Clone()
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameResults(t, observeSerially(t, reference, liveA, liveU), observeSerially(t, loaded, liveA, liveU))
+
+	restored, err := RestoreDetector(open("detector.snap"))
+	if err != nil {
+		t.Fatalf("a snapshot taken with FastMath no longer restores: %v", err)
+	}
+	pre, post := goldenPreSegments, len(liveA)
+	observeSerially(t, exact, liveA[:pre], liveU[:pre])
+	if !bytes.Equal(snapshotBytes(t, restored), snapshotBytes(t, exact)) {
+		t.Fatal("the restored snapshot writes other bytes than the exact detector at the same point")
+	}
+	requireSameResults(t, observeSerially(t, exact, liveA[pre:post], liveU[pre:post]),
+		observeSerially(t, restored, liveA[pre:post], liveU[pre:post]))
+}
+
+// TestScoringModeIgnoresFirstArgument pins the SetScoringMode shim: its
+// first argument selected the retired fast-math kernel, and now both of
+// its values give the same detector, tiered or not — the same results on
+// the golden stream, bit for bit, and the same snapshot bytes after it.
+func TestScoringModeIgnoresFirstArgument(t *testing.T) {
+	trainA, trainU := goldenSeries(1, 64, nil)
+	tmpl, err := Train(trainA, trainU, goldenConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	liveA, liveU := goldenLiveStream()
+	for _, tiered := range []bool{false, true} {
+		var results [2][]Result
+		var snaps [2][]byte
+		for i, first := range []bool{false, true} {
+			d, err := tmpl.Clone()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := d.SetScoringMode(first, tiered); err != nil {
+				t.Fatal(err)
+			}
+			results[i] = observeSerially(t, d, liveA, liveU)
+			snaps[i] = snapshotBytes(t, d)
+		}
+		requireSameResults(t, results[0], results[1])
+		if !bytes.Equal(snaps[0], snaps[1]) {
+			t.Fatalf("tiered=%v: SetScoringMode(true, …) snapshots other bytes than SetScoringMode(false, …)", tiered)
+		}
+	}
+}

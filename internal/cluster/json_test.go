@@ -26,17 +26,18 @@ func sameError(t *testing.T, what string, in []byte, err, ref error) {
 // FuzzReadJSON holds every JSON reader the router runs to encoding/json on
 // the same bytes: DecodeDecision (json.Unmarshal into a wire.Decision), the
 // /healthz probe and the /channels merge (a json.Decoder over the first MiB
-// into healthResponse and map[string]json.RawMessage), and manifest.Parse
+// into healthResponse and []json.RawMessage), and manifest.Parse
 // (json.Unmarshal into a manifest.Manifest). Each must accept what
 // encoding/json accepts, fail with its error text, and read the same
-// values; the merged /channels document must be what a json.Encoder with
-// SetIndent("", "  ") writes for the map.
+// values; the /channels document written back must be what a json.Encoder
+// with SetIndent("", "  ") writes for the slice.
 func FuzzReadJSON(f *testing.F) {
 	for _, s := range []string{
 		`{"channel":"a","seq":1,"anomaly":true,"score":0.5,"exact":true,"path":"exact","wseq":3}`,
 		`{"status":"ok","node_id":"n1","last_snapshot_age_seconds":3}`, `{"status":"ok","last_snapshot_age_seconds":null} trailing`,
 		`{"status":"ok","last_snapshot_age_seconds":1.5}`, `{"STATUS":"ok","Node_ID":"x"}`, `{"status":5}`,
 		`{"a":{"channel":"a","observed":3},"b":[1, {"x" : "<&>"}],"c":null,"a":"dup"}`, `[{"channel":"a"}]`, `{} {`,
+		`[{"channel":"b","observed":2}, null ,{"CHANNEL":"<a>","x":[ ]},7,"s"]`, `[]`, `[] [`,
 		`{"version":2,"unix_nanos":42,"channels":[{"id":"a","file":"a.1.snap","bytes":10,"sha256":"00","shard":1,"wal_seq":7}]}`,
 		`{"version":1,"channels":[{"id":"x","file":"f"}],"channels":[{"id":"y"},null]}`, `{"version":1,"channels":[1]}`,
 		`{"version":1,"channels":[{"id":"x","file":"f","bytes":-5}]}`, `{"version":"1"}`, `{"version":1e3}`,
@@ -65,21 +66,25 @@ func FuzzReadJSON(f *testing.F) {
 			t.Fatalf("health of %q: %+v, encoding/json %+v", b, h, href)
 		}
 
-		one, err := readChannelMap(bytes.NewReader(b))
-		var ref map[string]json.RawMessage
+		one, err := readChannelList(bytes.NewReader(b))
+		var ref []json.RawMessage
 		refErr = json.NewDecoder(io.LimitReader(bytes.NewReader(b), 1<<20)).Decode(&ref)
 		sameError(t, "channel list", b, err, refErr)
 		if err == nil {
 			if len(one) != len(ref) {
-				t.Fatalf("channel list of %q: %d members, encoding/json %d", b, len(one), len(ref))
+				t.Fatalf("channel list of %q: %d elements, encoding/json %d", b, len(one), len(ref))
 			}
-			for k, v := range ref {
-				if !bytes.Equal(one[k], v) {
-					t.Fatalf("channel list of %q: %q is %q, encoding/json %q", b, k, one[k], v)
+			for i, v := range ref {
+				if !bytes.Equal(one[i], v) {
+					t.Fatalf("channel list of %q: element %d is %q, encoding/json %q", b, i, one[i], v)
+				}
+				var st struct{ Channel string }
+				if json.Unmarshal(v, &st) == nil && channelOf(one[i]) != st.Channel {
+					t.Fatalf("channel list of %q: element %d names channel %q, encoding/json %q", b, i, channelOf(one[i]), st.Channel)
 				}
 			}
 			if ref == nil {
-				ref = map[string]json.RawMessage{} // the router merges into a made map
+				ref = []json.RawMessage{} // the router merges into a made slice
 			}
 			var want bytes.Buffer
 			enc := json.NewEncoder(&want)
@@ -150,12 +155,13 @@ func TestRouterDocumentsMatchEncodingJSON(t *testing.T) {
 	} {
 		sameDocument(t, "rebalance", rep.writeJSON, rep)
 	}
-	merged := channelMap{"b": []byte(` { "observed" : 3, "x":[ ] } `), "a": []byte(`"<a>"`), "c": []byte(`null`)}
-	raw := map[string]json.RawMessage{}
-	for k, v := range merged {
-		raw[k] = v
+	merged := channelList{[]byte(` { "channel" : "b", "x":[ ] } `), []byte(`"<a>"`), []byte(`null`)}
+	raw := []json.RawMessage{}
+	for _, v := range merged {
+		raw = append(raw, v)
 	}
 	sameDocument(t, "channels", merged.writeJSON, raw)
+	sameDocument(t, "no channels", channelList{}.writeJSON, raw[:0])
 }
 
 // TestRouterHealthMatchesEncodingJSON: GET /healthz on the router answers

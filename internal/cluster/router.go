@@ -397,14 +397,16 @@ func (r *Router) handleRebalance(w wire.ResponseWriter, req *wire.Request) {
 	wire.WriteJSON(w, rep.writeJSON)
 }
 
-// handleChannels aggregates GET /channels across the alive fleet into one
-// stats map, keyed by channel id.
+// handleChannels answers GET /channels as a node does, for the alive
+// fleet: one array of every channel's stats, sorted by channel id. A
+// channel two nodes list (a stale copy after a failover) appears once, as
+// the later node in -nodes order reports it.
 func (r *Router) handleChannels(w wire.ResponseWriter, req *wire.Request) {
 	if req.Method != wire.MethodGet {
 		wire.Error(w, "channels wants GET", wire.StatusMethodNotAllowed)
 		return
 	}
-	merged := make(channelMap)
+	byID := make(map[string][]byte)
 	for _, n := range r.nodes {
 		if !n.Alive() {
 			continue
@@ -413,52 +415,68 @@ func (r *Router) handleChannels(w wire.ResponseWriter, req *wire.Request) {
 		if err != nil {
 			continue
 		}
-		one, err := readChannelMap(resp.Body)
+		one, err := readChannelList(resp.Body)
 		resp.Body.Close()
 		if err != nil {
 			continue
 		}
-		for k, v := range one {
-			merged[k] = v
+		for _, st := range one {
+			byID[channelOf(st)] = st
 		}
+	}
+	ids := make([]string, 0, len(byID))
+	for id := range byID {
+		ids = append(ids, id)
+	}
+	sort.Strings(ids)
+	merged := make(channelList, len(ids))
+	for i, id := range ids {
+		merged[i] = byID[id]
 	}
 	wire.WriteJSON(w, merged.writeJSON)
 }
 
-// channelMap is channel ids to the raw JSON of each one's stats, as a
-// map[string]json.RawMessage holds them.
-type channelMap map[string][]byte
+// channelList is the raw JSON of each channel's stats, as a
+// []json.RawMessage holds them.
+type channelList [][]byte
 
-// writeJSON writes m as encoding/json writes the map: members sorted by
-// key, each value compacted and re-indented in place.
-func (m channelMap) writeJSON(j *wire.JSON) {
-	ids := make([]string, 0, len(m))
-	for k := range m {
-		ids = append(ids, k)
+// writeJSON writes l as encoding/json writes the slice: each element
+// compacted and re-indented in place.
+func (l channelList) writeJSON(j *wire.JSON) {
+	j.Array()
+	for _, st := range l {
+		j.Raw(st)
 	}
-	sort.Strings(ids)
-	j.Object()
-	for _, k := range ids {
-		j.Key(k).Raw(m[k])
-	}
-	j.EndObject()
+	j.EndArray()
 }
 
-// readChannelMap reads a node's /channels body as a json.Decoder reads a
-// map[string]json.RawMessage: each member's value as its raw bytes.
-func readChannelMap(body io.Reader) (channelMap, error) {
+// readChannelList reads a node's /channels body as a json.Decoder reads a
+// []json.RawMessage: each element as its raw bytes.
+func readChannelList(body io.Reader) (channelList, error) {
 	var r wire.JSONReader
 	if err := readJSONLimited(body, &r); err != nil {
 		return nil, err
 	}
-	one := make(channelMap)
-	if r.Object("", "map[string]json.RawMessage") {
+	var one [][]byte
+	wire.ReadSlice(&r, &one, "", "[]json.RawMessage", func(st *[]byte) { *st = r.Raw() })
+	return one, r.Err()
+}
+
+// channelOf is the "channel" member of one channel's stats, or "" when it
+// has none.
+func channelOf(st []byte) string {
+	var r wire.JSONReader
+	var id string
+	if r.Reset(st) == nil && r.Object("", "") {
 		for r.More() {
-			k := r.MapKey()
-			one[k] = r.Raw()
+			if r.Key("channel") == 0 {
+				r.String(&id, "channel")
+			} else {
+				r.Skip()
+			}
 		}
 	}
-	return one, r.Err()
+	return id
 }
 
 // handleChannel routes /channels/{id}/observe (proxied stream) and

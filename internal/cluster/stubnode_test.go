@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -101,13 +102,20 @@ func (s *stubNode) handler() wire.Handler {
 			"status": "ok", "node_id": s.name, "last_snapshot_age_seconds": age,
 		})
 	})
+	// /channels answers as a node does: an array of channel stats, sorted
+	// by channel.
 	mux.HandleFunc("/channels", func(w wire.ResponseWriter, r *wire.Request) {
+		type stats struct {
+			Channel  string `json:"channel"`
+			Observed int    `json:"observed"`
+		}
 		s.mu.Lock()
-		out := make(map[string]stubState, len(s.channels))
+		out := make([]stats, 0, len(s.channels))
 		for id, c := range s.channels {
-			out[id] = stubState{ID: id, Observed: c.observed}
+			out = append(out, stats{Channel: id, Observed: c.observed})
 		}
 		s.mu.Unlock()
+		sort.Slice(out, func(i, j int) bool { return out[i].Channel < out[j].Channel })
 		json.NewEncoder(w).Encode(out)
 	})
 	mux.HandleFunc("/channels/", s.handleChannel)

@@ -26,9 +26,9 @@ func randomBatchConfig(rng *rand.Rand, coupling Coupling) Config {
 }
 
 // compareBatch checks PredictBatchInto(samples) against per-sample
-// PredictInto, and (on the exact kernels: the tape has no fast-math form)
-// that against the reference tape, elementwise on float bits.
-func compareBatch(t *testing.T, m *Model, samples []Sample, phase string, fast bool) {
+// PredictInto, and that against the reference tape, elementwise on float
+// bits.
+func compareBatch(t *testing.T, m *Model, samples []Sample, phase string) {
 	t.Helper()
 	B := len(samples)
 	fhats := make([][]float64, B)
@@ -52,9 +52,6 @@ func compareBatch(t *testing.T, m *Model, samples []Sample, phase string, fast b
 			t.Fatalf("%s: B=%d sample %d: one lane %x/%x, batch %x/%x", phase, B, i,
 				bitsOf(fhat), bitsOf(ahat), bitsOf(fhats[i]), bitsOf(ahats[i]))
 		}
-		if fast {
-			continue
-		}
 		if err := m.predictTapeInto(&samples[i], fTape, aTape); err != nil {
 			t.Fatalf("%s: tape predict sample %d: %v", phase, i, err)
 		}
@@ -74,8 +71,7 @@ func bitsOf(v []float64) []uint64 {
 }
 
 // TestPredictBatchBitIdentical is the lane property test: lane counts 1..9
-// all go through the one Run(lanes); the last trial of each coupling runs
-// on the fast-math kernels.
+// all go through the one Run(lanes).
 func TestPredictBatchBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(67))
 	const maxB = 9
@@ -86,15 +82,13 @@ func TestPredictBatchBitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			fast := trial == 3
-			m.SetFastMath(fast)
 			actions, audience := goldenSeries(cfg.SeqLen+maxB+12, cfg.ActionDim, cfg.AudienceDim, rng.Int63())
 			samples, err := BuildSamples(actions, audience, cfg.SeqLen)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for B := 1; B <= maxB; B++ {
-				compareBatch(t, m, samples[:B], "fresh", fast)
+				compareBatch(t, m, samples[:B], "fresh")
 			}
 			// Online Adam steps write the parameters; every lane must see
 			// the written weights.
@@ -102,7 +96,7 @@ func TestPredictBatchBitIdentical(t *testing.T) {
 				if _, err := m.TrainStep(&samples[s]); err != nil {
 					t.Fatal(err)
 				}
-				compareBatch(t, m, samples[s:s+maxB], "after-train-step", fast)
+				compareBatch(t, m, samples[s:s+maxB], "after-train-step")
 			}
 			// Copy-replace (the updater's merge commit path) is a distinct
 			// version bump; cover it explicitly.
@@ -113,7 +107,7 @@ func TestPredictBatchBitIdentical(t *testing.T) {
 			if err := m.Params().CopyFrom(m2.Params()); err != nil {
 				t.Fatal(err)
 			}
-			compareBatch(t, m, samples[:maxB], "after-copy", fast)
+			compareBatch(t, m, samples[:maxB], "after-copy")
 		}
 	}
 }
@@ -170,7 +164,7 @@ func TestPlanLaneCapacity(t *testing.T) {
 	}
 
 	for _, B := range []int{2, 7, 1, 5, 16, 3, 1} {
-		compareBatch(t, m, samples[:B], "varying", false)
+		compareBatch(t, m, samples[:B], "varying")
 	}
 	if got := laneBytes(m.plan); m.plan.capLanes != 16 || got != 16*oneLane {
 		t.Fatalf("after a 16-lane run the plan holds %d lanes, %d bytes; want 16 lanes, %d bytes", m.plan.capLanes, got, 16*oneLane)

@@ -126,17 +126,6 @@ func (p *InferPlan) reserve(lanes int) {
 	}
 }
 
-// SetFastMath switches every fused cell between the bit-exact gate kernel
-// (the default and the reference) and the polynomial fast-math kernel. It
-// is a runtime mode of this plan, not an architecture property: snapshots
-// don't carry it (owners re-apply from their config), and a clone's plan
-// starts exact.
-func (p *InferPlan) SetFastMath(on bool) {
-	for i := range p.streams {
-		p.streams[i].cell.FastMath = on
-	}
-}
-
 // Run executes the fused forward recurrence over the first `lanes` lanes
 // (at most the reserved capacity): stream k's seqs[l][t] is lane l's input
 // feature at step t, and its outs[l] receives lane l's decoded prediction.

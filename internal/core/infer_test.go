@@ -228,11 +228,6 @@ func TestCloneSharesPlanUntilWritten(t *testing.T) {
 	if read(c) != read(m) || &c.ps.Get("decI.W").Data[0] != &m.ps.Get("decI.W").Data[0] {
 		t.Fatal("a clone carries its own weights")
 	}
-	c.SetFastMath(true)
-	if m.plan.streams[0].cell.FastMath {
-		t.Fatal("the clone's gate mode reached the source's layer header")
-	}
-	c.SetFastMath(false)
 	if got := comparePredictions(t, c, samples, "clone"); got != want {
 		t.Fatalf("clone predicts %x off the shared arrays, source %x", got, want)
 	}

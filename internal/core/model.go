@@ -85,15 +85,6 @@ func (m *Model) trainPlan() *TrainPlan {
 // Config returns the model configuration.
 func (m *Model) Config() Config { return m.cfg }
 
-// SetFastMath switches the compiled inference plan between the bit-exact
-// gate kernel and the polynomial fast-math kernel (see mat.FastExp). A
-// runtime scoring mode, not part of Config: snapshots don't carry it and
-// owners (the Detector) re-apply it from their own configuration after
-// load. Training and Hidden always stay exact.
-func (m *Model) SetFastMath(on bool) {
-	m.plan.SetFastMath(on)
-}
-
 // NumParams returns the number of scalar parameters (the paper reports
 // 1,382,713 for its full-scale configuration).
 func (m *Model) NumParams() int { return m.ps.NumParams() }
@@ -194,10 +185,9 @@ func (m *Model) Hidden(s *Sample) ([]float64, error) {
 }
 
 // HiddenInto is Hidden with a caller-supplied buffer of length HiddenI —
-// the allocation-free form the updater falls back on when no exact
-// prediction of the window computed the state already (see LaneHidden). It
-// runs the training engine's forward recurrence: tape-free, and on the
-// bit-exact gate kernel whatever SetFastMath says.
+// the allocation-free form the updater falls back on when no prediction
+// of the window computed the state already (see LaneHidden). It runs the
+// training engine's forward recurrence, tape-free.
 func (m *Model) HiddenInto(s *Sample, dst []float64) error {
 	if err := s.validate(m.cfg); err != nil {
 		return err
@@ -214,12 +204,11 @@ func (m *Model) HiddenInto(s *Sample, dst []float64) error {
 // PredictInto or PredictBatchInto — the state its decoder read, and bit for
 // bit what HiddenInto computes for the same window: the two engines run the
 // same ascending-k sums and the same gate body (TestPlanHiddenMatchesHiddenInto).
-// It returns nil when the plan runs the fast-math gate kernel, whose states
-// are not HiddenInto's, or when the last run had no lane l. The slice is the
+// It returns nil only when the last run had no lane l. The slice is the
 // plan's: read it before the next prediction.
 func (m *Model) LaneHidden(l int) []float64 {
 	st := &m.plan.streams[0]
-	if st.cell.FastMath || l >= st.h.Rows {
+	if l < 0 || l >= st.h.Rows {
 		return nil
 	}
 	return st.h.Row(l)

@@ -4,9 +4,9 @@ package core
 // compiled from the same planSpec/ctxSrc layout, for any number of coupled
 // streams, and it runs everything the autodiff tape used to:
 //
-//   - the forward recurrence, always on the bit-exact gate kernel (the
-//     fast-math mode is an inference-only trade), keeping per step what
-//     backward needs — this alone is Hidden/HiddenInto;
+//   - the forward recurrence, on the bit-exact gate kernel the inference
+//     plan runs too, keeping per step what backward needs — this alone is
+//     Hidden/HiddenInto;
 //   - the head: each stream's decoder and reconstruction loss, forward and
 //     backward (nn.TrainHead);
 //   - backpropagation through time, hand-derived per cell (nn.TrainCell)

@@ -15,9 +15,7 @@ import (
 // stepped through the whole-step autodiff tape must agree bit for bit —
 // the returned loss of every step, every parameter, the optimiser's step
 // count and every Adam moment (compared through the SaveRuntime bytes,
-// which carry all three), and Hidden. Training and Hidden must stay on the
-// exact kernels whatever the inference mode is, so the clip = 5 row runs
-// its TrainPlan model with SetFastMath(true).
+// which carry all three), and Hidden.
 
 // sparseSeries is goldenSeries with the zeros real workloads have: exactly
 // one-hot action features and audience features with exact zero entries —
@@ -76,7 +74,6 @@ func TestTrainPlanGoldenEquivalence(t *testing.T) {
 						t.Fatal(err)
 					}
 					plan.opt.ClipNorm, tape.opt.ClipNorm = clip, clip
-					plan.SetFastMath(clip == 5)
 					var samples []Sample
 					for _, series := range [][2][][]float64{dense, sparse} {
 						ss, err := BuildSamples(series[0], series[1], cfg.SeqLen)

@@ -138,6 +138,10 @@ func LSTMGatesInto(h, cNext, pre, cPrev []float64) {
 	LSTMGatesTrainInto(h, cNext, h, pre, cPrev)
 }
 
+// LSTMGatesFastInto is LSTMGatesInto. The polynomial fast-math kernel it
+// once named is retired; the name stays for callers that still use it.
+func LSTMGatesFastInto(h, cNext, pre, cPrev []float64) { LSTMGatesInto(h, cNext, pre, cPrev) }
+
 // VecSigmoidInto computes dst = σ(a) = 1/(1+exp(−a)) elementwise — the
 // tape's sigmoid, in the gate kernel's two phases.
 func VecSigmoidInto(dst, a []float64) {

@@ -120,6 +120,49 @@ func TestLSTMGatesIntoMatchesUnfused(t *testing.T) {
 	}
 }
 
+// TestLSTMGatesFastComposition pins LSTMGatesFastInto, the name of the
+// retired polynomial kernel, to the exact gate kernel it now is: bit for
+// bit what LSTMGatesInto writes, across the SIMD widths and their tails.
+func TestLSTMGatesFastComposition(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for n := 1; n <= 48; n++ {
+		pre := make([]float64, 4*n)
+		cPrev := make([]float64, n)
+		for i := range pre {
+			pre[i] = 3 * rng.NormFloat64()
+		}
+		for i := range cPrev {
+			cPrev[i] = rng.NormFloat64()
+		}
+		wantH, wantC := make([]float64, n), make([]float64, n)
+		LSTMGatesInto(wantH, wantC, append([]float64(nil), pre...), cPrev)
+		h, cNext := make([]float64, n), make([]float64, n)
+		LSTMGatesFastInto(h, cNext, pre, cPrev)
+		for j := 0; j < n; j++ {
+			if math.Float64bits(h[j]) != math.Float64bits(wantH[j]) || math.Float64bits(cNext[j]) != math.Float64bits(wantC[j]) {
+				t.Fatalf("n=%d lane %d: LSTMGatesFastInto %v/%v, LSTMGatesInto %v/%v", n, j, h[j], cNext[j], wantH[j], wantC[j])
+			}
+		}
+	}
+}
+
+// BenchmarkLSTMGates times the gate kernel at the CLSTM's hot hidden size
+// (the BENCH.md §3c transcendental ceiling).
+func BenchmarkLSTMGates(b *testing.B) {
+	const n = 48
+	rng := rand.New(rand.NewSource(1))
+	pre := make([]float64, 4*n)
+	for i := range pre {
+		pre[i] = rng.NormFloat64() * 2
+	}
+	cPrev, h, cNext := make([]float64, n), make([]float64, n), make([]float64, n)
+	scratch := make([]float64, 4*n)
+	for i := 0; i < b.N; i++ {
+		copy(scratch, pre)
+		LSTMGatesInto(h, cNext, scratch, cPrev)
+	}
+}
+
 // TestVecActivationsMatchApply pins the slice activation kernels against
 // the matrix Apply forms the tape uses.
 func TestVecActivationsMatchApply(t *testing.T) {

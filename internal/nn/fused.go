@@ -17,8 +17,7 @@ package nn
 // headers and costs no weight bytes. A write to the parameters — an
 // optimiser step, a merge, a load — is what the next step reads, with
 // nothing to refresh in between, and a copy-on-write detach (ParamSet.Clone)
-// repoints the headers' Data, which the layer follows. What is per model —
-// FastMath — lives in the FusedCell itself.
+// repoints the headers' Data, which the layer follows.
 //
 // StepBatch/ApplyBatch are what core.InferPlan runs: B stacked context
 // rows (its lanes) go through one GEMM per gate and layer step instead of B
@@ -39,11 +38,6 @@ type FusedCell struct {
 	// ParamSet's own CtxDim × Hidden weight and 1 × Hidden bias headers, read
 	// at every step.
 	W, B [4]*mat.Matrix
-	// FastMath selects the polynomial fast-math gate kernel
-	// (mat.LSTMGatesFastInto) instead of the bit-exact one — a runtime
-	// mode set by the plan owner (core.InferPlan.SetFastMath), not a
-	// property of the parameters.
-	FastMath bool
 }
 
 // Pack returns the fused form of the cell over its parameters in ps. It
@@ -76,11 +70,7 @@ func (fc *FusedCell) StepInto(h, cNext, pre, ctx, cPrev []float64) {
 		panic(fmt.Sprintf("nn: fused step ctx has %d elements and pre %d, want %d and %d", len(ctx), len(pre), fc.CtxDim, 4*fc.Hidden))
 	}
 	fc.preact(pre, ctx, 1)
-	if fc.FastMath {
-		mat.LSTMGatesFastInto(h, cNext, pre, cPrev)
-	} else {
-		mat.LSTMGatesInto(h, cNext, pre, cPrev)
-	}
+	mat.LSTMGatesInto(h, cNext, pre, cPrev)
 }
 
 // StepBatch performs one fused LSTM step over B stacked lanes: row b of
@@ -100,11 +90,7 @@ func (fc *FusedCell) StepBatch(h, cNext, pre, ctx, cPrev *mat.Matrix) {
 			h.Rows, cNext.Rows, pre.Rows, pre.Cols, cPrev.Rows, lanes, 4*fc.Hidden))
 	}
 	fc.preact(pre.Data, ctx.Data, lanes)
-	if fc.FastMath {
-		mat.LSTMGatesBatchFastInto(h, cNext, pre, cPrev)
-	} else {
-		mat.LSTMGatesBatchInto(h, cNext, pre, cPrev)
-	}
+	mat.LSTMGatesBatchInto(h, cNext, pre, cPrev)
 }
 
 // FusedDense is the inference-only form of a Dense layer.

@@ -110,7 +110,6 @@ func TestPoolSoakSlowBurnDrift(t *testing.T) {
 	// The updating template under the tiered gate: drift must cross weight
 	// changes AND tier skips, and both must replay bit-identically.
 	tmpl := trainUpdatingTemplate(t, func(cfg *aovlis.Config) {
-		cfg.FastMath = true
 		cfg.Tiered = true
 		cfg.Tier = ados.TierConfig{DriftMax: 0.6, Margin: 1, MaxRun: 8}
 	})

@@ -66,7 +66,7 @@ func trainUpdatingTemplate(t testing.TB, mutate ...func(*aovlis.Config)) *aovlis
 func TestPoolSoakChaos(t *testing.T) { runPoolSoakChaos(t, false) }
 
 // TestPoolSoakChaosTiered reruns the whole soak under the tiered
-// fast-math scoring mode (ISSUE 6 satellite): deterministic replay must
+// scoring mode (ISSUE 6 satellite): deterministic replay must
 // hold with the skip gate active — the gate's anchor state and counters
 // ride the same snapshot/migration/restart machinery, and the batch path
 // falls back to serial per-lane scoring — and the tier counters must
@@ -89,7 +89,6 @@ func runPoolSoakChaos(t *testing.T, tiered bool) {
 		// job is proving replay determinism WITH skips happening, so the
 		// gate must actually fire on the test streams (asserted below).
 		mutate = append(mutate, func(cfg *aovlis.Config) {
-			cfg.FastMath = true
 			cfg.Tiered = true
 			cfg.Tier = ados.TierConfig{DriftMax: 0.6, Margin: 1, MaxRun: 8}
 		})

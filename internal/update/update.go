@@ -302,7 +302,7 @@ func (u *Updater) Observe(sample core.Sample, interactionLevel float64) (Result,
 
 // ObserveHidden is Observe for a caller that already holds the model's
 // final LSTM_I hidden state for the sample's window — bit for bit what
-// Model.HiddenInto computes, which an exact prediction of that window leaves
+// Model.HiddenInto computes, which a prediction of that window leaves
 // behind (core.Model.LaneHidden) — so a buffered segment costs no second
 // recurrence. A nil hidden makes it Observe. hidden is read, not kept.
 func (u *Updater) ObserveHidden(sample core.Sample, interactionLevel float64, hidden []float64) (Result, error) {

@@ -94,7 +94,7 @@ bench | bench-tiered)
     [ -n "$CAPTURE" ] || die "usage: smoke.sh $GATE <go test -bench output>"
     base=$(baseline ns_per_op)
     # The name matches whole: BenchmarkDetectorObserve[-N], not its
-    # …FastMath/…Tiered siblings.
+    # …Tiered sibling (which scores exact+tiered).
     LINE=$(awk -v name="$name" '$1 == name || index($1, name "-") == 1 {print $3}' "$CAPTURE" | sort -n |
         awk '{v[NR]=$1} END {printf "BENCH-RESULT samples=%d median_ns=%d\n", NR, v[int((NR+1)/2)]}')
     echo "smoke $GATE: $name $LINE, baseline $base ns/op"

@@ -1,14 +1,13 @@
 package aovlis
 
-// Verdict-flip-rate regression harness (ISSUE 6): the fast-math gate
-// kernels and the tier skip gate are both approximations, and their
-// correctness argument is empirical — on representative streams the
-// verdicts they produce must agree with the exact pipeline within a
-// checked-in flip budget. This file pins that budget. Each regression
-// stream is scored by four clones of one trained detector (exact,
-// fast-math, tiered, fast-math+tiered); any verdict disagreement after
-// warm-up is a flip, and the test fails loudly with the offending segment
-// indices when a mode's flip rate exceeds its budget.
+// Verdict-flip-rate regression harness (ISSUE 6): the tier skip gate is an
+// approximation, and its correctness argument is empirical — on
+// representative streams the verdicts it produces must agree with the
+// exact pipeline within a checked-in flip budget. This file pins that
+// budget. Each regression stream is scored by two clones of one trained
+// detector (exact and tiered); any verdict disagreement after warm-up is a
+// flip, and the test fails loudly with the offending segment indices when
+// the flip rate exceeds the budget.
 //
 // Tier flips are additionally required to be one-sided: the skip gate only
 // ever declares a segment normal, and because the CLSTM recomputes its
@@ -30,15 +29,10 @@ import (
 	"aovlis/internal/synth"
 )
 
-// The checked-in flip budgets, as fractions of post-warmup verdicts.
-// fast-math perturbs scores by a few ULP, so a flip needs a score within
-// ULPs of τ — effectively never; the budget only tolerates a pathological
-// knife-edge segment. Tiering may delay anomaly verdicts by design; its
+// tieredFlipBudget is the checked-in flip budget, as a fraction of
+// post-warmup verdicts. Tiering may delay anomaly verdicts by design; the
 // budget is the accepted miss rate at the shipped TierConfig.
-const (
-	fastMathFlipBudget = 0.005
-	tieredFlipBudget   = 0.02
-)
+const tieredFlipBudget = 0.02
 
 // flipStream is one regression stream: a trained detector template plus
 // the live segments to score.
@@ -120,15 +114,15 @@ func driftFlipStream(t *testing.T) flipStream {
 	return flipStream{name: "synthetic-drift", det: det, testA: testA, testU: testU}
 }
 
-// scoreStream clones the template into the given scoring mode and returns
-// the per-segment results.
-func scoreStream(t *testing.T, s flipStream, fastMath, tiered bool) ([]Result, *Detector) {
+// scoreStream clones the template, tiered or exact, and returns the
+// per-segment results.
+func scoreStream(t *testing.T, s flipStream, tiered bool) ([]Result, *Detector) {
 	t.Helper()
 	det, err := s.det.Clone()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := det.SetScoringMode(fastMath, tiered); err != nil {
+	if err := det.SetScoringMode(false, tiered); err != nil {
 		t.Fatal(err)
 	}
 	out, err := det.DetectSeries(s.testA, s.testU)
@@ -153,34 +147,26 @@ func countFlips(exact, got []Result) (decided int, flips []int) {
 	return decided, flips
 }
 
-// TestTieredVerdictFlipRate is the tolerance gate for the approximate
-// scoring modes: on every regression stream, fast-math and tiered verdicts
-// must stay within their checked-in flip budgets of the exact pipeline,
-// tier flips must be one-sided anomaly misses at skipped segments, and the
-// tier gate must actually skip work somewhere (a gate that never fires
-// would pass any budget vacuously).
+// TestTieredVerdictFlipRate is the tolerance gate for the tier skip: on
+// every regression stream, tiered verdicts must stay within the checked-in
+// flip budget of the exact pipeline, tier flips must be one-sided anomaly
+// misses at skipped segments, and the tier gate must actually skip work
+// somewhere (a gate that never fires would pass any budget vacuously).
 func TestTieredVerdictFlipRate(t *testing.T) {
 	if testing.Short() {
-		t.Skip("trains four detectors")
+		t.Skip("trains three detectors")
 	}
 	streams := []flipStream{
 		presetFlipStream(t, synth.INF()),
 		presetFlipStream(t, synth.SPE()),
 		driftFlipStream(t),
 	}
-	modes := []struct {
-		name     string
-		fastMath bool
-		tiered   bool
-		budget   float64
-	}{
-		{"fastmath", true, false, fastMathFlipBudget},
-		{"tiered", false, true, tieredFlipBudget},
-		{"fastmath+tiered", true, true, tieredFlipBudget},
-	}
 	totalSkipped := 0
 	for _, s := range streams {
-		exact, _ := scoreStream(t, s, false, false)
+		exact, exactDet := scoreStream(t, s, false)
+		if ts := exactDet.TierStats(); ts != (ados.TierStats{}) {
+			t.Errorf("%s: untiered detector carries tier counters %+v", s.name, ts)
+		}
 		var anomalies int
 		for _, r := range exact {
 			if r.Anomaly {
@@ -190,39 +176,31 @@ func TestTieredVerdictFlipRate(t *testing.T) {
 		if anomalies == 0 {
 			t.Fatalf("%s: exact pipeline flagged no anomalies; the stream cannot exercise flips", s.name)
 		}
-		for _, m := range modes {
-			got, det := scoreStream(t, s, m.fastMath, m.tiered)
-			decided, flips := countFlips(exact, got)
-			rate := float64(len(flips)) / float64(decided)
-			ts := det.TierStats()
-			t.Logf("%s/%s: %d decided, %d flips (rate %.4f, budget %.4f), tier %+v",
-				s.name, m.name, decided, len(flips), rate, m.budget, ts)
-			if rate > m.budget {
-				t.Errorf("%s/%s: flip rate %.4f exceeds budget %.4f at segments %v",
-					s.name, m.name, rate, m.budget, flips)
+		got, det := scoreStream(t, s, true)
+		decided, flips := countFlips(exact, got)
+		rate := float64(len(flips)) / float64(decided)
+		ts := det.TierStats()
+		t.Logf("%s: %d decided, %d flips (rate %.4f, budget %.4f), tier %+v",
+			s.name, decided, len(flips), rate, tieredFlipBudget, ts)
+		if rate > tieredFlipBudget {
+			t.Errorf("%s: flip rate %.4f exceeds budget %.4f at segments %v",
+				s.name, rate, tieredFlipBudget, flips)
+		}
+		totalSkipped += ts.Skipped
+		for _, i := range flips {
+			if got[i].Anomaly || !exact[i].Anomaly {
+				t.Errorf("%s: segment %d flipped normal→anomaly — tier flips must be one-sided misses", s.name, i)
 			}
-			if m.tiered {
-				totalSkipped += ts.Skipped
-				for _, i := range flips {
-					if got[i].Anomaly || !exact[i].Anomaly {
-						t.Errorf("%s/%s: segment %d flipped normal→anomaly — tier flips must be one-sided misses",
-							s.name, m.name, i)
-					}
-					if got[i].Path != "tier-skip" {
-						t.Errorf("%s/%s: segment %d flipped on path %q, not at a tier skip",
-							s.name, m.name, i, got[i].Path)
-					}
-				}
-				if ts.Gated != decided {
-					t.Errorf("%s/%s: gate consulted %d times, %d segments decided", s.name, m.name, ts.Gated, decided)
-				}
-			} else if ts != (ados.TierStats{}) {
-				t.Errorf("%s/%s: untiered mode carries tier counters %+v", s.name, m.name, ts)
+			if got[i].Path != "tier-skip" {
+				t.Errorf("%s: segment %d flipped on path %q, not at a tier skip", s.name, i, got[i].Path)
 			}
+		}
+		if ts.Gated != decided {
+			t.Errorf("%s: gate consulted %d times, %d segments decided", s.name, ts.Gated, decided)
 		}
 	}
 	if totalSkipped == 0 {
-		t.Error("tier gate never skipped a segment on any regression stream; the budgets above are vacuous (recalibrate TierConfig or the streams)")
+		t.Error("tier gate never skipped a segment on any regression stream; the budget above is vacuous (recalibrate TierConfig or the streams)")
 	}
 	t.Logf("tier gate skipped %d segments across all streams", totalSkipped)
 }
@@ -236,7 +214,7 @@ func TestScoringModeSnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := det.SetScoringMode(true, true); err != nil {
+	if err := det.SetScoringMode(false, true); err != nil {
 		t.Fatal(err)
 	}
 	const cut = 90
