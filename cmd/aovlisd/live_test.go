@@ -33,17 +33,17 @@ import (
 	"time"
 
 	"aovlis/internal/serve/loadgen"
-	"aovlis/internal/stream/live"
+	"aovlis/internal/stream/liveplane"
 	"aovlis/internal/wire"
 )
 
 // dialLive dials the channel's live endpoint, retrying while the previous
 // session's teardown still holds the producer slot (409 busy).
-func dialLive(t *testing.T, url string, hdr http.Header) (*live.Conn, *http.Response) {
+func dialLive(t *testing.T, url string, hdr wire.Header) (*liveplane.Conn, *wire.Response) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		conn, resp, err := live.Dial(url, hdr)
+		conn, resp, err := liveplane.Dial(url, hdr)
 		if err == nil {
 			return conn, resp
 		}
@@ -70,7 +70,7 @@ func expectedPayloads(t *testing.T, ch string, acts, auds [][]float64) []string 
 		if err != nil {
 			t.Fatalf("batch replay segment %d: %v", i, err)
 		}
-		b, err := json.Marshal(&live.Decision{
+		b, err := json.Marshal(&liveplane.Decision{
 			Channel: ch, Seq: uint64(i + 1),
 			Warmup: r.Warmup, Anomaly: r.Anomaly, Score: r.Score, Exact: r.Exact, Path: r.Path,
 		})
@@ -83,27 +83,27 @@ func expectedPayloads(t *testing.T, ch string, acts, auds [][]float64) []string 
 }
 
 // readText reads one text message with a deadline.
-func readText(t *testing.T, conn *live.Conn) []byte {
+func readText(t *testing.T, conn *liveplane.Conn) []byte {
 	t.Helper()
 	conn.SetReadDeadline(time.Now().Add(15 * time.Second))
 	op, msg, err := conn.ReadMessage()
 	if err != nil {
 		t.Fatalf("reading decision: %v", err)
 	}
-	if op != live.OpText {
+	if op != liveplane.OpText {
 		t.Fatalf("decision opcode %v, want text", op)
 	}
 	return msg
 }
 
 // sendObs writes one observation message.
-func sendObs(t *testing.T, conn *live.Conn, action, audience []float64) {
+func sendObs(t *testing.T, conn *liveplane.Conn, action, audience []float64) {
 	t.Helper()
-	b, err := json.Marshal(live.Observation{Action: action, Audience: audience})
+	b, err := json.Marshal(liveplane.Observation{Action: action, Audience: audience})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := conn.WriteMessage(live.OpText, b); err != nil {
+	if err := conn.WriteMessage(liveplane.OpText, b); err != nil {
 		t.Fatalf("sending observation: %v", err)
 	}
 }
@@ -145,17 +145,17 @@ func TestLiveConformancePresets(t *testing.T) {
 					st := streams[ci]
 					conn, resp := dialLive(t, srv.URL+"/live/"+ch, nil)
 					defer conn.Close()
-					if got := resp.Header.Get(live.ResumeHeader); got != "0" {
+					if got := resp.Header.Get(liveplane.ResumeHeader); got != "0" {
 						t.Errorf("channel %s: fresh resume floor %q, want 0", ch, got)
 						return
 					}
 					go func() {
 						for i := range st.acts {
-							b, err := json.Marshal(live.Observation{Action: st.acts[i], Audience: st.auds[i]})
+							b, err := json.Marshal(liveplane.Observation{Action: st.acts[i], Audience: st.auds[i]})
 							if err != nil {
 								return
 							}
-							if err := conn.WriteMessage(live.OpText, b); err != nil {
+							if err := conn.WriteMessage(liveplane.OpText, b); err != nil {
 								return
 							}
 						}
@@ -198,14 +198,14 @@ func TestLiveDisconnectResume(t *testing.T) {
 	// Leg 1: send 12, read 8, then tear the TCP connection without a close
 	// handshake — decisions 9..floor are accepted but lost in flight.
 	conn, resp := dialLive(t, srv.URL+"/live/res", nil)
-	if f := resp.Header.Get(live.ResumeHeader); f != "0" {
+	if f := resp.Header.Get(liveplane.ResumeHeader); f != "0" {
 		t.Fatalf("fresh resume floor %q, want 0", f)
 	}
 	for i := 0; i < 12; i++ {
 		sendObs(t, conn, acts[i], auds[i])
 	}
 	for i := 0; i < 8; i++ {
-		var dec live.Decision
+		var dec liveplane.Decision
 		raw := readText(t, conn)
 		if err := json.Unmarshal(raw, &dec); err != nil {
 			t.Fatal(err)
@@ -219,18 +219,18 @@ func TestLiveDisconnectResume(t *testing.T) {
 
 	// Leg 2: reconnect with the last seq this client saw. The handshake
 	// advertises the accepted floor; the ring replays (lastSeq, floor].
-	conn2, resp2 := dialLive(t, srv.URL+"/live/res", http.Header{live.LastSeqHeader: []string{"8"}})
+	conn2, resp2 := dialLive(t, srv.URL+"/live/res", wire.Header{liveplane.LastSeqHeader: []string{"8"}})
 	defer conn2.Close()
-	floor, err := strconv.ParseUint(resp2.Header.Get(live.ResumeHeader), 10, 64)
+	floor, err := strconv.ParseUint(resp2.Header.Get(liveplane.ResumeHeader), 10, 64)
 	if err != nil {
-		t.Fatalf("bad resume floor %q", resp2.Header.Get(live.ResumeHeader))
+		t.Fatalf("bad resume floor %q", resp2.Header.Get(liveplane.ResumeHeader))
 	}
 	if floor < 8 || floor > 12 {
 		t.Fatalf("resume floor %d outside [8,12]", floor)
 	}
 	for seq := uint64(9); seq <= floor; seq++ {
 		raw := readText(t, conn2)
-		var dec live.Decision
+		var dec liveplane.Decision
 		if err := json.Unmarshal(raw, &dec); err != nil {
 			t.Fatal(err)
 		}
@@ -245,18 +245,18 @@ func TestLiveDisconnectResume(t *testing.T) {
 	// Resend from the floor: segments [floor, total) were never accepted.
 	go func() {
 		for i := int(floor); i < total; i++ {
-			b, err := json.Marshal(live.Observation{Action: acts[i], Audience: auds[i]})
+			b, err := json.Marshal(liveplane.Observation{Action: acts[i], Audience: auds[i]})
 			if err != nil {
 				return
 			}
-			if err := conn2.WriteMessage(live.OpText, b); err != nil {
+			if err := conn2.WriteMessage(liveplane.OpText, b); err != nil {
 				return
 			}
 		}
 	}()
 	for seq := floor + 1; seq <= total; seq++ {
 		raw := readText(t, conn2)
-		var dec live.Decision
+		var dec liveplane.Decision
 		if err := json.Unmarshal(raw, &dec); err != nil {
 			t.Fatal(err)
 		}
@@ -289,17 +289,17 @@ func TestLiveRefusals(t *testing.T) {
 	sendObs(t, conn, acts[0], auds[0])
 	readText(t, conn)
 
-	if _, resp, err := live.Dial(srv.URL+"/live/busy", nil); err == nil || resp == nil || resp.StatusCode != http.StatusConflict {
+	if _, resp, err := liveplane.Dial(srv.URL+"/live/busy", nil); err == nil || resp == nil || resp.StatusCode != http.StatusConflict {
 		t.Fatalf("second live connection: err %v, resp %+v; want 409", err, resp)
 	}
-	_, resp, err := live.Dial(srv.URL+"/live/fresh", http.Header{live.LastSeqHeader: []string{"7"}})
+	_, resp, err := liveplane.Dial(srv.URL+"/live/fresh", wire.Header{liveplane.LastSeqHeader: []string{"7"}})
 	if err == nil || resp == nil || resp.StatusCode != http.StatusConflict {
 		t.Fatalf("ahead-of-floor resume: err %v, resp %+v; want 409", err, resp)
 	}
-	if got := resp.Header.Get(live.ResumeHeader); got != "0" {
+	if got := resp.Header.Get(liveplane.ResumeHeader); got != "0" {
 		t.Fatalf("ahead-of-floor refusal advertises floor %q, want 0", got)
 	}
-	if _, resp, err := live.Dial(srv.URL+"/live/", nil); err == nil || resp == nil || resp.StatusCode != http.StatusNotFound {
+	if _, resp, err := liveplane.Dial(srv.URL+"/live/", nil); err == nil || resp == nil || resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("bare /live/: err %v, resp %+v; want 404", err, resp)
 	}
 }
@@ -352,7 +352,7 @@ func TestWatchStreamsVerdicts(t *testing.T) {
 			lastID = id
 		}
 		if data, ok := strings.CutPrefix(line, "data: "); ok {
-			var dec live.Decision
+			var dec liveplane.Decision
 			if err := json.Unmarshal([]byte(data), &dec); err != nil {
 				t.Fatalf("bad watch payload %q: %v", data, err)
 			}
@@ -410,7 +410,7 @@ func TestLiveTeardownRaceClean(t *testing.T) {
 		dialed.Add(1)
 		go func(ci int) {
 			defer wg.Done()
-			conn, _, err := live.Dial(srv.URL+fmt.Sprintf("/live/tear-%d", ci), nil)
+			conn, _, err := liveplane.Dial(srv.URL+fmt.Sprintf("/live/tear-%d", ci), nil)
 			dialed.Done()
 			if err != nil {
 				t.Errorf("producer %d dial: %v", ci, err)
@@ -418,8 +418,8 @@ func TestLiveTeardownRaceClean(t *testing.T) {
 			}
 			defer conn.Close()
 			for i := range acts {
-				b, _ := json.Marshal(live.Observation{Action: acts[i], Audience: auds[i]})
-				if err := conn.WriteMessage(live.OpText, b); err != nil {
+				b, _ := json.Marshal(liveplane.Observation{Action: acts[i], Audience: auds[i]})
+				if err := conn.WriteMessage(liveplane.OpText, b); err != nil {
 					return // hub closed underneath us: expected
 				}
 				conn.SetReadDeadline(time.Now().Add(15 * time.Second))
@@ -465,7 +465,7 @@ func TestLiveTeardownRaceClean(t *testing.T) {
 	case <-time.After(20 * time.Second):
 		t.Fatal("Drain left live streams running")
 	}
-	if _, resp, err := live.Dial(srv.URL+"/live/late", nil); err == nil || resp == nil || resp.StatusCode != http.StatusServiceUnavailable {
+	if _, resp, err := liveplane.Dial(srv.URL+"/live/late", nil); err == nil || resp == nil || resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("post-close upgrade: err %v, resp %+v; want 503", err, resp)
 	}
 	if resp, err := http.Get(srv.URL + "/watch"); err != nil || resp.StatusCode != http.StatusServiceUnavailable {

@@ -29,7 +29,8 @@ import (
 	"aovlis"
 	"aovlis/internal/serve"
 	"aovlis/internal/serve/loadgen"
-	"aovlis/internal/stream/live"
+	"aovlis/internal/stream/liveplane"
+	"aovlis/internal/wire"
 )
 
 // smokeExpected batch-replays one stream on a clone of the saved model and
@@ -47,7 +48,7 @@ func smokeExpected(t *testing.T, ref *aovlis.Detector, ch string, acts, auds [][
 		if err != nil {
 			t.Fatalf("batch replay %s segment %d: %v", ch, i, err)
 		}
-		b, err := json.Marshal(&live.Decision{
+		b, err := json.Marshal(&liveplane.Decision{
 			Channel: ch, Seq: uint64(i + 1),
 			Warmup: r.Warmup, Anomaly: r.Anomaly, Score: r.Score, Exact: r.Exact, Path: r.Path,
 			WSeq: uint64(i + 1),
@@ -70,18 +71,18 @@ func smokeExpected(t *testing.T, ref *aovlis.Detector, ch string, acts, auds [][
 func liveLeg(t *testing.T, url, ch string, acts, auds [][]float64, lastSeq uint64,
 	got map[uint64]string, killAfter int, kill func()) (uint64, uint64) {
 	t.Helper()
-	hdr := http.Header{}
+	hdr := wire.Header{}
 	if lastSeq > 0 {
-		hdr.Set(live.LastSeqHeader, strconv.FormatUint(lastSeq, 10))
+		hdr.Set(liveplane.LastSeqHeader, strconv.FormatUint(lastSeq, 10))
 	}
-	conn, resp, err := live.Dial(url+"/live/"+ch, hdr)
+	conn, resp, err := liveplane.Dial(url+"/live/"+ch, hdr)
 	if err != nil {
 		t.Fatalf("dial %s: %v", ch, err)
 	}
 	defer conn.Close()
-	floor, err := strconv.ParseUint(resp.Header.Get(live.ResumeHeader), 10, 64)
+	floor, err := strconv.ParseUint(resp.Header.Get(liveplane.ResumeHeader), 10, 64)
 	if err != nil {
-		t.Fatalf("channel %s: bad resume floor %q", ch, resp.Header.Get(live.ResumeHeader))
+		t.Fatalf("channel %s: bad resume floor %q", ch, resp.Header.Get(liveplane.ResumeHeader))
 	}
 	if floor < lastSeq {
 		t.Fatalf("channel %s: floor %d below client's Last-Seq %d", ch, floor, lastSeq)
@@ -92,11 +93,11 @@ func liveLeg(t *testing.T, url, ch string, acts, auds [][]float64, lastSeq uint6
 	go func() {
 		defer wg.Done()
 		for i := int(floor); i < len(acts); i++ {
-			b, err := json.Marshal(live.Observation{Action: acts[i], Audience: auds[i]})
+			b, err := json.Marshal(liveplane.Observation{Action: acts[i], Audience: auds[i]})
 			if err != nil {
 				return
 			}
-			if err := conn.WriteMessage(live.OpText, b); err != nil {
+			if err := conn.WriteMessage(liveplane.OpText, b); err != nil {
 				return // connection died (kill leg): expected
 			}
 			if kill != nil {
@@ -118,10 +119,10 @@ func liveLeg(t *testing.T, url, ch string, acts, auds [][]float64, lastSeq uint6
 			}
 			return last, floor // the kill broke the stream
 		}
-		if op != live.OpText {
+		if op != liveplane.OpText {
 			continue
 		}
-		var dec live.Decision
+		var dec liveplane.Decision
 		if err := json.Unmarshal(msg, &dec); err != nil {
 			t.Fatalf("channel %s: bad decision %q: %v", ch, msg, err)
 		}

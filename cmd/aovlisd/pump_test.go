@@ -21,7 +21,7 @@ import (
 
 	"aovlis/internal/node"
 	"aovlis/internal/serve"
-	"aovlis/internal/stream/live"
+	"aovlis/internal/stream/liveplane"
 	"aovlis/internal/wire"
 	"aovlis/internal/wire/wiretest"
 )
@@ -98,7 +98,7 @@ var planes = []plane{
 		t.Cleanup(func() { conn.Close() })
 		return &planeStream{
 			send: func(msg string) {
-				if err := conn.WriteMessage(live.OpText, []byte(msg)); err != nil {
+				if err := conn.WriteMessage(liveplane.OpText, []byte(msg)); err != nil {
 					t.Errorf("live send: %v", err)
 				}
 			},
@@ -260,9 +260,9 @@ func TestPumpBothFramings(t *testing.T) {
 					return
 				}
 				conn, resp := dialLive(t, strings.Replace(srv.URL, "http://", "ws://", 1)+"/live/ch",
-					http.Header{live.LastSeqHeader: []string{"0"}})
+					wire.Header{liveplane.LastSeqHeader: []string{"0"}})
 				defer conn.Close()
-				if got := resp.Header.Get(live.ResumeHeader); got != fmt.Sprint(inflight) {
+				if got := resp.Header.Get(liveplane.ResumeHeader); got != fmt.Sprint(inflight) {
 					t.Fatalf("resume floor %q, want %d", got, inflight)
 				}
 				for seq := uint64(1); seq <= inflight; seq++ {

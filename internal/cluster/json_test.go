@@ -12,14 +12,18 @@ import (
 
 	"aovlis/internal/snapshot/manifest"
 	"aovlis/internal/wire"
+	"aovlis/internal/wire/wiretest"
 )
 
-// sameError fails unless err and ref are both nil, or both fail with the
-// same text.
+// sameError fails unless err and ref are both nil, or both refuse in and
+// err names the byte it stopped at (wiretest.RefusedAt).
 func sameError(t *testing.T, what string, in []byte, err, ref error) {
 	t.Helper()
-	if (err == nil) != (ref == nil) || err != nil && err.Error() != ref.Error() {
+	if (err == nil) != (ref == nil) {
 		t.Fatalf("%s of %q: err %v, encoding/json %v", what, in, err, ref)
+	}
+	if err != nil {
+		wiretest.RefusedAt(t, in, err, ref)
 	}
 }
 
@@ -28,9 +32,9 @@ func sameError(t *testing.T, what string, in []byte, err, ref error) {
 // /healthz probe and the /channels merge (a json.Decoder over the first MiB
 // into healthResponse and []json.RawMessage), and manifest.Parse
 // (json.Unmarshal into a manifest.Manifest). Each must accept what
-// encoding/json accepts, fail with its error text, and read the same
-// values; the /channels document written back must be what a json.Encoder
-// with SetIndent("", "  ") writes for the slice.
+// encoding/json accepts, refuse the rest at a byte it names, and read the
+// same values; the /channels document written back must be what a
+// json.Encoder with SetIndent("", "  ") writes for the slice.
 func FuzzReadJSON(f *testing.F) {
 	for _, s := range []string{
 		`{"channel":"a","seq":1,"anomaly":true,"score":0.5,"exact":true,"path":"exact","wseq":3}`,
@@ -103,9 +107,10 @@ func FuzzReadJSON(f *testing.F) {
 		var mref manifest.Manifest
 		switch refErr := json.Unmarshal(b, &mref); {
 		case refErr != nil:
-			if err == nil || err.Error() != "snapshot: decoding manifest: "+refErr.Error() {
+			if err == nil || !strings.HasPrefix(err.Error(), "snapshot: decoding manifest: ") {
 				t.Fatalf("manifest of %q: err %v, encoding/json %v", b, err, refErr)
 			}
+			wiretest.RefusedAt(t, b, err, refErr)
 		case err != nil && strings.HasPrefix(err.Error(), "snapshot: decoding manifest"):
 			t.Fatalf("manifest of %q: %v, encoding/json reads it", b, err)
 		case !reflect.DeepEqual(m, mref):

@@ -17,7 +17,6 @@ import (
 	"testing"
 	"time"
 
-	"aovlis/internal/stream/live"
 	"aovlis/internal/stream/liveplane"
 	"aovlis/internal/wire"
 )
@@ -30,16 +29,16 @@ import (
 func (s *stubNode) handleLive(w wire.ResponseWriter, r *wire.Request) {
 	id := strings.TrimPrefix(r.URL.Path, "/live/")
 	if s.reject.Load() {
-		w.Header().Set(live.ResumeHeader, "0")
+		w.Header().Set(liveplane.ResumeHeader, "0")
 		wire.Error(w, "stream busy", http.StatusConflict)
 		return
 	}
 	hdr := wire.Header{}
-	floor := r.Header.Get(live.LastSeqHeader)
+	floor := r.Header.Get(liveplane.LastSeqHeader)
 	if floor == "" {
 		floor = "0"
 	}
-	hdr.Set(live.ResumeHeader, floor)
+	hdr.Set(liveplane.ResumeHeader, floor)
 	conn, err := liveplane.Upgrade(w, r, &liveplane.Options{Header: hdr})
 	if err != nil {
 		return
@@ -55,11 +54,11 @@ func (s *stubNode) handleLive(w wire.ResponseWriter, r *wire.Request) {
 		if err != nil {
 			return
 		}
-		if op != live.OpText {
+		if op != liveplane.OpText {
 			continue
 		}
 		reply := fmt.Sprintf("%s:%s:%s", s.name, id, msg)
-		if err := conn.WriteMessage(live.OpText, []byte(reply)); err != nil {
+		if err := conn.WriteMessage(liveplane.OpText, []byte(reply)); err != nil {
 			return
 		}
 	}
@@ -129,21 +128,21 @@ func TestRouterLiveTunnel(t *testing.T) {
 	owners := map[string]bool{}
 	for i := 0; i < 6; i++ {
 		id := fmt.Sprintf("live-%d", i)
-		hdr := http.Header{}
-		hdr.Set(live.LastSeqHeader, "3")
-		conn, resp, err := live.Dial(srv.URL+"/live/"+id, hdr)
+		hdr := wire.Header{}
+		hdr.Set(liveplane.LastSeqHeader, "3")
+		conn, resp, err := liveplane.Dial(srv.URL+"/live/"+id, hdr)
 		if err != nil {
 			t.Fatalf("dial %s through router: %v", id, err)
 		}
-		if got := resp.Header.Get(live.ResumeHeader); got != "3" {
+		if got := resp.Header.Get(liveplane.ResumeHeader); got != "3" {
 			t.Fatalf("channel %s: resume floor %q did not travel the tunnel, want %q", id, got, "3")
 		}
-		if err := conn.WriteMessage(live.OpText, []byte("ping")); err != nil {
+		if err := conn.WriteMessage(liveplane.OpText, []byte("ping")); err != nil {
 			t.Fatal(err)
 		}
 		conn.SetReadDeadline(time.Now().Add(10 * time.Second))
 		op, msg, err := conn.ReadMessage()
-		if err != nil || op != live.OpText {
+		if err != nil || op != liveplane.OpText {
 			t.Fatalf("echo read: op %d err %v", op, err)
 		}
 		e := r.tbl.get(id)
@@ -179,14 +178,14 @@ func TestRouterLiveRefusalRelay(t *testing.T) {
 	for _, s := range stubs {
 		s.reject.Store(true)
 	}
-	_, resp, err := live.Dial(srv.URL+"/live/refused", nil)
+	_, resp, err := liveplane.Dial(srv.URL+"/live/refused", nil)
 	if err == nil {
 		t.Fatal("dial succeeded against a rejecting owner")
 	}
 	if resp == nil || resp.StatusCode != http.StatusConflict {
 		t.Fatalf("refusal status = %v, want 409 relayed verbatim", resp)
 	}
-	if got := resp.Header.Get(live.ResumeHeader); got != "0" {
+	if got := resp.Header.Get(liveplane.ResumeHeader); got != "0" {
 		t.Fatalf("refusal resume floor %q, want %q", got, "0")
 	}
 }

@@ -120,13 +120,13 @@ func (h *healthResponse) read(body io.Reader) error {
 	if err := readJSONLimited(body, &r); err != nil {
 		return err
 	}
-	if r.Object("", "cluster.healthResponse") {
+	if r.Object() {
 		for r.More() {
 			switch r.Key(healthKeys...) {
 			case 0:
-				r.String(&h.Status, "healthResponse.status")
+				r.String(&h.Status)
 			case 1:
-				r.String(&h.NodeID, "healthResponse.node_id")
+				r.String(&h.NodeID)
 			case 2:
 				if r.Null() {
 					h.LastSnapshotAge = nil
@@ -135,7 +135,7 @@ func (h *healthResponse) read(body io.Reader) error {
 				if h.LastSnapshotAge == nil {
 					h.LastSnapshotAge = new(int)
 				}
-				wire.ReadInt(&r, h.LastSnapshotAge, "healthResponse.last_snapshot_age_seconds")
+				wire.ReadInt(&r, h.LastSnapshotAge)
 			default:
 				r.Skip()
 			}
@@ -338,12 +338,12 @@ func readErrorBody(body io.ReadCloser) string {
 
 // readJSONLimited starts r on a bounded JSON payload (health probes should
 // never stream megabytes): the value at the front of the first MiB of
-// body, as a json.Decoder reads it off the stream. A body that fails
-// before the value is complete fails with its read error.
+// body, as a json.Decoder reads it off the stream. A body whose read
+// failed fails with the read error, unless the value was complete.
 func readJSONLimited(body io.Reader, r *wire.JSONReader) error {
 	b, rerr := io.ReadAll(io.LimitReader(body, 1<<20))
 	err := r.ResetPrefix(b)
-	if rerr != nil && (err == io.EOF || err == io.ErrUnexpectedEOF) {
+	if err != nil && rerr != nil {
 		return rerr
 	}
 	return err

@@ -458,7 +458,7 @@ func readChannelList(body io.Reader) (channelList, error) {
 		return nil, err
 	}
 	var one [][]byte
-	wire.ReadSlice(&r, &one, "", "[]json.RawMessage", func(st *[]byte) { *st = r.Raw() })
+	wire.ReadSlice(&r, &one, func(st *[]byte) { *st = r.Raw() })
 	return one, r.Err()
 }
 
@@ -467,10 +467,10 @@ func readChannelList(body io.Reader) (channelList, error) {
 func channelOf(st []byte) string {
 	var r wire.JSONReader
 	var id string
-	if r.Reset(st) == nil && r.Object("", "") {
+	if r.Reset(st) == nil && r.Object() {
 		for r.More() {
 			if r.Key("channel") == 0 {
-				r.String(&id, "channel")
+				r.String(&id)
 			} else {
 				r.Skip()
 			}

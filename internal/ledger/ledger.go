@@ -139,23 +139,23 @@ func (e *Entry) UnmarshalJSON(b []byte) error {
 		return err
 	}
 	var score float64
-	if r.Object("", "ledger.Entry") {
+	if r.Object() {
 		for r.More() {
 			switch r.Key(entryKeys...) {
 			case 0:
-				r.Uint(&e.Seq, "Entry.seq")
+				r.Uint(&e.Seq)
 			case 1:
-				r.String(&e.Channel, "Entry.channel")
+				r.String(&e.Channel)
 			case 2:
-				r.Uint(&e.ChannelSeq, "Entry.channel_seq")
+				r.Uint(&e.ChannelSeq)
 			case 3:
-				wire.ReadInt(&r, &e.UnixNanos, "Entry.unix_nanos")
+				wire.ReadInt(&r, &e.UnixNanos)
 			case 4:
-				r.Bool(&e.Anomaly, "Entry.anomaly")
+				r.Bool(&e.Anomaly)
 			case 5:
-				r.Bool(&e.Exact, "Entry.exact")
+				r.Bool(&e.Exact)
 			case 6:
-				r.String(&e.Path, "Entry.path")
+				r.String(&e.Path)
 			case 7:
 				if err := readScore(&r, &score); err != nil {
 					return err
@@ -176,11 +176,11 @@ func (e *Entry) UnmarshalJSON(b []byte) error {
 // its three strings.
 func readScore(r *wire.JSONReader, f *float64) error {
 	if r.Next() != '"' {
-		r.Float(f, "")
+		r.Float(f)
 		return nil
 	}
 	var str string
-	r.String(&str, "")
+	r.String(&str)
 	switch {
 	case str == "+Inf":
 		*f = math.Inf(1)

@@ -29,7 +29,7 @@ import (
 	"aovlis/internal/mat"
 	"aovlis/internal/serve"
 	"aovlis/internal/snapshot/manifest"
-	"aovlis/internal/stream/live"
+	"aovlis/internal/stream/liveplane"
 	"aovlis/internal/wal"
 	"aovlis/internal/wire"
 	"aovlis/internal/wire/wiretest"
@@ -435,18 +435,18 @@ func TestOpenCloseRepeatedly(t *testing.T) {
 // would show up as an extra message.
 func liveLeg(t *testing.T, srv *wiretest.Server, id string, acts, auds [][]float64) (floor uint64, seqs []uint64) {
 	t.Helper()
-	conn, resp, err := live.Dial(srv.URL+"/live/"+id, nil)
+	conn, resp, err := liveplane.Dial(srv.URL+"/live/"+id, nil)
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}
 	defer conn.Close()
-	floor, err = strconv.ParseUint(resp.Header.Get(live.ResumeHeader), 10, 64)
+	floor, err = strconv.ParseUint(resp.Header.Get(liveplane.ResumeHeader), 10, 64)
 	if err != nil {
-		t.Fatalf("resume header %q", resp.Header.Get(live.ResumeHeader))
+		t.Fatalf("resume header %q", resp.Header.Get(liveplane.ResumeHeader))
 	}
 	for i := range acts {
 		line := wire.AppendObservation(nil, acts[i], auds[i])
-		if err := conn.WriteMessage(live.OpText, line[:len(line)-1]); err != nil {
+		if err := conn.WriteMessage(liveplane.OpText, line[:len(line)-1]); err != nil {
 			t.Fatalf("send %d: %v", i, err)
 		}
 		conn.SetReadDeadline(time.Now().Add(10 * time.Second))
@@ -719,7 +719,7 @@ func TestContinualWarmStartOnAttach(t *testing.T) {
 // hub copies it into a ring slot it reuses, so once the ring is full a
 // Record → Publish allocates nothing.
 func TestWatchSinkSteadyStateAllocs(t *testing.T) {
-	hub := live.NewHub(live.HubConfig{WatchCap: 16})
+	hub := liveplane.NewHub(liveplane.HubConfig{WatchCap: 16})
 	defer hub.Close()
 	sink := watchSink{hub}
 	res := aovlis.Result{Anomaly: true, Score: 0.0123456789, Exact: true, Path: "exact"}

@@ -19,6 +19,7 @@ import (
 	"testing"
 
 	"aovlis/internal/snapshot/manifest"
+	"aovlis/internal/wire/wiretest"
 )
 
 var updateFuzzCorpus = flag.Bool("update-fuzz-corpus", false, "regenerate the testdata/fuzz seed corpus files")
@@ -107,7 +108,7 @@ func FuzzReadHeader(f *testing.F) {
 }
 
 // FuzzParseManifest holds ParseManifest to encoding/json: it fails to
-// decode exactly where json.Unmarshal does, with its error text, reads the
+// decode exactly where json.Unmarshal does, at a byte it names, reads the
 // same Manifest otherwise, and accepts only valid ones.
 func FuzzParseManifest(f *testing.F) {
 	for _, seed := range manifestFuzzSeeds() {
@@ -120,9 +121,10 @@ func FuzzParseManifest(f *testing.F) {
 		m, err := manifest.Parse(data)
 		var ref manifest.Manifest
 		if refErr := json.Unmarshal(data, &ref); refErr != nil {
-			if err == nil || err.Error() != "snapshot: decoding manifest: "+refErr.Error() {
+			if err == nil || !strings.HasPrefix(err.Error(), "snapshot: decoding manifest: ") {
 				t.Fatalf("%q: err %v, encoding/json %v", data, err, refErr)
 			}
+			wiretest.RefusedAt(t, data, err, refErr)
 			return
 		}
 		if err != nil && strings.HasPrefix(err.Error(), "snapshot: decoding manifest") {

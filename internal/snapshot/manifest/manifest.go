@@ -138,34 +138,34 @@ func decode(data []byte, m *Manifest) error {
 	if err := r.Reset(data); err != nil {
 		return err
 	}
-	if !r.Object("", "manifest.Manifest") {
+	if !r.Object() {
 		return r.Err()
 	}
 	for r.More() {
 		switch r.Key(manifestKeys...) {
 		case 0:
-			wire.ReadInt(&r, &m.Version, "Manifest.version")
+			wire.ReadInt(&r, &m.Version)
 		case 1:
-			wire.ReadInt(&r, &m.UnixNanos, "Manifest.unix_nanos")
+			wire.ReadInt(&r, &m.UnixNanos)
 		case 2:
-			wire.ReadSlice(&r, &m.Channels, "Manifest.channels", "[]manifest.ChannelEntry", func(e *ChannelEntry) {
-				if !r.Object("Manifest.channels", "manifest.ChannelEntry") {
+			wire.ReadSlice(&r, &m.Channels, func(e *ChannelEntry) {
+				if !r.Object() {
 					return
 				}
 				for r.More() {
 					switch r.Key(entryKeys...) {
 					case 0:
-						r.String(&e.ID, "ChannelEntry.channels.id")
+						r.String(&e.ID)
 					case 1:
-						r.String(&e.File, "ChannelEntry.channels.file")
+						r.String(&e.File)
 					case 2:
-						wire.ReadInt(&r, &e.Bytes, "ChannelEntry.channels.bytes")
+						wire.ReadInt(&r, &e.Bytes)
 					case 3:
-						r.String(&e.SHA256, "ChannelEntry.channels.sha256")
+						r.String(&e.SHA256)
 					case 4:
-						wire.ReadInt(&r, &e.Shard, "ChannelEntry.channels.shard")
+						wire.ReadInt(&r, &e.Shard)
 					case 5:
-						r.Uint(&e.WALSeq, "ChannelEntry.channels.wal_seq")
+						r.Uint(&e.WALSeq)
 					default:
 						r.Skip()
 					}

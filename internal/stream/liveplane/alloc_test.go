@@ -1,4 +1,4 @@
-package live
+package liveplane
 
 import (
 	"math/rand"
@@ -38,7 +38,7 @@ func liveStream(seed int64, n int) (actions, audience [][]float64) {
 
 // TestLiveSteadyStateAllocs is TestPumpSteadyStateAllocs over the live
 // plane, with the journal on: 4 channels × 2 000 observations, each a
-// WebSocket message from a live.Dial client, through IngestHandler into a
+// WebSocket message from a Dial client, through IngestHandler into a
 // pool with a WAL, each decision a message back. Once warm — resume rings
 // full, detectors at their widest batch — a segment costs no heap
 // allocation anywhere in the process, clients included: frames are read

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -132,8 +133,10 @@ func FuzzJSONWriter(f *testing.F) {
 	})
 }
 
-// TestJSONReaderErrors pins the reader's error text to encoding/json's for
-// each kind of syntax error, truncation, nesting depth and type error.
+// TestJSONReaderErrors holds the reader to encoding/json on each kind of
+// syntax error, truncation, nesting depth and type error: the same lines
+// accepted with the same vectors, and each refusal a JSONError that names
+// the byte it stopped at.
 func TestJSONReaderErrors(t *testing.T) {
 	lines := []string{
 		``, ` `, `x`, `{`, `{"action"`, `{"action":`, `{"action":[1`, `{"action":[1,`, `{"action":[1 2]}`,
@@ -143,6 +146,7 @@ func TestJSONReaderErrors(t *testing.T) {
 		strings.Repeat("[", 10000) + strings.Repeat("]", 10000), strings.Repeat("[", 10001) + strings.Repeat("]", 10001),
 		`[]`, `"x"`, `1`, `true`, `null`, `{"action":"x"}`, `{"action":[true]}`, `{"action":[{}]}`, `{"action":[[1]]}`,
 		`{"action":[1e999]}`, `{"audience":{}}`, `{"action":1,"audience":"s"}`, `{"action":[null,"x"]}`,
+		`{"action":[1,2],"AUDIENCE":[3],"x":{}}`,
 	}
 	for _, line := range lines {
 		var ref Observation
@@ -150,12 +154,45 @@ func TestJSONReaderErrors(t *testing.T) {
 		var o Observation
 		err := DecodeObservation([]byte(line), &o)
 		switch {
-		case refErr == nil && err == nil:
-		case refErr == nil || err == nil:
+		case (err == nil) != (refErr == nil):
 			t.Errorf("%.40q: err %v, encoding/json %v", line, err, refErr)
-		case err.Error() != "bad observation line: "+refErr.Error():
-			t.Errorf("%.40q:\n got %v\nwant bad observation line: %v", line, err, refErr)
+		case err == nil:
+			if !sameVector(o.Action, ref.Action) || !sameVector(o.Audience, ref.Audience) {
+				t.Errorf("%.40q: read %+v, encoding/json %+v", line, o, ref)
+			}
+		case !strings.HasPrefix(err.Error(), "bad observation line: "):
+			t.Errorf("%.40q: %v lost its prefix", line, err)
+		default:
+			refusedAt(t, []byte(line), err, refErr)
 		}
+	}
+	// A value that does not fit is refused where it begins; the first
+	// one counts.
+	for line, off := range map[string]int{
+		`{"action":"x"}`: 10, `{"action":[true]}`: 11, `{"action":[1e999]}`: 11, `{"audience":{}}`: 12,
+		`{"action":1,"audience":"s"}`: 10, `{"action":[null,"x"]}`: 16,
+	} {
+		var je *JSONError
+		if err := DecodeObservation([]byte(line), new(Observation)); !errors.As(err, &je) || je.Offset != off {
+			t.Errorf("%q: %v, want a refusal at byte %d", line, err, off)
+		}
+	}
+}
+
+// refusedAt fails unless err, a refusal of in, holds a JSONError at a byte
+// of in and names it. Where encoding/json's refusal ref is a syntax error,
+// the byte is the one it stopped at: its Offset counts that byte, or is
+// the end of in when in ended too soon.
+func refusedAt(t *testing.T, in []byte, err, ref error) {
+	t.Helper()
+	var je *JSONError
+	if !errors.As(err, &je) || je.Offset < 0 || je.Offset > len(in) || !strings.Contains(err.Error(), "byte "+strconv.Itoa(je.Offset)) {
+		t.Errorf("%.40q: refused with %v, which names no byte of it", in, err)
+		return
+	}
+	var se *json.SyntaxError
+	if errors.As(ref, &se) && je.Offset != int(se.Offset)-1 && (je.Offset != len(in) || int(se.Offset) != len(in)) {
+		t.Errorf("%.40q: refused at byte %d, encoding/json at offset %d (%v)", in, je.Offset, se.Offset, ref)
 	}
 }
 

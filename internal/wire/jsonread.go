@@ -2,7 +2,6 @@ package wire
 
 import (
 	"bytes"
-	"io"
 	"strconv"
 	"strings"
 	"unicode/utf16"
@@ -12,18 +11,26 @@ import (
 // JSONReader pulls one JSON document apart the way encoding/json decodes it
 // into a Go value, for the few shapes the daemons read. Reset (or
 // ResetPrefix) checks the whole document's syntax first, as encoding/json
-// does, with its error text; then the caller walks it: Object or a slice,
-// More and Key over the members, and one typed read per value. A typed
-// read leaves its destination alone on null, and on a value of another
-// kind records encoding/json's type error (the first one wins, as there)
-// and skips it. Key matches member names as encoding/json matches field
-// names: exactly or under Unicode case folding.
+// does; then the caller walks it: Object or a slice, More and Key over the
+// members, and one typed read per value. A typed read leaves its
+// destination alone on null, and on a value of another kind records a
+// JSONError (the first one wins) and skips it. Key matches member names as
+// encoding/json matches field names: exactly or under Unicode case folding.
+// What is accepted and the values read are encoding/json's; the error text
+// is not.
 type JSONReader struct {
 	b   []byte
 	i   int
 	err error
 	buf []byte // the last unquoted key
 }
+
+// JSONError is a document the reader refused. Offset is the byte it
+// stopped at: where the grammar broke (the input's length when it ended
+// too soon), or where a value that does not fit its destination begins.
+type JSONError struct{ Offset int }
+
+func (e *JSONError) Error() string { return "JSON refused at byte " + strconv.Itoa(e.Offset) }
 
 // maxJSONDepth is encoding/json's nesting limit.
 const maxJSONDepth = 10000
@@ -32,31 +39,24 @@ const maxJSONDepth = 10000
 // value with only whitespace around it.
 func (r *JSONReader) Reset(b []byte) error {
 	*r = JSONReader{b: b, buf: r.buf[:0]}
-	end, err := scanJSON(b, 0, 0)
-	if err != nil {
-		return err
+	end, ok := scanJSON(b, 0, 0)
+	if ok {
+		end = skipSpace(b, end)
 	}
-	if end = skipSpace(b, end); end < len(b) {
-		return badChar(b[end], "after top-level value")
+	if !ok || end < len(b) {
+		return &JSONError{end}
 	}
 	return nil
 }
 
 // ResetPrefix starts reading the value at the front of b, as a
 // json.Decoder's Decode reads it from a stream holding b: whatever follows
-// the value is not looked at, an empty stream is io.EOF, and one that ends
-// inside the value io.ErrUnexpectedEOF.
+// the value is not looked at.
 func (r *JSONReader) ResetPrefix(b []byte) error {
 	*r = JSONReader{buf: r.buf[:0]}
-	if skipSpace(b, 0) == len(b) {
-		return io.EOF
-	}
-	end, err := scanJSON(b, 0, 0)
-	if err != nil {
-		if err.eof {
-			return io.ErrUnexpectedEOF
-		}
-		return err
+	end, ok := scanJSON(b, 0, 0)
+	if !ok {
+		return &JSONError{end}
 	}
 	r.b = b[:end]
 	return nil
@@ -65,101 +65,51 @@ func (r *JSONReader) ResetPrefix(b []byte) error {
 // Err is the first type error the reads met.
 func (r *JSONReader) Err() error { return r.err }
 
-// jsonSyntaxError is encoding/json's *SyntaxError text. eof marks input
-// that ended inside the value.
-type jsonSyntaxError struct {
-	msg string
-	eof bool
-}
-
-func (e *jsonSyntaxError) Error() string {
-	if e.msg == "" {
-		return "unexpected end of JSON input"
-	}
-	return e.msg
-}
-
-func badChar(c byte, context string) *jsonSyntaxError {
-	var q string
-	switch c {
-	case '\'':
-		q = `'\''`
-	case '"':
-		q = `'"'`
-	default:
-		s := strconv.Quote(string(rune(c)))
-		q = "'" + s[1:len(s)-1] + "'"
-	}
-	return &jsonSyntaxError{msg: "invalid character " + q + " " + context}
-}
-
-// atEOF is the error for input that ends where c was wanted: what
-// encoding/json's scanner says when it steps a space there, or a bare
-// end of input.
-func atEOF(context string) *jsonSyntaxError {
-	if context == "" {
-		return &jsonSyntaxError{eof: true}
-	}
-	e := badChar(' ', context)
-	e.eof = true
-	return e
-}
-
 // scanJSON checks the value at b[i:] (after any whitespace) against JSON's
-// grammar and returns the index after it; depth counts the open objects
-// and arrays around it.
-func scanJSON(b []byte, i, depth int) (int, *jsonSyntaxError) {
+// grammar and returns the index after it, or the index where the grammar
+// broke and false; depth counts the open objects and arrays around it.
+func scanJSON(b []byte, i, depth int) (int, bool) {
 	if i = skipSpace(b, i); i == len(b) {
-		return i, atEOF("")
+		return i, false
 	}
 	switch c := b[i]; {
 	case c == '{' || c == '[':
 		if depth++; depth > maxJSONDepth {
-			return i, badChar(c, "exceeded max depth")
+			return i, false
 		}
 		end := byte('}')
 		if c == '[' {
 			end = ']'
 		}
 		if i = skipSpace(b, i+1); i < len(b) && b[i] == end {
-			return i + 1, nil
+			return i + 1, true
 		}
 		for {
-			var err *jsonSyntaxError
+			var ok bool
 			if c == '{' {
-				switch {
-				case i == len(b):
-					return i, atEOF("")
-				case b[i] != '"':
-					return i, badChar(b[i], "looking for beginning of object key string")
+				if i == len(b) || b[i] != '"' {
+					return i, false
 				}
-				if i, err = scanString(b, i); err != nil {
-					return i, err
+				if i, ok = scanString(b, i); !ok {
+					return i, false
 				}
-				switch i = skipSpace(b, i); {
-				case i == len(b):
-					return i, atEOF("")
-				case b[i] != ':':
-					return i, badChar(b[i], "after object key")
+				if i = skipSpace(b, i); i == len(b) || b[i] != ':' {
+					return i, false
 				}
 				i++
 			}
-			if i, err = scanJSON(b, i, depth); err != nil {
-				return i, err
+			if i, ok = scanJSON(b, i, depth); !ok {
+				return i, false
 			}
-			if i = skipSpace(b, i); i == len(b) {
-				return i, atEOF("")
-			}
-			switch b[i] {
-			case ',':
+			switch i = skipSpace(b, i); {
+			case i == len(b):
+				return i, false
+			case b[i] == ',':
 				i = skipSpace(b, i+1)
-			case end:
-				return i + 1, nil
+			case b[i] == end:
+				return i + 1, true
 			default:
-				if c == '{' {
-					return i, badChar(b[i], "after object key:value pair")
-				}
-				return i, badChar(b[i], "after array element")
+				return i, false
 			}
 		}
 	case c == '"':
@@ -172,58 +122,44 @@ func scanJSON(b []byte, i, depth int) (int, *jsonSyntaxError) {
 		return scanLiteral(b, i, "false")
 	case c == 'n':
 		return scanLiteral(b, i, "null")
-	default:
-		return i, badChar(c, "looking for beginning of value")
 	}
+	return i, false
 }
 
-// want checks that b[i] is one of the bytes ok accepts.
-func want(b []byte, i int, ok func(byte) bool, context string) *jsonSyntaxError {
-	switch {
-	case i == len(b):
-		return atEOF(context)
-	case !ok(b[i]):
-		return badChar(b[i], context)
-	}
-	return nil
-}
+// want reports whether b[i] is there and one of the bytes ok accepts.
+func want(b []byte, i int, ok func(byte) bool) bool { return i < len(b) && ok(b[i]) }
 
-func scanString(b []byte, i int) (int, *jsonSyntaxError) {
-	for i++; ; i++ {
-		if i == len(b) {
-			return i, atEOF("")
-		}
+func scanString(b []byte, i int) (int, bool) {
+	for i++; i < len(b); i++ {
 		switch c := b[i]; {
 		case c == '"':
-			return i + 1, nil
+			return i + 1, true
 		case c == '\\':
-			i++
-			if err := want(b, i, isEscape, "in string escape code"); err != nil {
-				return i, err
+			if i++; !want(b, i, isEscape) {
+				return i, false
 			}
 			if b[i] == 'u' {
 				for k := 0; k < 4; k++ {
-					i++
-					if err := want(b, i, isHex, `in \u hexadecimal character escape`); err != nil {
-						return i, err
+					if i++; !want(b, i, isHex) {
+						return i, false
 					}
 				}
 			}
 		case c < 0x20:
-			return i, badChar(c, "in string literal")
+			return i, false
 		}
 	}
+	return i, false
 }
 
 func isEscape(c byte) bool { return strings.IndexByte(`"\/bfnrtu`, c) >= 0 }
 
 func isHex(c byte) bool { return isDigit(c) || 'a' <= c && c <= 'f' || 'A' <= c && c <= 'F' }
 
-func scanNumber(b []byte, i int) (int, *jsonSyntaxError) {
+func scanNumber(b []byte, i int) (int, bool) {
 	if b[i] == '-' {
-		i++
-		if err := want(b, i, isDigit, "in numeric literal"); err != nil {
-			return i, err
+		if i++; !want(b, i, isDigit) {
+			return i, false
 		}
 	}
 	if b[i] == '0' {
@@ -232,9 +168,8 @@ func scanNumber(b []byte, i int) (int, *jsonSyntaxError) {
 		i = skipDigits(b, i)
 	}
 	if i < len(b) && b[i] == '.' {
-		i++
-		if err := want(b, i, isDigit, "after decimal point in numeric literal"); err != nil {
-			return i, err
+		if i++; !want(b, i, isDigit) {
+			return i, false
 		}
 		i = skipDigits(b, i)
 	}
@@ -243,12 +178,12 @@ func scanNumber(b []byte, i int) (int, *jsonSyntaxError) {
 		if i < len(b) && (b[i] == '+' || b[i] == '-') {
 			i++
 		}
-		if err := want(b, i, isDigit, "in exponent of numeric literal"); err != nil {
-			return i, err
+		if !want(b, i, isDigit) {
+			return i, false
 		}
 		i = skipDigits(b, i)
 	}
-	return i, nil
+	return i, true
 }
 
 func skipDigits(b []byte, i int) int {
@@ -258,42 +193,25 @@ func skipDigits(b []byte, i int) int {
 	return i
 }
 
-func scanLiteral(b []byte, i int, lit string) (int, *jsonSyntaxError) {
+func scanLiteral(b []byte, i int, lit string) (int, bool) {
 	for k := 1; k < len(lit); k++ {
 		if i+k == len(b) || b[i+k] != lit[k] {
-			context := "in literal " + lit + " (expecting '" + lit[k:k+1] + "')"
-			if i+k == len(b) {
-				return i + k, atEOF(context)
-			}
-			return i + k, badChar(b[i+k], context)
+			return i + k, false
 		}
 	}
-	return i + len(lit), nil
+	return i + len(lit), true
 }
 
-// jsonTypeError is encoding/json's *UnmarshalTypeError text: value is what
-// the document holds ("string", "number 1e999", …), field the Go struct
-// field path ("Decision.seq"; empty at the top), typ the Go type.
-type jsonTypeError struct{ value, field, typ string }
-
-func (e *jsonTypeError) Error() string {
-	if e.field != "" {
-		return "json: cannot unmarshal " + e.value + " into Go struct field " + e.field + " of type " + e.typ
-	}
-	return "json: cannot unmarshal " + e.value + " into Go value of type " + e.typ
-}
-
-// typeError records a value that does not fit the destination.
-func (r *JSONReader) typeError(value, field, typ string) {
+// typeError records a value at off that does not fit the destination.
+func (r *JSONReader) typeError(off int) {
 	if r.err == nil {
-		r.err = &jsonTypeError{value, field, typ}
+		r.err = &JSONError{off}
 	}
 }
 
-// mismatch records the next value, which starts with c, as not fitting
-// and skips it.
-func (r *JSONReader) mismatch(c byte, field, typ string) {
-	r.typeError(kind(c), field, typ)
+// mismatch records the next value as not fitting and skips it.
+func (r *JSONReader) mismatch() {
+	r.typeError(r.i)
 	r.skip()
 }
 
@@ -302,22 +220,6 @@ func (r *JSONReader) mismatch(c byte, field, typ string) {
 func (r *JSONReader) Next() byte {
 	r.i = skipSpace(r.b, r.i)
 	return r.b[r.i]
-}
-
-// kind names the value starting with c the way encoding/json's type
-// errors do.
-func kind(c byte) string {
-	switch c {
-	case '{':
-		return "object"
-	case '[':
-		return "array"
-	case '"':
-		return "string"
-	case 't', 'f':
-		return "bool"
-	}
-	return "number"
 }
 
 // skip passes over the next value, which the reset has checked.
@@ -333,17 +235,16 @@ func (r *JSONReader) Null() bool {
 }
 
 // Object opens the object that is next and reports true, or reports false
-// after a null or a value of another kind, which is a type error into the
-// Go type typ at field.
-func (r *JSONReader) Object(field, typ string) bool {
-	switch c := r.Next(); c {
+// after a null or a value of another kind, which is a type error.
+func (r *JSONReader) Object() bool {
+	switch r.Next() {
 	case '{':
 		r.i++
 		return true
 	case 'n':
 		r.i += len("null")
 	default:
-		r.mismatch(c, field, typ)
+		r.mismatch()
 	}
 	return false
 }
@@ -373,12 +274,6 @@ func (r *JSONReader) Key(names ...string) int {
 		}
 	}
 	return -1
-}
-
-// MapKey reads the next member's name, as a map key.
-func (r *JSONReader) MapKey() string {
-	r.key()
-	return string(r.buf)
 }
 
 func (r *JSONReader) key() {
@@ -453,21 +348,21 @@ func hex4(b []byte) rune {
 }
 
 // String reads a string into *dst.
-func (r *JSONReader) String(dst *string, field string) {
-	switch c := r.Next(); c {
+func (r *JSONReader) String(dst *string) {
+	switch r.Next() {
 	case '"':
 		r.buf = r.unquote(r.buf[:0])
 		*dst = string(r.buf)
 	case 'n':
 		r.i += len("null")
 	default:
-		r.mismatch(c, field, "string")
+		r.mismatch()
 	}
 }
 
 // Bool reads a bool into *dst.
-func (r *JSONReader) Bool(dst *bool, field string) {
-	switch c := r.Next(); c {
+func (r *JSONReader) Bool(dst *bool) {
+	switch r.Next() {
 	case 't':
 		*dst = true
 		r.i += len("true")
@@ -477,60 +372,60 @@ func (r *JSONReader) Bool(dst *bool, field string) {
 	case 'n':
 		r.i += len("null")
 	default:
-		r.mismatch(c, field, "bool")
+		r.mismatch()
 	}
 }
 
-// numberToken is the number token next, or nil after a null or a value of
-// another kind, which is a type error into typ.
-func (r *JSONReader) numberToken(field, typ string) []byte {
+// numberToken is the number token next and its offset, or nil after a null
+// or a value of another kind, which is a type error.
+func (r *JSONReader) numberToken() ([]byte, int) {
 	switch c := r.Next(); {
 	case c == 'n':
 		r.i += len("null")
 	case c == '-' || isDigit(c):
 		start := r.i
 		r.skip()
-		return r.b[start:r.i]
+		return r.b[start:r.i], start
 	default:
-		r.mismatch(c, field, typ)
+		r.mismatch()
 	}
-	return nil
+	return nil, 0
 }
 
 // Float reads a float64 into *dst; a number out of its range is a type
 // error, as it is for encoding/json.
-func (r *JSONReader) Float(dst *float64, field string) {
-	if lit := r.numberToken(field, "float64"); lit != nil {
+func (r *JSONReader) Float(dst *float64) {
+	if lit, off := r.numberToken(); lit != nil {
 		if f, _, ok := number(lit, 0); ok {
 			*dst = f
 		} else {
-			r.typeError("number "+string(lit), field, "float64")
+			r.typeError(off)
 		}
 	}
 }
 
 // Uint reads a uint64 into *dst.
-func (r *JSONReader) Uint(dst *uint64, field string) {
-	if lit := r.numberToken(field, "uint64"); lit != nil {
+func (r *JSONReader) Uint(dst *uint64) {
+	if lit, off := r.numberToken(); lit != nil {
 		if u, err := strconv.ParseUint(string(lit), 10, 64); err == nil {
 			*dst = u
 		} else {
-			r.typeError("number "+string(lit), field, "uint64")
+			r.typeError(off)
 		}
 	}
 }
 
 // ReadInt reads an int or int64 into *dst.
-func ReadInt[T int | int64](r *JSONReader, dst *T, field string) {
-	typ, bits := "int64", 64
+func ReadInt[T int | int64](r *JSONReader, dst *T) {
+	bits := 64
 	if _, ok := any(*dst).(int); ok {
-		typ, bits = "int", strconv.IntSize
+		bits = strconv.IntSize
 	}
-	if lit := r.numberToken(field, typ); lit != nil {
+	if lit, off := r.numberToken(); lit != nil {
 		if n, err := strconv.ParseInt(string(lit), 10, bits); err == nil {
 			*dst = T(n)
 		} else {
-			r.typeError("number "+string(lit), field, typ)
+			r.typeError(off)
 		}
 	}
 }
@@ -545,12 +440,12 @@ func (r *JSONReader) Raw() []byte {
 // Skip passes over the next value: an unknown member's.
 func (r *JSONReader) Skip() { r.skip() }
 
-// ReadSlice reads an array into *dst as encoding/json fills a slice of typ
-// at field: null makes it nil, elements are read by elem into the slots of
-// *dst's backing array as they come (a null element keeps what the slot
-// held), and an empty array is a new empty slice.
-func ReadSlice[T any](r *JSONReader, dst *[]T, field, typ string, elem func(*T)) {
-	switch c := r.Next(); c {
+// ReadSlice reads an array into *dst as encoding/json fills a slice: null
+// makes it nil, elements are read by elem into the slots of *dst's backing
+// array as they come (a null element keeps what the slot held), and an
+// empty array is a new empty slice.
+func ReadSlice[T any](r *JSONReader, dst *[]T, elem func(*T)) {
+	switch r.Next() {
 	case 'n':
 		r.i += len("null")
 		*dst = nil
@@ -558,7 +453,7 @@ func ReadSlice[T any](r *JSONReader, dst *[]T, field, typ string, elem func(*T))
 	case '[':
 		r.i++
 	default:
-		r.mismatch(c, field, typ)
+		r.mismatch()
 		return
 	}
 	v, n := *dst, 0
@@ -581,6 +476,6 @@ func ReadSlice[T any](r *JSONReader, dst *[]T, field, typ string, elem func(*T))
 }
 
 // Floats reads an array of numbers into *dst.
-func (r *JSONReader) Floats(dst *[]float64, field string) {
-	ReadSlice(r, dst, field, "[]float64", func(f *float64) { r.Float(f, field) })
+func (r *JSONReader) Floats(dst *[]float64) {
+	ReadSlice(r, dst, r.Float)
 }

@@ -80,8 +80,8 @@ func (d *Decision) Verdict() bool {
 // either order, with JSON whitespace between tokens — is scanned here
 // without allocating; every other line (unknown, repeated or case-folded
 // keys, null, escapes, numbers out of range, malformed input) goes through
-// JSONReader, which accepts what encoding/json accepts, reads the same
-// float bits and fails with the same error text.
+// JSONReader, which accepts what encoding/json accepts and reads the same
+// float bits, and fails with a JSONError naming the byte it stopped at.
 func DecodeObservation(line []byte, o *Observation) error {
 	if scanObservation(line, o) {
 		return nil
@@ -89,13 +89,13 @@ func DecodeObservation(line []byte, o *Observation) error {
 	*o = Observation{}
 	var r JSONReader
 	err := r.Reset(line)
-	if err == nil && r.Object("", "wire.Observation") {
+	if err == nil && r.Object() {
 		for r.More() {
 			switch r.Key("action", "audience") {
 			case 0:
-				r.Floats(&o.Action, "Observation.action")
+				r.Floats(&o.Action)
 			case 1:
-				r.Floats(&o.Audience, "Observation.audience")
+				r.Floats(&o.Audience)
 			default:
 				r.Skip()
 			}
@@ -328,40 +328,40 @@ func AppendDecision(dst []byte, d *Decision) ([]byte, error) {
 var decisionKeys = []string{"channel", "seq", "warmup", "anomaly", "score", "exact", "path", "wseq", "dropped", "rejected", "error"}
 
 // DecodeDecision parses one decision line: what json.Unmarshal reads into
-// a zero Decision, and its error where it fails.
+// a zero Decision, and a JSONError where it fails.
 func DecodeDecision(line []byte, d *Decision) error {
 	*d = Decision{}
 	var r JSONReader
 	if err := r.Reset(line); err != nil {
 		return err
 	}
-	if !r.Object("", "wire.Decision") {
+	if !r.Object() {
 		return r.Err()
 	}
 	for r.More() {
 		switch r.Key(decisionKeys...) {
 		case 0:
-			r.String(&d.Channel, "Decision.channel")
+			r.String(&d.Channel)
 		case 1:
-			r.Uint(&d.Seq, "Decision.seq")
+			r.Uint(&d.Seq)
 		case 2:
-			r.Bool(&d.Warmup, "Decision.warmup")
+			r.Bool(&d.Warmup)
 		case 3:
-			r.Bool(&d.Anomaly, "Decision.anomaly")
+			r.Bool(&d.Anomaly)
 		case 4:
-			r.Float(&d.Score, "Decision.score")
+			r.Float(&d.Score)
 		case 5:
-			r.Bool(&d.Exact, "Decision.exact")
+			r.Bool(&d.Exact)
 		case 6:
-			r.String(&d.Path, "Decision.path")
+			r.String(&d.Path)
 		case 7:
-			r.Uint(&d.WSeq, "Decision.wseq")
+			r.Uint(&d.WSeq)
 		case 8:
-			r.Bool(&d.Dropped, "Decision.dropped")
+			r.Bool(&d.Dropped)
 		case 9:
-			r.Bool(&d.Rejected, "Decision.rejected")
+			r.Bool(&d.Rejected)
 		case 10:
-			r.String(&d.Error, "Decision.error")
+			r.String(&d.Error)
 		default:
 			r.Skip()
 		}

@@ -1,13 +1,17 @@
 // Package wiretest hosts a handler on a wire.Server over a loopback
 // listener: the stand-in for httptest.Server, so that handler tests run the
-// HTTP loop the daemons run.
+// HTTP loop the daemons run. RefusedAt checks a JSONReader's refusal
+// against encoding/json's.
 package wiretest
 
 import (
 	"bufio"
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -129,4 +133,21 @@ func (r *Recorder) Flush() {
 // Hijack fails: a Recorder has no connection.
 func (r *Recorder) Hijack() (wire.Conn, *bufio.ReadWriter, error) {
 	return nil, nil, errors.New("wiretest: a Recorder cannot be hijacked")
+}
+
+// RefusedAt fails unless err, a refusal of in, holds a wire.JSONError at a
+// byte of in and names it. Where encoding/json's refusal ref is a syntax
+// error, the byte is the one it stopped at: its Offset counts that byte, or
+// is the end of in when in ended too soon.
+func RefusedAt(t testing.TB, in []byte, err, ref error) {
+	t.Helper()
+	var je *wire.JSONError
+	if !errors.As(err, &je) || je.Offset < 0 || je.Offset > len(in) || !strings.Contains(err.Error(), "byte "+strconv.Itoa(je.Offset)) {
+		t.Errorf("%.40q: refused with %v, which names no byte of it", in, err)
+		return
+	}
+	var se *json.SyntaxError
+	if errors.As(ref, &se) && je.Offset != int(se.Offset)-1 && (je.Offset != len(in) || int(se.Offset) != len(in)) {
+		t.Errorf("%.40q: refused at byte %d, encoding/json at offset %d (%v)", in, je.Offset, se.Offset, ref)
+	}
 }
