@@ -3,6 +3,7 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"errors"
 	"io"
 	"net/http"
 	"os"
@@ -88,6 +89,17 @@ func TestRetiredFlagIsIgnored(t *testing.T) {
 	help, _ := exec.Command(bin, "-h").CombinedOutput()
 	if !bytes.Contains(help, []byte("accepted and ignored")) {
 		t.Fatalf("-h does not say -fastmath is ignored:\n%s", help)
+	}
+}
+
+// TestPolicyFlagIsUnknown: a full queue always waits, so there is no
+// overflow policy to choose, and -policy fails as any unknown flag does.
+func TestPolicyFlagIsUnknown(t *testing.T) {
+	bin, _, _ := smokeBinaries(t)
+	out, err := exec.Command(bin, "-policy", "drop").CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 || !bytes.Contains(out, []byte("flag provided but not defined: -policy")) {
+		t.Fatalf("aovlisd -policy drop: %v\n%s", err, out)
 	}
 }
 

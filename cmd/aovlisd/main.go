@@ -73,7 +73,7 @@
 //
 //	aovlis -preset INF -train-sec 420 -save model.bin
 //	aovlisd -load model.bin -addr :8080
-//	aovlisd -load model.bin -shards 8 -policy drop
+//	aovlisd -load model.bin -shards 8 -queue 512
 //	aovlisd -load model.bin -snapshot-dir /var/lib/aovlis -snapshot-every 30s
 //
 //	curl -N -XPOST --data-binary @features.ndjson \
@@ -103,7 +103,7 @@ import (
 func main() {
 	var (
 		cfg                         node.Config
-		addr, loadPath, policyName  string
+		addr, loadPath              string
 		fastMath, tiered, admission bool
 	)
 	flag.StringVar(&addr, "addr", ":8080", "listen address, host:port; the host is an IP literal, a name in /etc/hosts, or empty for every interface")
@@ -111,9 +111,8 @@ func main() {
 	flag.BoolVar(&fastMath, "fastmath", false, "accepted and ignored: the fast-math gate kernel is retired, and every detector scores on the exact one")
 	flag.BoolVar(&tiered, "tiered", false, "enable bound-gated tier skipping: segments the anchor bound clears as normal skip the LSTM predict entirely (one-sided; flip rate pinned by the root test harness)")
 	flag.IntVar(&cfg.Pool.Shards, "shards", 4, "detector pool shards (worker goroutines)")
-	flag.IntVar(&cfg.Pool.QueueDepth, "queue", 256, "per-shard ingest queue depth")
+	flag.IntVar(&cfg.Pool.QueueDepth, "queue", 256, "per-shard ingest queue depth; a full queue makes its submitters wait")
 	flag.IntVar(&cfg.Pool.Batch, "batch", 16, "micro-batching drain cap: segments a shard worker scores per wake-up through the batched inference path (0 or 1 disables; scores are bit-identical either way)")
-	flag.StringVar(&policyName, "policy", "block", "queue overflow policy: block or drop")
 	flag.IntVar(&cfg.MaxChannels, "max-channels", 1024, "maximum concurrently attached channels (each holds ~13 KB over the shared model weights, ~125 KB once it scores 16-segment batches: lanes and its own window rows, BENCH.md §15; a channel of an EnableUpdate model ~310 KB once it has retrained: its own weights and its pinned rows, BENCH.md §25)")
 	flag.BoolVar(&cfg.Pprof, "pprof", false, "serve /debug/pprof profiling endpoints (BENCH.md §4); exposes process internals, enable only on trusted listeners")
 	flag.BoolVar(&cfg.Metrics, "metrics", true, "serve the Prometheus text exposition at GET /metrics (per-stage latency histograms, admission state, shard queue depths)")
@@ -132,17 +131,13 @@ func main() {
 	if fastMath {
 		fmt.Fprintln(os.Stderr, "aovlisd: -fastmath is ignored: the fast-math gate kernel is retired, and scoring is exact")
 	}
-	if err := run(addr, loadPath, policyName, tiered, admission, cfg); err != nil {
+	if err := run(addr, loadPath, tiered, admission, cfg); err != nil {
 		fmt.Fprintln(os.Stderr, "aovlisd:", err)
 		os.Exit(1)
 	}
 }
 
-func run(addr, loadPath, policyName string, tiered, admission bool, cfg node.Config) error {
-	var err error
-	if cfg.Pool.Policy, err = serve.ParsePolicy(policyName); err != nil {
-		return err
-	}
+func run(addr, loadPath string, tiered, admission bool, cfg node.Config) error {
 	if admission {
 		cfg.Pool.Admission = serve.DefaultAdmissionConfig()
 	}
@@ -169,8 +164,8 @@ func run(addr, loadPath, policyName string, tiered, admission bool, cfg node.Con
 	defer stop()
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(l) }()
-	fmt.Printf("aovlisd listening on %s (%d shards, queue %d, policy %s, τ = %.4f)\n",
-		l.Addr(), cfg.Pool.Shards, cfg.Pool.QueueDepth, cfg.Pool.Policy, template.Tau())
+	fmt.Printf("aovlisd listening on %s (%d shards, queue %d, τ = %.4f)\n",
+		l.Addr(), cfg.Pool.Shards, cfg.Pool.QueueDepth, template.Tau())
 
 	select {
 	case err := <-errc:

@@ -86,7 +86,7 @@ func template(t *testing.T) *aovlis.Detector {
 // micro-batching cap and the ingest planes' pipelining depth.
 func testConfig(maxChannels, batch int) node.Config {
 	return node.Config{MaxChannels: maxChannels, Metrics: true,
-		Pool: serve.Config{Shards: 2, QueueDepth: 64, Policy: serve.Block, Batch: batch}}
+		Pool: serve.Config{Shards: 2, QueueDepth: 64, Batch: batch}}
 }
 
 // startNode opens a node over the suite's template and serves its handler

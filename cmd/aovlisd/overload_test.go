@@ -184,8 +184,7 @@ func TestMetricsDisabled(t *testing.T) {
 func newOverloadNode(t *testing.T) (*node.Node, *wiretest.Server, *gatedDet) {
 	t.Helper()
 	n, srv := openNode(t, node.Config{MaxChannels: 8, Metrics: true,
-		Pool: serve.Config{Shards: 1, QueueDepth: 10, Policy: serve.Block, Batch: 1,
-			Admission: serve.AdmissionConfig{Enabled: true, RejectHighFrac: 0.9, RejectLowFrac: 0.2}}})
+		Pool: serve.Config{Shards: 1, QueueDepth: 10, Batch: 1, Admission: serve.DefaultAdmissionConfig()}})
 	g := &gatedDet{release: make(chan struct{})}
 	if err := n.Pool().Attach("slow", g); err != nil {
 		t.Fatal(err)
@@ -277,7 +276,7 @@ func TestObserve429UnderOverload(t *testing.T) {
 	}
 	pollUntil(t, "scoring and refusals visible in /channels", func() bool {
 		for _, cs := range channelList(t, srv) {
-			if cs.Channel == "slow" && cs.Observed == 3 && cs.Rejected == 1 && cs.Dropped == 0 {
+			if cs.Channel == "slow" && cs.Observed == 3 && cs.Rejected == 1 {
 				return true
 			}
 		}
@@ -297,7 +296,7 @@ func TestObserve429UnderOverload(t *testing.T) {
 		return n.Pool().AdmissionState() == serve.AdmitNormal
 	})
 	decs := postObserve(t, srv, "slow", observeLine([]float64{1}, []float64{1})+"\n")
-	if len(decs) != 1 || decs[0].Error != "" || decs[0].Rejected || decs[0].Dropped {
+	if len(decs) != 1 || decs[0].Error != "" || decs[0].Rejected {
 		t.Fatalf("post-recovery decision %+v", decs)
 	}
 }
@@ -329,7 +328,7 @@ func TestDaemonShutdownLeaksNoGoroutines(t *testing.T) {
 	dir := t.TempDir()
 	cfg := node.Config{MaxChannels: 8, Metrics: true, Continual: true, AbsorbWeight: 0.25, AbsorbEvery: time.Millisecond,
 		SnapshotDir: dir + "/snap", SnapshotEvery: 5 * time.Millisecond, WALDir: dir + "/wal", LedgerDir: dir + "/ledger", LedgerBatch: 4,
-		Pool: serve.Config{Shards: 4, QueueDepth: 32, Policy: serve.Block, Batch: 4}}
+		Pool: serve.Config{Shards: 4, QueueDepth: 32, Batch: 4}}
 	_, srv, stop := startNode(t, cfg, nil)
 	defer stop()
 	acts, auds := testSeries(13, 8)

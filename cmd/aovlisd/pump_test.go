@@ -164,7 +164,7 @@ func waitAccepted(t *testing.T, srv *wiretest.Server, want float64) {
 	})
 }
 
-var blockCfg = serve.Config{Shards: 1, QueueDepth: 64, Policy: serve.Block}
+var blockCfg = serve.Config{Shards: 1, QueueDepth: 64}
 
 func TestPumpBothFramings(t *testing.T) {
 	for _, pl := range planes {
@@ -277,8 +277,8 @@ func TestPumpBothFramings(t *testing.T) {
 }
 
 // TestPumpOutcomeKinds pins the one classification site: each way a line
-// can end — parse error, dropped, rejected, detector error, accepted — on
-// both framings.
+// can end — parse error, rejected, detector error, accepted — on both
+// framings.
 func TestPumpOutcomeKinds(t *testing.T) {
 	acts, auds := testSeries(35, 1)
 	good := observeLine(acts[0], auds[0])
@@ -302,22 +302,16 @@ func TestPumpOutcomeKinds(t *testing.T) {
 			}},
 		{"accepted", blockCfg, false, []string{good},
 			func(d wire.Decision) bool { return d.Verdict() && d.Warmup }},
-		// One segment parked in the detector, one filling the queue: the
-		// third overflows a DropNewest queue of depth 1.
-		{"dropped", serve.Config{Shards: 1, QueueDepth: 1, Policy: serve.DropNewest}, true,
-			[]string{gatedObs, gatedObs, gatedObs},
-			func(d wire.Decision) bool { return d.Dropped && !d.Rejected && d.Error == "" }},
-		// One parked, three queued: the fifth submit finds the queue at the
-		// reject watermark (⌈0.75·4⌉ = 3).
-		{"rejected", serve.Config{Shards: 1, QueueDepth: 4, Policy: serve.Block,
-			Admission: serve.AdmissionConfig{Enabled: true, RejectHighFrac: 0.75, RejectLowFrac: 0.2}}, true,
-			[]string{gatedObs, gatedObs, gatedObs, gatedObs, gatedObs},
+		// One parked, nine queued: the eleventh submit finds the queue at
+		// the reject watermark (⌈0.9·10⌉ = 9), one slot short of full.
+		{"rejected", serve.Config{Shards: 1, QueueDepth: 10, Admission: serve.DefaultAdmissionConfig()}, true,
+			[]string{gatedObs, gatedObs, gatedObs, gatedObs, gatedObs, gatedObs, gatedObs, gatedObs, gatedObs, gatedObs, gatedObs},
 			func(d wire.Decision) bool { return d.Rejected && !d.Dropped && d.Error == "" }},
 	}
 	for _, k := range kinds {
 		for _, pl := range planes {
 			t.Run(k.name+"/"+pl.name, func(t *testing.T) {
-				_, srv, g, _ := newPumpNode(t, k.cfg, 8, k.gated)
+				_, srv, g, _ := newPumpNode(t, k.cfg, 16, k.gated)
 				st := pl.open(t, srv, "ch")
 				last := len(k.lines) - 1
 				for i, line := range k.lines {
@@ -334,7 +328,7 @@ func TestPumpOutcomeKinds(t *testing.T) {
 					// turn behind the parked segments.
 					pollUntil(t, "the refusal to be counted", func() bool {
 						cs, err := chStats(t, srv)
-						return err == nil && cs.Dropped+cs.Rejected == 1
+						return err == nil && cs.Rejected == 1
 					})
 					g.open()
 				}
@@ -356,16 +350,14 @@ func TestPumpOutcomeKinds(t *testing.T) {
 	}
 }
 
-// TestPumpRejectionIsNotADrop streams past a Block-policy pool's reject
-// watermark at full speed, so refusals land while the shard worker is
-// relaxing the admission state. Under Block nothing can be dropped: every
-// refused line must say "rejected" (back off and resend) and the lines
-// must add up to the pool's own counters. A pump that classified a refusal
-// by the admission state it read afterwards, not by the refusal's error,
-// reported some of these as "dropped".
+// TestPumpRejectionIsNotADrop streams past a pool's reject watermark at
+// full speed, so refusals land while the shard worker is relaxing the
+// admission state. Nothing can be dropped: every refused line must say
+// "rejected" (back off and resend) and the lines must add up to the pool's
+// own counters: a refusal is classified by its error, not by the admission
+// state read afterwards.
 func TestPumpRejectionIsNotADrop(t *testing.T) {
-	cfg := serve.Config{Shards: 1, QueueDepth: 4, Policy: serve.Block,
-		Admission: serve.AdmissionConfig{Enabled: true, RejectHighFrac: 0.75, RejectLowFrac: 0.5}}
+	cfg := serve.Config{Shards: 1, QueueDepth: 10, Admission: serve.DefaultAdmissionConfig()}
 	acts, auds := testSeries(37, 1500)
 	for _, pl := range planes {
 		t.Run(pl.name, func(t *testing.T) {
@@ -384,11 +376,11 @@ func TestPumpRejectionIsNotADrop(t *testing.T) {
 				case d.Rejected && !d.Dropped && d.Error == "":
 					rejected++
 				default:
-					t.Fatalf("line %d under Block + admission = %+v, want a verdict or a rejection", i, d)
+					t.Fatalf("line %d under admission = %+v, want a verdict or a rejection", i, d)
 				}
 			}
 			cs, err := chStats(t, srv)
-			if err != nil || cs.Observed != verdicts || cs.Rejected != rejected || cs.Dropped != 0 {
+			if err != nil || cs.Observed != verdicts || cs.Rejected != rejected {
 				t.Fatalf("client saw %d verdicts, %d rejections; pool %+v (%v)", verdicts, rejected, cs, err)
 			}
 			if rejected == 0 {

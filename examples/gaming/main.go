@@ -1,9 +1,12 @@
 // Gaming-stream moderation (the paper's TWI dataset): a Twitch-style
 // channel with heavy chat. This example exercises the true *live* code
-// path: frames arrive one at a time through the LiveSegmenter, comments
-// attach as segments complete, features are extracted per segment, and the
-// detector decides online, segment by segment — printing a running log
-// like a moderation dashboard would.
+// path: frames and chat messages arrive one at a time through serve.Ingest,
+// which segments the frames, attaches each segment's comments and
+// featurises it online — the features the batch pipeline would produce,
+// including the neighbouring segments' comment counts — and the detector
+// decides segment by segment, printing a running log like a moderation
+// dashboard would. A segment is decided once the next segment's comment
+// counts are complete, a few seconds behind the live edge.
 package main
 
 import (
@@ -11,8 +14,8 @@ import (
 	"log"
 
 	"aovlis"
-	"aovlis/internal/comments"
 	"aovlis/internal/feature"
+	"aovlis/internal/serve"
 	"aovlis/internal/stream"
 	"aovlis/internal/synth"
 )
@@ -47,59 +50,58 @@ func main() {
 	}
 	fmt.Printf("moderation model ready (τ=%.4f)\n", det.Tau())
 
-	// --- live session: frames arrive one by one ---
+	// --- live session: frames and chat arrive one by one ---
 	live, err := synth.Generate(synth.Options{Preset: preset, DurationSec: liveSec, Seed: 32})
 	if err != nil {
 		log.Fatal(err)
 	}
-	segmenter, err := stream.NewLiveSegmenter(stream.NewSegmenter())
+	in, err := serve.NewIngest(pipe, stream.Segmenter{})
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	// The batch extractor computed count aggregates over the whole stream;
-	// live we recompute the windowed counts as seconds complete. For the
-	// example we precompute the per-second counts once (they only depend on
-	// already-arrived comments at segment-completion time).
-	perSec := comments.CountPerSecond(live.Comments, liveSec)
-	_ = perSec
-
 	flagged := 0
-	for _, f := range live.Frames {
-		seg := segmenter.Push(f)
-		if seg == nil {
-			continue
+	decide := func(obs []serve.Observation) {
+		for i := range obs {
+			seg := &obs[i].Segment
+			res, err := det.Observe(obs[i].Action, obs[i].Audience)
+			if err != nil {
+				log.Fatal(err)
+			}
+			if res.Warmup || !res.Anomaly {
+				continue
+			}
+			flagged++
+			truth := ""
+			if seg.Label {
+				truth = " [ground-truth anomaly]"
+			}
+			fmt.Printf("t=%5.1fs  segment %3d  score %.4f  decided-by=%s  chat=%d msgs%s\n",
+				seg.StartSec, seg.Index, res.Score, res.Path, len(seg.Comments), truth)
 		}
-		// Attach the comments that arrived during the segment's time span.
-		seg.Comments = comments.InWindow(live.Comments, seg.StartSec, seg.EndSec)
-
-		// Featurise just this segment (I3D is per-segment; the audience
-		// featurizer needs the segment plus the stream's comment history).
-		actionFeat, err := pipe.I3D.Extract(seg)
-		if err != nil {
-			log.Fatal(err)
-		}
-		audienceFeats, err := pipe.Audience.ExtractSeries(
-			[]stream.Segment{*seg}, live.Comments, liveSec)
-		if err != nil {
-			log.Fatal(err)
-		}
-
-		res, err := det.Observe(actionFeat, audienceFeats[0])
-		if err != nil {
-			log.Fatal(err)
-		}
-		if res.Warmup || !res.Anomaly {
-			continue
-		}
-		flagged++
-		truth := ""
-		if seg.Label {
-			truth = " [ground-truth anomaly]"
-		}
-		fmt.Printf("t=%5.1fs  segment %3d  score %.4f  decided-by=%s  chat=%d msgs%s\n",
-			seg.StartSec, seg.Index, res.Score, res.Path, len(seg.Comments), truth)
 	}
+	ci := 0
+	for _, f := range live.Frames {
+		// Chat sent before this frame ends reaches the ingest first.
+		frameEnd := float64(f.Index+1) / float64(live.FPS)
+		for ci < len(live.Comments) && live.Comments[ci].AtSec < frameEnd {
+			in.PushComment(live.Comments[ci])
+			ci++
+		}
+		obs, err := in.PushFrame(f)
+		if err != nil {
+			log.Fatal(err)
+		}
+		decide(obs)
+	}
+	for ; ci < len(live.Comments); ci++ {
+		in.PushComment(live.Comments[ci])
+	}
+	obs, err := in.Flush()
+	if err != nil {
+		log.Fatal(err)
+	}
+	decide(obs)
 
 	fmt.Printf("\nsession done: %d segments observed, %d flagged\n", det.Observed(), flagged)
 	fmt.Printf("injected anomaly intervals:\n")

@@ -89,7 +89,7 @@ func run(channels, shards, trainSec, streamSec, classes, epochs int, seed int64)
 	// 2. The node: the assembly the daemon serves, on a real listener.
 	//    Channels attach on first WebSocket contact.
 	n, err := node.Open(template, node.Config{MaxChannels: channels,
-		Pool: serve.Config{Shards: shards, QueueDepth: 256, Policy: serve.Block, Batch: 16}})
+		Pool: serve.Config{Shards: shards, QueueDepth: 256, Batch: 16}})
 	if err != nil {
 		return err
 	}

@@ -70,7 +70,7 @@ func TestChannelsThroughRealNodes(t *testing.T) {
 	for i := range specs {
 		name := fmt.Sprintf("real-%d", i)
 		n, err := node.Open(det, node.Config{MaxChannels: 16, NodeID: name, Logf: t.Logf,
-			Pool: serve.Config{Shards: 1, QueueDepth: 64, Policy: serve.Block}})
+			Pool: serve.Config{Shards: 1, QueueDepth: 64}})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -250,10 +250,10 @@ func (n *Node) putSnapshot(id string, body io.Reader) error {
 // channel, in order, through the regular observe endpoint — the receive
 // half of failover journal replay. The request is written concurrently
 // with the response read (the node pipelines decisions), the whole
-// exchange runs under one adminWait deadline, and every record
-// must come back as a scored decision: a rejected, dropped or errored
-// line fails the replay, because a partially applied journal tail would
-// silently break the bit-equal contract the replay exists to restore.
+// exchange runs under one adminWait deadline, and every record must come
+// back as a scored decision: a rejected or errored line fails the replay,
+// because a partially applied journal tail would silently break the
+// bit-equal contract the replay exists to restore.
 // Returns the count of applied records and the highest wseq the node
 // assigned them (the NEW owner's journal numbering — it reseeds the relay
 // tracker so a subsequent failover of this node replays them again).

@@ -205,11 +205,12 @@ type FailoverReport struct {
 // no stream resubmits it — the replay is its only application), and
 // everything above it is resubmitted (so the replay must not touch it).
 // Channels whose replay completes therefore resume bit-equal to an
-// undisturbed run. Without a shared WAL — or if the replay fails, or if
-// the dead node had shed journaled segments (a dropped segment never
-// advances the relayed wseq, but later acknowledged ones do) — the bound
-// degrades to the previous contract: at-least-last-checkpoint, with the
-// acknowledged post-checkpoint tail lost from model state.
+// undisturbed run: a node journals only what it scores (a full queue
+// waits, and admission refuses before the journal), so the contiguous
+// tail holds no segment the live run skipped. Without a shared WAL, or if
+// the replay fails, the bound degrades to the previous contract:
+// at-least-last-checkpoint, with the acknowledged post-checkpoint tail
+// lost from model state.
 func (r *Router) FailNode(name string) error {
 	r.topoMu.Lock()
 	defer r.topoMu.Unlock()

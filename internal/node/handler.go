@@ -103,8 +103,8 @@ func (n *Node) handleChannel(w wire.ResponseWriter, r *wire.Request) {
 // order through the channel's shard, up to the pipelining depth of them in
 // flight at once; a decision's seq is its line index in this stream. A
 // line that is not scored says why: "rejected" when admission control
-// refused it mid-stream (nothing lost, back off and resend), "dropped"
-// when a full queue under the drop policy lost it.
+// refused it mid-stream (nothing lost, back off and resend), "error"
+// otherwise. A full queue never loses a line: the pump waits for space.
 func (n *Node) handleObserve(w wire.ResponseWriter, r *wire.Request, id string) {
 	// The handler interleaves request-body reads with streamed response
 	// writes, which wire.Server allows on every response. A pre-stream
@@ -205,10 +205,10 @@ func statusForPoolErr(err error) int {
 	case errors.Is(err, serve.ErrNotSnapshottable):
 		return wire.StatusUnprocessable
 	case errors.Is(err, serve.ErrRejected):
-		// Before ErrOverloaded, which it wraps: admission refused the
-		// request and nothing was lost, so the client should retry.
+		// Admission refused the request and nothing was lost, so the
+		// client should retry.
 		return wire.StatusTooManyRequests
-	case errors.Is(err, serve.ErrOverloaded), errors.Is(err, serve.ErrClosed), errors.Is(err, errChannelLimit):
+	case errors.Is(err, serve.ErrClosed), errors.Is(err, errChannelLimit):
 		return wire.StatusUnavailable
 	default:
 		return wire.StatusBadRequest

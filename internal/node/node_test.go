@@ -119,7 +119,7 @@ func allDirs(t *testing.T) dirs {
 
 func testConfig(d dirs) Config {
 	return Config{MaxChannels: 8, SnapshotDir: d.snap, WALDir: d.wal, LedgerDir: d.ledger, LedgerBatch: 4,
-		Pool: serve.Config{Shards: 2, QueueDepth: 64, Policy: serve.Block, Batch: 4}}
+		Pool: serve.Config{Shards: 2, QueueDepth: 64, Batch: 4}}
 }
 
 // open opens a node on cfg, logging into the returned book.
@@ -635,15 +635,15 @@ func TestCheckpointCoversRetiredChannels(t *testing.T) {
 	}
 }
 
-// TestStatusForPoolErr pins the two refusals apart by their error alone: an
-// admission rejection asks the client to retry, a queue-full drop does not.
+// TestStatusForPoolErr pins the statuses by the error alone: an admission
+// rejection asks the client to retry, a closed pool or a full channel table
+// does not.
 func TestStatusForPoolErr(t *testing.T) {
 	for _, tc := range []struct {
 		err  error
 		want int
 	}{
 		{fmt.Errorf("%w (channel %q, shard 0)", serve.ErrRejected, "ch"), http.StatusTooManyRequests},
-		{fmt.Errorf("%w (queue full)", serve.ErrOverloaded), http.StatusServiceUnavailable},
 		{serve.ErrClosed, http.StatusServiceUnavailable},
 		{fmt.Errorf("%w (%d)", errChannelLimit, 8), http.StatusServiceUnavailable},
 		{fmt.Errorf("%w: %q", serve.ErrUnknownChannel, "ch"), http.StatusNotFound},

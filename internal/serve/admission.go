@@ -10,8 +10,8 @@ package serve
 //   - normal: every submission is admitted.
 //   - reject: new submissions fail fast with ErrRejected, which the daemon
 //     maps to 429 + Retry-After. Segments already accepted into a queue are
-//     never discarded by admission control — rejection happens strictly at
-//     the front door.
+//     never discarded — rejection happens strictly at the front door, and a
+//     full queue makes its submitter wait.
 //
 // Admission never touches how an accepted segment is scored: a verdict is a
 // function of the saved detector and the stream, whatever the load.
@@ -54,40 +54,24 @@ func (s AdmissionState) String() string {
 	}
 }
 
-// AdmissionConfig parameterises overload control. Both watermarks are
-// fractions of Config.QueueDepth: rejection starts when one shard's queue
-// reaches the high watermark and ends when every shard's queue has drained
-// to the low watermark. Low must sit strictly below high — the gap is the
-// hysteresis band.
+// AdmissionConfig turns overload control on or off. The watermarks are
+// fixed: rejection starts when one shard's queue reaches 90 % of
+// Config.QueueDepth and ends when every shard's queue has drained to ¼.
 type AdmissionConfig struct {
-	// Enabled turns admission control on. Disabled (the zero value) leaves
-	// the overflow policy alone to decide.
+	// Enabled turns admission control on. With it off (the zero value),
+	// nothing is refused: a full queue only makes its submitters wait.
 	Enabled bool
-	// RejectHighFrac/RejectLowFrac are the high and low watermarks.
-	RejectHighFrac float64
-	RejectLowFrac  float64
 }
 
-// DefaultAdmissionConfig returns the shipped watermarks: reject at 90%
-// full queues, admit again at ¼.
-func DefaultAdmissionConfig() AdmissionConfig {
-	return AdmissionConfig{Enabled: true, RejectHighFrac: 0.90, RejectLowFrac: 0.25}
-}
+// DefaultAdmissionConfig returns admission control enabled.
+func DefaultAdmissionConfig() AdmissionConfig { return AdmissionConfig{Enabled: true} }
 
-// Validate reports the first invalid watermark. The zero value (disabled)
-// is valid.
-func (c AdmissionConfig) Validate() error {
-	if !c.Enabled {
-		return nil
-	}
-	if high := c.RejectHighFrac; !(high > 0 && high <= 1) {
-		return fmt.Errorf("serve: admission high watermark must be in (0,1], got %v", high)
-	}
-	if low := c.RejectLowFrac; !(low >= 0 && low < c.RejectHighFrac) {
-		return fmt.Errorf("serve: admission low watermark must be in [0, high), got %v (high %v)", low, c.RejectHighFrac)
-	}
-	return nil
-}
+// The watermarks, as fractions of the queue depth. The gap between them is
+// the hysteresis band.
+const (
+	rejectHighFrac = 0.90
+	rejectLowFrac  = 0.25
+)
 
 // admission is the pool's overload-control state machine. All fields but
 // the atomics are frozen at construction.
@@ -111,12 +95,12 @@ func newAdmission(cfg AdmissionConfig, queueDepth int) *admission {
 		return a
 	}
 	depth := float64(queueDepth)
-	a.high = int(cfg.RejectHighFrac * depth)
-	if float64(a.high) < cfg.RejectHighFrac*depth {
+	a.high = int(rejectHighFrac * depth)
+	if float64(a.high) < rejectHighFrac*depth {
 		a.high++
 	}
 	a.high = max(a.high, 1)
-	a.low = min(int(cfg.RejectLowFrac*depth), a.high-1)
+	a.low = min(int(rejectLowFrac*depth), a.high-1)
 	return a
 }
 

@@ -16,26 +16,6 @@ import (
 	"aovlis"
 )
 
-func TestAdmissionConfigValidate(t *testing.T) {
-	if err := (AdmissionConfig{}).Validate(); err != nil {
-		t.Fatalf("disabled config rejected: %v", err)
-	}
-	if err := DefaultAdmissionConfig().Validate(); err != nil {
-		t.Fatalf("default config rejected: %v", err)
-	}
-	bad := []AdmissionConfig{
-		{Enabled: true}, // zero watermarks
-		{Enabled: true, RejectHighFrac: 1.5, RejectLowFrac: 0.2},  // high > 1
-		{Enabled: true, RejectHighFrac: 0.9, RejectLowFrac: 0.9},  // low == high
-		{Enabled: true, RejectHighFrac: 0.9, RejectLowFrac: -0.1}, // low < 0
-	}
-	for i, cfg := range bad {
-		if err := cfg.Validate(); err == nil {
-			t.Errorf("bad config %d accepted: %+v", i, cfg)
-		}
-	}
-}
-
 // TestAdmissionStateMachine drives the raw machine through a full
 // overload cycle and checks both the watermark arithmetic and the
 // hysteresis: a raise at the high watermark must not relax until the low
@@ -109,8 +89,7 @@ func (g *gatedDetector) Observe(action, audience []float64) (aovlis.Result, erro
 
 // admissionTestConfig: shards=1, queue 10 → reject at 9, admit again at 2.
 func admissionTestConfig() Config {
-	return Config{Shards: 1, QueueDepth: 10, Policy: Block,
-		Admission: AdmissionConfig{Enabled: true, RejectHighFrac: 0.9, RejectLowFrac: 0.2}}
+	return Config{Shards: 1, QueueDepth: 10, Admission: DefaultAdmissionConfig()}
 }
 
 // TestPoolRejectsThenRecovers walks the pool through the overload cycle:
@@ -155,15 +134,15 @@ func TestPoolRejectsThenRecovers(t *testing.T) {
 		t.Fatalf("admission state %v at depth 9 before any submit saw it, want normal", s)
 	}
 	err := submit()
-	if !errors.Is(err, ErrRejected) || !errors.Is(err, ErrOverloaded) {
-		t.Fatalf("submit in reject state returned %v, want ErrRejected (an ErrOverloaded)", err)
+	if !errors.Is(err, ErrRejected) {
+		t.Fatalf("submit in reject state returned %v, want ErrRejected", err)
 	}
 	if s := p.AdmissionState(); s != AdmitReject {
 		t.Fatalf("admission state %v after reject, want reject", s)
 	}
 	st, _ := p.Stats("ch")
-	if st.Rejected != 1 || st.Dropped != 0 {
-		t.Fatalf("rejected %d dropped %d, want 1/0", st.Rejected, st.Dropped)
+	if st.Rejected != 1 {
+		t.Fatalf("rejected %d, want 1", st.Rejected)
 	}
 
 	// Hysteresis: after seven scored segments the worker's last look found
@@ -213,7 +192,7 @@ func TestPoolRejectsThenRecovers(t *testing.T) {
 func TestOverloadVerdictsMatchSerialReplay(t *testing.T) {
 	const channels, segs = 4, 240
 	tmpl := trainTemplate(t)
-	p := newTestPool(t, Config{Shards: 2, QueueDepth: 16, Policy: Block, Batch: 8,
+	p := newTestPool(t, Config{Shards: 2, QueueDepth: 16, Batch: 8,
 		Admission: DefaultAdmissionConfig()})
 	type stream struct {
 		acts, auds [][]float64
@@ -312,16 +291,15 @@ func TestOverloadVerdictsMatchSerialReplay(t *testing.T) {
 	}
 	waitFor(t, func() bool { return p.AdmissionState() == AdmitNormal })
 	ps := p.PoolStats()
-	if ps.Rejected != uint64(rejected) || ps.Dropped != 0 || ps.Errors != 0 {
+	if ps.Rejected != uint64(rejected) || ps.Errors != 0 {
 		t.Fatalf("pool stats %+v, harness saw %d rejections", ps, rejected)
 	}
 }
 
 // TestAdmissionDisabledNeverRejects pins the legacy behaviour: with the
-// zero-value AdmissionConfig a Block-policy pool only ever applies
-// backpressure.
+// zero-value AdmissionConfig a pool only ever applies backpressure.
 func TestAdmissionDisabledNeverRejects(t *testing.T) {
-	p := newTestPool(t, Config{Shards: 1, QueueDepth: 2, Policy: Block})
+	p := newTestPool(t, Config{Shards: 1, QueueDepth: 2})
 	det := newGatedDetector(t)
 	if err := p.Attach("ch", det); err != nil {
 		t.Fatal(err)
@@ -344,7 +322,7 @@ func TestAdmissionDisabledNeverRejects(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		if err != nil {
-			t.Fatalf("blocked-policy observe failed: %v", err)
+			t.Fatalf("backpressured observe failed: %v", err)
 		}
 	}
 	if s := p.AdmissionState(); s != AdmitNormal {

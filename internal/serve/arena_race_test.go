@@ -57,7 +57,7 @@ func TestShardArenasAreIsolated(t *testing.T) {
 
 	// Pool: more shards than cores typically, channels hashed across them,
 	// every channel fed the same series concurrently.
-	p := newTestPool(t, Config{Shards: 4, QueueDepth: 64, Policy: Block})
+	p := newTestPool(t, Config{Shards: 4, QueueDepth: 64})
 	ids := make([]string, channels)
 	for i := range ids {
 		ids[i] = fmt.Sprintf("arena-%d", i)

@@ -109,8 +109,8 @@ func TestPoolBatchedBitIdentical(t *testing.T) {
 		return scores
 	}
 
-	serial := runPool(Config{Shards: 3, QueueDepth: 64, Policy: Block}, false)
-	batched := runPool(Config{Shards: 3, QueueDepth: 64, Policy: Block, Batch: 16}, true)
+	serial := runPool(Config{Shards: 3, QueueDepth: 64}, false)
+	batched := runPool(Config{Shards: 3, QueueDepth: 64, Batch: 16}, true)
 	for i := range serial {
 		if len(serial[i]) != len(batched[i]) {
 			t.Fatalf("channel %d: %d vs %d results", i, len(serial[i]), len(batched[i]))
@@ -129,7 +129,7 @@ func TestPoolBatchedBitIdentical(t *testing.T) {
 // batch multiple segments per scoring round and account for them.
 func TestPoolBatchOccupancyStats(t *testing.T) {
 	tmpl := trainTemplate(t)
-	p := newTestPool(t, Config{Shards: 1, QueueDepth: 256, Policy: Block, Batch: 8})
+	p := newTestPool(t, Config{Shards: 1, QueueDepth: 256, Batch: 8})
 	defer p.Close()
 	det, err := tmpl.Clone()
 	if err != nil {
@@ -175,7 +175,7 @@ func TestPoolBatchOccupancyStats(t *testing.T) {
 // ObserveBatch still work under a batched pool (per-segment scoring), and
 // that error accounting matches the serial path.
 func TestPoolBatchFakeDetectorFallback(t *testing.T) {
-	p := newTestPool(t, Config{Shards: 1, QueueDepth: 64, Policy: Block, Batch: 8})
+	p := newTestPool(t, Config{Shards: 1, QueueDepth: 64, Batch: 8})
 	defer p.Close()
 	fd := &fakeDetector{warmLeft: 2, anomalyEvery: 5, failEvery: 7}
 	if err := p.Attach("fake", fd); err != nil {
@@ -219,7 +219,7 @@ func TestPoolBatchFakeDetectorFallback(t *testing.T) {
 // alone; its neighbours still score.
 func TestPoolBatchErrorLaneResubmit(t *testing.T) {
 	tmpl := trainTemplate(t)
-	p := newTestPool(t, Config{Shards: 1, QueueDepth: 64, Policy: Block, Batch: 16})
+	p := newTestPool(t, Config{Shards: 1, QueueDepth: 64, Batch: 16})
 	defer p.Close()
 	det, err := tmpl.Clone()
 	if err != nil {
@@ -278,7 +278,7 @@ func TestPoolBatchConfigValidate(t *testing.T) {
 // the soak test; here we just hammer the interleaving under -race).
 func TestPoolBatchedSnapshotQuiesce(t *testing.T) {
 	tmpl := trainTemplate(t)
-	p := newTestPool(t, Config{Shards: 2, QueueDepth: 128, Policy: Block, Batch: 8})
+	p := newTestPool(t, Config{Shards: 2, QueueDepth: 128, Batch: 8})
 	defer p.Close()
 	for i := 0; i < 4; i++ {
 		det, err := tmpl.Clone()

@@ -25,7 +25,7 @@ import (
 // attached detector at a segment boundary, its error comes back verbatim,
 // and unknown channels are refused.
 func TestWithChannel(t *testing.T) {
-	pool, err := NewDetectorPool(Config{Shards: 2, QueueDepth: 16, Policy: Block})
+	pool, err := NewDetectorPool(Config{Shards: 2, QueueDepth: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestPoolSoakSlowBurnDrift(t *testing.T) {
 	for i := range ids {
 		ids[i] = fmt.Sprintf("drift-%02d", i)
 	}
-	pool, err := NewDetectorPool(Config{Shards: 3, QueueDepth: 128, Policy: Block, Batch: 8})
+	pool, err := NewDetectorPool(Config{Shards: 3, QueueDepth: 128, Batch: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +196,7 @@ func TestPoolSoakSlowBurnDrift(t *testing.T) {
 	if err := pool.Close(); err != nil {
 		t.Fatal(err)
 	}
-	pool, err = RestorePool(dir, Config{Shards: 5, QueueDepth: 128, Policy: Block, Batch: 16})
+	pool, err = RestorePool(dir, Config{Shards: 5, QueueDepth: 128, Batch: 16})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -44,7 +44,7 @@ func ExampleDetectorPool() {
 
 	// One pool, one cloned detector per channel: the pool confines each
 	// clone to a shard worker, so submissions may come from any goroutine.
-	pool, err := serve.NewDetectorPool(serve.Config{Shards: 2, QueueDepth: 64, Policy: serve.Block})
+	pool, err := serve.NewDetectorPool(serve.Config{Shards: 2, QueueDepth: 64})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -69,10 +69,10 @@ func ExampleDetectorPool() {
 
 	fmt.Println("channels:", pool.Channels())
 	for _, st := range pool.AllStats() {
-		fmt.Printf("%s: observed=%d warmups=%d dropped=%d\n", st.Channel, st.Observed, st.Warmups, st.Dropped)
+		fmt.Printf("%s: observed=%d warmups=%d rejected=%d\n", st.Channel, st.Observed, st.Warmups, st.Rejected)
 	}
 	// Output:
 	// channels: [gaming shopping]
-	// gaming: observed=20 warmups=4 dropped=0
-	// shopping: observed=20 warmups=4 dropped=0
+	// gaming: observed=20 warmups=4 rejected=0
+	// shopping: observed=20 warmups=4 rejected=0
 }

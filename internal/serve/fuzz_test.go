@@ -13,7 +13,7 @@ import (
 func exportFuzzSeeds(tb testing.TB) [][]byte {
 	tb.Helper()
 	tmpl := trainTemplate(tb)
-	p, err := NewDetectorPool(Config{Shards: 1, QueueDepth: 16, Policy: Block})
+	p, err := NewDetectorPool(Config{Shards: 1, QueueDepth: 16})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func FuzzAttachSnapshot(f *testing.F) {
 	for _, seed := range seeds {
 		f.Add(seed)
 	}
-	p, err := NewDetectorPool(Config{Shards: 1, QueueDepth: 16, Policy: Block})
+	p, err := NewDetectorPool(Config{Shards: 1, QueueDepth: 16})
 	if err != nil {
 		f.Fatal(err)
 	}

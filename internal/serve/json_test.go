@@ -30,7 +30,7 @@ func same(t *testing.T, what string, write func(*wire.JSON), v any) {
 func TestStatsDocumentsMatchEncodingJSON(t *testing.T) {
 	for _, cs := range []ChannelStats{
 		{},
-		{Channel: "a<&>", Shard: 3, Observed: 10, Warmups: 2, Detected: 1, TierSkipped: 4, Dropped: 5, Rejected: 6,
+		{Channel: "a<&>", Shard: 3, Observed: 10, Warmups: 2, Detected: 1, TierSkipped: 4, Rejected: 6,
 			Errors: 7, QueueDepth: -1, Batches: 8, Batched: 9, BatchOccupancy: 9.0 / 8},
 		{Channel: "\xff ", BatchOccupancy: 1e-7},
 		{Batches: 1, BatchOccupancy: 1e21},
@@ -40,7 +40,7 @@ func TestStatsDocumentsMatchEncodingJSON(t *testing.T) {
 	for _, ps := range []PoolStats{
 		{},
 		{QueueDepths: []int{}},
-		{Channels: 2, Shards: 4, Observed: 1, Detected: 2, Dropped: 3, Rejected: 4, Errors: 5, AdmissionState: "reject",
+		{Channels: 2, Shards: 4, Observed: 1, Detected: 2, Rejected: 4, Errors: 5, AdmissionState: "reject",
 			TierSkipped: 6, Batches: 7, Batched: 8, BatchOccupancy: 1.0 / 3, QueueDepths: []int{0, 3, -2, math.MaxInt32}},
 	} {
 		same(t, "pool stats", ps.WriteJSON, ps)

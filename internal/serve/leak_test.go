@@ -57,7 +57,7 @@ func dumpPoolStacks(dump []byte) string {
 }
 
 func TestPoolCloseLeaksNoGoroutines(t *testing.T) {
-	p, err := NewDetectorPool(Config{Shards: 4, QueueDepth: 16, Policy: Block, Batch: 4})
+	p, err := NewDetectorPool(Config{Shards: 4, QueueDepth: 16, Batch: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestPoolCloseLeaksNoGoroutines(t *testing.T) {
 // survive.
 func TestPoolCloseDuringSnapshotLeaksNoGoroutines(t *testing.T) {
 	tmpl := trainTemplate(t)
-	p, err := NewDetectorPool(Config{Shards: 2, QueueDepth: 32, Policy: Block})
+	p, err := NewDetectorPool(Config{Shards: 2, QueueDepth: 32})
 	if err != nil {
 		t.Fatal(err)
 	}

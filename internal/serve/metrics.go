@@ -42,7 +42,6 @@ type poolMetrics struct {
 
 	accepted  *metrics.Counter
 	rejected  *metrics.Counter
-	dropped   *metrics.Counter
 	observed  *metrics.Counter
 	anomalies *metrics.Counter
 	errors    *metrics.Counter
@@ -66,8 +65,6 @@ func newPoolMetrics(p *DetectorPool) *poolMetrics {
 			"Submissions accepted into a shard queue."),
 		rejected: reg.Counter("aovlis_pool_rejected_total",
 			"Submissions rejected by admission control (HTTP 429 at the daemon)."),
-		dropped: reg.Counter("aovlis_pool_dropped_total",
-			"Submissions shed by the DropNewest overflow policy."),
 		observed: reg.Counter("aovlis_pool_observed_total",
 			"Segments scored successfully (including warm-ups)."),
 		anomalies: reg.Counter("aovlis_pool_anomalies_total",

@@ -132,8 +132,8 @@ func (p *Pump) Run() (uint64, error) {
 		}
 	}()
 	// accept decides one message's fate as far as submit time can: the one
-	// place a line becomes a parse error, a drop, a rejection, a submit
-	// error or an in-flight submission.
+	// place a line becomes a parse error, a rejection, a submit error or an
+	// in-flight submission.
 	accept := func(msg []byte) {
 		d, o := &decs[head], &obs[head]
 		*d = wire.Decision{Channel: p.Channel, Seq: seq}
@@ -146,8 +146,6 @@ func (p *Pump) Run() (uint64, error) {
 			pending[head] = true
 		case errors.Is(err, ErrRejected):
 			d.Rejected = true // nothing lost: back off and resend
-		case errors.Is(err, ErrOverloaded):
-			d.Dropped = true
 		default:
 			d.Error = err.Error()
 		}

@@ -51,7 +51,7 @@ func TestPumpSteadyStateAllocs(t *testing.T) {
 		warmLanes = 16 + 4
 	)
 	tmpl := trainTemplate(t)
-	p := newTestPool(t, Config{Shards: 2, QueueDepth: 64, Policy: Block, Batch: 16})
+	p := newTestPool(t, Config{Shards: 2, QueueDepth: 64, Batch: 16})
 	ids := []string{"a", "b", "c", "d"}
 	acts, auds := testStream(11, 64)
 	msgs := make([][]byte, len(acts))

@@ -100,50 +100,21 @@ type dimser interface {
 // counters across snapshots (notably *aovlis.Detector). Attach seeds the
 // channel's observed/detected counters from it, so a channel restored from
 // a snapshot reports whole-stream statistics, not just the post-restore
-// leg. Transport-local counters (warmups, drops, queue errors) belong to
+// leg. Transport-local counters (warmups, rejections, queue errors) belong to
 // the pool instance and restart at zero.
 type lifetimeCounter interface {
 	Observed() int
 	Detected() int
 }
 
-// OverflowPolicy selects what Submit does when a shard's ingest queue is
-// full.
+// OverflowPolicy and its one value Block are kept because cmd/aovlis-bench
+// names them in its Config literal. A full shard queue always waits;
+// admission control is the pool's only overload refusal.
 type OverflowPolicy int
 
-const (
-	// Block applies backpressure: Submit waits for queue space. This is
-	// the lossless default — a slow shard slows its producers down.
-	Block OverflowPolicy = iota
-	// DropNewest sheds load: Submit fails fast with ErrOverloaded and the
-	// observation is counted as dropped on its channel. Live streams often
-	// prefer losing a segment over falling behind real time.
-	DropNewest
-)
-
-// String names the policy.
-func (p OverflowPolicy) String() string {
-	switch p {
-	case Block:
-		return "block"
-	case DropNewest:
-		return "drop"
-	default:
-		return fmt.Sprintf("OverflowPolicy(%d)", int(p))
-	}
-}
-
-// ParsePolicy converts a CLI-style policy name ("block" or "drop").
-func ParsePolicy(s string) (OverflowPolicy, error) {
-	switch s {
-	case "block":
-		return Block, nil
-	case "drop":
-		return DropNewest, nil
-	default:
-		return 0, fmt.Errorf("serve: unknown overflow policy %q (want block or drop)", s)
-	}
-}
+// Block is the only OverflowPolicy: Submit waits for queue space, so a
+// slow shard slows its producers down.
+const Block OverflowPolicy = 0
 
 // Config parameterises a DetectorPool.
 type Config struct {
@@ -152,7 +123,8 @@ type Config struct {
 	Shards int
 	// QueueDepth is the capacity of each shard's ingest queue.
 	QueueDepth int
-	// Policy selects the behaviour when a queue is full.
+	// Policy is kept because cmd/aovlis-bench sets it; no code reads it.
+	// A full queue always waits.
 	Policy OverflowPolicy
 	// Batch is the micro-batching drain cap: a shard worker takes up to
 	// Batch pending observations per wake-up and scores each channel's
@@ -161,15 +133,15 @@ type Config struct {
 	// scores are bit-identical whatever the cap.
 	Batch int
 	// Admission configures watermark-based overload control: reject new
-	// submissions (ErrRejected) when queues back up, before any accepted
-	// segment is lost, and admit again with hysteresis. The zero value
-	// disables it.
+	// submissions (ErrRejected) when queues back up, before any queue
+	// fills, and admit again with hysteresis. The zero value disables it,
+	// and then a full queue only ever waits.
 	Admission AdmissionConfig
 }
 
 // DefaultConfig returns a small general-purpose pool configuration.
 func DefaultConfig() Config {
-	return Config{Shards: 4, QueueDepth: 256, Policy: Block, Batch: 16}
+	return Config{Shards: 4, QueueDepth: 256, Batch: 16}
 }
 
 // Validate reports the first invalid field.
@@ -180,30 +152,21 @@ func (c Config) Validate() error {
 	if c.QueueDepth <= 0 {
 		return fmt.Errorf("serve: QueueDepth must be positive, got %d", c.QueueDepth)
 	}
-	if c.Policy != Block && c.Policy != DropNewest {
-		return fmt.Errorf("serve: unknown overflow policy %d", int(c.Policy))
-	}
 	if c.Batch < 0 {
 		return fmt.Errorf("serve: Batch must be non-negative, got %d", c.Batch)
 	}
-	return c.Admission.Validate()
+	return nil
 }
 
 // Errors returned by the pool's ingest API.
 var (
 	// ErrClosed is returned by operations on a closed pool.
 	ErrClosed = errors.New("serve: pool is closed")
-	// ErrOverloaded is returned when the observation was not enqueued
-	// because the pool is overloaded: as itself under the DropNewest policy
-	// when the channel's shard queue is full (the segment is lost), and
-	// wrapped in ErrRejected by admission control. Accepted observations
-	// are never discarded.
-	ErrOverloaded = errors.New("serve: pool overloaded, observation not enqueued")
-	// ErrRejected is admission control's refusal in the reject state,
-	// whatever the policy: nothing was lost, the caller should back off and
-	// resend (the daemon maps it to HTTP 429 + Retry-After). It matches
-	// ErrOverloaded under errors.Is.
-	ErrRejected = fmt.Errorf("%w: admission reject", ErrOverloaded)
+	// ErrRejected is admission control's refusal in the reject state, the
+	// pool's only overload refusal: nothing was journaled or queued, and
+	// the caller should back off and resend (the daemon maps it to HTTP
+	// 429 + Retry-After).
+	ErrRejected = errors.New("serve: pool overloaded, admission reject")
 	// ErrUnknownChannel is returned for ids with no attached channel.
 	ErrUnknownChannel = errors.New("serve: unknown channel")
 	// ErrChannelExists is returned by Attach for duplicate ids.
@@ -229,7 +192,7 @@ type Outcome struct {
 // always implies a journaled observation. *wal.Log implements it.
 //
 // The converse does not hold: a record journaled immediately before a
-// crash, a DropNewest shed, or a pool close may never have been applied.
+// crash or a pool close may never have been applied.
 // Boot replay therefore re-applies the journal tail with at-least-once
 // semantics — exactly-once for everything acknowledged.
 //
@@ -287,7 +250,6 @@ type channel struct {
 	observed    atomic.Uint64 // successfully scored observations
 	warmups     atomic.Uint64 // scored observations still in warm-up
 	detected    atomic.Uint64 // anomaly verdicts
-	dropped     atomic.Uint64 // observations shed under DropNewest
 	rejected    atomic.Uint64 // submissions refused by admission control
 	errors      atomic.Uint64 // detector errors
 	tierskipped atomic.Uint64 // segments cleared by the tier gate, no LSTM run
@@ -334,21 +296,13 @@ type shard struct {
 	closed bool
 }
 
-// send enqueues j honouring the overflow policy. It reports ErrClosed
-// after Close won the gate, ErrOverloaded when dropping.
-func (s *shard) send(j job, drop bool) error {
+// send enqueues j, waiting while the queue is full. It reports ErrClosed
+// after Close won the gate.
+func (s *shard) send(j job) error {
 	s.gate.RLock()
 	defer s.gate.RUnlock()
 	if s.closed {
 		return ErrClosed
-	}
-	if drop {
-		select {
-		case s.queue <- j:
-		default:
-			return ErrOverloaded
-		}
-		return nil
 	}
 	s.queue <- j
 	return nil
@@ -368,8 +322,6 @@ type ChannelStats struct {
 	// TierSkipped counts segments the tier gate cleared without running
 	// the LSTM predict at all; zero for untiered detectors.
 	TierSkipped uint64 `json:"tier_skipped,omitempty"`
-	// Dropped counts observations shed under the DropNewest policy.
-	Dropped uint64 `json:"dropped"`
 	// Rejected counts submissions refused by admission control in the
 	// reject state (they were never accepted, so nothing was lost).
 	Rejected uint64 `json:"rejected,omitempty"`
@@ -399,7 +351,6 @@ func (cs ChannelStats) WriteJSON(j *wire.JSON) {
 	if cs.TierSkipped != 0 {
 		j.Key("tier_skipped").Uint(cs.TierSkipped)
 	}
-	j.Key("dropped").Uint(cs.Dropped)
 	if cs.Rejected != 0 {
 		j.Key("rejected").Uint(cs.Rejected)
 	}
@@ -428,10 +379,9 @@ type PoolStats struct {
 	// configuration.
 	Channels int `json:"channels"`
 	Shards   int `json:"shards"`
-	// Observed/Detected/Dropped/Rejected/Errors are sums over all channels.
+	// Observed/Detected/Rejected/Errors are sums over all channels.
 	Observed uint64 `json:"observed"`
 	Detected uint64 `json:"detected"`
-	Dropped  uint64 `json:"dropped"`
 	Rejected uint64 `json:"rejected"`
 	Errors   uint64 `json:"errors"`
 	// AdmissionState is the pool's overload-control state ("normal" or
@@ -455,7 +405,6 @@ func (ps PoolStats) WriteJSON(j *wire.JSON) {
 	j.Key("shards").Int(int64(ps.Shards))
 	j.Key("observed").Uint(ps.Observed)
 	j.Key("detected").Uint(ps.Detected)
-	j.Key("dropped").Uint(ps.Dropped)
 	j.Key("rejected").Uint(ps.Rejected)
 	j.Key("errors").Uint(ps.Errors)
 	j.Key("admission_state").String(ps.AdmissionState)
@@ -811,9 +760,9 @@ func (p *DetectorPool) Channels() []string {
 func (p *DetectorPool) Len() int { return len(*p.chans.Load()) }
 
 // Submit enqueues one observation for the channel and returns a buffered
-// receive-only outcome channel that delivers exactly one Outcome. Under the
-// Block policy Submit waits for queue space; under DropNewest a full queue
-// fails fast with ErrOverloaded and increments the channel's drop counter.
+// receive-only outcome channel that delivers exactly one Outcome. A full
+// queue makes Submit wait for space; only admission control refuses
+// (ErrRejected), and it does so before anything is journaled.
 //
 // The caller must treat the feature slices as frozen until the outcome is
 // delivered (the pool does not copy them).
@@ -884,9 +833,10 @@ func (p *DetectorPool) submit(id string, actionFeat, audienceFeat []float64, out
 		// fsyncs before returning) happens ahead of the queue send, so no
 		// outcome — and no daemon decision line — can exist for an
 		// unjournaled observation. The inverse window is accepted: a
-		// record journaled here may still miss its enqueue (DropNewest
-		// shed, pool close), and boot replay will apply it once — the
-		// at-least-once edge of the contract.
+		// record journaled here may still miss its enqueue (a pool
+		// close), and boot replay will apply it once — the at-least-once
+		// edge of the contract. A full queue is not such a window: the
+		// send below waits, so a journaled record is always scored.
 		//
 		// walMu holds {assign seq, append, enqueue} together per channel:
 		// without it two submitters could enqueue out of sequence order,
@@ -912,17 +862,12 @@ func (p *DetectorPool) submit(id string, actionFeat, audienceFeat []float64, out
 	// The gauge is raised before the send so the worker's decrement can
 	// never observe it at zero.
 	ch.pending.Add(1)
-	err := ch.shard.send(j, p.cfg.Policy == DropNewest)
+	err := ch.shard.send(j)
 	if journaling {
 		ch.walMu.Unlock()
 	}
 	if err != nil {
 		ch.pending.Add(-1)
-		if errors.Is(err, ErrOverloaded) {
-			ch.dropped.Add(1)
-			p.m.dropped.Inc()
-			return nil, fmt.Errorf("%w (queue full, channel %q, shard %d)", ErrOverloaded, id, ch.shard.index)
-		}
 		return nil, err
 	}
 	p.m.accepted.Inc()
@@ -1068,7 +1013,6 @@ func (c *channel) snapshot() ChannelStats {
 		Warmups:     c.warmups.Load(),
 		Detected:    c.detected.Load(),
 		TierSkipped: c.tierskipped.Load(),
-		Dropped:     c.dropped.Load(),
 		Rejected:    c.rejected.Load(),
 		Errors:      c.errors.Load(),
 		QueueDepth:  c.pending.Load(),
@@ -1103,7 +1047,6 @@ func (p *DetectorPool) PoolStats() PoolStats {
 		st.Channels++
 		st.Observed += cs.Observed
 		st.Detected += cs.Detected
-		st.Dropped += cs.Dropped
 		st.Rejected += cs.Rejected
 		st.Errors += cs.Errors
 		st.TierSkipped += cs.TierSkipped

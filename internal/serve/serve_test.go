@@ -60,26 +60,10 @@ func TestConfigValidate(t *testing.T) {
 	for _, bad := range []Config{
 		{Shards: 0, QueueDepth: 1},
 		{Shards: 1, QueueDepth: 0},
-		{Shards: 1, QueueDepth: 1, Policy: OverflowPolicy(9)},
 	} {
 		if err := bad.Validate(); err == nil {
 			t.Fatalf("config %+v accepted", bad)
 		}
-	}
-}
-
-func TestParsePolicy(t *testing.T) {
-	for name, want := range map[string]OverflowPolicy{"block": Block, "drop": DropNewest} {
-		got, err := ParsePolicy(name)
-		if err != nil || got != want {
-			t.Fatalf("ParsePolicy(%q) = %v, %v", name, got, err)
-		}
-		if got.String() != name {
-			t.Fatalf("String() = %q, want %q", got.String(), name)
-		}
-	}
-	if _, err := ParsePolicy("yolo"); err == nil {
-		t.Fatal("unknown policy accepted")
 	}
 }
 
@@ -93,7 +77,7 @@ func TestPoolConcurrentChannels(t *testing.T) {
 		perChan  = 200
 		warm     = 5
 	)
-	p := newTestPool(t, Config{Shards: 4, QueueDepth: 16, Policy: Block})
+	p := newTestPool(t, Config{Shards: 4, QueueDepth: 16})
 	fakes := make(map[string]*fakeDetector, channels)
 	for i := 0; i < channels; i++ {
 		id := fmt.Sprintf("ch%02d", i)
@@ -128,7 +112,7 @@ func TestPoolConcurrentChannels(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if st.Observed != perChan || st.Warmups != warm || st.Dropped != 0 || st.Errors != 0 {
+		if st.Observed != perChan || st.Warmups != warm || st.Errors != 0 {
 			t.Fatalf("%s stats off: %+v", id, st)
 		}
 		wantAnomalies := uint64(perChan / 10)
@@ -195,7 +179,7 @@ func trainTemplate(t testing.TB, mutate ...func(*aovlis.Config)) *aovlis.Detecto
 func TestPoolRealDetectors(t *testing.T) {
 	const channels = 8
 	tmpl := trainTemplate(t)
-	p := newTestPool(t, Config{Shards: 4, QueueDepth: 32, Policy: Block})
+	p := newTestPool(t, Config{Shards: 4, QueueDepth: 32})
 	for i := 0; i < channels; i++ {
 		det, err := tmpl.Clone()
 		if err != nil {
@@ -279,61 +263,11 @@ func TestPoolRealDetectors(t *testing.T) {
 	}
 }
 
-// TestPoolDropPolicy floods a deliberately slow single shard and checks the
-// drop accounting: every submission either executes or is counted dropped,
-// and nothing blocks.
-func TestPoolDropPolicy(t *testing.T) {
-	const submissions = 40
-	p := newTestPool(t, Config{Shards: 1, QueueDepth: 2, Policy: DropNewest})
-	fake := &fakeDetector{delay: 3 * time.Millisecond}
-	if err := p.Attach("hot", fake); err != nil {
-		t.Fatal(err)
-	}
-	feat := []float64{1}
-	var pending []<-chan Outcome
-	dropped := 0
-	for i := 0; i < submissions; i++ {
-		out, err := p.Submit("hot", feat, feat)
-		switch {
-		case errors.Is(err, ErrOverloaded):
-			if errors.Is(err, ErrRejected) {
-				t.Fatalf("a full DropNewest queue reported an admission rejection: %v", err)
-			}
-			dropped++
-		case err != nil:
-			t.Fatal(err)
-		default:
-			pending = append(pending, out)
-		}
-	}
-	if dropped == 0 {
-		t.Fatal("a 2-deep queue over a 3ms detector absorbed 40 instant submissions; expected drops")
-	}
-	for _, out := range pending {
-		if o := <-out; o.Err != nil {
-			t.Fatal(o.Err)
-		}
-	}
-	st, err := p.Stats("hot")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Dropped != uint64(dropped) {
-		t.Fatalf("dropped counter %d, want %d", st.Dropped, dropped)
-	}
-	if st.Observed != uint64(submissions-dropped) {
-		t.Fatalf("observed %d, want %d", st.Observed, submissions-dropped)
-	}
-	if st.QueueDepth != 0 {
-		t.Fatalf("queue depth %d after drain", st.QueueDepth)
-	}
-}
-
-// TestPoolBlockPolicyLossless: under Block, producers outpacing a tiny
-// queue are slowed down, never dropped.
+// TestPoolBlockPolicyLossless: producers outpacing a tiny queue are slowed
+// down, never dropped.
 func TestPoolBlockPolicyLossless(t *testing.T) {
 	const producers, perProducer = 3, 20
-	p := newTestPool(t, Config{Shards: 1, QueueDepth: 2, Policy: Block})
+	p := newTestPool(t, Config{Shards: 1, QueueDepth: 2})
 	fake := &fakeDetector{delay: time.Millisecond}
 	if err := p.Attach("hot", fake); err != nil {
 		t.Fatal(err)
@@ -359,7 +293,7 @@ func TestPoolBlockPolicyLossless(t *testing.T) {
 		t.Fatal(err)
 	}
 	st, _ := p.Stats("hot")
-	if st.Observed != producers*perProducer || st.Dropped != 0 {
+	if st.Observed != producers*perProducer {
 		t.Fatalf("lossless ingest violated: %+v", st)
 	}
 }
@@ -367,7 +301,7 @@ func TestPoolBlockPolicyLossless(t *testing.T) {
 // TestPoolErrorAccounting: detector failures land in the error counter and
 // surface to the caller, without derailing the shard.
 func TestPoolErrorAccounting(t *testing.T) {
-	p := newTestPool(t, Config{Shards: 1, QueueDepth: 4, Policy: Block})
+	p := newTestPool(t, Config{Shards: 1, QueueDepth: 4})
 	if err := p.Attach("flaky", &fakeDetector{failEvery: 3}); err != nil {
 		t.Fatal(err)
 	}
@@ -388,7 +322,7 @@ func TestPoolErrorAccounting(t *testing.T) {
 }
 
 func TestPoolLifecycleErrors(t *testing.T) {
-	p := newTestPool(t, Config{Shards: 2, QueueDepth: 2, Policy: Block})
+	p := newTestPool(t, Config{Shards: 2, QueueDepth: 2})
 	if err := p.Attach("a", &fakeDetector{}); err != nil {
 		t.Fatal(err)
 	}
@@ -434,7 +368,7 @@ func TestPoolLifecycleErrors(t *testing.T) {
 // TestPoolCloseDrains: observations queued before Close still execute and
 // deliver their outcomes.
 func TestPoolCloseDrains(t *testing.T) {
-	p, err := NewDetectorPool(Config{Shards: 1, QueueDepth: 8, Policy: Block})
+	p, err := NewDetectorPool(Config{Shards: 1, QueueDepth: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -465,7 +399,7 @@ func TestPoolCloseDrains(t *testing.T) {
 }
 
 func TestChannelsSorted(t *testing.T) {
-	p := newTestPool(t, Config{Shards: 2, QueueDepth: 2, Policy: Block})
+	p := newTestPool(t, Config{Shards: 2, QueueDepth: 2})
 	for _, id := range []string{"zeta", "alpha", "mid"} {
 		if err := p.Attach(id, &fakeDetector{}); err != nil {
 			t.Fatal(err)
@@ -485,7 +419,7 @@ func TestChannelsSorted(t *testing.T) {
 // that hash is negative and Attach indexed out of range; run it with
 // GOARCH=386 (CI does) to see what it guards.
 func TestShardForHighHash(t *testing.T) {
-	p := newTestPool(t, Config{Shards: 3, QueueDepth: 2, Policy: Block})
+	p := newTestPool(t, Config{Shards: 3, QueueDepth: 2})
 	for _, id := range []string{"ch-0", "ch-1", "ch-2", "ch-3"} {
 		h := fnv.New32a()
 		h.Write([]byte(id))

@@ -113,8 +113,8 @@ func channelFile(id string, gen int64) string {
 }
 
 // quiesce runs fn inside ch's shard worker between observations and waits
-// for it to finish. The enqueue blocks for queue space (control jobs are
-// never dropped: a checkpoint must not silently omit a busy channel). In
+// for it to finish. The enqueue waits for queue space, as every send does
+// (a checkpoint must not silently omit a busy channel). In
 // micro-batched mode the worker flushes the observations drained ahead of
 // the control job first, so fn still runs at a segment boundary in queue
 // order.
@@ -122,7 +122,7 @@ func (p *DetectorPool) quiesce(ch *channel, fn func()) error {
 	done := make(chan struct{})
 	// Same gate as submit: the shard's read lock spans the send so Close
 	// cannot close the queue under a blocked sender.
-	if err := ch.shard.send(job{control: func() { fn(); close(done) }}, false); err != nil {
+	if err := ch.shard.send(job{control: func() { fn(); close(done) }}); err != nil {
 		return err
 	}
 	<-done

@@ -62,7 +62,7 @@ func TestPoolKillAndRestartBitIdentical(t *testing.T) {
 	tmpl := trainTemplate(t)
 	dir := t.TempDir()
 
-	orig := newTestPool(t, Config{Shards: 3, QueueDepth: 32, Policy: Block})
+	orig := newTestPool(t, Config{Shards: 3, QueueDepth: 32})
 	ids := make([]string, channels)
 	series := make(map[string][2][][]float64, channels)
 	for i := range ids {
@@ -96,7 +96,7 @@ func TestPoolKillAndRestartBitIdentical(t *testing.T) {
 
 	// Rebuild from disk with a different shard count: membership and state
 	// must come from the manifest, shard placement from the ids.
-	restored, err := RestorePool(dir, Config{Shards: 2, QueueDepth: 32, Policy: Block})
+	restored, err := RestorePool(dir, Config{Shards: 2, QueueDepth: 32})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestPoolKillAndRestartBitIdentical(t *testing.T) {
 func TestSnapshotConcurrentWithTraffic(t *testing.T) {
 	const channels = 8
 	tmpl := trainTemplate(t)
-	p := newTestPool(t, Config{Shards: 4, QueueDepth: 64, Policy: Block})
+	p := newTestPool(t, Config{Shards: 4, QueueDepth: 64})
 	ids := make([]string, channels)
 	for i := range ids {
 		ids[i] = fmt.Sprintf("busy-%d", i)
@@ -194,7 +194,7 @@ func TestSnapshotConcurrentWithTraffic(t *testing.T) {
 	close(stop)
 	wg.Wait()
 
-	restored, err := RestorePool(dir, Config{Shards: 4, QueueDepth: 64, Policy: Block})
+	restored, err := RestorePool(dir, Config{Shards: 4, QueueDepth: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,8 +211,8 @@ func TestSnapshotConcurrentWithTraffic(t *testing.T) {
 // a non-migrated reference clone of the same channel.
 func TestChannelMigration(t *testing.T) {
 	tmpl := trainTemplate(t)
-	src := newTestPool(t, Config{Shards: 2, QueueDepth: 32, Policy: Block})
-	dst := newTestPool(t, Config{Shards: 3, QueueDepth: 32, Policy: Block})
+	src := newTestPool(t, Config{Shards: 2, QueueDepth: 32})
+	dst := newTestPool(t, Config{Shards: 3, QueueDepth: 32})
 
 	det, err := tmpl.Clone()
 	if err != nil {
@@ -270,8 +270,8 @@ func TestChannelMigration(t *testing.T) {
 // typed mismatch error, not attach A's runtime as B (ISSUE 8 satellite).
 func TestAttachSnapshotIDMismatch(t *testing.T) {
 	tmpl := trainTemplate(t)
-	src := newTestPool(t, Config{Shards: 1, QueueDepth: 16, Policy: Block})
-	dst := newTestPool(t, Config{Shards: 1, QueueDepth: 16, Policy: Block})
+	src := newTestPool(t, Config{Shards: 1, QueueDepth: 16})
+	dst := newTestPool(t, Config{Shards: 1, QueueDepth: 16})
 	det, err := tmpl.Clone()
 	if err != nil {
 		t.Fatal(err)

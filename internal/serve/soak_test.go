@@ -123,7 +123,7 @@ func runPoolSoakChaos(t *testing.T, tiered bool) {
 		ids[i] = fmt.Sprintf("soak-%02d", i)
 	}
 
-	pool, err := NewDetectorPool(Config{Shards: 4, QueueDepth: 256, Policy: Block, Batch: 8})
+	pool, err := NewDetectorPool(Config{Shards: 4, QueueDepth: 256, Batch: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +226,7 @@ func runPoolSoakChaos(t *testing.T, tiered bool) {
 	if err := pool.Close(); err != nil {
 		t.Fatal(err)
 	}
-	pool, err = RestorePool(dir, Config{Shards: 7, QueueDepth: 256, Policy: Block, Batch: 16})
+	pool, err = RestorePool(dir, Config{Shards: 7, QueueDepth: 256, Batch: 16})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,6 +16,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"aovlis"
 	"aovlis/internal/snapshot/manifest"
@@ -43,7 +44,7 @@ func walTestStream(t *testing.T, p *DetectorPool, ids []string, series map[strin
 // walTestPool builds a pool with channels cloned from tmpl.
 func walTestPool(t *testing.T, tmpl *aovlis.Detector, ids []string) *DetectorPool {
 	t.Helper()
-	p := newTestPool(t, Config{Shards: 3, QueueDepth: 64, Policy: Block})
+	p := newTestPool(t, Config{Shards: 3, QueueDepth: 64})
 	for _, id := range ids {
 		det, err := tmpl.Clone()
 		if err != nil {
@@ -149,7 +150,7 @@ func TestSubmitJournalOrderUnderConcurrency(t *testing.T) {
 		writers  = 8
 		perW     = 60
 	)
-	p := newTestPool(t, Config{Shards: 2, QueueDepth: 16, Policy: Block})
+	p := newTestPool(t, Config{Shards: 2, QueueDepth: 16})
 	ids := make([]string, channels)
 	for i := range ids {
 		ids[i] = fmt.Sprintf("ord-%d", i)
@@ -203,7 +204,7 @@ func TestSubmitJournalOrderUnderConcurrency(t *testing.T) {
 // observation must be refused before it reaches the journal at all — a
 // record that can only score as an error would brick boot replay.
 func TestSubmitJournalRejectsAndRecovers(t *testing.T) {
-	p := newTestPool(t, Config{Shards: 1, QueueDepth: 8, Policy: Block})
+	p := newTestPool(t, Config{Shards: 1, QueueDepth: 8})
 	if err := p.Attach("ch", &dimmedFakeDetector{}); err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +240,7 @@ func TestSubmitJournalRejectsAndRecovers(t *testing.T) {
 // behind the tombstone, and a channel attached later under the same id
 // numbers on above it — so a (channel, seq) pair names one record.
 func TestDetachJournalsATombstone(t *testing.T) {
-	p := newTestPool(t, Config{Shards: 1, QueueDepth: 8, Policy: Block})
+	p := newTestPool(t, Config{Shards: 1, QueueDepth: 8})
 	if err := p.Attach("ch", &fakeDetector{}); err != nil {
 		t.Fatal(err)
 	}
@@ -296,6 +297,122 @@ func TestDetachJournalsATombstone(t *testing.T) {
 	if rep, err = p.Snapshot(t.TempDir()); err != nil || len(rep.Skipped) != 1 || !reflect.DeepEqual(rep.Floors, map[string]uint64{"gone-before-boot": 9}) {
 		t.Fatalf("checkpoint after the re-attach: %+v (%v), want ch skipped (a fake) and no longer retired", rep, err)
 	}
+}
+
+// parkedDetector parks its first Observe until gate closes, then scores
+// through det.
+type parkedDetector struct {
+	det     *aovlis.Detector
+	once    sync.Once
+	entered chan struct{} // closed once the first Observe has parked
+	gate    chan struct{}
+}
+
+func (d *parkedDetector) Observe(action, audience []float64) (aovlis.Result, error) {
+	d.once.Do(func() {
+		close(d.entered)
+		<-d.gate
+	})
+	return d.det.Observe(action, audience)
+}
+
+// teeJournal appends every record to each of its journals in turn.
+type teeJournal []Journal
+
+func (js teeJournal) Append(ch string, seq uint64, action, audience []float64) error {
+	for _, j := range js {
+		if err := j.Append(ch, seq, action, audience); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// TestFullQueueWaitsSoJournalEqualsScored pins the overload rule that keeps
+// exactly-once whole: a journaled submitter that meets a full shard queue
+// waits for space instead of returning, so every journaled record is scored
+// and boot replay applies only what the live run scored. Were the third
+// submitter to return instead, the journal would hold seqs 1–3 while the
+// pool scored two, and replay would apply a segment the live run never saw.
+func TestFullQueueWaitsSoJournalEqualsScored(t *testing.T) {
+	const total = 24
+	tmpl := trainTemplate(t)
+	act, aud := channelSeries(7100, total)
+	walDir := t.TempDir()
+	j, err := wal.Open(walDir, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := newTestPool(t, Config{Shards: 1, QueueDepth: 1})
+	det, err := tmpl.Clone()
+	if err != nil {
+		t.Fatal(err)
+	}
+	parked := &parkedDetector{det: det, entered: make(chan struct{}), gate: make(chan struct{})}
+	var open sync.Once
+	release := func() { open.Do(func() { close(parked.gate) }) }
+	t.Cleanup(release)
+	if err := p.Attach("full", parked); err != nil {
+		t.Fatal(err)
+	}
+	journaled := newCaptureJournal()
+	p.AttachJournal(teeJournal{j, journaled}, nil)
+
+	outs := make([]<-chan Outcome, total)
+	submit := func(i int) {
+		var err error
+		if outs[i], err = p.Submit("full", act[i], aud[i]); err != nil {
+			t.Fatalf("segment %d: %v", i, err)
+		}
+	}
+	// Seq 1 parks in the detector and seq 2 fills the depth-1 queue.
+	submit(0)
+	<-parked.entered
+	submit(1)
+	third := make(chan error, 1)
+	go func() {
+		var err error
+		outs[2], err = p.Submit("full", act[2], aud[2])
+		third <- err
+	}()
+	waitFor(t, func() bool {
+		journaled.mu.Lock()
+		defer journaled.mu.Unlock()
+		return len(journaled.seqs["full"]) == 3
+	})
+	select {
+	case err := <-third:
+		t.Fatalf("a submitter at a full queue returned (%v) instead of waiting", err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	release()
+	if err := <-third; err != nil {
+		t.Fatal(err)
+	}
+	for i := 3; i < total; i++ {
+		submit(i)
+	}
+
+	live := make([]aovlis.Result, total)
+	scored := make([]uint64, total)
+	for i, out := range outs {
+		o := <-out
+		if o.Err != nil {
+			t.Fatalf("segment %d: %v", i, o.Err)
+		}
+		live[i], scored[i] = o.Result, o.Seq
+	}
+	if !reflect.DeepEqual(journaled.seqs["full"], scored) {
+		t.Fatalf("journaled seqs %v, scored seqs %v", journaled.seqs["full"], scored)
+	}
+	if err := p.Close(); err != nil { // kill: drop state, keep disk
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	replayed, _ := crashAndReplay(t, tmpl, []string{"full"}, walDir)
+	requireSameSequences(t, "replay after a full queue", map[string][]aovlis.Result{"full": live}, replayed)
 }
 
 // dimmedFakeDetector is a fakeDetector that advertises feature dims 4/2.
@@ -498,7 +615,7 @@ func TestPoolWALReplayAfterCheckpointFloor(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { recovered.Close() })
-	revived, err := RestorePool(snapDir, Config{Shards: 2, QueueDepth: 64, Policy: Block})
+	revived, err := RestorePool(snapDir, Config{Shards: 2, QueueDepth: 64})
 	if err != nil {
 		t.Fatal(err)
 	}

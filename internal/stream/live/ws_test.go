@@ -534,6 +534,27 @@ func TestDialRefusedSurfacesStatus(t *testing.T) {
 	}
 }
 
+// TestDialRefusals covers the client-side dial error branches: bad URL,
+// unsupported scheme, unreachable host.
+func TestDialRefusals(t *testing.T) {
+	if _, _, err := Dial("://nope", nil); err == nil {
+		t.Fatal("bad URL dialed")
+	}
+	if _, _, err := Dial("ftp://example.test/live/a", nil); err == nil || !strings.Contains(err.Error(), "unsupported scheme") {
+		t.Fatalf("ftp dial: %v", err)
+	}
+	if _, _, err := DialTimeout("http://127.0.0.1:1/live/a", nil, 50*time.Millisecond); err == nil {
+		t.Fatal("dial to closed port succeeded")
+	}
+	// wire.HostPort defaults the port: a portless IPv6 literal reaches the
+	// TCP dial as [::1]:80 (refused here) instead of failing on "missing
+	// port in address".
+	_, _, err := DialTimeout("http://[::1]/live/a", nil, 50*time.Millisecond)
+	if err == nil || !strings.Contains(err.Error(), "[::1]:80") || strings.Contains(err.Error(), "missing port") {
+		t.Fatalf("portless IPv6 dial: %v", err)
+	}
+}
+
 // TestUpgradeOnNetHTTP: Upgrade with net/http's types — what a net/http
 // program calls — runs the same handshake on an http.Server: an upgrade
 // echoes through the hijacked connection, and a request that is not one

@@ -77,7 +77,7 @@ func TestLiveSteadyStateAllocs(t *testing.T) {
 		msgs[i] = line[:len(line)-1]
 	}
 
-	pool, err := serve.NewDetectorPool(serve.Config{Shards: 2, QueueDepth: 64, Policy: serve.Block, Batch: 16})
+	pool, err := serve.NewDetectorPool(serve.Config{Shards: 2, QueueDepth: 64, Batch: 16})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,4 +1,4 @@
-package live
+package liveplane
 
 import (
 	"encoding/json"
@@ -37,11 +37,10 @@ func (d *fakeDetector) Observe(action, audience []float64) (aovlis.Result, error
 }
 
 // newIngestServer builds a pool of fake detectors behind an IngestHandler
-// on a real listener (Upgrade needs http.Hijacker, so a served connection,
-// not a ResponseRecorder).
+// on a real listener (Upgrade hijacks a served connection).
 func newIngestServer(t *testing.T, hub *Hub, ensure func(string) error, channels ...string) (*wiretest.Server, *serve.DetectorPool) {
 	t.Helper()
-	pool, err := serve.NewDetectorPool(serve.Config{Shards: 1, QueueDepth: 64, Policy: serve.Block})
+	pool, err := serve.NewDetectorPool(serve.Config{Shards: 1, QueueDepth: 64})
 	if err != nil {
 		t.Fatalf("pool: %v", err)
 	}
@@ -60,9 +59,9 @@ func newIngestServer(t *testing.T, hub *Hub, ensure func(string) error, channels
 
 // dialIngest dials, retrying the 409 that a reconnect can hit while the
 // server is still tearing down the previous session.
-func dialIngest(t *testing.T, url string, lastSeq uint64) (*Conn, *http.Response) {
+func dialIngest(t *testing.T, url string, lastSeq uint64) (*Conn, *wire.Response) {
 	t.Helper()
-	hdr := http.Header{}
+	hdr := wire.Header{}
 	if lastSeq > 0 {
 		hdr.Set(LastSeqHeader, strconv.FormatUint(lastSeq, 10))
 	}
@@ -202,7 +201,7 @@ func TestIngestRefusals(t *testing.T) {
 	if resp := get("/live/ghost", nil); resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown channel without Ensure: %d", resp.StatusCode)
 	}
-	if _, resp, err := Dial(srv.URL+"/live/busy", http.Header{LastSeqHeader: []string{"7"}}); err == nil ||
+	if _, resp, err := Dial(srv.URL+"/live/busy", wire.Header{LastSeqHeader: []string{"7"}}); err == nil ||
 		resp == nil || resp.StatusCode != http.StatusConflict || resp.Header.Get(ResumeHeader) != "0" {
 		t.Fatalf("ahead-of-floor: err %v resp %+v, want 409 with floor 0", err, resp)
 	}
@@ -216,8 +215,7 @@ func TestIngestRefusals(t *testing.T) {
 	// Admission reject answers 429 + Retry-After before the upgrade and
 	// before Ensure: a refused stream on a new channel id must not create
 	// the channel.
-	opool, err := serve.NewDetectorPool(serve.Config{Shards: 1, QueueDepth: 4, Policy: serve.Block,
-		Admission: serve.AdmissionConfig{Enabled: true, RejectHighFrac: 0.75, RejectLowFrac: 0.2}})
+	opool, err := serve.NewDetectorPool(serve.Config{Shards: 1, QueueDepth: 10, Admission: serve.DefaultAdmissionConfig()})
 	if err != nil {
 		t.Fatalf("pool: %v", err)
 	}
@@ -326,32 +324,11 @@ func TestCloseErrorString(t *testing.T) {
 	}
 }
 
-// TestDialRefusals covers the client-side dial error branches: bad URL,
-// unsupported scheme, unreachable host.
-func TestDialRefusals(t *testing.T) {
-	if _, _, err := Dial("://nope", nil); err == nil {
-		t.Fatal("bad URL dialed")
-	}
-	if _, _, err := Dial("ftp://example.test/live/a", nil); err == nil || !strings.Contains(err.Error(), "unsupported scheme") {
-		t.Fatalf("ftp dial: %v", err)
-	}
-	if _, _, err := DialTimeout("http://127.0.0.1:1/live/a", nil, 50*time.Millisecond); err == nil {
-		t.Fatal("dial to closed port succeeded")
-	}
-	// wire.HostPort defaults the port: a portless IPv6 literal reaches the
-	// TCP dial as [::1]:80 (refused here) instead of failing on "missing
-	// port in address".
-	_, _, err := DialTimeout("http://[::1]/live/a", nil, 50*time.Millisecond)
-	if err == nil || !strings.Contains(err.Error(), "[::1]:80") || strings.Contains(err.Error(), "missing port") {
-		t.Fatalf("portless IPv6 dial: %v", err)
-	}
-}
-
 // TestIngestReplayIsByteIdentical: the resume ring keeps decisions, not
 // lines, so Replay re-encodes them — and the lines a reconnect replays must
 // be the bytes first sent, warm-up and non-finite-score verdicts included.
 func TestIngestReplayIsByteIdentical(t *testing.T) {
-	pool, err := serve.NewDetectorPool(serve.Config{Shards: 1, QueueDepth: 16, Policy: serve.Block})
+	pool, err := serve.NewDetectorPool(serve.Config{Shards: 1, QueueDepth: 16})
 	if err != nil {
 		t.Fatal(err)
 	}

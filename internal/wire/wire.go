@@ -42,9 +42,11 @@ type Decision struct {
 	// per channel, which is exactly the journal suffix it must replay to the
 	// new owner when that node dies.
 	WSeq uint64 `json:"wseq,omitempty"`
-	// Dropped marks a DropNewest queue overflow; Rejected marks a line
-	// refused by admission control (the pool was past its reject watermark)
-	// — back off and retry.
+	// Dropped is kept because cmd/aovlis-bench reads it and
+	// FuzzDecisionLine pins its encoding; no daemon sets it, since a full
+	// queue waits rather than drops. Rejected marks a line refused by
+	// admission control (the pool was past its reject watermark) — back
+	// off and retry.
 	Dropped  bool   `json:"dropped,omitempty"`
 	Rejected bool   `json:"rejected,omitempty"`
 	Error    string `json:"error,omitempty"`
@@ -67,8 +69,8 @@ func (d *Decision) SetScore(score float64) {
 }
 
 // Verdict reports whether the line carries a detector verdict (warm-up and
-// a non-finite score included) rather than a parse error, a drop, a
-// rejection or a detector error.
+// a non-finite score included) rather than a parse error, a rejection or a
+// detector error.
 func (d *Decision) Verdict() bool {
 	return (d.Error == "" || strings.HasPrefix(d.Error, notFinite)) && !d.Dropped && !d.Rejected
 }

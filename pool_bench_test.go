@@ -78,7 +78,7 @@ func BenchmarkPoolThroughput(b *testing.B) {
 	for _, shards := range []int{1, 4, 8, 16} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
 			benchmarkPoolThroughput(b, serve.Config{
-				Shards: shards, QueueDepth: 1024, Policy: serve.Block, Batch: 32,
+				Shards: shards, QueueDepth: 1024, Batch: 32,
 			}, 2)
 		})
 	}
@@ -90,7 +90,7 @@ func BenchmarkPoolThroughputSerial(b *testing.B) {
 	for _, shards := range []int{1, 8} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
 			benchmarkPoolThroughput(b, serve.Config{
-				Shards: shards, QueueDepth: 1024, Policy: serve.Block,
+				Shards: shards, QueueDepth: 1024,
 			}, 1)
 		})
 	}
@@ -236,7 +236,7 @@ func BenchmarkPoolAttach(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		pool, err := serve.NewDetectorPool(serve.Config{Shards: 4, QueueDepth: 64, Policy: serve.Block, Batch: 32})
+		pool, err := serve.NewDetectorPool(serve.Config{Shards: 4, QueueDepth: 64, Batch: 32})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -30,7 +30,7 @@ func benchSnapshotPool(b *testing.B, channels, shards int) (*serve.DetectorPool,
 	if err := poolBenchFixture(); err != nil {
 		b.Fatal(err)
 	}
-	pool, err := serve.NewDetectorPool(serve.Config{Shards: shards, QueueDepth: 1024, Policy: serve.Block})
+	pool, err := serve.NewDetectorPool(serve.Config{Shards: shards, QueueDepth: 1024})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func BenchmarkPoolRestore(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		restored, err := serve.RestorePool(dir, serve.Config{Shards: 8, QueueDepth: 1024, Policy: serve.Block})
+		restored, err := serve.RestorePool(dir, serve.Config{Shards: 8, QueueDepth: 1024})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -40,7 +40,7 @@ func TestTrainersBoundedByShards(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	pool, err := serve.NewDetectorPool(serve.Config{Shards: shards, QueueDepth: 64, Policy: serve.Block})
+	pool, err := serve.NewDetectorPool(serve.Config{Shards: shards, QueueDepth: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
