@@ -1,8 +1,9 @@
 package aovlis
 
-// Allocation-regression tests for the Observe/train hot path. The arena +
-// tape-reuse design (see ARCHITECTURE.md) makes steady-state detection and
-// training allocation-free; these tests pin that property with
+// Allocation-regression tests for the Observe/train hot path. The engines
+// (core.InferPlan and core.TrainPlan, see ARCHITECTURE.md) keep their
+// buffers between calls, which makes steady-state detection and training
+// allocation-free; these tests pin that property with
 // testing.AllocsPerRun so any regression fails deterministically — CI runs
 // them in the bench-smoke job (see .github/workflows/ci.yml). The paired
 // benchmarks (BenchmarkObserveAllocs, BenchmarkTrainStepAllocs in
@@ -224,7 +225,7 @@ func TestPredictIntoSteadyStateAllocs(t *testing.T) {
 	}
 	fhat := make([]float64, mcfg.ActionDim)
 	ahat := make([]float64, mcfg.AudienceDim)
-	// Warm: size the tape pool/arena (training) and run one prediction.
+	// Warm: compile the TrainPlan (training) and run one prediction.
 	for i := 0; i < 3; i++ {
 		if _, err := model.TrainStep(&samples[i]); err != nil {
 			t.Fatal(err)
@@ -291,8 +292,8 @@ func TestTrainStepSteadyStateAllocs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Warm: the first steps compile the TrainPlan, size the loss
-			// head's tape pool and arena, and allocate the Adam moments.
+			// Warm: the first steps compile the TrainPlan and allocate the
+			// Adam moments.
 			for i := 0; i < 3; i++ {
 				if _, err := model.TrainStep(&samples[i]); err != nil {
 					t.Fatal(err)

@@ -301,7 +301,7 @@ func BenchmarkTrainStepAllocs(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for i := 0; i < 3; i++ { // warm tape pool, arena, Adam moments
+	for i := 0; i < 3; i++ { // warm the TrainPlan and Adam moments
 		if _, err := model.TrainStep(&samples[i]); err != nil {
 			b.Fatal(err)
 		}

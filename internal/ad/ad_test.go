@@ -89,6 +89,28 @@ func TestGradMatMul(t *testing.T) {
 	})
 }
 
+// TestConcatColsOwnsItsOperands reuses the operand slice after ConcatCols
+// returns, as a caller building contexts in a loop does: the gradient must
+// still reach the nodes that were concatenated.
+func TestConcatColsOwnsItsOperands(t *testing.T) {
+	tp := NewTape()
+	a := tp.Var(mat.FromSlice(1, 2, []float64{1, 2}))
+	b := tp.Var(mat.FromSlice(1, 1, []float64{3}))
+	other := tp.Var(mat.New(1, 2))
+	parts := []*Node{a, b}
+	cat := tp.ConcatCols(parts...)
+	parts[0] = other
+	tp.Backward(tp.Sum(cat))
+	for i, v := range a.Grad.Data {
+		if v != 1 {
+			t.Fatalf("a.Grad[%d] = %v, want 1", i, v)
+		}
+	}
+	if g := other.Grad.Data; g[0] != 0 || g[1] != 0 {
+		t.Fatalf("gradient leaked into a node swapped in after ConcatCols: %v", g)
+	}
+}
+
 func TestGradActivations(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	a := randMat(rng, 2, 5)

@@ -1,6 +1,10 @@
 package baselines
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -146,4 +150,45 @@ func TestRangeContains(t *testing.T) {
 	if r.Contains(1) || !r.Contains(2) || !r.Contains(4) || r.Contains(5) {
 		t.Fatal("Range.Contains wrong")
 	}
+}
+
+// TestScoreBitsPinned pins the score bits of the three gradient-trained
+// baselines: SHA-256 over each detector's valid range and the IEEE bits of
+// every score, after a short seeded fit. The tape they train on is the
+// bit-level reference of the training engine, so a change to its forward or
+// backward arithmetic shows here. Never re-mint these to make a tape change
+// pass.
+func TestScoreBitsPinned(t *testing.T) {
+	actions, audience, _ := makeSeries(rand.New(rand.NewSource(7)), 120, 16, 6, nil)
+	want := map[string]string{
+		"LTR":  "274c5bb5408ddaae8beef56c2fd1ce883bdfe3df3e8efbdc5eb37cf96e1240ef",
+		"VEC":  "ae59bcd70b2f76a3b19c12fc8ff342f3f3fb49c2c3307b57f31c22351aeeeeef",
+		"RTFM": "3446cd962322e18183f760b9a545a94d07c78c972cda2853ae1e294c5128470f",
+	}
+	for _, det := range []Detector{NewLTR(4, 8), NewVEC(2, 16), NewRTFM(4, 2, 2)} {
+		if err := det.Fit(actions, audience, FitConfig{Epochs: 3, Seed: 3}); err != nil {
+			t.Fatal(err)
+		}
+		scores, valid, err := det.Score(actions, audience)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := sha256.New()
+		var b [8]byte
+		for _, v := range append([]uint64{uint64(valid.Lo), uint64(valid.Hi)}, bitsOf(scores)...) {
+			binary.LittleEndian.PutUint64(b[:], v)
+			h.Write(b[:])
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != want[det.Name()] {
+			t.Errorf("%s score bits hash %s, want %s", det.Name(), got, want[det.Name()])
+		}
+	}
+}
+
+func bitsOf(xs []float64) []uint64 {
+	out := make([]uint64, len(xs))
+	for i, x := range xs {
+		out[i] = math.Float64bits(x)
+	}
+	return out
 }

@@ -159,7 +159,6 @@ func TestThreeStreamPlansMatchTape(t *testing.T) {
 	}
 	ip := compileInferPlan(ps, q, specs)
 	tp := compileTrainPlan(ps, q, specs)
-	bind := ps.Bind(ad.NewTape())
 
 	// window draws one lane: per stream q inputs and a target; the softmax
 	// streams' vectors lie on the simplex.
@@ -210,17 +209,15 @@ func TestThreeStreamPlansMatchTape(t *testing.T) {
 			}
 			grads := tp.backward(weights)
 
-			tape := bind.Tape()
-			tape.Reset()
-			bind.Rebind()
+			tape := ad.NewTape()
+			bind := ps.Bind(tape)
 			preds := tapeSpecs(bind, specs, q, seqs[l])
 			var obj *ad.Node
 			for k, pred := range preds {
 				if !identicalBits(outs[l][k], pred.Value.Data) {
 					t.Fatalf("B=%d lane %d stream %d: InferPlan output %x, tape %x", B, l, k, bitsOf(outs[l][k]), bitsOf(pred.Value.Data))
 				}
-				target := tape.Arena().Wrap(1, in[k], targets[l][k])
-				term := tape.Scale(weights[k], nn.ActionLoss(losses[k], tape, target, pred))
+				term := tape.Scale(weights[k], nn.ActionLoss(losses[k], tape, mat.VectorOf(targets[l][k]), pred))
 				if obj == nil {
 					obj = term
 				} else {
@@ -262,7 +259,7 @@ func tapeSpecs(b *nn.Binding, specs []planSpec, seqLen int, seqs [][][]float64) 
 				if src.hidden {
 					parts[i] = hs[src.index]
 				} else {
-					parts[i] = tp.ConstVector(seqs[src.index][t])
+					parts[i] = tp.Const(mat.VectorOf(seqs[src.index][t]))
 				}
 			}
 			ctxs[k] = tp.ConcatCols(parts...)

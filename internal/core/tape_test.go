@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sync"
-
 	"aovlis/internal/ad"
 	"aovlis/internal/mat"
 	"aovlis/internal/nn"
@@ -14,22 +12,11 @@ import (
 // hold InferPlan and TrainPlan to, bit for bit, and the baseline of
 // BenchmarkTrainStepTape/BenchmarkPredictIntoTape.
 
-// tapeRefs holds each model's binding to its reference tape, made on first
-// use.
-var tapeRefs sync.Map // *Model → *nn.Binding
-
-// begin starts one pass on the model's reference tape. Everything recorded
-// in the previous pass is recycled, so callers must have copied any results
-// out already.
+// begin starts one pass on a fresh reference tape with the model's
+// parameters bound to it.
 func (m *Model) begin() (*ad.Tape, *nn.Binding) {
-	v, ok := tapeRefs.Load(m)
-	if !ok {
-		v, _ = tapeRefs.LoadOrStore(m, m.ps.Bind(ad.NewTape()))
-	}
-	b := v.(*nn.Binding)
-	b.Tape().Reset()
-	b.Rebind()
-	return b.Tape(), b
+	tp := ad.NewTape()
+	return tp, m.ps.Bind(tp)
 }
 
 // forward records the coupled recurrence over one sample on the reference
@@ -38,8 +25,8 @@ func (m *Model) forward(tp *ad.Tape, b *nn.Binding, s *Sample) (fhat, ahat, hFin
 	h, cI := m.cellI.ZeroState(tp)
 	g, cA := m.cellA.ZeroState(tp)
 	for t := 0; t < m.cfg.SeqLen; t++ {
-		f := tp.ConstVector(s.ActionSeq[t])
-		a := tp.ConstVector(s.AudienceSeq[t])
+		f := tp.Const(mat.VectorOf(s.ActionSeq[t]))
+		a := tp.Const(mat.VectorOf(s.AudienceSeq[t]))
 		var ctxI, ctxA *ad.Node
 		switch m.cfg.Coupling {
 		case CouplingFull:
@@ -66,10 +53,8 @@ func (m *Model) forward(tp *ad.Tape, b *nn.Binding, s *Sample) (fhat, ahat, hFin
 // loss builds the joint training objective (Eq. 13) on the tape:
 // l(I,A) = ω·Loss(Î,I) + (1−ω)·MSE(Â,A).
 func (m *Model) loss(tp *ad.Tape, fhat, ahat *ad.Node, s *Sample) *ad.Node {
-	ft := tp.Arena().Wrap(1, len(s.ActionTarget), s.ActionTarget)
-	at := tp.Arena().Wrap(1, len(s.AudienceTarget), s.AudienceTarget)
-	lI := nn.ActionLoss(m.cfg.Loss, tp, ft, fhat)
-	lA := nn.MSELoss(tp, ahat, at)
+	lI := nn.ActionLoss(m.cfg.Loss, tp, mat.VectorOf(s.ActionTarget), fhat)
+	lA := nn.MSELoss(tp, ahat, mat.VectorOf(s.AudienceTarget))
 	return tp.Add(tp.Scale(m.cfg.Omega, lI), tp.Scale(1-m.cfg.Omega, lA))
 }
 

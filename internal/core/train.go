@@ -15,8 +15,8 @@ package core
 //
 // Nothing in a step touches internal/ad: the head was the last part on a
 // tape, some twenty small nodes that measured 11.6 % of a step, most of it
-// node and arena bookkeeping (BENCH.md §17), and is hand-derived like the
-// cells.
+// the tape's node and matrix bookkeeping (BENCH.md §17), and is
+// hand-derived like the cells.
 //
 // The result is bit-identical to recording the whole step on the tape —
 // same loss, same gradients, same parameters after the optimiser step —

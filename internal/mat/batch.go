@@ -8,7 +8,7 @@ import "fmt"
 // once per segment. Bit-exactness carries over from the single-segment
 // kernels by construction: every output element dst[b][j] is one
 // register-held accumulator summed over k in increasing order — the
-// per-column summation order of the tape's MatMulTo — so a B-lane batch
+// per-column summation order of the tape's MatMul — so a B-lane batch
 // produces the same float bits as B independent single-segment calls
 // (pinned by TestFwdGEMMBiasLanesMatchSingleLane and the golden batch tests
 // in internal/core and the root package).

@@ -12,11 +12,10 @@ import (
 // internal/core). Three properties carry the argument:
 //
 //   - FwdGEMMBiasInto (batch.go) accumulates every output column over k in
-//     increasing k order — the accumulation order of MatMulTo for a 1×n
-//     input. The tape kernel's zero-input skip is numerically inert for
-//     finite weights (a running sum that starts at +0 never becomes −0, so
-//     adding ±0 terms cannot change any bit), which is why the dense kernel
-//     needs no branch.
+//     increasing k order — the accumulation order of MatMul for a 1×n
+//     input. Neither kernel skips zero inputs: a skip would be numerically
+//     inert for finite weights (a running sum that starts at +0 never
+//     becomes −0, so adding ±0 terms cannot change any bit).
 //   - The gate body (LSTMGatesTrainInto, which LSTMGatesInto calls) forces
 //     intermediate rounding with explicit float64 conversions where the
 //     tape materialises intermediates into matrices, so no FMA contraction
@@ -29,7 +28,7 @@ import (
 // VecMatTTo computes the GEMV dst = x · wᵀ: wt is the TRANSPOSED weight
 // matrix (m×n for a logical n×m weight), x has length n and dst length m.
 // Each dst[j] is the dot product of x with wt's row j, accumulated over k
-// in increasing order — the same per-column summation order as MatMulTo on
+// in increasing order — the same per-column summation order as MatMul on
 // a 1×n input — but held in a register for the whole row. It is the
 // decoder head's input-gradient product dz·Wᵀ (nn.TrainHead), where the
 // live row-major W already is that transposed layout. The body is

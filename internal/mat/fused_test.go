@@ -7,10 +7,10 @@ import (
 )
 
 // TestVecMatTToMatchesMatMulTo pins the fused GEMV bit-identical to the
-// tape kernel (MatMulTo on a 1×n matrix), including on inputs with exact
-// zeros — the case where MatMulTo's zero-skip branch takes a different
-// control path but must not produce different bits — and across lengths
-// that exercise every unroll tail.
+// tape kernel (MatMul on a 1×n matrix), including on inputs with exact
+// zeros — the case where a zero-skip branch would take a different control
+// path but must not produce different bits — and across lengths that
+// exercise every unroll tail.
 func TestVecMatTToMatchesMatMulTo(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 200; trial++ {
@@ -31,14 +31,13 @@ func TestVecMatTToMatchesMatMulTo(t *testing.T) {
 		for i := range w.Data {
 			w.Data[i] = rng.NormFloat64()
 		}
-		ref := New(1, m)
-		MatMulTo(ref, FromSlice(1, n, x), w)
+		ref := MatMul(FromSlice(1, n, x), w)
 		wt := Transpose(w)
 		got := make([]float64, m)
 		VecMatTTo(got, x, wt)
 		for j := range got {
 			if math.Float64bits(got[j]) != math.Float64bits(ref.Data[j]) {
-				t.Fatalf("trial %d: VecMatTTo[%d] = %x, MatMulTo = %x",
+				t.Fatalf("trial %d: VecMatTTo[%d] = %x, MatMul = %x",
 					trial, j, math.Float64bits(got[j]), math.Float64bits(ref.Data[j]))
 			}
 		}
@@ -64,10 +63,7 @@ func TestFwdGEMMBiasMatchesMatMulAdd(t *testing.T) {
 		for i := range b {
 			b[i] = rng.NormFloat64()
 		}
-		mm := New(1, m)
-		MatMulTo(mm, FromSlice(1, n, x), w)
-		ref := New(1, m)
-		AddTo(ref, mm, FromSlice(1, m, b))
+		ref := Add(MatMul(FromSlice(1, n, x), w), FromSlice(1, m, b))
 		got := make([]float64, m)
 		FwdGEMMBiasInto(got, x, 1, w, Transpose(w), b)
 		for j := range got {

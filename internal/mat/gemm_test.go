@@ -82,15 +82,14 @@ func TestFwdGEMMStrideWritesOnlyItsColumns(t *testing.T) {
 }
 
 // TestFwdGEMMNoBias pins the nil-bias path of the dispatcher to the tape's
-// MatMulTo, lane by lane.
+// MatMul, lane by lane.
 func TestFwdGEMMNoBias(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	w := randMatrixFor(rng, 17, 24)
 	x := randMatrixFor(rng, 4, 17)
 	got := make([]float64, 4*24)
 	FwdGEMMBiasInto(got, x.Data, 4, w, nil, nil)
-	want := New(4, 24)
-	MatMulTo(want, x, w)
+	want := MatMul(x, w)
 	for i := range got {
 		if math.Float64bits(got[i]) != math.Float64bits(want.Data[i]) {
 			t.Fatalf("elem %d: %v != %v", i, got[i], want.Data[i])

@@ -5,99 +5,8 @@ import (
 	"math"
 )
 
-// In-place variants of the allocating operations. Each XTo writes the full
-// result into a caller-supplied destination of the right shape and performs
-// exactly the same floating-point operations in the same order as its
-// allocating counterpart, so results are bitwise identical (property-tested
-// in mat_inplace_test.go). The autodiff tape pairs them with an Arena to
-// keep the Observe/train hot path allocation-free.
-
-func mustShape(op string, m *Matrix, rows, cols int) {
-	if m.Rows != rows || m.Cols != cols {
-		panic(fmt.Sprintf("mat: %s destination is %dx%d, want %dx%d", op, m.Rows, m.Cols, rows, cols))
-	}
-}
-
-// AddTo computes dst = a + b elementwise.
-func AddTo(dst, a, b *Matrix) {
-	mustSameShape("AddTo", a, b)
-	mustShape("AddTo", dst, a.Rows, a.Cols)
-	for i, v := range a.Data {
-		dst.Data[i] = v + b.Data[i]
-	}
-}
-
-// SubTo computes dst = a - b elementwise.
-func SubTo(dst, a, b *Matrix) {
-	mustSameShape("SubTo", a, b)
-	mustShape("SubTo", dst, a.Rows, a.Cols)
-	for i, v := range a.Data {
-		dst.Data[i] = v - b.Data[i]
-	}
-}
-
-// MulTo computes the Hadamard product dst = a ⊙ b.
-func MulTo(dst, a, b *Matrix) {
-	mustSameShape("MulTo", a, b)
-	mustShape("MulTo", dst, a.Rows, a.Cols)
-	for i, v := range a.Data {
-		dst.Data[i] = v * b.Data[i]
-	}
-}
-
-// ScaleTo computes dst = s * a.
-func ScaleTo(dst *Matrix, s float64, a *Matrix) {
-	mustShape("ScaleTo", dst, a.Rows, a.Cols)
-	for i, v := range a.Data {
-		dst.Data[i] = s * v
-	}
-}
-
-// ApplyTo computes dst = f(a) elementwise.
-func ApplyTo(dst, a *Matrix, f func(float64) float64) {
-	mustShape("ApplyTo", dst, a.Rows, a.Cols)
-	for i, v := range a.Data {
-		dst.Data[i] = f(v)
-	}
-}
-
-// MatMulTo computes dst = a · b, zeroing dst first. The accumulation order
-// matches MatMul exactly. Like MatMul, the kernel is dense — the former
-// zero-skip branch cost more on dense LSTM inputs than it saved (see
-// BenchmarkMatMulZeroSkip) and skipping zeros never changed a bit.
-func MatMulTo(dst, a, b *Matrix) {
-	if a.Cols != b.Rows {
-		panic(fmt.Sprintf("mat: MatMulTo inner dimension mismatch %dx%d · %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	mustShape("MatMulTo", dst, a.Rows, b.Cols)
-	for i := range dst.Data {
-		dst.Data[i] = 0
-	}
-	for i := 0; i < a.Rows; i++ {
-		arow := a.Data[i*a.Cols : (i+1)*a.Cols]
-		orow := dst.Data[i*b.Cols : (i+1)*b.Cols]
-		for k, av := range arow {
-			brow := b.Data[k*b.Cols : (k+1)*b.Cols]
-			for j, bv := range brow {
-				// float64() forbids FMA contraction so this kernel and
-				// the fused FwdGEMMBiasInto round identically on every
-				// platform, not just non-contracting amd64.
-				orow[j] += float64(av * bv)
-			}
-		}
-	}
-}
-
-// SliceColsTo copies columns [from, to) of a into dst.
-func SliceColsTo(dst, a *Matrix, from, to int) {
-	if from < 0 || to > a.Cols || from >= to {
-		panic(fmt.Sprintf("mat: SliceColsTo[%d:%d] of %d cols", from, to, a.Cols))
-	}
-	mustShape("SliceColsTo", dst, a.Rows, to-from)
-	for i := 0; i < a.Rows; i++ {
-		copy(dst.Row(i), a.Row(i)[from:to])
-	}
-}
+// Kernels that write into a caller-supplied destination: the autodiff
+// tape's backward accumulators, and the engines' transpose and softmax.
 
 // TransposeTo computes dst = aᵀ. The training engine re-transposes its
 // hidden-column weight blocks every step, so where a vector kernel is active
@@ -106,7 +15,9 @@ func SliceColsTo(dst, a *Matrix, from, to int) {
 // rows at a time, so every destination row receives four adjacent elements
 // per visit instead of one per stride. Pure data movement either way.
 func TransposeTo(dst, a *Matrix) {
-	mustShape("TransposeTo", dst, a.Cols, a.Rows)
+	if dst.Rows != a.Cols || dst.Cols != a.Rows {
+		panic(fmt.Sprintf("mat: TransposeTo destination is %dx%d, want %dx%d", dst.Rows, dst.Cols, a.Cols, a.Rows))
+	}
 	doneRows, doneCols := simdTransposeInto(dst.Data, a.Data, a.Rows, a.Cols)
 	if doneCols < a.Cols {
 		transposePortable(dst.Data, a.Data, a.Rows, a.Cols, 0, doneRows, doneCols)

@@ -11,16 +11,14 @@ import (
 // — e.g. one-hot action rows — and costs a test-and-branch per element on
 // dense LSTM gate contexts. BenchmarkMatMulZeroSkip measures the branch on
 // both input kinds at the CLSTM's hot shape (1×96 ctx row · 96×128 packed
-// gate matrix); the recorded verdict (BENCH.md) is why MatMul/MatMulTo are
-// dense kernels while MatMulATInto keeps its skip.
+// gate matrix); the recorded verdict (BENCH.md) is why MatMul is a dense
+// kernel while MatMulATInto keeps its skip.
 
-// matMulToSkip is MatMulTo with the historical zero-skip branch, kept as
-// the benchmark's counterfactual (it is also the branch MatMulATInto still
+// matMulSkip is MatMul with the historical zero-skip branch, kept as the
+// benchmark's counterfactual (it is also the branch MatMulATInto still
 // carries for its genuinely sparse inputs).
-func matMulToSkip(dst, a, b *Matrix) {
-	for i := range dst.Data {
-		dst.Data[i] = 0
-	}
+func matMulSkip(a, b *Matrix) *Matrix {
+	dst := New(a.Rows, b.Cols)
 	for i := 0; i < a.Rows; i++ {
 		arow := a.Data[i*a.Cols : (i+1)*a.Cols]
 		orow := dst.Data[i*b.Cols : (i+1)*b.Cols]
@@ -34,6 +32,7 @@ func matMulToSkip(dst, a, b *Matrix) {
 			}
 		}
 	}
+	return dst
 }
 
 func benchVecs(sparse bool) (x []float64, w, wt, dst *Matrix) {
@@ -60,16 +59,16 @@ func BenchmarkMatMulZeroSkip(b *testing.B) {
 		name   string
 		sparse bool
 	}{{"dense", false}, {"sparse", true}} {
-		x, w, _, dst := benchVecs(mode.sparse)
+		x, w, _, _ := benchVecs(mode.sparse)
 		xm := FromSlice(1, len(x), x)
 		b.Run(mode.name+"/skip", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				matMulToSkip(dst, xm, w)
+				matMulSkip(xm, w)
 			}
 		})
 		b.Run(mode.name+"/noskip", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				MatMulTo(dst, xm, w)
+				MatMul(xm, w)
 			}
 		})
 	}

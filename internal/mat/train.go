@@ -12,7 +12,7 @@ import (
 //
 //   - Accumulation order. Every output element is one accumulator that
 //     receives exactly the tape's terms in the tape's order: ascending k
-//     for the forward GEMV (GEMVBiasInto ≡ MatMulTo), descending time step
+//     for the forward GEMV (GEMVBiasInto ≡ MatMul), descending time step
 //     for the weight gradient (MatMulATStepsInto ≡ a cleared matrix and one
 //     MatMulATInto per step in Backward's reverse order). Vector lanes are
 //     always distinct output elements — or, in SumSquaresEach, distinct

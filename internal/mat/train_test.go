@@ -38,10 +38,7 @@ func TestGEMVBiasIntoMatchesMatMulTo(t *testing.T) {
 		w := randMatrixFor(rng, n, m)
 		x := randMatrixFor(rng, 1, n)
 		bias := randMatrixFor(rng, 1, m)
-		mm := New(1, m)
-		MatMulTo(mm, x, w)
-		want := New(1, m)
-		AddTo(want, mm, bias)
+		want := Add(MatMul(x, w), bias)
 
 		got := make([]float64, m)
 		GEMVBiasInto(got, x.Data, w, bias.Data)

@@ -37,7 +37,7 @@ func TestFusedCellMatchesTapeStep(t *testing.T) {
 
 			tp := ad.NewTape()
 			b := ps.Bind(tp)
-			hN, cN := cell.Step(b, tp.ConstVector(ctx), tp.Const(mat.VectorOf(cPrev)))
+			hN, cN := cell.Step(b, tp.Const(mat.VectorOf(ctx)), tp.Const(mat.VectorOf(cPrev)))
 
 			gotH := make([]float64, dims.hidden)
 			gotC := make([]float64, dims.hidden)
@@ -74,7 +74,7 @@ func TestFusedDenseMatchesTapeApply(t *testing.T) {
 			fd.ApplyBatch(got, pre, x)
 			for l := 0; l < lanes; l++ {
 				tp := ad.NewTape()
-				ref := d.Apply(ps.Bind(tp), tp.ConstVector(x.Row(l)))
+				ref := d.Apply(ps.Bind(tp), tp.Const(mat.VectorOf(x.Row(l))))
 				for j, v := range got.Row(l) {
 					if math.Float64bits(v) != math.Float64bits(ref.Value.Data[j]) {
 						t.Fatalf("act %d lanes %d lane %d out[%d]: fused %v, tape %v", act, lanes, l, j, v, ref.Value.Data[j])
@@ -112,7 +112,7 @@ func TestPackIntoTracksUpdates(t *testing.T) {
 		fused()
 		tp := ad.NewTape()
 		b := set.Bind(tp)
-		hN, cN := cell.Step(b, tp.ConstVector(ctx), tp.Const(mat.VectorOf(cPrev)))
+		hN, cN := cell.Step(b, tp.Const(mat.VectorOf(ctx)), tp.Const(mat.VectorOf(cPrev)))
 		y := dec.Apply(b, hN)
 		for j := range h {
 			if math.Float64bits(h[j]) != math.Float64bits(hN.Value.Data[j]) || math.Float64bits(c[j]) != math.Float64bits(cN.Value.Data[j]) {

@@ -11,7 +11,7 @@ package nn
 // "0 +" below turns a −0 product into +0, as that accumulation does) and the
 // rounding of every product before it is added (the float64 conversions
 // forbid FMA contraction, as storing the product in a node does). What goes
-// is the work around the arithmetic: node and arena bookkeeping, a matrix
+// is the work around the arithmetic: node bookkeeping, a matrix
 // per intermediate, a second log(m) for the JS loss's second use of it, and
 // gradients of constants nobody reads. TestTrainHeadMatchesTape and
 // TestTrainPlanGoldenEquivalence in internal/core hold it to the tape.

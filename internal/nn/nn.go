@@ -210,18 +210,10 @@ type Binding struct {
 // Bind creates a Var node on tp for every parameter.
 func (ps *ParamSet) Bind(tp *ad.Tape) *Binding {
 	b := &Binding{ps: ps, tape: tp, nodes: make(map[string]*ad.Node, len(ps.names))}
-	b.Rebind()
-	return b
-}
-
-// Rebind re-registers every parameter as a fresh Var on the binding's tape.
-// Call it after Tape.Reset to reuse one binding across steps: the node map
-// is updated in place (same keys), so a steady-state rebind performs no heap
-// allocations.
-func (b *Binding) Rebind() {
-	for i, n := range b.ps.names {
-		b.nodes[n] = b.tape.Var(b.ps.mats[i])
+	for i, n := range ps.names {
+		b.nodes[n] = tp.Var(ps.mats[i])
 	}
+	return b
 }
 
 // Node returns the bound Var for name.
@@ -238,8 +230,7 @@ func (b *Binding) Tape() *ad.Tape { return b.tape }
 
 // GradsFlatInto stores every parameter's gradient matrix at its registration
 // index in dst (length = number of parameters in the set) — the hand-off
-// Adam.StepFlat takes. The gradient matrices are tape-owned and only valid
-// until the tape's next Reset.
+// Adam.StepFlat takes.
 func (b *Binding) GradsFlatInto(dst []*mat.Matrix) {
 	for i, n := range b.ps.names {
 		dst[i] = b.nodes[n].Grad
@@ -612,11 +603,9 @@ func (c *LSTMCell) Step(b *Binding, ctx, cPrev *ad.Node) (h, cNext *ad.Node) {
 	return h, cNext
 }
 
-// ZeroState returns h0 and c0 constant nodes of the right shape. The
-// zeroed matrices come from the tape's arena, so they recycle with the
-// tape and the call is allocation-free in steady state.
+// ZeroState returns h0 and c0 constant nodes of the right shape.
 func (c *LSTMCell) ZeroState(tp *ad.Tape) (h0, c0 *ad.Node) {
-	return tp.Const(tp.Arena().Get(1, c.Hidden)), tp.Const(tp.Arena().Get(1, c.Hidden))
+	return tp.Const(mat.New(1, c.Hidden)), tp.Const(mat.New(1, c.Hidden))
 }
 
 // --- Losses (autodiff-composable) ---

@@ -11,12 +11,13 @@ import (
 
 // TestShardArenasAreIsolated drives many channels concurrently through a
 // multi-shard pool and compares every channel's scores bitwise against a
-// reference detector driven serially. Each detector owns its model's
-// autodiff tape and buffer arena; the pool confines each detector to one
-// shard worker, so no two shards may ever touch the same arena buffers. If
-// that confinement broke, concurrently recycled matrices would corrupt the
-// forward passes (caught here as score divergence) and the unsynchronised
-// accesses would trip the race detector (run this under -race; CI does).
+// reference detector driven serially. Each detector owns its model's plan
+// buffers (core.InferPlan's lane states and scratch); the pool confines each
+// detector to one shard worker, so no two shards may ever touch the same
+// plan buffers. If that confinement broke, concurrently reused buffers would
+// corrupt the forward passes (caught here as score divergence) and the
+// unsynchronised accesses would trip the race detector (run this under
+// -race; CI does).
 func TestShardArenasAreIsolated(t *testing.T) {
 	const (
 		channels = 6
@@ -99,7 +100,7 @@ func TestShardArenasAreIsolated(t *testing.T) {
 				t.Fatalf("channel %d segment %d: decision %+v, reference %+v", c, i, got, want[i])
 			}
 			if math.Float64bits(got.Score) != math.Float64bits(want[i].Score) {
-				t.Fatalf("channel %d segment %d: score %v differs from reference %v (arena buffers shared across shards?)",
+				t.Fatalf("channel %d segment %d: score %v differs from reference %v (plan buffers shared across shards?)",
 					c, i, got.Score, want[i].Score)
 			}
 		}

@@ -35,8 +35,7 @@ type HTTPReplay struct {
 type HTTPResult struct {
 	Sent      int // observation lines written
 	Decisions int // decision lines received (== Sent on a clean run)
-	Verdicts  int // decisions that scored (not dropped/rejected/errored)
-	Dropped   int
+	Verdicts  int // decisions that scored (not rejected/errored)
 	Rejected  int
 	Errors    int
 	Retried   int           // whole-stream 429/transport retries honored
@@ -119,7 +118,6 @@ func (h *HTTPReplay) Run(s *Schedule) (HTTPResult, error) {
 		}
 		res.Sent += w.sent
 		res.Decisions += w.decisions
-		res.Dropped += w.dropped
 		res.Rejected += w.rejected
 		res.Errors += w.errors
 		res.Retried += w.retried
@@ -129,7 +127,7 @@ func (h *HTTPReplay) Run(s *Schedule) (HTTPResult, error) {
 			firstErr = w.err
 		}
 	}
-	res.Verdicts = res.Decisions - res.Dropped - res.Rejected - res.Errors
+	res.Verdicts = res.Decisions - res.Rejected - res.Errors
 	res.Elapsed = time.Since(started)
 	if len(lats) > 0 {
 		sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
@@ -150,9 +148,9 @@ type streamWorker struct {
 	pending []queuedLine // FIFO, oldest first; all written on current stream
 	stream  *wire.Stream // nil until the first line; flushed before every blocking wait
 
-	sent, decisions           int
-	dropped, rejected, errors int
-	retried                   int
+	sent, decisions  int
+	rejected, errors int
+	retried          int
 	// recoveries counts consecutive stream recoveries without a delivered
 	// decision. Resent lines only reach the write buffer, so a reopen
 	// "succeeds" before the server has said anything — if each recover()
@@ -297,8 +295,6 @@ func (w *streamWorker) readAck() error {
 	switch {
 	case d.Error != "":
 		w.errors++
-	case d.Dropped:
-		w.dropped++
 	case d.Rejected:
 		w.rejected++
 	}

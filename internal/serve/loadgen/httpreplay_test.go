@@ -20,7 +20,7 @@ import (
 // line, classified by a per-seq script, with optional whole-stream 429s
 // on the first N opens of each channel.
 type observeStub struct {
-	classify func(seq int) (dropped, rejected bool, errMsg string)
+	classify func(seq int) (rejected bool, errMsg string)
 	reject   int // 429 the first N opens per channel
 	status   int // non-zero: answer every observe with this status
 
@@ -62,8 +62,7 @@ func (s *observeStub) handler() http.Handler {
 			}
 			d := map[string]interface{}{"channel": id, "seq": seq, "score": 0.5}
 			if s.classify != nil {
-				dropped, rejected, errMsg := s.classify(seq)
-				d["dropped"] = dropped
+				rejected, errMsg := s.classify(seq)
 				d["rejected"] = rejected
 				if errMsg != "" {
 					d["error"] = errMsg
@@ -116,7 +115,7 @@ func TestHTTPReplayCleanRun(t *testing.T) {
 	if res.Decisions != res.Sent || res.Verdicts != res.Sent {
 		t.Fatalf("lost or degraded segments on a clean run: %+v", res)
 	}
-	if res.Dropped != 0 || res.Rejected != 0 || res.Errors != 0 || res.Retried != 0 {
+	if res.Rejected != 0 || res.Errors != 0 || res.Retried != 0 {
 		t.Fatalf("phantom degradations: %+v", res)
 	}
 	if res.SegsPerSec() <= 0 {
@@ -129,16 +128,14 @@ func TestHTTPReplayCleanRun(t *testing.T) {
 
 func TestHTTPReplayClassifiesDecisions(t *testing.T) {
 	srv := stubServer(t, &observeStub{
-		classify: func(seq int) (bool, bool, string) {
+		classify: func(seq int) (bool, string) {
 			switch seq % 5 {
-			case 1:
-				return true, false, ""
 			case 2:
-				return false, true, ""
+				return true, ""
 			case 3:
-				return false, false, "scripted error"
+				return false, "scripted error"
 			}
-			return false, false, ""
+			return false, ""
 		},
 	})
 	sched := replaySchedule(t, 2, 150*time.Millisecond)
@@ -151,10 +148,10 @@ func TestHTTPReplayClassifiesDecisions(t *testing.T) {
 	if res.Decisions != res.Sent {
 		t.Fatalf("decision count mismatch: %+v", res)
 	}
-	if res.Dropped == 0 || res.Rejected == 0 || res.Errors == 0 {
+	if res.Verdicts == 0 || res.Rejected == 0 || res.Errors == 0 {
 		t.Fatalf("classification missed a class: %+v", res)
 	}
-	if got := res.Decisions - res.Dropped - res.Rejected - res.Errors; res.Verdicts != got {
+	if got := res.Decisions - res.Rejected - res.Errors; res.Verdicts != got {
 		t.Fatalf("Verdicts %d, want %d", res.Verdicts, got)
 	}
 }

@@ -1,4 +1,4 @@
-package live
+package liveplane
 
 // Native fuzz target for the WebSocket frame reader: ReadMessage parses
 // bytes straight off an untrusted socket, so any stream must end in a clean
@@ -14,10 +14,11 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"net"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"aovlis/internal/wire"
 )
 
 var updateFuzzCorpus = flag.Bool("update-fuzz-corpus", false, "regenerate the testdata/fuzz seed corpus files")
@@ -26,11 +27,11 @@ var updateFuzzCorpus = flag.Bool("update-fuzz-corpus", false, "regenerate the te
 // declarations and fragment trains that cross it are cheap to reach.
 const fuzzMaxMessage = 512
 
-// streamConn is a net.Conn whose reads are a fixed sequence of chunks, one
+// streamConn is a wire.Conn whose reads are a fixed sequence of chunks, one
 // per Read (the torn deliveries of a bursty client), and whose writes —
 // pongs and close frames — are discarded.
 type streamConn struct {
-	net.Conn
+	wire.Conn
 	chunks [][]byte
 }
 
@@ -117,7 +118,7 @@ func readMessageSeeds() []readMessageSeed {
 // TestMintReadMessageFuzzCorpus regenerates the checked-in seed corpus. Run
 // with
 //
-//	go test ./internal/stream/live -run TestMintReadMessageFuzzCorpus -update-fuzz-corpus
+//	go test ./internal/stream/liveplane -run TestMintReadMessageFuzzCorpus -update-fuzz-corpus
 func TestMintReadMessageFuzzCorpus(t *testing.T) {
 	if !*updateFuzzCorpus {
 		t.Skip("pass -update-fuzz-corpus to regenerate the seed corpus")
