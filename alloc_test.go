@@ -403,7 +403,7 @@ func TestObserveCallerReuseSteadyStateAllocs(t *testing.T) {
 					}
 				}
 				if updates == 0 {
-					t.Fatal("updater never retrained on buffered samples; the pinned rows went unexercised")
+					t.Fatal("updater never retrained on buffered samples; its copies of the caller's rows went unexercised")
 				}
 				return
 			}

@@ -172,16 +172,11 @@ type Detector struct {
 	trainers *update.Trainers
 
 	// actWin/audWin hold the sliding window of the last q segments in rows
-	// the detector owns: every consumed segment is copied in, so a caller
-	// may reuse its vectors once the call returns. Inside observeLanes they
-	// also carry the lanes being consumed (see there). pinned[i] marks a row
-	// a buffered update sample references; when it leaves the window it is
-	// parked (parkedAct/parkedAud) until the updater's buffer empties.
-	// freeAct/freeAud are rows no one reads, the next lanes' copies.
-	actWin, audWin       [][]float64
-	pinned               []bool
-	parkedAct, parkedAud [][]float64
-	freeAct, freeAud     [][]float64
+	// the detector owns, views over one flat backing per side: every
+	// consumed segment is copied in, so a caller may reuse its vectors once
+	// the call returns. Inside observeLanes they also carry the lanes being
+	// consumed (see there).
+	actWin, audWin [][]float64
 
 	// Predict scratch, reused across calls: the per-lane samples and the
 	// lane prediction buffers (headers over one flat backing each). At a
@@ -389,12 +384,14 @@ func (d *Detector) ObserveBatch(actionFeats, audienceFeats [][]float64, results 
 // tier gate → predict → score → tier.Commit → updater → slide. The caller
 // holds the single-writer flag.
 //
-// The window is the tail of d.actWin/d.audWin. The lanes are copied onto it
-// up front, into rows the detector owns, so lane i's history is the q rows
-// ending just before it, and the slide is one copy-down at the end that
-// keeps the last q rows of whatever was consumed. Everything downstream —
-// the predictions, the score, the tier anchor, the updater's samples —
-// reads those copies, never the caller's slices.
+// The window is the head of d.actWin/d.audWin. The lanes are copied in
+// after it up front, into rows the detector owns, so lane i's history is
+// the q rows ending just before it, and the slide is one copy-down at the
+// end that keeps the last q rows of whatever was consumed. Everything
+// downstream — the predictions, the score, the tier anchor, the updater's
+// samples — reads those copies, never the caller's slices, and whatever
+// outlives the call (the tier anchor, the updater's buffer) copies them in
+// turn.
 //
 // Predictions are lazy and, where it is safe, batched: when a lane needs a
 // prediction and has none, every remaining lane is predicted in one
@@ -422,13 +419,21 @@ func (d *Detector) observeLanes(acts, auds [][]float64, results []Result) (int, 
 		}
 	}
 	q, w0 := d.cfg.SeqLen, len(d.actWin)
+	if w0+valid > cap(d.actWin) {
+		// Room for a full window and, like the plan's lanes, at least twice
+		// the lanes it had: only a wider batch regrows it, and rarely.
+		rows := q + max(valid, 2*(cap(d.actWin)-q))
+		act, aud := flatRows(rows, d.cfg.ActionDim), flatRows(rows, d.cfg.AudienceDim)
+		for i := range d.actWin {
+			copy(act[i], d.actWin[i])
+			copy(aud[i], d.audWin[i])
+		}
+		d.actWin, d.audWin = act, aud
+	}
+	d.actWin, d.audWin = d.actWin[:w0+valid], d.audWin[:w0+valid]
 	for i := 0; i < valid; i++ {
-		a, u := d.row()
-		copy(a, acts[i])
-		copy(u, auds[i])
-		d.actWin = append(d.actWin, a)
-		d.audWin = append(d.audWin, u)
-		d.pinned = append(d.pinned, false)
+		copy(d.actWin[w0+i], acts[i])
+		copy(d.audWin[w0+i], auds[i])
 	}
 
 	var err error
@@ -482,10 +487,7 @@ func (d *Detector) observeLanes(acts, auds [][]float64, results []Result) (int, 
 		// Dynamic maintenance (Fig. 5): buffer presumed-normal segments and
 		// update on drift. The interaction level is the mean of the count
 		// block, computed directly from the audience feature. The sample
-		// views the detector's window, which slides in place: the updater
-		// logs the headers of the samples it buffers, and the rows it then
-		// shares are pinned so they are not recycled under it until its
-		// buffer empties.
+		// views the detector's window; the updater copies what it buffers.
 		if d.upd != nil {
 			var upRes update.Result
 			upRes, err = d.upd.ObserveHidden(core.Sample{
@@ -495,17 +497,9 @@ func (d *Detector) observeLanes(acts, auds [][]float64, results []Result) (int, 
 				AudienceTarget: u,
 				Index:          d.observed - 1,
 			}, interactionLevel(u), hidden)
-			if upRes.Buffered {
-				for i := end - q; i <= end; i++ {
-					d.pinned[i] = true
-				}
-			}
 			if err != nil {
 				err = fmt.Errorf("aovlis: dynamic update: %w", err)
 				break
-			}
-			if upRes.Triggered {
-				d.unpin()
 			}
 			res.Updated = upRes.Updated
 			if v := d.model.Params().Version(); v != version {
@@ -515,46 +509,21 @@ func (d *Detector) observeLanes(acts, auds [][]float64, results []Result) (int, 
 		results[n] = res
 	}
 
-	// Slide (allocation-free): keep the last q rows of the history the n
-	// consumed lanes leave behind and recycle the others — older history and
-	// lanes an error left unconsumed — or park them while a buffered update
-	// sample still reads them.
+	// Slide: copy the last q rows of the history the n consumed lanes leave
+	// behind down to the head; older history and lanes an error left
+	// unconsumed are overwritten by the next call's lanes.
 	end := w0 + n
 	keep := min(end, q)
-	for i, a := range d.actWin {
-		switch {
-		case i >= end-keep && i < end: // stays in the window
-		case d.pinned[i]:
-			d.parkedAct = append(d.parkedAct, a)
-			d.parkedAud = append(d.parkedAud, d.audWin[i])
-		default:
-			d.freeAct = append(d.freeAct, a)
-			d.freeAud = append(d.freeAud, d.audWin[i])
-		}
+	for i := 0; i < keep; i++ {
+		copy(d.actWin[i], d.actWin[end-keep+i])
+		copy(d.audWin[i], d.audWin[end-keep+i])
 	}
-	copy(d.actWin, d.actWin[end-keep:end])
-	copy(d.audWin, d.audWin[end-keep:end])
-	copy(d.pinned, d.pinned[end-keep:end])
-	clear(d.actWin[keep:])
-	clear(d.audWin[keep:])
-	d.actWin, d.audWin, d.pinned = d.actWin[:keep], d.audWin[:keep], d.pinned[:keep]
+	d.actWin, d.audWin = d.actWin[:keep], d.audWin[:keep]
 	clear(d.samples)
 	if err != nil {
 		return n, err
 	}
 	return valid, dimErr
-}
-
-// unpin hands the rows the updater's buffer held back to the detector once
-// the buffer has emptied: the parked rows to the free lists, the ones still
-// in the window to the slide.
-func (d *Detector) unpin() {
-	d.freeAct = append(d.freeAct, d.parkedAct...)
-	d.freeAud = append(d.freeAud, d.parkedAud...)
-	clear(d.parkedAct)
-	clear(d.parkedAud)
-	d.parkedAct, d.parkedAud = d.parkedAct[:0], d.parkedAud[:0]
-	clear(d.pinned)
 }
 
 // predict fills d.fhat/d.ahat[0:lanes] with the predictions of lanes
@@ -576,34 +545,22 @@ func (d *Detector) predict(from, lanes, w0 int) error {
 	return d.model.PredictBatchInto(d.samples, d.fhat[:lanes], d.ahat[:lanes])
 }
 
-// row returns an action/audience row pair for one consumed segment: a
-// recycled pair, or a new one on a single backing array.
-func (d *Detector) row() (a, u []float64) {
-	if n := len(d.freeAct); n > 0 {
-		a, u = d.freeAct[n-1], d.freeAud[n-1]
-		d.freeAct[n-1], d.freeAud[n-1] = nil, nil
-		d.freeAct, d.freeAud = d.freeAct[:n-1], d.freeAud[:n-1]
-		return a, u
+// ensurePredBufs sizes the lane prediction buffers for n lanes,
+// reallocating only on growth.
+func (d *Detector) ensurePredBufs(n int) {
+	if len(d.fhat) < n {
+		d.fhat, d.ahat = flatRows(n, d.cfg.ActionDim), flatRows(n, d.cfg.AudienceDim)
 	}
-	ad := d.cfg.ActionDim
-	buf := make([]float64, ad+d.cfg.AudienceDim)
-	return buf[:ad:ad], buf[ad:]
 }
 
-// ensurePredBufs sizes the lane prediction buffers (headers over one flat
-// backing each) for n lanes, reallocating only on growth.
-func (d *Detector) ensurePredBufs(n int) {
-	if len(d.fhat) >= n {
-		return
+// flatRows returns n rows of dim values, views over one backing array.
+func flatRows(n, dim int) [][]float64 {
+	data := make([]float64, n*dim)
+	rows := make([][]float64, n)
+	for i := range rows {
+		rows[i] = data[i*dim : (i+1)*dim : (i+1)*dim]
 	}
-	d.fhat = make([][]float64, n)
-	d.ahat = make([][]float64, n)
-	fdata := make([]float64, n*d.cfg.ActionDim)
-	adata := make([]float64, n*d.cfg.AudienceDim)
-	for i := 0; i < n; i++ {
-		d.fhat[i] = fdata[i*d.cfg.ActionDim : (i+1)*d.cfg.ActionDim]
-		d.ahat[i] = adata[i*d.cfg.AudienceDim : (i+1)*d.cfg.AudienceDim]
-	}
+	return rows
 }
 
 // interactionLevel approximates the normalised audience interaction of a
@@ -810,9 +767,9 @@ func RestoreDetector(r io.Reader) (*Detector, error) {
 		model:    model,
 		tau:      wire.Tau,
 		trainers: new(update.Trainers),
-		actWin:   wire.ActWin,
-		audWin:   wire.AudWin,
-		pinned:   make([]bool, len(wire.ActWin)),
+		// Full slices: the first Observe moves the rows onto flat backings.
+		actWin:   wire.ActWin[:len(wire.ActWin):len(wire.ActWin)],
+		audWin:   wire.AudWin[:len(wire.AudWin):len(wire.AudWin)],
 		observed: wire.Observed,
 		detected: wire.Detected,
 	}

@@ -410,21 +410,12 @@ func TestCloneFootprint(t *testing.T) {
 // has retrained. A clone of the benchmark-shape model at the paper's update
 // operating point (ls = 300) buffers a full cycle, retrains and merges,
 // which gives it parameters of its own (149 KB); its plan reads them where
-// they are. After that it retains those parameters, the 309 rows its buffer
-// pinned (166 KB, now its free list), the emptied buffer and window log, and
-// one lane of state: 307 KB, gated at 336 KiB. A plan that packed a copy of
-// the weights would add 149 KB.
+// they are. After that it retains those parameters, the 309 rows its
+// updater owns (166 KB, which the next cycle's samples are copied into),
+// the emptied buffer and window log, and one lane of state: 296 KB, gated
+// at 336 KiB. A plan that packed a copy of the weights would add 149 KB.
 func TestUpdatingChannelFootprint(t *testing.T) {
-	acts, auds := allocSeries(320, 48, 19)
-	cfg := DefaultConfig(48, 19)
-	cfg.Epochs = 1
-	cfg.EnableUpdate = true
-	cfg.Update.DriftThreshold = 1 // the first drift check retrains
-	cfg.Update.TrainEpochs = 1
-	tmpl, err := Train(acts[:60], auds[:60], cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tmpl, acts, auds := updatingTemplate(t)
 	merged := func() *Detector {
 		c, err := tmpl.Clone()
 		if err != nil {
@@ -450,4 +441,59 @@ func TestUpdatingChannelFootprint(t *testing.T) {
 	if per > 336<<10 {
 		t.Errorf("an updating clone retains %.0f B after its first merge, want at most %d", per, 336<<10)
 	}
+}
+
+// TestRestoredUpdatingChannelFootprint gates what an updating channel costs
+// once restored from a snapshot taken one sample before its drift check —
+// the state a boot restore, a rebalance import or a failover restore brings
+// back. The restored detector holds weights of its own and a buffer of 299
+// densely buffered samples, whose overlapping windows share their rows as
+// they did before the snapshot: gated at 512 KiB. A buffer that kept each
+// sample's q + 1 rows apart retained 2.2 MB.
+func TestRestoredUpdatingChannelFootprint(t *testing.T) {
+	tmpl, acts, auds := updatingTemplate(t)
+	live, err := tmpl.Clone()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := tmpl.cfg
+	for i := 0; i < cfg.SeqLen+cfg.Update.MaxBuffer-1; i++ {
+		if _, err := live.Observe(acts[i], auds[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := len(live.upd.State().Buffer); n != cfg.Update.MaxBuffer-1 {
+		t.Fatalf("the channel buffered %d samples, want %d", n, cfg.Update.MaxBuffer-1)
+	}
+	snap := snapshotBytes(t, live)
+	per := retainedPerClone(t, 8, func() *Detector {
+		d, err := RestoreDetector(bytes.NewReader(snap))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
+	})
+	runtime.KeepAlive(snap) // freed mid-measurement, it would read as a negative footprint
+	t.Logf("a %d B snapshot of an updating channel restores to %.0f B retained", len(snap), per)
+	if per > 512<<10 {
+		t.Errorf("a restored updating channel retains %.0f B, want at most %d", per, 512<<10)
+	}
+}
+
+// updatingTemplate trains the benchmark-shape model at the paper's update
+// operating point (ls = 300), whose first drift check retrains, on the
+// first 60 of a 320-segment series it returns: a quiet audience, so every
+// scored segment is buffered.
+func updatingTemplate(t *testing.T) (*Detector, [][]float64, [][]float64) {
+	acts, auds := allocSeries(320, 48, 19)
+	cfg := DefaultConfig(48, 19)
+	cfg.Epochs = 1
+	cfg.EnableUpdate = true
+	cfg.Update.DriftThreshold = 1 // the first drift check retrains
+	cfg.Update.TrainEpochs = 1
+	tmpl, err := Train(acts[:60], auds[:60], cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tmpl, acts, auds
 }

@@ -16,7 +16,7 @@ package ados
 // pruning frame of Doshi & Yilmaz (PAPERS.md): pruning the detector's
 // update/score work perturbs detection delay and miss probability in a
 // way that is bounded and measurable, not open-ended. The correctness
-// budget is empirical, pinned by the verdict-flip-rate harness at the
+// budget is empirical, gated by the verdict-flip-rate harness at the
 // repo root (TestTieredVerdictFlipRate): exact vs tiered verdicts over
 // golden and synthetic drift streams must agree within a checked-in flip
 // budget.

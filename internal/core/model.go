@@ -228,7 +228,7 @@ func (m *Model) jointLoss(p *TrainPlan, s *Sample) float64 {
 // head and BPTT all hand-derived — and is bit-identical to recording the
 // whole step on an autodiff tape (the tests' trainStepTape).
 func (m *Model) TrainStep(s *Sample) (float64, error) {
-	if err := m.validateTrain(s); err != nil {
+	if err := m.ValidateTrain(s); err != nil {
 		return 0, err
 	}
 	p := m.trainPlan()
@@ -242,7 +242,9 @@ func (m *Model) TrainStep(s *Sample) (float64, error) {
 	return loss, nil
 }
 
-func (m *Model) validateTrain(s *Sample) error {
+// ValidateTrain reports whether the model can train on s: its window and
+// both targets must have the model's dimensions.
+func (m *Model) ValidateTrain(s *Sample) error {
 	if err := s.validate(m.cfg); err != nil {
 		return err
 	}
@@ -288,7 +290,7 @@ func (m *Model) EvalLoss(samples []Sample) (float64, error) {
 	var total float64
 	for i := range samples {
 		s := &samples[i]
-		if err := m.validateTrain(s); err != nil {
+		if err := m.ValidateTrain(s); err != nil {
 			return 0, err
 		}
 		p := m.trainPlan()

@@ -80,7 +80,7 @@ func (m *Model) hiddenTape(s *Sample) []float64 {
 // trainStepTape is the training step on the reference tape: forward, loss
 // and backward all recorded on it, then the same optimiser step.
 func (m *Model) trainStepTape(s *Sample) (float64, error) {
-	if err := m.validateTrain(s); err != nil {
+	if err := m.ValidateTrain(s); err != nil {
 		return 0, err
 	}
 	tp, b := m.begin()

@@ -10,7 +10,7 @@ import "fmt"
 // register-held accumulator summed over k in increasing order — the
 // per-column summation order of the tape's MatMul — so a B-lane batch
 // produces the same float bits as B independent single-segment calls
-// (pinned by TestFwdGEMMBiasLanesMatchSingleLane and the golden batch tests
+// (held by TestFwdGEMMBiasLanesMatchSingleLane and the golden batch tests
 // in internal/core and the root package).
 
 // FwdGEMMBiasInto is the dispatching forward GEMM + bias of the fused

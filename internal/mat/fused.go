@@ -8,7 +8,7 @@ import (
 // Fused inference kernels for the tape-free forward path (core.InferPlan).
 // Each kernel performs exactly the floating-point operations of its tape
 // equivalent in the same order, so fused inference stays bit-identical to
-// the autodiff forward pass (pinned by the golden equivalence tests in
+// the autodiff forward pass (held by the golden equivalence tests in
 // internal/core). Three properties carry the argument:
 //
 //   - FwdGEMMBiasInto (batch.go) accumulates every output column over k in

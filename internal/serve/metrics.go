@@ -4,7 +4,7 @@ package serve
 // dependency-free internal/metrics registry. Every instrument is a fixed
 // set of atomics created at pool construction, so the hot-path recording
 // cost is a few atomic adds and a binary search over frozen bucket bounds
-// — zero allocations, no locks (the 0 allocs/op claim is pinned by
+// — zero allocations, no locks (the 0 allocs/op claim is gated by
 // TestInstrumentedPoolSteadyStateAllocs).
 //
 // The stage decomposition follows a segment through the pool:

@@ -6,7 +6,7 @@
 //
 // The design honours the Detector's single-writer contract (see the
 // aovlis package documentation) by goroutine confinement: every channel is
-// pinned to exactly one shard, and only that shard's worker ever calls
+// bound to exactly one shard, and only that shard's worker ever calls
 // Observe on the channel's detector. Callers may therefore submit
 // observations for any channel from any number of goroutines; ordering is
 // preserved per caller per channel because submission order into the

@@ -229,7 +229,8 @@ func (s *Session) Replay(after uint64, fn func(seq uint64, line []byte) error) e
 }
 
 // ChannelFloor reports a channel's hub-side accepted floor without
-// holding a session — the router and stats paths read it.
+// holding a session. No serving path reads it; tests check the floor
+// with it.
 func (h *Hub) ChannelFloor(channel string) uint64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()

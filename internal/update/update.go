@@ -16,6 +16,7 @@ package update
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"sync"
@@ -163,8 +164,6 @@ type Result struct {
 	// Buffered reports whether the segment entered the normal buffer.
 	Buffered bool
 	// Triggered reports whether the buffer filled and a drift check ran.
-	// Unless Observe also returned an error, the buffer is then empty: no
-	// buffered sample references the caller's rows any more.
 	Triggered bool
 	// DriftSim is the Eq. 17 similarity when Triggered.
 	DriftSim float64
@@ -236,6 +235,12 @@ type Updater struct {
 	// segment's, in a stream buffered densely — adds only the rows past it.
 	// Emptied, not freed, by every drift check.
 	actLog, audLog [][]float64
+	// actRows/audRows own the rows the buffer reads — the log's and the
+	// samples' targets — each action row on one backing with its audience
+	// row. The first used are in use; a drift check frees them all for the
+	// next cycle.
+	actRows, audRows [][]float64
+	used             int
 
 	// interaction threshold T: mean interaction level of the previous
 	// window (Fig. 5 line 4 filters segments with interaction < T).
@@ -291,11 +296,8 @@ func (u *Updater) SeedHistory(samples []core.Sample) error {
 
 // Observe processes one incoming segment (Fig. 5 lines 2-14): buffer it if
 // its audience interaction marks it normal, and when the buffer fills run
-// the drift check and possibly the incremental update. The sample's window
-// slices may alias storage the caller goes on to reuse: a buffered sample's
-// window is given headers in the updater's window log. Its feature rows are
-// shared, and the caller must leave them alone until a Result reports
-// Triggered.
+// the drift check and possibly the incremental update. A buffered sample
+// is copied, so the caller may reuse its rows once Observe returns.
 func (u *Updater) Observe(sample core.Sample, interactionLevel float64) (Result, error) {
 	return u.ObserveHidden(sample, interactionLevel, nil)
 }
@@ -317,6 +319,11 @@ func (u *Updater) ObserveHidden(sample core.Sample, interactionLevel float64, hi
 		// Only a buffered segment's hidden state enters S_n, so only a
 		// buffered segment without one pays for the recurrence.
 		cfg := u.model.Config()
+		// A buffered sample is copied into rows of the model's dims and
+		// trained on, so its window and both targets must have them.
+		if err := u.model.ValidateTrain(&sample); err != nil {
+			return res, fmt.Errorf("update: buffering sample: %w", err)
+		}
 		switch {
 		case hidden == nil:
 			if err := u.model.HiddenInto(&sample, u.hidden); err != nil {
@@ -325,8 +332,6 @@ func (u *Updater) ObserveHidden(sample core.Sample, interactionLevel float64, hi
 			hidden = u.hidden
 		case len(hidden) != cfg.HiddenI:
 			return res, fmt.Errorf("update: hidden state has %d values, model hidden is %d", len(hidden), cfg.HiddenI)
-		case len(sample.ActionSeq) != cfg.SeqLen || len(sample.AudienceSeq) != cfg.SeqLen:
-			return res, fmt.Errorf("update: sample window %d/%d, model q is %d", len(sample.ActionSeq), len(sample.AudienceSeq), cfg.SeqLen)
 		}
 		if cap(u.buffer) == 0 {
 			u.buffer = make([]core.Sample, 0, u.cfg.MaxBuffer)
@@ -363,19 +368,20 @@ func (u *Updater) ObserveHidden(sample core.Sample, interactionLevel float64, hi
 	u.history.merge(&u.incoming)
 	u.incoming.reset()
 	clear(u.buffer)
-	clear(u.actLog)
-	clear(u.audLog)
-	u.buffer, u.actLog, u.audLog = u.buffer[:0], u.actLog[:0], u.audLog[:0]
+	u.buffer, u.actLog, u.audLog, u.used = u.buffer[:0], u.actLog[:0], u.audLog[:0], 0
 	return res, nil
 }
 
-// logWindow returns s with its window re-pointed into the window log. The
-// rows the log's tail already holds — found by identity, not by value — are
-// shared, and only the ones past them are appended. The log starts at the
-// size a fully buffered cycle needs (MaxBuffer + q − 1 rows) and grows, by
-// doubling, up to q·MaxBuffer rows, what a cycle of disjoint windows needs.
-// Growing copies the log into a new array and leaves the samples already
-// buffered on the old one, whose rows are the same.
+// logWindow returns s copied into rows the updater owns, its window a view
+// of the window log. The rows the log's tail already holds — found by value,
+// the same float64 bits, so −0 and NaN payloads stay exact — are shared,
+// and only the ones past them are appended; the first of those is the
+// previous sample's target row when it holds the same bits, as it does when
+// that sample was the previous segment. The log starts at the size a fully
+// buffered cycle needs (MaxBuffer + q − 1 rows) and grows, by doubling, up
+// to q·MaxBuffer rows, what a cycle of disjoint windows needs. Growing
+// copies the log into a new array and leaves the samples already buffered
+// on the old one, whose rows are the same.
 func (u *Updater) logWindow(s core.Sample) core.Sample {
 	q := len(s.ActionSeq)
 	k := u.overlap(s)
@@ -386,33 +392,52 @@ func (u *Updater) logWindow(s core.Sample) core.Sample {
 		u.actLog = append(make([][]float64, 0, c), u.actLog...)
 		u.audLog = append(make([][]float64, 0, c), u.audLog...)
 	}
-	u.actLog = append(u.actLog, s.ActionSeq[k:]...)
-	u.audLog = append(u.audLog, s.AudienceSeq[k:]...)
+	for t := k; t < q; t++ {
+		a, b := s.ActionSeq[t], s.AudienceSeq[t]
+		if n := len(u.buffer); t == k && n > 0 && sameBits(u.buffer[n-1].ActionTarget, a) && sameBits(u.buffer[n-1].AudienceTarget, b) {
+			a, b = u.buffer[n-1].ActionTarget, u.buffer[n-1].AudienceTarget
+		} else {
+			a, b = u.own(a, b)
+		}
+		u.actLog = append(u.actLog, a)
+		u.audLog = append(u.audLog, b)
+	}
 	s.ActionSeq, s.AudienceSeq = u.actLog[at:need:need], u.audLog[at:need:need]
+	s.ActionTarget, s.AudienceTarget = u.own(s.ActionTarget, s.AudienceTarget)
 	return s
 }
 
-// overlap returns the largest k such that the log's last k rows are the
-// first k rows of s's window, action and audience alike.
+// overlap returns the largest k such that the log's last k rows hold the
+// bits of the first k rows of s's window, action and audience alike.
 func (u *Updater) overlap(s core.Sample) int {
 	n := len(u.actLog)
 	for k := min(n, len(s.ActionSeq)); k > 0; k-- {
-		if sameRows(u.actLog[n-k:], s.ActionSeq[:k]) && sameRows(u.audLog[n-k:], s.AudienceSeq[:k]) {
+		if slices.EqualFunc(u.actLog[n-k:], s.ActionSeq[:k], sameBits) && slices.EqualFunc(u.audLog[n-k:], s.AudienceSeq[:k], sameBits) {
 			return k
 		}
 	}
 	return 0
 }
 
-// sameRows reports whether a and b are the same rows: the same backing
-// arrays, not merely equal values.
-func sameRows(a, b [][]float64) bool {
-	for i := range a {
-		if len(a[i]) != len(b[i]) || len(a[i]) == 0 || &a[i][0] != &b[i][0] {
-			return false
-		}
+// sameBits reports whether rows a and b hold the same float64 bits.
+func sameBits(a, b []float64) bool {
+	return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
+}
+
+// own copies an action/audience row pair into the next free pair the
+// updater owns, making one when none is free.
+func (u *Updater) own(a, b []float64) ([]float64, []float64) {
+	if u.used == len(u.actRows) {
+		cfg := u.model.Config()
+		buf := make([]float64, cfg.ActionDim+cfg.AudienceDim)
+		u.actRows = append(u.actRows, buf[:cfg.ActionDim:cfg.ActionDim])
+		u.audRows = append(u.audRows, buf[cfg.ActionDim:])
 	}
-	return true
+	ra, rb := u.actRows[u.used], u.audRows[u.used]
+	u.used++
+	copy(ra, a)
+	copy(rb, b)
+	return ra, rb
 }
 
 // State is the updater's complete mutable runtime state, exported for
@@ -441,7 +466,7 @@ type State struct {
 }
 
 // State returns a deep copy of the updater's runtime state, the buffered
-// samples' feature rows included: the caller recycles those rows once the
+// samples' feature rows included: the updater reuses those rows once its
 // buffer empties.
 func (u *Updater) State() State {
 	st := State{
@@ -493,30 +518,16 @@ func (u *Updater) SetState(st State) error {
 		return fmt.Errorf("update: incoming sketch has dim %d, model hidden is %d", len(st.IncomingSum), cfg.HiddenI)
 	}
 	for i := range st.Buffer {
-		s := &st.Buffer[i]
-		if len(s.ActionSeq) != cfg.SeqLen || len(s.AudienceSeq) != cfg.SeqLen {
-			return fmt.Errorf("update: buffered sample %d has window %d/%d, model q is %d",
-				i, len(s.ActionSeq), len(s.AudienceSeq), cfg.SeqLen)
-		}
-		for t := 0; t < cfg.SeqLen; t++ {
-			if len(s.ActionSeq[t]) != cfg.ActionDim || len(s.AudienceSeq[t]) != cfg.AudienceDim {
-				return fmt.Errorf("update: buffered sample %d step %d has dims %d/%d, model wants %d/%d",
-					i, t, len(s.ActionSeq[t]), len(s.AudienceSeq[t]), cfg.ActionDim, cfg.AudienceDim)
-			}
-		}
-		if len(s.ActionTarget) != cfg.ActionDim || len(s.AudienceTarget) != cfg.AudienceDim {
-			return fmt.Errorf("update: buffered sample %d targets have dims %d/%d, model wants %d/%d",
-				i, len(s.ActionTarget), len(s.AudienceTarget), cfg.ActionDim, cfg.AudienceDim)
+		if err := u.model.ValidateTrain(&st.Buffer[i]); err != nil {
+			return fmt.Errorf("update: buffered sample %d: %w", i, err)
 		}
 	}
 	u.history = setSketch{sum: append([]float64(nil), st.HistorySum...), count: st.HistoryCount}
 	u.incoming = setSketch{sum: append([]float64(nil), st.IncomingSum...), count: st.IncomingCount}
-	clear(u.actLog)
-	clear(u.audLog)
-	u.actLog, u.audLog = u.actLog[:0], u.audLog[:0]
-	u.buffer = make([]core.Sample, len(st.Buffer))
-	for i, s := range st.Buffer {
-		u.buffer[i] = u.logWindow(copySample(s))
+	clear(u.buffer)
+	u.buffer, u.actLog, u.audLog, u.used = u.buffer[:0], u.actLog[:0], u.audLog[:0], 0
+	for _, s := range st.Buffer {
+		u.buffer = append(u.buffer, u.logWindow(s))
 	}
 	u.prevWindowMean = st.PrevWindowMean
 	u.curWindowSum = st.CurWindowSum

@@ -548,12 +548,15 @@ func TestReusedTrainerMatchesFreshClone(t *testing.T) {
 }
 
 // TestWindowLogSharesOverlappingRows pins the window log: a buffered
-// sample's window is a q-row view of one stream-ordered log whose rows are
-// the caller's own, and the log holds each row once. A densely buffered
-// cycle of n windows costs n + q − 1 rows and never grows the log past its
-// first size; every other segment costs 2 rows a window; disjoint windows
-// cost q rows each, at most q·MaxBuffer. The log is reused across cycles:
-// a second dense cycle allocates nothing.
+// sample's window is a q-row view of one stream-ordered log of rows the
+// updater owns, copied from the caller's, and the log holds each row once.
+// A densely buffered cycle of n windows costs n + q − 1 rows and never
+// grows the log past its first size; every other segment costs 2 rows a
+// window; disjoint windows cost q rows each, at most q·MaxBuffer. The
+// caller's rows are poisoned with NaN after each Observe, and every
+// buffered sample must still hold the bits it was given. Rows are shared by
+// their bits, so a −0 is not taken for a 0. The log is reused across
+// cycles: a second dense cycle allocates nothing.
 func TestWindowLogSharesOverlappingRows(t *testing.T) {
 	const q, maxBuffer = 3, 12
 	cfg := DefaultConfig()
@@ -561,6 +564,21 @@ func TestWindowLogSharesOverlappingRows(t *testing.T) {
 	cfg.DriftThreshold = -1 // drift checks never retrain
 	rng := rand.New(rand.NewSource(37))
 	stream := makeSamples(t, rng, 200, 0)
+	sameBits := func(a, b []float64) bool {
+		for j := range a {
+			if math.Float64bits(a[j]) != math.Float64bits(b[j]) {
+				return false
+			}
+		}
+		return len(a) == len(b)
+	}
+	poison := func(s core.Sample) {
+		for _, r := range append(append(s.ActionSeq, s.AudienceSeq...), s.ActionTarget, s.AudienceTarget) {
+			for j := range r {
+				r[j] = math.NaN()
+			}
+		}
+	}
 	for _, tc := range []struct {
 		name   string
 		stride int
@@ -576,14 +594,20 @@ func TestWindowLogSharesOverlappingRows(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i := 0; i < maxBuffer-1; i++ {
-				s := stream[i*tc.stride]
+				s := copySample(stream[i*tc.stride])
 				if res, err := u.Observe(s, 0); err != nil || !res.Buffered {
 					t.Fatalf("window %d: buffered %v, %v", i, res.Buffered, err)
 				}
-				b := u.buffer[i]
-				for r := 0; r < q; r++ {
-					if &b.ActionSeq[r][0] != &s.ActionSeq[r][0] || &b.AudienceSeq[r][0] != &s.AudienceSeq[r][0] {
-						t.Fatalf("window %d row %d: the buffered sample reads another row than the caller's", i, r)
+				poison(s)
+				for j, b := range u.buffer {
+					want := stream[j*tc.stride]
+					for r := 0; r < q; r++ {
+						if !sameBits(b.ActionSeq[r], want.ActionSeq[r]) || !sameBits(b.AudienceSeq[r], want.AudienceSeq[r]) {
+							t.Fatalf("after window %d, window %d row %d does not hold the bits it was given", i, j, r)
+						}
+					}
+					if !sameBits(b.ActionTarget, want.ActionTarget) || !sameBits(b.AudienceTarget, want.AudienceTarget) {
+						t.Fatalf("after window %d, window %d's target does not hold the bits it was given", i, j)
 					}
 				}
 			}
@@ -598,6 +622,24 @@ func TestWindowLogSharesOverlappingRows(t *testing.T) {
 			}
 		})
 	}
+
+	t.Run("signed-zero", func(t *testing.T) {
+		u, err := New(testModel(t), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		first, next := copySample(stream[0]), copySample(stream[1])
+		first.ActionSeq[1][0] = 0
+		next.ActionSeq[0][0] = math.Copysign(0, -1)
+		for _, s := range []core.Sample{first, next} {
+			if res, err := u.Observe(s, 0); err != nil || !res.Buffered {
+				t.Fatalf("buffered %v, %v", res.Buffered, err)
+			}
+		}
+		if len(u.actLog) != 2*q || !math.Signbit(u.buffer[1].ActionSeq[0][0]) {
+			t.Fatalf("a window whose first row holds −0 shared the log's 0: %d log rows, want %d", len(u.actLog), 2*q)
+		}
+	})
 
 	u, err := New(testModel(t), cfg)
 	if err != nil {
@@ -631,7 +673,8 @@ func TestWindowLogSharesOverlappingRows(t *testing.T) {
 // TestObserveHiddenMatchesObserve pins the handover: an updater given each
 // buffered window's hidden state by its caller buffers, checks drift and
 // retrains exactly as one that computes the states itself, and ends with
-// the same parameters; a state of the wrong size is refused.
+// the same parameters; a state of the wrong size, or a sample it could not
+// train on, is refused.
 func TestObserveHiddenMatchesObserve(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	base := testModel(t)
@@ -683,5 +726,12 @@ func TestObserveHiddenMatchesObserve(t *testing.T) {
 	}
 	if _, err := handed.ObserveHidden(stream[0], 0, hidden[1:]); err == nil {
 		t.Fatal("a hidden state of the wrong size was accepted")
+	}
+	// The updater copies a buffered sample into rows of the model's dims,
+	// so a sample it could not train on is refused, not zero-filled.
+	untargeted := stream[0]
+	untargeted.AudienceTarget = nil
+	if _, err := handed.ObserveHidden(untargeted, -1, hidden); err == nil {
+		t.Fatal("a sample without an audience target was buffered")
 	}
 }

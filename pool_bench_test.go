@@ -14,13 +14,13 @@ package aovlis_test
 // (queue wait + detection), which the mean ns/op hides — and occupancy,
 // the mean number of segments each shard wake-up scored in one batched
 // inference pass. One trained detector is cloned over 16 channels; each
-// channel has one producer streaming it with a small window of
-// asynchronous in-flight submissions (the steady state of a live NDJSON
-// feed), at 1, 4, 8 and 16 shards with micro-batching on.
+// channel has one producer streaming it with a window of asynchronous
+// in-flight submissions (the steady state of a live NDJSON feed). The
+// inputs are the shard count, the window and the micro-batching cap: 1,
+// which scores every segment alone, against 16, aovlisd's -batch default.
+// At the same shards and window, the two caps show what batching buys:
 //
-// BenchmarkPoolThroughputSerial is the same workload submitted strictly
-// synchronously to a batching-off pool — the PR 4 configuration — so the
-// micro-batching delta stays measurable over time.
+//	go test -run '^$' -bench 'BenchmarkPoolThroughput/shards=2/' -benchtime 3s -count 3 .
 
 import (
 	"fmt"
@@ -73,32 +73,23 @@ func poolBenchFixture() error {
 
 // BenchmarkPoolThroughput measures end-to-end pool throughput
 // (segments/sec), producer-visible latency quantiles and batch occupancy
-// against shard count, with micro-batching on.
+// against shard count, producer window and batch cap.
 func BenchmarkPoolThroughput(b *testing.B) {
-	for _, shards := range []int{1, 4, 8, 16} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			benchmarkPoolThroughput(b, serve.Config{
-				Shards: shards, QueueDepth: 1024, Batch: 32,
-			}, 2)
-		})
-	}
-}
-
-// BenchmarkPoolThroughputSerial is the batching-off baseline: synchronous
-// closed-loop producers against a serial pool (the PR 4 configuration).
-func BenchmarkPoolThroughputSerial(b *testing.B) {
-	for _, shards := range []int{1, 8} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			benchmarkPoolThroughput(b, serve.Config{
-				Shards: shards, QueueDepth: 1024,
-			}, 1)
-		})
+	for _, shards := range []int{1, 2, 8, 16} {
+		for _, window := range []int{2, 4, 16} {
+			for _, batch := range []int{1, 16} {
+				b.Run(fmt.Sprintf("shards=%d/window=%d/batch=%d", shards, window, batch), func(b *testing.B) {
+					benchmarkPoolThroughput(b, serve.Config{
+						Shards: shards, QueueDepth: 1024, Batch: batch,
+					}, window)
+				})
+			}
+		}
 	}
 }
 
 // benchmarkPoolThroughput drives 16 channels, one producer per channel,
-// each keeping up to `window` submissions in flight (window 1 = the
-// synchronous Observe loop).
+// each keeping up to `window` submissions in flight.
 func benchmarkPoolThroughput(b *testing.B, cfg serve.Config, window int) {
 	if err := poolBenchFixture(); err != nil {
 		b.Fatal(err)

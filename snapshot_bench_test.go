@@ -7,7 +7,8 @@ package aovlis_test
 //   - BenchmarkPoolThroughputUnderSnapshot: the p99 isolation criterion —
 //     Observe latency distribution while a background goroutine
 //     continuously checkpoints the pool. Compare its p99-µs against
-//     BenchmarkPoolThroughput/shards=8: the acceptance bar is ≤ 2×.
+//     BenchmarkPoolThroughput/shards=8/window=2/batch=1: the acceptance
+//     bar is ≤ 2×.
 //
 // They live in the external test package next to pool_bench_test.go (and
 // share its trained-template fixture) because internal/serve imports

@@ -102,8 +102,8 @@ func TestSnapshotRestoreBitIdentical(t *testing.T) {
 
 // TestStateBeforeDriftCheckSurvivesRecycling takes a Snapshot and an
 // Updater.State one segment before a drift check that retrains. The
-// original then runs on through the check, which hands the rows its
-// buffered samples pinned back to the free lists, and later segments are
+// original then runs on through the check, which frees the rows its
+// updater's buffered samples own, and the samples buffered after it are
 // copied into those rows. A detector restored from the snapshot, and one
 // given the exported updater state only after all that, must still retrain
 // on the buffered samples as they were: the same verdicts and the same
@@ -143,9 +143,8 @@ func TestStateBeforeDriftCheckSurvivesRecycling(t *testing.T) {
 		t.Fatalf("%d samples buffered before the drift check, want %d", len(st.Buffer), det.cfg.Update.MaxBuffer-1)
 	}
 	want := observeSerially(t, det, actions[check:], audience[check:])
-	if !want[0].Updated || len(det.parkedAct) != 0 || len(det.freeAct) == 0 {
-		t.Fatalf("the check did not retrain and recycle: updated %v, %d rows parked, %d free",
-			want[0].Updated, len(det.parkedAct), len(det.freeAct))
+	if !want[0].Updated {
+		t.Fatal("the drift check did not retrain")
 	}
 
 	restored, err := RestoreDetector(bytes.NewReader(snap))
