@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+
 	"aovlis/internal/ad"
 	"aovlis/internal/mat"
 	"aovlis/internal/nn"
@@ -78,7 +80,13 @@ func (m *Model) hiddenTape(s *Sample) []float64 {
 }
 
 // trainStepTape is the training step on the reference tape: forward, loss
-// and backward all recorded on it, then the same optimiser step.
+// and backward all recorded on it, then the same optimiser step — clipped
+// by the definition of the clip norm, not by Adam's certified shortcut:
+// each gradient's Dot from zero, the totals in registration order, the
+// factor applied to the gradients here and the step taken with clipping
+// off. g·s·1 is g·s, so the update is the clipped step bit for bit, and
+// TestTrainPlanGoldenEquivalence pins the plan's clipScale — its
+// certificate and its exact fallback — to the definition.
 func (m *Model) trainStepTape(s *Sample) (float64, error) {
 	if err := m.ValidateTrain(s); err != nil {
 		return 0, err
@@ -89,6 +97,26 @@ func (m *Model) trainStepTape(s *Sample) (float64, error) {
 	tp.Backward(loss)
 	grads := make([]*mat.Matrix, len(m.ps.Names()))
 	b.GradsFlatInto(grads)
+	if c := m.opt.ClipNorm; c > 0 {
+		var total float64
+		for _, g := range grads {
+			if g != nil {
+				total += mat.Dot(g, g)
+			}
+		}
+		if norm := math.Sqrt(total); !(norm <= c || norm == 0) {
+			f := c / norm
+			for _, g := range grads {
+				if g != nil {
+					for i := range g.Data {
+						g.Data[i] *= f
+					}
+				}
+			}
+		}
+		m.opt.ClipNorm = 0
+		defer func() { m.opt.ClipNorm = c }()
+	}
 	m.opt.StepFlat(m.ps, grads)
 	return ad.Scalar(loss), nil
 }

@@ -55,7 +55,10 @@ func TestTrainPlanGoldenEquivalence(t *testing.T) {
 	for _, coupling := range []Coupling{CouplingFull, CouplingOneWay, CouplingNone} {
 		for _, loss := range []nn.LossKind{nn.LossJS, nn.LossKL, nn.LossL2} {
 			// 0 disables clipping, 5 is the default (fires on the first
-			// steps only), 0.05 fires on every step.
+			// steps only), 0.05 fires on every step. The tape clips by the
+			// definition (trainStepTape), so 5 pins clipScale's certified
+			// "no clip" as well as its exact path, and 0.05 — a global norm
+			// above ClipNorm on every step — its exact fallback alone.
 			finals := map[float64][]byte{}
 			for _, clip := range []float64{0, 5, 0.05} {
 				name := fmt.Sprintf("%s/%s/clip=%v", coupling, loss, clip)

@@ -1,8 +1,9 @@
 // Register-block kernels of the training step: the block transpose behind
-// TransposeTo, the lane-per-vector sum of squares behind SumSquaresEach and
-// the elementwise add behind VecAddInto. The first is data movement; the
-// other two add in the order their Go loops do (see train.go), so all three
-// are bit-identical to those loops by construction.
+// TransposeTo, the elementwise add behind VecAddInto and the unordered sum
+// of squares behind SumSquaresUnordered. The first is data movement and
+// the second adds in the order its Go loop does (see train.go), so both are
+// bit-identical to those loops by construction; the third promises only
+// SumSquaresUnordered's error bound.
 
 #include "textflag.h"
 
@@ -139,85 +140,95 @@ t2blk:
 	VZEROUPPER
 	RET
 
-// SUMSQ4 is one block of sumSqLanesAVX2 for four vectors A–D (pointer
-// registers) into the accumulator ACC, at byte offset AX. Two elements of
-// each vector arrive already paired by 128-bit lane — A and C share one
-// register, B and D the other, the upper halves inserted straight from
-// memory, which costs no shuffle-port slot — so one unpack pair yields
-// element k of all four vectors in lane order A, B, C, D. Y0–Y5 are
-// clobbered.
-#define SUMSQ4(A, B, C, D, ACC) \
-	VMOVUPD     (A)(AX*1), X0;         \
-	VINSERTF128 $1, (C)(AX*1), Y0, Y0; \ // a₀ a₁ | c₀ c₁
-	VMOVUPD     (B)(AX*1), X1;         \
-	VINSERTF128 $1, (D)(AX*1), Y1, Y1; \ // b₀ b₁ | d₀ d₁
-	VUNPCKLPD   Y1, Y0, Y2;            \ // a₀ b₀ c₀ d₀
-	VUNPCKHPD   Y1, Y0, Y3;            \ // a₁ b₁ c₁ d₁
-	VMOVUPD     16(A)(AX*1), X0;       \
-	VINSERTF128 $1, 16(C)(AX*1), Y0, Y0; \
-	VMOVUPD     16(B)(AX*1), X1;       \
-	VINSERTF128 $1, 16(D)(AX*1), Y1, Y1; \
-	VUNPCKLPD   Y1, Y0, Y4;            \ // a₂ b₂ c₂ d₂
-	VUNPCKHPD   Y1, Y0, Y5;            \ // a₃ b₃ c₃ d₃
-	VMULPD      Y2, Y2, Y2;            \
-	VMULPD      Y3, Y3, Y3;            \
-	VMULPD      Y4, Y4, Y4;            \
-	VMULPD      Y5, Y5, Y5;            \
-	VADDPD      Y2, ACC, ACC;          \
-	VADDPD      Y3, ACC, ACC;          \
-	VADDPD      Y4, ACC, ACC;          \
-	VADDPD      Y5, ACC, ACC
+// func sumSqAVX512(v *float64, n int) float64
+// Σ v[i]² over n elements (n a positive multiple of 8) in no fixed order:
+// four accumulators of eight lanes, each square fused into its add, folded
+// together at the end. SumSquaresUnordered states what that order costs.
+TEXT ·sumSqAVX512(SB), NOSPLIT, $0-24
+	MOVQ v+0(FP), SI
+	MOVQ n+8(FP), CX
+	SHLQ $3, CX
+	ADDQ SI, CX            // end
+	VPXORQ Z0, Z0, Z0
+	VPXORQ Z1, Z1, Z1
+	VPXORQ Z2, Z2, Z2
+	VPXORQ Z3, Z3, Z3
+	LEAQ -256(CX), DX
+ss5blk32:
+	CMPQ SI, DX
+	JA   ss5blk8
+	VMOVUPD (SI), Z4
+	VMOVUPD 64(SI), Z5
+	VMOVUPD 128(SI), Z6
+	VMOVUPD 192(SI), Z7
+	VFMADD231PD Z4, Z4, Z0
+	VFMADD231PD Z5, Z5, Z1
+	VFMADD231PD Z6, Z6, Z2
+	VFMADD231PD Z7, Z7, Z3
+	ADDQ $256, SI
+	JMP  ss5blk32
+ss5blk8:
+	CMPQ SI, CX
+	JAE  ss5sum
+	VMOVUPD (SI), Z4
+	VFMADD231PD Z4, Z4, Z0
+	ADDQ $64, SI
+	JMP  ss5blk8
+ss5sum:
+	VADDPD Z1, Z0, Z0
+	VADDPD Z3, Z2, Z2
+	VADDPD Z2, Z0, Z0
+	VEXTRACTF64X4 $1, Z0, Y1
+	VADDPD Y1, Y0, Y0
+	VEXTRACTF128 $1, Y0, X1
+	VADDPD X1, X0, X0
+	VUNPCKHPD X0, X0, X1
+	VADDSD X1, X0, X0
+	MOVSD X0, ret+16(FP)
+	VZEROUPPER
+	RET
 
-// func sumSqLanesAVX2(acc *[8]float64, ptrs *[8]*float64, nblk int, upper bool)
-//
-//	acc[l] += ptrs[l][k]²   for k = 0 … 4·nblk−1 in ascending order
-//
-// for l = 0 … 7, or l = 0 … 3 alone when upper is false (the longest
-// vectors are taken first and so outlive the others in the lower lanes).
-// Y14 carries the running sums of vectors 0–3, one per lane, Y15 those of
-// vectors 4–7. A block is four elements of each vector: transposed on the
-// way in so that a register holds element k of four vectors (SUMSQ4),
-// squared there (one VMULPD per element index, every product rounded on its
-// own), then added to the accumulator in four dependent VADDPDs, k
-// ascending — per lane exactly the scalar loop's s += x·x. The add chains
-// are the critical path; loads, shuffles and squares of the next block
-// overlap them. The kernel serves the AVX-512 level too: a ZMM add has
-// nearly twice the latency of a YMM add on the cores measured, which is the
-// one thing a chain of dependent adds pays for (BENCH.md §17). nblk ≥ 1.
-TEXT ·sumSqLanesAVX2(SB), NOSPLIT, $0-25
-	MOVQ acc+0(FP), DI
-	MOVQ ptrs+8(FP), SI
-	MOVQ nblk+16(FP), CX
-	MOVQ (SI), R8
-	MOVQ 8(SI), R9
-	MOVQ 16(SI), R10
-	MOVQ 24(SI), R11
-	XORQ AX, AX
-	VMOVUPD (DI), Y14
-	CMPB upper+24(FP), $0
-	JEQ  s2lower
-	MOVQ 32(SI), R12
-	MOVQ 40(SI), R13
-	MOVQ 48(SI), R14
-	MOVQ 56(SI), R15
-	VMOVUPD 32(DI), Y15
-	PCALIGN $32
-s2both:
-	SUMSQ4(R8, R9, R10, R11, Y14)
-	SUMSQ4(R12, R13, R14, R15, Y15)
-	ADDQ $32, AX
-	DECQ CX
-	JNZ  s2both
-	VMOVUPD Y15, 32(DI)
-	JMP  s2done
-	PCALIGN $32
-s2lower:
-	SUMSQ4(R8, R9, R10, R11, Y14)
-	ADDQ $32, AX
-	DECQ CX
-	JNZ  s2lower
-s2done:
-	VMOVUPD Y14, (DI)
+// func sumSqAVX2(v *float64, n int) float64
+// The same on YMM registers; n is a positive multiple of 4.
+TEXT ·sumSqAVX2(SB), NOSPLIT, $0-24
+	MOVQ v+0(FP), SI
+	MOVQ n+8(FP), CX
+	SHLQ $3, CX
+	ADDQ SI, CX
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	LEAQ -128(CX), DX
+ss2blk16:
+	CMPQ SI, DX
+	JA   ss2blk4
+	VMOVUPD (SI), Y4
+	VMOVUPD 32(SI), Y5
+	VMOVUPD 64(SI), Y6
+	VMOVUPD 96(SI), Y7
+	VFMADD231PD Y4, Y4, Y0
+	VFMADD231PD Y5, Y5, Y1
+	VFMADD231PD Y6, Y6, Y2
+	VFMADD231PD Y7, Y7, Y3
+	ADDQ $128, SI
+	JMP  ss2blk16
+ss2blk4:
+	CMPQ SI, CX
+	JAE  ss2sum
+	VMOVUPD (SI), Y4
+	VFMADD231PD Y4, Y4, Y0
+	ADDQ $32, SI
+	JMP  ss2blk4
+ss2sum:
+	VADDPD Y1, Y0, Y0
+	VADDPD Y3, Y2, Y2
+	VADDPD Y2, Y0, Y0
+	VEXTRACTF128 $1, Y0, X1
+	VADDPD X1, X0, X0
+	VUNPCKHPD X0, X0, X1
+	VADDSD X1, X0, X0
+	MOVSD X0, ret+16(FP)
 	VZEROUPPER
 	RET
 

@@ -21,6 +21,9 @@ func tanhAVX512(dst, src *float64, n int) int
 //go:noescape
 func tanhAVX2(dst, src *float64, n int) int
 
+//go:noescape
+func lstmGatesAVX512(h, cNext, tanhC, pre, cPrev *float64, n int) bool
+
 // simdExactLevel is simdGEMMLevel when the exact transcendental kernels
 // may stand in for math.Exp and math.Tanh, and 0 when the scalar calls must
 // be made instead.
@@ -65,6 +68,17 @@ func simdExpNegInto(v []float64) int { return exactExpNegBlocks(simdExactLevel, 
 // simdTanhInto is simdExpNegInto for dst = math.Tanh(src); dst and src may
 // alias (the kernels load a block before they store it).
 func simdTanhInto(dst, src []float64) int { return exactTanhBlocks(simdExactLevel, dst, src) }
+
+// simdLSTMGates runs LSTMGatesTrainInto's phases in one kernel call where
+// the AVX-512 exact kernels are admitted and the step has whole blocks
+// only, and reports whether it did; it writes nothing when it does not.
+func simdLSTMGates(h, cNext, tanhC, pre, cPrev []float64) bool {
+	n := len(h)
+	if simdExactLevel != 3 || n == 0 || n%8 != 0 {
+		return false
+	}
+	return lstmGatesAVX512(&h[0], &cNext[0], &tanhC[0], &pre[0], &cPrev[0], n)
+}
 
 // exactExpNegBlocks drives the level's kernel (8 ZMM lanes at level 3,
 // 4 YMM lanes at level 2, nothing at 0) over v's whole blocks. A block the

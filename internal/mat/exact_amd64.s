@@ -325,3 +325,140 @@ th2done:
 	MOVQ DX, ret+24(FP)
 	VZEROUPPER
 	RET
+
+// TANH512 leaves math.Tanh(X) in R for a vector X whose lanes all lie in
+// |x| ≤ 700, Z holding |X|: tanhAVX512's body for a mixed block, both
+// branches computed and blended per lane (which branches ran never shows
+// in a lane's value). Z13 holds the sign mask, Z16 0.625, Z17 0.5·MAXLOG,
+// Z19 1.0, Z20 +0 and Z21 2.0. E, KH (the Y half of a register), K, P, T,
+// S, N, D and K2–K4 are clobbered.
+#define TANH512(X, Z, R, E, KH, K, P, T, S, N, D) \
+	TANHRATIONAL(X, R, S, N, D, T);      \
+	VCMPPD       $0, Z20, X, K4;         \ // EQ_OQ: tanh(±0) = ±0
+	VMOVAPD      X, K4, R;               \
+	VADDPD       Z, Z, E;                \ // 2z
+	EXACTEXP(E, VCVTPD2DQ, KH, K, P, T); \
+	VADDPD       Z19, E, E;              \ // s + 1
+	VDIVPD       E, Z21, E;              \ // 2/(s+1)
+	VSUBPD       E, Z19, E;              \ // 1 − 2/(s+1)
+	VCMPPD       $30, Z17, Z, K3;        \ // GT_OQ: z > 0.5·MAXLOG saturates
+	VMOVAPD      Z19, K3, E;             \
+	VPANDQ       Z13, X, T;              \
+	VPXORQ       T, E, E;                \ // x < 0 negates
+	VCMPPD       $29, Z16, Z, K2;        \ // GE_OQ: z ≥ 0.625 takes it
+	VMOVAPD      E, K2, R
+
+// SIGMOID8 replaces the eight preactivations at memory operand P by
+// 1/(1 + math.Exp(−x)), as expNegAVX512 then vecRecip1pAVX512 compute it;
+// every lane lies in |x| ≤ 700. Z0–Z4 are clobbered.
+#define SIGMOID8(P) \
+	VMOVUPD P, Z0;                         \
+	VPXORQ  Z13, Z0, Z0;                   \
+	EXACTEXP(Z0, VCVTPD2DQ, Y1, Z2, Z3, Z4); \
+	VADDPD  Z0, Z19, Z0;                   \
+	VDIVPD  Z0, Z19, Z0;                   \
+	VMOVUPD Z0, P
+
+// func lstmGatesAVX512(h, cNext, tanhC, pre, cPrev *float64, n int) bool
+//
+// LSTMGatesTrainInto's phases in one call, n a positive multiple of 8:
+// each phase is the phased path's kernel loop (expNegAVX512 with
+// vecRecip1pAVX512's quotient for the three sigmoid gates, tanhAVX512 for
+// the candidate, the cell update, tanhAVX512 again, the output product),
+// run over every block of the step before the next phase starts, so the
+// blocks of all three sigmoid gates are one stream of independent chains.
+// It returns false, having written nothing, when a preactivation lies
+// outside the exponential's |x| ≤ 700 (or is NaN).
+TEXT ·lstmGatesAVX512(SB), NOSPLIT, $0-49
+	MOVQ h+0(FP), DI
+	MOVQ cNext+8(FP), R8
+	MOVQ tanhC+16(FP), R9
+	MOVQ pre+24(FP), SI
+	MOVQ cPrev+32(FP), R10
+	MOVQ n+40(FP), CX
+	SHLQ $3, CX                  // n in bytes: the gate stride
+	VBROADCASTSD cSign, Z13
+	VBROADCASTSD cAbs, Z14
+	VBROADCASTSD cGuard, Z15
+	VBROADCASTSD cBranch, Z16
+	VBROADCASTSD cSat, Z17
+	VBROADCASTSD cOne, Z19
+	VPXORQ       Z20, Z20, Z20
+	VBROADCASTSD cTwo, Z21
+	// Every preactivation inside the guard, or nothing is written.
+	LEAQ (CX)(CX*1), DX
+	LEAQ (DX)(DX*1), DX          // 4n in bytes
+	XORQ AX, AX
+	KXNORW K1, K1, K1
+lgguard:
+	VMOVUPD (SI)(AX*1), Z0
+	VPANDQ  Z14, Z0, Z0
+	VCMPPD  $18, Z15, Z0, K1, K1 // LE_OQ: |x| ≤ 700; NaN fails
+	ADDQ    $64, AX
+	CMPQ    AX, DX
+	JLT     lgguard
+	KMOVW   K1, AX
+	CMPL    AX, $0xFF
+	JNE     lgrefused
+	// σ = 1/(1 + e^(−x)) over the i and f rows (adjacent), then the o row.
+	LEAQ (CX)(CX*1), DX          // the i and f rows, bytes
+	XORQ AX, AX
+lgsigif:
+	SIGMOID8((SI)(AX*1))
+	ADDQ    $64, AX
+	CMPQ    AX, DX
+	JLT     lgsigif
+	LEAQ (SI)(DX*1), R12
+	ADDQ CX, R12                 // the o row
+	XORQ AX, AX
+lgsigo:
+	SIGMOID8((R12)(AX*1))
+	ADDQ    $64, AX
+	CMPQ    AX, CX
+	JLT     lgsigo
+	// c̃ = tanh(pre_c) in place.
+	LEAQ (SI)(CX*2), R11         // the c̃ row
+	XORQ AX, AX
+lgcand:
+	VMOVUPD (R11)(AX*1), Z0
+	VPANDQ  Z14, Z0, Z1
+	TANH512(Z0, Z1, Z2, Z3, Y4, Z5, Z6, Z7, Z8, Z9, Z10)
+	VMOVUPD Z2, (R11)(AX*1)
+	ADDQ    $64, AX
+	CMPQ    AX, CX
+	JLT     lgcand
+	// c_t = i·c̃ + f·c_{t−1}, each product rounded.
+	XORQ AX, AX
+	LEAQ (SI)(CX*1), R12         // the f row
+lgcell:
+	VMOVUPD (SI)(AX*1), Z0       // i
+	VMULPD  (R11)(AX*1), Z0, Z0  // i·c̃
+	VMOVUPD (R12)(AX*1), Z1      // f
+	VMULPD  (R10)(AX*1), Z1, Z1  // f·c_{t−1}
+	VADDPD  Z1, Z0, Z0
+	VMOVUPD Z0, (R8)(AX*1)
+	ADDQ    $64, AX
+	CMPQ    AX, CX
+	JLT     lgcell
+	// tanh(c_t), then h = o·tanh(c_t); tanhC may be h. No guard here:
+	// past 0.5·MAXLOG ≈ 44 TANH512 takes ±1 whatever the exponential
+	// made of 2z, as math.Tanh does, and a NaN stays NaN.
+	LEAQ (R11)(CX*1), R12        // the o row
+	XORQ AX, AX
+lgout:
+	VMOVUPD (R8)(AX*1), Z0
+	VPANDQ  Z14, Z0, Z1
+	TANH512(Z0, Z1, Z2, Z3, Y4, Z5, Z6, Z7, Z8, Z9, Z10)
+	VMOVUPD Z2, (R9)(AX*1)
+	VMULPD  (R12)(AX*1), Z2, Z2  // o·tanh(c_t)
+	VMOVUPD Z2, (DI)(AX*1)
+	ADDQ    $64, AX
+	CMPQ    AX, CX
+	JLT     lgout
+	MOVB $1, ret+48(FP)
+	VZEROUPPER
+	RET
+lgrefused:
+	MOVB $0, ret+48(FP)
+	VZEROUPPER
+	RET

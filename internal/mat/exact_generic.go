@@ -8,3 +8,5 @@ package mat
 func simdExpNegInto(v []float64) int { return 0 }
 
 func simdTanhInto(dst, src []float64) int { return 0 }
+
+func simdLSTMGates(h, cNext, tanhC, pre, cPrev []float64) bool { return false }

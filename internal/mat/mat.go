@@ -234,7 +234,7 @@ func Dot(a, b *Matrix) float64 {
 	mustSameShape("Dot", a, b)
 	var s float64
 	for i, v := range a.Data {
-		s += float64(v * b.Data[i]) // no FMA contraction: SumSquaresEach must match
+		s += float64(v * b.Data[i]) // no FMA contraction: nn.Adam's exact clip norm sums these bits
 	}
 	return s
 }

@@ -15,8 +15,9 @@ import (
 //     for the forward GEMV (GEMVBiasInto ≡ MatMul), descending time step
 //     for the weight gradient (MatMulATStepsInto ≡ a cleared matrix and one
 //     MatMulATInto per step in Backward's reverse order). Vector lanes are
-//     always distinct output elements — or, in SumSquaresEach, distinct
-//     sums — so no horizontal sum ever reorders a reduction.
+//     always distinct output elements, so no horizontal sum ever reorders
+//     a reduction. (SumSquaresUnordered is the exception by name: it bounds
+//     a sum, it does not reproduce one.)
 //   - The zero-skip survives where the tape has it. MatMulATInto skips
 //     a[k] == 0 terms; MatMulATStepsInto keeps the branch, so a term the
 //     tape never adds (0·Inf would be NaN) is never added here either.
@@ -28,10 +29,13 @@ import (
 // The optimiser kernel (AdamInto) is purely elementwise: IEEE add, mul,
 // divide and square root are correctly rounded, so evaluating eight
 // elements per instruction cannot change any of them. Its vector form
-// does fuse, in one place and to the same end: the two quotients whose
+// does fuse, in two places and to the same end: the two quotients whose
 // divisor is a per-step scalar are computed as a correctly rounded
 // division by other means (a reciprocal and two FMAs, see train_amd64.s),
-// which is the quotient `/` returns or the lane takes the divide.
+// which is the quotient `/` returns or the lane takes the divide; and on
+// AVX-512 half the square roots come from Newton steps whose result an
+// exact test certifies to be the correctly rounded root, or VSQRTPD takes
+// the vector.
 
 // GEMVBiasInto computes dst = x·w + bias for the ROW-MAJOR n×m weight w
 // (len(x) = n, len(dst) = len(bias) = m): each dst[j] is one accumulator
@@ -63,12 +67,20 @@ func GEMVBiasInto(dst, x []float64, w *Matrix, bias []float64) {
 // bit-identical to it — and to the tape: the explicit float64 conversions
 // force the two products to round before the add, exactly as the tape
 // rounds them when storing the Mul nodes, so no FMA contraction can
-// perturb the result.
+// perturb the result. Where the AVX-512 exact kernels run, one call
+// (lstmGatesAVX512) does the phases, each over every block before the
+// next, so the three sigmoid gates' exponentials are one stream of
+// independent chains and no phase pays a call or a scalar loop; a
+// preactivation outside the exponential's guard sends the step to the
+// calls below.
 func LSTMGatesTrainInto(h, cNext, tanhC, pre, cPrev []float64) {
 	n := len(h)
 	if len(cNext) != n || len(tanhC) != n || len(cPrev) != n || len(pre) != 4*n {
 		panic(fmt.Sprintf("mat: LSTMGatesTrainInto lengths h=%d cNext=%d tanhC=%d cPrev=%d pre=%d",
 			n, len(cNext), len(tanhC), len(cPrev), len(pre)))
+	}
+	if simdLSTMGates(h, cNext, tanhC, pre, cPrev) {
+		return
 	}
 	ig, fg, cd, og := pre[0:n], pre[n:2*n], pre[2*n:3*n], pre[3*n:4*n]
 	expNegInto(pre[0 : 2*n]) // i and f gates are adjacent
@@ -197,99 +209,21 @@ func VecAddInto(dst, src []float64) {
 	}
 }
 
-// sumSquaresLanes is how many sums SumSquaresEach keeps in flight.
-const sumSquaresLanes = 8
-
-// SumSquaresEach sets dst[i] = Σ_k vecs[i][k]² for every vector, each its
-// own strictly ascending sum from zero with every square rounded before it
-// is added — bit for bit Dot(v, v). Such a sum is one chain of dependent
-// adds and cannot be split without reordering it; what can overlap is the
-// chains of DIFFERENT vectors. Eight run at a time, one per lane, and a
-// lane whose vector ends takes the next one, so vectors of unequal length
-// pack: the call costs about the latency of its longest chain instead of
-// the sum of all of them. order lists the indexes of vecs in the sequence
-// lanes take them; longest first gives the shortest schedule, any
-// permutation gives the same bits.
-func SumSquaresEach(dst []float64, vecs [][]float64, order []int) {
-	if len(dst) != len(vecs) || len(order) != len(vecs) {
-		panic(fmt.Sprintf("mat: SumSquaresEach dst[%d], %d vectors, order[%d]", len(dst), len(vecs), len(order)))
+// SumSquaresUnordered returns Σ v[i]², summed in no particular order: the
+// vector kernels keep several partial sums and fuse each square into its
+// add. It is for bounds, not for bits — nn.Adam asks it whether clipping
+// can fire at all. The price of the freedom is the textbook bound: every
+// evaluation order puts each of the n terms through at most n roundings,
+// so without overflow the result R and the exact real sum S satisfy
+// |R − S| ≤ γₙ·S + n·2⁻¹⁰⁷³, with γₙ = n·2⁻⁵³/(1 − n·2⁻⁵³) (the second
+// term covers underflow) — and so does the ascending sum Dot(v, v), or any
+// other order. A NaN or ±Inf element makes the result NaN or +Inf.
+func SumSquaresUnordered(v []float64) float64 {
+	s, i := simdSumSquares(v)
+	for ; i < len(v); i++ {
+		s += v[i] * v[i]
 	}
-	var (
-		acc  [sumSquaresLanes]float64
-		rest [sumSquaresLanes][]float64 // what is left of each lane's vector
-		idx  [sumSquaresLanes]int       // its index in vecs, −1 for an idle lane
-		run  [sumSquaresLanes][]float64 // this round's operands
-	)
-	for l := range idx {
-		idx[l] = -1
-	}
-	next := 0
-	for {
-		// Retire finished lanes, refill free ones, and find the round's
-		// length: the shortest remainder among the busy lanes.
-		busy, n := -1, 0
-		for l := range rest {
-			if idx[l] >= 0 && len(rest[l]) == 0 {
-				dst[idx[l]], idx[l] = acc[l], -1
-			}
-			for idx[l] < 0 && next < len(order) {
-				i := order[next]
-				next++
-				if len(vecs[i]) == 0 {
-					dst[i] = 0
-					continue
-				}
-				idx[l], rest[l], acc[l] = i, vecs[i], 0
-			}
-			if idx[l] >= 0 && (busy < 0 || len(rest[l]) < n) {
-				busy, n = l, len(rest[l])
-			}
-		}
-		if busy < 0 {
-			return
-		}
-		// An idle lane reruns a busy lane's operands (valid memory of the
-		// right length) into an accumulator nobody reads.
-		spare, upper := rest[busy], false
-		for l := range run {
-			if idx[l] >= 0 {
-				run[l], rest[l] = rest[l][:n], rest[l][n:]
-				upper = upper || l >= sumSquaresLanes/2
-			} else {
-				run[l] = spare
-			}
-		}
-		sumSquaresLanesPortable(&acc, &run, simdSumSquaresLanes(&acc, &run, n, upper), n, upper)
-	}
-}
-
-// sumSquaresLanesPortable is the scalar body of SumSquaresEach's rounds over
-// elements [from, n) of the operands: the lower four lanes, then — when one
-// of them is busy — the upper four.
-func sumSquaresLanesPortable(acc *[sumSquaresLanes]float64, v *[sumSquaresLanes][]float64, from, n int, upper bool) {
-	if from >= n {
-		return
-	}
-	sumSquares4Portable(acc[:4], v[0][from:n], v[1][from:n], v[2][from:n], v[3][from:n])
-	if upper {
-		sumSquares4Portable(acc[4:], v[4][from:n], v[5][from:n], v[6][from:n], v[7][from:n])
-	}
-}
-
-// sumSquares4Portable adds the squares of four equal-length vectors to their
-// four accumulators: four independent chains of dependent adds, which is as
-// many as a scalar core overlaps at one element a cycle.
-func sumSquares4Portable(acc, a, b, c, d []float64) {
-	b, c, d = b[:len(a)], c[:len(a)], d[:len(a)]
-	sa, sb, sc, sd := acc[0], acc[1], acc[2], acc[3]
-	for i, v := range a {
-		w, x, y := b[i], c[i], d[i]
-		sa += float64(v * v)
-		sb += float64(w * w)
-		sc += float64(x * x)
-		sd += float64(y * y)
-	}
-	acc[0], acc[1], acc[2], acc[3] = sa, sb, sc, sd
+	return s
 }
 
 // AdamCoef carries the per-step scalars of AdamInto. OneMinusBeta1/2 and
@@ -316,8 +250,9 @@ type AdamCoef struct {
 // with every operation rounded separately in exactly that association —
 // the scalar optimiser loop this replaces. All operations are elementwise
 // and correctly rounded (the vector kernels' reciprocal form of m/bc₁ and
-// v/bc₂ included: TestAdamReciprocalDivisionExact), so the vector kernels
-// are bit-identical to the portable loop.
+// v/bc₂ included: TestAdamReciprocalDivisionExact; and their certified
+// square root: TestSqrtCertificateExact), so the vector kernels are
+// bit-identical to the portable loop (FuzzAdamInto).
 func AdamInto(p, m, v, g []float64, c *AdamCoef) {
 	if len(m) != len(p) || len(v) != len(p) || len(g) != len(p) {
 		panic(fmt.Sprintf("mat: AdamInto lengths p=%d m=%d v=%d g=%d", len(p), len(m), len(v), len(g)))

@@ -22,6 +22,9 @@ func gatesBackAVX2(dpre, carry, dh, act, tanhC, cPrev *float64, h, n int)
 func adamAVX512(p, m, v, grad *float64, n int, c *AdamCoef)
 
 //go:noescape
+func sqrtAVX512(dst, src *float64, n int) int
+
+//go:noescape
 func adamAVX2(p, m, v, grad *float64, n int, c *AdamCoef)
 
 // The register-block kernels (block_amd64.s).
@@ -33,7 +36,10 @@ func transposeAVX512(dst, src *float64, rows, cols int)
 func transposeAVX2(dst, src *float64, rows, cols int)
 
 //go:noescape
-func sumSqLanesAVX2(acc *[sumSquaresLanes]float64, ptrs *[sumSquaresLanes]*float64, nblk int, upper bool)
+func sumSqAVX512(v *float64, n int) float64
+
+//go:noescape
+func sumSqAVX2(v *float64, n int) float64
 
 //go:noescape
 func vecAddAVX512(dst, src *float64, n int)
@@ -121,20 +127,20 @@ func simdTransposeInto(dst, src []float64, rows, cols int) (doneRows, doneCols i
 	return 0, 0
 }
 
-// simdSumSquaresLanes runs the lane-per-vector sum of squares over as many
-// leading elements of the n-long vectors as whole blocks of four cover and
-// returns that count; upper says whether any of lanes 4–7 is busy. Every
-// vector level runs the YMM kernel (see there).
-func simdSumSquaresLanes(acc *[sumSquaresLanes]float64, v *[sumSquaresLanes][]float64, n int, upper bool) int {
-	if simdGEMMLevel == 0 || n < 4 {
-		return 0
+// simdSumSquares sums the squares of as many leading elements of v as the
+// active vector width covers and returns the sum and that count.
+func simdSumSquares(v []float64) (float64, int) {
+	switch simdGEMMLevel {
+	case 3:
+		if nv := len(v) &^ 7; nv > 0 {
+			return sumSqAVX512(&v[0], nv), nv
+		}
+	case 2:
+		if nv := len(v) &^ 3; nv > 0 {
+			return sumSqAVX2(&v[0], nv), nv
+		}
 	}
-	var ptrs [sumSquaresLanes]*float64
-	for l := range ptrs {
-		ptrs[l] = &v[l][0]
-	}
-	sumSqLanesAVX2(acc, &ptrs, n/4, upper)
-	return n &^ 3
+	return 0, 0
 }
 
 // simdVecAddInto runs the vectorised dst += src over as many leading

@@ -3,9 +3,11 @@
 // lanes are always distinct output elements and every product is rounded
 // by its own VMULPD before the VADDPD — never VFMADD, except inside the
 // Adam kernels' reciprocal division, where the fused pair IS the correctly
-// rounded quotient (see adamAVX512). The hot loops are
-// PCALIGNed: the scalar kernels they replace moved 11 % on a relink that
-// only shifted their loop heads across a fetch boundary (BENCH.md §11).
+// rounded quotient, and in the certified square root, whose FMAs only
+// propose a root that an exact test accepts (see adamAVX512). The hot
+// loops are PCALIGNed: the scalar kernels they replace moved 11 % on a
+// relink that only shifted their loop heads across a fetch boundary
+// (BENCH.md §11).
 
 #include "textflag.h"
 
@@ -411,13 +413,87 @@ GLOBL adamRange<>(SB), RODATA|NOPTR, $48
 	XORL      $0xFF, R9;         \
 	ORQ       OK, R9
 
+DATA sqrtConst<>+0(SB)/8, $0.5
+DATA sqrtConst<>+8(SB)/8, $1
+GLOBL sqrtConst<>(SB), RODATA|NOPTR, $16
+
+// CERTSQRT leaves a candidate for √X in S and sets in K4 the lanes where it
+// is certified to be RN(√X), the correctly rounded root VSQRTPD returns;
+// where K4 is clear, S is meaningless. Y holds VRSQRT14PD(X), Z14 0.5 and
+// Z15 the integer 1 in every lane, Z27 the magnitude mask; X and Y are
+// preserved, T0–T3 and K3 clobbered. It runs on the FMA ports, beside the
+// divider.
+//
+// The candidate: one coupled Newton step from y (relative error < 2⁻¹⁴)
+// for s ≈ √x and h ≈ 1/(2√x), to ≈ 2⁻²⁷, then two corrections
+// s += h·(x − s²), each residual one FMA. The first brings s within an ulp;
+// the second adds h·r, off by ≈ 2⁻²⁷ ulp, to s before its one rounding, so
+// s is RN(√x) unless √x lies within ≈ 2⁻²⁷ ulp of a rounding midpoint.
+//
+// The certificate, Tuckerman's rounding test, does not rely on that
+// analysis. With s ← |s|, p = pred(s) and q = succ(s) (s's bits ∓ 1), it
+// forms a = RN(x − s·p) and b = RN(s·q − x), one FMA each, and a lane
+// passes when min(a, b) > 0 — or when x is +0, and then √+0 = +0 is
+// blended in. Passing implies s = RN(√x) for every finite x > 0:
+//
+//  1. RN is monotone and RN(0) = 0, so a > 0 and b > 0 give
+//     s·p < x < s·q exactly. s is then finite, positive and, x being at
+//     least 2⁻¹⁰⁷⁴, above 2⁻⁵³⁸: normal.
+//  2. Let s ∈ [2ᵉ, 2ᵉ⁺¹) and u' = q − s = 2ᵉ⁻⁵², the weight of s's last
+//     bit, and u = s − p (u', or u'/2 when s = 2ᵉ). s·p and s·q are
+//     multiples of u'². So is x: it exceeds s·p ≥ 2²ᵉ⁻¹, so it is a
+//     multiple of 2²ᵉ⁻⁵³ if normal, and if subnormal s < 2⁻⁵¹¹ and x is a
+//     multiple of 2⁻¹⁰⁷⁴ ≥ u'².
+//  3. Lower side: x − s·p > 0 and a multiple of u'², so
+//     x ≥ s·p + u'² = s² − s·u + u'² > (s − u/2)².
+//  4. Upper side: x < s·q = s² + s·u' < (s + u'/2)².
+//  5. So s − u/2 < √x < s + u'/2: √x lies strictly inside the interval
+//     that rounds to s (never on an end: a midpoint has 54 significant
+//     bits and its square is no double), and s = RN(√x).
+//
+// Every other input fails: x = ±Inf, NaN, −0 or negative makes s NaN, and
+// a NaN s makes both residuals NaN; s = +0 gives b = −x ≤ 0 and s = +Inf
+// gives a = −Inf. VMINPD may return either operand when one is NaN; in
+// each of those cases the other is NaN or ≤ 0 too.
+#define CERTSQRT(X, Y, S, T0, T1, T2, T3) \
+	VMULPD       Y, X, S;         \ // s ≈ √x
+	VMULPD       Z14, Y, T0;      \ // h ≈ 1/(2√x)
+	VMOVAPD      Z14, T1;         \
+	VFNMADD231PD T0, S, T1;       \ // e = ½ − s·h
+	VFMADD231PD  T1, S, S;        \ // s += s·e
+	VFMADD231PD  T1, T0, T0;      \ // h += h·e
+	VMOVAPD      X, T1;           \
+	VFNMADD231PD S, S, T1;        \ // r = x − s²
+	VFMADD231PD  T1, T0, S;       \ // s += h·r
+	VMOVAPD      X, T1;           \
+	VFNMADD231PD S, S, T1;        \
+	VFMADD231PD  T1, T0, S;       \ // s += h·r: the candidate
+	VPANDQ       Z27, S, S;       \ // |s|
+	VPSUBQ       Z15, S, T2;      \ // pred(s)
+	VPADDQ       Z15, S, T3;      \ // succ(s)
+	VMOVAPD      X, T1;           \
+	VFNMADD231PD T2, S, T1;       \ // a = RN(x − s·pred(s))
+	VFMSUB213PD  X, S, T3;        \ // b = RN(s·succ(s) − x)
+	VMINPD       T3, T1, T1;      \
+	VPTESTNMQ    X, X, K3;        \
+	VMOVAPD      Z14, K3, T1;     \ // x = +0 passes,
+	VMOVAPD      X, K3, S;        \ // with √+0 = +0
+	VPXORQ       T3, T3, T3;      \
+	VCMPPD       $30, T3, T1, K4      // GT_OQ: min(a, b) > 0
+
 // func adamAVX512(p, m, v, grad *float64, n int, c *AdamCoef)
 // One Adam update over n elements (n a positive multiple of 8); see
 // AdamInto for the formula. The operation sequence and association match
 // the scalar loop term for term; VDIVPD and VSQRTPD are correctly rounded.
 //
-// The loop is bound by the divider, and two of its three divisions have a
-// divisor that is one scalar for the whole call: m'/bc₁ and v'/bc₂. Those
+// The divider would bound the loop: three divisions and a square root per
+// vector. The last division, by √v̂ + ε, stays there. The root of every
+// other vector moves to the FMA ports (CERTSQRT; VSQRTPD only where its
+// certificate fails, which no served vector does): moving all of them
+// makes the ports the bound instead — on the 2-vCPU Xeon all-certified ran
+// no faster than all-VSQRTPD, half and half 16 % faster (BENCH.md §33).
+// Two divisions have a divisor that is one scalar for the whole call:
+// m'/bc₁ and v'/bc₂. Those
 // take RECIPDIV with one true division per call (Y = 1/bc): the correctly
 // rounded quotient from a multiply and two FMAs (P. W. Markstein,
 // "Computation of elementary functions on the IBM RISC System/6000
@@ -430,6 +506,11 @@ GLOBL adamRange<>(SB), RODATA|NOPTR, $48
 // [2⁻¹⁰⁰, 2¹⁰⁰]. bc₁ = 1 − β₁ᵗ is exactly 1.0 from t ≈ 350 on, and x/1 = x
 // for every x, so then that quotient is skipped altogether.
 // TestAdamReciprocalDivisionExact holds the sequence to `/`.
+//
+// The loop is software-pipelined in three stages, so each pass issues work
+// whose inputs are mostly ready: pass j runs stage B (the division and the
+// store of p) for vector j−2, stage A2 (the root) for vector j−1 and stage
+// A1 (the moments, m̂ and v̂) for vector j; n/8 + 2 passes drain it.
 TEXT ·adamAVX512(SB), NOSPLIT, $0-48
 	MOVQ p+0(FP), DI
 	MOVQ m+8(FP), SI
@@ -452,6 +533,8 @@ TEXT ·adamAVX512(SB), NOSPLIT, $0-48
 	VPBROADCASTQ adamRange<>+40(SB), Z27 // |·|
 	VPBROADCASTQ adamRange<>+16(SB), Z28
 	VPBROADCASTQ adamRange<>+24(SB), Z29
+	VBROADCASTSD sqrtConst<>+0(SB), Z14
+	VPBROADCASTQ sqrtConst<>+8(SB), Z15
 	MOVQ 40(AX), R8
 	DIVISOROK(R8, R10, R9)     // R10 = 0 ⇔ bc₁ may take the reciprocal form
 	MOVQ 48(AX), R9
@@ -459,8 +542,46 @@ TEXT ·adamAVX512(SB), NOSPLIT, $0-48
 	MOVQ $0x3FF0000000000000, R9
 	XORQ R9, R8                // R8 == 0 ⇔ bc₁ is exactly 1.0
 	SHRQ $3, CX
+	LEAQ 1(CX), R13            // the last pass runs stage B alone
+	XORQ R12, R12              // pass j: B(j−2), A2(j−1), A1(j)
 	PCALIGN $32
 a5loop:
+	CMPQ R12, $2
+	JLT  a5stage2
+	// Stage B: p −= Z7/(Z12 + ε), Z12 = √v̂ where K4 is all set, else
+	// VSQRTPD of v̂ (Z13).
+	KMOVW  K4, R9
+	CMPB   R9, $0xFF
+	JNE    a5sqrt
+a5root:
+	VADDPD Z24, Z12, Z12       // √v̂ + ε
+	VDIVPD Z12, Z7, Z7
+	VMOVUPD (DI), Z5
+	VSUBPD Z7, Z5, Z5          // p − step
+	VMOVUPD Z5, (DI)
+	ADDQ $64, DI
+	CMPQ R12, R13
+	JEQ  a5done
+a5stage2:
+	TESTQ R12, R12
+	JZ   a5stage1
+	CMPQ R12, CX
+	JGT  a5next
+	// Stage A2: the certified root of v̂ (Z11) from y (Z9), handed on
+	// with LR·m̂ (Z10) to stage B — for every other vector. The rest
+	// leave their root to VSQRTPD in stage B, so the divider and the FMA
+	// ports share the roots.
+	KXORW  K4, K4, K4
+	TESTQ  $1, R12
+	JZ     a5hand
+	CERTSQRT(Z11, Z9, Z12, Z5, Z6, Z8, Z4)
+a5hand:
+	VMOVAPD Z11, Z13
+	VMOVAPD Z10, Z7
+a5stage1:
+	CMPQ R12, CX
+	JGE  a5next
+	// Stage A1: the moments, LR·m̂, v̂ and its reciprocal square root.
 	VMULPD (BX), Z16, Z0       // gᵢ = g·scale
 	VMULPD (SI), Z17, Z1       // β₁·m
 	VMULPD Z0, Z18, Z2         // (1−β₁)·gᵢ
@@ -480,6 +601,7 @@ a5loop:
 a5mdiv:
 	VDIVPD Z21, Z1, Z1
 a5mhat:
+	VMULPD Z1, Z23, Z10        // LR·m̂
 	ADAMGUARD5(Z3, R11)
 	JNZ  a5vdiv
 	RECIPDIV(Z3, Z22, Z26, Z6) // v̂ = v'/bc₂
@@ -487,19 +609,18 @@ a5mhat:
 a5vdiv:
 	VDIVPD Z22, Z3, Z3
 a5vhat:
-	VMULPD Z1, Z23, Z1         // LR·m̂
-	VSQRTPD Z3, Z3
-	VADDPD Z24, Z3, Z3         // √v̂ + ε
-	VDIVPD Z3, Z1, Z1
-	VMOVUPD (DI), Z5
-	VSUBPD Z1, Z5, Z5          // p − step
-	VMOVUPD Z5, (DI)
-	ADDQ $64, DI
+	VMOVAPD Z3, Z11
+	VRSQRT14PD Z3, Z9
 	ADDQ $64, SI
 	ADDQ $64, DX
 	ADDQ $64, BX
-	DECQ CX
-	JNZ  a5loop
+a5next:
+	INCQ R12
+	JMP  a5loop
+a5sqrt:
+	VSQRTPD Z13, Z12
+	JMP  a5root
+a5done:
 	VZEROUPPER
 	RET
 
@@ -591,5 +712,37 @@ a2vhat:
 	ADDQ $32, BX
 	DECQ CX
 	JNZ  a2loop
+	VZEROUPPER
+	RET
+
+// func sqrtAVX512(dst, src *float64, n int) int
+// dst[i] = √src[i] over n elements (n a positive multiple of 8) by the
+// CERTSQRT sequence adamAVX512 runs, VSQRTPD where its certificate fails;
+// returns how many vectors failed. Tests hold it to math.Sqrt.
+TEXT ·sqrtAVX512(SB), NOSPLIT, $0-32
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ n+16(FP), CX
+	SHRQ $3, CX
+	XORQ DX, DX
+	VPBROADCASTQ adamRange<>+40(SB), Z27
+	VBROADCASTSD sqrtConst<>+0(SB), Z14
+	VPBROADCASTQ sqrtConst<>+8(SB), Z15
+sq5loop:
+	VMOVUPD (SI), Z3
+	VRSQRT14PD Z3, Z9
+	CERTSQRT(Z3, Z9, Z12, Z5, Z6, Z8, Z4)
+	KMOVW  K4, R9
+	CMPB   R9, $0xFF
+	JEQ    sq5store
+	VSQRTPD Z3, Z12
+	INCQ   DX
+sq5store:
+	VMOVUPD Z12, (DI)
+	ADDQ $64, DI
+	ADDQ $64, SI
+	DECQ CX
+	JNZ  sq5loop
+	MOVQ DX, ret+24(FP)
 	VZEROUPPER
 	RET

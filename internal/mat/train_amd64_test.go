@@ -22,11 +22,12 @@ func TestTrainKernelsEveryVectorWidth(t *testing.T) {
 		back    func(dpre, carry, dh, act, tanhC, cPrev *float64, h, n int)
 		transp  func(dst, src *float64, rows, cols int)
 		vecAdd  func(dst, src *float64, n int)
+		sumSq   func(v *float64, n int) float64
 	}
 	rng := rand.New(rand.NewSource(59))
 	for _, k := range []kernels{
-		{"avx2", 2, 4, atStepsAVX2, adamAVX2, gatesBackAVX2, transposeAVX2, vecAddAVX2},
-		{"avx512", 3, 8, atStepsAVX512, adamAVX512, gatesBackAVX512, transposeAVX512, vecAddAVX512},
+		{"avx2", 2, 4, atStepsAVX2, adamAVX2, gatesBackAVX2, transposeAVX2, vecAddAVX2, sumSqAVX2},
+		{"avx512", 3, 8, atStepsAVX512, adamAVX512, gatesBackAVX512, transposeAVX512, vecAddAVX512, sumSqAVX512},
 	} {
 		if simdGEMMLevel < k.level || !simdFMA {
 			t.Logf("%s kernels not runnable here (level %d, FMA %v)", k.name, simdGEMMLevel, simdFMA)
@@ -71,25 +72,11 @@ func TestTrainKernelsEveryVectorWidth(t *testing.T) {
 			transposePortable(got.Data, a.Data, rows, cols, doneRows, rows, 0)
 			sameBits(t, fmt.Sprintf("%s transpose %dx%d", k.name, rows, cols), got.Data, Transpose(a).Data)
 		}
-		for _, nblk := range []int{1, 2, 37} {
-			// One kernel for both levels, with and without its upper lanes.
-			for _, upper := range []bool{true, false} {
-				var acc, want [sumSquaresLanes]float64
-				var ptrs [sumSquaresLanes]*float64
-				for l := range ptrs {
-					v := randMatrixFor(rng, 1, nblk*4)
-					v.Data[rng.Intn(len(v.Data))] *= 1e80
-					acc[l] = rng.Float64()
-					want[l] = acc[l]
-					for _, x := range v.Data {
-						if upper || l < sumSquaresLanes/2 {
-							want[l] += float64(x * x)
-						}
-					}
-					ptrs[l] = &v.Data[0]
-				}
-				sumSqLanesAVX2(&acc, &ptrs, nblk, upper)
-				sameBits(t, fmt.Sprintf("sumSqLanes %d blocks upper=%v", nblk, upper), acc[:], want[:])
+		for _, n := range []int{k.width, 3 * k.width, 4 * k.width, 9 * k.width, 384 * k.width} {
+			v := randMatrixFor(rng, 1, n).Data
+			got, want := k.sumSq(&v[0], n), Dot(VectorOf(v), VectorOf(v))
+			if slack := sumSquaresSlack(n, want); math.Abs(got-want) > slack {
+				t.Fatalf("%s sumSq n=%d: got %v, Dot %v, bound %v", k.name, n, got, want, slack)
 			}
 		}
 		for _, n := range []int{k.width, 6 * k.width} {
@@ -260,5 +247,78 @@ func TestAdamReciprocalDivisionExact(t *testing.T) {
 	}
 	if got := marksteinDiv(math.MaxFloat64, bc, 1/bc); !math.IsNaN(got) || !math.IsInf(math.MaxFloat64/bc, 1) {
 		t.Fatalf("expected the sequence to turn an overflowing quotient into NaN: got %v", got)
+	}
+}
+
+// sqrtHardOperands appends the square-root operands the certificate must
+// get right: random ones over the whole finite positive range (subnormals
+// included), near-midpoint ones — x = RN(m²) and its neighbours for the
+// midpoint m of two adjacent doubles, where √x rounds by a hair — and the
+// binade edges 4ᵏ and 2·4ᵏ with their neighbours, where the gap below the
+// root halves.
+func sqrtHardOperands(dst []float64, rng *rand.Rand, n int) []float64 {
+	for i := 0; i < n; i++ {
+		dst = append(dst, math.Ldexp(1+rng.Float64(), rng.Intn(2090)-1070))
+		d := math.Ldexp(1+rng.Float64(), rng.Intn(1000)-500)
+		u := math.Nextafter(d, math.Inf(1)) - d
+		x := math.FMA(d, d, d*u) // (d + u/2)² = d² + d·u + u²/4
+		x = math.Nextafter(math.Nextafter(x, 0), 0)
+		for j := 0; j < 5; j++ {
+			dst = append(dst, x)
+			x = math.Nextafter(x, math.Inf(1))
+		}
+	}
+	for k := -537; k <= 511; k += 1 + rng.Intn(8) {
+		for _, e := range []float64{math.Ldexp(1, 2*k), math.Ldexp(1, 2*k+1)} {
+			dst = append(dst, math.Nextafter(e, 0), e, math.Nextafter(e, math.Inf(1)))
+		}
+	}
+	return dst
+}
+
+// TestSqrtCertificateExact holds the certified square root of the Adam
+// kernel (CERTSQRT, run alone by sqrtAVX512) to math.Sqrt, bit for bit, on
+// sqrtHardOperands and on the inputs it must refuse — ±0, negatives,
+// ±Inf, NaN — and then the kernel itself, whose every other vector takes
+// the certificate, on the same operands through the v̂ slot. It logs how
+// many vectors the certificate left to VSQRTPD.
+func TestSqrtCertificateExact(t *testing.T) {
+	if simdGEMMLevel < 3 || !simdFMA {
+		t.Skip("the certified root runs in the AVX-512 Adam kernel only")
+	}
+	n := 200000
+	if testing.Short() {
+		n = 5000
+	}
+	rng := rand.New(rand.NewSource(103))
+	x := sqrtHardOperands(nil, rng, n)
+	x = append(x, 0, math.Copysign(0, -1), -1, -0x1p-1074, math.Inf(1), math.Inf(-1), math.NaN(), math.MaxFloat64, 0x1p-1074)
+	rng.Shuffle(len(x), func(i, j int) { x[i], x[j] = x[j], x[i] })
+	for len(x)%8 != 0 {
+		x = append(x, rng.Float64())
+	}
+	got := make([]float64, len(x))
+	refused := sqrtAVX512(&got[0], &x[0], len(x))
+	for i, v := range x {
+		if want := math.Sqrt(v); math.Float64bits(got[i]) != math.Float64bits(want) && !(math.IsNaN(want) && math.IsNaN(got[i])) {
+			t.Fatalf("√%v (%016X) = %v (%016X), want %v (%016X)", v, math.Float64bits(v), got[i], math.Float64bits(got[i]), want, math.Float64bits(want))
+		}
+	}
+	t.Logf("%d operands, %d of %d vectors refused by the certificate", len(x), refused, len(x)/8)
+
+	// The same operands as v̂ in the kernel: p = −0 − 1/√v̂ (LR = m̂ = 1, ε = 0).
+	negZero := math.Copysign(0, -1)
+	p, m, v, g := make([]float64, len(x)), make([]float64, len(x)), make([]float64, len(x)), make([]float64, len(x))
+	for i, xv := range x {
+		p[i], m[i], v[i] = negZero, 1, xv
+	}
+	wp, wm, wv := append([]float64(nil), p...), append([]float64(nil), m...), append([]float64(nil), v...)
+	c := &AdamCoef{GradScale: 1, Beta1: 1, Beta2: 1, BiasCorr1: 1, BiasCorr2: 1, LR: 1, Eps: 0}
+	adamPortable(wp, wm, wv, g, c, 0)
+	adamAVX512(&p[0], &m[0], &v[0], &g[0], len(x), c)
+	for i := range x {
+		if math.Float64bits(p[i]) != math.Float64bits(wp[i]) && !(math.IsNaN(p[i]) && math.IsNaN(wp[i])) {
+			t.Fatalf("kernel: v̂ = %v: update %v (%016X), want %v (%016X)", x[i], p[i], math.Float64bits(p[i]), wp[i], math.Float64bits(wp[i]))
+		}
 	}
 }

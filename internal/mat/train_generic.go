@@ -13,8 +13,6 @@ func simdAdamInto(p, m, v, g []float64, c *AdamCoef) int { return 0 }
 
 func simdTransposeInto(dst, src []float64, rows, cols int) (doneRows, doneCols int) { return 0, 0 }
 
-func simdSumSquaresLanes(acc *[sumSquaresLanes]float64, v *[sumSquaresLanes][]float64, n int, upper bool) int {
-	return 0
-}
+func simdSumSquares(v []float64) (float64, int) { return 0, 0 }
 
 func simdVecAddInto(dst, src []float64) int { return 0 }

@@ -1,10 +1,10 @@
 package mat
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 	"testing"
 )
 
@@ -181,74 +181,49 @@ func TestMatMulATStepsIntoMatchesPerStep(t *testing.T) {
 	sameBits(t, "no steps", got.Data, make([]float64, 15))
 }
 
-// TestSumSquaresEachMatchesDot holds every sum to Dot(v, v), bit for bit:
-// lengths around the 4- and 8-element blocks, more vectors than lanes in
-// unequal mixes, in any taking order, with −0, Inf and NaN among the
-// elements.
-func TestSumSquaresEachMatchesDot(t *testing.T) {
-	rng := rand.New(rand.NewSource(61))
-	check := func(name string, vecs [][]float64, order []int) {
-		t.Helper()
-		want := make([]float64, len(vecs))
-		for i, v := range vecs {
-			want[i] = Dot(VectorOf(v), VectorOf(v))
-		}
-		got := make([]float64, len(vecs))
-		for i := range got {
-			got[i] = math.NaN() // every entry must be written
-		}
-		SumSquaresEach(got, vecs, order)
-		sameBits(t, name, got, want)
-	}
-	identity := func(n int) []int {
-		order := make([]int, n)
-		for i := range order {
-			order[i] = i
-		}
-		return order
-	}
-	check("none", nil, nil)
-	for _, n := range []int{0, 1, 3, 4, 5, 7, 8, 9, 15, 16, 17, 33} {
-		check(fmt.Sprintf("one vector of %d", n), [][]float64{randMatrixFor(rng, 1, n).Data}, []int{0})
-	}
-	// The served model's twenty parameters, then random mixes.
-	served := []int{3072, 32, 3072, 32, 3072, 32, 3072, 32, 1072, 16, 1072, 16, 1072, 16, 1072, 16, 1536, 48, 304, 19}
-	mixes := [][]int{served, {0, 0, 0}, {7, 8, 9, 0, 1, 9, 8, 7, 1, 0, 33}}
-	for trial := 0; trial < 30; trial++ {
-		lens := make([]int, 1+rng.Intn(24))
-		for i := range lens {
-			lens[i] = rng.Intn(40)
-		}
-		mixes = append(mixes, lens)
-	}
-	for mi, lens := range mixes {
-		vecs := make([][]float64, len(lens))
-		for i, n := range lens {
-			vecs[i] = randMatrixFor(rng, 1, n).Data
-			if n > 2 && rng.Intn(4) == 0 {
-				vecs[i][rng.Intn(n)] = []float64{math.Inf(1), math.Inf(-1), math.NaN(), 1e200, 1e-200}[rng.Intn(5)]
-			}
-		}
-		check(fmt.Sprintf("mix %d in order", mi), vecs, identity(len(vecs)))
-		longest := identity(len(vecs))
-		sort.SliceStable(longest, func(x, y int) bool { return len(vecs[longest[x]]) > len(vecs[longest[y]]) })
-		check(fmt.Sprintf("mix %d longest first", mi), vecs, longest)
-		shuffled := identity(len(vecs))
-		rng.Shuffle(len(shuffled), func(x, y int) { shuffled[x], shuffled[y] = shuffled[y], shuffled[x] })
-		check(fmt.Sprintf("mix %d shuffled", mi), vecs, shuffled)
+// sumSquaresSlack is how far two sums of the same n squares, in any orders,
+// may lie apart when one of them is dot: each is within γₙ·S + n·2⁻¹⁰⁷³ of
+// the exact S, and S ≤ (dot + n·2⁻¹⁰⁷³)/(1 − γₙ).
+func sumSquaresSlack(n int, dot float64) float64 {
+	eta := float64(n) * 0x1p-1073
+	g := float64(n) * 0x1p-53 / (1 - float64(n)*0x1p-53)
+	return 2*g*(dot+eta)/(1-g) + 2*eta
+}
 
-		// The portable rounds alone must agree too.
-		var acc [sumSquaresLanes]float64
-		var run [sumSquaresLanes][]float64
-		n := 1 << 30
-		for l := range run {
-			run[l] = vecs[l%len(vecs)]
-			n = min(n, len(run[l]))
+// TestSumSquaresUnorderedWithinBound holds the unordered sum — every vector
+// kernel and the portable loop — to its stated bound around the ascending
+// sum Dot(v, v): lengths around the 4-, 8- and 32-element blocks, the served
+// gradients' lengths, magnitudes that underflow, and NaN and ±Inf elements,
+// which must come out NaN and +Inf as Dot's do.
+func TestSumSquaresUnorderedWithinBound(t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
+	check := func(name string, v []float64) {
+		t.Helper()
+		want := Dot(VectorOf(v), VectorOf(v))
+		got := SumSquaresUnordered(v)
+		if math.IsNaN(want) || math.IsInf(want, 0) {
+			if math.Float64bits(got) != math.Float64bits(want) && !(math.IsNaN(got) && math.IsNaN(want)) {
+				t.Fatalf("%s: got %v, Dot %v", name, got, want)
+			}
+			return
 		}
-		sumSquaresLanesPortable(&acc, &run, 0, n, true)
-		for l := range run {
-			if want := Dot(VectorOf(run[l][:n]), VectorOf(run[l][:n])); math.Float64bits(acc[l]) != math.Float64bits(want) {
-				t.Fatalf("mix %d portable lane %d: got %v, want %v", mi, l, acc[l], want)
+		if slack := sumSquaresSlack(len(v), want); math.Abs(got-want) > slack {
+			t.Fatalf("%s: got %v, Dot %v: off by %v, bound %v", name, got, want, math.Abs(got-want), slack)
+		}
+	}
+	served := []int{3072, 32, 1072, 16, 1536, 48, 304, 19}
+	for _, n := range append([]int{0, 1, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65, 200}, served...) {
+		v := randMatrixFor(rng, 1, n).Data
+		check(fmt.Sprintf("n=%d", n), v)
+		for i := range v {
+			v[i] *= 0x1p-540 // squares in the subnormal range
+		}
+		check(fmt.Sprintf("n=%d tiny", n), v)
+		if n > 0 {
+			for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 1e200} {
+				w := randMatrixFor(rng, 1, n).Data
+				w[rng.Intn(n)] = bad
+				check(fmt.Sprintf("n=%d with %v", n, bad), w)
 			}
 		}
 	}
@@ -384,28 +359,32 @@ func BenchmarkAdamInto(b *testing.B) {
 	})
 }
 
-// BenchmarkSumSquaresEach is the clip norm of one training step: the served
-// model's twenty gradients, longest first, against one Dot per gradient.
-func BenchmarkSumSquaresEach(b *testing.B) {
+// BenchmarkSumSquaresUnordered is the clip certificate of one training
+// step: the served model's twenty gradients, against one Dot per gradient
+// (the exact norm it spares).
+func BenchmarkSumSquaresUnordered(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	lens := []int{3072, 3072, 3072, 3072, 1536, 1072, 1072, 1072, 1072, 304, 48, 32, 32, 32, 32, 19, 16, 16, 16, 16}
-	vecs, order := make([][]float64, len(lens)), make([]int, len(lens))
+	vecs := make([][]float64, len(lens))
 	for i, n := range lens {
-		vecs[i], order[i] = randMatrixFor(rng, 1, n).Data, i
+		vecs[i] = randMatrixFor(rng, 1, n).Data
 	}
-	dst := make([]float64, len(lens))
+	var sink float64
 	b.Run(SIMDGEMM(), func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			SumSquaresEach(dst, vecs, order)
+			for _, v := range vecs {
+				sink += SumSquaresUnordered(v)
+			}
 		}
 	})
 	b.Run("dot-each", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			for j, v := range vecs {
-				dst[j] = Dot(VectorOf(v), VectorOf(v))
+			for _, v := range vecs {
+				sink += Dot(VectorOf(v), VectorOf(v))
 			}
 		}
 	})
+	_ = sink
 }
 
 // BenchmarkTransposeTo is one hidden-column weight block of the served
@@ -423,4 +402,95 @@ func BenchmarkTransposeTo(b *testing.B) {
 			transposePortable(dst.Data, a.Data, a.Rows, a.Cols, 0, a.Rows, 0)
 		}
 	})
+}
+
+// adamFuzzElems caps the elements one FuzzAdamInto input drives: 48 is six
+// vectors, so both stages of the vector kernels' alternation see several.
+const adamFuzzElems = 48
+
+// FuzzAdamInto holds the dispatched AdamInto — the widest vector kernel
+// with its guards, its reciprocal divisions and its certified square root
+// — to the portable loop, bit for bit (NaN payloads aside: x86 keeps an
+// operand's payload, and the two forms may order operands differently), on
+// arbitrary moments, gradients and coefficients. data supplies four float64
+// bit patterns per element (p, m, v, g). The seeds are the certificate's
+// hard cases as v̂ (β₂ = bc₂ = 1, g = 0 makes v̂ = v), the divisions' guard
+// edges, and an ordinary step.
+func FuzzAdamInto(f *testing.F) {
+	rng := rand.New(rand.NewSource(107))
+	seed := func(p, m, v, g []float64, c AdamCoef) {
+		var data []byte
+		for i := range p {
+			for _, x := range []float64{p[i], m[i], v[i], g[i]} {
+				data = binary.LittleEndian.AppendUint64(data, math.Float64bits(x))
+			}
+		}
+		f.Add(data, c.GradScale, c.Beta1, c.Beta2, c.BiasCorr1, c.BiasCorr2, c.LR, c.Eps)
+	}
+	hard := sqrtSeedOperands(rng)
+	for off := 0; off+adamFuzzElems <= len(hard); off += adamFuzzElems {
+		n := adamFuzzElems
+		p, m, g := make([]float64, n), make([]float64, n), make([]float64, n)
+		for i := range m {
+			m[i] = 1
+		}
+		seed(p, m, hard[off:off+n], g, AdamCoef{GradScale: 1, Beta1: 1, Beta2: 1, BiasCorr1: 1, BiasCorr2: 1, LR: 1})
+	}
+	n := adamFuzzElems
+	p, m, v, g := make([]float64, n), make([]float64, n), make([]float64, n), make([]float64, n)
+	for i := range p {
+		p[i], m[i], v[i], g[i] = rng.NormFloat64(), 0.1*rng.NormFloat64(), 0.01*rng.Float64(), rng.NormFloat64()
+	}
+	seed(p, m, v, g, AdamCoef{GradScale: 1, Beta1: 0.9, Beta2: 0.999, BiasCorr1: 0.271, BiasCorr2: 0.003, LR: 0.001, Eps: 1e-8})
+	v[3], m[5], m[13], v[21] = 0x1p-901, math.Copysign(0, -1), 0x1p901, math.Inf(1)
+	seed(p, m, v, g, AdamCoef{GradScale: 0.5, Beta1: 0.9, Beta2: 0.999, BiasCorr1: 0x1p-100, BiasCorr2: 0x1p100, LR: 0.001, Eps: 1e-8})
+
+	f.Fuzz(func(t *testing.T, data []byte, scale, b1, b2, bc1, bc2, lr, eps float64) {
+		n := min(len(data)/32, adamFuzzElems)
+		p, m, v, g := make([]float64, n), make([]float64, n), make([]float64, n), make([]float64, n)
+		for i := 0; i < n; i++ {
+			w := data[32*i:]
+			p[i] = math.Float64frombits(binary.LittleEndian.Uint64(w))
+			m[i] = math.Float64frombits(binary.LittleEndian.Uint64(w[8:]))
+			v[i] = math.Float64frombits(binary.LittleEndian.Uint64(w[16:]))
+			g[i] = math.Float64frombits(binary.LittleEndian.Uint64(w[24:]))
+		}
+		c := &AdamCoef{GradScale: scale, Beta1: b1, OneMinusBeta1: 1 - b1, Beta2: b2, OneMinusBeta2: 1 - b2,
+			BiasCorr1: bc1, BiasCorr2: bc2, LR: lr, Eps: eps}
+		wp, wm, wv := append([]float64(nil), p...), append([]float64(nil), m...), append([]float64(nil), v...)
+		adamPortable(wp, wm, wv, g, c, 0)
+		AdamInto(p, m, v, g, c)
+		for _, s := range []struct {
+			name      string
+			got, want []float64
+		}{{"p", p, wp}, {"m", m, wm}, {"v", v, wv}} {
+			for i := range s.got {
+				a, b := s.got[i], s.want[i]
+				if math.Float64bits(a) != math.Float64bits(b) && !(math.IsNaN(a) && math.IsNaN(b)) {
+					t.Fatalf("%s[%d]: dispatched %v (%016X), portable %v (%016X); coefficients %+v",
+						s.name, i, a, math.Float64bits(a), b, math.Float64bits(b), *c)
+				}
+			}
+		}
+	})
+}
+
+// sqrtSeedOperands is a few hundred square-root operands of the kinds the
+// certificate finds hardest: near rounding midpoints, at binade edges, at
+// the ends of the range, and the inputs it must refuse.
+func sqrtSeedOperands(rng *rand.Rand) []float64 {
+	var x []float64
+	for i := 0; i < 40; i++ {
+		d := math.Ldexp(1+rng.Float64(), rng.Intn(1000)-500)
+		u := math.Nextafter(d, math.Inf(1)) - d
+		c := math.FMA(d, d, d*u)
+		x = append(x, math.Nextafter(c, 0), c, math.Nextafter(c, math.Inf(1)))
+	}
+	for _, k := range []int{-537, -511, -300, -1, 0, 1, 200, 511} {
+		e := math.Ldexp(1, 2*k)
+		x = append(x, math.Nextafter(e, 0), e, math.Nextafter(e, math.Inf(1)))
+	}
+	x = append(x, 0, math.Copysign(0, -1), -2, 0x1p-1074, 0x1p-1022, math.MaxFloat64, math.Inf(1), math.NaN())
+	rng.Shuffle(len(x), func(i, j int) { x[i], x[j] = x[j], x[i] })
+	return x
 }

@@ -271,12 +271,6 @@ type Adam struct {
 	aligned *ParamSet
 	names   []string
 	m, v    []*mat.Matrix
-
-	// clipScale's scratch, all in gradient order: per-parameter squared
-	// norms, the gradients' flat views, and their indexes longest first.
-	sq      []float64
-	vecs    [][]float64
-	longest []int
 }
 
 // NewAdam returns an Adam optimiser with the paper's defaults.
@@ -441,45 +435,48 @@ func (a *Adam) CheckShapes(ps *ParamSet) error {
 }
 
 // clipScale returns the factor that rescales the gradients so their global
-// norm is at most ClipNorm: 1 when it already is. The squared norm is
-// summed parameter by parameter in registration order, each parameter's
-// own sum started from zero — float addition is not associative, so any
-// other order would change the factor, and therefore training, in the last
-// bits. What may overlap is the work of DIFFERENT parameters, and
-// mat.SumSquaresEach overlaps eight at a time, longest first, so the norm
-// costs about its longest parameter's chain of adds instead of all of them.
+// norm is at most ClipNorm: 1 when it already is. The norm that decides is
+// exact by definition: each parameter's squared norm summed from zero in
+// ascending order (mat.Dot), the totals added in registration order — float
+// addition is not associative, so any other order would change the factor,
+// and therefore training, in the last bits.
+//
+// Clipping rarely fires, and when it cannot, that exact sum is not needed:
+// the factor is 1 whatever its last bits are. So a cheap unordered sum of
+// the same squares (mat.SumSquaresUnordered) is asked first. Over n ≤ 2³⁰
+// squares both sums lie within γₙ·S + n·2⁻¹⁰⁷³ of the real sum S,
+// γₙ < 2⁻²², so if the unordered sum is at most RN(RN(C²)·(1 − 2⁻²⁰)), with
+// C = ClipNorm in [2⁻⁴⁰⁰, 2⁴⁰⁰], the exact total T is below C² (the margin
+// exceeds both error terms with room to spare), √T ≤ C, and the exact path
+// would return 1 too. Otherwise — clipping may fire, or a gradient holds a
+// NaN or ±Inf, which makes the unordered sum fail the test — the exact
+// norm is computed.
 func (a *Adam) clipScale(grads []*mat.Matrix) float64 {
-	if len(a.sq) != len(grads) {
-		a.sq, a.vecs, a.longest = make([]float64, len(grads)), make([][]float64, len(grads)), make([]int, len(grads))
-		for i := range a.longest {
-			a.longest[i] = i
+	c := a.ClipNorm
+	if c >= 0x1p-400 && c <= 0x1p400 {
+		var bound float64
+		n := 0
+		for _, g := range grads {
+			if g != nil {
+				bound += mat.SumSquaresUnordered(g.Data)
+				n += len(g.Data)
+			}
+		}
+		if n <= 1<<30 && bound <= c*c*(1-0x1p-20) {
+			return 1
 		}
 	}
-	for i, g := range grads {
-		a.vecs[i] = nil
-		if g != nil {
-			a.vecs[i] = g.Data
-		}
-	}
-	// Shapes do not change between steps, so after the first call this
-	// insertion sort is one pass that moves nothing.
-	for k := 1; k < len(a.longest); k++ {
-		for j := k; j > 0 && len(a.vecs[a.longest[j]]) > len(a.vecs[a.longest[j-1]]); j-- {
-			a.longest[j], a.longest[j-1] = a.longest[j-1], a.longest[j]
-		}
-	}
-	mat.SumSquaresEach(a.sq, a.vecs, a.longest)
 	var total float64
-	for i, g := range grads {
+	for _, g := range grads {
 		if g != nil {
-			total += a.sq[i]
+			total += mat.Dot(g, g)
 		}
 	}
 	norm := math.Sqrt(total)
-	if norm <= a.ClipNorm || norm == 0 {
+	if norm <= c || norm == 0 {
 		return 1
 	}
-	return a.ClipNorm / norm
+	return c / norm
 }
 
 // --- Layers ---

@@ -3,6 +3,7 @@ package nn
 import (
 	"bytes"
 	"encoding/gob"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -189,6 +190,97 @@ func TestGradientClipping(t *testing.T) {
 	if s := opt.clipScale([]*mat.Matrix{mat.FromSlice(1, 1, []float64{0.5})}); s != 1 {
 		t.Fatalf("clip scale %v on a small gradient, want exactly 1", s)
 	}
+}
+
+// exactClipScale is clipScale's definition, with no certificate in front:
+// each gradient's squared norm summed from zero in ascending order, the
+// totals in registration order.
+func exactClipScale(grads []*mat.Matrix, c float64) float64 {
+	var total float64
+	for _, g := range grads {
+		if g != nil {
+			total += mat.Dot(g, g)
+		}
+	}
+	norm := math.Sqrt(total)
+	if norm <= c || norm == 0 {
+		return 1
+	}
+	return c / norm
+}
+
+// TestClipScaleCertificateBoundary holds clipScale to exactClipScale, bit
+// for bit, where the certificate in front of the exact norm matters: a
+// global squared norm one ulp below ClipNorm², equal to it and one ulp
+// above, against ClipNorm and its neighbours (the exact path decides each);
+// ClipNorm² at the certificate's own margin on either side (it decides,
+// and must answer exactly 1); NaN and ±Inf gradients; all-zero gradients
+// and none at all.
+func TestClipScaleCertificateBoundary(t *testing.T) {
+	// 2⁴⁸ − 1 = (2²⁴ − 1)² + 5791² + 130² + 43², so these squares are exact
+	// and every partial sum is a multiple of 2⁻⁴⁸ below 32: the ordered
+	// total is exactly 25 − 2⁻⁴⁸, one ulp below 5².
+	if a := uint64(1<<24 - 1); a*a+5791*5791+130*130+43*43 != 1<<48-1 {
+		t.Fatal("four-square identity")
+	}
+	q := func(k float64) float64 { return k * 0x1p-24 }
+	below := []*mat.Matrix{mat.FromSlice(1, 2, []float64{4, 2}), nil, mat.FromSlice(2, 1, []float64{2, q(1<<24 - 1)}), mat.FromSlice(1, 3, []float64{q(5791), q(130), q(43)})}
+	equal := []*mat.Matrix{mat.FromSlice(1, 2, []float64{4, 3})}
+	above := []*mat.Matrix{mat.FromSlice(1, 2, []float64{4, 3}), mat.FromSlice(1, 1, []float64{q(1)})}
+	for name, grads := range map[string][]*mat.Matrix{"below": below, "equal": equal, "above": above} {
+		var total float64
+		for _, g := range grads {
+			if g != nil {
+				total += mat.Dot(g, g)
+			}
+		}
+		want := map[string]float64{"below": math.Nextafter(25, 0), "equal": 25, "above": math.Nextafter(25, 26)}[name]
+		if total != want {
+			t.Fatalf("%s: ordered total %v, want %v", name, total, want)
+		}
+		for _, c := range []float64{math.Nextafter(5, 0), 5, math.Nextafter(5, 6)} {
+			checkClipScale(t, name, grads, c)
+		}
+	}
+
+	// The certificate's edge: with the unordered sum exactly 25, ClipNorm²
+	// a few ulps either side of 25/(1 − 2⁻²⁰).
+	edge := math.Sqrt(25 / (1 - 0x1p-20))
+	for k := -8; k <= 8; k++ {
+		c := edge + float64(k)*(math.Nextafter(edge, 6)-edge)
+		if got := checkClipScale(t, "certificate edge", equal, c); got != 1 {
+			t.Fatalf("ClipNorm %v: scale %v on a norm of 5, want exactly 1", c, got)
+		}
+	}
+
+	rng := rand.New(rand.NewSource(109))
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, n := range []int{1, 7, 64, 3072} {
+			g := mat.New(1, n)
+			for i := range g.Data {
+				g.Data[i] = 1e-3 * rng.NormFloat64()
+			}
+			g.Data[rng.Intn(n)] = bad
+			checkClipScale(t, fmt.Sprintf("%v among %d", bad, n), []*mat.Matrix{mat.FromSlice(1, 2, []float64{0.1, 0.2}), g}, 5)
+		}
+	}
+	if got := checkClipScale(t, "all zero", []*mat.Matrix{mat.New(4, 8), nil, mat.New(1, 3)}, 5); got != 1 {
+		t.Fatalf("all-zero gradients: scale %v, want exactly 1", got)
+	}
+	checkClipScale(t, "none", []*mat.Matrix{nil, nil}, 5)
+}
+
+// checkClipScale requires clipScale at ClipNorm c to carry exactClipScale's
+// bits and returns them.
+func checkClipScale(t *testing.T, name string, grads []*mat.Matrix, c float64) float64 {
+	t.Helper()
+	opt := NewAdam(0.1)
+	opt.ClipNorm = c
+	got, want := opt.clipScale(grads), exactClipScale(grads, c)
+	if math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("%s, ClipNorm %v: scale %v (%016X), exact %v (%016X)", name, c, got, math.Float64bits(got), want, math.Float64bits(want))
+	}
+	return got
 }
 
 func TestDenseForwardShapesAndActs(t *testing.T) {
@@ -413,7 +505,18 @@ func TestLoadShapeMismatch(t *testing.T) {
 // BenchmarkAdamStep measures one optimiser step over the served CLSTM's
 // 18 675 parameters (48/19 dims, hidden 32/16, full coupling): two LSTM
 // cells and two decoders, twenty matrices.
-func BenchmarkAdamStep(b *testing.B) {
+func BenchmarkAdamStep(b *testing.B) { benchAdamStep(b, 1) }
+
+// BenchmarkAdamStepServed is BenchmarkAdamStep in the served regime:
+// gradients a hundredth the size, a global norm of ≈ 1.4 against ClipNorm
+// 5 (training at the served shape peaks at 2.85), so the clip certificate
+// rules clipping out and the exact norm is never summed. BenchmarkAdamStep's
+// N(0, 1) gradients (norm ≈ 137) clip on every call.
+func BenchmarkAdamStepServed(b *testing.B) { benchAdamStep(b, 0.01) }
+
+// benchAdamStep steps the served model's parameter set with fixed
+// gradients drawn from N(0, scale²).
+func benchAdamStep(b *testing.B, scale float64) {
 	rng := rand.New(rand.NewSource(8))
 	ps := NewParamSet()
 	NewLSTMCell(ps, "lstmI", 32+16+48, 32, rng)
@@ -428,7 +531,7 @@ func BenchmarkAdamStep(b *testing.B) {
 		p := ps.Get(n)
 		g := mat.New(p.Rows, p.Cols)
 		for i := range g.Data {
-			g.Data[i] = rng.NormFloat64()
+			g.Data[i] = scale * rng.NormFloat64()
 		}
 		grads = append(grads, g)
 	}

@@ -9,8 +9,9 @@ package nn
 // internal/core). What changes is the work around the arithmetic: no node
 // bookkeeping, no per-node matrices, the four gates' preactivation
 // gradients packed in one row per step, and each weight gradient written
-// once, summed over the whole window in registers (mat.MatMulATStepsInto),
-// instead of cleared and then updated by one rank-1 pass per step.
+// once, summed over the whole window in registers
+// (mat.GatesMatMulATStepsInto, the four gates in one call), instead of
+// cleared and then updated by one rank-1 pass per step.
 //
 // Like FusedCell, a TrainCell reads the LIVE per-gate parameter matrices:
 // they are row-major already, which is the layout the column-vectorised
@@ -55,7 +56,7 @@ type TrainCell struct {
 	dBrow  []float64      // the four dB packed in one 4·Hidden row (dB[g] view it)
 	carry  []float64      // ∂L/∂c_{t−1} contribution of step t's forget path
 	dctx   []float64      // HidCols: gradient of the current step's hidden context
-	gemv   []float64      // HidCols: one gate's share of dctx
+	gemv   []float64      // HidCols: one gate's share of dctx, where per-gate kernels run
 	// wHid[g] views the first HidCols rows of w[g] (HidCols × Hidden) and
 	// wHidT[g] is its transpose (Hidden × HidCols), the row-major weight of
 	// the input-gradient product dpre_g·W_gᵀ. Both are re-derived by every
@@ -86,13 +87,10 @@ func NewTrainCell(ps *ParamSet, cell *LSTMCell, steps, hidCols int) *TrainCell {
 }
 
 // Step runs forward step t: Ctx row t (filled by the caller) through the
-// four gate GEMVs and the gate kernel into H and c row t+1.
+// four gates' GEMV (one call) and the gate kernel into H and c row t+1.
 func (c *TrainCell) Step(t int) {
-	h := c.Hidden
-	ctx, pre := c.Ctx.Row(t), c.act.Row(t)
-	for g := range c.w {
-		mat.GEMVBiasInto(pre[g*h:(g+1)*h], ctx, c.w[g], c.b[g].Data)
-	}
+	pre := c.act.Row(t)
+	mat.GatesGEMVBiasInto(pre, c.Ctx.Row(t), &c.w, &c.b)
 	mat.LSTMGatesTrainInto(c.H.Row(t+1), c.c.Row(t+1), c.tanhC.Row(t), pre, c.c.Row(t))
 }
 
@@ -146,7 +144,6 @@ func (c *TrainCell) BeginBackward() {
 // dB_g = Σ_t dpre_{g,t} accumulate here, from zero in that order — the order
 // in which the tape's Backward reaches the steps.
 func (c *TrainCell) BackStep(t int, dh []float64, wantCtx bool) []float64 {
-	h := c.Hidden
 	dpre := c.dpre.Row(t)
 	mat.LSTMGatesBackInto(dpre, c.carry, dh, c.act.Row(t), c.tanhC.Row(t), c.c.Row(t))
 	mat.VecAddInto(c.dBrow, dpre)
@@ -157,20 +154,13 @@ func (c *TrainCell) BackStep(t int, dh []float64, wantCtx bool) []float64 {
 	// each gate's product a complete ascending-k sum before it is added. The
 	// tape adds the first to a zeroed gradient; a sum that starts at +0 is
 	// never −0, so 0 + x is x and the output gate's product lands directly.
-	mat.FwdGEMMBiasInto(c.dctx, dpre[3*h:], 1, c.wHidT[3], nil, nil)
-	for g := 2; g >= 0; g-- {
-		mat.FwdGEMMBiasInto(c.gemv, dpre[g*h:(g+1)*h], 1, c.wHidT[g], nil, nil)
-		mat.VecAddInto(c.dctx, c.gemv)
-	}
+	mat.GatesGEMVTInto(c.dctx, c.gemv, dpre, &c.wHidT)
 	return c.dctx
 }
 
 // FinishBackward turns the window's preactivation gradients into the weight
 // gradients dW_g = Σ_t ctx_tᵀ·dpre_{g,t}, each element summed from zero over
-// t descending.
+// t descending — the four gates in one call.
 func (c *TrainCell) FinishBackward() {
-	h := c.Hidden
-	for g := range c.dW {
-		mat.MatMulATStepsInto(c.dW[g], c.Ctx.Data, c.dpre.Data[g*h:], 4*h, c.Steps)
-	}
+	mat.GatesMatMulATStepsInto(&c.dW, c.Ctx.Data, c.dpre.Data, c.Steps)
 }
