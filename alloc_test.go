@@ -126,8 +126,8 @@ func TestObserveUpdateSteadyStateAllocs(t *testing.T) {
 	if n > 0 {
 		t.Fatalf("Observe of an unbuffered segment allocates %v times with EnableUpdate, want 0", n)
 	}
-	if st := det.upd.State(); len(st.Buffer) != 0 {
-		t.Fatalf("fixture buffered %d segments; the test must stream unbuffered ones", len(st.Buffer))
+	if st := det.upd.State(); len(st.Offsets) != 0 {
+		t.Fatalf("fixture buffered %d segments; the test must stream unbuffered ones", len(st.Offsets))
 	}
 }
 

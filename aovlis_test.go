@@ -366,7 +366,7 @@ func TestDriftCheckReadsTheScoresState(t *testing.T) {
 			}
 			got, want := det.upd.State(), ref.State()
 			if got.Checks != want.Checks || got.Checks < 2 || got.HistoryCount != want.HistoryCount ||
-				got.IncomingCount != want.IncomingCount || len(got.Buffer) != len(want.Buffer) {
+				got.IncomingCount != want.IncomingCount || len(got.Offsets) != len(want.Offsets) {
 				t.Fatalf("detector ran %d checks over %d+%d states, the reference %d over %d+%d (want at least 2 checks)",
 					got.Checks, got.HistoryCount, got.IncomingCount, want.Checks, want.HistoryCount, want.IncomingCount)
 			}

@@ -17,6 +17,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"aovlis/internal/snapshot"
 )
 
 var updateFuzzCorpus = flag.Bool("update-fuzz-corpus", false, "regenerate the testdata/fuzz seed corpus files")
@@ -47,11 +49,17 @@ func fuzzSnapshotBytes(tb testing.TB) []byte {
 }
 
 // restoreFuzzSeeds builds the seeds shared by f.Add and the checked-in
-// corpus: a valid stream and systematic corruptions of it.
+// corpus: a valid stream, systematic corruptions of it, and the golden
+// snapshot of the current codec version, an updating detector with a
+// buffer to restore.
 func restoreFuzzSeeds(tb testing.TB) [][]byte {
 	valid := fuzzSnapshotBytes(tb)
 	corrupt := append([]byte{}, valid...)
 	corrupt[len(corrupt)/3] ^= 0x40 // bit flip mid-stream
+	golden, err := os.ReadFile(filepath.Join("testdata", "snapshots", fmt.Sprintf("v%d", snapshot.Version), "detector.snap"))
+	if err != nil {
+		tb.Fatal(err)
+	}
 	return [][]byte{
 		valid,
 		valid[:len(valid)/2], // truncated model payload
@@ -59,6 +67,7 @@ func restoreFuzzSeeds(tb testing.TB) [][]byte {
 		corrupt,
 		{},
 		[]byte("AOVLIS-SNAP but not really"),
+		golden,
 	}
 }
 

@@ -340,6 +340,10 @@ func BenchmarkMatMulATStepsInto(b *testing.B) {
 	})
 }
 
+// BenchmarkAdamInto times one Adam update of the served model's 18 675
+// parameters. Its first run fixes bc₁ = 0.5, an early step; "served" fixes
+// bc₁ = 1, which 1 − 0.9ᵗ rounds to from step 356 on, so most of a
+// training run's steps take that path, which skips the m̂ division.
 func BenchmarkAdamInto(b *testing.B) {
 	const n = 18675
 	rng := rand.New(rand.NewSource(1))
@@ -350,6 +354,13 @@ func BenchmarkAdamInto(b *testing.B) {
 	b.Run(SIMDGEMM(), func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			AdamInto(p, m, v, g, c)
+		}
+	})
+	served := *c
+	served.BiasCorr1 = 1
+	b.Run("served", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			AdamInto(p, m, v, g, &served)
 		}
 	})
 	b.Run("portable", func(b *testing.B) {

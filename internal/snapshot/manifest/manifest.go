@@ -22,8 +22,9 @@ import (
 // snapshot.Version is: the newest a manifest may record. Bump it (and add
 // a testdata/snapshots/v<N> golden in the root package) whenever any
 // snapshot wire format changes. Version 2 dropped the ADOS filter's
-// configuration and counters from the detector payload.
-const Version = 2
+// configuration and counters from the detector payload; version 3 writes
+// the updater's buffer as one log of rows and an offset per sample.
+const Version = 3
 
 // Name is the file the pool manifest commits to inside a snapshot
 // directory.

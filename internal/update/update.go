@@ -183,10 +183,31 @@ type Trainers struct {
 	made int
 }
 
-// trainer is one CLSTM_new and the rng its epochs shuffle with.
+// trainer is one CLSTM_new, the rng its epochs shuffle with, and the views
+// of an updater's log it retrains on: a row header per log row and a sample
+// per offset. They are scratch, so a retrain allocates nothing once they
+// have grown, and put clears them, so a listed trainer holds no log.
 type trainer struct {
-	model *core.Trainer
-	rng   *rand.Rand
+	model    *core.Trainer
+	rng      *rand.Rand
+	samples  []core.Sample
+	act, aud [][]float64
+}
+
+// views returns u's buffered samples as views of its log.
+func (tr *trainer) views(u *Updater) []core.Sample {
+	cfg := u.model.Config()
+	da, db, q := cfg.ActionDim, cfg.AudienceDim, cfg.SeqLen
+	tr.act, tr.aud, tr.samples = tr.act[:0], tr.aud[:0], tr.samples[:0]
+	for r := 0; r < len(u.act)/da; r++ {
+		tr.act = append(tr.act, u.act[r*da:(r+1)*da:(r+1)*da])
+		tr.aud = append(tr.aud, u.aud[r*db:(r+1)*db:(r+1)*db])
+	}
+	for _, o := range u.offsets {
+		tr.samples = append(tr.samples, core.Sample{ActionSeq: tr.act[o : o+q : o+q], AudienceSeq: tr.aud[o : o+q : o+q],
+			ActionTarget: tr.act[o+q], AudienceTarget: tr.aud[o+q]})
+	}
+	return tr.samples
 }
 
 // Made reports how many trainers the list has ever made.
@@ -213,6 +234,9 @@ func (l *Trainers) take(serving *core.Model) *trainer {
 
 // put returns a trainer to the list.
 func (l *Trainers) put(tr *trainer) {
+	clear(tr.samples)
+	clear(tr.act)
+	clear(tr.aud)
 	l.mu.Lock()
 	l.free = append(l.free, tr)
 	l.mu.Unlock()
@@ -224,23 +248,17 @@ type Updater struct {
 	model    *core.Model
 	trainers *Trainers
 
-	history  setSketch     // S_h: hidden states of historical data
-	incoming setSketch     // S_n: hidden states of buffered incoming data
-	buffer   []core.Sample // n_tmp: buffered presumed-normal segments
-	hidden   []float64     // reused Model.HiddenInto destination
-	// actLog/audLog are the window log: the rows the buffered samples'
-	// windows read, in stream order, action and audience side by side. Each
-	// buffered sample's ActionSeq and AudienceSeq are q-row views of it, and
-	// a window that overlaps the log's tail — the previous buffered
-	// segment's, in a stream buffered densely — adds only the rows past it.
-	// Emptied, not freed, by every drift check.
-	actLog, audLog [][]float64
-	// actRows/audRows own the rows the buffer reads — the log's and the
-	// samples' targets — each action row on one backing with its audience
-	// row. The first used are in use; a drift check frees them all for the
-	// next cycle.
-	actRows, audRows [][]float64
-	used             int
+	history  setSketch // S_h: hidden states of historical data
+	incoming setSketch // S_n: hidden states of buffered incoming data
+	hidden   []float64 // reused Model.HiddenInto destination
+	// act/aud are the log: the rows the buffered samples read, copied in
+	// stream order onto one flat backing a side; end is the stream position
+	// of its last row. offsets is n_tmp: buffered sample i reads rows
+	// offsets[i] … offsets[i]+q−1, its window, and offsets[i]+q, its
+	// target. A drift check empties all three and keeps their arrays.
+	act, aud []float64
+	end      int
+	offsets  []int
 
 	// interaction threshold T: mean interaction level of the previous
 	// window (Fig. 5 line 4 filters segments with interaction < T).
@@ -297,7 +315,8 @@ func (u *Updater) SeedHistory(samples []core.Sample) error {
 // Observe processes one incoming segment (Fig. 5 lines 2-14): buffer it if
 // its audience interaction marks it normal, and when the buffer fills run
 // the drift check and possibly the incremental update. A buffered sample
-// is copied, so the caller may reuse its rows once Observe returns.
+// is copied, so the caller may reuse its rows once Observe returns; its
+// Index must be its target's stream position for windows to share rows.
 func (u *Updater) Observe(sample core.Sample, interactionLevel float64) (Result, error) {
 	return u.ObserveHidden(sample, interactionLevel, nil)
 }
@@ -333,10 +352,7 @@ func (u *Updater) ObserveHidden(sample core.Sample, interactionLevel float64, hi
 		case len(hidden) != cfg.HiddenI:
 			return res, fmt.Errorf("update: hidden state has %d values, model hidden is %d", len(hidden), cfg.HiddenI)
 		}
-		if cap(u.buffer) == 0 {
-			u.buffer = make([]core.Sample, 0, u.cfg.MaxBuffer)
-		}
-		u.buffer = append(u.buffer, u.logWindow(sample))
+		u.offsets = append(u.offsets, u.push(&sample))
 		u.incoming.add(hidden)
 		res.Buffered = true
 	}
@@ -367,56 +383,36 @@ func (u *Updater) ObserveHidden(sample core.Sample, interactionLevel float64, hi
 	// S_h ← S_h ∪ S_n; clear S_n and n_tmp (lines 13-14).
 	u.history.merge(&u.incoming)
 	u.incoming.reset()
-	clear(u.buffer)
-	u.buffer, u.actLog, u.audLog, u.used = u.buffer[:0], u.actLog[:0], u.audLog[:0], 0
+	u.offsets, u.act, u.aud = u.offsets[:0], u.act[:0], u.aud[:0]
 	return res, nil
 }
 
-// logWindow returns s copied into rows the updater owns, its window a view
-// of the window log. The rows the log's tail already holds — found by value,
-// the same float64 bits, so −0 and NaN payloads stay exact — are shared,
-// and only the ones past them are appended; the first of those is the
-// previous sample's target row when it holds the same bits, as it does when
-// that sample was the previous segment. The log starts at the size a fully
-// buffered cycle needs (MaxBuffer + q − 1 rows) and grows, by doubling, up
-// to q·MaxBuffer rows, what a cycle of disjoint windows needs. Growing
-// copies the log into a new array and leaves the samples already buffered
-// on the old one, whose rows are the same.
-func (u *Updater) logWindow(s core.Sample) core.Sample {
-	q := len(s.ActionSeq)
-	k := u.overlap(s)
-	at, need := len(u.actLog)-k, len(u.actLog)+q-k
-	if need > cap(u.actLog) {
-		c := max(need, 2*cap(u.actLog), u.cfg.MaxBuffer+q-1)
-		c = min(c, max(need, q*u.cfg.MaxBuffer))
-		u.actLog = append(make([][]float64, 0, c), u.actLog...)
-		u.audLog = append(make([][]float64, 0, c), u.audLog...)
+// push copies s's window and target into the log and returns the log row
+// its window starts at. s's window holds stream positions Index−q …
+// Index−1 and the log's last row is at end, so the log's last k rows are
+// the window's first k: shared when they hold the same float64 bits (−0
+// and NaN payloads stay exact), and only the rows past them are appended.
+// A sample whose Index does not follow its rows starts a fresh run.
+func (u *Updater) push(s *core.Sample) int {
+	cfg := u.model.Config()
+	q, da, db := cfg.SeqLen, cfg.ActionDim, cfg.AudienceDim
+	rows := len(u.act) / da
+	k := u.end - (s.Index - q) + 1
+	if k <= 0 || k > min(q, rows) {
+		k = 0
 	}
+	for t, r := 0, rows-k; t < k; t, r = t+1, r+1 {
+		if !sameBits(u.act[r*da:(r+1)*da], s.ActionSeq[t]) || !sameBits(u.aud[r*db:(r+1)*db], s.AudienceSeq[t]) {
+			k = 0 // ends the loop
+		}
+	}
+	u.grow(q + 1 - k)
 	for t := k; t < q; t++ {
-		a, b := s.ActionSeq[t], s.AudienceSeq[t]
-		if n := len(u.buffer); t == k && n > 0 && sameBits(u.buffer[n-1].ActionTarget, a) && sameBits(u.buffer[n-1].AudienceTarget, b) {
-			a, b = u.buffer[n-1].ActionTarget, u.buffer[n-1].AudienceTarget
-		} else {
-			a, b = u.own(a, b)
-		}
-		u.actLog = append(u.actLog, a)
-		u.audLog = append(u.audLog, b)
+		u.act, u.aud = append(u.act, s.ActionSeq[t]...), append(u.aud, s.AudienceSeq[t]...)
 	}
-	s.ActionSeq, s.AudienceSeq = u.actLog[at:need:need], u.audLog[at:need:need]
-	s.ActionTarget, s.AudienceTarget = u.own(s.ActionTarget, s.AudienceTarget)
-	return s
-}
-
-// overlap returns the largest k such that the log's last k rows hold the
-// bits of the first k rows of s's window, action and audience alike.
-func (u *Updater) overlap(s core.Sample) int {
-	n := len(u.actLog)
-	for k := min(n, len(s.ActionSeq)); k > 0; k-- {
-		if slices.EqualFunc(u.actLog[n-k:], s.ActionSeq[:k], sameBits) && slices.EqualFunc(u.audLog[n-k:], s.AudienceSeq[:k], sameBits) {
-			return k
-		}
-	}
-	return 0
+	u.act, u.aud = append(u.act, s.ActionTarget...), append(u.aud, s.AudienceTarget...)
+	u.end = s.Index
+	return rows - k
 }
 
 // sameBits reports whether rows a and b hold the same float64 bits.
@@ -424,20 +420,17 @@ func sameBits(a, b []float64) bool {
 	return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
 }
 
-// own copies an action/audience row pair into the next free pair the
-// updater owns, making one when none is free.
-func (u *Updater) own(a, b []float64) ([]float64, []float64) {
-	if u.used == len(u.actRows) {
-		cfg := u.model.Config()
-		buf := make([]float64, cfg.ActionDim+cfg.AudienceDim)
-		u.actRows = append(u.actRows, buf[:cfg.ActionDim:cfg.ActionDim])
-		u.audRows = append(u.audRows, buf[cfg.ActionDim:])
+// grow makes room for n more log rows: MaxBuffer + q at first, what the
+// dense first cycle needs (T starts at 1), then doubling for sparser cycles
+// (BENCH.md §34) up to (q + 1)·MaxBuffer, what disjoint windows need.
+func (u *Updater) grow(n int) {
+	cfg := u.model.Config()
+	da, q := cfg.ActionDim, cfg.SeqLen
+	if need := len(u.act)/da + n; need*da > cap(u.act) {
+		c := min(max(need, 2*cap(u.act)/da, u.cfg.MaxBuffer+q), max(need, (q+1)*u.cfg.MaxBuffer))
+		u.act = append(make([]float64, 0, c*da), u.act...)
+		u.aud = append(make([]float64, 0, c*cfg.AudienceDim), u.aud...)
 	}
-	ra, rb := u.actRows[u.used], u.audRows[u.used]
-	u.used++
-	copy(ra, a)
-	copy(rb, b)
-	return ra, rb
 }
 
 // State is the updater's complete mutable runtime state, exported for
@@ -453,7 +446,15 @@ type State struct {
 	HistoryCount  int
 	IncomingSum   []float64
 	IncomingCount int
-	// Buffer is n_tmp, the buffered presumed-normal training samples.
+	// Log, Offsets and LogEnd are n_tmp, the buffered presumed-normal
+	// samples (codec version 3 on): the log's action rows, then its
+	// audience rows; each sample's offset into it; and the stream position
+	// of its last row.
+	Log     []float64
+	Offsets []int
+	LogEnd  int
+	// Buffer is n_tmp as codec versions 1 and 2 wrote it: samples with
+	// rows of their own. SetState restores it; State leaves it empty.
 	Buffer []core.Sample
 	// PrevWindowMean is the interaction threshold T; CurWindowSum and
 	// CurWindowN accumulate the next window.
@@ -465,47 +466,30 @@ type State struct {
 	Checks  int
 }
 
-// State returns a deep copy of the updater's runtime state, the buffered
-// samples' feature rows included: the updater reuses those rows once its
-// buffer empties.
+// State returns a copy of the updater's runtime state.
 func (u *Updater) State() State {
-	st := State{
+	return State{
 		HistorySum:     append([]float64(nil), u.history.sum...),
 		HistoryCount:   u.history.count,
 		IncomingSum:    append([]float64(nil), u.incoming.sum...),
 		IncomingCount:  u.incoming.count,
+		Log:            append(slices.Clone(u.act), u.aud...),
+		Offsets:        slices.Clone(u.offsets),
+		LogEnd:         u.end,
 		PrevWindowMean: u.prevWindowMean,
 		CurWindowSum:   u.curWindowSum,
 		CurWindowN:     u.curWindowN,
 		Updates:        u.updates,
 		Checks:         u.checks,
 	}
-	st.Buffer = make([]core.Sample, len(u.buffer))
-	for i, s := range u.buffer {
-		st.Buffer[i] = copySample(s)
-	}
-	return st
-}
-
-// copySample deep-copies a sample: window headers, rows and targets.
-func copySample(s core.Sample) core.Sample {
-	rows := func(seq [][]float64) [][]float64 {
-		out := make([][]float64, len(seq))
-		for t, r := range seq {
-			out[t] = slices.Clone(r)
-		}
-		return out
-	}
-	s.ActionSeq, s.AudienceSeq = rows(s.ActionSeq), rows(s.AudienceSeq)
-	s.ActionTarget, s.AudienceTarget = slices.Clone(s.ActionTarget), slices.Clone(s.AudienceTarget)
-	return s
 }
 
 // SetState replaces the updater's runtime state with a previously exported
 // State (the snapshot-restore path). The state is copied in, so the caller
-// may keep mutating its State value. Dimensions are validated against the
-// model: a corrupted snapshot must fail here, not as an index panic inside
-// a later Observe or retrain.
+// may keep mutating its State value; a version 1 or 2 Buffer is appended
+// to the log as if its samples were observed again. Dimensions and offsets
+// are validated against the model: a corrupted snapshot must fail here,
+// not as an index panic inside a later Observe or retrain.
 func (u *Updater) SetState(st State) error {
 	if st.HistoryCount < 0 || st.IncomingCount < 0 || st.CurWindowN < 0 || st.Updates < 0 || st.Checks < 0 {
 		return fmt.Errorf("update: negative counter in state")
@@ -517,6 +501,19 @@ func (u *Updater) SetState(st State) error {
 	if len(st.IncomingSum) != 0 && len(st.IncomingSum) != cfg.HiddenI {
 		return fmt.Errorf("update: incoming sketch has dim %d, model hidden is %d", len(st.IncomingSum), cfg.HiddenI)
 	}
+	da, db, q := cfg.ActionDim, cfg.AudienceDim, cfg.SeqLen
+	rows := len(st.Log) / (da + db)
+	switch {
+	case len(st.Log)%(da+db) != 0:
+		return fmt.Errorf("update: log of %d values is not whole rows of %d", len(st.Log), da+db)
+	case rows > (q+1)*u.cfg.MaxBuffer:
+		return fmt.Errorf("update: log of %d rows is longer than (q+1)·MaxBuffer", rows)
+	}
+	for i, o := range st.Offsets {
+		if o < 0 || o > rows-1-q || i > 0 && o < st.Offsets[i-1] {
+			return fmt.Errorf("update: offset %d (%d) goes backwards or runs past the log's %d rows", i, o, rows)
+		}
+	}
 	for i := range st.Buffer {
 		if err := u.model.ValidateTrain(&st.Buffer[i]); err != nil {
 			return fmt.Errorf("update: buffered sample %d: %w", i, err)
@@ -524,10 +521,10 @@ func (u *Updater) SetState(st State) error {
 	}
 	u.history = setSketch{sum: append([]float64(nil), st.HistorySum...), count: st.HistoryCount}
 	u.incoming = setSketch{sum: append([]float64(nil), st.IncomingSum...), count: st.IncomingCount}
-	clear(u.buffer)
-	u.buffer, u.actLog, u.audLog, u.used = u.buffer[:0], u.actLog[:0], u.audLog[:0], 0
-	for _, s := range st.Buffer {
-		u.buffer = append(u.buffer, u.logWindow(s))
+	u.offsets, u.act, u.aud, u.end = append(u.offsets[:0], st.Offsets...), u.act[:0], u.aud[:0], st.LogEnd
+	u.act, u.aud = append(u.act, st.Log[:rows*da]...), append(u.aud, st.Log[rows*da:]...)
+	for i := range st.Buffer {
+		u.offsets = append(u.offsets, u.push(&st.Buffer[i]))
 	}
 	u.prevWindowMean = st.PrevWindowMean
 	u.curWindowSum = st.CurWindowSum
@@ -549,8 +546,9 @@ func (u *Updater) applyUpdate() error {
 		return fmt.Errorf("update: resetting CLSTM_new: %w", err)
 	}
 	tr.rng.Seed(u.cfg.Seed + int64(u.updates))
+	samples := tr.views(u)
 	for e := 0; e < u.cfg.TrainEpochs; e++ {
-		if _, err := tr.model.TrainEpoch(u.buffer, tr.rng); err != nil {
+		if _, err := tr.model.TrainEpoch(samples, tr.rng); err != nil {
 			return fmt.Errorf("update: training CLSTM_new: %w", err)
 		}
 	}

@@ -3,6 +3,7 @@ package update
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"aovlis/internal/core"
@@ -415,6 +416,76 @@ func TestStateRoundTripResumesIdentically(t *testing.T) {
 	}
 }
 
+// TestLegacyBufferRestoresThroughTheLog pins the version 1/2 restore path:
+// a Buffer of samples with rows of their own is appended to the log as if
+// the samples were observed again, so the restored updater holds the log,
+// offsets and end an updater that observed them holds, and resumes
+// identically.
+func TestLegacyBufferRestoresThroughTheLog(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	cfg := DefaultConfig()
+	cfg.MaxBuffer = 12
+	cfg.DriftThreshold = 1
+	cfg.TrainEpochs = 1
+	m := testModel(t)
+	live, err := New(m.Clone(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stream := makeSamples(t, rng, 40, 0)
+	var legacy State
+	for i, s := range stream[:cfg.MaxBuffer-1] {
+		// Every third segment is not buffered: its rows still join the
+		// log, as the next buffered window's.
+		level := 0.0
+		if i%3 == 2 {
+			level = 2
+		}
+		res, err := live.Observe(s, level)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Buffered {
+			legacy.Buffer = append(legacy.Buffer, s)
+		}
+	}
+	want := live.State()
+	legacy.HistorySum, legacy.HistoryCount = want.HistorySum, want.HistoryCount
+	legacy.IncomingSum, legacy.IncomingCount = want.IncomingSum, want.IncomingCount
+	legacy.PrevWindowMean, legacy.CurWindowSum, legacy.CurWindowN = want.PrevWindowMean, want.CurWindowSum, want.CurWindowN
+	restored, err := New(m.Clone(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := restored.SetState(legacy); err != nil {
+		t.Fatal(err)
+	}
+	got := restored.State()
+	if !slices.Equal(got.Offsets, want.Offsets) || !slices.Equal(got.Log, want.Log) || got.LogEnd != want.LogEnd {
+		t.Fatalf("a version 2 buffer restores to %d offsets over %d values ending at %d, the live updater holds %d over %d ending at %d",
+			len(got.Offsets), len(got.Log), got.LogEnd, len(want.Offsets), len(want.Log), want.LogEnd)
+	}
+	if rows := 3 + cfg.MaxBuffer - 1; len(want.Log) != 12*rows {
+		t.Fatalf("the live log holds %d values, want each of the stream's %d rows once", len(want.Log), rows)
+	}
+	for i, s := range stream[cfg.MaxBuffer-1:] {
+		w, err := live.Observe(s, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := restored.Observe(s, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if w != g {
+			t.Fatalf("segment %d: %+v restored, %+v live", i, g, w)
+		}
+	}
+	if live.Updates() == 0 {
+		t.Fatal("no retrain: the resumed buffers went untrained")
+	}
+}
+
 func TestSetStateRejectsNegativeCounters(t *testing.T) {
 	u, err := New(testModel(t), DefaultConfig())
 	if err != nil {
@@ -545,18 +616,25 @@ func TestReusedTrainerMatchesFreshClone(t *testing.T) {
 	if list.Made() != 1 {
 		t.Fatalf("%d trainers made for retrains that never overlapped, want 1", list.Made())
 	}
+	// A listed trainer holds no updater's log: its views are cleared.
+	tr := list.free[0]
+	if len(tr.samples) == 0 || slices.ContainsFunc(tr.act[:cap(tr.act)], func(r []float64) bool { return r != nil }) ||
+		slices.ContainsFunc(tr.samples[:cap(tr.samples)], func(s core.Sample) bool { return s.ActionSeq != nil }) {
+		t.Fatal("a trainer back on the list still views the log it retrained on")
+	}
 }
 
-// TestWindowLogSharesOverlappingRows pins the window log: a buffered
-// sample's window is a q-row view of one stream-ordered log of rows the
-// updater owns, copied from the caller's, and the log holds each row once.
-// A densely buffered cycle of n windows costs n + q − 1 rows and never
-// grows the log past its first size; every other segment costs 2 rows a
-// window; disjoint windows cost q rows each, at most q·MaxBuffer. The
+// TestWindowLogSharesOverlappingRows pins the log: a buffered sample is an
+// offset into one stream-ordered log of rows the updater owns, copied from
+// the caller's, and the log holds each row once. A sample's rows are found
+// by its stream position and shared when the log's tail holds their bits.
+// A densely buffered cycle of n samples costs n + q rows and never grows
+// the log past its first size; every other segment costs 2 rows a sample;
+// disjoint windows cost q + 1 rows each, at most (q + 1)·MaxBuffer. The
 // caller's rows are poisoned with NaN after each Observe, and every
-// buffered sample must still hold the bits it was given. Rows are shared by
-// their bits, so a −0 is not taken for a 0. The log is reused across
-// cycles: a second dense cycle allocates nothing.
+// buffered sample, as the retrain sees it, must still hold the bits it was
+// given. Rows are shared by their bits, so a −0 is not taken for a 0. The
+// log is reused across cycles: a second dense cycle allocates nothing.
 func TestWindowLogSharesOverlappingRows(t *testing.T) {
 	const q, maxBuffer = 3, 12
 	cfg := DefaultConfig()
@@ -572,6 +650,19 @@ func TestWindowLogSharesOverlappingRows(t *testing.T) {
 		}
 		return len(a) == len(b)
 	}
+	copySample := func(s core.Sample) core.Sample {
+		rows := func(seq [][]float64) [][]float64 {
+			out := make([][]float64, len(seq))
+			for t, r := range seq {
+				out[t] = append([]float64(nil), r...)
+			}
+			return out
+		}
+		s.ActionSeq, s.AudienceSeq = rows(s.ActionSeq), rows(s.AudienceSeq)
+		s.ActionTarget = append([]float64(nil), s.ActionTarget...)
+		s.AudienceTarget = append([]float64(nil), s.AudienceTarget...)
+		return s
+	}
 	poison := func(s core.Sample) {
 		for _, r := range append(append(s.ActionSeq, s.AudienceSeq...), s.ActionTarget, s.AudienceTarget) {
 			for j := range r {
@@ -579,14 +670,15 @@ func TestWindowLogSharesOverlappingRows(t *testing.T) {
 			}
 		}
 	}
+	rows := func(u *Updater) int { return len(u.act) / 8 }
 	for _, tc := range []struct {
 		name   string
 		stride int
-		rows   int // log length after maxBuffer−1 buffered windows
+		rows   int // log length after maxBuffer−1 buffered samples
 	}{
-		{"dense", 1, maxBuffer - 1 + q - 1},
-		{"every-other", 2, q + 2*(maxBuffer-2)},
-		{"disjoint", q + 1, q * (maxBuffer - 1)},
+		{"dense", 1, maxBuffer - 1 + q},
+		{"every-other", 2, q + 1 + 2*(maxBuffer-2)},
+		{"disjoint", q + 1, (q + 1) * (maxBuffer - 1)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			u, err := New(testModel(t), cfg)
@@ -599,7 +691,7 @@ func TestWindowLogSharesOverlappingRows(t *testing.T) {
 					t.Fatalf("window %d: buffered %v, %v", i, res.Buffered, err)
 				}
 				poison(s)
-				for j, b := range u.buffer {
+				for j, b := range new(trainer).views(u) {
 					want := stream[j*tc.stride]
 					for r := 0; r < q; r++ {
 						if !sameBits(b.ActionSeq[r], want.ActionSeq[r]) || !sameBits(b.AudienceSeq[r], want.AudienceSeq[r]) {
@@ -611,14 +703,14 @@ func TestWindowLogSharesOverlappingRows(t *testing.T) {
 					}
 				}
 			}
-			if len(u.actLog) != tc.rows || len(u.audLog) != tc.rows {
-				t.Fatalf("the log holds %d/%d rows, want %d", len(u.actLog), len(u.audLog), tc.rows)
+			if rows(u) != tc.rows || len(u.aud) != 4*tc.rows {
+				t.Fatalf("the log holds %d/%d rows, want %d", rows(u), len(u.aud)/4, tc.rows)
 			}
-			if c := cap(u.actLog); c > q*maxBuffer {
-				t.Fatalf("the log has room for %d rows, more than the %d disjoint windows need", c, q*maxBuffer)
+			if c := cap(u.act) / 8; c > (q+1)*maxBuffer {
+				t.Fatalf("the log has room for %d rows, more than the %d disjoint windows need", c, (q+1)*maxBuffer)
 			}
-			if tc.stride == 1 && cap(u.actLog) != maxBuffer+q-1 {
-				t.Fatalf("a dense cycle grew the log to %d rows, want its first size %d", cap(u.actLog), maxBuffer+q-1)
+			if tc.stride == 1 && cap(u.act) != 8*(maxBuffer+q) {
+				t.Fatalf("a dense cycle grew the log to %d rows, want its first size %d", cap(u.act)/8, maxBuffer+q)
 			}
 		})
 	}
@@ -636,8 +728,8 @@ func TestWindowLogSharesOverlappingRows(t *testing.T) {
 				t.Fatalf("buffered %v, %v", res.Buffered, err)
 			}
 		}
-		if len(u.actLog) != 2*q || !math.Signbit(u.buffer[1].ActionSeq[0][0]) {
-			t.Fatalf("a window whose first row holds −0 shared the log's 0: %d log rows, want %d", len(u.actLog), 2*q)
+		if rows(u) != 2*(q+1) || !math.Signbit(new(trainer).views(u)[1].ActionSeq[0][0]) {
+			t.Fatalf("a window whose first row holds −0 shared the log's 0: %d log rows, want %d", rows(u), 2*(q+1))
 		}
 	})
 
@@ -658,8 +750,8 @@ func TestWindowLogSharesOverlappingRows(t *testing.T) {
 		}
 	}
 	feed(0)
-	if len(u.actLog) != 0 || len(u.buffer) != 0 {
-		t.Fatalf("a drift check left %d log rows and %d samples", len(u.actLog), len(u.buffer))
+	if len(u.act) != 0 || len(u.offsets) != 0 {
+		t.Fatalf("a drift check left %d log rows and %d samples", rows(u), len(u.offsets))
 	}
 	from := maxBuffer
 	if n := testing.AllocsPerRun(3, func() {
@@ -667,6 +759,59 @@ func TestWindowLogSharesOverlappingRows(t *testing.T) {
 		from += maxBuffer
 	}); n != 0 {
 		t.Fatalf("a dense cycle on a reused log allocates %v times, want 0", n)
+	}
+}
+
+// TestSetStateRejectsHostileLog feeds SetState logs and offsets no updater
+// writes — offsets past the log or going backwards, a log of partial rows
+// or longer than a cycle of disjoint windows — and requires an error for
+// each, never a panic; the state they were cut from restores and reads
+// back as it was written.
+func TestSetStateRejectsHostileLog(t *testing.T) {
+	const q = 3
+	cfg := DefaultConfig()
+	cfg.MaxBuffer = 4
+	u, err := New(testModel(t), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(43))
+	samples := makeSamples(t, rng, 10, 0)
+	for _, s := range samples[:3] {
+		if _, err := u.Observe(s, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	good := u.State()
+	if len(good.Offsets) != 3 || len(good.Log) != 12*(q+3) {
+		t.Fatalf("fixture: %d offsets over %d values, want 3 over %d", len(good.Offsets), len(good.Log), 12*(q+3))
+	}
+	width := 12 // ActionDim + AudienceDim
+	for _, tc := range []struct {
+		name string
+		mut  func(*State)
+	}{
+		{"offset past the log", func(s *State) { s.Offsets = []int{0, 1, 3} }},
+		{"offset far past the log", func(s *State) { s.Offsets = []int{0, 1, math.MaxInt} }},
+		{"negative offset", func(s *State) { s.Offsets = []int{-1, 0, 1} }},
+		{"offsets going backwards", func(s *State) { s.Offsets = []int{0, 2, 1} }},
+		{"offsets without a log", func(s *State) { s.Log = nil }},
+		{"partial row", func(s *State) { s.Log = s.Log[:len(s.Log)-1] }},
+		{"log past a cycle of disjoint windows", func(s *State) {
+			s.Log = make([]float64, width*((q+1)*cfg.MaxBuffer+1))
+		}},
+	} {
+		st := u.State()
+		tc.mut(&st)
+		if err := u.SetState(st); err == nil {
+			t.Errorf("%s: accepted", tc.name)
+		}
+	}
+	if err := u.SetState(good); err != nil {
+		t.Fatalf("the state it wrote is refused: %v", err)
+	}
+	if got := u.State(); !slices.Equal(got.Offsets, good.Offsets) || !slices.Equal(got.Log, good.Log) || got.LogEnd != good.LogEnd {
+		t.Fatal("a restored state reads back other offsets, rows or end than it was written with")
 	}
 }
 

@@ -139,8 +139,8 @@ func TestStateBeforeDriftCheckSurvivesRecycling(t *testing.T) {
 	}
 	snap := snapshotBytes(t, det)
 	st := det.upd.State()
-	if len(st.Buffer) != det.cfg.Update.MaxBuffer-1 {
-		t.Fatalf("%d samples buffered before the drift check, want %d", len(st.Buffer), det.cfg.Update.MaxBuffer-1)
+	if len(st.Offsets) != det.cfg.Update.MaxBuffer-1 {
+		t.Fatalf("%d samples buffered before the drift check, want %d", len(st.Offsets), det.cfg.Update.MaxBuffer-1)
 	}
 	want := observeSerially(t, det, actions[check:], audience[check:])
 	if !want[0].Updated {
