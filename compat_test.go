@@ -25,7 +25,6 @@ import (
 	"bytes"
 	"flag"
 	"fmt"
-	"io"
 	"math"
 	"math/rand"
 	"os"
@@ -35,6 +34,7 @@ import (
 	"strings"
 	"testing"
 
+	"aovlis/internal/durable"
 	"aovlis/internal/mat"
 	"aovlis/internal/snapshot"
 )
@@ -136,7 +136,11 @@ func mintGolden(t *testing.T, dir string) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := snapshot.WriteFileAtomic(filepath.Join(dir, "detector.snap"), det.Snapshot); err != nil {
+	var snap bytes.Buffer
+	if err := det.Snapshot(&snap); err != nil {
+		t.Fatal(err)
+	}
+	if err := durable.Commit(filepath.Join(dir, "detector.snap"), snap.Bytes()); err != nil {
 		t.Fatal(err)
 	}
 	var scores bytes.Buffer
@@ -147,10 +151,7 @@ func mintGolden(t *testing.T, dir string) {
 		}
 		fmt.Fprintln(&scores, goldenLine(res))
 	}
-	if _, _, err := snapshot.WriteFileAtomic(filepath.Join(dir, "scores.txt"), func(w io.Writer) error {
-		_, err := w.Write(scores.Bytes())
-		return err
-	}); err != nil {
+	if err := durable.Commit(filepath.Join(dir, "scores.txt"), scores.Bytes()); err != nil {
 		t.Fatal(err)
 	}
 	t.Logf("minted golden in %s (%d score lines)", dir, goldenPostSegments)

@@ -18,6 +18,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"aovlis/internal/mat"
 	"aovlis/internal/snapshot"
 )
 
@@ -48,10 +49,50 @@ func fuzzSnapshotBytes(tb testing.TB) []byte {
 	return buf.Bytes()
 }
 
+// tinySnapshotBytes snapshots the smallest detector worth mutating — 4/2
+// feature dims, hidden sizes 2/2, a window of 2, trained one epoch on 24
+// segments, 20 segments into its stream — in a few KB, most of it gob's
+// type descriptors. With update set it snapshots an updating detector
+// whose log holds buffered rows.
+func tinySnapshotBytes(tb testing.TB, update bool) []byte {
+	tb.Helper()
+	cfg := DefaultConfig(4, 2)
+	cfg.HiddenI, cfg.HiddenA, cfg.SeqLen, cfg.Epochs = 2, 2, 2, 1
+	cfg.EnableUpdate = update
+	cfg.Update.MaxBuffer = 4
+	rng := rand.New(rand.NewSource(5))
+	var actions, audience [][]float64
+	for i := 0; i < 24; i++ {
+		f := []float64{0.1 + rng.Float64(), 0.1, 0.1, 0.1}
+		f[i%4]++
+		mat.Normalize(f)
+		actions = append(actions, f)
+		audience = append(audience, []float64{0.3 + 0.03*rng.NormFloat64(), 0.3})
+	}
+	det, err := Train(actions, audience, cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for i := 0; i < 20; i++ {
+		if _, err := det.Observe(actions[i], audience[i]); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if update && len(det.upd.State().Offsets) == 0 {
+		tb.Fatal("the tiny updating detector buffered nothing")
+	}
+	var buf bytes.Buffer
+	if err := det.Snapshot(&buf); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
 // restoreFuzzSeeds builds the seeds shared by f.Add and the checked-in
-// corpus: a valid stream, systematic corruptions of it, and the golden
-// snapshot of the current codec version, an updating detector with a
-// buffer to restore.
+// corpus: a valid stream, systematic corruptions of it, the golden
+// snapshot of the current codec version (an updating detector with a
+// buffer to restore), and tiny-model snapshots and corruptions of them,
+// small enough that the fuzzer's mutations reach every section.
 func restoreFuzzSeeds(tb testing.TB) [][]byte {
 	valid := fuzzSnapshotBytes(tb)
 	corrupt := append([]byte{}, valid...)
@@ -60,6 +101,9 @@ func restoreFuzzSeeds(tb testing.TB) [][]byte {
 	if err != nil {
 		tb.Fatal(err)
 	}
+	tiny, tinyUpdating := tinySnapshotBytes(tb, false), tinySnapshotBytes(tb, true)
+	tinyCorrupt := append([]byte{}, tinyUpdating...)
+	tinyCorrupt[len(tinyCorrupt)/2] ^= 0x40
 	return [][]byte{
 		valid,
 		valid[:len(valid)/2], // truncated model payload
@@ -68,6 +112,10 @@ func restoreFuzzSeeds(tb testing.TB) [][]byte {
 		{},
 		[]byte("AOVLIS-SNAP but not really"),
 		golden,
+		tiny,
+		tinyUpdating,
+		tinyUpdating[:len(tinyUpdating)/2],
+		tinyCorrupt,
 	}
 }
 

@@ -16,7 +16,6 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"path/filepath"
 	"reflect"
 	"strings"
 	"sync"
@@ -463,15 +462,8 @@ func TestMonitorSurvivesHalfOpenFailoverTarget(t *testing.T) {
 	// the survivors is the half-open node.
 	id := placedOn(t, "node-h", "node-h", "node-z")
 	own(t, r, id, "node-a")
-	file := "chan-" + id + ".snap"
-	n, sum, err := snapshot.WriteFileAtomic(filepath.Join(dir, file), func(w io.Writer) error {
-		return json.NewEncoder(w).Encode(stubState{ID: id, Observed: 3})
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := snapshot.WriteManifest(dir, manifest.Manifest{Version: snapshot.Version,
-		Channels: []manifest.ChannelEntry{{ID: id, File: file, Bytes: n, SHA256: sum}}}); err != nil {
+	if err := manifest.Write(dir, manifest.Manifest{Version: snapshot.Version,
+		Channels: []manifest.ChannelEntry{commitStubCheckpoint(t, dir, stubState{ID: id, Observed: 3})}}); err != nil {
 		t.Fatal(err)
 	}
 

@@ -407,7 +407,7 @@ func (r *Router) checkpointIndex(n *Node) map[string]checkpointRef {
 	}
 	out := make(map[string]checkpointRef, len(man.Channels))
 	for _, ce := range man.Channels {
-		if err := manifest.Verify(dir, ce); err != nil {
+		if _, err := manifest.ReadEntry(dir, ce); err != nil {
 			r.cfg.Logf("cluster: checkpoint for %q fails verification: %v", ce.ID, err)
 			continue
 		}

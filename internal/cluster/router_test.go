@@ -3,6 +3,8 @@ package cluster
 import (
 	"bufio"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -16,6 +18,7 @@ import (
 	"testing"
 	"time"
 
+	"aovlis/internal/durable"
 	"aovlis/internal/serve/loadgen"
 	"aovlis/internal/snapshot"
 	"aovlis/internal/snapshot/manifest"
@@ -548,16 +551,9 @@ func TestRouterFailover(t *testing.T) {
 	warm := owned[:len(owned)-1]
 	cold := owned[len(owned)-1]
 	for _, id := range warm {
-		file := "chan-" + id + ".snap"
-		n, sum, err := snapshot.WriteFileAtomic(filepath.Join(dir, file), func(w io.Writer) error {
-			return json.NewEncoder(w).Encode(stubState{ID: id, Observed: victimStub.observedCount(id)})
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		entries = append(entries, manifest.ChannelEntry{ID: id, File: file, Bytes: n, SHA256: sum})
+		entries = append(entries, commitStubCheckpoint(t, dir, stubState{ID: id, Observed: victimStub.observedCount(id)}))
 	}
-	if err := snapshot.WriteManifest(dir, manifest.Manifest{Version: snapshot.Version, Channels: entries}); err != nil {
+	if err := manifest.Write(dir, manifest.Manifest{Version: snapshot.Version, Channels: entries}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -696,4 +692,21 @@ func (l clampListener) Accept() (wire.Conn, error) {
 		l.clamp(c)
 	}
 	return c, err
+}
+
+// commitStubCheckpoint commits st as a stub node's checkpoint file for its
+// channel in dir and returns the manifest entry naming it.
+func commitStubCheckpoint(t *testing.T, dir string, st stubState) manifest.ChannelEntry {
+	t.Helper()
+	b, err := json.Marshal(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b = append(b, '\n')
+	file := "chan-" + st.ID + ".snap"
+	if err := durable.Commit(filepath.Join(dir, file), b); err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(b)
+	return manifest.ChannelEntry{ID: st.ID, File: file, Bytes: int64(len(b)), SHA256: hex.EncodeToString(sum[:])}
 }

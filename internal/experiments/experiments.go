@@ -9,9 +9,11 @@
 package experiments
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"time"
 
@@ -863,55 +865,73 @@ func sweep(param string, values []float64, set func(*ados.Config, float64)) func
 
 // --- E15: update vs retrain wall-clock ---
 
-// updateCost measures the wall-clock cost of one incremental update versus
-// one full retrain on each dataset (§VI-C6; the paper reports up to 403×).
-// The duration cells carry milliseconds, the speed-up cell the ratio.
+// updatePairs is how many incremental/retrain pairs updateCost times per
+// dataset, alternated so that a loaded host slows both sides alike.
+const updatePairs = 5
+
+// updateCost measures the cost of one incremental update versus one full
+// retrain on each dataset (§VI-C6; the paper reports up to 403×). The
+// duration cells carry the median pair's milliseconds and the speed-up
+// cell the median of the pairs' ratios; the step cells count the training
+// steps (one per sample per epoch) each side runs, which no host's load
+// can change.
 func updateCost(r *Runner, ds []*dataset.Dataset) (Artifact, error) {
-	tb := evalx.NewTable("Update cost: incremental vs full retrain (wall clock)",
-		"Dataset", "incremental", "retrain", "speedup")
+	tb := evalx.NewTable(fmt.Sprintf("Update cost: incremental vs full retrain (wall clock, median of %d pairs)", updatePairs),
+		"Dataset", "incremental", "retrain", "speedup", "inc steps", "retrain steps")
 	for _, d := range ds {
 		base, err := r.Model(d)
 		if err != nil {
 			return nil, err
 		}
 		// Incremental: train a warm-started clone on one buffer of recent
-		// normal segments and merge.
+		// normal segments and merge. Retrain: full training over everything
+		// from scratch.
 		bufN := len(d.TestSamples) / 4
 		if bufN < 4 {
 			bufN = 4
 		}
 		buffer := d.TestSamples[:bufN]
-		start := time.Now()
-		fresh := base.Clone()
-		fresh.ResetOptimizer()
-		rng := rand.New(rand.NewSource(r.Scale.Seed))
-		for e := 0; e < 2; e++ {
-			if _, err := fresh.TrainEpoch(buffer, rng); err != nil {
-				return nil, err
-			}
-		}
-		if err := fresh.Merge(base, 0.5); err != nil {
-			return nil, err
-		}
-		incTime := time.Since(start)
-
-		// Retrain: full training over everything from scratch.
 		all := append(append([]core.Sample{}, d.TrainSamples...), buffer...)
-		start = time.Now()
-		scratch, err := core.NewModel(base.Config())
-		if err != nil {
-			return nil, err
-		}
-		for e := 0; e < r.Scale.Epochs; e++ {
-			if _, err := scratch.TrainEpoch(all, rng); err != nil {
+		var inc, retrain [updatePairs]time.Duration
+		var speedup [updatePairs]float64
+		for i := range inc {
+			rng := rand.New(rand.NewSource(r.Scale.Seed))
+			start := time.Now()
+			fresh := base.Clone()
+			fresh.ResetOptimizer()
+			for e := 0; e < 2; e++ {
+				if _, err := fresh.TrainEpoch(buffer, rng); err != nil {
+					return nil, err
+				}
+			}
+			if err := fresh.Merge(base, 0.5); err != nil {
 				return nil, err
 			}
+			inc[i] = time.Since(start)
+
+			start = time.Now()
+			scratch, err := core.NewModel(base.Config())
+			if err != nil {
+				return nil, err
+			}
+			for e := 0; e < r.Scale.Epochs; e++ {
+				if _, err := scratch.TrainEpoch(all, rng); err != nil {
+					return nil, err
+				}
+			}
+			retrain[i] = time.Since(start)
+			speedup[i] = retrain[i].Seconds() / inc[i].Seconds()
 		}
-		retrainTime := time.Since(start)
-		tb.AddRowf(d.Name, msCell(incTime), msCell(retrainTime),
-			evalx.Fmt("%.1fx", retrainTime.Seconds()/incTime.Seconds()))
+		tb.AddRowf(d.Name, msCell(median(inc[:])), msCell(median(retrain[:])),
+			evalx.Fmt("%.1fx", median(speedup[:])), 2*bufN, r.Scale.Epochs*len(all))
 	}
 	return Artifact{tb}, nil
+}
+
+// median sorts xs and returns its middle element (xs has odd length).
+func median[T cmp.Ordered](xs []T) T {
+	slices.Sort(xs)
+	return xs[len(xs)/2]
 }
 
 func msCell(d time.Duration) evalx.Cell {

@@ -97,7 +97,7 @@ func checkProofs(t *testing.T, l *Ledger, want []goldenProof) {
 // batchKind reads the envelope kind of a committed batch file.
 func batchKind(t *testing.T, dir string, index uint64) string {
 	t.Helper()
-	b, err := os.ReadFile(filepath.Join(dir, batchName(index)))
+	b, err := os.ReadFile(filepath.Join(dir, batchFiles.Name(index)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,11 +174,11 @@ func TestGobGoldenCompat(t *testing.T) {
 	t.Run("binary batches chained onto gob", func(t *testing.T) {
 		dir := t.TempDir()
 		for i := uint64(1); i <= 3; i++ {
-			b, err := os.ReadFile(filepath.Join(goldenGobDir, batchName(i)))
+			b, err := os.ReadFile(filepath.Join(goldenGobDir, batchFiles.Name(i)))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := os.WriteFile(filepath.Join(dir, batchName(i)), b, 0o600); err != nil {
+			if err := os.WriteFile(filepath.Join(dir, batchFiles.Name(i)), b, 0o600); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -194,7 +194,7 @@ func TestGobGoldenCompat(t *testing.T) {
 		if err := l.Close(); err != nil { // one full batch and a 2-entry tail
 			t.Fatal(err)
 		}
-		w, err := readBatch(filepath.Join(dir, batchName(4)))
+		w, err := readBatch(filepath.Join(dir, batchFiles.Name(4)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -252,7 +252,7 @@ func TestScoreBitsSurviveCommit(t *testing.T) {
 	if _, err := Verify(dir); err != nil {
 		t.Fatalf("Verify: %v", err)
 	}
-	w, err := readBatch(filepath.Join(dir, batchName(1)))
+	w, err := readBatch(filepath.Join(dir, batchFiles.Name(1)))
 	if err != nil {
 		t.Fatal(err)
 	}

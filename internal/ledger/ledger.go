@@ -8,9 +8,9 @@
 //
 // Verdicts accumulate in memory and commit in batches of Options.BatchSize
 // (plus an explicit Flush at checkpoint and shutdown). A committed batch is
-// one file, batch-00000001.blk, batch-00000002.blk, ..., written with the
-// snapshot substrate's commit discipline (staged, fsynced, renamed, directory
-// fsynced) and opened by the standard envelope. Inside a batch:
+// one file, batch-00000001.blk, batch-00000002.blk, ..., written in one
+// durable.Commit (staged, fsynced, renamed, directory fsynced) and opened
+// by the standard envelope. Inside a batch:
 //
 //	leaf_i  = SHA256(0x00 || canonical(entry_i))
 //	node    = SHA256(0x01 || left || right)   (odd node promoted)
@@ -72,6 +72,7 @@ import (
 	"strings"
 	"sync"
 
+	"aovlis/internal/durable"
 	"aovlis/internal/snapshot"
 	"aovlis/internal/wire"
 )
@@ -493,18 +494,8 @@ var binaryBatchHeader = func() []byte {
 	return b.Bytes()
 }()
 
-func batchName(index uint64) string { return fmt.Sprintf("batch-%08d.blk", index) }
-
-func parseBatchName(name string) (uint64, bool) {
-	if !strings.HasPrefix(name, "batch-") || !strings.HasSuffix(name, ".blk") {
-		return 0, false
-	}
-	n, err := strconv.ParseUint(strings.TrimSuffix(strings.TrimPrefix(name, "batch-"), ".blk"), 10, 64)
-	if err != nil || n == 0 {
-		return 0, false
-	}
-	return n, true
-}
+// batchFiles names the ledger's batch files.
+var batchFiles = durable.Numbered{Prefix: "batch-", Suffix: ".blk"}
 
 // readBatch loads and structurally decodes one batch file of either
 // format, dispatching on the envelope's kind. The trailing self-checksum is
@@ -681,30 +672,23 @@ func Open(dir string, opts Options) (*Ledger, error) {
 // loadDir scans and verifies dir's batch chain.
 func loadDir(dir string) ([]batchMeta, [32]byte, uint64, error) {
 	var prev [32]byte
-	ents, err := os.ReadDir(dir)
+	indices, err := batchFiles.List(dir)
 	if err != nil {
 		return nil, prev, 1, fmt.Errorf("ledger: %w", err)
 	}
-	var indices []uint64
-	for _, e := range ents {
-		if n, ok := parseBatchName(e.Name()); ok {
-			indices = append(indices, n)
-		}
-	}
-	sort.Slice(indices, func(i, j int) bool { return indices[i] < indices[j] })
 	var (
 		metas   []batchMeta
 		nextSeq = uint64(1)
 	)
 	for i, n := range indices {
 		if n != uint64(i+1) {
-			return nil, prev, 1, fmt.Errorf("ledger: batch %d missing (found %s out of order)", i+1, batchName(n))
+			return nil, prev, 1, fmt.Errorf("ledger: batch %d missing (found %s out of order)", i+1, batchFiles.Name(n))
 		}
-		w, err := readBatch(filepath.Join(dir, batchName(n)))
+		w, err := readBatch(filepath.Join(dir, batchFiles.Name(n)))
 		if err != nil {
 			return nil, prev, 1, err
 		}
-		if err := verifyBatch(batchName(n), w, n, nextSeq, prev); err != nil {
+		if err := verifyBatch(batchFiles.Name(n), w, n, nextSeq, prev); err != nil {
 			return nil, prev, 1, err
 		}
 		metas = append(metas, batchMeta{
@@ -796,7 +780,7 @@ func (l *Ledger) commitLocked() error {
 	putBatchFields(b[fields:], &w)
 	sum := sha256.Sum256(b)
 	l.buf = append(b, sum[:]...)
-	if err := commitFile(l.dir, batchName(w.Index), l.buf); err != nil {
+	if err := durable.Commit(filepath.Join(l.dir, batchFiles.Name(w.Index)), l.buf); err != nil {
 		return err
 	}
 	l.batches = append(l.batches, batchMeta{
@@ -809,34 +793,6 @@ func (l *Ledger) commitLocked() error {
 		l.onCommit(len(entries))
 	}
 	return nil
-}
-
-// commitFile commits b as dir/name with the snapshot substrate's discipline
-// — a temporary file in dir, fsynced, renamed over the name, dir fsynced —
-// in one write: the batch is whole before its file is opened. A crash
-// leaves either no file or the whole one.
-func commitFile(dir, name string, b []byte) error {
-	path := filepath.Join(dir, name)
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o600)
-	if err != nil {
-		return fmt.Errorf("ledger: staging %s: %w", name, err)
-	}
-	_, err = f.Write(b)
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmp, path)
-	}
-	if err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("ledger: committing %s: %w", name, err)
-	}
-	return snapshot.SyncDir(dir)
 }
 
 // Root reports the committed head plus the live pending count.
@@ -870,11 +826,11 @@ func (l *Ledger) Proof(seq uint64) (Proof, error) {
 	if !found {
 		return Proof{}, fmt.Errorf("%w: seq %d", ErrNotCommitted, seq)
 	}
-	w, err := readBatch(filepath.Join(dir, batchName(meta.index)))
+	w, err := readBatch(filepath.Join(dir, batchFiles.Name(meta.index)))
 	if err != nil {
 		return Proof{}, err
 	}
-	if err := verifyBatch(batchName(meta.index), w, meta.index, meta.firstSeq, meta.prev); err != nil {
+	if err := verifyBatch(batchFiles.Name(meta.index), w, meta.index, meta.firstSeq, meta.prev); err != nil {
 		return Proof{}, err
 	}
 	idx := int(seq - meta.firstSeq)

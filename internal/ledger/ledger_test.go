@@ -207,7 +207,7 @@ func TestOpenRejectsBrokenChain(t *testing.T) {
 	}
 
 	// A gap in the batch sequence (a deleted batch) must refuse to open.
-	if err := os.Remove(filepath.Join(dir, batchName(2))); err != nil {
+	if err := os.Remove(filepath.Join(dir, batchFiles.Name(2))); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := Open(dir, Options{}); err == nil {

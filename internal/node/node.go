@@ -194,7 +194,7 @@ func restoreOrNew(cfg Config) (*serve.DetectorPool, map[string]uint64, error) {
 	if cfg.SnapshotDir != "" {
 		switch m, err := manifest.Read(cfg.SnapshotDir); {
 		case err == nil:
-			pool, err := serve.RestorePool(cfg.SnapshotDir, cfg.Pool)
+			pool, err := serve.RestorePool(cfg.SnapshotDir, m, cfg.Pool)
 			if err != nil {
 				return nil, nil, fmt.Errorf("restoring pool from %s: %w", cfg.SnapshotDir, err)
 			}

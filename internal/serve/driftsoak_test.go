@@ -196,7 +196,7 @@ func TestPoolSoakSlowBurnDrift(t *testing.T) {
 	if err := pool.Close(); err != nil {
 		t.Fatal(err)
 	}
-	pool, err = RestorePool(dir, Config{Shards: 5, QueueDepth: 128, Batch: 16})
+	pool, err = restoreDir(dir, Config{Shards: 5, QueueDepth: 128, Batch: 16})
 	if err != nil {
 		t.Fatal(err)
 	}

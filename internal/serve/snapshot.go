@@ -27,7 +27,9 @@ package serve
 import (
 	"bufio"
 	"bytes"
+	"crypto/sha256"
 	"encoding/gob"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"io"
@@ -41,6 +43,7 @@ import (
 	"time"
 
 	"aovlis"
+	"aovlis/internal/durable"
 	"aovlis/internal/snapshot"
 	"aovlis/internal/snapshot/manifest"
 	"aovlis/internal/wire"
@@ -110,6 +113,15 @@ func (rep Report) WriteJSON(j *wire.JSON) {
 // only disappear after the new manifest has committed.
 func channelFile(id string, gen int64) string {
 	return url.PathEscape(id) + "." + strconv.FormatInt(gen, 36) + ".snap"
+}
+
+// checkpointResidue reports whether name is a file a checkpoint writes
+// into its directory besides the manifest: a channel file, or the staging
+// file of a channel file or of the manifest — including the randomly
+// suffixed staging names (".tmp-<random>") older releases left behind.
+func checkpointResidue(name string) bool {
+	return strings.HasSuffix(name, ".snap") || strings.Contains(name, ".snap.tmp") ||
+		strings.HasPrefix(name, manifest.Name+".tmp")
 }
 
 // quiesce runs fn inside ch's shard worker between observations and waits
@@ -213,18 +225,14 @@ func (p *DetectorPool) Snapshot(dir string) (Report, error) {
 			buf, quiesced, applied, err := p.encodeQuiesced(ch, snap)
 			var entry manifest.ChannelEntry
 			if err == nil {
-				var size int64
-				var sum string
-				file := channelFile(ch.id, gen)
-				size, sum, err = snapshot.WriteFileAtomic(filepath.Join(dir, file), func(w io.Writer) error {
-					_, werr := w.Write(buf.Bytes())
-					return werr
-				})
+				b := buf.Bytes()
+				sum := sha256.Sum256(b)
 				entry = manifest.ChannelEntry{
-					ID: ch.id, File: file,
-					Bytes: size, SHA256: sum, Shard: ch.shard.index,
+					ID: ch.id, File: channelFile(ch.id, gen),
+					Bytes: int64(len(b)), SHA256: hex.EncodeToString(sum[:]), Shard: ch.shard.index,
 					WALSeq: applied,
 				}
+				err = durable.Commit(filepath.Join(dir, entry.File), b)
 			}
 			mu.Lock()
 			defer mu.Unlock()
@@ -248,13 +256,15 @@ func (p *DetectorPool) Snapshot(dir string) (Report, error) {
 	}
 	sort.Slice(entries, func(i, j int) bool { return entries[i].ID < entries[j].ID })
 	m := manifest.Manifest{Version: snapshot.Version, UnixNanos: gen, Channels: entries}
-	if err := snapshot.WriteManifest(dir, m); err != nil {
+	if err := manifest.Write(dir, m); err != nil {
 		return Report{}, err
 	}
 	// Best-effort cleanup of snapshot files the just-committed manifest does
 	// not reference: previous generations, channels detached since the last
-	// snapshot, and orphans of failed snapshots. Safe only AFTER the
-	// manifest commit — until then the old generation is the restore point.
+	// snapshot, and orphans of failed snapshots — committed or still staged
+	// (a channel file's staging name carries its generation, so no later
+	// commit overwrites it). Safe only AFTER the manifest commit — until
+	// then the old generation is the restore point.
 	live := make(map[string]bool, len(entries))
 	for _, e := range entries {
 		live[e.File] = true
@@ -263,8 +273,7 @@ func (p *DetectorPool) Snapshot(dir string) (Report, error) {
 	report.Floors = floors
 	if dirents, err := os.ReadDir(dir); err == nil {
 		for _, de := range dirents {
-			name := de.Name()
-			if strings.HasSuffix(name, ".snap") && !live[name] {
+			if name := de.Name(); checkpointResidue(name) && !live[name] {
 				os.Remove(filepath.Join(dir, name))
 			}
 		}
@@ -366,41 +375,27 @@ func DecodeChannelExport(r io.Reader) (string, *aovlis.Detector, error) {
 	return exportedID, det, nil
 }
 
-// RestorePool rebuilds a pool from a Snapshot directory: it verifies every
-// manifest entry's size and checksum, restores each channel's detector, and
-// attaches them to a fresh pool with configuration cfg. Shard assignment is
-// re-derived from the channel ids, so cfg.Shards may differ from the
-// snapshotted pool's.
-func RestorePool(dir string, cfg Config) (*DetectorPool, error) {
-	m, err := manifest.Read(dir)
-	if err != nil {
-		return nil, err
-	}
+// RestorePool rebuilds a pool from a Snapshot directory and the manifest
+// its caller read from it: it reads each entry's file once, checks its
+// size and checksum, restores the channel's detector from those bytes,
+// and attaches it to a fresh pool with configuration cfg. Any failure
+// closes the pool and returns the error. Shard assignment is re-derived
+// from the channel ids, so cfg.Shards may differ from the snapshotted
+// pool's.
+func RestorePool(dir string, m manifest.Manifest, cfg Config) (*DetectorPool, error) {
 	p, err := NewDetectorPool(cfg)
 	if err != nil {
 		return nil, err
 	}
 	for _, e := range m.Channels {
-		if err := restoreChannel(p, dir, e); err != nil {
+		b, err := manifest.ReadEntry(dir, e)
+		if err == nil {
+			err = p.AttachSnapshot(e.ID, bytes.NewReader(b))
+		}
+		if err != nil {
 			p.Close()
-			return nil, err
+			return nil, fmt.Errorf("serve: restoring channel %q: %w", e.ID, err)
 		}
 	}
 	return p, nil
-}
-
-// restoreChannel verifies and attaches one manifest entry.
-func restoreChannel(p *DetectorPool, dir string, e manifest.ChannelEntry) error {
-	if err := manifest.Verify(dir, e); err != nil {
-		return err
-	}
-	f, err := os.Open(filepath.Join(dir, e.File))
-	if err != nil {
-		return fmt.Errorf("serve: restoring channel %q: %w", e.ID, err)
-	}
-	defer f.Close()
-	if err := p.AttachSnapshot(e.ID, f); err != nil {
-		return fmt.Errorf("serve: restoring channel %q: %w", e.ID, err)
-	}
-	return nil
 }

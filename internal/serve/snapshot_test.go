@@ -13,6 +13,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -53,6 +54,16 @@ func sameResult(a, b aovlis.Result) bool {
 // from the snapshot directory (the original keeps running as the reference),
 // and require the restored pool's remaining score sequence to be
 // bit-identical per channel.
+// restoreDir restores the pool dir's manifest indexes, as a booting node
+// does.
+func restoreDir(dir string, cfg Config) (*DetectorPool, error) {
+	m, err := manifest.Read(dir)
+	if err != nil {
+		return nil, err
+	}
+	return RestorePool(dir, m, cfg)
+}
+
 func TestPoolKillAndRestartBitIdentical(t *testing.T) {
 	const (
 		channels = 6
@@ -96,7 +107,7 @@ func TestPoolKillAndRestartBitIdentical(t *testing.T) {
 
 	// Rebuild from disk with a different shard count: membership and state
 	// must come from the manifest, shard placement from the ids.
-	restored, err := RestorePool(dir, Config{Shards: 2, QueueDepth: 32})
+	restored, err := restoreDir(dir, Config{Shards: 2, QueueDepth: 32})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +205,7 @@ func TestSnapshotConcurrentWithTraffic(t *testing.T) {
 	close(stop)
 	wg.Wait()
 
-	restored, err := RestorePool(dir, Config{Shards: 4, QueueDepth: 64})
+	restored, err := restoreDir(dir, Config{Shards: 4, QueueDepth: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,11 +381,11 @@ func TestRestorePoolVerifiesIntegrity(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RestorePool(dir, DefaultConfig()); err == nil {
+	if _, err := restoreDir(dir, DefaultConfig()); err == nil {
 		t.Fatal("corrupted channel file restored")
 	}
 	// A directory without a manifest refuses too.
-	if _, err := RestorePool(t.TempDir(), DefaultConfig()); err == nil {
+	if _, err := restoreDir(t.TempDir(), DefaultConfig()); err == nil {
 		t.Fatal("empty dir restored")
 	}
 }
@@ -426,6 +437,60 @@ func TestSnapshotStaleFileCleanup(t *testing.T) {
 	}
 }
 
+// A crash inside a commit leaves its staging file behind. The manifest's
+// staging name is fixed, so its next commit overwrites it; a channel
+// file's carries the generation, so the post-commit cleanup must remove
+// it — as it removes the randomly suffixed staging files older releases
+// left.
+func TestSnapshotRemovesStagingResidue(t *testing.T) {
+	tmpl := trainTemplate(t)
+	p := newTestPool(t, DefaultConfig())
+	det, err := tmpl.Clone()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Attach("ch", det); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if _, err := p.Snapshot(dir); err != nil {
+		t.Fatal(err)
+	}
+	before, err := manifest.Read(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stale := channelFile("ch", before.UnixNanos+1)
+	for _, name := range []string{stale + ".tmp", manifest.Name + ".tmp", stale + ".tmp-123", manifest.Name + ".tmp-456"} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte("torn"), 0o600); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := p.Snapshot(dir); err != nil {
+		t.Fatal(err)
+	}
+	m, err := manifest.Read(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range ents {
+		names = append(names, e.Name())
+	}
+	if want := []string{manifest.Name, m.Channels[0].File}; !slices.Equal(names, want) {
+		t.Fatalf("directory holds %v after the checkpoint, want %v", names, want)
+	}
+	restored, err := RestorePool(dir, m, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored.Close()
+}
+
 // TestInterruptedSnapshotKeepsPreviousRestorable covers the crash window of
 // a re-snapshot: new-generation files may land in the directory before the
 // new manifest commits, and a crash right there must leave the previous
@@ -454,7 +519,7 @@ func TestInterruptedSnapshotKeepsPreviousRestorable(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, channelFile("ch", before.UnixNanos+1)), []byte("torn new generation"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := RestorePool(dir, DefaultConfig())
+	restored, err := restoreDir(dir, DefaultConfig())
 	if err != nil {
 		t.Fatalf("previous snapshot no longer restorable after interrupted re-snapshot: %v", err)
 	}

@@ -226,7 +226,7 @@ func runPoolSoakChaos(t *testing.T, tiered bool) {
 	if err := pool.Close(); err != nil {
 		t.Fatal(err)
 	}
-	pool, err = RestorePool(dir, Config{Shards: 7, QueueDepth: 256, Batch: 16})
+	pool, err = restoreDir(dir, Config{Shards: 7, QueueDepth: 256, Batch: 16})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -615,7 +615,7 @@ func TestPoolWALReplayAfterCheckpointFloor(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { recovered.Close() })
-	revived, err := RestorePool(snapDir, Config{Shards: 2, QueueDepth: 64})
+	revived, err := restoreDir(snapDir, Config{Shards: 2, QueueDepth: 64})
 	if err != nil {
 		t.Fatal(err)
 	}

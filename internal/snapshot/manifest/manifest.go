@@ -11,10 +11,10 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 
+	"aovlis/internal/durable"
 	"aovlis/internal/wire"
 )
 
@@ -37,8 +37,8 @@ type ChannelEntry struct {
 	// manifest's directory.
 	ID   string `json:"id"`
 	File string `json:"file"`
-	// Bytes and SHA256 fingerprint the committed payload; RestorePool
-	// verifies them before rebuilding a channel.
+	// Bytes and SHA256 fingerprint the committed payload; ReadEntry
+	// checks them before a channel is rebuilt from it.
 	Bytes  int64  `json:"bytes"`
 	SHA256 string `json:"sha256"`
 	// Shard records the shard the channel was confined to when snapshotted
@@ -179,25 +179,24 @@ func decode(data []byte, m *Manifest) error {
 	return r.Err()
 }
 
-// Verify re-hashes the entry's committed file under dir and compares size
-// and checksum, guarding a restore against truncated or corrupted snapshot
-// files.
-func Verify(dir string, e ChannelEntry) error {
-	f, err := os.Open(filepath.Join(dir, e.File))
+// Write commits m into dir as Name, after the channel files it names.
+func Write(dir string, m Manifest) error {
+	return durable.Commit(filepath.Join(dir, Name), Append(nil, m))
+}
+
+// ReadEntry reads the entry's committed file under dir once, checks its
+// size and checksum against the entry — a restore must not rebuild a
+// channel from a truncated or corrupted file — and returns its bytes.
+func ReadEntry(dir string, e ChannelEntry) ([]byte, error) {
+	b, err := os.ReadFile(filepath.Join(dir, e.File))
 	if err != nil {
-		return fmt.Errorf("snapshot: channel %q: %w", e.ID, err)
+		return nil, fmt.Errorf("snapshot: channel %q: %w", e.ID, err)
 	}
-	defer f.Close()
-	h := sha256.New()
-	n, err := io.Copy(h, f)
-	if err != nil {
-		return fmt.Errorf("snapshot: channel %q: hashing %s: %w", e.ID, e.File, err)
+	if int64(len(b)) != e.Bytes {
+		return nil, fmt.Errorf("snapshot: channel %q: %s is %d bytes, manifest records %d", e.ID, e.File, len(b), e.Bytes)
 	}
-	if n != e.Bytes {
-		return fmt.Errorf("snapshot: channel %q: %s is %d bytes, manifest records %d", e.ID, e.File, n, e.Bytes)
+	if sum := sha256.Sum256(b); hex.EncodeToString(sum[:]) != e.SHA256 {
+		return nil, fmt.Errorf("snapshot: channel %q: %s checksum mismatch", e.ID, e.File)
 	}
-	if sum := hex.EncodeToString(h.Sum(nil)); sum != e.SHA256 {
-		return fmt.Errorf("snapshot: channel %q: %s checksum mismatch", e.ID, e.File)
-	}
-	return nil
+	return b, nil
 }

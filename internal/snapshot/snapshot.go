@@ -1,8 +1,8 @@
-// Package snapshot is the crash-safe persistence substrate for the AOVLIS
-// runtime: a versioned, self-describing envelope that every serialised
-// artifact (model weights, detector runtime state) opens with, plus atomic
-// rename-on-commit file writes and the pool manifest's commit. The
-// manifest's format and reader are package manifest, which needs no gob.
+// Package snapshot is the versioned, self-describing envelope that every
+// serialised artifact of the AOVLIS runtime (model weights, detector
+// runtime state, ledger batches) opens with. The pool manifest's format,
+// reader and writer are package manifest, which needs no gob; files reach
+// disk through package durable.
 //
 // # Envelope
 //
@@ -15,26 +15,13 @@
 // root package: testdata/snapshots/v*/...). Writers always emit the current
 // Version. A PR that changes any snapshot wire format must bump Version and
 // check in a new golden fixture directory, or the compatibility gate fails.
-//
-// # Atomicity
-//
-// WriteFileAtomic stages the payload in a same-directory temporary file,
-// fsyncs it, and commits with an atomic rename, so a crash mid-snapshot
-// leaves either the previous snapshot or the new one — never a torn file.
-// The pool writes one snapshot file per channel plus a manifest; the
-// manifest is written last, so it only ever names fully-committed channel
-// files.
 package snapshot
 
 import (
 	"bufio"
-	"crypto/sha256"
 	"encoding/gob"
-	"encoding/hex"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
 
 	"aovlis/internal/snapshot/manifest"
 )
@@ -132,79 +119,4 @@ func Reader(r io.Reader) io.Reader {
 		return r
 	}
 	return bufio.NewReader(r)
-}
-
-// WriteFileAtomic writes the payload produced by fill to path with
-// rename-on-commit semantics: the payload is staged in a temporary file in
-// path's directory, synced, and renamed over path. On any error the
-// temporary file is removed and path is untouched. It returns the committed
-// payload's size and SHA-256 checksum (as recorded in pool manifests).
-func WriteFileAtomic(path string, fill func(io.Writer) error) (size int64, sum string, err error) {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
-	if err != nil {
-		return 0, "", fmt.Errorf("snapshot: staging %s: %w", path, err)
-	}
-	defer func() {
-		if err != nil {
-			tmp.Close()
-			os.Remove(tmp.Name())
-		}
-	}()
-	h := sha256.New()
-	bw := bufio.NewWriter(io.MultiWriter(tmp, h))
-	if err = fill(bw); err != nil {
-		return 0, "", err
-	}
-	if err = bw.Flush(); err != nil {
-		return 0, "", fmt.Errorf("snapshot: flushing %s: %w", path, err)
-	}
-	if err = tmp.Sync(); err != nil {
-		return 0, "", fmt.Errorf("snapshot: syncing %s: %w", path, err)
-	}
-	fi, err := tmp.Stat()
-	if err != nil {
-		return 0, "", fmt.Errorf("snapshot: stat %s: %w", path, err)
-	}
-	if err = tmp.Close(); err != nil {
-		return 0, "", fmt.Errorf("snapshot: closing %s: %w", path, err)
-	}
-	if err = os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return 0, "", fmt.Errorf("snapshot: committing %s: %w", path, err)
-	}
-	// The rename is atomic but not durable until the directory entry itself
-	// is on disk: without the directory fsync a power loss could persist a
-	// later commit (the manifest) while this one reverts, leaving the
-	// manifest pointing at a file that no longer exists — the torn state
-	// this function exists to rule out.
-	if err = SyncDir(dir); err != nil {
-		return 0, "", err
-	}
-	return fi.Size(), hex.EncodeToString(h.Sum(nil)), nil
-}
-
-// SyncDir fsyncs a directory so committed renames and removals inside it
-// are durable. Exported for the sibling persistence packages (the WAL and
-// the verdict ledger) that share this substrate's commit discipline.
-func SyncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return fmt.Errorf("snapshot: opening dir %s for sync: %w", dir, err)
-	}
-	defer d.Close()
-	if err := d.Sync(); err != nil {
-		return fmt.Errorf("snapshot: syncing dir %s: %w", dir, err)
-	}
-	return nil
-}
-
-// WriteManifest commits m atomically into dir, as manifest.Name: the pool
-// manifest, written last (package manifest holds its format and reader).
-func WriteManifest(dir string, m manifest.Manifest) error {
-	_, _, err := WriteFileAtomic(filepath.Join(dir, manifest.Name), func(w io.Writer) error {
-		_, err := w.Write(manifest.Append(nil, m))
-		return err
-	})
-	return err
 }

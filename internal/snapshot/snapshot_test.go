@@ -2,9 +2,9 @@ package snapshot
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/gob"
-	"errors"
-	"fmt"
+	"encoding/hex"
 	"io"
 	"os"
 	"path/filepath"
@@ -90,70 +90,31 @@ type onlyReader struct{ r io.Reader }
 
 func (o onlyReader) Read(p []byte) (int, error) { return o.r.Read(p) }
 
-func TestWriteFileAtomic(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "ch.snap")
-	payload := []byte("hello snapshot")
-	n, sum, err := WriteFileAtomic(path, func(w io.Writer) error {
-		_, err := w.Write(payload)
-		return err
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != int64(len(payload)) {
-		t.Fatalf("size %d, want %d", n, len(payload))
-	}
-	got, err := os.ReadFile(path)
-	if err != nil || !bytes.Equal(got, payload) {
-		t.Fatalf("committed %q, %v", got, err)
-	}
-	if err := manifest.Verify(dir, manifest.ChannelEntry{ID: "ch", File: "ch.snap", Bytes: n, SHA256: sum}); err != nil {
-		t.Fatalf("verify fresh entry: %v", err)
-	}
-	// A failing fill must leave the previous committed file untouched and
-	// no temporaries behind.
-	boom := errors.New("boom")
-	if _, _, err := WriteFileAtomic(path, func(io.Writer) error { return boom }); !errors.Is(err, boom) {
-		t.Fatalf("fill error not surfaced: %v", err)
-	}
-	got, err = os.ReadFile(path)
-	if err != nil || !bytes.Equal(got, payload) {
-		t.Fatalf("previous commit damaged: %q, %v", got, err)
-	}
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ents) != 1 || ents[0].Name() != "ch.snap" {
-		t.Fatalf("directory not clean after failed write: %v", ents)
-	}
-}
-
 func TestVerifyEntryDetectsCorruption(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "ch.snap")
-	n, sum, err := WriteFileAtomic(path, func(w io.Writer) error {
-		_, err := io.WriteString(w, "payload")
-		return err
-	})
-	if err != nil {
+	payload := []byte("payload")
+	if err := os.WriteFile(path, payload, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	entry := manifest.ChannelEntry{ID: "ch", File: "ch.snap", Bytes: n, SHA256: sum}
+	sum := sha256.Sum256(payload)
+	entry := manifest.ChannelEntry{ID: "ch", File: "ch.snap", Bytes: int64(len(payload)), SHA256: hex.EncodeToString(sum[:])}
+	if got, err := manifest.ReadEntry(dir, entry); err != nil || !bytes.Equal(got, payload) {
+		t.Fatalf("fresh entry read %q, %v", got, err)
+	}
 	if err := os.WriteFile(path, []byte("paYload"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := manifest.Verify(dir, entry); err == nil || !strings.Contains(err.Error(), "checksum") {
+	if _, err := manifest.ReadEntry(dir, entry); err == nil || !strings.Contains(err.Error(), "checksum") {
 		t.Fatalf("corruption not detected: %v", err)
 	}
 	if err := os.WriteFile(path, []byte("short"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := manifest.Verify(dir, entry); err == nil || !strings.Contains(err.Error(), "bytes") {
+	if _, err := manifest.ReadEntry(dir, entry); err == nil || !strings.Contains(err.Error(), "bytes") {
 		t.Fatalf("truncation not detected: %v", err)
 	}
-	if err := manifest.Verify(dir, manifest.ChannelEntry{ID: "gone", File: "gone.snap"}); err == nil {
+	if _, err := manifest.ReadEntry(dir, manifest.ChannelEntry{ID: "gone", File: "gone.snap"}); err == nil {
 		t.Fatal("missing file not detected")
 	}
 }
@@ -168,7 +129,7 @@ func TestManifestRoundTrip(t *testing.T) {
 			{ID: "b", File: "b.snap", Bytes: 4, SHA256: "11", Shard: 0},
 		},
 	}
-	if err := WriteManifest(dir, m); err != nil {
+	if err := manifest.Write(dir, m); err != nil {
 		t.Fatal(err)
 	}
 	got, err := manifest.Read(dir)
@@ -184,7 +145,7 @@ func TestManifestRoundTrip(t *testing.T) {
 	// Future-versioned manifests are refused, as is a missing manifest.
 	bad := m
 	bad.Version = Version + 1
-	if err := WriteManifest(dir, bad); err != nil {
+	if err := manifest.Write(dir, bad); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := manifest.Read(dir); err == nil {
@@ -192,32 +153,5 @@ func TestManifestRoundTrip(t *testing.T) {
 	}
 	if _, err := manifest.Read(t.TempDir()); err == nil {
 		t.Fatal("missing manifest accepted")
-	}
-}
-
-func TestWriteFileAtomicConcurrentDistinctFiles(t *testing.T) {
-	// The pool writes per-channel files concurrently into one directory;
-	// distinct target paths must not interfere.
-	dir := t.TempDir()
-	done := make(chan error, 8)
-	for i := 0; i < 8; i++ {
-		go func(i int) {
-			_, _, err := WriteFileAtomic(filepath.Join(dir, fmt.Sprintf("c%d.snap", i)), func(w io.Writer) error {
-				_, err := fmt.Fprintf(w, "payload-%d", i)
-				return err
-			})
-			done <- err
-		}(i)
-	}
-	for i := 0; i < 8; i++ {
-		if err := <-done; err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 8; i++ {
-		got, err := os.ReadFile(filepath.Join(dir, fmt.Sprintf("c%d.snap", i)))
-		if err != nil || string(got) != fmt.Sprintf("payload-%d", i) {
-			t.Fatalf("file %d: %q, %v", i, got, err)
-		}
 	}
 }

@@ -47,11 +47,10 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"sort"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
+
+	"aovlis/internal/durable"
 )
 
 // Record is one accepted observation.
@@ -259,35 +258,8 @@ type Log struct {
 	closed  bool
 }
 
-func segName(index uint64) string { return fmt.Sprintf("wal-%08d.seg", index) }
-
-// parseSegName extracts the index from a segment file name.
-func parseSegName(name string) (uint64, bool) {
-	if !strings.HasPrefix(name, "wal-") || !strings.HasSuffix(name, ".seg") {
-		return 0, false
-	}
-	n, err := strconv.ParseUint(strings.TrimSuffix(strings.TrimPrefix(name, "wal-"), ".seg"), 10, 64)
-	if err != nil || n == 0 {
-		return 0, false
-	}
-	return n, true
-}
-
-// listSegments returns the directory's segment indices in ascending order.
-func listSegments(dir string) ([]uint64, error) {
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	var idx []uint64
-	for _, e := range ents {
-		if n, ok := parseSegName(e.Name()); ok {
-			idx = append(idx, n)
-		}
-	}
-	sort.Slice(idx, func(i, j int) bool { return idx[i] < idx[j] })
-	return idx, nil
-}
+// segFiles names the log's segment files.
+var segFiles = durable.Numbered{Prefix: "wal-", Suffix: ".seg"}
 
 // Open opens (creating if necessary) the journal in dir and runs recovery:
 // every segment is scanned, and at the first corrupt or torn record the
@@ -305,7 +277,7 @@ func Open(dir string, opts Options) (*Log, error) {
 	l.cond = sync.NewCond(&l.mu)
 	l.seqs = make(map[string]uint64)
 
-	idx, err := listSegments(dir)
+	idx, err := segFiles.List(dir)
 	if err != nil {
 		return nil, fmt.Errorf("wal: open: %w", err)
 	}
@@ -314,7 +286,7 @@ func Open(dir string, opts Options) (*Log, error) {
 		lastSize  int64
 	)
 	for i, n := range idx {
-		path := filepath.Join(dir, segName(n))
+		path := filepath.Join(dir, segFiles.Name(n))
 		good, maxSeqs, scanErr := scanSegment(path, nil)
 		if scanErr != nil && !errors.Is(scanErr, ErrCorruptRecord) && !errors.Is(scanErr, errShortRecord) {
 			return nil, scanErr
@@ -326,11 +298,11 @@ func Open(dir string, opts Options) (*Log, error) {
 				return nil, fmt.Errorf("wal: recovery truncate %s: %w", path, err)
 			}
 			for _, later := range idx[i+1:] {
-				if err := os.Remove(filepath.Join(dir, segName(later))); err != nil {
+				if err := os.Remove(filepath.Join(dir, segFiles.Name(later))); err != nil {
 					return nil, fmt.Errorf("wal: recovery remove: %w", err)
 				}
 			}
-			if err := syncDir(dir); err != nil {
+			if err := durable.SyncDir(dir); err != nil {
 				return nil, err
 			}
 			lastIndex, lastSize = n, good
@@ -351,11 +323,11 @@ func Open(dir string, opts Options) (*Log, error) {
 		l.sealed = l.sealed[:len(l.sealed)-1]
 		l.seqs = tail.maxSeqs
 	}
-	f, err := os.OpenFile(filepath.Join(dir, segName(lastIndex)), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := os.OpenFile(filepath.Join(dir, segFiles.Name(lastIndex)), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("wal: open segment: %w", err)
 	}
-	if err := syncDir(dir); err != nil {
+	if err := durable.SyncDir(dir); err != nil {
 		f.Close()
 		return nil, err
 	}
@@ -399,7 +371,7 @@ func scanSegment(path string, fn func(Record) error) (int64, map[string]uint64, 
 // any file — this is the failover path's view of a dead node's journal.
 // An error from fn aborts the scan and is returned.
 func ScanDir(dir string, fn func(Record) error) error {
-	idx, err := listSegments(dir)
+	idx, err := segFiles.List(dir)
 	if err != nil {
 		if os.IsNotExist(err) {
 			return nil
@@ -407,7 +379,7 @@ func ScanDir(dir string, fn func(Record) error) error {
 		return err
 	}
 	for _, n := range idx {
-		_, _, scanErr := scanSegment(filepath.Join(dir, segName(n)), fn)
+		_, _, scanErr := scanSegment(filepath.Join(dir, segFiles.Name(n)), fn)
 		if scanErr == nil {
 			continue
 		}
@@ -432,7 +404,7 @@ func (l *Log) Replay(fn func(Record) error) error {
 	dir := l.dir
 	l.mu.Unlock()
 	for _, n := range segs {
-		if _, _, err := scanSegment(filepath.Join(dir, segName(n)), fn); err != nil {
+		if _, _, err := scanSegment(filepath.Join(dir, segFiles.Name(n)), fn); err != nil {
 			return err
 		}
 	}
@@ -567,12 +539,12 @@ func (l *Log) rotateLocked() error {
 	}
 	l.sealed = append(l.sealed, segMeta{index: l.index, maxSeqs: l.seqs})
 	l.index++
-	f, err := os.OpenFile(filepath.Join(l.dir, segName(l.index)), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := os.OpenFile(filepath.Join(l.dir, segFiles.Name(l.index)), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		l.failed = fmt.Errorf("wal: rotate open: %w", err)
 		return l.failed
 	}
-	if err := syncDir(l.dir); err != nil {
+	if err := durable.SyncDir(l.dir); err != nil {
 		f.Close()
 		l.failed = err
 		return l.failed
@@ -607,7 +579,7 @@ prefix:
 				break prefix
 			}
 		}
-		if err := os.Remove(filepath.Join(l.dir, segName(s.index))); err != nil {
+		if err := os.Remove(filepath.Join(l.dir, segFiles.Name(s.index))); err != nil {
 			retErr = fmt.Errorf("wal: truncate: %w", err)
 			break
 		}
@@ -618,7 +590,7 @@ prefix:
 		return removed, retErr
 	}
 	if removed > 0 {
-		if err := syncDir(l.dir); err != nil {
+		if err := durable.SyncDir(l.dir); err != nil {
 			return removed, err
 		}
 	}
@@ -672,19 +644,4 @@ func (l *Log) Close() error {
 		err = cerr
 	}
 	return err
-}
-
-// syncDir fsyncs a directory so renames and removals inside it are
-// durable (same contract as internal/snapshot.SyncDir; duplicated here to
-// keep the import edge pointing snapshot-free).
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return fmt.Errorf("wal: open dir for sync: %w", err)
-	}
-	defer d.Close()
-	if err := d.Sync(); err != nil {
-		return fmt.Errorf("wal: sync dir: %w", err)
-	}
-	return nil
 }

@@ -196,7 +196,7 @@ func TestRecoveryTornTail(t *testing.T) {
 	// Simulate a kill -9 mid-write: a prefix of a valid record lands on
 	// the tail of the active segment.
 	torn := AppendRecord(nil, rec("ch", 6))
-	seg := filepath.Join(dir, segName(1))
+	seg := filepath.Join(dir, segFiles.Name(1))
 	f, err := os.OpenFile(seg, os.O_WRONLY|os.O_APPEND, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -249,7 +249,7 @@ func TestRecoveryCorruptionDropsLaterSegments(t *testing.T) {
 	}
 
 	// Flip one payload byte in the middle segment.
-	seg2 := filepath.Join(dir, segName(2))
+	seg2 := filepath.Join(dir, segFiles.Name(2))
 	b, err := os.ReadFile(seg2)
 	if err != nil {
 		t.Fatal(err)
@@ -267,7 +267,7 @@ func TestRecoveryCorruptionDropsLaterSegments(t *testing.T) {
 	// Everything after the corruption point is gone: segment 2 is cut at
 	// the bad frame, segments 3+ deleted outright.
 	for n := uint64(3); n <= uint64(segs); n++ {
-		if _, err := os.Stat(filepath.Join(dir, segName(n))); !os.IsNotExist(err) {
+		if _, err := os.Stat(filepath.Join(dir, segFiles.Name(n))); !os.IsNotExist(err) {
 			t.Fatalf("segment %d survived recovery", n)
 		}
 	}

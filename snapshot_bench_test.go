@@ -23,6 +23,7 @@ import (
 	"time"
 
 	"aovlis/internal/serve"
+	"aovlis/internal/snapshot/manifest"
 )
 
 // benchSnapshotPool builds a warmed pool of n cloned channels.
@@ -89,9 +90,13 @@ func BenchmarkPoolRestore(b *testing.B) {
 	if _, err := pool.Snapshot(dir); err != nil {
 		b.Fatal(err)
 	}
+	m, err := manifest.Read(dir)
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		restored, err := serve.RestorePool(dir, serve.Config{Shards: 8, QueueDepth: 1024})
+		restored, err := serve.RestorePool(dir, m, serve.Config{Shards: 8, QueueDepth: 1024})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -16,6 +16,7 @@ import (
 	"strings"
 	"testing"
 
+	"aovlis/internal/durable"
 	"aovlis/internal/snapshot"
 )
 
@@ -298,8 +299,12 @@ func TestSnapshotThroughFileBitIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	var snap bytes.Buffer
+	if err := det.Snapshot(&snap); err != nil {
+		t.Fatal(err)
+	}
 	path := filepath.Join(t.TempDir(), "det.snap")
-	if _, _, err := snapshot.WriteFileAtomic(path, det.Snapshot); err != nil {
+	if err := durable.Commit(path, snap.Bytes()); err != nil {
 		t.Fatal(err)
 	}
 	f, err := os.Open(path)
