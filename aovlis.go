@@ -279,7 +279,7 @@ func (d *Detector) SetTau(tau float64) { d.tau = tau }
 
 // Model exposes the underlying CLSTM (used by experiments). The model's
 // compiled engines reuse their buffers, so even read-shaped calls like
-// Predict or Hidden mutate per-step state: treat Model access as writer activity under the
+// Predict or HiddenInto mutate per-step state: treat Model access as writer activity under the
 // detector's single-writer contract and never overlap it with Observe.
 func (d *Detector) Model() *core.Model { return d.model }
 

@@ -52,7 +52,6 @@ const (
 	opScale
 	opMatMul
 	opConcat
-	opSlice
 	opSigmoid
 	opTanh
 	opReLU
@@ -72,13 +71,8 @@ type Node struct {
 	a, b *Node   // unary/binary operands
 	ps   []*Node // ConcatCols operands
 	s    float64 // Scale factor
-	lo   int     // SliceCols bounds
-	hi   int
 	leaf bool
 }
-
-// IsLeaf reports whether the node was created by Var or Const.
-func (n *Node) IsLeaf() bool { return n.leaf }
 
 // Tape records the forward computation in execution order so Backward can
 // replay it in reverse. A Tape is not safe for concurrent use.
@@ -166,18 +160,6 @@ func (t *Tape) ConcatCols(parts ...*Node) *Node {
 		off += p.Value.Cols
 	}
 	return t.record(&Node{op: opConcat, ps: slices.Clone(parts), Value: v})
-}
-
-// SliceCols returns columns [from, to) of a as a new node.
-func (t *Tape) SliceCols(a *Node, from, to int) *Node {
-	if from < 0 || to > a.Value.Cols || from >= to {
-		panic(fmt.Sprintf("ad: SliceCols[%d:%d] of %d cols", from, to, a.Value.Cols))
-	}
-	v := mat.New(a.Value.Rows, to-from)
-	for i := 0; i < v.Rows; i++ {
-		copy(v.Row(i), a.Value.Row(i)[from:to])
-	}
-	return t.record(&Node{op: opSlice, a: a, lo: from, hi: to, Value: v})
 }
 
 // Sigmoid returns σ(a) elementwise.
@@ -295,16 +277,6 @@ func backstep(n *Node) {
 				}
 			}
 			off += w
-		}
-	case opSlice:
-		if needsGrad(n.a) {
-			ag := grad(n.a)
-			for i := 0; i < n.Value.Rows; i++ {
-				arow := ag.Row(i)[n.lo:n.hi]
-				for j, v := range g.Row(i) {
-					arow[j] += v
-				}
-			}
 		}
 	case opSigmoid:
 		if needsGrad(n.a) {

@@ -46,6 +46,8 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+
+	"aovlis/internal/mat"
 )
 
 // eps guards logarithms against zero probabilities.
@@ -96,37 +98,6 @@ func (p *Partition) GroupOf(v float64) int {
 		idx = p.size - 1
 	}
 	return groupOfIndex(idx, p.N)
-}
-
-// Rep is the ADG representation of one feature vector: per group, the
-// (min, max) pair over the dimensions falling in the group, plus the count.
-type Rep struct {
-	Min, Max []float64
-	Count    []int
-}
-
-// Represent groups f's dimensions by value and summarises each group.
-func (p *Partition) Represent(f []float64) *Rep {
-	r := &Rep{
-		Min:   make([]float64, p.N),
-		Max:   make([]float64, p.N),
-		Count: make([]int, p.N),
-	}
-	for i := range r.Min {
-		r.Min[i] = math.Inf(1)
-		r.Max[i] = math.Inf(-1)
-	}
-	for _, v := range f {
-		g := p.GroupOf(v)
-		r.Count[g]++
-		if v < r.Min[g] {
-			r.Min[g] = v
-		}
-		if v > r.Max[g] {
-			r.Max[g] = v
-		}
-	}
-	return r
 }
 
 // JointRep groups dimensions by the *true* feature's values (both vectors
@@ -258,25 +229,12 @@ func JSExact(f, fhat []float64) float64 {
 	return js
 }
 
-// L1 bounds (§V-A2, after Lin 1991): both are valid for the natural-log JS
-// divergence. Package tests verify them property-style.
-
-// JSUpperL1 returns the L1-based upper bound JSmax = ½‖P−Q‖₁.
-func JSUpperL1(f, fhat []float64) float64 {
-	var l1 float64
-	for i := range f {
-		l1 += math.Abs(f[i] - fhat[i])
-	}
-	return 0.5 * l1
-}
-
-// JSLowerL1 returns the L1-based lower bound JSmin = ⅛‖P−Q‖₁².
-func JSLowerL1(f, fhat []float64) float64 {
-	var l1 float64
-	for i := range f {
-		l1 += math.Abs(f[i] - fhat[i])
-	}
-	return 0.125 * l1 * l1
+// L1Bounds returns the L1-based bounds jsmin = ⅛‖f−f̂‖₁² ≤ JS(f, f̂) ≤
+// jsmax = ½‖f−f̂‖₁ (§V-A2, after Lin 1991), both valid for the natural-log
+// JS divergence. Package tests verify them property-style.
+func L1Bounds(f, fhat []float64) (jsmin, jsmax float64) {
+	l1 := mat.VecL1Distance(f, fhat)
+	return 0.125 * l1 * l1, 0.5 * l1
 }
 
 // HybridBound is the sparse-group refinement of REG_I: the Nsg groups with

@@ -120,17 +120,22 @@ func TestGroupOfMatchesAnalytic(t *testing.T) {
 	}
 }
 
+// TestRepresent: each group holds the (min, max) pair and count of the
+// dimensions whose value falls in it.
 func TestRepresent(t *testing.T) {
 	p, _ := NewPartition(5)
 	f := []float64{0.6, 0.55, 0.3, 0.01, 0.02}
-	r := p.Represent(f)
-	if r.Count[0] != 2 || r.Min[0] != 0.55 || r.Max[0] != 0.6 {
+	r, err := p.JointRepresent(f, f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Count[0] != 2 || r.FMin[0] != 0.55 || r.FMax[0] != 0.6 {
 		t.Fatalf("group 0: %+v", r)
 	}
-	if r.Count[1] != 1 || r.Min[1] != 0.3 {
+	if r.Count[1] != 1 || r.FMin[1] != 0.3 {
 		t.Fatalf("group 1: %+v", r)
 	}
-	if r.Count[4] != 2 || r.Min[4] != 0.01 || r.Max[4] != 0.02 {
+	if r.Count[4] != 2 || r.FMin[4] != 0.01 || r.FMax[4] != 0.02 {
 		t.Fatalf("group 4: %+v", r)
 	}
 	total := 0
@@ -196,8 +201,7 @@ func TestL1BoundsValid(t *testing.T) {
 		f := randDist(rng, dim, trial%2 == 0)
 		g := randDist(rng, dim, trial%3 == 0)
 		js := JSExact(f, g)
-		up := JSUpperL1(f, g)
-		lo := JSLowerL1(f, g)
+		lo, up := L1Bounds(f, g)
 		if js > up+1e-9 {
 			t.Fatalf("JS %.8f above upper bound %.8f", js, up)
 		}
@@ -214,10 +218,11 @@ func TestL1BoundsExtremes(t *testing.T) {
 	if math.Abs(js-math.Log(2)) > 1e-9 {
 		t.Fatalf("disjoint JS = %v, want ln2", js)
 	}
-	if up := JSUpperL1(f, g); up < js {
+	lo, up := L1Bounds(f, g)
+	if up < js {
 		t.Fatalf("upper %v < js %v", up, js)
 	}
-	if lo := JSLowerL1(f, g); lo > js {
+	if lo > js {
 		t.Fatalf("lower %v > js %v", lo, js)
 	}
 	if JSExact(f, f) != 0 {

@@ -253,7 +253,7 @@ func (f *Filter) Decide(fTrue, fHat, aTrue, aHat []float64) (Result, error) {
 		}
 		return Result{Anomaly: anomaly, Path: PathREAOnly, REIA: score, Exact: true}, nil
 	}
-	ta := (f.cfg.Tau - (1-omega)*rea) / omega
+	ta := reiThreshold(f.cfg.Tau, omega, rea)
 	if ta <= 0 {
 		// The audience error alone exceeds τ: anomaly regardless of REI.
 		f.st.Anomalies++
@@ -262,7 +262,7 @@ func (f *Filter) Decide(fTrue, fHat, aTrue, aHat []float64) (Result, error) {
 	tn := f.cfg.TnRatio * ta
 
 	finish := func(rei float64, path Path, exact bool) Result {
-		score := omega*rei + (1-omega)*rea
+		score := core.Score{REI: rei, REA: rea}.REIAOf(omega)
 		anomaly := score > f.cfg.Tau
 		if !exact {
 			// Bound-decided: the decision is authoritative, the score is an
@@ -288,9 +288,7 @@ func (f *Filter) Decide(fTrue, fHat, aTrue, aHat []float64) (Result, error) {
 
 	if useL1 {
 		f.st.L1Computed++
-		l1 := mat.VecL1Distance(fTrue, fHat)
-		jsmax := 0.5 * l1
-		jsmin := 0.125 * l1 * l1
+		jsmin, jsmax := adg.L1Bounds(fTrue, fHat)
 		if f.cfg.Strategy != StrategyJSminOnly && jsmax < tn {
 			f.st.FilteredJSmax++
 			return finish(jsmax, PathJSmax, false), nil
@@ -322,6 +320,10 @@ func (f *Filter) Decide(fTrue, fHat, aTrue, aHat []float64) (Result, error) {
 	rei := adg.JSExact(fTrue, fHat)
 	return finish(rei, PathExact, true), nil
 }
+
+// reiThreshold converts τ to the REI scale given the segment's audience
+// error: REIA > τ exactly when REI > (τ − (1−ω)·REA)/ω, for ω > 0.
+func reiThreshold(tau, omega, rea float64) float64 { return (tau - (1-omega)*rea) / omega }
 
 // FilteringPower returns the fraction of processed segments decided by
 // bounds (the paper's fp metric).

@@ -38,6 +38,7 @@ package ados
 import (
 	"fmt"
 
+	"aovlis/internal/adg"
 	"aovlis/internal/core"
 	"aovlis/internal/mat"
 )
@@ -167,14 +168,13 @@ func (t *TierPlan) Gate(fTrue, aTrue []float64, tau, omega float64) (Result, boo
 	if omega < 1 {
 		rea = core.REA(aTrue, t.ahat)
 	}
-	// Threshold conversion exactly as Filter.Decide does it.
-	ta := (tau - (1-omega)*rea) / omega
+	ta := reiThreshold(tau, omega, rea)
 	if ta <= 0 {
 		t.st.Unclear++
 		return Result{}, false
 	}
 	tn := tierTnRatio * ta
-	jsmax := 0.5 * mat.VecL1Distance(fTrue, t.fhat)
+	_, jsmax := adg.L1Bounds(fTrue, t.fhat)
 	if jsmax > t.cfg.Margin*tn {
 		t.st.Unclear++
 		return Result{}, false
@@ -182,7 +182,7 @@ func (t *TierPlan) Gate(fTrue, aTrue []float64, tau, omega float64) (Result, boo
 	t.st.Skipped++
 	t.run++
 	// The proxy score mirrors the JSmax bound's conservative estimate.
-	score := omega*jsmax + (1-omega)*rea
+	score := core.Score{REI: jsmax, REA: rea}.REIAOf(omega)
 	return Result{Anomaly: false, Path: PathTierSkip, REIA: score, Exact: false}, true
 }
 

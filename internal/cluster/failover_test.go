@@ -16,6 +16,8 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"sync"
@@ -636,5 +638,62 @@ func TestJournalTailStopsAtATombstone(t *testing.T) {
 	tails, reborn = r.journalTails(r.nodes[0], orphans, map[string]uint64{"x": 5})
 	if got := seqs(tails["x"]); !reflect.DeepEqual(got, []uint64{6, 7}) || len(reborn) != 0 {
 		t.Fatalf("x's tail above floor 5: %v (reborn %v), want [6 7] and none", got, reborn)
+	}
+}
+
+// TestFailoverRestoresOnlyVerifiedBytes: failover uploads a checkpoint only
+// as bytes that match the manifest's size and checksum. A checkpoint file
+// changed after the router indexed the dead node's checkpoints (here, while
+// the survivor imports the channel restored before it) fails its checksum,
+// and that channel cold-starts instead of restoring the changed bytes.
+func TestFailoverRestoresOnlyVerifiedBytes(t *testing.T) {
+	dir := t.TempDir()
+	victim, survivor := newStubNode(t, "node-a", 1), newStubNode(t, "node-b", 2)
+	victimSpec := victim.spec()
+	victimSpec.SnapshotDir = dir
+	r, err := New(Config{Nodes: []NodeSpec{victimSpec, survivor.spec()}, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(r.Close)
+	first, second := "ch-first", "ch-second" // restored in this order
+	own(t, r, first, "node-a")
+	own(t, r, second, "node-a")
+	entries := []manifest.ChannelEntry{
+		commitStubCheckpoint(t, dir, stubState{ID: first, Observed: 3}),
+		commitStubCheckpoint(t, dir, stubState{ID: second, Observed: 5}),
+	}
+	if err := manifest.Write(dir, manifest.Manifest{Version: snapshot.Version, Channels: entries}); err != nil {
+		t.Fatal(err)
+	}
+	// Same length, other bytes: only the checksum can tell.
+	tampered, err := json.Marshal(stubState{ID: second, Observed: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	survivor.mu.Lock()
+	survivor.onPut = func(id string) {
+		if id == first {
+			if err := os.WriteFile(filepath.Join(dir, entries[1].File), append(tampered, '\n'), 0o600); err != nil {
+				t.Error(err)
+			}
+		}
+	}
+	survivor.mu.Unlock()
+
+	if err := r.FailNode("node-a"); err != nil {
+		t.Fatal(err)
+	}
+	if got := survivor.observedCount(first); got != 3 {
+		t.Fatalf("verified checkpoint restored to position %d, want 3", got)
+	}
+	if survivor.hasChannel(second) || survivor.puts.Load() != 1 {
+		t.Fatalf("a checkpoint changed after indexing was uploaded (position %d, %d imports)",
+			survivor.observedCount(second), survivor.puts.Load())
+	}
+	for _, id := range []string{first, second} {
+		if owner, _, _ := r.tbl.get(id).state(); owner.Spec.Name != "node-b" {
+			t.Fatalf("%s owned by %s after failover, want node-b", id, owner.Spec.Name)
+		}
 	}
 }

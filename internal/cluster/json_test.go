@@ -154,7 +154,7 @@ func TestRouterDocumentsMatchEncodingJSON(t *testing.T) {
 	}
 	for _, rep := range []RebalanceReport{
 		{},
-		{Considered: 3, Moved: 1, Failed: 1, Moves: []Move{{Channel: "x", From: "a", To: "b", Warm: true, Replayed: 2},
+		{Considered: 3, Moved: 1, Failed: 1, Moves: []Move{{Channel: "x", From: "a", To: "b", Warm: true},
 			{Channel: "y", From: "a", To: "c", Error: "import: 409 <conflict>"}}},
 		{Moves: []Move{}},
 	} {

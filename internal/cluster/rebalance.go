@@ -1,9 +1,8 @@
 package cluster
 
 import (
+	"bytes"
 	"fmt"
-	"os"
-	"path/filepath"
 	"sort"
 	"time"
 
@@ -12,21 +11,15 @@ import (
 	"aovlis/internal/wire"
 )
 
-// Move records one channel relocation in a rebalance or failover report.
+// Move records one channel relocation in a rebalance report.
 type Move struct {
 	Channel string `json:"channel"`
 	From    string `json:"from"`
 	To      string `json:"to"`
-	// Warm is true when the channel's runtime state travelled with it
-	// (live export/import, or a checkpoint restore during failover);
+	// Warm is true when the channel's runtime state travelled with it;
 	// false means the channel restarts cold on the new owner.
-	Warm bool `json:"warm"`
-	// Replayed counts the dead owner's journaled observations re-applied
-	// onto the new owner during failover (0 outside the WAL failover
-	// path). With a complete replay the channel resumes bit-equal to an
-	// undisturbed run instead of at its last checkpoint.
-	Replayed int    `json:"replayed,omitempty"`
-	Error    string `json:"error,omitempty"`
+	Warm  bool   `json:"warm"`
+	Error string `json:"error,omitempty"`
 }
 
 // RebalanceReport summarises one rebalance pass.
@@ -58,9 +51,6 @@ func (mv Move) writeJSON(j *wire.JSON) {
 	j.Key("from").String(mv.From)
 	j.Key("to").String(mv.To)
 	j.Key("warm").Bool(mv.Warm)
-	if mv.Replayed != 0 {
-		j.Key("replayed").Int(int64(mv.Replayed))
-	}
 	if mv.Error != "" {
 		j.Key("error").String(mv.Error)
 	}
@@ -173,25 +163,15 @@ func (r *Router) moveChannel(e *entry, to *Node) Move {
 	return mv
 }
 
-// FailoverReport summarises one node-death failover.
-type FailoverReport struct {
-	Node     string `json:"node"`
-	Channels int    `json:"channels"`
-	Warm     int    `json:"warm"`
-	Cold     int    `json:"cold"`
-	// Replayed totals the journaled observations re-applied from the dead
-	// node's WAL across all of its channels (0 without a shared -wal-dir).
-	Replayed int    `json:"replayed"`
-	Moves    []Move `json:"moves,omitempty"`
-}
-
 // FailNode marks a node dead and re-places every channel it owned onto
 // the survivors. For each channel the router first warm-restores the last
 // checkpoint from the dead node's shared -snapshot-dir (when configured
-// and the manifest names the channel), then — when the dead node's
-// -wal-dir is shared too — replays the journal suffix between the
-// checkpoint's floor and the highest wseq the router relayed for the
-// channel onto the new owner, and only THEN flips ownership — so a parked
+// and the manifest names the channel; the upload is the bytes
+// manifest.ReadEntry returns, so only bytes that match the manifest's size
+// and checksum restore), then — when the dead node's -wal-dir is shared
+// too — replays the journal suffix between the checkpoint's floor and the
+// highest wseq the router relayed for the channel onto the new owner, and
+// only THEN flips ownership — so a parked
 // stream that rotates onto the new owner finds the reconstructed window
 // rather than racing the restore. Channels without a usable checkpoint
 // cold-start from the node template on the new owner (unless their entire
@@ -239,7 +219,6 @@ func (r *Router) FailNode(name string) error {
 			orphans = append(orphans, id)
 		}
 	}
-	rep := FailoverReport{Node: name, Channels: len(orphans)}
 	if len(orphans) == 0 {
 		r.cfg.Logf("cluster: node %s failed over (owned no channels)", name)
 		return nil
@@ -251,31 +230,35 @@ func (r *Router) FailNode(name string) error {
 	}
 	checkpoints := r.checkpointIndex(n)
 	floors := make(map[string]uint64, len(checkpoints))
-	for id, ref := range checkpoints {
-		floors[id] = ref.walSeq
+	for id, ce := range checkpoints {
+		floors[id] = ce.WALSeq
 	}
 	orphanSet := make(map[string]bool, len(orphans))
 	for _, id := range orphans {
 		orphanSet[id] = true
 	}
 	tails, reborn := r.journalTails(n, orphanSet, floors)
+	var warm, replayed int
 	for _, id := range sortedKeys(target) {
 		to := r.byName[target[id]]
-		mv := Move{Channel: id, From: name, To: to.Spec.Name}
-		ref, hasCkpt := checkpoints[id]
+		ce, hasCkpt := checkpoints[id]
 		if seq, ok := reborn[id]; ok {
 			// The journal holds a detach above the checkpoint's floor: the
 			// checkpoint is of an incarnation that no longer exists, and this
 			// one's history starts after the tombstone.
 			hasCkpt, floors[id] = false, seq
 		}
+		restored := false
 		if hasCkpt {
-			if err := r.restoreFromFile(to, id, ref.file); err != nil {
+			b, err := manifest.ReadEntry(n.Spec.SnapshotDir, ce)
+			if err == nil {
+				err = to.putSnapshot(id, bytes.NewReader(b))
+			}
+			if err != nil {
 				r.cfg.Logf("cluster: failover restore of %q onto %s: %v (cold start)", id, to.Spec.Name, err)
-				mv.Error = err.Error()
 			} else {
-				mv.Warm = true
-				rep.Warm++
+				restored = true
+				warm++
 				r.m.restored.Inc()
 			}
 		}
@@ -284,18 +267,14 @@ func (r *Router) FailNode(name string) error {
 		// fully reconstructed state. A failed replay leaves the channel at
 		// its checkpoint — the pre-WAL contract, never worse.
 		var reseed uint64
-		if recs := r.replayableTail(id, tails[id], entries[id].wseq.Load(), floors[id], mv.Warm, hasCkpt); len(recs) > 0 {
+		if recs := r.replayableTail(id, tails[id], entries[id].wseq.Load(), floors[id], restored, hasCkpt); len(recs) > 0 {
 			if _, maxW, err := to.replayObservations(id, recs); err != nil {
 				r.cfg.Logf("cluster: failover journal replay of %q onto %s: %v (resuming at last checkpoint)", id, to.Spec.Name, err)
 			} else {
-				mv.Replayed = len(recs)
-				rep.Replayed += len(recs)
+				replayed += len(recs)
 				r.m.walReplayed.Add(uint64(len(recs)))
 				reseed = maxW
 			}
-		}
-		if !mv.Warm {
-			rep.Cold++
 		}
 		entries[id].forceFlip(to)
 		if reseed > 0 {
@@ -305,10 +284,9 @@ func (r *Router) FailNode(name string) error {
 			entries[id].noteWseq(reseed)
 		}
 		r.m.failedOver.Inc()
-		rep.Moves = append(rep.Moves, mv)
 	}
 	r.cfg.Logf("cluster: node %s failed over: %d channels re-placed (%d warm, %d cold, %d observations replayed)",
-		name, rep.Channels, rep.Warm, rep.Cold, rep.Replayed)
+		name, len(orphans), warm, len(orphans)-warm, replayed)
 	return nil
 }
 
@@ -384,18 +362,12 @@ func (r *Router) replayableTail(id string, recs []wal.Record, boundary, floor ui
 	return out
 }
 
-// checkpointRef is one verified checkpoint: the snapshot file to restore
-// and the WAL floor it covers (the highest journal sequence already folded
-// into the checkpointed state — journal replay starts above it).
-type checkpointRef struct {
-	file   string
-	walSeq uint64
-}
-
 // checkpointIndex reads the dead node's shared snapshot directory manifest
-// and returns channel → verified checkpoint reference. Missing dir, missing
-// manifest or corrupt entries degrade to cold starts, never to errors.
-func (r *Router) checkpointIndex(n *Node) map[string]checkpointRef {
+// and returns channel → the entry of its verified checkpoint, whose WALSeq
+// is the highest journal sequence already folded into the checkpointed
+// state (journal replay starts above it). Missing dir, missing manifest or
+// corrupt entries degrade to cold starts, never to errors.
+func (r *Router) checkpointIndex(n *Node) map[string]manifest.ChannelEntry {
 	dir := n.Spec.SnapshotDir
 	if dir == "" {
 		return nil
@@ -405,26 +377,15 @@ func (r *Router) checkpointIndex(n *Node) map[string]checkpointRef {
 		r.cfg.Logf("cluster: no usable checkpoint manifest for %s in %s: %v", n.Spec.Name, dir, err)
 		return nil
 	}
-	out := make(map[string]checkpointRef, len(man.Channels))
+	out := make(map[string]manifest.ChannelEntry, len(man.Channels))
 	for _, ce := range man.Channels {
 		if _, err := manifest.ReadEntry(dir, ce); err != nil {
 			r.cfg.Logf("cluster: checkpoint for %q fails verification: %v", ce.ID, err)
 			continue
 		}
-		out[ce.ID] = checkpointRef{file: filepath.Join(dir, ce.File), walSeq: ce.WALSeq}
+		out[ce.ID] = ce
 	}
 	return out
-}
-
-// restoreFromFile uploads a checkpoint file as the channel's state on the
-// new owner.
-func (r *Router) restoreFromFile(to *Node, id, path string) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return to.putSnapshot(id, f)
 }
 
 // sortedKeys returns a map's keys in sorted order so reports and restore

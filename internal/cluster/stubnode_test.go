@@ -47,6 +47,7 @@ type stubNode struct {
 	mu       sync.Mutex
 	channels map[string]*stubChannel
 	watch    []string
+	onPut    func(id string) // called with each snapshot import's channel, before it is read
 }
 
 type stubChannel struct {
@@ -224,6 +225,12 @@ func (s *stubNode) handleSnapshot(w wire.ResponseWriter, r *wire.Request, id str
 		json.NewEncoder(w).Encode(stubState{ID: id, Observed: c.observed})
 	case http.MethodPut:
 		s.puts.Add(1)
+		s.mu.Lock()
+		onPut := s.onPut
+		s.mu.Unlock()
+		if onPut != nil {
+			onPut(id)
+		}
 		if code := int(s.putStatus.Load()); code != 0 {
 			wire.Error(w, "import refused", code)
 			return

@@ -224,12 +224,11 @@ func TestHiddenDimension(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, err := m.Hidden(&samples[0])
-	if err != nil {
+	if err := m.HiddenInto(&samples[0], make([]float64, m.Config().HiddenI)); err != nil {
 		t.Fatal(err)
 	}
-	if len(h) != m.Config().HiddenI {
-		t.Fatalf("hidden dim %d, want %d", len(h), m.Config().HiddenI)
+	if err := m.HiddenInto(&samples[0], make([]float64, m.Config().HiddenI+1)); err == nil {
+		t.Fatal("HiddenInto accepted a buffer longer than the hidden dim")
 	}
 }
 

@@ -172,22 +172,13 @@ func (m *Model) window(s *Sample) [][][]float64 {
 	return m.seqs[:]
 }
 
-// Hidden returns the final hidden state h_t of LSTM_I for the sample. The
-// dynamic-update algorithm uses these vectors for drift detection because
-// they are "more robust to scene changes compared with audience interaction
-// features" (§IV-D).
-func (m *Model) Hidden(s *Sample) ([]float64, error) {
-	h := make([]float64, m.cfg.HiddenI)
-	if err := m.HiddenInto(s, h); err != nil {
-		return nil, err
-	}
-	return h, nil
-}
-
-// HiddenInto is Hidden with a caller-supplied buffer of length HiddenI —
-// the allocation-free form the updater falls back on when no prediction
-// of the window computed the state already (see LaneHidden). It runs the
-// training engine's forward recurrence, tape-free.
+// HiddenInto writes the final hidden state h_t of LSTM_I for the sample
+// into dst, of length HiddenI. The dynamic-update algorithm uses these
+// vectors for drift detection because they are "more robust to scene
+// changes compared with audience interaction features" (§IV-D); the
+// updater falls back on this when no prediction of the window computed
+// the state already (see LaneHidden). It runs the training engine's
+// forward recurrence, tape-free.
 func (m *Model) HiddenInto(s *Sample, dst []float64) error {
 	if err := s.validate(m.cfg); err != nil {
 		return err

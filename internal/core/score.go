@@ -52,13 +52,14 @@ type Score struct {
 
 // NewScore fuses the two reconstruction errors with weight omega.
 func NewScore(f, fhat, a, ahat []float64, omega float64) Score {
-	rei := REI(f, fhat)
-	rea := REA(a, ahat)
-	return Score{REI: rei, REA: rea, REIA: omega*rei + (1-omega)*rea}
+	s := Score{REI: REI(f, fhat), REA: REA(a, ahat)}
+	s.REIA = s.REIAOf(omega)
+	return s
 }
 
-// REIAOf recombines a Score under a different ω without re-running the
-// model (used by the ω-sweep experiment, Fig. 9a).
+// REIAOf fuses the two errors as Eq. 16 does, ω·REI + (1−ω)·REA. It is the
+// one definition of the fused score: NewScore, the ADOS filter, the tier
+// gate and the experiments' ω sweeps (Fig. 9a) all call it.
 func (s Score) REIAOf(omega float64) float64 { return omega*s.REI + (1-omega)*s.REA }
 
 // CalibrateThreshold returns the score value at the given upper quantile of

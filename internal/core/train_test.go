@@ -104,8 +104,8 @@ func TestTrainPlanGoldenEquivalence(t *testing.T) {
 								t.Fatalf("step %d: parameter %s diverged", i, pn)
 							}
 						}
-						hp, err := plan.Hidden(s)
-						if err != nil {
+						hp := make([]float64, plan.Config().HiddenI)
+						if err := plan.HiddenInto(s, hp); err != nil {
 							t.Fatal(err)
 						}
 						if !identicalBits(hp, tape.hiddenTape(s)) {
@@ -190,11 +190,11 @@ func TestTrainPlanLazy(t *testing.T) {
 	if m.tplan != nil {
 		t.Fatal("prediction compiled a training engine")
 	}
-	if _, err := m.Hidden(&samples[0]); err != nil {
+	if err := m.HiddenInto(&samples[0], make([]float64, m.Config().HiddenI)); err != nil {
 		t.Fatal(err)
 	}
 	if m.tplan == nil {
-		t.Fatal("Hidden should compile the training engine")
+		t.Fatal("HiddenInto should compile the training engine")
 	}
 	if _, err := m.EvalLoss(samples); err != nil {
 		t.Fatal(err)

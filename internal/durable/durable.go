@@ -11,7 +11,9 @@
 package durable
 
 import (
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"slices"
@@ -22,12 +24,17 @@ import (
 // Commit writes b to path so that a crash leaves either the previous file
 // or the whole new one: b is written in one call to path+".tmp", fsynced,
 // closed, renamed over path, and path's directory is fsynced. The staging
-// name is fixed, so a crash's leftover staging file is overwritten by the
-// next commit of the same path; on any error it is removed. The file is
-// created with mode 0600.
+// name is fixed, so a crash's leftover staging file is replaced by the
+// next commit of the same path; on any error it is removed. The staging
+// file is always created afresh, with mode 0600, so a leftover cannot pass
+// on its mode.
 func Commit(path string, b []byte) error {
 	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o600)
+	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o600)
+	if errors.Is(err, fs.ErrExist) {
+		os.Remove(tmp)
+		f, err = os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o600)
+	}
 	if err != nil {
 		return fmt.Errorf("durable: staging %s: %w", path, err)
 	}

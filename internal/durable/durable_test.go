@@ -28,9 +28,13 @@ func TestCommit(t *testing.T) {
 	if err := Commit(path, []byte("hello snapshot")); err != nil {
 		t.Fatal(err)
 	}
-	// A crash's leftover staging file, longer than the next payload, is
-	// overwritten whole by the next commit of the same path.
-	if err := os.WriteFile(path+".tmp", []byte("a torn and much longer staging file"), 0o600); err != nil {
+	// A crash's leftover staging file, longer than the next payload and of
+	// another mode, is replaced whole by the next commit of the same path,
+	// and the committed file has Commit's mode, not the leftover's.
+	if err := os.WriteFile(path+".tmp", []byte("a torn and much longer staging file"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chmod(path+".tmp", 0o644); err != nil { // whatever the umask
 		t.Fatal(err)
 	}
 	if err := Commit(path, []byte("second")); err != nil {

@@ -129,9 +129,11 @@ func TestQuickExperimentsProduceArtifacts(t *testing.T) {
 		t.Skip("experiment smoke tests skipped in -short mode")
 	}
 	r := NewRunner(tinyScale())
+	ran := 0 // subtests -run selected
 	for _, e := range All() {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
+			ran++
 			a, err := e.Run(r)
 			if err != nil {
 				t.Fatal(err)
@@ -158,6 +160,9 @@ func TestQuickExperimentsProduceArtifacts(t *testing.T) {
 				}
 			}
 		})
+	}
+	if ran < len(All()) {
+		return // the training count is the whole battery's
 	}
 	// Three losses and three couplings share the JS/two-way model: five
 	// variants per dataset, and nothing trained one twice.

@@ -239,9 +239,6 @@ func Dot(a, b *Matrix) float64 {
 	return s
 }
 
-// Norm2 returns the Euclidean (Frobenius) norm of a.
-func Norm2(a *Matrix) float64 { return math.Sqrt(Dot(a, a)) }
-
 // Vector helpers over plain []float64 slices. The feature pipeline deals in
 // raw slices; these avoid wrapping every call site in a Matrix.
 

@@ -131,8 +131,8 @@ func TestReductionsAndNorms(t *testing.T) {
 	if Sum(a) != -2 {
 		t.Fatalf("Sum = %v", Sum(a))
 	}
-	if !almostEqual(Norm2(a), math.Sqrt(30), 1e-12) {
-		t.Fatalf("Norm2 = %v", Norm2(a))
+	if !almostEqual(VecNorm2(a.Data), math.Sqrt(30), 1e-12) {
+		t.Fatalf("VecNorm2 = %v", VecNorm2(a.Data))
 	}
 }
 

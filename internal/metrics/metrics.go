@@ -125,40 +125,6 @@ func (h *Histogram) Count() uint64 {
 // Sum returns the sum of all observed values.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
 
-// Quantile returns an upper bound for the q-quantile of the recorded
-// distribution: the upper bound of the bucket the quantile falls in
-// (+Inf maps to the largest finite bound). It reads the counts once, so
-// concurrent writers cannot break its internal consistency.
-func (h *Histogram) Quantile(q float64) float64 {
-	counts := make([]uint64, len(h.counts))
-	var total uint64
-	for i := range h.counts {
-		counts[i] = h.counts[i].Load()
-		total += counts[i]
-	}
-	if total == 0 {
-		return 0
-	}
-	rank := uint64(math.Ceil(q * float64(total)))
-	if rank < 1 {
-		rank = 1
-	}
-	var cum uint64
-	for i, c := range counts {
-		cum += c
-		if cum >= rank {
-			if i < len(h.bounds) {
-				return h.bounds[i]
-			}
-			break
-		}
-	}
-	if len(h.bounds) == 0 {
-		return math.Inf(1)
-	}
-	return h.bounds[len(h.bounds)-1]
-}
-
 // ExpBuckets returns n ascending bucket bounds starting at start and
 // multiplying by factor — the usual shape for latency histograms.
 func ExpBuckets(start, factor float64, n int) []float64 {
@@ -170,18 +136,6 @@ func ExpBuckets(start, factor float64, n int) []float64 {
 	for i := range out {
 		out[i] = v
 		v *= factor
-	}
-	return out
-}
-
-// LinearBuckets returns n ascending bounds start, start+width, …
-func LinearBuckets(start, width float64, n int) []float64 {
-	if n < 1 {
-		panic("metrics: LinearBuckets wants n ≥ 1")
-	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = start + float64(i)*width
 	}
 	return out
 }

@@ -169,31 +169,6 @@ func assertBucketsMonotonic(t *testing.T, scrape, name string) {
 	}
 }
 
-func TestQuantile(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("q", "", []float64{1, 2, 4, 8})
-	if q := h.Quantile(0.99); q != 0 {
-		t.Fatalf("empty histogram quantile = %v, want 0", q)
-	}
-	for i := 0; i < 99; i++ {
-		h.Observe(0.5) // le="1"
-	}
-	h.Observe(3) // le="4"
-	if q := h.Quantile(0.5); q != 1 {
-		t.Fatalf("p50 = %v, want 1", q)
-	}
-	if q := h.Quantile(0.99); q != 1 {
-		t.Fatalf("p99 = %v, want 1", q)
-	}
-	if q := h.Quantile(1); q != 4 {
-		t.Fatalf("p100 = %v, want 4", q)
-	}
-	h.Observe(100) // +Inf bucket: reported as the largest finite bound
-	if q := h.Quantile(1); q != 8 {
-		t.Fatalf("p100 with overflow = %v, want 8", q)
-	}
-}
-
 func TestLabels(t *testing.T) {
 	if got := Labels(nil); got != "" {
 		t.Fatalf("Labels(nil) = %q", got)
@@ -255,13 +230,6 @@ func TestBucketHelpers(t *testing.T) {
 	for i := range want {
 		if exp[i] != want[i] {
 			t.Fatalf("ExpBuckets = %v", exp)
-		}
-	}
-	lin := LinearBuckets(0, 5, 3)
-	wantLin := []float64{0, 5, 10}
-	for i := range wantLin {
-		if lin[i] != wantLin[i] {
-			t.Fatalf("LinearBuckets = %v", lin)
 		}
 	}
 }

@@ -183,7 +183,7 @@ func TestAdamSkipsNilGrads(t *testing.T) {
 func TestGradientClipping(t *testing.T) {
 	opt := NewAdam(0.1)                                             // ClipNorm 5
 	g := []*mat.Matrix{mat.FromSlice(1, 2, []float64{30, 40}), nil} // norm 50
-	if got := opt.clipScale(g) * mat.Norm2(g[0]); math.Abs(got-5) > 1e-9 {
+	if got := opt.clipScale(g) * mat.VecNorm2(g[0].Data); math.Abs(got-5) > 1e-9 {
 		t.Fatalf("clipped norm = %v, want 5", got)
 	}
 	// Below threshold: untouched.

@@ -194,9 +194,6 @@ func (in *Ingest) Flush() ([]Observation, error) {
 	return out, nil
 }
 
-// Emitted returns the number of observations produced so far.
-func (in *Ingest) Emitted() int { return in.emitted }
-
 // emit extracts and pops the head pending segment. next is its successor
 // (nil only at end of stream).
 func (in *Ingest) emit(next *stream.Segment) (Observation, error) {

@@ -35,8 +35,6 @@ type Shape int
 const (
 	// Steady offers BaseRate for the whole duration.
 	Steady Shape = iota
-	// Ramp rises linearly from BaseRate at t=0 to PeakRate at t=Duration.
-	Ramp
 	// FlashCrowd offers BaseRate except inside the window
 	// [SpikeStart, SpikeStart+SpikeDur), where it jumps to PeakRate — the
 	// "live event" profile from the paper's streaming setting.
@@ -57,8 +55,6 @@ func (s Shape) String() string {
 	switch s {
 	case Steady:
 		return "steady"
-	case Ramp:
-		return "ramp"
 	case FlashCrowd:
 		return "flash-crowd"
 	case RaidBrigade:
@@ -150,14 +146,6 @@ func (c Config) Validate() error {
 // RateAt returns the offered rate (arrivals/second) at offset t.
 func (c Config) RateAt(t time.Duration) float64 {
 	switch c.Shape {
-	case Ramp:
-		frac := float64(t) / float64(c.Duration)
-		if frac < 0 {
-			frac = 0
-		} else if frac > 1 {
-			frac = 1
-		}
-		return c.BaseRate + frac*(c.PeakRate-c.BaseRate)
 	case FlashCrowd, RaidBrigade:
 		if t >= c.SpikeStart && t < c.SpikeStart+c.SpikeDur {
 			return c.PeakRate
@@ -181,8 +169,6 @@ func (c Config) peakRate() float64 {
 func (c Config) ExpectedArrivals() float64 {
 	secs := c.Duration.Seconds()
 	switch c.Shape {
-	case Ramp:
-		return secs * (c.BaseRate + c.PeakRate) / 2
 	case FlashCrowd, RaidBrigade:
 		return c.BaseRate*(secs-c.SpikeDur.Seconds()) + c.PeakRate*c.SpikeDur.Seconds()
 	default:

@@ -11,11 +11,6 @@ func steadyCfg() Config {
 		BaseRate: 200, Channels: 4, ActionDim: 8, AudienceDim: 3}
 }
 
-func rampCfg() Config {
-	return Config{Shape: Ramp, Seed: 2, Duration: 10 * time.Second,
-		BaseRate: 50, PeakRate: 450, Channels: 4, ActionDim: 8, AudienceDim: 3}
-}
-
 func flashCfg() Config {
 	return Config{Shape: FlashCrowd, Seed: 3, Duration: 10 * time.Second,
 		BaseRate: 50, PeakRate: 500, SpikeStart: 4 * time.Second,
@@ -23,7 +18,7 @@ func flashCfg() Config {
 }
 
 func TestValidate(t *testing.T) {
-	for _, cfg := range []Config{steadyCfg(), rampCfg(), flashCfg()} {
+	for _, cfg := range []Config{steadyCfg(), flashCfg()} {
 		if err := cfg.Validate(); err != nil {
 			t.Fatalf("%v rejected: %v", cfg.Shape, err)
 		}
@@ -31,7 +26,8 @@ func TestValidate(t *testing.T) {
 	bad := []Config{
 		{},
 		{Shape: Steady, Duration: time.Second, BaseRate: -1, Channels: 1, ActionDim: 1, AudienceDim: 1},
-		{Shape: Ramp, Duration: time.Second, BaseRate: 10, PeakRate: 5, Channels: 1, ActionDim: 1, AudienceDim: 1},
+		{Shape: FlashCrowd, Duration: time.Second, BaseRate: 10, PeakRate: 5, SpikeDur: 100 * time.Millisecond,
+			Channels: 1, ActionDim: 1, AudienceDim: 1}, // peak below base
 		{Shape: FlashCrowd, Duration: time.Second, BaseRate: 10, PeakRate: 20, Channels: 1, ActionDim: 1, AudienceDim: 1}, // no spike window
 		{Shape: FlashCrowd, Duration: time.Second, BaseRate: 10, PeakRate: 20, SpikeStart: 800 * time.Millisecond,
 			SpikeDur: 400 * time.Millisecond, Channels: 1, ActionDim: 1, AudienceDim: 1}, // window past end
@@ -49,7 +45,7 @@ func TestValidate(t *testing.T) {
 // bit-identical schedule (hash equality over times, channels and
 // features); a different seed ⇒ a different stream.
 func TestSeedReproducible(t *testing.T) {
-	for _, cfg := range []Config{steadyCfg(), rampCfg(), flashCfg()} {
+	for _, cfg := range []Config{steadyCfg(), flashCfg()} {
 		a, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -81,7 +77,7 @@ func TestSeedReproducible(t *testing.T) {
 // standard deviations is a comfortably deterministic tolerance for fixed
 // seeds.
 func TestOfferedLoadAccuracy(t *testing.T) {
-	for _, cfg := range []Config{steadyCfg(), rampCfg(), flashCfg()} {
+	for _, cfg := range []Config{steadyCfg(), flashCfg()} {
 		s, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -97,7 +93,7 @@ func TestOfferedLoadAccuracy(t *testing.T) {
 // TestScheduleInvariants: times sorted within [0, Duration), channels in
 // range, features sized and finite, action features probability vectors.
 func TestScheduleInvariants(t *testing.T) {
-	for _, cfg := range []Config{steadyCfg(), rampCfg(), flashCfg(), raidCfg(), driftCfg()} {
+	for _, cfg := range []Config{steadyCfg(), flashCfg(), raidCfg(), driftCfg()} {
 		s, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -143,22 +139,6 @@ func countIn(s *Schedule, from, to time.Duration) int {
 		}
 	}
 	return n
-}
-
-// TestRampShape: a 9:1 peak:base ramp must put far more arrivals in the
-// second half than the first (exact ratio 3:1 in expectation; assert 2:1
-// to leave Poisson slack).
-func TestRampShape(t *testing.T) {
-	cfg := rampCfg()
-	s, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	half := cfg.Duration / 2
-	first, second := countIn(s, 0, half), countIn(s, half, cfg.Duration)
-	if second < 2*first {
-		t.Fatalf("ramp second half %d vs first half %d, want ≥ 2×", second, first)
-	}
 }
 
 // TestFlashCrowdShape: the realised rate inside the spike window must be
@@ -247,7 +227,7 @@ func TestReplayPacing(t *testing.T) {
 }
 
 func TestShapeString(t *testing.T) {
-	if Steady.String() != "steady" || Ramp.String() != "ramp" ||
+	if Steady.String() != "steady" || SlowBurnDrift.String() != "slow-burn-drift" ||
 		FlashCrowd.String() != "flash-crowd" || Shape(9).String() != "Shape(9)" {
 		t.Fatal("Shape.String mismatch")
 	}

@@ -23,7 +23,7 @@ import (
 
 // echoServer upgrades and echoes every data message back; errc receives
 // the read-loop's terminal error (one handler at a time in these tests).
-func echoServer(t *testing.T, opts *Options) (*wiretest.Server, chan error) {
+func echoServer(t *testing.T, opts *liveplane.Options) (*wiretest.Server, chan error) {
 	t.Helper()
 	errc := make(chan error, 16)
 	srv := wiretest.NewServer(t, wire.HandlerFunc(func(w wire.ResponseWriter, r *wire.Request) {
@@ -136,7 +136,7 @@ func TestUpgradeHandshakeTable(t *testing.T) {
 			lines:      base(nil),
 			wantStatus: http.StatusSwitchingProtocols,
 			check: func(t *testing.T, resp *http.Response) {
-				if got, want := resp.Header.Get("Sec-WebSocket-Accept"), AcceptKey(validKey()); got != want {
+				if got, want := resp.Header.Get("Sec-WebSocket-Accept"), liveplane.AcceptKey(validKey()); got != want {
 					t.Errorf("accept key %q, want %q", got, want)
 				}
 				if !strings.EqualFold(resp.Header.Get("Upgrade"), "websocket") {
@@ -169,8 +169,8 @@ func TestUpgradeHandshakeTable(t *testing.T) {
 // TestAcceptKeyRFCVector pins the handshake derivation against the
 // worked example in RFC 6455 §1.3.
 func TestAcceptKeyRFCVector(t *testing.T) {
-	if got, want := AcceptKey("dGhlIHNhbXBsZSBub25jZQ=="), "s3pPLMBiTxaQ9kYGzzhZRbK+xOo="; got != want {
-		t.Fatalf("AcceptKey = %q, want %q", got, want)
+	if got, want := liveplane.AcceptKey("dGhlIHNhbXBsZSBub25jZQ=="), "s3pPLMBiTxaQ9kYGzzhZRbK+xOo="; got != want {
+		t.Fatalf("liveplane.AcceptKey = %q, want %q", got, want)
 	}
 }
 
@@ -184,7 +184,7 @@ func TestDialEchoRoundTrip(t *testing.T) {
 	for i, msg := range []string{"hello", "", strings.Repeat("x", 70000)} { // 70000 forces 64-bit length
 		op := OpText
 		if i == 1 {
-			op = OpBinary
+			op = liveplane.OpBinary
 		}
 		if err := conn.WriteMessage(op, []byte(msg)); err != nil {
 			t.Fatal(err)
@@ -209,7 +209,7 @@ func TestScrambledMessagesReassemble(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	sc, lens := NewScrambler(1234), rand.New(rand.NewSource(1234))
+	sc, lens := liveplane.NewScrambler(1234), rand.New(rand.NewSource(1234))
 	for i := 0; i < 50; i++ {
 		msg := []byte(fmt.Sprintf("message-%03d-%s", i, strings.Repeat("p", lens.Intn(400))))
 		if err := sc.WriteScrambled(conn, OpText, msg); err != nil {
@@ -231,7 +231,7 @@ func TestScrambledMessagesReassemble(t *testing.T) {
 func TestScramblerDeterministic(t *testing.T) {
 	payload := []byte(strings.Repeat("abcdefgh", 64))
 	render := func(seed int64) ([]Frame, [][]byte) {
-		s := NewScrambler(seed)
+		s := liveplane.NewScrambler(seed)
 		frames := s.Frames(OpText, payload)
 		var raw []byte
 		for _, f := range frames {
@@ -259,7 +259,7 @@ func TestPingPongKeepalive(t *testing.T) {
 	defer conn.Close()
 	pongs := make(chan string, 1)
 	conn.OnPong = func(p []byte) { pongs <- string(p) }
-	if err := conn.WriteMessage(OpPing, []byte("keepalive-7")); err != nil {
+	if err := conn.WriteMessage(liveplane.OpPing, []byte("keepalive-7")); err != nil {
 		t.Fatal(err)
 	}
 	// The pong arrives before the echo of the next data message.
@@ -284,7 +284,7 @@ func TestPingPongKeepalive(t *testing.T) {
 }
 
 func TestOversizedMessageClosed1009(t *testing.T) {
-	srv, errc := echoServer(t, &Options{MaxMessage: 64})
+	srv, errc := echoServer(t, &liveplane.Options{MaxMessage: 64})
 	conn, _, err := Dial(srv.URL+"/live/ch", nil)
 	if err != nil {
 		t.Fatal(err)
@@ -294,9 +294,9 @@ func TestOversizedMessageClosed1009(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, _, err = conn.ReadMessage()
-	var ce *CloseError
-	if !errors.As(err, &ce) || ce.Code != CloseTooBig {
-		t.Fatalf("read after oversize = %v, want close %d", err, CloseTooBig)
+	var ce *liveplane.CloseError
+	if !errors.As(err, &ce) || ce.Code != liveplane.CloseTooBig {
+		t.Fatalf("read after oversize = %v, want close %d", err, liveplane.CloseTooBig)
 	}
 	if err := <-errc; err == nil {
 		t.Fatal("server read loop survived an oversized frame")
@@ -306,7 +306,7 @@ func TestOversizedMessageClosed1009(t *testing.T) {
 // TestOversizedAcrossFragments: the limit applies to the reassembled
 // message, not only single frames.
 func TestOversizedAcrossFragments(t *testing.T) {
-	srv, _ := echoServer(t, &Options{MaxMessage: 64})
+	srv, _ := echoServer(t, &liveplane.Options{MaxMessage: 64})
 	conn, _, err := Dial(srv.URL+"/live/ch", nil)
 	if err != nil {
 		t.Fatal(err)
@@ -315,16 +315,16 @@ func TestOversizedAcrossFragments(t *testing.T) {
 	half := []byte(strings.Repeat("q", 40))
 	for i, f := range []Frame{
 		{Fin: false, Op: OpText, Masked: true, MaskKey: [4]byte{1, 2, 3, 4}, Payload: half},
-		{Fin: true, Op: OpContinuation, Masked: true, MaskKey: [4]byte{5, 6, 7, 8}, Payload: half},
+		{Fin: true, Op: liveplane.OpContinuation, Masked: true, MaskKey: [4]byte{5, 6, 7, 8}, Payload: half},
 	} {
 		if err := conn.WriteFrame(f); err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
 	}
 	_, _, err = conn.ReadMessage()
-	var ce *CloseError
-	if !errors.As(err, &ce) || ce.Code != CloseTooBig {
-		t.Fatalf("read = %v, want close %d", err, CloseTooBig)
+	var ce *liveplane.CloseError
+	if !errors.As(err, &ce) || ce.Code != liveplane.CloseTooBig {
+		t.Fatalf("read = %v, want close %d", err, liveplane.CloseTooBig)
 	}
 }
 
@@ -335,7 +335,7 @@ func TestOversizedAcrossFragments(t *testing.T) {
 func TestOversizedFragmentRefusedBeforeItsPayload(t *testing.T) {
 	srvSide, cliSide := net.Pipe()
 	defer cliSide.Close()
-	srv := NewConn(srvSide, nil, false, 100)
+	srv := liveplane.NewConn(srvSide, nil, false, 100)
 	errc := make(chan error, 1)
 	go func() {
 		_, _, err := srv.ReadMessage()
@@ -345,7 +345,7 @@ func TestOversizedFragmentRefusedBeforeItsPayload(t *testing.T) {
 	cliSide.SetDeadline(time.Now().Add(5 * time.Second))
 	first := Frame{Op: OpText, Masked: true, MaskKey: [4]byte{1, 2, 3, 4}, Payload: []byte(strings.Repeat("f", 90))}
 	// The continuation's header and mask only: 50 declared bytes, never sent.
-	cont := []byte{0x80 | byte(OpContinuation), 0x80 | 50, 5, 6, 7, 8}
+	cont := []byte{0x80 | byte(liveplane.OpContinuation), 0x80 | 50, 5, 6, 7, 8}
 	if _, err := cliSide.Write(append(first.Append(nil), cont...)); err != nil {
 		t.Fatal(err)
 	}
@@ -357,12 +357,12 @@ func TestOversizedFragmentRefusedBeforeItsPayload(t *testing.T) {
 	if _, err := io.ReadFull(cliSide, payload); err != nil || len(payload) < 2 {
 		t.Fatalf("close frame payload %q: %v", payload, err)
 	}
-	if op, code := Opcode(hdr[0]&0x0f), int(binary.BigEndian.Uint16(payload)); op != OpClose || code != CloseTooBig {
-		t.Fatalf("server sent op %d code %d, want a %d close", op, code, CloseTooBig)
+	if op, code := liveplane.Opcode(hdr[0]&0x0f), int(binary.BigEndian.Uint16(payload)); op != liveplane.OpClose || code != liveplane.CloseTooBig {
+		t.Fatalf("server sent op %d code %d, want a %d close", op, code, liveplane.CloseTooBig)
 	}
-	var ce *CloseError
-	if err := <-errc; !errors.As(err, &ce) || ce.Code != CloseTooBig {
-		t.Fatalf("server read = %v, want close %d", err, CloseTooBig)
+	var ce *liveplane.CloseError
+	if err := <-errc; !errors.As(err, &ce) || ce.Code != liveplane.CloseTooBig {
+		t.Fatalf("server read = %v, want close %d", err, liveplane.CloseTooBig)
 	}
 }
 
@@ -377,9 +377,9 @@ func TestUnmaskedClientFrameClosed1002(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, _, err = conn.ReadMessage()
-	var ce *CloseError
-	if !errors.As(err, &ce) || ce.Code != CloseProtocolError {
-		t.Fatalf("read = %v, want close %d", err, CloseProtocolError)
+	var ce *liveplane.CloseError
+	if !errors.As(err, &ce) || ce.Code != liveplane.CloseProtocolError {
+		t.Fatalf("read = %v, want close %d", err, liveplane.CloseProtocolError)
 	}
 }
 
@@ -389,13 +389,13 @@ func TestProtocolViolationsTable(t *testing.T) {
 		frames   []Frame
 		wantCode int
 	}{
-		{"nonzero rsv", []Frame{{Fin: true, RSV: 0x4, Op: OpText, Masked: true, Payload: []byte("x")}}, CloseProtocolError},
-		{"reserved opcode", []Frame{{Fin: true, Op: Opcode(0x3), Masked: true, Payload: []byte("x")}}, CloseProtocolError},
-		{"continuation without start", []Frame{{Fin: true, Op: OpContinuation, Masked: true, Payload: []byte("x")}}, CloseProtocolError},
+		{"nonzero rsv", []Frame{{Fin: true, RSV: 0x4, Op: OpText, Masked: true, Payload: []byte("x")}}, liveplane.CloseProtocolError},
+		{"reserved opcode", []Frame{{Fin: true, Op: liveplane.Opcode(0x3), Masked: true, Payload: []byte("x")}}, liveplane.CloseProtocolError},
+		{"continuation without start", []Frame{{Fin: true, Op: liveplane.OpContinuation, Masked: true, Payload: []byte("x")}}, liveplane.CloseProtocolError},
 		{"data frame mid-fragment", []Frame{
 			{Fin: false, Op: OpText, Masked: true, Payload: []byte("a")},
-			{Fin: true, Op: OpText, Masked: true, Payload: []byte("b")}}, CloseProtocolError},
-		{"fragmented ping", []Frame{{Fin: false, Op: OpPing, Masked: true, Payload: []byte("x")}}, CloseProtocolError},
+			{Fin: true, Op: OpText, Masked: true, Payload: []byte("b")}}, liveplane.CloseProtocolError},
+		{"fragmented ping", []Frame{{Fin: false, Op: liveplane.OpPing, Masked: true, Payload: []byte("x")}}, liveplane.CloseProtocolError},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -411,7 +411,7 @@ func TestProtocolViolationsTable(t *testing.T) {
 				}
 			}
 			_, _, err = conn.ReadMessage()
-			var ce *CloseError
+			var ce *liveplane.CloseError
 			if !errors.As(err, &ce) || ce.Code != tc.wantCode {
 				t.Fatalf("read = %v, want close %d", err, tc.wantCode)
 			}
@@ -428,17 +428,17 @@ func TestCloseHandshake(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if err := conn.WriteClose(CloseGoingAway, "moving on"); err != nil {
+	if err := conn.WriteClose(liveplane.CloseGoingAway, "moving on"); err != nil {
 		t.Fatal(err)
 	}
 	_, _, err = conn.ReadMessage()
-	var ce *CloseError
-	if !errors.As(err, &ce) || ce.Code != CloseGoingAway {
-		t.Fatalf("client read = %v, want echoed close %d", err, CloseGoingAway)
+	var ce *liveplane.CloseError
+	if !errors.As(err, &ce) || ce.Code != liveplane.CloseGoingAway {
+		t.Fatalf("client read = %v, want echoed close %d", err, liveplane.CloseGoingAway)
 	}
 	srvErr := <-errc
-	if !errors.As(srvErr, &ce) || ce.Code != CloseGoingAway || ce.Reason != "moving on" {
-		t.Fatalf("server read = %v, want close %d with reason", srvErr, CloseGoingAway)
+	if !errors.As(srvErr, &ce) || ce.Code != liveplane.CloseGoingAway || ce.Reason != "moving on" {
+		t.Fatalf("server read = %v, want close %d with reason", srvErr, liveplane.CloseGoingAway)
 	}
 	// Writes after a sent close are refused locally.
 	if err := conn.WriteMessage(OpText, []byte("late")); err == nil {
@@ -526,8 +526,8 @@ func TestDialRefusedSurfacesStatus(t *testing.T) {
 		wire.Error(w, "nope", http.StatusConflict)
 	}))
 	_, resp, err := Dial(srv.URL+"/live/ch", nil)
-	if !errors.Is(err, ErrBadHandshake) {
-		t.Fatalf("err = %v, want ErrBadHandshake", err)
+	if !errors.Is(err, liveplane.ErrBadHandshake) {
+		t.Fatalf("err = %v, want liveplane.ErrBadHandshake", err)
 	}
 	if resp == nil || resp.StatusCode != http.StatusConflict {
 		t.Fatalf("resp = %+v, want 409", resp)
@@ -543,13 +543,13 @@ func TestDialRefusals(t *testing.T) {
 	if _, _, err := Dial("ftp://example.test/live/a", nil); err == nil || !strings.Contains(err.Error(), "unsupported scheme") {
 		t.Fatalf("ftp dial: %v", err)
 	}
-	if _, _, err := DialTimeout("http://127.0.0.1:1/live/a", nil, 50*time.Millisecond); err == nil {
+	if _, _, err := liveplane.DialTimeout("http://127.0.0.1:1/live/a", nil, 50*time.Millisecond); err == nil {
 		t.Fatal("dial to closed port succeeded")
 	}
 	// wire.HostPort defaults the port: a portless IPv6 literal reaches the
 	// TCP dial as [::1]:80 (refused here) instead of failing on "missing
 	// port in address".
-	_, _, err := DialTimeout("http://[::1]/live/a", nil, 50*time.Millisecond)
+	_, _, err := liveplane.DialTimeout("http://[::1]/live/a", nil, 50*time.Millisecond)
 	if err == nil || !strings.Contains(err.Error(), "[::1]:80") || strings.Contains(err.Error(), "missing port") {
 		t.Fatalf("portless IPv6 dial: %v", err)
 	}
@@ -561,7 +561,7 @@ func TestDialRefusals(t *testing.T) {
 // gets the same refusal as on the daemons' loop.
 func TestUpgradeOnNetHTTP(t *testing.T) {
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		c, err := Upgrade(w, r, &Options{Header: wire.Header{ResumeHeader: []string{"7"}}})
+		c, err := Upgrade(w, r, &liveplane.Options{Header: wire.Header{liveplane.ResumeHeader: []string{"7"}}})
 		if err != nil {
 			return
 		}
@@ -579,7 +579,7 @@ func TestUpgradeOnNetHTTP(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if resp.StatusCode != http.StatusSwitchingProtocols || resp.Header.Get(ResumeHeader) != "7" {
+	if resp.StatusCode != http.StatusSwitchingProtocols || resp.Header.Get(liveplane.ResumeHeader) != "7" {
 		t.Fatalf("upgrade answered %s with %v", resp.Status, resp.Header)
 	}
 	if err := c.WriteMessage(OpText, []byte("over net/http")); err != nil {

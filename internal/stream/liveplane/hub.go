@@ -359,10 +359,6 @@ func (h *Hub) Watch(channel string, after uint64) (*Watcher, []byte, error) {
 	return sub, frames, nil
 }
 
-// Wake receives when events are owed to the watcher, and is closed once it
-// is gone.
-func (sub *Watcher) Wake() <-chan struct{} { return sub.wake }
-
 // Next appends the events the watcher is owed to dst as SSE frames, and
 // reports whether it is gone — the hub closed, or cut it for falling
 // behind — after which nothing more comes.
@@ -377,13 +373,6 @@ func (sub *Watcher) Stop() {
 	sub.h.mu.Lock()
 	delete(sub.h.subs, sub)
 	sub.h.mu.Unlock()
-}
-
-// Watchers is the number of subscriptions the hub holds.
-func (h *Hub) Watchers() int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return len(h.subs)
 }
 
 // ServeWatch serves the SSE dashboard stream: every published verdict as

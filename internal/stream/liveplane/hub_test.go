@@ -273,12 +273,12 @@ func TestServeWatchClientGoneUnsubscribes(t *testing.T) {
 	srv := wiretest.NewServer(t, wire.HandlerFunc(h.ServeWatch))
 	defer h.Close()
 	_, cancel := watchStream(t, srv, "", nil)
-	if n := h.Watchers(); n != 1 {
+	if n := watchers(h); n != 1 {
 		t.Fatalf("%d subscribers with one dashboard connected", n)
 	}
 	cancel()
 	deadline := time.Now().Add(5 * time.Second)
-	for h.Watchers() != 0 {
+	for watchers(h) != 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("a disconnected dashboard is still subscribed while no event is published")
 		}
@@ -387,11 +387,11 @@ func TestPublishSlowSubscriberDropped(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("Publish blocked on a slow subscriber")
 	}
-	if _, gone := sub.Next(nil); !gone || h.Watchers() != 0 {
+	if _, gone := sub.Next(nil); !gone || watchers(h) != 0 {
 		t.Fatal("slow subscriber was not dropped")
 	}
 	// Its wake channel is closed, which is the reconnect signal.
-	for range sub.Wake() {
+	for range sub.wake {
 	}
 }
 
@@ -467,6 +467,13 @@ func TestHubCloseRaceClean(t *testing.T) {
 }
 
 // subscribe registers a watch subscriber the test drives by hand.
+// watchers is the number of subscriptions h holds.
+func watchers(h *Hub) int {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return len(h.subs)
+}
+
 func subscribe(h *Hub, channel string) *Watcher {
 	sub, _, err := h.Watch(channel, 0)
 	if err != nil {

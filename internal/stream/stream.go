@@ -175,6 +175,3 @@ func (l *LiveSegmenter) Push(f Frame) *Segment {
 	}
 	return &seg
 }
-
-// Emitted returns the number of segments produced so far.
-func (l *LiveSegmenter) Emitted() int { return l.emitted }

@@ -148,8 +148,8 @@ func TestLiveSegmenterMatchesBatch(t *testing.T) {
 			t.Fatalf("segment %d index mismatch", i)
 		}
 	}
-	if live.Emitted() != len(batch) {
-		t.Fatalf("Emitted = %d", live.Emitted())
+	if live.emitted != len(batch) {
+		t.Fatalf("emitted = %d", live.emitted)
 	}
 }
 

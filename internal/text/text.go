@@ -193,27 +193,3 @@ func clamp(v, lo, hi float64) float64 {
 	}
 	return v
 }
-
-// PositiveWords returns a copy of the positive part of the lexicon; the
-// synthetic comment generator samples from it so that generated comments
-// carry sentiment the analyser can recover.
-func PositiveWords() []string {
-	var out []string
-	for w, p := range polarityLexicon {
-		if p > 0.3 {
-			out = append(out, w)
-		}
-	}
-	return out
-}
-
-// NegativeWords returns a copy of the negative part of the lexicon.
-func NegativeWords() []string {
-	var out []string
-	for w, p := range polarityLexicon {
-		if p < -0.3 {
-			out = append(out, w)
-		}
-	}
-	return out
-}

@@ -140,8 +140,18 @@ func TestSubjectivity(t *testing.T) {
 	}
 }
 
+// TestLexiconExports: every strongly polar word of the lexicon (|p| > 0.3),
+// analysed alone, keeps its sign.
 func TestLexiconExports(t *testing.T) {
-	pos, neg := PositiveWords(), NegativeWords()
+	var pos, neg []string
+	for w, p := range polarityLexicon {
+		switch {
+		case p > 0.3:
+			pos = append(pos, w)
+		case p < -0.3:
+			neg = append(neg, w)
+		}
+	}
 	if len(pos) < 20 || len(neg) < 20 {
 		t.Fatalf("lexicon too small: %d positive, %d negative", len(pos), len(neg))
 	}
@@ -149,7 +159,7 @@ func TestLexiconExports(t *testing.T) {
 	sort.Strings(neg)
 	for _, w := range pos {
 		if s := AnalyzeString(w); s.Polarity <= 0 {
-			t.Fatalf("PositiveWords contains non-positive %q (%v)", w, s.Polarity)
+			t.Fatalf("positive word %q analyses to %v", w, s.Polarity)
 		}
 	}
 	for _, w := range neg {
@@ -159,7 +169,7 @@ func TestLexiconExports(t *testing.T) {
 			continue
 		}
 		if s := AnalyzeString(w); s.Polarity >= 0 {
-			t.Fatalf("NegativeWords contains non-negative %q (%v)", w, s.Polarity)
+			t.Fatalf("negative word %q analyses to %v", w, s.Polarity)
 		}
 	}
 }

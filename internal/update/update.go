@@ -506,8 +506,9 @@ func (u *Updater) SetState(st State) error {
 	switch {
 	case len(st.Log)%(da+db) != 0:
 		return fmt.Errorf("update: log of %d values is not whole rows of %d", len(st.Log), da+db)
-	case rows > (q+1)*u.cfg.MaxBuffer:
-		return fmt.Errorf("update: log of %d rows is longer than (q+1)·MaxBuffer", rows)
+	case rows+(q+1)*len(st.Buffer) > (q+1)*u.cfg.MaxBuffer:
+		// Each version 1/2 sample appends at most q+1 rows.
+		return fmt.Errorf("update: log of %d rows and %d buffered samples can run past (q+1)·MaxBuffer rows", rows, len(st.Buffer))
 	}
 	for i, o := range st.Offsets {
 		if o < 0 || o > rows-1-q || i > 0 && o < st.Offsets[i-1] {

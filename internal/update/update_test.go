@@ -10,7 +10,7 @@ import (
 	"aovlis/internal/mat"
 )
 
-func testModel(t *testing.T) *core.Model {
+func testModel(t testing.TB) *core.Model {
 	t.Helper()
 	cfg := core.DefaultConfig(8, 4)
 	cfg.HiddenI, cfg.HiddenA = 8, 6
@@ -48,7 +48,7 @@ func makeSeries(rng *rand.Rand, n, d1, d2 int, phase int) (actions, audience [][
 	return actions, audience
 }
 
-func makeSamples(t *testing.T, rng *rand.Rand, n, phase int) []core.Sample {
+func makeSamples(t testing.TB, rng *rand.Rand, n, phase int) []core.Sample {
 	t.Helper()
 	actions, audience := makeSeries(rng, n, 8, 4, phase)
 	samples, err := core.BuildSamples(actions, audience, 3)
@@ -799,6 +799,12 @@ func TestSetStateRejectsHostileLog(t *testing.T) {
 		{"partial row", func(s *State) { s.Log = s.Log[:len(s.Log)-1] }},
 		{"log past a cycle of disjoint windows", func(s *State) {
 			s.Log = make([]float64, width*((q+1)*cfg.MaxBuffer+1))
+		}},
+		{"version 2 buffer longer than MaxBuffer", func(s *State) {
+			s.Log, s.Offsets, s.LogEnd = nil, nil, 0
+			for i := 0; i <= cfg.MaxBuffer; i++ {
+				s.Buffer = append(s.Buffer, samples[i])
+			}
 		}},
 	} {
 		st := u.State()
