@@ -55,11 +55,13 @@
 // cold-starting every window (ARCHITECTURE.md §9, README "Operations").
 //
 // With -continual the channels learn from each other: an absorb loop
-// periodically folds every attached channel's adapted weights into a shared
-// base parameter set (weight -absorb-weight, cadence -absorb-every), and a
-// channel attached mid-stream warm-starts from that base instead of the
-// cold training checkpoint — the fleet's consensus of "normal" transfers to
-// newcomers, cutting their cold-start steps to the first stable verdict.
+// periodically folds every attached channel's adapted weights into the
+// node's copy of the loaded template (weight -absorb-weight, cadence
+// -absorb-every), and a channel attached mid-stream is a clone of that
+// template instead of the cold training checkpoint — the fleet's consensus
+// of "normal" transfers to newcomers, cutting their cold-start steps to the
+// first stable verdict. Such a channel shares the template's weights until
+// it first retrains, and keeps the template's τ.
 //
 // Adding -wal-dir closes the gap between checkpoints: every accepted
 // observation is fsynced to an append-only journal before it is queued, and
@@ -123,9 +125,9 @@ func main() {
 	flag.StringVar(&cfg.WALDir, "wal-dir", "", "crash-proof ingest journal directory: every accepted observation is fsynced here before it is queued, and boot replays the journal tail so a kill -9 loses zero acknowledged segments (ARCHITECTURE.md §14)")
 	flag.StringVar(&cfg.LedgerDir, "ledger-dir", "", "tamper-evident verdict ledger directory: every non-warmup verdict is appended to a Merkle-batched hash chain served at GET /ledger/root and /ledger/proof/{seq}, verifiable offline with aovlisctl verify")
 	flag.IntVar(&cfg.LedgerBatch, "ledger-batch", node.DefaultLedgerBatch, "verdicts per committed ledger batch (each commit is one fsynced Merkle block)")
-	flag.BoolVar(&cfg.Continual, "continual", false, "cross-channel continual learning: periodically fold every channel's adapted weights into a shared base (-absorb-every, -absorb-weight) and warm-start newly attached channels from it instead of the cold template (ARCHITECTURE.md §15)")
-	flag.Float64Var(&cfg.AbsorbWeight, "absorb-weight", 0.25, "with -continual: per-absorb weight of the incoming channel in the shared base, in (0,1] — small keeps the base a slow fleet consensus")
-	flag.DurationVar(&cfg.AbsorbEvery, "absorb-every", 30*time.Second, "with -continual: how often the absorb loop folds every channel into the shared base")
+	flag.BoolVar(&cfg.Continual, "continual", false, "cross-channel continual learning: periodically fold every channel's adapted weights into the template (-absorb-every, -absorb-weight), so a newly attached channel, a clone of the template, starts from what its peers learned; it shares the template's weights until it retrains and keeps the template's τ (ARCHITECTURE.md §15)")
+	flag.Float64Var(&cfg.AbsorbWeight, "absorb-weight", 0.25, "with -continual: per-absorb weight of the incoming channel in the template, in (0,1] — small keeps the template a slow fleet consensus")
+	flag.DurationVar(&cfg.AbsorbEvery, "absorb-every", 30*time.Second, "with -continual: how often the absorb loop folds every channel into the template")
 	flag.Parse()
 
 	if fastMath {

@@ -323,7 +323,9 @@ func (f *Filter) Decide(fTrue, fHat, aTrue, aHat []float64) (Result, error) {
 
 // reiThreshold converts τ to the REI scale given the segment's audience
 // error: REIA > τ exactly when REI > (τ − (1−ω)·REA)/ω, for ω > 0.
-func reiThreshold(tau, omega, rea float64) float64 { return (tau - (1-omega)*rea) / omega }
+func reiThreshold(tau, omega, rea float64) float64 {
+	return (tau - float64((1-omega)*rea)) / omega
+}
 
 // FilteringPower returns the fraction of processed segments decided by
 // bounds (the paper's fp metric).

@@ -697,3 +697,60 @@ func TestFailoverRestoresOnlyVerifiedBytes(t *testing.T) {
 		}
 	}
 }
+
+// TestFailoverVerifiesOnlyOrphans: the dead node's manifest also lists
+// channels the router does not route to it — one moved away by a
+// rebalance, one unseen since a router restart. Their checkpoint files are
+// corrupt, and failover neither reads them nor logs them; the orphan's
+// checkpoint is verified and restored.
+func TestFailoverVerifiesOnlyOrphans(t *testing.T) {
+	dir := t.TempDir()
+	victim, survivor := newStubNode(t, "node-a", 1), newStubNode(t, "node-b", 2)
+	victimSpec := victim.spec()
+	victimSpec.SnapshotDir = dir
+	var mu sync.Mutex
+	var logs []string
+	r, err := New(Config{Nodes: []NodeSpec{victimSpec, survivor.spec()},
+		Logf: func(format string, args ...interface{}) {
+			mu.Lock()
+			logs = append(logs, fmt.Sprintf(format, args...))
+			mu.Unlock()
+		}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(r.Close)
+	orphan, moved, unseen := "ch-orphan", "ch-moved", "ch-unseen"
+	own(t, r, orphan, "node-a")
+	own(t, r, moved, "node-b")
+	entries := []manifest.ChannelEntry{
+		commitStubCheckpoint(t, dir, stubState{ID: orphan, Observed: 3}),
+		commitStubCheckpoint(t, dir, stubState{ID: moved, Observed: 5}),
+		commitStubCheckpoint(t, dir, stubState{ID: unseen, Observed: 7}),
+	}
+	if err := manifest.Write(dir, manifest.Manifest{Version: snapshot.Version, Channels: entries}); err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries[1:] {
+		if err := os.WriteFile(filepath.Join(dir, e.File), []byte("corrupt\n"), 0o600); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	if err := r.FailNode("node-a"); err != nil {
+		t.Fatal(err)
+	}
+	if got := survivor.observedCount(orphan); got != 3 {
+		t.Fatalf("the orphan's checkpoint restored to position %d, want 3", got)
+	}
+	if survivor.puts.Load() != 1 {
+		t.Fatalf("%d checkpoints uploaded, want the orphan's only", survivor.puts.Load())
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for _, line := range logs {
+		if strings.Contains(line, moved) || strings.Contains(line, unseen) {
+			t.Errorf("failover looked at a checkpoint it does not restore: %s", line)
+		}
+	}
+}

@@ -228,14 +228,14 @@ func (r *Router) FailNode(name string) error {
 	if err != nil {
 		return err
 	}
-	checkpoints := r.checkpointIndex(n)
-	floors := make(map[string]uint64, len(checkpoints))
-	for id, ce := range checkpoints {
-		floors[id] = ce.WALSeq
-	}
 	orphanSet := make(map[string]bool, len(orphans))
 	for _, id := range orphans {
 		orphanSet[id] = true
+	}
+	checkpoints := r.checkpointIndex(n, orphanSet)
+	floors := make(map[string]uint64, len(checkpoints))
+	for id, ce := range checkpoints {
+		floors[id] = ce.WALSeq
 	}
 	tails, reborn := r.journalTails(n, orphanSet, floors)
 	var warm, replayed int
@@ -363,11 +363,13 @@ func (r *Router) replayableTail(id string, recs []wal.Record, boundary, floor ui
 }
 
 // checkpointIndex reads the dead node's shared snapshot directory manifest
-// and returns channel → the entry of its verified checkpoint, whose WALSeq
+// and returns orphan → the entry of its verified checkpoint, whose WALSeq
 // is the highest journal sequence already folded into the checkpointed
-// state (journal replay starts above it). Missing dir, missing manifest or
+// state (journal replay starts above it). Entries of channels the router
+// does not route to n (moved away by a rebalance, or unseen since a router
+// restart) are neither read nor verified. Missing dir, missing manifest or
 // corrupt entries degrade to cold starts, never to errors.
-func (r *Router) checkpointIndex(n *Node) map[string]manifest.ChannelEntry {
+func (r *Router) checkpointIndex(n *Node, orphans map[string]bool) map[string]manifest.ChannelEntry {
 	dir := n.Spec.SnapshotDir
 	if dir == "" {
 		return nil
@@ -377,8 +379,11 @@ func (r *Router) checkpointIndex(n *Node) map[string]manifest.ChannelEntry {
 		r.cfg.Logf("cluster: no usable checkpoint manifest for %s in %s: %v", n.Spec.Name, dir, err)
 		return nil
 	}
-	out := make(map[string]manifest.ChannelEntry, len(man.Channels))
+	out := make(map[string]manifest.ChannelEntry, len(orphans))
 	for _, ce := range man.Channels {
+		if !orphans[ce.ID] {
+			continue
+		}
 		if _, err := manifest.ReadEntry(dir, ce); err != nil {
 			r.cfg.Logf("cluster: checkpoint for %q fails verification: %v", ce.ID, err)
 			continue

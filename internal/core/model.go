@@ -302,11 +302,6 @@ func (m *Model) Score(s *Sample) (Score, error) {
 	return NewScore(s.ActionTarget, fhat, s.AudienceTarget, ahat, m.cfg.Omega), nil
 }
 
-// ResetOptimizer clears Adam state; a model warm-started from another's
-// parameters (update.SharedBase.Seed) calls it so its training starts from
-// a fresh optimiser.
-func (m *Model) ResetOptimizer() { m.opt.Reset() }
-
 // Clone returns an independent model with m's parameters, a fresh
 // optimiser and the exact gate mode: the way a model is copied by the
 // serving tier (a Detector per channel) and the re-training baseline alike;

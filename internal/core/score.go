@@ -19,12 +19,12 @@ func JSDivergence(p, q []float64) float64 {
 	}
 	var js float64
 	for i := range p {
-		m := (p[i] + q[i]) / 2
+		m := float64((p[i] + q[i]) / 2)
 		if p[i] > 0 {
-			js += 0.5 * p[i] * math.Log((p[i]+divEps)/(m+divEps))
+			js += float64(0.5 * p[i] * math.Log((p[i]+divEps)/(m+divEps)))
 		}
 		if q[i] > 0 {
-			js += 0.5 * q[i] * math.Log((q[i]+divEps)/(m+divEps))
+			js += float64(0.5 * q[i] * math.Log((q[i]+divEps)/(m+divEps)))
 		}
 	}
 	if js < 0 {
@@ -60,7 +60,9 @@ func NewScore(f, fhat, a, ahat []float64, omega float64) Score {
 // REIAOf fuses the two errors as Eq. 16 does, ω·REI + (1−ω)·REA. It is the
 // one definition of the fused score: NewScore, the ADOS filter, the tier
 // gate and the experiments' ω sweeps (Fig. 9a) all call it.
-func (s Score) REIAOf(omega float64) float64 { return omega*s.REI + (1-omega)*s.REA }
+func (s Score) REIAOf(omega float64) float64 {
+	return float64(omega*s.REI) + float64((1-omega)*s.REA)
+}
 
 // CalibrateThreshold returns the score value at the given upper quantile of
 // a sample of (presumed mostly normal) scores. The paper sweeps τ ∈ (0,1)

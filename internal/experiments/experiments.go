@@ -898,7 +898,6 @@ func updateCost(r *Runner, ds []*dataset.Dataset) (Artifact, error) {
 			rng := rand.New(rand.NewSource(r.Scale.Seed))
 			start := time.Now()
 			fresh := base.Clone()
-			fresh.ResetOptimizer()
 			for e := 0; e < 2; e++ {
 				if _, err := fresh.TrainEpoch(buffer, rng); err != nil {
 					return nil, err

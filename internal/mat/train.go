@@ -221,7 +221,7 @@ func VecAddInto(dst, src []float64) {
 func SumSquaresUnordered(v []float64) float64 {
 	s, i := simdSumSquares(v)
 	for ; i < len(v); i++ {
-		s += v[i] * v[i]
+		s += float64(v[i] * v[i])
 	}
 	return s
 }

@@ -123,7 +123,7 @@ func (h *TrainHead) Loss(target []float64) float64 {
 		var sumPP, sumPM, sumQQ, sumQM float64
 		for i, p := range target {
 			qi := q[i]
-			m := 0.5 * (p + qi)
+			m := float64(0.5 * (p + qi))
 			lm, lq := math.Log(m+logEps), math.Log(qi+logEps)
 			h.mid[i], h.logMid[i], h.logPred[i] = m, lm, lq
 			sumPP += float64(p * math.Log(p+logEps))

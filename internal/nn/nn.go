@@ -193,7 +193,7 @@ func (ps *ParamSet) Average(other *ParamSet, w float64) error {
 			return fmt.Errorf("nn: Average shape mismatch for %q", n)
 		}
 		for i := range dm.Data {
-			dm.Data[i] = w*dm.Data[i] + (1-w)*om.Data[i]
+			dm.Data[i] = float64(w*dm.Data[i]) + float64((1-w)*om.Data[i])
 		}
 	}
 	return nil
@@ -244,7 +244,10 @@ func (b *Binding) GradsFlatInto(dst []*mat.Matrix) {
 func XavierInit(m *mat.Matrix, fanIn, fanOut int, rng *rand.Rand) {
 	limit := math.Sqrt(6.0 / float64(fanIn+fanOut))
 	for i := range m.Data {
-		m.Data[i] = (rng.Float64()*2 - 1) * limit
+		// Rounded: u*2 compiles to u+u, into which rand's own scaling
+		// product would otherwise fuse.
+		u := float64(rng.Float64())
+		m.Data[i] = (u*2 - 1) * limit
 	}
 }
 
@@ -327,12 +330,6 @@ func (a *Adam) align(ps *ParamSet) {
 		}
 	}
 	a.aligned, a.names, a.m, a.v = ps, ps.names, m, v
-}
-
-// Reset clears optimiser state (moments and step count).
-func (a *Adam) Reset() {
-	a.t = 0
-	a.aligned, a.names, a.m, a.v = nil, nil, nil, nil
 }
 
 // Restart zeroes the moment estimates in place and the step count: the next

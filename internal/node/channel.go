@@ -14,10 +14,12 @@ var errChannelLimit = errors.New("channel limit reached")
 
 // attach is where a channel begins. With a nil snap it ensures id exists —
 // the first observe on either plane and the journal replay come through
-// here — attaching a fresh clone of the template, warm-started from the
-// shared base when the node learns continually. With a snapshot stream it
-// attaches the channel restored from it (the receive half of a migration)
-// and fails if id is already attached.
+// here — attaching a fresh clone of the template: its weights shared
+// copy-on-write until it first retrains, a fresh optimiser, the template's
+// τ. On a continual node the template is the base the absorb loop moves,
+// so a fresh channel starts from what its peers learned. With a snapshot
+// stream it attaches the channel restored from it (the receive half of a
+// migration) and fails if id is already attached.
 func (n *Node) attach(id string, snap io.Reader) error {
 	n.attachMu.Lock()
 	defer n.attachMu.Unlock()
@@ -32,18 +34,11 @@ func (n *Node) attach(id string, snap io.Reader) error {
 	if snap != nil {
 		return n.pool.AttachSnapshot(id, snap)
 	}
+	n.templateMu.Lock()
 	det, err := n.template.Clone()
+	n.templateMu.Unlock()
 	if err != nil {
 		return err
-	}
-	if n.base != nil {
-		// A channel attached mid-stream starts from what its peers already
-		// learned: parameters copied bit-exactly, optimizer state reset. It
-		// keeps its own τ and tier state — the base carries what
-		// "normal" looks like, not one channel's calibration.
-		if err := n.base.Seed(det.Model()); err != nil {
-			return fmt.Errorf("warm start: %w", err)
-		}
 	}
 	return n.pool.Attach(id, det)
 }
@@ -68,10 +63,12 @@ func (n *Node) detach(id string) error {
 }
 
 // absorbAll runs one absorb sweep: each channel's weights merge into the
-// shared base (base ← (1−w)·base + w·channel) at a quiesced segment
+// template (template ← (1−w)·template + w·channel) at a quiesced segment
 // boundary (WithChannel), so the merge never races the channel's own
-// scoring or retraining. Channels detached mid-sweep and a pool already
-// closing are skipped silently.
+// scoring or retraining. The template's first write after a clone copies
+// its arrays out (copy-on-write), so channels cloned earlier keep theirs.
+// Channels detached mid-sweep and a pool already closing are skipped
+// silently.
 func (n *Node) absorbAll() {
 	for _, id := range n.pool.Channels() {
 		err := n.pool.WithChannel(id, func(det serve.Detector) error {
@@ -79,7 +76,10 @@ func (n *Node) absorbAll() {
 			if !ok {
 				return nil // an alternative backend carries no weights to absorb
 			}
-			return n.base.Absorb(ad.Model(), n.cfg.AbsorbWeight)
+			n.templateMu.Lock()
+			defer n.templateMu.Unlock()
+			// Merge(other, w) keeps w·self + (1−w)·other.
+			return n.template.Model().Merge(ad.Model(), 1-n.cfg.AbsorbWeight)
 		})
 		if err != nil && !errors.Is(err, serve.ErrUnknownChannel) && !errors.Is(err, serve.ErrClosed) {
 			n.cfg.Logf("aovlisd: absorb %s: %v", id, err)

@@ -25,7 +25,6 @@ import (
 	"aovlis/internal/serve"
 	"aovlis/internal/snapshot/manifest"
 	"aovlis/internal/stream/liveplane"
-	"aovlis/internal/update"
 	"aovlis/internal/wal"
 )
 
@@ -57,9 +56,10 @@ type Config struct {
 	// (-ledger-batch) the verdicts per committed Merkle batch.
 	LedgerDir   string
 	LedgerBatch int
-	// Continual (-continual) folds every channel's weights into a shared
-	// base at weight AbsorbWeight (-absorb-weight) every AbsorbEvery
-	// (-absorb-every) and warm-starts new channels from it.
+	// Continual (-continual) folds every channel's weights into the
+	// node's template at weight AbsorbWeight (-absorb-weight) every
+	// AbsorbEvery (-absorb-every), so new channels, which are clones of
+	// the template, start from what their peers learned.
 	Continual    bool
 	AbsorbWeight float64
 	AbsorbEvery  time.Duration
@@ -110,12 +110,6 @@ type Node struct {
 	// by the pool's verdict sink and flushed on every checkpoint.
 	ledger *ledger.Ledger
 
-	// base is the cross-channel continual-learning accumulator (nil without
-	// Continual): the absorb loop folds live channels into it at quiesced
-	// segment boundaries, and attach warm-starts fresh clones from it
-	// instead of the cold template.
-	base *update.SharedBase
-
 	// lastSnapshot is the UnixNano of the last successful checkpoint (0 if
 	// none), reported by /healthz.
 	lastSnapshot atomic.Int64
@@ -129,6 +123,12 @@ type Node struct {
 	// one id clone the template exactly once, and the channel limit is
 	// checked and taken in one step.
 	attachMu sync.Mutex
+
+	// templateMu orders the absorb loop's writes to the template against
+	// attach's clones of it (Clone must not overlap a mutation of its
+	// source). It is held around one Clone or one Merge and nothing else,
+	// so the absorb loop may take it inside a shard's WithChannel.
+	templateMu sync.Mutex
 
 	// stop ends the snapshot and absorb loops; loops waits them out.
 	stop  chan struct{}
@@ -153,11 +153,16 @@ func Open(template *aovlis.Detector, cfg Config) (*Node, error) {
 	if err != nil {
 		return nil, err
 	}
+	if cfg.Continual {
+		// The absorb loop writes the template's weights: the node takes its
+		// own copy-on-write clone, so the caller's detector never moves.
+		if template, err = template.Clone(); err != nil {
+			pool.Close()
+			return nil, err
+		}
+	}
 	n := &Node{cfg: cfg, template: template, pool: pool, started: time.Now(),
 		hub: liveplane.NewHub(liveplane.HubConfig{}), stop: make(chan struct{})}
-	if cfg.Continual {
-		n.base = update.NewSharedBase(template.Model())
-	}
 	if err := n.openLedger(); err != nil {
 		pool.Close()
 		return nil, err
@@ -177,7 +182,7 @@ func Open(template *aovlis.Detector, cfg Config) (*Node, error) {
 	}
 	if cfg.Continual {
 		n.every(cfg.AbsorbEvery, n.absorbAll)
-		cfg.Logf("continual learning: absorbing channels into the shared base every %s at weight %g",
+		cfg.Logf("continual learning: absorbing channels into the template every %s at weight %g",
 			cfg.AbsorbEvery, cfg.AbsorbWeight)
 	}
 	return n, nil

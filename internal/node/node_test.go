@@ -18,6 +18,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -206,6 +207,7 @@ func TestConfigValidation(t *testing.T) {
 		{"negative snapshot cadence", func(c *Config) { c.SnapshotDir, c.SnapshotEvery = "x", -1 }, "-snapshot-every needs -snapshot-dir"},
 		{"empty ledger batches", func(c *Config) { c.LedgerDir, c.LedgerBatch = "x", 0 }, "-ledger-batch must be at least 1"},
 		{"absorb weight out of range", func(c *Config) { c.Continual, c.AbsorbEvery, c.AbsorbWeight = true, time.Second, 1.5 }, "-absorb-weight 1.5 outside (0,1]"},
+		{"absorb weight zero", func(c *Config) { c.Continual, c.AbsorbEvery, c.AbsorbWeight = true, time.Second, 0 }, "-absorb-weight 0 outside (0,1]"},
 		{"continual without a cadence", func(c *Config) { c.Continual, c.AbsorbWeight = true, 0.5 }, "-continual needs a positive -absorb-every"},
 		{"no shards", func(c *Config) { c.Pool.Shards = 0 }, "Shards"},
 	} {
@@ -654,63 +656,153 @@ func TestStatusForPoolErr(t *testing.T) {
 	}
 }
 
-// TestContinualWarmStartOnAttach pins the continual-learning seam: a
-// channel attached on first use carries the shared base's parameters
-// (template + absorbed veterans), not the cold template's, and an absorb
-// sweep folds every attached channel into the base at a quiesced boundary.
+// TestContinualWarmStartOnAttach pins the continual-learning seam: the
+// node's template is the base. After k absorb sweeps its weights are, bit
+// for bit, a base built by hand as template ← (1−w)·template + w·channel
+// over every channel in the sweep's order; a channel attached then is a
+// plain clone of it (weights shared, a fresh optimiser); a channel of
+// another architecture is refused by the merge, logged and skipped; and the
+// detector the node was opened with never moves.
 func TestContinualWarmStartOnAttach(t *testing.T) {
+	const w = 0.25
 	cfg := testConfig(dirs{})
-	cfg.Continual, cfg.AbsorbWeight, cfg.AbsorbEvery = true, 0.25, time.Hour // swept by hand below
-	n, _ := open(t, cfg)
+	cfg.Continual, cfg.AbsorbWeight, cfg.AbsorbEvery = true, w, time.Hour // swept by hand below
+	n, book := open(t, cfg)
 	defer shut(t, n)
+	runtimeBytes := func(m interface{ SaveRuntime(io.Writer) error }) []byte {
+		var b bytes.Buffer
+		if err := m.SaveRuntime(&b); err != nil {
+			t.Fatal(err)
+		}
+		return b.Bytes()
+	}
+	opened := runtimeBytes(template(t).Model())
 
-	// A veteran with genuinely different weights: same architecture,
-	// different training seed.
+	// Channels: a veteran with genuinely different weights (same
+	// architecture, another training seed), a cold clone, and an alien.
 	vet := trainSmall(t, 99, 1)
-	if err := n.base.Absorb(vet.Model(), 0.5); err != nil {
+	if err := n.pool.Attach("vet", vet); err != nil {
 		t.Fatal(err)
 	}
-	// The control: what a warm start from this base must produce.
-	ctrl, err := template(t).Clone()
+	acts, auds := testSeries(3, 1)
+	observe(t, n, "cold", acts, auds, 0, 1)
+	alienCfg := aovlis.DefaultConfig(testActionDim, testAudienceDim)
+	alienCfg.HiddenI, alienCfg.HiddenA, alienCfg.SeqLen, alienCfg.Epochs = 6, 4, 4, 1
+	alienActs, alienAuds := testSeries(5, 90)
+	alien, err := aovlis.Train(alienActs, alienAuds, alienCfg)
+	if err == nil {
+		err = n.pool.Attach("alien", alien)
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := n.base.Seed(ctrl.Model()); err != nil {
-		t.Fatal(err)
+	models := map[string]*aovlis.Detector{}
+	for _, id := range n.pool.Channels() {
+		if err := n.pool.WithChannel(id, func(det serve.Detector) error {
+			models[id] = det.(*aovlis.Detector)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
 	}
 
-	acts, auds := testSeries(3, 1)
-	observe(t, n, "warm", acts, auds, 0, 1)
-	sameParams := func(a, b *aovlis.Detector) bool {
-		pa, pb := a.Model().Params(), b.Model().Params()
-		for _, name := range pa.Names() {
-			ma, mb := pa.Get(name), pb.Get(name)
-			if ma == nil || mb == nil || !reflect.DeepEqual(ma.Data, mb.Data) {
-				return false
+	base := template(t).Model().Clone()
+	for sweep := 0; sweep < 3; sweep++ {
+		n.absorbAll()
+		for _, id := range n.pool.Channels() {
+			if id != "alien" {
+				if err := base.Merge(models[id].Model(), 1-w); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
-		return true
 	}
+	if !strings.Contains(book.String(), "absorb alien: core: cannot merge") {
+		t.Errorf("the alien channel's absorb was not refused and logged:\n%s", book)
+	}
+
+	observe(t, n, "warm", acts, auds, 0, 1)
 	if err := n.pool.WithChannel("warm", func(det serve.Detector) error {
-		ad, ok := det.(*aovlis.Detector)
-		if !ok {
-			t.Fatal("pool channel is not an aovlis detector")
+		warm := det.(*aovlis.Detector).Model()
+		if !warm.Params().Shared() {
+			t.Error("the warm-started channel copied the template's weights")
 		}
-		if !sameParams(ad, ctrl) {
-			t.Error("attached channel's params differ from the shared base")
-		}
-		if sameParams(ad, template(t)) {
-			t.Error("attached channel carries the cold template, not the base")
+		// Parameters bit-equal to the hand-built base, optimiser fresh:
+		// base.Clone() has a fresh Adam.
+		if !bytes.Equal(runtimeBytes(warm), runtimeBytes(base.Clone())) {
+			t.Error("the warm-started channel is not a fresh clone of the hand-built base")
 		}
 		return nil
 	}); err != nil {
 		t.Fatal(err)
 	}
+	if bytes.Equal(runtimeBytes(base), runtimeBytes(template(t).Model().Clone())) {
+		t.Error("three sweeps left the base at the cold template")
+	}
+	if !bytes.Equal(runtimeBytes(template(t).Model()), opened) {
+		t.Error("the detector the node was opened with moved")
+	}
+}
 
-	before := n.base.Absorbs()
+// TestWarmStartedChannelFootprint gates what a warm start costs: at the
+// benchmark's model shape (48 action classes, 19 audience dimensions, q = 9,
+// 18 675 parameters), a channel attached to a continual node after an
+// absorb sweep has written the template retains at most 32 KiB before it
+// writes — it shares the template's weights as any clone does, where a
+// channel seeded with a copy of them retains ≈ 160 KB.
+func TestWarmStartedChannelFootprint(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	var acts, auds [][]float64
+	for i := 0; i < 60; i++ {
+		f, a := make([]float64, 48), make([]float64, 19)
+		f[(i/3)%8] = 1
+		for j := range f {
+			f[j] += 0.02 + 0.01*rng.Float64()
+		}
+		mat.Normalize(f)
+		for j := range a {
+			a[j] = 0.3 + 0.03*rng.NormFloat64()
+		}
+		acts, auds = append(acts, f), append(auds, a)
+	}
+	acfg := aovlis.DefaultConfig(48, 19)
+	acfg.Epochs = 1
+	tmpl, err := aovlis.Train(acts, auds, acfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const channels = 200
+	cfg := testConfig(dirs{})
+	cfg.MaxChannels = channels + 1
+	cfg.Continual, cfg.AbsorbWeight, cfg.AbsorbEvery = true, 0.25, time.Hour // swept by hand below
+	cfg.Logf = t.Logf
+	n, err := Open(tmpl, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer shut(t, n)
+	if err := n.ensure("veteran"); err != nil {
+		t.Fatal(err)
+	}
 	n.absorbAll()
-	if got := n.base.Absorbs(); got != before+1 {
-		t.Fatalf("absorb sweep recorded %d absorbs, want %d", got, before+1)
+
+	heap := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := heap()
+	for i := 0; i < channels; i++ {
+		if err := n.ensure(fmt.Sprintf("warm-%d", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	per := (float64(heap()) - float64(before)) / channels
+	t.Logf("a warm-started channel retains %.0f B", per)
+	if per > 32<<10 {
+		t.Errorf("a warm-started channel retains %.0f B, want at most %d", per, 32<<10)
 	}
 }
 

@@ -968,10 +968,11 @@ func (p *DetectorPool) AttachVerdictSink(s VerdictSink) {
 // WithChannel runs fn against id's detector at a segment boundary: fn
 // executes inside the channel's shard worker, so no Observe on that shard
 // is concurrent with it and the detector's state is between segments.
-// This is the continual-learning seam — the absorb loop merges a live
-// channel's weights into the shared base through it without stopping the
-// stream. fn must not call back into the pool (it would deadlock on its
-// own shard) and should be brief: the whole shard is held while it runs.
+// This is the continual-learning seam — a node's absorb loop merges a
+// live channel's weights into the node's template through it without
+// stopping the stream. fn must not call back into the pool (it would
+// deadlock on its own shard) and should be brief: the whole shard is held
+// while it runs.
 func (p *DetectorPool) WithChannel(id string, fn func(det Detector) error) error {
 	ch, ok := p.lookup(id)
 	if !ok {
