@@ -167,22 +167,13 @@ type Detector struct {
 	tier  *ados.TierPlan
 	upd   *update.Updater
 	tau   float64
-	// trainers is the CLSTM_new free list the updater retrains on, shared
-	// with the template this detector was cloned from and its other clones.
-	trainers *update.Trainers
 
-	// actWin/audWin hold the sliding window of the last q segments in rows
-	// the detector owns, views over one flat backing per side: every
+	// actWin/audWin hold the sliding window of the last q segments in q
+	// rows the detector owns, views over one flat backing per side: every
 	// consumed segment is copied in, so a caller may reuse its vectors once
-	// the call returns. Inside observeLanes they also carry the lanes being
-	// consumed (see there).
+	// the call returns. Everything sized by a batch's width is the lane set
+	// observeLanes borrows (see there).
 	actWin, audWin [][]float64
-
-	// Predict scratch, reused across calls: the per-lane samples and the
-	// lane prediction buffers (headers over one flat backing each). At a
-	// stable batch size the hot path allocates nothing.
-	samples    []core.Sample
-	fhat, ahat [][]float64
 
 	// oneAct/oneAud/oneRes are Observe's one-lane batch.
 	oneAct, oneAud [1][]float64
@@ -232,7 +223,7 @@ func Train(actions, audience [][]float64, cfg Config) (*Detector, error) {
 	}
 	tau := core.CalibrateThreshold(valScores, cfg.TauQuantile)
 
-	d := &Detector{cfg: cfg, model: model, tau: tau, trainers: new(update.Trainers)}
+	d := &Detector{cfg: cfg, model: model, tau: tau}
 	if err := d.initRuntime(train); err != nil {
 		return nil, err
 	}
@@ -249,7 +240,7 @@ func (d *Detector) initRuntime(seedSamples []core.Sample) error {
 		d.tier = tier
 	}
 	if d.cfg.EnableUpdate {
-		upd, err := update.NewShared(d.model, d.cfg.Update, d.trainers)
+		upd, err := update.New(d.model, d.cfg.Update)
 		if err != nil {
 			return err
 		}
@@ -384,10 +375,13 @@ func (d *Detector) ObserveBatch(actionFeats, audienceFeats [][]float64, results 
 // tier gate → predict → score → tier.Commit → updater → slide. The caller
 // holds the single-writer flag.
 //
-// The window is the head of d.actWin/d.audWin. The lanes are copied in
-// after it up front, into rows the detector owns, so lane i's history is
-// the q rows ending just before it, and the slide is one copy-down at the
-// end that keeps the last q rows of whatever was consumed. Everything
+// The call borrows a lane set of the model's configuration (core.Lanes)
+// and returns it at the end: every buffer sized by the batch's width is
+// the set's, shared with every detector of the configuration, so a
+// detector keeps its state and no scratch. The window and then the lanes
+// are copied onto the set's rows up front, so lane i's history is the q
+// rows ending just before it, and the slide copies the last q rows of
+// whatever was consumed back into the detector's own window. Everything
 // downstream — the predictions, the score, the tier anchor, the updater's
 // samples — reads those copies, never the caller's slices, and whatever
 // outlives the call (the tier anchor, the updater's buffer) copies them in
@@ -395,14 +389,15 @@ func (d *Detector) ObserveBatch(actionFeats, audienceFeats [][]float64, results 
 //
 // Predictions are lazy and, where it is safe, batched: when a lane needs a
 // prediction and has none, every remaining lane is predicted in one
-// PredictBatchInto pass (a lane's bits don't depend on the lane count) —
+// PredictWindows pass (a lane's bits don't depend on the lane count) —
 // unless the tier gate is on, whose anchor each verdict may move; then that
-// lane is predicted alone. The batch is
-// optimistic about the weights: if a lane's update step retrains the model
-// (the parameter version moves), the predictions of the lanes after it are
-// discarded, and the next one that needs a prediction re-predicts with the
-// new weights — exactly what a serial sequence would have used. Updates
-// are drift-triggered and rare, so the replay cost is amortised away.
+// lane is predicted alone. The predictions and LSTM_I states are read in
+// place from the set. The batch is optimistic about the weights: if a
+// lane's update step retrains the model (the parameter version moves), the
+// predictions of the lanes after it are discarded, and the next one that
+// needs a prediction re-predicts with the new weights — exactly what a
+// serial sequence would have used. Updates are drift-triggered and rare, so
+// the replay cost is amortised away.
 func (d *Detector) observeLanes(acts, auds [][]float64, results []Result) (int, error) {
 	// Dims check: the maximal prefix of well-dimensioned lanes is
 	// processed; the first bad lane fails after the prefix commits, exactly
@@ -419,30 +414,25 @@ func (d *Detector) observeLanes(acts, auds [][]float64, results []Result) (int, 
 		}
 	}
 	q, w0 := d.cfg.SeqLen, len(d.actWin)
-	if w0+valid > cap(d.actWin) {
-		// Room for a full window and, like the plan's lanes, at least twice
-		// the lanes it had: only a wider batch regrows it, and rarely.
-		rows := q + max(valid, 2*(cap(d.actWin)-q))
-		act, aud := flatRows(rows, d.cfg.ActionDim), flatRows(rows, d.cfg.AudienceDim)
-		for i := range d.actWin {
-			copy(act[i], d.actWin[i])
-			copy(aud[i], d.audWin[i])
-		}
-		d.actWin, d.audWin = act, aud
+	ls := d.model.TakeLanes()
+	defer ls.Put()
+	act, aud := ls.Rows(w0 + valid)
+	for i := 0; i < w0; i++ {
+		copy(act[i], d.actWin[i])
+		copy(aud[i], d.audWin[i])
 	}
-	d.actWin, d.audWin = d.actWin[:w0+valid], d.audWin[:w0+valid]
 	for i := 0; i < valid; i++ {
-		copy(d.actWin[w0+i], acts[i])
-		copy(d.audWin[w0+i], auds[i])
+		copy(act[w0+i], acts[i])
+		copy(aud[w0+i], auds[i])
 	}
 
 	var err error
 	n := 0
-	predFrom, predTo := 0, 0 // lanes [predFrom, predTo) hold predictions in fhat/ahat[lane-predFrom]
+	predFrom, predTo := 0, 0 // lanes [predFrom, predTo) hold predictions in lanes [0, predTo−predFrom) of ls
 	version := d.model.Params().Version()
 	for ; n < valid; n++ {
 		end := w0 + n // rows [0, end) are this lane's history; row end is the lane
-		a, u := d.actWin[end], d.audWin[end]
+		a, u := act[end], aud[end]
 		d.observed++
 		if end < q {
 			results[n] = Result{Warmup: true}
@@ -468,13 +458,13 @@ func (d *Detector) observeLanes(acts, auds [][]float64, results []Result) (int, 
 				if d.tier == nil {
 					lanes = valid - n
 				}
-				if err = d.predict(n, lanes, w0); err != nil {
+				if err = d.model.PredictWindows(ls, end, lanes); err != nil {
 					break
 				}
 				predFrom, predTo = n, n+lanes
 			}
-			fhat, ahat := d.fhat[n-predFrom], d.ahat[n-predFrom]
-			hidden = d.model.LaneHidden(n - predFrom)
+			fhat, ahat := ls.Prediction(n - predFrom)
+			hidden = ls.Hidden(n - predFrom)
 			reia := core.NewScore(a, fhat, u, ahat, d.cfg.Omega).REIA
 			res = Result{Anomaly: reia > d.tau, Score: reia, Exact: true, Path: ados.PathExact.String()}
 			if d.tier != nil {
@@ -487,12 +477,12 @@ func (d *Detector) observeLanes(acts, auds [][]float64, results []Result) (int, 
 		// Dynamic maintenance (Fig. 5): buffer presumed-normal segments and
 		// update on drift. The interaction level is the mean of the count
 		// block, computed directly from the audience feature. The sample
-		// views the detector's window; the updater copies what it buffers.
+		// views the set's rows; the updater copies what it buffers.
 		if d.upd != nil {
 			var upRes update.Result
 			upRes, err = d.upd.ObserveHidden(core.Sample{
-				ActionSeq:      d.actWin[end-q : end],
-				AudienceSeq:    d.audWin[end-q : end],
+				ActionSeq:      act[end-q : end],
+				AudienceSeq:    aud[end-q : end],
 				ActionTarget:   a,
 				AudienceTarget: u,
 				Index:          d.observed - 1,
@@ -510,47 +500,22 @@ func (d *Detector) observeLanes(acts, auds [][]float64, results []Result) (int, 
 	}
 
 	// Slide: copy the last q rows of the history the n consumed lanes leave
-	// behind down to the head; older history and lanes an error left
-	// unconsumed are overwritten by the next call's lanes.
+	// behind into the detector's window; lanes an error left unconsumed are
+	// dropped with the set.
 	end := w0 + n
 	keep := min(end, q)
-	for i := 0; i < keep; i++ {
-		copy(d.actWin[i], d.actWin[end-keep+i])
-		copy(d.audWin[i], d.audWin[end-keep+i])
+	if d.actWin == nil {
+		d.actWin, d.audWin = ownRows(nil, q, d.cfg.ActionDim), ownRows(nil, q, d.cfg.AudienceDim)
 	}
 	d.actWin, d.audWin = d.actWin[:keep], d.audWin[:keep]
-	clear(d.samples)
+	for i := 0; i < keep; i++ {
+		copy(d.actWin[i], act[end-keep+i])
+		copy(d.audWin[i], aud[end-keep+i])
+	}
 	if err != nil {
 		return n, err
 	}
 	return valid, dimErr
-}
-
-// predict fills d.fhat/d.ahat[0:lanes] with the predictions of lanes
-// [from, from+lanes), each from the q window rows ending just before it.
-func (d *Detector) predict(from, lanes, w0 int) error {
-	q := d.cfg.SeqLen
-	d.samples = d.samples[:0]
-	for i := from; i < from+lanes; i++ {
-		end := w0 + i
-		d.samples = append(d.samples, core.Sample{
-			ActionSeq:      d.actWin[end-q : end],
-			AudienceSeq:    d.audWin[end-q : end],
-			ActionTarget:   d.actWin[end],
-			AudienceTarget: d.audWin[end],
-			Index:          d.observed - 1 + i - from,
-		})
-	}
-	d.ensurePredBufs(lanes)
-	return d.model.PredictBatchInto(d.samples, d.fhat[:lanes], d.ahat[:lanes])
-}
-
-// ensurePredBufs sizes the lane prediction buffers for n lanes,
-// reallocating only on growth.
-func (d *Detector) ensurePredBufs(n int) {
-	if len(d.fhat) < n {
-		d.fhat, d.ahat = flatRows(n, d.cfg.ActionDim), flatRows(n, d.cfg.AudienceDim)
-	}
 }
 
 // flatRows returns n rows of dim values, views over one backing array.
@@ -559,6 +524,16 @@ func flatRows(n, dim int) [][]float64 {
 	rows := make([][]float64, n)
 	for i := range rows {
 		rows[i] = data[i*dim : (i+1)*dim : (i+1)*dim]
+	}
+	return rows
+}
+
+// ownRows copies src, at most q rows of dim values, into the first rows of
+// a q-row window of the detector's own.
+func ownRows(src [][]float64, q, dim int) [][]float64 {
+	rows := flatRows(q, dim)[:len(src)]
+	for i := range src {
+		copy(rows[i], src[i])
 	}
 	return rows
 }
@@ -641,7 +616,7 @@ func (d *Detector) Save(w io.Writer) error {
 // Clone only reads the detector, so concurrent Clones of one template are
 // fine, but it must not overlap a writer (see the concurrency contract).
 func (d *Detector) Clone() (*Detector, error) {
-	c := &Detector{cfg: d.cfg, model: d.model.Clone(), tau: d.tau, trainers: d.trainers}
+	c := &Detector{cfg: d.cfg, model: d.model.Clone(), tau: d.tau}
 	if err := c.initRuntime(nil); err != nil {
 		return nil, fmt.Errorf("aovlis: cloning detector: %w", err)
 	}
@@ -664,7 +639,7 @@ func Load(r io.Reader) (*Detector, error) {
 	if err != nil {
 		return nil, err
 	}
-	d := &Detector{cfg: wire.Config, model: model, tau: wire.Tau, trainers: new(update.Trainers)}
+	d := &Detector{cfg: wire.Config, model: model, tau: wire.Tau}
 	if err := d.initRuntime(nil); err != nil {
 		return nil, err
 	}
@@ -762,14 +737,13 @@ func RestoreDetector(r io.Reader) (*Detector, error) {
 	if mc := wire.Config.modelConfig(); model.Config() != mc {
 		return nil, fmt.Errorf("aovlis: snapshot model config %+v does not match detector config %+v", model.Config(), mc)
 	}
+	q := wire.Config.SeqLen
 	d := &Detector{
 		cfg:      wire.Config,
 		model:    model,
 		tau:      wire.Tau,
-		trainers: new(update.Trainers),
-		// Full slices: the first Observe moves the rows onto flat backings.
-		actWin:   wire.ActWin[:len(wire.ActWin):len(wire.ActWin)],
-		audWin:   wire.AudWin[:len(wire.AudWin):len(wire.AudWin)],
+		actWin:   ownRows(wire.ActWin, q, wire.Config.ActionDim),
+		audWin:   ownRows(wire.AudWin, q, wire.Config.AudienceDim),
 		observed: wire.Observed,
 		detected: wire.Detected,
 	}
@@ -784,7 +758,7 @@ func RestoreDetector(r io.Reader) (*Detector, error) {
 		d.tier = tier
 	}
 	if wire.HasUpdater {
-		upd, err := update.NewShared(model, d.cfg.Update, d.trainers)
+		upd, err := update.New(model, d.cfg.Update)
 		if err != nil {
 			return nil, fmt.Errorf("aovlis: restoring updater: %w", err)
 		}

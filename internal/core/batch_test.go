@@ -1,9 +1,12 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -112,26 +115,47 @@ func TestPredictBatchBitIdentical(t *testing.T) {
 	}
 }
 
-// laneBytes is the size of the plan's lane state: every float64 backing
-// array at full capacity.
-func laneBytes(p *InferPlan) int {
+// laneBytes is the size of a lane set's state: every float64 backing array
+// at full capacity.
+func laneBytes(ls *Lanes) int {
 	n := 0
-	for i := range p.streams {
-		for _, m := range p.streams[i].state() {
+	for i := range ls.streams {
+		for _, m := range ls.streams[i].matrices() {
 			n += 8 * cap(m.Data)
 		}
 	}
 	return n
 }
 
-// TestPlanLaneCapacity pins the capacity contract: a plan starts with one
-// lane of state and a model that only ever predicts single segments — every
-// serving channel that never batches — keeps exactly that; capacity grows
-// on demand, and once grown, any lane count up to it (16 → 1 included) runs
-// allocation-free and without cross-lane bleed.
+// unsharedSeeds numbers the seeds unsharedConfig hands out.
+var unsharedSeeds atomic.Int64
+
+// unsharedConfig returns cfg with a seed no other model of the test process
+// has used, so its lane-set list starts empty however the tests are
+// ordered or repeated.
+func unsharedConfig(cfg Config) Config {
+	cfg.Seed = math.MinInt64 + unsharedSeeds.Add(1)
+	return cfg
+}
+
+// freeSets returns the sets on cfg's free list.
+func freeSets(cfg Config) []*Lanes {
+	l := laneLists.For(cfg)
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return append([]*Lanes(nil), l.free...)
+}
+
+// TestPlanLaneCapacity pins the capacity contract of the borrowed lane
+// sets: a set starts with one lane of state, and models that only ever
+// predict single segments — every serving channel that never batches —
+// leave their configuration exactly that one set; a set grows to the
+// widest batch any borrower ran, and once grown, every width up to it
+// (16 → 1 included) runs allocation-free and without cross-lane bleed, for
+// every model of the configuration.
 func TestPlanLaneCapacity(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
-	cfg := randomBatchConfig(rng, CouplingFull)
+	cfg := unsharedConfig(randomBatchConfig(rng, CouplingFull))
 	tmpl, err := NewModel(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -153,33 +177,157 @@ func TestPlanLaneCapacity(t *testing.T) {
 	ctxI, ctxA := cfg.ctxDims()
 	oneLane := 8 * (4*cfg.HiddenI + ctxI + 4*cfg.HiddenI + 2*cfg.ActionDim +
 		4*cfg.HiddenA + ctxA + 4*cfg.HiddenA + 2*cfg.AudienceDim)
-	m := tmpl.Clone()
+	m, other := tmpl.Clone(), tmpl.Clone()
 	for i := 0; i < 5; i++ {
-		if err := m.PredictInto(&samples[i], fhats[0], ahats[0]); err != nil {
-			t.Fatal(err)
+		for _, c := range []*Model{m, other} {
+			if err := c.PredictInto(&samples[i], fhats[0], ahats[0]); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
-	if got := laneBytes(m.plan); m.plan.capLanes != 1 || got != oneLane {
-		t.Fatalf("single-segment model holds %d lanes, %d bytes of lane state; want 1 lane, %d bytes", m.plan.capLanes, got, oneLane)
+	if sets := freeSets(cfg); len(sets) != 1 || sets[0].capLanes != 1 || laneBytes(sets[0]) != oneLane {
+		t.Fatalf("single-segment models left %d sets (first: %d lanes, %d bytes of lane state); want 1 of 1 lane, %d bytes",
+			len(sets), sets[0].capLanes, laneBytes(sets[0]), oneLane)
 	}
 
 	for _, B := range []int{2, 7, 1, 5, 16, 3, 1} {
-		compareBatch(t, m, samples[:B], "varying")
+		compareBatch(t, other, samples[:B], "varying")
 	}
-	if got := laneBytes(m.plan); m.plan.capLanes != 16 || got != 16*oneLane {
-		t.Fatalf("after a 16-lane run the plan holds %d lanes, %d bytes; want 16 lanes, %d bytes", m.plan.capLanes, got, 16*oneLane)
+	if sets := freeSets(cfg); len(sets) != 1 || sets[0].capLanes != 16 || laneBytes(sets[0]) != 16*oneLane {
+		t.Fatalf("after one borrower's 16-lane run %d sets (first: %d lanes, %d bytes); want 1 of 16 lanes, %d bytes",
+			len(sets), sets[0].capLanes, laneBytes(sets[0]), 16*oneLane)
 	}
 	lanes := 16
 	if n := testing.AllocsPerRun(30, func() {
 		if err := m.PredictBatchInto(samples[:lanes], fhats[:lanes], ahats[:lanes]); err != nil {
 			t.Fatal(err)
 		}
-		if err := m.PredictInto(&samples[0], fhats[0], ahats[0]); err != nil {
+		if err := other.PredictInto(&samples[0], fhats[0], ahats[0]); err != nil {
 			t.Fatal(err)
 		}
 		lanes = lanes%16 + 1 // 16, 1, 2, … — every count within capacity
 	}); n != 0 {
 		t.Fatalf("lane counts within capacity allocate %v objects/op, want 0", n)
+	}
+	if made := LaneSetsMade(cfg); made != 1 {
+		t.Fatalf("two models on one goroutine made %d lane sets, want 1", made)
+	}
+}
+
+// TestBorrowersLeakNothing runs 32 clones, each over windows of its own,
+// through the lane sets of their configuration. On one goroutine, in
+// alternating batches of 1, 16, 3 and 7 lanes, every prediction and every
+// LaneHidden is bit for bit a fresh model's for the same window, a clone
+// whose set another has run on since offers no state, and one set serves
+// them all. On 4 goroutines, each holding its set through PredictWindows,
+// the same holds and they make at most 4 sets.
+func TestBorrowersLeakNothing(t *testing.T) {
+	const clones, goroutines = 32, 4
+	widths := []int{1, 16, 3, 7}
+	rng := rand.New(rand.NewSource(89))
+	cfg := unsharedConfig(randomBatchConfig(rng, CouplingFull))
+	q := cfg.SeqLen
+	rounds := 2 * len(widths)
+	actions, audience := goldenSeries(clones+rounds+16+q, cfg.ActionDim, cfg.AudienceDim, 7)
+	samples, err := BuildSamples(actions, audience, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := NewModel(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantF, wantA, wantH := make([][]float64, len(samples)), make([][]float64, len(samples)), make([][]float64, len(samples))
+	for i := range samples {
+		wantF[i], wantA[i], wantH[i] = make([]float64, cfg.ActionDim), make([]float64, cfg.AudienceDim), make([]float64, cfg.HiddenI)
+		if err := fresh.PredictInto(&samples[i], wantF[i], wantA[i]); err != nil {
+			t.Fatal(err)
+		}
+		if err := fresh.HiddenInto(&samples[i], wantH[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tmpl, err := NewModel(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	models := make([]*Model, clones)
+	for c := range models {
+		models[c] = tmpl.Clone()
+	}
+	// check compares lane l of a run over sample w's window with the
+	// fresh model's.
+	check := func(what string, w int, f, a, h []float64) error {
+		if !identicalBits(f, wantF[w]) || !identicalBits(a, wantA[w]) || !identicalBits(h, wantH[w]) {
+			return fmt.Errorf("%s: window %d: prediction %x/%x, state %x; a fresh model gives %x/%x, %x",
+				what, w, bitsOf(f), bitsOf(a), bitsOf(h), bitsOf(wantF[w]), bitsOf(wantA[w]), bitsOf(wantH[w]))
+		}
+		return nil
+	}
+
+	fhats, ahats := make([][]float64, 16), make([][]float64, 16)
+	for i := range fhats {
+		fhats[i], ahats[i] = make([]float64, cfg.ActionDim), make([]float64, cfg.AudienceDim)
+	}
+	for r := 0; r < rounds; r++ {
+		B := widths[r%len(widths)]
+		for c, m := range models {
+			at := c + r
+			if err := m.PredictBatchInto(samples[at:at+B], fhats[:B], ahats[:B]); err != nil {
+				t.Fatal(err)
+			}
+			for l := 0; l < B; l++ {
+				if err := check(fmt.Sprintf("round %d clone %d lane %d", r, c, l), at+l, fhats[l], ahats[l], m.LaneHidden(l)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if c > 0 && models[c-1].LaneHidden(0) != nil {
+				t.Fatalf("round %d: clone %d offers a state from a set clone %d has run on since", r, c-1, c)
+			}
+		}
+	}
+	if made := LaneSetsMade(cfg); made != 1 {
+		t.Fatalf("%d models on one goroutine made %d lane sets, want 1", clones+2, made)
+	}
+
+	var wg sync.WaitGroup
+	errs := make([]error, goroutines)
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				B := widths[(r+g)%len(widths)]
+				for c := g; c < clones; c += goroutines {
+					m, at := models[c], c+r
+					ls := m.TakeLanes()
+					act, aud := ls.Rows(q + B - 1)
+					for i := range act {
+						copy(act[i], actions[at+i])
+						copy(aud[i], audience[at+i])
+					}
+					err := m.PredictWindows(ls, q, B)
+					for l := 0; err == nil && l < B; l++ {
+						f, a := ls.Prediction(l)
+						err = check(fmt.Sprintf("goroutine %d round %d clone %d lane %d", g, r, c, l), at+l, f, a, ls.Hidden(l))
+					}
+					ls.Put()
+					if err != nil {
+						errs[g] = err
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if made := LaneSetsMade(cfg); made > goroutines {
+		t.Fatalf("%d goroutines made %d lane sets, want at most %d", goroutines, made, goroutines)
 	}
 }
 

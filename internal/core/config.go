@@ -103,9 +103,9 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: hidden sizes must be positive, got %d/%d", c.HiddenI, c.HiddenA)
 	case c.SeqLen <= 0:
 		return fmt.Errorf("core: SeqLen must be positive, got %d", c.SeqLen)
-	case c.Omega < 0 || c.Omega > 1:
+	case !(c.Omega >= 0 && c.Omega <= 1): // NaN too
 		return fmt.Errorf("core: Omega must lie in [0,1], got %v", c.Omega)
-	case c.LearningRate <= 0:
+	case !(c.LearningRate > 0):
 		return fmt.Errorf("core: LearningRate must be positive, got %v", c.LearningRate)
 	}
 	return nil

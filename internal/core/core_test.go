@@ -71,6 +71,10 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.Omega = 1.5 },
 		func(c *Config) { c.Omega = -0.1 },
 		func(c *Config) { c.LearningRate = 0 },
+		// A NaN is no weight and no rate, and a NaN key would give every
+		// model of the configuration a lane-set list of its own.
+		func(c *Config) { c.Omega = math.NaN() },
+		func(c *Config) { c.LearningRate = math.NaN() },
 	}
 	for i, mut := range cases {
 		c := testConfig()

@@ -184,25 +184,23 @@ func TestThreeStreamPlansMatchTape(t *testing.T) {
 	}
 
 	const maxB = 5
-	ip.reserve(maxB)
+	ls := ip.newLanes(nil)
+	ls.reserve(maxB)
 	for B := 1; B <= maxB; B++ {
 		seqs := make([][][][]float64, B)
 		targets := make([][][]float64, B)
-		outs := make([][][]float64, B)
 		for l := 0; l < B; l++ {
 			seqs[l], targets[l] = window()
-			outs[l] = make([][]float64, 3)
 			for k := range specs {
-				outs[l][k] = make([]float64, in[k])
-				ip.streams[k].seqs[l], ip.streams[k].outs[l] = seqs[l][k], outs[l][k]
+				ls.streams[k].seqs[l] = seqs[l][k]
 			}
 		}
-		ip.Run(B)
+		ip.Run(ls, B)
 		for l := 0; l < B; l++ {
 			tp.forward(seqs[l])
 			var loss float64
 			for k := range specs {
-				if got, want := ip.streams[k].h.Row(l), tp.streams[k].hT; !identicalBits(got, want) {
+				if got, want := ls.streams[k].h.Row(l), tp.streams[k].hT; !identicalBits(got, want) {
 					t.Fatalf("B=%d lane %d stream %d: InferPlan state %x, TrainPlan %x", B, l, k, bitsOf(got), bitsOf(want))
 				}
 				loss += float64(weights[k] * tp.loss(k, targets[l][k]))
@@ -214,8 +212,8 @@ func TestThreeStreamPlansMatchTape(t *testing.T) {
 			preds := tapeSpecs(bind, specs, q, seqs[l])
 			var obj *ad.Node
 			for k, pred := range preds {
-				if !identicalBits(outs[l][k], pred.Value.Data) {
-					t.Fatalf("B=%d lane %d stream %d: InferPlan output %x, tape %x", B, l, k, bitsOf(outs[l][k]), bitsOf(pred.Value.Data))
+				if out := ls.streams[k].out.Row(l); !identicalBits(out, pred.Value.Data) {
+					t.Fatalf("B=%d lane %d stream %d: InferPlan output %x, tape %x", B, l, k, bitsOf(out), bitsOf(pred.Value.Data))
 				}
 				term := tape.Scale(weights[k], nn.ActionLoss(losses[k], tape, mat.VectorOf(targets[l][k]), pred))
 				if obj == nil {

@@ -2,12 +2,11 @@ package core
 
 // The tape-free inference engine. Training needs gradients; prediction
 // only needs the forward arithmetic, so a Model compiles its layers into an
-// InferPlan: gate-fused layers (nn.FusedCell / nn.FusedDense) plus
-// preallocated lane-stacked state. A lane is one independent q-step window;
-// Run(lanes) carries all of them through the recurrence together, one GEMM
-// per gate over the stacked context rows and one fused gate kernel per LSTM
-// step, with zero heap allocations. A single prediction is the one-lane call
-// of the same body.
+// InferPlan: gate-fused layers (nn.FusedCell / nn.FusedDense). A lane is one
+// independent q-step window; Run(lanes) carries all of them through the
+// recurrence together, one GEMM per gate over the stacked context rows and
+// one fused gate kernel per LSTM step, with zero heap allocations. A single
+// prediction is the one-lane call of the same body.
 //
 // Bit contract: every output is one ascending-k accumulator per (lane,
 // output) with the bias added after the full product, and each lane reads
@@ -20,10 +19,12 @@ package core
 // mutation (optimiser step, merge, load) is what the next prediction
 // reads — there is no packed snapshot to go stale and nothing to repack.
 // A clone's plan reads the clone's headers, which alias the source's arrays
-// until one side writes (nn.ParamSet.Clone); a plan costs its lane state.
+// until one side writes (nn.ParamSet.Clone).
 //
-// An InferPlan reuses its buffers across calls and is not safe for
-// concurrent use; it is confined wherever its owning model is.
+// State: the plan holds none either. The lane-stacked state a run writes,
+// sized by its batch width, is a lane set (Lanes) the run borrows from a
+// free list shared by every model of the configuration, so a model costs
+// its headers, and the process one set per prediction running at once.
 
 import (
 	"fmt"
@@ -51,12 +52,38 @@ type planSpec struct {
 	loss nn.LossKind
 }
 
-// planStream is the compiled runtime form of a planSpec: the fused layers
-// and the stream's lane-stacked state (row l of every matrix is lane l).
+// planStream is the compiled runtime form of a planSpec: its fused layers
+// and gate-context layout.
 type planStream struct {
 	cell *nn.FusedCell
 	dec  *nn.FusedDense
 	ctx  []ctxSrc
+}
+
+// InferPlan is a compiled, forward-only view of a model's parameters. It
+// holds no lane state: a run borrows a lane set (see Lanes).
+type InferPlan struct {
+	seqLen  int
+	streams []planStream
+}
+
+// compileInferPlan fuses the specs' layers over ps. Compilation, making a
+// lane set and growing one are the only allocating phases of the engine;
+// Run is allocation-free.
+func compileInferPlan(ps *nn.ParamSet, seqLen int, specs []planSpec) *InferPlan {
+	p := &InferPlan{seqLen: seqLen, streams: make([]planStream, len(specs))}
+	for i, sp := range specs {
+		p.streams[i] = planStream{cell: sp.cell.Pack(ps), dec: sp.dec.Pack(ps), ctx: sp.ctx}
+	}
+	return p
+}
+
+// laneState is one stream's lane-stacked state in a lane set: row l of
+// every matrix is lane l.
+type laneState struct {
+	// hidden, ctxDim and dim are the cell's state and context widths and
+	// the decoder's output width, which is the stream's input width too.
+	hidden, ctxDim, dim int
 
 	// h/c are the live recurrent state; hNext/cNext receive the
 	// simultaneous update and are swapped in after every stream has read
@@ -66,76 +93,140 @@ type planStream struct {
 	pre                *mat.Matrix // lanes × 4·cell.Hidden packed preactivations
 	out, decPre        *mat.Matrix // lanes × dec.Out predictions and their preactivations
 
-	// seqs[l] is lane l's input sequence for this stream and outs[l] the
-	// caller's output buffer: bound before Run, dropped by it.
+	// seqs[l] is lane l's input sequence for this stream: bound before
+	// Run, dropped by it.
 	seqs [][][]float64
-	outs [][]float64
 }
 
-// state lists the stream's lane matrices.
-func (st *planStream) state() [8]*mat.Matrix {
+// matrices lists the stream's lane matrices.
+func (st *laneState) matrices() [8]*mat.Matrix {
 	return [8]*mat.Matrix{st.h, st.c, st.hNext, st.cNext, st.ctxBuf, st.pre, st.out, st.decPre}
 }
 
-// allocLanes gives the stream state for capLanes lanes.
-func (st *planStream) allocLanes(capLanes int) {
-	hn := st.cell.Hidden
+// alloc gives the state capLanes lanes.
+func (st *laneState) alloc(capLanes int) {
+	hn := st.hidden
 	st.h = mat.New(capLanes, hn)
 	st.c = mat.New(capLanes, hn)
 	st.hNext = mat.New(capLanes, hn)
 	st.cNext = mat.New(capLanes, hn)
-	st.ctxBuf = mat.New(capLanes, st.cell.CtxDim)
+	st.ctxBuf = mat.New(capLanes, st.ctxDim)
 	st.pre = mat.New(capLanes, 4*hn)
-	st.out = mat.New(capLanes, st.dec.Out)
-	st.decPre = mat.New(capLanes, st.dec.Out)
+	st.out = mat.New(capLanes, st.dim)
+	st.decPre = mat.New(capLanes, st.dim)
 	st.seqs = make([][][]float64, capLanes)
-	st.outs = make([][]float64, capLanes)
 }
 
-// InferPlan is a compiled, forward-only view of a model's parameters.
-type InferPlan struct {
-	seqLen   int
+// Lanes is a lane set: everything a prediction sizes by its batch width —
+// each stream's lane-stacked state, and the window rows a caller lays a
+// stream out on (Rows). A model owns none: the models of one Config borrow
+// sets from one free list (Model.TakeLanes, Lanes.Put), so a process
+// holds as many as it ran predictions at once, however many models it
+// serves. A set keeps the results of the last run on it until the next;
+// it is not safe for concurrent use.
+type Lanes struct {
+	list     *FreeList[Lanes]
 	capLanes int
-	streams  []planStream
+	streams  []laneState
+	// rows[k] are the window rows of stream k, dim values each.
+	rows [][][]float64
+	// runs counts the runs on the set: Model.LaneHidden reads a set only
+	// while the count is the one its own last run left.
+	runs uint64
 }
 
-// compileInferPlan fuses the specs' layers over ps and allocates state for
-// one lane. Compilation and reserve are the only allocating phases of the
-// engine; Run is allocation-free.
-func compileInferPlan(ps *nn.ParamSet, seqLen int, specs []planSpec) *InferPlan {
-	p := &InferPlan{seqLen: seqLen, capLanes: 1, streams: make([]planStream, len(specs))}
-	for i, sp := range specs {
-		st := &p.streams[i]
-		st.cell, st.dec, st.ctx = sp.cell.Pack(ps), sp.dec.Pack(ps), sp.ctx
-		st.allocLanes(p.capLanes)
+// newLanes makes a one-lane set for p's streams, to go back on list.
+func (p *InferPlan) newLanes(list *FreeList[Lanes]) *Lanes {
+	ls := &Lanes{list: list, streams: make([]laneState, len(p.streams)), rows: make([][][]float64, len(p.streams))}
+	for i, ps := range p.streams {
+		ls.streams[i] = laneState{hidden: ps.cell.Hidden, ctxDim: ps.cell.CtxDim, dim: ps.dec.Out}
 	}
-	return p
+	ls.reserve(1)
+	return ls
 }
 
-// reserve makes room for `lanes` lanes. Capacity starts at one — a model
-// that only ever predicts single segments never holds more — and grows by
-// reallocation, at least doubling; a plan never shrinks, Run just views
-// the first rows.
-func (p *InferPlan) reserve(lanes int) {
-	if lanes <= p.capLanes {
+// reserve makes room for `lanes` lanes. A set grows to the widest batch
+// run on it, by reallocation, at least doubling, and never shrinks: a run
+// views the first rows.
+func (ls *Lanes) reserve(lanes int) {
+	if lanes <= ls.capLanes {
 		return
 	}
-	p.capLanes = max(lanes, 2*p.capLanes)
-	for i := range p.streams {
-		p.streams[i].allocLanes(p.capLanes)
+	ls.capLanes = max(lanes, 2*ls.capLanes)
+	for i := range ls.streams {
+		ls.streams[i].alloc(ls.capLanes)
 	}
 }
 
+// Rows returns n window rows of the action and of the audience stream, for
+// a caller that lays a stream's history and lanes out one row per segment
+// (Model.PredictWindows reads them). The rows are the set's, their values
+// the borrower's until it puts the set back; the first n rows are the same
+// arrays at every call. They grow, at least doubling, and never shrink.
+func (ls *Lanes) Rows(n int) (act, aud [][]float64) {
+	if n > len(ls.rows[0]) {
+		n := max(n, 2*len(ls.rows[0]))
+		for k := range ls.rows {
+			dim := ls.streams[k].dim
+			grown := make([][]float64, n)
+			data := make([]float64, (n-len(ls.rows[k]))*dim)
+			for i := copy(grown, ls.rows[k]); i < n; i++ {
+				grown[i], data = data[:dim:dim], data[dim:]
+			}
+			ls.rows[k] = grown
+		}
+	}
+	return ls.rows[0][:n], ls.rows[1][:n]
+}
+
+// Prediction returns lane l's decoded predictions of the set's last run,
+// views of its state: read them before the set's next run.
+func (ls *Lanes) Prediction(l int) (fhat, ahat []float64) {
+	return ls.streams[0].out.Row(l), ls.streams[1].out.Row(l)
+}
+
+// Hidden returns lane l's final LSTM_I hidden state of the set's last run
+// — the state its decoder read — or nil when that run had no lane l. The
+// slice is the set's: read it before the set's next run.
+func (ls *Lanes) Hidden(l int) []float64 {
+	st := &ls.streams[0]
+	if l < 0 || l >= st.h.Rows {
+		return nil
+	}
+	return st.h.Row(l)
+}
+
+// laneLists holds the lane-set list of every Config a model was made with.
+var laneLists PerConfig[Lanes]
+
+// LaneSetsMade reports how many lane sets the models of cfg have made.
+func LaneSetsMade(cfg Config) int { return laneLists.For(cfg).Made() }
+
+// TakeLanes borrows a lane set from the list of the model's configuration,
+// making one when the list is empty. Give it back with Put.
+func (m *Model) TakeLanes() *Lanes {
+	if ls := m.lanes.Take(); ls != nil {
+		return ls
+	}
+	return m.plan.newLanes(m.lanes)
+}
+
+// Put returns the set to the list TakeLanes took it from. The borrower
+// must not touch the set, nor slices it returned, afterwards.
+func (ls *Lanes) Put() { ls.list.Put(ls) }
+
 // Run executes the fused forward recurrence over the first `lanes` lanes
-// (at most the reserved capacity): stream k's seqs[l][t] is lane l's input
-// feature at step t, and its outs[l] receives lane l's decoded prediction.
-// Shapes are the caller's responsibility (models validate before binding).
-// Run allocates nothing and drops the bound slices before returning.
-func (p *InferPlan) Run(lanes int) {
-	for i := range p.streams {
-		st := &p.streams[i]
+// of ls (at most its reserved capacity): stream k's seqs[l][t] is lane l's
+// input feature at step t, and row l of its out matrix receives lane l's
+// decoded prediction. Shapes are the caller's responsibility (models
+// validate before binding). Run allocates nothing and drops the bound
+// sequences before returning.
+func (p *InferPlan) Run(ls *Lanes, lanes int) {
+	ls.runs++
+	for i := range ls.streams {
+		st := &ls.streams[i]
 		// View the first `lanes` rows of the full-capacity backing arrays.
-		for _, m := range st.state() {
+		for _, m := range st.matrices() {
 			m.Rows = lanes
 			m.Data = m.Data[:lanes*m.Cols]
 		}
@@ -144,14 +235,14 @@ func (p *InferPlan) Run(lanes int) {
 	}
 	for t := 0; t < p.seqLen; t++ {
 		for i := range p.streams {
-			st := &p.streams[i]
+			ps, st := &p.streams[i], &ls.streams[i]
 			// Gate context, per lane: the same [h..., input] concatenation
 			// the tape builds with ConcatCols, reading every stream's
 			// PREVIOUS hidden state so all streams update simultaneously.
 			for l := 0; l < lanes; l++ {
 				row, off := st.ctxBuf.Row(l), 0
-				for _, src := range st.ctx {
-					from := &p.streams[src.index]
+				for _, src := range ps.ctx {
+					from := &ls.streams[src.index]
 					part := from.seqs[l][t]
 					if src.hidden {
 						part = from.h.Row(l)
@@ -159,22 +250,19 @@ func (p *InferPlan) Run(lanes int) {
 					off += copy(row[off:], part)
 				}
 			}
-			st.cell.StepBatch(st.hNext, st.cNext, st.pre, st.ctxBuf, st.c)
+			ps.cell.StepBatch(st.hNext, st.cNext, st.pre, st.ctxBuf, st.c)
 		}
-		for i := range p.streams {
-			st := &p.streams[i]
+		for i := range ls.streams {
+			st := &ls.streams[i]
 			st.h, st.hNext = st.hNext, st.h
 			st.c, st.cNext = st.cNext, st.c
 		}
 	}
 	for i := range p.streams {
-		st := &p.streams[i]
-		st.dec.ApplyBatch(st.out, st.decPre, st.h)
-		for l := 0; l < lanes; l++ {
-			copy(st.outs[l], st.out.Row(l))
-			// Don't pin the caller's slices beyond the call.
-			st.seqs[l], st.outs[l] = nil, nil
-		}
+		st := &ls.streams[i]
+		p.streams[i].dec.ApplyBatch(st.out, st.decPre, st.h)
+		// Don't pin the caller's slices beyond the call.
+		clear(st.seqs[:lanes])
 	}
 }
 

@@ -17,11 +17,13 @@ import (
 //
 // A Model owns two compiled tape-free engines over its parameters — an
 // InferPlan for prediction and, from the first training or Hidden call on,
-// a TrainPlan for forward, loss and BPTT — both of which reuse their buffers, so
-// steady-state Predict/TrainStep/HiddenInto calls are allocation-free. The
-// flip side is that Model methods are not safe for concurrent use —
-// confine a Model to one goroutine, the same single-writer contract the
-// Detector documents (see ARCHITECTURE.md).
+// a TrainPlan for forward, loss and BPTT. The TrainPlan reuses its buffers;
+// a prediction runs on a lane set borrowed from the free list of the
+// model's Config for the call, so steady-state Predict/TrainStep/HiddenInto
+// calls are allocation-free. Model methods are not safe for concurrent use
+// — confine a Model to one goroutine, the same single-writer contract the
+// Detector documents (see ARCHITECTURE.md); distinct models may predict
+// concurrently.
 type Model struct {
 	cfg Config
 
@@ -34,8 +36,14 @@ type Model struct {
 	opt *nn.Adam
 
 	// plan is the compiled tape-free inference engine (infer.go); it reads
-	// ps, so it is never stale.
-	plan *InferPlan
+	// ps, so it is never stale. lanes is the list of lane sets its runs
+	// borrow, the one of every model of cfg; last is the set of the last
+	// PredictInto or PredictBatchInto, holding its state while its run
+	// count is still lastRun (LaneHidden).
+	plan    *InferPlan
+	lanes   *FreeList[Lanes]
+	last    *Lanes
+	lastRun uint64
 
 	// tplan is the training engine (train.go), compiled on first use so
 	// inference-only models — every serving channel clone — never pay for
@@ -67,7 +75,7 @@ func NewModel(cfg Config) (*Model, error) {
 		decA: nn.NewDense(ps, "decA", cfg.HiddenA, cfg.AudienceDim, nn.Linear, rng),
 		opt:  nn.NewAdam(cfg.LearningRate),
 	}
-	m.plan = compileInferPlan(ps, cfg.SeqLen, m.specs())
+	m.plan, m.lanes = compileInferPlan(ps, cfg.SeqLen, m.specs()), laneLists.For(cfg)
 	return m, nil
 }
 
@@ -104,26 +112,30 @@ func (m *Model) Predict(s *Sample) (fhat, ahat []float64, err error) {
 	return fhat, ahat, nil
 }
 
-// PredictInto is Predict with caller-supplied output buffers — the
-// allocation-free form Detector.Observe uses on its hot path. It is the
-// one-lane run of the compiled InferPlan (gate-fused forward pass), which is
-// bit-identical to the autodiff-tape forward pass it replaced; see infer.go
-// and the golden equivalence tests.
+// PredictInto is Predict with caller-supplied output buffers. It is the
+// one-lane run of the compiled InferPlan (gate-fused forward pass) on a
+// borrowed lane set, which is bit-identical to the autodiff-tape forward
+// pass it replaced; see infer.go and the golden equivalence tests.
 func (m *Model) PredictInto(s *Sample, fhat, ahat []float64) error {
 	if err := m.checkLane(s, fhat, ahat); err != nil {
 		return err
 	}
-	p := m.plan
-	bindLane(p, 0, s, fhat, ahat)
-	p.Run(1)
+	ls := m.TakeLanes()
+	defer ls.Put()
+	bindLane(ls, 0, s.ActionSeq, s.AudienceSeq)
+	m.run(ls, 1)
+	f, a := ls.Prediction(0)
+	copy(fhat, f)
+	copy(ahat, a)
 	return nil
 }
 
 // PredictBatchInto predicts the next-segment features for B = len(samples)
 // independent windows in one lane-stacked run: fhats[b]/ahats[b] receive
 // sample b's predictions, exactly the float bits PredictInto would produce
-// for each sample alone. Targets in the samples are ignored. Once the plan
-// has grown to the batch size the call performs no heap allocations.
+// for each sample alone. Targets in the samples are ignored. Once the lane
+// sets of the model's configuration have grown to the batch size the call
+// performs no heap allocations.
 func (m *Model) PredictBatchInto(samples []Sample, fhats, ahats [][]float64) error {
 	if len(fhats) != len(samples) || len(ahats) != len(samples) {
 		return fmt.Errorf("core: PredictBatchInto got %d samples, %d/%d output buffers",
@@ -137,13 +149,49 @@ func (m *Model) PredictBatchInto(samples []Sample, fhats, ahats [][]float64) err
 	if len(samples) == 0 {
 		return nil
 	}
-	p := m.plan
-	p.reserve(len(samples))
+	ls := m.TakeLanes()
+	defer ls.Put()
+	ls.reserve(len(samples))
 	for l := range samples {
-		bindLane(p, l, &samples[l], fhats[l], ahats[l])
+		bindLane(ls, l, samples[l].ActionSeq, samples[l].AudienceSeq)
 	}
-	p.Run(len(samples))
+	m.run(ls, len(samples))
+	for l := range samples {
+		f, a := ls.Prediction(l)
+		copy(fhats[l], f)
+		copy(ahats[l], a)
+	}
 	return nil
+}
+
+// PredictWindows predicts `lanes` consecutive windows of one stream laid
+// out on the rows of ls (Lanes.Rows) in one lane-stacked run: lane l's
+// window is rows from+l−q … from+l−1. Lane l's predictions are then
+// ls.Prediction(l) and its final LSTM_I state ls.Hidden(l), bit for bit
+// what PredictInto and HiddenInto give for the same window. ls must come
+// from the model's TakeLanes.
+func (m *Model) PredictWindows(ls *Lanes, from, lanes int) error {
+	q, act, aud := m.cfg.SeqLen, ls.rows[0], ls.rows[1]
+	switch {
+	case ls.list != m.lanes:
+		return fmt.Errorf("core: PredictWindows on a lane set of another configuration")
+	case lanes < 1 || from < q || from+lanes-1 > len(act):
+		return fmt.Errorf("core: PredictWindows of %d lanes from row %d, q = %d, over %d rows", lanes, from, q, len(act))
+	}
+	ls.reserve(lanes)
+	for l := 0; l < lanes; l++ {
+		end := from + l
+		bindLane(ls, l, act[end-q:end:end], aud[end-q:end:end])
+	}
+	m.run(ls, lanes)
+	return nil
+}
+
+// run runs the plan over the first `lanes` bound lanes of ls and marks the
+// set as holding the model's last prediction.
+func (m *Model) run(ls *Lanes, lanes int) {
+	m.plan.Run(ls, lanes)
+	m.last, m.lastRun = ls, ls.runs
 }
 
 // checkLane validates one prediction window and its output buffers.
@@ -158,11 +206,10 @@ func (m *Model) checkLane(s *Sample, fhat, ahat []float64) error {
 	return nil
 }
 
-// bindLane points lane l of the plan at one window and its output buffers
-// (stream 0 is the action stream, stream 1 the audience stream).
-func bindLane(p *InferPlan, l int, s *Sample, fhat, ahat []float64) {
-	p.streams[0].seqs[l], p.streams[0].outs[l] = s.ActionSeq, fhat
-	p.streams[1].seqs[l], p.streams[1].outs[l] = s.AudienceSeq, ahat
+// bindLane points lane l of ls at one window (stream 0 is the action
+// stream, stream 1 the audience stream).
+func bindLane(ls *Lanes, l int, act, aud [][]float64) {
+	ls.streams[0].seqs[l], ls.streams[1].seqs[l] = act, aud
 }
 
 // window lays the sample's two input sequences out as the training
@@ -191,18 +238,20 @@ func (m *Model) HiddenInto(s *Sample, dst []float64) error {
 	return nil
 }
 
-// LaneHidden returns lane l's final LSTM_I hidden state from the last
-// PredictInto or PredictBatchInto — the state its decoder read, and bit for
-// bit what HiddenInto computes for the same window: the two engines run the
-// same ascending-k sums and the same gate body (TestPlanHiddenMatchesHiddenInto).
-// It returns nil only when the last run had no lane l. The slice is the
-// plan's: read it before the next prediction.
+// LaneHidden returns lane l's final LSTM_I hidden state from the model's
+// last prediction — the state its decoder read, and bit for bit what
+// HiddenInto computes for the same window: the two engines run the same
+// ascending-k sums and the same gate body (TestPlanHiddenMatchesHiddenInto).
+// It returns nil when the last run had no lane l, or when its lane set has
+// run another prediction since. The slice is the set's, which every model
+// of the configuration borrows: read it before the next prediction of any
+// of them. A caller that predicts on several goroutines holds its set
+// instead (PredictWindows, Lanes.Hidden).
 func (m *Model) LaneHidden(l int) []float64 {
-	st := &m.plan.streams[0]
-	if l < 0 || l >= st.h.Rows {
+	if m.last == nil || m.last.runs != m.lastRun {
 		return nil
 	}
-	return st.h.Row(l)
+	return m.last.Hidden(l)
 }
 
 // jointLoss returns the training objective (Eq. 13) of the plan's last
@@ -325,7 +374,7 @@ func (m *Model) Clone() *Model {
 		cellI: m.cellI, cellA: m.cellA, decI: m.decI, decA: m.decA,
 		opt: nn.NewAdam(m.cfg.LearningRate),
 	}
-	c.plan = compileInferPlan(c.ps, c.cfg.SeqLen, c.specs())
+	c.plan, c.lanes = compileInferPlan(c.ps, c.cfg.SeqLen, c.specs()), m.lanes
 	return c
 }
 

@@ -19,7 +19,6 @@ import (
 	"math"
 	"math/rand"
 	"slices"
-	"sync"
 
 	"aovlis/internal/core"
 	"aovlis/internal/mat"
@@ -171,22 +170,23 @@ type Result struct {
 	Updated bool
 }
 
-// Trainers is a free list of CLSTM_new trainers, shared by the updaters of
-// one template's detectors (see NewShared). A retrain takes a trainer,
-// resets it from its serving model and puts it back after the merge, so the
-// number of trainers ever made is bounded by how many retrains run at once,
-// not by how many updaters share the list. The zero value is an empty list;
-// it is safe for concurrent use.
-type Trainers struct {
-	mu   sync.Mutex
-	free []*trainer
-	made int
-}
+// trainerLists holds a free list of CLSTM_new trainers per model
+// configuration: the updaters of every model of one configuration — a
+// template's, its clones', a detector's loaded or restored with it —
+// retrain on one list. A retrain takes a trainer, resets it from its
+// serving model and puts it back after the merge, so the number of
+// trainers ever made is bounded by how many retrains run at once, not by
+// how many updaters share the list.
+var trainerLists core.PerConfig[trainer]
+
+// TrainersMade reports how many trainers the updaters of models of cfg have
+// made.
+func TrainersMade(cfg core.Config) int { return trainerLists.For(cfg).Made() }
 
 // trainer is one CLSTM_new, the rng its epochs shuffle with, and the views
 // of an updater's log it retrains on: a row header per log row and a sample
 // per offset. They are scratch, so a retrain allocates nothing once they
-// have grown, and put clears them, so a listed trainer holds no log.
+// have grown, and a retrain clears them before it puts the trainer back.
 type trainer struct {
 	model    *core.Trainer
 	rng      *rand.Rand
@@ -210,43 +210,19 @@ func (tr *trainer) views(u *Updater) []core.Sample {
 	return tr.samples
 }
 
-// Made reports how many trainers the list has ever made.
-func (l *Trainers) Made() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.made
-}
-
-// take pops a trainer, or makes one from serving when the list is empty.
-func (l *Trainers) take(serving *core.Model) *trainer {
-	l.mu.Lock()
-	if n := len(l.free); n > 0 {
-		tr := l.free[n-1]
-		l.free[n-1] = nil
-		l.free = l.free[:n-1]
-		l.mu.Unlock()
-		return tr
-	}
-	l.made++
-	l.mu.Unlock()
-	return &trainer{model: core.NewTrainer(serving), rng: rand.New(rand.NewSource(0))}
-}
-
-// put returns a trainer to the list.
-func (l *Trainers) put(tr *trainer) {
+// clear drops the trainer's views of the log it retrained on, so a listed
+// trainer holds no log.
+func (tr *trainer) clear() {
 	clear(tr.samples)
 	clear(tr.act)
 	clear(tr.aud)
-	l.mu.Lock()
-	l.free = append(l.free, tr)
-	l.mu.Unlock()
 }
 
 // Updater maintains a CLSTM over a stream per Fig. 5.
 type Updater struct {
 	cfg      Config
 	model    *core.Model
-	trainers *Trainers
+	trainers *core.FreeList[trainer]
 
 	history  setSketch // S_h: hidden states of historical data
 	incoming setSketch // S_n: hidden states of buffered incoming data
@@ -270,22 +246,17 @@ type Updater struct {
 	checks  int
 }
 
-// New builds an updater around a trained model, with a trainer list of its
-// own.
+// New builds an updater around a trained model. It trains CLSTM_new on
+// trainers from the list it shares with the updaters of every model of the
+// same configuration.
 func New(model *core.Model, cfg Config) (*Updater, error) {
-	return NewShared(model, cfg, new(Trainers))
-}
-
-// NewShared builds an updater that trains CLSTM_new on trainers from l, a
-// list it shares with the updaters of models of the same configuration.
-func NewShared(model *core.Model, cfg Config, l *Trainers) (*Updater, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	if model == nil {
 		return nil, fmt.Errorf("update: nil model")
 	}
-	return &Updater{cfg: cfg, model: model, trainers: l, prevWindowMean: 1, hidden: make([]float64, model.Config().HiddenI)}, nil
+	return &Updater{cfg: cfg, model: model, trainers: trainerLists.For(model.Config()), prevWindowMean: 1, hidden: make([]float64, model.Config().HiddenI)}, nil
 }
 
 // Model returns the current model (callers score segments with it).
@@ -541,8 +512,12 @@ func (u *Updater) SetState(st State) error {
 // parameters, fresh optimiser and shuffle seed a Clone of it would start
 // from, in arrays the trainer reuses.
 func (u *Updater) applyUpdate() error {
-	tr := u.trainers.take(u.model)
-	defer u.trainers.put(tr)
+	tr := u.trainers.Take()
+	if tr == nil {
+		tr = &trainer{model: core.NewTrainer(u.model), rng: rand.New(rand.NewSource(0))}
+	}
+	defer u.trainers.Put(tr)
+	defer tr.clear()
 	if err := tr.model.Reset(u.model); err != nil {
 		return fmt.Errorf("update: resetting CLSTM_new: %w", err)
 	}

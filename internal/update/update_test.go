@@ -545,7 +545,14 @@ func TestSetStateRejectsMismatchedDimensions(t *testing.T) {
 // updater used itself.
 func TestReusedTrainerMatchesFreshClone(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
-	base := testModel(t)
+	mcfg := testModel(t).Config()
+	// A seed no other test's model has, so the configuration's trainer list
+	// starts empty.
+	mcfg.Seed = 31
+	base, err := core.NewModel(mcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	r := rand.New(rand.NewSource(32))
 	for e := 0; e < 3; e++ {
 		if _, err := base.TrainEpoch(makeSamples(t, rng, 30, 0), r); err != nil {
@@ -562,8 +569,7 @@ func TestReusedTrainerMatchesFreshClone(t *testing.T) {
 		return makeSamples(t, rng, cfg.MaxBuffer+3, phase)[:cfg.MaxBuffer]
 	}
 
-	list := new(Trainers)
-	other, err := NewShared(base.Clone(), cfg, list)
+	other, err := New(base.Clone(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -572,11 +578,11 @@ func TestReusedTrainerMatchesFreshClone(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if other.Updates() != 1 || list.Made() != 1 {
-		t.Fatalf("dirtying run: %d updates, %d trainers made; want 1 and 1", other.Updates(), list.Made())
+	if other.Updates() != 1 || TrainersMade(mcfg) != 1 {
+		t.Fatalf("dirtying run: %d updates, %d trainers made; want 1 and 1", other.Updates(), TrainersMade(mcfg))
 	}
 
-	u, err := NewShared(base.Clone(), cfg, list)
+	u, err := New(base.Clone(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -613,11 +619,16 @@ func TestReusedTrainerMatchesFreshClone(t *testing.T) {
 			}
 		}
 	}
-	if list.Made() != 1 {
-		t.Fatalf("%d trainers made for retrains that never overlapped, want 1", list.Made())
+	if made := TrainersMade(mcfg); made != 1 {
+		t.Fatalf("%d trainers made for retrains that never overlapped, want 1", made)
 	}
 	// A listed trainer holds no updater's log: its views are cleared.
-	tr := list.free[0]
+	list := trainerLists.For(mcfg)
+	tr := list.Take()
+	if tr == nil {
+		t.Fatal("the retrains left no trainer on the list")
+	}
+	defer list.Put(tr)
 	if len(tr.samples) == 0 || slices.ContainsFunc(tr.act[:cap(tr.act)], func(r []float64) bool { return r != nil }) ||
 		slices.ContainsFunc(tr.samples[:cap(tr.samples)], func(s core.Sample) bool { return s.ActionSeq != nil }) {
 		t.Fatal("a trainer back on the list still views the log it retrained on")

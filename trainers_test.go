@@ -9,13 +9,14 @@ import (
 	"aovlis/internal/dataset"
 	"aovlis/internal/serve"
 	"aovlis/internal/synth"
+	"aovlis/internal/update"
 )
 
 // TestTrainersBoundedByShards drives six updating clones of one template
 // over a two-shard DetectorPool, each channel on its own goroutine and each
 // retraining several times. A shard runs one channel's segments at a time,
-// so at most two retrains overlap, and the template's trainer list must
-// have made at most two trainers: one per concurrent retrain, not one per
+// so at most two retrains overlap, and the configuration's trainer list
+// must have made at most two trainers: one per concurrent retrain, not one per
 // channel.
 func TestTrainersBoundedByShards(t *testing.T) {
 	const channels, shards = 6, 2
@@ -82,7 +83,7 @@ func TestTrainersBoundedByShards(t *testing.T) {
 			t.Fatalf("channel %d retrained %d times, want at least 2", c, updates[c])
 		}
 	}
-	if made := aovlis.TrainersMade(tmpl); made < 1 || made > shards {
+	if made := update.TrainersMade(tmpl.Model().Config()); made < 1 || made > shards {
 		t.Fatalf("%d channels on %d shards made %d trainers, want between 1 and %d", channels, shards, made, shards)
 	}
 }
