@@ -112,22 +112,13 @@ func (m *Model) Predict(s *Sample) (fhat, ahat []float64, err error) {
 	return fhat, ahat, nil
 }
 
-// PredictInto is Predict with caller-supplied output buffers. It is the
-// one-lane run of the compiled InferPlan (gate-fused forward pass) on a
-// borrowed lane set, which is bit-identical to the autodiff-tape forward
-// pass it replaced; see infer.go and the golden equivalence tests.
+// PredictInto is Predict with caller-supplied output buffers: the
+// one-lane PredictBatchInto, a run of the compiled InferPlan (gate-fused
+// forward pass) on a borrowed lane set, which is bit-identical to the
+// autodiff-tape forward pass it replaced; see infer.go and the golden
+// equivalence tests.
 func (m *Model) PredictInto(s *Sample, fhat, ahat []float64) error {
-	if err := m.checkLane(s, fhat, ahat); err != nil {
-		return err
-	}
-	ls := m.TakeLanes()
-	defer ls.Put()
-	bindLane(ls, 0, s.ActionSeq, s.AudienceSeq)
-	m.run(ls, 1)
-	f, a := ls.Prediction(0)
-	copy(fhat, f)
-	copy(ahat, a)
-	return nil
+	return m.PredictBatchInto([]Sample{*s}, [][]float64{fhat}, [][]float64{ahat})
 }
 
 // PredictBatchInto predicts the next-segment features for B = len(samples)
