@@ -152,7 +152,8 @@ func freeSets(cfg Config) []*Lanes {
 // leave their configuration exactly that one set; a set grows to the
 // widest batch any borrower ran, and once grown, every width up to it
 // (16 → 1 included) runs allocation-free and without cross-lane bleed, for
-// every model of the configuration.
+// every model of the configuration. A set made later, while that one is
+// held — a second shard's — is made as wide at once.
 func TestPlanLaneCapacity(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	cfg := unsharedConfig(randomBatchConfig(rng, CouplingFull))
@@ -211,6 +212,13 @@ func TestPlanLaneCapacity(t *testing.T) {
 	}
 	if made := LaneSetsMade(cfg); made != 1 {
 		t.Fatalf("two models on one goroutine made %d lane sets, want 1", made)
+	}
+	held, second := m.TakeLanes(), other.TakeLanes()
+	defer held.Put()
+	defer second.Put()
+	if made := LaneSetsMade(cfg); made != 2 || second.capLanes != 16 || laneBytes(second) != 16*oneLane {
+		t.Fatalf("a set made while another is held: %d made, %d lanes, %d bytes; want 2 made, 16 lanes, %d bytes",
+			made, second.capLanes, laneBytes(second), 16*oneLane)
 	}
 }
 

@@ -1,6 +1,9 @@
 package core
 
-import "sync"
+import (
+	"sync"
+	"sync/atomic"
+)
 
 // FreeList is a free list of scratch objects — lane sets, CLSTM_new
 // trainers — shared by the models of one configuration (see PerConfig): a
@@ -46,27 +49,42 @@ func (l *FreeList[T]) Made() int {
 	return l.made
 }
 
-// PerConfig keeps one FreeList per model configuration, so that every
-// model of a Config — made by NewModel, Clone or LoadModel — reaches the
-// same list. A list and the objects on it live as long as the process: a
-// node serves one configuration; a process that makes models of many keeps
-// one list, and what was borrowed from it at once, per configuration.
+// PerConfig keeps one T — a free list — per model configuration, so that
+// every model of a Config, made by NewModel, Clone or LoadModel, reaches
+// the same one. A list and the objects on it live as long as the process:
+// a node serves one configuration; a process that makes models of many
+// keeps one list, and what was borrowed from it at once, per
+// configuration.
 type PerConfig[T any] struct {
 	mu    sync.Mutex
-	lists map[Config]*FreeList[T]
+	lists map[Config]*T
 }
 
-// For returns cfg's list, making it on first use.
-func (r *PerConfig[T]) For(cfg Config) *FreeList[T] {
+// For returns cfg's T, making it on first use.
+func (r *PerConfig[T]) For(cfg Config) *T {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	l, ok := r.lists[cfg]
 	if !ok {
 		if r.lists == nil {
-			r.lists = make(map[Config]*FreeList[T])
+			r.lists = make(map[Config]*T)
 		}
-		l = new(FreeList[T])
+		l = new(T)
 		r.lists[cfg] = l
 	}
 	return l
+}
+
+// widen raises *widest to n when it is below and returns the width to make:
+// the larger of the two.
+func widen(widest *atomic.Int64, n int) int {
+	for {
+		w := widest.Load()
+		if int64(n) <= w {
+			return int(w)
+		}
+		if widest.CompareAndSwap(w, int64(n)) {
+			return n
+		}
+	}
 }

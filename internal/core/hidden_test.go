@@ -184,7 +184,7 @@ func TestThreeStreamPlansMatchTape(t *testing.T) {
 	}
 
 	const maxB = 5
-	ls := ip.newLanes(nil)
+	ls := ip.newLanes(new(laneList))
 	ls.reserve(maxB)
 	for B := 1; B <= maxB; B++ {
 		seqs := make([][][][]float64, B)

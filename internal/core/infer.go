@@ -28,6 +28,7 @@ package core
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"aovlis/internal/mat"
 	"aovlis/internal/nn"
@@ -125,7 +126,7 @@ func (st *laneState) alloc(capLanes int) {
 // serves. A set keeps the results of the last run on it until the next;
 // it is not safe for concurrent use.
 type Lanes struct {
-	list     *FreeList[Lanes]
+	list     *laneList
 	capLanes int
 	streams  []laneState
 	// rows[k] are the window rows of stream k, dim values each.
@@ -135,8 +136,9 @@ type Lanes struct {
 	runs uint64
 }
 
-// newLanes makes a one-lane set for p's streams, to go back on list.
-func (p *InferPlan) newLanes(list *FreeList[Lanes]) *Lanes {
+// newLanes makes a set for p's streams, to go back on list, as wide as the
+// widest of the list's sets.
+func (p *InferPlan) newLanes(list *laneList) *Lanes {
 	ls := &Lanes{list: list, streams: make([]laneState, len(p.streams)), rows: make([][][]float64, len(p.streams))}
 	for i, ps := range p.streams {
 		ls.streams[i] = laneState{hidden: ps.cell.Hidden, ctxDim: ps.cell.CtxDim, dim: ps.dec.Out}
@@ -145,14 +147,14 @@ func (p *InferPlan) newLanes(list *FreeList[Lanes]) *Lanes {
 	return ls
 }
 
-// reserve makes room for `lanes` lanes. A set grows to the widest batch
-// run on it, by reallocation, at least doubling, and never shrinks: a run
-// views the first rows.
+// reserve makes room for `lanes` lanes. A set grows by reallocation, at
+// least doubling and at once to the widest of its list's sets, and never
+// shrinks: a run views the first rows.
 func (ls *Lanes) reserve(lanes int) {
 	if lanes <= ls.capLanes {
 		return
 	}
-	ls.capLanes = max(lanes, 2*ls.capLanes)
+	ls.capLanes = widen(&ls.list.lanes, max(lanes, 2*ls.capLanes))
 	for i := range ls.streams {
 		ls.streams[i].alloc(ls.capLanes)
 	}
@@ -161,11 +163,11 @@ func (ls *Lanes) reserve(lanes int) {
 // Rows returns n window rows of the action and of the audience stream, for
 // a caller that lays a stream's history and lanes out one row per segment
 // (Model.PredictWindows reads them). The rows are the set's, their values
-// the borrower's until it puts the set back; the first n rows are the same
-// arrays at every call. They grow, at least doubling, and never shrink.
+// the borrower's until it puts the set back. They grow like the lanes (see
+// reserve) and never shrink.
 func (ls *Lanes) Rows(n int) (act, aud [][]float64) {
 	if n > len(ls.rows[0]) {
-		n := max(n, 2*len(ls.rows[0]))
+		n := widen(&ls.list.rows, max(n, 2*len(ls.rows[0])))
 		for k := range ls.rows {
 			dim := ls.streams[k].dim
 			grown := make([][]float64, n)
@@ -196,8 +198,17 @@ func (ls *Lanes) Hidden(l int) []float64 {
 	return st.h.Row(l)
 }
 
+// laneList is the free list of one Config's lane sets, with the most lanes
+// and window rows any of them has held. A set made or grown later is made
+// that wide at once, so a set that joins the list while batches run — a
+// second shard's — grows once, not width by width.
+type laneList struct {
+	FreeList[Lanes]
+	lanes, rows atomic.Int64
+}
+
 // laneLists holds the lane-set list of every Config a model was made with.
-var laneLists PerConfig[Lanes]
+var laneLists PerConfig[laneList]
 
 // LaneSetsMade reports how many lane sets the models of cfg have made.
 func LaneSetsMade(cfg Config) int { return laneLists.For(cfg).Made() }

@@ -41,7 +41,7 @@ type Model struct {
 	// PredictInto or PredictBatchInto, holding its state while its run
 	// count is still lastRun (LaneHidden).
 	plan    *InferPlan
-	lanes   *FreeList[Lanes]
+	lanes   *laneList
 	last    *Lanes
 	lastRun uint64
 

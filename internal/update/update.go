@@ -177,7 +177,7 @@ type Result struct {
 // serving model and puts it back after the merge, so the number of
 // trainers ever made is bounded by how many retrains run at once, not by
 // how many updaters share the list.
-var trainerLists core.PerConfig[trainer]
+var trainerLists core.PerConfig[core.FreeList[trainer]]
 
 // TrainersMade reports how many trainers the updaters of models of cfg have
 // made.
