@@ -175,10 +175,6 @@ type Detector struct {
 	// observeLanes borrows (see there).
 	actWin, audWin [][]float64
 
-	// oneAct/oneAud/oneRes are Observe's one-lane batch.
-	oneAct, oneAud [1][]float64
-	oneRes         [1]Result
-
 	observed int
 	detected int
 
@@ -329,13 +325,11 @@ func (d *Detector) Observe(actionFeat, audienceFeat []float64) (Result, error) {
 		return Result{}, ErrConcurrentObserve
 	}
 	defer d.observing.Store(0)
-	d.oneAct[0], d.oneAud[0] = actionFeat, audienceFeat
-	_, err := d.observeLanes(d.oneAct[:], d.oneAud[:], d.oneRes[:])
-	d.oneAct[0], d.oneAud[0] = nil, nil
-	if err != nil {
+	var res [1]Result
+	if _, err := d.observeLanes([][]float64{actionFeat}, [][]float64{audienceFeat}, res[:]); err != nil {
 		return Result{}, err
 	}
-	return d.oneRes[0], nil
+	return res[0], nil
 }
 
 // ObserveBatch feeds n = len(actionFeats) consecutive segments of one
@@ -540,7 +534,13 @@ func ownRows(src [][]float64, q, dim int) [][]float64 {
 
 // interactionLevel approximates the normalised audience interaction of a
 // feature vector as the mean of its leading (count) components; the count
-// block is the first part of Φ_D's output by construction.
+// block is the first part of Φ_D's output by construction. It reads the
+// first ⌊d₂/2⌋ components, where feature.InteractionLevel, which the
+// datasets and experiments use, reads the count block: its K counts, 3K
+// when the tuples are conjoined (d₂ = 3K + EmbedDim + 2). The two are the
+// same bits only while 3K−2 ≤ EmbedDim ≤ 3K−1 (K−2 ≤ EmbedDim ≤ K−1
+// unconjoined), which feature.DefaultAudienceConfig meets (K = 3,
+// EmbedDim = 8: both read 9 components; TestInteractionLevelsAgree).
 func interactionLevel(audienceFeat []float64) float64 {
 	n := len(audienceFeat) / 2
 	if n == 0 {

@@ -12,6 +12,7 @@ import (
 	"aovlis/internal/core"
 	"aovlis/internal/dataset"
 	"aovlis/internal/evalx"
+	"aovlis/internal/feature"
 	"aovlis/internal/mat"
 	"aovlis/internal/synth"
 	"aovlis/internal/update"
@@ -527,5 +528,27 @@ func TestEndToEndOnSyntheticDataset(t *testing.T) {
 	}
 	if auroc < 0.6 {
 		t.Fatalf("end-to-end AUROC %.3f; the pipeline is not detecting", auroc)
+	}
+}
+
+// TestInteractionLevelsAgree pins the detector's interaction level (the
+// Fig. 5 filter's "interaction < T") to feature.InteractionLevel, the one
+// the datasets label their test segments with, bit for bit on every
+// segment of every preset's default dataset.
+func TestInteractionLevelsAgree(t *testing.T) {
+	for _, p := range synth.Presets() {
+		dcfg := dataset.DefaultConfig(p)
+		ds, err := dataset.Build(dcfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, series := range [][][]float64{ds.TrainAudience, ds.TestAudience} {
+			for i, u := range series {
+				got, want := interactionLevel(u), feature.InteractionLevel(u, dcfg.Audience)
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%s segment %d: detector reads %v, feature.InteractionLevel %v", p.Name, i, got, want)
+				}
+			}
+		}
 	}
 }

@@ -223,21 +223,19 @@ func TestPlanLaneCapacity(t *testing.T) {
 }
 
 // TestBorrowersLeakNothing runs 32 clones, each over windows of its own,
-// through the lane sets of their configuration. On one goroutine, in
-// alternating batches of 1, 16, 3 and 7 lanes, every prediction and every
-// LaneHidden is bit for bit a fresh model's for the same window, a clone
-// whose set another has run on since offers no state, and one set serves
-// them all. On 4 goroutines, each holding its set through PredictWindows,
-// the same holds and they make at most 4 sets.
+// through the lane sets of their configuration, in alternating batches of
+// 1, 16, 3 and 7 lanes: every PredictBatchInto prediction, and every
+// prediction and state read from a set held through PredictWindows, is bit
+// for bit a fresh model's for the same window. On one goroutine one set
+// serves them all; on 4 goroutines they make at most 4 sets.
 func TestBorrowersLeakNothing(t *testing.T) {
 	const clones, goroutines = 32, 4
 	widths := []int{1, 16, 3, 7}
 	rng := rand.New(rand.NewSource(89))
 	cfg := unsharedConfig(randomBatchConfig(rng, CouplingFull))
-	q := cfg.SeqLen
 	rounds := 2 * len(widths)
-	actions, audience := goldenSeries(clones+rounds+16+q, cfg.ActionDim, cfg.AudienceDim, 7)
-	samples, err := BuildSamples(actions, audience, q)
+	actions, audience := goldenSeries(clones+rounds+16+cfg.SeqLen, cfg.ActionDim, cfg.AudienceDim, 7)
+	samples, err := BuildSamples(actions, audience, cfg.SeqLen)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,34 +261,45 @@ func TestBorrowersLeakNothing(t *testing.T) {
 	for c := range models {
 		models[c] = tmpl.Clone()
 	}
-	// check compares lane l of a run over sample w's window with the
-	// fresh model's.
-	check := func(what string, w int, f, a, h []float64) error {
-		if !identicalBits(f, wantF[w]) || !identicalBits(a, wantA[w]) || !identicalBits(h, wantH[w]) {
-			return fmt.Errorf("%s: window %d: prediction %x/%x, state %x; a fresh model gives %x/%x, %x",
-				what, w, bitsOf(f), bitsOf(a), bitsOf(h), bitsOf(wantF[w]), bitsOf(wantA[w]), bitsOf(wantH[w]))
+	// round runs clone c over the B windows from sample at, through
+	// PredictBatchInto into fhats/ahats and then through a held set, and
+	// compares every lane with the fresh model's window at+l.
+	round := func(what string, c, at, B int, fhats, ahats [][]float64) error {
+		m := models[c]
+		if err := m.PredictBatchInto(samples[at:at+B], fhats[:B], ahats[:B]); err != nil {
+			return err
+		}
+		ls, err := holdWindows(m, actions, audience, at, B)
+		if err != nil {
+			return err
+		}
+		defer ls.Put()
+		for l := 0; l < B; l++ {
+			w := at + l
+			f, a := ls.Prediction(l)
+			h := ls.Hidden(l)
+			if !identicalBits(fhats[l], wantF[w]) || !identicalBits(ahats[l], wantA[w]) ||
+				!identicalBits(f, wantF[w]) || !identicalBits(a, wantA[w]) || !identicalBits(h, wantH[w]) {
+				return fmt.Errorf("%s clone %d lane %d: window %d: batch %x/%x, held set %x/%x, state %x; a fresh model gives %x/%x, %x",
+					what, c, l, w, bitsOf(fhats[l]), bitsOf(ahats[l]), bitsOf(f), bitsOf(a), bitsOf(h),
+					bitsOf(wantF[w]), bitsOf(wantA[w]), bitsOf(wantH[w]))
+			}
 		}
 		return nil
 	}
-
-	fhats, ahats := make([][]float64, 16), make([][]float64, 16)
-	for i := range fhats {
-		fhats[i], ahats[i] = make([]float64, cfg.ActionDim), make([]float64, cfg.AudienceDim)
+	outputs := func() (fhats, ahats [][]float64) {
+		fhats, ahats = make([][]float64, 16), make([][]float64, 16)
+		for i := range fhats {
+			fhats[i], ahats[i] = make([]float64, cfg.ActionDim), make([]float64, cfg.AudienceDim)
+		}
+		return fhats, ahats
 	}
+
+	fhats, ahats := outputs()
 	for r := 0; r < rounds; r++ {
-		B := widths[r%len(widths)]
-		for c, m := range models {
-			at := c + r
-			if err := m.PredictBatchInto(samples[at:at+B], fhats[:B], ahats[:B]); err != nil {
+		for c := range models {
+			if err := round(fmt.Sprintf("round %d", r), c, c+r, widths[r%len(widths)], fhats, ahats); err != nil {
 				t.Fatal(err)
-			}
-			for l := 0; l < B; l++ {
-				if err := check(fmt.Sprintf("round %d clone %d lane %d", r, c, l), at+l, fhats[l], ahats[l], m.LaneHidden(l)); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if c > 0 && models[c-1].LaneHidden(0) != nil {
-				t.Fatalf("round %d: clone %d offers a state from a set clone %d has run on since", r, c-1, c)
 			}
 		}
 	}
@@ -304,23 +313,10 @@ func TestBorrowersLeakNothing(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
+			fhats, ahats := outputs()
 			for r := 0; r < rounds; r++ {
-				B := widths[(r+g)%len(widths)]
 				for c := g; c < clones; c += goroutines {
-					m, at := models[c], c+r
-					ls := m.TakeLanes()
-					act, aud := ls.Rows(q + B - 1)
-					for i := range act {
-						copy(act[i], actions[at+i])
-						copy(aud[i], audience[at+i])
-					}
-					err := m.PredictWindows(ls, q, B)
-					for l := 0; err == nil && l < B; l++ {
-						f, a := ls.Prediction(l)
-						err = check(fmt.Sprintf("goroutine %d round %d clone %d lane %d", g, r, c, l), at+l, f, a, ls.Hidden(l))
-					}
-					ls.Put()
-					if err != nil {
+					if err := round(fmt.Sprintf("goroutine %d round %d", g, r), c, c+r, widths[(r+g)%len(widths)], fhats, ahats); err != nil {
 						errs[g] = err
 						return
 					}

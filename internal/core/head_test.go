@@ -108,7 +108,7 @@ func TestTrainHeadMatchesTape(t *testing.T) {
 					s.ActionTarget, s.AudienceTarget = target()
 
 					p := m.trainPlan()
-					p.forward(m.window(&s))
+					p.forward([][][]float64{s.ActionSeq, s.AudienceSeq})
 					gotLoss := m.jointLoss(p, &s)
 					grads := make([]*mat.Matrix, len(m.ps.Names()))
 					var gotDH [2][]float64

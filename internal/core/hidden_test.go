@@ -12,16 +12,36 @@ import (
 
 // The two engines agree on the recurrence. The updater's drift check reads
 // LSTM_I's final hidden state; when the window was just scored on the exact
-// kernels, the InferPlan already holds that state (Model.LaneHidden), and
-// the detector hands it over instead of running the TrainPlan's recurrence
-// a second time. That is only sound if the two are the same bits, in every
-// lane of every batch, whatever the plan has been through.
+// kernels, the lane set the detector holds already has that state
+// (Model.PredictWindows, Lanes.Hidden), and the detector hands it over
+// instead of running the TrainPlan's recurrence a second time. That is only
+// sound if the two are the same bits, in every lane of every batch,
+// whatever the plan has been through.
 
-// TestPlanHiddenMatchesHiddenInto pins LaneHidden to HiddenInto bit for bit
-// under every coupling, at lane counts 1–16, on a fresh model and after each
-// way its parameters move — a TrainStep, a CopyFrom (MergeReplace) and an
-// Average (MergeAverage) — and pins that a lane outside the last run has no
-// state.
+// holdWindows borrows a lane set of m, lays rows at … at+q+B−2 of the
+// series out on it and predicts the B windows they hold: lane l's is the
+// window of BuildSamples' sample at+l. The caller reads the lanes and puts
+// the set back.
+func holdWindows(m *Model, actions, audience [][]float64, at, B int) (*Lanes, error) {
+	q := m.cfg.SeqLen
+	ls := m.TakeLanes()
+	act, aud := ls.Rows(q + B - 1)
+	for i := range act {
+		copy(act[i], actions[at+i])
+		copy(aud[i], audience[at+i])
+	}
+	if err := m.PredictWindows(ls, q, B); err != nil {
+		ls.Put()
+		return nil, err
+	}
+	return ls, nil
+}
+
+// TestPlanHiddenMatchesHiddenInto pins Lanes.Hidden to HiddenInto bit for
+// bit under every coupling, at lane counts 1–16, on a fresh model and after
+// each way its parameters move — a TrainStep, a CopyFrom (MergeReplace) and
+// an Average (MergeAverage) — and pins that a lane outside the set's last
+// run has no state.
 func TestPlanHiddenMatchesHiddenInto(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
 	const maxB = 16
@@ -41,20 +61,17 @@ func TestPlanHiddenMatchesHiddenInto(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			fhats, ahats := make([][]float64, maxB), make([][]float64, maxB)
-			for i := range fhats {
-				fhats[i], ahats[i] = make([]float64, cfg.ActionDim), make([]float64, cfg.AudienceDim)
-			}
 			want := make([]float64, cfg.HiddenI)
 			check := func(phase string) {
 				t.Helper()
 				for B := 1; B <= maxB; B++ {
 					at := B % 5
-					if err := m.PredictBatchInto(samples[at:at+B], fhats[:B], ahats[:B]); err != nil {
+					ls, err := holdWindows(m, actions, audience, at, B)
+					if err != nil {
 						t.Fatal(err)
 					}
 					for l := 0; l < B; l++ {
-						got := m.LaneHidden(l)
+						got := ls.Hidden(l)
 						if err := m.HiddenInto(&samples[at+l], want); err != nil {
 							t.Fatal(err)
 						}
@@ -62,9 +79,10 @@ func TestPlanHiddenMatchesHiddenInto(t *testing.T) {
 							t.Fatalf("%s: B=%d lane %d: plan %x, HiddenInto %x", phase, B, l, bitsOf(got), bitsOf(want))
 						}
 					}
-					if m.LaneHidden(B) != nil || m.LaneHidden(-1) != nil {
+					if ls.Hidden(B) != nil || ls.Hidden(-1) != nil {
 						t.Fatalf("%s: B=%d run offers a state for lane %d or -1", phase, B, B)
 					}
+					ls.Put()
 				}
 			}
 			check("fresh")
@@ -94,7 +112,7 @@ func TestPlanHiddenMatchesHiddenInto(t *testing.T) {
 
 // TestServingModelNeverCompilesTrainPlan pins what the handover saves: a
 // model that only predicts on the exact kernels, and reads its states from
-// the plan, never builds the training engine.
+// the lane set it holds, never builds the training engine.
 func TestServingModelNeverCompilesTrainPlan(t *testing.T) {
 	cfg := randomBatchConfig(rand.New(rand.NewSource(79)), CouplingFull)
 	tmpl, err := NewModel(cfg)
@@ -112,9 +130,14 @@ func TestServingModelNeverCompilesTrainPlan(t *testing.T) {
 		if err := m.PredictInto(&samples[i], fhat, ahat); err != nil {
 			t.Fatal(err)
 		}
-		if m.LaneHidden(0) == nil {
+		ls, err := holdWindows(m, actions, audience, i, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ls.Hidden(0) == nil {
 			t.Fatal("an exact plan offers no state")
 		}
+		ls.Put()
 	}
 	if m.tplan != nil {
 		t.Fatal("a predicting model compiled a TrainPlan")

@@ -131,9 +131,6 @@ type Lanes struct {
 	streams  []laneState
 	// rows[k] are the window rows of stream k, dim values each.
 	rows [][][]float64
-	// runs counts the runs on the set: Model.LaneHidden reads a set only
-	// while the count is the one its own last run left.
-	runs uint64
 }
 
 // newLanes makes a set for p's streams, to go back on list, as wide as the
@@ -233,7 +230,6 @@ func (ls *Lanes) Put() { ls.list.Put(ls) }
 // validate before binding). Run allocates nothing and drops the bound
 // sequences before returning.
 func (p *InferPlan) Run(ls *Lanes, lanes int) {
-	ls.runs++
 	for i := range ls.streams {
 		st := &ls.streams[i]
 		// View the first `lanes` rows of the full-capacity backing arrays.

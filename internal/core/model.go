@@ -37,20 +37,14 @@ type Model struct {
 
 	// plan is the compiled tape-free inference engine (infer.go); it reads
 	// ps, so it is never stale. lanes is the list of lane sets its runs
-	// borrow, the one of every model of cfg; last is the set of the last
-	// PredictInto or PredictBatchInto, holding its state while its run
-	// count is still lastRun (LaneHidden).
-	plan    *InferPlan
-	lanes   *laneList
-	last    *Lanes
-	lastRun uint64
+	// borrow, the one of every model of cfg.
+	plan  *InferPlan
+	lanes *laneList
 
 	// tplan is the training engine (train.go), compiled on first use so
 	// inference-only models — every serving channel clone — never pay for
-	// its buffers. seqs is its reused argument buffer (see window), order
-	// TrainEpoch's reused shuffle permutation.
+	// its buffers. order is TrainEpoch's reused shuffle permutation.
 	tplan *TrainPlan
-	seqs  [2][][]float64
 	order []int
 }
 
@@ -146,7 +140,7 @@ func (m *Model) PredictBatchInto(samples []Sample, fhats, ahats [][]float64) err
 	for l := range samples {
 		bindLane(ls, l, samples[l].ActionSeq, samples[l].AudienceSeq)
 	}
-	m.run(ls, len(samples))
+	m.plan.Run(ls, len(samples))
 	for l := range samples {
 		f, a := ls.Prediction(l)
 		copy(fhats[l], f)
@@ -174,15 +168,8 @@ func (m *Model) PredictWindows(ls *Lanes, from, lanes int) error {
 		end := from + l
 		bindLane(ls, l, act[end-q:end:end], aud[end-q:end:end])
 	}
-	m.run(ls, lanes)
-	return nil
-}
-
-// run runs the plan over the first `lanes` bound lanes of ls and marks the
-// set as holding the model's last prediction.
-func (m *Model) run(ls *Lanes, lanes int) {
 	m.plan.Run(ls, lanes)
-	m.last, m.lastRun = ls, ls.runs
+	return nil
 }
 
 // checkLane validates one prediction window and its output buffers.
@@ -203,20 +190,14 @@ func bindLane(ls *Lanes, l int, act, aud [][]float64) {
 	ls.streams[0].seqs[l], ls.streams[1].seqs[l] = act, aud
 }
 
-// window lays the sample's two input sequences out as the training
-// engine's seqs argument in the model's reused buffer.
-func (m *Model) window(s *Sample) [][][]float64 {
-	m.seqs[0], m.seqs[1] = s.ActionSeq, s.AudienceSeq
-	return m.seqs[:]
-}
-
 // HiddenInto writes the final hidden state h_t of LSTM_I for the sample
 // into dst, of length HiddenI. The dynamic-update algorithm uses these
 // vectors for drift detection because they are "more robust to scene
 // changes compared with audience interaction features" (§IV-D); the
 // updater falls back on this when no prediction of the window computed
-// the state already (see LaneHidden). It runs the training engine's
-// forward recurrence, tape-free.
+// the state already (PredictWindows, Lanes.Hidden, which the two engines
+// agree with bit for bit: TestPlanHiddenMatchesHiddenInto). It runs the
+// training engine's forward recurrence, tape-free.
 func (m *Model) HiddenInto(s *Sample, dst []float64) error {
 	if err := s.validate(m.cfg); err != nil {
 		return err
@@ -224,25 +205,8 @@ func (m *Model) HiddenInto(s *Sample, dst []float64) error {
 	if len(dst) != m.cfg.HiddenI {
 		return fmt.Errorf("core: HiddenInto buffer %d, model hidden is %d", len(dst), m.cfg.HiddenI)
 	}
-	copy(dst, m.trainPlan().hidden(m.window(s), 0))
-	m.seqs[0], m.seqs[1] = nil, nil
+	copy(dst, m.trainPlan().hidden([][][]float64{s.ActionSeq, s.AudienceSeq}, 0))
 	return nil
-}
-
-// LaneHidden returns lane l's final LSTM_I hidden state from the model's
-// last prediction — the state its decoder read, and bit for bit what
-// HiddenInto computes for the same window: the two engines run the same
-// ascending-k sums and the same gate body (TestPlanHiddenMatchesHiddenInto).
-// It returns nil when the last run had no lane l, or when its lane set has
-// run another prediction since. The slice is the set's, which every model
-// of the configuration borrows: read it before the next prediction of any
-// of them. A caller that predicts on several goroutines holds its set
-// instead (PredictWindows, Lanes.Hidden).
-func (m *Model) LaneHidden(l int) []float64 {
-	if m.last == nil || m.last.runs != m.lastRun {
-		return nil
-	}
-	return m.last.Hidden(l)
 }
 
 // jointLoss returns the training objective (Eq. 13) of the plan's last
@@ -263,8 +227,7 @@ func (m *Model) TrainStep(s *Sample) (float64, error) {
 		return 0, err
 	}
 	p := m.trainPlan()
-	p.forward(m.window(s))
-	m.seqs[0], m.seqs[1] = nil, nil
+	p.forward([][][]float64{s.ActionSeq, s.AudienceSeq})
 	loss := m.jointLoss(p, s)
 	// ∂l/∂Loss = ω and ∂l/∂MSE = 1−ω: what the tape's 0 + ω·1 and
 	// 0 + (1−ω)·1 come to for every ω in [0, 1].
@@ -325,10 +288,9 @@ func (m *Model) EvalLoss(samples []Sample) (float64, error) {
 			return 0, err
 		}
 		p := m.trainPlan()
-		p.forward(m.window(s))
+		p.forward([][][]float64{s.ActionSeq, s.AudienceSeq})
 		total += m.jointLoss(p, s)
 	}
-	m.seqs[0], m.seqs[1] = nil, nil
 	return total / float64(len(samples)), nil
 }
 

@@ -62,8 +62,6 @@ type Ingest struct {
 	counts   []float64
 	windowed []float64
 	secBase  int
-
-	emitted int
 }
 
 // NewIngest builds the ingest front-end of one channel. The pipeline must
@@ -214,7 +212,6 @@ func (in *Ingest) emit(next *stream.Segment) (Observation, error) {
 
 	in.prev = &seg
 	in.pending = in.pending[1:]
-	in.emitted++
 
 	// Drop backlog comments no future window can overlap (windows slide by
 	// one stride per segment), and count seconds below what the next

@@ -113,9 +113,6 @@ func testIngestParity(t *testing.T, acfg feature.AudienceConfig) {
 		assertClose(t, "action", i, o.Action, ds.TestActions[i])
 		assertClose(t, "audience", i, o.Audience, ds.TestAudience[i])
 	}
-	if in.emitted != len(obs) {
-		t.Fatalf("emitted = %d, want %d", in.emitted, len(obs))
-	}
 	// Long-stream memory bound: the count series and comment backlog are
 	// trimmed as segments emit, staying a few seconds long rather than
 	// growing with stream duration.
