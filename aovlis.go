@@ -152,15 +152,18 @@ var ErrConcurrentObserve = errors.New("aovlis: concurrent Observe calls on one D
 // Detector is the online AOVLIS anomaly detector.
 //
 // Concurrency contract: a Detector is a single-writer object. Observe,
-// DetectSeries, Recalibrate, SetTau and Save all mutate internal state —
-// the sliding window, the tier gate's anchor and (with EnableUpdate) the
-// model weights themselves — and must be confined to one goroutine at a
-// time. The read accessors (Tau, Observed, Detected, TierStats, Model)
-// are safe only while no writer is active. Observe enforces the contract
-// cheaply: a call that races with another Observe fails with
-// ErrConcurrentObserve rather than silently corrupting the window. To score
-// many streams concurrently, give each its own Detector and confine each to
-// one goroutine — the DetectorPool in internal/serve does exactly this.
+// ObserveBatch, DetectSeries, Recalibrate, SetTau, SetScoringMode and
+// Snapshot are writers — they mutate internal state (the sliding window,
+// the tier gate, with EnableUpdate the model weights themselves) or, as
+// Snapshot does, take the single-writer flag — and must be confined to
+// one goroutine at a time. Save and Clone only read, as do the accessors
+// (Tau, Observed, Detected, TierStats): readers may run together, but
+// only while no writer is active; work through Model is a writer's (see
+// Model). Observe enforces the contract cheaply: a call that races with
+// another Observe fails with ErrConcurrentObserve rather than silently
+// corrupting the window. To score many streams concurrently, give each its
+// own Detector and confine each to one goroutine — the DetectorPool in
+// internal/serve does exactly this.
 type Detector struct {
 	cfg   Config
 	model *core.Model

@@ -127,15 +127,6 @@ func NewJointRep(n int) *JointRep {
 	}
 }
 
-// JointRepresent builds the joint representation of (f, fhat).
-func (p *Partition) JointRepresent(f, fhat []float64) (*JointRep, error) {
-	r := NewJointRep(p.N)
-	if err := p.JointRepresentInto(r, f, fhat); err != nil {
-		return nil, err
-	}
-	return r, nil
-}
-
 // JointRepresentInto fills r in place, reusing its buffers. The detection
 // hot path calls this once per segment with a per-detector scratch value so
 // the bound computation stays allocation-free.
@@ -190,19 +181,6 @@ func groupBound(fU, fL, gU, gL, fSum, gSum float64) float64 {
 	return 0.5*fSum*logF + 0.5*gSum*logG
 }
 
-// REGUpper computes REG_I = Σ REg_i, the ADG upper bound of the JS
-// divergence between the represented pair (Theorem 1).
-func REGUpper(rep *JointRep) float64 {
-	var total float64
-	for g := range rep.Count {
-		if rep.Count[g] == 0 {
-			continue
-		}
-		total += groupBound(rep.FMax[g], rep.FMin[g], rep.GMax[g], rep.GMin[g], rep.FSum[g], rep.GSum[g])
-	}
-	return total
-}
-
 // jsContribution returns the exact JS contribution of one dimension pair.
 func jsContribution(p, q float64) float64 {
 	m := (p + q) / 2
@@ -253,13 +231,6 @@ type HybridBound struct {
 	ExactGroups []bool
 	// occ is reusable scratch for sparse-group selection.
 	occ []gc
-}
-
-// REGUpperHybrid computes the refined bound with nsg exact groups.
-func REGUpperHybrid(rep *JointRep, f, fhat []float64, nsg int) HybridBound {
-	var hb HybridBound
-	REGUpperHybridInto(&hb, rep, f, fhat, nsg)
-	return hb
 }
 
 // gc pairs a group index with its member count for sparse-group selection.

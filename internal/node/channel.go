@@ -12,6 +12,12 @@ import (
 // errChannelLimit refuses a channel beyond MaxChannels.
 var errChannelLimit = errors.New("channel limit reached")
 
+// errForeignConfig refuses an imported detector whose model configuration
+// is not the template's: every channel of a node is a copy of one trained
+// model, and each distinct configuration would pin its own per-
+// configuration scratch (core.PerConfig) for the life of the process.
+var errForeignConfig = errors.New("snapshot's model configuration is not the node's")
+
 // attach is where a channel begins. With a nil snap it ensures id exists —
 // the first observe on either plane and the journal replay come through
 // here — attaching a fresh clone of the template: its weights shared
@@ -19,7 +25,9 @@ var errChannelLimit = errors.New("channel limit reached")
 // τ. On a continual node the template is the base the absorb loop moves,
 // so a fresh channel starts from what its peers learned. With a snapshot
 // stream it attaches the channel restored from it (the receive half of a
-// migration) and fails if id is already attached.
+// migration) and fails if id is already attached or the restored model's
+// configuration is not the template's; a refused upload attaches and
+// journals nothing.
 func (n *Node) attach(id string, snap io.Reader) error {
 	n.attachMu.Lock()
 	defer n.attachMu.Unlock()
@@ -32,7 +40,14 @@ func (n *Node) attach(id string, snap io.Reader) error {
 		return fmt.Errorf("%w (%d)", errChannelLimit, n.cfg.MaxChannels)
 	}
 	if snap != nil {
-		return n.pool.AttachSnapshot(id, snap)
+		det, err := serve.DecodeSnapshot(id, snap)
+		if err != nil {
+			return err
+		}
+		if got, want := det.Model().Config(), n.template.Model().Config(); got != want {
+			return fmt.Errorf("%w: got %+v, want %+v", errForeignConfig, got, want)
+		}
+		return n.pool.Attach(id, det)
 	}
 	n.templateMu.Lock()
 	det, err := n.template.Clone()
@@ -71,15 +86,14 @@ func (n *Node) detach(id string) error {
 // silently.
 func (n *Node) absorbAll() {
 	for _, id := range n.pool.Channels() {
-		err := n.pool.WithChannel(id, func(det serve.Detector) error {
-			ad, ok := det.(*aovlis.Detector)
-			if !ok {
-				return nil // an alternative backend carries no weights to absorb
+		err := n.pool.WithChannel(id, func(det *aovlis.Detector) error {
+			if det == nil {
+				return nil // a bare scorer carries no weights to absorb
 			}
 			n.templateMu.Lock()
 			defer n.templateMu.Unlock()
 			// Merge(other, w) keeps w·self + (1−w)·other.
-			return n.template.Model().Merge(ad.Model(), 1-n.cfg.AbsorbWeight)
+			return n.template.Model().Merge(det.Model(), 1-n.cfg.AbsorbWeight)
 		})
 		if err != nil && !errors.Is(err, serve.ErrUnknownChannel) && !errors.Is(err, serve.ErrClosed) {
 			n.cfg.Logf("aovlisd: absorb %s: %v", id, err)

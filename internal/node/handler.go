@@ -202,7 +202,7 @@ func statusForPoolErr(err error) int {
 		return wire.StatusNotFound
 	case errors.Is(err, serve.ErrChannelExists):
 		return wire.StatusConflict
-	case errors.Is(err, serve.ErrNotSnapshottable):
+	case errors.Is(err, serve.ErrNotSnapshottable), errors.Is(err, errForeignConfig):
 		return wire.StatusUnprocessable
 	case errors.Is(err, serve.ErrRejected):
 		// Admission refused the request and nothing was lost, so the

@@ -26,6 +26,7 @@ import (
 	"time"
 
 	"aovlis"
+	"aovlis/internal/core"
 	"aovlis/internal/ledger"
 	"aovlis/internal/mat"
 	"aovlis/internal/serve"
@@ -75,6 +76,33 @@ func trainSmall(t *testing.T, seed int64, epochs int) *aovlis.Detector {
 		t.Fatal(err)
 	}
 	return det
+}
+
+// benchShape trains a detector at the benchmark's model shape (48 action
+// classes, 19 audience dimensions, q = 9) for one epoch from the given
+// model seed, and returns it with its training series.
+func benchShape(t *testing.T, seed int64) (det *aovlis.Detector, acts, auds [][]float64) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 60; i++ {
+		f, a := make([]float64, 48), make([]float64, 19)
+		f[(i/3)%8] = 1
+		for j := range f {
+			f[j] += 0.02 + 0.01*rng.Float64()
+		}
+		mat.Normalize(f)
+		for j := range a {
+			a[j] = 0.3 + 0.03*rng.NormFloat64()
+		}
+		acts, auds = append(acts, f), append(auds, a)
+	}
+	cfg := aovlis.DefaultConfig(48, 19)
+	cfg.Epochs, cfg.Seed = 1, seed
+	det, err := aovlis.Train(acts, auds, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return det, acts, auds
 }
 
 var testTemplate struct {
@@ -649,10 +677,143 @@ func TestStatusForPoolErr(t *testing.T) {
 		{serve.ErrClosed, http.StatusServiceUnavailable},
 		{fmt.Errorf("%w (%d)", errChannelLimit, 8), http.StatusServiceUnavailable},
 		{fmt.Errorf("%w: %q", serve.ErrUnknownChannel, "ch"), http.StatusNotFound},
+		{fmt.Errorf("%w: got %+v", errForeignConfig, core.Config{}), http.StatusUnprocessableEntity},
 	} {
 		if got := statusForPoolErr(tc.err); got != tc.want {
 			t.Errorf("statusForPoolErr(%v) = %d, want %d", tc.err, got, tc.want)
 		}
+	}
+}
+
+// TestImportKeepsOneConfiguration gates what snapshot uploads can make a
+// node retain, at the benchmark's model shape. An upload whose model
+// differs from the template only in its Seed is refused 422 before
+// anything attaches or is journaled: 40 of them leave the channel table,
+// the journal and, within 64 KiB, the heap as they were (≈ 10–18 KB of
+// one-time caches stay). Accepted, each
+// such configuration kept its scratch for the life of the process: 40
+// scored in 16-lane batches and detached retained ≈ 4.1 MB. Uploads of the
+// template's own configuration share its scratch: 40 attached, scored and
+// detached leave the heap within 64 KiB of where it was.
+func TestImportKeepsOneConfiguration(t *testing.T) {
+	const uploads, bound = 40, 64 << 10
+	// No ledger: it keeps a hash of every verdict.
+	d := dirs{wal: t.TempDir()}
+	cfg := testConfig(d)
+	cfg.MaxChannels = uploads
+	cfg.Pool.Batch = 16
+	cfg.Logf = t.Logf
+	tmpl, acts, auds := benchShape(t, 0)
+	n, err := Open(tmpl, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer shut(t, n)
+	h := n.Handler()
+	put := func(id string, blob []byte) int {
+		req, err := wire.NewRequest(wire.MethodPut, "http://node/channels/"+id+"/snapshot", bytes.NewReader(blob))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := &wiretest.Recorder{}
+		h.ServeHTTP(rec, req)
+		return rec.Code
+	}
+	snapshotOf := func(det *aovlis.Detector) []byte {
+		var b bytes.Buffer
+		if err := det.Snapshot(&b); err != nil {
+			t.Fatal(err)
+		}
+		return b.Bytes()
+	}
+	// score runs the series through id in 16-lane batches: the shard is
+	// held while each batch queues.
+	score := func(id string) {
+		for from := 0; from < len(acts); from += 16 {
+			held, release, done := make(chan struct{}), make(chan struct{}), make(chan error, 1)
+			go func() {
+				done <- n.pool.WithChannel(id, func(*aovlis.Detector) error { close(held); <-release; return nil })
+			}()
+			<-held
+			var outs []<-chan serve.Outcome
+			for i := from; i < len(acts) && i < from+16; i++ {
+				out, err := n.pool.Submit(id, acts[i], auds[i])
+				if err != nil {
+					t.Fatal(err)
+				}
+				outs = append(outs, out)
+			}
+			close(release)
+			if err := <-done; err != nil {
+				t.Fatal(err)
+			}
+			for i, out := range outs {
+				if o := <-out; o.Err != nil {
+					t.Fatalf("channel %s segment %d: %v", id, from+i, o.Err)
+				}
+			}
+		}
+	}
+	heap := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	own := snapshotOf(tmpl)
+	// cycle uploads own under k ids, scores each and detaches them all.
+	cycle := func(prefix string, k int) {
+		for i := 0; i < k; i++ {
+			id := fmt.Sprintf("%s-%d", prefix, i)
+			if code := put(id, own); code != http.StatusCreated {
+				t.Fatalf("upload %s of the template's configuration answered %d, want 201", id, code)
+			}
+			score(id)
+		}
+		for i := 0; i < k; i++ {
+			if err := n.detach(fmt.Sprintf("%s-%d", prefix, i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// What any traffic makes once comes first: the lane sets of both shards
+	// and a /watch ring full of verdicts as long as the measured cycle's
+	// (its ids are as long, its scores the same).
+	cycle("warm", uploads)
+
+	foreign := make([][]byte, uploads)
+	for i := range foreign {
+		det, _, _ := benchShape(t, 1000+int64(i))
+		if det.Model().Config() == tmpl.Model().Config() {
+			t.Fatal("a foreign seed trained the template's configuration")
+		}
+		foreign[i] = snapshotOf(det)
+	}
+	channels, journal, before := n.pool.Len(), n.wal.MaxSeqs(), heap()
+	for i, blob := range foreign {
+		if code := put(fmt.Sprintf("foreign-%d", i), blob); code != http.StatusUnprocessableEntity {
+			t.Fatalf("foreign upload %d answered %d, want 422", i, code)
+		}
+	}
+	grew := int64(heap()) - int64(before)
+	runtime.KeepAlive(foreign)
+	if n.pool.Len() != channels || !reflect.DeepEqual(n.wal.MaxSeqs(), journal) {
+		t.Fatalf("refused uploads changed the node: %d channels (was %d), journal %v (was %v)",
+			n.pool.Len(), channels, n.wal.MaxSeqs(), journal)
+	}
+	t.Logf("%d refused foreign uploads retain %d B", uploads, grew)
+	if grew > bound {
+		t.Errorf("%d refused foreign uploads retain %d B, want at most %d", uploads, grew, bound)
+	}
+
+	before = heap()
+	cycle("same", uploads)
+	grew = int64(heap()) - int64(before)
+	runtime.KeepAlive(own)
+	t.Logf("%d uploads of the template's configuration, scored and detached, retain %d B", uploads, grew)
+	if grew > bound {
+		t.Errorf("%d uploads of the template's configuration retain %d B, want at most %d", uploads, grew, bound)
 	}
 }
 
@@ -698,8 +859,8 @@ func TestContinualWarmStartOnAttach(t *testing.T) {
 	}
 	models := map[string]*aovlis.Detector{}
 	for _, id := range n.pool.Channels() {
-		if err := n.pool.WithChannel(id, func(det serve.Detector) error {
-			models[id] = det.(*aovlis.Detector)
+		if err := n.pool.WithChannel(id, func(det *aovlis.Detector) error {
+			models[id] = det
 			return nil
 		}); err != nil {
 			t.Fatal(err)
@@ -722,8 +883,8 @@ func TestContinualWarmStartOnAttach(t *testing.T) {
 	}
 
 	observe(t, n, "warm", acts, auds, 0, 1)
-	if err := n.pool.WithChannel("warm", func(det serve.Detector) error {
-		warm := det.(*aovlis.Detector).Model()
+	if err := n.pool.WithChannel("warm", func(det *aovlis.Detector) error {
+		warm := det.Model()
 		if !warm.Params().Shared() {
 			t.Error("the warm-started channel copied the template's weights")
 		}
@@ -751,26 +912,7 @@ func TestContinualWarmStartOnAttach(t *testing.T) {
 // writes — it shares the template's weights as any clone does, where a
 // channel seeded with a copy of them retains ≈ 160 KB.
 func TestWarmStartedChannelFootprint(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	var acts, auds [][]float64
-	for i := 0; i < 60; i++ {
-		f, a := make([]float64, 48), make([]float64, 19)
-		f[(i/3)%8] = 1
-		for j := range f {
-			f[j] += 0.02 + 0.01*rng.Float64()
-		}
-		mat.Normalize(f)
-		for j := range a {
-			a[j] = 0.3 + 0.03*rng.NormFloat64()
-		}
-		acts, auds = append(acts, f), append(auds, a)
-	}
-	acfg := aovlis.DefaultConfig(48, 19)
-	acfg.Epochs = 1
-	tmpl, err := aovlis.Train(acts, auds, acfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tmpl, _, _ := benchShape(t, 0)
 	const channels = 200
 	cfg := testConfig(dirs{})
 	cfg.MaxChannels = channels + 1

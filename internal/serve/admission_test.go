@@ -227,7 +227,7 @@ func TestOverloadVerdictsMatchSerialReplay(t *testing.T) {
 	var release sync.Once
 	t.Cleanup(func() { release.Do(func() { close(gate) }) })
 	held := make(chan error, 1)
-	go func() { held <- p.WithChannel("ch-0", func(Detector) error { <-gate; return nil }) }()
+	go func() { held <- p.WithChannel("ch-0", func(*aovlis.Detector) error { <-gate; return nil }) }()
 
 	var wg sync.WaitGroup
 	for c := range streams {

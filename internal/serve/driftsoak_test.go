@@ -22,8 +22,8 @@ import (
 )
 
 // TestWithChannel pins the quiesced accessor's contract: fn sees the
-// attached detector at a segment boundary, its error comes back verbatim,
-// and unknown channels are refused.
+// attached detector at a segment boundary (nil for a bare scorer), its
+// error comes back verbatim, and unknown channels are refused.
 func TestWithChannel(t *testing.T) {
 	pool, err := NewDetectorPool(Config{Shards: 2, QueueDepth: 16})
 	if err != nil {
@@ -38,18 +38,24 @@ func TestWithChannel(t *testing.T) {
 	if err := pool.Attach("wc-0", det); err != nil {
 		t.Fatal(err)
 	}
-	var saw Detector
-	if err := pool.WithChannel("wc-0", func(d Detector) error { saw = d; return nil }); err != nil {
+	var saw *aovlis.Detector
+	if err := pool.WithChannel("wc-0", func(d *aovlis.Detector) error { saw = d; return nil }); err != nil {
 		t.Fatal(err)
 	}
-	if saw != Detector(det) {
+	if saw != det {
 		t.Fatal("WithChannel handed out a different detector than was attached")
 	}
+	if err := pool.Attach("wc-bare", &fakeDetector{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := pool.WithChannel("wc-bare", func(d *aovlis.Detector) error { saw = d; return nil }); err != nil || saw != nil {
+		t.Fatalf("WithChannel on a bare scorer = (%v, %p), want (nil, nil)", err, saw)
+	}
 	wantErr := fmt.Errorf("absorb failed")
-	if err := pool.WithChannel("wc-0", func(Detector) error { return wantErr }); err != wantErr {
+	if err := pool.WithChannel("wc-0", func(*aovlis.Detector) error { return wantErr }); err != wantErr {
 		t.Fatalf("fn error not propagated: %v", err)
 	}
-	if err := pool.WithChannel("nope", func(Detector) error { return nil }); err == nil {
+	if err := pool.WithChannel("nope", func(*aovlis.Detector) error { return nil }); err == nil {
 		t.Fatal("unknown channel accepted")
 	}
 	// Quiesced access interleaves safely with live submissions.
@@ -66,7 +72,7 @@ func TestWithChannel(t *testing.T) {
 		}
 	}()
 	for k := 0; k < 10; k++ {
-		if err := pool.WithChannel("wc-0", func(Detector) error { return nil }); err != nil {
+		if err := pool.WithChannel("wc-0", func(*aovlis.Detector) error { return nil }); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -45,14 +45,16 @@ import (
 	"time"
 
 	"aovlis"
-	"aovlis/internal/ados"
 	"aovlis/internal/wire"
 )
 
-// Detector is the per-channel scoring interface. *aovlis.Detector
-// implements it; tests and alternative backends may substitute their own.
-// The pool confines each Detector to a single shard worker, so
-// implementations need not be safe for concurrent use.
+// Detector is the per-channel scoring interface. A served channel is an
+// *aovlis.Detector, and the pool reads its dims, lifetime and tier counters
+// and its snapshot from that type alone; any other Detector (a test fake,
+// a tracing wrapper) is a bare scorer: it scores, and has no dims check,
+// restored counters or checkpoint. The pool confines each Detector to a
+// single shard worker, so implementations need not be safe for concurrent
+// use.
 type Detector interface {
 	Observe(actionFeat, audienceFeat []float64) (aovlis.Result, error)
 }
@@ -79,32 +81,6 @@ func (l laneByLane) ObserveBatch(actionFeats, audienceFeats [][]float64, results
 		results[i] = res
 	}
 	return len(actionFeats), nil
-}
-
-// tierStatser is implemented by detectors that expose tiered-scoring gate
-// counters (notably *aovlis.Detector with Tiered on).
-type tierStatser interface {
-	TierStats() ados.TierStats
-}
-
-// dimser is implemented by detectors that expose their expected feature
-// dimensions (notably *aovlis.Detector). Attach caches them so the
-// journaling accept path can reject mis-dimensioned observations up
-// front instead of journaling a record the detector will only ever score
-// as an error.
-type dimser interface {
-	Dims() (actionDim, audienceDim int)
-}
-
-// lifetimeCounter is implemented by detectors that carry stream-lifetime
-// counters across snapshots (notably *aovlis.Detector). Attach seeds the
-// channel's observed/detected counters from it, so a channel restored from
-// a snapshot reports whole-stream statistics, not just the post-restore
-// leg. Transport-local counters (warmups, rejections, queue errors) belong to
-// the pool instance and restart at zero.
-type lifetimeCounter interface {
-	Observed() int
-	Detected() int
 }
 
 // OverflowPolicy and its one value Block are kept because cmd/aovlis-bench
@@ -241,11 +217,11 @@ type job struct {
 // channel is one attached stream with its confined detector and counters.
 // All counters are atomics so Stats can be read while the shard works.
 type channel struct {
-	id     string
-	shard  *shard
-	det    Detector
-	batch  batchObserver // det, or det lane by lane when it cannot batch
-	tstats tierStatser   // det, when it exposes tier counters (else nil)
+	id    string
+	shard *shard
+	det   Detector
+	batch batchObserver    // det, or det lane by lane when it cannot batch
+	aov   *aovlis.Detector // det, unless det is a bare scorer (then nil)
 
 	observed    atomic.Uint64 // successfully scored observations
 	warmups     atomic.Uint64 // scored observations still in warm-up
@@ -274,11 +250,10 @@ type channel struct {
 	// left the table must not journal a record behind it.
 	tombstoned bool
 
-	// actionDim/audienceDim are the detector's expected feature dims,
-	// cached at Attach when the detector exposes them (0 = unknown). The
-	// journaling accept path refuses mis-dimensioned observations before
-	// they reach the journal: a record that can only ever score as an
-	// error must not enter the durable replay history.
+	// actionDim/audienceDim are aov's feature dims, cached at Attach (0 for
+	// a bare scorer). The journaling accept path refuses mis-dimensioned
+	// observations before they reach the journal: a record that can only
+	// ever score as an error must not enter the durable replay history.
 	actionDim   int
 	audienceDim int
 }
@@ -634,8 +609,8 @@ func (p *DetectorPool) finishJob(ch *channel, j *job, res aovlis.Result, err err
 
 // refreshTier re-reads the detector's tier gauge.
 func (p *DetectorPool) refreshTier(ch *channel) {
-	if ch.tstats != nil {
-		ch.tierskipped.Store(uint64(ch.tstats.TierStats().Skipped))
+	if ch.aov != nil {
+		ch.tierskipped.Store(uint64(ch.aov.TierStats().Skipped))
 	}
 }
 
@@ -683,26 +658,18 @@ func (p *DetectorPool) Attach(id string, det Detector) error {
 	if _, ok := p.lookup(id); ok {
 		return fmt.Errorf("%w: %q", ErrChannelExists, id)
 	}
-	ts, _ := det.(tierStatser)
-	ch := &channel{id: id, shard: p.shardFor(id), det: det, tstats: ts}
+	ch := &channel{id: id, shard: p.shardFor(id), det: det}
 	if ch.batch, _ = det.(batchObserver); ch.batch == nil {
 		ch.batch = laneByLane{det}
 	}
-	if ds, ok := det.(dimser); ok {
-		ch.actionDim, ch.audienceDim = ds.Dims()
-	}
-	if lc, ok := det.(lifetimeCounter); ok {
-		if n := lc.Observed(); n > 0 {
-			ch.observed.Store(uint64(n))
-		}
-		if n := lc.Detected(); n > 0 {
-			ch.detected.Store(uint64(n))
-		}
-	}
-	if ts != nil {
-		if n := ts.TierStats().Skipped; n > 0 {
-			ch.tierskipped.Store(uint64(n))
-		}
+	// A restored channel reports whole-stream statistics, not just the
+	// post-restore leg. Transport-local counters (warmups, rejections,
+	// queue errors) belong to the pool instance and restart at zero.
+	if ch.aov, _ = det.(*aovlis.Detector); ch.aov != nil {
+		ch.actionDim, ch.audienceDim = ch.aov.Dims()
+		ch.observed.Store(uint64(ch.aov.Observed()))
+		ch.detected.Store(uint64(ch.aov.Detected()))
+		ch.tierskipped.Store(uint64(ch.aov.TierStats().Skipped))
 	}
 	if seq, ok := p.retired[id]; ok {
 		// A new incarnation of a detached id: number on from its tombstone,
@@ -968,18 +935,18 @@ func (p *DetectorPool) AttachVerdictSink(s VerdictSink) {
 // WithChannel runs fn against id's detector at a segment boundary: fn
 // executes inside the channel's shard worker, so no Observe on that shard
 // is concurrent with it and the detector's state is between segments.
-// This is the continual-learning seam — a node's absorb loop merges a
-// live channel's weights into the node's template through it without
-// stopping the stream. fn must not call back into the pool (it would
-// deadlock on its own shard) and should be brief: the whole shard is held
-// while it runs.
-func (p *DetectorPool) WithChannel(id string, fn func(det Detector) error) error {
+// fn gets nil when the channel is a bare scorer. This is the
+// continual-learning seam — a node's absorb loop merges a live channel's
+// weights into the node's template through it without stopping the
+// stream. fn must not call back into the pool (it would deadlock on its
+// own shard) and should be brief: the whole shard is held while it runs.
+func (p *DetectorPool) WithChannel(id string, fn func(det *aovlis.Detector) error) error {
 	ch, ok := p.lookup(id)
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrUnknownChannel, id)
 	}
 	var fnErr error
-	if err := p.quiesce(ch, func() { fnErr = fn(ch.det) }); err != nil {
+	if err := p.quiesce(ch, func() { fnErr = fn(ch.aov) }); err != nil {
 		return err
 	}
 	return fnErr

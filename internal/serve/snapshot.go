@@ -49,16 +49,10 @@ import (
 	"aovlis/internal/wire"
 )
 
-// Snapshotter is implemented by detectors whose full runtime state can be
-// serialised (notably *aovlis.Detector). Channels whose detector does not
-// implement it are skipped by Snapshot and reported in the Report.
-type Snapshotter interface {
-	Snapshot(w io.Writer) error
-}
-
-// ErrNotSnapshottable is returned by ExportChannel when the channel's
-// detector does not implement Snapshotter.
-var ErrNotSnapshottable = errors.New("serve: detector does not implement Snapshotter")
+// ErrNotSnapshottable is returned by ExportChannel when the channel is a
+// bare scorer, not an *aovlis.Detector; Snapshot skips such channels and
+// names them in its Report.
+var ErrNotSnapshottable = errors.New("serve: channel is a bare scorer, not an *aovlis.Detector")
 
 // ErrChannelIDMismatch is returned by AttachSnapshot when the uploaded
 // stream's embedded channel-export manifest names a different channel than
@@ -71,7 +65,7 @@ var ErrChannelIDMismatch = errors.New("serve: snapshot channel id does not match
 type Report struct {
 	// Channels is the number of channel snapshots committed.
 	Channels int `json:"channels"`
-	// Skipped lists channels whose detector is not snapshottable.
+	// Skipped lists the bare-scorer channels, which have no checkpoint.
 	Skipped []string `json:"skipped,omitempty"`
 	// Bytes is the total committed snapshot payload.
 	Bytes int64 `json:"bytes"`
@@ -145,7 +139,7 @@ func (p *DetectorPool) quiesce(ch *channel, fn func()) error {
 // encoding runs inside the shard worker (so no Observe is concurrent with
 // it on that shard), the returned buffer is handed back to the caller for
 // the slow file I/O. The returned duration is how long the shard was held.
-func (p *DetectorPool) encodeQuiesced(ch *channel, snap Snapshotter) (*bytes.Buffer, time.Duration, uint64, error) {
+func (p *DetectorPool) encodeQuiesced(ch *channel) (*bytes.Buffer, time.Duration, uint64, error) {
 	var (
 		buf     bytes.Buffer
 		encErr  error
@@ -154,7 +148,7 @@ func (p *DetectorPool) encodeQuiesced(ch *channel, snap Snapshotter) (*bytes.Buf
 	)
 	err := p.quiesce(ch, func() {
 		start := time.Now()
-		encErr = snap.Snapshot(&buf)
+		encErr = ch.aov.Snapshot(&buf)
 		// Read the applied journal floor inside the quiesce: every job
 		// queued before the control job has finished, so this is exactly
 		// the sequence the encoded state covers.
@@ -211,18 +205,17 @@ func (p *DetectorPool) Snapshot(dir string) (Report, error) {
 		firstErr error
 	)
 	for _, ch := range chans {
-		snap, ok := ch.det.(Snapshotter)
-		if !ok {
+		if ch.aov == nil {
 			report.Skipped = append(report.Skipped, ch.id)
 			continue
 		}
 		wg.Add(1)
-		go func(ch *channel, snap Snapshotter) {
+		go func(ch *channel) {
 			defer wg.Done()
 			// Encode inside the shard worker, write outside it. Channels on
 			// the same shard serialise at the shard queue; channels on
 			// different shards proceed in parallel.
-			buf, quiesced, applied, err := p.encodeQuiesced(ch, snap)
+			buf, quiesced, applied, err := p.encodeQuiesced(ch)
 			var entry manifest.ChannelEntry
 			if err == nil {
 				b := buf.Bytes()
@@ -248,7 +241,7 @@ func (p *DetectorPool) Snapshot(dir string) (Report, error) {
 			if quiesced > report.MaxQuiesce {
 				report.MaxQuiesce = quiesced
 			}
-		}(ch, snap)
+		}(ch)
 	}
 	wg.Wait()
 	if firstErr != nil {
@@ -301,11 +294,10 @@ func (p *DetectorPool) ExportChannel(id string, w io.Writer) error {
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrUnknownChannel, id)
 	}
-	snap, okSnap := ch.det.(Snapshotter)
-	if !okSnap {
+	if ch.aov == nil {
 		return fmt.Errorf("%w (channel %q)", ErrNotSnapshottable, id)
 	}
-	buf, _, _, err := p.encodeQuiesced(ch, snap)
+	buf, _, _, err := p.encodeQuiesced(ch)
 	if err != nil {
 		return err
 	}
@@ -329,14 +321,26 @@ func (p *DetectorPool) ExportChannel(id string, w io.Writer) error {
 // ErrChannelIDMismatch) and a bare detector snapshot (pool checkpoint files
 // and pre-export-envelope clients), which carries no id to verify.
 func (p *DetectorPool) AttachSnapshot(id string, r io.Reader) error {
-	exportedID, det, err := DecodeChannelExport(r)
+	det, err := DecodeSnapshot(id, r)
 	if err != nil {
 		return err
 	}
-	if exportedID != "" && exportedID != id {
-		return fmt.Errorf("%w: stream exports %q, attaching as %q", ErrChannelIDMismatch, exportedID, id)
-	}
 	return p.Attach(id, det)
+}
+
+// DecodeSnapshot is AttachSnapshot without the attach, for a caller that
+// vets the detector first: it restores the detector from either stream
+// format and fails with ErrChannelIDMismatch when the stream exports
+// another channel than id.
+func DecodeSnapshot(id string, r io.Reader) (*aovlis.Detector, error) {
+	exportedID, det, err := DecodeChannelExport(r)
+	if err != nil {
+		return nil, err
+	}
+	if exportedID != "" && exportedID != id {
+		return nil, fmt.Errorf("%w: stream exports %q, attaching as %q", ErrChannelIDMismatch, exportedID, id)
+	}
+	return det, nil
 }
 
 // DecodeChannelExport restores a detector from either stream format

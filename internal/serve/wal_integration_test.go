@@ -205,13 +205,15 @@ func TestSubmitJournalOrderUnderConcurrency(t *testing.T) {
 // record that can only score as an error would brick boot replay.
 func TestSubmitJournalRejectsAndRecovers(t *testing.T) {
 	p := newTestPool(t, Config{Shards: 1, QueueDepth: 8})
-	if err := p.Attach("ch", &dimmedFakeDetector{}); err != nil {
+	// Only an *aovlis.Detector reports dims; a bare scorer has no check.
+	if err := p.Attach("ch", trainTemplate(t)); err != nil {
 		t.Fatal(err)
 	}
 	j := newCaptureJournal()
 	p.AttachJournal(j, nil)
+	acts, auds := testStream(5, 2)
 
-	// Wrong dims (detector wants 4/2): refused up front, nothing journaled.
+	// Wrong dims (detector wants 16/6): refused up front, nothing journaled.
 	if _, err := p.Observe("ch", []float64{1}, []float64{1, 2}); err == nil || !strings.Contains(err.Error(), "feature dims") {
 		t.Fatalf("mis-dimensioned observe: %v, want feature-dims error", err)
 	}
@@ -221,11 +223,11 @@ func TestSubmitJournalRejectsAndRecovers(t *testing.T) {
 
 	// Append failure: surfaced, and the burned sequence is released.
 	j.fail = errors.New("disk on fire")
-	if _, err := p.Observe("ch", make([]float64, 4), make([]float64, 2)); err == nil || !errors.Is(err, j.fail) {
+	if _, err := p.Observe("ch", acts[0], auds[0]); err == nil || !errors.Is(err, j.fail) {
 		t.Fatalf("failed append observe: %v, want journal error", err)
 	}
 	j.fail = nil
-	if _, err := p.Observe("ch", make([]float64, 4), make([]float64, 2)); err != nil {
+	if _, err := p.Observe("ch", acts[1], auds[1]); err != nil {
 		t.Fatal(err)
 	}
 	if want := []uint64{1}; len(j.seqs["ch"]) != 1 || j.seqs["ch"][0] != want[0] {
@@ -414,11 +416,6 @@ func TestFullQueueWaitsSoJournalEqualsScored(t *testing.T) {
 	replayed, _ := crashAndReplay(t, tmpl, []string{"full"}, walDir)
 	requireSameSequences(t, "replay after a full queue", map[string][]aovlis.Result{"full": live}, replayed)
 }
-
-// dimmedFakeDetector is a fakeDetector that advertises feature dims 4/2.
-type dimmedFakeDetector struct{ fakeDetector }
-
-func (d *dimmedFakeDetector) Dims() (int, int) { return 4, 2 }
 
 // TestPoolWALKillAndReplayBitIdentical is the crash drill without a
 // checkpoint: every acknowledged observation must survive a kill -9

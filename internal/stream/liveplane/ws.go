@@ -439,15 +439,6 @@ func (c *Conn) WriteFrame(f Frame) error {
 	return c.writeLocked(f)
 }
 
-// WriteRaw writes bytes straight to the connection — torn-frame tests
-// push partial frames through it.
-func (c *Conn) WriteRaw(b []byte) error {
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	_, err := c.conn.Write(b)
-	return err
-}
-
 // writeFrameLocked writes one final frame, masked when this is the client
 // side. Called with wmu held.
 func (c *Conn) writeFrameLocked(op Opcode, payload []byte) error {

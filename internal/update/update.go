@@ -143,21 +143,6 @@ func similarity(a, b *setSketch) float64 {
 	return mat.VecDot(a.sum, b.sum) / (float64(a.count) * float64(b.count))
 }
 
-// PairwiseCosineMean is the brute-force Eq. 17 reference used by tests and
-// by callers who hold explicit hidden-state sets.
-func PairwiseCosineMean(sh, sn [][]float64) float64 {
-	if len(sh) == 0 || len(sn) == 0 {
-		return 1
-	}
-	var total float64
-	for _, a := range sh {
-		for _, b := range sn {
-			total += mat.VecCosine(a, b)
-		}
-	}
-	return total / (float64(len(sh)) * float64(len(sn)))
-}
-
 // Result reports what one Observe call did.
 type Result struct {
 	// Buffered reports whether the segment entered the normal buffer.

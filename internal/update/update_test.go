@@ -113,6 +113,21 @@ func TestSimilaritySketchMatchesBruteForce(t *testing.T) {
 	}
 }
 
+// PairwiseCosineMean is the brute-force Eq. 17 reference the sketch's
+// similarity is checked against.
+func PairwiseCosineMean(sh, sn [][]float64) float64 {
+	if len(sh) == 0 || len(sn) == 0 {
+		return 1
+	}
+	var total float64
+	for _, a := range sh {
+		for _, b := range sn {
+			total += mat.VecCosine(a, b)
+		}
+	}
+	return total / (float64(len(sh)) * float64(len(sn)))
+}
+
 func TestSimilarityEdgeCases(t *testing.T) {
 	var empty, one setSketch
 	one.add([]float64{1, 0})
