@@ -68,7 +68,7 @@ func (mv Move) writeJSON(j *wire.JSON) {
 //	export   — GET /channels/{id}/snapshot from the old owner (quiesces
 //	           the channel server-side)
 //	import   — PUT /channels/{id}/snapshot on the new owner (the id-match
-//	           guard in serve.AttachSnapshot makes crossed streams a 400,
+//	           guard in serve.DecodeSnapshot makes crossed streams a 400,
 //	           not silent state corruption)
 //	detach   — DELETE /channels/{id} on the old owner
 //	flip     — entry republishes with the new owner and a bumped epoch;

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"math/rand"
@@ -144,6 +145,46 @@ func freeSets(cfg Config) []*Lanes {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return append([]*Lanes(nil), l.free...)
+}
+
+// TestUnrunModelsRegisterNothing pins when a configuration joins
+// laneLists: a model made, cloned or loaded and dropped without running
+// leaves no list behind, so a process that decodes foreign snapshots and
+// refuses them keeps nothing of theirs; the first run registers the list,
+// and a clone of a model that ran reaches the same one.
+func TestUnrunModelsRegisterNothing(t *testing.T) {
+	configs := func() int {
+		laneLists.mu.Lock()
+		defer laneLists.mu.Unlock()
+		return len(laneLists.lists)
+	}
+	cfg := unsharedConfig(randomBatchConfig(rand.New(rand.NewSource(97)), CouplingFull))
+	before := configs()
+	m, err := NewModel(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b bytes.Buffer
+	if err := m.SaveRuntime(&b); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := LoadModel(&b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clone := loaded.Clone()
+	if got := configs(); got != before {
+		t.Fatalf("made, saved, loaded and cloned unrun, the models registered %d configurations", got-before)
+	}
+	m.TakeLanes().Put()
+	if got := configs(); got != before+1 {
+		t.Fatalf("the first run registered %d configurations, want 1", got-before)
+	}
+	ls := m.Clone().TakeLanes()
+	defer ls.Put()
+	if ls.list != laneLists.For(cfg) || clone.laneList() != ls.list {
+		t.Fatal("models of one configuration borrow from different lists")
+	}
 }
 
 // TestPlanLaneCapacity pins the capacity contract of the borrowed lane

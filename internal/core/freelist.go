@@ -51,7 +51,9 @@ func (l *FreeList[T]) Made() int {
 
 // PerConfig keeps one T — a free list — per model configuration, so that
 // every model of a Config, made by NewModel, Clone or LoadModel, reaches
-// the same one. A list and the objects on it live as long as the process:
+// the same one. Its users look a configuration up when a model first
+// borrows, not when one is made, so a model dropped unrun registers
+// nothing. A list and the objects on it live as long as the process:
 // a node serves one configuration; a process that makes models of many
 // keeps one list, and what was borrowed from it at once, per
 // configuration.

@@ -204,19 +204,32 @@ type laneList struct {
 	lanes, rows atomic.Int64
 }
 
-// laneLists holds the lane-set list of every Config a model was made with.
+// laneLists holds the lane-set list of every Config a model has run with.
 var laneLists PerConfig[laneList]
 
 // LaneSetsMade reports how many lane sets the models of cfg have made.
 func LaneSetsMade(cfg Config) int { return laneLists.For(cfg).Made() }
 
+// laneList returns the lane-set list of m's configuration, registering the
+// configuration on m's first call: a model decoded and dropped unrun — an
+// upload a node refuses — leaves nothing in laneLists.
+func (m *Model) laneList() *laneList {
+	l := m.lanes.Load()
+	if l == nil {
+		l = laneLists.For(m.cfg)
+		m.lanes.Store(l)
+	}
+	return l
+}
+
 // TakeLanes borrows a lane set from the list of the model's configuration,
 // making one when the list is empty. Give it back with Put.
 func (m *Model) TakeLanes() *Lanes {
-	if ls := m.lanes.Take(); ls != nil {
+	l := m.laneList()
+	if ls := l.Take(); ls != nil {
 		return ls
 	}
-	return m.plan.newLanes(m.lanes)
+	return m.plan.newLanes(l)
 }
 
 // Put returns the set to the list TakeLanes took it from. The borrower

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"sync/atomic"
 
 	"aovlis/internal/nn"
 	"aovlis/internal/snapshot"
@@ -36,10 +37,11 @@ type Model struct {
 	opt *nn.Adam
 
 	// plan is the compiled tape-free inference engine (infer.go); it reads
-	// ps, so it is never stale. lanes is the list of lane sets its runs
-	// borrow, the one of every model of cfg.
+	// ps, so it is never stale. lanes caches the list of lane sets its runs
+	// borrow, the one of every model of cfg, looked up on the first run
+	// (laneList), so a model that never runs registers no configuration.
 	plan  *InferPlan
-	lanes *laneList
+	lanes atomic.Pointer[laneList]
 
 	// tplan is the training engine (train.go), compiled on first use so
 	// inference-only models — every serving channel clone — never pay for
@@ -69,7 +71,7 @@ func NewModel(cfg Config) (*Model, error) {
 		decA: nn.NewDense(ps, "decA", cfg.HiddenA, cfg.AudienceDim, nn.Linear, rng),
 		opt:  nn.NewAdam(cfg.LearningRate),
 	}
-	m.plan, m.lanes = compileInferPlan(ps, cfg.SeqLen, m.specs()), laneLists.For(cfg)
+	m.plan = compileInferPlan(ps, cfg.SeqLen, m.specs())
 	return m, nil
 }
 
@@ -158,7 +160,7 @@ func (m *Model) PredictBatchInto(samples []Sample, fhats, ahats [][]float64) err
 func (m *Model) PredictWindows(ls *Lanes, from, lanes int) error {
 	q, act, aud := m.cfg.SeqLen, ls.rows[0], ls.rows[1]
 	switch {
-	case ls.list != m.lanes:
+	case ls.list != m.laneList():
 		return fmt.Errorf("core: PredictWindows on a lane set of another configuration")
 	case lanes < 1 || from < q || from+lanes-1 > len(act):
 		return fmt.Errorf("core: PredictWindows of %d lanes from row %d, q = %d, over %d rows", lanes, from, q, len(act))
@@ -327,7 +329,8 @@ func (m *Model) Clone() *Model {
 		cellI: m.cellI, cellA: m.cellA, decI: m.decI, decA: m.decA,
 		opt: nn.NewAdam(m.cfg.LearningRate),
 	}
-	c.plan, c.lanes = compileInferPlan(c.ps, c.cfg.SeqLen, c.specs()), m.lanes
+	c.plan = compileInferPlan(c.ps, c.cfg.SeqLen, c.specs())
+	c.lanes.Store(m.lanes.Load())
 	return c
 }
 

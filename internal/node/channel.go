@@ -15,7 +15,9 @@ var errChannelLimit = errors.New("channel limit reached")
 // errForeignConfig refuses an imported detector whose model configuration
 // is not the template's: every channel of a node is a copy of one trained
 // model, and each distinct configuration would pin its own per-
-// configuration scratch (core.PerConfig) for the life of the process.
+// configuration scratch (core.PerConfig) for the life of the process. A
+// model registers its configuration when it first runs, so a refused
+// upload, decoded and dropped, registers none.
 var errForeignConfig = errors.New("snapshot's model configuration is not the node's")
 
 // attach is where a channel begins. With a nil snap it ensures id exists —

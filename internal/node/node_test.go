@@ -9,6 +9,7 @@ package node
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -22,6 +23,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -80,8 +82,9 @@ func trainSmall(t *testing.T, seed int64, epochs int) *aovlis.Detector {
 
 // benchShape trains a detector at the benchmark's model shape (48 action
 // classes, 19 audience dimensions, q = 9) for one epoch from the given
-// model seed, and returns it with its training series.
-func benchShape(t *testing.T, seed int64) (det *aovlis.Detector, acts, auds [][]float64) {
+// model seed, with or without the dynamic update, and returns it with its
+// training series.
+func benchShape(t *testing.T, seed int64, update bool) (det *aovlis.Detector, acts, auds [][]float64) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(3))
 	for i := 0; i < 60; i++ {
@@ -97,7 +100,7 @@ func benchShape(t *testing.T, seed int64) (det *aovlis.Detector, acts, auds [][]
 		acts, auds = append(acts, f), append(auds, a)
 	}
 	cfg := aovlis.DefaultConfig(48, 19)
-	cfg.Epochs, cfg.Seed = 1, seed
+	cfg.Epochs, cfg.Seed, cfg.EnableUpdate = 1, seed, update
 	det, err := aovlis.Train(acts, auds, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -685,25 +688,32 @@ func TestStatusForPoolErr(t *testing.T) {
 	}
 }
 
+// importRuns counts TestImportKeepsOneConfiguration's runs.
+var importRuns atomic.Int32
+
 // TestImportKeepsOneConfiguration gates what snapshot uploads can make a
 // node retain, at the benchmark's model shape. An upload whose model
 // differs from the template only in its Seed is refused 422 before
-// anything attaches or is journaled: 40 of them leave the channel table,
-// the journal and, within 64 KiB, the heap as they were (≈ 10–18 KB of
-// one-time caches stay). Accepted, each
-// such configuration kept its scratch for the life of the process: 40
-// scored in 16-lane batches and detached retained ≈ 4.1 MB. Uploads of the
-// template's own configuration share its scratch: 40 attached, scored and
-// detached leave the heap within 64 KiB of where it was.
+// anything attaches or is journaled, and before its configuration is
+// registered anywhere: 340 such uploads, each with an updater and a
+// configuration the process has never run, leave the channel table and
+// the journal as they were, and past the first 40, which fill ≈ 10 KB of
+// one-time caches, the other 300 leave the heap within 8 KiB (≤ 0.4 KB
+// read; registering each one's lane-set and trainer lists kept 14–118 KB
+// in all). Accepted, each such configuration kept its scratch for the
+// life of the process: 40 scored in 16-lane batches and detached retained
+// ≈ 4.1 MB. Uploads of the template's own configuration share its
+// scratch: 40 attached, scored and detached leave the heap within 64 KiB
+// of where it was.
 func TestImportKeepsOneConfiguration(t *testing.T) {
-	const uploads, bound = 40, 64 << 10
+	const uploads, bound, refusals, refusedBound = 40, 64 << 10, 300, 8 << 10
 	// No ledger: it keeps a hash of every verdict.
 	d := dirs{wal: t.TempDir()}
 	cfg := testConfig(d)
 	cfg.MaxChannels = uploads
 	cfg.Pool.Batch = 16
 	cfg.Logf = t.Logf
-	tmpl, acts, auds := benchShape(t, 0)
+	tmpl, acts, auds := benchShape(t, 0, false)
 	n, err := Open(tmpl, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -782,29 +792,54 @@ func TestImportKeepsOneConfiguration(t *testing.T) {
 	// (its ids are as long, its scores the same).
 	cycle("warm", uploads)
 
-	foreign := make([][]byte, uploads)
-	for i := range foreign {
-		det, _, _ := benchShape(t, 1000+int64(i))
-		if det.Model().Config() == tmpl.Model().Config() {
-			t.Fatal("a foreign seed trained the template's configuration")
-		}
-		foreign[i] = snapshotOf(det)
+	// The uploads must carry configurations this process has never run, as
+	// a peer's would: a model registers its configuration when it runs, so
+	// training each here would register it before its upload. They are one
+	// trained snapshot, with an updater, its Seed rewritten in place: a seed
+	// in [2⁵⁵, 2⁶²) is gob's 0xF8 and eight bytes of its zigzag, and stays
+	// that long when bumped.
+	gobSeed := func(seed int64) []byte {
+		b := make([]byte, 9)
+		b[0] = 0xF8
+		binary.BigEndian.PutUint64(b[1:], uint64(seed<<1)^uint64(seed>>63))
+		return b
 	}
-	channels, journal, before := n.pool.Len(), n.wal.MaxSeqs(), heap()
-	for i, blob := range foreign {
-		if code := put(fmt.Sprintf("foreign-%d", i), blob); code != http.StatusUnprocessableEntity {
-			t.Fatalf("foreign upload %d answered %d, want 422", i, code)
+	const base int64 = 0x3A5C_0000_0000_0000
+	det, _, _ := benchShape(t, base, true)
+	blob := snapshotOf(det)
+	if bytes.Count(blob, gobSeed(base)) == 0 {
+		t.Fatalf("snapshot of seed %#x holds no gob encoding of it", base)
+	}
+	// refuse uploads the k-th foreign snapshots for k in [from, to). Each
+	// run of the test uses seeds of its own, new to the process however
+	// often it repeats.
+	run := int64(importRuns.Add(1)) << 20
+	refuse := func(from, to int) {
+		for k := from; k < to; k++ {
+			reseeded := bytes.ReplaceAll(blob, gobSeed(base), gobSeed(base+run+int64(k)))
+			if code := put(fmt.Sprintf("foreign-%d", k), reseeded); code != http.StatusUnprocessableEntity {
+				t.Fatalf("foreign upload %d answered %d, want 422", k, code)
+			}
 		}
 	}
+	// The first refusals fill what a refusal makes once (about 10 KB of
+	// decoder caches); each foreign configuration after them must add
+	// nothing, where registering its lane-set and trainer lists kept at
+	// least 112 B. The heap moves by up to ±10 KB between two reads here, so
+	// the measured refusals are many.
+	channels, journal := n.pool.Len(), n.wal.MaxSeqs()
+	refuse(0, uploads)
+	before := heap()
+	refuse(uploads, uploads+refusals)
 	grew := int64(heap()) - int64(before)
-	runtime.KeepAlive(foreign)
+	runtime.KeepAlive(blob)
 	if n.pool.Len() != channels || !reflect.DeepEqual(n.wal.MaxSeqs(), journal) {
 		t.Fatalf("refused uploads changed the node: %d channels (was %d), journal %v (was %v)",
 			n.pool.Len(), channels, n.wal.MaxSeqs(), journal)
 	}
-	t.Logf("%d refused foreign uploads retain %d B", uploads, grew)
-	if grew > bound {
-		t.Errorf("%d refused foreign uploads retain %d B, want at most %d", uploads, grew, bound)
+	t.Logf("%d refused foreign uploads retain %d B", refusals, grew)
+	if grew > refusedBound {
+		t.Errorf("%d refused foreign uploads retain %d B, want at most %d", refusals, grew, refusedBound)
 	}
 
 	before = heap()
@@ -912,7 +947,7 @@ func TestContinualWarmStartOnAttach(t *testing.T) {
 // writes — it shares the template's weights as any clone does, where a
 // channel seeded with a copy of them retains ≈ 160 KB.
 func TestWarmStartedChannelFootprint(t *testing.T) {
-	tmpl, _, _ := benchShape(t, 0)
+	tmpl, _, _ := benchShape(t, 0, false)
 	const channels = 200
 	cfg := testConfig(dirs{})
 	cfg.MaxChannels = channels + 1

@@ -47,7 +47,7 @@ func exportFuzzSeeds(tb testing.TB) [][]byte {
 	return seeds
 }
 
-// FuzzAttachSnapshot feeds arbitrary bytes to DetectorPool.AttachSnapshot,
+// FuzzAttachSnapshot feeds arbitrary bytes to DecodeSnapshot and Attach,
 // the body of PUT /channels/{id}/snapshot. The result is an error or an
 // attach, never a panic; a failed attach leaves no channel behind, and an
 // attached one answers an observation with a result or a clean error.
@@ -63,13 +63,13 @@ func FuzzAttachSnapshot(f *testing.F) {
 	f.Cleanup(func() { p.Close() })
 	// The seeds are what they claim: the export attaches, the other
 	// channel's is refused by its envelope.
-	if err := p.AttachSnapshot("fuzz", bytes.NewReader(seeds[0])); err != nil {
+	if err := attachSnapshot(p, "fuzz", bytes.NewReader(seeds[0])); err != nil {
 		f.Fatal(err)
 	}
 	if err := p.Detach("fuzz"); err != nil {
 		f.Fatal(err)
 	}
-	if err := p.AttachSnapshot("fuzz", bytes.NewReader(seeds[1])); !errors.Is(err, ErrChannelIDMismatch) {
+	if err := attachSnapshot(p, "fuzz", bytes.NewReader(seeds[1])); !errors.Is(err, ErrChannelIDMismatch) {
 		f.Fatalf("the other channel's export: %v, want ErrChannelIDMismatch", err)
 	}
 	act, aud := channelSeries(6, 1)
@@ -77,7 +77,7 @@ func FuzzAttachSnapshot(f *testing.F) {
 		if len(data) > 1<<20 {
 			return // bound adversarial allocations, not coverage
 		}
-		err := p.AttachSnapshot("fuzz", bytes.NewReader(data))
+		err := attachSnapshot(p, "fuzz", bytes.NewReader(data))
 		_, statErr := p.Stats("fuzz")
 		if err != nil {
 			if !errors.Is(statErr, ErrUnknownChannel) {

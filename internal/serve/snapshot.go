@@ -54,7 +54,7 @@ import (
 // names them in its Report.
 var ErrNotSnapshottable = errors.New("serve: channel is a bare scorer, not an *aovlis.Detector")
 
-// ErrChannelIDMismatch is returned by AttachSnapshot when the uploaded
+// ErrChannelIDMismatch is returned by DecodeSnapshot when the uploaded
 // stream's embedded channel-export manifest names a different channel than
 // the one the caller is attaching — almost always a mis-addressed migration
 // PUT. Rejecting it up front keeps a channel's runtime from silently
@@ -284,11 +284,11 @@ type channelExportWire struct {
 }
 
 // ExportChannel streams one channel's quiesced snapshot to w — the sending
-// half of channel migration: export from one pool, AttachSnapshot into
-// another (possibly in a different process). The stream opens with a
-// channel-export envelope naming the channel id; AttachSnapshot rejects an
-// id mismatch with ErrChannelIDMismatch instead of attaching a foreign
-// channel's runtime under the wrong id.
+// half of channel migration: export from one pool, DecodeSnapshot and
+// Attach into another (possibly in a different process). The stream opens
+// with a channel-export envelope naming the channel id; DecodeSnapshot
+// rejects an id mismatch with ErrChannelIDMismatch instead of attaching a
+// foreign channel's runtime under the wrong id.
 func (p *DetectorPool) ExportChannel(id string, w io.Writer) error {
 	ch, ok := p.lookup(id)
 	if !ok {
@@ -311,27 +311,15 @@ func (p *DetectorPool) ExportChannel(id string, w io.Writer) error {
 	return err
 }
 
-// AttachSnapshot restores a detector from a Snapshot/ExportChannel stream
-// and attaches it under id — the receiving half of channel migration. The
-// restored channel resumes mid-window exactly where the exported one
-// stopped.
+// DecodeSnapshot restores a detector from a Snapshot/ExportChannel stream
+// for attaching under id — the receiving half of channel migration, which
+// a caller completes with Attach after vetting the detector. The restored
+// channel resumes mid-window exactly where the exported one stopped.
 //
 // Two stream formats are accepted: a channel-export wrapper (ExportChannel
-// emits it; the embedded channel id must equal id or the attach fails with
+// emits it; the embedded channel id must equal id or decoding fails with
 // ErrChannelIDMismatch) and a bare detector snapshot (pool checkpoint files
 // and pre-export-envelope clients), which carries no id to verify.
-func (p *DetectorPool) AttachSnapshot(id string, r io.Reader) error {
-	det, err := DecodeSnapshot(id, r)
-	if err != nil {
-		return err
-	}
-	return p.Attach(id, det)
-}
-
-// DecodeSnapshot is AttachSnapshot without the attach, for a caller that
-// vets the detector first: it restores the detector from either stream
-// format and fails with ErrChannelIDMismatch when the stream exports
-// another channel than id.
 func DecodeSnapshot(id string, r io.Reader) (*aovlis.Detector, error) {
 	exportedID, det, err := DecodeChannelExport(r)
 	if err != nil {
@@ -344,7 +332,7 @@ func DecodeSnapshot(id string, r io.Reader) (*aovlis.Detector, error) {
 }
 
 // DecodeChannelExport restores a detector from either stream format
-// AttachSnapshot accepts. The returned id is the channel id named by the
+// DecodeSnapshot accepts. The returned id is the channel id named by the
 // stream's channel-export manifest, or "" for a bare detector snapshot
 // (which carries no identity).
 func DecodeChannelExport(r io.Reader) (string, *aovlis.Detector, error) {
@@ -394,7 +382,10 @@ func RestorePool(dir string, m manifest.Manifest, cfg Config) (*DetectorPool, er
 	for _, e := range m.Channels {
 		b, err := manifest.ReadEntry(dir, e)
 		if err == nil {
-			err = p.AttachSnapshot(e.ID, bytes.NewReader(b))
+			var det *aovlis.Detector
+			if det, err = DecodeSnapshot(e.ID, bytes.NewReader(b)); err == nil {
+				err = p.Attach(e.ID, det)
+			}
 		}
 		if err != nil {
 			p.Close()

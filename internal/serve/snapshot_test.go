@@ -9,6 +9,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"os"
@@ -243,7 +244,7 @@ func TestChannelMigration(t *testing.T) {
 	if err := src.ExportChannel("mover", &wire); err != nil {
 		t.Fatal(err)
 	}
-	if err := dst.AttachSnapshot("mover", bytes.NewReader(wire.Bytes())); err != nil {
+	if err := attachSnapshot(dst, "mover", bytes.NewReader(wire.Bytes())); err != nil {
 		t.Fatal(err)
 	}
 	// The exported channel id is also free to live on in the source pool;
@@ -276,6 +277,16 @@ func TestChannelMigration(t *testing.T) {
 	}
 }
 
+// attachSnapshot decodes a Snapshot/ExportChannel stream and attaches it
+// under id, as a checkpoint restore or a migration's import does.
+func attachSnapshot(p *DetectorPool, id string, r io.Reader) error {
+	det, err := DecodeSnapshot(id, r)
+	if err != nil {
+		return err
+	}
+	return p.Attach(id, det)
+}
+
 // TestAttachSnapshotIDMismatch pins the migration-addressing guard: a PUT
 // of channel A's export under channel B's id must fail up front with the
 // typed mismatch error, not attach A's runtime as B (ISSUE 8 satellite).
@@ -294,7 +305,7 @@ func TestAttachSnapshotIDMismatch(t *testing.T) {
 	if err := src.ExportChannel("alice", &wire); err != nil {
 		t.Fatal(err)
 	}
-	err = dst.AttachSnapshot("bob", bytes.NewReader(wire.Bytes()))
+	err = attachSnapshot(dst, "bob", bytes.NewReader(wire.Bytes()))
 	if !errors.Is(err, ErrChannelIDMismatch) {
 		t.Fatalf("mismatched attach = %v, want ErrChannelIDMismatch", err)
 	}
@@ -304,7 +315,7 @@ func TestAttachSnapshotIDMismatch(t *testing.T) {
 	// The same stream attaches cleanly under its own id, and a bare
 	// detector snapshot (no identity envelope — pool checkpoint files)
 	// stays attachable under any id.
-	if err := dst.AttachSnapshot("alice", bytes.NewReader(wire.Bytes())); err != nil {
+	if err := attachSnapshot(dst, "alice", bytes.NewReader(wire.Bytes())); err != nil {
 		t.Fatal(err)
 	}
 	bareID, bare, err := DecodeChannelExport(bytes.NewReader(wire.Bytes()))
@@ -315,7 +326,7 @@ func TestAttachSnapshotIDMismatch(t *testing.T) {
 	if err := bare.Snapshot(&plain); err != nil {
 		t.Fatal(err)
 	}
-	if err := dst.AttachSnapshot("carol", bytes.NewReader(plain.Bytes())); err != nil {
+	if err := attachSnapshot(dst, "carol", bytes.NewReader(plain.Bytes())); err != nil {
 		t.Fatalf("bare detector snapshot under a new id: %v", err)
 	}
 }

@@ -3,7 +3,7 @@ package serve
 // Soak/chaos integration test (ISSUE 5 satellite): 64 channels under
 // sustained micro-batched load while the pool is snapshotted concurrently,
 // channels are migrated out and back (ExportChannel → Detach →
-// AttachSnapshot), and the whole pool is killed and warm-restarted from
+// DecodeSnapshot → Attach), and the whole pool is killed and warm-restarted from
 // its checkpoint directory mid-stream with a different shard count. The
 // invariant: every channel's full verdict sequence is bit-identical to a
 // chaos-free serial replay on a fresh clone — batching, checkpointing,
@@ -203,7 +203,7 @@ func runPoolSoakChaos(t *testing.T, tiered bool) {
 		if err := pool.Detach(ids[i]); err != nil {
 			t.Fatal(err)
 		}
-		if err := pool.AttachSnapshot(ids[i], &buf); err != nil {
+		if err := attachSnapshot(pool, ids[i], &buf); err != nil {
 			t.Fatalf("re-attach %s: %v", ids[i], err)
 		}
 	}

@@ -90,7 +90,7 @@ func ReadHeader(r io.Reader, wantKind string) (Header, error) {
 }
 
 // ReadHeaderAny decodes and validates the envelope without constraining the
-// artifact kind — for callers that dispatch on it (serve.AttachSnapshot
+// artifact kind — for callers that dispatch on it (serve.DecodeSnapshot
 // accepts both bare detector streams and channel-export wrappers). The
 // magic and version checks are identical to ReadHeader.
 func ReadHeaderAny(r io.Reader) (Header, error) {

@@ -158,10 +158,11 @@ type Result struct {
 // trainerLists holds a free list of CLSTM_new trainers per model
 // configuration: the updaters of every model of one configuration — a
 // template's, its clones', a detector's loaded or restored with it —
-// retrain on one list. A retrain takes a trainer, resets it from its
-// serving model and puts it back after the merge, so the number of
-// trainers ever made is bounded by how many retrains run at once, not by
-// how many updaters share the list.
+// retrain on one list, looked up at each retrain, so an updater that never
+// retrains registers no configuration. A retrain takes a trainer, resets it
+// from its serving model and puts it back after the merge, so the number
+// of trainers ever made is bounded by how many retrains run at once, not
+// by how many updaters share the list.
 var trainerLists core.PerConfig[core.FreeList[trainer]]
 
 // TrainersMade reports how many trainers the updaters of models of cfg have
@@ -205,9 +206,8 @@ func (tr *trainer) clear() {
 
 // Updater maintains a CLSTM over a stream per Fig. 5.
 type Updater struct {
-	cfg      Config
-	model    *core.Model
-	trainers *core.FreeList[trainer]
+	cfg   Config
+	model *core.Model
 
 	history  setSketch // S_h: hidden states of historical data
 	incoming setSketch // S_n: hidden states of buffered incoming data
@@ -241,7 +241,7 @@ func New(model *core.Model, cfg Config) (*Updater, error) {
 	if model == nil {
 		return nil, fmt.Errorf("update: nil model")
 	}
-	return &Updater{cfg: cfg, model: model, trainers: trainerLists.For(model.Config()), prevWindowMean: 1, hidden: make([]float64, model.Config().HiddenI)}, nil
+	return &Updater{cfg: cfg, model: model, prevWindowMean: 1, hidden: make([]float64, model.Config().HiddenI)}, nil
 }
 
 // Model returns the current model (callers score segments with it).
@@ -498,11 +498,12 @@ func (u *Updater) SetState(st State) error {
 // parameters, fresh optimiser and shuffle seed a Clone of it would start
 // from, in arrays the trainer reuses.
 func (u *Updater) applyUpdate() error {
-	tr := u.trainers.Take()
+	trainers := trainerLists.For(u.model.Config())
+	tr := trainers.Take()
 	if tr == nil {
 		tr = &trainer{model: core.NewTrainer(u.model), rng: rand.New(rand.NewSource(0))}
 	}
-	defer u.trainers.Put(tr)
+	defer trainers.Put(tr)
 	defer tr.clear()
 	if err := tr.model.Reset(u.model); err != nil {
 		return fmt.Errorf("update: resetting CLSTM_new: %w", err)
