@@ -92,14 +92,18 @@ func TestRetiredFlagIsIgnored(t *testing.T) {
 	}
 }
 
-// TestPolicyFlagIsUnknown: a full queue always waits, so there is no
-// overflow policy to choose, and -policy fails as any unknown flag does.
+// TestPolicyFlagIsUnknown: -policy and -batch fail as any unknown flag
+// does. A full queue always waits, so there is no overflow policy to
+// choose; the micro-batching cap, also both ingest planes' pipelining
+// depth, is serve's default of 16.
 func TestPolicyFlagIsUnknown(t *testing.T) {
 	bin, _, _ := smokeBinaries(t)
-	out, err := exec.Command(bin, "-policy", "drop").CombinedOutput()
-	var exit *exec.ExitError
-	if !errors.As(err, &exit) || exit.ExitCode() != 2 || !bytes.Contains(out, []byte("flag provided but not defined: -policy")) {
-		t.Fatalf("aovlisd -policy drop: %v\n%s", err, out)
+	for _, args := range [][]string{{"-policy", "drop"}, {"-batch", "4"}} {
+		out, err := exec.Command(bin, args...).CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 || !bytes.Contains(out, []byte("flag provided but not defined: "+args[0])) {
+			t.Fatalf("aovlisd %v: %v\n%s", args, err, out)
+		}
 	}
 }
 

@@ -104,7 +104,9 @@ import (
 
 func main() {
 	var (
-		cfg                         node.Config
+		// Pool.Batch is serve's default, 16: the micro-batching cap and
+		// both ingest planes' pipelining depth.
+		cfg                         = node.Config{Pool: serve.DefaultConfig()}
 		addr, loadPath              string
 		fastMath, tiered, admission bool
 	)
@@ -114,7 +116,6 @@ func main() {
 	flag.BoolVar(&tiered, "tiered", false, "enable bound-gated tier skipping: segments the anchor bound clears as normal skip the LSTM predict entirely (one-sided; flip rate gated by the root test harness)")
 	flag.IntVar(&cfg.Pool.Shards, "shards", 4, "detector pool shards (worker goroutines)")
 	flag.IntVar(&cfg.Pool.QueueDepth, "queue", 256, "per-shard ingest queue depth; a full queue makes its submitters wait")
-	flag.IntVar(&cfg.Pool.Batch, "batch", 16, "micro-batching drain cap: segments a shard worker scores per wake-up through the batched inference path (0 or 1 disables; scores are bit-identical either way)")
 	flag.IntVar(&cfg.MaxChannels, "max-channels", 1024, "maximum concurrently attached channels (each holds ~4 KB over the shared model weights, ~10 KB once it has scored: its own window rows; batch scratch is one lane set per shard, ~100 KB at 16-segment batches, BENCH.md §15; a channel of an EnableUpdate model ~320 KB once it has retrained: its own weights and its buffer's rows, BENCH.md §25)")
 	flag.BoolVar(&cfg.Pprof, "pprof", false, "serve /debug/pprof profiling endpoints (BENCH.md §4); exposes process internals, enable only on trusted listeners")
 	flag.BoolVar(&cfg.Metrics, "metrics", true, "serve the Prometheus text exposition at GET /metrics (per-stage latency histograms, admission state, shard queue depths)")

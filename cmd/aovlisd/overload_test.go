@@ -217,7 +217,8 @@ func TestObserve429UnderOverload(t *testing.T) {
 	var outs []<-chan serve.Outcome
 	overloaded := false
 	for i := 0; i < 15; i++ {
-		out, err := n.Pool().Submit("slow", []float64{1}, []float64{1})
+		out := make(chan serve.Outcome, 1)
+		err := n.Pool().SubmitInto("slow", []float64{1}, []float64{1}, out)
 		if err != nil {
 			overloaded = true
 			break
@@ -270,7 +271,7 @@ func TestObserve429UnderOverload(t *testing.T) {
 
 	// Let a few segments score while still backed up: accepted work keeps
 	// draining under reject, and /channels must show it next to the
-	// refusals (the Submit above plus the refused stream on "slow").
+	// refusals (the SubmitInto above plus the refused stream on "slow").
 	for i := 0; i < 3; i++ {
 		g.release <- struct{}{}
 	}

@@ -7,6 +7,7 @@ import (
 	"bufio"
 	"bytes"
 	"debug/elf"
+	"errors"
 	"net"
 	"net/http"
 	"os"
@@ -172,6 +173,20 @@ func TestDaemonsRefuseUnknownHosts(t *testing.T) {
 		msg := stderr.String()
 		if !strings.Contains(msg, c.flag+":") || !strings.Contains(msg, `"nosuch.invalid"`) || stdout.Len() > 0 && strings.Contains(stdout.String(), " on ") {
 			t.Fatalf("%v: stderr %q, stdout %q; want the host refused under %s and nothing announced", c.args, msg, stdout.String(), c.flag)
+		}
+	}
+}
+
+// TestRetiredRingFlagsAreUnknown: the ring's virtual points and load bound
+// are cluster.DefaultReplicas and DefaultLoadFactor, and -vnodes and
+// -load-factor fail as any unknown flag does.
+func TestRetiredRingFlagsAreUnknown(t *testing.T) {
+	soakBinaries(t)
+	for _, args := range [][]string{{"-vnodes", "64"}, {"-load-factor", "2"}} {
+		out, err := exec.Command(soakFixture.router, args...).CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 || !bytes.Contains(out, []byte("flag provided but not defined: "+args[0])) {
+			t.Fatalf("aovlisr %v: %v\n%s", args, err, out)
 		}
 	}
 }

@@ -1,8 +1,8 @@
 // Command aovlisr is the AOVLIS fleet router: the scale-out serving tier
 // in front of N aovlisd node processes. It consistent-hash-places channels
 // across the fleet (bounded-load, so no node carries more than
-// -load-factor times its fair share), forwards NDJSON observe streams to
-// each channel's owner on connections of their own, live-migrates
+// cluster.DefaultLoadFactor times its fair share), forwards NDJSON observe
+// streams to each channel's owner on connections of their own, live-migrates
 // channels between nodes on POST /cluster/rebalance, and fails a dead node's
 // channels over onto survivors — warm-restoring each from the node's last
 // checkpoint when its -snapshot-dir is shared with the router, then
@@ -44,22 +44,19 @@ func main() {
 	var (
 		addr       = flag.String("addr", ":7600", "router listen address, host:port; the host is an IP literal, a name in /etc/hosts, or empty for every interface")
 		nodes      = flag.String("nodes", "", "fleet spec: name=url[=snapshotdir[=waldir]],... — each url's host is an IP literal or a name in /etc/hosts; the name must match each node's -node-id; the optional snapshotdir is that node's -snapshot-dir as visible to the router, enabling warm failover; the optional waldir is its -wal-dir, enabling journal-tail replay (bit-equal failover)")
-		replicas   = flag.Int("vnodes", cluster.DefaultReplicas, "virtual points per node on the hash ring")
-		loadFactor = flag.Float64("load-factor", cluster.DefaultLoadFactor, "bounded-load factor: no node owns more than this multiple of the mean channel count")
 		window     = flag.Int("window", 32, "per-stream pipelining depth: unacknowledged segments in flight per observe stream (also bounds segments queued at the router across a failover)")
 		probeEvery = flag.Duration("probe-every", 500*time.Millisecond, "health-probe period")
 		failAfter  = flag.Int("fail-after", 3, "consecutive probe failures that declare a node dead and trigger failover")
 		failWait   = flag.Duration("failover-wait", 15*time.Second, "how long a stream keeps unacknowledged segments queued waiting for a new owner before answering them with error lines")
 	)
 	flag.Parse()
-	if err := run(*addr, *nodes, *replicas, *loadFactor, *window, *probeEvery, *failAfter, *failWait); err != nil {
+	if err := run(*addr, *nodes, *window, *probeEvery, *failAfter, *failWait); err != nil {
 		fmt.Fprintln(os.Stderr, "aovlisr:", err)
 		os.Exit(1)
 	}
 }
 
-func run(addr, nodes string, replicas int, loadFactor float64, window int,
-	probeEvery time.Duration, failAfter int, failWait time.Duration) error {
+func run(addr, nodes string, window int, probeEvery time.Duration, failAfter int, failWait time.Duration) error {
 	if nodes == "" {
 		return fmt.Errorf("-nodes is required (name=url[=snapshotdir[=waldir]],...)")
 	}
@@ -86,8 +83,6 @@ func run(addr, nodes string, replicas int, loadFactor float64, window int,
 	defer l.Close()
 	r, err := cluster.New(cluster.Config{
 		Nodes:        specs,
-		Replicas:     replicas,
-		LoadFactor:   loadFactor,
 		Window:       window,
 		ProbeEvery:   probeEvery,
 		FailAfter:    failAfter,
@@ -105,7 +100,7 @@ func run(addr, nodes string, replicas int, loadFactor float64, window int,
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(l) }()
 	fmt.Printf("aovlisr routing %d nodes on %s (vnodes %d, load factor %.2f)\n",
-		len(specs), l.Addr(), replicas, loadFactor)
+		len(specs), l.Addr(), cluster.DefaultReplicas, cluster.DefaultLoadFactor)
 
 	select {
 	case err := <-errc:

@@ -23,8 +23,7 @@ func TestRunRejectsBadConfig(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			err := run("127.0.0.1:0", tc.nodes, 8, 1.25, 4,
-				time.Hour, 3, time.Second)
+			err := run("127.0.0.1:0", tc.nodes, 4, time.Hour, 3, time.Second)
 			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
 				t.Fatalf("run(%q) = %v, want error containing %q", tc.nodes, err, tc.wantErr)
 			}
@@ -41,8 +40,7 @@ func TestRunListenFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	err = run(l.Addr().String(), "a=http://127.0.0.1:1", 8, 1.25, 4,
-		time.Hour, 3, time.Second)
+	err = run(l.Addr().String(), "a=http://127.0.0.1:1", 4, time.Hour, 3, time.Second)
 	if err == nil || !strings.Contains(err.Error(), "address already in use") {
 		t.Fatalf("run on an occupied port = %v, want bind failure", err)
 	}

@@ -337,12 +337,13 @@ func readErrorBody(body io.ReadCloser) string {
 }
 
 // readJSONLimited starts r on a bounded JSON payload (health probes should
-// never stream megabytes): the value at the front of the first MiB of
-// body, as a json.Decoder reads it off the stream. A body whose read
-// failed fails with the read error, unless the value was complete.
+// never stream megabytes): the first MiB of body, which must be one value
+// with only whitespace around it, as json.Unmarshal takes it (a node
+// answers one value and a newline). A body whose read failed fails with
+// the read error, unless what was read is a complete value.
 func readJSONLimited(body io.Reader, r *wire.JSONReader) error {
 	b, rerr := io.ReadAll(io.LimitReader(body, 1<<20))
-	err := r.ResetPrefix(b)
+	err := r.Reset(b)
 	if err != nil && rerr != nil {
 		return rerr
 	}

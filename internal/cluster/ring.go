@@ -6,12 +6,12 @@
 // checkpoint.
 //
 // The placement substrate is a bounded-load consistent-hash ring: every
-// node contributes Replicas virtual points on a 64-bit hash circle, a
+// node contributes replicas virtual points on a 64-bit hash circle, a
 // channel hashes to a circle position, and ownership is the first virtual
 // point clockwise whose node is still under the load bound
-// ceil(LoadFactor·channels/nodes). Consistent hashing keeps placement
+// ceil(loadFactor·channels/nodes). Consistent hashing keeps placement
 // stable under node churn (only the failed node's channels move); the load
-// bound keeps the distribution within LoadFactor of perfectly even instead
+// bound keeps the distribution within loadFactor of perfectly even instead
 // of the ~25% spread plain consistent hashing gives; virtual points keep
 // the bound from degrading into round-robin.
 //

@@ -14,12 +14,9 @@ import (
 
 // Config parameterises a Router.
 type Config struct {
-	// Nodes is the fleet (at least one).
+	// Nodes is the fleet (at least one). The ring places channels over it
+	// with DefaultReplicas points per node and DefaultLoadFactor's bound.
 	Nodes []NodeSpec
-	// Replicas is the virtual points per node (0 → DefaultReplicas).
-	Replicas int
-	// LoadFactor is the bounded-load factor (<1 → DefaultLoadFactor).
-	LoadFactor float64
 	// Window is the per-stream pipelining depth: how many forwarded
 	// segments may be unacknowledged before the proxy stops reading the
 	// client (0 → 32). It also bounds how many segments one stream can
@@ -47,12 +44,6 @@ type Config struct {
 const defaultFailoverWait = 15 * time.Second
 
 func (c *Config) fill() {
-	if c.Replicas <= 0 {
-		c.Replicas = DefaultReplicas
-	}
-	if c.LoadFactor < 1 {
-		c.LoadFactor = DefaultLoadFactor
-	}
 	if c.Window <= 0 {
 		c.Window = 32
 	}
@@ -144,7 +135,7 @@ func (r *Router) rebuildRing() error {
 	if len(names) == 0 {
 		return fmt.Errorf("cluster: no alive nodes")
 	}
-	ring, err := NewRing(names, r.cfg.Replicas, r.cfg.LoadFactor)
+	ring, err := NewRing(names, DefaultReplicas, DefaultLoadFactor)
 	if err != nil {
 		return err
 	}

@@ -282,16 +282,6 @@ func VecL1Distance(a, b []float64) float64 {
 	return s
 }
 
-// VecCosine returns the cosine similarity between a and b, or 0 when either
-// has zero norm.
-func VecCosine(a, b []float64) float64 {
-	na, nb := VecNorm2(a), VecNorm2(b)
-	if na == 0 || nb == 0 {
-		return 0
-	}
-	return VecDot(a, b) / (na * nb)
-}
-
 // VecArgMax returns the index of the maximum element, or -1 for empty input.
 func VecArgMax(a []float64) int {
 	if len(a) == 0 {

@@ -8,8 +8,9 @@
 // The registry knows three instrument kinds:
 //
 //   - Counter: a monotonically increasing uint64 (events since start).
-//   - Gauge: a settable int64, optionally backed by a read function so the
-//     scrape reports a live value (e.g. a queue length).
+//   - Gauge: an int64 read from a function at scrape time, so the scrape
+//     reports a live value the instrumented component owns (e.g. a queue
+//     length).
 //   - Histogram: a fixed-bucket distribution with cumulative le buckets,
 //     _sum and _count, in the Prometheus exposition convention. Bucket
 //     bounds are frozen at registration; Observe is a binary search over
@@ -53,28 +54,6 @@ func (c *Counter) Value() uint64 {
 		return c.fn()
 	}
 	return c.v.Load()
-}
-
-// Gauge is a settable instantaneous value. When constructed with
-// RegisterGaugeFunc the stored value is ignored and the read function is
-// consulted at scrape time instead.
-type Gauge struct {
-	v  atomic.Int64
-	fn func() int64
-}
-
-// Set stores the gauge value.
-func (g *Gauge) Set(v int64) { g.v.Store(v) }
-
-// Add moves the gauge by delta.
-func (g *Gauge) Add(delta int64) { g.v.Add(delta) }
-
-// Value returns the current gauge reading.
-func (g *Gauge) Value() int64 {
-	if g.fn != nil {
-		return g.fn()
-	}
-	return g.v.Load()
 }
 
 // Histogram is a fixed-bucket latency/size distribution. Buckets hold
@@ -145,7 +124,7 @@ type metric struct {
 	name, help string
 	labels     string // pre-rendered {k="v",…} suffix, may be empty
 	counter    *Counter
-	gauge      *Gauge
+	gauge      func() int64
 	hist       *Histogram
 }
 
@@ -241,21 +220,14 @@ func (r *Registry) CounterFunc(name, help string, fn func() uint64) {
 	r.register(&metric{name: name, help: help, counter: &Counter{fn: fn}})
 }
 
-// Gauge registers and returns a new gauge series.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	g := &Gauge{}
-	r.register(&metric{name: name, help: help, gauge: g})
-	return g
-}
-
 // GaugeFunc registers a gauge whose value is read from fn at scrape time.
 func (r *Registry) GaugeFunc(name, help string, fn func() int64) {
-	r.register(&metric{name: name, help: help, gauge: &Gauge{fn: fn}})
+	r.register(&metric{name: name, help: help, gauge: fn})
 }
 
 // GaugeFuncWith is GaugeFunc with a pre-rendered label suffix.
 func (r *Registry) GaugeFuncWith(name, labels, help string, fn func() int64) {
-	r.register(&metric{name: name, help: help, labels: labels, gauge: &Gauge{fn: fn}})
+	r.register(&metric{name: name, help: help, labels: labels, gauge: fn})
 }
 
 // Histogram registers a histogram with the given ascending bucket upper
@@ -322,7 +294,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			buf = append(buf, m.name...)
 			buf = append(buf, m.labels...)
 			buf = append(buf, ' ')
-			buf = strconv.AppendInt(buf, m.gauge.Value(), 10)
+			buf = strconv.AppendInt(buf, m.gauge(), 10)
 			buf = append(buf, '\n')
 		case m.hist != nil:
 			buf = appendHistogram(buf, m)

@@ -34,12 +34,12 @@ const DefaultLedgerBatch = ledger.DefaultBatchSize
 // Config is a node's configuration; each field is the aovlisd flag named
 // beside it.
 type Config struct {
-	// Pool is the detector pool's shape: -shards, -queue, -batch and
-	// -admission. A full shard queue always waits; admission control is
-	// the only overload refusal. Batch is also both ingest planes'
-	// pipelining depth: up to that many segments of one stream are in
-	// flight at once, which is what feeds the shard micro-batcher a real
-	// backlog.
+	// Pool is the detector pool's shape: -shards, -queue and -admission,
+	// with Batch at serve.DefaultConfig's 16 in aovlisd. A full shard queue
+	// always waits; admission control is the only overload refusal. Batch
+	// is also both ingest planes' pipelining depth: up to that many
+	// segments of one stream are in flight at once, which is what feeds the
+	// shard micro-batcher a real backlog.
 	Pool serve.Config
 	// MaxChannels (-max-channels) bounds the attached channels.
 	MaxChannels int

@@ -581,7 +581,8 @@ func TestDetachIsDurable(t *testing.T) {
 	}
 	// The journal still holds the first incarnation's records: the second
 	// numbers on from the tombstone, so no (channel, seq) names two records.
-	out, err := n2.pool.Submit("x", acts[0], auds[0])
+	out := make(chan serve.Outcome, 1)
+	err := n2.pool.SubmitInto("x", acts[0], auds[0], out)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -747,7 +748,8 @@ func TestImportKeepsOneConfiguration(t *testing.T) {
 			<-held
 			var outs []<-chan serve.Outcome
 			for i := from; i < len(acts) && i < from+16; i++ {
-				out, err := n.pool.Submit(id, acts[i], auds[i])
+				out := make(chan serve.Outcome, 1)
+				err := n.pool.SubmitInto(id, acts[i], auds[i], out)
 				if err != nil {
 					t.Fatal(err)
 				}

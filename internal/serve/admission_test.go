@@ -105,7 +105,8 @@ func TestPoolRejectsThenRecovers(t *testing.T) {
 
 	var outs []<-chan Outcome
 	submit := func() error {
-		out, err := p.Submit("ch", []float64{1}, []float64{1})
+		out := make(chan Outcome, 1)
+		err := p.SubmitInto("ch", []float64{1}, []float64{1}, out)
 		if err == nil {
 			outs = append(outs, out)
 		}
@@ -236,7 +237,8 @@ func TestOverloadVerdictsMatchSerialReplay(t *testing.T) {
 			defer wg.Done()
 			st, id := &streams[c], fmt.Sprintf("ch-%d", c)
 			for i := range st.acts {
-				out, err := p.Submit(id, st.acts[i], st.auds[i])
+				out := make(chan Outcome, 1)
+				err := p.SubmitInto(id, st.acts[i], st.auds[i], out)
 				switch {
 				case errors.Is(err, ErrRejected):
 					// An open-loop source does not resend: the segment is
@@ -356,7 +358,7 @@ func TestInstrumentedPoolSteadyStateAllocs(t *testing.T) {
 	}
 	action, audience := []float64{1, 2}, []float64{3}
 	out := make(chan Outcome, 1)
-	// Warm the path (sync.Pool, lazy runtime state).
+	// Warm the path (lazy runtime state).
 	for i := 0; i < 100; i++ {
 		if err := p.SubmitInto("ch", action, audience, out); err != nil {
 			t.Fatal(err)

@@ -184,7 +184,8 @@ func TestShardsShareLaneSets(t *testing.T) {
 				for c := s; c < channels; c += submitters {
 					id := fmt.Sprintf("lanes-%d", c)
 					for i := range outs {
-						out, err := p.Submit(id, feeds[c].acts[at+i], feeds[c].auds[at+i])
+						out := make(chan Outcome, 1)
+						err := p.SubmitInto(id, feeds[c].acts[at+i], feeds[c].auds[at+i], out)
 						if err != nil {
 							t.Error(err)
 							return

@@ -8,6 +8,8 @@ import (
 	"sync"
 	"testing"
 
+	"aovlis"
+	"aovlis/internal/ados"
 	"aovlis/internal/mat"
 )
 
@@ -89,7 +91,8 @@ func TestPoolBatchedBitIdentical(t *testing.T) {
 					scores[i] = append(scores[i], o.Result.Score)
 				}
 				for s := 0; s < segs; s++ {
-					out, err := p.Submit(id, st.acts[s], st.auds[s])
+					out := make(chan Outcome, 1)
+					err := p.SubmitInto(id, st.acts[s], st.auds[s], out)
 					if err != nil {
 						t.Error(err)
 						return
@@ -141,7 +144,8 @@ func TestPoolBatchOccupancyStats(t *testing.T) {
 	acts, auds := testStream(9, 96)
 	outs := make([]<-chan Outcome, 0, len(acts))
 	for s := range acts {
-		out, err := p.Submit("deep", acts[s], auds[s])
+		out := make(chan Outcome, 1)
+		err := p.SubmitInto("deep", acts[s], auds[s], out)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -184,7 +188,8 @@ func TestPoolBatchFakeDetectorFallback(t *testing.T) {
 	const n = 35
 	outs := make([]<-chan Outcome, 0, n)
 	for i := 0; i < n; i++ {
-		out, err := p.Submit("fake", []float64{1}, []float64{1})
+		out := make(chan Outcome, 1)
+		err := p.SubmitInto("fake", []float64{1}, []float64{1}, out)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -232,7 +237,8 @@ func TestPoolBatchErrorLaneResubmit(t *testing.T) {
 	acts[6] = []float64{1, 2, 3} // wrong dims mid-backlog
 	outs := make([]<-chan Outcome, 0, len(acts))
 	for s := range acts {
-		out, err := p.Submit("bad-lane", acts[s], auds[s])
+		out := make(chan Outcome, 1)
+		err := p.SubmitInto("bad-lane", acts[s], auds[s], out)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -298,7 +304,8 @@ func TestPoolBatchedSnapshotQuiesce(t *testing.T) {
 			id := fmt.Sprintf("q-%d", i)
 			outs := make([]<-chan Outcome, 0, len(acts))
 			for s := range acts {
-				out, err := p.Submit(id, acts[s], auds[s])
+				out := make(chan Outcome, 1)
+				err := p.SubmitInto(id, acts[s], auds[s], out)
 				if err != nil {
 					t.Error(err)
 					return
@@ -319,4 +326,111 @@ func TestPoolBatchedSnapshotQuiesce(t *testing.T) {
 		}
 	}
 	wg.Wait()
+}
+
+// TestTierSkippedMatchesDetector: a channel's TierSkipped is tallied from
+// its delivered tier-skip verdicts and seeded at Attach from a restored
+// detector, and it equals the detector's own TierStats().Skipped after a
+// batch with a mis-dimensioned lane, after a checkpoint and RestorePool,
+// and after more traffic on the restored pool.
+func TestTierSkippedMatchesDetector(t *testing.T) {
+	// The tiered soak's lax gate and widened τ, so the gate fires here.
+	tmpl := trainTemplate(t, func(cfg *aovlis.Config) {
+		cfg.Tiered = true
+		cfg.Tier = ados.TierConfig{DriftMax: 0.6, Margin: 1, MaxRun: 8}
+	})
+	tmpl.SetTau(5 * tmpl.Tau())
+	det, err := tmpl.Clone()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Shards: 1, QueueDepth: 64, Batch: 16}
+	p := newTestPool(t, cfg)
+	if err := p.Attach("tier", det); err != nil {
+		t.Fatal(err)
+	}
+	acts, auds := testStream(21, 80)
+	acts[30] = []float64{1, 2, 3} // wrong dims, mid-way through the second batch
+
+	verdictSkips := uint64(0)
+	// feed parks the shard behind a control job, queues segments
+	// [from, to), then releases it: the worker drains them in batches of 16.
+	feed := func(p *DetectorPool, from, to int) {
+		t.Helper()
+		entered, gate, parked := make(chan struct{}), make(chan struct{}), make(chan error, 1)
+		go func() {
+			parked <- p.WithChannel("tier", func(*aovlis.Detector) error {
+				close(entered)
+				<-gate
+				return nil
+			})
+		}()
+		<-entered
+		outs := make([]chan Outcome, 0, to-from)
+		for s := from; s < to; s++ {
+			out := make(chan Outcome, 1)
+			if err := p.SubmitInto("tier", acts[s], auds[s], out); err != nil {
+				t.Fatal(err)
+			}
+			outs = append(outs, out)
+		}
+		close(gate)
+		if err := <-parked; err != nil {
+			t.Fatal(err)
+		}
+		for i, out := range outs {
+			o := <-out
+			if (o.Err != nil) != (from+i == 30) {
+				t.Fatalf("segment %d: err %v", from+i, o.Err)
+			}
+			if o.Result.Path == "tier-skip" {
+				verdictSkips++
+			}
+		}
+	}
+	check := func(phase string, p *DetectorPool) {
+		t.Helper()
+		var skipped int
+		if err := p.WithChannel("tier", func(d *aovlis.Detector) error {
+			skipped = d.TierStats().Skipped
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		st, err := p.Stats("tier")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.TierSkipped != uint64(skipped) || st.TierSkipped != verdictSkips {
+			t.Fatalf("%s: TierSkipped %d, detector skipped %d, tier-skip verdicts %d",
+				phase, st.TierSkipped, skipped, verdictSkips)
+		}
+	}
+
+	feed(p, 0, 48)
+	if st, _ := p.Stats("tier"); st.Errors != 1 || st.BatchOccupancy <= 1 {
+		t.Fatalf("stats %+v, want the bad lane's one error inside real batches", st)
+	}
+	if verdictSkips == 0 {
+		t.Fatal("the tier gate never fired; the count was not exercised")
+	}
+	check("after a batch with a bad lane", p)
+
+	dir := t.TempDir()
+	if _, err := p.Snapshot(dir); err != nil {
+		t.Fatal(err)
+	}
+	restored, err := restoreDir(dir, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer restored.Close()
+	check("after RestorePool", restored)
+
+	before := verdictSkips
+	feed(restored, 48, len(acts))
+	if verdictSkips == before {
+		t.Fatal("the tier gate never fired after the restore")
+	}
+	check("after traffic on the restored pool", restored)
 }

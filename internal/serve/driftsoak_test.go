@@ -162,7 +162,8 @@ func TestPoolSoakSlowBurnDrift(t *testing.T) {
 					scores[i] = append(scores[i], toSoakResult(o.Result))
 				}
 				for s := from; s < to; s++ {
-					out, err := p.Submit(ids[i], st.acts[s], st.auds[s])
+					out := make(chan Outcome, 1)
+					err := p.SubmitInto(ids[i], st.acts[s], st.auds[s], out)
 					if err != nil {
 						t.Errorf("channel %s submit %d: %v", ids[i], s, err)
 						return

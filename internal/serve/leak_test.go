@@ -132,7 +132,8 @@ func TestPoolCloseUnderOverloadLeaksNoGoroutines(t *testing.T) {
 	var outs []<-chan Outcome
 	rejected := 0
 	for i := 0; i < 12; i++ {
-		out, err := p.Submit("ch", []float64{1}, []float64{1})
+		out := make(chan Outcome, 1)
+		err := p.SubmitInto("ch", []float64{1}, []float64{1}, out)
 		if err != nil {
 			rejected++
 			continue

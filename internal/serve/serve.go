@@ -45,6 +45,7 @@ import (
 	"time"
 
 	"aovlis"
+	"aovlis/internal/ados"
 	"aovlis/internal/wire"
 )
 
@@ -88,7 +89,7 @@ func (l laneByLane) ObserveBatch(actionFeats, audienceFeats [][]float64, results
 // admission control is the pool's only overload refusal.
 type OverflowPolicy int
 
-// Block is the only OverflowPolicy: Submit waits for queue space, so a
+// Block is the only OverflowPolicy: a submit waits for queue space, so a
 // slow shard slows its producers down.
 const Block OverflowPolicy = 0
 
@@ -228,7 +229,7 @@ type channel struct {
 	detected    atomic.Uint64 // anomaly verdicts
 	rejected    atomic.Uint64 // submissions refused by admission control
 	errors      atomic.Uint64 // detector errors
-	tierskipped atomic.Uint64 // segments cleared by the tier gate, no LSTM run
+	tierskipped atomic.Uint64 // delivered tier-skip verdicts, seeded at Attach
 	pending     atomic.Int64  // enqueued but not yet executed
 
 	batches atomic.Uint64 // scoring rounds executed
@@ -294,8 +295,10 @@ type ChannelStats struct {
 	Warmups  uint64 `json:"warmups"`
 	// Detected counts anomaly verdicts.
 	Detected uint64 `json:"detected"`
-	// TierSkipped counts segments the tier gate cleared without running
-	// the LSTM predict at all; zero for untiered detectors.
+	// TierSkipped counts delivered tier-skip verdicts: segments the tier
+	// gate cleared without running the LSTM predict at all. A restored
+	// channel starts from its detector's TierStats().Skipped; zero for
+	// untiered detectors.
 	TierSkipped uint64 `json:"tier_skipped,omitempty"`
 	// Rejected counts submissions refused by admission control in the
 	// reject state (they were never accepted, so nothing was lost).
@@ -530,7 +533,6 @@ func (p *DetectorPool) runBatch(jobs []job, sc *batchScratch) {
 			}
 		}
 		p.runGroup(ch, jobs, sc)
-		p.refreshTier(ch)
 	}
 	// Drop caller feature references from the reused scratch.
 	clear(sc.acts)
@@ -570,8 +572,12 @@ func (p *DetectorPool) runGroup(ch *channel, jobs []job, sc *batchScratch) {
 	}
 }
 
+// tierSkip is the Path of a verdict the tier gate cleared without the LSTM.
+var tierSkip = ados.PathTierSkip.String()
+
 // finishJob updates the channel counters for one scored observation and
-// delivers its outcome.
+// delivers its outcome. The counters are tallied from the verdicts alone:
+// the detector's own counters are read once, when Attach seeds them.
 func (p *DetectorPool) finishJob(ch *channel, j *job, res aovlis.Result, err error) {
 	switch {
 	case err != nil:
@@ -587,6 +593,9 @@ func (p *DetectorPool) finishJob(ch *channel, j *job, res aovlis.Result, err err
 		if res.Anomaly {
 			ch.detected.Add(1)
 			p.m.anomalies.Inc()
+		}
+		if res.Path == tierSkip {
+			ch.tierskipped.Add(1)
 		}
 	}
 	if j.seq != 0 {
@@ -605,13 +614,6 @@ func (p *DetectorPool) finishJob(ch *channel, j *job, res aovlis.Result, err err
 		p.sink.Record(ch.id, j.seq, res)
 	}
 	j.out <- Outcome{Result: res, Err: err, Seq: j.seq}
-}
-
-// refreshTier re-reads the detector's tier gauge.
-func (p *DetectorPool) refreshTier(ch *channel) {
-	if ch.aov != nil {
-		ch.tierskipped.Store(uint64(ch.aov.TierStats().Skipped))
-	}
 }
 
 // shardFor hashes a channel id onto a shard.
@@ -726,51 +728,39 @@ func (p *DetectorPool) Channels() []string {
 // Len returns the number of attached channels.
 func (p *DetectorPool) Len() int { return len(*p.chans.Load()) }
 
-// Submit enqueues one observation for the channel and returns a buffered
-// receive-only outcome channel that delivers exactly one Outcome. A full
-// queue makes Submit wait for space; only admission control refuses
-// (ErrRejected), and it does so before anything is journaled.
-//
-// The caller must treat the feature slices as frozen until the outcome is
-// delivered (the pool does not copy them).
-func (p *DetectorPool) Submit(id string, actionFeat, audienceFeat []float64) (<-chan Outcome, error) {
-	return p.submit(id, actionFeat, audienceFeat, make(chan Outcome, 1), 0)
-}
-
-// SubmitInto is Submit with a caller-owned outcome channel, so high-rate
-// async producers can recycle channels instead of allocating one per
-// segment (at tens of thousands of segments per second, per-submit
-// channel garbage is measurable GC pressure and latency jitter). out must
-// be buffered with capacity ≥ 1 and fully drained before reuse; exactly
-// one Outcome is delivered per successful SubmitInto. As with Submit, the
-// feature vectors must stay unchanged until that Outcome is delivered;
-// from then on they are the caller's to overwrite (an *aovlis.Detector
-// keeps copies of what it needs).
+// SubmitInto enqueues one observation for the channel and delivers its one
+// Outcome on out, a caller-owned channel, so high-rate async producers can
+// recycle channels instead of allocating one per segment. out must be
+// buffered with capacity ≥ 1 and fully drained before reuse. A full queue
+// makes SubmitInto wait for space; only admission control refuses
+// (ErrRejected), and it does so before anything is journaled. The feature
+// vectors must stay unchanged until the Outcome is delivered; from then on
+// they are the caller's to overwrite (an *aovlis.Detector keeps copies of
+// what it needs).
 func (p *DetectorPool) SubmitInto(id string, actionFeat, audienceFeat []float64, out chan Outcome) error {
 	if cap(out) < 1 {
 		return fmt.Errorf("serve: SubmitInto outcome channel must be buffered (cap ≥ 1)")
 	}
-	_, err := p.submit(id, actionFeat, audienceFeat, out, 0)
-	return err
+	return p.submit(id, actionFeat, audienceFeat, out, 0)
 }
 
-// submit is Submit with a caller-supplied outcome channel (buffered, cap 1)
-// so the synchronous Observe path can recycle channels through a pool. The
-// path is lock-free on pool-global state: one atomic map load, then the
-// per-shard send gate. Journaled live submissions additionally serialise
-// on their channel's walMu (different channels stay independent).
+// submit is the one enqueue path behind SubmitInto, Observe and
+// ReplayObserve; out is buffered. It is lock-free on pool-global state:
+// one atomic map load, then the per-shard send gate. Journaled live
+// submissions additionally serialise on their channel's walMu (different
+// channels stay independent).
 //
 // replaySeq is 0 for live traffic; the boot replay path passes the
 // record's original journal sequence instead, which suppresses
 // re-journaling while keeping the applied floor and ledger entries
 // aligned with the original run.
-func (p *DetectorPool) submit(id string, actionFeat, audienceFeat []float64, out chan Outcome, replaySeq uint64) (chan Outcome, error) {
+func (p *DetectorPool) submit(id string, actionFeat, audienceFeat []float64, out chan Outcome, replaySeq uint64) error {
 	ch, ok := p.lookup(id)
 	if !ok {
 		if p.isClosed() {
-			return nil, ErrClosed
+			return ErrClosed
 		}
-		return nil, fmt.Errorf("%w: %q", ErrUnknownChannel, id)
+		return fmt.Errorf("%w: %q", ErrUnknownChannel, id)
 	}
 	// Admission control gates the front door: in the reject state the
 	// submission is refused before it ever occupies queue space, so
@@ -779,7 +769,7 @@ func (p *DetectorPool) submit(id string, actionFeat, audienceFeat []float64, out
 	if p.adm.admit(len(ch.shard.queue)) == AdmitReject {
 		ch.rejected.Add(1)
 		p.m.rejected.Inc()
-		return nil, fmt.Errorf("%w (channel %q, shard %d)", ErrRejected, id, ch.shard.index)
+		return fmt.Errorf("%w (channel %q, shard %d)", ErrRejected, id, ch.shard.index)
 	}
 	j := job{ch: ch, action: actionFeat, audience: audienceFeat, out: out, enq: time.Now(), seq: replaySeq}
 	journaling := replaySeq == 0 && p.journal != nil
@@ -793,7 +783,7 @@ func (p *DetectorPool) submit(id string, actionFeat, audienceFeat []float64, out
 			ch.actionDim > 0 && (len(actionFeat) != ch.actionDim || len(audienceFeat) != ch.audienceDim) {
 			ch.errors.Add(1)
 			p.m.errors.Inc()
-			return nil, fmt.Errorf("serve: channel %q: feature dims %d/%d, want %d/%d",
+			return fmt.Errorf("serve: channel %q: feature dims %d/%d, want %d/%d",
 				id, len(actionFeat), len(audienceFeat), ch.actionDim, ch.audienceDim)
 		}
 		// Durability before acknowledgement: the journal append (which
@@ -816,14 +806,14 @@ func (p *DetectorPool) submit(id string, actionFeat, audienceFeat []float64, out
 		ch.walMu.Lock()
 		if ch.tombstoned {
 			ch.walMu.Unlock()
-			return nil, fmt.Errorf("%w: %q", ErrUnknownChannel, id)
+			return fmt.Errorf("%w: %q", ErrUnknownChannel, id)
 		}
 		var err error
 		if j.seq, err = p.journalNext(ch, actionFeat, audienceFeat); err != nil {
 			ch.walMu.Unlock()
 			ch.errors.Add(1)
 			p.m.errors.Inc()
-			return nil, fmt.Errorf("serve: journal append (channel %q): %w", id, err)
+			return fmt.Errorf("serve: journal append (channel %q): %w", id, err)
 		}
 	}
 	// The gauge is raised before the send so the worker's decrement can
@@ -835,10 +825,10 @@ func (p *DetectorPool) submit(id string, actionFeat, audienceFeat []float64, out
 	}
 	if err != nil {
 		ch.pending.Add(-1)
-		return nil, err
+		return err
 	}
 	p.m.accepted.Inc()
-	return j.out, nil
+	return nil
 }
 
 // journalNext appends one record as ch's next sequence and returns it. A
@@ -862,13 +852,8 @@ func (p *DetectorPool) isClosed() bool {
 	return p.closed
 }
 
-// outcomeChans recycles the buffered outcome channels of the synchronous
-// Observe path: Observe always drains its channel, so a drained channel can
-// be handed to the next caller without touching the heap.
-var outcomeChans = sync.Pool{New: func() any { return make(chan Outcome, 1) }}
-
 // Observe submits one observation and waits for its verdict — the
-// synchronous convenience over Submit.
+// synchronous form of SubmitInto.
 func (p *DetectorPool) Observe(id string, actionFeat, audienceFeat []float64) (aovlis.Result, error) {
 	return p.observeSync(id, actionFeat, audienceFeat, 0)
 }
@@ -886,9 +871,8 @@ func (p *DetectorPool) ReplayObserve(id string, seq uint64, actionFeat, audience
 }
 
 func (p *DetectorPool) observeSync(id string, actionFeat, audienceFeat []float64, replaySeq uint64) (aovlis.Result, error) {
-	out := outcomeChans.Get().(chan Outcome)
-	defer outcomeChans.Put(out)
-	if _, err := p.submit(id, actionFeat, audienceFeat, out, replaySeq); err != nil {
+	out := make(chan Outcome, 1)
+	if err := p.submit(id, actionFeat, audienceFeat, out, replaySeq); err != nil {
 		return aovlis.Result{}, err
 	}
 	o := <-out

@@ -335,7 +335,7 @@ func TestPoolLifecycleErrors(t *testing.T) {
 	if err := p.Attach("nil", nil); err == nil {
 		t.Fatal("nil detector accepted")
 	}
-	if _, err := p.Submit("ghost", nil, nil); !errors.Is(err, ErrUnknownChannel) {
+	if err := p.SubmitInto("ghost", nil, nil, make(chan Outcome, 1)); !errors.Is(err, ErrUnknownChannel) {
 		t.Fatalf("unknown channel: %v", err)
 	}
 	if _, err := p.Stats("ghost"); !errors.Is(err, ErrUnknownChannel) {
@@ -360,7 +360,7 @@ func TestPoolLifecycleErrors(t *testing.T) {
 	if err := p.Attach("b", &fakeDetector{}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("attach after close: %v", err)
 	}
-	if _, err := p.Submit("a", nil, nil); !errors.Is(err, ErrClosed) {
+	if err := p.SubmitInto("a", nil, nil, make(chan Outcome, 1)); !errors.Is(err, ErrClosed) {
 		t.Fatalf("submit after close: %v", err)
 	}
 }
@@ -379,7 +379,8 @@ func TestPoolCloseDrains(t *testing.T) {
 	feat := []float64{1}
 	var outs []<-chan Outcome
 	for i := 0; i < 6; i++ {
-		out, err := p.Submit("slow", feat, feat)
+		out := make(chan Outcome, 1)
+		err := p.SubmitInto("slow", feat, feat, out)
 		if err != nil {
 			t.Fatal(err)
 		}

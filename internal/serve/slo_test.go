@@ -120,7 +120,8 @@ func TestSLOFlashCrowd(t *testing.T) {
 			full++
 		}
 		start := time.Now()
-		out, err := pool.Submit(a.Channel, a.Action, a.Audience)
+		out := make(chan Outcome, 1)
+		err := pool.SubmitInto(a.Channel, a.Action, a.Audience, out)
 		if err != nil {
 			rejected++
 			return

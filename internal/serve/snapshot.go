@@ -170,7 +170,7 @@ func (p *DetectorPool) encodeQuiesced(ch *channel) (*bytes.Buffer, time.Duration
 // them. Channels are quiesced one at a time per shard and only for the
 // in-memory state encoding; Observe traffic on other shards proceeds
 // untouched, and traffic on the same shard resumes as soon as the encoding
-// is done. Snapshot is safe to call concurrently with Submit/Observe; a
+// is done. Snapshot is safe to call concurrently with SubmitInto/Observe; a
 // second concurrent Snapshot into the same directory is not supported.
 //
 // On error no manifest is written, so the directory still restores to the
@@ -321,21 +321,6 @@ func (p *DetectorPool) ExportChannel(id string, w io.Writer) error {
 // ErrChannelIDMismatch) and a bare detector snapshot (pool checkpoint files
 // and pre-export-envelope clients), which carries no id to verify.
 func DecodeSnapshot(id string, r io.Reader) (*aovlis.Detector, error) {
-	exportedID, det, err := DecodeChannelExport(r)
-	if err != nil {
-		return nil, err
-	}
-	if exportedID != "" && exportedID != id {
-		return nil, fmt.Errorf("%w: stream exports %q, attaching as %q", ErrChannelIDMismatch, exportedID, id)
-	}
-	return det, nil
-}
-
-// DecodeChannelExport restores a detector from either stream format
-// DecodeSnapshot accepts. The returned id is the channel id named by the
-// stream's channel-export manifest, or "" for a bare detector snapshot
-// (which carries no identity).
-func DecodeChannelExport(r io.Reader) (string, *aovlis.Detector, error) {
 	br, ok := r.(*bufio.Reader)
 	if !ok {
 		br = bufio.NewReader(r)
@@ -343,28 +328,25 @@ func DecodeChannelExport(r io.Reader) (string, *aovlis.Detector, error) {
 	// Dispatch on the envelope kind without consuming it: the header is
 	// decoded from a peeked prefix, so a bare detector stream can still be
 	// handed to RestoreDetector from the start.
-	var exportedID string
 	if prefix, _ := br.Peek(1024); len(prefix) > 0 {
 		var hdr snapshot.Header
 		if err := gob.NewDecoder(bytes.NewReader(prefix)).Decode(&hdr); err == nil && hdr.Kind == snapshot.KindChannelExport {
 			if _, err := snapshot.ReadHeaderAny(br); err != nil {
-				return "", nil, err
+				return nil, err
 			}
 			var wire channelExportWire
 			if err := gob.NewDecoder(br).Decode(&wire); err != nil {
-				return "", nil, fmt.Errorf("serve: decoding channel export manifest: %w", err)
+				return nil, fmt.Errorf("serve: decoding channel export manifest: %w", err)
 			}
 			if wire.ID == "" {
-				return "", nil, fmt.Errorf("serve: channel export manifest names no channel id")
+				return nil, fmt.Errorf("serve: channel export manifest names no channel id")
 			}
-			exportedID = wire.ID
+			if wire.ID != id {
+				return nil, fmt.Errorf("%w: stream exports %q, attaching as %q", ErrChannelIDMismatch, wire.ID, id)
+			}
 		}
 	}
-	det, err := aovlis.RestoreDetector(br)
-	if err != nil {
-		return "", nil, err
-	}
-	return exportedID, det, nil
+	return aovlis.RestoreDetector(br)
 }
 
 // RestorePool rebuilds a pool from a Snapshot directory and the manifest

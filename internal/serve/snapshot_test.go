@@ -253,14 +253,10 @@ func TestChannelMigration(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Reference: a second restore of the same wire, driven next to the
-	// migrated one. The export stream opens with the channel-identity
-	// envelope, so the generic decoder must surface the exported id too.
-	refID, ref, err := DecodeChannelExport(bytes.NewReader(wire.Bytes()))
+	// migrated one.
+	ref, err := DecodeSnapshot("mover", bytes.NewReader(wire.Bytes()))
 	if err != nil {
 		t.Fatal(err)
-	}
-	if refID != "mover" {
-		t.Fatalf("export stream names channel %q, want mover", refID)
 	}
 	for i := 20; i < 40; i++ {
 		want, err := ref.Observe(act[i], aud[i])
@@ -318,9 +314,9 @@ func TestAttachSnapshotIDMismatch(t *testing.T) {
 	if err := attachSnapshot(dst, "alice", bytes.NewReader(wire.Bytes())); err != nil {
 		t.Fatal(err)
 	}
-	bareID, bare, err := DecodeChannelExport(bytes.NewReader(wire.Bytes()))
-	if err != nil || bareID != "alice" {
-		t.Fatalf("DecodeChannelExport = (%q, %v)", bareID, err)
+	bare, err := DecodeSnapshot("alice", bytes.NewReader(wire.Bytes()))
+	if err != nil {
+		t.Fatalf("DecodeSnapshot(alice) = %v", err)
 	}
 	var plain bytes.Buffer
 	if err := bare.Snapshot(&plain); err != nil {

@@ -156,7 +156,8 @@ func runPoolSoakChaos(t *testing.T, tiered bool) {
 					scores[i] = append(scores[i], toSoakResult(o.Result))
 				}
 				for s := from; s < to; s++ {
-					out, err := p.Submit(ids[i], st.acts[s], st.auds[s])
+					out := make(chan Outcome, 1)
+					err := p.SubmitInto(ids[i], st.acts[s], st.auds[s], out)
 					if err != nil {
 						t.Errorf("channel %s submit %d: %v", ids[i], s, err)
 						return
@@ -286,8 +287,8 @@ func runPoolSoakChaos(t *testing.T, tiered bool) {
 
 	// Tiered mode: the skip gate must have fired somewhere (otherwise the
 	// replay equality above never exercised it), and the pool-wide skip
-	// gauge — seeded from restored detectors at Attach and refreshed by the
-	// shard workers — must equal the tier-skip verdicts the streams
+	// gauge — seeded from restored detectors at Attach and tallied from
+	// delivered verdicts by the shard workers — must equal the tier-skip verdicts the streams
 	// actually produced, proving the counters survived the checkpoint,
 	// migration and warm-restart round trips.
 	if tiered {

@@ -360,10 +360,10 @@ func TestFullQueueWaitsSoJournalEqualsScored(t *testing.T) {
 	journaled := newCaptureJournal()
 	p.AttachJournal(teeJournal{j, journaled}, nil)
 
-	outs := make([]<-chan Outcome, total)
+	outs := make([]chan Outcome, total)
 	submit := func(i int) {
-		var err error
-		if outs[i], err = p.Submit("full", act[i], aud[i]); err != nil {
+		outs[i] = make(chan Outcome, 1)
+		if err := p.SubmitInto("full", act[i], aud[i], outs[i]); err != nil {
 			t.Fatalf("segment %d: %v", i, err)
 		}
 	}
@@ -373,9 +373,8 @@ func TestFullQueueWaitsSoJournalEqualsScored(t *testing.T) {
 	submit(1)
 	third := make(chan error, 1)
 	go func() {
-		var err error
-		outs[2], err = p.Submit("full", act[2], aud[2])
-		third <- err
+		outs[2] = make(chan Outcome, 1)
+		third <- p.SubmitInto("full", act[2], aud[2], outs[2])
 	}()
 	waitFor(t, func() bool {
 		journaled.mu.Lock()

@@ -37,8 +37,6 @@ type IngestHandler struct {
 	// observations may be in flight before reads pause — the live analogue
 	// of the observe handler's obsWindow.
 	Window int
-	// MaxMessage caps one WebSocket message (0 → DefaultMaxMessage).
-	MaxMessage int
 }
 
 // ServeHTTP implements the endpoint.
@@ -89,8 +87,7 @@ func (h *IngestHandler) ServeHTTP(w wire.ResponseWriter, r *wire.Request) {
 		return
 	}
 	conn, err := Upgrade(w, r, &Options{
-		MaxMessage: h.MaxMessage,
-		Header:     wire.Header{ResumeHeader: []string{strconv.FormatUint(floor, 10)}},
+		Header: wire.Header{ResumeHeader: []string{strconv.FormatUint(floor, 10)}},
 	})
 	if err != nil {
 		sess.Release()

@@ -225,7 +225,7 @@ func TestIngestRefusals(t *testing.T) {
 		t.Fatalf("attach: %v", err)
 	}
 	for i := 0; opool.AdmissionState() != serve.AdmitReject; i++ {
-		if _, err := opool.Submit("slow", []float64{1}, []float64{1}); err != nil && i > 16 {
+		if err := opool.SubmitInto("slow", []float64{1}, []float64{1}, make(chan serve.Outcome, 1)); err != nil && i > 16 {
 			t.Fatalf("pool not driven to reject: %v (state %v)", err, opool.AdmissionState())
 		}
 	}

@@ -57,9 +57,7 @@ const (
 	CloseNormal        = 1000
 	CloseGoingAway     = 1001
 	CloseProtocolError = 1002
-	ClosePolicy        = 1008
 	CloseTooBig        = 1009
-	CloseInternal      = 1011
 )
 
 // wsGUID is the fixed handshake GUID from RFC 6455 §1.3.

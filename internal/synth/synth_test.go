@@ -211,7 +211,7 @@ func TestAnomalyVisuallySubtle(t *testing.T) {
 		// normal appearance.
 		best := -1.0
 		for st := 0; st < p.States; st++ {
-			c := mat.VecCosine(f.Descriptor, stateDescriptor(st, p.DescriptorDim))
+			c := vecCosine(f.Descriptor, stateDescriptor(st, p.DescriptorDim))
 			if c > best {
 				best = c
 			}
@@ -370,4 +370,14 @@ func TestGenerateOutputPinned(t *testing.T) {
 			}
 		}
 	}
+}
+
+// vecCosine returns the cosine similarity between a and b, or 0 when
+// either has zero norm.
+func vecCosine(a, b []float64) float64 {
+	na, nb := mat.VecNorm2(a), mat.VecNorm2(b)
+	if na == 0 || nb == 0 {
+		return 0
+	}
+	return mat.VecDot(a, b) / (na * nb)
 }

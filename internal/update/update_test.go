@@ -122,7 +122,7 @@ func PairwiseCosineMean(sh, sn [][]float64) float64 {
 	var total float64
 	for _, a := range sh {
 		for _, b := range sn {
-			total += mat.VecCosine(a, b)
+			total += vecCosine(a, b)
 		}
 	}
 	return total / (float64(len(sh)) * float64(len(sn)))
@@ -911,4 +911,14 @@ func TestObserveHiddenMatchesObserve(t *testing.T) {
 	if _, err := handed.ObserveHidden(untargeted, -1, hidden); err == nil {
 		t.Fatal("a sample without an audience target was buffered")
 	}
+}
+
+// vecCosine returns the cosine similarity between a and b, or 0 when
+// either has zero norm.
+func vecCosine(a, b []float64) float64 {
+	na, nb := mat.VecNorm2(a), mat.VecNorm2(b)
+	if na == 0 || nb == 0 {
+		return 0
+	}
+	return mat.VecDot(a, b) / (na * nb)
 }

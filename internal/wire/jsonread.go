@@ -9,15 +9,14 @@ import (
 )
 
 // JSONReader pulls one JSON document apart the way encoding/json decodes it
-// into a Go value, for the few shapes the daemons read. Reset (or
-// ResetPrefix) checks the whole document's syntax first, as encoding/json
-// does; then the caller walks it: Object or a slice, More and Key over the
-// members, and one typed read per value. A typed read leaves its
-// destination alone on null, and on a value of another kind records a
-// JSONError (the first one wins) and skips it. Key matches member names as
-// encoding/json matches field names: exactly or under Unicode case folding.
-// What is accepted and the values read are encoding/json's; the error text
-// is not.
+// into a Go value, for the few shapes the daemons read. Reset checks the
+// whole document's syntax first, as encoding/json does; then the caller
+// walks it: Object or a slice, More and Key over the members, and one
+// typed read per value. A typed read leaves its destination alone on null,
+// and on a value of another kind records a JSONError (the first one wins)
+// and skips it. Key matches member names as encoding/json matches field
+// names: exactly or under Unicode case folding. What is accepted and the
+// values read are encoding/json's; the error text is not.
 type JSONReader struct {
 	b   []byte
 	i   int
@@ -46,19 +45,6 @@ func (r *JSONReader) Reset(b []byte) error {
 	if !ok || end < len(b) {
 		return &JSONError{end}
 	}
-	return nil
-}
-
-// ResetPrefix starts reading the value at the front of b, as a
-// json.Decoder's Decode reads it from a stream holding b: whatever follows
-// the value is not looked at.
-func (r *JSONReader) ResetPrefix(b []byte) error {
-	*r = JSONReader{buf: r.buf[:0]}
-	end, ok := scanJSON(b, 0, 0)
-	if !ok {
-		return &JSONError{end}
-	}
-	r.b = b[:end]
 	return nil
 }
 

@@ -10,14 +10,14 @@ package aovlis_test
 //	go test -run '^$' -bench BenchmarkPoolThroughput -benchtime 2s .
 //
 // and read four metrics: segments/s (throughput), p50-µs / p99-µs — the
-// per-segment Submit→outcome latency distribution seen by the producers
+// per-segment SubmitInto→outcome latency distribution seen by the producers
 // (queue wait + detection), which the mean ns/op hides — and occupancy,
 // the mean number of segments each shard wake-up scored in one batched
 // inference pass. One trained detector is cloned over 16 channels; each
 // channel has one producer streaming it with a window of asynchronous
 // in-flight submissions (the steady state of a live NDJSON feed). The
 // inputs are the shard count, the window and the micro-batching cap: 1,
-// which scores every segment alone, against 16, aovlisd's -batch default.
+// which scores every segment alone, against 16, aovlisd's batch depth.
 // At the same shards and window, the two caps show what batching buys:
 //
 //	go test -run '^$' -bench 'BenchmarkPoolThroughput/shards=2/' -benchtime 3s -count 3 .
