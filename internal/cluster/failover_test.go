@@ -34,11 +34,12 @@ import (
 
 // TestRouterIdleFailoverSeqContinuity is the regression pin for the
 // idle-failover seq bug: a stream whose every accepted segment is already
-// acknowledged (npending == 0) loses its owner; the replacement connection
-// opens with NOTHING pending, so probeOpen cannot derive the offset from
-// the pending ring — it must come from the stream's next client seq.
-// Before the fix the new node's restarted numbering passed through
-// verbatim and the client saw seq 0 again mid-stream.
+// acknowledged (npending == 0) loses its owner, and the replacement
+// connection opens with NOTHING pending. Its node numbers from 0 again;
+// the client must see its own stream's seqs continue, which every relayed
+// line takes from its slot. Before the fix the new node's restarted
+// numbering passed through verbatim and the client saw seq 0 again
+// mid-stream.
 func TestRouterIdleFailoverSeqContinuity(t *testing.T) {
 	stubs, r, srv := newTestCluster(t, 2, func(cfg *Config) {
 		cfg.ProbeEvery = 20 * time.Millisecond

@@ -76,7 +76,7 @@ func (r *Router) handleLive(w wire.ResponseWriter, req *wire.Request) {
 	// through, so the owner's Sec-WebSocket-Accept is valid for the client
 	// without the router recomputing anything.
 	var hs bytes.Buffer
-	fmt.Fprintf(&hs, "GET /live/%s HTTP/1.1\r\nHost: %s\r\n", id, target)
+	fmt.Fprintf(&hs, "GET /live/%s HTTP/1.1\r\nHost: %s\r\n", url.PathEscape(id), target)
 	hs.WriteString("Upgrade: websocket\r\nConnection: Upgrade\r\n")
 	for _, h := range []string{"Sec-WebSocket-Key", "Sec-WebSocket-Version", wire.LastSeqHeader} {
 		if v := req.Header.Get(h); v != "" {

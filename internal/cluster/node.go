@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"net/url"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -99,9 +100,12 @@ func (n *Node) Alive() bool { return n.alive.Load() }
 // Owned reports how many channels are currently placed on the node.
 func (n *Node) Owned() int64 { return n.owned.Load() }
 
-// observeURL returns the node's observe endpoint for a channel.
+// observeURL returns the node's observe endpoint for a channel. Every path
+// the router sends a node carries the channel id escaped: the id it routes
+// on arrived decoded, and pasted as it is, "a%41" would reach the node as
+// "aA" and "a?b" would end the path at the "?".
 func (n *Node) observeURL(id string) string {
-	return n.Spec.URL + "/channels/" + id + "/observe"
+	return n.Spec.URL + "/channels/" + url.PathEscape(id) + "/observe"
 }
 
 // healthResponse is the subset of the node /healthz payload the router
@@ -216,7 +220,7 @@ func (b cancelOnClose) Close() error {
 // caller owns the returned body. A 404 is surfaced as errNoChannelState so
 // migration can treat "nothing to move" as success.
 func (n *Node) exportSnapshot(id string) (io.ReadCloser, error) {
-	resp, err := n.within(n.adminWait, wire.MethodGet, "/channels/"+id+"/snapshot", nil)
+	resp, err := n.within(n.adminWait, wire.MethodGet, "/channels/"+url.PathEscape(id)+"/snapshot", nil)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: exporting %q from %s: %w", id, n.Spec.Name, err)
 	}
@@ -234,7 +238,7 @@ func (n *Node) exportSnapshot(id string) (io.ReadCloser, error) {
 
 // putSnapshot imports a channel snapshot stream (PUT snapshot).
 func (n *Node) putSnapshot(id string, body io.Reader) error {
-	resp, err := n.within(n.adminWait, wire.MethodPut, "/channels/"+id+"/snapshot", body)
+	resp, err := n.within(n.adminWait, wire.MethodPut, "/channels/"+url.PathEscape(id)+"/snapshot", body)
 	if err != nil {
 		return fmt.Errorf("cluster: importing %q into %s: %w", id, n.Spec.Name, err)
 	}
@@ -312,7 +316,7 @@ func (n *Node) replayObservations(id string, recs []wal.Record) (int, uint64, er
 // deleteChannel detaches a channel from the node. 404 counts as success
 // (the desired end state holds).
 func (n *Node) deleteChannel(id string) error {
-	resp, err := n.within(n.adminWait, wire.MethodDelete, "/channels/"+id, nil)
+	resp, err := n.within(n.adminWait, wire.MethodDelete, "/channels/"+url.PathEscape(id), nil)
 	if err != nil {
 		return fmt.Errorf("cluster: detaching %q from %s: %w", id, n.Spec.Name, err)
 	}

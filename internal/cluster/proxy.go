@@ -28,15 +28,12 @@ type slot struct {
 // upstream is one forward connection to a channel's owner: the wire.Stream
 // the driver writes lines into, and the Feeder that relays its decision lines
 // back so the driver never blocks on a node while the client is sending.
-// Aborting the stream ends both. offset is the client seq of the
-// connection's first line — when non-zero, acknowledged decisions carry a
-// connection-local seq and must be rewritten before reaching the client.
+// Aborting the stream ends both.
 type upstream struct {
 	node   *Node
 	epoch  uint64
 	stream *wire.Stream
 	acks   *wire.Feeder
-	offset uint64
 }
 
 // ended is the error that closed the connection's ack relay: what the stream
@@ -61,13 +58,13 @@ func (up *upstream) ended() error {
 //     property a windowed client depends on. A rotated-away connection's
 //     feeder is stopped and dropped with it, so a stale acknowledgement
 //     cannot reach the driver;
-//   - the driver selects over both, preserving the invariants:
-//     pending[tail..tail+npending) is the FIFO of accepted-but-unanswered
-//     segments, the sent ones form a contiguous prefix, every sent slot
-//     holds one in-flight registration on the entry (queued slots hold
-//     none, so migrations and failovers never wait on a segment no live
-//     node has), and decision lines reach the client strictly in accept
-//     order.
+//   - the driver waits on both in one place (wait), preserving the
+//     invariants: pending[tail..tail+npending) is the FIFO of
+//     accepted-but-unanswered segments, the sent ones form a contiguous
+//     prefix, every sent slot holds one in-flight registration on the entry
+//     (queued slots hold none, so migrations and failovers never wait on a
+//     segment no live node has), and decision lines reach the client
+//     strictly in accept order, each carrying its slot's seq.
 type proxyStream struct {
 	r     *Router
 	entry *entry
@@ -87,7 +84,7 @@ type proxyStream struct {
 	up        *upstream
 	responses int    // decision lines written to the client
 	seq       uint64 // next client seq
-	line      []byte // a rewritten or synthesised decision line, reused
+	line      []byte // a renumbered or synthesised decision line, reused
 
 	// recoverBy bounds TOTAL time in upstream recovery without real
 	// progress. Set on the first broken-upstream error, cleared only by a
@@ -114,87 +111,104 @@ func (r *Router) handleObserve(w wire.ResponseWriter, req *wire.Request, id stri
 		feed:    wire.Feed(req.Context().Done(), wire.ScanLines(req.Body), 2),
 	}
 	defer ps.closeUpstream()
-
-	for {
-		// Try without blocking first; only when nothing is immediately
-		// available flush the buffered client decisions and upstream lines,
-		// then wait. Flushing costs a syscall per call — paying it once per
-		// idle transition instead of once per line is most of the router's
-		// single-core throughput.
-		var (
-			buf, ack      []byte
-			lineOK, ackOK bool
-			isLine        bool
-			ackCh         chan []byte // nil (never ready) without a live upstream
-		)
-		if ps.up != nil {
-			ackCh = ps.up.acks.C
-		}
-		select {
-		case buf, lineOK = <-ps.feed.C:
-			isLine = true
-		case ack, ackOK = <-ackCh:
-		default:
-			if ps.up != nil {
-				if err := ps.up.stream.Flush(); err != nil {
-					if err = ps.handleUpstreamError(err); err != nil {
-						ps.terminate(err)
-						return
-					}
-					continue
-				}
-			}
-			ps.out.Flush()
-			select {
-			case buf, lineOK = <-ps.feed.C:
-				isLine = true
-			case ack, ackOK = <-ackCh:
-			}
-		}
-		if isLine {
-			if !lineOK {
-				if err := ps.resolve(0); err != nil {
-					ps.terminate(err)
-					return
-				}
-				if scErr := ps.feed.Err(); scErr != nil {
-					ps.writeDecision(wire.Decision{Channel: id, Seq: ps.seq,
-						Error: fmt.Sprintf("request stream aborted: %v", scErr)})
-				}
-				ps.out.Flush()
-				return
-			}
-			if err := ps.accept(buf); err != nil {
-				ps.terminate(err)
-				return
-			}
-			continue
-		}
-		err := ps.onAck(ack, ackOK)
-		if err != nil {
-			err = ps.handleUpstreamError(err)
-		}
-		if err == nil && ps.nsent < ps.npending {
-			// Recovery (or a migration park) left segments queued;
-			// resubmit now — the client may be idle waiting for them.
-			err = ps.flushQueued()
-		}
-		if err != nil {
-			ps.terminate(err)
-			return
-		}
+	if err := ps.run(); err != nil {
+		ps.terminate(err)
+		return
 	}
+	if scErr := ps.feed.Err(); scErr != nil {
+		ps.writeDecision(wire.Decision{Channel: id, Seq: ps.seq,
+			Error: fmt.Sprintf("request stream aborted: %v", scErr)})
+	}
+	ps.out.Flush()
 }
 
-// accept takes one observation line from the feeder: it frees a window
-// slot if needed (resolving the oldest pending segment), queues the line, and
-// pushes queued lines onto the live upstream.
-func (ps *proxyStream) accept(buf []byte) error {
-	if ps.npending == len(ps.pending) {
-		if err := ps.resolve(len(ps.pending) - 1); err != nil {
+// run drives the stream until the client input has ended and every accepted
+// segment is answered. Each turn pushes the queued segments onto the owner —
+// recovery or a migration park may have left some, and the client may be
+// idle waiting for them — then waits for one event. The client feed is off
+// while the window is full, when only an acknowledgement frees a slot. Once
+// the input has ended the upstream body is half-closed, everything pending
+// being on the wire: the node's observe handler pipelines up to its batch
+// depth and only guarantees the tail of that pipeline on request EOF, so a
+// drain that held the pipe open could wait forever on decisions the node is
+// holding for exactly that EOF. Upstream failures demote the sent segments
+// back to queued and retry within the failover budget.
+func (ps *proxyStream) run() error {
+	in := ps.feed.C
+	for in != nil || ps.npending > 0 {
+		if err := ps.flushQueued(); err != nil {
 			return err
 		}
+		feed := in
+		switch {
+		case in == nil:
+			ps.halfCloseUpstream()
+		case ps.npending == len(ps.pending):
+			feed = nil
+		}
+		line, ended, err := ps.wait(feed)
+		switch {
+		case err != nil:
+			if err = ps.handleUpstreamError(err); err != nil {
+				return err
+			}
+		case ended:
+			in = nil
+		case line != nil:
+			ps.accept(line)
+		}
 	}
+	return nil
+}
+
+// wait is the driver's one blocking point. It returns the next line from the
+// client feed in, or ended once in closes, or delivers one acknowledgement
+// from the live upstream (nil line). in is nil while the window is full,
+// once the input has ended, and during a drain. It tries without blocking
+// first; only when nothing is immediately available does it flush both
+// directions, then wait: the node cannot acknowledge lines it has not seen,
+// and the client may be gating its next sends on decisions still sitting in
+// our buffer. Flushing costs a syscall per call — paying it once per idle
+// transition instead of once per line is most of the router's single-core
+// throughput.
+func (ps *proxyStream) wait(in <-chan []byte) (line []byte, ended bool, err error) {
+	var acks chan []byte // nil (never ready) without a live upstream
+	if ps.up != nil {
+		acks = ps.up.acks.C
+	}
+	done := ps.ctx.Done()
+	if in != nil {
+		done = nil // the client feed closes itself when the client goes away
+	}
+	var (
+		ack []byte
+		ok  bool
+	)
+	select {
+	case line, ok = <-in:
+		return line, !ok, nil
+	case ack, ok = <-acks:
+	default:
+		if ps.up != nil {
+			if err := ps.up.stream.Flush(); err != nil {
+				return nil, false, err
+			}
+		}
+		ps.out.Flush()
+		select {
+		case line, ok = <-in:
+			return line, !ok, nil
+		case ack, ok = <-acks:
+		case <-done:
+			return nil, false, terminalError{fmt.Errorf("cluster: client went away")}
+		}
+	}
+	return nil, false, ps.onAck(ack, ok)
+}
+
+// accept queues one observation line from the feeder in the next window
+// slot; run makes room for it first and pushes it after.
+func (ps *proxyStream) accept(buf []byte) {
 	i := (ps.tail + ps.npending) % len(ps.pending)
 	s := &ps.pending[i]
 	s.buf = append(s.buf[:0], buf...)
@@ -206,35 +220,6 @@ func (ps *proxyStream) accept(buf []byte) error {
 	ps.seq++
 	ps.npending++
 	ps.r.m.segments.Inc()
-	return ps.flushQueued()
-}
-
-// resolve reads acknowledgements until at most keep segments are pending:
-// accept frees one window slot with it, the end of the client stream
-// resolves everything (keep 0). Queued segments are (re)submitted first;
-// upstream failures demote the sent ones back to queued and retry within
-// the failover budget. At the end of the stream, once everything pending
-// is on the wire, it half-closes the upstream body: the node's observe
-// handler pipelines up to its batch depth and only guarantees the tail of
-// that pipeline on request EOF, so a drain that held the pipe open could
-// wait forever on decisions the node is holding for exactly that EOF.
-func (ps *proxyStream) resolve(keep int) error {
-	for ps.npending > keep {
-		if ps.nsent < ps.npending {
-			if err := ps.flushQueued(); err != nil {
-				return err
-			}
-		}
-		if keep == 0 && ps.nsent == ps.npending {
-			ps.halfCloseUpstream()
-		}
-		if err := ps.readAck(); err != nil {
-			if err := ps.handleUpstreamError(err); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
 }
 
 // flushQueued pushes every queued (unsent) pending slot onto the current
@@ -248,8 +233,10 @@ func (ps *proxyStream) flushQueued() error {
 		if !ok {
 			// Migration draining: our sent segments must acknowledge
 			// before it can proceed, and we must not push new ones.
-			if err := ps.drainSent(); err != nil {
-				return err
+			if err := ps.drain(); err != nil {
+				if err = ps.handleUpstreamError(err); err != nil {
+					return err
+				}
 			}
 			ps.entry.waitFlipped(epoch)
 			continue
@@ -277,41 +264,19 @@ func (ps *proxyStream) flushQueued() error {
 	return nil
 }
 
-// drainSent acknowledges every currently-sent segment (used before
-// parking for a migration). No further line will be written on this
-// connection — ownership is about to flip and the flip rotates it — so
-// it half-closes first, forcing the node to flush its pipelined tail.
-func (ps *proxyStream) drainSent() error {
-	if err := ps.drainSentRaw(); err != nil {
-		return ps.handleUpstreamError(err)
+// drain acknowledges every currently-sent segment, before parking for a
+// migration and before a rotation: wait with the client feed off. No
+// further line will be written on this connection — ownership is about to
+// flip and the flip rotates it — so it half-closes first, forcing the node
+// to flush its pipelined tail. Recovery from its error is the caller's.
+func (ps *proxyStream) drain() error {
+	ps.halfCloseUpstream()
+	for ps.nsent > 0 {
+		if _, _, err := ps.wait(nil); err != nil {
+			return err
+		}
 	}
 	return nil
-}
-
-// readAck blocks for one acknowledgement from the live upstream and
-// resolves one pending slot with it.
-func (ps *proxyStream) readAck() error {
-	if ps.up == nil {
-		return fmt.Errorf("cluster: no upstream")
-	}
-	select {
-	case ack, ok := <-ps.up.acks.C:
-		return ps.onAck(ack, ok)
-	default:
-	}
-	// About to block: everything buffered must be on the wire first — the
-	// node cannot acknowledge lines it has not seen, and the client may be
-	// gating its next sends on decisions still sitting in our buffer.
-	if err := ps.up.stream.Flush(); err != nil {
-		return err
-	}
-	ps.out.Flush()
-	select {
-	case ack, ok := <-ps.up.acks.C:
-		return ps.onAck(ack, ok)
-	case <-ps.ctx.Done():
-		return terminalError{fmt.Errorf("cluster: client went away")}
-	}
 }
 
 // onAck handles one receive from the live upstream's relay: a decision line
@@ -329,28 +294,22 @@ func (ps *proxyStream) onAck(ack []byte, ok bool) error {
 
 // deliver forwards one acknowledged decision line to the client and
 // resolves the oldest pending slot. The node answers lines strictly in
-// submission order, so FIFO matching is exact. Flushing is deferred to the
-// next blocking wait (or handler return) — one syscall per idle transition,
-// not per decision — and neither the wseq high-water mark nor a rotated
-// connection's seq costs a JSON parse: both are byte scans of the node's
-// line, which allocate nothing.
+// submission order, so FIFO matching is exact, and every line takes that
+// slot's seq: a node numbers from wherever its connection began, the client
+// from its stream's start. Flushing is deferred to the next blocking wait (or
+// handler return) — one syscall per idle transition, not per decision — and
+// neither the wseq high-water mark nor the seq costs a JSON parse: both are
+// byte scans of the node's line, which allocate nothing.
 func (ps *proxyStream) deliver(raw []byte) error {
-	up := ps.up
 	s := &ps.pending[ps.tail]
 	ps.recoverBy = time.Time{} // real progress: the failover budget rearms
 	ps.r.m.forwardLatency.Observe(time.Since(s.t0).Seconds())
-	line := raw // the connection's seqs coincide with the client's
-	if up.offset != 0 {
-		// Rotated connection: node seqs restart at 0, rewrite to the
-		// client's numbering.
-		var ok bool
-		if ps.line, ok = appendReseq(ps.line[:0], raw, s.seq); !ok {
-			return fmt.Errorf("cluster: bad acknowledgement line from %s: no seq field", up.node.Spec.Name)
-		}
-		line = ps.line
+	var ok bool
+	if ps.line, ok = appendReseq(ps.line[:0], raw, s.seq); !ok {
+		return fmt.Errorf("cluster: bad acknowledgement line from %s: no seq field", ps.up.node.Spec.Name)
 	}
 	ps.entry.noteWseq(scanWseq(raw))
-	if err := ps.out.WriteLine(line); err != nil {
+	if err := ps.out.WriteLine(ps.line); err != nil {
 		return ps.clientGone(err)
 	}
 	ps.responses++
@@ -487,7 +446,7 @@ func (ps *proxyStream) handleUpstreamError(err error) error {
 			}
 		}
 		// The budget check comes FIRST: a reopened connection alone must
-		// not count as recovery (probeOpen succeeds against a node that
+		// not count as recovery (openUpstream succeeds against a node that
 		// then fails every stream), so an unproductive open/fail cycle
 		// still walks into this branch once the budget is spent.
 		if time.Now().After(deadline) {
@@ -500,30 +459,10 @@ func (ps *proxyStream) handleUpstreamError(err error) error {
 			return terminalError{fmt.Errorf("cluster: failover budget exhausted: %w", err)}
 		}
 		owner, epoch, migrating := ps.entry.state()
-		if !migrating && owner.Alive() {
-			if probeErr := ps.probeOpen(owner, epoch); probeErr == nil {
-				return nil // flushQueued will resubmit
-			}
+		if !migrating && owner.Alive() && ps.openUpstream(owner, epoch) == nil {
+			return nil // flushQueued will resubmit
 		}
 	}
-}
-
-// probeOpen opens a fresh upstream to the owner: a dead process refuses the
-// dial, which is the open's own error. It does not wait for response
-// headers — the node only sends them with the first decision.
-func (ps *proxyStream) probeOpen(owner *Node, epoch uint64) error {
-	// Idle failover: every accepted segment was already acknowledged, so
-	// the connection's first line will be the NEXT accept. Its client seq
-	// is ps.seq — offset 0 here would pass the new node's restarted seq
-	// numbering through to the client verbatim.
-	offset := ps.seq
-	if ps.npending > 0 {
-		// Everything pending is queued (demoted) at this point; the new
-		// connection starts with the oldest, so its node-side seq 0 maps
-		// to that client seq.
-		offset = ps.pending[ps.tail].seq
-	}
-	return ps.openUpstream(owner, epoch, offset)
 }
 
 // demoteSent converts every sent slot back to queued and releases its
@@ -551,32 +490,20 @@ func (ps *proxyStream) ensureUpstream(owner *Node, epoch uint64) error {
 	if ps.up != nil {
 		// Ownership moved under us: settle the old connection first so
 		// its decisions arrive in order, then rotate.
-		if err := ps.drainSentRaw(); err != nil {
+		if err := ps.drain(); err != nil {
 			return err
 		}
 		ps.closeUpstream()
 		ps.r.m.rotations.Inc()
 	}
-	return ps.openUpstream(owner, epoch, ps.pending[(ps.tail+ps.nsent)%len(ps.pending)].seq)
-}
-
-// drainSentRaw is drainSent without the error recovery (used inside
-// rotation, where the caller owns recovery and the connection is likewise
-// about to be discarded).
-func (ps *proxyStream) drainSentRaw() error {
-	ps.halfCloseUpstream()
-	for ps.nsent > 0 {
-		if err := ps.readAck(); err != nil {
-			return err
-		}
-	}
-	return nil
+	return ps.openUpstream(owner, epoch)
 }
 
 // openUpstream starts a forward request to owner and the relay of its
-// acknowledgements; offset is the client seq of the first line it will carry.
-// A failed dial is its error, and leaves no upstream.
-func (ps *proxyStream) openUpstream(owner *Node, epoch, offset uint64) error {
+// acknowledgements. A dead process refuses the dial, which is the open's own
+// error, and leaves no upstream. It does not wait for response headers — the
+// node only sends them with the first decision.
+func (ps *proxyStream) openUpstream(owner *Node, epoch uint64) error {
 	stream, err := wire.OpenStream(ps.ctx, ps.r.dial, owner.observeURL(ps.id))
 	if err != nil {
 		return fmt.Errorf("cluster: node %s: %w", owner.Spec.Name, err)
@@ -589,7 +516,7 @@ func (ps *proxyStream) openUpstream(owner *Node, epoch, offset uint64) error {
 	// both parked for good. +2: one buffer with the driver, one being filled.
 	// The relay ends through Next when its stream is aborted; the client's
 	// context only stops one parked on buffers a dropped relay never gets back.
-	ps.up = &upstream{node: owner, epoch: epoch, stream: stream, offset: offset,
+	ps.up = &upstream{node: owner, epoch: epoch, stream: stream,
 		acks: wire.Feed(ps.ctx.Done(), stream.Next, len(ps.pending)+2)}
 	return nil
 }

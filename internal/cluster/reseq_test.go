@@ -63,19 +63,18 @@ func (w *lineSink) Write(b []byte) (int, error) {
 	return len(b), nil
 }
 
-// TestRotatedDeliverAllocs drives deliver on a stream whose connection was
-// rotated — node seqs restart at 0, client seqs run on — and pins that
-// every decision reaches the client as AppendDecision's line for the
-// client's seq, without one allocation. The parent decoded each line with
-// encoding/json and encoded it afresh.
-func TestRotatedDeliverAllocs(t *testing.T) {
+// TestDeliverAllocs drives deliver with node seqs that run apart from the
+// client's — as on every connection, a node numbers from wherever its
+// connection began — and pins that every decision reaches the client as
+// AppendDecision's line for the client's seq, without one allocation.
+func TestDeliverAllocs(t *testing.T) {
 	r := &Router{tbl: newTable()}
 	r.m = newRouterMetrics(r)
 	sink := &lineSink{}
 	ps := &proxyStream{
 		r: r, entry: &entry{id: "a"}, out: wire.NewLineWriter(sink),
 		pending: make([]slot, 1),
-		up:      &upstream{node: &Node{Spec: NodeSpec{Name: "n1"}}, offset: 1000},
+		up:      &upstream{node: &Node{Spec: NodeSpec{Name: "n1"}}},
 	}
 	raws := make([][]byte, len(reseqCases))
 	for i := range reseqCases {
@@ -110,6 +109,60 @@ func TestRotatedDeliverAllocs(t *testing.T) {
 		}
 		i++
 	}); n != 0 {
-		t.Fatalf("a rotated decision allocates %v times, want 0", n)
+		t.Fatalf("a delivered decision allocates %v times, want 0", n)
 	}
+}
+
+// TestRouterNumbersEveryLine pins the one seq rule: the client sees its
+// own stream's numbering, 0, 1, 2, …, on a first connection too, whatever
+// the node numbers its lines with.
+func TestRouterNumbersEveryLine(t *testing.T) {
+	stubs, _, srv := newTestCluster(t, 1, nil)
+	stubs[0].seqFrom.Store(5)
+	decs := observeThrough(t, srv.URL, "first", []string{obsLine(0.1), "not json", obsLine(0.3), obsLine(0.4)})
+	if len(decs) != 4 {
+		t.Fatalf("got %d decisions for 4 lines", len(decs))
+	}
+	for i, d := range decs {
+		if d.Seq != uint64(i) || d.Channel != "first" {
+			t.Fatalf("decision %d: %+v, want seq %d — the node's numbering leaked through", i, d, i)
+		}
+	}
+}
+
+// FuzzReseq pins the rewrite every relayed decision takes to the encoder
+// over any decision: its line with the seq replaced is AppendDecision's
+// line for the decision carrying that seq, and scanWseq reads its wseq.
+func FuzzReseq(f *testing.F) {
+	for _, d := range reseqCases {
+		f.Add(d.Channel, d.Error, d.Path, d.Seq, d.WSeq, d.Seq^d.WSeq, d.Score, flagBits(d))
+	}
+	f.Fuzz(func(t *testing.T, channel, errStr, path string, seq, wseq, to uint64, score float64, flags uint8) {
+		d := wire.Decision{Channel: channel, Seq: seq, Score: score, Path: path, WSeq: wseq, Error: errStr,
+			Warmup: flags&1 != 0, Anomaly: flags&2 != 0, Exact: flags&4 != 0, Dropped: flags&8 != 0, Rejected: flags&16 != 0}
+		raw, err := wire.AppendDecision(nil, &d)
+		if err != nil {
+			return // a score JSON cannot carry: no node writes the line
+		}
+		want := d
+		want.Seq = to
+		line, _ := wire.AppendDecision(nil, &want)
+		if got, ok := appendReseq(nil, raw, to); !ok || !bytes.Equal(got, line) {
+			t.Fatalf("seq %d over %s: rewrote to %q (ok %v), want %q", to, raw, got, ok, line)
+		}
+		if got := scanWseq(raw); got != wseq {
+			t.Fatalf("scanned wseq %d from %s, want %d", got, raw, wseq)
+		}
+	})
+}
+
+// flagBits packs a decision's flags the way FuzzReseq unpacks them.
+func flagBits(d wire.Decision) uint8 {
+	var b uint8
+	for i, set := range []bool{d.Warmup, d.Anomaly, d.Exact, d.Dropped, d.Rejected} {
+		if set {
+			b |= 1 << i
+		}
+	}
+	return b
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"net/url"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -497,7 +498,7 @@ func (r *Router) handleChannel(w wire.ResponseWriter, req *wire.Request) {
 			return
 		}
 		owner, _, _ := e.state()
-		resp, err := owner.send(req.Context(), wire.MethodGet, "/channels/"+id+"/stats", nil)
+		resp, err := owner.send(req.Context(), wire.MethodGet, "/channels/"+url.PathEscape(id)+"/stats", nil)
 		if err != nil {
 			wire.Error(w, err.Error(), wire.StatusBadGateway)
 			return

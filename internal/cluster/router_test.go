@@ -10,6 +10,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"net/url"
 	"os"
 	"path/filepath"
 	"strings"
@@ -22,6 +23,7 @@ import (
 	"aovlis/internal/serve/loadgen"
 	"aovlis/internal/snapshot"
 	"aovlis/internal/snapshot/manifest"
+	"aovlis/internal/stream/liveplane"
 	"aovlis/internal/wire"
 	"aovlis/internal/wire/wiretest"
 )
@@ -216,6 +218,73 @@ func TestRouterProxyObserve(t *testing.T) {
 	decs2 := observeThrough(t, srv.URL, "alice", []string{obsLine(0.5)})
 	if scoreNode(decs2[0].Score) != owner || scorePos(decs2[0].Score) != 4 {
 		t.Fatalf("second stream broke stickiness/continuity: %+v", decs2[0])
+	}
+}
+
+// TestRouterEscapesChannelIDs: a channel id that needs escaping in a path
+// reaches the node as the client's exact id on every route the router
+// forwards — observe, stats, the /live upgrade and a rebalance move's
+// export, import and detach. Pasted unescaped, "a%41" would land on the
+// node as "aA", and "a?b" would cut the path short and 404.
+func TestRouterEscapesChannelIDs(t *testing.T) {
+	stubs, r, srv := newTestCluster(t, 2, nil)
+	holder := func(id string) *stubNode {
+		t.Helper()
+		var held []*stubNode
+		for _, s := range stubs {
+			if s.hasChannel(id) {
+				held = append(held, s)
+			}
+		}
+		if len(held) != 1 {
+			t.Fatalf("channel %q held by %d stubs, want 1", id, len(held))
+		}
+		return held[0]
+	}
+	for _, id := range []string{"a%41", "a?b", "a b", "a#b"} {
+		esc := url.PathEscape(id)
+		for i, d := range observeThrough(t, srv.URL, esc, []string{obsLine(0.1), obsLine(0.2)}) {
+			if d.Channel != id || d.Seq != uint64(i) || d.Error != "" {
+				t.Fatalf("channel %q decision %d: %+v", id, i, d)
+			}
+		}
+		from := holder(id)
+
+		resp, err := http.Get(srv.URL + "/channels/" + esc + "/stats")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var st stubState
+		err = json.NewDecoder(resp.Body).Decode(&st)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK || st.ID != id || st.Observed != 2 {
+			t.Fatalf("channel %q stats: status %d, %+v, %v", id, resp.StatusCode, st, err)
+		}
+
+		conn, _, err := liveplane.Dial(srv.URL+"/live/"+esc, nil)
+		if err != nil {
+			t.Fatalf("channel %q live dial: %v", id, err)
+		}
+		if err := conn.WriteMessage(liveplane.OpText, []byte("ping")); err != nil {
+			t.Fatal(err)
+		}
+		conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+		_, msg, err := conn.ReadMessage()
+		conn.Close()
+		if want := from.name + ":" + id + ":ping"; err != nil || string(msg) != want {
+			t.Fatalf("channel %q live echo %q (%v), want %q", id, msg, err, want)
+		}
+
+		to := r.byName[stubs[0].name]
+		if from == stubs[0] {
+			to = r.byName[stubs[1].name]
+		}
+		if mv := r.moveChannel(r.tbl.get(id), to); mv.Error != "" {
+			t.Fatalf("channel %q move: %s", id, mv.Error)
+		}
+		if got := holder(id); got.name != to.Spec.Name || got.observedCount(id) != 2 {
+			t.Fatalf("channel %q after the move: on %s with %d observed, want %s with 2", id, got.name, got.observedCount(id), to.Spec.Name)
+		}
 	}
 }
 

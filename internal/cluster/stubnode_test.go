@@ -36,6 +36,7 @@ type stubNode struct {
 	putStatus  atomic.Int32 // when set, snapshot imports are refused with this status
 	puts       atomic.Int32 // snapshot imports received
 	padPath    atomic.Int32 // bytes of padding in every decision's path (large-acknowledgement tests)
+	seqFrom    atomic.Int32 // the seq each observe response numbers its first line with
 
 	// watch is the fixed event list the stub's /watch replays (live_test
 	// populates it); watchEnd makes the handler return after the replay
@@ -183,7 +184,7 @@ func (s *stubNode) handleObserve(w wire.ResponseWriter, r *wire.Request, id stri
 	enc := json.NewEncoder(w)
 	sc := bufio.NewScanner(r.Body)
 	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
-	seq := uint64(0)
+	seq := uint64(s.seqFrom.Load())
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
 		if line == "" {
