@@ -15,6 +15,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"aovlis/internal/core"
@@ -191,6 +192,15 @@ func TestObserveRetrainSteadyStateAllocs(t *testing.T) {
 			feed() // one prediction on the merged weights
 
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+			// Mallocs counts the runtime's own allocations too. After the
+			// warm-up's collections (and the Ps GOMAXPROCS just dropped,
+			// whose page caches return to the heap) the background
+			// scavenger still has pages to release; between releases it
+			// re-arms its sleep timer on the one P left, and growing that
+			// P's timer heap is an allocation inside the window. Returning
+			// every free page now leaves it nothing to release, so it parks
+			// without a timer.
+			debug.FreeOSMemory()
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
 			start, from := updates, seg

@@ -57,7 +57,8 @@ func dialLive(t *testing.T, url string, hdr wire.Header) (*liveplane.Conn, *wire
 
 // expectedPayloads batch-replays the stream on a fresh template clone and
 // renders the decision payload each segment must produce live: same
-// struct, same marshaller, so equality is byte-level.
+// struct, same marshaller, so equality is byte-level. A verdict's seq is
+// the channel's sequence, which it carries as its wseq too.
 func expectedPayloads(t *testing.T, ch string, acts, auds [][]float64) []string {
 	t.Helper()
 	clone, err := template(t).Clone()
@@ -71,7 +72,7 @@ func expectedPayloads(t *testing.T, ch string, acts, auds [][]float64) []string 
 			t.Fatalf("batch replay segment %d: %v", i, err)
 		}
 		b, err := json.Marshal(&liveplane.Decision{
-			Channel: ch, Seq: uint64(i + 1),
+			Channel: ch, Seq: uint64(i + 1), WSeq: uint64(i + 1),
 			Warmup: r.Warmup, Anomaly: r.Anomaly, Score: r.Score, Exact: r.Exact, Path: r.Path,
 		})
 		if err != nil {

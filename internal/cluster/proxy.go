@@ -328,7 +328,7 @@ var (
 )
 
 // scanWseq extracts the wseq field from a raw decision line without a
-// full JSON parse (0 when absent — the node runs without -wal-dir).
+// full JSON parse (0 when absent — a line the node accepted nothing for).
 func scanWseq(raw []byte) uint64 {
 	i := bytes.Index(raw, wseqKey)
 	if i < 0 {

@@ -32,14 +32,15 @@ type entry struct {
 	migrating bool
 	inflight  int
 
-	// wseq is the highest WAL sequence among the decisions relayed to
+	// wseq is the highest channel sequence among the decisions relayed to
 	// clients for this channel — the exact suffix boundary failover must
 	// replay from the dead owner's journal: everything at or below it was
 	// acknowledged AND delivered (so no stream will resubmit it), and
 	// everything above it is still pending in some stream's window (so the
 	// stream resubmits it to the new owner). Sequences are node-local, so
 	// the tracker resets on every ownership flip and is reseeded from the
-	// replay's own decisions. Zero when the owner runs without -wal-dir.
+	// replay's own decisions. Only a journal the router can read (the
+	// node's shared -wal-dir) turns it into a replay.
 	wseq atomic.Uint64
 }
 

@@ -81,8 +81,8 @@ import (
 type Entry struct {
 	// Seq is the entry's ledger sequence (1-based, assigned by Append).
 	Seq uint64 `json:"seq"`
-	// Channel is the scored channel; ChannelSeq the observation's journal
-	// sequence on that channel (0 when the pool runs without a WAL).
+	// Channel is the scored channel; ChannelSeq the observation's sequence
+	// on that channel, the number a journal records it under.
 	Channel    string `json:"channel"`
 	ChannelSeq uint64 `json:"channel_seq,omitempty"`
 	// UnixNanos is the scoring time as reported by the caller.

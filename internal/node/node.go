@@ -162,7 +162,7 @@ func Open(template *aovlis.Detector, cfg Config) (*Node, error) {
 		}
 	}
 	n := &Node{cfg: cfg, template: template, pool: pool, started: time.Now(),
-		hub: liveplane.NewHub(liveplane.HubConfig{}), stop: make(chan struct{})}
+		hub: liveplane.NewHub(), stop: make(chan struct{})}
 	if err := n.openLedger(); err != nil {
 		pool.Close()
 		return nil, err

@@ -534,8 +534,15 @@ func TestDetachForgetsTheLiveSession(t *testing.T) {
 			if resp.StatusCode != http.StatusOK {
 				t.Fatalf("DELETE status %d", resp.StatusCode)
 			}
-			if got := n.hub.ChannelFloor("x"); got != 0 {
-				t.Fatalf("hub still holds floor %d for the detached channel", got)
+			sess, err := n.hub.Acquire("x")
+			if err != nil {
+				t.Fatal(err)
+			}
+			var ringed int
+			sess.Replay(0, func(uint64, []byte) error { ringed++; return nil })
+			sess.Release()
+			if ringed != 0 {
+				t.Fatalf("hub still rings %d decisions of the detached channel", ringed)
 			}
 
 			floor, seqs := liveLeg(t, srv, "x", acts2, auds2)
@@ -548,6 +555,133 @@ func TestDetachForgetsTheLiveSession(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestUnjournaledNodeNumbersEverySegment: a node without a journal numbers
+// every accepted segment with its channel's sequence, as a journaled one
+// does. NDJSON decisions carry it as wseq, ledger entries as channel_seq,
+// a /live verdict's seq is its wseq, and a reconnect's resume floor is the
+// pool's applied sequence.
+func TestUnjournaledNodeNumbersEverySegment(t *testing.T) {
+	n, _ := open(t, testConfig(dirs{ledger: t.TempDir()}))
+	srv := wiretest.NewServer(t, n.Handler())
+	defer func() { n.Drain(); srv.Close(); n.Close() }()
+	acts, auds := testSeries(31, 12)
+
+	var body []byte
+	for i := range acts {
+		body = wire.AppendObservation(body, acts[i], auds[i])
+	}
+	resp, err := http.Post(srv.URL+"/channels/a/observe", "application/x-ndjson", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var k uint64
+	for _, line := range bytes.Split(bytes.TrimSpace(lines), []byte("\n")) {
+		var d wire.Decision
+		if err := wire.DecodeDecision(line, &d); err != nil {
+			t.Fatalf("decision %q: %v", line, err)
+		}
+		if d.Seq != k || d.WSeq != k+1 {
+			t.Fatalf("NDJSON decision %d carries seq %d wseq %d, want %d and %d", k, d.Seq, d.WSeq, k, k+1)
+		}
+		k++
+	}
+	if k != uint64(len(acts)) {
+		t.Fatalf("%d decisions for %d lines", k, len(acts))
+	}
+	// Segments 1-4 warm up; the channel's first ledgered verdict is its 5th.
+	if err := n.ledger.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if resp, err = http.Get(srv.URL + "/ledger/proof/1"); err != nil {
+		t.Fatal(err)
+	}
+	var p ledger.Proof
+	err = json.NewDecoder(resp.Body).Decode(&p)
+	resp.Body.Close()
+	if err != nil || p.Entry.Channel != "a" || p.Entry.ChannelSeq != 5 {
+		t.Fatalf("ledger entry 1 = %+v (%v), want channel a at channel_seq 5", p.Entry, err)
+	}
+
+	conn, _, err := liveplane.Dial(srv.URL+"/live/b", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const sent = 6
+	for i := 0; i < sent; i++ {
+		line := wire.AppendObservation(nil, acts[i], auds[i])
+		if err := conn.WriteMessage(liveplane.OpText, line[:len(line)-1]); err != nil {
+			t.Fatal(err)
+		}
+		conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+		_, msg, err := conn.ReadMessage()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var d wire.Decision
+		if err := wire.DecodeDecision(msg, &d); err != nil || d.Seq != uint64(i+1) || d.WSeq != d.Seq {
+			t.Fatalf("live decision %d = %s (%v), want seq and wseq %d", i, msg, err, i+1)
+		}
+	}
+	conn.Close()
+	hdr := wire.Header{}
+	hdr.Set(liveplane.LastSeqHeader, strconv.Itoa(sent))
+	for deadline := time.Now().Add(10 * time.Second); ; {
+		// The closed session's teardown may still hold the producer slot.
+		conn, resp, err := liveplane.Dial(srv.URL+"/live/b", hdr)
+		if resp != nil && resp.StatusCode == http.StatusConflict && time.Now().Before(deadline) {
+			time.Sleep(5 * time.Millisecond)
+			continue
+		}
+		if err != nil {
+			t.Fatalf("reconnect: %v", err)
+		}
+		conn.Close()
+		if got, applied := resp.Header.Get(liveplane.ResumeHeader), n.pool.AppliedSeq("b"); got != strconv.Itoa(sent) || applied != sent {
+			t.Fatalf("reconnect resumes at %s, the pool applied %d; want both %d", got, applied, sent)
+		}
+		break
+	}
+}
+
+// TestUnjournaledRestartNumbersOn: a node without a journal restored from
+// its checkpoint numbers a channel on from what the checkpoint covers, so
+// the ledger never holds two entries under one (channel, channel_seq).
+func TestUnjournaledRestartNumbersOn(t *testing.T) {
+	d := dirs{snap: t.TempDir(), ledger: t.TempDir()}
+	acts, auds := testSeries(17, 24)
+	n, _ := open(t, testConfig(d))
+	observe(t, n, "a", acts, auds, 0, 12)
+	shut(t, n) // the final checkpoint covers seq 12
+	n, _ = open(t, testConfig(d))
+	observe(t, n, "a", acts, auds, 12, 24)
+	if got := n.pool.AppliedSeq("a"); got != 24 {
+		t.Fatalf("applied floor after the restart's 12 segments %d, want 24", got)
+	}
+	if err := n.ledger.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	seen := map[uint64]bool{}
+	for s := uint64(1); ; s++ {
+		p, err := n.ledger.Proof(s)
+		if err != nil {
+			break
+		}
+		if seen[p.Entry.ChannelSeq] {
+			t.Fatalf("ledger entry %d reuses channel_seq %d", s, p.Entry.ChannelSeq)
+		}
+		seen[p.Entry.ChannelSeq] = true
+	}
+	shut(t, n)
+	if len(seen) != 20 {
+		t.Fatalf("ledger holds %d verdicts, want 20 (4 warm-ups, then the restored window scores every segment)", len(seen))
 	}
 }
 
@@ -990,14 +1124,15 @@ func TestWarmStartedChannelFootprint(t *testing.T) {
 // hub copies it into a ring slot it reuses, so once the ring is full a
 // Record → Publish allocates nothing.
 func TestWatchSinkSteadyStateAllocs(t *testing.T) {
-	hub := liveplane.NewHub(liveplane.HubConfig{WatchCap: 16})
+	hub := liveplane.NewHub()
 	defer hub.Close()
 	sink := watchSink{hub}
 	res := aovlis.Result{Anomaly: true, Score: 0.0123456789, Exact: true, Path: "exact"}
-	for seq := uint64(1); seq <= 16; seq++ {
+	const watchCap = 1024 // the hub's ring, filled
+	for seq := uint64(1); seq <= watchCap; seq++ {
 		sink.Record("ch-0", seq, res)
 	}
-	seq := uint64(16)
+	seq := uint64(watchCap)
 	if n := testing.AllocsPerRun(100, func() {
 		seq++
 		sink.Record("ch-0", seq, res)

@@ -156,10 +156,11 @@ type Outcome struct {
 	Result aovlis.Result
 	// Err is the detector error, if any.
 	Err error
-	// Seq is the observation's journal sequence on its channel (0 when
-	// the pool runs without a journal). The daemon publishes it on the
-	// decision wire so the cluster router can bound failover replay at
-	// the last relayed sequence.
+	// Seq is the observation's sequence on its channel: the pool numbers
+	// every accepted observation 1, 2, … per channel, and a journal records
+	// it under the same number. The daemon publishes it on the decision
+	// wire (wseq), so the cluster router can bound failover replay at the
+	// last relayed sequence.
 	Seq uint64
 }
 
@@ -173,9 +174,10 @@ type Outcome struct {
 // Boot replay therefore re-applies the journal tail with at-least-once
 // semantics — exactly-once for everything acknowledged.
 //
-// The pool serialises {sequence assignment, Append, queue send} per
-// channel (submit's walMu), so Append is called in strictly increasing
-// sequence order for any one channel; concurrent Appends for different
+// The sequence is the channel's one numbering (Outcome.Seq), which the pool
+// assigns with or without a journal. The pool serialises {sequence
+// assignment, Append, queue send} per channel (submit's seqMu), so Append
+// is called in strictly increasing sequence order for any one channel; concurrent Appends for different
 // channels may still interleave (which is what lets *wal.Log group-commit
 // their fsyncs).
 //
@@ -191,8 +193,7 @@ type Journal interface {
 // VerdictSink receives every non-warmup, error-free verdict as it is
 // scored, from the shard workers (implementations must be safe for
 // concurrent use — the daemon's sink is the mutex-guarded verdict
-// ledger). channelSeq is the observation's journal sequence (0 without a
-// journal).
+// ledger). channelSeq is the observation's sequence on its channel.
 type VerdictSink interface {
 	Record(channel string, channelSeq uint64, res aovlis.Result)
 }
@@ -210,7 +211,7 @@ type job struct {
 	audience []float64
 	out      chan Outcome // buffered(1): the worker's send never blocks
 	enq      time.Time    // submission time, for the queue-wait histogram
-	seq      uint64       // journal sequence (0 without a journal)
+	seq      uint64       // the observation's sequence on its channel
 
 	control func()
 }
@@ -235,18 +236,18 @@ type channel struct {
 	batches atomic.Uint64 // scoring rounds executed
 	batched atomic.Uint64 // observations scored across those rounds
 
-	// walSeq is the channel's journal sequence counter (last assigned;
-	// 1-based, node-local: it restarts when the channel is attached
-	// fresh). applied is the highest journal sequence already scored —
-	// what a checkpoint records as the channel's replay floor. That floor
-	// is only sound because walMu serialises {assign seq, journal append,
-	// enqueue} for live submissions: enqueue order equals sequence order
-	// per channel, so applied = N implies every record ≤ N was applied and
-	// a checkpoint can never cover a journaled-but-unapplied record.
-	walMu   sync.Mutex
-	walSeq  atomic.Uint64
+	// seq is the channel's sequence counter (last assigned; 1-based,
+	// node-local: it restarts when the channel is attached fresh). applied
+	// is the highest sequence already scored — what a checkpoint records
+	// as the channel's replay floor. That floor is only sound because
+	// seqMu serialises {assign seq, journal append, enqueue} for live
+	// submissions: enqueue order equals sequence order per channel, so
+	// applied = N implies every observation ≤ N was applied and a
+	// checkpoint can never cover a journaled-but-unapplied record.
+	seqMu   sync.Mutex
+	seq     atomic.Uint64
 	applied atomic.Uint64
-	// tombstoned (guarded by walMu) is set once Detach has journaled the
+	// tombstoned (guarded by seqMu) is set once Detach has journaled the
 	// channel's tombstone: a submitter that resolved the channel before it
 	// left the table must not journal a record behind it.
 	tombstoned bool
@@ -598,16 +599,14 @@ func (p *DetectorPool) finishJob(ch *channel, j *job, res aovlis.Result, err err
 			ch.tierskipped.Add(1)
 		}
 	}
-	if j.seq != 0 {
-		// CAS-max. On the live path submit's walMu makes same-channel
-		// enqueues arrive in sequence order, so this max is a true floor
-		// (applied = N means everything ≤ N was applied); the CAS keeps it
-		// monotonic against AttachJournal seeding and replay regardless.
-		for {
-			cur := ch.applied.Load()
-			if j.seq <= cur || ch.applied.CompareAndSwap(cur, j.seq) {
-				break
-			}
+	// CAS-max. On the live path submit's seqMu makes same-channel enqueues
+	// arrive in sequence order, so this max is a true floor (applied = N
+	// means everything ≤ N was applied); the CAS keeps it monotonic against
+	// AttachJournal seeding and replay regardless.
+	for {
+		cur := ch.applied.Load()
+		if j.seq <= cur || ch.applied.CompareAndSwap(cur, j.seq) {
+			break
 		}
 	}
 	if err == nil && !res.Warmup && p.sink != nil {
@@ -677,7 +676,7 @@ func (p *DetectorPool) Attach(id string, det Detector) error {
 		// A new incarnation of a detached id: number on from its tombstone,
 		// and start its checkpoint floor there too, so a replay skips the
 		// dead incarnation's records instead of applying them to this one.
-		ch.walSeq.Store(seq)
+		ch.seq.Store(seq)
 		ch.applied.Store(seq)
 		delete(p.retired, id)
 	}
@@ -701,10 +700,10 @@ func (p *DetectorPool) Detach(id string) error {
 		return fmt.Errorf("%w: %q", ErrUnknownChannel, id)
 	}
 	if p.journal != nil {
-		ch.walMu.Lock()
+		ch.seqMu.Lock()
 		seq, err := p.journalNext(ch, nil, nil)
 		ch.tombstoned = err == nil
-		ch.walMu.Unlock()
+		ch.seqMu.Unlock()
 		if err != nil {
 			return fmt.Errorf("serve: journaling detach of channel %q: %w", id, err)
 		}
@@ -746,14 +745,14 @@ func (p *DetectorPool) SubmitInto(id string, actionFeat, audienceFeat []float64,
 
 // submit is the one enqueue path behind SubmitInto, Observe and
 // ReplayObserve; out is buffered. It is lock-free on pool-global state:
-// one atomic map load, then the per-shard send gate. Journaled live
-// submissions additionally serialise on their channel's walMu (different
-// channels stay independent).
+// one atomic map load, then the per-shard send gate. Live submissions
+// additionally serialise on their channel's seqMu (different channels stay
+// independent).
 //
-// replaySeq is 0 for live traffic; the boot replay path passes the
-// record's original journal sequence instead, which suppresses
-// re-journaling while keeping the applied floor and ledger entries
-// aligned with the original run.
+// replaySeq is 0 for live traffic, which takes the channel's next
+// sequence; the boot replay path passes the record's original journal
+// sequence instead, which suppresses re-journaling while keeping the
+// applied floor and ledger entries aligned with the original run.
 func (p *DetectorPool) submit(id string, actionFeat, audienceFeat []float64, out chan Outcome, replaySeq uint64) error {
 	ch, ok := p.lookup(id)
 	if !ok {
@@ -771,46 +770,36 @@ func (p *DetectorPool) submit(id string, actionFeat, audienceFeat []float64, out
 		p.m.rejected.Inc()
 		return fmt.Errorf("%w (channel %q, shard %d)", ErrRejected, id, ch.shard.index)
 	}
+	// A mis-dimensioned observation can only ever score as a detector
+	// error; a journaling pool refuses it here so it never enters the
+	// durable replay history (a journaled record must replay cleanly
+	// through Observe at the next boot). One with no features at all is
+	// refused whatever the detector: in the journal that shape is a
+	// channel's tombstone.
+	if replaySeq == 0 && p.journal != nil && (len(actionFeat)+len(audienceFeat) == 0 ||
+		ch.actionDim > 0 && (len(actionFeat) != ch.actionDim || len(audienceFeat) != ch.audienceDim)) {
+		ch.errors.Add(1)
+		p.m.errors.Inc()
+		return fmt.Errorf("serve: channel %q: feature dims %d/%d, want %d/%d",
+			id, len(actionFeat), len(audienceFeat), ch.actionDim, ch.audienceDim)
+	}
 	j := job{ch: ch, action: actionFeat, audience: audienceFeat, out: out, enq: time.Now(), seq: replaySeq}
-	journaling := replaySeq == 0 && p.journal != nil
-	if journaling {
-		// A mis-dimensioned observation can only ever score as a detector
-		// error; refuse it here so it never enters the durable replay
-		// history (a journaled record must replay cleanly through Observe
-		// at the next boot). One with no features at all is refused whatever
-		// the detector: in the journal that shape is a channel's tombstone.
-		if len(actionFeat)+len(audienceFeat) == 0 ||
-			ch.actionDim > 0 && (len(actionFeat) != ch.actionDim || len(audienceFeat) != ch.audienceDim) {
-			ch.errors.Add(1)
-			p.m.errors.Inc()
-			return fmt.Errorf("serve: channel %q: feature dims %d/%d, want %d/%d",
-				id, len(actionFeat), len(audienceFeat), ch.actionDim, ch.audienceDim)
-		}
-		// Durability before acknowledgement: the journal append (which
-		// fsyncs before returning) happens ahead of the queue send, so no
-		// outcome — and no daemon decision line — can exist for an
-		// unjournaled observation. The inverse window is accepted: a
-		// record journaled here may still miss its enqueue (a pool
-		// close), and boot replay will apply it once — the at-least-once
-		// edge of the contract. A full queue is not such a window: the
-		// send below waits, so a journaled record is always scored.
-		//
-		// walMu holds {assign seq, append, enqueue} together per channel:
+	if replaySeq == 0 {
+		// seqMu holds {assign seq, append, enqueue} together per channel:
 		// without it two submitters could enqueue out of sequence order,
-		// the CAS-max applied floor could cover a journaled-but-unapplied
-		// record, and a checkpoint in that window would let Truncate
-		// delete an acknowledged observation that was never applied —
-		// silent loss after a kill -9. Same-channel submitters pay the
-		// serialisation; cross-channel submitters still interleave inside
-		// the journal's group commit.
-		ch.walMu.Lock()
+		// and the CAS-max applied floor could cover an unapplied sequence.
+		// With a journal that is silent loss after a kill -9 — a checkpoint
+		// in that window would let Truncate delete an acknowledged
+		// observation that was never applied. Same-channel submitters pay
+		// the serialisation; cross-channel submitters still interleave
+		// inside the journal's group commit.
+		ch.seqMu.Lock()
+		defer ch.seqMu.Unlock()
 		if ch.tombstoned {
-			ch.walMu.Unlock()
 			return fmt.Errorf("%w: %q", ErrUnknownChannel, id)
 		}
 		var err error
 		if j.seq, err = p.journalNext(ch, actionFeat, audienceFeat); err != nil {
-			ch.walMu.Unlock()
 			ch.errors.Add(1)
 			p.m.errors.Inc()
 			return fmt.Errorf("serve: journal append (channel %q): %w", id, err)
@@ -819,11 +808,7 @@ func (p *DetectorPool) submit(id string, actionFeat, audienceFeat []float64, out
 	// The gauge is raised before the send so the worker's decrement can
 	// never observe it at zero.
 	ch.pending.Add(1)
-	err := ch.shard.send(j)
-	if journaling {
-		ch.walMu.Unlock()
-	}
-	if err != nil {
+	if err := ch.shard.send(j); err != nil {
 		ch.pending.Add(-1)
 		return err
 	}
@@ -831,15 +816,24 @@ func (p *DetectorPool) submit(id string, actionFeat, audienceFeat []float64, out
 	return nil
 }
 
-// journalNext appends one record as ch's next sequence and returns it. A
-// failed append un-assigns the burned sequence, so a rejected record leaves
-// no gap in the journal numbering (cluster failover treats a gap as a
-// degraded channel). Callers hold ch.walMu, which is what makes the
-// un-assign safe.
+// journalNext assigns ch's next sequence and, on a journaling pool, appends
+// the record under it — durability before acknowledgement: the append
+// (which fsyncs before returning) happens ahead of the queue send, so no
+// outcome, and no decision line, can exist for an unjournaled observation.
+// The inverse window is accepted: a record journaled here may still miss
+// its enqueue (a pool close), and boot replay will apply it once — the
+// at-least-once edge of the contract. A full queue is not such a window:
+// the send waits, so a journaled record is always scored. A failed append
+// un-assigns the burned sequence, so a rejected record leaves no gap in the
+// journal numbering (cluster failover treats a gap as a degraded channel).
+// Callers hold ch.seqMu, which is what makes the un-assign safe.
 func (p *DetectorPool) journalNext(ch *channel, action, audience []float64) (uint64, error) {
-	seq := ch.walSeq.Add(1)
+	seq := ch.seq.Add(1)
+	if p.journal == nil {
+		return seq, nil
+	}
 	if err := p.journal.Append(ch.id, seq, action, audience); err != nil {
-		ch.walSeq.Add(^uint64(0))
+		ch.seq.Add(^uint64(0))
 		return 0, err
 	}
 	return seq, nil
@@ -898,8 +892,8 @@ func (p *DetectorPool) AttachJournal(j Journal, seed map[string]uint64) {
 			p.retired[id] = seq
 			continue
 		}
-		if seq > ch.walSeq.Load() {
-			ch.walSeq.Store(seq)
+		if seq > ch.seq.Load() {
+			ch.seq.Store(seq)
 		}
 		if seq > ch.applied.Load() {
 			ch.applied.Store(seq)
@@ -936,8 +930,9 @@ func (p *DetectorPool) WithChannel(id string, fn func(det *aovlis.Detector) erro
 	return fnErr
 }
 
-// AppliedSeq reports the channel's applied journal floor (0 for unknown
-// channels or journal-less pools).
+// AppliedSeq reports the channel's applied floor: the highest sequence
+// scored, at or below which every observation was scored (0 for unknown
+// channels).
 func (p *DetectorPool) AppliedSeq(id string) uint64 {
 	ch, ok := p.lookup(id)
 	if !ok {

@@ -373,6 +373,11 @@ func RestorePool(dir string, m manifest.Manifest, cfg Config) (*DetectorPool, er
 			p.Close()
 			return nil, fmt.Errorf("serve: restoring channel %q: %w", e.ID, err)
 		}
+		// A restored channel numbers on from what its checkpoint covers, so
+		// a warm restart does not reuse the sequences it already gave out.
+		ch, _ := p.lookup(e.ID)
+		ch.seq.Store(e.WALSeq)
+		ch.applied.Store(e.WALSeq)
 	}
 	return p, nil
 }

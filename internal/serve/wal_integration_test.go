@@ -198,6 +198,96 @@ func TestSubmitJournalOrderUnderConcurrency(t *testing.T) {
 	}
 }
 
+// orderDetector records the tag (action[0]) of every observation in the
+// order it is applied, and counts the applies at which the channel's
+// applied floor had already passed the observation being applied.
+type orderDetector struct {
+	p       *DetectorPool
+	id      string
+	tags    []float64
+	passing int
+}
+
+func (d *orderDetector) Observe(action, _ []float64) (aovlis.Result, error) {
+	if d.p.AppliedSeq(d.id) > uint64(len(d.tags)) {
+		d.passing++
+	}
+	d.tags = append(d.tags, action[0])
+	return aovlis.Result{Score: 0.1, Exact: true, Path: "exact"}, nil
+}
+
+// TestUnjournaledPoolNumbersEverySegment: a pool without a journal numbers
+// every accepted observation with its channel's next sequence, the way a
+// journaling pool does. One submitter sees 1..N in submit order; under
+// concurrent same-channel submitters the observation numbered s is the
+// s-th applied, so the applied floor never passes an unscored sequence.
+func TestUnjournaledPoolNumbersEverySegment(t *testing.T) {
+	const (
+		writers = 8
+		perW    = 60
+	)
+	p := newTestPool(t, Config{Shards: 2, QueueDepth: 16, Batch: 4})
+	det := &orderDetector{p: p, id: "seq"}
+	if err := p.Attach("seq", det); err != nil {
+		t.Fatal(err)
+	}
+	sink := newCaptureSink()
+	p.AttachVerdictSink(sink)
+
+	out := make(chan Outcome, 1)
+	for k := uint64(1); k <= perW; k++ {
+		if err := p.SubmitInto("seq", []float64{0}, nil, out); err != nil {
+			t.Fatal(err)
+		}
+		if o := <-out; o.Seq != k {
+			t.Fatalf("submission %d numbered %d", k, o.Seq)
+		}
+	}
+
+	seqOf := make([]map[float64]uint64, writers) // per writer: tag → sequence
+	var wg sync.WaitGroup
+	for w := range seqOf {
+		seqOf[w] = make(map[float64]uint64, perW)
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			out := make(chan Outcome, 1)
+			for k := 0; k < perW; k++ {
+				tag := float64(1 + w*perW + k)
+				if err := p.SubmitInto("seq", []float64{tag}, nil, out); err != nil {
+					t.Error(err)
+					return
+				}
+				seqOf[w][tag] = (<-out).Seq
+			}
+		}(w)
+	}
+	wg.Wait()
+	const total = perW + writers*perW
+	if got := p.AppliedSeq("seq"); got != total {
+		t.Fatalf("applied floor %d, want %d", got, total)
+	}
+	p.Close() // the worker is gone: det is the test's to read
+	if len(det.tags) != total || det.passing != 0 {
+		t.Fatalf("%d applied, %d of them under a floor that had passed them; want %d and 0", len(det.tags), det.passing, total)
+	}
+	for w := range seqOf {
+		for tag, seq := range seqOf[w] {
+			if seq == 0 || seq > total || det.tags[seq-1] != tag {
+				t.Fatalf("observation %v numbered %d, but that sequence applied another observation", tag, seq)
+			}
+		}
+	}
+	if len(sink.seqs["seq"]) != total {
+		t.Fatalf("sink saw %d verdicts, want %d", len(sink.seqs["seq"]), total)
+	}
+	for i, seq := range sink.seqs["seq"] {
+		if seq != uint64(i+1) {
+			t.Fatalf("sink verdict %d carries sequence %d", i, seq)
+		}
+	}
+}
+
 // TestSubmitJournalRejectsAndRecovers pins two accept-path edges: a
 // journal append failure must not burn a sequence number (the next accept
 // reuses it, keeping the journal gap-free), and a mis-dimensioned
@@ -271,9 +361,9 @@ func TestDetachJournalsATombstone(t *testing.T) {
 	if want := []uint64{1, 2, 3, 4}; !reflect.DeepEqual(j.seqs["ch"], want) {
 		t.Fatalf("journal seqs %v, want %v (the tombstone is seq 4)", j.seqs["ch"], want)
 	}
-	stale.walMu.Lock()
+	stale.seqMu.Lock()
 	tombstoned := stale.tombstoned
-	stale.walMu.Unlock()
+	stale.seqMu.Unlock()
 	if !tombstoned {
 		t.Fatal("detached channel not marked: a racing submitter could journal behind the tombstone")
 	}

@@ -68,6 +68,7 @@ func manifestFuzzSeeds() [][]byte {
 		[]byte(`{"version":1,"channels":[{"id":"","file":""}]}`),
 		[]byte(`{"version":1,"channels":[{"id":"x","file":"x.snap","bytes":-5}]}`),
 		[]byte(`not json`),
+		[]byte(`{"version":1,"channels":[{"id":"x","file":"../../x","bytes":1}]}`),
 	}
 }
 
@@ -140,7 +141,8 @@ func FuzzParseManifest(f *testing.F) {
 			t.Fatalf("ParseManifest accepted version %d", m.Version)
 		}
 		for _, e := range m.Channels {
-			if e.ID == "" || e.File == "" || e.Bytes < 0 {
+			if e.ID == "" || e.File == "" || e.Bytes < 0 ||
+				e.File == "." || e.File == ".." || strings.ContainsAny(e.File, `/\`) {
 				t.Fatalf("ParseManifest accepted invalid entry %+v", e)
 			}
 		}

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 
 	"aovlis/internal/durable"
 	"aovlis/internal/wire"
@@ -45,12 +46,12 @@ type ChannelEntry struct {
 	// (informational: shard assignment is re-derived from the id on
 	// restore).
 	Shard int `json:"shard"`
-	// WALSeq is the channel's highest journaled sequence already applied
-	// when this snapshot quiesced — the replay floor: on boot the daemon
-	// skips WAL records with Seq <= WALSeq because their effects are
-	// inside the snapshot. Zero for pools running without a journal
-	// (JSON-additive: older manifests decode with a zero floor, which
-	// replays conservatively).
+	// WALSeq is the channel's highest sequence already applied when this
+	// snapshot quiesced — the replay floor: on boot the daemon skips WAL
+	// records with Seq <= WALSeq because their effects are inside the
+	// snapshot, and the restored channel numbers on from it (JSON-additive:
+	// older manifests decode with a zero floor, which replays
+	// conservatively).
 	WALSeq uint64 `json:"wal_seq,omitempty"`
 }
 
@@ -126,6 +127,11 @@ func Parse(data []byte) (Manifest, error) {
 	for i, e := range m.Channels {
 		if e.ID == "" || e.File == "" {
 			return m, fmt.Errorf("snapshot: manifest entry %d has empty id or file", i)
+		}
+		// ReadEntry joins File to the manifest's directory: a name that is
+		// not a plain file name there could reach any file on the host.
+		if e.File == "." || e.File == ".." || strings.ContainsAny(e.File, `/\`) {
+			return m, fmt.Errorf("snapshot: manifest entry %q names %q, not a file name", e.ID, e.File)
 		}
 		if e.Bytes < 0 {
 			return m, fmt.Errorf("snapshot: manifest entry %q records negative size %d", e.ID, e.Bytes)

@@ -35,3 +35,21 @@ func TestAppendMatchesEncoder(t *testing.T) {
 		}
 	}
 }
+
+// TestParseRefusesPathFileNames: an entry's file must be a plain name in
+// the manifest's directory. ReadEntry joins it to that directory, so
+// "../../x" would read (and router failover upload) a file outside it.
+func TestParseRefusesPathFileNames(t *testing.T) {
+	for _, file := range []string{"../../x", "../x.snap", "a/b.snap", "/etc/passwd", ".", "..", `..\x`, "x/"} {
+		m := Manifest{Version: Version, Channels: []ChannelEntry{{ID: "a", File: file, Bytes: 1}}}
+		if _, err := Parse(Append(nil, m)); err == nil || !strings.Contains(err.Error(), "not a file name") {
+			t.Errorf("file %q: Parse error %v, want a refusal", file, err)
+		}
+	}
+	for _, file := range []string{"a.1.snap", "...1.snap", "..x", "%2F..%2Fx.1.snap"} {
+		m := Manifest{Version: Version, Channels: []ChannelEntry{{ID: "a", File: file, Bytes: 1}}}
+		if _, err := Parse(Append(nil, m)); err != nil {
+			t.Errorf("file %q: %v", file, err)
+		}
+	}
+}

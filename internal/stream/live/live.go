@@ -19,7 +19,6 @@ type (
 	Conn        = liveplane.Conn
 	Frame       = liveplane.Frame
 	Hub         = liveplane.Hub
-	HubConfig   = liveplane.HubConfig
 	Observation = liveplane.Observation
 	Decision    = liveplane.Decision
 )
@@ -30,8 +29,12 @@ const (
 	CloseNormal = liveplane.CloseNormal
 )
 
+// HubConfig is NewHub's argument, kept for callers that pass the empty
+// literal: the hub's ring sizes are liveplane constants.
+type HubConfig struct{}
+
 // NewHub builds an empty hub.
-func NewHub(cfg HubConfig) *Hub { return liveplane.NewHub(cfg) }
+func NewHub(HubConfig) *Hub { return liveplane.NewHub() }
 
 // Upgrade is liveplane.Upgrade on a net/http request: the same handshake
 // checks and refusals, then the connection hijacked through

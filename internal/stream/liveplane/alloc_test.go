@@ -101,7 +101,8 @@ func TestLiveSteadyStateAllocs(t *testing.T) {
 	}
 	defer journal.Close()
 	pool.AttachJournal(journal, nil)
-	hub := NewHub(HubConfig{RingCap: ringCap})
+	hub := NewHub()
+	hub.ringCap = ringCap
 	defer hub.Close()
 	srv := wiretest.NewServer(t, &IngestHandler{Pool: pool, Hub: hub, Window: 16})
 
@@ -166,8 +167,8 @@ func TestLiveSteadyStateAllocs(t *testing.T) {
 		if st, _ := pool.Stats(id); st.Observed != lines+warmLanes || st.Errors != 0 {
 			t.Fatalf("channel %s: %+v, want %d scored", id, st, lines+warmLanes)
 		}
-		if floor := hub.ChannelFloor(id); floor != lines {
-			t.Fatalf("channel %s: ring floor %d, want %d", id, floor, lines)
+		if floor := pool.AppliedSeq(id); floor != lines {
+			t.Fatalf("channel %s: applied floor %d, want %d", id, floor, lines)
 		}
 	}
 	segs := float64(channels * (lines - warm))

@@ -19,47 +19,33 @@ import (
 // accepted segments from being resent, and verdicts that were never
 // delivered remain recoverable from the verdict ledger offline.
 type Hub struct {
-	mu       sync.Mutex
-	chans    map[string]*chanState
-	watch    ring[watchEvent]
-	watchCap int
-	nextID   uint64
-	subs     map[*Watcher]struct{}
-	closed   bool
-	ringCap  int
-	subBuf   int
+	mu     sync.Mutex
+	chans  map[string]*chanState
+	watch  ring[watchEvent]
+	nextID uint64
+	subs   map[*Watcher]struct{}
+	closed bool
+	// ringCap, watchCap and subBuf are the constants of the same names;
+	// tests shrink them.
+	ringCap, watchCap, subBuf int
 }
 
-// HubConfig sizes the hub's rings.
-type HubConfig struct {
-	// RingCap bounds each channel's resume ring (default 1024 decisions).
-	RingCap int
-	// WatchCap bounds the SSE replay ring (default 1024 events).
-	WatchCap int
-	// SubBuf is each SSE subscriber's buffer; a subscriber that falls this
+// The hub's ring sizes.
+const (
+	// ringCap bounds each channel's resume ring, in decisions.
+	ringCap = 1024
+	// watchCap bounds the SSE replay ring, in events.
+	watchCap = 1024
+	// subBuf is each SSE subscriber's buffer: a subscriber that falls this
 	// far behind is disconnected rather than allowed to backpressure the
-	// scoring path (default 256).
-	SubBuf int
-}
+	// scoring path.
+	subBuf = 256
+)
 
 // NewHub builds an empty hub.
-func NewHub(cfg HubConfig) *Hub {
-	if cfg.RingCap <= 0 {
-		cfg.RingCap = 1024
-	}
-	if cfg.WatchCap <= 0 {
-		cfg.WatchCap = 1024
-	}
-	if cfg.SubBuf <= 0 {
-		cfg.SubBuf = 256
-	}
-	return &Hub{
-		chans:    make(map[string]*chanState),
-		watchCap: cfg.WatchCap,
-		ringCap:  cfg.RingCap,
-		subBuf:   cfg.SubBuf,
-		subs:     make(map[*Watcher]struct{}),
-	}
+func NewHub() *Hub {
+	return &Hub{chans: make(map[string]*chanState), subs: make(map[*Watcher]struct{}),
+		ringCap: ringCap, watchCap: watchCap, subBuf: subBuf}
 }
 
 // chanState is one channel's live-side state.
@@ -186,13 +172,6 @@ func (s *Session) Release() {
 	s.h.mu.Unlock()
 }
 
-// Last returns the channel's highest appended decision seq.
-func (s *Session) Last() uint64 {
-	s.h.mu.Lock()
-	defer s.h.mu.Unlock()
-	return s.st.last
-}
-
 // Append rings an accepted decision under its Seq (strictly increasing per
 // channel) for resume replay. The ring keeps the decision itself, not its
 // encoded line: Replay re-encodes it to the same bytes.
@@ -228,22 +207,10 @@ func (s *Session) Replay(after uint64, fn func(seq uint64, line []byte) error) e
 	return nil
 }
 
-// ChannelFloor reports a channel's hub-side accepted floor without
-// holding a session. No serving path reads it; tests check the floor
-// with it.
-func (h *Hub) ChannelFloor(channel string) uint64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if st := h.chans[channel]; st != nil {
-		return st.last
-	}
-	return 0
-}
-
-// Forget drops a channel's live-side state — its resume ring and accepted
-// floor — and cuts the connection of the session bound to it: the channel
-// was detached, so a later incarnation under the same id starts at its own
-// floor and is never replayed the old one's decisions.
+// Forget drops a channel's live-side state — its resume ring — and cuts
+// the connection of the session bound to it: the channel was detached, so
+// a later incarnation under the same id starts at its own floor and is
+// never replayed the old one's decisions.
 func (h *Hub) Forget(channel string) {
 	h.mu.Lock()
 	st := h.chans[channel]
@@ -260,7 +227,7 @@ func (h *Hub) Forget(channel string) {
 
 // Publish appends one verdict event to the watch ring and wakes the SSE
 // subscribers it concerns. Called from the pool's verdict sink — it must
-// never block on a slow dashboard, so a subscriber owed SubBuf events it has
+// never block on a slow dashboard, so a subscriber owed subBuf events it has
 // not copied out, or whose oldest owed event the ring is about to lose, is
 // disconnected instead of waited for. The payload is copied into the ring
 // slot's own buffer, so once the ring is full a publish allocates nothing.
@@ -274,7 +241,10 @@ func (h *Hub) Publish(channel string, payload []byte) {
 	id := h.nextID
 	ev := h.watch.next(h.watchCap)
 	if cap(ev.payload) < len(payload) {
-		ev.payload = nil // regrow to the line's size class, not to twice the old buffer
+		// Regrow to the line's size class, not to twice the old buffer,
+		// with room for its seq and wseq to gain digits — which is how a
+		// channel's verdict lines grow over a run.
+		ev.payload = make([]byte, 0, len(payload)+16)
 	}
 	ev.id, ev.channel, ev.payload = id, channel, append(ev.payload[:0], payload...)
 	for sub := range h.subs {

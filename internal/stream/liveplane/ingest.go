@@ -69,17 +69,15 @@ func (h *IngestHandler) ServeHTTP(w wire.ResponseWriter, r *wire.Request) {
 		wire.Error(w, err.Error(), status)
 		return
 	}
-	// The accepted floor: everything the hub has ringed, raised to the WAL
-	// applied floor after a restart emptied the ring. The client must not
-	// resend at or below it — those segments are journaled and applied.
-	floor := sess.Last()
-	if a := h.Pool.AppliedSeq(id); a > floor {
-		floor = a
-	}
+	// The accepted floor is the channel's applied sequence: every verdict
+	// the hub has ringed is at or below it, and it survives a restart that
+	// emptied the ring when the pool journals. The client must not resend
+	// at or below it — those segments are applied.
+	floor := h.Pool.AppliedSeq(id)
 	if lastSeq > floor {
 		// The client claims decisions this server never issued — a channel
-		// that restarted without a journal. Refuse instead of silently
-		// splicing two incompatible sequence spaces.
+		// that restarted or was re-attached fresh. Refuse instead of
+		// silently splicing two incompatible sequence spaces.
 		sess.Release()
 		w.Header().Set(ResumeHeader, strconv.FormatUint(floor, 10))
 		wire.Error(w, fmt.Sprintf("Last-Seq %d ahead of server floor %d; reset the stream", lastSeq, floor),
@@ -119,22 +117,15 @@ func (h *IngestHandler) ServeHTTP(w wire.ResponseWriter, r *wire.Request) {
 		}
 	}()
 
-	// The live seq policy: Seq is the channel's accepted-decision sequence
-	// — the journal seq when the pool journals, a counter continuing from
-	// the resume floor otherwise — and 0 on lines without a verdict, which
-	// are not ringed and which the client may resend. Every verdict is
-	// ringed before its line is written, so a reconnect can replay it.
-	last := floor
+	// The live seq policy: a verdict's Seq is the channel's sequence (its
+	// WSeq), and a line without a verdict gets 0: it is not ringed and the
+	// client may resend it. Every verdict is ringed before its line is
+	// written, so a reconnect can replay it.
 	pump := serve.Pump{Pool: h.Pool, Channel: id, Window: h.Window, In: feed, Out: wsOut{conn},
 		Seal: func(dst []byte, d *wire.Decision) ([]byte, error) {
-			switch {
-			case !d.Verdict():
-				d.Seq = 0
-			case d.WSeq != 0:
+			d.Seq = 0
+			if d.Verdict() {
 				d.Seq = d.WSeq
-			default:
-				last++
-				d.Seq = last
 			}
 			dst, err := wire.AppendDecision(dst, d)
 			if err == nil && d.Verdict() {

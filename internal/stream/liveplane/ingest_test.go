@@ -108,7 +108,7 @@ func readDecision(t *testing.T, conn *Conn) Decision {
 // per-message decisions in order, sequences assigned 1..n, and the fake
 // detector's deterministic verdicts on the wire.
 func TestIngestEndToEnd(t *testing.T) {
-	srv, _ := newIngestServer(t, NewHub(HubConfig{}), nil, "alpha")
+	srv, _ := newIngestServer(t, NewHub(), nil, "alpha")
 	conn, resp := dialIngest(t, srv.URL+"/live/alpha", 0)
 	defer conn.Close()
 	if got := resp.Header.Get(ResumeHeader); got != "0" {
@@ -135,7 +135,7 @@ func TestIngestEndToEnd(t *testing.T) {
 // the connection with decisions unread, reconnect with Last-Seq, and the
 // ring replays exactly the missed suffix before the live stream resumes.
 func TestIngestResumeReplay(t *testing.T) {
-	srv, _ := newIngestServer(t, NewHub(HubConfig{}), nil, "beta")
+	srv, _ := newIngestServer(t, NewHub(), nil, "beta")
 	conn, _ := dialIngest(t, srv.URL+"/live/beta", 0)
 	for i := 1; i <= 4; i++ {
 		sendObservation(t, conn, float64(i))
@@ -174,7 +174,7 @@ func TestIngestResumeReplay(t *testing.T) {
 // Ensure hook, a failing Ensure hook, a busy channel, and a Last-Seq
 // ahead of the server's floor (which must advertise the real floor).
 func TestIngestRefusals(t *testing.T) {
-	srv, _ := newIngestServer(t, NewHub(HubConfig{}), nil, "busy")
+	srv, _ := newIngestServer(t, NewHub(), nil, "busy")
 
 	get := func(path string, hdr http.Header) *http.Response {
 		t.Helper()
@@ -230,7 +230,7 @@ func TestIngestRefusals(t *testing.T) {
 		}
 	}
 	ensured := 0
-	osrv := wiretest.NewServer(t, &IngestHandler{Pool: opool, Hub: NewHub(HubConfig{}),
+	osrv := wiretest.NewServer(t, &IngestHandler{Pool: opool, Hub: NewHub(),
 		Ensure: func(id string) error { ensured++; return opool.Attach(id, &fakeDetector{}) }})
 	_, resp, err := Dial(osrv.URL+"/live/newcomer", nil)
 	if err == nil || resp == nil || resp.StatusCode != http.StatusTooManyRequests || resp.Header.Get("Retry-After") == "" {
@@ -252,7 +252,7 @@ func (g gatedDetector) Observe(action, audience []float64) (aovlis.Result, error
 // TestIngestEnsureError covers the Ensure hook's refusal path.
 func TestIngestEnsureError(t *testing.T) {
 	ensure := func(id string) error { return fmt.Errorf("no capacity for %s", id) }
-	srv, _ := newIngestServer(t, NewHub(HubConfig{}), ensure)
+	srv, _ := newIngestServer(t, NewHub(), ensure)
 	resp, err := http.Get(srv.URL + "/live/any")
 	if err != nil {
 		t.Fatalf("GET: %v", err)
@@ -266,7 +266,7 @@ func TestIngestEnsureError(t *testing.T) {
 // TestIngestBadObservation: a malformed message gets an error decision
 // with seq 0 (not accepted, safe to resend) and the stream stays up.
 func TestIngestBadObservation(t *testing.T) {
-	srv, _ := newIngestServer(t, NewHub(HubConfig{}), nil, "gamma")
+	srv, _ := newIngestServer(t, NewHub(), nil, "gamma")
 	conn, _ := dialIngest(t, srv.URL+"/live/gamma", 0)
 	defer conn.Close()
 	if err := conn.WriteMessage(OpText, []byte("{not json")); err != nil {
@@ -285,7 +285,7 @@ func TestIngestBadObservation(t *testing.T) {
 // TestIngestDetectorError: a detector failure is reported on the wire
 // with the outcome's journal seq semantics (seq 0 — not ringed).
 func TestIngestDetectorError(t *testing.T) {
-	srv, _ := newIngestServer(t, NewHub(HubConfig{}), nil, "delta")
+	srv, _ := newIngestServer(t, NewHub(), nil, "delta")
 	conn, _ := dialIngest(t, srv.URL+"/live/delta", 0)
 	defer conn.Close()
 	sendObservation(t, conn, -1)
@@ -299,7 +299,7 @@ func TestIngestDetectorError(t *testing.T) {
 // connection (Session.Bind) so a parked handler read loop unblocks — the
 // race-clean-teardown half of the live contract.
 func TestIngestHubCloseCutsConnection(t *testing.T) {
-	hub := NewHub(HubConfig{})
+	hub := NewHub()
 	srv, _ := newIngestServer(t, hub, nil, "epsilon")
 	conn, _ := dialIngest(t, srv.URL+"/live/epsilon", 0)
 	defer conn.Close()
@@ -336,7 +336,7 @@ func TestIngestReplayIsByteIdentical(t *testing.T) {
 	if err := pool.Attach("ch", &scriptedDetector{}); err != nil {
 		t.Fatal(err)
 	}
-	hub := NewHub(HubConfig{})
+	hub := NewHub()
 	defer hub.Close()
 	srv := wiretest.NewServer(t, &IngestHandler{Pool: pool, Hub: hub, Window: 4})
 

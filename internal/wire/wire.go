@@ -29,16 +29,17 @@ type Decision struct {
 	Channel string `json:"channel"`
 	// Seq orders the decisions of one stream. On the NDJSON plane it is the
 	// stream-local line index; on the live plane it is the channel's
-	// accepted-decision sequence — equal to WSeq whenever the pool journals
-	// — and 0 on lines that carry no verdict, which a client may resend.
+	// sequence, WSeq, on a verdict and 0 on a line that carries none, which
+	// a client may resend.
 	Seq     uint64  `json:"seq"`
 	Warmup  bool    `json:"warmup,omitempty"`
 	Anomaly bool    `json:"anomaly"`
 	Score   float64 `json:"score"`
 	Exact   bool    `json:"exact"`
 	Path    string  `json:"path,omitempty"`
-	// WSeq is the observation's WAL sequence on the node that scored it (0
-	// without -wal-dir). A router records the highest wseq it has relayed
+	// WSeq is the observation's sequence on its channel on the node that
+	// accepted it (0 on a line refused before that), the number a journal
+	// records it under. A router records the highest wseq it has relayed
 	// per channel, which is exactly the journal suffix it must replay to the
 	// new owner when that node dies.
 	WSeq uint64 `json:"wseq,omitempty"`
