@@ -212,15 +212,10 @@ func Train(actions, audience [][]float64, cfg Config) (*Detector, error) {
 			return nil, fmt.Errorf("aovlis: training epoch %d: %w", e, err)
 		}
 	}
-	valScores := make([]float64, 0, len(valid))
-	for i := range valid {
-		sc, err := model.Score(&valid[i])
-		if err != nil {
-			return nil, err
-		}
-		valScores = append(valScores, sc.REIA)
+	tau, err := calibrate(model, valid, cfg.TauQuantile)
+	if err != nil {
+		return nil, err
 	}
-	tau := core.CalibrateThreshold(valScores, cfg.TauQuantile)
 
 	d := &Detector{cfg: cfg, model: model, tau: tau}
 	if err := d.initRuntime(train); err != nil {
@@ -565,16 +560,26 @@ func (d *Detector) Recalibrate(actions, audience [][]float64, quantile float64) 
 	if err != nil {
 		return fmt.Errorf("aovlis: recalibrating: %w", err)
 	}
+	tau, err := calibrate(d.model, samples, quantile)
+	if err != nil {
+		return err
+	}
+	d.SetTau(tau)
+	return nil
+}
+
+// calibrate scores samples with model and returns the quantile of their
+// REIA scores: τ for Train (on the validation split) and Recalibrate.
+func calibrate(model *core.Model, samples []core.Sample, quantile float64) (float64, error) {
 	scores := make([]float64, 0, len(samples))
 	for i := range samples {
-		sc, err := d.model.Score(&samples[i])
+		sc, err := model.Score(&samples[i])
 		if err != nil {
-			return err
+			return 0, err
 		}
 		scores = append(scores, sc.REIA)
 	}
-	d.SetTau(core.CalibrateThreshold(scores, quantile))
-	return nil
+	return core.CalibrateThreshold(scores, quantile), nil
 }
 
 // DetectSeries scores an entire feature series offline and returns one

@@ -243,7 +243,7 @@ func startSmokeNode(t *testing.T, bin, model, walDir, ledDir, snapDir string) *s
 		"-addr", addr, "-load", model,
 		"-wal-dir", walDir, "-ledger-dir", ledDir, "-ledger-batch", "8",
 		"-snapshot-dir", snapDir, "-shards", "2", "-queue", "128",
-		"-admission=false", "-metrics=false")
+		"-admission=false")
 	pipe, err := cmd.StdoutPipe()
 	if err != nil {
 		t.Fatal(err)

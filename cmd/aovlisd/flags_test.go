@@ -92,13 +92,13 @@ func TestRetiredFlagIsIgnored(t *testing.T) {
 	}
 }
 
-// TestPolicyFlagIsUnknown: -policy and -batch fail as any unknown flag
-// does. A full queue always waits, so there is no overflow policy to
-// choose; the micro-batching cap, also both ingest planes' pipelining
-// depth, is serve's default of 16.
+// TestPolicyFlagIsUnknown: -policy, -batch and -metrics fail as any
+// unknown flag does. A full queue always waits, so there is no overflow
+// policy to choose; the micro-batching cap, also both ingest planes'
+// pipelining depth, is serve's default of 16; /metrics is always served.
 func TestPolicyFlagIsUnknown(t *testing.T) {
 	bin, _, _ := smokeBinaries(t)
-	for _, args := range [][]string{{"-policy", "drop"}, {"-batch", "4"}} {
+	for _, args := range [][]string{{"-policy", "drop"}, {"-batch", "4"}, {"-metrics"}} {
 		out, err := exec.Command(bin, args...).CombinedOutput()
 		var exit *exec.ExitError
 		if !errors.As(err, &exit) || exit.ExitCode() != 2 || !bytes.Contains(out, []byte("flag provided but not defined: "+args[0])) {

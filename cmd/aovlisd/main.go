@@ -43,7 +43,6 @@
 //	GET  /metrics                 Prometheus text exposition: per-stage
 //	                              latency histograms, throughput counters,
 //	                              admission state, shard queue depths
-//	                              (disable with -metrics=false)
 //	GET  /debug/pprof/*           with -pprof: CPU/heap/alloc/trace profiles
 //	                              (BENCH.md §4)
 //
@@ -118,7 +117,6 @@ func main() {
 	flag.IntVar(&cfg.Pool.QueueDepth, "queue", 256, "per-shard ingest queue depth; a full queue makes its submitters wait")
 	flag.IntVar(&cfg.MaxChannels, "max-channels", 1024, "maximum concurrently attached channels (each holds ~4 KB over the shared model weights, ~10 KB once it has scored: its own window rows; batch scratch is one lane set per shard, ~100 KB at 16-segment batches, BENCH.md §15; a channel of an EnableUpdate model ~320 KB once it has retrained: its own weights and its buffer's rows, BENCH.md §25)")
 	flag.BoolVar(&cfg.Pprof, "pprof", false, "serve /debug/pprof profiling endpoints (BENCH.md §4); exposes process internals, enable only on trusted listeners")
-	flag.BoolVar(&cfg.Metrics, "metrics", true, "serve the Prometheus text exposition at GET /metrics (per-stage latency histograms, admission state, shard queue depths)")
 	flag.BoolVar(&admission, "admission", true, "watermark-based overload control: reject submissions with HTTP 429 + Retry-After once a shard queue is 90% full, until every queue has drained to 1/4; accepted segments are always scored, in the configured mode")
 	flag.StringVar(&cfg.SnapshotDir, "snapshot-dir", "", "crash-safe checkpoint directory: restore channels from it on boot, checkpoint into it periodically, on POST /snapshot and on graceful shutdown")
 	flag.DurationVar(&cfg.SnapshotEvery, "snapshot-every", 0, "with -snapshot-dir: checkpoint every channel at this interval (0 disables periodic snapshots)")

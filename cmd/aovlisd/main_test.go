@@ -85,7 +85,7 @@ func template(t *testing.T) *aovlis.Detector {
 // testConfig is the suite's usual node: two shards, and batch as both the
 // micro-batching cap and the ingest planes' pipelining depth.
 func testConfig(maxChannels, batch int) node.Config {
-	return node.Config{MaxChannels: maxChannels, Metrics: true,
+	return node.Config{MaxChannels: maxChannels,
 		Pool: serve.Config{Shards: 2, QueueDepth: 64, Batch: batch}}
 }
 

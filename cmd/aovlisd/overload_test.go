@@ -26,22 +26,25 @@ import (
 	"aovlis/internal/wire/wiretest"
 )
 
-// gatedDet blocks each Observe on a release channel; closing the channel
-// opens the gate permanently.
+// gatedDet blocks each segment on a release channel, one lane at a time;
+// closing the channel opens the gate permanently.
 type gatedDet struct {
 	release   chan struct{}
-	entered   chan struct{} // when set (buffered), signalled as each Observe parks
+	entered   chan struct{} // when set (buffered), signalled as each segment parks
 	closeOnce sync.Once
 }
 
 func (g *gatedDet) open() { g.closeOnce.Do(func() { close(g.release) }) }
 
-func (g *gatedDet) Observe(action, audience []float64) (aovlis.Result, error) {
-	if g.entered != nil {
-		g.entered <- struct{}{}
+func (g *gatedDet) ObserveBatch(acts, _ [][]float64, results []aovlis.Result) (int, error) {
+	for i := range acts {
+		if g.entered != nil {
+			g.entered <- struct{}{}
+		}
+		<-g.release
+		results[i] = aovlis.Result{Score: 0.1, Exact: true, Path: "exact"}
 	}
-	<-g.release
-	return aovlis.Result{Score: 0.1, Exact: true, Path: "exact"}, nil
+	return len(acts), nil
 }
 
 // scrape fetches /metrics and returns the body plus every sample parsed
@@ -164,26 +167,12 @@ func TestMetricsEndpointFormat(t *testing.T) {
 	}
 }
 
-func TestMetricsDisabled(t *testing.T) {
-	cfg := testConfig(4, 0)
-	cfg.Metrics = false
-	_, srv := openNode(t, cfg)
-	resp, err := http.Get(srv.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("disabled /metrics returned %s, want 404", resp.Status)
-	}
-}
-
 // newOverloadNode opens a node over a tiny admission-controlled pool with
 // one gated channel, so tests can steer the pool through the admission
 // states deterministically.
 func newOverloadNode(t *testing.T) (*node.Node, *wiretest.Server, *gatedDet) {
 	t.Helper()
-	n, srv := openNode(t, node.Config{MaxChannels: 8, Metrics: true,
+	n, srv := openNode(t, node.Config{MaxChannels: 8,
 		Pool: serve.Config{Shards: 1, QueueDepth: 10, Batch: 1, Admission: serve.DefaultAdmissionConfig()}})
 	g := &gatedDet{release: make(chan struct{})}
 	if err := n.Pool().Attach("slow", g); err != nil {
@@ -327,7 +316,7 @@ func TestDaemonShutdownLeaksNoGoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()
 
 	dir := t.TempDir()
-	cfg := node.Config{MaxChannels: 8, Metrics: true, Continual: true, AbsorbWeight: 0.25, AbsorbEvery: time.Millisecond,
+	cfg := node.Config{MaxChannels: 8, Continual: true, AbsorbWeight: 0.25, AbsorbEvery: time.Millisecond,
 		SnapshotDir: dir + "/snap", SnapshotEvery: 5 * time.Millisecond, WALDir: dir + "/wal", LedgerDir: dir + "/ledger", LedgerBatch: 4,
 		Pool: serve.Config{Shards: 4, QueueDepth: 32, Batch: 4}}
 	_, srv, stop := startNode(t, cfg, nil)

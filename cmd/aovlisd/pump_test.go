@@ -141,7 +141,7 @@ func newPumpNode(t *testing.T, pool serve.Config, window int, gated bool) (*node
 	t.Helper()
 	pool.Batch = window
 	running := &streamHandlers{}
-	n, srv, stop := startNode(t, node.Config{MaxChannels: 8, Metrics: true, Pool: pool}, running.wrap)
+	n, srv, stop := startNode(t, node.Config{MaxChannels: 8, Pool: pool}, running.wrap)
 	t.Cleanup(stop)
 	g := &gatedDet{release: make(chan struct{}), entered: make(chan struct{}, 64)}
 	if gated {

@@ -193,7 +193,7 @@ func startNode(t *testing.T, bin, model, name, base string) *nodeProc {
 		"-addr", addr, "-load", model, "-node-id", name,
 		"-snapshot-dir", snapDir, "-wal-dir", walDir,
 		"-shards", "2", "-queue", "256",
-		"-admission=false", "-metrics=false")
+		"-admission=false")
 	cmd.Stdout = io.Discard
 	cmd.Stderr = os.Stderr
 	if err := cmd.Start(); err != nil {
@@ -559,7 +559,7 @@ func TestClusterThroughput(t *testing.T) {
 		cmd := exec.Command(bin,
 			"-addr", addr, "-load", model, "-node-id", name,
 			"-snapshot-dir", dir, "-shards", "1", "-queue", "512",
-			"-tiered", "-admission=false", "-metrics=false")
+			"-tiered", "-admission=false")
 		// The bench fights for one core with its own clients; relaxed GC in
 		// the children keeps the measurement about serving, not collection.
 		cmd.Env = append(os.Environ(), "GOGC=400")

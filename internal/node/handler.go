@@ -23,17 +23,12 @@ func (n *Node) Handler() wire.Handler {
 	mux.HandleFunc("/channels/", n.handleChannel)
 	mux.HandleFunc("/snapshot", n.handleSnapshot)
 	// Live plane (ARCHITECTURE.md §15): WebSocket ingest with Last-Seq
-	// resume, and the SSE verdict dashboard. The ingest handler shares the
-	// NDJSON handler's pipelining depth so both planes feed the shard
-	// micro-batcher the same backlog.
-	mux.Handle("/live/", &liveplane.IngestHandler{
-		Pool: n.pool, Hub: n.hub, Ensure: n.ensure, Window: n.cfg.Pool.Batch})
+	// resume, and the SSE verdict dashboard.
+	mux.Handle("/live/", &liveplane.IngestHandler{Pool: n.pool, Hub: n.hub, Ensure: n.ensure})
 	mux.HandleFunc("/watch", n.hub.ServeWatch)
 	mux.HandleFunc("/ledger/root", n.handleLedgerRoot)
 	mux.HandleFunc("/ledger/proof/", n.handleLedgerProof)
-	if n.cfg.Metrics {
-		mux.HandleFunc("/metrics", n.handleMetrics)
-	}
+	mux.HandleFunc("/metrics", n.handleMetrics)
 	if n.cfg.Pprof {
 		// Profiling endpoints: the perf methodology in BENCH.md captures
 		// CPU, heap, allocation and execution-trace profiles against a live
@@ -122,7 +117,7 @@ func (n *Node) handleObserve(w wire.ResponseWriter, r *wire.Request, id string) 
 	// never strands the goroutine.
 	feed := wire.Feed(r.Context().Done(), wire.ScanLines(r.Body), 2)
 	out := wire.NewLineWriter(w)
-	pump := serve.Pump{Pool: n.pool, Channel: id, Window: n.cfg.Pool.Batch, In: feed, Out: out}
+	pump := serve.Pump{Pool: n.pool, Channel: id, In: feed, Out: out}
 	seq, err := pump.Run()
 	// A scanner failure (e.g. a line over the buffer cap) would otherwise
 	// look like a cleanly completed stream; surface it as a final line.

@@ -63,10 +63,8 @@ type Config struct {
 	Continual    bool
 	AbsorbWeight float64
 	AbsorbEvery  time.Duration
-	// Pprof (-pprof) and Metrics (-metrics) mount /debug/pprof/ and
-	// /metrics.
-	Pprof   bool
-	Metrics bool
+	// Pprof (-pprof) mounts /debug/pprof/; /metrics is always mounted.
+	Pprof bool
 	// Logf receives the node's boot, checkpoint and fault lines (nil →
 	// log.Printf).
 	Logf func(format string, args ...any)

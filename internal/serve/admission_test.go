@@ -67,24 +67,27 @@ func TestAdmissionStateString(t *testing.T) {
 	}
 }
 
-// gatedDetector blocks each Observe on a release channel.
+// gatedDetector blocks each segment on a release channel.
 type gatedDetector struct {
-	release   chan struct{} // one receive per Observe
+	release   chan struct{} // one receive per segment
 	closeOnce sync.Once
 }
 
 // newGatedDetector returns a gated detector whose gate opens permanently at
 // test cleanup, so a Fatal mid-test cannot leave pool Close waiting on a
-// worker stuck inside Observe.
+// worker stuck inside ObserveBatch.
 func newGatedDetector(t *testing.T) *gatedDetector {
 	g := &gatedDetector{release: make(chan struct{})}
 	t.Cleanup(func() { g.closeOnce.Do(func() { close(g.release) }) })
 	return g
 }
 
-func (g *gatedDetector) Observe(action, audience []float64) (aovlis.Result, error) {
-	<-g.release
-	return aovlis.Result{Score: 0.1, Exact: true, Path: "exact"}, nil
+func (g *gatedDetector) ObserveBatch(acts, _ [][]float64, results []aovlis.Result) (int, error) {
+	for i := range acts {
+		<-g.release
+		results[i] = aovlis.Result{Score: 0.1, Exact: true, Path: "exact"}
+	}
+	return len(acts), nil
 }
 
 // admissionTestConfig: shards=1, queue 10 → reject at 9, admit again at 2.
@@ -113,7 +116,7 @@ func TestPoolRejectsThenRecovers(t *testing.T) {
 		return err
 	}
 
-	// First submission is dequeued immediately and blocks inside Observe;
+	// First submission is dequeued immediately and blocks inside ObserveBatch;
 	// wait for the dequeue so queue length becomes deterministic.
 	if err := submit(); err != nil {
 		t.Fatal(err)

@@ -175,16 +175,31 @@ func TestPoolBatchOccupancyStats(t *testing.T) {
 	}
 }
 
-// TestPoolBatchFakeDetectorFallback pins that detectors without
-// ObserveBatch still work under a batched pool (per-segment scoring), and
-// that error accounting matches the serial path.
+// TestPoolBatchFakeDetectorFallback pins the worker's side of the
+// ObserveBatch contract with a fake that fails mid-run: a failed lane fails
+// alone, the lanes after it are resubmitted, and error accounting matches
+// the serial path. A gated channel on the same shard holds the worker while
+// the backlog builds, so the drains are 8, 8, 8, 8 and 3 and a failure
+// (every 7th segment) splits its round in two unless it is the last lane.
 func TestPoolBatchFakeDetectorFallback(t *testing.T) {
 	p := newTestPool(t, Config{Shards: 1, QueueDepth: 64, Batch: 8})
 	defer p.Close()
+	gate := newGatedDetector(t)
 	fd := &fakeDetector{warmLeft: 2, anomalyEvery: 5, failEvery: 7}
+	if err := p.Attach("gate", gate); err != nil {
+		t.Fatal(err)
+	}
 	if err := p.Attach("fake", fd); err != nil {
 		t.Fatal(err)
 	}
+	held := make(chan Outcome, 1)
+	if err := p.SubmitInto("gate", []float64{1}, []float64{1}, held); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, func() bool {
+		st, _ := p.Stats("gate")
+		return st.QueueDepth == 0
+	})
 	const n = 35
 	outs := make([]<-chan Outcome, 0, n)
 	for i := 0; i < n; i++ {
@@ -195,9 +210,14 @@ func TestPoolBatchFakeDetectorFallback(t *testing.T) {
 		}
 		outs = append(outs, out)
 	}
+	gate.release <- struct{}{}
+	<-held
 	var fails, anoms int
-	for _, out := range outs {
+	for i, out := range outs {
 		o := <-out
+		if (o.Err != nil) != ((i+1)%7 == 0) {
+			t.Fatalf("segment %d: %+v, want a failure at every 7th segment only", i+1, o)
+		}
 		if o.Err != nil {
 			fails++
 		} else if o.Result.Anomaly {
@@ -211,11 +231,16 @@ func TestPoolBatchFakeDetectorFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Errors != uint64(n/7) || st.Observed != uint64(n-n/7) {
-		t.Fatalf("stats %+v inconsistent", st)
+	if st.Errors != uint64(n/7) || st.Observed != uint64(n-n/7) || st.Detected != uint64(anoms) {
+		t.Fatalf("stats %+v inconsistent with %d anomalies", st, anoms)
 	}
 	if st.Batched != st.Observed {
-		t.Fatalf("fallback batched counter %d, want %d (scored observations)", st.Batched, st.Observed)
+		t.Fatalf("batched counter %d, want %d (scored observations)", st.Batched, st.Observed)
+	}
+	// Drains of 8, 8, 8, 8 and 3: each splits at its failed lane, and the
+	// last one's failure is its final lane, so nothing follows it.
+	if st.Batches != 9 {
+		t.Fatalf("%d scoring rounds, want 9: a failure did not end its run at the failed lane", st.Batches)
 	}
 }
 

@@ -20,21 +20,15 @@ func SetResult(d *wire.Decision, r aovlis.Result) {
 // + Retry-After — cheaper for both sides than a stream of per-line
 // rejections — and does so before ensure runs, so a refused stream on a new
 // channel id neither clones a detector nor takes a channel slot. ensure
-// creates the channel on first use (503 when it cannot); without one the
-// channel must already be attached (404).
+// creates the channel on first use (503 when it cannot).
 func (p *DetectorPool) AdmitStream(w wire.ResponseWriter, id string, ensure func(id string) error) bool {
 	if p.AdmissionState() == AdmitReject {
 		w.Header().Set("Retry-After", "1")
 		wire.Error(w, "pool overloaded (admission reject), retry later", wire.StatusTooManyRequests)
 		return false
 	}
-	if ensure != nil {
-		if err := ensure(id); err != nil {
-			wire.Error(w, err.Error(), wire.StatusUnavailable)
-			return false
-		}
-	} else if _, err := p.Stats(id); err != nil {
-		wire.Error(w, err.Error(), wire.StatusNotFound)
+	if err := ensure(id); err != nil {
+		wire.Error(w, err.Error(), wire.StatusUnavailable)
 		return false
 	}
 	return true
@@ -53,9 +47,10 @@ type Framing interface {
 }
 
 // Pump drives one channel's segment stream: observations in, decisions out
-// strictly in message order, with up to Window submissions in flight —
-// which is the per-channel backlog the shard workers amortise into batched
-// inference passes. The pipeline is a fixed ring of slots, each with a
+// strictly in message order, with up to the pool's Config.Batch (at least
+// one) submissions in flight — the per-channel backlog a shard worker
+// amortises into one batched inference pass, so the window and the drain
+// cap are one number. The pipeline is a fixed ring of slots, each with a
 // recycled outcome channel (SubmitInto) and an observation the slot's
 // message decodes into, so a message costs no allocation from decode to
 // decision line — at tens of thousands of segments per second per-segment
@@ -66,11 +61,8 @@ type Framing interface {
 type Pump struct {
 	Pool    *DetectorPool
 	Channel string
-	// Window is the pipeline depth; ≤ 1 degenerates to submit-wait-respond
-	// per message.
-	Window int
-	In     *wire.Feeder
-	Out    Framing
+	In      *wire.Feeder
+	Out     Framing
 	// Seal, when set, replaces wire.AppendDecision as the step that turns a
 	// decided slot into its line. It runs once per decision, in stream
 	// order, as soon as the decision's fate is known — including for
@@ -86,7 +78,7 @@ type Pump struct {
 // would carry. On every path it consumes the outcome of every submission
 // it made before returning.
 func (p *Pump) Run() (uint64, error) {
-	window := max(p.Window, 1)
+	window := p.Pool.batch()
 	// Ring state: slot s holds the decision skeleton decs[s], the decoded
 	// message obs[s] and, when pending[s], an in-flight submission whose
 	// outcome arrives on outs[s]. Slots [head-inflight, head) are occupied,

@@ -90,7 +90,7 @@ func TestPumpSteadyStateAllocs(t *testing.T) {
 			sent++
 			return msgs[sent%len(msgs)], nil
 		}, 2)
-		pump := Pump{Pool: p, Channel: id, Window: 16, In: feed, Out: &discardFraming{
+		pump := Pump{Pool: p, Channel: id, In: feed, Out: &discardFraming{
 			written: &written, warmed: &warmed, streams: channels, warm: warm, at: &before, atTotal: &warmTotal}}
 		wg.Add(1)
 		go func(id string) {

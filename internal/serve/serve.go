@@ -7,7 +7,7 @@
 // The design honours the Detector's single-writer contract (see the
 // aovlis package documentation) by goroutine confinement: every channel is
 // bound to exactly one shard, and only that shard's worker ever calls
-// Observe on the channel's detector. Callers may therefore submit
+// ObserveBatch on the channel's detector. Callers may therefore submit
 // observations for any channel from any number of goroutines; ordering is
 // preserved per caller per channel because submission order into the
 // shard's FIFO queue is execution order.
@@ -49,39 +49,19 @@ import (
 	"aovlis/internal/wire"
 )
 
-// Detector is the per-channel scoring interface. A served channel is an
-// *aovlis.Detector, and the pool reads its dims, lifetime and tier counters
-// and its snapshot from that type alone; any other Detector (a test fake,
-// a tracing wrapper) is a bare scorer: it scores, and has no dims check,
-// restored counters or checkpoint. The pool confines each Detector to a
-// single shard worker, so implementations need not be safe for concurrent
-// use.
+// Detector is the per-channel scoring interface, and ObserveBatch is the
+// only call a shard worker makes: it scores one channel's run of pending
+// segments. The contract is aovlis.Detector.ObserveBatch's: n segments
+// processed, results[0:n] valid, err (if any) belongs to segment n and later
+// segments are untouched — the worker resubmits them. A served channel is
+// an *aovlis.Detector, and the pool reads its dims, lifetime and tier
+// counters and its snapshot from that type alone; any other Detector (a
+// test fake, a tracing wrapper) is a bare scorer: it scores, and has no
+// dims check, restored counters or checkpoint. The pool confines each
+// Detector to a single shard worker, so implementations need not be safe
+// for concurrent use.
 type Detector interface {
-	Observe(actionFeat, audienceFeat []float64) (aovlis.Result, error)
-}
-
-// batchObserver is implemented by detectors that can score a run of
-// pending segments in one call (notably *aovlis.Detector). The contract
-// mirrors aovlis.Detector.ObserveBatch: n segments processed, results[0:n]
-// valid, err (if any) belongs to segment n and later segments are
-// untouched — the shard worker resubmits them.
-type batchObserver interface {
 	ObserveBatch(actionFeats, audienceFeats [][]float64, results []aovlis.Result) (int, error)
-}
-
-// laneByLane gives a plain Detector the batch contract, one Observe per
-// lane, so the shard worker has a single scoring call.
-type laneByLane struct{ Detector }
-
-func (l laneByLane) ObserveBatch(actionFeats, audienceFeats [][]float64, results []aovlis.Result) (int, error) {
-	for i := range actionFeats {
-		res, err := l.Observe(actionFeats[i], audienceFeats[i])
-		if err != nil {
-			return i, err
-		}
-		results[i] = res
-	}
-	return len(actionFeats), nil
 }
 
 // OverflowPolicy and its one value Block are kept because cmd/aovlis-bench
@@ -202,9 +182,9 @@ type VerdictSink interface {
 // set — a control action the shard worker runs between observations. Control
 // jobs are how the snapshot subsystem quiesces a channel at a segment
 // boundary without stopping the shard: the worker executes jobs serially,
-// so a control job can never interleave with an Observe on the same shard.
-// Under micro-batching a control job additionally flushes the batch drained
-// before it, preserving queue order.
+// so a control job can never interleave with an ObserveBatch on the same
+// shard. Under micro-batching a control job additionally flushes the batch
+// drained before it, preserving queue order.
 type job struct {
 	ch       *channel
 	action   []float64
@@ -222,7 +202,6 @@ type channel struct {
 	id    string
 	shard *shard
 	det   Detector
-	batch batchObserver    // det, or det lane by lane when it cannot batch
 	aov   *aovlis.Detector // det, unless det is a bare scorer (then nil)
 
 	observed    atomic.Uint64 // successfully scored observations
@@ -457,6 +436,11 @@ func NewDetectorPool(cfg Config) (*DetectorPool, error) {
 	return p, nil
 }
 
+// batch is one number with two uses: the most jobs a shard worker drains
+// per wake-up, and the most submissions a Pump keeps in flight — so a
+// stream's backlog is what one scoring round can take. 0 means 1.
+func (p *DetectorPool) batch() int { return max(p.cfg.Batch, 1) }
+
 // runShard executes the channel-confined detection loop of one shard: it
 // alone calls ObserveBatch on the detectors of the channels hashed to it,
 // which is what makes the single-writer Detector safe under a concurrent
@@ -465,7 +449,7 @@ func NewDetectorPool(cfg Config) (*DetectorPool, error) {
 // per-channel groups in one batched call each.
 func (p *DetectorPool) runShard(s *shard) {
 	defer p.wg.Done()
-	limit := max(p.cfg.Batch, 1)
+	limit := p.batch()
 	var (
 		jobs    = make([]job, 0, limit)
 		scratch batchScratch
@@ -552,7 +536,7 @@ func (p *DetectorPool) runGroup(ch *channel, jobs []job, sc *batchScratch) {
 	for done < total {
 		results := sc.results[:total-done]
 		t0 := time.Now()
-		n, err := ch.batch.ObserveBatch(sc.acts[done:], sc.auds[done:], results)
+		n, err := ch.det.ObserveBatch(sc.acts[done:], sc.auds[done:], results)
 		p.m.scoreLatency.Observe(time.Since(t0).Seconds())
 		if n > 0 {
 			p.m.occupancy.Observe(float64(n))
@@ -642,8 +626,8 @@ func (p *DetectorPool) publish(mutate func(map[string]*channel)) {
 }
 
 // Attach registers a channel under id, transferring ownership of det to
-// the pool: from now on only the channel's shard worker calls Observe on
-// it. Attaching an existing id fails with ErrChannelExists.
+// the pool: from now on only the channel's shard worker calls ObserveBatch
+// on it. Attaching an existing id fails with ErrChannelExists.
 func (p *DetectorPool) Attach(id string, det Detector) error {
 	if id == "" {
 		return fmt.Errorf("serve: empty channel id")
@@ -660,9 +644,6 @@ func (p *DetectorPool) Attach(id string, det Detector) error {
 		return fmt.Errorf("%w: %q", ErrChannelExists, id)
 	}
 	ch := &channel{id: id, shard: p.shardFor(id), det: det}
-	if ch.batch, _ = det.(batchObserver); ch.batch == nil {
-		ch.batch = laneByLane{det}
-	}
 	// A restored channel reports whole-stream statistics, not just the
 	// post-restore leg. Transport-local counters (warmups, rejections,
 	// queue errors) belong to the pool instance and restart at zero.
@@ -911,7 +892,7 @@ func (p *DetectorPool) AttachVerdictSink(s VerdictSink) {
 }
 
 // WithChannel runs fn against id's detector at a segment boundary: fn
-// executes inside the channel's shard worker, so no Observe on that shard
+// executes inside the channel's shard worker, so no ObserveBatch on that shard
 // is concurrent with it and the detector's state is between segments.
 // fn gets nil when the channel is a bare scorer. This is the
 // continual-learning seam — a node's absorb loop merges a live channel's

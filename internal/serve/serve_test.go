@@ -14,6 +14,21 @@ import (
 	"aovlis/internal/mat"
 )
 
+// oneByOne meets the Detector contract one lane at a time, the way the
+// fakes here score: observe runs per segment, and its first error ends the
+// run at that lane.
+func oneByOne(observe func(action, audience []float64) (aovlis.Result, error),
+	acts, auds [][]float64, results []aovlis.Result) (int, error) {
+	for i := range acts {
+		res, err := observe(acts[i], auds[i])
+		if err != nil {
+			return i, err
+		}
+		results[i] = res
+	}
+	return len(acts), nil
+}
+
 // fakeDetector is a controllable serve.Detector. Its plain fields are safe
 // because the pool confines each detector to one shard worker, and tests
 // only read them after Close (which happens-after the workers exit).
@@ -25,7 +40,11 @@ type fakeDetector struct {
 	calls        int
 }
 
-func (f *fakeDetector) Observe(action, audience []float64) (aovlis.Result, error) {
+func (f *fakeDetector) ObserveBatch(acts, auds [][]float64, results []aovlis.Result) (int, error) {
+	return oneByOne(f.observe, acts, auds, results)
+}
+
+func (f *fakeDetector) observe(action, audience []float64) (aovlis.Result, error) {
 	if f.delay > 0 {
 		time.Sleep(f.delay)
 	}

@@ -39,9 +39,11 @@ type slowDetector struct {
 	service time.Duration
 }
 
-func (s *slowDetector) Observe(action, audience []float64) (aovlis.Result, error) {
-	time.Sleep(s.service)
-	return s.det.Observe(action, audience)
+func (s *slowDetector) ObserveBatch(acts, auds [][]float64, results []aovlis.Result) (int, error) {
+	return oneByOne(func(action, audience []float64) (aovlis.Result, error) {
+		time.Sleep(s.service)
+		return s.det.Observe(action, audience)
+	}, acts, auds, results)
 }
 
 // sloLoadConfig is the recorded harness profile: 300/s steady with a

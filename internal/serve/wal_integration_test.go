@@ -208,12 +208,15 @@ type orderDetector struct {
 	passing int
 }
 
-func (d *orderDetector) Observe(action, _ []float64) (aovlis.Result, error) {
-	if d.p.AppliedSeq(d.id) > uint64(len(d.tags)) {
-		d.passing++
+func (d *orderDetector) ObserveBatch(acts, _ [][]float64, results []aovlis.Result) (int, error) {
+	for i, action := range acts {
+		if d.p.AppliedSeq(d.id) > uint64(len(d.tags)) {
+			d.passing++
+		}
+		d.tags = append(d.tags, action[0])
+		results[i] = aovlis.Result{Score: 0.1, Exact: true, Path: "exact"}
 	}
-	d.tags = append(d.tags, action[0])
-	return aovlis.Result{Score: 0.1, Exact: true, Path: "exact"}, nil
+	return len(acts), nil
 }
 
 // TestUnjournaledPoolNumbersEverySegment: a pool without a journal numbers
@@ -391,21 +394,23 @@ func TestDetachJournalsATombstone(t *testing.T) {
 	}
 }
 
-// parkedDetector parks its first Observe until gate closes, then scores
-// through det.
+// parkedDetector parks its first segment until gate closes, then scores
+// through det one segment at a time.
 type parkedDetector struct {
 	det     *aovlis.Detector
 	once    sync.Once
-	entered chan struct{} // closed once the first Observe has parked
+	entered chan struct{} // closed once the first segment has parked
 	gate    chan struct{}
 }
 
-func (d *parkedDetector) Observe(action, audience []float64) (aovlis.Result, error) {
-	d.once.Do(func() {
-		close(d.entered)
-		<-d.gate
-	})
-	return d.det.Observe(action, audience)
+func (d *parkedDetector) ObserveBatch(acts, auds [][]float64, results []aovlis.Result) (int, error) {
+	return oneByOne(func(action, audience []float64) (aovlis.Result, error) {
+		d.once.Do(func() {
+			close(d.entered)
+			<-d.gate
+		})
+		return d.det.Observe(action, audience)
+	}, acts, auds, results)
 }
 
 // teeJournal appends every record to each of its journals in turn.

@@ -9,6 +9,7 @@ package snapshot
 
 import (
 	"bytes"
+	"encoding/gob"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -24,51 +25,58 @@ import (
 
 var updateFuzzCorpus = flag.Bool("update-fuzz-corpus", false, "regenerate the testdata/fuzz seed corpus files")
 
-// mintFuzzCorpus writes seeds in the native fuzz corpus encoding so the
-// checked-in corpus and the f.Add seeds stay in sync. Regenerate with
+// fuzzCorpus maps each target's seeds to their checked-in corpus files,
+// seed-NN in the native fuzz corpus encoding, so the corpus and the f.Add
+// seeds are one list. Regenerate the files with
 //
 //	go test ./internal/snapshot -run TestMintFuzzCorpus -update-fuzz-corpus
-func mintFuzzCorpus(t *testing.T, target string, seeds [][]byte) {
-	t.Helper()
-	dir := filepath.Join("testdata", "fuzz", target)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	for i, seed := range seeds {
-		body := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", seed)
-		if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf("seed-%02d", i)), []byte(body), 0o644); err != nil {
-			t.Fatal(err)
+func fuzzCorpus() map[string][]byte {
+	files := make(map[string][]byte)
+	for target, seeds := range map[string][][]byte{
+		"FuzzReadHeader":    headerFuzzSeeds(),
+		"FuzzParseManifest": manifestFuzzSeeds(),
+	} {
+		for i, seed := range seeds {
+			files[filepath.Join("testdata", "fuzz", target, fmt.Sprintf("seed-%02d", i))] =
+				[]byte(fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", seed))
 		}
 	}
+	return files
 }
 
 // headerFuzzSeeds / manifestFuzzSeeds are shared between f.Add and the
-// checked-in corpus.
+// checked-in corpus. Each keeps a version-1 input: the codec still reads
+// version 1, so the fuzzer should start from its bytes too.
 func headerFuzzSeeds() [][]byte {
 	return [][]byte{
-		validHeaderBytes(KindDetector),
-		validHeaderBytes(KindModel),
-		validHeaderBytes(KindModel)[:5], // truncated mid-gob
+		validHeaderBytes(Version, KindDetector),
+		validHeaderBytes(Version, KindModel),
+		validHeaderBytes(Version, KindModel)[:5], // truncated mid-gob
 		{},
 		[]byte("not a snapshot at all"),
+		validHeaderBytes(1, KindDetector),
 	}
 }
 
 func manifestFuzzSeeds() [][]byte {
-	valid, err := json.Marshal(manifest.Manifest{Version: Version, UnixNanos: 42, Channels: []manifest.ChannelEntry{
-		{ID: "a", File: "a.1.snap", Bytes: 10, SHA256: strings.Repeat("0", 64), Shard: 0},
-	}})
-	if err != nil {
-		panic(err)
+	valid := func(version int) []byte {
+		b, err := json.Marshal(manifest.Manifest{Version: version, UnixNanos: 42, Channels: []manifest.ChannelEntry{
+			{ID: "a", File: "a.1.snap", Bytes: 10, SHA256: strings.Repeat("0", 64), Shard: 0},
+		}})
+		if err != nil {
+			panic(err)
+		}
+		return b
 	}
 	return [][]byte{
-		valid,
+		valid(Version),
 		[]byte(`{}`),
 		[]byte(`{"version":999}`),
 		[]byte(`{"version":1,"channels":[{"id":"","file":""}]}`),
 		[]byte(`{"version":1,"channels":[{"id":"x","file":"x.snap","bytes":-5}]}`),
 		[]byte(`not json`),
 		[]byte(`{"version":1,"channels":[{"id":"x","file":"../../x","bytes":1}]}`),
+		valid(1),
 	}
 }
 
@@ -76,14 +84,42 @@ func TestMintFuzzCorpus(t *testing.T) {
 	if !*updateFuzzCorpus {
 		t.Skip("pass -update-fuzz-corpus to regenerate the seed corpus")
 	}
-	mintFuzzCorpus(t, "FuzzReadHeader", headerFuzzSeeds())
-	mintFuzzCorpus(t, "FuzzParseManifest", manifestFuzzSeeds())
+	for path, body := range fuzzCorpus() {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, body, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
 }
 
-// validHeaderBytes encodes a well-formed envelope for kind.
-func validHeaderBytes(kind string) []byte {
+// TestFuzzCorpusIsMinted fails when a checked-in seed file is not what the
+// seed functions encode today, or when one is missing or extra: a codec
+// change (a version bump) must re-mint the corpus.
+func TestFuzzCorpusIsMinted(t *testing.T) {
+	want := fuzzCorpus()
+	have, err := filepath.Glob(filepath.Join("testdata", "fuzz", "*", "seed-*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range have {
+		if _, ok := want[path]; !ok {
+			t.Errorf("%s: no seed encodes it", path)
+		}
+	}
+	for path, body := range want {
+		got, err := os.ReadFile(path)
+		if err != nil || !bytes.Equal(got, body) {
+			t.Errorf("%s is stale (%v); re-mint with -update-fuzz-corpus:\n got %q\nwant %q", path, err, got, body)
+		}
+	}
+}
+
+// validHeaderBytes encodes a well-formed envelope for kind at version.
+func validHeaderBytes(version int, kind string) []byte {
 	var buf bytes.Buffer
-	if err := WriteHeader(&buf, kind); err != nil {
+	if err := gob.NewEncoder(&buf).Encode(Header{Magic: Magic, Version: version, Kind: kind}); err != nil {
 		panic(err)
 	}
 	return buf.Bytes()

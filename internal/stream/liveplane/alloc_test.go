@@ -104,7 +104,7 @@ func TestLiveSteadyStateAllocs(t *testing.T) {
 	hub := NewHub()
 	hub.ringCap = ringCap
 	defer hub.Close()
-	srv := wiretest.NewServer(t, &IngestHandler{Pool: pool, Hub: hub, Window: 16})
+	srv := wiretest.NewServer(t, &IngestHandler{Pool: pool, Hub: hub, Ensure: attachedOnly(pool)})
 
 	var (
 		before, after runtime.MemStats

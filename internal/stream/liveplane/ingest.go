@@ -25,18 +25,15 @@ const (
 
 // IngestHandler serves /live/{channel}: it upgrades the connection,
 // replays ring decisions above the client's Last-Seq, then pumps
-// observations into the pool's zero-alloc SubmitInto path with a
-// pipelining window, streaming decisions back strictly in message order.
+// observations into the pool's zero-alloc SubmitInto path with the pool's
+// pipelining window (serve.Pump), streaming decisions back strictly in
+// message order.
 type IngestHandler struct {
 	Pool *serve.DetectorPool
 	Hub  *Hub
-	// Ensure creates the channel on first use (nil → the channel must
-	// already be attached).
+	// Ensure creates the channel on first use and returns nil when it is
+	// already attached.
 	Ensure func(id string) error
-	// Window is the submission pipeline depth (≤ 0 → 1): how many
-	// observations may be in flight before reads pause — the live analogue
-	// of the observe handler's obsWindow.
-	Window int
 }
 
 // ServeHTTP implements the endpoint.
@@ -121,7 +118,7 @@ func (h *IngestHandler) ServeHTTP(w wire.ResponseWriter, r *wire.Request) {
 	// WSeq), and a line without a verdict gets 0: it is not ringed and the
 	// client may resend it. Every verdict is ringed before its line is
 	// written, so a reconnect can replay it.
-	pump := serve.Pump{Pool: h.Pool, Channel: id, Window: h.Window, In: feed, Out: wsOut{conn},
+	pump := serve.Pump{Pool: h.Pool, Channel: id, In: feed, Out: wsOut{conn},
 		Seal: func(dst []byte, d *wire.Decision) ([]byte, error) {
 			d.Seq = 0
 			if d.Verdict() {

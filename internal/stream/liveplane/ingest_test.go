@@ -17,6 +17,30 @@ import (
 	"aovlis/internal/wire/wiretest"
 )
 
+// oneByOne meets the serve.Detector contract one lane at a time, the way
+// the fakes here score: observe runs per segment, and its first error ends
+// the run at that lane.
+func oneByOne(observe func(action, audience []float64) (aovlis.Result, error),
+	acts, auds [][]float64, results []aovlis.Result) (int, error) {
+	for i := range acts {
+		res, err := observe(acts[i], auds[i])
+		if err != nil {
+			return i, err
+		}
+		results[i] = res
+	}
+	return len(acts), nil
+}
+
+// attachedOnly is the Ensure hook of a pool whose channels are attached up
+// front: it creates none and refuses any other id.
+func attachedOnly(pool *serve.DetectorPool) func(id string) error {
+	return func(id string) error {
+		_, err := pool.Stats(id)
+		return err
+	}
+}
+
 // fakeDetector is a deterministic serve.Detector: the nth observation on
 // a channel scores n, anomalous when even, and an action[0] < 0 is a
 // detector error. It keeps the ingest tests independent of training.
@@ -25,7 +49,11 @@ type fakeDetector struct {
 	n  int
 }
 
-func (d *fakeDetector) Observe(action, audience []float64) (aovlis.Result, error) {
+func (d *fakeDetector) ObserveBatch(acts, auds [][]float64, results []aovlis.Result) (int, error) {
+	return oneByOne(d.observe, acts, auds, results)
+}
+
+func (d *fakeDetector) observe(action, audience []float64) (aovlis.Result, error) {
 	d.mu.Lock()
 	d.n++
 	n := d.n
@@ -37,10 +65,11 @@ func (d *fakeDetector) Observe(action, audience []float64) (aovlis.Result, error
 }
 
 // newIngestServer builds a pool of fake detectors behind an IngestHandler
-// on a real listener (Upgrade hijacks a served connection).
+// on a real listener (Upgrade hijacks a served connection), pipelining 4
+// segments per stream. A nil ensure serves the given channels only.
 func newIngestServer(t *testing.T, hub *Hub, ensure func(string) error, channels ...string) (*wiretest.Server, *serve.DetectorPool) {
 	t.Helper()
-	pool, err := serve.NewDetectorPool(serve.Config{Shards: 1, QueueDepth: 64})
+	pool, err := serve.NewDetectorPool(serve.Config{Shards: 1, QueueDepth: 64, Batch: 4})
 	if err != nil {
 		t.Fatalf("pool: %v", err)
 	}
@@ -50,8 +79,11 @@ func newIngestServer(t *testing.T, hub *Hub, ensure func(string) error, channels
 			t.Fatalf("attach %s: %v", id, err)
 		}
 	}
+	if ensure == nil {
+		ensure = attachedOnly(pool)
+	}
 	mux := &wire.Mux{}
-	mux.Handle("/live/", &IngestHandler{Pool: pool, Hub: hub, Ensure: ensure, Window: 4})
+	mux.Handle("/live/", &IngestHandler{Pool: pool, Hub: hub, Ensure: ensure})
 	srv := wiretest.NewServer(t, mux)
 	t.Cleanup(hub.Close)
 	return srv, pool
@@ -170,9 +202,9 @@ func TestIngestResumeReplay(t *testing.T) {
 }
 
 // TestIngestRefusals pins every non-101 answer the endpoint gives:
-// missing/nested channel, malformed Last-Seq, unknown channel without an
-// Ensure hook, a failing Ensure hook, a busy channel, and a Last-Seq
-// ahead of the server's floor (which must advertise the real floor).
+// missing/nested channel, malformed Last-Seq, a busy channel, and a
+// Last-Seq ahead of the server's floor (which must advertise the real
+// floor); TestIngestEnsureError covers a failing Ensure hook.
 func TestIngestRefusals(t *testing.T) {
 	srv, _ := newIngestServer(t, NewHub(), nil, "busy")
 
@@ -197,9 +229,6 @@ func TestIngestRefusals(t *testing.T) {
 	}
 	if resp := get("/live/busy", http.Header{LastSeqHeader: []string{"nope"}}); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad Last-Seq: %d", resp.StatusCode)
-	}
-	if resp := get("/live/ghost", nil); resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("unknown channel without Ensure: %d", resp.StatusCode)
 	}
 	if _, resp, err := Dial(srv.URL+"/live/busy", wire.Header{LastSeqHeader: []string{"7"}}); err == nil ||
 		resp == nil || resp.StatusCode != http.StatusConflict || resp.Header.Get(ResumeHeader) != "0" {
@@ -241,12 +270,15 @@ func TestIngestRefusals(t *testing.T) {
 	}
 }
 
-// gatedDetector blocks every Observe until its gate is closed.
+// gatedDetector blocks every segment until its gate is closed.
 type gatedDetector struct{ gate chan struct{} }
 
-func (g gatedDetector) Observe(action, audience []float64) (aovlis.Result, error) {
-	<-g.gate
-	return aovlis.Result{Exact: true, Path: "gated"}, nil
+func (g gatedDetector) ObserveBatch(acts, _ [][]float64, results []aovlis.Result) (int, error) {
+	for i := range acts {
+		<-g.gate
+		results[i] = aovlis.Result{Exact: true, Path: "gated"}
+	}
+	return len(acts), nil
 }
 
 // TestIngestEnsureError covers the Ensure hook's refusal path.
@@ -328,7 +360,7 @@ func TestCloseErrorString(t *testing.T) {
 // lines, so Replay re-encodes them — and the lines a reconnect replays must
 // be the bytes first sent, warm-up and non-finite-score verdicts included.
 func TestIngestReplayIsByteIdentical(t *testing.T) {
-	pool, err := serve.NewDetectorPool(serve.Config{Shards: 1, QueueDepth: 16})
+	pool, err := serve.NewDetectorPool(serve.Config{Shards: 1, QueueDepth: 16, Batch: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,7 +370,7 @@ func TestIngestReplayIsByteIdentical(t *testing.T) {
 	}
 	hub := NewHub()
 	defer hub.Close()
-	srv := wiretest.NewServer(t, &IngestHandler{Pool: pool, Hub: hub, Window: 4})
+	srv := wiretest.NewServer(t, &IngestHandler{Pool: pool, Hub: hub, Ensure: attachedOnly(pool)})
 
 	const n = 6
 	conn, _ := dialIngest(t, srv.URL+"/live/ch", 0)
@@ -377,7 +409,11 @@ func TestIngestReplayIsByteIdentical(t *testing.T) {
 // score and ordinary verdicts.
 type scriptedDetector struct{ n int }
 
-func (d *scriptedDetector) Observe(action, audience []float64) (aovlis.Result, error) {
+func (d *scriptedDetector) ObserveBatch(acts, auds [][]float64, results []aovlis.Result) (int, error) {
+	return oneByOne(d.observe, acts, auds, results)
+}
+
+func (d *scriptedDetector) observe(action, audience []float64) (aovlis.Result, error) {
 	d.n++
 	switch d.n {
 	case 1:
