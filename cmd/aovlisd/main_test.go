@@ -539,12 +539,10 @@ func TestSnapshotSkipsWALTruncateOnLedgerFlushFailure(t *testing.T) {
 		t.Fatal("no pending verdicts; the flush under test would be a no-op")
 	}
 
-	// Sabotage the ledger directory so Flush's batch commit fails.
-	saved := ledgerDir + ".bak"
-	if err := os.Rename(ledgerDir, saved); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(ledgerDir, []byte("not a directory"), 0o644); err != nil {
+	// Make the next batch's commit itself fail: a non-empty directory at
+	// its staging name can be neither created afresh nor removed.
+	staging := filepath.Join(ledgerDir, fmt.Sprintf("batch-%08d.blk.tmp", ledgerHead().Batches+1))
+	if err := os.MkdirAll(filepath.Join(staging, "x"), 0o755); err != nil {
 		t.Fatal(err)
 	}
 	checkpoint() // the snapshot must still commit on a ledger flush failure
@@ -553,10 +551,7 @@ func TestSnapshotSkipsWALTruncateOnLedgerFlushFailure(t *testing.T) {
 	}
 
 	// Heal the ledger: the next checkpoint flushes and truncates.
-	if err := os.Remove(ledgerDir); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Rename(saved, ledgerDir); err != nil {
+	if err := os.RemoveAll(staging); err != nil {
 		t.Fatal(err)
 	}
 	checkpoint()

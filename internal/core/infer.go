@@ -232,6 +232,22 @@ func (m *Model) TakeLanes() *Lanes {
 	return m.plan.newLanes(l)
 }
 
+// ReserveLanes readies the model's configuration for `sets` runs at once
+// of up to `batch` lanes over SeqLen + batch rows, making and widening sets
+// only while its list has fewer or narrower ones.
+func (m *Model) ReserveLanes(sets, batch int) {
+	l, rows := m.laneList(), m.cfg.SeqLen+batch
+	if l.Made() >= sets && l.lanes.Load() >= int64(batch) && l.rows.Load() >= int64(rows) {
+		return
+	}
+	for n := max(sets, l.Made()); n > 0; n-- {
+		ls := m.TakeLanes()
+		defer ls.Put() // held until the end, so every take gets another set
+		ls.reserve(batch)
+		ls.Rows(rows)
+	}
+}
+
 // Put returns the set to the list TakeLanes took it from. The borrower
 // must not touch the set, nor slices it returned, afterwards.
 func (ls *Lanes) Put() { ls.list.Put(ls) }

@@ -6,14 +6,14 @@
 //
 //   - Commit writes a whole file under its final name or not at all.
 //   - SyncDir makes a directory's creates, renames and removals durable.
+//     Both open a Dir for one call; the ledger holds its Dir open (on Linux,
+//     *at system calls on its descriptor: the module's one unsafe).
 //   - Numbered names, parses and lists a directory's numbered files
 //     (wal-00000001.seg, batch-00000001.blk, ...).
 package durable
 
 import (
-	"errors"
 	"fmt"
-	"io/fs"
 	"os"
 	"path/filepath"
 	"slices"
@@ -23,70 +23,89 @@ import (
 
 // Commit writes b to path so that a crash leaves either the previous file
 // or the whole new one: b is written in one call to path+".tmp", fsynced,
-// closed, renamed over path, and path's directory is fsynced. The staging
+// closed, renamed over path, and path's directory is fsynced, or a power
+// loss could keep a later commit (a manifest) and lose this one. The staging
 // name is fixed, so a crash's leftover staging file is replaced by the
 // next commit of the same path; on any error it is removed. The staging
 // file is always created afresh, with mode 0600, so a leftover cannot pass
 // on its mode.
 func Commit(path string, b []byte) error {
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o600)
-	if errors.Is(err, fs.ErrExist) {
-		os.Remove(tmp)
-		f, err = os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o600)
-	}
+	d, err := OpenDir(filepath.Dir(path))
 	if err != nil {
-		return fmt.Errorf("durable: staging %s: %w", path, err)
+		return err
 	}
-	_, err = f.Write(b)
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmp, path)
-	}
-	if err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("durable: committing %s: %w", path, err)
-	}
-	// The rename is atomic but not durable until the directory entry is on
-	// disk: without this a power loss could keep a later commit (a
-	// manifest) and lose this one (a file the manifest names).
-	return SyncDir(filepath.Dir(path))
+	defer d.Close()
+	return d.Commit(filepath.Base(path), b)
 }
 
 // SyncDir fsyncs dir so the creates, renames and removals inside it are
 // durable.
 func SyncDir(dir string) error {
-	d, err := os.Open(dir)
+	d, err := OpenDir(dir)
 	if err != nil {
-		return fmt.Errorf("durable: opening dir %s for sync: %w", dir, err)
+		return err
 	}
 	defer d.Close()
-	if err := d.Sync(); err != nil {
-		return fmt.Errorf("durable: syncing dir %s: %w", dir, err)
+	return d.Sync()
+}
+
+// Dir is a directory held open for Commit and Sync. On Linux, Commit runs
+// as *at system calls on its descriptor, with NUL-terminated names it
+// reuses, so a warm commit resolves no path and allocates nothing, and a
+// renamed directory keeps receiving commits, as the WAL's open segment
+// keeps receiving appends: the descriptor is the inode, not the path.
+// Elsewhere Commit goes by path. A Dir is not safe for concurrent use.
+type Dir struct {
+	f     *os.File
+	path  string
+	names []byte // on Linux, "name\x00name.tmp\x00" of the last Commit
+}
+
+// OpenDir opens the directory at path. Close releases it.
+func OpenDir(path string) (*Dir, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, dirError("opening dir", path, err)
+	}
+	return &Dir{f: f, path: path}, nil
+}
+
+// Sync fsyncs the directory, making the creates, renames and removals
+// inside it durable.
+func (d *Dir) Sync() error {
+	if err := d.f.Sync(); err != nil {
+		return dirError("syncing dir", d.path, err)
 	}
 	return nil
+}
+
+// Close releases the directory.
+func (d *Dir) Close() error { return d.f.Close() }
+
+// dirError is the error of a failed step of a Dir.
+func dirError(op, path string, err error) error {
+	return fmt.Errorf("durable: %s %s: %w", op, path, err)
 }
 
 // Numbered is a scheme of numbered file names, Prefix + index + Suffix,
 // with the index 1-based and written in at least eight digits.
 type Numbered struct{ Prefix, Suffix string }
 
-// Name is index's file name. It is built by hand, not by fmt, so that a
-// ledger commit allocates only the name itself.
+// Name is index's file name.
 func (n Numbered) Name(index uint64) string {
-	var buf [64]byte
+	return string(n.Append(make([]byte, 0, 64), index))
+}
+
+// Append appends index's file name to b, so that a caller that names a
+// file per commit can reuse one buffer.
+func (n Numbered) Append(b []byte, index uint64) []byte {
 	var digits [20]byte
 	d := strconv.AppendUint(digits[:0], index, 10)
-	b := append(buf[:0], n.Prefix...)
+	b = append(b, n.Prefix...)
 	for i := len(d); i < 8; i++ {
 		b = append(b, '0')
 	}
-	return string(append(append(b, d...), n.Suffix...))
+	return append(append(b, d...), n.Suffix...)
 }
 
 // Parse extracts the index from a file name of the scheme. It refuses

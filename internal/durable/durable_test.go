@@ -22,30 +22,53 @@ func names(t *testing.T, dir string) []string {
 	return out
 }
 
+// TestCommit runs the protocol both ways in: Commit by path, and a held
+// Dir's Commit by name.
 func TestCommit(t *testing.T) {
-	dir := t.TempDir()
+	for _, held := range []bool{false, true} {
+		t.Run(fmt.Sprintf("held=%v", held), func(t *testing.T) {
+			dir := t.TempDir()
+			commit := func(name string, b []byte) error { return Commit(filepath.Join(dir, name), b) }
+			if held {
+				d, err := OpenDir(dir)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer d.Close()
+				commit = d.Commit
+			}
+			testCommit(t, dir, commit)
+		})
+	}
+}
+
+func testCommit(t *testing.T, dir string, commit func(name string, b []byte) error) {
 	path := filepath.Join(dir, "ch.snap")
-	if err := Commit(path, []byte("hello snapshot")); err != nil {
+	if err := commit("ch.snap", []byte("hello snapshot")); err != nil {
 		t.Fatal(err)
 	}
 	// A crash's leftover staging file, longer than the next payload and of
-	// another mode, is replaced whole by the next commit of the same path,
-	// and the committed file has Commit's mode, not the leftover's.
-	if err := os.WriteFile(path+".tmp", []byte("a torn and much longer staging file"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Chmod(path+".tmp", 0o644); err != nil { // whatever the umask
-		t.Fatal(err)
-	}
-	if err := Commit(path, []byte("second")); err != nil {
-		t.Fatal(err)
-	}
-	got, err := os.ReadFile(path)
-	if err != nil || string(got) != "second" {
-		t.Fatalf("committed %q, %v", got, err)
-	}
-	if fi, err := os.Stat(path); err != nil || fi.Mode().Perm() != 0o600 {
-		t.Fatalf("committed file mode %v, %v; want 0600", fi.Mode(), err)
+	// any mode, is replaced whole by the next commit of the same file, over
+	// the committed one, and the committed file has Commit's mode, not the
+	// leftover's.
+	for _, mode := range []os.FileMode{0o644, 0o400, 0o000} {
+		if err := os.WriteFile(path+".tmp", []byte("a torn and much longer staging file"), 0o600); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Chmod(path+".tmp", mode); err != nil { // whatever the umask
+			t.Fatal(err)
+		}
+		want := fmt.Sprintf("after a %v leftover", mode)
+		if err := commit("ch.snap", []byte(want)); err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(path)
+		if err != nil || string(got) != want {
+			t.Fatalf("committed %q, %v; want %q", got, err, want)
+		}
+		if fi, err := os.Stat(path); err != nil || fi.Mode().Perm() != 0o600 {
+			t.Fatalf("committed file mode %v, %v; want 0600", fi.Mode(), err)
+		}
 	}
 	if got := names(t, dir); !slices.Equal(got, []string{"ch.snap"}) {
 		t.Fatalf("directory holds %v after commits, want only ch.snap", got)
@@ -53,17 +76,16 @@ func TestCommit(t *testing.T) {
 
 	// A commit that fails (here at the rename: the target is a non-empty
 	// directory) leaves the target as it was and no staging file behind.
-	busy := filepath.Join(dir, "busy")
-	if err := os.MkdirAll(filepath.Join(busy, "x"), 0o755); err != nil {
+	if err := os.MkdirAll(filepath.Join(dir, "busy", "x"), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if err := Commit(busy, []byte("payload")); err == nil {
+	if err := commit("busy", []byte("payload")); err == nil {
 		t.Fatal("commit over a non-empty directory succeeded")
 	}
 	if got := names(t, dir); !slices.Equal(got, []string{"busy", "ch.snap"}) {
 		t.Fatalf("directory holds %v after a failed commit, want [busy ch.snap]", got)
 	}
-	if err := Commit(filepath.Join(dir, "missing", "f"), nil); err == nil {
+	if err := commit(filepath.Join("missing", "f"), nil); err == nil {
 		t.Fatal("commit into a missing directory succeeded")
 	}
 }

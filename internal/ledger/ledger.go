@@ -9,8 +9,10 @@
 // Verdicts accumulate in memory and commit in batches of Options.BatchSize
 // (plus an explicit Flush at checkpoint and shutdown). A committed batch is
 // one file, batch-00000001.blk, batch-00000002.blk, ..., written in one
-// durable.Commit (staged, fsynced, renamed, directory fsynced) and opened
-// by the standard envelope. Inside a batch:
+// commit (staged, fsynced, renamed, directory fsynced) through the
+// durable.Dir the ledger holds open from Open to Close, and opened by the
+// standard envelope. The held directory follows its inode: a ledger whose
+// directory is renamed while open keeps committing into it. Inside a batch:
 //
 //	leaf_i  = SHA256(0x00 || canonical(entry_i))
 //	node    = SHA256(0x01 || left || right)   (odd node promoted)
@@ -605,13 +607,13 @@ func (ri RootInfo) WriteJSON(j *wire.JSON) {
 // committed batch (pending or future).
 var ErrNotCommitted = errors.New("ledger: entry is not in a committed batch")
 
-// batchMeta indexes one committed batch in memory.
+// batchMeta indexes one committed batch in memory. Batch i+1 is
+// batches[i], and its prev chained root is batches[i-1].chained (zeros for
+// batch 1), so neither is stored.
 type batchMeta struct {
-	index    uint64
 	firstSeq uint64
 	count    int
 	root     [32]byte
-	prev     [32]byte
 	chained  [32]byte
 }
 
@@ -633,6 +635,7 @@ const DefaultBatchSize = 64
 // All methods are safe for concurrent use.
 type Ledger struct {
 	dir       string
+	held      *durable.Dir // dir, open from Open to Close
 	batchSize int
 	onCommit  func(int)
 
@@ -643,8 +646,9 @@ type Ledger struct {
 	pending []Entry  // reused from batch to batch
 	closed  bool
 
-	// Commit scratch, reused: the batch file's bytes, its leaves (folded
-	// into the root in place) and the leaf hasher.
+	// Commit scratch, reused: the batch file's name and bytes, its leaves
+	// (folded into the root in place) and the leaf hasher.
+	name   []byte
 	buf    []byte
 	leaves [][32]byte
 	leafH  hash.Hash
@@ -664,6 +668,9 @@ func Open(dir string, opts Options) (*Ledger, error) {
 	metas, prev, nextSeq, err := loadDir(dir)
 	if err != nil {
 		return nil, err
+	}
+	if l.held, err = durable.OpenDir(dir); err != nil {
+		return nil, fmt.Errorf("ledger: open: %w", err)
 	}
 	l.batches, l.prev, l.nextSeq = metas, prev, nextSeq
 	return l, nil
@@ -691,10 +698,7 @@ func loadDir(dir string) ([]batchMeta, [32]byte, uint64, error) {
 		if err := verifyBatch(batchFiles.Name(n), w, n, nextSeq, prev); err != nil {
 			return nil, prev, 1, err
 		}
-		metas = append(metas, batchMeta{
-			index: n, firstSeq: w.FirstSeq, count: len(w.Entries),
-			root: w.Root, prev: w.PrevChained, chained: w.Chained,
-		})
+		metas = append(metas, batchMeta{firstSeq: w.FirstSeq, count: len(w.Entries), root: w.Root, chained: w.Chained})
 		prev = w.Chained
 		nextSeq = w.FirstSeq + uint64(len(w.Entries))
 	}
@@ -780,13 +784,11 @@ func (l *Ledger) commitLocked() error {
 	putBatchFields(b[fields:], &w)
 	sum := sha256.Sum256(b)
 	l.buf = append(b, sum[:]...)
-	if err := durable.Commit(filepath.Join(l.dir, batchFiles.Name(w.Index)), l.buf); err != nil {
+	l.name = batchFiles.Append(l.name[:0], w.Index)
+	if err := l.held.Commit(string(l.name), l.buf); err != nil {
 		return err
 	}
-	l.batches = append(l.batches, batchMeta{
-		index: w.Index, firstSeq: w.FirstSeq, count: len(entries),
-		root: w.Root, prev: l.prev, chained: w.Chained,
-	})
+	l.batches = append(l.batches, batchMeta{firstSeq: w.FirstSeq, count: len(entries), root: w.Root, chained: w.Chained})
 	l.prev = w.Chained
 	l.pending = l.pending[:0]
 	if l.onCommit != nil {
@@ -811,26 +813,24 @@ func (l *Ledger) Root() RootInfo {
 // committed entries have proofs; pending ones return ErrNotCommitted.
 func (l *Ledger) Proof(seq uint64) (Proof, error) {
 	l.mu.Lock()
-	var meta batchMeta
-	found := false
 	// batches are sorted by firstSeq; find the one containing seq.
 	i := sort.Search(len(l.batches), func(i int) bool {
 		return l.batches[i].firstSeq+uint64(l.batches[i].count) > seq
 	})
-	if i < len(l.batches) && seq >= l.batches[i].firstSeq {
-		meta = l.batches[i]
-		found = true
-	}
-	dir := l.dir
-	l.mu.Unlock()
-	if !found {
+	if i == len(l.batches) || seq < l.batches[i].firstSeq {
+		l.mu.Unlock()
 		return Proof{}, fmt.Errorf("%w: seq %d", ErrNotCommitted, seq)
 	}
-	w, err := readBatch(filepath.Join(dir, batchFiles.Name(meta.index)))
+	meta, prev, dir, index := l.batches[i], [32]byte{}, l.dir, uint64(i)+1
+	if i > 0 {
+		prev = l.batches[i-1].chained
+	}
+	l.mu.Unlock()
+	w, err := readBatch(filepath.Join(dir, batchFiles.Name(index)))
 	if err != nil {
 		return Proof{}, err
 	}
-	if err := verifyBatch(batchFiles.Name(meta.index), w, meta.index, meta.firstSeq, meta.prev); err != nil {
+	if err := verifyBatch(batchFiles.Name(index), w, index, meta.firstSeq, prev); err != nil {
 		return Proof{}, err
 	}
 	idx := int(seq - meta.firstSeq)
@@ -839,9 +839,9 @@ func (l *Ledger) Proof(seq uint64) (Proof, error) {
 		leaves[i] = LeafHash(e)
 	}
 	p := Proof{
-		Seq: seq, Batch: meta.index, Index: idx, Entry: w.Entries[idx],
+		Seq: seq, Batch: index, Index: idx, Entry: w.Entries[idx],
 		Root:        hex.EncodeToString(meta.root[:]),
-		PrevChained: hex.EncodeToString(meta.prev[:]),
+		PrevChained: hex.EncodeToString(prev[:]),
 		Chained:     hex.EncodeToString(meta.chained[:]),
 	}
 	// Walk the tree bottom-up, recording the sibling at each level. An
@@ -869,7 +869,8 @@ func (l *Ledger) Proof(seq uint64) (Proof, error) {
 	return p, nil
 }
 
-// Close flushes pending entries and marks the ledger closed.
+// Close flushes pending entries, marks the ledger closed and releases its
+// directory.
 func (l *Ledger) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -877,6 +878,7 @@ func (l *Ledger) Close() error {
 		return nil
 	}
 	l.closed = true
+	defer l.held.Close()
 	if len(l.pending) == 0 {
 		return nil
 	}

@@ -307,9 +307,10 @@ func TestEntryJSONScores(t *testing.T) {
 }
 
 // TestLedgerAppendSteadyStateAllocs pins what the verdict ledger costs once
-// warm: its appends allocate nothing, and a batch commit at most 20 times
-// and 2 KiB — the batch file's create, rename and syncs, and the growth of
-// the batch index — however many entries the batch holds.
+// warm: its appends allocate nothing, and a batch commit, through the
+// directory the ledger holds, nothing but the amortized growth of the batch
+// index — at most one allocation and 512 B a commit, however many entries
+// the batch holds.
 func TestLedgerAppendSteadyStateAllocs(t *testing.T) {
 	for _, size := range []int{64, 256} {
 		t.Run(fmt.Sprintf("batch=%d", size), func(t *testing.T) {
@@ -338,9 +339,43 @@ func TestLedgerAppendSteadyStateAllocs(t *testing.T) {
 			allocs := float64(after.Mallocs-before.Mallocs) / commits
 			bytes := float64(after.TotalAlloc-before.TotalAlloc) / commits
 			t.Logf("batch %d: %.1f allocations, %.0f B per commit", size, allocs, bytes)
-			if allocs > 20 || bytes > 2048 {
-				t.Fatalf("a commit of %d entries allocates %.1f times and %.0f B, want at most 20 and 2 KiB", size, allocs, bytes)
+			if allocs > 1 || bytes > 512 {
+				t.Fatalf("a commit of %d entries allocates %.1f times and %.0f B, want at most 1 and 512 B", size, allocs, bytes)
 			}
 		})
+	}
+}
+
+// TestOpenCloseReleasesTheDirectory pins that a ledger's held directory
+// is released by Close: 200 Open/Close cycles, every tenth committing a
+// batch, leave the process's open descriptors as they were.
+func TestOpenCloseReleasesTheDirectory(t *testing.T) {
+	fds := func() int {
+		t.Helper()
+		ents, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			t.Skipf("no /proc/self/fd: %v", err)
+		}
+		return len(ents)
+	}
+	dir := t.TempDir()
+	before := fds()
+	for i := 0; i < 200; i++ {
+		l, err := Open(dir, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i%10 == 0 {
+			fill(t, l, 1)
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if after := fds(); after != before {
+		t.Fatalf("%d open descriptors after 200 Open/Close cycles, %d before", after, before)
+	}
+	if info, err := Verify(dir); err != nil || info.Batches != 20 {
+		t.Fatalf("Verify = %+v, %v; want 20 batches", info, err)
 	}
 }

@@ -450,10 +450,10 @@ func (p *DetectorPool) batch() int { return max(p.cfg.Batch, 1) }
 func (p *DetectorPool) runShard(s *shard) {
 	defer p.wg.Done()
 	limit := p.batch()
-	var (
-		jobs    = make([]job, 0, limit)
-		scratch batchScratch
-	)
+	jobs := make([]job, 0, limit)
+	// Sized for a full drain before traffic, so no group grows it.
+	scratch := batchScratch{results: make([]aovlis.Result, limit), jobIdx: make([]int, 0, limit)}
+	scratch.acts, scratch.auds = make([][]float64, 0, limit), make([][]float64, 0, limit)
 	for j := range s.queue {
 		if j.control != nil {
 			j.control()
@@ -652,6 +652,8 @@ func (p *DetectorPool) Attach(id string, det Detector) error {
 		ch.observed.Store(uint64(ch.aov.Observed()))
 		ch.detected.Store(uint64(ch.aov.Detected()))
 		ch.tierskipped.Store(uint64(ch.aov.TierStats().Skipped))
+		// Every shard may score a full drain of this configuration at once.
+		ch.aov.Model().ReserveLanes(p.cfg.Shards, p.batch())
 	}
 	if seq, ok := p.retired[id]; ok {
 		// A new incarnation of a detached id: number on from its tombstone,

@@ -451,6 +451,9 @@ func (c *Conn) writeFrameLocked(op Opcode, payload []byte) error {
 // writeLocked encodes f into the write buffer and puts it on the wire in
 // one write. Called with wmu held.
 func (c *Conn) writeLocked(f Frame) error {
+	if need := 14 + len(f.Payload); cap(c.wbuf) < need { // 14: the longest header
+		c.wbuf = make([]byte, 0, need+16) // room for a line's seq and wseq to gain digits
+	}
 	c.wbuf = f.Append(c.wbuf[:0])
 	_, err := c.conn.Write(c.wbuf)
 	return err
