@@ -11,7 +11,9 @@ package aovlis
 // BENCH.md for the recorded baseline.
 
 import (
+	"bytes"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"runtime"
@@ -440,4 +442,103 @@ func TestObserveCallerReuseSteadyStateAllocs(t *testing.T) {
 			}
 		})
 	}
+}
+
+// allocatedBytes returns the bytes fn allocates.
+func allocatedBytes(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestLoadDecodesInPlace gates what loading a benchmark-shape model costs
+// beyond a fresh model of its configuration: gob's message buffer (about
+// the file's size) and a few headers, ≈ 212 KB for a 169 KB file. The
+// weights decode into the fresh model's own arrays; a decode into arrays of
+// its own and a copy, as loads once did, adds the weights (149 KB) again.
+func TestLoadDecodesInPlace(t *testing.T) {
+	det, _, _ := benchShapeTemplate(t)
+	file := saveBytes(t, det)
+	weights := uint64(8 * det.Model().Params().NumParams())
+	for try := 0; try < 3; try++ {
+		var err error
+		load := allocatedBytes(func() { _, err = Load(bytes.NewReader(file)) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh := allocatedBytes(func() { _, err = core.NewModel(det.Model().Config()) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("Load allocates %d B beyond a fresh model's %d B (file %d B, weights %d B)", load-fresh, fresh, len(file), weights)
+		if load-fresh <= uint64(len(file))+weights/2 {
+			return
+		}
+	}
+	t.Fatalf("Load allocates a second copy of the weights: more than the file's %d B plus half the weights' %d B beyond a fresh model",
+		len(file), weights)
+}
+
+// TestSnapshotCopiesNoWeights gates the garbage a benchmark-shape
+// checkpoint makes outside gob's own encode buffer: the weights and the
+// optimiser moments are encoded from the arrays that hold them, so a
+// Snapshot of a trained detector allocates ≈ 22 KB beside gob's buffer,
+// gated at a quarter of the weights. Copying them first, as checkpoints
+// once did, allocated three times the weights (448 KB) more.
+func TestSnapshotCopiesNoWeights(t *testing.T) {
+	det, _, _ := benchShapeTemplate(t)
+	if err := det.Snapshot(io.Discard); err != nil { // the types' gob engines
+		t.Fatal(err)
+	}
+	weights := uint64(8 * det.Model().Params().NumParams())
+	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
+	runtime.MemProfileRate = 1
+	const snapshot, gobBuffer = "aovlis.(*Detector).Snapshot", "encoding/gob.(*encBuffer).Write"
+	before := allocatedUnder(snapshot, gobBuffer)
+	if err := det.Snapshot(io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	got := allocatedUnder(snapshot, gobBuffer) - before
+	t.Logf("a Snapshot allocates %d B outside gob's encode buffer (weights %d B)", got, weights)
+	if got > weights/4 {
+		t.Fatalf("a Snapshot allocates %d B outside gob's encode buffer, want at most a quarter of the weights' %d B", got, weights)
+	}
+}
+
+// allocatedUnder sums the bytes the memory profile has recorded allocated
+// by stacks that run through the function named fn but not through the one
+// named except. The profile counts an allocation once the collections after
+// it have run; the caller sets MemProfileRate to 1 to have every allocation
+// recorded.
+func allocatedUnder(fn, except string) uint64 {
+	runtime.GC()
+	runtime.GC()
+	runtime.GC()
+	var recs []runtime.MemProfileRecord
+	for n := 64; ; n *= 2 {
+		recs = make([]runtime.MemProfileRecord, n)
+		if got, ok := runtime.MemProfile(recs, true); ok {
+			recs = recs[:got]
+			break
+		}
+	}
+	var sum uint64
+	for i := range recs {
+		under, excepted := false, false
+		for frames := runtime.CallersFrames(recs[i].Stack()); ; {
+			f, more := frames.Next()
+			under = under || f.Function == fn
+			excepted = excepted || f.Function == except
+			if !more {
+				break
+			}
+		}
+		if under && !excepted {
+			sum += uint64(recs[i].AllocBytes)
+		}
+	}
+	return sum
 }

@@ -363,6 +363,18 @@ func (d *Detector) ObserveBatch(actionFeats, audienceFeats [][]float64, results 
 	return d.observeLanes(actionFeats, audienceFeats, results)
 }
 
+// ReserveLanes readies the lane sets that `sets` ObserveBatch calls at once
+// of up to batch segments need (core.Model.ReserveLanes): as wide as
+// observeLanes predicts at once — the whole batch, or one lane with the
+// tier gate on — over the window and batch rows.
+func (d *Detector) ReserveLanes(sets, batch int) {
+	lanes := batch
+	if d.tier != nil {
+		lanes = 1
+	}
+	d.model.ReserveLanes(sets, lanes, batch)
+}
+
 // observeLanes is the segment pipeline, stated once: dims check → warm-up →
 // tier gate → predict → score → tier.Commit → updater → slide. The caller
 // holds the single-writer flag.

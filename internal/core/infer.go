@@ -210,6 +210,9 @@ var laneLists PerConfig[laneList]
 // LaneSetsMade reports how many lane sets the models of cfg have made.
 func LaneSetsMade(cfg Config) int { return laneLists.For(cfg).Made() }
 
+// LaneSetWidth reports the most lanes a lane set of cfg's models holds.
+func LaneSetWidth(cfg Config) int { return int(laneLists.For(cfg).lanes.Load()) }
+
 // laneList returns the lane-set list of m's configuration, registering the
 // configuration on m's first call: a model decoded and dropped unrun — an
 // upload a node refuses — leaves nothing in laneLists.
@@ -232,18 +235,19 @@ func (m *Model) TakeLanes() *Lanes {
 	return m.plan.newLanes(l)
 }
 
-// ReserveLanes readies the model's configuration for `sets` runs at once
-// of up to `batch` lanes over SeqLen + batch rows, making and widening sets
-// only while its list has fewer or narrower ones.
-func (m *Model) ReserveLanes(sets, batch int) {
+// ReserveLanes readies the model's configuration for `sets` runs at once,
+// each predicting up to `lanes` lanes over the SeqLen + batch rows of a
+// batch of segments, making and widening sets only while its list has fewer
+// or narrower ones.
+func (m *Model) ReserveLanes(sets, lanes, batch int) {
 	l, rows := m.laneList(), m.cfg.SeqLen+batch
-	if l.Made() >= sets && l.lanes.Load() >= int64(batch) && l.rows.Load() >= int64(rows) {
+	if l.Made() >= sets && l.lanes.Load() >= int64(lanes) && l.rows.Load() >= int64(rows) {
 		return
 	}
 	for n := max(sets, l.Made()); n > 0; n-- {
 		ls := m.TakeLanes()
 		defer ls.Put() // held until the end, so every take gets another set
-		ls.reserve(batch)
+		ls.reserve(lanes)
 		ls.Rows(rows)
 	}
 }

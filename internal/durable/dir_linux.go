@@ -3,6 +3,8 @@
 package durable
 
 import (
+	"io"
+	"os"
 	"path/filepath"
 	"syscall"
 	"unsafe"
@@ -46,6 +48,21 @@ func (d *Dir) Commit(name string, b []byte) error {
 		return dirError("committing", filepath.Join(d.path, string(d.names[:len(name)])), err)
 	}
 	return d.Sync()
+}
+
+// ReadFile reads the file name in d, by openat on the held descriptor. It
+// uses none of d's scratch, so it may run beside a Commit.
+func (d *Dir) ReadFile(name string) ([]byte, error) {
+	p, err := syscall.BytePtrFromString(name)
+	if err == nil {
+		var fd uintptr
+		if fd, err = at(syscall.SYS_OPENAT, d.f.Fd(), p, syscall.O_RDONLY|syscall.O_CLOEXEC, 0); err == nil {
+			f := os.NewFile(fd, filepath.Join(d.path, name))
+			defer f.Close()
+			return io.ReadAll(f)
+		}
+	}
+	return nil, &os.PathError{Op: "open", Path: filepath.Join(d.path, name), Err: err}
 }
 
 // at makes the *at system call trap on the directory dfd, the name at p

@@ -10,7 +10,8 @@ import (
 )
 
 // TestDirFollowsItsInode pins that a held directory is its inode, not its
-// path: after a rename, commits land in the moved directory.
+// path: after a rename, commits land in the moved directory and reads
+// find them there.
 func TestDirFollowsItsInode(t *testing.T) {
 	parent := t.TempDir()
 	dir, moved := filepath.Join(parent, "d"), filepath.Join(parent, "moved")
@@ -33,6 +34,12 @@ func TestDirFollowsItsInode(t *testing.T) {
 	}
 	if _, err := os.Stat(dir); !os.IsNotExist(err) {
 		t.Fatalf("the old path exists again: %v", err)
+	}
+	if b, err := d.ReadFile("f"); err != nil || string(b) != "x" {
+		t.Fatalf("ReadFile of the moved directory's f = %q, %v; want \"x\"", b, err)
+	}
+	if _, err := d.ReadFile("absent"); !os.IsNotExist(err) {
+		t.Fatalf("ReadFile of a missing file: %v, want a not-exist error", err)
 	}
 }
 

@@ -35,3 +35,8 @@ func (d *Dir) Commit(name string, b []byte) error {
 	}
 	return d.Sync()
 }
+
+// ReadFile reads the file name in d, by path.
+func (d *Dir) ReadFile(name string) ([]byte, error) {
+	return os.ReadFile(filepath.Join(d.path, name))
+}

@@ -49,12 +49,14 @@ func SyncDir(dir string) error {
 	return d.Sync()
 }
 
-// Dir is a directory held open for Commit and Sync. On Linux, Commit runs
-// as *at system calls on its descriptor, with NUL-terminated names it
-// reuses, so a warm commit resolves no path and allocates nothing, and a
-// renamed directory keeps receiving commits, as the WAL's open segment
-// keeps receiving appends: the descriptor is the inode, not the path.
-// Elsewhere Commit goes by path. A Dir is not safe for concurrent use.
+// Dir is a directory held open for Commit, Sync and ReadFile. On Linux,
+// they run as *at system calls on its descriptor — Commit with
+// NUL-terminated names it reuses, so a warm commit resolves no path and
+// allocates nothing — and a renamed directory keeps receiving commits and
+// serving reads, as the WAL's open segment keeps receiving appends: the
+// descriptor is the inode, not the path. Elsewhere they go by path. A Dir
+// is not safe for concurrent use, except that ReadFile may run beside the
+// other methods but Close.
 type Dir struct {
 	f     *os.File
 	path  string

@@ -506,12 +506,16 @@ var batchFiles = durable.Numbered{Prefix: "batch-", Suffix: ".blk"}
 // decode, so semantic verification alone cannot promise that *any*
 // single-byte mutation is caught — the byte-level trailer can.
 func readBatch(path string) (batchWire, error) {
-	var w batchWire
-	name := filepath.Base(path)
 	b, err := os.ReadFile(path)
 	if err != nil {
-		return w, fmt.Errorf("ledger: %w", err)
+		return batchWire{}, fmt.Errorf("ledger: %w", err)
 	}
+	return parseBatch(filepath.Base(path), b)
+}
+
+// parseBatch is readBatch on the bytes b of the batch file name.
+func parseBatch(name string, b []byte) (batchWire, error) {
+	var w batchWire
 	if len(b) < sha256.Size {
 		return w, fmt.Errorf("ledger: %s: truncated batch file", name)
 	}
@@ -628,14 +632,16 @@ type Options struct {
 	OnCommit func(entries int)
 }
 
+// errClosed is what a closed ledger answers an append or a proof.
+var errClosed = errors.New("ledger: closed")
+
 // DefaultBatchSize is the per-batch entry count when Options leaves it 0.
 const DefaultBatchSize = 64
 
 // Ledger is an append-only Merkle-batched verdict log over one directory.
 // All methods are safe for concurrent use.
 type Ledger struct {
-	dir       string
-	held      *durable.Dir // dir, open from Open to Close
+	held      *durable.Dir // the ledger's directory, open from Open to Close
 	batchSize int
 	onCommit  func(int)
 
@@ -661,7 +667,7 @@ func Open(dir string, opts Options) (*Ledger, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("ledger: open: %w", err)
 	}
-	l := &Ledger{dir: dir, batchSize: opts.BatchSize, onCommit: opts.OnCommit, nextSeq: 1, leafH: sha256.New()}
+	l := &Ledger{batchSize: opts.BatchSize, onCommit: opts.OnCommit, nextSeq: 1, leafH: sha256.New()}
 	if l.batchSize <= 0 {
 		l.batchSize = DefaultBatchSize
 	}
@@ -728,7 +734,7 @@ func (l *Ledger) Append(e Entry) (uint64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
-		return 0, fmt.Errorf("ledger: closed")
+		return 0, errClosed
 	}
 	if len(e.Channel) > math.MaxUint16 || len(e.Path) > math.MaxUint16 {
 		return 0, fmt.Errorf("ledger: entry channel or path longer than %d bytes", math.MaxUint16)
@@ -821,12 +827,25 @@ func (l *Ledger) Proof(seq uint64) (Proof, error) {
 		l.mu.Unlock()
 		return Proof{}, fmt.Errorf("%w: seq %d", ErrNotCommitted, seq)
 	}
-	meta, prev, dir, index := l.batches[i], [32]byte{}, l.dir, uint64(i)+1
+	meta, prev, index := l.batches[i], [32]byte{}, uint64(i)+1
 	if i > 0 {
 		prev = l.batches[i-1].chained
 	}
+	// The batch is read through the held directory, where commits go, and
+	// under mu, which keeps Close from releasing it meanwhile.
+	name := batchFiles.Name(index)
+	var b []byte
+	err := errClosed
+	if !l.closed {
+		if b, err = l.held.ReadFile(name); err != nil {
+			err = fmt.Errorf("ledger: %w", err)
+		}
+	}
 	l.mu.Unlock()
-	w, err := readBatch(filepath.Join(dir, batchFiles.Name(index)))
+	if err != nil {
+		return Proof{}, err
+	}
+	w, err := parseBatch(name, b)
 	if err != nil {
 		return Proof{}, err
 	}

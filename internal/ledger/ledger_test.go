@@ -151,6 +151,49 @@ func TestProofEveryCommittedEntry(t *testing.T) {
 	}
 }
 
+// TestProofFollowsAMovedDirectory: a ledger whose directory is renamed
+// while open commits into the moved directory (the held directory is its
+// inode) and must serve the proof of every entry, before the move and
+// after it, from there; a closed ledger serves none.
+func TestProofFollowsAMovedDirectory(t *testing.T) {
+	parent := t.TempDir()
+	dir, moved := filepath.Join(parent, "ledger"), filepath.Join(parent, "moved")
+	l, err := Open(dir, Options{BatchSize: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	fill(t, l, 8)
+	if err := os.Rename(dir, moved); err != nil {
+		t.Fatal(err)
+	}
+	fill(t, l, 8)
+	if err := l.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if got := l.Root().Batches; got != 4 {
+		t.Fatalf("%d batches committed, want 4", got)
+	}
+	for seq := uint64(1); seq <= 16; seq++ {
+		p, err := l.Proof(seq)
+		if err != nil {
+			t.Fatalf("Proof(%d) after the move: %v", seq, err)
+		}
+		if err := VerifyProof(p); err != nil {
+			t.Fatalf("VerifyProof(%d): %v", seq, err)
+		}
+	}
+	if _, err := Verify(moved); err != nil {
+		t.Fatalf("Verify of the moved directory: %v", err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.Proof(1); err == nil {
+		t.Fatal("a closed ledger served a proof")
+	}
+}
+
 // TestSingleByteMutationDetected is the acceptance criterion pinned as a
 // test: every single-byte mutation of every committed batch file must
 // fail offline verification.

@@ -373,8 +373,8 @@ func (a *Adam) Save(w io.Writer) error {
 		wire.Names = append(wire.Names, a.names[i])
 		wire.Rows = append(wire.Rows, m.Rows)
 		wire.Cols = append(wire.Cols, m.Cols)
-		wire.M = append(wire.M, append([]float64(nil), m.Data...))
-		wire.V = append(wire.V, append([]float64(nil), a.v[i].Data...))
+		wire.M = append(wire.M, m.Data)
+		wire.V = append(wire.V, a.v[i].Data)
 	}
 	if err := gob.NewEncoder(w).Encode(wire); err != nil {
 		return fmt.Errorf("nn: encoding optimiser state: %w", err)
@@ -679,20 +679,17 @@ type paramsWire struct {
 	Data  [][]float64
 }
 
-// Save writes the parameter set to w in a stable, self-describing format.
+// Save writes the parameter set to w in a stable, self-describing format:
+// the parameters in sorted-name order, each encoded from the array it is
+// held in.
 func (ps *ParamSet) Save(w io.Writer) error {
 	wire := paramsWire{}
-	names := make([]string, len(ps.names))
-	copy(names, ps.names)
-	sort.Strings(names)
-	for _, n := range names {
+	for _, n := range ps.sortedNames() {
 		m := ps.vals[n]
 		wire.Names = append(wire.Names, n)
 		wire.Rows = append(wire.Rows, m.Rows)
 		wire.Cols = append(wire.Cols, m.Cols)
-		d := make([]float64, len(m.Data))
-		copy(d, m.Data)
-		wire.Data = append(wire.Data, d)
+		wire.Data = append(wire.Data, m.Data)
 	}
 	if err := gob.NewEncoder(w).Encode(wire); err != nil {
 		return fmt.Errorf("nn: encoding parameters: %w", err)
@@ -700,26 +697,52 @@ func (ps *ParamSet) Save(w io.Writer) error {
 	return nil
 }
 
-// Load reads parameters previously written by Save into ps. Every stored
-// name must match an existing parameter of identical shape.
+// sortedNames returns the parameter names in the order Save writes them.
+func (ps *ParamSet) sortedNames() []string {
+	names := slices.Clone(ps.names)
+	sort.Strings(names)
+	return names
+}
+
+// Load reads parameters previously written by Save into ps: the stored
+// names, in order, must be ps's in the order Save writes them, each of
+// identical shape. The values decode straight into ps's own arrays — gob
+// fills a slice that has the room — so a load holds no second copy of the
+// weights; a load that fails may leave some of them overwritten (the
+// version moved first, as CopyFrom's does).
 func (ps *ParamSet) Load(r io.Reader) error {
-	var wire paramsWire
+	ps.BumpVersion() // before mutating: see CopyFrom
+	names := ps.sortedNames()
+	data := make([][]float64, len(names))
+	for i, n := range names {
+		data[i] = ps.vals[n].Data
+	}
+	// Data starts empty, so a stream without it leaves it so: the count
+	// check below then refuses it rather than keep the weights unloaded.
+	wire := paramsWire{Data: data[:0]}
 	if err := gob.NewDecoder(r).Decode(&wire); err != nil {
 		return fmt.Errorf("nn: decoding parameters: %w", err)
 	}
-	if len(wire.Names) != len(ps.names) {
-		return fmt.Errorf("nn: parameter count mismatch: stored %d, model %d", len(wire.Names), len(ps.names))
+	if len(wire.Names) != len(names) {
+		return fmt.Errorf("nn: parameter count mismatch: stored %d, model %d", len(wire.Names), len(names))
 	}
-	ps.BumpVersion() // before mutating: see CopyFrom
+	if len(wire.Rows) != len(names) || len(wire.Cols) != len(names) || len(wire.Data) != len(names) {
+		return fmt.Errorf("nn: stored parameter arrays disagree on parameter count")
+	}
 	for i, n := range wire.Names {
 		m, ok := ps.vals[n]
 		if !ok {
 			return fmt.Errorf("nn: stored parameter %q not in model", n)
 		}
-		if m.Rows != wire.Rows[i] || m.Cols != wire.Cols[i] {
-			return fmt.Errorf("nn: parameter %q shape mismatch: stored %dx%d, model %dx%d",
-				n, wire.Rows[i], wire.Cols[i], m.Rows, m.Cols)
+		if n != names[i] {
+			return fmt.Errorf("nn: stored parameter %q out of order (want %q)", n, names[i])
 		}
+		if m.Rows != wire.Rows[i] || m.Cols != wire.Cols[i] || len(wire.Data[i]) != len(m.Data) {
+			return fmt.Errorf("nn: parameter %q shape mismatch: stored %dx%d (%d values), model %dx%d",
+				n, wire.Rows[i], wire.Cols[i], len(wire.Data[i]), m.Rows, m.Cols)
+		}
+		// A no-op where gob decoded in place, which it does into an array
+		// of the stored length.
 		copy(m.Data, wire.Data[i])
 	}
 	return nil

@@ -229,3 +229,49 @@ func TestShardsShareLaneSets(t *testing.T) {
 		t.Fatalf("%d channels on %d shards made %d trainers, want at most %d", channels, shards, made, shards)
 	}
 }
+
+// TestTieredChannelReservesOneLane: Attach prebuilds each shard's lane set
+// as wide as the detector predicts at once — one lane with the tier gate
+// on, which predicts lane by lane, the whole batch without it — and a
+// tiered channel's 16-segment batches never widen its sets.
+func TestTieredChannelReservesOneLane(t *testing.T) {
+	const shards, batch = 2, 16
+	for _, tc := range []struct {
+		tiered bool
+		seed   int64
+		lanes  int
+	}{{tiered: true, seed: 4051, lanes: 1}, {tiered: false, seed: 4052, lanes: batch}} {
+		// A seed of its own gives each template lists no other test uses.
+		tmpl := trainTemplate(t, func(c *aovlis.Config) { c.Seed, c.Tiered = tc.seed, tc.tiered })
+		mcfg := tmpl.Model().Config()
+		det, err := tmpl.Clone()
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := newTestPool(t, Config{Shards: shards, QueueDepth: 4 * batch, Batch: batch})
+		if err := p.Attach("ch", det); err != nil {
+			t.Fatal(err)
+		}
+		if made, width := core.LaneSetsMade(mcfg), core.LaneSetWidth(mcfg); made != shards || width != tc.lanes {
+			t.Fatalf("tiered %v: Attach built %d sets of %d lanes, want %d of %d", tc.tiered, made, width, shards, tc.lanes)
+		}
+		acts, auds := testStream(tc.seed, 4*batch)
+		outs := make([]chan Outcome, batch)
+		for at := 0; at < len(acts); at += batch {
+			for i := range outs {
+				outs[i] = make(chan Outcome, 1)
+				if err := p.SubmitInto("ch", acts[at+i], auds[at+i], outs[i]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, out := range outs {
+				if o := <-out; o.Err != nil {
+					t.Fatal(o.Err)
+				}
+			}
+		}
+		if made, width := core.LaneSetsMade(mcfg), core.LaneSetWidth(mcfg); made != shards || width != tc.lanes {
+			t.Fatalf("tiered %v: after scoring, %d sets of %d lanes, want %d of %d", tc.tiered, made, width, shards, tc.lanes)
+		}
+	}
+}

@@ -89,6 +89,16 @@ func (p *Pump) Run() (uint64, error) {
 	}
 	decs := make([]wire.Decision, window)
 	obs := make([]wire.Observation, window)
+	// Each slot's vectors get the channel's dims up front, from one array,
+	// so no message grows them (a bare scorer's channel has no dims, and
+	// its slots grow as their messages decode).
+	if ch, ok := p.Pool.lookup(p.Channel); ok && ch.actionDim+ch.audienceDim > 0 {
+		dims := make([]float64, window*(ch.actionDim+ch.audienceDim))
+		for i := range obs {
+			obs[i].Action, dims = dims[:0:ch.actionDim], dims[ch.actionDim:]
+			obs[i].Audience, dims = dims[:0:ch.audienceDim], dims[ch.audienceDim:]
+		}
+	}
 	pending := make([]bool, window)
 	head, inflight := 0, 0
 	var seq uint64

@@ -653,7 +653,7 @@ func (p *DetectorPool) Attach(id string, det Detector) error {
 		ch.detected.Store(uint64(ch.aov.Detected()))
 		ch.tierskipped.Store(uint64(ch.aov.TierStats().Skipped))
 		// Every shard may score a full drain of this configuration at once.
-		ch.aov.Model().ReserveLanes(p.cfg.Shards, p.batch())
+		ch.aov.ReserveLanes(p.cfg.Shards, p.batch())
 	}
 	if seq, ok := p.retired[id]; ok {
 		// A new incarnation of a detached id: number on from its tombstone,

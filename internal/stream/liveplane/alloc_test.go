@@ -1,6 +1,7 @@
 package liveplane
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -8,6 +9,7 @@ import (
 	"time"
 
 	"aovlis"
+	"aovlis/internal/ados"
 	"aovlis/internal/mat"
 	"aovlis/internal/serve"
 	"aovlis/internal/wal"
@@ -208,4 +210,39 @@ func warmSudogs() {
 	time.Sleep(10 * time.Millisecond) // the last ones reach their select
 	close(stop)
 	done.Wait()
+}
+
+// TestRingFootprint gates what a live channel's resume ring keeps: a full
+// ring retains at most 40 B a verdict (a ringed record is 24 B; the
+// decision a ring kept before was 96 B).
+func TestRingFootprint(t *testing.T) {
+	const channels = 8
+	heap := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := heap()
+	h := NewHub()
+	for c := 0; c < channels; c++ {
+		s, err := h.Acquire(fmt.Sprintf("ch-%d", c))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for seq := uint64(1); seq <= 2*ringCap; seq++ {
+			d := wire.Decision{Channel: s.id, Seq: seq, WSeq: seq, Exact: true, Path: ados.Path(seq % 6).String()}
+			d.SetScore(float64(seq))
+			if err := s.Append(&d); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	per := (float64(heap()) - float64(before)) / (channels * ringCap)
+	runtime.KeepAlive(h)
+	t.Logf("a full resume ring retains %.1f B a verdict", per)
+	if per > 40 {
+		t.Fatalf("a full resume ring retains %.1f B a verdict, want at most 40", per)
+	}
 }

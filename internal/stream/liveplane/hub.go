@@ -3,9 +3,12 @@ package liveplane
 import (
 	"fmt"
 	"io"
+	"math"
+	"slices"
 	"strconv"
 	"sync"
 
+	"aovlis/internal/ados"
 	"aovlis/internal/wire"
 )
 
@@ -25,6 +28,9 @@ type Hub struct {
 	nextID uint64
 	subs   map[*Watcher]struct{}
 	closed bool
+	// paths are the verdict paths its rings index: "" (warm-up) and ados'
+	// names, then any other a scorer gave, in order of first sight.
+	paths []string
 	// ringCap, watchCap and subBuf are the constants of the same names;
 	// tests shrink them.
 	ringCap, watchCap, subBuf int
@@ -32,7 +38,8 @@ type Hub struct {
 
 // The hub's ring sizes.
 const (
-	// ringCap bounds each channel's resume ring, in decisions.
+	// ringCap bounds each channel's resume ring, in verdicts: 24 KB of
+	// ringed records a live channel.
 	ringCap = 1024
 	// watchCap bounds the SSE replay ring, in events.
 	watchCap = 1024
@@ -44,8 +51,12 @@ const (
 
 // NewHub builds an empty hub.
 func NewHub() *Hub {
+	paths := []string{""}
+	for p := ados.PathJSmax; p <= ados.PathTierSkip; p++ {
+		paths = append(paths, p.String())
+	}
 	return &Hub{chans: make(map[string]*chanState), subs: make(map[*Watcher]struct{}),
-		ringCap: ringCap, watchCap: watchCap, subBuf: subBuf}
+		paths: paths, ringCap: ringCap, watchCap: watchCap, subBuf: subBuf}
 }
 
 // chanState is one channel's live-side state.
@@ -53,7 +64,58 @@ type chanState struct {
 	active bool
 	conn   io.Closer // bound connection of the active session (may be nil)
 	last   uint64    // highest appended decision seq
-	ring   ring[wire.Decision]
+	ring   ring[ringed]
+}
+
+// ringed is one verdict of a resume ring, 24 bytes where the decision is
+// 96. The rest of the decision is implied by the live seq policy: Channel
+// is the ring's, WSeq equals Seq, Dropped and Rejected are false, and Error
+// is either empty or the one SetScore wrote for a score JSON cannot carry,
+// whose Score is then 0.
+type ringed struct {
+	seq                    uint64
+	score                  float64
+	warmup, anomaly, exact bool
+	// path indexes the hub's paths, nonFinite ringErrors.
+	path, nonFinite uint8
+}
+
+// ringErrors are the Errors a verdict can carry: none, and the ones
+// SetScore writes for NaN, +Inf and −Inf.
+var ringErrors = func() []string {
+	errs := []string{""}
+	for _, f := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		var d wire.Decision
+		d.SetScore(f)
+		errs = append(errs, d.Error)
+	}
+	return errs
+}()
+
+// pack returns verdict d's record. It fails on a line that carries no
+// verdict, or once paths holds 256 names and d's is not among them.
+// Callers hold mu.
+func (h *Hub) pack(d *wire.Decision) (ringed, error) {
+	nonFinite := slices.Index(ringErrors, d.Error)
+	if !d.Verdict() || nonFinite < 0 {
+		return ringed{}, fmt.Errorf("live: decision seq %d carries no verdict to ring", d.Seq)
+	}
+	path := slices.Index(h.paths, d.Path)
+	if path < 0 && len(h.paths) <= math.MaxUint8 {
+		path, h.paths = len(h.paths), append(h.paths, d.Path)
+	}
+	if path < 0 {
+		return ringed{}, fmt.Errorf("live: decision seq %d: a ring holds at most 256 paths", d.Seq)
+	}
+	return ringed{seq: d.Seq, score: d.Score, warmup: d.Warmup, anomaly: d.Anomaly, exact: d.Exact,
+		path: uint8(path), nonFinite: uint8(nonFinite)}, nil
+}
+
+// unpack rebuilds the verdict r rings on channel into d, with paths the
+// hub's.
+func (r *ringed) unpack(channel string, paths []string, d *wire.Decision) {
+	*d = wire.Decision{Channel: channel, Seq: r.seq, WSeq: r.seq, Warmup: r.warmup, Anomaly: r.anomaly,
+		Score: r.score, Exact: r.exact, Path: paths[r.path], Error: ringErrors[r.nonFinite]}
 }
 
 // ring retains the newest entries pushed into it, up to a capacity: it fills
@@ -172,17 +234,22 @@ func (s *Session) Release() {
 	s.h.mu.Unlock()
 }
 
-// Append rings an accepted decision under its Seq (strictly increasing per
-// channel) for resume replay. The ring keeps the decision itself, not its
-// encoded line: Replay re-encodes it to the same bytes.
+// Append rings an accepted verdict under its Seq (strictly increasing per
+// channel) for resume replay. The ring keeps what the verdict's line says
+// that the live seq policy does not imply (see ringed), not the line:
+// Replay rebuilds the decision and re-encodes it to the same bytes.
 func (s *Session) Append(d *wire.Decision) error {
 	s.h.mu.Lock()
 	defer s.h.mu.Unlock()
 	if d.Seq <= s.st.last {
 		return fmt.Errorf("live: non-monotonic decision seq %d (last %d) on %s", d.Seq, s.st.last, s.id)
 	}
+	r, err := s.h.pack(d)
+	if err != nil {
+		return err
+	}
 	s.st.last = d.Seq
-	*s.st.ring.next(s.h.ringCap) = *d
+	*s.st.ring.next(s.h.ringCap) = r
 	return nil
 }
 
@@ -192,15 +259,20 @@ func (s *Session) Append(d *wire.Decision) error {
 // first error. The line is valid only during the call.
 func (s *Session) Replay(after uint64, fn func(seq uint64, line []byte) error) error {
 	s.h.mu.Lock()
-	decs := s.st.ring.collect(func(d *wire.Decision) bool { return d.Seq > after })
+	rs := s.st.ring.collect(func(r *ringed) bool { return r.seq > after })
+	paths := s.h.paths
 	s.h.mu.Unlock()
-	var line []byte
-	for i := range decs {
+	var (
+		d    wire.Decision
+		line []byte
+	)
+	for i := range rs {
+		rs[i].unpack(s.id, paths, &d)
 		var err error
-		if line, err = wire.AppendDecision(line[:0], &decs[i]); err != nil {
+		if line, err = wire.AppendDecision(line[:0], &d); err != nil {
 			return err
 		}
-		if err := fn(decs[i].Seq, line[:len(line)-1]); err != nil {
+		if err := fn(d.Seq, line[:len(line)-1]); err != nil {
 			return err
 		}
 	}

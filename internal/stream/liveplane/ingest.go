@@ -114,27 +114,29 @@ func (h *IngestHandler) ServeHTTP(w wire.ResponseWriter, r *wire.Request) {
 		}
 	}()
 
-	// The live seq policy: a verdict's Seq is the channel's sequence (its
-	// WSeq), and a line without a verdict gets 0: it is not ringed and the
-	// client may resend it. Every verdict is ringed before its line is
-	// written, so a reconnect can replay it.
-	pump := serve.Pump{Pool: h.Pool, Channel: id, In: feed, Out: wsOut{conn},
-		Seal: func(dst []byte, d *wire.Decision) ([]byte, error) {
-			d.Seq = 0
-			if d.Verdict() {
-				d.Seq = d.WSeq
-			}
-			dst, err := wire.AppendDecision(dst, d)
-			if err == nil && d.Verdict() {
-				err = sess.Append(d)
-			}
-			return dst, err
-		}}
+	pump := serve.Pump{Pool: h.Pool, Channel: id, In: feed, Out: wsOut{conn}, Seal: sess.seal}
 	if _, err := pump.Run(); err == nil {
 		// Clean end of stream: the client closed (or broke) the connection;
 		// finish the close handshake if it is still up.
 		conn.WriteClose(CloseNormal, "")
 	}
+}
+
+// seal is the live seq policy, the live plane's serve.Pump Seal: a
+// verdict's Seq is the channel's sequence (its WSeq), and a line without a
+// verdict gets 0: it is not ringed and the client may resend it. Every
+// verdict is ringed before its line is written, so a reconnect can replay
+// it.
+func (s *Session) seal(dst []byte, d *wire.Decision) ([]byte, error) {
+	d.Seq = 0
+	if d.Verdict() {
+		d.Seq = d.WSeq
+	}
+	dst, err := wire.AppendDecision(dst, d)
+	if err == nil && d.Verdict() {
+		err = s.Append(d)
+	}
+	return dst, err
 }
 
 // wsOut frames each decision line as one text message.

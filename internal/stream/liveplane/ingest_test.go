@@ -356,9 +356,10 @@ func TestCloseErrorString(t *testing.T) {
 	}
 }
 
-// TestIngestReplayIsByteIdentical: the resume ring keeps decisions, not
-// lines, so Replay re-encodes them — and the lines a reconnect replays must
-// be the bytes first sent, warm-up and non-finite-score verdicts included.
+// TestIngestReplayIsByteIdentical: the resume ring keeps compact verdict
+// records, not lines, so Replay rebuilds and re-encodes them — and the lines
+// a reconnect replays must be the bytes first sent, warm-up, NaN, ±Inf and
+// tier-skip verdicts included.
 func TestIngestReplayIsByteIdentical(t *testing.T) {
 	pool, err := serve.NewDetectorPool(serve.Config{Shards: 1, QueueDepth: 16, Batch: 4})
 	if err != nil {
@@ -372,7 +373,7 @@ func TestIngestReplayIsByteIdentical(t *testing.T) {
 	defer hub.Close()
 	srv := wiretest.NewServer(t, &IngestHandler{Pool: pool, Hub: hub, Ensure: attachedOnly(pool)})
 
-	const n = 6
+	const n = 8
 	conn, _ := dialIngest(t, srv.URL+"/live/ch", 0)
 	var sent []string
 	for i := 0; i < n; i++ {
@@ -385,7 +386,8 @@ func TestIngestReplayIsByteIdentical(t *testing.T) {
 		sent = append(sent, string(msg))
 	}
 	conn.Close()
-	for _, want := range []string{`"warmup":true`, `"error":"score is not finite: +Inf"`, `"error":"score is not finite: NaN"`} {
+	for _, want := range []string{`"warmup":true`, `"error":"score is not finite: +Inf"`, `"error":"score is not finite: NaN"`,
+		`"path":"JSmin","wseq":4,"error":"score is not finite: -Inf"`, `"path":"tier-skip"`} {
 		if !strings.Contains(strings.Join(sent, "\n"), want) {
 			t.Fatalf("no sent line carries %s: %q", want, sent)
 		}
@@ -406,7 +408,7 @@ func TestIngestReplayIsByteIdentical(t *testing.T) {
 }
 
 // scriptedDetector returns a warm-up verdict, then a +Inf score, a NaN
-// score and ordinary verdicts.
+// score, a −Inf score and tier-skip verdicts.
 type scriptedDetector struct{ n int }
 
 func (d *scriptedDetector) ObserveBatch(acts, auds [][]float64, results []aovlis.Result) (int, error) {
@@ -422,6 +424,8 @@ func (d *scriptedDetector) observe(action, audience []float64) (aovlis.Result, e
 		return aovlis.Result{Anomaly: true, Score: math.Inf(1), Exact: true, Path: "exact"}, nil
 	case 3:
 		return aovlis.Result{Score: math.NaN(), Exact: true, Path: "exact"}, nil
+	case 4:
+		return aovlis.Result{Anomaly: true, Score: math.Inf(-1), Path: "JSmin"}, nil
 	}
 	return aovlis.Result{Anomaly: d.n%2 == 0, Score: 1 / float64(d.n), Exact: true, Path: "tier-skip"}, nil
 }
