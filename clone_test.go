@@ -417,12 +417,12 @@ func TestCloneFootprint(t *testing.T) {
 // operating point (ls = 300) buffers a full cycle, retrains and merges,
 // which gives it parameters of its own (149 KB); its plan reads them where
 // they are. After that it retains those parameters, its updater's emptied
-// log (room for MaxBuffer + q = 309 rows, 166 KB, which the next cycle's
-// rows are copied into) and offsets, and its q-row window; its lane state
-// and CLSTM_new are borrowed for the call and given back: ≈ 318 KB, gated
-// at 384 KiB. A plan that packed a copy of the weights would add 149 KB.
-// The first cycle is dense (every scored segment is buffered); a sparse
-// cycle's log is larger, see TestSteadyUpdatingChannelFootprint.
+// offsets and its q-row window; its log's chunks, its lane state and
+// CLSTM_new are borrowed and given back: ≈ 185 KB, gated at 256 KiB. A log
+// that kept its flat array between cycles (309 rows, 166 KB) retained
+// 318 KB; a plan that packed a copy of the weights would add 149 KB. The
+// first cycle is dense (every scored segment is buffered); for a sparse
+// one see TestSteadyUpdatingChannelFootprint.
 func TestUpdatingChannelFootprint(t *testing.T) {
 	tmpl, acts, auds := updatingTemplate(t)
 	merged := func() *Detector {
@@ -444,11 +444,11 @@ func TestUpdatingChannelFootprint(t *testing.T) {
 			}
 		}
 	}
-	merged() // makes the template's one trainer, which its clones share
+	merged() // makes the template's one trainer and its log's chunks, which its clones share
 	per := retainedPerClone(t, 8, merged)
 	t.Logf("an updating clone retains %.0f B after its first merge", per)
-	if per > 384<<10 {
-		t.Errorf("an updating clone retains %.0f B after its first merge, want at most %d", per, 384<<10)
+	if per > 256<<10 {
+		t.Errorf("an updating clone retains %.0f B after its first merge, want at most %d", per, 256<<10)
 	}
 }
 
@@ -459,13 +459,14 @@ func TestUpdatingChannelFootprint(t *testing.T) {
 // updater's log once, 308 rows, and an
 // offset per sample: gated at 512 KiB, where writing each of the 299
 // samples' q + 1 rows took 1.99 MB. The restored detector holds weights of
-// its own and the log, each row once, as it did before the snapshot: 346
-// KB, gated at 384 KiB. A buffer that kept each sample's q + 1 rows apart
-// retained 2.2 MB. Restored, the channel retrains as the original does, on
-// a CLSTM_new it borrows from the trainers of its configuration, as a clone
-// does: after the retrain it retains ≈ 339 KB, gated at the clone's
-// 384 KiB, where a restored channel that kept a trainer of its own
-// retained 1.16 MB.
+// its own and the log, each row once, in ten chunks, as it did before the
+// snapshot: ≈ 339 KB, gated at 384 KiB. A buffer that kept each sample's
+// q + 1 rows apart retained 2.2 MB. Restored, the channel retrains as the
+// original does, on a CLSTM_new it borrows from the trainers of its
+// configuration, as a clone does, and puts its log's chunks back: after
+// the retrain it retains ≈ 184 KB, gated at the clone's 256 KiB, where a
+// log kept between cycles retained 339 KB and a restored channel that kept
+// a trainer of its own 1.16 MB.
 func TestRestoredUpdatingChannelFootprint(t *testing.T) {
 	tmpl, acts, auds := updatingTemplate(t)
 	live, err := tmpl.Clone()
@@ -516,8 +517,8 @@ func TestRestoredUpdatingChannelFootprint(t *testing.T) {
 		return d
 	})
 	t.Logf("after its retrain a restored updating channel retains %.0f B", per)
-	if per > 384<<10 {
-		t.Errorf("after its retrain a restored updating channel retains %.0f B, want at most %d", per, 384<<10)
+	if per > 256<<10 {
+		t.Errorf("after its retrain a restored updating channel retains %.0f B, want at most %d", per, 256<<10)
 	}
 	if !bytes.Equal(saveBytes(t, restored), saveBytes(t, live)) {
 		t.Fatal("the restored channel merged to other weights than the channel it was snapshotted from")
@@ -529,12 +530,14 @@ func TestRestoredUpdatingChannelFootprint(t *testing.T) {
 // T starts at 1, above every interaction level. From the first drift check
 // on, T is the previous window's mean, and this series' levels are
 // independent draws around it, so about half the segments are buffered,
-// with gaps: the log holds ≈ 2 rows a sample (≈ 610 rows) and doubles once,
-// to 618. After its second merge a clone retains ≈ 470–490 KB, gated at
-// 576 KiB. A snapshot one sample before its third drift check takes
-// ≈ 547 KB, gated at 640 KiB, and restores to ≈ 510 KB, gated at 576 KiB.
-// A buffer that kept each sample's q + 1 rows apart retained 620–660 KB and
-// wrote 1.99 MB. Restored, the channel retrains as the original does.
+// with gaps: the log holds ≈ 2 rows a sample (≈ 610 rows, 20 chunks). The
+// drift check puts the chunks back, so after its second merge a clone
+// retains ≈ 168 KB, gated at 256 KiB; a log that doubled its flat array to
+// 618 rows and kept it retained 461 KB. A snapshot one sample before its
+// third drift check takes ≈ 547 KB, gated at 640 KiB, and restores to
+// ≈ 511 KB, gated at 576 KiB. A buffer that kept each sample's q + 1 rows
+// apart retained 620–660 KB and wrote 1.99 MB. Restored, the channel
+// retrains as the original does.
 func TestSteadyUpdatingChannelFootprint(t *testing.T) {
 	tmpl, acts, auds := updatingTemplate(t)
 	cfg := tmpl.cfg
@@ -569,11 +572,11 @@ func TestSteadyUpdatingChannelFootprint(t *testing.T) {
 		observe(c, 0, merged[1]+2)
 		return c
 	}
-	twice() // grows the shared trainer's scratch to a sparse cycle's views
+	twice() // grows the shared trainer's views and the chunk list to a sparse cycle's
 	per := retainedPerClone(t, 8, twice)
 	t.Logf("an updating clone retains %.0f B after its second merge", per)
-	if per > 576<<10 {
-		t.Errorf("an updating clone retains %.0f B after its second merge, want at most %d", per, 576<<10)
+	if per > 256<<10 {
+		t.Errorf("an updating clone retains %.0f B after its second merge, want at most %d", per, 256<<10)
 	}
 
 	live, err := tmpl.Clone()

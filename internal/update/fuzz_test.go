@@ -7,17 +7,18 @@ import (
 	"testing"
 )
 
-// fuzzConfig keeps the fuzzed updater's bounds small: a log of at most
-// (q+1)·MaxBuffer = 16 rows.
+// fuzzConfig keeps the fuzzed updater's bounds small, yet past a chunk: a
+// log of at most (q+1)·MaxBuffer = 100 rows, four chunks.
 func fuzzConfig() Config {
 	cfg := DefaultConfig()
-	cfg.MaxBuffer = 4
+	cfg.MaxBuffer = 25
 	cfg.TrainEpochs = 1
 	return cfg
 }
 
 // updaterStateSeeds are gob encodings of states real updaters hold: fresh,
-// history seeded, mid-cycle with buffered windows, and a version 2 Buffer.
+// history seeded, mid-cycle with buffered windows, a version 2 Buffer, and
+// a mid-cycle log of disjoint windows that fills three chunks.
 func updaterStateSeeds(f *testing.F) [][]byte {
 	f.Helper()
 	rng := rand.New(rand.NewSource(5))
@@ -27,7 +28,7 @@ func updaterStateSeeds(f *testing.F) [][]byte {
 		f.Fatal(err)
 	}
 	states := []State{u.State()}
-	samples := makeSamples(f, rng, 12, 0)
+	samples := makeSamples(f, rng, 100, 0)
 	if err := u.SeedHistory(samples[:4]); err != nil {
 		f.Fatal(err)
 	}
@@ -42,6 +43,19 @@ func updaterStateSeeds(f *testing.F) [][]byte {
 	legacy.Log, legacy.Offsets, legacy.LogEnd = nil, nil, 0
 	legacy.Buffer = samples[7:9]
 	states = append(states, legacy)
+	disjoint, err := New(m.Clone(), fuzzConfig())
+	if err != nil {
+		f.Fatal(err)
+	}
+	for i := 0; i < 3*chunkRows/4; i++ {
+		if _, err := disjoint.Observe(samples[4*i], 0); err != nil {
+			f.Fatal(err)
+		}
+	}
+	if disjoint.rows != 3*chunkRows {
+		f.Fatalf("the disjoint seed's log holds %d rows, want %d", disjoint.rows, 3*chunkRows)
+	}
+	states = append(states, disjoint.State())
 	var seeds [][]byte
 	for i, st := range states {
 		fresh, err := New(m.Clone(), fuzzConfig())

@@ -171,8 +171,8 @@ func TrainersMade(cfg core.Config) int { return trainerLists.For(cfg).Made() }
 
 // trainer is one CLSTM_new, the rng its epochs shuffle with, and the views
 // of an updater's log it retrains on: a row header per log row and a sample
-// per offset. They are scratch, so a retrain allocates nothing once they
-// have grown, and a retrain clears them before it puts the trainer back.
+// per offset. They are scratch, made to a longer retrain's length when it
+// comes, and a retrain clears them before it puts the trainer back.
 type trainer struct {
 	model    *core.Trainer
 	rng      *rand.Rand
@@ -182,16 +182,20 @@ type trainer struct {
 
 // views returns u's buffered samples as views of its log.
 func (tr *trainer) views(u *Updater) []core.Sample {
-	cfg := u.model.Config()
-	da, db, q := cfg.ActionDim, cfg.AudienceDim, cfg.SeqLen
-	tr.act, tr.aud, tr.samples = tr.act[:0], tr.aud[:0], tr.samples[:0]
-	for r := 0; r < len(u.act)/da; r++ {
-		tr.act = append(tr.act, u.act[r*da:(r+1)*da:(r+1)*da])
-		tr.aud = append(tr.aud, u.aud[r*db:(r+1)*db:(r+1)*db])
+	q := u.model.Config().SeqLen
+	if cap(tr.act) < u.rows {
+		tr.act, tr.aud = make([][]float64, u.rows), make([][]float64, u.rows)
 	}
-	for _, o := range u.offsets {
-		tr.samples = append(tr.samples, core.Sample{ActionSeq: tr.act[o : o+q : o+q], AudienceSeq: tr.aud[o : o+q : o+q],
-			ActionTarget: tr.act[o+q], AudienceTarget: tr.aud[o+q]})
+	if cap(tr.samples) < len(u.offsets) {
+		tr.samples = make([]core.Sample, len(u.offsets))
+	}
+	tr.act, tr.aud, tr.samples = tr.act[:u.rows], tr.aud[:u.rows], tr.samples[:len(u.offsets)]
+	for r := range tr.act {
+		tr.act[r], tr.aud[r] = u.row(r)
+	}
+	for i, o := range u.offsets {
+		tr.samples[i] = core.Sample{ActionSeq: tr.act[o : o+q : o+q], AudienceSeq: tr.aud[o : o+q : o+q],
+			ActionTarget: tr.act[o+q], AudienceTarget: tr.aud[o+q]}
 	}
 	return tr.samples
 }
@@ -204,6 +208,17 @@ func (tr *trainer) clear() {
 	clear(tr.aud)
 }
 
+// chunk is chunkRows log rows, action and audience values apart: 12 288
+// and 4 864 bytes at the benchmark shape (48/19), both exact size classes.
+type chunk struct{ act, aud []float64 }
+
+const chunkRows = 32
+
+// chunkLists holds log chunks per model configuration, as trainerLists does
+// trainers: a log takes one when its last is full and puts all back at the
+// drift check, so no row is copied twice and no log held between cycles.
+var chunkLists core.PerConfig[core.FreeList[chunk]]
+
 // Updater maintains a CLSTM over a stream per Fig. 5.
 type Updater struct {
 	cfg   Config
@@ -212,14 +227,14 @@ type Updater struct {
 	history  setSketch // S_h: hidden states of historical data
 	incoming setSketch // S_n: hidden states of buffered incoming data
 	hidden   []float64 // reused Model.HiddenInto destination
-	// act/aud are the log: the rows the buffered samples read, copied in
-	// stream order onto one flat backing a side; end is the stream position
-	// of its last row. offsets is n_tmp: buffered sample i reads rows
-	// offsets[i] … offsets[i]+q−1, its window, and offsets[i]+q, its
-	// target. A drift check empties all three and keeps their arrays.
-	act, aud []float64
-	end      int
-	offsets  []int
+	// chunks hold the log, rows long: the rows the buffered samples read,
+	// copied in stream order; end is the stream position of its last row.
+	// offsets is n_tmp: buffered sample i reads rows offsets[i] …
+	// offsets[i]+q−1, its window, and offsets[i]+q, its target.
+	chunks  []*chunk
+	rows    int
+	end     int
+	offsets []int
 
 	// interaction threshold T: mean interaction level of the previous
 	// window (Fig. 5 line 4 filters segments with interaction < T).
@@ -340,7 +355,7 @@ func (u *Updater) ObserveHidden(sample core.Sample, interactionLevel float64, hi
 	// S_h ← S_h ∪ S_n; clear S_n and n_tmp (lines 13-14).
 	u.history.merge(&u.incoming)
 	u.incoming.reset()
-	u.offsets, u.act, u.aud = u.offsets[:0], u.act[:0], u.aud[:0]
+	u.release()
 	return res, nil
 }
 
@@ -351,25 +366,22 @@ func (u *Updater) ObserveHidden(sample core.Sample, interactionLevel float64, hi
 // and NaN payloads stay exact), and only the rows past them are appended.
 // A sample whose Index does not follow its rows starts a fresh run.
 func (u *Updater) push(s *core.Sample) int {
-	cfg := u.model.Config()
-	q, da, db := cfg.SeqLen, cfg.ActionDim, cfg.AudienceDim
-	rows := len(u.act) / da
+	q, start := u.model.Config().SeqLen, u.rows
 	k := u.end - (s.Index - q) + 1
-	if k <= 0 || k > min(q, rows) {
+	if k <= 0 || k > min(q, u.rows) {
 		k = 0
 	}
-	for t, r := 0, rows-k; t < k; t, r = t+1, r+1 {
-		if !sameBits(u.act[r*da:(r+1)*da], s.ActionSeq[t]) || !sameBits(u.aud[r*db:(r+1)*db], s.AudienceSeq[t]) {
+	for t, r := 0, u.rows-k; t < k; t, r = t+1, r+1 {
+		if act, aud := u.row(r); !sameBits(act, s.ActionSeq[t]) || !sameBits(aud, s.AudienceSeq[t]) {
 			k = 0 // ends the loop
 		}
 	}
-	u.grow(q + 1 - k)
 	for t := k; t < q; t++ {
-		u.act, u.aud = append(u.act, s.ActionSeq[t]...), append(u.aud, s.AudienceSeq[t]...)
+		u.appendRow(s.ActionSeq[t], s.AudienceSeq[t])
 	}
-	u.act, u.aud = append(u.act, s.ActionTarget...), append(u.aud, s.AudienceTarget...)
+	u.appendRow(s.ActionTarget, s.AudienceTarget)
 	u.end = s.Index
-	return rows - k
+	return start - k
 }
 
 // sameBits reports whether rows a and b hold the same float64 bits.
@@ -377,17 +389,35 @@ func sameBits(a, b []float64) bool {
 	return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
 }
 
-// grow makes room for n more log rows: MaxBuffer + q at first, what the
-// dense first cycle needs (T starts at 1), then doubling for sparser cycles
-// (BENCH.md §34) up to (q + 1)·MaxBuffer, what disjoint windows need.
-func (u *Updater) grow(n int) {
-	cfg := u.model.Config()
-	da, q := cfg.ActionDim, cfg.SeqLen
-	if need := len(u.act)/da + n; need*da > cap(u.act) {
-		c := min(max(need, 2*cap(u.act)/da, u.cfg.MaxBuffer+q), max(need, (q+1)*u.cfg.MaxBuffer))
-		u.act = append(make([]float64, 0, c*da), u.act...)
-		u.aud = append(make([]float64, 0, c*cfg.AudienceDim), u.aud...)
+// row returns log row r's action and audience values.
+func (u *Updater) row(r int) (act, aud []float64) {
+	c, i, da, db := u.chunks[r/chunkRows], r%chunkRows, u.model.Config().ActionDim, u.model.Config().AudienceDim
+	return c.act[i*da : (i+1)*da : (i+1)*da], c.aud[i*db : (i+1)*db : (i+1)*db]
+}
+
+// appendRow copies a row onto the log, taking a chunk when the last is full.
+func (u *Updater) appendRow(act, aud []float64) {
+	if u.rows == len(u.chunks)*chunkRows {
+		cfg := u.model.Config()
+		c := chunkLists.For(cfg).Take()
+		if c == nil {
+			c = &chunk{act: make([]float64, chunkRows*cfg.ActionDim), aud: make([]float64, chunkRows*cfg.AudienceDim)}
+		}
+		u.chunks = append(u.chunks, c)
 	}
+	dstAct, dstAud := u.row(u.rows)
+	copy(dstAct, act)
+	copy(dstAud, aud)
+	u.rows++
+}
+
+// release empties n_tmp and puts the log's chunks back on their list.
+func (u *Updater) release() {
+	for _, c := range u.chunks {
+		chunkLists.For(u.model.Config()).Put(c)
+	}
+	clear(u.chunks)
+	u.chunks, u.rows, u.offsets = u.chunks[:0], 0, u.offsets[:0]
 }
 
 // State is the updater's complete mutable runtime state, exported for
@@ -425,12 +455,19 @@ type State struct {
 
 // State returns a copy of the updater's runtime state.
 func (u *Updater) State() State {
+	da, db := u.model.Config().ActionDim, u.model.Config().AudienceDim
+	log := make([]float64, u.rows*(da+db))
+	for r := 0; r < u.rows; r++ {
+		act, aud := u.row(r)
+		copy(log[r*da:], act)
+		copy(log[u.rows*da+r*db:], aud)
+	}
 	return State{
 		HistorySum:     append([]float64(nil), u.history.sum...),
 		HistoryCount:   u.history.count,
 		IncomingSum:    append([]float64(nil), u.incoming.sum...),
 		IncomingCount:  u.incoming.count,
-		Log:            append(slices.Clone(u.act), u.aud...),
+		Log:            log,
 		Offsets:        slices.Clone(u.offsets),
 		LogEnd:         u.end,
 		PrevWindowMean: u.prevWindowMean,
@@ -479,8 +516,11 @@ func (u *Updater) SetState(st State) error {
 	}
 	u.history = setSketch{sum: append([]float64(nil), st.HistorySum...), count: st.HistoryCount}
 	u.incoming = setSketch{sum: append([]float64(nil), st.IncomingSum...), count: st.IncomingCount}
-	u.offsets, u.act, u.aud, u.end = append(u.offsets[:0], st.Offsets...), u.act[:0], u.aud[:0], st.LogEnd
-	u.act, u.aud = append(u.act, st.Log[:rows*da]...), append(u.aud, st.Log[rows*da:]...)
+	u.release()
+	u.offsets, u.end = append(u.offsets, st.Offsets...), st.LogEnd
+	for r, aud := 0, st.Log[rows*da:]; r < rows; r++ {
+		u.appendRow(st.Log[r*da:(r+1)*da], aud[r*db:(r+1)*db])
+	}
 	for i := range st.Buffer {
 		u.offsets = append(u.offsets, u.push(&st.Buffer[i]))
 	}

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"sync"
 	"testing"
 
 	"aovlis/internal/core"
@@ -654,20 +655,22 @@ func TestReusedTrainerMatchesFreshClone(t *testing.T) {
 // offset into one stream-ordered log of rows the updater owns, copied from
 // the caller's, and the log holds each row once. A sample's rows are found
 // by its stream position and shared when the log's tail holds their bits.
-// A densely buffered cycle of n samples costs n + q rows and never grows
-// the log past its first size; every other segment costs 2 rows a sample;
-// disjoint windows cost q + 1 rows each, at most (q + 1)·MaxBuffer. The
+// A densely buffered cycle of n samples costs n + q rows; every other
+// segment costs 2 rows a sample; disjoint windows cost q + 1 rows each.
+// Each log spans several chunks and holds at most one chunk of slack, and
+// the dense and every-other logs hold windows that straddle two chunks. The
 // caller's rows are poisoned with NaN after each Observe, and every
 // buffered sample, as the retrain sees it, must still hold the bits it was
-// given. Rows are shared by their bits, so a −0 is not taken for a 0. The
-// log is reused across cycles: a second dense cycle allocates nothing.
+// given. Rows are shared by their bits, so a −0 is not taken for a 0. A
+// drift check puts the chunks back, and the next cycle takes them again: a
+// second dense cycle allocates nothing.
 func TestWindowLogSharesOverlappingRows(t *testing.T) {
-	const q, maxBuffer = 3, 12
+	const q, maxBuffer = 3, 40
 	cfg := DefaultConfig()
 	cfg.MaxBuffer = maxBuffer
 	cfg.DriftThreshold = -1 // drift checks never retrain
 	rng := rand.New(rand.NewSource(37))
-	stream := makeSamples(t, rng, 200, 0)
+	stream := makeSamples(t, rng, 260, 0)
 	sameBits := func(a, b []float64) bool {
 		for j := range a {
 			if math.Float64bits(a[j]) != math.Float64bits(b[j]) {
@@ -696,7 +699,6 @@ func TestWindowLogSharesOverlappingRows(t *testing.T) {
 			}
 		}
 	}
-	rows := func(u *Updater) int { return len(u.act) / 8 }
 	for _, tc := range []struct {
 		name   string
 		stride int
@@ -729,14 +731,15 @@ func TestWindowLogSharesOverlappingRows(t *testing.T) {
 					}
 				}
 			}
-			if rows(u) != tc.rows || len(u.aud) != 4*tc.rows {
-				t.Fatalf("the log holds %d/%d rows, want %d", rows(u), len(u.aud)/4, tc.rows)
+			if u.rows != tc.rows {
+				t.Fatalf("the log holds %d rows, want %d", u.rows, tc.rows)
 			}
-			if c := cap(u.act) / 8; c > (q+1)*maxBuffer {
-				t.Fatalf("the log has room for %d rows, more than the %d disjoint windows need", c, (q+1)*maxBuffer)
+			if slack := len(u.chunks)*chunkRows - u.rows; len(u.chunks) < 2 || slack < 0 || slack >= chunkRows {
+				t.Fatalf("%d rows in %d chunks of %d: want several chunks and at most one chunk of slack", u.rows, len(u.chunks), chunkRows)
 			}
-			if tc.stride == 1 && cap(u.act) != 8*(maxBuffer+q) {
-				t.Fatalf("a dense cycle grew the log to %d rows, want its first size %d", cap(u.act)/8, maxBuffer+q)
+			straddles := slices.ContainsFunc(u.offsets, func(o int) bool { return o/chunkRows != (o+q)/chunkRows })
+			if straddles != (tc.stride <= q) {
+				t.Fatalf("a window straddles two chunks: %v, want %v", straddles, tc.stride <= q)
 			}
 		})
 	}
@@ -754,8 +757,8 @@ func TestWindowLogSharesOverlappingRows(t *testing.T) {
 				t.Fatalf("buffered %v, %v", res.Buffered, err)
 			}
 		}
-		if rows(u) != 2*(q+1) || !math.Signbit(new(trainer).views(u)[1].ActionSeq[0][0]) {
-			t.Fatalf("a window whose first row holds −0 shared the log's 0: %d log rows, want %d", rows(u), 2*(q+1))
+		if u.rows != 2*(q+1) || !math.Signbit(new(trainer).views(u)[1].ActionSeq[0][0]) {
+			t.Fatalf("a window whose first row holds −0 shared the log's 0: %d log rows, want %d", u.rows, 2*(q+1))
 		}
 	})
 
@@ -776,8 +779,8 @@ func TestWindowLogSharesOverlappingRows(t *testing.T) {
 		}
 	}
 	feed(0)
-	if len(u.act) != 0 || len(u.offsets) != 0 {
-		t.Fatalf("a drift check left %d log rows and %d samples", rows(u), len(u.offsets))
+	if u.rows != 0 || len(u.offsets) != 0 || slices.ContainsFunc(u.chunks[:cap(u.chunks)], func(c *chunk) bool { return c != nil }) {
+		t.Fatalf("a drift check left %d log rows, %d samples or a chunk", u.rows, len(u.offsets))
 	}
 	from := maxBuffer
 	if n := testing.AllocsPerRun(3, func() {
@@ -921,4 +924,155 @@ func vecCosine(a, b []float64) float64 {
 		return 0
 	}
 	return mat.VecDot(a, b) / (na * nb)
+}
+
+// TestChunksMadeBoundedByRowsHeld pins the chunk list: updaters of one
+// configuration, each observed in turn and drift-checking at its own
+// moments, take their logs' chunks from one list and put them back at each
+// drift check, after its retrain. The list makes a chunk only when every
+// chunk it made is held, so the chunks ever made are the most held at once,
+// never more than the rows held at once plus one chunk per updater, and
+// the later cycles run on the chunks the first ones made. The updaters put
+// their last chunks back at the end, so a rerun (-count) starts from a list
+// that holds every chunk it made.
+func TestChunksMadeBoundedByRowsHeld(t *testing.T) {
+	mcfg := testModel(t).Config()
+	// A seed no other test's model has, so no other test takes or makes
+	// the configuration's chunks.
+	mcfg.Seed = 59
+	base, err := core.NewModel(mcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	cfg.MaxBuffer = 40
+	cfg.DriftThreshold = 1 // every drift check retrains
+	cfg.TrainEpochs = 1
+	const cycles = 6
+	strides := []int{1, 2, 4} // dense, every other, disjoint
+	stream := makeSamples(t, rand.New(rand.NewSource(59)), 4*cfg.MaxBuffer*(cycles+1), 0)
+	list := chunkLists.For(mcfg)
+	made0 := list.Made()
+	ups := make([]*Updater, len(strides))
+	at := make([]int, len(strides))
+	observe := func(j int) {
+		s := stream[at[j]*strides[j]]
+		// Falling interaction stays below every window's mean, T.
+		if res, err := ups[j].Observe(s, -float64(at[j])); err != nil || !res.Buffered {
+			t.Fatalf("updater %d, segment %d: buffered %v, %v", j, at[j], res.Buffered, err)
+		}
+		at[j]++
+	}
+	for j := range ups {
+		if ups[j], err = New(base.Clone(), cfg); err != nil {
+			t.Fatal(err)
+		}
+		// A head start of its own, so no two updaters check drift together.
+		for i := 0; i < 13*j; i++ {
+			observe(j)
+		}
+	}
+	peakRows, peakChunks, taken := 0, 0, 0
+	for step := 0; step < cycles*cfg.MaxBuffer; step++ {
+		for j, u := range ups {
+			before := len(u.chunks)
+			observe(j)
+			taken += max(len(u.chunks)-before, 0)
+			rows, chunks := 0, 0
+			for _, u := range ups {
+				rows, chunks = rows+u.rows, chunks+len(u.chunks)
+			}
+			peakRows, peakChunks = max(peakRows, rows), max(peakChunks, chunks)
+		}
+	}
+	made := list.Made()
+	for j, u := range ups {
+		if u.Checks() < cycles || u.Updates() != u.Checks() {
+			t.Fatalf("updater %d ran %d drift checks and %d retrains, want at least %d of each", j, u.Checks(), u.Updates(), cycles)
+		}
+		u.release()
+	}
+	t.Logf("%d chunks made (%d before), %d taken; at most %d rows and %d chunks held at once", made, made0, taken, peakRows, peakChunks)
+	if made != max(made0, peakChunks) || peakChunks*chunkRows >= peakRows+len(ups)*chunkRows {
+		t.Fatalf("%d chunks made: want the %d held at once, fewer than %d rows' worth plus one each", made, peakChunks, peakRows)
+	}
+	if taken < 3*made {
+		t.Fatalf("%d chunks taken over %d cycles from %d made: the cycles do not reuse them", taken, cycles, made)
+	}
+}
+
+// TestConcurrentUpdatersMatchSerial runs updating clones of one model on
+// goroutines of their own at once, as a pool's shards run their channels:
+// they take and put back chunks and trainers on the same lists, and each
+// must still end bit for bit where it ends when run alone — the same
+// results, drift checks and merged weights.
+func TestConcurrentUpdatersMatchSerial(t *testing.T) {
+	base := testModel(t)
+	cfg := DefaultConfig()
+	cfg.MaxBuffer = 40
+	cfg.DriftThreshold = 1
+	cfg.TrainEpochs = 1
+	streams := make([][]core.Sample, 4)
+	for j := range streams {
+		rng := rand.New(rand.NewSource(int64(61 + j)))
+		streams[j] = append(makeSamples(t, rng, 90, 0), makeSamples(t, rng, 90, 4)...)
+	}
+	run := func(j int) ([]Result, *core.Model, error) {
+		u, err := New(base.Clone(), cfg)
+		if err != nil {
+			return nil, nil, err
+		}
+		var results []Result
+		for i, s := range streams[j] {
+			// Every (j+2)-th segment rises above T and is not buffered.
+			level := -float64(i)
+			if i%(j+2) == 0 {
+				level = 1
+			}
+			res, err := u.Observe(s, level)
+			if err != nil {
+				return nil, nil, err
+			}
+			results = append(results, res)
+		}
+		return results, u.Model(), nil
+	}
+	type outcome struct {
+		results []Result
+		model   *core.Model
+		err     error
+	}
+	serial, concurrent := make([]outcome, len(streams)), make([]outcome, len(streams))
+	for j := range serial {
+		serial[j].results, serial[j].model, serial[j].err = run(j)
+	}
+	var wg sync.WaitGroup
+	for j := range concurrent {
+		wg.Add(1)
+		go func(j int) {
+			defer wg.Done()
+			concurrent[j].results, concurrent[j].model, concurrent[j].err = run(j)
+		}(j)
+	}
+	wg.Wait()
+	for j := range serial {
+		want, got := serial[j], concurrent[j]
+		if want.err != nil || got.err != nil {
+			t.Fatalf("stream %d: %v alone, %v concurrently", j, want.err, got.err)
+		}
+		if !slices.Equal(want.results, got.results) {
+			t.Fatalf("stream %d: the results differ concurrently", j)
+		}
+		if !slices.ContainsFunc(want.results, func(r Result) bool { return r.Updated }) {
+			t.Fatalf("stream %d never retrained; the test would pass vacuously", j)
+		}
+		for _, name := range want.model.Params().Names() {
+			w, g := want.model.Params().Get(name).Data, got.model.Params().Get(name).Data
+			for i := range w {
+				if math.Float64bits(w[i]) != math.Float64bits(g[i]) {
+					t.Fatalf("stream %d: %s[%d] = %v concurrently, %v alone", j, name, i, g[i], w[i])
+				}
+			}
+		}
+	}
 }
