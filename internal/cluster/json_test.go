@@ -61,7 +61,7 @@ func FuzzReadJSON(f *testing.F) {
 		}
 
 		var h, href healthResponse
-		err = h.read(bytes.NewReader(b))
+		err = h.read(b)
 		refErr = json.Unmarshal(b, &href)
 		sameError(t, "health", b, err, refErr)
 		if err == nil && (h.Status != href.Status || h.NodeID != href.NodeID ||

@@ -1,12 +1,18 @@
 package cluster
 
 import (
+	"bufio"
+	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net/url"
+	"slices"
+	"strconv"
 	"strings"
 	"sync/atomic"
+	"syscall"
 	"time"
 
 	"aovlis/internal/wal"
@@ -85,6 +91,8 @@ type Node struct {
 	// lastSnapshotAge mirrors the node's /healthz last_snapshot_age_seconds
 	// (-1 when unknown/never), for operators reading /cluster/nodes.
 	lastSnapshotAge atomic.Int64
+	// health is the connection probes ride.
+	health prober
 }
 
 func newNode(spec NodeSpec) *Node {
@@ -118,10 +126,10 @@ type healthResponse struct {
 
 var healthKeys = []string{"status", "node_id", "last_snapshot_age_seconds"}
 
-// read decodes a /healthz body as a json.Decoder decodes it into h.
-func (h *healthResponse) read(body io.Reader) error {
+// read decodes a /healthz body as json.Unmarshal decodes it into h.
+func (h *healthResponse) read(body []byte) error {
 	var r wire.JSONReader
-	if err := readJSONLimited(body, &r); err != nil {
+	if err := r.Reset(body); err != nil {
 		return err
 	}
 	if r.Object() {
@@ -155,16 +163,15 @@ func (h *healthResponse) read(body io.Reader) error {
 // to an imposter process (stale port reuse) would silently split channel
 // state.
 func (n *Node) probe(timeout time.Duration) error {
-	resp, err := n.within(timeout, wire.MethodGet, "/healthz", nil)
+	code, body, err := n.health.get(n.Spec.URL, time.Now().Add(timeout))
 	if err != nil {
-		return err
+		return fmt.Errorf("cluster: node %s: /healthz: %w", n.Spec.Name, err)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != wire.StatusOK {
-		return fmt.Errorf("cluster: node %s: /healthz status %d", n.Spec.Name, resp.StatusCode)
+	if code != wire.StatusOK {
+		return fmt.Errorf("cluster: node %s: /healthz status %d", n.Spec.Name, code)
 	}
 	var h healthResponse
-	if err := h.read(resp.Body); err != nil {
+	if err := h.read(body); err != nil {
 		return fmt.Errorf("cluster: node %s: bad /healthz payload: %w", n.Spec.Name, err)
 	}
 	if h.Status != "ok" {
@@ -179,6 +186,151 @@ func (n *Node) probe(timeout time.Duration) error {
 		n.lastSnapshotAge.Store(-1)
 	}
 	return nil
+}
+
+// prober is a node's health-probe client: one connection kept across
+// probes, the GET /healthz head written on it, and the reader and buffer
+// each answer is read with (TestProbeSteadyStateAllocs). Only the health
+// monitor uses it, and Router.Close once the monitor has stopped.
+type prober struct {
+	conn wire.Conn // nil until the first probe, and after a failed one
+	head []byte
+	br   *bufio.Reader
+	body []byte
+}
+
+// maxHealthBody bounds a /healthz answer; a probe reads no further.
+const maxHealthBody = 1 << 20
+
+// get asks the node at base for /healthz by deadline and returns the
+// answer's status and body, valid until the next call. A kept connection
+// found closed before the first byte of an answer (the node closed it
+// while idle, or restarted) is redialed once; any failure, a timeout or a
+// bad answer included, closes the connection, so the next probe dials.
+func (p *prober) get(base string, deadline time.Time) (code int, body []byte, err error) {
+	kept := p.conn != nil
+	if !kept {
+		if err := p.dial(base, deadline); err != nil {
+			return 0, nil, err
+		}
+	}
+	code, body, keep, err := p.exchange(deadline)
+	if err != nil && kept && (errors.Is(err, io.EOF) || errors.Is(err, syscall.ECONNRESET) || errors.Is(err, syscall.EPIPE)) {
+		p.close()
+		if err := p.dial(base, deadline); err != nil {
+			return 0, nil, err
+		}
+		code, body, keep, err = p.exchange(deadline)
+	}
+	if err != nil || !keep {
+		p.close()
+	}
+	return code, body, err
+}
+
+// dial connects to base's host and builds the request head.
+func (p *prober) dial(base string, deadline time.Time) error {
+	u, err := url.Parse(base + "/healthz")
+	if err != nil {
+		return err
+	}
+	if u.Scheme != "http" {
+		return fmt.Errorf("unsupported scheme %q (plaintext only)", u.Scheme)
+	}
+	c, err := wire.Dial(context.Background(), wire.HostPort(u), max(time.Until(deadline), 1))
+	if err != nil {
+		return err
+	}
+	p.conn, p.head = c, []byte("GET "+u.RequestURI()+" HTTP/1.1\r\nHost: "+u.Host+"\r\n\r\n")
+	if p.br == nil {
+		p.br = bufio.NewReaderSize(c, 4<<10)
+	} else {
+		p.br.Reset(c)
+	}
+	return nil
+}
+
+// exchange writes the request and reads the answer under deadline. A write
+// error, or a read error before the answer's first byte, is returned as
+// it is, for get to tell a closed connection from a failed probe.
+func (p *prober) exchange(deadline time.Time) (code int, body []byte, keep bool, err error) {
+	if err := p.conn.SetDeadline(deadline); err != nil {
+		return 0, nil, false, err
+	}
+	if _, err := p.conn.Write(p.head); err != nil {
+		return 0, nil, false, err
+	}
+	if _, err := p.br.Peek(1); err != nil {
+		return 0, nil, false, err
+	}
+	return p.answer()
+}
+
+// errBadAnswer is a /healthz answer the probe cannot read.
+var errBadAnswer = errors.New("malformed response")
+
+// answer reads one response off the connection: an HTTP/1.x status line,
+// then headers, of which it reads Content-Length and Connection, then the
+// declared body. A body framed any other way, or larger than
+// maxHealthBody, is a bad answer. keep is false when the node closes the
+// connection after it.
+func (p *prober) answer() (code int, body []byte, keep bool, err error) {
+	defer func() {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF // the answer had begun
+		}
+	}()
+	line, err := p.br.ReadSlice('\n')
+	if err != nil {
+		return 0, nil, false, err
+	}
+	if len(line) < 12 || !bytes.HasPrefix(line, []byte("HTTP/1.")) || line[8] != ' ' {
+		return 0, nil, false, errBadAnswer
+	}
+	if code, err = strconv.Atoi(string(line[9:12])); err != nil {
+		return 0, nil, false, errBadAnswer
+	}
+	keep, n := line[7] == '1', -1
+	for {
+		if line, err = p.br.ReadSlice('\n'); err != nil {
+			return 0, nil, false, err
+		}
+		line = bytes.TrimRight(line, "\r\n")
+		if len(line) == 0 {
+			break
+		}
+		k, v, ok := bytes.Cut(line, []byte(":"))
+		if !ok {
+			return 0, nil, false, errBadAnswer
+		}
+		v = bytes.TrimSpace(v)
+		switch {
+		case bytes.EqualFold(k, []byte("Content-Length")):
+			if n, err = strconv.Atoi(string(v)); err != nil || n < 0 || n > maxHealthBody {
+				return 0, nil, false, errBadAnswer
+			}
+		case bytes.EqualFold(k, []byte("Connection")):
+			keep = keep && !bytes.EqualFold(v, []byte("close"))
+		case bytes.EqualFold(k, []byte("Transfer-Encoding")):
+			return 0, nil, false, errBadAnswer
+		}
+	}
+	if n < 0 {
+		return 0, nil, false, errBadAnswer
+	}
+	p.body = slices.Grow(p.body[:0], n)[:n]
+	if _, err := io.ReadFull(p.br, p.body); err != nil {
+		return 0, nil, false, err
+	}
+	return code, p.body, keep, nil
+}
+
+// close drops the kept connection, if any.
+func (p *prober) close() {
+	if p.conn != nil {
+		p.conn.Close()
+		p.conn = nil
+	}
 }
 
 // send makes one request to the node on a connection of its own (wire.Do);
@@ -340,10 +492,10 @@ func readErrorBody(body io.ReadCloser) string {
 	return strings.TrimSpace(string(b))
 }
 
-// readJSONLimited starts r on a bounded JSON payload (health probes should
-// never stream megabytes): the first MiB of body, which must be one value
-// with only whitespace around it, as json.Unmarshal takes it (a node
-// answers one value and a newline). A body whose read failed fails with
+// readJSONLimited starts r on a bounded JSON payload (a node's channel
+// list should never stream megabytes): the first MiB of body, which must
+// be one value with only whitespace around it, as json.Unmarshal takes it
+// (a node answers one value and a newline). A body whose read failed fails with
 // the read error, unless what was read is a complete value.
 func readJSONLimited(body io.Reader, r *wire.JSONReader) error {
 	b, rerr := io.ReadAll(io.LimitReader(body, 1<<20))

@@ -14,10 +14,11 @@ import (
 )
 
 // slot is one pending segment in a stream's pipelining ring: the raw line
-// (newline-terminated, buffer reused across segments), its client-visible
-// seq, its accept time, and whether it is currently written-and-registered
-// on the live upstream (sent) or queued at the router (sent=false, e.g.
-// after its upstream died).
+// (newline-terminated, in a buffer the stream's spare stack lends it while
+// the segment is pending), its client-visible seq, its accept time, and
+// whether it is currently written-and-registered on the live upstream
+// (sent) or queued at the router (sent=false, e.g. after its upstream
+// died).
 type slot struct {
 	buf  []byte
 	seq  uint64
@@ -78,6 +79,10 @@ type proxyStream struct {
 	tail     int // index of oldest pending
 	npending int
 	nsent    int // sent slots (prefix of pending FIFO)
+	// spare holds the line buffers of answered segments for the next
+	// accepted ones, so a stream makes as many as it ever has pending, not
+	// one per window slot.
+	spare [][]byte
 
 	feed *wire.Feeder // client lines
 
@@ -211,8 +216,10 @@ func (ps *proxyStream) wait(in <-chan []byte) (line []byte, ended bool, err erro
 func (ps *proxyStream) accept(buf []byte) {
 	i := (ps.tail + ps.npending) % len(ps.pending)
 	s := &ps.pending[i]
-	s.buf = append(s.buf[:0], buf...)
-	s.buf = append(s.buf, '\n')
+	if k := len(ps.spare) - 1; k >= 0 {
+		s.buf, ps.spare = ps.spare[k], ps.spare[:k]
+	}
+	s.buf = append(append(s.buf[:0], buf...), '\n')
 	ps.feed.Recycle(buf)
 	s.seq = ps.seq
 	s.t0 = time.Now()
@@ -373,9 +380,11 @@ func (ps *proxyStream) clientGone(err error) error {
 	return terminalError{fmt.Errorf("cluster: client went away: %w", err)}
 }
 
-// pop releases the oldest pending slot and its in-flight registration.
+// pop releases the oldest pending slot, its line buffer and its in-flight
+// registration.
 func (ps *proxyStream) pop() {
 	s := &ps.pending[ps.tail]
+	ps.spare, s.buf = append(ps.spare, s.buf), nil
 	if s.sent {
 		s.sent = false
 		ps.nsent--

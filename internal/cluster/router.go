@@ -169,16 +169,19 @@ func (r *Router) Start() {
 	go r.monitor()
 }
 
-// Close stops the health monitor and waits for it.
+// Close stops the health monitor, waits for it, and closes the
+// connections its probes kept.
 func (r *Router) Close() {
-	r.stopOnce.Do(func() { close(r.stop) })
-	r.wg.Wait()
+	r.stopOnce.Do(func() {
+		close(r.stop)
+		r.wg.Wait()
+		for _, n := range r.nodes {
+			n.health.close()
+		}
+	})
 }
 
-// monitor probes every node each ProbeEvery; FailAfter consecutive
-// failures trigger failover, a successful probe of a dead node revives it
-// (new placements only — existing channels move back on the next
-// rebalance).
+// monitor probes every node each ProbeEvery.
 func (r *Router) monitor() {
 	defer r.wg.Done()
 	t := time.NewTicker(r.cfg.ProbeEvery)
@@ -190,21 +193,28 @@ func (r *Router) monitor() {
 		case <-t.C:
 		}
 		for _, n := range r.nodes {
-			err := n.probe(r.cfg.ProbeTimeout)
-			if err == nil {
-				n.consecFails.Store(0)
-				if !n.Alive() {
-					r.reviveNode(n)
-				}
-				continue
-			}
-			fails := n.consecFails.Add(1)
-			if n.Alive() && int(fails) >= r.cfg.FailAfter {
-				r.cfg.Logf("cluster: node %s failed %d probes (%v), failing over", n.Spec.Name, fails, err)
-				if ferr := r.FailNode(n.Spec.Name); ferr != nil {
-					r.cfg.Logf("cluster: failover of %s: %v", n.Spec.Name, ferr)
-				}
-			}
+			r.check(n)
+		}
+	}
+}
+
+// check probes n once: FailAfter consecutive failures trigger failover, a
+// successful probe of a dead node revives it (new placements only —
+// existing channels move back on the next rebalance).
+func (r *Router) check(n *Node) {
+	err := n.probe(r.cfg.ProbeTimeout)
+	if err == nil {
+		n.consecFails.Store(0)
+		if !n.Alive() {
+			r.reviveNode(n)
+		}
+		return
+	}
+	fails := n.consecFails.Add(1)
+	if n.Alive() && int(fails) >= r.cfg.FailAfter {
+		r.cfg.Logf("cluster: node %s failed %d probes (%v), failing over", n.Spec.Name, fails, err)
+		if ferr := r.FailNode(n.Spec.Name); ferr != nil {
+			r.cfg.Logf("cluster: failover of %s: %v", n.Spec.Name, ferr)
 		}
 	}
 }

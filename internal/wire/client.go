@@ -100,7 +100,7 @@ func OpenStream(ctx context.Context, dial Dialer, rawurl string) (*Stream, error
 
 // Do sends req on a connection of its own, dialed with dial (nil: a plain
 // TCP dial) under ctx, and returns the response: the one-shot twin of
-// OpenStream, for admin calls, probes and relays. The connection closes
+// OpenStream, for admin calls and relays. The connection closes
 // when ctx ends or the response body is closed, so ctx bounds the whole
 // exchange, body included. Do sets req.Close. A request body is written
 // beside the response read, so an early answer (a 413 before the upload
@@ -136,9 +136,9 @@ func Do(ctx context.Context, dial Dialer, req *Request) (*Response, error) {
 	return resp, nil
 }
 
-// doReaders recycles the readers Do parses responses from: a router
-// probes its nodes every few hundred milliseconds, and a fresh reader a
-// call was most of what those probes allocated.
+// doReaders recycles the readers Do parses responses from: a rebalance or
+// a failover makes admin calls by the channel, and a fresh reader a call
+// was most of what each allocated.
 var doReaders = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, streamReadBuf) }}
 
 // doBody is a Do response's body; closing it closes the connection and
