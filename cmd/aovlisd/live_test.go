@@ -146,7 +146,7 @@ func TestLiveConformancePresets(t *testing.T) {
 					st := streams[ci]
 					conn, resp := dialLive(t, srv.URL+"/live/"+ch, nil)
 					defer conn.Close()
-					if got := resp.Header.Get(liveplane.ResumeHeader); got != "0" {
+					if got := resp.Header.Get(wire.ResumeHeader); got != "0" {
 						t.Errorf("channel %s: fresh resume floor %q, want 0", ch, got)
 						return
 					}
@@ -199,7 +199,7 @@ func TestLiveDisconnectResume(t *testing.T) {
 	// Leg 1: send 12, read 8, then tear the TCP connection without a close
 	// handshake — decisions 9..floor are accepted but lost in flight.
 	conn, resp := dialLive(t, srv.URL+"/live/res", nil)
-	if f := resp.Header.Get(liveplane.ResumeHeader); f != "0" {
+	if f := resp.Header.Get(wire.ResumeHeader); f != "0" {
 		t.Fatalf("fresh resume floor %q, want 0", f)
 	}
 	for i := 0; i < 12; i++ {
@@ -220,11 +220,11 @@ func TestLiveDisconnectResume(t *testing.T) {
 
 	// Leg 2: reconnect with the last seq this client saw. The handshake
 	// advertises the accepted floor; the ring replays (lastSeq, floor].
-	conn2, resp2 := dialLive(t, srv.URL+"/live/res", wire.Header{liveplane.LastSeqHeader: []string{"8"}})
+	conn2, resp2 := dialLive(t, srv.URL+"/live/res", wire.Header{wire.LastSeqHeader: []string{"8"}})
 	defer conn2.Close()
-	floor, err := strconv.ParseUint(resp2.Header.Get(liveplane.ResumeHeader), 10, 64)
+	floor, err := strconv.ParseUint(resp2.Header.Get(wire.ResumeHeader), 10, 64)
 	if err != nil {
-		t.Fatalf("bad resume floor %q", resp2.Header.Get(liveplane.ResumeHeader))
+		t.Fatalf("bad resume floor %q", resp2.Header.Get(wire.ResumeHeader))
 	}
 	if floor < 8 || floor > 12 {
 		t.Fatalf("resume floor %d outside [8,12]", floor)
@@ -293,11 +293,11 @@ func TestLiveRefusals(t *testing.T) {
 	if _, resp, err := liveplane.Dial(srv.URL+"/live/busy", nil); err == nil || resp == nil || resp.StatusCode != http.StatusConflict {
 		t.Fatalf("second live connection: err %v, resp %+v; want 409", err, resp)
 	}
-	_, resp, err := liveplane.Dial(srv.URL+"/live/fresh", wire.Header{liveplane.LastSeqHeader: []string{"7"}})
+	_, resp, err := liveplane.Dial(srv.URL+"/live/fresh", wire.Header{wire.LastSeqHeader: []string{"7"}})
 	if err == nil || resp == nil || resp.StatusCode != http.StatusConflict {
 		t.Fatalf("ahead-of-floor resume: err %v, resp %+v; want 409", err, resp)
 	}
-	if got := resp.Header.Get(liveplane.ResumeHeader); got != "0" {
+	if got := resp.Header.Get(wire.ResumeHeader); got != "0" {
 		t.Fatalf("ahead-of-floor refusal advertises floor %q, want 0", got)
 	}
 	if _, resp, err := liveplane.Dial(srv.URL+"/live/", nil); err == nil || resp == nil || resp.StatusCode != http.StatusNotFound {

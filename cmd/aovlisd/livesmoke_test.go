@@ -73,16 +73,16 @@ func liveLeg(t *testing.T, url, ch string, acts, auds [][]float64, lastSeq uint6
 	t.Helper()
 	hdr := wire.Header{}
 	if lastSeq > 0 {
-		hdr.Set(liveplane.LastSeqHeader, strconv.FormatUint(lastSeq, 10))
+		hdr.Set(wire.LastSeqHeader, strconv.FormatUint(lastSeq, 10))
 	}
 	conn, resp, err := liveplane.Dial(url+"/live/"+ch, hdr)
 	if err != nil {
 		t.Fatalf("dial %s: %v", ch, err)
 	}
 	defer conn.Close()
-	floor, err := strconv.ParseUint(resp.Header.Get(liveplane.ResumeHeader), 10, 64)
+	floor, err := strconv.ParseUint(resp.Header.Get(wire.ResumeHeader), 10, 64)
 	if err != nil {
-		t.Fatalf("channel %s: bad resume floor %q", ch, resp.Header.Get(liveplane.ResumeHeader))
+		t.Fatalf("channel %s: bad resume floor %q", ch, resp.Header.Get(wire.ResumeHeader))
 	}
 	if floor < lastSeq {
 		t.Fatalf("channel %s: floor %d below client's Last-Seq %d", ch, floor, lastSeq)

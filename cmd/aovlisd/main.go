@@ -15,9 +15,9 @@
 //	                              The channel is created on first use.
 //	GET  /channels/{id}/stats     per-channel counters as JSON
 //	GET  /channels/{id}/snapshot  export the channel's quiesced runtime
-//	                              snapshot (migration send half)
-//	PUT  /channels/{id}/snapshot  attach a channel restored from an uploaded
-//	                              snapshot (migration receive half)
+//	                              snapshot and its floor (X-Aovlis-Resume)
+//	PUT  /channels/{id}/snapshot  attach it (fresh if empty) at the floor
+//	                              its X-Aovlis-Resume must name
 //	GET  /channels                all channels' counters as JSON
 //	POST /snapshot                with -snapshot-dir: checkpoint every
 //	                              channel now; returns the commit report
@@ -81,8 +81,9 @@
 //	    localhost:8080/channels/alice/observe
 //	curl localhost:8080/channels/alice/stats
 //	curl -XPOST localhost:8080/snapshot
-//	curl localhost:8080/channels/alice/snapshot > alice.snap   # migrate out
-//	curl -XPUT --data-binary @alice.snap localhost:9090/channels/alice/snapshot
+//	curl -D alice.head localhost:8080/channels/alice/snapshot > alice.snap   # migrate out
+//	curl -XPUT -H "$(grep -i x-aovlis-resume alice.head | tr -d '\r')" \
+//	    --data-binary @alice.snap localhost:9090/channels/alice/snapshot
 package main
 
 import (

@@ -582,6 +582,55 @@ func TestHealthzWithoutSnapshots(t *testing.T) {
 	}
 }
 
+// putSnapshot PUTs body as id's snapshot import on srv, naming floor in
+// X-Aovlis-Resume unless it is "", and returns the status.
+func putSnapshot(t *testing.T, srv *wiretest.Server, id string, body io.Reader, floor string) int {
+	t.Helper()
+	req, err := http.NewRequest(http.MethodPut, srv.URL+"/channels/"+id+"/snapshot", body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if floor != "" {
+		req.Header.Set(wire.ResumeHeader, floor)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	return resp.StatusCode
+}
+
+// exportSnapshot GETs id's snapshot export from srv and returns it with
+// the floor its X-Aovlis-Resume answers.
+func exportSnapshot(t *testing.T, srv *wiretest.Server, id string) ([]byte, string) {
+	t.Helper()
+	resp, err := http.Get(srv.URL + "/channels/" + id + "/snapshot")
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("export of %s: status %d err %v", id, resp.StatusCode, err)
+	}
+	return blob, resp.Header.Get(wire.ResumeHeader)
+}
+
+// detachChannel DELETEs id on srv and wants 200.
+func detachChannel(t *testing.T, srv *wiretest.Server, id string) {
+	t.Helper()
+	req, _ := http.NewRequest(http.MethodDelete, srv.URL+"/channels/"+id, nil)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("detach of %s: status %d, want 200", id, resp.StatusCode)
+	}
+}
+
 func TestChannelSnapshotMigration(t *testing.T) {
 	_, srv := openNode(t, testConfig(8, 8))
 	actions, audience := testSeries(29, 10)
@@ -591,63 +640,46 @@ func TestChannelSnapshotMigration(t *testing.T) {
 	}
 	postObserve(t, srv, "mover", body.String())
 
-	// Export: the stream must be a restorable detector snapshot.
-	resp, err := http.Get(srv.URL + "/channels/mover/snapshot")
-	if err != nil {
-		t.Fatal(err)
-	}
-	blob, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil || resp.StatusCode != http.StatusOK {
-		t.Fatalf("export status %d err %v", resp.StatusCode, err)
-	}
+	// Export: the stream must be a restorable detector snapshot, and the
+	// floor it covers is the ten segments applied.
+	blob, floor := exportSnapshot(t, srv, "mover")
 	if _, err := serve.DecodeSnapshot("mover", bytes.NewReader(blob)); err != nil {
 		t.Fatalf("exported stream is not restorable as mover: %v", err)
+	}
+	if floor != "10" {
+		t.Fatalf("export answers floor %q, want 10", floor)
 	}
 
 	// Importing under a DIFFERENT id must be a 400: the export carries its
 	// channel identity and the daemon rejects crossed streams before
-	// anything attaches.
-	req, err := http.NewRequest(http.MethodPut, srv.URL+"/channels/moved/snapshot", bytes.NewReader(blob))
-	if err != nil {
-		t.Fatal(err)
+	// anything attaches. So is an import that does not name the floor it
+	// covers as a sequence.
+	if code := putSnapshot(t, srv, "moved", bytes.NewReader(blob), floor); code != http.StatusBadRequest {
+		t.Fatalf("cross-id import status %d, want 400", code)
 	}
-	resp, err = http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
+	for _, bad := range []string{"", "ten", "-1", "18446744073709551616"} {
+		if code := putSnapshot(t, srv, "unnumbered", bytes.NewReader(blob), bad); code != http.StatusBadRequest {
+			t.Fatalf("import at floor %q: status %d, want 400", bad, code)
+		}
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("cross-id import status %d, want 400", resp.StatusCode)
+	if got := channelList(t, srv); len(got) != 1 || got[0].Channel != "mover" {
+		t.Fatalf("refused imports attached something: %+v", got)
 	}
 
 	// The migration flow proper: detach the source copy, re-import under
 	// the same id, and the restored channel resumes with its lifetime
 	// counters intact.
-	req, _ = http.NewRequest(http.MethodDelete, srv.URL+"/channels/mover", nil)
-	resp, err = http.DefaultClient.Do(req)
+	detachChannel(t, srv, "mover")
+	resp, err := http.Get(srv.URL + "/channels/mover/stats")
 	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("detach status %d, want 200", resp.StatusCode)
-	}
-	if resp, err = http.Get(srv.URL + "/channels/mover/stats"); err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("stats after detach status %d, want 404", resp.StatusCode)
 	}
-	req, _ = http.NewRequest(http.MethodPut, srv.URL+"/channels/mover/snapshot", bytes.NewReader(blob))
-	resp, err = http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusCreated {
-		t.Fatalf("import status %d, want 201", resp.StatusCode)
+	if code := putSnapshot(t, srv, "mover", bytes.NewReader(blob), floor); code != http.StatusCreated {
+		t.Fatalf("import status %d, want 201", code)
 	}
 	st, err := http.Get(srv.URL + "/channels/mover/stats")
 	if err != nil {
@@ -664,23 +696,11 @@ func TestChannelSnapshotMigration(t *testing.T) {
 
 	// Error paths: duplicate id conflicts, garbage rejects, unknown 404s,
 	// wrong methods 405.
-	req, _ = http.NewRequest(http.MethodPut, srv.URL+"/channels/mover/snapshot", bytes.NewReader(blob))
-	resp, err = http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
+	if code := putSnapshot(t, srv, "mover", bytes.NewReader(blob), floor); code != http.StatusConflict {
+		t.Fatalf("duplicate import status %d, want 409", code)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusConflict {
-		t.Fatalf("duplicate import status %d, want 409", resp.StatusCode)
-	}
-	req, _ = http.NewRequest(http.MethodPut, srv.URL+"/channels/junk/snapshot", strings.NewReader("garbage"))
-	resp, err = http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("garbage import status %d, want 400", resp.StatusCode)
+	if code := putSnapshot(t, srv, "junk", strings.NewReader("garbage"), "0"); code != http.StatusBadRequest {
+		t.Fatalf("garbage import status %d, want 400", code)
 	}
 	resp, err = http.Get(srv.URL + "/channels/nobody/snapshot")
 	if err != nil {
@@ -690,7 +710,7 @@ func TestChannelSnapshotMigration(t *testing.T) {
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown export status %d, want 404", resp.StatusCode)
 	}
-	req, _ = http.NewRequest(http.MethodDelete, srv.URL+"/channels/mover/snapshot", nil)
+	req, _ := http.NewRequest(http.MethodDelete, srv.URL+"/channels/mover/snapshot", nil)
 	resp, err = http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
@@ -698,6 +718,55 @@ func TestChannelSnapshotMigration(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("DELETE snapshot status %d, want 405", resp.StatusCode)
+	}
+}
+
+// TestChannelMoveKeepsOneNumbering moves a channel A→B→A the way the
+// router does — export, import at the exported floor, detach — and a
+// fresh channel in with an empty body: every segment is numbered once,
+// in order, wherever it is scored.
+func TestChannelMoveKeepsOneNumbering(t *testing.T) {
+	_, a := openNode(t, testConfig(8, 8))
+	_, b := openNode(t, testConfig(8, 8))
+	actions, audience := testSeries(41, 12)
+	next := 0
+	observeOn := func(srv *wiretest.Server, id string, n int) {
+		t.Helper()
+		var body strings.Builder
+		for i := 0; i < n; i++ {
+			body.WriteString(observeLine(actions[next+i], audience[next+i]) + "\n")
+		}
+		for i, d := range postObserve(t, srv, id, body.String()) {
+			if want := uint64(next + i + 1); d.WSeq != want {
+				t.Fatalf("segment %d of %s numbered %d, want %d", next+i, id, d.WSeq, want)
+			}
+		}
+		next += n
+	}
+	move := func(from, to *wiretest.Server, id string) {
+		t.Helper()
+		blob, floor := exportSnapshot(t, from, id)
+		if floor != fmt.Sprint(next) {
+			t.Fatalf("export of %s after %d segments answers floor %q", id, next, floor)
+		}
+		if code := putSnapshot(t, to, id, bytes.NewReader(blob), floor); code != http.StatusCreated {
+			t.Fatalf("import of %s at %s: status %d, want 201", id, floor, code)
+		}
+		detachChannel(t, from, id)
+	}
+	observeOn(a, "x", 4)
+	move(a, b, "x")
+	observeOn(b, "x", 4)
+	move(b, a, "x")
+	observeOn(a, "x", 4)
+
+	// An empty body attaches a fresh channel at the named floor.
+	if code := putSnapshot(t, b, "fresh", nil, "7"); code != http.StatusCreated {
+		t.Fatalf("fresh import at 7: status %d, want 201", code)
+	}
+	d := postObserve(t, b, "fresh", observeLine(actions[0], audience[0])+"\n")
+	if len(d) != 1 || d[0].WSeq != 8 {
+		t.Fatalf("first segment of a fresh channel attached at 7: %+v, want wseq 8", d)
 	}
 }
 
@@ -719,19 +788,11 @@ func TestChannelSnapshotImportBounded(t *testing.T) {
 	// gob's message-length prefix: byte count negated, then big-endian.
 	prefix := []byte{0xFC, byte(claimed >> 24), byte(claimed >> 16 & 0xFF), byte(claimed >> 8 & 0xFF), byte(claimed & 0xFF)}
 	body := io.MultiReader(bytes.NewReader(prefix), io.LimitReader(zeros{}, claimed))
-	req, err := http.NewRequest(http.MethodPut, srv.URL+"/channels/big/snapshot", body)
+	if code := putSnapshot(t, srv, "big", body, "0"); code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized import status %d, want 413", code)
+	}
+	resp, err := http.Get(srv.URL + "/channels/big/stats")
 	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusRequestEntityTooLarge {
-		t.Fatalf("oversized import status %d, want 413", resp.StatusCode)
-	}
-	if resp, err = http.Get(srv.URL + "/channels/big/stats"); err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()

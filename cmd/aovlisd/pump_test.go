@@ -260,9 +260,9 @@ func TestPumpBothFramings(t *testing.T) {
 					return
 				}
 				conn, resp := dialLive(t, strings.Replace(srv.URL, "http://", "ws://", 1)+"/live/ch",
-					wire.Header{liveplane.LastSeqHeader: []string{"0"}})
+					wire.Header{wire.LastSeqHeader: []string{"0"}})
 				defer conn.Close()
-				if got := resp.Header.Get(liveplane.ResumeHeader); got != fmt.Sprint(inflight) {
+				if got := resp.Header.Get(wire.ResumeHeader); got != fmt.Sprint(inflight) {
 					t.Fatalf("resume floor %q, want %d", got, inflight)
 				}
 				for seq := uint64(1); seq <= inflight; seq++ {

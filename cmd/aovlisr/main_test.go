@@ -228,6 +228,7 @@ func startNode(t *testing.T, bin, model, name, base string) *nodeProc {
 type soakDecision struct {
 	Channel  string  `json:"channel"`
 	Seq      int     `json:"seq"`
+	WSeq     uint64  `json:"wseq"`
 	Anomaly  bool    `json:"anomaly"`
 	Score    float64 `json:"score"`
 	Rejected bool    `json:"rejected"`
@@ -520,9 +521,21 @@ func TestClusterKillNodeSoak(t *testing.T) {
 		}
 		bitEqual++
 	}
+	// One numbering per channel across the kill: every wseq a client sees is
+	// one more than the channel's previous, whichever node scored it.
+	seqgaps := 0
+	for i := range channels {
+		prev := uint64(0)
+		for _, d := range append(phaseA[i], phaseB[i]...) {
+			if d.WSeq != prev+1 {
+				seqgaps++
+			}
+			prev = d.WSeq
+		}
+	}
 	total := nChannels * (k1 + k2)
-	fmt.Printf("SOAK-RESULT channels=%d segments=%d lost=0 bitequal=%d killinflight=%d\n",
-		nChannels, total, bitEqual, len(live))
+	fmt.Printf("SOAK-RESULT channels=%d segments=%d lost=0 bitequal=%d killinflight=%d seqgaps=%d\n",
+		nChannels, total, bitEqual, len(live), seqgaps)
 	if bitEqual != nChannels {
 		t.Fatalf("bit-equal channels %d of %d — tightened WAL failover contract violated", bitEqual, nChannels)
 	}

@@ -1,6 +1,6 @@
 // Gaming-stream moderation (the paper's TWI dataset): a Twitch-style
 // channel with heavy chat. This example exercises the true *live* code
-// path: frames and chat messages arrive one at a time through serve.Ingest,
+// path: frames and chat messages arrive one at a time through feature.Ingest,
 // which segments the frames, attaches each segment's comments and
 // featurises it online — the features the batch pipeline would produce,
 // including the neighbouring segments' comment counts — and the detector
@@ -15,7 +15,6 @@ import (
 
 	"aovlis"
 	"aovlis/internal/feature"
-	"aovlis/internal/serve"
 	"aovlis/internal/stream"
 	"aovlis/internal/synth"
 )
@@ -55,13 +54,13 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	in, err := serve.NewIngest(pipe, stream.Segmenter{})
+	in, err := feature.NewIngest(pipe, stream.Segmenter{})
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	flagged := 0
-	decide := func(obs []serve.Observation) {
+	decide := func(obs []feature.Observation) {
 		for i := range obs {
 			seg := &obs[i].Segment
 			res, err := det.Observe(obs[i].Action, obs[i].Audience)

@@ -30,6 +30,7 @@ import (
 
 	"aovlis"
 	"aovlis/internal/dataset"
+	"aovlis/internal/feature"
 	"aovlis/internal/node"
 	"aovlis/internal/serve"
 	"aovlis/internal/stream"
@@ -124,7 +125,7 @@ func run(channels, shards, trainSec, streamSec, classes, epochs int, seed int64)
 			return fmt.Errorf("%s: %w", id, err)
 		}
 		wg.Add(1)
-		go func(i int, id string, obs []serve.Observation) {
+		go func(i int, id string, obs []feature.Observation) {
 			defer wg.Done()
 			reports[i] = streamChannel(base, id, obs, i == 0)
 		}(i, id, obs)
@@ -158,16 +159,16 @@ func run(channels, shards, trainSec, streamSec, classes, epochs int, seed int64)
 // channelObservations renders one channel's synthetic live feed through
 // the online ingest (frames and chat interleaved in delivery order) into
 // the observation list its WebSocket connection will stream.
-func channelObservations(ds *dataset.Dataset, streamSec int, seed int64) ([]serve.Observation, error) {
+func channelObservations(ds *dataset.Dataset, streamSec int, seed int64) ([]feature.Observation, error) {
 	st, err := synth.Generate(synth.Options{Preset: ds.Config.Preset, DurationSec: streamSec, Seed: seed})
 	if err != nil {
 		return nil, err
 	}
-	in, err := serve.NewIngest(ds.Pipeline, stream.Segmenter{})
+	in, err := feature.NewIngest(ds.Pipeline, stream.Segmenter{})
 	if err != nil {
 		return nil, err
 	}
-	var out []serve.Observation
+	var out []feature.Observation
 	ci := 0
 	for _, f := range st.Frames {
 		frameEnd := float64(f.Index+1) / float64(st.FPS)
@@ -191,7 +192,7 @@ func channelObservations(ds *dataset.Dataset, streamSec int, seed int64) ([]serv
 // streamChannel runs one channel's live session. With demoResume it tears
 // the connection down halfway and reconnects with Last-Seq, picking up
 // from the server's advertised floor — the lossless-reconnect contract.
-func streamChannel(base, id string, obs []serve.Observation, demoResume bool) channelReport {
+func streamChannel(base, id string, obs []feature.Observation, demoResume bool) channelReport {
 	rep := channelReport{id: id}
 	total := uint64(len(obs))
 	cut := total
@@ -220,10 +221,10 @@ func streamChannel(base, id string, obs []serve.Observation, demoResume bool) ch
 // streamLeg opens one WebSocket connection resuming at lastSeq, streams
 // observations from the advertised floor, and reads decisions until seq
 // reaches until. Returns the highest seq seen and the anomaly count.
-func streamLeg(base, id string, obs []serve.Observation, lastSeq, until uint64) (uint64, int, error) {
+func streamLeg(base, id string, obs []feature.Observation, lastSeq, until uint64) (uint64, int, error) {
 	hdr := wire.Header{}
 	if lastSeq > 0 {
-		hdr.Set(liveplane.LastSeqHeader, strconv.FormatUint(lastSeq, 10))
+		hdr.Set(wire.LastSeqHeader, strconv.FormatUint(lastSeq, 10))
 	}
 	conn, resp, err := liveplane.Dial(base+"/live/"+id, hdr)
 	// A reconnect can race the server noticing the previous connection is
@@ -237,9 +238,9 @@ func streamLeg(base, id string, obs []serve.Observation, lastSeq, until uint64) 
 		return lastSeq, 0, fmt.Errorf("dial: %w", err)
 	}
 	defer conn.Close()
-	floor, err := strconv.ParseUint(resp.Header.Get(liveplane.ResumeHeader), 10, 64)
+	floor, err := strconv.ParseUint(resp.Header.Get(wire.ResumeHeader), 10, 64)
 	if err != nil {
-		return lastSeq, 0, fmt.Errorf("bad resume floor %q", resp.Header.Get(liveplane.ResumeHeader))
+		return lastSeq, 0, fmt.Errorf("bad resume floor %q", resp.Header.Get(wire.ResumeHeader))
 	}
 
 	// Writer: everything at or below the floor is already accepted

@@ -268,21 +268,24 @@ func TestNodeClientErrorPaths(t *testing.T) {
 
 	// Export of a channel the node never saw: the "nothing to move"
 	// sentinel, which migration treats as an ownership-flip-only move.
-	if _, err := n.exportSnapshot("ghost"); err != errNoChannelState {
+	if _, _, err := n.exportSnapshot("ghost"); err != errNoChannelState {
 		t.Fatalf("export of missing channel: %v, want errNoChannelState", err)
 	}
 
 	// Import twice: the second PUT is a 409, surfaced with the status.
-	if err := n.putSnapshot("dup", strings.NewReader(`{"id":"dup","observed":3}`)); err != nil {
+	if err := n.putSnapshot("dup", strings.NewReader(`{"id":"dup","observed":3}`), 3); err != nil {
 		t.Fatalf("first import: %v", err)
 	}
-	err := n.putSnapshot("dup", strings.NewReader(`{"id":"dup","observed":3}`))
+	if _, floor, err := n.exportSnapshot("dup"); err != nil || floor != 3 {
+		t.Fatalf("export of an import at 3: floor %d (%v), want 3", floor, err)
+	}
+	err := n.putSnapshot("dup", strings.NewReader(`{"id":"dup","observed":3}`), 3)
 	if err == nil || !strings.Contains(err.Error(), "409") {
 		t.Fatalf("duplicate import: %v, want a 409 error", err)
 	}
 
 	// Mismatched snapshot id: the node's 400 guard travels through.
-	err = n.putSnapshot("eve", strings.NewReader(`{"id":"mallory","observed":1}`))
+	err = n.putSnapshot("eve", strings.NewReader(`{"id":"mallory","observed":1}`), 1)
 	if err == nil || !strings.Contains(err.Error(), "400") {
 		t.Fatalf("mismatched import: %v, want a 400 error", err)
 	}
@@ -308,10 +311,10 @@ func TestNodeClientBrokenNode(t *testing.T) {
 	srv := brokenServer(t)
 	n := newNode(NodeSpec{Name: "b", URL: srv.URL})
 
-	if _, err := n.exportSnapshot("x"); err == nil || !strings.Contains(err.Error(), "500") {
+	if _, _, err := n.exportSnapshot("x"); err == nil || !strings.Contains(err.Error(), "500") {
 		t.Fatalf("export from broken node: %v, want a 500 error", err)
 	}
-	if err := n.putSnapshot("x", strings.NewReader("{}")); err == nil || !strings.Contains(err.Error(), "500") {
+	if err := n.putSnapshot("x", strings.NewReader("{}"), 0); err == nil || !strings.Contains(err.Error(), "500") {
 		t.Fatalf("import into broken node: %v, want a 500 error", err)
 	}
 	if err := n.deleteChannel("x"); err == nil || !strings.Contains(err.Error(), "500") {
@@ -646,7 +649,7 @@ func TestJournalTailStopsAtATombstone(t *testing.T) {
 // as bytes that match the manifest's size and checksum. A checkpoint file
 // changed after the router indexed the dead node's checkpoints (here, while
 // the survivor imports the channel restored before it) fails its checksum,
-// and that channel cold-starts instead of restoring the changed bytes.
+// and that channel is imported fresh instead of restoring the changed bytes.
 func TestFailoverRestoresOnlyVerifiedBytes(t *testing.T) {
 	dir := t.TempDir()
 	victim, survivor := newStubNode(t, "node-a", 1), newStubNode(t, "node-b", 2)
@@ -688,8 +691,8 @@ func TestFailoverRestoresOnlyVerifiedBytes(t *testing.T) {
 	if got := survivor.observedCount(first); got != 3 {
 		t.Fatalf("verified checkpoint restored to position %d, want 3", got)
 	}
-	if survivor.hasChannel(second) || survivor.puts.Load() != 1 {
-		t.Fatalf("a checkpoint changed after indexing was uploaded (position %d, %d imports)",
+	if survivor.observedCount(second) != 0 || survivor.puts.Load() != 2 {
+		t.Fatalf("a checkpoint changed after indexing was uploaded (position %d, %d imports; want a fresh channel, 2 imports)",
 			survivor.observedCount(second), survivor.puts.Load())
 	}
 	for _, id := range []string{first, second} {

@@ -17,8 +17,11 @@ package cluster
 // holding inflight would park every migration forever. The trade: a
 // rebalance or failover that moves the channel does not drain the tunnel;
 // the old connection keeps working until it breaks (or the old owner
-// dies), and the client's reconnect lands on the new owner, whose
-// WAL/snapshot-restored floor makes the resume lossless.
+// dies), and the client's reconnect lands on the new owner, which holds
+// the channel at its exported floor. Until the router terminates /live
+// (ROADMAP item 16) two cases lose verdicts the client holds: those the old
+// owner applies between export and detach, and a failover's, which replays
+// only to the wseq relayed on NDJSON streams (a tunnel is spliced unread).
 
 import (
 	"bufio"
@@ -192,7 +195,7 @@ func (r *Router) relayWatch(ctx context.Context, n *Node, rawQuery string, block
 	if rawQuery != "" {
 		path += "?" + rawQuery
 	}
-	resp, err := n.send(ctx, wire.MethodGet, path, nil)
+	resp, err := n.send(ctx, wire.MethodGet, path, nil, nil)
 	if err != nil {
 		return
 	}

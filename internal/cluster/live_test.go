@@ -29,16 +29,16 @@ import (
 func (s *stubNode) handleLive(w wire.ResponseWriter, r *wire.Request) {
 	id := strings.TrimPrefix(r.URL.Path, "/live/")
 	if s.reject.Load() {
-		w.Header().Set(liveplane.ResumeHeader, "0")
+		w.Header().Set(wire.ResumeHeader, "0")
 		wire.Error(w, "stream busy", http.StatusConflict)
 		return
 	}
 	hdr := wire.Header{}
-	floor := r.Header.Get(liveplane.LastSeqHeader)
+	floor := r.Header.Get(wire.LastSeqHeader)
 	if floor == "" {
 		floor = "0"
 	}
-	hdr.Set(liveplane.ResumeHeader, floor)
+	hdr.Set(wire.ResumeHeader, floor)
 	conn, err := liveplane.Upgrade(w, r, &liveplane.Options{Header: hdr})
 	if err != nil {
 		return
@@ -129,12 +129,12 @@ func TestRouterLiveTunnel(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		id := fmt.Sprintf("live-%d", i)
 		hdr := wire.Header{}
-		hdr.Set(liveplane.LastSeqHeader, "3")
+		hdr.Set(wire.LastSeqHeader, "3")
 		conn, resp, err := liveplane.Dial(srv.URL+"/live/"+id, hdr)
 		if err != nil {
 			t.Fatalf("dial %s through router: %v", id, err)
 		}
-		if got := resp.Header.Get(liveplane.ResumeHeader); got != "3" {
+		if got := resp.Header.Get(wire.ResumeHeader); got != "3" {
 			t.Fatalf("channel %s: resume floor %q did not travel the tunnel, want %q", id, got, "3")
 		}
 		if err := conn.WriteMessage(liveplane.OpText, []byte("ping")); err != nil {
@@ -185,7 +185,7 @@ func TestRouterLiveRefusalRelay(t *testing.T) {
 	if resp == nil || resp.StatusCode != http.StatusConflict {
 		t.Fatalf("refusal status = %v, want 409 relayed verbatim", resp)
 	}
-	if got := resp.Header.Get(liveplane.ResumeHeader); got != "0" {
+	if got := resp.Header.Get(wire.ResumeHeader); got != "0" {
 		t.Fatalf("refusal resume floor %q, want %q", got, "0")
 	}
 }

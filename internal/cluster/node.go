@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"net/url"
 	"slices"
 	"strconv"
@@ -333,21 +334,23 @@ func (p *prober) close() {
 	}
 }
 
-// send makes one request to the node on a connection of its own (wire.Do);
-// ctx bounds it through the last byte of the response body.
-func (n *Node) send(ctx context.Context, method, path string, body io.Reader) (*wire.Response, error) {
+// send makes one request, with the fields of hdr, to the node on a
+// connection of its own (wire.Do); ctx bounds it through the last byte of
+// the response body.
+func (n *Node) send(ctx context.Context, method, path string, body io.Reader, hdr wire.Header) (*wire.Response, error) {
 	req, err := wire.NewRequest(method, n.Spec.URL+path, body)
 	if err != nil {
 		return nil, err
 	}
+	maps.Copy(req.Header, hdr)
 	return wire.Do(ctx, nil, req)
 }
 
 // within is send under a deadline d from now, which closing the response
 // body releases.
-func (n *Node) within(d time.Duration, method, path string, body io.Reader) (*wire.Response, error) {
+func (n *Node) within(d time.Duration, method, path string, body io.Reader, hdr wire.Header) (*wire.Response, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), d)
-	resp, err := n.send(ctx, method, path, body)
+	resp, err := n.send(ctx, method, path, body, hdr)
 	if err != nil {
 		cancel()
 		return nil, err
@@ -368,29 +371,36 @@ func (b cancelOnClose) Close() error {
 	return err
 }
 
-// exportSnapshot opens the channel's export stream (GET snapshot). The
-// caller owns the returned body. A 404 is surfaced as errNoChannelState so
-// migration can treat "nothing to move" as success.
-func (n *Node) exportSnapshot(id string) (io.ReadCloser, error) {
-	resp, err := n.within(n.adminWait, wire.MethodGet, "/channels/"+url.PathEscape(id)+"/snapshot", nil)
+// exportSnapshot opens the channel's export stream (GET snapshot), with the
+// floor it covers. The caller owns the returned body. A 404 is surfaced as
+// errNoChannelState so migration can treat "nothing to move" as success.
+func (n *Node) exportSnapshot(id string) (io.ReadCloser, uint64, error) {
+	resp, err := n.within(n.adminWait, wire.MethodGet, "/channels/"+url.PathEscape(id)+"/snapshot", nil, nil)
 	if err != nil {
-		return nil, fmt.Errorf("cluster: exporting %q from %s: %w", id, n.Spec.Name, err)
+		return nil, 0, fmt.Errorf("cluster: exporting %q from %s: %w", id, n.Spec.Name, err)
 	}
 	switch resp.StatusCode {
 	case wire.StatusOK:
-		return resp.Body, nil
+		floor, err := strconv.ParseUint(resp.Header.Get(wire.ResumeHeader), 10, 64)
+		if err != nil {
+			resp.Body.Close()
+			return nil, 0, fmt.Errorf("cluster: exporting %q from %s: no floor: %w", id, n.Spec.Name, err)
+		}
+		return resp.Body, floor, nil
 	case wire.StatusNotFound:
 		resp.Body.Close()
-		return nil, errNoChannelState
+		return nil, 0, errNoChannelState
 	default:
 		msg := readErrorBody(resp.Body)
-		return nil, fmt.Errorf("cluster: exporting %q from %s: status %d: %s", id, n.Spec.Name, resp.StatusCode, msg)
+		return nil, 0, fmt.Errorf("cluster: exporting %q from %s: status %d: %s", id, n.Spec.Name, resp.StatusCode, msg)
 	}
 }
 
-// putSnapshot imports a channel snapshot stream (PUT snapshot).
-func (n *Node) putSnapshot(id string, body io.Reader) error {
-	resp, err := n.within(n.adminWait, wire.MethodPut, "/channels/"+url.PathEscape(id)+"/snapshot", body)
+// putSnapshot imports a channel snapshot stream (PUT snapshot), or an empty
+// body for a fresh channel, at the sequence seq.
+func (n *Node) putSnapshot(id string, body io.Reader, seq uint64) error {
+	resp, err := n.within(n.adminWait, wire.MethodPut, "/channels/"+url.PathEscape(id)+"/snapshot", body,
+		wire.Header{wire.ResumeHeader: {strconv.FormatUint(seq, 10)}})
 	if err != nil {
 		return fmt.Errorf("cluster: importing %q into %s: %w", id, n.Spec.Name, err)
 	}
@@ -407,18 +417,16 @@ func (n *Node) putSnapshot(id string, body io.Reader) error {
 // half of failover journal replay. The request is written concurrently
 // with the response read (the node pipelines decisions), the whole
 // exchange runs under one adminWait deadline, and every record must come
-// back as a scored decision: a rejected or errored line fails the replay,
-// because a partially applied journal tail would silently break the
-// bit-equal contract the replay exists to restore.
-// Returns the count of applied records and the highest wseq the node
-// assigned them (the NEW owner's journal numbering — it reseeds the relay
-// tracker so a subsequent failover of this node replays them again).
-func (n *Node) replayObservations(id string, recs []wal.Record) (int, uint64, error) {
+// back scored at its own sequence: a rejected, errored or renumbered line
+// fails the replay, because a partially applied journal tail would
+// silently break the bit-equal contract the replay exists to restore.
+// Returns the count of applied records.
+func (n *Node) replayObservations(id string, recs []wal.Record) (int, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), n.adminWait)
 	defer cancel()
 	s, err := wire.OpenStream(ctx, nil, n.observeURL(id))
 	if err != nil {
-		return 0, 0, fmt.Errorf("cluster: replaying journal of %q into %s: %w", id, n.Spec.Name, err)
+		return 0, fmt.Errorf("cluster: replaying journal of %q into %s: %w", id, n.Spec.Name, err)
 	}
 	defer s.Abort() // also ends the writer, should the reader give up first
 	writeErr := make(chan error, 1)
@@ -437,38 +445,40 @@ func (n *Node) replayObservations(id string, recs []wal.Record) (int, uint64, er
 		}
 		writeErr <- s.CloseSend()
 	}()
-	applied, maxW := 0, uint64(0)
+	applied := 0
 	for {
 		line, err := s.Next()
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
-			return applied, maxW, fmt.Errorf("cluster: replaying journal of %q into %s: %w", id, n.Spec.Name, err)
+			return applied, fmt.Errorf("cluster: replaying journal of %q into %s: %w", id, n.Spec.Name, err)
 		}
 		var d wire.Decision
 		if err := wire.DecodeDecision(line, &d); err != nil {
-			return applied, maxW, fmt.Errorf("cluster: bad replay decision from %s: %w", n.Spec.Name, err)
+			return applied, fmt.Errorf("cluster: bad replay decision from %s: %w", n.Spec.Name, err)
 		}
 		if !d.Verdict() {
-			return applied, maxW, fmt.Errorf("cluster: node %s did not score replayed segment %d of %q: %s", n.Spec.Name, d.Seq, id, line)
+			return applied, fmt.Errorf("cluster: node %s did not score replayed segment %d of %q: %s", n.Spec.Name, d.Seq, id, line)
+		}
+		if applied >= len(recs) || d.WSeq != recs[applied].Seq {
+			return applied, fmt.Errorf("cluster: node %s numbered replayed segment %d of %q as %d, not its journaled sequence", n.Spec.Name, d.Seq, id, d.WSeq)
 		}
 		applied++
-		maxW = max(maxW, d.WSeq)
 	}
 	if werr := <-writeErr; werr != nil {
-		return applied, maxW, fmt.Errorf("cluster: writing replay stream of %q to %s: %w", id, n.Spec.Name, werr)
+		return applied, fmt.Errorf("cluster: writing replay stream of %q to %s: %w", id, n.Spec.Name, werr)
 	}
 	if applied != len(recs) {
-		return applied, maxW, fmt.Errorf("cluster: node %s answered %d of %d replayed records of %q", n.Spec.Name, applied, len(recs), id)
+		return applied, fmt.Errorf("cluster: node %s answered %d of %d replayed records of %q", n.Spec.Name, applied, len(recs), id)
 	}
-	return applied, maxW, nil
+	return applied, nil
 }
 
 // deleteChannel detaches a channel from the node. 404 counts as success
 // (the desired end state holds).
 func (n *Node) deleteChannel(id string) error {
-	resp, err := n.within(n.adminWait, wire.MethodDelete, "/channels/"+url.PathEscape(id), nil)
+	resp, err := n.within(n.adminWait, wire.MethodDelete, "/channels/"+url.PathEscape(id), nil, nil)
 	if err != nil {
 		return fmt.Errorf("cluster: detaching %q from %s: %w", id, n.Spec.Name, err)
 	}

@@ -324,10 +324,11 @@ func TestProbeSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// accepts counts the allocations made in proxyStream.accept, the line
-// buffers a routed stream makes, over the process's life so far. It wants
+// allocsIn counts the allocations made in the function whose name ends in
+// fn itself (not in what it calls), over the process's life so far: in proxyStream.accept they are the line buffers a routed stream
+// makes, in wire.Feed's goroutine those its two feeders make. It wants
 // runtime.MemProfileRate = 1 from before the first of them.
-func accepts() int64 {
+func allocsIn(fn string) int64 {
 	runtime.GC()
 	runtime.GC() // the profile publishes at the end of a cycle
 	var recs []runtime.MemProfileRecord
@@ -340,16 +341,13 @@ func accepts() int64 {
 	}
 	var total int64
 	for _, rec := range recs {
-		frames := runtime.CallersFrames(rec.Stack())
-		for {
-			f, more := frames.Next()
-			if strings.HasSuffix(f.Function, ".(*proxyStream).accept") {
-				total += rec.AllocObjects
-				break
-			}
-			if !more {
-				break
-			}
+		// The profile drops the allocator's own frames, and an append's
+		// growslice with them: the allocation is fn's when fn is the first
+		// frame, and another function's (the runtime's, say, a select's
+		// sudog) otherwise.
+		f, _ := runtime.CallersFrames(rec.Stack()).Next()
+		if strings.HasSuffix(f.Function, fn) {
+			total += rec.AllocObjects
 		}
 	}
 	return total
@@ -357,8 +355,8 @@ func accepts() int64 {
 
 // TestRoutedStreamBuffersOnlyLinesInFlight: a stream through a 32-slot
 // window whose client keeps at most k lines outstanding, over six windows
-// of traffic, makes at most k line buffers (plus the client feed's depth),
-// not one per slot.
+// of traffic, makes at most k + 2 line buffers, and its acknowledgement
+// relay at most k + 2 decision-line buffers, not one per slot.
 func TestRoutedStreamBuffersOnlyLinesInFlight(t *testing.T) {
 	const window, k, lines = 32, 4, 6 * 32
 	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
@@ -369,7 +367,7 @@ func TestRoutedStreamBuffersOnlyLinesInFlight(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Abort()
-	before := accepts()
+	before, fed := allocsIn(".(*proxyStream).accept"), allocsIn("wire.Feed.func1")
 	line := []byte(obsLine(0.5) + "\n")
 	sent, answered := 0, 0
 	for answered < lines {
@@ -395,9 +393,16 @@ func TestRoutedStreamBuffersOnlyLinesInFlight(t *testing.T) {
 	if _, err := s.Next(); err != io.EOF {
 		t.Fatalf("end of stream: %v, want io.EOF", err)
 	}
-	if made := accepts() - before; made > k+2 {
+	if made := allocsIn(".(*proxyStream).accept") - before; made > k+2 {
 		t.Fatalf("%d lines, at most %d in flight, made %d line buffers; want at most %d", lines, k, made, k+2)
 	} else {
 		t.Logf("%d lines, at most %d in flight: %d line buffers made", lines, k, made)
+	}
+	// The acknowledgement relay is held to the same k + 2 (its depth is the
+	// window's, 34), beside the client feed's fixed depth of 2.
+	if made := allocsIn("wire.Feed.func1") - fed; made > k+2+2 {
+		t.Fatalf("%d lines, at most %d in flight: the feeders made %d buffers; want at most %d for the relay and 2 for the client feed", lines, k, made, k+2)
+	} else {
+		t.Logf("%d lines, at most %d in flight: the feeders made %d buffers", lines, k, made)
 	}
 }

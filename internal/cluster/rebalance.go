@@ -66,8 +66,9 @@ func (mv Move) writeJSON(j *wire.JSON) {
 //	           once inflight = 0, so everything accepted so far is inside
 //	           the export)
 //	export   — GET /channels/{id}/snapshot from the old owner (quiesces
-//	           the channel server-side)
-//	import   — PUT /channels/{id}/snapshot on the new owner (the id-match
+//	           the channel server-side; answers its applied floor)
+//	import   — PUT /channels/{id}/snapshot on the new owner at that floor,
+//	           so the channel numbers on where it stopped (the id-match
 //	           guard in serve.DecodeSnapshot makes crossed streams a 400,
 //	           not silent state corruption)
 //	detach   — DELETE /channels/{id} on the old owner
@@ -129,7 +130,7 @@ func (r *Router) moveChannel(e *entry, to *Node) Move {
 	r.m.drainWait.Observe(time.Since(drainStart).Seconds())
 	mv := Move{Channel: e.id, From: from.Spec.Name, To: to.Spec.Name}
 
-	export, err := from.exportSnapshot(e.id)
+	export, floor, err := from.exportSnapshot(e.id)
 	switch {
 	case err == errNoChannelState:
 		// Nothing to carry: the flip alone completes the move and the new
@@ -143,7 +144,7 @@ func (r *Router) moveChannel(e *entry, to *Node) Move {
 		mv.Error = err.Error()
 		return mv
 	}
-	err = to.putSnapshot(e.id, export)
+	err = to.putSnapshot(e.id, export, floor)
 	export.Close()
 	if err != nil {
 		e.finishMigrate(nil)
@@ -164,33 +165,25 @@ func (r *Router) moveChannel(e *entry, to *Node) Move {
 }
 
 // FailNode marks a node dead and re-places every channel it owned onto
-// the survivors. For each channel the router first warm-restores the last
-// checkpoint from the dead node's shared -snapshot-dir (when configured
-// and the manifest names the channel; the upload is the bytes
-// manifest.ReadEntry returns, so only bytes that match the manifest's size
-// and checksum restore), then — when the dead node's -wal-dir is shared
-// too — replays the journal suffix between the checkpoint's floor and the
-// highest wseq the router relayed for the channel onto the new owner, and
-// only THEN flips ownership — so a parked
-// stream that rotates onto the new owner finds the reconstructed window
-// rather than racing the restore. Channels without a usable checkpoint
-// cold-start from the node template on the new owner (unless their entire
-// history is still in the journal, which replays them whole).
+// the survivors, each imported at the sequence its state covers so it
+// keeps one numbering: its last checkpoint in the dead node's shared
+// -snapshot-dir at its WALSeq (only bytes that match the manifest's size
+// and checksum, as manifest.ReadEntry returns them), or else a fresh
+// channel at its tombstone or 0. With the dead node's -wal-dir shared too,
+// the journal suffix between that floor and the highest wseq the router
+// relayed replays onto the new owner at its own sequences, and only THEN
+// does ownership flip, so a rotating stream finds the reconstructed window.
 //
-// Unlike a rebalance there is no drain — the dead node can acknowledge
-// nothing — so ownership flips forcibly: streams detect the bumped epoch
-// (or their broken connection) and resubmit every unacknowledged segment
-// to the new owner. The relayed-wseq bound is what makes that compose to
-// exactly-once: everything at or below it was delivered to a client (so
-// no stream resubmits it — the replay is its only application), and
-// everything above it is resubmitted (so the replay must not touch it).
-// Channels whose replay completes therefore resume bit-equal to an
-// undisturbed run: a node journals only what it scores (a full queue
-// waits, and admission refuses before the journal), so the contiguous
-// tail holds no segment the live run skipped. Without a shared WAL, or if
-// the replay fails, the bound degrades to the previous contract:
-// at-least-last-checkpoint, with the acknowledged post-checkpoint tail
-// lost from model state.
+// There is no drain — the dead node can acknowledge nothing — so streams
+// resubmit every unacknowledged segment to the new owner. The relayed
+// bound makes that exactly-once: everything at or below it was delivered
+// (the replay is its only application), everything above it is resubmitted
+// (the replay must not touch it). A completed replay therefore resumes
+// bit-equal to an undisturbed run, numbered on from the bound: a node
+// journals only what it scores. Without a shared WAL, or if the tail
+// cannot replay, the channel degrades to at-least-last-checkpoint, imported
+// at the highest sequence the router saw for it, so that no sequence is
+// handed out twice.
 func (r *Router) FailNode(name string) error {
 	r.topoMu.Lock()
 	defer r.topoMu.Unlock()
@@ -248,41 +241,37 @@ func (r *Router) FailNode(name string) error {
 			// one's history starts after the tombstone.
 			hasCkpt, floors[id] = false, seq
 		}
-		restored := false
+		var snap []byte
 		if hasCkpt {
-			b, err := manifest.ReadEntry(n.Spec.SnapshotDir, ce)
-			if err == nil {
-				err = to.putSnapshot(id, bytes.NewReader(b))
-			}
-			if err != nil {
-				r.cfg.Logf("cluster: failover restore of %q onto %s: %v (cold start)", id, to.Spec.Name, err)
-			} else {
-				restored = true
-				warm++
-				r.m.restored.Inc()
+			if snap, err = manifest.ReadEntry(n.Spec.SnapshotDir, ce); err != nil {
+				r.cfg.Logf("cluster: failover restore of %q: %v (cold start)", id, err)
 			}
 		}
-		// Journal replay: re-apply the acknowledged-and-delivered suffix
-		// before the flip, so a rotating stream's resubmissions land on
-		// fully reconstructed state. A failed replay leaves the channel at
-		// its checkpoint — the pre-WAL contract, never worse.
-		var reseed uint64
-		if recs := r.replayableTail(id, tails[id], entries[id].wseq.Load(), floors[id], restored, hasCkpt); len(recs) > 0 {
-			if _, maxW, err := to.replayObservations(id, recs); err != nil {
+		wseq, floor, tail := entries[id].wseq.Load(), floors[id], tails[id]
+		recs := r.replayableTail(id, tail, wseq, floor, snap != nil, hasCkpt)
+		seq := floor
+		if len(recs) == 0 && (wseq > floor || hasCkpt && snap == nil) {
+			seq = max(floor, wseq)
+			if len(tail) > 0 {
+				seq = max(seq, tail[len(tail)-1].Seq)
+			}
+		}
+		if err := to.putSnapshot(id, bytes.NewReader(snap), seq); err != nil {
+			r.cfg.Logf("cluster: failover restore of %q onto %s at seq %d: %v (cold start)", id, to.Spec.Name, seq, err)
+			recs = nil
+		} else if snap != nil {
+			warm++
+			r.m.restored.Inc()
+		}
+		if len(recs) > 0 {
+			if _, err := to.replayObservations(id, recs); err != nil {
 				r.cfg.Logf("cluster: failover journal replay of %q onto %s: %v (resuming at last checkpoint)", id, to.Spec.Name, err)
 			} else {
 				replayed += len(recs)
 				r.m.walReplayed.Add(uint64(len(recs)))
-				reseed = maxW
 			}
 		}
 		entries[id].forceFlip(to)
-		if reseed > 0 {
-			// The replayed records now live in the NEW owner's journal under
-			// its own numbering; reseed the relay tracker (post-flip, so the
-			// reset cannot clobber it) for a future failover of that owner.
-			entries[id].noteWseq(reseed)
-		}
 		r.m.failedOver.Inc()
 	}
 	r.cfg.Logf("cluster: node %s failed over: %d channels re-placed (%d warm, %d cold, %d observations replayed)",

@@ -413,7 +413,7 @@ func (r *Router) handleChannels(w wire.ResponseWriter, req *wire.Request) {
 		if !n.Alive() {
 			continue
 		}
-		resp, err := n.send(req.Context(), wire.MethodGet, "/channels", nil)
+		resp, err := n.send(req.Context(), wire.MethodGet, "/channels", nil, nil)
 		if err != nil {
 			continue
 		}
@@ -508,7 +508,7 @@ func (r *Router) handleChannel(w wire.ResponseWriter, req *wire.Request) {
 			return
 		}
 		owner, _, _ := e.state()
-		resp, err := owner.send(req.Context(), wire.MethodGet, "/channels/"+url.PathEscape(id)+"/stats", nil)
+		resp, err := owner.send(req.Context(), wire.MethodGet, "/channels/"+url.PathEscape(id)+"/stats", nil, nil)
 		if err != nil {
 			wire.Error(w, err.Error(), wire.StatusBadGateway)
 			return

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -53,7 +54,14 @@ type stubNode struct {
 
 type stubChannel struct {
 	observed int
+	// at is the sequence the channel was imported at (0 when an observe
+	// created it); its floor, which an export answers, is at+observed
+	// less the observed count it was imported with.
+	at, imported int
 }
+
+// floor is the channel's applied sequence.
+func (c *stubChannel) floor() int { return c.at + c.observed - c.imported }
 
 // stubState is the stub's "snapshot" wire format: JSON, opaque to the
 // router, carrying the counter that proves state continuity.
@@ -223,6 +231,7 @@ func (s *stubNode) handleSnapshot(w wire.ResponseWriter, r *wire.Request, id str
 			wire.Error(w, "unknown channel", http.StatusNotFound)
 			return
 		}
+		w.Header().Set(wire.ResumeHeader, strconv.Itoa(c.floor()))
 		json.NewEncoder(w).Encode(stubState{ID: id, Observed: c.observed})
 	case http.MethodPut:
 		s.puts.Add(1)
@@ -236,8 +245,15 @@ func (s *stubNode) handleSnapshot(w wire.ResponseWriter, r *wire.Request, id str
 			wire.Error(w, "import refused", code)
 			return
 		}
+		// Mirror the daemon's import: the floor is required, and an empty
+		// body is a fresh channel there.
+		at, err := strconv.ParseUint(r.Header.Get(wire.ResumeHeader), 10, 64)
+		if err != nil {
+			wire.Error(w, "import wants "+wire.ResumeHeader, http.StatusBadRequest)
+			return
+		}
 		var st stubState
-		if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&st); err != nil {
+		if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&st); err != nil && err != io.EOF {
 			wire.Error(w, "bad snapshot: "+err.Error(), http.StatusBadRequest)
 			return
 		}
@@ -250,7 +266,7 @@ func (s *stubNode) handleSnapshot(w wire.ResponseWriter, r *wire.Request, id str
 		s.mu.Lock()
 		_, exists := s.channels[id]
 		if !exists {
-			s.channels[id] = &stubChannel{observed: st.Observed}
+			s.channels[id] = &stubChannel{observed: st.Observed, at: int(at), imported: st.Observed}
 		}
 		s.mu.Unlock()
 		if exists {

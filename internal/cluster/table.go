@@ -37,10 +37,9 @@ type entry struct {
 	// replay from the dead owner's journal: everything at or below it was
 	// acknowledged AND delivered (so no stream will resubmit it), and
 	// everything above it is still pending in some stream's window (so the
-	// stream resubmits it to the new owner). Sequences are node-local, so
-	// the tracker resets on every ownership flip and is reseeded from the
-	// replay's own decisions. Only a journal the router can read (the
-	// node's shared -wal-dir) turns it into a replay.
+	// stream resubmits it to the new owner). A channel keeps one numbering
+	// across owners, so the mark outlives ownership flips. Only a journal
+	// the router can read (the node's shared -wal-dir) turns it into a replay.
 	wseq atomic.Uint64
 }
 
@@ -132,7 +131,6 @@ func (e *entry) finishMigrate(newOwner *Node) {
 		newOwner.owned.Add(1)
 		e.owner = newOwner
 		e.epoch++
-		e.wseq.Store(0) // sequences are node-local; new owner, new domain
 	}
 	e.migrating = false
 	e.cond.Broadcast()
@@ -150,7 +148,6 @@ func (e *entry) forceFlip(newOwner *Node) {
 	newOwner.owned.Add(1)
 	e.owner = newOwner
 	e.epoch++
-	e.wseq.Store(0) // sequences are node-local; new owner, new domain
 	e.migrating = false
 	e.cond.Broadcast()
 	e.mu.Unlock()

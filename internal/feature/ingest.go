@@ -2,7 +2,7 @@
 // channel. An Ingest owns a stream.LiveSegmenter and a per-channel clone of
 // the fitted feature pipeline, consumes raw frames and comments in stream
 // order, and emits aligned (action, audience) feature pairs ready for
-// DetectorPool.Observe — the same features the batch pipeline would have
+// serve.DetectorPool.Observe — the same features the batch pipeline would have
 // produced, computed incrementally in O(1) amortised work per second of
 // stream (the windowed count series D_t is maintained incrementally rather
 // than recomputed).
@@ -15,7 +15,8 @@
 // window closes. Comments must be pushed no later than the frame that
 // closes their second; later arrivals are ignored for already-emitted
 // segments (the online lateness policy).
-package serve
+
+package feature
 
 import (
 	"fmt"
@@ -23,7 +24,6 @@ import (
 	"sort"
 
 	"aovlis/internal/comments"
-	"aovlis/internal/feature"
 	"aovlis/internal/stream"
 )
 
@@ -39,9 +39,9 @@ type Observation struct {
 // Ingest converts one channel's raw frame/comment stream into feature
 // pairs. It is a single-writer object like the Detector: confine each
 // Ingest to one goroutine (typically the connection or channel goroutine
-// that also calls DetectorPool.Observe).
+// that also calls serve.DetectorPool.Observe).
 type Ingest struct {
-	pipe *feature.Pipeline
+	pipe *Pipeline
 	live *stream.LiveSegmenter
 	seg  stream.Segmenter
 
@@ -69,9 +69,9 @@ type Ingest struct {
 // reference is frozen); the Ingest clones the audience featurizer so any
 // number of channels may share one fitted pipeline. A zero Segmenter
 // selects the paper's defaults.
-func NewIngest(pipe *feature.Pipeline, seg stream.Segmenter) (*Ingest, error) {
+func NewIngest(pipe *Pipeline, seg stream.Segmenter) (*Ingest, error) {
 	if pipe == nil || pipe.I3D == nil || pipe.Audience == nil {
-		return nil, fmt.Errorf("serve: ingest needs a complete feature pipeline")
+		return nil, fmt.Errorf("feature: ingest needs a complete feature pipeline")
 	}
 	if seg == (stream.Segmenter{}) {
 		seg = stream.NewSegmenter()
@@ -206,7 +206,7 @@ func (in *Ingest) emit(next *stream.Segment) (Observation, error) {
 
 	action, err := in.pipe.I3D.Extract(&seg)
 	if err != nil {
-		return Observation{}, fmt.Errorf("serve: ingest segment %d: %w", seg.Index, err)
+		return Observation{}, fmt.Errorf("feature: ingest segment %d: %w", seg.Index, err)
 	}
 	audience := in.pipe.Audience.ExtractOne(&seg, in.prev, next, in.windowed, in.secBase)
 

@@ -1,4 +1,4 @@
-package serve
+package feature_test
 
 import (
 	"math"
@@ -12,24 +12,24 @@ import (
 )
 
 func TestNewIngestValidation(t *testing.T) {
-	if _, err := NewIngest(nil, stream.Segmenter{}); err == nil {
+	if _, err := feature.NewIngest(nil, stream.Segmenter{}); err == nil {
 		t.Fatal("nil pipeline accepted")
 	}
-	if _, err := NewIngest(&feature.Pipeline{}, stream.Segmenter{}); err == nil {
+	if _, err := feature.NewIngest(&feature.Pipeline{}, stream.Segmenter{}); err == nil {
 		t.Fatal("incomplete pipeline accepted")
 	}
 	pipe, err := feature.NewPipeline(8, 4, feature.DefaultAudienceConfig(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	in, err := NewIngest(pipe, stream.Segmenter{})
+	in, err := feature.NewIngest(pipe, stream.Segmenter{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if in.seg.Size != stream.DefaultSegmentFrames || in.seg.FPS != stream.DefaultFPS {
-		t.Fatalf("zero segmenter did not default: %+v", in.seg)
+	if seg := feature.IngestSegmenter(in); seg.Size != stream.DefaultSegmentFrames || seg.FPS != stream.DefaultFPS {
+		t.Fatalf("zero segmenter did not default: %+v", seg)
 	}
-	if _, err := NewIngest(pipe, stream.Segmenter{Size: -1, Stride: 1, FPS: 1}); err == nil {
+	if _, err := feature.NewIngest(pipe, stream.Segmenter{Size: -1, Stride: 1, FPS: 1}); err == nil {
 		t.Fatal("invalid segmenter accepted")
 	}
 }
@@ -37,9 +37,9 @@ func TestNewIngestValidation(t *testing.T) {
 // replay pushes a generated stream through an Ingest in live order:
 // comments are delivered just before the frame that closes their second,
 // the way a chat feed interleaves with video in a real ingest loop.
-func replay(t *testing.T, in *Ingest, st *synth.Stream) []Observation {
+func replay(t *testing.T, in *feature.Ingest, st *synth.Stream) []feature.Observation {
 	t.Helper()
-	var out []Observation
+	var out []feature.Observation
 	ci := 0
 	for _, f := range st.Frames {
 		frameEnd := float64(f.Index+1) / float64(st.FPS)
@@ -94,7 +94,7 @@ func testIngestParity(t *testing.T, acfg feature.AudienceConfig) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	in, err := NewIngest(ds.Pipeline, stream.Segmenter{})
+	in, err := feature.NewIngest(ds.Pipeline, stream.Segmenter{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,8 +116,8 @@ func testIngestParity(t *testing.T, acfg feature.AudienceConfig) {
 	// Long-stream memory bound: the count series and comment backlog are
 	// trimmed as segments emit, staying a few seconds long rather than
 	// growing with stream duration.
-	if len(in.counts) > 30 || len(in.windowed) > 30 {
-		t.Fatalf("count series not trimmed: %d seconds retained of a %ds stream", len(in.counts), cfg.TestSec)
+	if counts, windowed := feature.IngestRetained(in); counts > 30 || windowed > 30 {
+		t.Fatalf("count series not trimmed: %d seconds retained of a %ds stream", counts, cfg.TestSec)
 	}
 }
 
@@ -141,7 +141,7 @@ func TestIngestEmissionLag(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	in, err := NewIngest(pipe, stream.Segmenter{})
+	in, err := feature.NewIngest(pipe, stream.Segmenter{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +180,7 @@ func TestIngestOutOfOrderComments(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	in, err := NewIngest(pipe, stream.Segmenter{})
+	in, err := feature.NewIngest(pipe, stream.Segmenter{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +188,7 @@ func TestIngestOutOfOrderComments(t *testing.T) {
 	in.PushComment(comments.Comment{AtSec: 0.5, Text: "hello"}) // late
 	in.PushComment(comments.Comment{AtSec: -3, Text: "dropped"})
 	desc := []float64{0.1, 0.2, 0.3, 0.4}
-	var all []Observation
+	var all []feature.Observation
 	for i := 0; i < stream.DefaultFPS*10; i++ {
 		obs, err := in.PushFrame(stream.Frame{Index: i, Descriptor: desc})
 		if err != nil {

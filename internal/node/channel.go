@@ -20,17 +20,17 @@ var errChannelLimit = errors.New("channel limit reached")
 // upload, decoded and dropped, registers none.
 var errForeignConfig = errors.New("snapshot's model configuration is not the node's")
 
-// attach is where a channel begins. With a nil snap it ensures id exists —
-// the first observe on either plane and the journal replay come through
-// here — attaching a fresh clone of the template: its weights shared
-// copy-on-write until it first retrains, a fresh optimiser, the template's
-// τ. On a continual node the template is the base the absorb loop moves,
-// so a fresh channel starts from what its peers learned. With a snapshot
-// stream it attaches the channel restored from it (the receive half of a
-// migration) and fails if id is already attached or the restored model's
-// configuration is not the template's; a refused upload attaches and
-// journals nothing.
-func (n *Node) attach(id string, snap io.Reader) error {
+// attach is where a channel begins, numbered on from seq (serve.AttachAt).
+// With a nil snap it ensures id exists — the first observe on either plane,
+// the journal replay and an empty import come through here — attaching a
+// fresh clone of the template: its weights shared copy-on-write until it first
+// retrains, a fresh optimiser, the template's τ. On a continual node the
+// template is the base the absorb loop moves, so a fresh channel starts
+// from what its peers learned. With a snapshot stream it attaches the
+// channel restored from it (the receive half of a migration) and fails if
+// id is already attached or the restored model's configuration is not the
+// template's; a refused upload attaches and journals nothing.
+func (n *Node) attach(id string, snap io.Reader, seq uint64) error {
 	n.attachMu.Lock()
 	defer n.attachMu.Unlock()
 	if snap == nil {
@@ -49,7 +49,7 @@ func (n *Node) attach(id string, snap io.Reader) error {
 		if got, want := det.Model().Config(), n.template.Model().Config(); got != want {
 			return fmt.Errorf("%w: got %+v, want %+v", errForeignConfig, got, want)
 		}
-		return n.pool.Attach(id, det)
+		return n.pool.AttachAt(id, det, seq)
 	}
 	n.templateMu.Lock()
 	det, err := n.template.Clone()
@@ -57,12 +57,12 @@ func (n *Node) attach(id string, snap io.Reader) error {
 	if err != nil {
 		return err
 	}
-	return n.pool.Attach(id, det)
+	return n.pool.AttachAt(id, det, seq)
 }
 
-// ensure is attach without a snapshot, in the shape the ingest planes'
-// pre-stream step takes.
-func (n *Node) ensure(id string) error { return n.attach(id, nil) }
+// ensure is attach without a snapshot at sequence 0, in the shape the
+// ingest planes' pre-stream step takes.
+func (n *Node) ensure(id string) error { return n.attach(id, nil, 0) }
 
 // detach is where a channel ends — the last step of a router-driven
 // migration: the new owner holds the imported state, so the old copy must

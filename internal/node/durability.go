@@ -72,7 +72,7 @@ func (n *Node) openWAL(floors map[string]uint64) error {
 			}
 			return nil
 		}
-		if err := n.attach(r.Channel, nil); err != nil {
+		if err := n.attach(r.Channel, nil, 0); err != nil {
 			return fmt.Errorf("recreating channel %s: %w", r.Channel, err)
 		}
 		if _, err := n.pool.ReplayObserve(r.Channel, r.Seq, r.Action, r.Audience); err != nil {
@@ -84,13 +84,8 @@ func (n *Node) openWAL(floors map[string]uint64) error {
 		return fmt.Errorf("replaying ingest WAL %s: %w", n.cfg.WALDir, err)
 	}
 
-	seed := j.MaxSeqs()
-	for id, floor := range floors {
-		if floor > seed[id] {
-			seed[id] = floor
-		}
-	}
-	n.pool.AttachJournal(j, seed)
+	// A restored channel is already numbered from its checkpoint's floor.
+	n.pool.AttachJournal(j, j.MaxSeqs())
 	n.wal = j
 	n.cfg.Logf("ingest WAL %s: replayed %d records (%d below checkpoint floors) across %d segments",
 		n.cfg.WALDir, replayed, skipped, j.Segments())

@@ -1,6 +1,8 @@
 package node
 
 import (
+	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -130,25 +132,39 @@ func (n *Node) handleObserve(w wire.ResponseWriter, r *wire.Request, id string) 
 
 // handleChannelSnapshot is the channel-migration endpoint pair: GET streams
 // the channel's quiesced runtime snapshot (export), PUT attaches a channel
-// restored from the uploaded snapshot (import). Together they move a live
-// channel between nodes without losing its window, threshold adaptation
-// or pending update samples.
+// restored from the uploaded snapshot, or a fresh one for an empty body
+// (import), each at the floor X-Aovlis-Resume names. Together they move a
+// live channel between nodes without losing its window, threshold
+// adaptation, pending update samples or numbering.
 func (n *Node) handleChannelSnapshot(w wire.ResponseWriter, r *wire.Request, id string) {
 	switch r.Method {
 	case wire.MethodGet:
-		w.Header().Set("Content-Type", "application/octet-stream")
-		if err := n.pool.ExportChannel(id, w); err != nil {
-			// Headers may already be out; a mid-stream failure surfaces as a
-			// truncated body, which the importer's envelope check rejects.
+		var buf bytes.Buffer // the floor's header must precede the body
+		floor, err := n.pool.ExportChannel(id, &buf)
+		if err != nil {
 			wire.Error(w, err.Error(), statusForPoolErr(err))
+			return
 		}
+		w.Header().Set("Content-Type", "application/octet-stream")
+		w.Header().Set(wire.ResumeHeader, strconv.FormatUint(floor, 10))
+		w.Write(buf.Bytes())
 	case wire.MethodPut:
-		if err := n.attach(id, &maxBytesReader{r: r.Body, n: maxSnapshotBytes}); err != nil {
+		seq, err := strconv.ParseUint(r.Header.Get(wire.ResumeHeader), 10, 64)
+		if err != nil {
+			wire.Error(w, "snapshot import wants its floor in "+wire.ResumeHeader, wire.StatusBadRequest)
+			return
+		}
+		body := bufio.NewReader(&maxBytesReader{r: r.Body, n: maxSnapshotBytes})
+		var snap io.Reader = body
+		if _, err := body.Peek(1); err == io.EOF {
+			snap = nil
+		}
+		if err := n.attach(id, snap, seq); err != nil {
 			wire.Error(w, err.Error(), statusForPoolErr(err))
 			return
 		}
 		w.WriteHeader(wire.StatusCreated)
-		fmt.Fprintf(w, "channel %q attached from snapshot\n", id)
+		fmt.Fprintf(w, "channel %q attached at seq %d\n", id, seq)
 	default:
 		wire.Error(w, "snapshot wants GET (export) or PUT (import)", wire.StatusMethodNotAllowed)
 	}

@@ -473,9 +473,9 @@ func liveLeg(t *testing.T, srv *wiretest.Server, id string, acts, auds [][]float
 		t.Fatalf("dial: %v", err)
 	}
 	defer conn.Close()
-	floor, err = strconv.ParseUint(resp.Header.Get(liveplane.ResumeHeader), 10, 64)
+	floor, err = strconv.ParseUint(resp.Header.Get(wire.ResumeHeader), 10, 64)
 	if err != nil {
-		t.Fatalf("resume header %q", resp.Header.Get(liveplane.ResumeHeader))
+		t.Fatalf("resume header %q", resp.Header.Get(wire.ResumeHeader))
 	}
 	for i := range acts {
 		line := wire.AppendObservation(nil, acts[i], auds[i])
@@ -632,7 +632,7 @@ func TestUnjournaledNodeNumbersEverySegment(t *testing.T) {
 	}
 	conn.Close()
 	hdr := wire.Header{}
-	hdr.Set(liveplane.LastSeqHeader, strconv.Itoa(sent))
+	hdr.Set(wire.LastSeqHeader, strconv.Itoa(sent))
 	for deadline := time.Now().Add(10 * time.Second); ; {
 		// The closed session's teardown may still hold the producer slot.
 		conn, resp, err := liveplane.Dial(srv.URL+"/live/b", hdr)
@@ -644,7 +644,7 @@ func TestUnjournaledNodeNumbersEverySegment(t *testing.T) {
 			t.Fatalf("reconnect: %v", err)
 		}
 		conn.Close()
-		if got, applied := resp.Header.Get(liveplane.ResumeHeader), n.pool.AppliedSeq("b"); got != strconv.Itoa(sent) || applied != sent {
+		if got, applied := resp.Header.Get(wire.ResumeHeader), n.pool.AppliedSeq("b"); got != strconv.Itoa(sent) || applied != sent {
 			t.Fatalf("reconnect resumes at %s, the pool applied %d; want both %d", got, applied, sent)
 		}
 		break
@@ -697,8 +697,9 @@ func TestDetachIsDurable(t *testing.T) {
 	observe(t, n, "x", acts, auds, 0, 12)
 	observe(t, n, "y", acts, auds, 0, 5)
 	var blob bytes.Buffer
-	if err := n.pool.ExportChannel("x", &blob); err != nil {
-		t.Fatal(err)
+	floor, err := n.pool.ExportChannel("x", &blob)
+	if err != nil || floor != 12 {
+		t.Fatalf("export of x: floor %d (%v), want 12", floor, err)
 	}
 	if err := n.detach("x"); err != nil {
 		t.Fatal(err)
@@ -710,14 +711,23 @@ func TestDetachIsDurable(t *testing.T) {
 	if got := n2.pool.Channels(); !reflect.DeepEqual(got, []string{"y"}) {
 		t.Fatalf("channels after the restart: %v, want y alone\n%s", got, book)
 	}
-	if err := n2.attach("x", &blob); err != nil {
-		t.Fatalf("migrating x back after the restart: %v", err)
-	}
-	// The journal still holds the first incarnation's records: the second
-	// numbers on from the tombstone, so no (channel, seq) names two records.
-	out := make(chan serve.Outcome, 1)
-	err := n2.pool.SubmitInto("x", acts[0], auds[0], out)
+	req, err := wire.NewRequest(wire.MethodPut, "http://node/channels/x/snapshot", &blob)
 	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set(wire.ResumeHeader, strconv.FormatUint(floor, 10))
+	rec := &wiretest.Recorder{}
+	if n2.Handler().ServeHTTP(rec, req); rec.Code != wire.StatusCreated {
+		t.Fatalf("migrating x back after the restart: status %d", rec.Code)
+	}
+	// The journal still holds the first incarnation's records: the import
+	// at floor 12 attaches at the tombstone, 13, above it, so no (channel,
+	// seq) names two records.
+	if got := n2.pool.AppliedSeq("x"); got != 13 {
+		t.Fatalf("x imported at floor 12 over its tombstone: applied %d, want 13", got)
+	}
+	out := make(chan serve.Outcome, 1)
+	if err := n2.pool.SubmitInto("x", acts[0], auds[0], out); err != nil {
 		t.Fatal(err)
 	}
 	if o := <-out; o.Err != nil || o.Seq != 14 {
@@ -860,6 +870,7 @@ func TestImportKeepsOneConfiguration(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		req.Header.Set(wire.ResumeHeader, "0")
 		rec := &wiretest.Recorder{}
 		h.ServeHTTP(rec, req)
 		return rec.Code

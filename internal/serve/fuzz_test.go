@@ -34,7 +34,7 @@ func exportFuzzSeeds(tb testing.TB) [][]byte {
 			}
 		}
 		var buf bytes.Buffer
-		if err := p.ExportChannel(id, &buf); err != nil {
+		if _, err := p.ExportChannel(id, &buf); err != nil {
 			tb.Fatal(err)
 		}
 		exports[id] = buf.Bytes()

@@ -215,8 +215,8 @@ type channel struct {
 	batches atomic.Uint64 // scoring rounds executed
 	batched atomic.Uint64 // observations scored across those rounds
 
-	// seq is the channel's sequence counter (last assigned; 1-based,
-	// node-local: it restarts when the channel is attached fresh). applied
+	// seq is the channel's sequence counter (last assigned; 1-based, and
+	// seeded by AttachAt with what the attached state covers). applied
 	// is the highest sequence already scored — what a checkpoint records
 	// as the channel's replay floor. That floor is only sound because
 	// seqMu serialises {assign seq, journal append, enqueue} for live
@@ -407,7 +407,7 @@ type DetectorPool struct {
 	mu     sync.Mutex // guards channel-table mutation, retired and closed
 	closed bool
 	// retired maps a detached id to its tombstone's sequence while the
-	// journal may still hold its records: Attach continues the numbering
+	// journal may still hold its records: AttachAt continues the numbering
 	// from it, and a checkpoint counts the id's records covered up to it
 	// (Report.Floors). One small entry per id detached since boot; boot
 	// re-derives it from the journal (AttachJournal).
@@ -625,10 +625,18 @@ func (p *DetectorPool) publish(mutate func(map[string]*channel)) {
 	p.chans.Store(&next)
 }
 
-// Attach registers a channel under id, transferring ownership of det to
-// the pool: from now on only the channel's shard worker calls ObserveBatch
-// on it. Attaching an existing id fails with ErrChannelExists.
+// Attach registers a channel under id at sequence 0: AttachAt(id, det, 0).
 func (p *DetectorPool) Attach(id string, det Detector) error {
+	return p.AttachAt(id, det, 0)
+}
+
+// AttachAt registers a channel under id, transferring ownership of det to
+// the pool: from now on only the channel's shard worker calls ObserveBatch
+// on it. It numbers on from seq, the sequence det's state covers, or from
+// a tombstone of id in this pool if higher (a replay then skips the dead
+// incarnation's records): one numbering across restarts, moves and
+// failovers. Attaching an existing id fails with ErrChannelExists.
+func (p *DetectorPool) AttachAt(id string, det Detector, seq uint64) error {
 	if id == "" {
 		return fmt.Errorf("serve: empty channel id")
 	}
@@ -655,14 +663,10 @@ func (p *DetectorPool) Attach(id string, det Detector) error {
 		// Every shard may score a full drain of this configuration at once.
 		ch.aov.ReserveLanes(p.cfg.Shards, p.batch())
 	}
-	if seq, ok := p.retired[id]; ok {
-		// A new incarnation of a detached id: number on from its tombstone,
-		// and start its checkpoint floor there too, so a replay skips the
-		// dead incarnation's records instead of applying them to this one.
-		ch.seq.Store(seq)
-		ch.applied.Store(seq)
-		delete(p.retired, id)
-	}
+	seq = max(seq, p.retired[id])
+	delete(p.retired, id)
+	ch.seq.Store(seq)
+	ch.applied.Store(seq)
 	p.publish(func(m map[string]*channel) { m[id] = ch })
 	return nil
 }
@@ -787,6 +791,8 @@ func (p *DetectorPool) submit(id string, actionFeat, audienceFeat []float64, out
 			p.m.errors.Inc()
 			return fmt.Errorf("serve: journal append (channel %q): %w", id, err)
 		}
+	} else if replaySeq > ch.seq.Load() {
+		ch.seq.Store(replaySeq) // boot replay is serial: live numbering continues above it
 	}
 	// The gauge is raised before the send so the worker's decrement can
 	// never observe it at zero.
@@ -836,8 +842,9 @@ func (p *DetectorPool) Observe(id string, actionFeat, audienceFeat []float64) (a
 }
 
 // ReplayObserve scores one journaled observation synchronously without
-// re-journaling it, carrying its original sequence so the applied floor
-// and any verdict-sink entries line up with the original run. It is the
+// re-journaling it, carrying its original sequence so the applied floor,
+// the channel's numbering and any verdict-sink entries line up with the
+// original run. It is the
 // boot path's replay primitive, called after the snapshot restore and
 // before AttachJournal.
 func (p *DetectorPool) ReplayObserve(id string, seq uint64, actionFeat, audienceFeat []float64) (aovlis.Result, error) {
@@ -856,30 +863,19 @@ func (p *DetectorPool) observeSync(id string, actionFeat, audienceFeat []float64
 	return o.Result, o.Err
 }
 
-// AttachJournal sets the pool's write-ahead journal and seeds the
-// per-channel sequence counters: seed maps channel id to the highest
-// sequence already journaled or checkpointed for it, so newly assigned
-// sequences continue after the recovered history instead of colliding
-// with it. A seeded id with no channel is one the replay left detached
-// (its last record is a tombstone): it is remembered as retired. It must
-// be called on the boot path, before concurrent submissions start (the
-// node's order: restore snapshot, attach sink, replay journal, attach
-// journal, serve).
+// AttachJournal sets the pool's write-ahead journal. seed maps an id to
+// its highest journaled sequence; one with no channel, which the replay
+// left detached at a tombstone, is remembered as retired. It must be
+// called on the boot path, before concurrent submissions start (the node's
+// order: restore snapshot, attach sink, replay journal, attach journal,
+// serve).
 func (p *DetectorPool) AttachJournal(j Journal, seed map[string]uint64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.journal = j
 	for id, seq := range seed {
-		ch, ok := p.lookup(id)
-		if !ok {
+		if _, ok := p.lookup(id); !ok {
 			p.retired[id] = seq
-			continue
-		}
-		if seq > ch.seq.Load() {
-			ch.seq.Store(seq)
-		}
-		if seq > ch.applied.Load() {
-			ch.applied.Store(seq)
 		}
 	}
 }

@@ -283,37 +283,38 @@ type channelExportWire struct {
 	ID string
 }
 
-// ExportChannel streams one channel's quiesced snapshot to w — the sending
-// half of channel migration: export from one pool, DecodeSnapshot and
-// Attach into another (possibly in a different process). The stream opens
+// ExportChannel streams one channel's quiesced snapshot to w and returns
+// the applied sequence it covers — the sending half of channel migration:
+// export from one pool, DecodeSnapshot and AttachAt that sequence into
+// another (possibly in a different process). The stream opens
 // with a channel-export envelope naming the channel id; DecodeSnapshot
 // rejects an id mismatch with ErrChannelIDMismatch instead of attaching a
 // foreign channel's runtime under the wrong id.
-func (p *DetectorPool) ExportChannel(id string, w io.Writer) error {
+func (p *DetectorPool) ExportChannel(id string, w io.Writer) (uint64, error) {
 	ch, ok := p.lookup(id)
 	if !ok {
-		return fmt.Errorf("%w: %q", ErrUnknownChannel, id)
+		return 0, fmt.Errorf("%w: %q", ErrUnknownChannel, id)
 	}
 	if ch.aov == nil {
-		return fmt.Errorf("%w (channel %q)", ErrNotSnapshottable, id)
+		return 0, fmt.Errorf("%w (channel %q)", ErrNotSnapshottable, id)
 	}
-	buf, _, _, err := p.encodeQuiesced(ch)
+	buf, _, applied, err := p.encodeQuiesced(ch)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	if err := snapshot.WriteHeader(w, snapshot.KindChannelExport); err != nil {
-		return err
+		return 0, err
 	}
 	if err := gob.NewEncoder(w).Encode(channelExportWire{ID: id}); err != nil {
-		return fmt.Errorf("serve: encoding channel export manifest: %w", err)
+		return 0, fmt.Errorf("serve: encoding channel export manifest: %w", err)
 	}
 	_, err = w.Write(buf.Bytes())
-	return err
+	return applied, err
 }
 
 // DecodeSnapshot restores a detector from a Snapshot/ExportChannel stream
 // for attaching under id — the receiving half of channel migration, which
-// a caller completes with Attach after vetting the detector. The restored
+// a caller completes with AttachAt after vetting the detector. The restored
 // channel resumes mid-window exactly where the exported one stopped.
 //
 // Two stream formats are accepted: a channel-export wrapper (ExportChannel
@@ -352,7 +353,8 @@ func DecodeSnapshot(id string, r io.Reader) (*aovlis.Detector, error) {
 // RestorePool rebuilds a pool from a Snapshot directory and the manifest
 // its caller read from it: it reads each entry's file once, checks its
 // size and checksum, restores the channel's detector from those bytes,
-// and attaches it to a fresh pool with configuration cfg. Any failure
+// and attaches it to a fresh pool with configuration cfg at the entry's
+// WALSeq, so a warm restart does not reuse a sequence. Any failure
 // closes the pool and returns the error. Shard assignment is re-derived
 // from the channel ids, so cfg.Shards may differ from the snapshotted
 // pool's.
@@ -366,18 +368,13 @@ func RestorePool(dir string, m manifest.Manifest, cfg Config) (*DetectorPool, er
 		if err == nil {
 			var det *aovlis.Detector
 			if det, err = DecodeSnapshot(e.ID, bytes.NewReader(b)); err == nil {
-				err = p.Attach(e.ID, det)
+				err = p.AttachAt(e.ID, det, e.WALSeq)
 			}
 		}
 		if err != nil {
 			p.Close()
 			return nil, fmt.Errorf("serve: restoring channel %q: %w", e.ID, err)
 		}
-		// A restored channel numbers on from what its checkpoint covers, so
-		// a warm restart does not reuse the sequences it already gave out.
-		ch, _ := p.lookup(e.ID)
-		ch.seq.Store(e.WALSeq)
-		ch.applied.Store(e.WALSeq)
 	}
 	return p, nil
 }

@@ -241,7 +241,7 @@ func TestChannelMigration(t *testing.T) {
 	}
 
 	var wire bytes.Buffer
-	if err := src.ExportChannel("mover", &wire); err != nil {
+	if _, err := src.ExportChannel("mover", &wire); err != nil {
 		t.Fatal(err)
 	}
 	if err := attachSnapshot(dst, "mover", bytes.NewReader(wire.Bytes())); err != nil {
@@ -298,7 +298,7 @@ func TestAttachSnapshotIDMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	var wire bytes.Buffer
-	if err := src.ExportChannel("alice", &wire); err != nil {
+	if _, err := src.ExportChannel("alice", &wire); err != nil {
 		t.Fatal(err)
 	}
 	err = attachSnapshot(dst, "bob", bytes.NewReader(wire.Bytes()))
@@ -355,7 +355,7 @@ func TestSnapshotSkipsNonSnapshottable(t *testing.T) {
 	if len(m.Channels) != 1 || m.Channels[0].ID != "real" {
 		t.Fatalf("manifest channels %+v", m.Channels)
 	}
-	if err := p.ExportChannel("fake", &bytes.Buffer{}); !errors.Is(err, ErrNotSnapshottable) {
+	if _, err := p.ExportChannel("fake", &bytes.Buffer{}); !errors.Is(err, ErrNotSnapshottable) {
 		t.Fatalf("ExportChannel(fake) = %v, want ErrNotSnapshottable", err)
 	}
 }
@@ -552,7 +552,7 @@ func TestSnapshotClosedPool(t *testing.T) {
 	if _, err := p.Snapshot(t.TempDir()); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Snapshot on closed pool = %v, want ErrClosed", err)
 	}
-	if err := p.ExportChannel("ch", &bytes.Buffer{}); !errors.Is(err, ErrClosed) {
+	if _, err := p.ExportChannel("ch", &bytes.Buffer{}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("ExportChannel on closed pool = %v, want ErrClosed", err)
 	}
 }

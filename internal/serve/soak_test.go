@@ -198,7 +198,7 @@ func runPoolSoakChaos(t *testing.T, tiered bool) {
 	// HTTP migration path without the HTTP.
 	for _, i := range []int{1, 13, 40, 63} {
 		var buf bytes.Buffer
-		if err := pool.ExportChannel(ids[i], &buf); err != nil {
+		if _, err := pool.ExportChannel(ids[i], &buf); err != nil {
 			t.Fatalf("export %s: %v", ids[i], err)
 		}
 		if err := pool.Detach(ids[i]); err != nil {

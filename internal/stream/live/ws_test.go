@@ -17,7 +17,7 @@ import (
 // gets the same refusal as on the daemons' loop.
 func TestUpgradeOnNetHTTP(t *testing.T) {
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		c, err := Upgrade(w, r, &liveplane.Options{Header: wire.Header{liveplane.ResumeHeader: []string{"7"}}})
+		c, err := Upgrade(w, r, &liveplane.Options{Header: wire.Header{wire.ResumeHeader: []string{"7"}}})
 		if err != nil {
 			return
 		}
@@ -35,7 +35,7 @@ func TestUpgradeOnNetHTTP(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if resp.StatusCode != http.StatusSwitchingProtocols || resp.Header.Get(liveplane.ResumeHeader) != "7" {
+	if resp.StatusCode != http.StatusSwitchingProtocols || resp.Header.Get(wire.ResumeHeader) != "7" {
 		t.Fatalf("upgrade answered %s with %v", resp.Status, resp.Header)
 	}
 	if err := c.WriteMessage(OpText, []byte("over net/http")); err != nil {

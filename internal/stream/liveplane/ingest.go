@@ -16,13 +16,6 @@ type (
 	Decision    = wire.Decision
 )
 
-// ResumeHeader carries the channel's accepted floor on the 101 response;
-// LastSeqHeader carries the client's replay cursor on the request.
-const (
-	ResumeHeader  = "X-Aovlis-Resume"
-	LastSeqHeader = wire.LastSeqHeader
-)
-
 // IngestHandler serves /live/{channel}: it upgrades the connection,
 // replays ring decisions above the client's Last-Seq, then pumps
 // observations into the pool's zero-alloc SubmitInto path with the pool's
@@ -44,7 +37,7 @@ func (h *IngestHandler) ServeHTTP(w wire.ResponseWriter, r *wire.Request) {
 		return
 	}
 	var lastSeq uint64
-	if v := r.Header.Get(LastSeqHeader); v != "" {
+	if v := r.Header.Get(wire.LastSeqHeader); v != "" {
 		n, err := strconv.ParseUint(v, 10, 64)
 		if err != nil {
 			wire.Error(w, "bad Last-Seq header", wire.StatusBadRequest)
@@ -76,13 +69,13 @@ func (h *IngestHandler) ServeHTTP(w wire.ResponseWriter, r *wire.Request) {
 		// that restarted or was re-attached fresh. Refuse instead of
 		// silently splicing two incompatible sequence spaces.
 		sess.Release()
-		w.Header().Set(ResumeHeader, strconv.FormatUint(floor, 10))
+		w.Header().Set(wire.ResumeHeader, strconv.FormatUint(floor, 10))
 		wire.Error(w, fmt.Sprintf("Last-Seq %d ahead of server floor %d; reset the stream", lastSeq, floor),
 			wire.StatusConflict)
 		return
 	}
 	conn, err := Upgrade(w, r, &Options{
-		Header: wire.Header{ResumeHeader: []string{strconv.FormatUint(floor, 10)}},
+		Header: wire.Header{wire.ResumeHeader: []string{strconv.FormatUint(floor, 10)}},
 	})
 	if err != nil {
 		sess.Release()

@@ -95,7 +95,7 @@ func dialIngest(t *testing.T, url string, lastSeq uint64) (*Conn, *wire.Response
 	t.Helper()
 	hdr := wire.Header{}
 	if lastSeq > 0 {
-		hdr.Set(LastSeqHeader, strconv.FormatUint(lastSeq, 10))
+		hdr.Set(wire.LastSeqHeader, strconv.FormatUint(lastSeq, 10))
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for {
@@ -143,7 +143,7 @@ func TestIngestEndToEnd(t *testing.T) {
 	srv, _ := newIngestServer(t, NewHub(), nil, "alpha")
 	conn, resp := dialIngest(t, srv.URL+"/live/alpha", 0)
 	defer conn.Close()
-	if got := resp.Header.Get(ResumeHeader); got != "0" {
+	if got := resp.Header.Get(wire.ResumeHeader); got != "0" {
 		t.Fatalf("fresh channel advertised floor %q, want 0", got)
 	}
 	if conn.NetConn() == nil {
@@ -183,9 +183,9 @@ func TestIngestResumeReplay(t *testing.T) {
 
 	conn2, resp := dialIngest(t, srv.URL+"/live/beta", 2)
 	defer conn2.Close()
-	floor, err := strconv.ParseUint(resp.Header.Get(ResumeHeader), 10, 64)
+	floor, err := strconv.ParseUint(resp.Header.Get(wire.ResumeHeader), 10, 64)
 	if err != nil || floor != 4 {
-		t.Fatalf("resume floor = %q, want 4", resp.Header.Get(ResumeHeader))
+		t.Fatalf("resume floor = %q, want 4", resp.Header.Get(wire.ResumeHeader))
 	}
 	for i := 3; i <= 4; i++ {
 		d := readDecision(t, conn2)
@@ -227,11 +227,11 @@ func TestIngestRefusals(t *testing.T) {
 	if resp := get("/live/a/b", nil); resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("nested channel: %d", resp.StatusCode)
 	}
-	if resp := get("/live/busy", http.Header{LastSeqHeader: []string{"nope"}}); resp.StatusCode != http.StatusBadRequest {
+	if resp := get("/live/busy", http.Header{wire.LastSeqHeader: []string{"nope"}}); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad Last-Seq: %d", resp.StatusCode)
 	}
-	if _, resp, err := Dial(srv.URL+"/live/busy", wire.Header{LastSeqHeader: []string{"7"}}); err == nil ||
-		resp == nil || resp.StatusCode != http.StatusConflict || resp.Header.Get(ResumeHeader) != "0" {
+	if _, resp, err := Dial(srv.URL+"/live/busy", wire.Header{wire.LastSeqHeader: []string{"7"}}); err == nil ||
+		resp == nil || resp.StatusCode != http.StatusConflict || resp.Header.Get(wire.ResumeHeader) != "0" {
 		t.Fatalf("ahead-of-floor: err %v resp %+v, want 409 with floor 0", err, resp)
 	}
 

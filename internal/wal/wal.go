@@ -55,9 +55,9 @@ import (
 
 // Record is one accepted observation.
 type Record struct {
-	// Channel is the channel id; Seq its node-local accept sequence
-	// (1-based, assigned by the pool, restarting at 1 when a channel is
-	// attached fresh).
+	// Channel is the channel id; Seq the channel's accept sequence
+	// (1-based, assigned by the pool, numbering on from the sequence the
+	// channel was attached at).
 	Channel string
 	Seq     uint64
 	// Action and Audience are the segment's feature vectors. Both empty

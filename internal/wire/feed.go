@@ -32,20 +32,22 @@ type Feeder struct {
 // closes the request body when the handler returns).
 func Feed(stop <-chan struct{}, next func() ([]byte, error), depth int) *Feeder {
 	// C and free each have room for every buffer, so only the wait for a
-	// free buffer — the receiver's pace — ever blocks. Buffers grow to the
-	// lines they carry.
+	// free buffer — the receiver's pace — ever blocks. A returned buffer is
+	// reused before another is made, at most depth: as many as are in
+	// flight. Buffers grow to the lines they carry.
 	f := &Feeder{C: make(chan []byte, depth), free: make(chan []byte, depth)}
-	for i := 0; i < depth; i++ {
-		f.free <- nil
-	}
 	go func() {
 		defer close(f.C)
-		for {
+		for made := 0; ; {
 			var buf []byte
-			select {
-			case buf = <-f.free:
-			case <-stop:
-				return
+			if len(f.free) == 0 && made < depth {
+				made++
+			} else {
+				select {
+				case buf = <-f.free:
+				case <-stop:
+					return
+				}
 			}
 			msg, err := next()
 			if err != nil {

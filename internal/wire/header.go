@@ -13,8 +13,9 @@ import (
 // canonicalisation to textproto.CanonicalMIMEHeaderKey.
 
 // LastSeqHeader carries a live client's replay cursor on its upgrade
-// request: the node's live plane reads it, and the router forwards it.
-const LastSeqHeader = "Last-Seq"
+// request; ResumeHeader a channel's applied floor on the upgrade's answer,
+// on a snapshot export's and on the snapshot import that must name it.
+const LastSeqHeader, ResumeHeader = "Last-Seq", "X-Aovlis-Resume"
 
 // CanonicalHeaderKey is the canonical form of a header key: the first
 // letter and every letter after a hyphen upper case, the rest lower case

@@ -17,7 +17,9 @@
 #            deliberate 3x overload; the service time is sleep-pinned.
 #   cluster  TestClusterKillNodeSoak + TestClusterThroughput (cmd/aovlisr):
 #            lost=0, every channel bit-equal after the kill, at least one
-#            channel killed with segments in flight, aggregate throughput at
+#            channel killed with segments in flight, seqgaps=0 (every wseq a
+#            client sees is one more than its channel's previous), aggregate
+#            throughput at
 #            least 40% of the baseline — five processes timeshare the
 #            runner's cores, so the floor catches collapses, not noise.
 #   wal      TestWALCrashReplaySmoke (cmd/aovlisd): lost=0 across kill -9,
@@ -114,6 +116,7 @@ cluster)
     need lost eq 0 "accepted segments lost across failover"
     need bitequal eq "$(field channels)" "not every channel replayed bit-equal; WAL failover replay must cover all of them"
     need killinflight gt 0 "no channel was killed with segments in flight; the soak proved nothing"
+    need seqgaps eq 0 "a failed-over channel was not numbered on from its last relayed sequence"
     result CLUSTER-RESULT ./cmd/aovlisr/ TestClusterThroughput
     need lost eq 0 "accepted segments lost under load"
     need agg_segs_per_sec ge $((base * 40 / 100)) "aggregate throughput collapsed below 40% of the $base seg/s baseline"

@@ -46,7 +46,7 @@ BenchmarkDetectorObserveTiered-8   	   50000	     3000 ns/op
 PASS
 `
 	sloCapture     = "=== RUN   TestSLOFlashCrowd\n    slo_test.go:181: SLO-RESULT profile=flash-crowd seed=7 offered=3000 accepted=1288 rejected=1712 dropped=0 lost=0 p50_us=37000 p99_us=150000 hash=9f3a\n--- PASS: TestSLOFlashCrowd\n"
-	soakLine       = "SOAK-RESULT channels=12 segments=1440 lost=0 bitequal=12 killinflight=3\n"
+	soakLine       = "SOAK-RESULT channels=12 segments=1440 lost=0 bitequal=12 killinflight=3 seqgaps=0\n"
 	tputLine       = "CLUSTER-RESULT nodes=3 agg_segs_per_sec=26000 p50_us=900 p99_us=4100 sent=9000 decisions=9000 lost=0\n"
 	clusterCapture = soakLine + tputLine
 	walCapture     = "=== RUN   TestWALCrashReplaySmoke\nWAL-RESULT channels=4 acked=210 lost=0 replayed=90 ledger=ok\n--- PASS: TestWALCrashReplaySmoke\n"
@@ -80,6 +80,7 @@ func TestSmokeGates(t *testing.T) {
 		{"cluster/lost", "cluster", "cluster.agg_segs_per_sec=27000", edit("1440 lost=0", "1440 lost=1").Replace(clusterCapture), "lost across failover"},
 		{"cluster/bitequal", "cluster", "cluster.agg_segs_per_sec=27000", edit("bitequal=12", "bitequal=11").Replace(clusterCapture), "not every channel replayed bit-equal"},
 		{"cluster/no-kill-in-flight", "cluster", "cluster.agg_segs_per_sec=27000", edit("killinflight=3", "killinflight=0").Replace(clusterCapture), "the soak proved nothing"},
+		{"cluster/seqgaps", "cluster", "cluster.agg_segs_per_sec=27000", edit("seqgaps=0", "seqgaps=2").Replace(clusterCapture), "not numbered on from"},
 		{"cluster/lost-under-load", "cluster", "cluster.agg_segs_per_sec=27000", edit("9000 lost=0", "9000 lost=4").Replace(clusterCapture), "lost under load"},
 		// Baseline 70000 seg/s → 40% floor 28000 > 26000.
 		{"cluster/collapse", "cluster", "cluster.agg_segs_per_sec=70000", clusterCapture, "collapsed below 40%"},
