@@ -26,7 +26,6 @@
 package aovlis
 
 import (
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -35,7 +34,7 @@ import (
 
 	"aovlis/internal/ados"
 	"aovlis/internal/core"
-	"aovlis/internal/snapshot"
+	"aovlis/internal/snapshot/flat"
 	"aovlis/internal/update"
 )
 
@@ -508,8 +507,8 @@ func (d *Detector) observeLanes(acts, auds [][]float64, results []Result) (int, 
 	// dropped with the set.
 	end := w0 + n
 	keep := min(end, q)
-	if d.actWin == nil {
-		d.actWin, d.audWin = ownRows(nil, q, d.cfg.ActionDim), ownRows(nil, q, d.cfg.AudienceDim)
+	if cap(d.actWin) < keep { // none yet, or a restored window of fewer rows
+		d.actWin, d.audWin = flatRows(q, d.cfg.ActionDim), flatRows(q, d.cfg.AudienceDim)
 	}
 	d.actWin, d.audWin = d.actWin[:keep], d.audWin[:keep]
 	for i := 0; i < keep; i++ {
@@ -532,10 +531,9 @@ func flatRows(n, dim int) [][]float64 {
 	return rows
 }
 
-// ownRows copies src, at most q rows of dim values, into the first rows of
-// a q-row window of the detector's own.
-func ownRows(src [][]float64, q, dim int) [][]float64 {
-	rows := flatRows(q, dim)[:len(src)]
+// ownRows copies src, rows of dim values, into rows the detector owns.
+func ownRows(src [][]float64, dim int) [][]float64 {
+	rows := flatRows(len(src), dim)
 	for i := range src {
 		copy(rows[i], src[i])
 	}
@@ -611,18 +609,11 @@ func (d *Detector) DetectSeries(actions, audience [][]float64) ([]Result, error)
 	return out, nil
 }
 
-// detectorWire is the gob envelope for Save/Load.
-type detectorWire struct {
-	Config Config
-	Tau    float64
-}
-
-// Save serialises the detector (configuration, threshold, model weights).
+// Save writes the detector's configuration, threshold and model weights as
+// a flat record (the version-4 state format, internal/snapshot/flat).
 func (d *Detector) Save(w io.Writer) error {
-	if err := gob.NewEncoder(w).Encode(detectorWire{Config: d.cfg, Tau: d.tau}); err != nil {
-		return fmt.Errorf("aovlis: encoding detector: %w", err)
-	}
-	return d.model.Save(w)
+	saved := &Detector{cfg: d.cfg, model: d.model, tau: d.tau} // what Load gives back
+	return flat.Write(w, flat.KindSavedDetector, saved.sections("", false)...)
 }
 
 // Clone returns an independent detector with the same configuration,
@@ -643,55 +634,25 @@ func (d *Detector) Clone() (*Detector, error) {
 	return c, nil
 }
 
-// Load restores a detector written by Save. The restored detector starts
-// with an empty observation window and fresh updater state.
+// Load restores a detector written by Save: a flat record, or the gob
+// stream of snapshot codec versions 1 to 3, told apart by the record's
+// magic. The weights are read straight into the model's own arrays. The
+// restored detector starts with an empty observation window and fresh
+// updater state.
 func Load(r io.Reader) (*Detector, error) {
-	// One shared buffered reader for the whole chain of gob decoders: gob
-	// privately buffers (and over-reads) any reader that is not an
-	// io.ByteReader, which would starve the model decoder that follows when
-	// loading straight from a file.
-	r = snapshot.Reader(r)
-	var wire detectorWire
-	if err := gob.NewDecoder(r).Decode(&wire); err != nil {
-		return nil, fmt.Errorf("aovlis: decoding detector: %w", err)
+	avail, br := flat.Avail(r), flat.Reader(r)
+	if !flat.Is(br) {
+		return loadGob(br)
 	}
-	model, err := core.LoadModel(r)
-	if err != nil {
-		return nil, err
-	}
-	d := &Detector{cfg: wire.Config, model: model, tau: wire.Tau}
-	if err := d.initRuntime(nil); err != nil {
-		return nil, err
-	}
-	return d, nil
+	d, _, err := readRecord(br, flat.KindSavedDetector, avail)
+	return d, err
 }
 
-// detectorSnapWire is the gob payload of a full-runtime detector snapshot,
-// written after the versioned snapshot envelope. It captures everything
-// Save leaves behind: the sliding q-length windows, the stream counters,
-// the tier gate's anchor, and the dynamic updater's buffered samples and
-// drift sketches. The model (with optimiser state) follows the payload in
-// the stream. Version 1 payloads also carried the retired ADOS filter's
-// configuration and counters; gob skips those fields on restore.
-type detectorSnapWire struct {
-	Config     Config
-	Tau        float64
-	ActWin     [][]float64
-	AudWin     [][]float64
-	Observed   int
-	Detected   int
-	HasTier    bool
-	Tier       ados.TierState
-	HasUpdater bool
-	Updater    update.State
-}
-
-// Snapshot serialises the detector's complete runtime state — model
-// weights and optimiser moments, threshold, sliding windows, tier gate
-// and pending update samples — inside a versioned envelope. A
-// detector restored with RestoreDetector produces bit-identical Result
-// sequences to this detector continuing uninterrupted, including when
-// EnableUpdate is on.
+// Snapshot writes the detector's complete runtime state — model weights
+// and optimiser moments, threshold, sliding windows, tier gate and pending
+// update samples — as a flat record. A detector restored with
+// RestoreDetector produces bit-identical Result sequences to this detector
+// continuing uninterrupted, including when EnableUpdate is on.
 //
 // Snapshot reads every piece of mutable state, so it is writer activity
 // under the detector's single-writer contract: never overlap it with
@@ -700,34 +661,17 @@ type detectorSnapWire struct {
 // a torn state. The DetectorPool quiesces each channel at a segment
 // boundary before snapshotting it, which is the supported way to snapshot
 // live traffic.
-func (d *Detector) Snapshot(w io.Writer) error {
+func (d *Detector) Snapshot(w io.Writer) error { return d.SnapshotChannel(w, "") }
+
+// SnapshotChannel is Snapshot for the detector of a channel: the record
+// also names channel, which RestoreChannel returns. A pool checkpoint
+// entry, a channel export and a failover upload are this record.
+func (d *Detector) SnapshotChannel(w io.Writer, channel string) error {
 	if !d.observing.CompareAndSwap(0, 1) {
 		return ErrConcurrentObserve
 	}
 	defer d.observing.Store(0)
-	if err := snapshot.WriteHeader(w, snapshot.KindDetector); err != nil {
-		return err
-	}
-	wire := detectorSnapWire{
-		Config:   d.cfg,
-		Tau:      d.tau,
-		ActWin:   d.actWin,
-		AudWin:   d.audWin,
-		Observed: d.observed,
-		Detected: d.detected,
-	}
-	if d.tier != nil {
-		wire.HasTier = true
-		wire.Tier = d.tier.State()
-	}
-	if d.upd != nil {
-		wire.HasUpdater = true
-		wire.Updater = d.upd.State()
-	}
-	if err := gob.NewEncoder(w).Encode(wire); err != nil {
-		return fmt.Errorf("aovlis: encoding detector snapshot: %w", err)
-	}
-	return d.model.SaveRuntime(w)
+	return flat.Write(w, flat.KindDetector, d.sections(channel, true)...)
 }
 
 // RestoreDetector rebuilds a detector from a Snapshot stream. The restored
@@ -736,93 +680,19 @@ func (d *Detector) Snapshot(w io.Writer) error {
 // samples — its future Observe results are bit-identical to an
 // uninterrupted run over the same remaining stream.
 func RestoreDetector(r io.Reader) (*Detector, error) {
-	r = snapshot.Reader(r)
-	if _, err := snapshot.ReadHeader(r, snapshot.KindDetector); err != nil {
-		return nil, err
-	}
-	var wire detectorSnapWire
-	if err := gob.NewDecoder(r).Decode(&wire); err != nil {
-		return nil, fmt.Errorf("aovlis: decoding detector snapshot: %w", err)
-	}
-	if err := wire.validate(); err != nil {
-		return nil, err
-	}
-	model, err := core.LoadModel(r)
-	if err != nil {
-		return nil, err
-	}
-	// The embedded model must be the one the detector configuration
-	// implies: a mismatched pair would restore "successfully" and then fail
-	// (or mis-score) on every Observe.
-	if mc := wire.Config.modelConfig(); model.Config() != mc {
-		return nil, fmt.Errorf("aovlis: snapshot model config %+v does not match detector config %+v", model.Config(), mc)
-	}
-	q := wire.Config.SeqLen
-	d := &Detector{
-		cfg:      wire.Config,
-		model:    model,
-		tau:      wire.Tau,
-		actWin:   ownRows(wire.ActWin, q, wire.Config.ActionDim),
-		audWin:   ownRows(wire.AudWin, q, wire.Config.AudienceDim),
-		observed: wire.Observed,
-		detected: wire.Detected,
-	}
-	if wire.Config.Tiered {
-		tier, err := ados.NewTierPlan(wire.Config.tierConfig(), wire.Config.ActionDim, wire.Config.AudienceDim)
-		if err != nil {
-			return nil, fmt.Errorf("aovlis: restoring tier gate: %w", err)
-		}
-		if err := tier.SetState(wire.Tier); err != nil {
-			return nil, fmt.Errorf("aovlis: restoring tier gate: %w", err)
-		}
-		d.tier = tier
-	}
-	if wire.HasUpdater {
-		upd, err := update.New(model, d.cfg.Update)
-		if err != nil {
-			return nil, fmt.Errorf("aovlis: restoring updater: %w", err)
-		}
-		if err := upd.SetState(wire.Updater); err != nil {
-			return nil, fmt.Errorf("aovlis: restoring updater: %w", err)
-		}
-		d.upd = upd
-	}
-	return d, nil
+	d, _, err := RestoreChannel(r)
+	return d, err
 }
 
-// validate rejects snapshot payloads whose runtime state cannot belong to
-// the embedded configuration — corrupted or hand-edited streams should fail
-// here, not as index panics mid-Observe.
-func (w *detectorSnapWire) validate() error {
-	if err := w.Config.Validate(); err != nil {
-		return fmt.Errorf("aovlis: snapshot config: %w", err)
+// RestoreChannel is RestoreDetector that also returns the channel the
+// stream names: a SnapshotChannel record's, the id of a channel export of
+// codec versions 1 to 3, or "" for a stream that names none. It reads a
+// flat record, or a gob stream of versions 1 to 3, told apart by the
+// record's magic.
+func RestoreChannel(r io.Reader) (*Detector, string, error) {
+	avail, br := flat.Avail(r), flat.Reader(r)
+	if !flat.Is(br) {
+		return restoreGob(br)
 	}
-	if len(w.ActWin) != len(w.AudWin) {
-		return fmt.Errorf("aovlis: snapshot windows disagree: %d action vs %d audience rows", len(w.ActWin), len(w.AudWin))
-	}
-	if len(w.ActWin) > w.Config.SeqLen {
-		return fmt.Errorf("aovlis: snapshot window has %d rows, config q is %d", len(w.ActWin), w.Config.SeqLen)
-	}
-	for i := range w.ActWin {
-		if len(w.ActWin[i]) != w.Config.ActionDim || len(w.AudWin[i]) != w.Config.AudienceDim {
-			return fmt.Errorf("aovlis: snapshot window row %d has dims %d/%d, config wants %d/%d",
-				i, len(w.ActWin[i]), len(w.AudWin[i]), w.Config.ActionDim, w.Config.AudienceDim)
-		}
-	}
-	if w.Observed < 0 || w.Detected < 0 {
-		return fmt.Errorf("aovlis: snapshot counters negative (%d observed, %d detected)", w.Observed, w.Detected)
-	}
-	if w.HasTier != w.Config.Tiered {
-		return fmt.Errorf("aovlis: snapshot tier state (%v) disagrees with Config.Tiered (%v)", w.HasTier, w.Config.Tiered)
-	}
-	if w.HasUpdater && !w.Config.EnableUpdate {
-		return fmt.Errorf("aovlis: snapshot carries updater state but EnableUpdate is off")
-	}
-	if w.Config.EnableUpdate && !w.HasUpdater {
-		// An uninterrupted EnableUpdate detector always owns an updater
-		// (Train/initRuntime guarantee it); restoring without one would
-		// silently never retrain again.
-		return fmt.Errorf("aovlis: snapshot config enables updates but carries no updater state")
-	}
-	return nil
+	return readRecord(br, flat.KindDetector, avail)
 }

@@ -37,6 +37,7 @@ import (
 	"aovlis/internal/durable"
 	"aovlis/internal/mat"
 	"aovlis/internal/snapshot"
+	"aovlis/internal/snapshot/flat"
 )
 
 var updateGolden = flag.Bool("update-golden", false, "regenerate testdata/snapshots/v<current> golden fixtures")
@@ -332,6 +333,72 @@ func TestScoringModeIgnoresFirstArgument(t *testing.T) {
 		requireSameResults(t, results[0], results[1])
 		if !bytes.Equal(snaps[0], snaps[1]) {
 			t.Fatalf("tiered=%v: SetScoringMode(true, …) snapshots other bytes than SetScoringMode(false, …)", tiered)
+		}
+	}
+}
+
+// TestGoldensResnapshotAsFlatRecords: each golden of codec versions 1 to 3,
+// restored and snapshotted again, is a flat record that restores to a
+// detector scoring the frozen post-snapshot stream bit for bit as the
+// golden's own restore does, and that snapshots to the same bytes again.
+func TestGoldensResnapshotAsFlatRecords(t *testing.T) {
+	liveA, liveU := goldenLiveStream()
+	post := len(liveA)
+	for _, dir := range goldenDirs(t) {
+		if goldenVersion(dir) > snapshot.GobVersion {
+			continue
+		}
+		t.Run(filepath.Base(dir), func(t *testing.T) {
+			b, err := os.ReadFile(filepath.Join(dir, "detector.snap"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			restore := func(b []byte) *Detector {
+				d, err := RestoreDetector(bytes.NewReader(b))
+				if err != nil {
+					t.Fatal(err)
+				}
+				return d
+			}
+			record := snapshotBytes(t, restore(b))
+			if !bytes.HasPrefix(record, []byte(flat.Magic)) {
+				t.Fatal("a restored golden snapshots in another format than the flat record")
+			}
+			again := restore(record)
+			if !bytes.Equal(snapshotBytes(t, again), record) {
+				t.Fatal("Snapshot → RestoreDetector → Snapshot changed the record's bytes")
+			}
+			requireSameResults(t, observeSerially(t, restore(b), liveA[goldenPreSegments:post], liveU[goldenPreSegments:post]),
+				observeSerially(t, again, liveA[goldenPreSegments:post], liveU[goldenPreSegments:post]))
+		})
+	}
+}
+
+// TestRecordsRoundTripByteIdentical: Save → Load → Save and Snapshot →
+// RestoreDetector → Snapshot write the same bytes, for a tiered updating
+// detector mid-stream, and a channel's record names its channel, however
+// long its id.
+func TestRecordsRoundTripByteIdentical(t *testing.T) {
+	det := tinyDetector(t, true)
+	saved := saveBytes(t, det)
+	loaded, err := Load(bytes.NewReader(saved))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(saveBytes(t, loaded), saved) {
+		t.Fatal("Save → Load → Save changed the record's bytes")
+	}
+	for _, id := range []string{"ch-7", strings.Repeat("long-", 1000)} { // longer than a reader's buffer
+		var named bytes.Buffer
+		if err := det.SnapshotChannel(&named, id); err != nil {
+			t.Fatal(err)
+		}
+		restored, channel, err := RestoreChannel(bytes.NewReader(named.Bytes()))
+		if err != nil || channel != id {
+			t.Fatalf("RestoreChannel = channel of %d bytes, %v; want %d", len(channel), err, len(id))
+		}
+		if snap := snapshotBytes(t, det); !bytes.Equal(snapshotBytes(t, restored), snap) {
+			t.Fatal("Snapshot → RestoreDetector → Snapshot changed the record's bytes")
 		}
 	}
 }

@@ -107,6 +107,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: Omega must lie in [0,1], got %v", c.Omega)
 	case !(c.LearningRate > 0):
 		return fmt.Errorf("core: LearningRate must be positive, got %v", c.LearningRate)
+	case c.Coupling < CouplingFull || c.Coupling > CouplingNone || c.Loss < nn.LossJS || c.Loss > nn.LossL2:
+		return fmt.Errorf("core: unknown coupling %v or loss %v", c.Coupling, c.Loss)
 	}
 	return nil
 }

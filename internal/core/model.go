@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -9,6 +10,7 @@ import (
 
 	"aovlis/internal/nn"
 	"aovlis/internal/snapshot"
+	"aovlis/internal/snapshot/flat"
 )
 
 // Model is the CLSTM with decoder layers: M(S_I, S_A, θ_p) → (Î, Â)
@@ -392,48 +394,116 @@ func (c Config) ctxEqual(o Config) bool {
 		c.SeqLen == o.SeqLen && c.Coupling == o.Coupling
 }
 
-// modelWire is the gob payload header for Save/Load, written after the
-// versioned snapshot envelope. HasOpt marks whether optimiser state follows
-// the parameters (SaveRuntime writes it, Save does not).
+// modelWire is the gob payload header of a model stream of snapshot codec
+// versions 1 to 3, written after the gob envelope. HasOpt marks whether
+// optimiser state follows the parameters.
 type modelWire struct {
 	Config Config
 	HasOpt bool
 }
 
-// Save serialises the model inside a versioned, self-describing snapshot
-// envelope: configuration and parameters, without optimiser state. Use
-// SaveRuntime to also capture the optimiser so training resumes
-// bit-identically.
-func (m *Model) Save(w io.Writer) error { return m.save(w, false) }
+// Save writes the model as a flat record (package flat): configuration
+// and weights, without optimiser state. Use SaveRuntime to also capture
+// the optimiser so training resumes bit-identically.
+func (m *Model) Save(w io.Writer) error { return flat.Write(w, flat.KindModel, m.Sections(false)...) }
 
-// SaveRuntime serialises the full model runtime — configuration,
-// parameters and Adam optimiser state (step count and moment estimates) —
-// inside the same versioned envelope Save uses. A model restored from it
-// continues training with bit-identical updates; Detector.Snapshot builds
-// on this.
-func (m *Model) SaveRuntime(w io.Writer) error { return m.save(w, true) }
-
-func (m *Model) save(w io.Writer, withOpt bool) error {
-	if err := snapshot.WriteHeader(w, snapshot.KindModel); err != nil {
-		return err
-	}
-	if err := gob.NewEncoder(w).Encode(modelWire{Config: m.cfg, HasOpt: withOpt}); err != nil {
-		return fmt.Errorf("core: encoding model header: %w", err)
-	}
-	if err := m.ps.Save(w); err != nil {
-		return err
-	}
-	if withOpt {
-		return m.opt.Save(w)
-	}
-	return nil
+// SaveRuntime writes the full model runtime — configuration, weights and
+// Adam optimiser state (step count and moment estimates) — as a flat
+// record. A model restored from it continues training with bit-identical
+// updates; Detector.Snapshot builds on this.
+func (m *Model) SaveRuntime(w io.Writer) error {
+	return flat.Write(w, flat.KindModel, m.Sections(true)...)
 }
 
-// LoadModel reconstructs a model previously written with Save or
-// SaveRuntime. It accepts any snapshot codec version still supported (see
-// internal/snapshot) and restores optimiser state when present.
+// Sections returns the model's sections of a flat record: its
+// configuration, its weights and, with opt, its optimiser state.
+func (m *Model) Sections(opt bool) []flat.Section {
+	s := []flat.Section{
+		{Tag: flat.TagModel, Put: func(e *flat.Encoder) { m.cfg.fields(e) }},
+		{Tag: flat.TagParams, Put: m.ps.WriteFlat},
+	}
+	if opt {
+		s = append(s, flat.Section{Tag: flat.TagAdam, Put: func(e *flat.Encoder) { m.opt.WriteFlat(e, m.ps) }})
+	}
+	return s
+}
+
+func (c *Config) fields(f flat.Fields) {
+	f.Words(&c.ActionDim, &c.AudienceDim, &c.HiddenI, &c.HiddenA, &c.SeqLen, &c.Omega, (*int)(&c.Loss),
+		&c.LearningRate, (*int)(&c.Coupling), &c.Seed)
+}
+
+// ReadModel reads the model sections of an open flat record. The weights
+// section must hold exactly the parameters the configuration makes, which
+// is checked before the model is built, so a record allocates no more
+// than it declares.
+func ReadModel(d *flat.Decoder) (*Model, error) {
+	var cfg Config
+	if !d.Section(flat.TagModel) {
+		return nil, errors.Join(d.Err(), errors.New("core: record holds no model"))
+	}
+	if cfg.fields(d); d.Err() != nil {
+		return nil, fmt.Errorf("core: decoding model configuration: %w", d.Err())
+	}
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	if n, ok := cfg.numParams(); !ok || d.Size(flat.TagParams) != 8*n {
+		return nil, fmt.Errorf("core: weights section of %d bytes does not hold the configuration's parameters", d.Size(flat.TagParams))
+	}
+	m, err := NewModel(cfg)
+	if err != nil {
+		return nil, err
+	}
+	d.Section(flat.TagParams)
+	if err := m.ps.ReadFlat(d); err != nil {
+		return nil, err
+	}
+	if d.Section(flat.TagAdam) {
+		if err := m.opt.ReadFlat(d, m.ps); err != nil {
+			return nil, err
+		}
+	}
+	return m, nil
+}
+
+// numParams is the number of weights NewModel makes for c, and false if
+// a dimension (2²⁰) or q (2¹⁶, which sizes every window) is beyond any
+// model's.
+func (c Config) numParams() (int64, bool) {
+	const most = 1 << 20
+	if c.ActionDim > most || c.AudienceDim > most || c.HiddenI > most || c.HiddenA > most || c.SeqLen > 1<<16 {
+		return 0, false
+	}
+	ctxI, ctxA := c.ctxDims()
+	hi, ha := int64(c.HiddenI), int64(c.HiddenA)
+	return 4*hi*int64(ctxI+1) + 4*ha*int64(ctxA+1) + (hi+1)*int64(c.ActionDim) + (ha+1)*int64(c.AudienceDim), true
+}
+
+// LoadModel reconstructs a model written with Save or SaveRuntime: a flat
+// record, or a gob stream of snapshot codec versions 1 to 3. It restores
+// optimiser state when present.
 func LoadModel(r io.Reader) (*Model, error) {
-	r = snapshot.Reader(r)
+	avail, br := flat.Avail(r), flat.Reader(r)
+	if !flat.Is(br) {
+		return loadGob(br)
+	}
+	d, err := flat.Open(br, flat.KindModel, avail)
+	if err != nil {
+		return nil, err
+	}
+	m, err := ReadModel(d)
+	if err == nil {
+		err = d.Close()
+	}
+	if err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+// loadGob reads a model stream of snapshot codec versions 1 to 3.
+func loadGob(r io.Reader) (*Model, error) {
 	if _, err := snapshot.ReadHeader(r, snapshot.KindModel); err != nil {
 		return nil, err
 	}

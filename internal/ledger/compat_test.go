@@ -2,6 +2,7 @@ package ledger
 
 import (
 	"bytes"
+	"encoding/gob"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
@@ -281,5 +282,46 @@ func TestAppendRefusesUnencodableEntry(t *testing.T) {
 	}
 	if seq, err := l.Append(testEntry("ch", 1)); err != nil || seq != 1 {
 		t.Fatalf("Append after the refusals = %d, %v; want seq 1", seq, err)
+	}
+}
+
+// TestBinaryBatchHeaderIsGob pins the batch envelope literal: it is gob's
+// encoding of the version 3 envelope a binary batch has always opened
+// with, and a batch written now opens with it and reads back through
+// readBatch while the snapshot codec version is past 3.
+func TestBinaryBatchHeaderIsGob(t *testing.T) {
+	var want bytes.Buffer
+	h := snapshot.Header{Magic: snapshot.Magic, Version: 3, Kind: snapshot.KindLedgerBinaryBatch}
+	if err := gob.NewEncoder(&want).Encode(h); err != nil {
+		t.Fatal(err)
+	}
+	if binaryBatchHeader != want.String() {
+		t.Fatalf("binaryBatchHeader is %q, gob encodes %q", binaryBatchHeader, want.String())
+	}
+	if snapshot.Version <= 3 {
+		t.Fatalf("snapshot.Version is %d: this pins a header written under a later one", snapshot.Version)
+	}
+	dir := t.TempDir()
+	l, err := Open(dir, Options{BatchSize: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if _, err := l.Append(testEntry("ch", uint64(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(filepath.Join(dir, batchFiles.Name(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasPrefix(b, []byte(binaryBatchHeader)) {
+		t.Fatal("a batch written now does not open with binaryBatchHeader")
+	}
+	if w, err := readBatch(filepath.Join(dir, batchFiles.Name(1))); err != nil || len(w.Entries) != 2 {
+		t.Fatalf("readBatch = %d entries, %v; want 2", len(w.Entries), err)
 	}
 }

@@ -27,8 +27,8 @@
 //
 // # Batch file
 //
-// A batch file is the envelope (kind ledger.BinaryBatch, encoded once per
-// process), the batch's fixed fields — index, first seq, entry count,
+// A batch file is the envelope (kind ledger.BinaryBatch, a fixed run of
+// bytes), the batch's fixed fields — index, first seq, entry count,
 // prev_chained, root, chained — then each entry's canonical bytes, the very
 // bytes its leaf hashes, and a SHA-256 trailer over everything before it
 // (ARCHITECTURE.md §14 has the table). The committer encodes all of it into
@@ -487,14 +487,14 @@ func decodeBatch(p []byte) (batchWire, error) {
 	return w, nil
 }
 
-// binaryBatchHeader is the envelope every binary batch file opens with.
-var binaryBatchHeader = func() []byte {
-	var b bytes.Buffer
-	if err := snapshot.WriteHeader(&b, snapshot.KindLedgerBinaryBatch); err != nil {
-		panic(err) // a fixed header into memory: only a bug fails
-	}
-	return b.Bytes()
-}()
+// binaryBatchHeader is the envelope every binary batch file opens with:
+// gob's encoding of snapshot.Header{Magic, 3, KindLedgerBinaryBatch}, the
+// bytes the ledger wrote at codec version 3, kept as they are so that
+// batch files stay the same whatever snapshot.Version becomes, and no gob
+// encoder runs to make them.
+const binaryBatchHeader = "2\x7f\x03\x01\x01\x06Header\x01\xff\x80\x00\x01\x03\x01\x05Magic\x01\f\x00" +
+	"\x01\aVersion\x01\x04\x00\x01\x04Kind\x01\f\x00\x00\x00&\xff\x80\x01\vAOVLIS-SNAP\x01\x06" +
+	"\x01\x12ledger.BinaryBatch\x00"
 
 // batchFiles names the ledger's batch files.
 var batchFiles = durable.Numbered{Prefix: "batch-", Suffix: ".blk"}

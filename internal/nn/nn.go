@@ -21,6 +21,7 @@ import (
 
 	"aovlis/internal/ad"
 	"aovlis/internal/mat"
+	"aovlis/internal/snapshot/flat"
 )
 
 // ParamSet is an ordered collection of named trainable matrices. The set
@@ -344,9 +345,9 @@ func (a *Adam) Restart() {
 	}
 }
 
-// adamWire is the gob wire format for Adam state. Moment matrices are
-// written in sorted-name order, like paramsWire, so the encoding is
-// deterministic.
+// adamWire is the gob wire format of Adam state in snapshot codec versions
+// 1 to 3, which Load still reads: the moments in sorted-name order, like
+// paramsWire.
 type adamWire struct {
 	LR, Beta1, Beta2, Eps, ClipNorm float64
 	T                               int
@@ -355,34 +356,57 @@ type adamWire struct {
 	M, V                            [][]float64
 }
 
-// Save writes the optimiser's hyperparameters, step count and first/second
-// moment estimates to w in a stable, self-describing format. Together with
-// ParamSet.Save this captures everything needed to resume training with
+// WriteFlat writes the optimiser's hyperparameters, step count and moment
+// estimates as the optimiser section of a flat record: for each parameter
+// of ps in sorted-name order a word saying whether it has moments, then
+// the first and second moments of those that do, in that order. With
+// ParamSet.WriteFlat it is everything training needs to resume with
 // bit-identical updates.
-func (a *Adam) Save(w io.Writer) error {
-	wire := adamWire{LR: a.LR, Beta1: a.Beta1, Beta2: a.Beta2, Eps: a.Eps, ClipNorm: a.ClipNorm, T: a.t}
-	order := make([]int, 0, len(a.names))
-	for i := range a.names {
-		if a.m[i] != nil {
-			order = append(order, i)
+func (a *Adam) WriteFlat(e *flat.Encoder, ps *ParamSet) {
+	a.fields(e)
+	var held []int
+	for _, n := range ps.sortedNames() {
+		i := slices.Index(a.names, n)
+		has := i >= 0 && a.m[i] != nil
+		if e.Words(&has); has {
+			held = append(held, i)
 		}
 	}
-	sort.Slice(order, func(x, y int) bool { return a.names[order[x]] < a.names[order[y]] })
-	for _, i := range order {
-		m := a.m[i]
-		wire.Names = append(wire.Names, a.names[i])
-		wire.Rows = append(wire.Rows, m.Rows)
-		wire.Cols = append(wire.Cols, m.Cols)
-		wire.M = append(wire.M, m.Data)
-		wire.V = append(wire.V, a.v[i].Data)
+	for _, i := range held {
+		e.Floats(a.m[i].Data)
+		e.Floats(a.v[i].Data)
 	}
-	if err := gob.NewEncoder(w).Encode(wire); err != nil {
-		return fmt.Errorf("nn: encoding optimiser state: %w", err)
+}
+
+func (a *Adam) fields(f flat.Fields) {
+	f.Words(&a.LR, &a.Beta1, &a.Beta2, &a.Eps, &a.ClipNorm, &a.t)
+}
+
+// ReadFlat replaces the optimiser's state with the section WriteFlat wrote
+// for a set of ps's shapes; each moment is read into an array of its own.
+func (a *Adam) ReadFlat(d *flat.Decoder, ps *ParamSet) error {
+	a.fields(d)
+	a.aligned, a.names = nil, ps.sortedNames()
+	has := make([]bool, len(a.names))
+	for i := range has {
+		d.Words(&has[i])
+	}
+	a.m, a.v = make([]*mat.Matrix, len(has)), make([]*mat.Matrix, len(has))
+	for i, n := range a.names {
+		if p := ps.vals[n]; has[i] && d.Fits(2*len(p.Data), 8) {
+			a.m[i], a.v[i] = mat.New(p.Rows, p.Cols), mat.New(p.Rows, p.Cols)
+			d.FloatsInto(a.m[i].Data)
+			d.FloatsInto(a.v[i].Data)
+		}
+	}
+	if err := d.Err(); err != nil {
+		return fmt.Errorf("nn: decoding optimiser state: %w", err)
 	}
 	return nil
 }
 
-// Load replaces the optimiser's state with one previously written by Save.
+// Load replaces the optimiser's state with one a snapshot of codec version
+// 1 to 3 holds.
 func (a *Adam) Load(r io.Reader) error {
 	var wire adamWire
 	if err := gob.NewDecoder(r).Decode(&wire); err != nil {
@@ -671,7 +695,8 @@ func ActionLoss(kind LossKind, tp *ad.Tape, p *mat.Matrix, q *ad.Node) *ad.Node 
 
 // --- Serialization ---
 
-// paramsWire is the gob wire format for a ParamSet.
+// paramsWire is the gob wire format of a ParamSet in snapshot codec
+// versions 1 to 3, which Load still reads.
 type paramsWire struct {
 	Names []string
 	Rows  []int
@@ -679,33 +704,40 @@ type paramsWire struct {
 	Data  [][]float64
 }
 
-// Save writes the parameter set to w in a stable, self-describing format:
-// the parameters in sorted-name order, each encoded from the array it is
-// held in.
-func (ps *ParamSet) Save(w io.Writer) error {
-	wire := paramsWire{}
+// WriteFlat writes the parameter values in sorted-name order, as the
+// weights section of a flat record, from the arrays that hold them.
+func (ps *ParamSet) WriteFlat(e *flat.Encoder) {
 	for _, n := range ps.sortedNames() {
-		m := ps.vals[n]
-		wire.Names = append(wire.Names, n)
-		wire.Rows = append(wire.Rows, m.Rows)
-		wire.Cols = append(wire.Cols, m.Cols)
-		wire.Data = append(wire.Data, m.Data)
+		e.Floats(ps.vals[n].Data)
 	}
-	if err := gob.NewEncoder(w).Encode(wire); err != nil {
-		return fmt.Errorf("nn: encoding parameters: %w", err)
+}
+
+// ReadFlat reads a weights section WriteFlat wrote for a set of ps's
+// shapes straight into ps's own arrays. A read that fails may leave some
+// of them overwritten (the version moved first, as CopyFrom's does).
+func (ps *ParamSet) ReadFlat(d *flat.Decoder) error {
+	if n := ps.NumParams(); d.Left() != 8*int64(n) {
+		return fmt.Errorf("nn: weights section holds %d bytes, the model has %d parameters", d.Left(), n)
+	}
+	ps.BumpVersion() // before mutating: see CopyFrom
+	for _, n := range ps.sortedNames() {
+		d.FloatsInto(ps.vals[n].Data)
+	}
+	if err := d.Err(); err != nil {
+		return fmt.Errorf("nn: decoding parameters: %w", err)
 	}
 	return nil
 }
 
-// sortedNames returns the parameter names in the order Save writes them.
+// sortedNames returns the parameter names in the order records hold them.
 func (ps *ParamSet) sortedNames() []string {
 	names := slices.Clone(ps.names)
 	sort.Strings(names)
 	return names
 }
 
-// Load reads parameters previously written by Save into ps: the stored
-// names, in order, must be ps's in the order Save writes them, each of
+// Load reads the parameters a snapshot of codec version 1 to 3 holds into
+// ps: the stored names, in order, must be ps's in sorted order, each of
 // identical shape. The values decode straight into ps's own arrays — gob
 // fills a slice that has the room — so a load holds no second copy of the
 // weights; a load that fails may leave some of them overwritten (the

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/gob"
 	"fmt"
@@ -10,6 +11,7 @@ import (
 
 	"aovlis/internal/ad"
 	"aovlis/internal/mat"
+	"aovlis/internal/snapshot/flat"
 )
 
 func TestParamSetAddGet(t *testing.T) {
@@ -467,15 +469,12 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	NewDense(ps, "d", 3, 2, Linear, rng)
 	NewLSTMCell(ps, "l", 5, 4, rng)
 
-	var buf bytes.Buffer
-	if err := ps.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
+	buf := writeFlat(t, flat.Section{Tag: flat.TagParams, Put: ps.WriteFlat})
 
 	ps2 := NewParamSet()
 	NewDense(ps2, "d", 3, 2, Linear, rng)
 	NewLSTMCell(ps2, "l", 5, 4, rng)
-	if err := ps2.Load(&buf); err != nil {
+	if err := ps2.ReadFlat(openParams(t, buf)); err != nil {
 		t.Fatal(err)
 	}
 	for _, n := range ps.Names() {
@@ -491,15 +490,35 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 func TestLoadShapeMismatch(t *testing.T) {
 	ps := NewParamSet()
 	ps.Add("w", mat.New(2, 2))
-	var buf bytes.Buffer
-	if err := ps.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
+	buf := writeFlat(t, flat.Section{Tag: flat.TagParams, Put: ps.WriteFlat})
 	ps2 := NewParamSet()
 	ps2.Add("w", mat.New(3, 3))
-	if err := ps2.Load(&buf); err == nil {
+	if err := ps2.ReadFlat(openParams(t, buf)); err == nil {
 		t.Fatal("expected shape mismatch error")
 	}
+}
+
+// writeFlat writes a model record of sections.
+func writeFlat(t *testing.T, sections ...flat.Section) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := flat.Write(&buf, flat.KindModel, sections...); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// openParams opens the model record b at its weights section.
+func openParams(t *testing.T, b []byte) *flat.Decoder {
+	t.Helper()
+	d, err := flat.Open(bufio.NewReader(bytes.NewReader(b)), flat.KindModel, int64(len(b)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !d.Section(flat.TagParams) {
+		t.Fatal("record has no weights section")
+	}
+	return d
 }
 
 // BenchmarkAdamStep measures one optimiser step over the served CLSTM's
@@ -570,19 +589,19 @@ func TestAdamSaveLoadResumesIdentically(t *testing.T) {
 	}
 
 	// Snapshot parameters + optimiser, restore into a parallel universe.
-	var obuf, pbuf bytes.Buffer
-	if err := opt.Save(&obuf); err != nil {
-		t.Fatal(err)
-	}
-	if err := ps.Save(&pbuf); err != nil {
-		t.Fatal(err)
-	}
+	buf := writeFlat(t, flat.Section{Tag: flat.TagParams, Put: ps.WriteFlat},
+		flat.Section{Tag: flat.TagAdam, Put: func(e *flat.Encoder) { opt.WriteFlat(e, ps) }})
 	ps2 := ps.Clone()
-	if err := ps2.Load(&pbuf); err != nil {
+	d := openParams(t, buf)
+	if err := ps2.ReadFlat(d); err != nil {
 		t.Fatal(err)
 	}
-	opt2 := NewAdam(0.99) // junk hyperparameters: Load must overwrite them
-	if err := opt2.Load(&obuf); err != nil {
+	opt2 := NewAdam(0.99) // junk hyperparameters: ReadFlat must overwrite them
+	d.Section(flat.TagAdam)
+	if err := opt2.ReadFlat(d, ps2); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if opt2.LR != opt.LR || opt2.ClipNorm != opt.ClipNorm {

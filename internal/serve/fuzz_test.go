@@ -3,13 +3,18 @@ package serve
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
+
+	"aovlis/internal/snapshot"
 )
 
-// exportFuzzSeeds is the channel "fuzz" exported mid-stream, then the same
-// stream cut short at the envelope, the manifest and the detector payload,
-// and channel "other"'s export: an intact stream whose envelope names the
-// wrong id.
+// exportFuzzSeeds is the channel "fuzz" exported mid-stream, channel
+// "other"'s export (an intact record that names the wrong id), the first
+// cut short at the header, in the section table and mid-record, then the
+// root package's golden detector snapshots of codec versions 1 to 3.
 func exportFuzzSeeds(tb testing.TB) [][]byte {
 	tb.Helper()
 	tmpl := trainTemplate(tb)
@@ -44,6 +49,13 @@ func exportFuzzSeeds(tb testing.TB) [][]byte {
 	for _, n := range []int{0, 1, 16, 64, len(valid) / 4, len(valid) / 2, len(valid) - 1} {
 		seeds = append(seeds, valid[:n])
 	}
+	for v := 1; v <= snapshot.GobVersion; v++ {
+		b, err := os.ReadFile(filepath.Join("..", "..", "testdata", "snapshots", fmt.Sprintf("v%d", v), "detector.snap"))
+		if err != nil {
+			tb.Fatal(err)
+		}
+		seeds = append(seeds, b)
+	}
 	return seeds
 }
 
@@ -62,7 +74,7 @@ func FuzzAttachSnapshot(f *testing.F) {
 	}
 	f.Cleanup(func() { p.Close() })
 	// The seeds are what they claim: the export attaches, the other
-	// channel's is refused by its envelope.
+	// channel's is refused by the channel it names.
 	if err := attachSnapshot(p, "fuzz", bytes.NewReader(seeds[0])); err != nil {
 		f.Fatal(err)
 	}

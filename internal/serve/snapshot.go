@@ -25,10 +25,8 @@ package serve
 // §9.
 
 import (
-	"bufio"
 	"bytes"
 	"crypto/sha256"
-	"encoding/gob"
 	"encoding/hex"
 	"errors"
 	"fmt"
@@ -44,7 +42,6 @@ import (
 
 	"aovlis"
 	"aovlis/internal/durable"
-	"aovlis/internal/snapshot"
 	"aovlis/internal/snapshot/manifest"
 	"aovlis/internal/wire"
 )
@@ -55,10 +52,10 @@ import (
 var ErrNotSnapshottable = errors.New("serve: channel is a bare scorer, not an *aovlis.Detector")
 
 // ErrChannelIDMismatch is returned by DecodeSnapshot when the uploaded
-// stream's embedded channel-export manifest names a different channel than
-// the one the caller is attaching — almost always a mis-addressed migration
-// PUT. Rejecting it up front keeps a channel's runtime from silently
-// continuing under another channel's id (the daemon maps it to HTTP 400).
+// stream names a different channel than the one the caller is attaching —
+// almost always a mis-addressed migration PUT. Rejecting it before
+// anything attaches keeps a channel's runtime from silently continuing
+// under another channel's id (the daemon maps it to HTTP 400).
 var ErrChannelIDMismatch = errors.New("serve: snapshot channel id does not match attach id")
 
 // Report summarises one pool snapshot.
@@ -148,7 +145,7 @@ func (p *DetectorPool) encodeQuiesced(ch *channel) (*bytes.Buffer, time.Duration
 	)
 	err := p.quiesce(ch, func() {
 		start := time.Now()
-		encErr = ch.aov.Snapshot(&buf)
+		encErr = ch.aov.SnapshotChannel(&buf, ch.id)
 		// Read the applied journal floor inside the quiesce: every job
 		// queued before the control job has finished, so this is exactly
 		// the sequence the encoded state covers.
@@ -248,7 +245,7 @@ func (p *DetectorPool) Snapshot(dir string) (Report, error) {
 		return Report{}, firstErr
 	}
 	sort.Slice(entries, func(i, j int) bool { return entries[i].ID < entries[j].ID })
-	m := manifest.Manifest{Version: snapshot.Version, UnixNanos: gen, Channels: entries}
+	m := manifest.Manifest{Version: manifest.Version, UnixNanos: gen, Channels: entries}
 	if err := manifest.Write(dir, m); err != nil {
 		return Report{}, err
 	}
@@ -275,21 +272,14 @@ func (p *DetectorPool) Snapshot(dir string) (Report, error) {
 	return report, nil
 }
 
-// channelExportWire is the identity manifest serve.ExportChannel prepends
-// (inside a KindChannelExport envelope) ahead of the detector snapshot, so
-// the importing side can verify the stream belongs to the channel it is
-// being attached under before restoring anything.
-type channelExportWire struct {
-	ID string
-}
-
 // ExportChannel streams one channel's quiesced snapshot to w and returns
 // the applied sequence it covers — the sending half of channel migration:
 // export from one pool, DecodeSnapshot and AttachAt that sequence into
-// another (possibly in a different process). The stream opens
-// with a channel-export envelope naming the channel id; DecodeSnapshot
-// rejects an id mismatch with ErrChannelIDMismatch instead of attaching a
-// foreign channel's runtime under the wrong id.
+// another (possibly in a different process). The stream is the bytes a
+// checkpoint commits for the channel: a detector record that names the
+// channel, so DecodeSnapshot rejects an id mismatch with
+// ErrChannelIDMismatch instead of attaching a foreign channel's runtime
+// under the wrong id.
 func (p *DetectorPool) ExportChannel(id string, w io.Writer) (uint64, error) {
 	ch, ok := p.lookup(id)
 	if !ok {
@@ -302,12 +292,6 @@ func (p *DetectorPool) ExportChannel(id string, w io.Writer) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	if err := snapshot.WriteHeader(w, snapshot.KindChannelExport); err != nil {
-		return 0, err
-	}
-	if err := gob.NewEncoder(w).Encode(channelExportWire{ID: id}); err != nil {
-		return 0, fmt.Errorf("serve: encoding channel export manifest: %w", err)
-	}
 	_, err = w.Write(buf.Bytes())
 	return applied, err
 }
@@ -315,39 +299,19 @@ func (p *DetectorPool) ExportChannel(id string, w io.Writer) (uint64, error) {
 // DecodeSnapshot restores a detector from a Snapshot/ExportChannel stream
 // for attaching under id — the receiving half of channel migration, which
 // a caller completes with AttachAt after vetting the detector. The restored
-// channel resumes mid-window exactly where the exported one stopped.
-//
-// Two stream formats are accepted: a channel-export wrapper (ExportChannel
-// emits it; the embedded channel id must equal id or decoding fails with
-// ErrChannelIDMismatch) and a bare detector snapshot (pool checkpoint files
-// and pre-export-envelope clients), which carries no id to verify.
+// channel resumes mid-window exactly where the exported one stopped. A
+// stream that names a channel (a checkpoint entry or an export, and a
+// channel export of codec versions 1 to 3) must name id, or decoding fails
+// with ErrChannelIDMismatch; a bare detector snapshot names none.
 func DecodeSnapshot(id string, r io.Reader) (*aovlis.Detector, error) {
-	br, ok := r.(*bufio.Reader)
-	if !ok {
-		br = bufio.NewReader(r)
+	det, channel, err := aovlis.RestoreChannel(r)
+	if err != nil {
+		return nil, err
 	}
-	// Dispatch on the envelope kind without consuming it: the header is
-	// decoded from a peeked prefix, so a bare detector stream can still be
-	// handed to RestoreDetector from the start.
-	if prefix, _ := br.Peek(1024); len(prefix) > 0 {
-		var hdr snapshot.Header
-		if err := gob.NewDecoder(bytes.NewReader(prefix)).Decode(&hdr); err == nil && hdr.Kind == snapshot.KindChannelExport {
-			if _, err := snapshot.ReadHeaderAny(br); err != nil {
-				return nil, err
-			}
-			var wire channelExportWire
-			if err := gob.NewDecoder(br).Decode(&wire); err != nil {
-				return nil, fmt.Errorf("serve: decoding channel export manifest: %w", err)
-			}
-			if wire.ID == "" {
-				return nil, fmt.Errorf("serve: channel export manifest names no channel id")
-			}
-			if wire.ID != id {
-				return nil, fmt.Errorf("%w: stream exports %q, attaching as %q", ErrChannelIDMismatch, wire.ID, id)
-			}
-		}
+	if channel != "" && channel != id {
+		return nil, fmt.Errorf("%w: stream exports %q, attaching as %q", ErrChannelIDMismatch, channel, id)
 	}
-	return aovlis.RestoreDetector(br)
+	return det, nil
 }
 
 // RestorePool rebuilds a pool from a Snapshot directory and the manifest

@@ -19,6 +19,7 @@ import (
 	"strings"
 	"testing"
 
+	"aovlis/internal/snapshot/flat"
 	"aovlis/internal/snapshot/manifest"
 	"aovlis/internal/wire/wiretest"
 )
@@ -46,15 +47,22 @@ func fuzzCorpus() map[string][]byte {
 
 // headerFuzzSeeds / manifestFuzzSeeds are shared between f.Add and the
 // checked-in corpus. Each keeps a version-1 input: the codec still reads
-// version 1, so the fuzzer should start from its bytes too.
+// version 1, so the fuzzer should start from its bytes too. The header
+// seeds end with a version-4 record's head, which opens with flat.Magic
+// and no gob envelope: ReadHeader must refuse it.
 func headerFuzzSeeds() [][]byte {
+	var record bytes.Buffer
+	if err := flat.Write(&record, flat.KindDetector); err != nil {
+		panic(err)
+	}
 	return [][]byte{
-		validHeaderBytes(Version, KindDetector),
-		validHeaderBytes(Version, KindModel),
-		validHeaderBytes(Version, KindModel)[:5], // truncated mid-gob
+		validHeaderBytes(GobVersion, KindDetector),
+		validHeaderBytes(GobVersion, KindModel),
+		validHeaderBytes(GobVersion, KindModel)[:5], // truncated mid-gob
 		{},
 		[]byte("not a snapshot at all"),
 		validHeaderBytes(1, KindDetector),
+		record.Bytes(),
 	}
 }
 
@@ -77,6 +85,7 @@ func manifestFuzzSeeds() [][]byte {
 		[]byte(`not json`),
 		[]byte(`{"version":1,"channels":[{"id":"x","file":"../../x","bytes":1}]}`),
 		valid(1),
+		valid(GobVersion),
 	}
 }
 
@@ -138,7 +147,7 @@ func FuzzReadHeader(f *testing.F) {
 			return
 		}
 		// An accepted header must actually satisfy the contract.
-		if h.Magic != Magic || h.Kind != KindDetector || h.Version < 1 || h.Version > Version {
+		if h.Magic != Magic || h.Kind != KindDetector || h.Version < 1 || h.Version > GobVersion {
 			t.Fatalf("ReadHeader accepted invalid header %+v", h)
 		}
 	})

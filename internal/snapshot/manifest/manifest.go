@@ -16,6 +16,7 @@ import (
 	"strings"
 
 	"aovlis/internal/durable"
+	"aovlis/internal/snapshot/flat"
 	"aovlis/internal/wire"
 )
 
@@ -24,8 +25,9 @@ import (
 // a testdata/snapshots/v<N> golden in the root package) whenever any
 // snapshot wire format changes. Version 2 dropped the ADOS filter's
 // configuration and counters from the detector payload; version 3 writes
-// the updater's buffer as one log of rows and an offset per sample.
-const Version = 3
+// the updater's buffer as one log of rows and an offset per sample;
+// version 4 is the flat record (package flat), which is defined there.
+const Version = flat.Version
 
 // Name is the file the pool manifest commits to inside a snapshot
 // directory.

@@ -1,24 +1,26 @@
-// Package snapshot is the versioned, self-describing envelope that every
-// serialised artifact of the AOVLIS runtime (model weights, detector
-// runtime state, ledger batches) opens with. The pool manifest's format,
-// reader and writer are package manifest, which needs no gob; files reach
-// disk through package durable.
+// Package snapshot is the versioned, self-describing envelope that the
+// serialised artifacts of the AOVLIS runtime opened with up to codec
+// version 3 (model weights, detector runtime state) and that ledger
+// batches still open with. The pool manifest's format, reader and writer
+// are package manifest, which needs no gob; version 4 records are package
+// flat; files reach disk through package durable.
 //
 // # Envelope
 //
-// Every snapshot stream begins with a gob-encoded Header{Magic, Version,
-// Kind}. Magic rejects arbitrary files early; Kind rejects a valid snapshot
-// of the wrong artifact (a model file fed to the detector restorer); Version
-// is the wire-format codec version. Readers accept any version in
-// [1, Version] — the codec for version v must keep decoding v-formatted
-// streams forever (enforced by the golden-fixture compatibility gate in the
-// root package: testdata/snapshots/v*/...). Writers always emit the current
-// Version. A PR that changes any snapshot wire format must bump Version and
-// check in a new golden fixture directory, or the compatibility gate fails.
+// A stream of codec versions 1 to 3 begins with a gob-encoded
+// Header{Magic, Version, Kind}. Magic rejects arbitrary files early; Kind
+// rejects a valid snapshot of the wrong artifact (a model file fed to the
+// detector restorer); Version is the wire-format codec version. Readers
+// accept any version in [1, GobVersion] — the codec for version v must
+// keep decoding v-formatted streams forever (enforced by the golden-fixture
+// compatibility gate in the root package: testdata/snapshots/v*/...).
+// Nothing writes these envelopes any more but the ledger, whose batch
+// header is a fixed run of their bytes. A PR that changes any snapshot
+// wire format must bump Version and check in a new golden fixture
+// directory, or the compatibility gate fails.
 package snapshot
 
 import (
-	"bufio"
 	"encoding/gob"
 	"fmt"
 	"io"
@@ -33,13 +35,17 @@ const Magic = "AOVLIS-SNAP"
 // and bumped, in package manifest (see manifest.Version).
 const Version = manifest.Version
 
+// GobVersion is the last codec version whose streams open with this
+// package's gob envelope; later ones are flat records.
+const GobVersion = 3
+
 // Artifact kinds carried in the envelope.
 const (
 	KindModel    = "core.Model"
 	KindDetector = "aovlis.Detector"
 	// KindChannelExport wraps a KindDetector stream with a channel-identity
-	// manifest (serve.ExportChannel emits it): the importer can reject a
-	// snapshot PUT to the wrong channel id before restoring anything.
+	// manifest (serve.ExportChannel's stream up to version 3; a version 4
+	// record names its channel in a section of its own).
 	KindChannelExport = "serve.ChannelExport"
 	// KindLedgerBatch is one committed batch of the tamper-evident verdict
 	// ledger (internal/ledger): a Merkle-batched run of verdicts whose root
@@ -59,40 +65,22 @@ type Header struct {
 	Kind    string
 }
 
-// WriteHeader emits the envelope for kind at the current codec version.
-func WriteHeader(w io.Writer, kind string) error {
-	h := Header{Magic: Magic, Version: Version, Kind: kind}
-	if err := gob.NewEncoder(w).Encode(h); err != nil {
-		return fmt.Errorf("snapshot: encoding %s header: %w", kind, err)
-	}
-	return nil
-}
-
 // ReadHeader decodes and validates the envelope: the magic must match, the
-// kind must be wantKind, and the version must be one this codec still
-// speaks (1..Version). It returns the header so callers can dispatch on
+// kind must be wantKind, and the version must be one of the gob envelope's
+// (1..GobVersion). It returns the header so callers can dispatch on
 // Version when decoding the payload.
 func ReadHeader(r io.Reader, wantKind string) (Header, error) {
-	var h Header
-	if err := gob.NewDecoder(r).Decode(&h); err != nil {
-		return h, fmt.Errorf("snapshot: decoding header: %w", err)
+	h, err := ReadHeaderAny(r)
+	if err == nil && h.Kind != wantKind {
+		err = fmt.Errorf("snapshot: kind %q, want %q", h.Kind, wantKind)
 	}
-	if h.Magic != Magic {
-		return h, fmt.Errorf("snapshot: bad magic %q (not an AOVLIS snapshot)", h.Magic)
-	}
-	if h.Version < 1 || h.Version > Version {
-		return h, fmt.Errorf("snapshot: version %d not in supported range [1, %d]", h.Version, Version)
-	}
-	if h.Kind != wantKind {
-		return h, fmt.Errorf("snapshot: kind %q, want %q", h.Kind, wantKind)
-	}
-	return h, nil
+	return h, err
 }
 
 // ReadHeaderAny decodes and validates the envelope without constraining the
-// artifact kind — for callers that dispatch on it (serve.DecodeSnapshot
-// accepts both bare detector streams and channel-export wrappers). The
-// magic and version checks are identical to ReadHeader.
+// artifact kind — for callers that dispatch on it (aovlis.RestoreChannel
+// accepts both bare detector streams and channel-export wrappers, the
+// ledger both batch formats). ReadHeader is it plus the kind check.
 func ReadHeaderAny(r io.Reader) (Header, error) {
 	var h Header
 	if err := gob.NewDecoder(r).Decode(&h); err != nil {
@@ -101,22 +89,8 @@ func ReadHeaderAny(r io.Reader) (Header, error) {
 	if h.Magic != Magic {
 		return h, fmt.Errorf("snapshot: bad magic %q (not an AOVLIS snapshot)", h.Magic)
 	}
-	if h.Version < 1 || h.Version > Version {
-		return h, fmt.Errorf("snapshot: version %d not in supported range [1, %d]", h.Version, Version)
+	if h.Version < 1 || h.Version > GobVersion {
+		return h, fmt.Errorf("snapshot: version %d not in supported range [1, %d]", h.Version, GobVersion)
 	}
 	return h, nil
-}
-
-// Reader wraps r so that chained gob decoders can share it safely: gob
-// wraps any reader that is not an io.ByteReader in its own bufio.Reader,
-// which reads ahead and silently swallows the bytes the NEXT decoder in the
-// chain needed. Wrapping once up front (a *bufio.Reader is an io.ByteReader)
-// makes every decoder in the chain read exactly its own messages. Readers
-// that already implement io.ByteReader (bytes.Buffer, bufio.Reader) are
-// returned unchanged.
-func Reader(r io.Reader) io.Reader {
-	if _, ok := r.(io.ByteReader); ok {
-		return r
-	}
-	return bufio.NewReader(r)
 }

@@ -11,19 +11,17 @@ import (
 	"strings"
 	"testing"
 
+	"aovlis/internal/snapshot/flat"
 	"aovlis/internal/snapshot/manifest"
 )
 
 func TestHeaderRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteHeader(&buf, KindDetector); err != nil {
-		t.Fatal(err)
-	}
-	h, err := ReadHeader(&buf, KindDetector)
+	buf := bytes.NewBuffer(validHeaderBytes(GobVersion, KindDetector))
+	h, err := ReadHeader(buf, KindDetector)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h.Magic != Magic || h.Version != Version || h.Kind != KindDetector {
+	if h.Magic != Magic || h.Version != GobVersion || h.Kind != KindDetector {
 		t.Fatalf("header = %+v", h)
 	}
 }
@@ -42,7 +40,7 @@ func TestHeaderRejections(t *testing.T) {
 		want string
 	}{
 		{"bad magic", Header{Magic: "nope", Version: 1, Kind: KindModel}, "bad magic"},
-		{"future version", Header{Magic: Magic, Version: Version + 1, Kind: KindModel}, "supported range"},
+		{"future version", Header{Magic: Magic, Version: GobVersion + 1, Kind: KindModel}, "supported range"},
 		{"zero version", Header{Magic: Magic, Version: 0, Kind: KindModel}, "supported range"},
 		{"wrong kind", Header{Magic: Magic, Version: 1, Kind: KindDetector}, "want"},
 	}
@@ -58,8 +56,9 @@ func TestHeaderRejections(t *testing.T) {
 
 func TestReaderSharedAcrossChainedDecoders(t *testing.T) {
 	// Two gob encoders chained on one stream, decoded through a reader that
-	// does NOT implement io.ByteReader: without the shared Reader wrap the
-	// second decoder loses data to the first decoder's internal bufio.
+	// does NOT implement io.ByteReader: without the shared wrap (flat.Reader,
+	// which every reader of a versions 1–3 stream goes through) the second
+	// decoder loses data to the first decoder's internal bufio.
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode("first"); err != nil {
 		t.Fatal(err)
@@ -67,7 +66,7 @@ func TestReaderSharedAcrossChainedDecoders(t *testing.T) {
 	if err := gob.NewEncoder(&buf).Encode("second"); err != nil {
 		t.Fatal(err)
 	}
-	r := Reader(onlyReader{&buf})
+	r := flat.Reader(onlyReader{&buf})
 	var a, b string
 	if err := gob.NewDecoder(r).Decode(&a); err != nil {
 		t.Fatal(err)
@@ -78,10 +77,9 @@ func TestReaderSharedAcrossChainedDecoders(t *testing.T) {
 	if a != "first" || b != "second" {
 		t.Fatalf("decoded %q, %q", a, b)
 	}
-	// A ByteReader input passes through unwrapped.
-	bb := bytes.NewBufferString("x")
-	if got := Reader(bb); got != io.Reader(bb) {
-		t.Fatal("ByteReader input was re-wrapped")
+	// A bufio.Reader input passes through unwrapped.
+	if got := flat.Reader(r); got != r {
+		t.Fatal("bufio.Reader input was re-wrapped")
 	}
 }
 

@@ -22,6 +22,7 @@ import (
 
 	"aovlis/internal/core"
 	"aovlis/internal/mat"
+	"aovlis/internal/snapshot/flat"
 )
 
 // MergeMode selects how CLSTM_new is folded into the running model.
@@ -476,6 +477,55 @@ func (u *Updater) State() State {
 		Updates:        u.updates,
 		Checks:         u.checks,
 	}
+}
+
+// WriteFlat writes the updater's state as the updater section of a flat
+// record, straight from the rows it holds: State's counters and the
+// lengths of its slices, the two sketches, the offsets, then the log's
+// action rows and its audience rows — State's Log.
+func (u *Updater) WriteFlat(e *flat.Encoder) {
+	st := State{HistoryCount: u.history.count, IncomingCount: u.incoming.count, LogEnd: u.end,
+		PrevWindowMean: u.prevWindowMean, CurWindowSum: u.curWindowSum, CurWindowN: u.curWindowN,
+		Updates: u.updates, Checks: u.checks}
+	lens := [4]int{len(u.history.sum), len(u.incoming.sum), u.rows, len(u.offsets)}
+	st.fields(e, &lens)
+	e.Floats(u.history.sum)
+	e.Floats(u.incoming.sum)
+	for i := range u.offsets {
+		e.Words(&u.offsets[i])
+	}
+	for r := 0; r < u.rows; r++ {
+		act, _ := u.row(r)
+		e.Floats(act)
+	}
+	for r := 0; r < u.rows; r++ {
+		_, aud := u.row(r)
+		e.Floats(aud)
+	}
+}
+
+func (st *State) fields(f flat.Fields, lens *[4]int) {
+	f.Words(&lens[0], &st.HistoryCount, &lens[1], &st.IncomingCount, &lens[2], &lens[3],
+		&st.LogEnd, &st.CurWindowN, &st.Updates, &st.Checks, &st.PrevWindowMean, &st.CurWindowSum)
+}
+
+// ReadState reads the State an updater section holds, of a log of rows of
+// width floats, for SetState to check and restore.
+func ReadState(d *flat.Decoder, width int) State {
+	var st State
+	var lens [4]int
+	st.fields(d, &lens)
+	st.HistorySum, st.IncomingSum = d.Floats(lens[0]), d.Floats(lens[1])
+	if d.Fits(lens[3], 8) {
+		st.Offsets = make([]int, lens[3])
+		for i := range st.Offsets {
+			d.Words(&st.Offsets[i])
+		}
+	}
+	if d.Fits(lens[2], 8*width) {
+		st.Log = d.Floats(lens[2] * width)
+	}
+	return st
 }
 
 // SetState replaces the updater's runtime state with a previously exported

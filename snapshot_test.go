@@ -8,7 +8,6 @@ package aovlis
 
 import (
 	"bytes"
-	"encoding/gob"
 	"math"
 	"math/rand"
 	"os"
@@ -17,7 +16,7 @@ import (
 	"testing"
 
 	"aovlis/internal/durable"
-	"aovlis/internal/snapshot"
+	"aovlis/internal/snapshot/flat"
 )
 
 // resultsBitEqual compares two Results including the float bit pattern of
@@ -335,20 +334,15 @@ func TestRestoreDetectorRejectsMissingUpdaterState(t *testing.T) {
 	// A stream whose config enables updates but that carries no updater
 	// state would restore a detector that silently never retrains; the
 	// validator must refuse it.
-	det := trainSnapshotDetector(t)
+	det := trainSnapshotDetector(t) // EnableUpdate is on
+	var sections []flat.Section
+	for _, s := range det.sections("", true) {
+		if s.Tag != flat.TagUpdater {
+			sections = append(sections, s)
+		}
+	}
 	var buf bytes.Buffer
-	if err := snapshot.WriteHeader(&buf, snapshot.KindDetector); err != nil {
-		t.Fatal(err)
-	}
-	wire := detectorSnapWire{
-		Config:     det.cfg, // EnableUpdate is on
-		Tau:        det.tau,
-		HasUpdater: false,
-	}
-	if err := gob.NewEncoder(&buf).Encode(wire); err != nil {
-		t.Fatal(err)
-	}
-	if err := det.model.SaveRuntime(&buf); err != nil {
+	if err := flat.Write(&buf, flat.KindDetector, sections...); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := RestoreDetector(bytes.NewReader(buf.Bytes())); err == nil {
