@@ -129,7 +129,7 @@ func TestObserveUpdateSteadyStateAllocs(t *testing.T) {
 	if n > 0 {
 		t.Fatalf("Observe of an unbuffered segment allocates %v times with EnableUpdate, want 0", n)
 	}
-	if st := det.upd.State(); len(st.Offsets) != 0 {
+	if st := updaterState(t, det.upd); len(st.Offsets) != 0 {
 		t.Fatalf("fixture buffered %d segments; the test must stream unbuffered ones", len(st.Offsets))
 	}
 }

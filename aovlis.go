@@ -640,11 +640,7 @@ func (d *Detector) Clone() (*Detector, error) {
 // restored detector starts with an empty observation window and fresh
 // updater state.
 func Load(r io.Reader) (*Detector, error) {
-	avail, br := flat.Avail(r), flat.Reader(r)
-	if !flat.Is(br) {
-		return loadGob(br)
-	}
-	d, _, err := readRecord(br, flat.KindSavedDetector, avail)
+	d, _, err := readRecord(r, flat.KindSavedDetector)
 	return d, err
 }
 
@@ -690,9 +686,5 @@ func RestoreDetector(r io.Reader) (*Detector, error) {
 // flat record, or a gob stream of versions 1 to 3, told apart by the
 // record's magic.
 func RestoreChannel(r io.Reader) (*Detector, string, error) {
-	avail, br := flat.Avail(r), flat.Reader(r)
-	if !flat.Is(br) {
-		return restoreGob(br)
-	}
-	return readRecord(br, flat.KindDetector, avail)
+	return readRecord(r, flat.KindDetector)
 }

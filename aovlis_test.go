@@ -365,7 +365,7 @@ func TestDriftCheckReadsTheScoresState(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			got, want := det.upd.State(), ref.State()
+			got, want := updaterState(t, det.upd), updaterState(t, ref)
 			if got.Checks != want.Checks || got.Checks < 2 || got.HistoryCount != want.HistoryCount ||
 				got.IncomingCount != want.IncomingCount || len(got.Offsets) != len(want.Offsets) {
 				t.Fatalf("detector ran %d checks over %d+%d states, the reference %d over %d+%d (want at least 2 checks)",

@@ -479,7 +479,7 @@ func TestRestoredUpdatingChannelFootprint(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if n := len(live.upd.State().Offsets); n != cfg.Update.MaxBuffer-1 {
+	if n := len(updaterState(t, live.upd).Offsets); n != cfg.Update.MaxBuffer-1 {
 		t.Fatalf("the channel buffered %d samples, want %d", n, cfg.Update.MaxBuffer-1)
 	}
 	snap := snapshotBytes(t, live)
@@ -584,7 +584,7 @@ func TestSteadyUpdatingChannelFootprint(t *testing.T) {
 		t.Fatal(err)
 	}
 	observe(live, 0, merged[2])
-	st := live.upd.State()
+	st := updaterState(t, live.upd)
 	rows := len(st.Log) / (cfg.ActionDim + cfg.AudienceDim)
 	if n := len(st.Offsets); n != cfg.Update.MaxBuffer-1 {
 		t.Fatalf("the channel buffered %d samples, want %d", n, cfg.Update.MaxBuffer-1)

@@ -11,6 +11,7 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -18,6 +19,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -28,6 +30,7 @@ import (
 	"aovlis/internal/mat"
 	"aovlis/internal/node"
 	"aovlis/internal/serve"
+	"aovlis/internal/snapshot/flat"
 	"aovlis/internal/snapshot/manifest"
 	"aovlis/internal/wal"
 	"aovlis/internal/wire"
@@ -798,6 +801,29 @@ func TestChannelSnapshotImportBounded(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("stats of the refused channel status %d, want 404", resp.StatusCode)
+	}
+}
+
+// TestChannelSnapshotImportAllocatesWhatArrives: a PUT of a few dozen
+// bytes whose record declares a 32 MiB section is refused with 400 having
+// made the node allocate about what was sent, not what was declared.
+func TestChannelSnapshotImportAllocatesWhatArrives(t *testing.T) {
+	_, srv := openNode(t, testConfig(8, 8))
+	var rec bytes.Buffer
+	if err := flat.Write(&rec, flat.KindDetector, flat.Section{Tag: flat.TagChannel, Put: func(e *flat.Encoder) { e.Bytes([]byte("big")) }}); err != nil {
+		t.Fatal(err)
+	}
+	b := rec.Bytes()
+	binary.LittleEndian.PutUint64(b[len(flat.Magic)+16:], 32<<20) // the channel section's size
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	code := putSnapshot(t, srv, "big", bytes.NewReader(b), "0")
+	runtime.ReadMemStats(&after)
+	if code != http.StatusBadRequest {
+		t.Fatalf("import of a %d-byte record declaring 32 MiB: status %d, want 400", len(b), code)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 4<<20 {
+		t.Fatalf("import of a %d-byte record declaring 32 MiB allocated %d bytes", len(b), got)
 	}
 }
 

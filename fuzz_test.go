@@ -56,7 +56,7 @@ func tinyDetector(tb testing.TB, update bool) *Detector {
 			tb.Fatal(err)
 		}
 	}
-	if update && len(det.upd.State().Offsets) == 0 {
+	if update && len(updaterState(tb, det.upd).Offsets) == 0 {
 		tb.Fatal("the tiny updating detector buffered nothing")
 	}
 	return det

@@ -448,21 +448,18 @@ func ReadModel(d *flat.Decoder) (*Model, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if n, ok := cfg.numParams(); !ok || d.Size(flat.TagParams) != 8*n {
-		return nil, fmt.Errorf("core: weights section of %d bytes does not hold the configuration's parameters", d.Size(flat.TagParams))
+	if n, ok := cfg.numParams(); !ok || !d.Section(flat.TagParams) || d.Left() != 8*n {
+		return nil, fmt.Errorf("core: the record's weights are not the %d parameters of %+v", n, cfg)
 	}
 	m, err := NewModel(cfg)
+	if err == nil {
+		err = m.ps.ReadFlat(d)
+	}
+	if err == nil && d.Section(flat.TagAdam) {
+		err = m.opt.ReadFlat(d, m.ps)
+	}
 	if err != nil {
 		return nil, err
-	}
-	d.Section(flat.TagParams)
-	if err := m.ps.ReadFlat(d); err != nil {
-		return nil, err
-	}
-	if d.Section(flat.TagAdam) {
-		if err := m.opt.ReadFlat(d, m.ps); err != nil {
-			return nil, err
-		}
 	}
 	return m, nil
 }
@@ -484,12 +481,10 @@ func (c Config) numParams() (int64, bool) {
 // record, or a gob stream of snapshot codec versions 1 to 3. It restores
 // optimiser state when present.
 func LoadModel(r io.Reader) (*Model, error) {
-	avail, br := flat.Avail(r), flat.Reader(r)
-	if !flat.Is(br) {
-		return loadGob(br)
-	}
-	d, err := flat.Open(br, flat.KindModel, avail)
-	if err != nil {
+	d, old, err := flat.Open(r, flat.KindModel)
+	if old != nil {
+		return loadGob(old)
+	} else if err != nil {
 		return nil, err
 	}
 	m, err := ReadModel(d)

@@ -713,12 +713,10 @@ func (ps *ParamSet) WriteFlat(e *flat.Encoder) {
 }
 
 // ReadFlat reads a weights section WriteFlat wrote for a set of ps's
-// shapes straight into ps's own arrays. A read that fails may leave some
-// of them overwritten (the version moved first, as CopyFrom's does).
+// shapes straight into ps's own arrays; the Decoder's Close refuses a
+// longer one. A read that fails may leave some of them overwritten (the
+// version moved first, as CopyFrom's does).
 func (ps *ParamSet) ReadFlat(d *flat.Decoder) error {
-	if n := ps.NumParams(); d.Left() != 8*int64(n) {
-		return fmt.Errorf("nn: weights section holds %d bytes, the model has %d parameters", d.Left(), n)
-	}
 	ps.BumpVersion() // before mutating: see CopyFrom
 	for _, n := range ps.sortedNames() {
 		d.FloatsInto(ps.vals[n].Data)

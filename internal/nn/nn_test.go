@@ -1,7 +1,6 @@
 package nn
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/gob"
 	"fmt"
@@ -511,7 +510,7 @@ func writeFlat(t *testing.T, sections ...flat.Section) []byte {
 // openParams opens the model record b at its weights section.
 func openParams(t *testing.T, b []byte) *flat.Decoder {
 	t.Helper()
-	d, err := flat.Open(bufio.NewReader(bytes.NewReader(b)), flat.KindModel, int64(len(b)))
+	d, _, err := flat.Open(bytes.NewReader(b), flat.KindModel)
 	if err != nil {
 		t.Fatal(err)
 	}

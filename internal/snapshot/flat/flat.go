@@ -10,22 +10,22 @@
 //	sections their bodies, in table order
 //
 // all little-endian. A section body is its fixed fields, each one 8-byte
-// word (integers as int64, booleans as 0 or 1, floats as their IEEE-754
-// bits), then its arrays as raw float64 bits; their lengths are fixed
-// fields or follow from them. There is no reflection and no message
-// buffer: a writer encodes from the arrays that hold the state through one
-// bufio.Writer, and a reader decodes into the arrays that will hold it.
-// Versions 1 to 3 were gob streams (package snapshot); the magic's first
-// byte can open no gob message, so it tells the two apart.
+// word (integers as int64, booleans as 0 or 1, floats as their bits), then
+// its arrays as raw float64 bits, sized by the fields. A writer encodes
+// from the arrays that hold the state through one pooled bufio.Writer; a
+// reader decodes into the arrays that will hold it. Versions 1 to 3 were
+// gob streams (package snapshot), which the magic's first byte cannot open.
 package flat
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"math"
+	"os"
 	"sync"
 )
 
@@ -59,7 +59,7 @@ const (
 	headerSize = len(Magic) + 12
 	entrySize  = 12
 	maxCount   = 16
-	// maxUnsized bounds a record read from a source that cannot tell its
+	// maxUnsized bounds what is read of a source that cannot tell its
 	// length.
 	maxUnsized = 1 << 28
 )
@@ -76,9 +76,10 @@ type Section struct {
 	Put func(*Encoder)
 }
 
-// Encoder writes section bodies.
+// Encoder writes section bodies. Once a write fails it only counts, and
+// Write returns the error.
 type Encoder struct {
-	w *bufio.Writer // nil while sizing
+	w *bufio.Writer // nil while sizing and after a failed write
 	n int64
 }
 
@@ -115,11 +116,16 @@ func Write(w io.Writer, kind Kind, sections ...Section) error {
 	return bw.Flush()
 }
 
+// room makes room for a word in e's buffer and reports whether e writes.
+func (e *Encoder) room() bool {
+	if e.w != nil && e.w.Available() < 8 && e.w.Flush() != nil {
+		e.w = nil
+	}
+	return e.w != nil
+}
+
 func (e *Encoder) word(v uint64) {
-	if e.n += 8; e.w != nil {
-		if e.w.Available() < 8 {
-			e.w.Flush()
-		}
+	if e.n += 8; e.room() {
 		e.w.Write(binary.LittleEndian.AppendUint64(e.w.AvailableBuffer(), v))
 	}
 }
@@ -148,10 +154,7 @@ func (e *Encoder) Words(fields ...any) {
 
 // Floats writes the bits of v.
 func (e *Encoder) Floats(v []float64) {
-	for e.n += 8 * int64(len(v)); e.w != nil && len(v) > 0; {
-		if e.w.Available() < 8 {
-			e.w.Flush()
-		}
+	for e.n += 8 * int64(len(v)); len(v) > 0 && e.room(); {
 		b := e.w.AvailableBuffer()
 		k := min(len(v), cap(b)/8)
 		for _, x := range v[:k] {
@@ -169,30 +172,6 @@ func (e *Encoder) Bytes(b []byte) {
 	}
 }
 
-// Reader returns r as a *bufio.Reader, wrapping it in a small one unless
-// it is one.
-func Reader(r io.Reader) *bufio.Reader {
-	if br, ok := r.(*bufio.Reader); ok {
-		return br
-	}
-	return bufio.NewReaderSize(r, 2048)
-}
-
-// Is reports whether r's next bytes are a record's magic.
-func Is(r *bufio.Reader) bool {
-	b, _ := r.Peek(len(Magic))
-	return string(b) == Magic
-}
-
-// Avail returns how many bytes r has left when it can tell (a bytes or
-// strings Reader, a bytes.Buffer), and -1 when it cannot.
-func Avail(r io.Reader) int64 {
-	if l, ok := r.(interface{ Len() int }); ok {
-		return int64(l.Len())
-	}
-	return -1
-}
-
 // Decoder reads a record's sections in table order. Its first error
 // sticks: every read after it reads zeros, and Err and Close return it.
 type Decoder struct {
@@ -204,44 +183,70 @@ type Decoder struct {
 	err   error
 }
 
-// Open reads a record's header and section table from r and checks its
-// kind, and that its sections fit in avail bytes (Avail). No read of the
-// Decoder allocates for more values than its section declares, so a
-// record allocates no more than its source holds, or than maxUnsized
-// when the source cannot tell.
-func Open(r *bufio.Reader, kind Kind, avail int64) (*Decoder, error) {
+// Open reads the header and section table of a record of kind from r.
+// When r does not open with Magic it returns no Decoder but r, buffered,
+// for the gob readers of versions 1 to 3. The sections must fit in the
+// bytes r holds: a bytes or strings Reader, a bytes.Buffer and a regular
+// file tell how many, and any other r is read into memory first, as its
+// bytes arrive. No read of the Decoder allocates for more values than its
+// section declares, so a record allocates no more than its input holds.
+func Open(r io.Reader, kind Kind) (*Decoder, *bufio.Reader, error) {
+	if br, ok := r.(*bufio.Reader); ok && !isRecord(br) {
+		return nil, br, nil // a gob stream, which its readers bound as they go
+	}
+	avail := int64(-1)
+	switch s := r.(type) {
+	case interface{ Len() int }:
+		avail = int64(s.Len())
+	case *os.File:
+		fi, err := s.Stat()
+		if at, err2 := s.Seek(0, io.SeekCurrent); err == nil && err2 == nil && fi.Mode().IsRegular() {
+			avail = fi.Size() - at
+		}
+	}
+	if avail < 0 {
+		b, err := io.ReadAll(io.LimitReader(r, maxUnsized))
+		if err != nil {
+			return nil, nil, fmt.Errorf("flat: reading record: %w", err)
+		}
+		r, avail = bytes.NewReader(b), int64(len(b))
+	}
+	br := bufio.NewReaderSize(r, 2048)
+	if !isRecord(br) {
+		return nil, br, nil
+	}
 	var h [headerSize]byte
-	if _, err := io.ReadFull(r, h[:]); err != nil {
-		return nil, fmt.Errorf("flat: reading header: %w", err)
+	if _, err := io.ReadFull(br, h[:]); err != nil {
+		return nil, nil, fmt.Errorf("flat: reading header: %w", err)
 	}
 	le := binary.LittleEndian
 	version, k, count := le.Uint32(h[8:]), Kind(le.Uint32(h[12:])), le.Uint32(h[16:])
 	switch {
-	case string(h[:len(Magic)]) != Magic:
-		return nil, errors.New("flat: bad magic")
 	case version != Version:
-		return nil, fmt.Errorf("flat: version %d, want %d", version, Version)
+		return nil, nil, fmt.Errorf("flat: version %d, want %d", version, Version)
 	case k != kind:
-		return nil, fmt.Errorf("flat: kind %d, want %d", k, kind)
+		return nil, nil, fmt.Errorf("flat: kind %d, want %d", k, kind)
 	case count > maxCount:
-		return nil, fmt.Errorf("flat: %d sections, at most %d", count, maxCount)
-	}
-	if avail < 0 {
-		avail = maxUnsized
+		return nil, nil, fmt.Errorf("flat: %d sections, at most %d", count, maxCount)
 	}
 	avail -= int64(headerSize + entrySize*int(count))
-	d := &Decoder{r: r, tags: make([]uint32, count), sizes: make([]int64, count)}
+	d := &Decoder{r: br, tags: make([]uint32, count), sizes: make([]int64, count)}
 	for i := range d.tags {
 		var e [entrySize]byte
-		if _, err := io.ReadFull(r, e[:]); err != nil {
-			return nil, fmt.Errorf("flat: reading section table: %w", err)
+		if _, err := io.ReadFull(br, e[:]); err != nil {
+			return nil, nil, fmt.Errorf("flat: reading section table: %w", err)
 		}
 		d.tags[i], d.sizes[i] = le.Uint32(e[:]), int64(le.Uint64(e[4:]))
 		if avail -= d.sizes[i]; d.sizes[i] < 0 || avail < 0 {
-			return nil, fmt.Errorf("flat: section %d declares %d bytes, more than the input holds", d.tags[i], d.sizes[i])
+			return nil, nil, fmt.Errorf("flat: section %d declares %d bytes, more than the input holds", d.tags[i], d.sizes[i])
 		}
 	}
-	return d, nil
+	return d, nil, nil
+}
+
+func isRecord(br *bufio.Reader) bool {
+	b, _ := br.Peek(len(Magic))
+	return string(b) == Magic
 }
 
 // Section opens the next section if its tag is tag and reports whether it
@@ -256,16 +261,6 @@ func (d *Decoder) Section(tag uint32) bool {
 	}
 	d.left, d.next = d.sizes[d.next], d.next+1
 	return true
-}
-
-// Size returns the declared size of the next section with tag, or -1.
-func (d *Decoder) Size(tag uint32) int64 {
-	for i := d.next; i < len(d.tags); i++ {
-		if d.tags[i] == tag {
-			return d.sizes[i]
-		}
-	}
-	return -1
 }
 
 // Left returns the bytes left in the open section.

@@ -56,8 +56,8 @@ func TestHeaderRejections(t *testing.T) {
 
 func TestReaderSharedAcrossChainedDecoders(t *testing.T) {
 	// Two gob encoders chained on one stream, decoded through a reader that
-	// does NOT implement io.ByteReader: without the shared wrap (flat.Reader,
-	// which every reader of a versions 1–3 stream goes through) the second
+	// does NOT implement io.ByteReader: without the shared wrap (the reader
+	// flat.Open hands every reader of a versions 1–3 stream) the second
 	// decoder loses data to the first decoder's internal bufio.
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode("first"); err != nil {
@@ -66,20 +66,24 @@ func TestReaderSharedAcrossChainedDecoders(t *testing.T) {
 	if err := gob.NewEncoder(&buf).Encode("second"); err != nil {
 		t.Fatal(err)
 	}
-	r := flat.Reader(onlyReader{&buf})
+	_, r, err := flat.Open(onlyReader{&buf}, flat.KindDetector)
+	if err != nil || r == nil {
+		t.Fatalf("a gob stream opened as %v, %v", r, err)
+	}
 	var a, b string
 	if err := gob.NewDecoder(r).Decode(&a); err != nil {
 		t.Fatal(err)
+	}
+	// The gob readers open the rest of the stream again (a detector
+	// snapshot's model): a bufio.Reader on a gob stream passes through.
+	if _, again, err := flat.Open(r, flat.KindModel); again != r || err != nil {
+		t.Fatalf("the gob stream's reader was re-wrapped: %v", err)
 	}
 	if err := gob.NewDecoder(r).Decode(&b); err != nil {
 		t.Fatalf("second chained decoder: %v", err)
 	}
 	if a != "first" || b != "second" {
 		t.Fatalf("decoded %q, %q", a, b)
-	}
-	// A bufio.Reader input passes through unwrapped.
-	if got := flat.Reader(r); got != r {
-		t.Fatal("bufio.Reader input was re-wrapped")
 	}
 }
 

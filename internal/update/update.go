@@ -421,8 +421,8 @@ func (u *Updater) release() {
 	u.chunks, u.rows, u.offsets = u.chunks[:0], 0, u.offsets[:0]
 }
 
-// State is the updater's complete mutable runtime state, exported for
-// snapshots. Everything that influences future Observe behaviour is here:
+// State is the updater's complete mutable runtime state as a snapshot
+// holds it (ReadState), for SetState to restore. Everything that influences future Observe behaviour is here:
 // the two Eq. 17 sketches, the buffered presumed-normal samples, the
 // adaptive interaction-threshold window, and the update counter (which
 // seeds the retraining rng, so restoring it keeps resumed retraining
@@ -442,7 +442,7 @@ type State struct {
 	Offsets []int
 	LogEnd  int
 	// Buffer is n_tmp as codec versions 1 and 2 wrote it: samples with
-	// rows of their own. SetState restores it; State leaves it empty.
+	// rows of their own. SetState restores it; ReadState leaves it empty.
 	Buffer []core.Sample
 	// PrevWindowMean is the interaction threshold T; CurWindowSum and
 	// CurWindowN accumulate the next window.
@@ -452,31 +452,6 @@ type State struct {
 	// Updates and Checks are the lifetime counters.
 	Updates int
 	Checks  int
-}
-
-// State returns a copy of the updater's runtime state.
-func (u *Updater) State() State {
-	da, db := u.model.Config().ActionDim, u.model.Config().AudienceDim
-	log := make([]float64, u.rows*(da+db))
-	for r := 0; r < u.rows; r++ {
-		act, aud := u.row(r)
-		copy(log[r*da:], act)
-		copy(log[u.rows*da+r*db:], aud)
-	}
-	return State{
-		HistorySum:     append([]float64(nil), u.history.sum...),
-		HistoryCount:   u.history.count,
-		IncomingSum:    append([]float64(nil), u.incoming.sum...),
-		IncomingCount:  u.incoming.count,
-		Log:            log,
-		Offsets:        slices.Clone(u.offsets),
-		LogEnd:         u.end,
-		PrevWindowMean: u.prevWindowMean,
-		CurWindowSum:   u.curWindowSum,
-		CurWindowN:     u.curWindowN,
-		Updates:        u.updates,
-		Checks:         u.checks,
-	}
 }
 
 // WriteFlat writes the updater's state as the updater section of a flat

@@ -8,15 +8,18 @@ package aovlis
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"aovlis/internal/durable"
 	"aovlis/internal/snapshot/flat"
+	"aovlis/internal/update"
 )
 
 // resultsBitEqual compares two Results including the float bit pattern of
@@ -100,8 +103,8 @@ func TestSnapshotRestoreBitIdentical(t *testing.T) {
 	}
 }
 
-// TestStateBeforeDriftCheckSurvivesRecycling takes a Snapshot and an
-// Updater.State one segment before a drift check that retrains. The
+// TestStateBeforeDriftCheckSurvivesRecycling takes a Snapshot and the
+// updater's state one segment before a drift check that retrains. The
 // original then runs on through the check, which frees the rows its
 // updater's buffered samples own, and the samples buffered after it are
 // copied into those rows. A detector restored from the snapshot, and one
@@ -138,7 +141,7 @@ func TestStateBeforeDriftCheckSurvivesRecycling(t *testing.T) {
 		}
 	}
 	snap := snapshotBytes(t, det)
-	st := det.upd.State()
+	st := updaterState(t, det.upd)
 	if len(st.Offsets) != det.cfg.Update.MaxBuffer-1 {
 		t.Fatalf("%d samples buffered before the drift check, want %d", len(st.Offsets), det.cfg.Update.MaxBuffer-1)
 	}
@@ -326,6 +329,59 @@ func TestSnapshotThroughFileBitIdentical(t *testing.T) {
 		}
 		if !resultsBitEqual(want, got) {
 			t.Fatalf("segment %d diverged after file round-trip", i)
+		}
+	}
+}
+
+// updaterState returns u's state as a record's updater section holds it.
+func updaterState(tb testing.TB, u *update.Updater) update.State {
+	tb.Helper()
+	var b bytes.Buffer
+	if err := flat.Write(&b, flat.KindDetector, flat.Section{Tag: flat.TagUpdater, Put: u.WriteFlat}); err != nil {
+		tb.Fatal(err)
+	}
+	d, _, err := flat.Open(&b, flat.KindDetector)
+	if err != nil || !d.Section(flat.TagUpdater) {
+		tb.Fatalf("reading the updater section back: %v", err)
+	}
+	cfg := u.Model().Config()
+	st := update.ReadState(d, cfg.ActionDim+cfg.AudienceDim)
+	if err := d.Close(); err != nil {
+		tb.Fatal(err)
+	}
+	return st
+}
+
+// failingWriter accepts n bytes, then fails every write.
+type failingWriter struct{ n int }
+
+func (f *failingWriter) Write(p []byte) (int, error) {
+	k := min(len(p), f.n)
+	if f.n -= k; k < len(p) {
+		return k, errors.New("no space left on device")
+	}
+	return k, nil
+}
+
+// TestWriteErrorsReachTheCaller: Save and Snapshot of a benchmark-shape
+// detector into a writer that fails part way (a full disk, a closed
+// connection) return the error rather than retrying the write, and a
+// failed Snapshot leaves the detector observable.
+func TestWriteErrorsReachTheCaller(t *testing.T) {
+	det, acts, auds := benchShapeTemplate(t)
+	for _, at := range []int{0, 100, 16 << 10, 100 << 10} {
+		done := make(chan [2]error, 1)
+		go func() { done <- [2]error{det.Save(&failingWriter{at}), det.Snapshot(&failingWriter{at})} }()
+		select {
+		case errs := <-done:
+			if errs[0] == nil || errs[1] == nil {
+				t.Fatalf("writes failing after %d bytes: Save = %v, Snapshot = %v", at, errs[0], errs[1])
+			}
+		case <-time.After(20 * time.Second):
+			t.Fatalf("writes failing after %d bytes: Save or Snapshot has not returned", at)
+		}
+		if _, err := det.Observe(acts[0], auds[0]); err != nil {
+			t.Fatalf("Observe after a failed Snapshot: %v", err)
 		}
 	}
 }

@@ -8,7 +8,6 @@ package aovlis
 // loading through the readers at the end of this file.
 
 import (
-	"bufio"
 	"encoding/gob"
 	"errors"
 	"fmt"
@@ -90,12 +89,18 @@ func tierFields(f flat.Fields, st *ados.TierState) {
 		&st.Stats.Drifted, &st.Stats.Unclear)
 }
 
-// readRecord reads a detector record of kind and returns the channel it
-// names. The model comes first: its weights are in the input before
-// anything its dimensions size is allocated.
-func readRecord(br *bufio.Reader, kind flat.Kind, avail int64) (*Detector, string, error) {
-	dec, err := flat.Open(br, kind, avail)
-	if err != nil {
+// readRecord reads a detector of kind from r, a flat record or a gob
+// stream, and returns the channel it names. The model comes first: its
+// weights are in the input before anything its dimensions size is
+// allocated.
+func readRecord(r io.Reader, kind flat.Kind) (*Detector, string, error) {
+	dec, old, err := flat.Open(r, kind)
+	switch {
+	case old != nil && kind == flat.KindDetector:
+		return restoreGob(old)
+	case old != nil:
+		return loadGob(old)
+	case err != nil:
 		return nil, "", err
 	}
 	var channel string
@@ -111,9 +116,7 @@ func readRecord(br *bufio.Reader, kind flat.Kind, avail int64) (*Detector, strin
 	if !dec.Section(flat.TagDetector) {
 		return nil, "", errors.Join(dec.Err(), errors.New("aovlis: record holds no detector section"))
 	}
-	if w.fields(dec, &rows); dec.Err() == nil && w.Config.modelConfig() != model.Config() {
-		return nil, "", fmt.Errorf("aovlis: record model config %+v does not match detector config %+v", model.Config(), w.Config.modelConfig())
-	}
+	w.fields(dec, &rows)
 	da, db := w.Config.ActionDim, w.Config.AudienceDim
 	w.ActWin, w.AudWin = readRows(dec, rows, da), readRows(dec, rows, db)
 	if w.HasTier = dec.Section(flat.TagTier); w.HasTier {
@@ -126,14 +129,7 @@ func readRecord(br *bufio.Reader, kind flat.Kind, avail int64) (*Detector, strin
 	if err := dec.Close(); err != nil {
 		return nil, "", fmt.Errorf("aovlis: decoding record: %w", err)
 	}
-	var d *Detector
-	if kind == flat.KindSavedDetector {
-		if err = w.Config.Validate(); err == nil {
-			d, err = w.load(model)
-		}
-	} else {
-		d, err = w.restore(model)
-	}
+	d, err := w.build(model, kind == flat.KindSavedDetector)
 	return d, channel, err
 }
 
@@ -149,24 +145,26 @@ func readRows(dec *flat.Decoder, n, dim int) [][]float64 {
 	return rows
 }
 
-// load builds the detector a Save record describes on its model: a fresh
-// window, tier gate and updater.
-func (w *detectorSnapWire) load(model *core.Model) (*Detector, error) {
-	d := &Detector{cfg: w.Config, model: model, tau: w.Tau}
-	if err := d.initRuntime(nil); err != nil {
-		return nil, err
-	}
-	return d, nil
-}
-
-// restore builds the detector a snapshot describes on its model, once the
-// state is known to belong to the configuration.
-func (w *detectorSnapWire) restore(model *core.Model) (*Detector, error) {
+// build builds the detector w describes on its model: for a Save record
+// (saved), a fresh window, tier gate and updater; for a snapshot, its
+// runtime, once the state is known to belong to the configuration.
+func (w *detectorSnapWire) build(model *core.Model, saved bool) (*Detector, error) {
 	// The embedded model must be the one the detector configuration
-	// implies: a mismatched pair would restore "successfully" and then fail
+	// implies: a mismatched pair would load "successfully" and then fail
 	// (or mis-score) on every Observe.
 	if mc := w.Config.modelConfig(); model.Config() != mc {
 		return nil, fmt.Errorf("aovlis: snapshot model config %+v does not match detector config %+v", model.Config(), mc)
+	}
+	if saved {
+		d := &Detector{cfg: w.Config, model: model, tau: w.Tau}
+		err := w.Config.Validate()
+		if err == nil {
+			err = d.initRuntime(nil)
+		}
+		if err != nil {
+			return nil, err
+		}
+		return d, nil
 	}
 	if err := w.validate(); err != nil {
 		return nil, err
@@ -242,19 +240,20 @@ func (w *detectorSnapWire) validate() error {
 
 // loadGob reads a Save stream of versions 1 to 3: a gob message of the
 // configuration and τ, then the model's stream.
-func loadGob(r io.Reader) (*Detector, error) {
+func loadGob(r io.Reader) (*Detector, string, error) {
 	var wire struct {
 		Config Config
 		Tau    float64
 	}
 	if err := gob.NewDecoder(r).Decode(&wire); err != nil {
-		return nil, fmt.Errorf("aovlis: decoding detector: %w", err)
+		return nil, "", fmt.Errorf("aovlis: decoding detector: %w", err)
 	}
 	model, err := core.LoadModel(r)
 	if err != nil {
-		return nil, err
+		return nil, "", err
 	}
-	return (&detectorSnapWire{Config: wire.Config, Tau: wire.Tau}).load(model)
+	d, err := (&detectorSnapWire{Config: wire.Config, Tau: wire.Tau}).build(model, true)
+	return d, "", err
 }
 
 // restoreGob reads a detector snapshot of versions 1 to 3, or a channel
@@ -287,6 +286,6 @@ func restoreGob(r io.Reader) (*Detector, string, error) {
 	if err != nil {
 		return nil, "", err
 	}
-	d, err := wire.restore(model)
+	d, err := wire.build(model, false)
 	return d, export.ID, err
 }
